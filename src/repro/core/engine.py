@@ -42,10 +42,7 @@ import time
 
 import importlib
 
-from repro.crypto.damgard_jurik import (
-    layered_one_hot_select,
-    layered_select,
-)
+from repro.crypto.damgard_jurik import layered_select_batch
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.events import CandidateFinalized, DepthAdvanced
 from repro.exceptions import QueryError
@@ -304,7 +301,6 @@ class EagerEngine(_EngineBase):
         ctx = self.ctx
         dj = ctx.dj
         item = items[list_slot]
-        zero = ctx.zero()
         n_candidates = base + list_slot
         ehls = [shared[i].ehl for i in range(base)] + [
             items[i].ehl for i in range(list_slot)
@@ -315,7 +311,7 @@ class EagerEngine(_EngineBase):
             # Permute before shipping so S2's equality-pattern view is the
             # declared EP_d leakage (pattern up to a random permutation).
             order = ctx.rng.permutation(n_candidates)
-            eq_cts = [item.ehl.minus(ehls[i], ctx.rng) for i in order]
+            eq_cts = item.ehl.minus_many([ehls[i] for i in order], ctx.rng)
             permuted_bits = yield ZeroTestBatch(protocol=PROTOCOL, cts=eq_cts)
             bits = [None] * n_candidates
             for slot, i in enumerate(order):
@@ -333,30 +329,29 @@ class EagerEngine(_EngineBase):
         for bit in bits:
             matched = bit if matched is None else matched + bit
 
-        layered = [layered_select(dj, bit, item.score, zero) for bit in bits]
-        if matched is None:
-            own_seen = dj.encrypt(1, ctx.rng)
-            own_layered = None
-        else:
-            own_seen = dj.encrypt(1, ctx.rng) - matched
-            # matched -> Enc(0), fresh object -> Enc(x).
-            own_layered = layered_one_hot_select(dj, [matched], [zero], item.score)
-            layered.append(own_layered)
+        # Per candidate: matched -> Enc(x) credit, else Enc(0).
+        zero = ctx.zero()
+        selections = [([bit], [item.score], zero) for bit in bits]
+        if matched is not None:
+            # Own entry: matched -> Enc(0), fresh object -> Enc(x).
+            selections.append(([matched], [zero], item.score))
+        layered = layered_select_batch(dj, selections, ctx.rng)
 
+        # The own-list slot of list_scores is patched to the recovered
+        # score after the recover round resolves.
+        list_scores = ctx.public_key.encrypt_batch([0] * self.m, ctx.rng)
+        list_scores[list_slot] = zero
+        seen_bits = dj.encrypt_batch(
+            [int(j == list_slot) for j in range(self.m)], ctx.rng
+        )
+        if matched is not None:
+            seen_bits[list_slot] = seen_bits[list_slot] - matched
         entry = ScoredItem(
             ehl=item.ehl,
             worst=zero,
             best=zero,
-            list_scores=[
-                # The own-list slot is patched to the recovered score
-                # after the recover round resolves.
-                zero if j == list_slot else ctx.public_key.encrypt(0, ctx.rng)
-                for j in range(self.m)
-            ],
-            seen_bits=[
-                own_seen if j == list_slot else dj.encrypt(0, ctx.rng)
-                for j in range(self.m)
-            ],
+            list_scores=list_scores,
+            seen_bits=seen_bits,
             record=item.record,
         )
         if len(shared) != base + list_slot:
@@ -375,7 +370,7 @@ class EagerEngine(_EngineBase):
             )
 
         entry.list_scores[list_slot] = (
-            recovered[-1] if own_layered is not None else item.score
+            recovered[-1] if matched is not None else item.score
         )
 
     # -- bound recomputation ----------------------------------------------
@@ -403,15 +398,16 @@ class EagerEngine(_EngineBase):
         zero = ctx.zero()
         bottoms = [self.lists[j][depth].score for j in range(self.m)]
 
-        layered = []
-        for t_item in t_list:
-            for j in range(self.m):
-                # seen -> Enc(0) contribution, unseen -> Enc(bottom_j).
-                layered.append(
-                    layered_one_hot_select(
-                        dj, [t_item.seen_bits[j]], [zero], bottoms[j]
-                    )
-                )
+        # seen -> Enc(0) contribution, unseen -> Enc(bottom_j).
+        layered = layered_select_batch(
+            dj,
+            [
+                ([t_item.seen_bits[j]], [zero], bottoms[j])
+                for t_item in t_list
+                for j in range(self.m)
+            ],
+            ctx.rng,
+        )
         recovered = yield from recover_enc_flow(ctx, layered, PROTOCOL)
 
         idx = 0

@@ -9,8 +9,10 @@ the ``gmp-kernel`` backend only when this loader succeeds, exactly like
 the gmpy2 backend registers only when gmpy2 imports.
 
 The build is cached under ``~/.cache/repro-gmp-kernel/<tag>`` (override
-with ``REPRO_KERNEL_CACHE``); ``REPRO_NO_KERNEL=1`` disables the kernel
-outright, which is how the pure/gmpy2 CI legs stay deterministic on
+with ``REPRO_KERNEL_CACHE``), in a subdirectory named by a digest of the
+C declarations and source, so a cache populated by another version of
+this package is never imported in place of a rebuild.
+``REPRO_NO_KERNEL=1`` disables the kernel outright, which is how the pure/gmpy2 CI legs stay deterministic on
 machines that happen to carry a compiler.  Concurrent builders compile
 into private scratch directories and ``os.replace`` the shared object
 into place, so racing processes (spawn-started pool workers, parallel
@@ -19,6 +21,7 @@ test runs) at worst build twice, never corrupt the cache.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import os
 import pathlib
@@ -31,11 +34,15 @@ _REASON: str | None = None
 
 
 def _cache_dir() -> pathlib.Path:
+    from repro.crypto._gmp_kernel.build import CDEF, SOURCE
+
     override = os.environ.get("REPRO_KERNEL_CACHE")
     if override:
-        return pathlib.Path(override)
-    tag = f"cp{sys.version_info.major}{sys.version_info.minor}"
-    return pathlib.Path.home() / ".cache" / "repro-gmp-kernel" / tag
+        base = pathlib.Path(override)
+    else:
+        tag = f"cp{sys.version_info.major}{sys.version_info.minor}"
+        base = pathlib.Path.home() / ".cache" / "repro-gmp-kernel" / tag
+    return base / hashlib.sha256((CDEF + SOURCE).encode()).hexdigest()[:16]
 
 
 def _so_name() -> str:
@@ -82,9 +89,10 @@ def load():
         _REASON = "disabled by REPRO_NO_KERNEL"
         return None
     try:
-        target = _cache_dir() / _so_name()
+        cache = _cache_dir()
+        target = cache / _so_name()
         if not target.exists():
-            _build(_cache_dir(), target)
+            _build(cache, target)
         _LOADED = _import_so(target)
     except Exception as exc:  # noqa: BLE001 — any failure means "absent"
         _REASON = f"{type(exc).__name__}: {exc}"

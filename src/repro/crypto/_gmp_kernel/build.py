@@ -1,9 +1,10 @@
 """cffi build recipe for the GIL-free GMP batch kernel.
 
-The C side is deliberately tiny: one vectorized ``mpz_powm`` loop (the
-shape of every hot batch in the system — CRT Paillier decryption, DJ
-layer stripping, randomizer pools, shard weighting) plus a scalar
-``mpz_invert``.  Everything crosses the boundary as fixed-width
+The C side is deliberately tiny: two vectorized ``mpz_powm`` loops —
+one exponent for the whole batch (CRT Paillier decryption, DJ layer
+stripping, randomizer pools, shard weighting) and one exponent per base
+(the ⊖ matrix's random scalars, the layered selects' and ``RecoverEnc``'s
+scalar multiplications) — plus a scalar ``mpz_invert``.  Everything crosses the boundary as fixed-width
 little-endian arrays of 64-bit words (least-significant word first,
 little-endian bytes within each word — the same limb format the
 compute pool's shared-memory slab transport uses), so a single C call
@@ -33,6 +34,10 @@ int repro_powmod_vec(const uint64_t *bases, size_t n_items, size_t base_words,
                      const uint64_t *exp, size_t exp_words,
                      const uint64_t *mod, size_t mod_words,
                      uint64_t *out);
+int repro_powmod_pairs(const uint64_t *bases, size_t n_items, size_t base_words,
+                       const uint64_t *exps, size_t exp_words,
+                       const uint64_t *mod, size_t mod_words,
+                       uint64_t *out);
 int repro_invert(const uint64_t *a, size_t a_words,
                  const uint64_t *mod, size_t mod_words,
                  uint64_t *out);
@@ -96,6 +101,38 @@ int repro_powmod_vec(const uint64_t *bases, size_t n_items, size_t base_words,
     mpz_clear(m);
     mpz_clear(r);
     return status;
+}
+
+/* out[i] = bases[i] ** exps[i]  mod  mod: one exponent per base, every
+   exponent packed to the same exp_words.  Same contract as above. */
+int repro_powmod_pairs(const uint64_t *bases, size_t n_items, size_t base_words,
+                       const uint64_t *exps, size_t exp_words,
+                       const uint64_t *mod, size_t mod_words,
+                       uint64_t *out)
+{
+    mpz_t b, e, m, r;
+    size_t i;
+
+    mpz_init(m);
+    import_words(m, mod, mod_words);
+    if (mpz_sgn(m) == 0) {
+        mpz_clear(m);
+        return -1;
+    }
+    mpz_init(b);
+    mpz_init(e);
+    mpz_init(r);
+    for (i = 0; i < n_items; i++) {
+        import_words(b, bases + i * base_words, base_words);
+        import_words(e, exps + i * exp_words, exp_words);
+        mpz_powm(r, b, e, m);
+        export_words(out + i * mod_words, mod_words, r);
+    }
+    mpz_clear(b);
+    mpz_clear(e);
+    mpz_clear(m);
+    mpz_clear(r);
+    return 0;
 }
 
 /* out = a ** -1 mod mod.  Returns 1 when the inverse exists, 0 when it

@@ -43,7 +43,10 @@ decryption) is the primitive the key-level batch methods build on — it
 replaced the per-item ``pow`` loops previously inlined in
 ``encrypt_vector``/``decrypt_vector`` and the S2 decrypt handlers, and
 gives an accelerated backend one conversion of the shared
-modulus/exponent per *batch* instead of per item.  :func:`encrypt_batch`
+modulus/exponent per *batch* instead of per item.  :func:`powmod_pairs`
+(one exponent *per* base) and :func:`invert_vec` (Montgomery's trick)
+carry the query path's per-ciphertext work — the ⊖ matrix, the layered
+selects, ``RecoverEnc`` — as one call per round.  :func:`encrypt_batch`
 and :func:`decrypt_batch` are the module-level faces of the key-method
 equivalents (``pk.encrypt_batch`` / ``sk.decrypt_batch``) for callers
 that want the whole compute API importable from one place; the stack
@@ -64,7 +67,38 @@ except ImportError:  # pragma: no cover
     _gmpy2 = None
 
 
-class PurePythonBackend:
+class _MontgomeryInverse:
+    """``invert_vec`` for every backend, on top of its scalar ``invert``."""
+
+    def invert_vec(self, values: list[int], mod: int) -> list[int]:
+        """Every inverse of a batch from ONE modular inversion.
+
+        Montgomery's trick: invert the product of the batch, then peel
+        the factors off again — one ``invert`` plus ``3(n-1)``
+        multiplications mod ``mod``.  Raises ``ValueError`` (and returns
+        nothing) when any element has no inverse.
+        """
+        if not values:
+            return []
+        values = [v % mod for v in values]
+        prefix = [values[0]]
+        for v in values[1:]:
+            prefix.append(prefix[-1] * v % mod)
+        try:
+            inv = self.invert(prefix[-1], mod)
+        except ValueError:
+            raise ValueError(
+                "batch holds an element that is not invertible for the given modulus"
+            ) from None
+        out = [0] * len(values)
+        for i in range(len(values) - 1, 0, -1):
+            out[i] = inv * prefix[i - 1] % mod
+            inv = inv * values[i] % mod
+        out[0] = inv
+        return out
+
+
+class PurePythonBackend(_MontgomeryInverse):
     """CPython built-ins; the always-available reference backend."""
 
     name = "pure"
@@ -78,6 +112,12 @@ class PurePythonBackend:
         return [pow(b, exp, mod) for b in bases]
 
     @staticmethod
+    def powmod_pairs(bases: list[int], exps: list[int], mod: int) -> list[int]:
+        if len(bases) != len(exps):
+            raise ValueError("powmod_pairs needs one exponent per base")
+        return [pow(b, e, mod) for b, e in zip(bases, exps)]
+
+    @staticmethod
     def invert(a: int, mod: int) -> int:
         return pow(a, -1, mod)
 
@@ -86,7 +126,7 @@ class PurePythonBackend:
         return math.gcd(a, b)
 
 
-class Gmpy2Backend:
+class Gmpy2Backend(_MontgomeryInverse):
     """GMP-accelerated ops via :mod:`gmpy2` (optional dependency).
 
     Results are converted back to built-in ``int`` at the boundary so
@@ -112,6 +152,13 @@ class Gmpy2Backend:
         e, m = mpz(exp), mpz(mod)
         return [int(powmod(b, e, m)) for b in bases]
 
+    def powmod_pairs(self, bases: list[int], exps: list[int], mod: int) -> list[int]:
+        if len(bases) != len(exps):
+            raise ValueError("powmod_pairs needs one exponent per base")
+        powmod = self._powmod
+        m = self._mpz(mod)
+        return [int(powmod(b, e, m)) for b, e in zip(bases, exps)]
+
     def invert(self, a: int, mod: int) -> int:
         # gmpy2.invert returns 0 for non-invertible inputs (instead of
         # raising, as pow(a, -1, m) does); normalize to the pure error.
@@ -123,13 +170,14 @@ class Gmpy2Backend:
         return int(self._gcd(a, b))
 
 
-class GmpKernelBackend:
+class GmpKernelBackend(_MontgomeryInverse):
     """The compiled GIL-free GMP batch kernel as a backend.
 
     Same GMP arithmetic as gmpy2 (bit-identical results); the
-    difference is *where the GIL goes*: :meth:`powmod_vec` makes one C
-    call for the whole batch and cffi releases the GIL for its entire
-    duration, so concurrent threads running batches genuinely overlap.
+    difference is *where the GIL goes*: :meth:`powmod_vec` and
+    :meth:`powmod_pairs` make one C call for the whole batch and cffi
+    releases the GIL for its entire duration, so concurrent threads
+    running batches genuinely overlap.
     ``gcd`` stays on :func:`math.gcd` — already C-speed, and never a
     batch bottleneck.
     """
@@ -151,6 +199,9 @@ class GmpKernelBackend:
 
     def powmod_vec(self, bases: list[int], exp: int, mod: int) -> list[int]:
         return self._kernel.powmod_vec(bases, exp, mod)
+
+    def powmod_pairs(self, bases: list[int], exps: list[int], mod: int) -> list[int]:
+        return self._kernel.powmod_pairs(bases, exps, mod)
 
     def invert(self, a: int, mod: int) -> int:
         return self._kernel.invert(a, mod)
@@ -302,6 +353,18 @@ def powmod_vec(bases: list[int], exp: int, mod: int) -> list[int]:
     """Exponentiate many bases by one shared exponent — the shape of
     batched CRT decryption and batched randomizer generation."""
     return _current().powmod_vec(bases, exp, mod)
+
+
+def powmod_pairs(bases: list[int], exps: list[int], mod: int) -> list[int]:
+    """Exponentiate each base by its own exponent — the shape of the ⊖
+    matrix's random scalars and of the layered scalar multiplications."""
+    return _current().powmod_pairs(bases, exps, mod)
+
+
+def invert_vec(values: list[int], mod: int) -> list[int]:
+    """Every modular inverse of a batch for the price of one (raises
+    ``ValueError`` if any element has none)."""
+    return _current().invert_vec(values, mod)
 
 
 def encrypt_batch(pk, values: list[int], rng=None) -> list:

@@ -28,7 +28,12 @@ original Damgård–Jurik paper.
 from __future__ import annotations
 
 from repro.crypto import backend
-from repro.crypto.paillier import Ciphertext, PaillierKeypair, PaillierPublicKey
+from repro.crypto.paillier import (
+    Ciphertext,
+    PaillierKeypair,
+    PaillierPublicKey,
+    pool_randomizers,
+)
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import DecryptionError, KeyMismatchError
 
@@ -83,11 +88,9 @@ class DamgardJurik:
             rng = self._rng = SecureRandom()
         return rng
 
-    def _randomizer(self, rng: SecureRandom) -> int:
-        """A fresh randomizer ``r^{N^s} mod N^{s+1}`` from the cached pool.
-
-        Same randomizer-caching optimization as the Paillier key uses.
-        """
+    def randomizers(self, rng: SecureRandom, count: int) -> list[int]:
+        """``count`` fresh randomizers ``r^{N^s} mod N^{s+1}`` from the
+        cached pool (the Paillier key's randomizer-caching optimization)."""
         pool = self._pool
         if pool is None:
             pool_rng = SecureRandom()
@@ -96,10 +99,7 @@ class DamgardJurik:
                 self.n_s,
                 self.n_s1,
             )
-        out = 1
-        for _ in range(self._POOL_PICKS):
-            out = out * pool[rng.randint_below(self._POOL_SIZE)] % self.n_s1
-        return out
+        return pool_randomizers(pool, self._POOL_PICKS, self.n_s1, rng, count)
 
     def _g_pow(self, m: int) -> int:
         """``(1 + N)^m mod N^{s+1}`` via the binomial expansion.
@@ -111,19 +111,28 @@ class DamgardJurik:
         m %= self.n_s
         result = 1
         term = 1  # C(m, i) * N^i, built incrementally
+        n_i = 1
         for i in range(1, self.s + 1):
             term = term * (m - i + 1) // i
-            result = (result + term % self.n_s1 * pow(self.n, i, self.n_s1)) % self.n_s1
+            n_i *= self.n
+            result = (result + term % self.n_s1 * n_i) % self.n_s1
         return result
-
-    def raw_encrypt(self, m: int, rng: SecureRandom) -> int:
-        """Encrypt ``m`` in ``Z_{N^s}``; returns the bare integer."""
-        return self._g_pow(m) * self._randomizer(rng) % self.n_s1
 
     def encrypt(self, m: int, rng: SecureRandom | None = None) -> "LayeredCiphertext":
         """Encrypt an integer plaintext (e.g. a bit, or a Paillier ct value)."""
+        return self.encrypt_batch([m], rng)[0]
+
+    def encrypt_batch(
+        self, values: list[int], rng: SecureRandom | None = None
+    ) -> list["LayeredCiphertext"]:
+        """Encrypt a vector in ``Z_{N^s}`` component-wise (same stream
+        order as a loop of :meth:`encrypt` calls)."""
         rng = rng or self._fresh_rng()
-        return LayeredCiphertext(self.raw_encrypt(m, rng), self)
+        n_s1, g_pow = self.n_s1, self._g_pow
+        return [
+            LayeredCiphertext(g_pow(m) * r % n_s1, self)
+            for m, r in zip(values, self.randomizers(rng, len(values)))
+        ]
 
     def encrypt_ciphertext(
         self, inner: Ciphertext, rng: SecureRandom | None = None
@@ -184,6 +193,14 @@ class DamgardJurik:
         constants = (p_s1, q_s1, dp, dq, p_s1_inv)
         sk.dj_crt_cache[self.s] = constants
         return constants
+
+    def values_of(self, cts: list["LayeredCiphertext"]) -> list[int]:
+        """The bare integers of ``cts``, each checked to belong to this
+        instance — the way in for code that works on flat int vectors."""
+        for c in cts:
+            if c.scheme != self:
+                raise KeyMismatchError("ciphertext from a different DJ instance")
+        return [c.value for c in cts]
 
     def _check_batch(self, cts: list["LayeredCiphertext"], keypair: PaillierKeypair):
         if keypair.public_key != self.public_key:
@@ -248,10 +265,11 @@ class DamgardJurik:
 class LayeredCiphertext:
     """A Damgård–Jurik ciphertext with the outer-layer homomorphisms.
 
-    ``a + b`` adds the (inner) plaintexts, ``a * k`` multiplies the inner
-    plaintext by the integer ``k``, and ``a.scalar_ct(c)`` multiplies the
-    inner plaintext by a Paillier ciphertext *value* — the operation
-    written ``E2(t)^{Enc(x)}`` in the paper.
+    ``a + b`` adds the (inner) plaintexts, ``a + int`` adds a plaintext
+    constant, ``a * k`` multiplies the inner plaintext by the integer
+    ``k``, and ``a.scalar_ct(c)`` multiplies the inner plaintext by a
+    Paillier ciphertext *value* — the operation written
+    ``E2(t)^{Enc(x)}`` in the paper.
     """
 
     __slots__ = ("value", "scheme")
@@ -269,6 +287,12 @@ class LayeredCiphertext:
             self._check(other)
             return LayeredCiphertext(
                 self.value * other.value % self.scheme.n_s1, self.scheme
+            )
+        if isinstance(other, int):
+            # Adding a plaintext constant: multiply by (1 + N)^other.
+            return LayeredCiphertext(
+                self.value * self.scheme._g_pow(other) % self.scheme.n_s1,
+                self.scheme,
             )
         return NotImplemented
 
@@ -339,7 +363,7 @@ def layered_select(
     ``t*(c_a - c_b) + c_b``, which is exactly ``c_a`` when ``t = 1`` and
     ``c_b`` when ``t = 0``.  One big exponentiation instead of three.
     """
-    return layered_one_hot_select(dj, [bit], [if_one], if_zero)
+    return layered_select_batch(dj, [([bit], [if_one], if_zero)])[0]
 
 
 def layered_one_hot_select(
@@ -355,8 +379,35 @@ def layered_one_hot_select(
     zero.  Inner value: ``Σ_i t_i (c_i - c_default) + c_default``; the
     integer cancellation leaves exactly one live ciphertext value.
     """
+    return layered_select_batch(dj, [(bits, options, default)])[0]
+
+
+def layered_select_batch(
+    dj: DamgardJurik,
+    selections: list[tuple],
+    rng: SecureRandom | None = None,
+) -> list["LayeredCiphertext"]:
+    """One :func:`layered_one_hot_select` per ``(bits, options, default)``
+    entry of ``selections``, for a whole flow step at once: every
+    ``E2(t)^{c_i - c_default}`` of the batch in one
+    :func:`~repro.crypto.backend.powmod_pairs` call and every
+    ``E2(c_default)`` in one :meth:`DamgardJurik.encrypt_batch`."""
     n2 = dj.public_key.n_squared
-    acc = dj.encrypt(default.value)
-    for bit, option in zip(bits, options):
-        acc = acc + bit * ((option.value - default.value) % n2)
-    return acc
+    n_s1 = dj.n_s1
+    bases, exps, ends = [], [], []
+    for bits, options, default in selections:
+        for base, option in zip(dj.values_of(bits), options):
+            bases.append(base)
+            exps.append((option.value - default.value) % n2)
+        ends.append(len(bases))
+    powers = backend.powmod_pairs(bases, exps, n_s1)
+    defaults = dj.encrypt_batch([default.value for _, _, default in selections], rng)
+    out = []
+    start = 0
+    for acc, end in zip(defaults, ends):
+        value = acc.value
+        for power in powers[start:end]:
+            value = value * power % n_s1
+        out.append(LayeredCiphertext(value, dj))
+        start = end
+    return out

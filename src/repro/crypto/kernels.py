@@ -12,10 +12,10 @@ Two things live here:
   handed to the kernel without translation.
 
 * **:class:`GmpKernel`** — the loaded extension wrapped in the backend
-  operation signatures (``powmod`` / ``powmod_vec`` / ``invert``).  The
-  vector call packs the whole batch, makes *one* C call, and unpacks;
-  cffi releases the GIL for the entire ``repro_powmod_vec`` loop, which
-  is what lets thread-mode compute pools and shard workers scale with
+  operation signatures (``powmod`` / ``powmod_vec`` / ``powmod_pairs`` /
+  ``invert``).  A batch call packs the whole batch, makes *one* C call,
+  and unpacks; cffi releases the GIL for the entire C loop, which is
+  what lets thread-mode compute pools and shard workers scale with
   cores.  Results are bit-identical to the pure and gmpy2 backends
   (``tests/test_backend.py`` pins this).
 
@@ -89,6 +89,31 @@ class GmpKernel:
         self._ffi = ffi
         self._lib = lib
 
+    def _powm(self, entry, bases: list[int], exps: list[int], mod: int) -> list[int]:
+        """Marshal one batch through ``entry`` — ``repro_powmod_vec``
+        (``exps`` holds the one shared exponent) or ``repro_powmod_pairs``
+        (one exponent per base, packed to the widest)."""
+        mod_words = words_for(mod)
+        exp_words = words_for(max(exps))
+        # Reduce up front: callers pass canonical residues already, and
+        # the fixed-width packing requires values < mod anyway.
+        in_buf = pack_ints([b % mod for b in bases], mod_words)
+        out_buf = bytearray(len(bases) * mod_words * WORD_BYTES)
+        from_buffer = self._ffi.from_buffer
+        rc = entry(
+            from_buffer("uint64_t[]", in_buf),
+            len(bases),
+            mod_words,
+            from_buffer("uint64_t[]", pack_ints(exps, exp_words)),
+            exp_words,
+            from_buffer("uint64_t[]", pack_ints([mod], mod_words)),
+            mod_words,
+            from_buffer("uint64_t[]", out_buf),
+        )
+        if rc != 0:  # pragma: no cover - zero modulus rejected by callers
+            raise ValueError("kernel batch exponentiation failed")
+        return unpack_ints(out_buf, mod_words, len(bases))
+
     def powmod_vec(self, bases: list[int], exp: int, mod: int) -> list[int]:
         """``[b ** exp mod mod for b in bases]`` in one GIL-free C call."""
         if mod == 0:
@@ -99,27 +124,20 @@ class GmpKernel:
             return [pow(b, exp, mod) for b in bases]
         if not bases:
             return []
-        mod_words = words_for(mod)
-        exp_words = words_for(exp)
-        # Reduce up front: callers pass canonical residues already, and
-        # the fixed-width packing requires values < mod anyway.
-        reduced = [b % mod for b in bases]
-        in_buf = pack_ints(reduced, mod_words)
-        out_buf = bytearray(len(bases) * mod_words * WORD_BYTES)
-        ffi = self._ffi
-        rc = self._lib.repro_powmod_vec(
-            ffi.from_buffer("uint64_t[]", in_buf),
-            len(bases),
-            mod_words,
-            ffi.from_buffer("uint64_t[]", pack_ints([exp], exp_words)),
-            exp_words,
-            ffi.from_buffer("uint64_t[]", pack_ints([mod], mod_words)),
-            mod_words,
-            ffi.from_buffer("uint64_t[]", out_buf),
-        )
-        if rc != 0:  # pragma: no cover - zero modulus rejected above
-            raise ValueError("kernel powmod_vec failed")
-        return unpack_ints(out_buf, mod_words, len(bases))
+        return self._powm(self._lib.repro_powmod_vec, bases, [exp], mod)
+
+    def powmod_pairs(self, bases: list[int], exps: list[int], mod: int) -> list[int]:
+        """``[b ** e mod mod for b, e in zip(bases, exps)]`` in one
+        GIL-free C call."""
+        if mod == 0:
+            raise ValueError("pow() 3rd argument cannot be 0")
+        if len(bases) != len(exps):
+            raise ValueError("powmod_pairs needs one exponent per base")
+        if not bases:
+            return []
+        if min(exps) < 0:
+            return [pow(b, e, mod) for b, e in zip(bases, exps)]
+        return self._powm(self._lib.repro_powmod_pairs, bases, exps, mod)
 
     def powmod(self, base: int, exp: int, mod: int) -> int:
         """Scalar sugar over :meth:`powmod_vec`."""

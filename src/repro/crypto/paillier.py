@@ -36,6 +36,34 @@ from repro.crypto.rng import SecureRandom
 from repro.exceptions import DecryptionError, KeyMismatchError
 
 
+def pool_randomizers(
+    pool: list[int], picks: int, modulus: int, rng: SecureRandom, count: int
+) -> list[int]:
+    """``count`` randomizers, each the product of ``picks`` elements of
+    ``pool`` (a power-of-two many) modulo ``modulus``.
+
+    Every randomizer owns one ``randbits(picks * index_bits)`` read of the
+    stream — its pool indices are that read's ``index_bits``-bit digits —
+    and the whole batch is fetched with one ``randbytes`` call, so a batch
+    consumes exactly the bytes ``count`` single draws would.
+    """
+    index_bits = len(pool).bit_length() - 1
+    read_bytes = (picks * index_bits + 7) // 8
+    shift = read_bytes * 8 - picks * index_bits
+    mask = len(pool) - 1
+    data = rng.randbytes(read_bytes * count)
+    from_bytes = int.from_bytes
+    out = []
+    for offset in range(0, read_bytes * count, read_bytes):
+        digits = from_bytes(data[offset : offset + read_bytes], "big") >> shift
+        value = pool[digits & mask]
+        for _ in range(picks - 1):
+            digits >>= index_bits
+            value = value * pool[digits & mask] % modulus
+        out.append(value)
+    return out
+
+
 class PaillierPublicKey:
     """Paillier public key ``(N, g = N + 1)`` and encryption operations."""
 
@@ -90,8 +118,8 @@ class PaillierPublicKey:
             rng = self._rng = SecureRandom()
         return rng
 
-    def _randomizer(self, rng: SecureRandom) -> int:
-        """A fresh randomizer ``r^N mod N^2`` from the cached pool."""
+    def randomizers(self, rng: SecureRandom, count: int) -> list[int]:
+        """``count`` fresh randomizers ``r^N mod N^2`` from the cached pool."""
         pool = self._pool
         if pool is None:
             pool_rng = SecureRandom()  # pool values need not be replayable
@@ -100,20 +128,11 @@ class PaillierPublicKey:
                 self.n,
                 self.n_squared,
             )
-        out = 1
-        for _ in range(self._POOL_PICKS):
-            out = out * pool[rng.randint_below(self._POOL_SIZE)] % self.n_squared
-        return out
-
-    def raw_encrypt(self, m: int, rng: SecureRandom) -> int:
-        """Encrypt ``m`` in ``Z_N`` and return the bare integer ciphertext."""
-        m %= self.n
-        return (1 + m * self.n) % self.n_squared * self._randomizer(rng) % self.n_squared
+        return pool_randomizers(pool, self._POOL_PICKS, self.n_squared, rng, count)
 
     def encrypt(self, m: int, rng: SecureRandom | None = None) -> "Ciphertext":
         """Encrypt ``m`` (reduced mod ``N``) into a :class:`Ciphertext`."""
-        rng = rng or self._fresh_rng()
-        return Ciphertext(self.raw_encrypt(m, rng), self)
+        return self.encrypt_batch([m], rng)[0]
 
     def encrypt_signed(self, m: int, rng: SecureRandom | None = None) -> "Ciphertext":
         """Encrypt a signed integer (negatives become ``N - |m|``)."""
@@ -123,14 +142,29 @@ class PaillierPublicKey:
         self, values: list[int], rng: SecureRandom | None = None
     ) -> list["Ciphertext"]:
         """Encrypt a vector component-wise (same stream order as a loop
-        of :meth:`encrypt` calls, so seeded transcripts are unchanged)."""
+        of :meth:`encrypt` calls)."""
         rng = rng or self._fresh_rng()
-        return [Ciphertext(self.raw_encrypt(v, rng), self) for v in values]
+        n, n2 = self.n, self.n_squared
+        return [
+            Ciphertext((1 + m % n * n) * r % n2, self)
+            for m, r in zip(values, self.randomizers(rng, len(values)))
+        ]
 
     def rerandomize(self, c: "Ciphertext", rng: SecureRandom | None = None) -> "Ciphertext":
         """Return a fresh encryption of the same plaintext."""
+        return self.rerandomize_batch([c], rng)[0]
+
+    def rerandomize_batch(
+        self, cts: list["Ciphertext"], rng: SecureRandom | None = None
+    ) -> list["Ciphertext"]:
+        """Fresh encryptions of the same plaintexts (same stream order as
+        a loop of :meth:`rerandomize` calls)."""
         rng = rng or self._fresh_rng()
-        return Ciphertext(c.value * self._randomizer(rng) % self.n_squared, self)
+        n2 = self.n_squared
+        return [
+            Ciphertext(c.value * r % n2, self)
+            for c, r in zip(cts, self.randomizers(rng, len(cts)))
+        ]
 
     @property
     def ciphertext_bytes(self) -> int:

@@ -27,18 +27,27 @@ class Prf:
         if len(key) == 0:
             raise ValueError("PRF key must be non-empty")
         self.key = key
+        self._keyed = None
+
+    def __getstate__(self):
+        # The keyed HMAC context is a per-process cache (and does not
+        # pickle); it is rebuilt lazily from ``key``.
+        state = self.__dict__.copy()
+        state["_keyed"] = None
+        return state
 
     def digest(self, message: bytes, out_bytes: int = 32) -> bytes:
         """Return ``out_bytes`` of PRF output for ``message``."""
+        keyed = self._keyed
+        if keyed is None:
+            # Keyed once per PRF; every block starts from a copy, which
+            # skips HMAC's two key-block compressions.
+            keyed = self._keyed = hmac.new(self.key, digestmod=hashlib.sha256)
         blocks = []
-        counter = 0
-        while sum(len(b) for b in blocks) < out_bytes:
-            blocks.append(
-                hmac.new(
-                    self.key, counter.to_bytes(4, "big") + message, hashlib.sha256
-                ).digest()
-            )
-            counter += 1
+        for counter in range(-(-out_bytes // keyed.digest_size)):
+            block = keyed.copy()
+            block.update(counter.to_bytes(4, "big") + message)
+            blocks.append(block.digest())
         return b"".join(blocks)[:out_bytes]
 
     def to_int(self, message: bytes, bits: int = 256) -> int:

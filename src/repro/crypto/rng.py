@@ -29,10 +29,16 @@ class SecureRandom:
         counter-mode stream seeded by that value.
     """
 
+    #: Counter-mode blocks generated per refill.  Reading ahead does not
+    #: change the stream (block ``i`` is a function of the key and ``i``
+    #: alone); it only amortizes the refill over many small reads.
+    _REFILL_BLOCKS = 32
+
     def __init__(self, seed: int | bytes | None = None):
+        self._buf = b""
+        self._pos = 0
+        self._counter = 0
         if seed is None:
-            self._buf = b""
-            self._counter = 0
             self._key = None
         else:
             if isinstance(seed, int):
@@ -42,8 +48,6 @@ class SecureRandom:
                     (magnitude.bit_length() + 7) // 8 or 1, "big"
                 )
             self._key = hashlib.sha256(b"repro-rng:" + seed).digest()
-            self._counter = 0
-            self._buf = b""
 
     @property
     def deterministic(self) -> bool:
@@ -51,24 +55,30 @@ class SecureRandom:
         return self._key is not None
 
     def _refill(self, need: int) -> None:
-        chunks = [self._buf]
-        have = len(self._buf)
-        while have < need:
-            block = hashlib.sha256(
-                self._key + self._counter.to_bytes(8, "big")
-            ).digest()
-            self._counter += 1
-            chunks.append(block)
-            have += len(block)
-        self._buf = b"".join(chunks)
+        """Drop the consumed prefix and buffer at least ``need`` bytes."""
+        sha256, key = hashlib.sha256, self._key
+        digest_size = 32
+        missing = need - (len(self._buf) - self._pos)
+        blocks = max(self._REFILL_BLOCKS, -(-missing // digest_size))
+        start = self._counter
+        self._counter = start + blocks
+        self._buf = self._buf[self._pos :] + b"".join(
+            sha256(key + counter.to_bytes(8, "big")).digest()
+            for counter in range(start, start + blocks)
+        )
+        self._pos = 0
 
     def randbytes(self, n: int) -> bytes:
         """Return ``n`` uniform random bytes."""
         if self._key is None:
             return secrets.token_bytes(n)
-        self._refill(n)
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
+        pos = self._pos
+        end = pos + n
+        if end > len(self._buf):
+            self._refill(n)
+            pos, end = 0, n
+        self._pos = end
+        return self._buf[pos:end]
 
     def randbits(self, k: int) -> int:
         """Return a uniform integer in ``[0, 2**k)``."""

@@ -157,7 +157,7 @@ class CryptoCloud:
         bits = [1 if b == 0 else 0 for b in self._decrypt_values(cts)]
         # Re-encryption stays on this process's rng so the reply stream is
         # identical with or without a compute pool.
-        replies = [self.dj.encrypt(t, self.rng) for t in bits]
+        replies = self.dj.encrypt_batch(bits, self.rng)
         self.leakage.record("S2", protocol, "eq_bits", bits)
         return replies
 

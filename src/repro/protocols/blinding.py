@@ -7,23 +7,29 @@ extending ``H``); S1 finally decrypts ``H`` and removes the combined blind
 without ever learning which items S2 touched.
 
 Shipping one ``pk'`` ciphertext *per blinded component* would be wasteful,
-so we apply a standard optimization: each party draws one 128-bit seed per
-item, derives all component blinds from the seed with a PRF, and ships
-only ``Enc_pk'(seed)``.  The combined blind on a component is the sum of
-the per-party PRF outputs, which S1 reconstructs after decrypting both
-seeds.  (Uniformity of the blinds now rests on the PRF, which is the same
-assumption EHL already makes.)
+so we apply a standard optimization: each party draws one 96-bit seed per
+item, expands it into all component blinds with an extendable-output
+function, and ships only ``Enc_pk'(seed)``.  The combined blind on a
+component is the sum of the per-party outputs, which S1 reconstructs after
+decrypting both seeds.  (Uniformity of the blinds now rests on the XOF
+being a PRF in its seed, the kind of assumption EHL already makes.)
 
 The blinder understands every field a :class:`ScoredItem` may carry:
 EHL cells, the worst/best Paillier ciphertexts, and the eager-mode
 per-list score ciphertexts and ``E2`` seen-bits (blinded modulo ``N^2``).
+
+Everything works on a whole round's items at once: one XOF call per
+seed, then the blinds and the rerandomizers are applied over the flat
+vector of every component of every item, and the companion seeds are
+encrypted (or decrypted) as one batch.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair, PaillierPublicKey
-from repro.crypto.prf import Prf
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import ProtocolError
 from repro.structures.items import ScoredItem
@@ -33,6 +39,47 @@ from repro.structures.items import ScoredItem
 # security far above the statistical parameters used elsewhere.
 SEED_BYTES = 12
 
+_XOF_DOMAIN = b"repro-item-blind:"
+#: Bits drawn beyond a component's modulus before reducing into it, which
+#: keeps the modular bias below ``2**-128``.
+_SURPLUS_BITS = 128
+
+
+def _components(item: ScoredItem) -> tuple[list[Ciphertext], list]:
+    """``item``'s Paillier components in blinding order, and its ``E2``
+    seen-bits."""
+    plain = list(item.ehl.cells)
+    plain.append(item.worst)
+    plain.append(item.best)
+    if item.list_scores is not None:
+        plain.extend(item.list_scores)
+    if item.record is not None:
+        plain.append(item.record)
+    return plain, item.seen_bits or []
+
+
+def _assemble(template: ScoredItem, cts, seen_bits, uid: int) -> ScoredItem:
+    """An item of ``template``'s shape (inverse of :func:`_components`),
+    taking exactly its share off the iterators ``cts`` (Paillier
+    components) and ``seen_bits``."""
+    return ScoredItem(
+        ehl=type(template.ehl)([next(cts) for _ in template.ehl.cells]),
+        worst=next(cts),
+        best=next(cts),
+        list_scores=(
+            [next(cts) for _ in template.list_scores]
+            if template.list_scores is not None
+            else None
+        ),
+        seen_bits=(
+            [next(seen_bits) for _ in template.seen_bits]
+            if template.seen_bits is not None
+            else None
+        ),
+        record=next(cts) if template.record is not None else None,
+        uid=uid,
+    )
+
 
 class ItemBlinder:
     """Blind/unblind :class:`ScoredItem` objects with seed-derived masks."""
@@ -40,99 +87,159 @@ class ItemBlinder:
     def __init__(self, public_key: PaillierPublicKey, dj: DamgardJurik):
         self.public_key = public_key
         self.dj = dj
+        self._plain_bytes = (public_key.n.bit_length() + _SURPLUS_BITS + 7) // 8
+        self._layered_bytes = (dj.n_s.bit_length() + _SURPLUS_BITS + 7) // 8
 
     # -- blind streams ---------------------------------------------------
 
-    def _stream(self, seed: bytes, index: int, modulus: int) -> int:
-        return Prf(seed).to_range(index.to_bytes(4, "big"), modulus)
-
-    def blind(self, item: ScoredItem, seed: bytes, rng: SecureRandom) -> ScoredItem:
-        """Additively blind every component; rerandomize so nothing links."""
-        return self._apply(item, seed, sign=+1, rng=rng)
-
-    def unblind(self, item: ScoredItem, seeds: list[bytes]) -> ScoredItem:
-        """Remove the blinds of all ``seeds`` (order-independent)."""
-        result = item
+    def _blinds(
+        self, seeds: list[bytes], n_plain: int, n_layered: int
+    ) -> tuple[list[int], list[int]]:
+        """The summed blinds of ``seeds`` for an item with ``n_plain``
+        Paillier and ``n_layered`` ``E2`` components: one XOF expansion
+        per seed, cut into one slice per component."""
+        plain_bytes, layered_bytes = self._plain_bytes, self._layered_bytes
+        split = n_plain * plain_bytes
+        total = split + n_layered * layered_bytes
+        plain = [0] * n_plain
+        layered = [0] * n_layered
+        from_bytes = int.from_bytes
         for seed in seeds:
-            result = self._apply(result, seed, sign=-1, rng=None)
-        return result
+            stream = hashlib.shake_256(_XOF_DOMAIN + seed).digest(total)
+            for k in range(n_plain):
+                plain[k] += from_bytes(
+                    stream[k * plain_bytes : (k + 1) * plain_bytes], "big"
+                )
+            for k in range(n_layered):
+                start = split + k * layered_bytes
+                layered[k] += from_bytes(stream[start : start + layered_bytes], "big")
+        n, n_s = self.public_key.n, self.dj.n_s
+        return [b % n for b in plain], [b % n_s for b in layered]
 
     def _apply(
-        self, item: ScoredItem, seed: bytes, sign: int, rng: SecureRandom | None
-    ) -> ScoredItem:
-        n = self.public_key.n
-        n2 = self.dj.n_s
-        idx = 0
+        self,
+        items: list[ScoredItem],
+        seed_lists: list[list[bytes]],
+        sign: int,
+        rng: SecureRandom | None,
+    ) -> list[ScoredItem]:
+        """Add (``sign=+1``) or remove (``-1``) every item's summed seed
+        blinds; rerandomize every component when ``rng`` is given."""
+        pk, dj = self.public_key, self.dj
+        n, n2, n_s1, g_pow = pk.n, pk.n_squared, dj.n_s1, dj._g_pow
+        plain, layered = [], []
+        for item, seeds in zip(items, seed_lists):
+            cts, lcs = _components(item)
+            plain_blinds, layered_blinds = self._blinds(seeds, len(cts), len(lcs))
+            # Enc(x) -> Enc(x ± b): multiply by (1 ± b*N) resp. (1+N)^(±b).
+            plain.extend(
+                ct.value * (1 + sign * b % n * n) % n2
+                for ct, b in zip(cts, plain_blinds)
+            )
+            layered.extend(
+                value * g_pow(sign * b) % n_s1
+                for value, b in zip(dj.values_of(lcs), layered_blinds)
+            )
+        if rng is not None:
+            plain = [
+                v * r % n2 for v, r in zip(plain, pk.randomizers(rng, len(plain)))
+            ]
+            layered = [
+                v * r % n_s1 for v, r in zip(layered, dj.randomizers(rng, len(layered)))
+            ]
+        # Each item takes its own components back off the flat vectors.
+        fresh_cts = (Ciphertext(v, pk) for v in plain)
+        fresh_bits = (LayeredCiphertext(v, dj) for v in layered)
+        return [_assemble(item, fresh_cts, fresh_bits, item.uid) for item in items]
 
-        def mask_ct(ct: Ciphertext) -> Ciphertext:
-            nonlocal idx
-            blind = self._stream(seed, idx, n) * sign
-            idx += 1
-            out = ct + blind
-            return self.public_key.rerandomize(out, rng) if rng is not None else out
+    def blind_many(
+        self,
+        items: list[ScoredItem],
+        seed_lists: list[list[bytes]],
+        rng: SecureRandom,
+    ) -> list[ScoredItem]:
+        """Additively blind every component of every item with the summed
+        blinds of its seeds; rerandomize so nothing links."""
+        return self._apply(items, seed_lists, +1, rng)
 
-        def mask_lc(lc: LayeredCiphertext) -> LayeredCiphertext:
-            nonlocal idx
-            blind = self._stream(seed, idx, n2) * sign
-            idx += 1
-            return lc + self.dj.encrypt(blind % n2, rng or SecureRandom())
+    def unblind_many(
+        self, items: list[ScoredItem], seed_lists: list[list[bytes]]
+    ) -> list[ScoredItem]:
+        """Remove the blinds of every item's seeds (order-independent).
 
-        cells = [mask_ct(c) for c in item.ehl.cells]
-        ehl = type(item.ehl)(cells)
-        worst = mask_ct(item.worst)
-        best = mask_ct(item.best)
-        list_scores = (
-            [mask_ct(c) for c in item.list_scores]
-            if item.list_scores is not None
-            else None
-        )
-        seen_bits = (
-            [mask_lc(c) for c in item.seen_bits]
-            if item.seen_bits is not None
-            else None
-        )
-        record = mask_ct(item.record) if item.record is not None else None
-        return ScoredItem(
-            ehl=ehl,
-            worst=worst,
-            best=best,
-            list_scores=list_scores,
-            seen_bits=seen_bits,
-            record=record,
-            uid=item.uid,
-        )
+        The result is consumed by S1 itself, so the known constants are
+        subtracted without a fresh rerandomization."""
+        return self._apply(items, seed_lists, -1, None)
+
+    def blind(self, item: ScoredItem, seed: bytes, rng: SecureRandom) -> ScoredItem:
+        """:meth:`blind_many` for one item under one seed."""
+        return self.blind_many([item], [[seed]], rng)[0]
+
+    def unblind(self, item: ScoredItem, seeds: list[bytes]) -> ScoredItem:
+        """:meth:`unblind_many` for one item."""
+        return self.unblind_many([item], [seeds])[0]
 
     # -- seed transport under S1's own key pk' ---------------------------
 
-    @staticmethod
-    def seed_to_int(seed: bytes) -> int:
-        return int.from_bytes(seed, "big")
+    def fresh_seeds(self, rng: SecureRandom, count: int) -> list[bytes]:
+        """``count`` fresh per-item blinding seeds."""
+        data = rng.randbytes(SEED_BYTES * count)
+        return [data[i : i + SEED_BYTES] for i in range(0, len(data), SEED_BYTES)]
 
-    @staticmethod
-    def int_to_seed(value: int) -> bytes:
-        return value.to_bytes(SEED_BYTES, "big")
+    def fresh_seed(self, rng: SecureRandom) -> bytes:
+        """A fresh per-item blinding seed."""
+        return self.fresh_seeds(rng, 1)[0]
+
+    def encrypt_seeds(
+        self, own_public: PaillierPublicKey, seeds: list[bytes], rng: SecureRandom
+    ) -> list[Ciphertext]:
+        """``Enc_pk'(seed)`` per seed — the companion ``H`` ciphertexts."""
+        return own_public.encrypt_batch(
+            [int.from_bytes(seed, "big") for seed in seeds], rng
+        )
 
     def encrypt_seed(
         self, own_public: PaillierPublicKey, seed: bytes, rng: SecureRandom
     ) -> Ciphertext:
-        """``Enc_pk'(seed)`` — the companion ``H`` ciphertext."""
-        return own_public.encrypt(self.seed_to_int(seed), rng)
+        """:meth:`encrypt_seeds` for one seed."""
+        return self.encrypt_seeds(own_public, [seed], rng)[0]
 
     def decrypt_seeds(
         self, own_keypair: PaillierKeypair, h_list: list[Ciphertext]
     ) -> list[bytes]:
         """Recover the seed list from companion ciphertexts."""
         seeds = []
-        for h in h_list:
-            value = own_keypair.secret_key.decrypt(h)
+        for value in own_keypair.secret_key.decrypt_batch(h_list):
             if value >= 1 << (8 * SEED_BYTES):
                 raise ProtocolError("companion ciphertext held a non-seed value")
-            seeds.append(self.int_to_seed(value))
+            seeds.append(value.to_bytes(SEED_BYTES, "big"))
         return seeds
 
-    def fresh_seed(self, rng: SecureRandom) -> bytes:
-        """A fresh per-item blinding seed."""
-        return rng.randbytes(SEED_BYTES)
+    # -- whole rounds ----------------------------------------------------
+
+    def blind_fresh(
+        self, items: list[ScoredItem], own_public: PaillierPublicKey, rng: SecureRandom
+    ) -> tuple[list[ScoredItem], list[Ciphertext]]:
+        """Blind every item under a fresh seed of its own; returns the
+        blinded items and their companions ``Enc_pk'(seed)``."""
+        seeds = self.fresh_seeds(rng, len(items))
+        blinded = self.blind_many(items, [[seed] for seed in seeds], rng)
+        return blinded, self.encrypt_seeds(own_public, seeds, rng)
+
+    def unblind_companions(
+        self,
+        own_keypair: PaillierKeypair,
+        items: list[ScoredItem],
+        companions: list[tuple],
+    ) -> list[ScoredItem]:
+        """S1's last step of a blinded round: decrypt every item's
+        companion seeds (one batch for the round) and remove their blinds."""
+        seeds = iter(
+            self.decrypt_seeds(own_keypair, [h for comp in companions for h in comp])
+        )
+        return self.unblind_many(
+            items, [[next(seeds) for _ in comp] for comp in companions]
+        )
 
 
 def junk_item(
@@ -152,29 +259,16 @@ def junk_item(
     and the first list slot carries the sentinel itself.
     """
     n = public_key.n
-    cells = [public_key.encrypt(rng.randint_below(n), rng) for _ in template.ehl.cells]
-    worst = public_key.encrypt_signed(sentinel, rng)
-    best = public_key.encrypt_signed(sentinel, rng)
-    list_scores = None
-    if template.list_scores is not None:
-        list_scores = [public_key.encrypt_signed(sentinel, rng)]
-        list_scores += [public_key.encrypt(0, rng) for _ in template.list_scores[1:]]
-    seen_bits = (
-        [dj.encrypt(1, rng) for _ in template.seen_bits]
-        if template.seen_bits is not None
-        else None
-    )
-    record = (
-        public_key.encrypt(rng.randint_below(n), rng)
-        if template.record is not None
-        else None
-    )
-    return ScoredItem(
-        ehl=type(template.ehl)(cells),
-        worst=worst,
-        best=best,
-        list_scores=list_scores,
-        seen_bits=seen_bits,
-        record=record,
+    # One value vector in component order, encrypted as one batch.
+    values = [rng.randint_below(n) for _ in template.ehl.cells]
+    values += [sentinel % n, sentinel % n]
+    if template.list_scores:
+        values += [sentinel % n] + [0] * (len(template.list_scores) - 1)
+    if template.record is not None:
+        values.append(rng.randint_below(n))
+    return _assemble(
+        template,
+        iter(public_key.encrypt_batch(values, rng)),
+        iter(dj.encrypt_batch([1] * len(template.seen_bits or []), rng)),
         uid=-1,
     )

@@ -29,6 +29,7 @@ Both return fresh, unlinkable encryptions, which is the only property
 
 from __future__ import annotations
 
+from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.exceptions import ProtocolError
 from repro.net.messages import SortAffine, SortGateBatch
@@ -85,8 +86,33 @@ def _affine_params(ctx: S1Context) -> tuple[int, int]:
     return r, s
 
 
-def _get_key(item: ScoredItem, key: str) -> Ciphertext:
-    return item.worst if key == "worst" else item.best
+def _blind_keys(
+    ctx: S1Context, keys: list[Ciphertext], maps: list[tuple[int, int]]
+) -> list[Ciphertext]:
+    """``Enc(r*k + s)``, rerandomized, for every key under its ``(r, s)``
+    map: one scalar-multiplication batch for the round."""
+    pk = ctx.public_key
+    scaled = backend.powmod_pairs(
+        [k.value for k in keys], [r % pk.n for r, _ in maps], pk.n_squared
+    )
+    return pk.rerandomize_batch(
+        [Ciphertext(value, pk) + s for value, (_, s) in zip(scaled, maps)], ctx.rng
+    )
+
+
+def _recover_keys(
+    ctx: S1Context, key_cts: list[Ciphertext], maps: list[tuple[int, int]]
+) -> list[Ciphertext]:
+    """Undo the affine transport, ``(k' - s) / r``, for every returned key."""
+    pk = ctx.public_key
+    return [
+        Ciphertext(value, pk)
+        for value in backend.powmod_pairs(
+            [(ct - s).value for ct, (_, s) in zip(key_cts, maps)],
+            [pow(r, -1, pk.n) for r, _ in maps],
+            pk.n_squared,
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -103,23 +129,12 @@ def _sort_affine(
     protocol: str,
 ) -> list[ScoredItem]:
     blinder = ItemBlinder(ctx.public_key, ctx.dj)
-    r, s = _affine_params(ctx)
-
-    blinded_keys: list[Ciphertext] = []
-    blinded_items: list[ScoredItem] = []
-    companions: list[Ciphertext] = []
-    for item in items:
-        blinded_keys.append(
-            ctx.public_key.rerandomize(_get_key(item, key) * r + s, ctx.rng)
-        )
-        seed = blinder.fresh_seed(ctx.rng)
-        blinded_items.append(blinder.blind(item, seed, ctx.rng))
-        companions.append(blinder.encrypt_seed(own_keypair.public_key, seed, ctx.rng))
-
-    order = ctx.rng.permutation(len(items))
-    blinded_keys = [blinded_keys[i] for i in order]
-    blinded_items = [blinded_items[i] for i in order]
-    companions = [companions[i] for i in order]
+    permuted = [items[i] for i in ctx.rng.permutation(len(items))]
+    maps = [_affine_params(ctx)] * len(items)
+    blinded_keys = _blind_keys(ctx, [getattr(item, key) for item in permuted], maps)
+    blinded_items, companions = blinder.blind_fresh(
+        permuted, own_keypair.public_key, ctx.rng
+    )
 
     keys_out, items_out, comps_out = ctx.call(
         SortAffine(
@@ -132,18 +147,9 @@ def _sort_affine(
         )
     )
 
-    result: list[ScoredItem] = []
-    for key_ct, item, comp_pair in zip(keys_out, items_out, comps_out):
-        seeds = blinder.decrypt_seeds(own_keypair, list(comp_pair))
-        clean = blinder.unblind(item, seeds)
-        # Recover the sort key from the affine transport: (k' - s) / r.
-        r_inv = pow(r, -1, ctx.public_key.n)
-        recovered = (key_ct - s) * r_inv
-        if key == "worst":
-            clean.worst = recovered
-        else:
-            clean.best = recovered
-        result.append(clean)
+    result = blinder.unblind_companions(own_keypair, items_out, comps_out)
+    for clean, recovered in zip(result, _recover_keys(ctx, keys_out, maps)):
+        setattr(clean, key, recovered)
     return result
 
 
@@ -165,14 +171,12 @@ def s2_sort_affine(
     decorated.sort(key=lambda t: t[0], reverse=descending)
     s2.leakage.record("S2", protocol, "sort_size", len(decorated))
 
-    keys_out: list[Ciphertext] = []
-    items_out: list[ScoredItem] = []
-    comps_out: list[tuple[Ciphertext, Ciphertext]] = []
-    for value, item, comp in decorated:
-        keys_out.append(s2.fresh_encrypt(value % s2.public_key.n))
-        seed2 = blinder.fresh_seed(s2.rng)
-        items_out.append(blinder.blind(item, seed2, s2.rng))
-        comps_out.append((comp, blinder.encrypt_seed(own_public, seed2, s2.rng)))
+    n = s2.public_key.n
+    keys_out = s2.public_key.encrypt_batch([value % n for value, _, _ in decorated], s2.rng)
+    items_out, fresh = blinder.blind_fresh(
+        [item for _, item, _ in decorated], own_public, s2.rng
+    )
+    comps_out = [(comp, h) for (_, _, comp), h in zip(decorated, fresh)]
     return keys_out, items_out, comps_out
 
 
@@ -251,49 +255,41 @@ def _sort_network(
     blinder = ItemBlinder(ctx.public_key, ctx.dj)
 
     for layer in batcher_network(len(working)):
-        plan = []
-        payload = []
+        # The layer's gates in wire order: gate g carries slots 2g, 2g+1.
+        slots: list[int] = []
+        maps: list[tuple[int, int]] = []
         for (i, j) in layer:
-            r, s = _affine_params(ctx)
+            r_s = _affine_params(ctx)
             swap = bool(ctx.rng.randbits(1))
-            a, b = (j, i) if swap else (i, j)
-            pair_keys = []
-            pair_items = []
-            pair_comps = []
-            for idx in (a, b):
-                pair_keys.append(
-                    ctx.public_key.rerandomize(
-                        _get_key(working[idx], key) * r + s, ctx.rng
-                    )
-                )
-                seed = blinder.fresh_seed(ctx.rng)
-                pair_items.append(blinder.blind(working[idx], seed, ctx.rng))
-                pair_comps.append(
-                    blinder.encrypt_seed(own_keypair.public_key, seed, ctx.rng)
-                )
-            plan.append((i, j, r, s, swap))
-            payload.append((pair_keys, pair_items, pair_comps))
+            slots += (j, i) if swap else (i, j)
+            maps += [r_s, r_s]
+        keys = _blind_keys(ctx, [getattr(working[idx], key) for idx in slots], maps)
+        blinded, companions = blinder.blind_fresh(
+            [working[idx] for idx in slots], own_keypair.public_key, ctx.rng
+        )
         replies = ctx.call(
             SortGateBatch(
                 protocol=protocol,
-                gates=payload,
+                gates=[
+                    (keys[g : g + 2], blinded[g : g + 2], companions[g : g + 2])
+                    for g in range(0, len(slots), 2)
+                ],
                 own_public=own_keypair.public_key,
                 descending=descending,
             )
         )
-        for (i, j, r, s, swap), reply in zip(plan, replies):
-            keys_out, items_out, comps_out = reply
-            r_inv = pow(r, -1, ctx.public_key.n)
-            cleaned = []
-            for key_ct, item, comp_pair in zip(keys_out, items_out, comps_out):
-                clean = blinder.unblind(item, blinder.decrypt_seeds(own_keypair, list(comp_pair)))
-                recovered = (key_ct - s) * r_inv
-                if key == "worst":
-                    clean.worst = recovered
-                else:
-                    clean.best = recovered
-                cleaned.append(clean)
-            working[i], working[j] = cleaned[0], cleaned[1]
+        cleaned = blinder.unblind_companions(
+            own_keypair,
+            [item for _, items_out, _ in replies for item in items_out],
+            [comp for _, _, comps_out in replies for comp in comps_out],
+        )
+        recovered = _recover_keys(
+            ctx, [k for keys_out, _, _ in replies for k in keys_out], maps
+        )
+        for clean, key_ct in zip(cleaned, recovered):
+            setattr(clean, key, key_ct)
+        for g, (i, j) in enumerate(layer):
+            working[i], working[j] = cleaned[2 * g], cleaned[2 * g + 1]
     return working
 
 
@@ -316,21 +312,23 @@ def s2_gates(
         all_keys, protocol, "gate_key_blinded"
     )
 
-    replies = []
-    for gate_index, (pair_keys, pair_items, pair_comps) in enumerate(gates):
+    # Every gate's ordered pair, flat in reply order.
+    values_out, items_in, comps_in = [], [], []
+    for gate_index, (_, pair_items, pair_comps) in enumerate(gates):
         values = all_values[2 * gate_index : 2 * gate_index + 2]
         order = [0, 1]
         if (values[0] < values[1]) == descending:
             order = [1, 0]
         s2.leakage.record("S2", protocol, "gate_bit", order[0])
-
-        keys_out, items_out, comps_out = [], [], []
         for idx in order:
-            keys_out.append(s2.fresh_encrypt(values[idx] % s2.public_key.n))
-            seed2 = blinder.fresh_seed(s2.rng)
-            items_out.append(blinder.blind(pair_items[idx], seed2, s2.rng))
-            comps_out.append(
-                (pair_comps[idx], blinder.encrypt_seed(own_public, seed2, s2.rng))
-            )
-        replies.append((keys_out, items_out, comps_out))
-    return replies
+            values_out.append(values[idx] % s2.public_key.n)
+            items_in.append(pair_items[idx])
+            comps_in.append(pair_comps[idx])
+
+    keys_out = s2.public_key.encrypt_batch(values_out, s2.rng)
+    items_out, fresh = blinder.blind_fresh(items_in, own_public, s2.rng)
+    comps_out = list(zip(comps_in, fresh))
+    return [
+        (keys_out[g : g + 2], items_out[g : g + 2], comps_out[g : g + 2])
+        for g in range(0, len(keys_out), 2)
+    ]

@@ -17,6 +17,7 @@ messages per depth (Section 11.2.5).
 
 from __future__ import annotations
 
+from repro.crypto import backend
 from repro.crypto.damgard_jurik import LayeredCiphertext
 from repro.crypto.paillier import Ciphertext
 from repro.net.messages import StripLayerBatch
@@ -35,11 +36,16 @@ def recover_enc_flow(
     """
     if not layered:
         return []
-    n = ctx.public_key.n
-    blinds = [ctx.rng.randint_below(n) for _ in layered]
+    pk, dj = ctx.public_key, ctx.dj
+    blinds = [ctx.rng.randint_below(pk.n) for _ in layered]
+    # E2(Enc(c))^{Enc(r)} for the whole batch: one scalar-mul call.
     blinded = [
-        lc.scalar_ct(ctx.public_key.encrypt(r, ctx.rng))
-        for lc, r in zip(layered, blinds)
+        LayeredCiphertext(value, dj)
+        for value in backend.powmod_pairs(
+            dj.values_of(layered),
+            [enc_r.value for enc_r in pk.encrypt_batch(blinds, ctx.rng)],
+            dj.n_s1,
+        )
     ]
     replies = yield StripLayerBatch(protocol=protocol, cts=blinded)
     return [reply - r for reply, r in zip(replies, blinds)]

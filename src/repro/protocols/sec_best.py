@@ -27,7 +27,7 @@ paper's Section 10.3 analysis.
 
 from __future__ import annotations
 
-from repro.crypto.damgard_jurik import layered_one_hot_select, layered_select
+from repro.crypto.damgard_jurik import layered_select_batch
 from repro.crypto.paillier import Ciphertext
 from repro.net.messages import ZeroTestBatch
 from repro.protocols.base import S1Context
@@ -60,25 +60,23 @@ def sec_best_flow(
         order = ctx.rng.permutation(len(prefix))
         permuted = [prefix[i] for i in order]
         start = len(flat_cts)
-        for entry in permuted:
-            flat_cts.append(item.ehl.minus(entry.ehl, ctx.rng))
+        flat_cts += item.ehl.minus_many([entry.ehl for entry in permuted], ctx.rng)
         batches.append((permuted, list(range(start, len(flat_cts)))))
 
     bits = yield ZeroTestBatch(protocol=protocol, cts=flat_cts)
 
     zero = ctx.zero()
-    layered_terms = []
+    selections = []
     for (permuted, indices), prefix in zip(batches, other_prefixes):
         bottom = prefix[-1].score
         seen_sum = None
         for entry, idx in zip(permuted, indices):
             bit = bits[idx]
-            layered_terms.append(layered_select(ctx.dj, bit, entry.score, zero))
+            selections.append(([bit], [entry.score], zero))
             seen_sum = bit if seen_sum is None else seen_sum + bit
         # seen somewhere in the prefix -> Enc(0), else the bottom score.
-        layered_terms.append(
-            layered_one_hot_select(ctx.dj, [seen_sum], [zero], bottom)
-        )
+        selections.append(([seen_sum], [zero], bottom))
+    layered_terms = layered_select_batch(ctx.dj, selections, ctx.rng)
 
     contributions = yield from recover_enc_flow(ctx, layered_terms, protocol)
     for contribution in contributions:

@@ -37,6 +37,7 @@ from repro.exceptions import ProtocolError
 from repro.net.messages import DedupBatch
 from repro.protocols.base import CryptoCloud, S1Context
 from repro.protocols.blinding import ItemBlinder, junk_item
+from repro.structures.ehl import EncryptedHashList
 from repro.structures.items import ScoredItem
 
 PROTOCOL = "SecDedup"
@@ -79,17 +80,10 @@ def _prepare(
     permuted = [items[i] for i in order]
     permuted_ranks = [ranks[i] for i in order]
 
-    matrix: list[Ciphertext] = []
-    for i in range(l):
-        for j in range(i + 1, l):
-            matrix.append(permuted[i].ehl.minus(permuted[j].ehl, ctx.rng))
-
-    blinded: list[ScoredItem] = []
-    companions: list[Ciphertext] = []
-    for item in permuted:
-        seed = blinder.fresh_seed(ctx.rng)
-        blinded.append(blinder.blind(item, seed, ctx.rng))
-        companions.append(blinder.encrypt_seed(own_keypair.public_key, seed, ctx.rng))
+    matrix = EncryptedHashList.minus_matrix([item.ehl for item in permuted], ctx.rng)
+    blinded, companions = blinder.blind_fresh(
+        permuted, own_keypair.public_key, ctx.rng
+    )
     return blinder, matrix, blinded, companions, permuted_ranks
 
 
@@ -122,10 +116,7 @@ def sec_dedup(
             eliminate=False,
         )
     )
-    return [
-        blinder.unblind(item, blinder.decrypt_seeds(own_keypair, list(comp)))
-        for item, comp in zip(items_out, comps_out)
-    ]
+    return blinder.unblind_companions(own_keypair, items_out, comps_out)
 
 
 def s2_dedup(
@@ -161,29 +152,32 @@ def s2_dedup(
         keeper = min(members, key=lambda i: (ranks[i], i))
         survivors.add(keeper)
 
-    items_out: list[ScoredItem] = []
-    comps_out: list[tuple[Ciphertext, Ciphertext]] = []
+    # Survivors travel on under one more seed next to their companion;
+    # junk replacements get two seeds of S2's, so every outgoing item
+    # has the uniform companion shape (H_a, H_b).  eliminate=True simply
+    # drops the duplicates.
+    outgoing: list[ScoredItem] = []
+    carried: list[Ciphertext | None] = []
     for i in range(l):
         if i in survivors:
-            seed2 = blinder.fresh_seed(s2.rng)
-            items_out.append(blinder.blind(blinded[i], seed2, s2.rng))
-            comps_out.append(
-                (companions[i], blinder.encrypt_seed(own_public, seed2, s2.rng))
-            )
+            outgoing.append(blinded[i])
+            carried.append(companions[i])
         elif not eliminate:
-            junk = junk_item(s2.public_key, s2.dj, blinded[i], sentinel, s2.rng)
-            seed_a = blinder.fresh_seed(s2.rng)
-            seed_b = blinder.fresh_seed(s2.rng)
-            junk = blinder.blind(junk, seed_a, s2.rng)
-            junk = blinder.blind(junk, seed_b, s2.rng)
-            items_out.append(junk)
-            comps_out.append(
-                (
-                    blinder.encrypt_seed(own_public, seed_a, s2.rng),
-                    blinder.encrypt_seed(own_public, seed_b, s2.rng),
-                )
-            )
-        # eliminate=True simply drops the duplicate.
+            outgoing.append(junk_item(s2.public_key, s2.dj, blinded[i], sentinel, s2.rng))
+            carried.append(None)
+    counts = [1 if h is not None else 2 for h in carried]
+    seeds = blinder.fresh_seeds(s2.rng, sum(counts))
+    sealed = blinder.encrypt_seeds(own_public, seeds, s2.rng)
+    seed_lists: list[list[bytes]] = []
+    comps_out: list[tuple[Ciphertext, Ciphertext]] = []
+    at = 0
+    for h, count in zip(carried, counts):
+        seed_lists.append(seeds[at : at + count])
+        comps_out.append(
+            (h, sealed[at]) if h is not None else (sealed[at], sealed[at + 1])
+        )
+        at += count
+    items_out = blinder.blind_many(outgoing, seed_lists, s2.rng)
 
     if eliminate:
         s2.leakage.record("S2", protocol, "unique_count", len(items_out))

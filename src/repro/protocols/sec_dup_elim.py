@@ -51,7 +51,4 @@ def sec_dup_elim(
         )
     )
     ctx.leakage.record("S1", protocol, "unique_count", len(items_out))
-    return [
-        blinder.unblind(item, blinder.decrypt_seeds(own_keypair, list(comp)))
-        for item, comp in zip(items_out, comps_out)
-    ]
+    return blinder.unblind_companions(own_keypair, items_out, comps_out)

@@ -19,11 +19,11 @@ follow-up :mod:`repro.protocols.sec_filter` removes the zeroed tuples and
 
 from __future__ import annotations
 
-from repro.crypto.damgard_jurik import LayeredCiphertext, layered_select
-from repro.crypto.paillier import Ciphertext
+from repro.crypto.damgard_jurik import LayeredCiphertext, layered_select_batch
 from repro.net.messages import ZeroTestBatch
 from repro.protocols.base import S1Context
 from repro.protocols.recover_enc import recover_enc_batch
+from repro.structures.ehl import minus_pairs
 from repro.structures.items import JoinedTuple
 
 PROTOCOL = "SecJoin"
@@ -60,9 +60,9 @@ def sec_join(
     pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
     ctx.rng.shuffle(pairs)
 
-    eq_cts: list[Ciphertext] = []
-    for i, j in pairs:
-        eq_cts.append(left[i]["ehl"][t1].minus(right[j]["ehl"][t2], ctx.rng))
+    eq_cts = minus_pairs(
+        [(left[i]["ehl"][t1], right[j]["ehl"][t2]) for i, j in pairs], ctx.rng
+    )
     bits: list[LayeredCiphertext] = ctx.call(
         ZeroTestBatch(protocol=protocol, cts=eq_cts)
     )
@@ -71,20 +71,20 @@ def sec_join(
     # (the select keeps the inner value a valid ciphertext — Enc(0) — when
     # the join condition failed).
     zero = ctx.zero()
-    layered = []
+    selections = []
     for (i, j), bit in zip(pairs, bits):
-        combined_score = left[i]["scores"][t3] + right[j]["scores"][t4] + SCORE_OFFSET
-        layered.append(layered_select(ctx.dj, bit, combined_score, zero))
-        for a in carry_left:
-            layered.append(layered_select(ctx.dj, bit, left[i]["scores"][a], zero))
-        for a in carry_right:
-            layered.append(layered_select(ctx.dj, bit, right[j]["scores"][a], zero))
+        gated = [left[i]["scores"][t3] + right[j]["scores"][t4] + SCORE_OFFSET]
+        gated += [left[i]["scores"][a] for a in carry_left]
+        gated += [right[j]["scores"][a] for a in carry_right]
         if "record" in left[i]:
-            layered.append(layered_select(ctx.dj, bit, left[i]["record"], zero))
+            gated.append(left[i]["record"])
         if "record" in right[j]:
-            layered.append(layered_select(ctx.dj, bit, right[j]["record"], zero))
+            gated.append(right[j]["record"])
+        selections += [([bit], [ct], zero) for ct in gated]
 
-    recovered = recover_enc_batch(ctx, layered, protocol)
+    recovered = recover_enc_batch(
+        ctx, layered_select_batch(ctx.dj, selections, ctx.rng), protocol
+    )
 
     per_tuple = 1 + len(carry_left) + len(carry_right)
     has_records = "record" in left[0] and "record" in right[0]

@@ -22,16 +22,14 @@ survives (Algorithm 9, line 13).
 
 from __future__ import annotations
 
-from repro.crypto.damgard_jurik import (
-    LayeredCiphertext,
-    layered_one_hot_select,
-)
-from repro.crypto.paillier import Ciphertext, PaillierKeypair
+from repro.crypto.damgard_jurik import LayeredCiphertext, layered_select_batch
+from repro.crypto.paillier import PaillierKeypair
 from repro.net.messages import ZeroTestBatch
 from repro.protocols.base import S1Context
 from repro.protocols.recover_enc import recover_enc_batch
 from repro.protocols.sec_dedup import sec_dedup
 from repro.protocols.sec_dup_elim import sec_dup_elim
+from repro.structures.ehl import minus_pairs
 from repro.structures.items import ScoredItem
 
 PROTOCOL = "SecUpdate"
@@ -56,10 +54,10 @@ def sec_update(
     permuted_gamma = [gamma[i] for i in order]
 
     # One equality round for the full |Γ| x |T| grid.
-    flat: list[Ciphertext] = []
-    for g_item in permuted_gamma:
-        for t_item in t_list:
-            flat.append(g_item.ehl.minus(t_item.ehl, ctx.rng))
+    flat = minus_pairs(
+        [(g_item.ehl, t_item.ehl) for g_item in permuted_gamma for t_item in t_list],
+        ctx.rng,
+    )
     bits_flat = ctx.call(ZeroTestBatch(protocol=protocol, cts=flat))
 
     n_t = len(t_list)
@@ -67,27 +65,18 @@ def sec_update(
         bits_flat[i * n_t : (i + 1) * n_t] for i in range(len(permuted_gamma))
     ]
 
-    dj = ctx.dj
     zero_ct = ctx.zero()
 
     # --- update T entries -------------------------------------------------
-    layered_batch: list = []
+    selections: list[tuple] = []
     plans: list[tuple[str, int]] = []
     for j, t_item in enumerate(t_list):
         column = [bits[i][j] for i in range(len(permuted_gamma))]
         # Worst increment: the matched Γ item's depth-worst, else 0.
-        layered_batch.append(
-            layered_one_hot_select(
-                dj, column, [g.worst for g in permuted_gamma], zero_ct
-            )
-        )
+        selections.append((column, [g.worst for g in permuted_gamma], zero_ct))
         plans.append(("w_inc", j))
         # Best refresh: matched -> Γ's best, else keep the old best.
-        layered_batch.append(
-            layered_one_hot_select(
-                dj, column, [g.best for g in permuted_gamma], t_item.best
-            )
-        )
+        selections.append((column, [g.best for g in permuted_gamma], t_item.best))
         plans.append(("b_new", j))
 
     # --- neutralize merged Γ copies ---------------------------------------
@@ -97,16 +86,14 @@ def sec_update(
             bit = bits[i][j]
             matched = bit if matched is None else matched + bit
         # matched -> Enc(0), unmatched -> keep own worst/best.
-        layered_batch.append(
-            layered_one_hot_select(dj, [matched], [zero_ct], g_item.worst)
-        )
+        selections.append(([matched], [zero_ct], g_item.worst))
         plans.append(("g_w", i))
-        layered_batch.append(
-            layered_one_hot_select(dj, [matched], [zero_ct], g_item.best)
-        )
+        selections.append(([matched], [zero_ct], g_item.best))
         plans.append(("g_b", i))
 
-    recovered = recover_enc_batch(ctx, layered_batch, protocol)
+    recovered = recover_enc_batch(
+        ctx, layered_select_batch(ctx.dj, selections, ctx.rng), protocol
+    )
 
     new_t: list[ScoredItem] = [t.clone_shallow() for t in t_list]
     new_gamma: list[ScoredItem] = [g.clone_shallow() for g in permuted_gamma]

@@ -23,7 +23,7 @@ Flow (one equality round + one ``RecoverEnc`` round, batched):
 
 from __future__ import annotations
 
-from repro.crypto.damgard_jurik import layered_select
+from repro.crypto.damgard_jurik import layered_select_batch
 from repro.crypto.paillier import Ciphertext
 from repro.net.messages import ZeroTestBatch
 from repro.protocols.base import S1Context
@@ -46,14 +46,15 @@ def sec_worst_flow(
     order = ctx.rng.permutation(len(others))
     permuted = [others[i] for i in order]
 
-    equality_cts = [item.ehl.minus(other.ehl, ctx.rng) for other in permuted]
+    equality_cts = item.ehl.minus_many([other.ehl for other in permuted], ctx.rng)
     bits = yield ZeroTestBatch(protocol=protocol, cts=equality_cts)
 
     zero = ctx.zero()
-    selected = [
-        layered_select(ctx.dj, bit, other.score, zero)
-        for bit, other in zip(bits, permuted)
-    ]
+    selected = layered_select_batch(
+        ctx.dj,
+        [([bit], [other.score], zero) for bit, other in zip(bits, permuted)],
+        ctx.rng,
+    )
     scores = yield from recover_enc_flow(ctx, selected, protocol)
 
     worst = item.score

@@ -217,9 +217,7 @@ class MutableRelation:
                     record=pk.encrypt(oid, rng),
                 )
                 new_lists[name] = (
-                    [self._rerandomized(e, rng) for e in entries[:pos]]
-                    + [fresh]
-                    + entries[pos:]
+                    self._rerandomized(entries[:pos], rng) + [fresh] + entries[pos:]
                 )
                 touched.append((name, pos + 1))
             self._rows[oid] = row
@@ -258,11 +256,12 @@ class MutableRelation:
                 # so S1 cannot tell the two positions apart within the
                 # prefix (>= pos_new + 1, so the fresh entry is inside).
                 prefix_len = max(pos_old, pos_new + 1)
-                new_lists[name] = [
-                    assembled[i] if i == pos_new
-                    else self._rerandomized(assembled[i], rng)
-                    for i in range(prefix_len)
-                ] + assembled[prefix_len:]
+                prefix = self._rerandomized(
+                    assembled[:pos_new] + assembled[pos_new + 1 : prefix_len], rng
+                )
+                new_lists[name] = (
+                    prefix[:pos_new] + [fresh] + prefix[pos_new:] + assembled[prefix_len:]
+                )
                 touched.append((name, prefix_len))
             self._rows[object_id] = row
             return self._commit("update", object_id, row, version,
@@ -288,8 +287,7 @@ class MutableRelation:
                 pos = bisect.bisect_left(order, key)
                 del order[pos]
                 new_lists[name] = (
-                    [self._rerandomized(e, rng) for e in entries[:pos]]
-                    + entries[pos + 1 :]
+                    self._rerandomized(entries[:pos], rng) + entries[pos + 1 :]
                 )
                 touched.append((name, pos))
             del self._rows[object_id]
@@ -324,17 +322,26 @@ class MutableRelation:
         return rng, self.scheme._ehl_factory(rng), self.scheme.public_key
 
     @staticmethod
-    def _rerandomized(entry: EncryptedItem, rng) -> EncryptedItem:
-        pk = entry.score.public_key
-        return EncryptedItem(
-            ehl=entry.ehl.rerandomized(rng),
-            score=pk.rerandomize(entry.score, rng),
-            record=(
-                pk.rerandomize(entry.record, rng)
-                if entry.record is not None
-                else None
-            ),
-        )
+    def _rerandomized(entries: list[EncryptedItem], rng) -> list[EncryptedItem]:
+        """Fresh-looking copies of a touched prefix: every ciphertext of
+        every entry rerandomized as one batch."""
+        if not entries:
+            return []
+        flat = []
+        for entry in entries:
+            flat.extend(entry.ehl.cells)
+            flat.append(entry.score)
+            if entry.record is not None:
+                flat.append(entry.record)
+        fresh = iter(entries[0].score.public_key.rerandomize_batch(flat, rng))
+        return [
+            EncryptedItem(
+                ehl=type(entry.ehl)([next(fresh) for _ in entry.ehl.cells]),
+                score=next(fresh),
+                record=next(fresh) if entry.record is not None else None,
+            )
+            for entry in entries
+        ]
 
     def _commit(self, op, object_id, row, version, new_lists, touched,
                 n_delta) -> MutationResult:

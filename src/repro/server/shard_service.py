@@ -662,8 +662,11 @@ def launch_daemon(
         while time.monotonic() < deadline:
             if os.path.exists(ready_file):
                 address = pathlib.Path(ready_file).read_text().strip()
-                os.unlink(ready_file)
-                return process, address
+                # The daemon creates the file before it writes it: an
+                # empty read is "not ready yet", not an address.
+                if address:
+                    os.unlink(ready_file)
+                    return process, address
             if process.poll() is not None:
                 raise RuntimeError("shard daemon exited before becoming ready")
             time.sleep(0.05)

@@ -20,12 +20,15 @@ the Bloom-filter false-positive event analysed in
 :mod:`repro.structures.bloom`.
 
 The compact variant EHL+ lives in :mod:`repro.structures.ehl_plus`; both
-expose the same ``minus`` interface so the protocols are agnostic to which
-one the database was encrypted with.
+share :class:`EncryptedHashList` — the cell list and the ``⊖`` operator in
+its one-pair (``minus``), one-against-many (``minus_many``) and
+all-pairs (``minus_matrix``) shapes — so the protocols are agnostic to
+which one the database was encrypted with.
 """
 
 from __future__ import annotations
 
+from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.crypto.prf import Prf, derive_keys
 from repro.crypto.rng import SecureRandom
@@ -33,14 +36,17 @@ from repro.exceptions import KeyMismatchError
 from repro.structures.bloom import BloomFilter
 
 
-class Ehl:
-    """An encrypted hash list: ``H`` Paillier-encrypted bits."""
+class EncryptedHashList:
+    """A list of Paillier-encrypted hash cells with the ``⊖`` operator."""
 
     __slots__ = ("cells",)
 
+    #: How error messages name the structure.
+    _NAME = "EHL"
+
     def __init__(self, cells: list[Ciphertext]):
         if not cells:
-            raise ValueError("EHL must have at least one cell")
+            raise ValueError(f"{self._NAME} must have at least one cell")
         self.cells = cells
 
     def __len__(self) -> int:
@@ -50,31 +56,104 @@ class Ehl:
     def public_key(self) -> PaillierPublicKey:
         return self.cells[0].public_key
 
-    def minus(self, other: "Ehl", rng: SecureRandom) -> Ciphertext:
+    def minus(self, other: "EncryptedHashList", rng: SecureRandom) -> Ciphertext:
         """The randomized equality operator ``self ⊖ other``.
 
         Returns ``Enc(Σ r_i (x_i − y_i))`` — an encryption of ``0`` iff
-        the underlying bit lists are identical, otherwise of a value
+        the underlying cell plaintexts are identical, otherwise of a value
         uniform in ``Z_N`` with overwhelming probability.
         """
-        if len(other) != len(self):
-            raise KeyMismatchError("EHL length mismatch")
-        pk = self.public_key
-        acc = pk.encrypt(0, rng)
-        n = pk.n
-        for mine, theirs in zip(self.cells, other.cells):
-            r = rng.rand_nonzero(n)
-            acc = acc + (mine - theirs) * r
-        return acc
+        return minus_pairs([(self, other)], rng)[0]
+
+    def minus_many(
+        self, others: list["EncryptedHashList"], rng: SecureRandom
+    ) -> list[Ciphertext]:
+        """``[self ⊖ other for other in others]`` as one batch."""
+        return minus_pairs([(self, other) for other in others], rng)
+
+    @staticmethod
+    def minus_matrix(
+        items: list["EncryptedHashList"], rng: SecureRandom
+    ) -> list[Ciphertext]:
+        """The upper triangle ``items[i] ⊖ items[j]`` (``i < j``,
+        row-major) of the pairwise equality matrix as one batch."""
+        return minus_pairs(
+            [
+                (items[i], items[j])
+                for i in range(len(items))
+                for j in range(i + 1, len(items))
+            ],
+            rng,
+        )
+
+    def rerandomized(self, rng: SecureRandom) -> "EncryptedHashList":
+        """A fresh-looking structure encrypting the same cell plaintexts."""
+        return type(self)(self.public_key.rerandomize_batch(self.cells, rng))
 
     def serialized_size(self) -> int:
-        """Byte size on the wire (all ``H`` ciphertexts)."""
+        """Byte size on the wire (all cells)."""
         return sum(cell.serialized_size() for cell in self.cells)
 
-    def rerandomized(self, rng: SecureRandom) -> "Ehl":
-        """A fresh-looking EHL encrypting the same bit list."""
-        pk = self.public_key
-        return Ehl([pk.rerandomize(cell, rng) for cell in self.cells])
+
+def minus_pairs(
+    pairs: list[tuple[EncryptedHashList, EncryptedHashList]], rng: SecureRandom
+) -> list[Ciphertext]:
+    """``mine ⊖ theirs`` for every pair, as whole-batch kernel calls.
+
+    Each right-hand cell is inverted once however many pairs it appears
+    in (Montgomery's trick over all of them: one inversion), and every
+    ``(mine / theirs)^r`` of the batch goes through one
+    :func:`~repro.crypto.backend.powmod_pairs`.  The rng is read in the
+    order a loop of single ``⊖`` calls reads it — per pair the ``Enc(0)``
+    randomizer, then one scalar per cell — so batch and loop agree
+    ciphertext for ciphertext under a seed.
+    """
+    if not pairs:
+        return []
+    pk = pairs[0][0].public_key
+    n, n2 = pk.n, pk.n_squared
+
+    involved: dict[int, EncryptedHashList] = {}
+    rights: dict[int, EncryptedHashList] = {}
+    for mine, theirs in pairs:
+        if len(theirs) != len(mine):
+            raise KeyMismatchError(f"{mine._NAME} length mismatch")
+        involved[id(mine)] = mine
+        involved[id(theirs)] = rights[id(theirs)] = theirs
+    for structure in involved.values():
+        for cell in structure.cells:
+            if cell.public_key != pk:
+                raise KeyMismatchError(
+                    "cannot combine ciphertexts under different keys"
+                )
+    inverses = backend.invert_vec(
+        [cell.value for theirs in rights.values() for cell in theirs.cells], n2
+    )
+    inverse_of: dict[int, list[int]] = {}
+    start = 0
+    for key, theirs in rights.items():
+        inverse_of[key] = inverses[start : start + len(theirs)]
+        start += len(theirs)
+
+    accs, bases, scalars = [], [], []
+    for mine, theirs in pairs:
+        accs.append(pk.randomizers(rng, 1)[0])  # Enc(0; r) is the randomizer
+        for cell, inverse in zip(mine.cells, inverse_of[id(theirs)]):
+            scalars.append(rng.rand_nonzero(n))
+            bases.append(cell.value * inverse % n2)
+    powers = iter(backend.powmod_pairs(bases, scalars, n2))
+    out = []
+    for (mine, _), acc in zip(pairs, accs):
+        for _ in mine.cells:
+            acc = acc * next(powers) % n2
+        out.append(Ciphertext(acc, pk))
+    return out
+
+
+class Ehl(EncryptedHashList):
+    """An encrypted hash list: ``H`` Paillier-encrypted bits."""
+
+    __slots__ = ()
 
 
 class EhlFactory:

@@ -17,40 +17,19 @@ to blind object identities with random vectors ``α ∈ Z_N^s``.
 
 from __future__ import annotations
 
-from repro.crypto.paillier import Ciphertext, PaillierPublicKey
+from repro.crypto.paillier import PaillierPublicKey
 from repro.crypto.prf import Prf, derive_keys, encode_object_id
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import KeyMismatchError
+from repro.structures.ehl import EncryptedHashList
 
 
-class EhlPlus:
+class EhlPlus(EncryptedHashList):
     """An EHL+ structure: ``s`` Paillier encryptions of ``Z_N`` hashes."""
 
-    __slots__ = ("cells",)
+    __slots__ = ()
 
-    def __init__(self, cells: list[Ciphertext]):
-        if not cells:
-            raise ValueError("EHL+ must have at least one cell")
-        self.cells = cells
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    @property
-    def public_key(self) -> PaillierPublicKey:
-        return self.cells[0].public_key
-
-    def minus(self, other: "EhlPlus", rng: SecureRandom) -> Ciphertext:
-        """The randomized equality operator ``self ⊖ other`` (Section 5)."""
-        if len(other) != len(self):
-            raise KeyMismatchError("EHL+ arity mismatch")
-        pk = self.public_key
-        acc = pk.encrypt(0, rng)
-        n = pk.n
-        for mine, theirs in zip(self.cells, other.cells):
-            r = rng.rand_nonzero(n)
-            acc = acc + (mine - theirs) * r
-        return acc
+    _NAME = "EHL+"
 
     def blind_add(self, alphas: list[int]) -> "EhlPlus":
         """The block-wise operation ``⊙``: add ``α_i`` to each component.
@@ -62,15 +41,6 @@ class EhlPlus:
         if len(alphas) != len(self.cells):
             raise KeyMismatchError("blinding vector arity mismatch")
         return EhlPlus([cell + a for cell, a in zip(self.cells, alphas)])
-
-    def rerandomized(self, rng: SecureRandom) -> "EhlPlus":
-        """A fresh-looking EHL+ encrypting the same hash vector."""
-        pk = self.public_key
-        return EhlPlus([pk.rerandomize(cell, rng) for cell in self.cells])
-
-    def serialized_size(self) -> int:
-        """Byte size on the wire (``s`` ciphertexts)."""
-        return sum(cell.serialized_size() for cell in self.cells)
 
 
 class EhlPlusFactory:

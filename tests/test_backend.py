@@ -270,7 +270,113 @@ class TestKernelParity:
         assert revealed[0] == revealed[1]
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "pure",
+        pytest.param("gmpy2", marks=needs_gmpy2),
+        pytest.param("gmp-kernel", marks=needs_kernel),
+    ],
+)
+class TestBatchPrimitiveParity:
+    """``powmod_pairs`` / ``invert_vec`` agree with per-element built-ins
+    on every backend that exists here (the CI legs pin one each)."""
+
+    def test_powmod_pairs_mixed_widths(self, name):
+        fast = backend._resolve(name)
+        rng = SecureRandom(31)
+        mod = rng.randbits(512) | (1 << 511) | 1
+        bases = [rng.randbits(700) for _ in range(8)] + [0, 1, mod - 1, mod, mod + 1]
+        exps = [0, 1, 2, 65537, rng.randbits(64), rng.randbits(256), rng.randbits(600)]
+        exps += [rng.randbits(8 * (i + 1)) for i in range(len(bases) - len(exps))]
+        assert fast.powmod_pairs(bases, exps, mod) == [
+            pow(b, e, mod) for b, e in zip(bases, exps)
+        ]
+
+    def test_powmod_pairs_edges(self, name):
+        fast = backend._resolve(name)
+        assert fast.powmod_pairs([], [], 7) == []
+        assert fast.powmod_pairs([5], [0], 7) == [1]
+        assert fast.powmod_pairs([5], [1], 7) == [5]
+        with pytest.raises(ValueError):
+            fast.powmod_pairs([2, 3], [1], 7)
+        with pytest.raises(ValueError):
+            fast.powmod_pairs([2], [3], 0)
+
+    def test_invert_vec_matches_scalar(self, name):
+        fast = backend._resolve(name)
+        rng = SecureRandom(32)
+        mod = (2**89 - 1) * (2**107 - 1)
+        values = [rng.rand_unit(mod) for _ in range(17)] + [1, mod - 1, mod + 2]
+        assert fast.invert_vec(values, mod) == [pow(v, -1, mod) for v in values]
+        assert fast.invert_vec(values[:1], mod) == [pow(values[0], -1, mod)]
+        assert fast.invert_vec([], mod) == []
+
+    def test_invert_vec_rejects_whole_batch(self, name):
+        """One non-invertible element fails the call: no partial result,
+        whatever position it sits at."""
+        fast = backend._resolve(name)
+        mod = (2**89 - 1) * (2**107 - 1)
+        for bad in (2**89 - 1, 0, mod):
+            for position in (0, 1, 2):
+                values = [3, 5]
+                values.insert(position, bad)
+                with pytest.raises(ValueError):
+                    fast.invert_vec(values, mod)
+
+    def test_invert_vec_is_one_inversion(self, name):
+        fast = backend._resolve(name)
+        calls = []
+        scalar = fast.invert
+        fast.invert = lambda a, m: calls.append(a) or scalar(a, m)
+        fast.invert_vec([3, 5, 7, 11], 1009)
+        assert len(calls) == 1
+
+
+@needs_kernel
+class TestKernelCache:
+    def test_stale_build_is_rebuilt_not_imported(self, tmp_path, monkeypatch):
+        """A cache dir holding a build of other sources (an older
+        checkout's, say) gets a build of its own next to it."""
+        from repro.crypto import _gmp_kernel
+        from repro.crypto._gmp_kernel import build
+
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+
+        def fresh_load():
+            monkeypatch.setattr(_gmp_kernel, "_LOADED", None)
+            monkeypatch.setattr(_gmp_kernel, "_REASON", None)
+            return _gmp_kernel.load()
+
+        with monkeypatch.context() as older:
+            # The kernel as it was before powmod_pairs existed.
+            cdef = build.CDEF
+            older.setattr(build, "CDEF", cdef[: cdef.index("int repro_powmod_pairs")]
+                          + cdef[cdef.index("int repro_invert"):])
+            _, old_lib = fresh_load()
+            assert not hasattr(old_lib, "repro_powmod_pairs")
+        _, lib = fresh_load()
+        assert hasattr(lib, "repro_powmod_pairs")
+        assert len([p for p in tmp_path.iterdir() if p.is_dir()]) == 2
+
+
 class TestBatchEntryPoints:
+    def test_rerandomize_batch_matches_rerandomize_stream(self, keypair):
+        pk, sk = keypair.public_key, keypair.secret_key
+        cts = pk.encrypt_batch([4, 0, pk.n - 1], SecureRandom(5))
+        batch = pk.rerandomize_batch(cts, SecureRandom(6))
+        rng = SecureRandom(6)
+        assert [c.value for c in batch] == [pk.rerandomize(c, rng).value for c in cts]
+        assert sk.decrypt_batch(batch) == [4, 0, pk.n - 1]
+        assert all(a.value != b.value for a, b in zip(batch, cts))
+
+    def test_dj_encrypt_batch_matches_encrypt_stream(self, keypair, dj):
+        values = [0, 1, dj.n_s - 1]
+        batch = dj.encrypt_batch(values, SecureRandom(7))
+        rng = SecureRandom(7)
+        assert [c.value for c in batch] == [dj.encrypt(v, rng).value for v in values]
+        assert dj.decrypt_batch(batch, keypair) == values
+
     def test_encrypt_batch_matches_encrypt_stream(self, keypair):
         """Batching must not change the randomness stream."""
         pk = keypair.public_key

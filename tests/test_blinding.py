@@ -69,6 +69,91 @@ class TestBlindUnblind:
         assert restored.list_scores is None
 
 
+class TestWholeRound:
+    """The batch forms S1 and S2 run per round: S1 blinds under fresh
+    seeds, S2 blinds on top (one more seed, or two for a junk
+    replacement), S1 decrypts the companions and unblinds — every field
+    of every item must come back."""
+
+    @pytest.fixture()
+    def items(self, ctx, item):
+        factory = EhlPlusFactory(ctx.public_key, b"b" * 32, n_hashes=2, rng=ctx.rng)
+        bare = ScoredItem(ehl=factory.encode(1), worst=ctx.encrypt(-4), best=ctx.encrypt(2))
+        no_record = ScoredItem(
+            ehl=factory.encode(2),
+            worst=ctx.encrypt(1),
+            best=ctx.encrypt(9),
+            list_scores=[ctx.encrypt(1)],
+            seen_bits=[ctx.dj.encrypt(1, ctx.rng)],
+        )
+        return [item, bare, no_record]
+
+    @staticmethod
+    def _plain(scored, ctx, keypair):
+        sk = keypair.secret_key
+        return {
+            "ehl": sk.decrypt_batch(scored.ehl.cells),
+            "worst": sk.decrypt_signed(scored.worst),
+            "best": sk.decrypt_signed(scored.best),
+            "scores": scored.list_scores
+            and [sk.decrypt_signed(c) for c in scored.list_scores],
+            "seen": scored.seen_bits
+            and [ctx.dj.decrypt(b, keypair) for b in scored.seen_bits],
+            "record": scored.record and sk.decrypt(scored.record),
+        }
+
+    def test_s1_blind_s2_blind_s1_unblind(self, blinder, items, ctx, keypair, own_keypair):
+        from repro.crypto.rng import SecureRandom
+
+        own_public = own_keypair.public_key
+        s2_rng = SecureRandom(43)
+        blinded, companions = blinder.blind_fresh(items, own_public, ctx.rng)
+        # S2: a different blinder object, as on the other cloud.
+        s2_blinder = ItemBlinder(ctx.public_key, ctx.dj)
+        reblinded, fresh = s2_blinder.blind_fresh(blinded, own_public, s2_rng)
+        restored = blinder.unblind_companions(
+            own_keypair, reblinded, list(zip(companions, fresh))
+        )
+        for before, between, after in zip(items, reblinded, restored):
+            assert self._plain(after, ctx, keypair) == self._plain(before, ctx, keypair)
+            assert self._plain(between, ctx, keypair) != self._plain(before, ctx, keypair)
+            assert after.list_scores is None or len(after.list_scores) == len(before.list_scores)
+            assert (after.seen_bits is None) == (before.seen_bits is None)
+            assert (after.record is None) == (before.record is None)
+
+    def test_two_seeds_in_one_pass(self, blinder, items, ctx, keypair):
+        """The junk-replacement shape: one item under two of S2's seeds."""
+        seed_lists = [blinder.fresh_seeds(ctx.rng, 2) for _ in items]
+        blinded = blinder.blind_many(items, seed_lists, ctx.rng)
+        restored = blinder.unblind_many(blinded, [s[::-1] for s in seed_lists])
+        for before, after in zip(items, restored):
+            assert self._plain(after, ctx, keypair) == self._plain(before, ctx, keypair)
+
+    def test_batch_equals_item_by_item(self, blinder, items, ctx, keypair):
+        """Blinds are a function of (seed, item shape) alone, whichever
+        batch the item travels in: blind in one batch, unblind singly."""
+        seeds = blinder.fresh_seeds(ctx.rng, len(items))
+        blinded = blinder.blind_many(items, [[s] for s in seeds], ctx.rng)
+        for before, between, seed in zip(items, blinded, seeds):
+            after = blinder.unblind(between, [seed])
+            assert self._plain(after, ctx, keypair) == self._plain(before, ctx, keypair)
+
+    def test_unblind_does_not_rerandomize(self, blinder, item, ctx):
+        """Removing a known constant needs no fresh randomness: a second
+        unblind of the same input is the same ciphertexts."""
+        seed = blinder.fresh_seed(ctx.rng)
+        blinded = blinder.blind(item, seed, ctx.rng)
+        once, twice = blinder.unblind(blinded, [seed]), blinder.unblind(blinded, [seed])
+        assert [b.value for b in once.seen_bits] == [b.value for b in twice.seen_bits]
+        assert once.worst.value == twice.worst.value
+
+    def test_companions_decrypt_as_one_batch(self, blinder, ctx, own_keypair):
+        seeds = blinder.fresh_seeds(ctx.rng, 5)
+        assert len(set(seeds)) == 5
+        companions = blinder.encrypt_seeds(own_keypair.public_key, seeds, ctx.rng)
+        assert blinder.decrypt_seeds(own_keypair, companions) == seeds
+
+
 class TestSeedTransport:
     def test_encrypt_decrypt_seed(self, blinder, ctx, own_keypair):
         seed = blinder.fresh_seed(ctx.rng)

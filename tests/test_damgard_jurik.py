@@ -8,6 +8,7 @@ from repro.crypto.damgard_jurik import (
     LayeredCiphertext,
     layered_one_hot_select,
     layered_select,
+    layered_select_batch,
 )
 from repro.crypto.paillier import PaillierKeypair
 from repro.crypto.rng import SecureRandom
@@ -104,6 +105,42 @@ class TestSelects:
         assert sk.decrypt(dj.decrypt_inner(chosen, keypair)) == expected
 
 
+    def test_select_batch_is_the_loop_of_selects(self, dj, keypair, rng):
+        """Mixed one-hot widths (0, 1 and 3 selector bits) in one batch;
+        seeded, the batch equals the scalar calls ciphertext for ciphertext."""
+        pk, sk = keypair.public_key, keypair.secret_key
+        options = [pk.encrypt(v, rng) for v in (11, 22, 33)]
+        default = pk.encrypt(99, rng)
+        selections = [
+            ([dj.encrypt(i == 2, rng) for i in range(3)], options, default),
+            ([], [], default),
+            ([dj.encrypt(1, rng)], [options[0]], default),
+            ([dj.encrypt(0, rng)], [options[1]], options[2]),
+        ]
+        batch = layered_select_batch(dj, selections, SecureRandom(5))
+        assert [sk.decrypt(c) for c in dj.decrypt_inner_batch(batch, keypair)] == [
+            33, 99, 11, 33,
+        ]
+        # The scalar forms draw from the DJ key's own rng: swap in the
+        # same seeded stream to compare ciphertexts.
+        dj._rng = SecureRandom(5)
+        try:
+            loop = [layered_one_hot_select(dj, *sel) for sel in selections]
+        finally:
+            dj._rng = None
+        assert [c.value for c in batch] == [c.value for c in loop]
+        assert layered_select_batch(dj, [], rng) == []
+
+    def test_add_plaintext_constant(self, dj, keypair, rng):
+        """``E2(x) + k`` multiplies in ``(1+N)^k`` only — no randomizer,
+        so it is deterministic — and wraps modulo ``N^s``."""
+        c = dj.encrypt(1000, rng)
+        assert dj.decrypt(c + 234, keypair) == 1234
+        assert dj.decrypt(c + (-1001), keypair) == dj.n_s - 1
+        assert (c + 5).value == (c + 5).value
+        assert (c + 0).value == c.value
+
+
 class TestKeySeparation:
     def test_cross_instance_rejected(self, keypair, rng):
         other = PaillierKeypair.generate(128, SecureRandom(77))
@@ -113,6 +150,13 @@ class TestKeySeparation:
             dj1.encrypt(1, rng) + dj2.encrypt(1, rng)
         with pytest.raises(KeyMismatchError):
             dj2.decrypt(dj1.encrypt(1, rng), other)
+        with pytest.raises(KeyMismatchError):
+            layered_select_batch(
+                dj1,
+                [([dj2.encrypt(1, rng)], [keypair.public_key.encrypt(1, rng)],
+                  keypair.public_key.encrypt(2, rng))],
+                rng,
+            )
 
     def test_wrong_inner_key(self, dj, rng):
         other = PaillierKeypair.generate(128, SecureRandom(88))

@@ -97,6 +97,59 @@ class TestEhlPlusEquality:
         assert keypair.secret_key.decrypt(a.minus(b, rng)) != 0
 
 
+class TestBatchedMinus:
+    """``minus_matrix`` / ``minus_many`` are the ``minus`` loop, batched."""
+
+    @pytest.fixture(params=["bits", "plus"])
+    def ehls(self, request, factory, factory_plus):
+        source = factory if request.param == "bits" else factory_plus
+        # Objects 0..3, then 0 and 2 again: two duplicate pairs.
+        return [source.encode(oid) for oid in (0, 1, 2, 3, 0, 2)]
+
+    def test_matrix_equals_loop_ciphertext_for_ciphertext(self, ehls):
+        from repro.structures.ehl import EncryptedHashList
+
+        matrix = EncryptedHashList.minus_matrix(ehls, SecureRandom(99))
+        rng = SecureRandom(99)
+        loop = [
+            ehls[i].minus(ehls[j], rng)
+            for i in range(len(ehls))
+            for j in range(i + 1, len(ehls))
+        ]
+        assert [c.value for c in matrix] == [c.value for c in loop]
+
+    def test_many_equals_loop_ciphertext_for_ciphertext(self, ehls):
+        row = ehls[0].minus_many(ehls[1:], SecureRandom(98))
+        rng = SecureRandom(98)
+        assert [c.value for c in row] == [
+            ehls[0].minus(other, rng).value for other in ehls[1:]
+        ]
+
+    def test_matrix_is_zero_exactly_on_equal_objects(self, ehls, keypair, rng):
+        from repro.structures.ehl import EncryptedHashList
+
+        oids = (0, 1, 2, 3, 0, 2)
+        entries = keypair.secret_key.decrypt_batch(
+            EncryptedHashList.minus_matrix(ehls, rng)
+        )
+        expected = [
+            oids[i] == oids[j]
+            for i in range(len(oids))
+            for j in range(i + 1, len(oids))
+        ]
+        assert [entry == 0 for entry in entries] == expected
+
+    def test_empty_and_mismatched_batches(self, factory_plus, keypair, rng):
+        from repro.structures.ehl import EncryptedHashList
+
+        a = factory_plus.encode(1)
+        assert a.minus_many([], rng) == []
+        assert EncryptedHashList.minus_matrix([a], rng) == []
+        longer = EhlPlusFactory(keypair.public_key, b"m" * 32, n_hashes=4, rng=rng)
+        with pytest.raises(KeyMismatchError):
+            a.minus_many([factory_plus.encode(2), longer.encode(1)], rng)
+
+
 class TestIndistinguishabilityShape:
     """Lemma 5.1 sanity: encodings are probabilistic ciphertext lists."""
 

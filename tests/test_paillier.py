@@ -153,3 +153,58 @@ class TestKeypairGeneration:
         a = PaillierKeypair.generate(96, SecureRandom(3))
         b = PaillierKeypair.generate(96, SecureRandom(3))
         assert a.public_key.n == b.public_key.n
+
+
+class TestRandomizers:
+    """No randomness reuse in the batched randomizer draw: every
+    randomizer owns one 36-bit read of the stream, and a batch reads
+    exactly what the same number of single draws would."""
+
+    @pytest.fixture(params=["paillier", "dj"])
+    def scheme(self, request, keypair):
+        from repro.crypto.damgard_jurik import DamgardJurik
+
+        pk = keypair.public_key
+        if request.param == "paillier":
+            return pk, pk.n_squared
+        dj = DamgardJurik(pk, s=2)
+        return dj, dj.n_s1
+
+    def test_one_disjoint_read_per_randomizer(self, scheme):
+        key, modulus = scheme
+        count = 50
+        got = key.randomizers(SecureRandom(9), count)
+        pool = key._pool
+        reference = SecureRandom(9)
+        reads = [reference.randbits(36) for _ in range(count)]
+        assert len(set(reads)) == count
+        expected = []
+        for read in reads:
+            product = 1
+            for digit in range(6):
+                product = product * pool[(read >> 6 * digit) & 63] % modulus
+            expected.append(product)
+        assert got == expected
+
+    def test_batch_leaves_stream_where_singles_would(self, scheme):
+        key, _ = scheme
+        batch_rng, single_rng = SecureRandom(10), SecureRandom(10)
+        batch = key.randomizers(batch_rng, 7)
+        singles = [key.randomizers(single_rng, 1)[0] for _ in range(7)]
+        assert batch == singles
+        assert batch_rng.randbytes(16) == single_rng.randbytes(16)
+        assert key.randomizers(batch_rng, 0) == []
+
+    def test_ten_thousand_draws_are_pairwise_distinct(self, scheme):
+        """A product of 6 of 64 pool elements has ~1.2e8 possible values,
+        so 10k draws sit near the birthday bound; the seed is one whose
+        reads pick pairwise-distinct index multisets.  What this guards
+        is *reuse*: a batch that hands two ciphertexts the same read (the
+        PR 9 window bug's shape) collapses the set at once."""
+        key, _ = scheme
+        rng = SecureRandom(7)
+        drawn = key.randomizers(rng, 4000) + [
+            r for _ in range(60) for r in key.randomizers(rng, 100)
+        ]
+        assert len(drawn) == 10_000
+        assert len(set(drawn)) == 10_000

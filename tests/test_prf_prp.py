@@ -26,6 +26,34 @@ class TestPrf:
         assert len(out) == 100
         assert out[:32] == prf.digest(b"m", out_bytes=32)
 
+    def test_golden_vectors(self):
+        """HMAC-SHA-256 in counter mode, pinned: the keyed-context cache
+        is an internal of ``digest``, its output is not."""
+        prf = Prf(b"k" * 32)
+        assert [prf.digest(b"message", n).hex() for n in (0, 1, 32, 33, 80)] == [
+            "",
+            "c8",
+            "c8ad057841a16b972eb0eae4683c1d321f9985f37a1ac14aeeaf0f1226d478b1",
+            "c8ad057841a16b972eb0eae4683c1d321f9985f37a1ac14aeeaf0f1226d478b160",
+            "c8ad057841a16b972eb0eae4683c1d321f9985f37a1ac14aeeaf0f1226d478b1"
+            "607deb209786b15a46d616cd13f1141cfdb68fc70bfc312ebd2406290e1b2aba"
+            "d3c47896be363bdb55be84bce0fada94",
+        ]
+        assert [prf.to_range(b"obj-%d" % i, (1 << 127) - 1) for i in range(3)] == [
+            34093844924465301717461368162323546551,
+            51511100349297517651562321405637362288,
+            129376288346941588318228674605892913227,
+        ]
+        assert prf.to_int(b"x", 13) == 431
+
+    def test_pickles_without_its_keyed_context(self):
+        import pickle
+
+        prf = Prf(b"k" * 32)
+        before = prf.digest(b"m", 40)
+        clone = pickle.loads(pickle.dumps(prf))
+        assert clone.digest(b"m", 40) == before
+
     def test_to_int_range(self):
         prf = Prf(b"k" * 32)
         for bits in (1, 8, 100, 300):
