@@ -12,7 +12,7 @@ One object, one mental model::
     print(client.reveal(result), result.stats.rounds, result.stats.total_bytes)
 
 Everything the pre-redesign surface required the caller to stitch
-together — ``make_clouds`` wiring, ``TopKServer`` sessions,
+together — two-cloud context wiring, ``TopKServer`` sessions,
 ``execute``/``execute_many`` modes, channel snapshots, leakage logs —
 sits behind :meth:`TopKClient.submit`: queries are *jobs* with
 ``result(timeout)`` / ``cancel()`` / ``done()`` and a typed

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-import warnings
 from collections import deque
 from dataclasses import replace
 
@@ -219,7 +218,7 @@ class SecTopK:
 
         Servers prefix their per-request salts with one of these so two
         servers sharing a scheme never reuse a randomness stream.  Drawn
-        from the same counter as ``make_clouds``' automatic salts, so
+        from the same counter as the contexts' automatic salts, so
         the two schemes of uniqueness can never collide either.
         """
         return f"ns{next(self._ctx_counter)}"
@@ -359,36 +358,6 @@ class SecTopK:
     # ------------------------------------------------------------------
     # SecQuery (Algorithm 3)
     # ------------------------------------------------------------------
-
-    def make_clouds(
-        self,
-        transport: str = "inprocess",
-        label: str = "",
-        salt: str | None = None,
-        compute=None,
-        rtt_ms: float = 0.0,
-        relation: EncryptedRelation | None = None,
-    ) -> S1Context:
-        """Deprecated public spelling of the context wiring.
-
-        Prefer :func:`repro.connect` — the :class:`~repro.client.TopKClient`
-        façade owns context lifecycles, job scheduling and progress
-        streaming.  This method remains for existing callers and tests.
-        """
-        warnings.warn(
-            "SecTopK.make_clouds() is a legacy entry point; use "
-            "repro.connect(...) / TopKClient for the supported client surface",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._make_context(
-            transport=transport,
-            label=label,
-            salt=salt,
-            compute=compute,
-            rtt_ms=rtt_ms,
-            relation=relation,
-        )
 
     def _make_context(
         self,

@@ -113,14 +113,6 @@ MAX_FRAME_BYTES = 1 << 30
 UNKNOWN_RELATION = "unknown-relation"
 
 
-class _VersionMismatch(Exception):
-    """Internal handshake signal: the daemon named a banner we can retry."""
-
-    def __init__(self, offered: str):
-        super().__init__(offered)
-        self.offered = offered
-
-
 def parse_address(address: str) -> tuple[str, object]:
     """Split ``tcp://host:port`` / ``unix:///path`` into (family, target)."""
     if address.startswith("tcp://"):
@@ -225,67 +217,72 @@ def default_registration_id(keypair, dj) -> str:
 # -- client side -----------------------------------------------------------
 
 
-class S2Client:
-    """One process's multiplexed connection to a remote S2 daemon.
+class FrameClient:
+    """One process's multiplexed connection to a frame daemon.
 
-    All sessions this process opens against one address share a single
-    socket; a reader thread routes session-tagged reply frames to the
-    waiting exchanges.  Control operations (registration, session
-    open/close) are serialized; data rounds from different sessions
-    interleave freely.
+    Everything the two daemon clients share: connect and banner
+    negotiation, the reader thread that demultiplexes session-tagged
+    reply frames to the waiting exchanges, and the poisoning that turns
+    peer death into an exception on every waiter instead of a hang.
+    Subclasses name the banners they speak (:attr:`BANNERS`, newest
+    first) and add their conversation on top of :meth:`begin` /
+    :meth:`finish` / :meth:`roundtrip`.
     """
+
+    #: Banners to offer, newest first.  A daemon that does not speak one
+    #: answers ``version-mismatch`` naming its own; the client redials on
+    #: a fresh socket with the next banner the daemon named.
+    BANNERS: tuple[bytes, ...] = ()
 
     def __init__(self, address: str, timeout: float | None = 10.0):
         self.address = address
         self.pid = os.getpid()
-        self._sock = connect_socket(address, timeout)
         self._write_lock = threading.Lock()
-        self._control_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._pending: dict[int, queue.SimpleQueue] = {}
         self._session_ids = itertools.count(1)
         self._dead: Exception | None = None
-        #: Negotiated protocol major version (3, or 2 against an old
-        #: daemon — /2 REPLYs carry no S2-progress element).
-        self.protocol_version = 3
-        # Version handshake happens before the reader thread exists, so
-        # a non-daemon peer fails here with a clear error (and never
-        # leaks the connected socket).  An old daemon rejects the /3
-        # banner with a version-mismatch ERROR and drops the connection;
-        # the client then redials on a fresh socket speaking /2.
-        try:
-            self._sock.settimeout(timeout)
+        # The handshake happens before the reader thread exists, so a
+        # non-daemon peer fails here with a clear error (and never leaks
+        # the connected socket).
+        offered = ""
+        for banner in self.BANNERS:
+            if offered and banner.decode() not in offered.split():
+                continue
+            self._sock = connect_socket(address, timeout)
             try:
-                self._handshake(PROTOCOL_BANNER)
-            except _VersionMismatch as exc:
-                if PROTOCOL_BANNER_V2.decode() not in exc.offered:
-                    raise TransportError(
-                        f"peer at {address} speaks neither "
-                        f"{PROTOCOL_BANNER.decode()} nor "
-                        f"{PROTOCOL_BANNER_V2.decode()} (offered: "
-                        f"{exc.offered!r})"
-                    ) from None
-                self._sock.close()
-                self._sock = connect_socket(address, timeout)
                 self._sock.settimeout(timeout)
-                self._handshake(PROTOCOL_BANNER_V2)
-                self.protocol_version = 2
-            self._sock.settimeout(None)
-        except BaseException:
+                offered = self._handshake(banner)
+                self._sock.settimeout(None)
+            except BaseException:
+                self._sock.close()
+                raise
+            if not offered:
+                #: The banner this connection negotiated.
+                self.banner = banner
+                break
             self._sock.close()
-            raise
+        else:
+            raise TransportError(
+                f"peer at {address} speaks none of "
+                f"{[b.decode() for b in self.BANNERS]} (offered: {offered!r})"
+            )
         self._reader = threading.Thread(
-            target=self._read_loop, name=f"s2-client:{address}", daemon=True
+            target=self._read_loop,
+            name=f"{type(self).__name__}:{address}",
+            daemon=True,
         )
         self._reader.start()
 
-    def _handshake(self, banner: bytes) -> None:
+    def _handshake(self, banner: bytes) -> str:
+        """One HELLO exchange: ``""`` when the peer accepted ``banner``,
+        else the banners it named in its ``version-mismatch`` report."""
         send_frame(self._sock, HELLO, 0, banner)
         ftype, _, payload = recv_frame(self._sock)
         if ftype == ERROR:
             kind, text = decode_error(payload)
-            if kind == VERSION_MISMATCH:
-                raise _VersionMismatch(text)
+            if kind == VERSION_MISMATCH and text:
+                return text
             raise TransportError(
                 f"peer at {self.address} rejected the handshake: {kind}: {text}"
             )
@@ -293,6 +290,7 @@ class S2Client:
             raise TransportError(
                 f"peer at {self.address} did not speak {banner.decode()}"
             )
+        return ""
 
     # -- reply routing ---------------------------------------------------
 
@@ -301,27 +299,21 @@ class S2Client:
             while True:
                 ftype, session_id, payload = recv_frame(self._sock)
                 if ftype == ERROR:
-                    kind, text = decode_error(payload)
-                    item: object = RemoteS2Error(kind, text)
+                    item: object = RemoteS2Error(*decode_error(payload))
                 else:
                     item = (ftype, payload)
-                if not self._deliver(session_id, item):
+                with self._state_lock:
+                    waiter = self._pending.get(session_id)
+                if waiter is None:
                     if ftype == ERROR:
                         # Connection-level failure with nobody waiting.
-                        raise RemoteS2Error(kind, text)
+                        raise item
                     raise TransportError(
                         f"unsolicited frame {ftype} for session {session_id}"
                     )
+                waiter.put(item)
         except Exception as exc:  # noqa: BLE001 — every exit poisons the link
             self._fail(exc)
-
-    def _deliver(self, session_id: int, item) -> bool:
-        with self._state_lock:
-            waiter = self._pending.get(session_id)
-        if waiter is None:
-            return False
-        waiter.put(item)
-        return True
 
     def _fail(self, exc: Exception) -> None:
         """Poison the connection: every waiter gets the failure now, and
@@ -350,50 +342,19 @@ class S2Client:
         """Whether the connection has been poisoned."""
         return self._dead is not None
 
+    def close(self) -> None:
+        """Drop the connection (idempotent; pending exchanges fail)."""
+        self._fail(TransportError("client connection closed"))
+
     # -- request/reply ---------------------------------------------------
 
-    def _roundtrip(self, ftype: int, session_id: int, payload: bytes):
-        with self._state_lock:
-            if self._dead is not None:
-                raise PeerDisconnected(
-                    f"connection to {self.address} is down: {self._dead}"
-                ) from self._dead
-            if session_id in self._pending:
-                raise TransportError(
-                    f"session {session_id} already has a request in flight"
-                )
-            waiter: queue.SimpleQueue = queue.SimpleQueue()
-            self._pending[session_id] = waiter
-        try:
-            with self._write_lock:
-                send_frame(self._sock, ftype, session_id, payload)
-            item = waiter.get()
-        finally:
-            with self._state_lock:
-                self._pending.pop(session_id, None)
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-    def _expect(self, item, ftype: int) -> bytes:
-        got, payload = item
-        if got != ftype:
-            raise TransportError(f"expected frame {ftype}, peer sent {got}")
-        return payload
-
-    def request(self, session_id: int, data: bytes) -> bytes:
-        """One protocol round: REQUEST out, the matching REPLY payload back."""
-        return self._expect(self._roundtrip(REQUEST, session_id, data), REPLY)
-
-    # -- split-phase request (scan rendezvous) ---------------------------
-
-    def request_begin(self, session_id: int, data: bytes):
-        """Send one REQUEST frame without waiting; returns the waiter.
+    def begin(self, ftype: int, session_id: int, payload: bytes):
+        """Send one frame without waiting; returns the waiter.
 
         The split lets several sessions' frames go out back-to-back on
         the shared socket before any reply is collected — the wire shape
-        of one combined round-trip.  Pair with :meth:`request_finish`
-        (exactly once) after a successful begin.
+        of one combined round-trip.  Pair with :meth:`finish` (exactly
+        once) after a successful begin.
         """
         with self._state_lock:
             if self._dead is not None:
@@ -408,25 +369,86 @@ class S2Client:
             self._pending[session_id] = waiter
         try:
             with self._write_lock:
-                send_frame(self._sock, REQUEST, session_id, data)
+                send_frame(self._sock, ftype, session_id, payload)
         except BaseException:
             with self._state_lock:
                 self._pending.pop(session_id, None)
             raise
         return waiter
 
-    def request_finish(self, session_id: int, waiter) -> bytes:
-        """Collect the REPLY of a :meth:`request_begin`."""
+    def finish(
+        self, session_id: int, waiter, expect: int, timeout: float | None = None
+    ) -> bytes:
+        """Collect the reply of a :meth:`begin`: the ``expect`` frame's
+        payload, or the remote/connection failure raised."""
         try:
-            item = waiter.get()
+            item = waiter.get(timeout=timeout)
+        except queue.Empty:
+            exc = TransportError(
+                f"daemon at {self.address} did not answer within {timeout:.1f}s"
+            )
+            # A silent daemon leaves the stream in an unknowable state;
+            # poison the connection so every other in-flight exchange
+            # fails fast too instead of waiting out its own timeout
+            # against a wedged peer.
+            self._fail(exc)
+            raise exc from None
         finally:
             with self._state_lock:
                 self._pending.pop(session_id, None)
         if isinstance(item, Exception):
             raise item
-        return self._expect(item, REPLY)
+        got, payload = item
+        if got != expect:
+            raise TransportError(f"expected frame {expect}, peer sent {got}")
+        return payload
 
-    # -- handshake / session lifecycle -----------------------------------
+    def roundtrip(
+        self,
+        ftype: int,
+        session_id: int,
+        payload: bytes,
+        expect: int,
+        timeout: float | None = None,
+    ) -> bytes:
+        """One exchange: ``ftype`` out, the matching ``expect`` payload back."""
+        return self.finish(
+            session_id, self.begin(ftype, session_id, payload), expect, timeout
+        )
+
+
+class S2Client(FrameClient):
+    """The S1 side's connection to a remote S2 daemon.
+
+    All sessions this process opens against one address share a single
+    socket.  Control operations (registration, session open/close) are
+    serialized; data rounds from different sessions interleave freely.
+    """
+
+    BANNERS = (PROTOCOL_BANNER, PROTOCOL_BANNER_V2)
+
+    def __init__(self, address: str, timeout: float | None = 10.0):
+        super().__init__(address, timeout)
+        self._control_lock = threading.Lock()
+
+    @property
+    def protocol_version(self) -> int:
+        """Negotiated protocol major version (3, or 2 against an old
+        daemon — /2 REPLYs carry no S2-progress element)."""
+        return 3 if self.banner == PROTOCOL_BANNER else 2
+
+    # One protocol round, split-phase for the scan rendezvous (see
+    # FrameClient.begin): REQUEST out, the matching REPLY payload back.
+
+    def request_begin(self, session_id: int, data: bytes):
+        """Send one REQUEST frame without waiting; returns the waiter."""
+        return self.begin(REQUEST, session_id, data)
+
+    def request_finish(self, session_id: int, waiter) -> bytes:
+        """Collect the REPLY of a :meth:`request_begin`."""
+        return self.finish(session_id, waiter, REPLY)
+
+    # -- session lifecycle -----------------------------------------------
 
     def open_session(
         self,
@@ -455,24 +477,18 @@ class S2Client:
         with self._control_lock:
             session_id = next(self._session_ids)
             try:
-                self._expect(
-                    self._roundtrip(OPEN, session_id, open_payload), OPENED
-                )
+                self.roundtrip(OPEN, session_id, open_payload, OPENED)
             except RemoteS2Error as exc:
                 if exc.kind != UNKNOWN_RELATION:
                     raise
-                self._expect(
-                    self._roundtrip(REGISTER, 0, payload_factory()), REGISTERED
-                )
-                self._expect(
-                    self._roundtrip(OPEN, session_id, open_payload), OPENED
-                )
+                self.roundtrip(REGISTER, 0, payload_factory(), REGISTERED)
+                self.roundtrip(OPEN, session_id, open_payload, OPENED)
             return session_id
 
     def close_session(self, session_id: int) -> None:
         """End one session (graceful CLOSE/CLOSED exchange)."""
         with self._control_lock:
-            self._expect(self._roundtrip(CLOSE, session_id, b""), CLOSED)
+            self.roundtrip(CLOSE, session_id, b"", CLOSED)
 
     def mutate_relation(self, old_id: str, new_id: str) -> bool:
         """Re-key the daemon's registration after a relation mutation.
@@ -488,16 +504,12 @@ class S2Client:
         payload = old_id.encode("utf-8") + b"\x00" + new_id.encode("utf-8")
         with self._control_lock:
             try:
-                self._expect(self._roundtrip(MUTATE, 0, payload), MUTATED)
+                self.roundtrip(MUTATE, 0, payload, MUTATED)
             except RemoteS2Error as exc:
                 if exc.kind == "unknown-frame":
                     return False
                 raise
         return True
-
-    def close(self) -> None:
-        """Drop the connection (idempotent; pending exchanges fail)."""
-        self._fail(TransportError("client connection closed"))
 
 
 class SocketTransport(Transport):
@@ -577,17 +589,16 @@ class SocketTransport(Transport):
 # -- shard-worker client ---------------------------------------------------
 
 
-class ShardClient:
-    """One process's multiplexed connection to a shard-worker daemon.
+class ShardClient(FrameClient):
+    """The S1 side's connection to a shard-worker daemon.
 
-    The shard link reuses the S2 frame protocol's framing and reader-
-    thread demultiplexing, but the conversation is simpler: no key
-    material, no long-lived sessions — every request is one exchange
-    under a fresh session id, so concurrent shard workers mapped to the
-    same daemon interleave freely on one socket.  Depth-batch requests
-    take a per-call ``timeout``: a daemon that stops answering poisons
-    the connection and raises, so a worker dying mid-window surfaces as
-    a typed failure instead of a hung fan-in.
+    The shard link reuses the frame core, but the conversation is
+    simpler: no key material, no long-lived sessions — every request is
+    one :meth:`roundtrip` under a fresh session id, so concurrent workers
+    mapped to the same daemon interleave freely on one socket.
+    Depth-batch requests take a per-call ``timeout``: a daemon that
+    stops answering poisons the connection and raises, so a worker dying
+    mid-window surfaces as a typed failure instead of a hung fan-in.
 
     Byte accounting note: the shard link is S1-internal infrastructure
     (storage tier, not the S1<->S2 channel), so nothing here touches the
@@ -595,128 +606,13 @@ class ShardClient:
     remote placement is transcript-invisible.
     """
 
-    def __init__(self, address: str, timeout: float | None = 10.0):
-        self.address = address
-        self.pid = os.getpid()
-        self._sock = connect_socket(address, timeout)
-        self._write_lock = threading.Lock()
-        self._state_lock = threading.Lock()
-        self._pending: dict[int, queue.SimpleQueue] = {}
-        self._session_ids = itertools.count(1)
-        self._dead: Exception | None = None
-        try:
-            self._sock.settimeout(timeout)
-            send_frame(self._sock, HELLO, 0, SHARD_BANNER)
-            ftype, _, payload = recv_frame(self._sock)
-            if ftype == ERROR:
-                kind, text = decode_error(payload)
-                raise TransportError(
-                    f"shard daemon at {address} rejected the handshake: "
-                    f"{kind}: {text}"
-                )
-            if ftype != HELLO_OK or payload != SHARD_BANNER:
-                raise TransportError(
-                    f"peer at {address} does not speak {SHARD_BANNER.decode()}"
-                )
-            self._sock.settimeout(None)
-        except BaseException:
-            self._sock.close()
-            raise
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"shard-client:{address}", daemon=True
-        )
-        self._reader.start()
-
-    def _read_loop(self) -> None:
-        try:
-            while True:
-                ftype, session_id, payload = recv_frame(self._sock)
-                if ftype == ERROR:
-                    kind, text = decode_error(payload)
-                    item: object = RemoteS2Error(kind, text)
-                else:
-                    item = (ftype, payload)
-                if not self._deliver(session_id, item):
-                    if ftype == ERROR:
-                        raise RemoteS2Error(kind, text)
-                    raise TransportError(
-                        f"unsolicited frame {ftype} for session {session_id}"
-                    )
-        except Exception as exc:  # noqa: BLE001 — every exit poisons the link
-            self._fail(exc)
-
-    def _deliver(self, session_id: int, item) -> bool:
-        with self._state_lock:
-            waiter = self._pending.get(session_id)
-        if waiter is None:
-            return False
-        waiter.put(item)
-        return True
-
-    def _fail(self, exc: Exception) -> None:
-        with self._state_lock:
-            if self._dead is None:
-                self._dead = exc
-            waiters = list(self._pending.values())
-        for waiter in waiters:
-            waiter.put(exc)
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    @property
-    def dead(self) -> bool:
-        return self._dead is not None
-
-    def _roundtrip(
-        self, ftype: int, payload: bytes, expect: int,
-        timeout: float | None = None,
-    ) -> bytes:
-        session_id = next(self._session_ids)
-        with self._state_lock:
-            if self._dead is not None:
-                raise PeerDisconnected(
-                    f"connection to {self.address} is down: {self._dead}"
-                ) from self._dead
-            waiter: queue.SimpleQueue = queue.SimpleQueue()
-            self._pending[session_id] = waiter
-        try:
-            with self._write_lock:
-                send_frame(self._sock, ftype, session_id, payload)
-            try:
-                item = waiter.get(timeout=timeout)
-            except queue.Empty:
-                exc = TransportError(
-                    f"shard daemon at {self.address} did not answer within "
-                    f"{timeout:.1f}s"
-                )
-                # A silent daemon leaves the stream in an unknowable
-                # state; poison the connection so every other in-flight
-                # worker fails fast too instead of waiting out its own
-                # timeout against a wedged peer.
-                self._fail(exc)
-                raise exc from None
-        finally:
-            with self._state_lock:
-                self._pending.pop(session_id, None)
-        if isinstance(item, Exception):
-            raise item
-        got, reply = item
-        if got != expect:
-            raise TransportError(f"expected frame {expect}, peer sent {got}")
-        return reply
-
-    # -- shard operations -------------------------------------------------
+    BANNERS = (SHARD_BANNER,)
 
     def upload_slice(self, slice_payload: dict) -> None:
         """Register one ``(relation_id, shard_id)`` slice (idempotent)."""
-        self._roundtrip(
+        self.roundtrip(
             SLICE,
+            next(self._session_ids),
             pickle.dumps(slice_payload, protocol=pickle.HIGHEST_PROTOCOL),
             SLICED,
         )
@@ -751,26 +647,28 @@ class ShardClient:
         # self-contained (keys re-register per reply), so no cross-request
         # codec state needs to survive connection churn.
         payload = WireCodec().encode_envelope([msg])
-        reply = self._roundtrip(REQUEST, payload, REPLY, timeout=timeout)
+        reply = self.roundtrip(
+            REQUEST, next(self._session_ids), payload, REPLY, timeout
+        )
         (batch,) = WireCodec().decode_replies(reply)
         return list(batch)
 
     def mutate(self, delta: dict) -> dict:
         """Delta-sync the daemon's slices after a relation mutation."""
-        reply = self._roundtrip(
-            MUTATE, pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL),
+        reply = self.roundtrip(
+            MUTATE,
+            next(self._session_ids),
+            pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL),
             MUTATED,
         )
         return pickle.loads(reply) if reply else {}
 
-    def close(self) -> None:
-        self._fail(TransportError("client connection closed"))
-
 
 # -- per-process client registry -------------------------------------------
 
-_CLIENTS: dict[str, S2Client] = {}
-_SHARD_CLIENTS: dict[str, ShardClient] = {}
+#: address -> live client.  One daemon speaks one banner family, so the
+#: address alone identifies the connection; the class is checked on use.
+_CLIENTS: dict[str, FrameClient] = {}
 _CLIENTS_LOCK = threading.Lock()
 
 
@@ -784,25 +682,18 @@ def _reset_after_fork() -> None:
     global _CLIENTS_LOCK
     _CLIENTS_LOCK = threading.Lock()
     _CLIENTS.clear()
-    _SHARD_CLIENTS.clear()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
-def client_for(address: str, timeout: float | None = 10.0) -> S2Client:
-    """The process-wide shared client for ``address``.
-
-    One connection per (process, address): concurrent sessions
-    multiplex over it, worker processes get their own (a forked child
-    never reuses the parent's socket — frames from two processes on one
-    stream would interleave; the pid check catches inherited entries),
-    and a poisoned connection is transparently replaced.
-    """
+def _shared_client(cls, address: str, timeout: float | None):
     with _CLIENTS_LOCK:
         client = _CLIENTS.get(address)
-        if client is not None and (client.pid != os.getpid() or client.dead):
+        if client is not None and (
+            client.pid != os.getpid() or client.dead or not isinstance(client, cls)
+        ):
             if client.pid != os.getpid():
                 # Forked-off inheritance: quietly drop our duplicate fd
                 # (the parent's open description keeps the stream alive).
@@ -815,44 +706,37 @@ def client_for(address: str, timeout: float | None = 10.0) -> S2Client:
             _CLIENTS.pop(address, None)
             client = None
         if client is None:
-            client = S2Client(address, timeout)
+            client = cls(address, timeout)
             _CLIENTS[address] = client
         return client
+
+
+def client_for(address: str, timeout: float | None = 10.0) -> S2Client:
+    """The process-wide shared client for ``address``.
+
+    One connection per (process, address): concurrent sessions
+    multiplex over it, worker processes get their own (a forked child
+    never reuses the parent's socket — frames from two processes on one
+    stream would interleave; the pid check catches inherited entries),
+    and a poisoned connection is transparently replaced.
+    """
+    return _shared_client(S2Client, address, timeout)
 
 
 def shard_client_for(address: str, timeout: float | None = 10.0) -> ShardClient:
     """The process-wide shared shard-daemon client for ``address``.
 
-    Same discipline as :func:`client_for`: one connection per (process,
-    address), pid-checked against fork inheritance, and a poisoned
-    connection transparently replaced — a worker that failed once does
-    not doom the next query's attempt.
+    Same discipline as :func:`client_for` — a worker that failed once
+    does not doom the next query's attempt.
     """
-    with _CLIENTS_LOCK:
-        client = _SHARD_CLIENTS.get(address)
-        if client is not None and (client.pid != os.getpid() or client.dead):
-            if client.pid != os.getpid():
-                try:
-                    client._sock.close()
-                except OSError:
-                    pass
-            else:
-                client.close()
-            _SHARD_CLIENTS.pop(address, None)
-            client = None
-        if client is None:
-            client = ShardClient(address, timeout)
-            _SHARD_CLIENTS[address] = client
-        return client
+    return _shared_client(ShardClient, address, timeout)
 
 
 def disconnect_all() -> None:
     """Drop every cached daemon connection (tests and benchmarks)."""
     with _CLIENTS_LOCK:
-        clients: list = list(_CLIENTS.values())
-        clients += list(_SHARD_CLIENTS.values())
+        clients = list(_CLIENTS.values())
         _CLIENTS.clear()
-        _SHARD_CLIENTS.clear()
     for client in clients:
         client.close()
 

@@ -238,8 +238,8 @@ def make_transport(kind: str, dispatcher, rtt_ms: float = 0.0) -> Transport:
     ``"threaded"``).
 
     Remote S2 addresses (``tcp://`` / ``unix://``) are wired by
-    :func:`repro.protocols.base.wire_clouds`, which owns the key
-    material a remote session needs — they cannot be built from a
+    :func:`repro.connect` (through the schemes' context wiring), which
+    owns the key material a remote session needs — they cannot be built from a
     dispatcher.  ``rtt_ms > 0`` wraps the backend in a
     :class:`LatencyTransport` that sleeps one simulated round-trip per
     exchange.
@@ -250,8 +250,8 @@ def make_transport(kind: str, dispatcher, rtt_ms: float = 0.0) -> Transport:
         transport = ThreadedTransport(dispatcher)
     else:
         hint = (
-            " (remote S2 addresses are wired through wire_clouds / "
-            "make_clouds, not make_transport)"
+            " (remote S2 addresses go to repro.connect(scheme, relation, "
+            "address), not make_transport)"
             if isinstance(kind, str) and kind.startswith(("tcp://", "unix://"))
             else ""
         )

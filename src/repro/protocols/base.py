@@ -21,7 +21,6 @@ S1 never holds the secret key; tests enforce this by auditing that no
 from __future__ import annotations
 
 import contextlib
-import warnings
 from dataclasses import dataclass, field
 
 from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
@@ -460,44 +459,6 @@ def owned_context(ctx: S1Context):
         ctx.close()
 
 
-def wire_clouds(
-    keypair: PaillierKeypair,
-    dj: DamgardJurik,
-    encoder: SignedEncoder,
-    transport: str,
-    s1_rng: SecureRandom,
-    s2_rng: SecureRandom,
-    leakage: LeakageLog | None = None,
-    compute=None,
-    rtt_ms: float = 0.0,
-    relation_id: str | None = None,
-) -> S1Context:
-    """Deprecated public spelling of the two-cloud wiring.
-
-    Prefer :func:`repro.connect` (the :class:`~repro.client.TopKClient`
-    façade) — it owns context lifecycles, job scheduling and progress
-    streaming; this low-level constructor remains for existing callers.
-    """
-    warnings.warn(
-        "wire_clouds() is a legacy entry point; use repro.connect(...) / "
-        "TopKClient for the supported client surface",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _wire_clouds(
-        keypair,
-        dj,
-        encoder,
-        transport,
-        s1_rng,
-        s2_rng,
-        leakage=leakage,
-        compute=compute,
-        rtt_ms=rtt_ms,
-        relation_id=relation_id,
-    )
-
-
 def _wire_clouds(
     keypair: PaillierKeypair,
     dj: DamgardJurik,
@@ -530,7 +491,7 @@ def _wire_clouds(
     batches fan out across processes (local backends only: a remote
     daemon configures its own pool via ``--s2-workers``); ``rtt_ms``
     adds a simulated round-trip latency to the link.  Single point of
-    truth for context construction — every scheme's ``make_clouds`` and
+    truth for context construction — every scheme's context wiring and
     :func:`make_parties` delegate here.
 
     ``session_label`` rides the remote OPEN frame so the daemon can

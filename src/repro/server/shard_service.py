@@ -11,7 +11,8 @@ a *storage* worker: it holds contiguous row slices of encrypted
 relations — ciphertext rows only, never key material — and serves the
 per-window depth batches of the sharded scan
 (:mod:`repro.server.sharding`).  The conversation, over the same
-length-prefixed frame protocol:
+length-prefixed frame protocol and the same daemon core
+(:mod:`repro.server.frame_service`):
 
 1. **HELLO** — strict ``repro-shard/1`` banner check, once per
    connection (shard daemons are not S2 daemons; a client dialing the
@@ -52,21 +53,13 @@ that same ciphertext material.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import os
+import functools
 import pickle
-import socket
-import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.crypto import backend
-from repro.exceptions import PeerDisconnected, TransportError
 from repro.net.socket_transport import (
-    ERROR,
-    HELLO,
-    HELLO_OK,
     MUTATE,
     MUTATED,
     REPLY,
@@ -75,15 +68,10 @@ from repro.net.socket_transport import (
     SLICE,
     SLICED,
     UNKNOWN_RELATION,
-    VERSION_MISMATCH,
-    encode_error,
-    parse_address,
-    recv_frame,
-    send_frame,
 )
 from repro.net.wire import WireCodec
-from repro.obs.exporter import HealthState, MetricsExporter
-from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.server import frame_service
+from repro.server.frame_service import Connection, FrameService
 from repro.server.sharding import ShardPlan
 from repro.structures.items import weight_entries
 
@@ -96,83 +84,23 @@ _DISPATCH_WORKERS = 8
 _WEIGHTED_CACHE_MAX = 16
 
 
-class _Connection:
-    """One accepted client connection (stateless beyond the socket)."""
-
-    def __init__(self, service: "ShardService", sock: socket.socket):
-        self.service = service
-        self.sock = sock
-        self._write_lock = threading.Lock()
-
-    def send(self, ftype: int, session_id: int, payload: bytes = b"") -> None:
-        with self._write_lock:
-            send_frame(self.sock, ftype, session_id, payload)
-
-    def send_error(self, session_id: int, kind: str, text: str) -> None:
-        with contextlib.suppress(TransportError):
-            self.send(ERROR, session_id, encode_error(kind, text))
-
-    def run(self) -> None:
-        try:
-            self.sock.settimeout(30.0)
-            ftype, _, payload = recv_frame(self.sock)
-            if ftype != HELLO or payload != SHARD_BANNER:
-                self.send_error(0, VERSION_MISMATCH, SHARD_BANNER.decode())
-                return
-            self.send(HELLO_OK, 0, payload)
-            self.sock.settimeout(None)
-            while True:
-                ftype, session_id, payload = recv_frame(self.sock)
-                self._handle(ftype, session_id, payload)
-        except PeerDisconnected:
-            pass  # normal client departure
-        except Exception as exc:  # noqa: BLE001 — last-resort report
-            self.send_error(0, type(exc).__name__, str(exc))
-        finally:
-            with contextlib.suppress(OSError):
-                self.sock.close()
-            self.service._connection_closed(self)
-
-    def _handle(self, ftype: int, session_id: int, payload: bytes) -> None:
-        if ftype == SLICE:
-            self.service._install_slice(pickle.loads(payload), payload)
-            self.send(SLICED, session_id)
-        elif ftype == REQUEST:
-            # Window requests carry the modexp work; run them on the
-            # dispatch pool so shards mapped to one daemon overlap.
-            self.service._executor.submit(self._serve_batch, session_id, payload)
-        elif ftype == MUTATE:
-            summary = self.service._mutate(pickle.loads(payload))
-            self.send(
-                MUTATED,
-                session_id,
-                pickle.dumps(summary, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-        else:
-            self.send_error(session_id, "unknown-frame", str(ftype))
-
-    def _serve_batch(self, session_id: int, payload: bytes) -> None:
-        try:
-            (msg,) = WireCodec().decode_envelope(payload)
-            batch = self.service._depth_batch(msg)
-            if batch is None:
-                self.send_error(
-                    session_id,
-                    UNKNOWN_RELATION,
-                    f"{msg.relation_id}/{msg.shard_id}",
-                )
-                return
-            self.send(
-                REPLY, session_id, WireCodec().encode_replies([batch])
-            )
-        except PeerDisconnected:
-            pass  # client gone mid-reply; the connection loop notices
-        except Exception as exc:  # noqa: BLE001 — report, don't die
-            self.send_error(session_id, type(exc).__name__, str(exc))
+def _valid_slice(stem: str, blob) -> bool:
+    relation_id, _, shard_id = stem.rpartition(".")
+    return (
+        isinstance(blob, dict)
+        and blob.get("relation_id") == relation_id
+        and str(blob.get("shard_id")) == shard_id
+        and isinstance(blob.get("lists"), dict)
+    )
 
 
-class ShardService:
-    """The shard-worker daemon: listener, slice registry, batch serving.
+def _spill_name(key: tuple[str, int]) -> str:
+    return f"{key[0]}.{int(key[1])}.slice"
+
+
+class ShardService(FrameService):
+    """The shard-worker daemon: slice store and batch serving on the
+    shared :class:`~repro.server.frame_service.FrameService` core.
 
     Parameters
     ----------
@@ -185,10 +113,11 @@ class ShardService:
         :meth:`start` — a restarted worker serves its slices without
         client re-uploads.  Holds ciphertext rows (S1's view).
     metrics_port:
-        When set, serve Prometheus text at
-        ``http://127.0.0.1:PORT/metrics`` plus ``/healthz`` (``0`` picks
-        a free port — read it back from :attr:`metrics_port`).
+        When set, serve ``/metrics`` and ``/healthz`` there (see
+        :class:`~repro.server.frame_service.FrameService`).
     """
+
+    name = "shard"
 
     def __init__(
         self,
@@ -196,14 +125,7 @@ class ShardService:
         state_dir: str | None = None,
         metrics_port: int | None = None,
     ):
-        self.listen_spec = listen
-        self.state_dir = state_dir
-        self.address: str | None = None
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._unix_path: str | None = None
-        self._lock = threading.Lock()
-        self._connections: set[_Connection] = set()
+        super().__init__(listen, (SHARD_BANNER,), state_dir, metrics_port)
         #: (relation_id, shard_id) -> {lo, hi, n_shards, lists}
         self._slices: dict[tuple[str, int], dict] = {}
         #: (relation_id, shard_id, names, weights) -> [weighted rows per name]
@@ -211,157 +133,66 @@ class ShardService:
         self._executor = ThreadPoolExecutor(
             max_workers=_DISPATCH_WORKERS, thread_name_prefix="shard-dispatch"
         )
-        self.registry = MetricsRegistry()
-        reg = self.registry
-        self._counters = {
-            "slices": reg.gauge(
-                "repro_shard_slices", "Slices currently registered."
-            ),
-            "slice_uploads": reg.counter(
-                "repro_shard_slice_uploads_total",
-                "SLICE frames received (including idempotent repeats).",
-            ),
-            "slice_bytes": reg.counter(
-                "repro_shard_slice_bytes_total",
-                "Bytes of SLICE payload received.",
-            ),
-            "slices_restored": reg.counter(
-                "repro_shard_slices_restored_total",
-                "Slices reloaded from the state dir at boot.",
-            ),
-            "slices_rekeyed": reg.counter(
-                "repro_shard_slices_rekeyed_total",
-                "Slices delta-synced to a successor relation id by MUTATE.",
-            ),
-            "slices_dropped": reg.counter(
-                "repro_shard_slices_dropped_total",
-                "Slices dropped by MUTATE (unfillable rebuild or drop-only).",
-            ),
-            "batches": reg.counter(
-                "repro_shard_batches_total", "Depth-batch requests served."
-            ),
-            "batch_depths": reg.counter(
-                "repro_shard_batch_depths_total",
-                "Depths served across all batch replies.",
-            ),
-            "connections_total": reg.counter(
-                "repro_shard_connections_total", "Client connections accepted."
-            ),
-            "connections_active": reg.gauge(
-                "repro_shard_connections_active",
-                "Client connections currently open.",
-            ),
+        self.handlers = {
+            SLICE: self._on_slice,
+            REQUEST: self._on_request,
+            MUTATE: self._on_mutate,
         }
-        self._health = HealthState()
-        self._metrics_port = metrics_port
-        self._exporter: MetricsExporter | None = None
-        self._closed = threading.Event()
-
-    # -- lifecycle -------------------------------------------------------
+        self._gauge("slices", "Slices currently registered.")
+        self._counter(
+            "slice_uploads", "SLICE frames received (including idempotent repeats)."
+        )
+        self._counter("slice_bytes", "Bytes of SLICE payload received.")
+        self._counter("slices_restored", "Slices reloaded from the state dir at boot.")
+        self._counter(
+            "slices_rekeyed",
+            "Slices delta-synced to a successor relation id by MUTATE.",
+        )
+        self._counter(
+            "slices_dropped",
+            "Slices dropped by MUTATE (unfillable rebuild or drop-only).",
+        )
+        self._counter("batches", "Depth-batch requests served.")
+        self._counter("batch_depths", "Depths served across all batch replies.")
 
     def start(self) -> str:
-        """Bind, listen, and start accepting; returns the bound address."""
-        if self.state_dir is not None:
-            self._restore_slices()
-        family, target = parse_address(self.listen_spec)
-        if family == "tcp":
-            host, port = target
-            listener = socket.create_server((host, port))
-            bound_port = listener.getsockname()[1]
-            self.address = f"tcp://{host}:{bound_port}"
-        else:
-            if not hasattr(socket, "AF_UNIX"):
-                raise TransportError("Unix-domain sockets unavailable here")
-            with contextlib.suppress(OSError):
-                os.unlink(target)
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(target)
-            listener.listen()
-            self._unix_path = target
-            self.address = f"unix://{target}"
-        listener.settimeout(0.1)
-        self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="shard-accept", daemon=True
-        )
-        self._accept_thread.start()
-        if self._metrics_port is not None:
-            exporter = MetricsExporter(
-                port=self._metrics_port,
-                registries=[REGISTRY, self.registry],
-                health=self._health,
-            )
-            try:
-                exporter.start()
-            except BaseException:
-                self.close()
-                raise
-            self._exporter = exporter
-        return self.address
+        """Bind, listen, and start accepting; returns the bound address
+        (spilled slices are reloaded first)."""
+        for blob in self.restore(".slice", _valid_slice):
+            self._install_slice(blob, None)
+        return super().start()
 
-    @property
-    def metrics_port(self) -> int | None:
-        """Bound port of the metrics exporter (``None`` when not mounted)."""
-        exporter = self._exporter
-        return exporter.port if exporter is not None else None
-
-    def _accept_loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                return  # listener closed
-            sock.settimeout(None)
-            if isinstance(sock.getsockname(), tuple):
-                with contextlib.suppress(OSError):
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            connection = _Connection(self, sock)
-            with self._lock:
-                self._connections.add(connection)
-                self._counters["connections_total"].inc()
-                self._counters["connections_active"].inc()
-            threading.Thread(
-                target=connection.run, name="shard-connection", daemon=True
-            ).start()
-
-    def serve_forever(self) -> None:
-        """Block until :meth:`close` (or the process) ends the service."""
-        self._closed.wait()
-
-    def close(self) -> None:
-        """Stop accepting, drop every connection, retire the pool."""
-        self._health.drain()
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        if self._listener is not None:
-            with contextlib.suppress(OSError):
-                self._listener.close()
-        with self._lock:
-            connections = list(self._connections)
-        for connection in connections:
-            with contextlib.suppress(OSError):
-                connection.sock.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                connection.sock.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join()
-        if self._unix_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self._unix_path)
+    def _release(self) -> None:
         self._executor.shutdown(wait=True)
-        exporter, self._exporter = self._exporter, None
-        if exporter is not None:
-            exporter.close()
 
-    def __enter__(self) -> "ShardService":
-        self.start()
-        return self
+    # -- frame handlers --------------------------------------------------
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def _on_slice(self, conn: Connection, session_id: int, payload: bytes) -> None:
+        self._install_slice(pickle.loads(payload), payload)
+        conn.send(SLICED, session_id)
+
+    def _on_request(self, conn: Connection, session_id: int, payload: bytes) -> None:
+        # Window requests carry the modexp work; run them on the
+        # dispatch pool so shards mapped to one daemon overlap.
+        self._executor.submit(
+            self.run_handler, self._serve_batch, conn, session_id, payload
+        )
+
+    def _serve_batch(self, conn: Connection, session_id: int, payload: bytes) -> None:
+        (msg,) = WireCodec().decode_envelope(payload)
+        batch = self._depth_batch(msg)
+        if batch is None:
+            conn.send_error(
+                session_id, UNKNOWN_RELATION, f"{msg.relation_id}/{msg.shard_id}"
+            )
+            return
+        conn.send(REPLY, session_id, WireCodec().encode_replies([batch]))
+
+    def _on_mutate(self, conn: Connection, session_id: int, payload: bytes) -> None:
+        summary = self._mutate(pickle.loads(payload))
+        conn.send(
+            MUTATED, session_id, pickle.dumps(summary, protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
     # -- slice registry ---------------------------------------------------
 
@@ -391,7 +222,7 @@ class ShardService:
                 else:
                     persist = self.state_dir is not None
         if persist:
-            self._persist_slice(key, payload)
+            self.spill(_spill_name(key), payload)
 
     def _depth_batch(self, msg) -> list | None:
         """The weighted ``(depth, items)`` pairs of one window request;
@@ -497,12 +328,11 @@ class ShardService:
                     del self._weighted[memo_key]
         if self.state_dir is not None:
             for key in held:
-                with contextlib.suppress(OSError, TransportError):
-                    os.remove(self._slice_path(key))
+                self.unspill(_spill_name(key))
             for key, sl in new_slices.items():
                 with contextlib.suppress(Exception):
-                    self._persist_slice(
-                        key,
+                    self.spill(
+                        _spill_name(key),
                         pickle.dumps(
                             {
                                 "relation_id": key[0],
@@ -560,177 +390,17 @@ class ShardService:
             "lists": lists,
         }
 
-    # -- persistence -------------------------------------------------------
 
-    def _slice_path(self, key: tuple[str, int]) -> str:
-        relation_id, shard_id = key
-        # Relation ids are hex digests (filesystem-safe by construction);
-        # reject anything else rather than risk a traversal.
-        if not relation_id or not all(c.isalnum() for c in relation_id):
-            raise TransportError(f"unsafe relation id: {relation_id!r}")
-        return os.path.join(self.state_dir, f"{relation_id}.{int(shard_id)}.slice")
-
-    def _persist_slice(self, key: tuple[str, int], payload: bytes) -> None:
-        """Atomically spill one slice payload to the state dir."""
-        os.makedirs(self.state_dir, mode=0o700, exist_ok=True)
-        path = self._slice_path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-
-    def _restore_slices(self) -> None:
-        """Reload spilled slices (corrupt files are skipped, not fatal —
-        the client re-uploads on demand)."""
-        if not os.path.isdir(self.state_dir):
-            return
-        for name in sorted(os.listdir(self.state_dir)):
-            if not name.endswith(".slice"):
-                continue
-            path = os.path.join(self.state_dir, name)
-            try:
-                with open(path, "rb") as handle:
-                    payload = handle.read()
-                blob = pickle.loads(payload)
-                stem = name[: -len(".slice")]
-                relation_id, _, shard_id = stem.rpartition(".")
-                if (
-                    isinstance(blob, dict)
-                    and blob.get("relation_id") == relation_id
-                    and str(blob.get("shard_id")) == shard_id
-                    and isinstance(blob.get("lists"), dict)
-                ):
-                    self._install_slice(blob, None)
-            except Exception:  # noqa: BLE001 — a bad spill must not kill boot
-                continue
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def _connection_closed(self, connection: _Connection) -> None:
-        with self._lock:
-            if connection in self._connections:
-                self._connections.discard(connection)
-                self._counters["connections_active"].dec()
-
-    def stats(self) -> dict:
-        """A consistent point-in-time snapshot of the service counters."""
-        with self._lock:
-            return {name: int(c.value) for name, c in self._counters.items()}
-
-
-def launch_daemon(
-    listen: str = "tcp://127.0.0.1:0",
-    extra_args: tuple[str, ...] = (),
-    quiet: bool = False,
-    timeout: float = 30.0,
-):
-    """Start the daemon as a separate OS process; returns (process, address).
-
-    Mirrors :func:`repro.server.s2_service.launch_daemon`: the bound
-    address is read from a ready file, and the caller owns the returned
-    :class:`subprocess.Popen` (terminate it when done).
-    """
-    import pathlib
-    import subprocess
-    import sys
-    import tempfile
-    import time
-
-    src_root = str(pathlib.Path(__file__).resolve().parent.parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    with tempfile.NamedTemporaryFile(suffix=".addr", delete=False) as handle:
-        ready_file = handle.name
-    os.unlink(ready_file)
-    process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.server.shard_service",
-            "--listen",
-            listen,
-            "--ready-file",
-            ready_file,
-            *extra_args,
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL if quiet else None,
-    )
-    try:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if os.path.exists(ready_file):
-                address = pathlib.Path(ready_file).read_text().strip()
-                # The daemon creates the file before it writes it: an
-                # empty read is "not ready yet", not an address.
-                if address:
-                    os.unlink(ready_file)
-                    return process, address
-            if process.poll() is not None:
-                raise RuntimeError("shard daemon exited before becoming ready")
-            time.sleep(0.05)
-        raise RuntimeError("shard daemon did not become ready in time")
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(ready_file)
-        process.terminate()
-        raise
+#: Start this daemon as a separate OS process; returns (process, address)
+#: — :func:`repro.server.frame_service.launch_daemon` bound to this module.
+launch_daemon = functools.partial(
+    frame_service.launch_daemon, "repro.server.shard_service"
+)
 
 
 def main(argv: list[str] | None = None) -> None:
     """CLI entry point: ``python -m repro.server.shard_service``."""
-    parser = argparse.ArgumentParser(
-        prog="repro.server.shard_service", description=__doc__.split("\n\n")[0]
-    )
-    parser.add_argument(
-        "--listen",
-        default="tcp://127.0.0.1:0",
-        help="tcp://host:port (port 0 = ephemeral) or unix:///path",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="big-int backend (pure / gmpy2 / gmp-kernel / auto; "
-        "default: REPRO_BACKEND)",
-    )
-    parser.add_argument(
-        "--state-dir",
-        default=None,
-        help="spill slice registrations here and reload them on restart",
-    )
-    parser.add_argument(
-        "--ready-file",
-        default=None,
-        help="write the bound address here once listening (CI/scripts)",
-    )
-    parser.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        help="serve Prometheus text at http://127.0.0.1:PORT/metrics "
-        "plus /healthz (0 = ephemeral port; default: no exporter)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.backend:
-        backend.set_backend(args.backend)
-    service = ShardService(
-        args.listen,
-        state_dir=args.state_dir,
-        metrics_port=args.metrics_port,
-    )
-    address = service.start()
-    print(f"repro-shard: listening on {address}", flush=True)
-    if args.ready_file:
-        with open(args.ready_file, "w", encoding="utf-8") as handle:
-            handle.write(address)
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.close()
+    frame_service.daemon_main(ShardService, (), argv)
 
 
 if __name__ == "__main__":

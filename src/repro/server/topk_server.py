@@ -80,6 +80,7 @@ from repro.net.socket_transport import client_for, is_socket_address, shard_clie
 from repro.obs.exporter import HealthState, MetricsExporter
 from repro.obs.metrics import REGISTRY
 from repro.protocols.base import LeakageEvent, LeakageLog, S1Context, owned_context
+from repro.server.frame_service import atomic_write
 from repro.server.jobs import JobStatus, QueryJob, WatchJob, WatchSummary
 from repro.server.mutations import MutableRelation, MutationResult, mutation_delta
 from repro.server.query_cache import QueryCache
@@ -1121,13 +1122,8 @@ class TopKServer:
             return
         try:
             os.makedirs(self._state_dir, mode=0o700, exist_ok=True)
-            tmp = f"{path}.tmp-{os.getpid()}"
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {"relation_id": self._relation_key, "depths": depths}, fh
-                )
-            os.replace(tmp, path)
+            payload = {"relation_id": self._relation_key, "depths": depths}
+            atomic_write(path, json.dumps(payload).encode("utf-8"))
         except OSError:
             pass  # persistence is an optimization, never a failure mode
 

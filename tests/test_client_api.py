@@ -501,25 +501,6 @@ class TestCuratedSurface:
         for name in repro.__all__:
             assert getattr(repro, name) is not None
 
-    def test_legacy_spellings_warn_toward_connect(self):
-        scheme, relation, _ = _fresh_deployment()
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            ctx = scheme.make_clouds()
-        ctx.close()
-
-        from repro.protocols.base import wire_clouds
-
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            ctx = wire_clouds(
-                scheme.keypair,
-                scheme.dj,
-                scheme.encoder,
-                "inprocess",
-                SecureRandom(1),
-                SecureRandom(2),
-            )
-        ctx.close()
-
 
 class TestSchedulerRobustness:
     def test_bounded_queue_backpressure_drains(self):

@@ -25,7 +25,7 @@ def query_run():
     scheme = SecTopK(SystemParams.tiny(), seed=31)
     encrypted = scheme.encrypt(rows)
     token = scheme.token([0, 1, 2], k=2)
-    ctx = scheme.make_clouds()
+    ctx = scheme._make_context()
     result = scheme.query(
         encrypted, token, QueryConfig(variant="elim", engine="eager"), ctx=ctx
     )
@@ -59,7 +59,7 @@ class TestLeakageAudit:
         scheme = SecTopK(SystemParams.tiny(), seed=41)
         encrypted = scheme.encrypt(rows)
         token = scheme.token([0, 1], k=2)
-        ctx = scheme.make_clouds()
+        ctx = scheme._make_context()
         scheme.query(
             encrypted,
             token,

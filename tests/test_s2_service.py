@@ -7,25 +7,55 @@ TCP port (or a temp Unix socket) — the same code path the
 through the real client stack.  A CI leg additionally launches the
 daemon as a separate OS process and points ``REPRO_REMOTE_S2`` here,
 which activates :class:`TestExternalDaemon` against it.
+
+Everything the S2 daemon shares with the shard daemon — the
+:class:`~repro.server.frame_service.FrameService` core and its
+:class:`~repro.net.socket_transport.FrameClient` counterpart — is pinned
+once here, parametrized over both (:class:`TestFrameCore`,
+:class:`TestFrameClient`); ``tests/test_shard_service.py`` keeps what
+only the shard daemon does.
 """
 
 from __future__ import annotations
 
 import os
+import pathlib
+import pickle
+import shutil
 import socket as socket_module
+import struct
+import tempfile
 import threading
 import time
+import urllib.error
+import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.core.params import SystemParams
 from repro.core.results import QueryConfig
 from repro.core.scheme import SecTopK
+from repro.crypto.damgard_jurik import LayeredCiphertext
+from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import PeerDisconnected, RemoteS2Error, TransportError
-from repro.net import messages
-from repro.net.socket_transport import disconnect_all, parse_address
-from repro.server import S2Service, TopKServer
+from repro.net import messages, socket_transport
+from repro.net.socket_transport import (
+    FrameClient,
+    client_for,
+    connect_socket,
+    decode_error,
+    disconnect_all,
+    parse_address,
+    recv_frame,
+    send_frame,
+    shard_client_for,
+)
+from repro.net.wire import WireCodec, _Reader
+from repro.server import S2Service, ShardService, TopKServer, frame_service
+from repro.server import s2_service, shard_service
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 
@@ -156,7 +186,7 @@ class TestFailureModes:
     def test_daemon_death_raises_typed_error_not_hang(self, daemon):
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
-        ctx = scheme.make_clouds(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address, relation=relation)
         service.close()
         with pytest.raises(PeerDisconnected):
             ctx.call(
@@ -169,7 +199,7 @@ class TestFailureModes:
     def test_client_drop_tears_down_daemon_sessions(self, daemon):
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
-        ctx = scheme.make_clouds(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address, relation=relation)
         assert service.stats()["sessions_active"] == 1
         # Abrupt departure: sever the socket without a CLOSE frame.
         ctx.transport._client.close()
@@ -188,7 +218,7 @@ class TestFailureModes:
         _, address = daemon
         scheme, relation, _ = _fresh_deployment()
         foreign = SecTopK(SystemParams.tiny(), seed=91)
-        ctx = scheme.make_clouds(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address, relation=relation)
         try:
             with pytest.raises(RemoteS2Error) as excinfo:
                 ctx.call(
@@ -202,11 +232,12 @@ class TestFailureModes:
 
     def test_unregistered_relation_autoregisters(self, daemon):
         """The OPEN -> unknown-relation -> REGISTER -> OPEN dance is
-        invisible to callers: a bare make_clouds works on first contact."""
+        invisible to callers: a bare session works on first contact."""
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
-        ctx = scheme.make_clouds(transport=address, relation=relation)
-        ctx.close()
+        with repro.connect(scheme, relation, address) as client:
+            with client.server.session():
+                assert service.stats()["sessions_active"] == 1
         assert service.stats()["registrations"] == 1
 
     def test_non_daemon_peer_fails_cleanly(self):
@@ -257,7 +288,7 @@ class TestGaugeRegression:
     def test_midrequest_socket_death_returns_gauges_to_zero(self, daemon):
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
-        ctx = scheme.make_clouds(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address, relation=relation)
         severed = threading.Event()
 
         def _spam():
@@ -293,7 +324,7 @@ class TestGaugeRegression:
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
         foreign = SecTopK(SystemParams.tiny(), seed=92)
-        ctx = scheme.make_clouds(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address, relation=relation)
         try:
             with pytest.raises(RemoteS2Error):
                 ctx.call(
@@ -310,7 +341,7 @@ class TestGaugeRegression:
         service = S2Service("tcp://127.0.0.1:0")
         address = service.start()
         scheme, relation, _ = _fresh_deployment()
-        ctx = scheme.make_clouds(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address, relation=relation)
         try:
             assert service.stats()["sessions_active"] == 1
             assert service.stats()["connections_active"] == 1
@@ -381,36 +412,471 @@ class TestPersistentRegistry:
             disconnect_all()
             second.close()
 
-    def test_corrupt_spill_is_skipped_not_fatal(self, tmp_path):
-        import pickle
 
-        state_dir = tmp_path / "registry"
-        state_dir.mkdir()
-        (state_dir / "deadbeef.reg").write_bytes(b"not a pickle")
-        # Valid pickles of the wrong shape must be skipped too.
-        (state_dir / "cafe.reg").write_bytes(pickle.dumps([1, 2, 3]))
-        (state_dir / "f00d.reg").write_bytes(
-            pickle.dumps({"relation_id": "f00d"})  # missing key material
+# ---------------------------------------------------------------------------
+# The shared daemon core, asserted once for both daemons.
+# ---------------------------------------------------------------------------
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "wire_pr13"
+
+KINDS = {
+    "s2": SimpleNamespace(
+        service=S2Service,
+        module=s2_service,
+        client_for=client_for,
+        banners=(socket_transport.PROTOCOL_BANNER, socket_transport.PROTOCOL_BANNER_V2),
+        control=(socket_transport.REGISTER, socket_transport.REGISTERED),
+        restored="registrations_restored",
+        corrupt={
+            "deadbeef.reg": b"not a pickle",
+            # Valid pickles of the wrong shape must be skipped too.
+            "cafe.reg": pickle.dumps([1, 2, 3]),
+            "f00d.reg": pickle.dumps({"relation_id": "f00d"}),  # no key material
+        },
+        placement=lambda address: {"transport": address},
+    ),
+    "shard": SimpleNamespace(
+        service=ShardService,
+        module=shard_service,
+        client_for=shard_client_for,
+        banners=(socket_transport.SHARD_BANNER,),
+        control=(socket_transport.SLICE, socket_transport.SLICED),
+        restored="slices_restored",
+        corrupt={
+            "nothex!.0.slice": b"garbage",
+            "aaaa.0.slice": b"\x80\x04junk",
+            "bbbb.0.slice": pickle.dumps({"relation_id": "bbbb", "shard_id": 0}),
+        },
+        placement=lambda address: {"shards": [address]},
+    ),
+}
+
+
+@pytest.fixture(params=sorted(KINDS))
+def kind(request):
+    return KINDS[request.param]
+
+
+@pytest.fixture()
+def core(kind):
+    service = kind.service("tcp://127.0.0.1:0", metrics_port=0)
+    address = service.start()
+    yield kind, service, address
+    disconnect_all()
+    service.close()
+
+
+def _wait_for(predicate, deadline_s: float = 5.0) -> bool:
+    deadline = time.monotonic() + deadline_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return predicate()
+
+
+def _http_status(url: str) -> tuple[int, str]:
+    try:
+        with urllib.request.urlopen(url, timeout=5) as response:
+            return response.status, response.read().decode()
+    except urllib.error.HTTPError as err:
+        return err.code, err.read().decode()
+
+
+def _pending_request(kind, address):
+    """Put one real REQUEST on the shared connection to ``address``
+    without collecting it; returns ``finish()`` -> the decoded reply."""
+    scheme, relation, _ = _fresh_deployment()
+    if kind.service is S2Service:
+        ctx = scheme._make_context(transport=address, relation=relation)
+        state = ctx.transport.begin_exchange(
+            [messages.ZeroTestBatch(protocol="probe", cts=[scheme.public_key.encrypt(0)])]
         )
-        service = S2Service("tcp://127.0.0.1:0", state_dir=str(state_dir))
+
+        def finish():
+            try:
+                return ctx.transport.finish_exchange(state)
+            finally:
+                ctx.close()
+
+        return finish
+    client = shard_client_for(address)
+    client.upload_slice(
+        {
+            "relation_id": relation.relation_id(),
+            "shard_id": 0,
+            "n_shards": 1,
+            "lo": 0,
+            "hi": relation.n_objects,
+            "lists": dict(relation.lists),
+        }
+    )
+    name = next(iter(relation.lists))
+    batch = messages.ShardBatch(
+        relation_id=relation.relation_id(), shard_id=0, names=(name,),
+        weights=(1,), lo=0, hi=2,
+    )
+    waiter = client.begin(
+        socket_transport.REQUEST, 9001, WireCodec().encode_envelope([batch])
+    )
+    return lambda: WireCodec().decode_replies(
+        client.finish(9001, waiter, socket_transport.REPLY)
+    )
+
+
+class TestFrameCore:
+    def test_wrong_banner_rejection_names_accepted_banners(self, core):
+        kind, service, address = core
+        sock = connect_socket(address)
+        try:
+            send_frame(sock, socket_transport.HELLO, 0, b"repro-bogus/9")
+            ftype, session_id, payload = recv_frame(sock)
+            assert (ftype, session_id) == (socket_transport.ERROR, 0)
+            assert decode_error(payload) == (
+                socket_transport.VERSION_MISMATCH,
+                " ".join(b.decode() for b in kind.banners),
+            )
+            # A bad HELLO is a framing failure: the connection is dropped.
+            with pytest.raises(PeerDisconnected):
+                recv_frame(sock)
+        finally:
+            sock.close()
+        assert _wait_for(lambda: service.stats()["connections_active"] == 0)
+
+    def test_peer_that_never_greets_is_dropped(self, core, monkeypatch):
+        _, service, address = core
+        monkeypatch.setattr(frame_service, "_HELLO_TIMEOUT_S", 0.2)
+        sock = connect_socket(address)
+        try:
+            sock.settimeout(5.0)
+            assert sock.recv(1) == b"", "daemon kept a mute peer's connection"
+        finally:
+            sock.close()
+        assert _wait_for(lambda: service.stats()["connections_active"] == 0)
+        assert service.stats()["connections_total"] == 1
+
+    def test_handler_error_is_scoped_to_its_session(self, core):
+        """A garbage control frame on session 7 is answered with a typed
+        ERROR on session 7; the connection — and a request in flight on
+        it — is untouched."""
+        kind, service, address = core
+        finish = _pending_request(kind, address)
+        client = kind.client_for(address)
+        request_type, reply_type = kind.control
+        with pytest.raises(RemoteS2Error) as excinfo:
+            client.roundtrip(request_type, 7, b"\x00garbage", reply_type)
+        assert excinfo.value.kind == "UnpicklingError"
+        assert finish(), "the sibling request did not complete"
+        assert not client.dead
+        stats = service.stats()
+        assert (stats["connections_total"], stats["connections_active"]) == (1, 1)
+
+    def test_unknown_frame_type_is_a_session_error(self, core):
+        kind, service, address = core
+        client = kind.client_for(address)
+        with pytest.raises(RemoteS2Error) as excinfo:
+            client.roundtrip(0x7F, 3, b"", socket_transport.REPLY)
+        assert excinfo.value.kind == "unknown-frame"
+        assert not client.dead
+
+    def test_oversize_frame_drops_the_connection(self, core):
+        _, service, address = core
+        sock = connect_socket(address)
+        try:
+            send_frame(sock, socket_transport.HELLO, 0, service.banners[0])
+            assert recv_frame(sock)[0] == socket_transport.HELLO_OK
+            sock.sendall(
+                struct.pack("!IBI", socket_transport.MAX_FRAME_BYTES + 1, 0x07, 1)
+            )
+            ftype, session_id, payload = recv_frame(sock)
+            assert (ftype, session_id) == (socket_transport.ERROR, 0)
+            assert decode_error(payload)[0] == "TransportError"
+            with pytest.raises(PeerDisconnected):
+                recv_frame(sock)
+        finally:
+            sock.close()
+        assert _wait_for(lambda: service.stats()["connections_active"] == 0)
+
+    def test_close_joins_accept_thread_and_zeroes_connections(self, kind):
+        service = kind.service("tcp://127.0.0.1:0")
         address = service.start()
         try:
-            assert service.stats()["registrations_restored"] == 0
+            kind.client_for(address)
+            assert service.stats()["connections_active"] == 1
+            service.close()
+            assert not service._accept_thread.is_alive()
+            assert _wait_for(lambda: service.stats()["connections_active"] == 0)
+            service.close()  # idempotent
+            with pytest.raises(TransportError):
+                connect_socket(address, timeout=1.0)
+        finally:
+            disconnect_all()
+            service.close()
+
+    def test_healthz_flips_ready_to_draining(self, core):
+        _, service, _ = core
+        base = f"http://127.0.0.1:{service.metrics_port}"
+        assert _http_status(f"{base}/healthz") == (200, "ready\n")
+        status, body = _http_status(f"{base}/metrics")
+        assert status == 200
+        assert f"repro_{service.name}_connections_active 0" in body
+        service.drain()
+        assert _http_status(f"{base}/healthz") == (503, "draining\n")
+
+    @pytest.mark.skipif(
+        not hasattr(socket_module, "AF_UNIX"), reason="no Unix-domain sockets"
+    )
+    def test_stale_unix_socket_file_is_replaced(self, kind, tmp_path):
+        path = f"{tmp_path}/daemon.sock"
+        stale = socket_module.socket(socket_module.AF_UNIX, socket_module.SOCK_STREAM)
+        stale.bind(path)
+        stale.close()  # the file outlives its socket: a crashed daemon's leftover
+        assert os.path.exists(path)
+        service = kind.service(f"unix://{path}")
+        try:
+            address = service.start()
+            assert not kind.client_for(address).dead
+        finally:
+            disconnect_all()
+            service.close()
+        assert not os.path.exists(path)
+
+    def test_corrupt_spill_is_skipped_not_fatal(self, kind, tmp_path):
+        for name, content in kind.corrupt.items():
+            (tmp_path / name).write_bytes(content)
+        service = kind.service("tcp://127.0.0.1:0", state_dir=str(tmp_path))
+        address = service.start()
+        try:
+            assert service.stats()[kind.restored] == 0
             scheme, relation, _ = _fresh_deployment()
-            with TopKServer(scheme, relation, transport=address) as server:
+            with TopKServer(scheme, relation, **kind.placement(address)) as server:
                 result = server.execute(scheme.token([0, 1], k=2))
             assert len(result.items) == 2
         finally:
             disconnect_all()
             service.close()
 
+    def test_parent_commit_state_dir_restores(self, kind, tmp_path):
+        """``.reg`` / ``.slice`` spills written by the PR 13 daemons (see
+        ``fixtures/wire_pr13/record.py``) load unchanged."""
+        suffix = ".reg" if kind.service is S2Service else ".slice"
+        (fixture,) = FIXTURES.glob(f"*{suffix}")
+        shutil.copy(fixture, tmp_path / fixture.name)
+        service = kind.service("tcp://127.0.0.1:0", state_dir=str(tmp_path))
+        try:
+            service.start()
+            assert service.stats()[kind.restored] == 1
+        finally:
+            service.close()
+
+    def test_spill_rejects_unsafe_names(self, kind, tmp_path):
+        service = kind.service("tcp://127.0.0.1:0", state_dir=str(tmp_path / "state"))
+        for name in ("../evil.reg", "a/b.reg", ".hidden", "", "x..reg"):
+            with pytest.raises(TransportError, match="unsafe"):
+                service.spill(name, b"payload")
+        service.spill("abc123.reg", b"payload")
+        assert os.listdir(tmp_path / "state") == ["abc123.reg"]
+        assert os.stat(tmp_path / "state" / "abc123.reg").st_mode & 0o777 == 0o600
+
+    def test_launch_daemon_cleans_up_its_ready_file(self, kind, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        process, address = kind.module.launch_daemon(quiet=True)
+        try:
+            parse_address(address)
+            assert not list(tmp_path.glob("*.addr*")), "ready file left behind"
+            assert not kind.client_for(address).dead
+        finally:
+            disconnect_all()
+            process.terminate()
+            process.wait(timeout=10)
+        # Daemon death before readiness: a typed failure, nothing left.
+        with pytest.raises(RuntimeError, match="exited before becoming ready"):
+            kind.module.launch_daemon("bogus://nowhere", quiet=True)
+        assert not list(tmp_path.glob("*.addr*"))
+
+
+class TestWireCompatibility:
+    def test_parent_commit_byte_stream_replays(self):
+        """The frames a PR 13 ``S2Client`` sent for one tiny query
+        (HELLO, OPEN, REGISTER, OPEN, 14 REQUESTs, CLOSE) get the replies
+        the PR 13 daemon gave.
+
+        Control replies (HELLO_OK, the ``unknown-relation`` ERROR,
+        REGISTERED, OPENED, CLOSED) must match byte for byte.  A REPLY
+        carries ciphertexts S2 encrypted with OS entropy (unpickled keys
+        hold no seeded stream — the PR 13 daemon does not reproduce its
+        own REPLY bytes either), so REPLYs are compared decoded, every
+        ciphertext decrypted under the recorded ``.reg`` key: same
+        values, same leakage events, same progress counts; only the /3
+        progress element's timing integer is free."""
+        data = (FIXTURES / "s2_session.frames").read_bytes()
+        (reg,) = FIXTURES.glob("*.reg")
+        registration = pickle.loads(reg.read_bytes())
+        keypair = registration["keypair"]
+        header = struct.Struct("!IBI")
+        frames = []
+        pos = 0
+        while pos < len(data):
+            length = header.unpack_from(data, pos + 1)[0]
+            end = pos + 1 + header.size + length
+            frames.append((data[pos : pos + 1], data[pos + 1 : end]))
+            pos = end
+        assert [mark for mark, _ in frames] == [b">", b"<"] * (len(frames) // 2)
+
+        def plain(value):
+            if isinstance(value, Ciphertext):
+                if value.public_key.n != keypair.public_key.n:
+                    return ("foreign-ct", value.public_key.n)
+                return ("ct", keypair.secret_key.decrypt(value))
+            if isinstance(value, LayeredCiphertext):
+                return ("lc", value.scheme.decrypt(value, keypair))
+            if isinstance(value, PaillierPublicKey):
+                return ("pk", value.n)
+            if isinstance(value, (list, tuple)):
+                return [plain(v) for v in value]
+            slots = [
+                slot
+                for cls in type(value).__mro__
+                for slot in getattr(cls, "__slots__", ())
+            ]
+            if slots:
+                return (type(value).__name__, [plain(getattr(value, s)) for s in slots])
+            if hasattr(value, "__dict__"):
+                return (
+                    type(value).__name__,
+                    {k: plain(v) for k, v in vars(value).items()},
+                )
+            return value
+
+        def decoded(codec: WireCodec, request: bytes, reply: bytes):
+            # One registry serves both directions of a session's stream,
+            # so the codec has to see the request before the reply.
+            codec.decode_envelope(request)
+            replies, events, ((batches, values, _micros),) = codec.decode_value(
+                _Reader(reply)
+            )
+            return plain(replies), plain(events), (batches, values)
+
+        service = S2Service("tcp://127.0.0.1:0")
+        sock = connect_socket(service.start())
+        recorded_codec, replayed_codec = WireCodec(), WireCodec()
+        rounds = 0
+        try:
+            sock.settimeout(30.0)
+            for (_, sent), (_, expected) in zip(frames[::2], frames[1::2]):
+                sock.sendall(sent)
+                ftype, session_id, payload = recv_frame(sock)
+                want_type, want_session = header.unpack_from(expected)[1:]
+                assert (ftype, session_id) == (want_type, want_session)
+                if ftype != socket_transport.REPLY:
+                    assert payload == expected[header.size :]
+                    continue
+                rounds += 1
+                request = sent[header.size :]
+                assert decoded(replayed_codec, request, payload) == decoded(
+                    recorded_codec, request, expected[header.size :]
+                ), f"REPLY {rounds} diverged"
+        finally:
+            sock.close()
+            service.close()
+        assert rounds == 14
+
+
+# ---------------------------------------------------------------------------
+# The shared client core, asserted once for both client kinds.
+# ---------------------------------------------------------------------------
+
+
+class TestFrameClient:
+    def test_finish_timeout_poisons_link_and_fails_every_waiter(self, kind):
+        """A peer that greets and then goes silent: the one exchange
+        with a timeout poisons the connection, and every other pending
+        exchange fails with it instead of waiting forever."""
+        listener = socket_module.create_server(("127.0.0.1", 0))
+        peers: list[socket_module.socket] = []
+
+        def _greet_then_go_silent():
+            sock, _ = listener.accept()
+            peers.append(sock)
+            _, _, banner = recv_frame(sock)
+            send_frame(sock, socket_transport.HELLO_OK, 0, banner)
+
+        thread = threading.Thread(target=_greet_then_go_silent, daemon=True)
+        thread.start()
+        address = f"tcp://127.0.0.1:{listener.getsockname()[1]}"
+        try:
+            client = kind.client_for(address)
+            assert isinstance(client, FrameClient)
+            patient = client.begin(socket_transport.REQUEST, 1, b"")
+            hasty = client.begin(socket_transport.REQUEST, 2, b"")
+            outcome: list[Exception] = []
+
+            def _wait_forever():
+                try:
+                    client.finish(1, patient, socket_transport.REPLY)
+                except Exception as exc:  # noqa: BLE001 — collected for the assert
+                    outcome.append(exc)
+
+            waiter_thread = threading.Thread(target=_wait_forever, daemon=True)
+            waiter_thread.start()
+            with pytest.raises(TransportError, match="did not answer"):
+                client.finish(2, hasty, socket_transport.REPLY, timeout=0.2)
+            waiter_thread.join(timeout=5)
+            assert not waiter_thread.is_alive(), "untimed waiter still hanging"
+            assert len(outcome) == 1 and "did not answer" in str(outcome[0])
+            assert client.dead
+            with pytest.raises(PeerDisconnected):
+                client.begin(socket_transport.REQUEST, 3, b"")
+        finally:
+            disconnect_all()
+            thread.join(timeout=5)
+            for sock in peers:
+                sock.close()
+            listener.close()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork()")
+    def test_forked_child_gets_a_fresh_connection(self, core):
+        kind, service, address = core
+        parent_client = kind.client_for(address)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: report through the pipe, never return to pytest
+            verdict = b"error"
+            try:
+                os.close(read_fd)
+                child_client = kind.client_for(address)
+                fresh = (
+                    child_client is not parent_client
+                    and child_client.pid == os.getpid()
+                    and not child_client.dead
+                )
+                # The fresh link actually works (an unknown frame type is
+                # answered on its session by either daemon).
+                try:
+                    child_client.roundtrip(0x7F, 5, b"", socket_transport.REPLY)
+                except RemoteS2Error as exc:
+                    verdict = b"fresh" if fresh and exc.kind == "unknown-frame" else b"stale"
+            finally:
+                os.write(write_fd, verdict)
+                os._exit(0)
+        os.close(write_fd)
+        try:
+            with os.fdopen(read_fd, "rb") as pipe:
+                assert pipe.read() == b"fresh"
+        finally:
+            os.waitpid(pid, 0)
+        assert service.stats()["connections_total"] == 2
+        # The parent's link was not disturbed by the child's life or exit.
+        assert kind.client_for(address) is parent_client
+        with pytest.raises(RemoteS2Error):
+            parent_client.roundtrip(0x7F, 6, b"", socket_transport.REPLY)
+        assert not parent_client.dead
+
 
 class TestJobSessionsOverTheWire:
     def test_submitted_jobs_are_attributed_daemon_side(self, daemon):
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
-        import repro
-
         with repro.connect(scheme, relation, address) as client:
             job = client.submit(client.token([0, 1], k=2))
             assert len(job.result(timeout=120).items) == 2

@@ -7,6 +7,11 @@ mutation delta-sync (touched prefixes re-key held slices bit-identically
 to a full re-upload), and the failure surface (a worker dying or going
 silent mid-window raises a typed error instead of hanging the fan-in).
 
+What the shard daemon shares with the S2 daemon (handshake rejection,
+mute peers, stale unix sockets, ``close()``, corrupt spills,
+``launch_daemon``, ``/healthz``, handler-error scoping) is asserted once
+for both in ``tests/test_s2_service.py::TestFrameCore``.
+
 A CI leg additionally launches two shard daemons as separate OS
 processes and points ``REPRO_REMOTE_SHARDS`` here, which activates
 :class:`TestExternalDaemons` against them.
@@ -218,18 +223,6 @@ class TestSliceRegistry:
         finally:
             disconnect_all()
             second.close()
-
-    def test_corrupt_spill_is_skipped_not_fatal(self, tmp_path):
-        state = tmp_path / "shard-state"
-        state.mkdir()
-        (state / "nothex!.0.slice").write_bytes(b"garbage")
-        (state / "aaaa.0.slice").write_bytes(b"\x80\x04junk")
-        service = ShardService("tcp://127.0.0.1:0", state_dir=str(state))
-        try:
-            service.start()
-            assert service.stats()["slices"] == 0
-        finally:
-            service.close()
 
     def test_handshake_requires_shard_banner(self, daemon):
         """An S2 client (wrong banner) is rejected at the handshake —
