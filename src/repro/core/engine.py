@@ -42,7 +42,6 @@ import time
 
 import importlib
 
-from repro.crypto.damgard_jurik import layered_select_batch
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.events import CandidateFinalized, DepthAdvanced
 from repro.exceptions import QueryError
@@ -50,7 +49,7 @@ from repro.protocols.base import S1Context
 from repro.net.messages import ZeroTestBatch
 from repro.protocols.enc_compare import enc_compare, enc_compare_flow
 from repro.protocols.enc_sort import enc_sort
-from repro.protocols.recover_enc import recover_enc_flow
+from repro.protocols.recover_enc import select_recover_flow
 from repro.protocols.sec_best import sec_best_flow
 from repro.protocols.sec_dedup import sec_dedup
 from repro.protocols.sec_dup_elim import sec_dup_elim
@@ -335,8 +334,6 @@ class EagerEngine(_EngineBase):
         if matched is not None:
             # Own entry: matched -> Enc(0), fresh object -> Enc(x).
             selections.append(([matched], [zero], item.score))
-        layered = layered_select_batch(dj, selections, ctx.rng)
-
         # The own-list slot of list_scores is patched to the recovered
         # score after the recover round resolves.
         list_scores = ctx.public_key.encrypt_batch([0] * self.m, ctx.rng)
@@ -361,7 +358,7 @@ class EagerEngine(_EngineBase):
             )
         shared.append(entry)
 
-        recovered = yield from recover_enc_flow(ctx, layered, PROTOCOL)
+        recovered = yield from select_recover_flow(ctx, selections, PROTOCOL)
 
         for i, credit in enumerate(recovered[: len(bits)]):
             candidate = shared[i]
@@ -394,21 +391,19 @@ class EagerEngine(_EngineBase):
         if not t_list:
             return
         ctx = self.ctx
-        dj = ctx.dj
         zero = ctx.zero()
         bottoms = [self.lists[j][depth].score for j in range(self.m)]
 
         # seen -> Enc(0) contribution, unseen -> Enc(bottom_j).
-        layered = layered_select_batch(
-            dj,
+        recovered = yield from select_recover_flow(
+            ctx,
             [
                 ([t_item.seen_bits[j]], [zero], bottoms[j])
                 for t_item in t_list
                 for j in range(self.m)
             ],
-            ctx.rng,
+            PROTOCOL,
         )
-        recovered = yield from recover_enc_flow(ctx, layered, PROTOCOL)
 
         idx = 0
         for t_item in t_list:

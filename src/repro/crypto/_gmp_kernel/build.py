@@ -4,7 +4,8 @@ The C side is deliberately tiny: two vectorized ``mpz_powm`` loops —
 one exponent for the whole batch (CRT Paillier decryption, DJ layer
 stripping, randomizer pools, shard weighting) and one exponent per base
 (the ⊖ matrix's random scalars, the layered selects' and ``RecoverEnc``'s
-scalar multiplications) — plus a scalar ``mpz_invert``.  Everything crosses the boundary as fixed-width
+scalar multiplications) — the randomizer-pool product loop, and a
+scalar ``mpz_invert``.  Everything crosses the boundary as fixed-width
 little-endian arrays of 64-bit words (least-significant word first,
 little-endian bytes within each word — the same limb format the
 compute pool's shared-memory slab transport uses), so a single C call
@@ -41,12 +42,17 @@ int repro_powmod_pairs(const uint64_t *bases, size_t n_items, size_t base_words,
 int repro_invert(const uint64_t *a, size_t a_words,
                  const uint64_t *mod, size_t mod_words,
                  uint64_t *out);
+int repro_pool_products(const uint64_t *pool, size_t index_bits,
+                        const uint8_t *reads, size_t n_items, size_t picks,
+                        const uint64_t *mod, size_t mod_words,
+                        uint64_t *out);
 """
 
 SOURCE = r"""
 #include <gmp.h>
 #include <stdint.h>
 #include <stddef.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Fixed-width little-endian word import/export.  order=-1: least
@@ -161,6 +167,63 @@ int repro_invert(const uint64_t *a, size_t a_words,
     mpz_clear(m_z);
     mpz_clear(r);
     return ok;
+}
+
+/* out[i] = product of `picks` pool elements mod mod: the randomizer-pool
+   draw of paillier.pool_randomizers.  pool holds 2^index_bits elements of
+   mod_words words each; item i owns one big-endian read of
+   ceil(picks * index_bits / 8) bytes, and its elements are chosen by the
+   read's index_bits-wide digits, least significant first, after the
+   read's surplus low bits are dropped.  Returns 0 on success, -1 for a
+   zero modulus or a shape this loop cannot index (no pick, or a read
+   wider than one uint64_t). */
+int repro_pool_products(const uint64_t *pool, size_t index_bits,
+                        const uint8_t *reads, size_t n_items, size_t picks,
+                        const uint64_t *mod, size_t mod_words,
+                        uint64_t *out)
+{
+    mpz_t m, acc;
+    mpz_t *elems;
+    size_t i, k, idx;
+    uint64_t digits;
+    size_t pool_size, read_bytes;
+
+    if (picks == 0 || picks > 64 || index_bits > 30 || picks * index_bits > 64)
+        return -1;
+    pool_size = (size_t)1 << index_bits;
+    read_bytes = (picks * index_bits + 7) / 8;
+    mpz_init(m);
+    import_words(m, mod, mod_words);
+    elems = (mpz_t *)malloc(pool_size * sizeof(mpz_t));
+    if (mpz_sgn(m) == 0 || elems == NULL) {
+        free(elems);
+        mpz_clear(m);
+        return -1;
+    }
+    for (idx = 0; idx < pool_size; idx++) {
+        mpz_init(elems[idx]);
+        import_words(elems[idx], pool + idx * mod_words, mod_words);
+    }
+    mpz_init(acc);
+    for (i = 0; i < n_items; i++) {
+        digits = 0;
+        for (k = 0; k < read_bytes; k++)
+            digits = (digits << 8) | reads[i * read_bytes + k];
+        digits >>= 8 * read_bytes - picks * index_bits;
+        mpz_set(acc, elems[digits & (pool_size - 1)]);
+        for (k = 1; k < picks; k++) {
+            digits >>= index_bits;
+            mpz_mul(acc, acc, elems[digits & (pool_size - 1)]);
+            mpz_mod(acc, acc, m);
+        }
+        export_words(out + i * mod_words, mod_words, acc);
+    }
+    for (idx = 0; idx < pool_size; idx++)
+        mpz_clear(elems[idx]);
+    free(elems);
+    mpz_clear(acc);
+    mpz_clear(m);
+    return 0;
 }
 """
 

@@ -44,13 +44,15 @@ replaced the per-item ``pow`` loops previously inlined in
 ``encrypt_vector``/``decrypt_vector`` and the S2 decrypt handlers, and
 gives an accelerated backend one conversion of the shared
 modulus/exponent per *batch* instead of per item.  :func:`powmod_pairs`
-(one exponent *per* base) and :func:`invert_vec` (Montgomery's trick)
-carry the query path's per-ciphertext work — the ⊖ matrix, the layered
-selects, ``RecoverEnc`` — as one call per round.  :func:`encrypt_batch`
-and :func:`decrypt_batch` are the module-level faces of the key-method
-equivalents (``pk.encrypt_batch`` / ``sk.decrypt_batch``) for callers
-that want the whole compute API importable from one place; the stack
-itself calls the key methods directly.
+(one exponent *per* base), :func:`invert_vec` (Montgomery's trick) and
+:func:`pool_products` (the randomizer-pool draw) carry the query path's
+per-ciphertext work — the ⊖ matrix, the layered selects, ``RecoverEnc``,
+every fresh encryption's randomizer — as one call per round.
+:func:`encrypt_batch` and :func:`decrypt_batch` are the module-level
+faces of the key-method equivalents (``pk.encrypt_batch`` /
+``sk.decrypt_batch``) for callers that want the whole compute API
+importable from one place; the stack itself calls the key methods
+directly.
 """
 
 from __future__ import annotations
@@ -67,8 +69,34 @@ except ImportError:  # pragma: no cover
     _gmpy2 = None
 
 
-class _MontgomeryInverse:
-    """``invert_vec`` for every backend, on top of its scalar ``invert``."""
+class _SharedBatchOps:
+    """The batch ops every backend runs as one Python loop unless it
+    overrides them: ``invert_vec`` on top of the backend's scalar
+    ``invert``, and the reference ``pool_products``."""
+
+    @staticmethod
+    def pool_products(pool: "RandomizerPool", reads: bytes) -> list[int]:
+        """One product of ``pool.picks`` elements of ``pool`` mod
+        ``pool.mod`` per read of ``reads``.
+
+        ``reads`` is a whole number of big-endian ``pool.read_bytes``-byte
+        reads; a read's ``pool.index_bits``-wide digits, least
+        significant first once its surplus low bits are dropped, index
+        the pool.
+        """
+        index_bits, read_bytes, mod = pool.index_bits, pool.read_bytes, pool.mod
+        shift = read_bytes * 8 - pool.picks * index_bits
+        mask = len(pool) - 1
+        from_bytes = int.from_bytes
+        out = []
+        for offset in range(0, len(reads), read_bytes):
+            digits = from_bytes(reads[offset : offset + read_bytes], "big") >> shift
+            value = pool[digits & mask]
+            for _ in range(pool.picks - 1):
+                digits >>= index_bits
+                value = value * pool[digits & mask] % mod
+            out.append(value)
+        return out
 
     def invert_vec(self, values: list[int], mod: int) -> list[int]:
         """Every inverse of a batch from ONE modular inversion.
@@ -98,7 +126,7 @@ class _MontgomeryInverse:
         return out
 
 
-class PurePythonBackend(_MontgomeryInverse):
+class PurePythonBackend(_SharedBatchOps):
     """CPython built-ins; the always-available reference backend."""
 
     name = "pure"
@@ -126,7 +154,7 @@ class PurePythonBackend(_MontgomeryInverse):
         return math.gcd(a, b)
 
 
-class Gmpy2Backend(_MontgomeryInverse):
+class Gmpy2Backend(_SharedBatchOps):
     """GMP-accelerated ops via :mod:`gmpy2` (optional dependency).
 
     Results are converted back to built-in ``int`` at the boundary so
@@ -170,14 +198,14 @@ class Gmpy2Backend(_MontgomeryInverse):
         return int(self._gcd(a, b))
 
 
-class GmpKernelBackend(_MontgomeryInverse):
+class GmpKernelBackend(_SharedBatchOps):
     """The compiled GIL-free GMP batch kernel as a backend.
 
     Same GMP arithmetic as gmpy2 (bit-identical results); the
-    difference is *where the GIL goes*: :meth:`powmod_vec` and
-    :meth:`powmod_pairs` make one C call for the whole batch and cffi
-    releases the GIL for its entire duration, so concurrent threads
-    running batches genuinely overlap.
+    difference is *where the GIL goes*: :meth:`powmod_vec`,
+    :meth:`powmod_pairs` and :meth:`pool_products` make one C call for
+    the whole batch and cffi releases the GIL for its entire duration,
+    so concurrent threads running batches genuinely overlap.
     ``gcd`` stays on :func:`math.gcd` — already C-speed, and never a
     batch bottleneck.
     """
@@ -202,6 +230,13 @@ class GmpKernelBackend(_MontgomeryInverse):
 
     def powmod_pairs(self, bases: list[int], exps: list[int], mod: int) -> list[int]:
         return self._kernel.powmod_pairs(bases, exps, mod)
+
+    def pool_products(self, pool: "RandomizerPool", reads: bytes) -> list[int]:
+        if pool.packed is None:
+            pool.packed = self._kernel.pack_pool(pool, pool.mod)
+        return self._kernel.pool_products(
+            pool.packed, pool.index_bits, pool.picks, reads, pool.mod
+        )
 
     def invert(self, a: int, mod: int) -> int:
         return self._kernel.invert(a, mod)
@@ -365,6 +400,33 @@ def invert_vec(values: list[int], mod: int) -> list[int]:
     """Every modular inverse of a batch for the price of one (raises
     ``ValueError`` if any element has none)."""
     return _current().invert_vec(values, mod)
+
+
+class RandomizerPool(list):
+    """The pool argument of :func:`pool_products`: a list of a
+    power-of-two many residues mod :attr:`mod`, drawn :attr:`picks` at a
+    time.
+
+    What a draw derives from that shape is worked out here, once per
+    pool: the bits one index takes (:attr:`index_bits`) and the bytes of
+    randomness one product reads (:attr:`read_bytes`).  :attr:`packed` is
+    the kernel backend's limb-format copy, filled on its first draw.
+    """
+
+    def __init__(self, values: list[int], mod: int, picks: int):
+        super().__init__(values)
+        self.mod = mod
+        self.picks = picks
+        self.index_bits = len(self).bit_length() - 1
+        self.read_bytes = (picks * self.index_bits + 7) // 8
+        self.packed: bytes | None = None
+
+
+def pool_products(pool: RandomizerPool, reads: bytes) -> list[int]:
+    """One product of ``pool.picks`` pool elements per read of ``reads`` —
+    the shape of every randomizer draw (see
+    :func:`repro.crypto.paillier.pool_randomizers`, the one caller)."""
+    return _current().pool_products(pool, reads)
 
 
 def encrypt_batch(pk, values: list[int], rng=None) -> list:

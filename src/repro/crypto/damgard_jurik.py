@@ -27,11 +27,14 @@ original Damgård–Jurik paper.
 
 from __future__ import annotations
 
+import functools
+
 from repro.crypto import backend
 from repro.crypto.paillier import (
     Ciphertext,
     PaillierKeypair,
     PaillierPublicKey,
+    fresh_pool,
     pool_randomizers,
 )
 from repro.crypto.rng import SecureRandom
@@ -57,7 +60,7 @@ class DamgardJurik:
         self.n = public_key.n
         self.n_s = public_key.n**s          # plaintext modulus N^s
         self.n_s1 = public_key.n ** (s + 1)  # ciphertext modulus N^{s+1}
-        self._pool: list[int] | None = None
+        self._pool: backend.RandomizerPool | None = None
         self._rng: SecureRandom | None = None
 
     def __getstate__(self):
@@ -93,13 +96,10 @@ class DamgardJurik:
         cached pool (the Paillier key's randomizer-caching optimization)."""
         pool = self._pool
         if pool is None:
-            pool_rng = SecureRandom()
-            pool = self._pool = backend.powmod_vec(
-                [pool_rng.rand_unit(self.n) for _ in range(self._POOL_SIZE)],
-                self.n_s,
-                self.n_s1,
+            pool = self._pool = fresh_pool(
+                self.n, self.n_s, self.n_s1, self._POOL_SIZE, self._POOL_PICKS
             )
-        return pool_randomizers(pool, self._POOL_PICKS, self.n_s1, rng, count)
+        return pool_randomizers(pool, rng, count)
 
     def _g_pow(self, m: int) -> int:
         """``(1 + N)^m mod N^{s+1}`` via the binomial expansion.
@@ -256,9 +256,10 @@ class DamgardJurik:
         """Batch layer stripping — the crypto cloud's hottest operation."""
         return [self.wrap_inner_value(v) for v in self.decrypt_batch(cts, keypair)]
 
-    @property
+    @functools.cached_property
     def ciphertext_bytes(self) -> int:
-        """Serialized size of one DJ ciphertext."""
+        """Serialized size of one DJ ciphertext (computed on first use,
+        like the Paillier key's)."""
         return (self.n_s1.bit_length() + 7) // 8
 
 
@@ -386,22 +387,39 @@ def layered_select_batch(
     dj: DamgardJurik,
     selections: list[tuple],
     rng: SecureRandom | None = None,
+    scalars: list[int] | None = None,
 ) -> list["LayeredCiphertext"]:
     """One :func:`layered_one_hot_select` per ``(bits, options, default)``
     entry of ``selections``, for a whole flow step at once: every
     ``E2(t)^{c_i - c_default}`` of the batch in one
     :func:`~repro.crypto.backend.powmod_pairs` call and every
-    ``E2(c_default)`` in one :meth:`DamgardJurik.encrypt_batch`."""
+    ``E2(c_default)`` in one :meth:`DamgardJurik.encrypt_batch`.
+
+    ``scalars`` (one Paillier ciphertext *value* ``k`` per selection)
+    additionally multiplies each selected inner value by ``k`` mod
+    ``N^2`` — what raising the select's output to ``k`` would give,
+    ``(E2(t)^{c_a - c_b} · E2(c_b))^k = E2(t)^{(c_a - c_b)·k} · E2(c_b·k)``,
+    folded into the exponents and the default the select computes
+    anyway, so the scaling costs no exponentiation of its own.
+    """
     n2 = dj.public_key.n_squared
     n_s1 = dj.n_s1
+    if scalars is None:
+        scalars = [1] * len(selections)
     bases, exps, ends = [], [], []
-    for bits, options, default in selections:
+    for (bits, options, default), scalar in zip(selections, scalars):
         for base, option in zip(dj.values_of(bits), options):
             bases.append(base)
-            exps.append((option.value - default.value) % n2)
+            exps.append((option.value - default.value) * scalar % n2)
         ends.append(len(bases))
     powers = backend.powmod_pairs(bases, exps, n_s1)
-    defaults = dj.encrypt_batch([default.value for _, _, default in selections], rng)
+    defaults = dj.encrypt_batch(
+        [
+            default.value * scalar % n2
+            for (_, _, default), scalar in zip(selections, scalars)
+        ],
+        rng,
+    )
     out = []
     start = 0
     for acc, end in zip(defaults, ends):

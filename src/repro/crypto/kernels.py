@@ -13,10 +13,10 @@ Two things live here:
 
 * **:class:`GmpKernel`** — the loaded extension wrapped in the backend
   operation signatures (``powmod`` / ``powmod_vec`` / ``powmod_pairs`` /
-  ``invert``).  A batch call packs the whole batch, makes *one* C call,
-  and unpacks; cffi releases the GIL for the entire C loop, which is
-  what lets thread-mode compute pools and shard workers scale with
-  cores.  Results are bit-identical to the pure and gmpy2 backends
+  ``pool_products`` / ``invert``).  A batch call packs the whole batch,
+  makes *one* C call, and unpacks; cffi releases the GIL for the entire
+  C loop, which is what lets thread-mode compute pools and shard workers
+  scale with cores.  Results are bit-identical to the pure and gmpy2 backends
   (``tests/test_backend.py`` pins this).
 
 Use :func:`load_kernel` / :func:`kernel_available`; both are no-raise —
@@ -88,12 +88,25 @@ class GmpKernel:
     def __init__(self, ffi, lib):
         self._ffi = ffi
         self._lib = lib
+        # The last modulus packed, as one (mod, words, packed) tuple so
+        # concurrent threads read a consistent triple: a query works
+        # under a handful of moduli and calls each in long runs.
+        self._last_mod = (None, 0, b"")
+
+    def _packed_mod(self, mod: int) -> tuple[int, bytes]:
+        """``mod``'s word count and its limb-format packing."""
+        cached, words, packed = self._last_mod
+        if cached != mod:
+            words = words_for(mod)
+            packed = bytes(pack_ints([mod], words))
+            self._last_mod = (mod, words, packed)
+        return words, packed
 
     def _powm(self, entry, bases: list[int], exps: list[int], mod: int) -> list[int]:
         """Marshal one batch through ``entry`` — ``repro_powmod_vec``
         (``exps`` holds the one shared exponent) or ``repro_powmod_pairs``
         (one exponent per base, packed to the widest)."""
-        mod_words = words_for(mod)
+        mod_words, packed_mod = self._packed_mod(mod)
         exp_words = words_for(max(exps))
         # Reduce up front: callers pass canonical residues already, and
         # the fixed-width packing requires values < mod anyway.
@@ -106,7 +119,7 @@ class GmpKernel:
             mod_words,
             from_buffer("uint64_t[]", pack_ints(exps, exp_words)),
             exp_words,
-            from_buffer("uint64_t[]", pack_ints([mod], mod_words)),
+            from_buffer("uint64_t[]", packed_mod),
             mod_words,
             from_buffer("uint64_t[]", out_buf),
         )
@@ -143,18 +156,60 @@ class GmpKernel:
         """Scalar sugar over :meth:`powmod_vec`."""
         return self.powmod_vec([base], exp, mod)[0]
 
+    @staticmethod
+    def pack_pool(values: list[int], mod: int) -> bytes:
+        """``values`` in the limb format at ``mod``'s width — the
+        ``packed_pool`` of :meth:`pool_products`, built once per pool."""
+        return bytes(pack_ints(values, words_for(mod)))
+
+    def pool_products(
+        self, packed_pool: bytes, index_bits: int, picks: int, reads: bytes, mod: int
+    ) -> list[int]:
+        """One product of ``picks`` pool elements per read of ``reads``,
+        in one GIL-free C call (see ``repro_pool_products``).
+
+        ``packed_pool`` is the pool's ``2 ** index_bits`` elements in the
+        limb format at ``mod``'s width; ``reads`` holds one
+        ``ceil(picks * index_bits / 8)``-byte read per product.  The C
+        loop indexes both buffers raw, so their sizes are checked here.
+        """
+        mod_words, packed_mod = self._packed_mod(mod)
+        read_bytes = (picks * index_bits + 7) // 8
+        if picks < 1 or not 1 <= read_bytes <= WORD_BYTES:
+            raise ValueError("a pool draw reads 1..64 index bits per product")
+        if len(packed_pool) != (mod_words * WORD_BYTES) << index_bits:
+            raise ValueError("packed pool does not hold 2**index_bits elements")
+        count, ragged = divmod(len(reads), read_bytes)
+        if ragged:
+            raise ValueError("reads is not a whole number of draws")
+        out_buf = bytearray(count * mod_words * WORD_BYTES)
+        from_buffer = self._ffi.from_buffer
+        rc = self._lib.repro_pool_products(
+            from_buffer("uint64_t[]", packed_pool),
+            index_bits,
+            from_buffer("uint8_t[]", reads),
+            count,
+            picks,
+            from_buffer("uint64_t[]", packed_mod),
+            mod_words,
+            from_buffer("uint64_t[]", out_buf),
+        )
+        if rc != 0:
+            raise ValueError("kernel pool products failed")
+        return unpack_ints(out_buf, mod_words, count)
+
     def invert(self, a: int, mod: int) -> int:
         """Modular inverse; raises ``ValueError`` when none exists
         (the same error contract as the pure and gmpy2 backends)."""
         if mod == 0:
             raise ValueError("modulus cannot be 0")
-        mod_words = words_for(mod)
+        mod_words, packed_mod = self._packed_mod(mod)
         out_buf = bytearray(mod_words * WORD_BYTES)
         ffi = self._ffi
         rc = self._lib.repro_invert(
             ffi.from_buffer("uint64_t[]", pack_ints([a % mod], mod_words)),
             mod_words,
-            ffi.from_buffer("uint64_t[]", pack_ints([mod], mod_words)),
+            ffi.from_buffer("uint64_t[]", packed_mod),
             mod_words,
             ffi.from_buffer("uint64_t[]", out_buf),
         )

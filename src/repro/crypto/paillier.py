@@ -28,6 +28,7 @@ garbage.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.crypto import backend
@@ -36,32 +37,33 @@ from repro.crypto.rng import SecureRandom
 from repro.exceptions import DecryptionError, KeyMismatchError
 
 
+def fresh_pool(
+    n: int, exponent: int, modulus: int, size: int, picks: int
+) -> backend.RandomizerPool:
+    """A randomizer pool: ``r^exponent mod modulus`` for ``size`` random
+    units ``r`` of ``Z_n``, to be combined ``picks`` at a time."""
+    pool_rng = SecureRandom()  # pool values need not be replayable
+    return backend.RandomizerPool(
+        backend.powmod_vec(
+            [pool_rng.rand_unit(n) for _ in range(size)], exponent, modulus
+        ),
+        modulus,
+        picks,
+    )
+
+
 def pool_randomizers(
-    pool: list[int], picks: int, modulus: int, rng: SecureRandom, count: int
+    pool: backend.RandomizerPool, rng: SecureRandom, count: int
 ) -> list[int]:
-    """``count`` randomizers, each the product of ``picks`` elements of
-    ``pool`` (a power-of-two many) modulo ``modulus``.
+    """``count`` randomizers, each the product of ``pool.picks`` elements
+    of ``pool`` modulo ``pool.mod``.
 
     Every randomizer owns one ``randbits(picks * index_bits)`` read of the
     stream — its pool indices are that read's ``index_bits``-bit digits —
     and the whole batch is fetched with one ``randbytes`` call, so a batch
     consumes exactly the bytes ``count`` single draws would.
     """
-    index_bits = len(pool).bit_length() - 1
-    read_bytes = (picks * index_bits + 7) // 8
-    shift = read_bytes * 8 - picks * index_bits
-    mask = len(pool) - 1
-    data = rng.randbytes(read_bytes * count)
-    from_bytes = int.from_bytes
-    out = []
-    for offset in range(0, read_bytes * count, read_bytes):
-        digits = from_bytes(data[offset : offset + read_bytes], "big") >> shift
-        value = pool[digits & mask]
-        for _ in range(picks - 1):
-            digits >>= index_bits
-            value = value * pool[digits & mask] % modulus
-        out.append(value)
-    return out
+    return backend.pool_products(pool, rng.randbytes(pool.read_bytes * count))
 
 
 class PaillierPublicKey:
@@ -80,7 +82,7 @@ class PaillierPublicKey:
         self.n = n
         self.n_squared = n * n
         self.bits = n.bit_length()
-        self._pool: list[int] | None = None
+        self._pool: backend.RandomizerPool | None = None
         self._rng: SecureRandom | None = None
 
     def __eq__(self, other) -> bool:
@@ -122,13 +124,10 @@ class PaillierPublicKey:
         """``count`` fresh randomizers ``r^N mod N^2`` from the cached pool."""
         pool = self._pool
         if pool is None:
-            pool_rng = SecureRandom()  # pool values need not be replayable
-            pool = self._pool = backend.powmod_vec(
-                [pool_rng.rand_unit(self.n) for _ in range(self._POOL_SIZE)],
-                self.n,
-                self.n_squared,
+            pool = self._pool = fresh_pool(
+                self.n, self.n, self.n_squared, self._POOL_SIZE, self._POOL_PICKS
             )
-        return pool_randomizers(pool, self._POOL_PICKS, self.n_squared, rng, count)
+        return pool_randomizers(pool, rng, count)
 
     def encrypt(self, m: int, rng: SecureRandom | None = None) -> "Ciphertext":
         """Encrypt ``m`` (reduced mod ``N``) into a :class:`Ciphertext`."""
@@ -166,9 +165,13 @@ class PaillierPublicKey:
             for c, r in zip(cts, self.randomizers(rng, len(cts)))
         ]
 
-    @property
+    @functools.cached_property
     def ciphertext_bytes(self) -> int:
-        """Serialized size of one ciphertext (used for bandwidth accounting)."""
+        """Serialized size of one ciphertext (used for bandwidth accounting).
+
+        Computed on first use and kept in the instance dict from then on
+        (pickles carry it; a key pickled before it existed recomputes it).
+        """
         return (self.n_squared.bit_length() + 7) // 8
 
 
@@ -229,21 +232,26 @@ class PaillierSecretKey:
         self._check_unit(c)
         return self._decrypt_crt(c)
 
+    def _residues_mod_p(self, values: list[int]) -> list[int]:
+        """The plaintexts of bare (unit) ciphertexts reduced mod ``p``:
+        the ``p`` half of the CRT decryption, one vectorized pow."""
+        p, hp = self.p, self._hp
+        return [
+            self._l_func(u, p) * hp % p
+            for u in backend.powmod_vec([c % self._p2 for c in values], p - 1, self._p2)
+        ]
+
     def raw_decrypt_batch(self, values: list[int]) -> list[int]:
         """Decrypt many bare ciphertexts with two vectorized CRT pows."""
         if not values:
             return []
-        p, q = self.p, self.q
+        q, hq = self.q, self._hq
         for c in values:
             self._check_unit(c)
-        mps = backend.powmod_vec([c % self._p2 for c in values], p - 1, self._p2)
         mqs = backend.powmod_vec([c % self._q2 for c in values], q - 1, self._q2)
         return [
-            self._crt_combine(
-                self._l_func(mp, p) * self._hp % p,
-                self._l_func(mq, q) * self._hq % q,
-            )
-            for mp, mq in zip(mps, mqs)
+            self._crt_combine(mp, self._l_func(u, q) * hq % q)
+            for mp, u in zip(self._residues_mod_p(values), mqs)
         ]
 
     def decrypt(self, c: "Ciphertext") -> int:
@@ -252,12 +260,26 @@ class PaillierSecretKey:
             raise KeyMismatchError("ciphertext was produced under a different key")
         return self.raw_decrypt(c.value)
 
-    def decrypt_batch(self, cts: list["Ciphertext"]) -> list[int]:
-        """Batch variant of :meth:`decrypt` (one backend setup per batch)."""
+    def _values_of(self, cts: list["Ciphertext"]) -> list[int]:
         for c in cts:
             if c.public_key != self.public_key:
                 raise KeyMismatchError("ciphertext was produced under a different key")
-        return self.raw_decrypt_batch([c.value for c in cts])
+        return [c.value for c in cts]
+
+    def decrypt_batch(self, cts: list["Ciphertext"]) -> list[int]:
+        """Batch variant of :meth:`decrypt` (one backend setup per batch)."""
+        return self.raw_decrypt_batch(self._values_of(cts))
+
+    def decrypt_batch_below_p(self, cts: list["Ciphertext"]) -> list[int]:
+        """:meth:`decrypt_batch` for plaintexts the caller knows to be
+        smaller than the prime ``p``: ``m mod p`` is then ``m`` itself, so
+        the ``q`` half of the CRT — half the exponentiations — is never
+        computed.  A plaintext that is *not* below ``p`` comes back
+        reduced mod ``p``."""
+        values = self._values_of(cts)
+        for c in values:
+            self._check_unit(c)
+        return self._residues_mod_p(values)
 
     def decrypt_signed(self, c: "Ciphertext") -> int:
         """Decrypt to a signed integer in ``(-N/2, N/2]``."""

@@ -16,7 +16,8 @@ Protocol inventory
 ------------------
 
 ===============  =====================================================
-``recover_enc``  Algorithm 5 — strip one Damgård–Jurik layer
+``recover_enc``  Algorithm 5 — strip one Damgård–Jurik layer (and its
+                 fused select-then-recover flow)
 ``enc_compare``  EncCompare [11] — two constructions (blinded / DGK)
 ``enc_sort``     EncSort [7] — two constructions (affine / network)
 ``sec_worst``    Algorithm 4 — per-depth encrypted worst score
@@ -30,7 +31,13 @@ Protocol inventory
 """
 
 from repro.protocols.base import CryptoCloud, S1Context
-from repro.protocols.recover_enc import recover_enc, recover_enc_batch, recover_enc_flow
+from repro.protocols.recover_enc import (
+    recover_enc,
+    recover_enc_batch,
+    recover_enc_flow,
+    select_recover_batch,
+    select_recover_flow,
+)
 from repro.protocols.enc_compare import enc_compare, enc_compare_flow
 from repro.protocols.enc_sort import enc_sort
 from repro.protocols.sec_worst import sec_worst, sec_worst_flow
@@ -45,6 +52,8 @@ __all__ = [
     "recover_enc",
     "recover_enc_batch",
     "recover_enc_flow",
+    "select_recover_batch",
+    "select_recover_flow",
     "enc_compare",
     "enc_compare_flow",
     "enc_sort",

@@ -207,9 +207,17 @@ class ItemBlinder:
     def decrypt_seeds(
         self, own_keypair: PaillierKeypair, h_list: list[Ciphertext]
     ) -> list[bytes]:
-        """Recover the seed list from companion ciphertexts."""
+        """Recover the seed list from companion ciphertexts.
+
+        A seed is ``8 * SEED_BYTES`` bits and ``pk'``'s primes are wider
+        (checked here, where the blinder meets the key), so the mod-``p``
+        half of the CRT decryption already is the whole plaintext.
+        """
+        sk = own_keypair.secret_key
+        if min(sk.p, sk.q).bit_length() <= 8 * SEED_BYTES:
+            raise ProtocolError("pk' primes are too narrow to carry a seed")
         seeds = []
-        for value in own_keypair.secret_key.decrypt_batch(h_list):
+        for value in sk.decrypt_batch_below_p(h_list):
             if value >= 1 << (8 * SEED_BYTES):
                 raise ProtocolError("companion ciphertext held a non-seed value")
             seeds.append(value.to_bytes(SEED_BYTES, "big"))

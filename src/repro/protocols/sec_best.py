@@ -27,11 +27,10 @@ paper's Section 10.3 analysis.
 
 from __future__ import annotations
 
-from repro.crypto.damgard_jurik import layered_select_batch
 from repro.crypto.paillier import Ciphertext
 from repro.net.messages import ZeroTestBatch
 from repro.protocols.base import S1Context
-from repro.protocols.recover_enc import recover_enc_flow
+from repro.protocols.recover_enc import select_recover_flow
 from repro.structures.items import EncryptedItem
 
 PROTOCOL = "SecBest"
@@ -76,9 +75,8 @@ def sec_best_flow(
             seen_sum = bit if seen_sum is None else seen_sum + bit
         # seen somewhere in the prefix -> Enc(0), else the bottom score.
         selections.append(([seen_sum], [zero], bottom))
-    layered_terms = layered_select_batch(ctx.dj, selections, ctx.rng)
 
-    contributions = yield from recover_enc_flow(ctx, layered_terms, protocol)
+    contributions = yield from select_recover_flow(ctx, selections, protocol)
     for contribution in contributions:
         best = best + contribution
     return ctx.public_key.rerandomize(best, ctx.rng)

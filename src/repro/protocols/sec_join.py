@@ -19,10 +19,10 @@ follow-up :mod:`repro.protocols.sec_filter` removes the zeroed tuples and
 
 from __future__ import annotations
 
-from repro.crypto.damgard_jurik import LayeredCiphertext, layered_select_batch
+from repro.crypto.damgard_jurik import LayeredCiphertext
 from repro.net.messages import ZeroTestBatch
 from repro.protocols.base import S1Context
-from repro.protocols.recover_enc import recover_enc_batch
+from repro.protocols.recover_enc import select_recover_batch
 from repro.structures.ehl import minus_pairs
 from repro.structures.items import JoinedTuple
 
@@ -82,9 +82,7 @@ def sec_join(
             gated.append(right[j]["record"])
         selections += [([bit], [ct], zero) for ct in gated]
 
-    recovered = recover_enc_batch(
-        ctx, layered_select_batch(ctx.dj, selections, ctx.rng), protocol
-    )
+    recovered = select_recover_batch(ctx, selections, protocol)
 
     per_tuple = 1 + len(carry_left) + len(carry_right)
     has_records = "record" in left[0] and "record" in right[0]

@@ -22,11 +22,11 @@ survives (Algorithm 9, line 13).
 
 from __future__ import annotations
 
-from repro.crypto.damgard_jurik import LayeredCiphertext, layered_select_batch
+from repro.crypto.damgard_jurik import LayeredCiphertext
 from repro.crypto.paillier import PaillierKeypair
 from repro.net.messages import ZeroTestBatch
 from repro.protocols.base import S1Context
-from repro.protocols.recover_enc import recover_enc_batch
+from repro.protocols.recover_enc import select_recover_batch
 from repro.protocols.sec_dedup import sec_dedup
 from repro.protocols.sec_dup_elim import sec_dup_elim
 from repro.structures.ehl import minus_pairs
@@ -91,9 +91,7 @@ def sec_update(
         selections.append(([matched], [zero_ct], g_item.best))
         plans.append(("g_b", i))
 
-    recovered = recover_enc_batch(
-        ctx, layered_select_batch(ctx.dj, selections, ctx.rng), protocol
-    )
+    recovered = select_recover_batch(ctx, selections, protocol)
 
     new_t: list[ScoredItem] = [t.clone_shallow() for t in t_list]
     new_gamma: list[ScoredItem] = [g.clone_shallow() for g in permuted_gamma]

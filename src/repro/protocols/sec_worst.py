@@ -23,11 +23,10 @@ Flow (one equality round + one ``RecoverEnc`` round, batched):
 
 from __future__ import annotations
 
-from repro.crypto.damgard_jurik import layered_select_batch
 from repro.crypto.paillier import Ciphertext
 from repro.net.messages import ZeroTestBatch
 from repro.protocols.base import S1Context
-from repro.protocols.recover_enc import recover_enc_flow
+from repro.protocols.recover_enc import select_recover_flow
 from repro.structures.items import EncryptedItem
 
 PROTOCOL = "SecWorst"
@@ -50,12 +49,11 @@ def sec_worst_flow(
     bits = yield ZeroTestBatch(protocol=protocol, cts=equality_cts)
 
     zero = ctx.zero()
-    selected = layered_select_batch(
-        ctx.dj,
+    scores = yield from select_recover_flow(
+        ctx,
         [([bit], [other.score], zero) for bit, other in zip(bits, permuted)],
-        ctx.rng,
+        protocol,
     )
-    scores = yield from recover_enc_flow(ctx, selected, protocol)
 
     worst = item.score
     for score in scores:

@@ -49,6 +49,10 @@ from repro.obs.metrics import REGISTRY, MetricsRegistry
 #: Seconds a fresh connection gets to send its HELLO.
 _HELLO_TIMEOUT_S = 30.0
 
+#: Seconds :meth:`FrameService.close` waits for each connection thread to
+#: notice its socket is gone (a handler mid-computation finishes first).
+_CONNECTION_JOIN_S = 5.0
+
 
 def atomic_write(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` so a reader sees the old content or the
@@ -67,6 +71,10 @@ class Connection:
     def __init__(self, service: "FrameService", sock: socket.socket):
         self.service = service
         self.sock = sock
+        #: The read thread running :meth:`run`; joined by ``close()``.
+        self.thread = threading.Thread(
+            target=self.run, name=f"{service.name}-connection", daemon=True
+        )
         self._write_lock = threading.Lock()
         #: The banner this connection's HELLO negotiated.
         self.banner = b""
@@ -269,9 +277,9 @@ class FrameService:
                 self._connections.add(connection)
                 self._counters["connections_total"].inc()
                 self._counters["connections_active"].inc()
-            threading.Thread(
-                target=connection.run, name=f"{self.name}-connection", daemon=True
-            ).start()
+                # Started under the lock: every connection close() finds
+                # in the set has a thread it can join.
+                connection.thread.start()
 
     def serve_forever(self) -> None:
         """Block until :meth:`close` (or the process) ends the service."""
@@ -287,6 +295,9 @@ class FrameService:
         if self._listener is not None:
             with contextlib.suppress(OSError):
                 self._listener.close()
+        # The accept thread first, so the connection set is final.
+        if self._accept_thread is not None:
+            self._accept_thread.join()
         with self._lock:
             connections = list(self._connections)
         for connection in connections:
@@ -294,8 +305,11 @@ class FrameService:
                 connection.sock.shutdown(socket.SHUT_RDWR)
             with contextlib.suppress(OSError):
                 connection.sock.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join()
+        # Each read thread retires its sessions and decrements the
+        # gauges on its way out; waiting for them is what makes
+        # ``stats()`` settled the moment close() returns.
+        for connection in connections:
+            connection.thread.join(_CONNECTION_JOIN_S)
         if self._unix_path is not None:
             with contextlib.suppress(OSError):
                 os.unlink(self._unix_path)

@@ -279,8 +279,9 @@ class TestKernelParity:
     ],
 )
 class TestBatchPrimitiveParity:
-    """``powmod_pairs`` / ``invert_vec`` agree with per-element built-ins
-    on every backend that exists here (the CI legs pin one each)."""
+    """``powmod_pairs`` / ``invert_vec`` / ``pool_products`` agree with
+    per-element built-ins on every backend that exists here (the CI legs
+    pin one each)."""
 
     def test_powmod_pairs_mixed_widths(self, name):
         fast = backend._resolve(name)
@@ -333,6 +334,59 @@ class TestBatchPrimitiveParity:
         assert len(calls) == 1
 
 
+    @pytest.mark.parametrize(
+        "pool_size, picks", [(64, 6), (2, 1), (16, 3), (256, 8), (64, 1)]
+    )
+    @pytest.mark.parametrize("scheme", ["paillier", "dj"])
+    def test_pool_products_match_reference(
+        self, name, keypair, dj, scheme, pool_size, picks
+    ):
+        """The randomizer-pool draw on both pools the stack keeps (``N^2``
+        and ``N^3``): digits of each big-endian read index the pool, and
+        a batch is exactly its single draws (counts 0 / 1 / many)."""
+        fast = backend._resolve(name)
+        mod = keypair.public_key.n_squared if scheme == "paillier" else dj.n_s1
+        rng = SecureRandom(33)
+        pool = backend.RandomizerPool(
+            [rng.rand_unit(mod) for _ in range(pool_size)], mod, picks
+        )
+        index_bits = pool_size.bit_length() - 1
+        read_bytes = (picks * index_bits + 7) // 8
+        assert (pool.index_bits, pool.read_bytes) == (index_bits, read_bytes)
+        reads = rng.randbytes(read_bytes * 41)
+        expected = []
+        for i in range(41):
+            read = int.from_bytes(reads[i * read_bytes : (i + 1) * read_bytes], "big")
+            read >>= read_bytes * 8 - picks * index_bits
+            product = 1
+            for digit in range(picks):
+                product = product * pool[(read >> index_bits * digit) & (pool_size - 1)] % mod
+            expected.append(product)
+        assert fast.pool_products(pool, reads) == expected
+        assert fast.pool_products(pool, b"") == []
+        singles = [
+            fast.pool_products(pool, reads[i : i + read_bytes])
+            for i in range(0, len(reads), read_bytes)
+        ]
+        assert [one for (one,) in singles] == expected
+
+    @pytest.mark.parametrize("scheme", ["paillier", "dj"])
+    def test_randomizers_read_the_stream_like_singles(self, name, keypair, dj, scheme):
+        """Whichever backend multiplies, a batch of randomizers consumes
+        one 36-bit read each and leaves the stream where singles would."""
+        key = keypair.public_key if scheme == "paillier" else dj
+        batch_rng, single_rng, reference = (SecureRandom(34) for _ in range(3))
+        with backend.use_backend(name):
+            batch = key.randomizers(batch_rng, 9)
+            singles = [key.randomizers(single_rng, 1)[0] for _ in range(9)]
+            assert key.randomizers(batch_rng, 0) == []
+        with backend.use_backend("pure"):
+            assert batch == singles == key.randomizers(SecureRandom(34), 9)
+        reference.randbytes(5 * 9)
+        tail = reference.randbytes(16)
+        assert batch_rng.randbytes(16) == single_rng.randbytes(16) == tail
+
+
 @needs_kernel
 class TestKernelCache:
     def test_stale_build_is_rebuilt_not_imported(self, tmp_path, monkeypatch):
@@ -349,15 +403,44 @@ class TestKernelCache:
             return _gmp_kernel.load()
 
         with monkeypatch.context() as older:
-            # The kernel as it was before powmod_pairs existed.
+            # The kernel as it was before powmod_pairs and pool_products
+            # existed.
             cdef = build.CDEF
-            older.setattr(build, "CDEF", cdef[: cdef.index("int repro_powmod_pairs")]
-                          + cdef[cdef.index("int repro_invert"):])
+            older.setattr(
+                build,
+                "CDEF",
+                cdef[: cdef.index("int repro_powmod_pairs")]
+                + cdef[cdef.index("int repro_invert") : cdef.index("int repro_pool_products")],
+            )
             _, old_lib = fresh_load()
             assert not hasattr(old_lib, "repro_powmod_pairs")
+            assert not hasattr(old_lib, "repro_pool_products")
         _, lib = fresh_load()
         assert hasattr(lib, "repro_powmod_pairs")
+        assert hasattr(lib, "repro_pool_products")
         assert len([p for p in tmp_path.iterdir() if p.is_dir()]) == 2
+
+    def test_pool_products_rejects_malformed_input(self):
+        """The C loop indexes raw buffers, so a buffer of the wrong size
+        or a shape the loop cannot index is refused before the call."""
+        from repro.crypto import kernels
+
+        kernel = kernels.load_kernel()
+        mod = (2**89 - 1) * (2**107 - 1)
+        packed = kernel.pack_pool(list(range(2, 66)), mod)
+        assert kernel.pool_products(packed, 6, 6, bytes(10), mod) == [2**6] * 2
+        with pytest.raises(ValueError, match="whole number of draws"):
+            kernel.pool_products(packed, 6, 6, bytes(7), mod)
+        with pytest.raises(ValueError, match="2\\*\\*index_bits elements"):
+            kernel.pool_products(packed[:-32], 6, 6, bytes(5), mod)
+        with pytest.raises(ValueError, match="index bits"):
+            kernel.pool_products(packed, 6, 11, bytes(9), mod)
+        with pytest.raises(ValueError, match="index bits"):
+            kernel.pool_products(packed, 6, 0, b"", mod)
+        # A pool that is not a power of two many values fails its first draw.
+        short = backend.RandomizerPool(list(range(2, 65)), mod, 6)
+        with pytest.raises(ValueError, match="2\\*\\*index_bits elements"):
+            backend._resolve("gmp-kernel").pool_products(short, bytes(5))
 
 
 class TestBatchEntryPoints:

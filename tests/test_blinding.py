@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.core.params import SystemParams
+from repro.crypto import backend
+from repro.crypto.paillier import Ciphertext, PaillierKeypair
+from repro.crypto.rng import SecureRandom
 from repro.protocols.blinding import SEED_BYTES, ItemBlinder, junk_item
 from repro.exceptions import ProtocolError
 from repro.structures.ehl_plus import EhlPlusFactory
@@ -167,6 +171,51 @@ class TestSeedTransport:
         bogus = own_keypair.public_key.encrypt(1 << (8 * SEED_BYTES), ctx.rng)
         with pytest.raises(ProtocolError):
             blinder.decrypt_seeds(own_keypair, [bogus])
+
+    @pytest.mark.parametrize("preset", ["tiny", "insecure_demo", "paper", "secure"])
+    def test_half_crt_decrypt_matches_full(self, blinder, preset):
+        """``pk'`` is ``2 * key_bits + 16`` bits in every preset, so its
+        primes are wider than a seed and the mod-``p`` half of the CRT
+        decryption is the whole seed."""
+        params = getattr(SystemParams, preset)()
+        own = PaillierKeypair.generate(2 * params.key_bits + 16, SecureRandom(21))
+        sk, pk = own.secret_key, own.public_key
+        assert min(sk.p, sk.q).bit_length() > 8 * SEED_BYTES
+        rng = SecureRandom(22)
+        seeds = [0, 1, (1 << 8 * SEED_BYTES) - 1]
+        seeds += [rng.randbits(8 * SEED_BYTES) for _ in range(3)]
+        # One shared randomizer, by hand: the key's pool is 64 full-width
+        # exponentiations — most of a minute on the pure backend at the
+        # `secure` size.
+        rho = backend.powmod(rng.rand_unit(pk.n), pk.n, pk.n_squared)
+        cts = [Ciphertext((1 + m * pk.n) * rho % pk.n_squared, pk) for m in seeds]
+        assert sk.decrypt_batch_below_p(cts) == sk.decrypt_batch(cts) == seeds
+        assert blinder.decrypt_seeds(own, cts) == [
+            m.to_bytes(SEED_BYTES, "big") for m in seeds
+        ]
+
+    def test_seed_decrypt_is_one_exponentiation_each(
+        self, blinder, ctx, own_keypair, monkeypatch
+    ):
+        seeds = blinder.fresh_seeds(ctx.rng, 4)
+        companions = blinder.encrypt_seeds(own_keypair.public_key, seeds, ctx.rng)
+        calls = []
+        real = backend.powmod_vec
+
+        def spy(bases, exp, mod):
+            calls.append((len(bases), mod))
+            return real(bases, exp, mod)
+
+        monkeypatch.setattr(backend, "powmod_vec", spy)
+        assert blinder.decrypt_seeds(own_keypair, companions) == seeds
+        assert calls == [(4, own_keypair.secret_key.p ** 2)]
+
+    def test_key_too_narrow_for_a_seed_rejected(self, blinder, ctx, keypair):
+        """The main test key's primes are 64 bits: a 96-bit seed would
+        come back reduced mod ``p``, so the blinder refuses the key."""
+        companion = keypair.public_key.encrypt(5, ctx.rng)
+        with pytest.raises(ProtocolError, match="too narrow"):
+            blinder.decrypt_seeds(keypair, [companion])
 
 
 class TestJunkItem:

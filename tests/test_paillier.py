@@ -122,6 +122,19 @@ class TestValidation:
         with pytest.raises(DecryptionError):
             keypair.secret_key.raw_decrypt(keypair.secret_key.p)
 
+    def test_decrypt_below_p_validates_like_decrypt(self, keypair, other_keypair, rng):
+        """The half-CRT decrypt keeps every check of the full one, and
+        returns ``m mod p`` — ``m`` itself exactly when ``m < p``."""
+        sk, pk = keypair.secret_key, keypair.public_key
+        values = [0, 7, sk.p - 1, sk.p, sk.p + 5, pk.n - 1]
+        cts = pk.encrypt_batch(values, rng)
+        assert sk.decrypt_batch_below_p(cts) == [m % sk.p for m in values]
+        assert sk.decrypt_batch_below_p([]) == []
+        with pytest.raises(KeyMismatchError):
+            sk.decrypt_batch_below_p([other_keypair.public_key.encrypt(1, rng)])
+        with pytest.raises(DecryptionError):
+            sk.decrypt_batch_below_p([Ciphertext(sk.p, pk)])
+
 
 class TestSerialization:
     def test_bytes_roundtrip(self, keypair, rng):
@@ -130,6 +143,23 @@ class TestSerialization:
         restored = Ciphertext.from_bytes(c.to_bytes(), pk)
         assert restored.value == c.value
         assert len(c.to_bytes()) == pk.ciphertext_bytes
+
+    def test_ciphertext_bytes_survives_old_and_new_pickles(self, keypair):
+        """Computed once per key object; a key pickled before the cached
+        value existed (the ``wire_pr13`` spills) recomputes it."""
+        import pickle
+
+        from repro.crypto.damgard_jurik import DamgardJurik
+
+        for key in (keypair.public_key, DamgardJurik(keypair.public_key)):
+            width = key.ciphertext_bytes
+            assert vars(key)["ciphertext_bytes"] == width
+            assert pickle.loads(pickle.dumps(key)).ciphertext_bytes == width
+            older = type(key).__new__(type(key))
+            older.__dict__.update(
+                {k: v for k, v in key.__getstate__().items() if k != "ciphertext_bytes"}
+            )
+            assert older.ciphertext_bytes == width
 
     def test_vector_helpers(self, keypair, rng):
         values = [1, 2, 3, 999]

@@ -385,7 +385,9 @@ class TestWarmStart:
             token = scheme.token([0, 1], k=2)
             cold = server.execute(token)
             warm = server.execute(token)
-        assert scheme.reveal(warm) == scheme.reveal(cold)
+        # Sorted: the top two rows tie at 52, and EncSort's order among
+        # equal keys is S1's random permutation.
+        assert sorted(scheme.reveal(warm)) == sorted(scheme.reveal(cold))
         assert warm.halting_depth == cold.halting_depth
         assert warm.stats.rounds < cold.stats.rounds
         assert server.stats["halting_depth_hint"] == cold.halting_depth

@@ -613,6 +613,29 @@ class TestFrameCore:
             disconnect_all()
             service.close()
 
+    def test_close_returns_with_the_gauges_settled(self, kind):
+        """``close()`` joins every connection's read thread, so what those
+        threads decrement on their way out reads settled the moment it
+        returns — no polling."""
+        service = kind.service("tcp://127.0.0.1:0")
+        address = service.start()
+        idle = connect_socket(address)
+        try:
+            send_frame(idle, socket_transport.HELLO, 0, service.banners[0])
+            assert recv_frame(idle)[0] == socket_transport.HELLO_OK
+            kind.client_for(address)
+            assert service.stats()["connections_active"] == 2
+            connections = list(service._connections)
+            service.close()
+            stats = service.stats()
+            assert stats["connections_active"] == 0
+            assert stats.get("requests_in_flight", 0) == 0
+            assert not any(c.thread.is_alive() for c in connections)
+        finally:
+            idle.close()
+            disconnect_all()
+            service.close()
+
     def test_healthz_flips_ready_to_draining(self, core):
         _, service, _ = core
         base = f"http://127.0.0.1:{service.metrics_port}"
