@@ -23,11 +23,10 @@ client API's overlapped ``submit``/``result`` jobs against sequential
 and thread-windowed ``execute_many`` on a simulated-latency link (the
 regime where overlapping rounds is what throughput is made of) — plus
 the **reuse grid**: qps across a repeat-ratio × concurrency grid with
-the result cache on/off and depth-scan coalescing on/off (the PR-7
-reuse layer's measured win) — plus the **mutation grid**: qps across a
-mutation-rate × watch-count grid over a live mutable relation (cache
-invalidation and continuous-watch re-evaluation priced into one
-clock).
+the result cache on/off (the PR-7 reuse layer's measured win) — plus
+the **mutation grid**: qps across a mutation-rate × watch-count grid
+over a live mutable relation (cache invalidation and continuous-watch
+re-evaluation priced into one clock).
 
 A fourth series lands in ``benchmarks/results/sharding.json``: the
 **shard sweep** — weighted queries (per-item modexp weighting is the
@@ -306,68 +305,59 @@ def _reuse_workload(scheme: SecTopK, count: int, repeat_heavy: bool):
 
 def run_reuse_grid(rtt_ms: float = 5.0, out: pathlib.Path | None = None) -> dict:
     """The reuse-layer leg: qps across a repeat-ratio × concurrency grid
-    with the result cache on/off and scan coalescing on/off.
+    with the result cache on/off.
 
     Every leg runs its workload on a fresh identically-seeded deployment
     over a simulated-latency threaded link.  Cache hits cost zero
     round-trips, so the cache-on repeat-heavy legs are where the qps win
-    lands; coalescing shares physical round-trips across the concurrent
-    distinct-query legs.  Merged into ``benchmarks/results/client.json``
-    under ``"reuse_grid"`` (next to the submit-pipeline rows).
+    lands.  Merged into ``benchmarks/results/client.json`` under
+    ``"reuse_grid"`` (next to the submit-pipeline rows).
     """
     queries = 6
     rows = []
     for workload in ("distinct", "repeat-heavy"):
         for concurrency in (1, 4):
-            coalesce_options = (0.0, 25.0) if concurrency > 1 else (0.0,)
             for cache in (True, False):
-                for coalesce_ms in coalesce_options:
-                    scheme, relation, _ = _deployment()
-                    requests = _reuse_workload(
-                        scheme, queries, workload == "repeat-heavy"
+                scheme, relation, _ = _deployment()
+                requests = _reuse_workload(
+                    scheme, queries, workload == "repeat-heavy"
+                )
+                with repro.connect(
+                    scheme,
+                    relation,
+                    "threaded",
+                    rtt_ms=rtt_ms,
+                    scheduler_workers=4,
+                    cache=cache,
+                ) as client:
+                    started = time.perf_counter()
+                    results = client.server.execute_many(
+                        requests, concurrency=concurrency
                     )
-                    with repro.connect(
-                        scheme,
-                        relation,
-                        "threaded",
-                        rtt_ms=rtt_ms,
-                        scheduler_workers=4,
-                        cache=cache,
-                        coalesce_ms=coalesce_ms,
-                    ) as client:
-                        started = time.perf_counter()
-                        results = client.server.execute_many(
-                            requests, concurrency=concurrency
-                        )
-                        elapsed = time.perf_counter() - started
-                    assert all(len(r.items) == 2 for r in results)
-                    rows.append(
-                        {
-                            "workload": workload,
-                            "concurrency": concurrency,
-                            "cache": cache,
-                            "coalesce_ms": coalesce_ms,
-                            "rtt_ms": rtt_ms,
-                            "queries": queries,
-                            "seconds": round(elapsed, 4),
-                            "qps": round(queries / elapsed, 3),
-                            "cache_hits": sum(r.stats.cache_hit for r in results),
-                            "coalesced_rounds": sum(
-                                r.stats.coalesced_rounds for r in results
-                            ),
-                        }
-                    )
+                    elapsed = time.perf_counter() - started
+                assert all(len(r.items) == 2 for r in results)
+                rows.append(
+                    {
+                        "workload": workload,
+                        "concurrency": concurrency,
+                        "cache": cache,
+                        "rtt_ms": rtt_ms,
+                        "queries": queries,
+                        "seconds": round(elapsed, 4),
+                        "qps": round(queries / elapsed, 3),
+                        "cache_hits": sum(r.stats.cache_hit for r in results),
+                    }
+                )
 
-    def _qps(workload, concurrency, cache, coalesce_ms=0.0):
+    def _qps(workload, concurrency, cache):
         for row in rows:
             if (
                 row["workload"] == workload
                 and row["concurrency"] == concurrency
                 and row["cache"] is cache
-                and row["coalesce_ms"] == coalesce_ms
             ):
                 return row["qps"]
-        raise KeyError((workload, concurrency, cache, coalesce_ms))
+        raise KeyError((workload, concurrency, cache))
 
     grid = {
         "meta": {
@@ -375,11 +365,7 @@ def run_reuse_grid(rtt_ms: float = 5.0, out: pathlib.Path | None = None) -> dict
             "threaded link; repeat-heavy = hot token at every odd slot; "
             "cache hits serve with zero S2 rounds under L1 query_pattern "
             "leakage (concurrent repeats of a still-running query miss, "
-            "so the win is largest sequentially); coalescing shares "
-            "physical round-trips across concurrent jobs, which pays "
-            "off when the link RTT dominates per-round compute — on a "
-            "GIL-bound single-core box the window wait is measured "
-            "honestly as overhead",
+            "so the win is largest sequentially)",
         },
         "rows": rows,
         "speedups": {
@@ -388,9 +374,6 @@ def run_reuse_grid(rtt_ms: float = 5.0, out: pathlib.Path | None = None) -> dict
             ),
             "cache_repeat_heavy_conc4": round(
                 _qps("repeat-heavy", 4, True) / _qps("repeat-heavy", 4, False), 3
-            ),
-            "coalesce_distinct_conc4": round(
-                _qps("distinct", 4, False, 25.0) / _qps("distinct", 4, False), 3
             ),
         },
     }

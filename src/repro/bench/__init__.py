@@ -2,10 +2,9 @@
 
 :mod:`repro.bench.harness` provides the shared machinery — cached
 scheme/relation construction, single-query measurement, and paper-style
-series printers — and :mod:`repro.bench.experiments` defines one runner
-per table/figure.  The pytest-benchmark modules under ``benchmarks/``
-are thin wrappers around these runners; each also appends its series to
-``benchmarks/results/`` so ``EXPERIMENTS.md`` can quote measured rows.
+series printers.  The legacy scripts under ``benchmarks/`` define one
+runner per table/figure on top of it and append their series to
+``benchmarks/results/``.
 """
 
 from repro.bench.harness import (

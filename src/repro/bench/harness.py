@@ -1,11 +1,11 @@
 """Shared benchmark machinery.
 
-Benchmarks run at laptop scale (see DESIGN.md): pure-Python big-int
-crypto over scaled-down datasets.  Absolute times are therefore not
-comparable to the paper's C++/24-core numbers, but every *series shape* —
-who wins, how costs scale with ``k``, ``m``, ``p``, ``n`` — is, and that
-is what ``EXPERIMENTS.md`` records.  Every report prints the dataset
-scale used so the substitution stays visible.
+Benchmarks run at laptop scale: pure-Python big-int crypto over
+scaled-down datasets.  Absolute times are therefore not comparable to
+the paper's C++/24-core numbers, but every *series shape* — who wins,
+how costs scale with ``k``, ``m``, ``p``, ``n`` — is, and that is what
+the series under ``benchmarks/results/`` record.  Every report prints
+the dataset scale used so the substitution stays visible.
 """
 
 from __future__ import annotations

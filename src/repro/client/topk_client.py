@@ -38,13 +38,11 @@ def connect(
     address: str = "inprocess",
     *,
     rtt_ms: float = 0.0,
-    s2_workers: int = 0,
     max_pending: int = 128,
     scheduler_workers: int = 8,
     shards: int | list[str] | tuple[str, ...] = 0,
     cache: bool = True,
     cache_capacity: int = 256,
-    coalesce_ms: float = 0.0,
     warm_start: bool = False,
     metrics_port: int | None = None,
     state_dir: str | None = None,
@@ -78,11 +76,6 @@ def connect(
         scheme still records the repeat, since ``query_pattern`` is
         exactly what the paper's L1 profile says S1 learns.  Opt out
         per query with ``QueryConfig(cache=False)`` or globally here.
-    ``coalesce_ms``
-        When positive, concurrent jobs on this relation that reach a
-        round boundary within that window share one physical
-        round-trip (``stats.coalesced_rounds`` counts them); per-job
-        transcripts stay bit-identical to solo runs.  ``0`` disables.
     ``warm_start``
         Use the relation's observed halting depths (L1's
         ``halting_depth``) to place the first halting check just below
@@ -109,13 +102,11 @@ def connect(
         relation,
         transport=address,
         rtt_ms=rtt_ms,
-        s2_workers=s2_workers,
         max_pending=max_pending,
         scheduler_workers=scheduler_workers,
         shards=shards,
         cache=cache,
         cache_capacity=cache_capacity,
-        coalesce_ms=coalesce_ms,
         warm_start=warm_start,
         metrics_port=metrics_port,
         state_dir=state_dir,

@@ -192,11 +192,6 @@ class QueryStats:
     """Whether the result was served from the server's leakage-aware
     result cache (zero S2 rounds) instead of a fresh two-cloud run."""
 
-    coalesced_rounds: int = 0
-    """How many of this query's round-trips were shared with concurrent
-    jobs on the same relation by the scan rendezvous (0 when coalescing
-    is off or no partner arrived in the window)."""
-
     trace: tuple = field(default=(), compare=False)
     """The job's frozen trace timeline — :class:`~repro.obs.trace.Span`
     tuples (queued, run, per-round laps, pool/S2 sub-spans) when the
@@ -247,9 +242,6 @@ class QueryResult:
     cache_hit: bool = False
     """True when the server served this result from its query cache."""
 
-    coalesced_rounds: int = 0
-    """Round-trips this query shared with concurrent jobs (rendezvous)."""
-
     trace: tuple | None = None
     """Frozen :class:`~repro.obs.trace.Span` timeline attached by the
     job scheduler (``None`` until a job's ``_finish_result`` sets it)."""
@@ -285,6 +277,5 @@ class QueryResult:
             ),
             shards=tuple(self.shard_stats or ()),
             cache_hit=self.cache_hit,
-            coalesced_rounds=self.coalesced_rounds,
             trace=tuple(self.trace or ()),
         )

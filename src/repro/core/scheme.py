@@ -364,13 +364,11 @@ class SecTopK:
         transport: str = "inprocess",
         label: str = "",
         salt: str | None = None,
-        compute=None,
         rtt_ms: float = 0.0,
         relation: EncryptedRelation | None = None,
         on_event=None,
         control=None,
         session_label: str | None = None,
-        transport_wrap=None,
     ) -> S1Context:
         """Wire up a fresh S1 context and S2 crypto cloud.
 
@@ -397,10 +395,9 @@ class SecTopK:
         stream regardless of which worker thread or *process* serves it
         (the counter lives in this process and cannot coordinate forks).
 
-        ``compute`` attaches a :class:`~repro.crypto.parallel.ComputePool`
-        to the crypto cloud; ``rtt_ms`` adds simulated link latency.
-        ``on_event`` / ``control`` become the context's progress and
-        job-control hooks (observations only — a context with hooks is
+        ``rtt_ms`` adds simulated link latency.  ``on_event`` /
+        ``control`` become the context's progress and job-control hooks
+        (observations only — a context with hooks is
         transcript-identical to one without).
         """
         if salt is None:
@@ -412,13 +409,11 @@ class SecTopK:
             transport,
             self._rng.spawn("s1" + salt),
             self._rng.spawn("s2" + salt),
-            compute=compute,
             rtt_ms=rtt_ms,
             relation_id=relation.relation_id() if relation is not None else None,
             session_label=session_label if session_label is not None else salt,
             on_event=on_event,
             control=control,
-            transport_wrap=transport_wrap,
         )
 
     def query(

@@ -7,13 +7,11 @@ stripping, randomizer pools, shard weighting) and one exponent per base
 scalar multiplications) — the randomizer-pool product loop, and a
 scalar ``mpz_invert``.  Everything crosses the boundary as fixed-width
 little-endian arrays of 64-bit words (least-significant word first,
-little-endian bytes within each word — the same limb format the
-compute pool's shared-memory slab transport uses), so a single C call
-carries an entire batch and cffi releases the GIL for its whole
-duration.  That one property is the point of this extension: with the
-pure and gmpy2 backends every modular exponentiation holds the GIL, so
-thread-based shard and S2 workers cannot scale; with this kernel they
-can.
+little-endian bytes within each word), so a single C call carries an
+entire batch and cffi releases the GIL for its whole duration.  That
+one property is the point of this extension: with the pure and gmpy2
+backends every modular exponentiation holds the GIL, so thread-based
+shard workers cannot scale; with this kernel they can.
 
 Compiled on demand by :mod:`repro.crypto._gmp_kernel` (see ``load()``
 there) into a per-user cache directory; building requires cffi, a C

@@ -5,18 +5,16 @@ Two things live here:
 * **The limb format.**  :func:`words_for`, :func:`pack_ints` and
   :func:`unpack_ints` define the one fixed-width integer wire format the
   native tier uses everywhere: arrays of 64-bit words, least-significant
-  word first, little-endian bytes within each word.  The kernel's C side
-  (``mpz_import``/``mpz_export`` with ``order=-1, endian=-1``) and the
-  compute pool's shared-memory slab transport both speak exactly this
-  format, so a slab written by :mod:`repro.crypto.parallel` could be
-  handed to the kernel without translation.
+  word first, little-endian bytes within each word — what the kernel's
+  C side reads and writes (``mpz_import``/``mpz_export`` with
+  ``order=-1, endian=-1``).
 
 * **:class:`GmpKernel`** — the loaded extension wrapped in the backend
   operation signatures (``powmod`` / ``powmod_vec`` / ``powmod_pairs`` /
   ``pool_products`` / ``invert``).  A batch call packs the whole batch,
   makes *one* C call, and unpacks; cffi releases the GIL for the entire
-  C loop, which is what lets thread-mode compute pools and shard workers
-  scale with cores.  Results are bit-identical to the pure and gmpy2 backends
+  C loop, which is what lets shard workers scale with cores.  Results
+  are bit-identical to the pure and gmpy2 backends
   (``tests/test_backend.py`` pins this).
 
 Use :func:`load_kernel` / :func:`kernel_available`; both are no-raise —
@@ -41,36 +39,22 @@ def words_for(value: int) -> int:
     return max(1, (value.bit_length() + 63) // 64)
 
 
-def pack_ints(values: list[int], words: int, out: memoryview | bytearray | None = None,
-              offset: int = 0):
-    """Pack non-negative integers into fixed-width little-endian words.
-
-    Writes ``len(values) * words * 8`` bytes at ``offset`` into ``out``
-    (allocated when omitted) and returns the buffer.  Every value must
-    fit ``words`` words; ``int.to_bytes`` raises ``OverflowError``
-    otherwise, which is the width-limit guarantee the shared-memory slab
-    relies on.
+def pack_ints(values: list[int], words: int) -> bytearray:
+    """Pack non-negative integers into fixed-width little-endian words:
+    a new ``len(values) * words * 8``-byte buffer.  Every value must fit
+    ``words`` words; ``int.to_bytes`` raises ``OverflowError`` otherwise
+    (a value too wide fails loudly, it is never truncated).
     """
     stride = words * WORD_BYTES
-    # Join-then-assign: one big copy into the target instead of a slice
-    # write per value, and an oversize value aborts before any byte is
-    # written (the join raises first).
-    blob = b"".join(value.to_bytes(stride, "little") for value in values)
-    if out is None:
-        return bytearray(blob)
-    view = memoryview(out)
-    view[offset : offset + len(blob)] = blob
-    return out
+    return bytearray(b"".join(value.to_bytes(stride, "little") for value in values))
 
 
-def unpack_ints(buf, words: int, count: int, offset: int = 0) -> list[int]:
+def unpack_ints(buf, words: int, count: int) -> list[int]:
     """Inverse of :func:`pack_ints`: read ``count`` integers."""
     stride = words * WORD_BYTES
-    # One contiguous copy out of the (possibly shared) buffer, then
-    # slice plain bytes: bytes slices convert faster than per-item
-    # memoryview slices, and the copy decouples the result from a slab
-    # another round may overwrite.
-    data = bytes(memoryview(buf)[offset : offset + count * stride])
+    # One contiguous copy, then slice plain bytes: bytes slices convert
+    # faster than per-item memoryview slices.
+    data = bytes(memoryview(buf)[: count * stride])
     from_bytes = int.from_bytes
     return [
         from_bytes(data[i * stride : (i + 1) * stride], "little") for i in range(count)

@@ -390,7 +390,7 @@ def to_signed(n: int, values: list[int]) -> list[int]:
     """Map ``Z_N`` representatives to signed integers in ``(-N/2, N/2]``.
 
     The single signed-decode rule for every decrypt path (secret key,
-    crypto cloud, with or without a compute pool).
+    crypto cloud).
     """
     half = n // 2
     return [m - n if m > half else m for m in values]

@@ -1,163 +1,26 @@
-"""Worker-pool fan-out for the crypto cloud's bulk decrypt batches.
+"""Worker pools: the query-worker process executor, and a thread pool
+kept for one benchmark probe.
 
-A single query's coalesced per-depth rounds (one ``ZeroTestBatch`` /
-one ``StripLayerBatch`` carrying work for *every* list and candidate of
-the depth) are the hot path the paper's Section 11 measures; a
-:class:`ComputePool` chunks those batches across workers so they can
-use more than one core.  Two pool modes, picked by how the GIL can be
-escaped on this machine:
+* :func:`make_pool_executor` / :func:`pool_start_method` build the
+  process pool behind ``TopKServer.execute_many(mode="process")`` — the
+  one parallel mode that measures above 1.0 on real cores.
 
-* ``mode="thread"`` — a ``ThreadPoolExecutor`` whose chunks run on the
-  GIL-free ``gmp-kernel`` backend (:mod:`repro.crypto.kernels`) via a
-  thread-local :func:`repro.crypto.backend.use_backend` override.  The
-  kernel releases the GIL across each chunk's entire ``powmod_vec``
-  call, so threads genuinely overlap — and nothing is pickled, shipped
-  or copied: zero IPC.  Requires the compiled kernel.
-
-* ``mode="process"`` — the historical ``ProcessPoolExecutor`` fan-out
-  (workers hold the secret key material, any backend).  Chunk transport
-  is a fixed-width **shared-memory slab** by default: one
-  ``multiprocessing.shared_memory`` segment, created at pool start and
-  attached once per worker, divided into per-chunk slots of
-  ``slab_items`` × ``value_words`` little-endian 64-bit words (the same
-  limb format the kernel speaks, see :mod:`repro.crypto.kernels`).  A
-  round's chunk is packed into its slot, the worker decrypts in place,
-  and the parent unpacks the results — two memcpy-speed packs per chunk
-  instead of pickling big-int lists through a pipe every round.
-  ``transport="pickle"`` keeps the old path (it is also the automatic
-  fallback for a chunk larger than a slot).
-
-``mode="auto"`` (the default) selects ``thread`` when the kernel is
-importable and ``process`` otherwise, so existing callers
-(``TopKServer(s2_workers=N)``, the S2 daemon) transparently stop paying
-IPC the moment the kernel is available.
-
-Decryption consumes no randomness, so fanning it out changes neither
-the crypto cloud's rng stream nor any leakage event — a query served
-with a pool is bit-identical to one served without, in every mode and
-transport (pinned by ``tests/test_server.py`` and
-``tests/test_parallel_pool.py``).
-
-Lifecycle: :meth:`ComputePool.close` tears the executor down; with
-``wait=True`` it drains in-flight chunks first (the server's shutdown
-path uses this so a concurrent session's batch completes instead of
-surfacing a cancellation mid-protocol).  A pool that dies mid-batch —
-worker killed, executor shut down underneath a caller — raises the
-typed :class:`~repro.exceptions.ComputePoolError` rather than leaking
-``BrokenProcessPool``/``CancelledError`` through an S2 handler.
+* :class:`ComputePool` chunks a Paillier decrypt batch across threads on
+  the GIL-free ``gmp-kernel`` backend.  Nothing in ``repro.server`` uses
+  it: a query's rounds carry a handful of ciphertexts each, and one
+  kernel call is cheaper than a fan-out at that size.  It exists for
+  ``perfbench``'s ``crypto.pool_decrypt_us_per_ct`` /
+  ``crypto.pool_speedup_ratio`` probe and goes when a benchmark change
+  drops those two metrics.
 """
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
-import threading
-import time
-import weakref
-from concurrent.futures import (
-    BrokenExecutor,
-    CancelledError,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from multiprocessing import shared_memory
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro.crypto import backend, kernels
-from repro.exceptions import ComputePoolError
-from repro.obs.metrics import REGISTRY
-
-# Worker-process state, installed by the pool initializer.
-_WORKER: dict = {}
-
-# Pool cost instruments (observation only: recorded after each batch /
-# chunk completes, never on the value path).
-_BATCH_SECONDS = REGISTRY.histogram(
-    "repro_pool_batch_seconds",
-    "Compute-pool batch wall-clock, fan-out and gather included.",
-    labelnames=("op",),
-)
-_CHUNK_SECONDS = REGISTRY.histogram(
-    "repro_pool_chunk_seconds",
-    "Per-chunk wall-clock from submit to result.",
-    labelnames=("op",),
-)
-_SLAB_FALLBACKS = REGISTRY.counter(
-    "repro_pool_slab_fallbacks_total",
-    "Chunks that outgrew their shared-memory slot and fell back to "
-    "pickle transport.",
-)
-
-# Thread-local batch observer: the server's job runner installs a
-# callback here (observe_batches) so compute-pool batches served on the
-# job's own thread (inprocess transport) attribute to that job as
-# PoolBatch events.  Callback errors are swallowed — observation only.
-_batch_observer = threading.local()
-
-
-@contextlib.contextmanager
-def observe_batches(callback):
-    """Scope a per-thread pool-batch callback: ``callback(op, values,
-    seconds)`` fires after every batch :class:`ComputePool` serves on
-    this thread."""
-    previous = getattr(_batch_observer, "callback", None)
-    _batch_observer.callback = callback
-    try:
-        yield
-    finally:
-        _batch_observer.callback = previous
-
-
-def _attach_slab(shm_name: str | None, slot_bytes: int) -> None:
-    if shm_name is None:
-        return
-    # Attaching re-registers the segment with the resource tracker
-    # (CPython < 3.13 tracks attaches too), but pool workers share the
-    # parent's tracker process and its cache is a set, so the extra
-    # registrations are no-ops and the parent's single unlink-time
-    # unregister settles the books — do NOT unregister here, that would
-    # strip the parent's registration and make its unlink warn.
-    shm = shared_memory.SharedMemory(name=shm_name)
-    _WORKER["shm"] = shm
-    _WORKER["slot_bytes"] = slot_bytes
-
-
-def _init_worker(
-    keypair, dj, backend_name: str, shm_name: str | None = None, slot_bytes: int = 0
-) -> None:
-    backend.set_backend(backend_name)
-    _WORKER["keypair"] = keypair
-    _WORKER["dj"] = dj
-    _attach_slab(shm_name, slot_bytes)
-
-
-def _decrypt_chunk(values: list[int]) -> list[int]:
-    """Paillier-decrypt bare ciphertext values to plaintext ints."""
-    return _WORKER["keypair"].secret_key.raw_decrypt_batch(values)
-
-
-def _strip_chunk(values: list[int]) -> list[int]:
-    """DJ-decrypt bare layered-ciphertext values to inner plaintext ints."""
-    from repro.crypto.damgard_jurik import LayeredCiphertext
-
-    dj = _WORKER["dj"]
-    cts = [LayeredCiphertext(v, dj) for v in values]
-    return dj.decrypt_batch(cts, _WORKER["keypair"])
-
-
-_CHUNK_OPS = {"decrypt": _decrypt_chunk, "strip": _strip_chunk}
-
-
-def _chunk_shm(op: str, slot: int, count: int, words: int) -> int:
-    """One chunk through the shared-memory slab: unpack the inputs from
-    slot ``slot``, compute, pack the results back in place.  Only the
-    four scalars above cross the pipe."""
-    shm = _WORKER["shm"]
-    offset = slot * _WORKER["slot_bytes"]
-    values = kernels.unpack_ints(shm.buf, words, count, offset)
-    out = _CHUNK_OPS[op](values)
-    kernels.pack_ints(out, words, out=shm.buf, offset=offset)
-    return count
 
 
 def _warmup() -> None:
@@ -178,21 +41,18 @@ def pool_start_method() -> str:
 def make_pool_executor(workers: int, initializer, initargs) -> ProcessPoolExecutor:
     """A worker-process pool with the platform's cheapest start method.
 
-    Shared by the crypto :class:`ComputePool` and the server's
-    query-worker pool so start-method policy lives in one place: fork
-    starts workers cheaply on POSIX; spawn works too because the
+    Fork starts workers cheaply on POSIX; spawn works too because the
     initializer arguments carry everything workers need.
 
     Workers are spawned eagerly here rather than at first submit:
     executors fork lazily, and deferring the forks until a session or
     transport thread is live would fork a multi-threaded process (lock
     state inherited mid-held, ``DeprecationWarning`` on 3.12+).  Build
-    pools before starting threads where possible — the server constructs
-    its S2 pool in ``__init__`` for exactly this reason.  Fork stays
-    preferred even when threads exist: the non-fork methods re-import
-    ``__main__`` in each worker, which breaks REPL/stdin parents
-    outright, while a late fork only risks the (documented) 3.12+
-    warning from another pool's manager threads.
+    pools before starting threads where possible.  Fork stays preferred
+    even when threads exist: the non-fork methods re-import ``__main__``
+    in each worker, which breaks REPL/stdin parents outright, while a
+    late fork only risks the (documented) 3.12+ warning from another
+    pool's manager threads.
     """
     mp_context = multiprocessing.get_context(pool_start_method())
     executor = ProcessPoolExecutor(
@@ -210,13 +70,8 @@ def make_pool_executor(workers: int, initializer, initargs) -> ProcessPoolExecut
 
 def _chunks(values: list, n: int) -> list[list]:
     """Split into exactly ``n`` contiguous chunks whose sizes differ by
-    at most one (the first ``len % n`` chunks take the extra item).
-
-    Balanced on purpose: the previous ceil-division split could emit a
-    runt tail chunk below ``min_batch`` (25 items over 3 workers went
-    9/9/7) — with ``n <= len // min_batch`` the balanced split keeps
-    every chunk at ``len // n >= min_batch`` items.
-    """
+    at most one (the first ``len % n`` chunks take the extra item), so
+    with ``n <= len // min_batch`` no chunk drops below ``min_batch``."""
     base, extra = divmod(len(values), n)
     out, lo = [], 0
     for i in range(n):
@@ -228,265 +83,65 @@ def _chunks(values: list, n: int) -> list[list]:
 
 def _chunk_count(n_values: int, workers: int, min_batch: int) -> int:
     """How many chunks to cut: never so many that a chunk drops below
-    ``min_batch`` items (tiny chunks cost more to ship than to decrypt)."""
+    ``min_batch`` items (tiny chunks cost more to hand over than to run)."""
     return max(1, min(workers, n_values // max(min_batch, 1)))
 
 
-def _release_slab(shm: shared_memory.SharedMemory) -> None:
-    try:
-        shm.close()
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - already unlinked
-        pass
-
-
 class ComputePool:
-    """A persistent worker pool for chunked secret-key operations.
+    """Chunked Paillier decryption on kernel threads — kept for
+    ``perfbench``'s ``crypto.pool_*`` probe only (see the module docstring).
 
     Parameters
     ----------
-    keypair / dj:
-        The secret key material the workers need (process mode pickles
-        it once per worker at pool start-up; thread mode shares it).
+    keypair:
+        The Paillier key pair whose secret key decrypts.
+    dj:
+        Unused; the probe passes it positionally.
     workers:
         Pool size; defaults to the machine's core count.
     min_batch:
-        Batches smaller than this are computed inline — below it the
-        fan-out round-trip costs more than the decryptions.
+        Batches smaller than twice this are decrypted inline.
     mode:
-        ``"thread"`` (kernel-backed, zero IPC), ``"process"``
-        (worker processes), or ``"auto"``: thread when the compiled
-        ``gmp-kernel`` is available here, process otherwise.
-    transport:
-        Process mode only: ``"shm"`` ships chunks through the
-        shared-memory slab (default), ``"pickle"`` through the
-        executor's ordinary argument pickling.
-    slab_items:
-        Capacity of one slab slot, in values.  A chunk that outgrows
-        its slot falls back to pickle transport for that call.
+        Only ``"thread"``; requires the compiled ``gmp-kernel``.
     """
 
-    def __init__(
-        self,
-        keypair,
-        dj,
-        workers: int | None = None,
-        min_batch: int = 8,
-        mode: str = "auto",
-        transport: str = "shm",
-        slab_items: int = 4096,
-    ):
-        if mode not in ("auto", "thread", "process"):
+    def __init__(self, keypair, dj=None, workers: int | None = None,
+                 min_batch: int = 8, mode: str = "thread"):
+        if mode != "thread":
             raise ValueError(f"unknown compute-pool mode: {mode!r}")
-        if transport not in ("shm", "pickle"):
-            raise ValueError(f"unknown compute-pool transport: {transport!r}")
-        if mode == "auto":
-            mode = "thread" if backend.kernel_available() else "process"
-        elif mode == "thread" and not backend.kernel_available():
+        if not backend.kernel_available():
             raise ValueError(
-                "mode='thread' requires the compiled gmp-kernel backend "
+                "the compute pool requires the compiled gmp-kernel backend "
                 f"(unavailable here: {kernels.kernel_unavailable_reason()})"
             )
         self.workers = workers or os.cpu_count() or 1
         self.min_batch = min_batch
-        self.mode = mode
-        self.transport = transport if mode == "process" else "none"
-        self.slab_items = slab_items
-        self._keypair = keypair
-        self._dj = dj
-        self._shm: shared_memory.SharedMemory | None = None
-        self._slot_bytes = 0
-        self._finalizer = None
-        self._lock = threading.Lock()
-        if mode == "thread":
-            # Chunks run under a thread-local backend override on the
-            # GIL-free kernel; key material is shared in-process.
-            self._kernel_backend = backend.GmpKernelBackend()
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="compute-pool"
-            )
-        else:
-            shm_name = None
-            if self.transport == "shm":
-                # Slots are sized for the widest value the pool ever
-                # moves — DJ ciphertexts in Z_{N^{s+1}} (strip), above
-                # Paillier's Z_{N^2} (decrypt) — but each op packs at
-                # its own width, so decrypt rounds move ~1/3 fewer
-                # bytes than one-width-fits-all would.  Results are
-                # never wider than inputs, so a slot serves request and
-                # reply in place.
-                self._op_words = {
-                    "decrypt": kernels.words_for(keypair.public_key.n_squared - 1)
-                }
-                widest = keypair.public_key.n_squared
-                if dj is not None:
-                    widest = max(widest, dj.n_s1)
-                    self._op_words["strip"] = kernels.words_for(widest - 1)
-                value_words = kernels.words_for(widest - 1)
-                self._slot_bytes = slab_items * value_words * kernels.WORD_BYTES
-                self._shm = shared_memory.SharedMemory(
-                    create=True, size=max(1, self.workers * self._slot_bytes)
-                )
-                self._finalizer = weakref.finalize(self, _release_slab, self._shm)
-                shm_name = self._shm.name
-            self._executor = make_pool_executor(
-                self.workers,
-                _init_worker,
-                (keypair, dj, backend.get_backend().name, shm_name, self._slot_bytes),
-            )
+        self._secret_key = keypair.secret_key
+        # Chunks run under a thread-local backend override on the kernel.
+        self._kernel_backend = backend.GmpKernelBackend()
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="compute-pool"
+        )
         self._closed = False
 
-    # -- chunked operations ----------------------------------------------
-
-    def _local(self, op: str, values: list[int]) -> list[int]:
-        if op == "decrypt":
-            return self._keypair.secret_key.raw_decrypt_batch(values)
-        from repro.crypto.damgard_jurik import LayeredCiphertext
-
-        cts = [LayeredCiphertext(v, self._dj) for v in values]
-        return self._dj.decrypt_batch(cts, self._keypair)
-
-    def _thread_chunk(self, op: str, values: list[int]) -> list[int]:
+    def _chunk(self, values: list[int]) -> list[int]:
         with backend.use_backend(self._kernel_backend):
-            return self._local(op, values)
-
-    def _submit_chunks(self, op: str, chunks: list[list[int]]) -> list:
-        if self.mode == "thread":
-            return [
-                (
-                    self._executor.submit(self._thread_chunk, op, chunk),
-                    None,
-                    time.perf_counter(),
-                )
-                for chunk in chunks
-            ]
-        futures = []
-        words = self._op_words.get(op, 0) if self.transport == "shm" else 0
-        slot_items = (
-            self._slot_bytes // (words * kernels.WORD_BYTES) if words else 0
-        )
-        for slot, chunk in enumerate(chunks):
-            if words and len(chunk) <= slot_items:
-                # n_chunks <= workers, so chunk index == a private slot;
-                # the slot is not reused until this call consumed its
-                # result, and any worker may serve it (all attach the
-                # whole segment).
-                kernels.pack_ints(
-                    chunk,
-                    words,
-                    out=self._shm.buf,
-                    offset=slot * self._slot_bytes,
-                )
-                futures.append(
-                    (
-                        self._executor.submit(_chunk_shm, op, slot, len(chunk), words),
-                        (slot, words),
-                        time.perf_counter(),
-                    )
-                )
-            else:
-                if words:
-                    # Slab configured but this chunk outgrew its slot.
-                    _SLAB_FALLBACKS.inc()
-                futures.append(
-                    (
-                        self._executor.submit(_CHUNK_OPS[op], chunk),
-                        None,
-                        time.perf_counter(),
-                    )
-                )
-        return futures
-
-    def _gather(self, op: str, futures: list) -> list[int]:
-        out: list[int] = []
-        chunk_seconds = _CHUNK_SECONDS.labels(op=op)
-        for future, placement, submitted in futures:
-            result = future.result()
-            chunk_seconds.observe(time.perf_counter() - submitted)
-            if placement is None:
-                out.extend(result)
-            else:
-                slot, words = placement
-                out.extend(
-                    kernels.unpack_ints(
-                        self._shm.buf, words, result, slot * self._slot_bytes
-                    )
-                )
-        return out
-
-    def _run(self, op: str, values: list[int]) -> list[int]:
-        if self._closed:
-            raise RuntimeError("compute pool is closed")
-        n_chunks = _chunk_count(len(values), self.workers, self.min_batch)
-        if len(values) < max(self.min_batch, 2) or self.workers < 2 or n_chunks < 2:
-            started = time.perf_counter()
-            result = self._local(op, values)
-            self._finish_batch(op, len(values), time.perf_counter() - started)
-            return result
-        try:
-            with self._lock:
-                # One batch in flight at a time: slab slots are indexed
-                # by chunk, so two concurrent batches must serialize
-                # (the executor below still fans each batch out).
-                started = time.perf_counter()
-                futures = self._submit_chunks(op, _chunks(values, n_chunks))
-                result = self._gather(op, futures)
-            self._finish_batch(op, len(values), time.perf_counter() - started)
-            return result
-        except (BrokenExecutor, CancelledError) as exc:
-            raise ComputePoolError(
-                f"compute pool died mid-batch ({type(exc).__name__})"
-            ) from exc
-        except RuntimeError as exc:
-            if self._closed or "shutdown" in str(exc):
-                raise ComputePoolError(
-                    "compute pool was shut down under an in-flight batch"
-                ) from exc
-            raise
-
-    @staticmethod
-    def _finish_batch(op: str, n_values: int, seconds: float) -> None:
-        """Record one served batch: histogram plus the thread-local
-        observer (PoolBatch events for the job being served, if the
-        server installed one on this thread).  Observation only — a
-        broken observer never disturbs the value path."""
-        _BATCH_SECONDS.labels(op=op).observe(seconds)
-        callback = getattr(_batch_observer, "callback", None)
-        if callback is not None:
-            try:
-                callback(op, n_values, seconds)
-            except Exception:
-                pass
+            return self._secret_key.raw_decrypt_batch(values)
 
     def decrypt_values(self, values: list[int]) -> list[int]:
         """Paillier decryption of bare ciphertext values, fanned out."""
-        return self._run("decrypt", values)
-
-    def strip_values(self, values: list[int]) -> list[int]:
-        """DJ outer-layer decryption of bare values, fanned out."""
-        return self._run("strip", values)
-
-    # -- lifecycle -------------------------------------------------------
-
-    def close(self, wait: bool = False) -> None:
-        """Shut the worker pool down (idempotent).
-
-        ``wait=True`` drains in-flight chunks first, so a caller blocked
-        in a batch gets its results instead of a mid-batch cancellation
-        — the server teardown path uses this.  ``wait=False`` cancels
-        queued chunks immediately; a caller racing it sees
-        :class:`~repro.exceptions.ComputePoolError`.
-        """
         if self._closed:
-            return
+            raise RuntimeError("compute pool is closed")
+        n_chunks = _chunk_count(len(values), self.workers, self.min_batch)
+        if n_chunks < 2:
+            return self._secret_key.raw_decrypt_batch(values)
+        chunks = self._executor.map(self._chunk, _chunks(values, n_chunks))
+        return [plain for chunk in chunks for plain in chunk]
+
+    def close(self) -> None:
+        """Shut the pool down (idempotent)."""
         self._closed = True
-        if wait:
-            self._executor.shutdown(wait=True)
-        else:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-        if self._finalizer is not None:
-            self._finalizer()
-            self._shm = None
+        self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "ComputePool":
         return self

@@ -84,9 +84,7 @@ class S2Progress(ProgressEvent):
     """S2-side decrypt-batch progress, piggybacked on a REPLY frame.
 
     Remote daemons (protocol ``repro-s2/3``) report how much crypto
-    work each round carried; local transports derive the same
-    information from :class:`PoolBatch` instead.  Counters are
-    per-round, not cumulative.
+    work each round carried.  Counters are per-round, not cumulative.
     """
 
     batches: int
@@ -100,24 +98,10 @@ class S2Progress(ProgressEvent):
 
 
 @dataclass(frozen=True)
-class PoolBatch(ProgressEvent):
-    """One compute-pool batch finished (local S2 with a pool attached)."""
-
-    op: str
-    """The pool operation (``"decrypt"`` / ``"strip"``)."""
-
-    values: int
-    """How many values the batch carried."""
-
-    seconds: float
-    """Wall-clock the batch took, fan-out included."""
-
-
-@dataclass(frozen=True)
 class SpanClosed(ProgressEvent):
     """A :class:`~repro.obs.trace.Span` of the job's trace closed.
 
-    Streams the trace live (per-round laps, pool/S2 sub-spans); the
+    Streams the trace live (per-round laps, S2 sub-spans); the
     full timeline lands on ``result.stats.trace`` at the end.
     """
 

@@ -95,17 +95,6 @@ class RemoteS2Error(TransportError):
         self.text = text
 
 
-class ComputePoolError(ReproError):
-    """The compute pool could not finish a batch.
-
-    Raised when the pool's executor dies mid-batch (a worker process
-    killed, a broken pipe) or is shut down underneath a caller blocked
-    on chunk results — instead of leaking the executor's raw
-    ``BrokenProcessPool`` / ``CancelledError`` through an S2 decrypt
-    handler.
-    """
-
-
 class QueryError(ReproError):
     """A top-k query was malformed (bad attributes, k out of range, ...)."""
 

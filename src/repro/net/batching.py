@@ -195,13 +195,9 @@ class RoundBatcher:
     def _flush(self, messages: list) -> list:
         """Ship ``messages`` in one round-trip, with byte/round accounting.
 
-        ``transport.exchange`` is the cross-job coalescing seam: when a
-        server runs with ``coalesce_ms > 0``, the transport here is a
-        :class:`~repro.server.rendezvous.CoalescingTransport` and this
-        round may share its physical round-trip with concurrent jobs on
-        the same relation.  The ``before_round`` checkpoint (deadline /
-        cancellation) fires *before* that rendezvous, so a cancelled job
-        stops at the boundary instead of joining a doomed round.
+        The ``before_round`` checkpoint (deadline / cancellation) fires
+        before anything is sent, so a cancelled job stops at the round
+        boundary.
         """
         if self._before_round is not None:
             self._before_round()

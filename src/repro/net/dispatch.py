@@ -7,10 +7,8 @@ primitive operations or onto the bulk S2-side protocol functions that
 live next to their S1 counterparts in :mod:`repro.protocols`.
 
 Every decrypt handler services its message through the cloud's *batch*
-primitives (backed by :mod:`repro.crypto.backend` and, when the cloud
-carries a :class:`~repro.crypto.parallel.ComputePool`, chunked across
-worker processes) rather than per-item loops — a coalesced round's
-worth of decryptions is one batch here.
+primitives (backed by :mod:`repro.crypto.backend`) rather than per-item
+loops — a coalesced round's worth of decryptions is one batch here.
 
 S1-side protocol code never references the crypto cloud directly — it
 only ever submits messages through a transport that ends here.
@@ -88,8 +86,7 @@ class S2Dispatcher:
     def _sort_gates(self, msg: m.SortGateBatch):
         from repro.protocols.enc_sort import s2_gates
 
-        # One batched decrypt for the whole gate layer (replacing the
-        # per-gate loop), so a compute pool can fan the layer out.
+        # One batched decrypt for the whole gate layer.
         return s2_gates(
             self.cloud, msg.own_public, msg.gates, msg.descending, msg.protocol
         )

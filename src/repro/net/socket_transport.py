@@ -437,8 +437,8 @@ class S2Client(FrameClient):
         daemon — /2 REPLYs carry no S2-progress element)."""
         return 3 if self.banner == PROTOCOL_BANNER else 2
 
-    # One protocol round, split-phase for the scan rendezvous (see
-    # FrameClient.begin): REQUEST out, the matching REPLY payload back.
+    # One protocol round in two halves (see FrameClient.begin): REQUEST
+    # out, the matching REPLY payload back.
 
     def request_begin(self, session_id: int, data: bytes):
         """Send one REQUEST frame without waiting; returns the waiter."""

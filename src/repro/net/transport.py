@@ -42,31 +42,6 @@ class Transport(ABC):
     def exchange(self, messages: list) -> list:
         """Deliver ``messages`` in one round-trip; return their replies."""
 
-    # -- split-phase exchange --------------------------------------------
-    #
-    # The scan rendezvous (repro.server.rendezvous) coalesces the rounds
-    # of several concurrent jobs: it must put *all* members' requests in
-    # flight before collecting *any* reply, so the group shares one
-    # physical round-trip window instead of serializing N of them.  The
-    # two phases compose exactly into one exchange:
-    #
-    #     state = t.begin_exchange(messages)   # request on the wire
-    #     replies = t.finish_exchange(state)   # reply collected
-    #
-    # The base implementation degrades to a plain exchange (send and
-    # wait in finish), which is correct — just unshared — for transports
-    # that cannot pipeline.  A begin that raises must leave the
-    # transport reusable; after a successful begin, finish MUST be
-    # called exactly once (it releases whatever begin acquired).
-
-    def begin_exchange(self, messages: list):
-        """Start one round-trip; returns opaque state for ``finish``."""
-        return messages
-
-    def finish_exchange(self, state) -> list:
-        """Collect the replies of a :meth:`begin_exchange`."""
-        return self.exchange(state)
-
     def close(self) -> None:
         """Release transport resources (idempotent).
 
@@ -97,15 +72,6 @@ class LatencyTransport(Transport):
         replies = self.inner.exchange(messages)
         time.sleep(self.rtt_ms / 1000.0)
         return replies
-
-    def begin_exchange(self, messages: list):
-        # Split-phase rounds belong to a rendezvous group that sleeps
-        # ONE max-rtt for the whole group (that is the point of sharing
-        # the round-trip) — so neither phase sleeps here.
-        return self.inner.begin_exchange(messages)
-
-    def finish_exchange(self, state) -> list:
-        return self.inner.finish_exchange(state)
 
     def close(self) -> None:
         self.inner.close()
@@ -181,29 +147,13 @@ class ThreadedTransport(Transport):
     # -- S1 side ---------------------------------------------------------
 
     def exchange(self, messages: list) -> list:
-        return self.finish_exchange(self.begin_exchange(messages))
-
-    def begin_exchange(self, messages: list):
-        """Put one request batch on the wire (service thread starts on
-        it immediately); the exchange lock is held until the matching
-        :meth:`finish_exchange` collects the reply."""
-        self._exchange_lock.acquire()
-        try:
+        with self._exchange_lock:
             data = self._s1_codec.encode_envelope(messages)
             with self._state_lock:
                 if self._closed:
                     raise ProtocolError("transport is closed")
                 self._requests.put(data)
-        except BaseException:
-            self._exchange_lock.release()
-            raise
-        return None  # the queue pair itself pairs request and reply
-
-    def finish_exchange(self, state) -> list:
-        try:
             reply = self._replies.get()
-        finally:
-            self._exchange_lock.release()
         if isinstance(reply, _RemoteError):
             raise ProtocolError(f"S2 dispatch failed ({reply.kind}): {reply.text}")
         return self._s1_codec.decode_replies(reply)

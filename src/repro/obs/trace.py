@@ -2,11 +2,10 @@
 
 A :class:`JobTrace` collects :class:`Span`\\ s — ``queued`` (submit →
 start), ``run`` (start → finish), one ``round`` lap per coalesced
-round-trip, plus duration-only sub-spans for compute-pool batches and
-S2-side decrypt batches.  Traces are pure observation: building one
-consumes no randomness and touches no protocol state, so a traced run
-is transcript-identical to an untraced one (pinned by the equivalence
-suites).
+round-trip, plus duration-only sub-spans for S2-side decrypt batches.
+Traces are pure observation: building one consumes no randomness and
+touches no protocol state, so a traced run is transcript-identical to
+an untraced one (pinned by the equivalence suites).
 
 The frozen trace lands on :attr:`QueryResult.trace` /
 :attr:`QueryStats.trace`; :func:`trace_phases` aggregates one or many
@@ -29,9 +28,9 @@ from dataclasses import dataclass
 class Span:
     """One named interval: ``[start, end]`` seconds from the trace origin.
 
-    Duration-only spans (a compute-pool batch measured elsewhere, an
-    S2-side batch reported over the wire) anchor at the time they were
-    *recorded* with ``start = end - duration``.
+    Duration-only spans (an S2-side batch reported over the wire)
+    anchor at the time they were *recorded* with
+    ``start = end - duration``.
     """
 
     name: str

@@ -94,22 +94,16 @@ class CryptoCloud:
         dj: DamgardJurik,
         rng: SecureRandom | None = None,
         leakage: LeakageLog | None = None,
-        compute=None,
     ):
         self._keypair = keypair
         self.public_key = keypair.public_key
         self.dj = dj
         self.rng = rng or SecureRandom()
         self.leakage = leakage or LeakageLog()
-        #: Optional :class:`~repro.crypto.parallel.ComputePool`: large
-        #: decrypt batches are chunked across worker processes.  Decryption
-        #: consumes no randomness, so the fan-out is transcript-invisible.
-        self.compute = compute
 
     # ------------------------------------------------------------------
-    # Batched secret-key primitives.  All bulk decryption funnels through
-    # these two helpers, which use the backend's vectorized CRT path and,
-    # when a compute pool is attached, fan chunks out to worker processes.
+    # Batched secret-key primitive.  All bulk Paillier decryption funnels
+    # through this helper, which uses the backend's vectorized CRT path.
     # ------------------------------------------------------------------
 
     def _decrypt_values(self, cts: list[Ciphertext]) -> list[int]:
@@ -118,25 +112,7 @@ class CryptoCloud:
                 raise KeyMismatchError(
                     "ciphertext was produced under a different key"
                 )
-        values = [ct.value for ct in cts]
-        if self.compute is not None:
-            return self.compute.decrypt_values(values)
-        return self._keypair.secret_key.raw_decrypt_batch(values)
-
-    def _strip_values(self, lcs: list[LayeredCiphertext]) -> list[Ciphertext]:
-        if self.compute is not None:
-            # Same mismatch error as the plain path below; the workers
-            # rebuild the values under their own DJ copy and run the
-            # ordinary decrypt path (same unit validation, same errors),
-            # so only the inner wrapping differs here.
-            for lc in lcs:
-                if lc.scheme != self.dj:
-                    raise KeyMismatchError("ciphertext from a different DJ instance")
-            return [
-                self.dj.wrap_inner_value(value)
-                for value in self.compute.strip_values([lc.value for lc in lcs])
-            ]
-        return self.dj.decrypt_inner_batch(lcs, self._keypair)
+        return self._keypair.secret_key.raw_decrypt_batch([ct.value for ct in cts])
 
     # ------------------------------------------------------------------
     # Equality testing (S2's side of SecWorst / SecBest / SecUpdate).
@@ -154,8 +130,6 @@ class CryptoCloud:
         equality-pattern leakage ``EP_d`` of Section 9 — and nothing else.
         """
         bits = [1 if b == 0 else 0 for b in self._decrypt_values(cts)]
-        # Re-encryption stays on this process's rng so the reply stream is
-        # identical with or without a compute pool.
         replies = self.dj.encrypt_batch(bits, self.rng)
         self.leakage.record("S2", protocol, "eq_bits", bits)
         return replies
@@ -174,7 +148,7 @@ class CryptoCloud:
         event is recorded beyond the batch size.
         """
         self.leakage.record("S2", protocol, "recover_batch", len(lcs))
-        return self._strip_values(lcs)
+        return self.dj.decrypt_inner_batch(lcs, self._keypair)
 
     # ------------------------------------------------------------------
     # Comparison helpers (EncCompare constructions).
@@ -222,12 +196,9 @@ class CryptoCloud:
 
     def dgk_any_zero(self, cts: list[Ciphertext], protocol: str) -> bool:
         """Whether any of the (randomized, permuted) values decrypts to 0."""
-        if self.compute is None:
-            # Inline path keeps the short-circuit: stop at the first zero.
-            sk = self._keypair.secret_key
-            found = any(sk.decrypt(ct) == 0 for ct in cts)
-        else:
-            found = any(value == 0 for value in self._decrypt_values(cts))
+        # Short-circuit: stop decrypting at the first zero.
+        sk = self._keypair.secret_key
+        found = any(sk.decrypt(ct) == 0 for ct in cts)
         self.leakage.record("S2", protocol, "dgk_any_zero", found)
         return found
 
@@ -467,13 +438,11 @@ def _wire_clouds(
     s1_rng: SecureRandom,
     s2_rng: SecureRandom,
     leakage: LeakageLog | None = None,
-    compute=None,
     rtt_ms: float = 0.0,
     relation_id: str | None = None,
     session_label: str = "",
     on_event=None,
     control=None,
-    transport_wrap=None,
 ) -> S1Context:
     """Assemble the two-cloud wiring: crypto cloud behind a dispatcher
     behind a ``transport``, and an S1 context in front of it.
@@ -486,35 +455,20 @@ def _wire_clouds(
     randomness stream with the session, so the remote run is
     bit-identical (results, rounds, bytes, leakage) to the local one.
 
-    ``compute`` optionally attaches a
-    :class:`~repro.crypto.parallel.ComputePool` so S2's large decrypt
-    batches fan out across processes (local backends only: a remote
-    daemon configures its own pool via ``--s2-workers``); ``rtt_ms``
-    adds a simulated round-trip latency to the link.  Single point of
-    truth for context construction — every scheme's context wiring and
-    :func:`make_parties` delegate here.
+    ``rtt_ms`` adds a simulated round-trip latency to the link.  Single
+    point of truth for context construction — every scheme's context
+    wiring and :func:`make_parties` delegate here.
 
     ``session_label`` rides the remote OPEN frame so the daemon can
     attribute sessions to the jobs that opened them; ``on_event`` /
     ``control`` are the context's progress and job-control hooks (see
     :class:`S1Context`).
-
-    ``transport_wrap`` (optional) is applied to the fully-built link —
-    latency shim included — before the context is assembled; the server's
-    scan rendezvous interposes its per-job
-    :class:`~repro.server.rendezvous.CoalescingTransport` here, at the
-    exact point :class:`~repro.net.batching.RoundBatcher` flushes rounds.
     """
     from repro.net.socket_transport import is_socket_address, open_remote_session
     from repro.net.transport import LatencyTransport
 
     leakage = leakage or LeakageLog()
     if is_socket_address(transport):
-        if compute is not None:
-            raise ProtocolError(
-                "a local compute pool cannot serve a remote S2; "
-                "start the daemon with --s2-workers instead"
-            )
         on_progress = None
         if on_event is not None:
             from repro.events import S2Progress
@@ -545,10 +499,8 @@ def _wire_clouds(
         if rtt_ms > 0:
             link = LatencyTransport(link, rtt_ms)
     else:
-        cloud = CryptoCloud(keypair, dj, s2_rng, leakage, compute=compute)
+        cloud = CryptoCloud(keypair, dj, s2_rng, leakage)
         link = make_transport(transport, S2Dispatcher(cloud), rtt_ms=rtt_ms)
-    if transport_wrap is not None:
-        link = transport_wrap(link)
     return S1Context(
         public_key=keypair.public_key,
         dj=dj,

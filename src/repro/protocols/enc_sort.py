@@ -303,8 +303,8 @@ def s2_gates(
     """S2's side of one *layer* of compare-exchange gates.
 
     All the layer's blinded pair keys are decrypted in a single batch
-    (one backend setup, and one compute-pool fan-out when attached)
-    before the per-gate ordering/re-blinding logic runs.
+    (one backend setup) before the per-gate ordering/re-blinding logic
+    runs.
     """
     blinder = ItemBlinder(s2.public_key, s2.dj)
     all_keys = [k for pair_keys, _, _ in gates for k in pair_keys]

@@ -16,15 +16,12 @@ scan (see ARCHITECTURE.md, sharding).
 
 The reuse layer (see ARCHITECTURE.md, reuse layer) lives here too:
 :mod:`repro.server.query_cache` serves repeat queries with zero S2
-rounds under the paper's L1 ``query_pattern`` leakage, and
-:mod:`repro.server.rendezvous` coalesces concurrent jobs' depth-scan
-rounds into shared physical round-trips.
+rounds under the paper's L1 ``query_pattern`` leakage.
 """
 
 from repro.server.jobs import JobStatus, QueryJob, WatchJob, WatchSummary
 from repro.server.mutations import MutableRelation, MutationResult
 from repro.server.query_cache import CacheStats, QueryCache
-from repro.server.rendezvous import ScanRendezvous
 from repro.server.sharding import ShardPlan
 from repro.server.topk_server import QuerySession, TopKServer
 
@@ -37,7 +34,6 @@ __all__ = [
     "QueryJob",
     "QuerySession",
     "S2Service",
-    "ScanRendezvous",
     "ShardPlan",
     "ShardService",
     "TopKServer",

@@ -466,13 +466,8 @@ def launch_daemon(
             os.unlink(ready_file)
 
 
-def daemon_main(service_cls, extra_args=(), argv: list[str] | None = None) -> None:
-    """The daemons' CLI: parse, start, announce, serve until interrupted.
-
-    ``extra_args`` are ``(flag, add_argument kwargs)`` pairs for options
-    only this daemon has; each lands as the constructor keyword argparse
-    derives from the flag.
-    """
+def daemon_main(service_cls, argv: list[str] | None = None) -> None:
+    """The daemons' CLI: parse, start, announce, serve until interrupted."""
     module = sys.modules[service_cls.__module__]
     parser = argparse.ArgumentParser(
         prog=module.__spec__.name, description=module.__doc__.split("\n\n")[0]
@@ -482,7 +477,6 @@ def daemon_main(service_cls, extra_args=(), argv: list[str] | None = None) -> No
         default="tcp://127.0.0.1:0",
         help="tcp://host:port (port 0 = ephemeral) or unix:///path",
     )
-    extras = [parser.add_argument(flag, **kwargs).dest for flag, kwargs in extra_args]
     parser.add_argument(
         "--backend",
         default=None,
@@ -512,10 +506,7 @@ def daemon_main(service_cls, extra_args=(), argv: list[str] | None = None) -> No
     if args.backend:
         backend.set_backend(args.backend)
     service = service_cls(
-        args.listen,
-        state_dir=args.state_dir,
-        metrics_port=args.metrics_port,
-        **{dest: getattr(args, dest) for dest in extras},
+        args.listen, state_dir=args.state_dir, metrics_port=args.metrics_port
     )
     address = service.start()
     print(f"repro-{service.name}: listening on {address}", flush=True)

@@ -28,7 +28,6 @@ from repro.events import (
     JobFinished,
     JobQueued,
     JobStarted,
-    PoolBatch,
     ProgressEvent,
     RoundTrip,
     S2Progress,
@@ -67,11 +66,7 @@ class JobControl:
 
     The S1 context holds a reference and calls :meth:`check` before
     every round flush; raising here is what aborts the query at the
-    next safe point.  The check fires *before* the round enters the
-    scan rendezvous (when coalescing is on), and ``TopKServer.close()``
-    additionally fails the rendezvous itself — so a job parked at the
-    coalescing barrier surfaces :class:`~repro.exceptions.JobCancelled`
-    rather than hanging on peers that will never arrive.
+    next safe point.
     """
 
     __slots__ = ("_cancelled", "_deadline")
@@ -130,7 +125,7 @@ class QueryJob:
         # Installed by the scheduler: how this job actually executes.
         self._runner = None
         #: Monotonic-clock span timeline of this job (queued, run,
-        #: per-round laps, pool/S2 sub-spans).  Frozen onto the result
+        #: per-round laps, S2 sub-spans).  Frozen onto the result
         #: at completion; purely observational — never consulted by the
         #: protocol.
         self.trace = JobTrace()
@@ -230,15 +225,13 @@ class QueryJob:
 
     def _record_event(self, event: ProgressEvent) -> None:
         # Derive trace spans *before* touching the (non-reentrant)
-        # condition: RoundTrip laps the current round span, pool/S2
-        # progress frames land as anchored sub-spans.
+        # condition: RoundTrip laps the current round span, S2 progress
+        # frames land as anchored sub-spans.
         derived = None
         if isinstance(event, RoundTrip):
             span = self.trace.lap("round")
             if span is not None:
                 derived = SpanClosed(name=span.name, seconds=span.seconds)
-        elif isinstance(event, PoolBatch):
-            self.trace.add(f"pool:{event.op}", event.seconds)
         elif isinstance(event, S2Progress):
             self.trace.add("s2", event.seconds)
         with self._events_cond:

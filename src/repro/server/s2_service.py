@@ -4,8 +4,8 @@ Runs the S2 half of the two-cloud protocol as its own process (or
 host)::
 
     PYTHONPATH=src python -m repro.server.s2_service \\
-        --listen tcp://127.0.0.1:9317 [--s2-workers 4] [--s2-mode auto] \\
-        [--backend auto] [--state-dir /var/lib/repro-s2]
+        --listen tcp://127.0.0.1:9317 [--backend auto] \\
+        [--state-dir /var/lib/repro-s2]
 
 The daemon owns nothing at start — no keys, no relations.  A client
 (the S1 side: :class:`~repro.server.topk_server.TopKServer` or any
@@ -31,15 +31,6 @@ by the shared daemon core (:mod:`repro.server.frame_service`):
    the batches :class:`~repro.net.transport.ThreadedTransport` carries
    in-process.  S2-side leakage events ride back inside the REPLY.
 
-``--s2-workers N`` attaches one shared
-:class:`~repro.crypto.parallel.ComputePool` that chunks every session's
-large decrypt batches across workers — the daemon-side analog of
-``TopKServer(s2_workers=...)``.  ``--s2-mode`` picks the pool flavour
-(GIL-free kernel threads / worker processes / auto).  The pool starts at
-the *first registration* (the earliest moment key material exists),
-outside the service lock; ``make_pool_executor`` documents why fork
-stays the right start method even with service threads live.
-
 A dropped client connection tears down all of its sessions; a dispatch
 or handler failure is reported as an ERROR frame on the session it
 belongs to (typed :class:`~repro.exceptions.RemoteS2Error` on the
@@ -62,7 +53,6 @@ import queue
 import threading
 import time
 
-from repro.crypto.parallel import ComputePool
 from repro.exceptions import TransportError
 from repro.net.dispatch import S2Dispatcher
 from repro.net.socket_transport import (
@@ -210,12 +200,6 @@ class S2Service(FrameService):
     listen:
         ``tcp://host:port`` (port 0 picks a free one) or
         ``unix:///path`` (a stale socket file is replaced).
-    s2_workers:
-        When positive, one shared :class:`ComputePool` of that many
-        workers chunks every session's large decrypt batches.
-    s2_mode:
-        Pool flavour — ``"thread"`` / ``"process"`` / ``"auto"`` (see
-        :class:`~repro.crypto.parallel.ComputePool`).
     state_dir:
         When set, every relation registration is spilled to
         ``<state_dir>/<relation_id>.reg`` (the raw REGISTER payload,
@@ -233,16 +217,10 @@ class S2Service(FrameService):
     def __init__(
         self,
         listen: str = "tcp://127.0.0.1:0",
-        s2_workers: int = 0,
-        s2_mode: str = "auto",
         state_dir: str | None = None,
         metrics_port: int | None = None,
     ):
         super().__init__(listen, SUPPORTED_BANNERS, state_dir, metrics_port)
-        self.s2_workers = s2_workers
-        self.s2_mode = s2_mode
-        self.compute: ComputePool | None = None
-        self._pool_started = False
         self._registry: dict[str, tuple] = {}
         self.handlers = {
             REGISTER: self._on_register,
@@ -290,14 +268,6 @@ class S2Service(FrameService):
             self._register(blob, None)
         return super().start()
 
-    def _release(self) -> None:
-        if self.compute is not None:
-            # Connections were torn down already, so the drain is usually
-            # instant; wait=True covers a handler that slipped a batch in
-            # just before the shutdown flag landed.
-            self.compute.close(wait=True)
-            self.compute = None
-
     # -- frame handlers --------------------------------------------------
 
     def _on_register(self, conn: Connection, session_id: int, payload: bytes) -> None:
@@ -317,13 +287,7 @@ class S2Service(FrameService):
             conn.send_error(session_id, "duplicate-session", str(session_id))
             return
         keypair, dj = entry
-        cloud = CryptoCloud(
-            keypair,
-            dj,
-            rng=pickle.loads(blob),
-            leakage=LeakageLog(),
-            compute=self.compute,
-        )
+        cloud = CryptoCloud(keypair, dj, rng=pickle.loads(blob), leakage=LeakageLog())
         conn.sessions[session_id] = _Session(conn, session_id, cloud, label)
         with self._lock:
             self._counters["sessions_opened"].inc()
@@ -341,9 +305,6 @@ class S2Service(FrameService):
             self._counters["requests_served"].inc()
             self._counters["requests_in_flight"].inc()
             in_flight = self._counters["requests_in_flight"].value
-            # Peak concurrency is how rendezvous coalescing shows up on
-            # the daemon side: a coalesced group of N jobs lands N
-            # REQUEST frames near-simultaneously.
             if in_flight > self._counters["requests_in_flight_peak"].value:
                 self._counters["requests_in_flight_peak"].set(in_flight)
         session.requests.put(payload)
@@ -387,7 +348,6 @@ class S2Service(FrameService):
         exactly what the client uploaded.
         """
         relation_id = blob["relation_id"]
-        build_pool = False
         persist = False
         with self._lock:
             if payload is not None:
@@ -400,27 +360,8 @@ class S2Service(FrameService):
                 else:
                     self._counters["registrations"].inc()
                     persist = self.state_dir is not None
-                # The pool workers hold key material, so the first
-                # registration is the earliest the pool can fork.  The
-                # multi-second fork+warmup happens *outside* the lock —
-                # other connections keep registering and opening sessions
-                # meanwhile (their clouds just run pool-less until the
-                # pool lands, which is transcript-invisible).
-                if self.s2_workers > 0 and not self._pool_started:
-                    self._pool_started = True
-                    build_pool = True
         if persist:
             self.spill(f"{relation_id}.reg", payload)
-        if build_pool:
-            pool = ComputePool(
-                blob["keypair"], blob["dj"], workers=self.s2_workers, mode=self.s2_mode
-            )
-            with self._lock:
-                closed = self._closed.is_set()
-                if not closed:
-                    self.compute = pool
-            if closed:
-                pool.close()
 
     def _mutate_registration(self, old_id: str, new_id: str) -> None:
         """Re-key one registration after a client-side relation mutation.
@@ -464,27 +405,10 @@ launch_daemon = functools.partial(
     frame_service.launch_daemon, "repro.server.s2_service"
 )
 
-#: The CLI options only this daemon has.
-_CLI_EXTRAS = (
-    (
-        "--s2-workers",
-        dict(type=int, default=0, help="compute-pool workers for large decrypt batches"),
-    ),
-    (
-        "--s2-mode",
-        dict(
-            default="auto",
-            choices=("auto", "thread", "process"),
-            help="compute-pool flavour: GIL-free kernel threads, worker "
-            "processes, or auto-select (default)",
-        ),
-    ),
-)
-
 
 def main(argv: list[str] | None = None) -> None:
     """CLI entry point: ``python -m repro.server.s2_service``."""
-    frame_service.daemon_main(S2Service, _CLI_EXTRAS, argv)
+    frame_service.daemon_main(S2Service, argv)
 
 
 if __name__ == "__main__":

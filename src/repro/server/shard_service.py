@@ -400,7 +400,7 @@ launch_daemon = functools.partial(
 
 def main(argv: list[str] | None = None) -> None:
     """CLI entry point: ``python -m repro.server.shard_service``."""
-    frame_service.daemon_main(ShardService, (), argv)
+    frame_service.daemon_main(ShardService, argv)
 
 
 if __name__ == "__main__":

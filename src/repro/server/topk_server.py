@@ -20,21 +20,18 @@ Long-lived interactive callers can still open an isolated
 own transport) but share the relation, key material and the
 deliberately cross-query query-pattern history.
 
-Two axes of parallelism:
-
-* ``execute_many(..., mode="process")`` fans whole jobs across a
-  persistent worker-process pool, so independent queries use multiple
-  cores despite the GIL (thread mode only overlaps link latency).  A
-  request's randomness streams are salted by its *request id*, not by
-  which worker serves it, so a process-mode batch is replay-identical
-  to the same batch run sequentially.
-* ``s2_workers > 0`` attaches a :class:`~repro.crypto.parallel.ComputePool`
-  to every job's crypto cloud, so a *single* query's coalesced
-  per-depth decrypt batches are chunked across processes too.  Pick the
-  axis that matches the workload shape (many small queries → process
-  mode; few large queries → ``s2_workers``): process-mode worker
-  jobs deliberately run without the S2 pool, so the two never
-  oversubscribe cores with nested pools.
+One axis of parallelism: ``execute_many(..., mode="process")`` fans
+whole jobs across a persistent worker-process pool, so independent
+queries use multiple cores despite the GIL (thread mode only overlaps
+link latency and the kernel's GIL-free stretches).  A request's
+randomness streams are salted by its *request id*, not by which worker
+serves it, so a process-mode batch is replay-identical to the same
+batch run sequentially.  It stays because it measures: 16 fresh tokens
+at paper parameters on 2 vCPUs ran 16.2 qps at process ``concurrency=2``
+against 8.9 sequential (×1.82) and 12.1 at thread ``concurrency=2``
+(×1.34).  Splitting a *single* query's rounds across cores does not pay
+— a round carries a handful of ciphertexts and is one GIL-free kernel
+call already — so nothing here does.
 
 ``rtt_ms`` adds a simulated per-round link latency (the two clouds live
 at different providers in the paper's deployment model), which is what
@@ -60,13 +57,8 @@ from repro.core.results import QueryConfig, QueryResult
 from repro.core.scheme import SecTopK
 from repro.core.token import Token
 from repro.crypto import backend
-from repro.crypto.parallel import (
-    ComputePool,
-    make_pool_executor,
-    observe_batches,
-    pool_start_method,
-)
-from repro.events import PoolBatch, TopKChanged
+from repro.crypto.parallel import make_pool_executor, pool_start_method
+from repro.events import TopKChanged
 from repro.exceptions import (
     JobCancelled,
     JobTimeout,
@@ -84,7 +76,6 @@ from repro.server.frame_service import atomic_write
 from repro.server.jobs import JobStatus, QueryJob, WatchJob, WatchSummary
 from repro.server.mutations import MutableRelation, MutationResult, mutation_delta
 from repro.server.query_cache import QueryCache
-from repro.server.rendezvous import CoalescingTransport, ScanRendezvous
 from repro.server.sharding import invalidate_slices
 
 _QUEUE_DEPTH = REGISTRY.gauge(
@@ -203,7 +194,6 @@ def _run_salted_query(
     relation,
     transport: str,
     rtt_ms: float,
-    compute,
     salt: str,
     token: Token,
     config: QueryConfig | None,
@@ -211,7 +201,6 @@ def _run_salted_query(
     control=None,
     session_label: str | None = None,
     shard_executor=None,
-    transport_wrap=None,
     shard_placement: tuple[str, ...] | None = None,
 ) -> QueryResult:
     """One salted query with leakage attached — the single body behind
@@ -220,15 +209,13 @@ def _run_salted_query(
 
     ``on_event`` / ``control`` are the job hooks (progress streaming,
     cooperative cancellation); they are observations only, so a hooked
-    run is transcript-identical to a bare one.  ``transport_wrap``
-    interposes on the context's link (the scan rendezvous rides here).
-    When the query fails, a dead transport's secondary close error is
-    suppressed so the original failure surfaces undisturbed.
+    run is transcript-identical to a bare one.  When the query fails, a
+    dead transport's secondary close error is suppressed so the original
+    failure surfaces undisturbed.
     """
     ctx = scheme._make_context(
-        transport=transport, salt=salt, compute=compute, rtt_ms=rtt_ms,
-        relation=relation, on_event=on_event, control=control,
-        session_label=session_label, transport_wrap=transport_wrap,
+        transport=transport, salt=salt, rtt_ms=rtt_ms, relation=relation,
+        on_event=on_event, control=control, session_label=session_label,
     )
     with owned_context(ctx):
         # scheme._query attaches the per-query leakage slice itself; on
@@ -255,7 +242,6 @@ def _run_query(
         _QUERY_WORKER["relation"],
         _QUERY_WORKER["transport"],
         _QUERY_WORKER["rtt_ms"],
-        None,
         salt,
         token,
         config,
@@ -349,17 +335,6 @@ class TopKServer:
         including process-mode worker jobs — opens by relation id alone.
     rtt_ms:
         Simulated link round-trip latency added to every exchange.
-    s2_workers:
-        When positive, one shared :class:`ComputePool` of that many
-        workers serves every job's crypto cloud, chunking large decrypt
-        batches across cores.  Local transports only: a remote daemon
-        configures its own pool (``--s2-workers``).
-    s2_mode:
-        Compute-pool flavour: ``"thread"`` (GIL-free kernel threads,
-        zero IPC), ``"process"`` (worker processes with shared-memory
-        chunk transport), or ``"auto"`` (thread when the compiled
-        ``gmp-kernel`` is available, else process).  Ignored when
-        ``s2_workers == 0``.
     max_pending:
         Bound of the job queue.  A full queue applies backpressure:
         :meth:`submit` blocks until a scheduler worker frees a slot.
@@ -405,14 +380,6 @@ class TopKServer:
         accounting a cache hit would falsify.
     cache_capacity:
         LRU bound of the result cache (entries).
-    coalesce_ms:
-        Scan-rendezvous window (default 0 = off): with ``N >= 2``
-        concurrent jobs running, a job reaching a round boundary holds
-        the door this many milliseconds for the others, and the group's
-        S2 requests go out as one combined round-trip (per-job
-        transcripts stay bit-identical to solo runs; see
-        :mod:`repro.server.rendezvous`).  Pick a couple of milliseconds
-        — enough for scheduling jitter, far below an RTT.
     warm_start:
         Make every query warm-start by default (as if
         ``QueryConfig(warm_start=True)``): the engine's first halting
@@ -436,14 +403,11 @@ class TopKServer:
         relation: EncryptedRelation | MutableRelation,
         transport: str = "inprocess",
         rtt_ms: float = 0.0,
-        s2_workers: int = 0,
-        s2_mode: str = "auto",
         max_pending: int = 128,
         scheduler_workers: int = 8,
         shards: int | list[str] | tuple[str, ...] = 0,
         cache: bool = True,
         cache_capacity: int = 256,
-        coalesce_ms: float = 0.0,
         warm_start: bool = False,
         metrics_port: int | None = None,
         state_dir: str | None = None,
@@ -461,13 +425,8 @@ class TopKServer:
         self.transport = transport
         self.rtt_ms = rtt_ms
         # Validate the cheap parameters before acquiring any resource
-        # (compute pool, relation-store pin) — a half-constructed server
-        # has no reachable close().
-        if s2_workers > 0 and is_socket_address(transport):
-            raise ValueError(
-                "s2_workers configures a local compute pool; a remote S2 "
-                "daemon owns its own (start it with --s2-workers)"
-            )
+        # (relation-store pin) — a half-constructed server has no
+        # reachable close().
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if scheduler_workers < 1:
@@ -492,17 +451,12 @@ class TopKServer:
             if shards < 0:
                 raise ValueError("shards must be >= 0")
             self.shard_placement = None
-        if coalesce_ms < 0:
-            raise ValueError("coalesce_ms must be >= 0")
         if cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
         self.shards = shards
         self.warm_start = warm_start
-        self.coalesce_ms = coalesce_ms
-        # Cross-query reuse layer: result cache + scan rendezvous (see
-        # ARCHITECTURE.md, reuse layer).
+        # Cross-query reuse layer (see ARCHITECTURE.md, reuse layer).
         self._cache = QueryCache(cache_capacity) if cache else None
-        self._rendezvous = ScanRendezvous(coalesce_ms) if coalesce_ms > 0 else None
         # Shard-worker thread pool, created on the first sharded job and
         # shared by every job/session of this server (the scheduler's
         # placement target for shard slice preparation and window
@@ -512,11 +466,6 @@ class TopKServer:
         # servers sharing one scheme must never collide (a collision
         # would replay blinding/permutation streams across queries).
         self._salt_namespace = scheme.context_namespace()
-        self._compute = (
-            ComputePool(scheme.keypair, scheme.dj, workers=s2_workers, mode=s2_mode)
-            if s2_workers > 0
-            else None
-        )
         # Pin the relation in the process-wide store: forked query
         # workers inherit it outright, spawn-started ones receive its
         # cached pickle — either way repeated batches and rebuilt pools
@@ -585,7 +534,6 @@ class TopKServer:
             ctx = self.scheme._make_context(
                 transport=self.transport,
                 label=f":session-{session_id}",
-                compute=self._compute,
                 rtt_ms=self.rtt_ms,
                 relation=self.relation,
             )
@@ -720,7 +668,6 @@ class TopKServer:
         result.depth_seconds = []
         result.shard_stats = None
         result.cache_hit = True
-        result.coalesced_rounds = 0
         result.trace = None  # the serving job attaches its own timeline
         return result
 
@@ -1034,7 +981,6 @@ class TopKServer:
             relation,
             self.transport,
             self.rtt_ms,
-            self._compute,
             salt,
             token,
             job.config,
@@ -1155,7 +1101,6 @@ class TopKServer:
         return {
             "cache": cache_stats,
             "scheduler": scheduler,
-            "coalesce_ms": self.coalesce_ms,
             "warm_start": self.warm_start,
             "halting_depth_hint": self.scheme.halting_depth_hint(
                 self._relation_key
@@ -1333,11 +1278,9 @@ class TopKServer:
         """Default runner: the job's query in this scheduler thread
         (shard work, if any, placed on the server's shard-worker pool).
 
-        Reuse layer, in order: a cache hit returns immediately (zero
-        rounds, no rendezvous enrollment — the job exchanges nothing);
-        otherwise the job enrolls in the scan rendezvous (when enabled)
-        so its rounds can share round-trips with concurrent jobs, and
-        its fresh result feeds the cache on the way out.
+        Reuse layer: a cache hit returns immediately (zero rounds — the
+        job exchanges nothing); otherwise the fresh result feeds the
+        cache on the way out.
         """
         # Snapshot the served relation and its key together: a mutation
         # landing mid-job swaps both atomically, and a job must never
@@ -1351,47 +1294,20 @@ class TopKServer:
         cached = self._cache_lookup(job.token, job.config, relation_key)
         if cached is not None:
             return cached
-        rendezvous = self._rendezvous
-        wrappers: list[CoalescingTransport] = []
-        transport_wrap = None
-        if rendezvous is not None:
-
-            def transport_wrap(link):
-                wrapper = CoalescingTransport(link, rendezvous)
-                wrappers.append(wrapper)
-                return wrapper
-
-            rendezvous.enroll()
-
-        def on_batch(op, values, seconds):
-            # Compute-pool batches run on this job's thread (inprocess
-            # transport), so the thread-local observer attributes them
-            # to exactly this job's event stream and trace.
-            job._record_event(PoolBatch(op=op, values=values, seconds=seconds))
-
-        try:
-            with observe_batches(on_batch):
-                result = _run_salted_query(
-                    self.scheme,
-                    relation,
-                    self.transport,
-                    self.rtt_ms,
-                    self._compute,
-                    self._request_salt(job.job_id),
-                    job.token,
-                    job.config,
-                    on_event=job._record_event,
-                    control=job._control,
-                    session_label=f"job-{job.job_id}",
-                    shard_executor=self._shard_executor(job.config),
-                    transport_wrap=transport_wrap,
-                    shard_placement=self.shard_placement,
-                )
-        finally:
-            if rendezvous is not None:
-                rendezvous.withdraw()
-        if wrappers:
-            result.coalesced_rounds = wrappers[0].coalesced_rounds
+        result = _run_salted_query(
+            self.scheme,
+            relation,
+            self.transport,
+            self.rtt_ms,
+            self._request_salt(job.job_id),
+            job.token,
+            job.config,
+            on_event=job._record_event,
+            control=job._control,
+            session_label=f"job-{job.job_id}",
+            shard_executor=self._shard_executor(job.config),
+            shard_placement=self.shard_placement,
+        )
         self._cache_store(job.token, job.config, result, relation_key)
         # A fresh result observed a halting depth: make the warm-start
         # history durable (no-op without state_dir).
@@ -1460,10 +1376,9 @@ class TopKServer:
         runs first — threads share the live history.
 
         ``concurrency <= 1`` always runs strictly sequentially (one job
-        at a time through the queue; the S2 compute pool still applies)
-        — with one request at a time there is no parallelism for a
-        worker process to add, and the execution is replay-identical by
-        construction.
+        at a time through the queue) — with one request at a time there
+        is no parallelism for a worker process to add, and the execution
+        is replay-identical by construction.
         """
         if mode not in ("thread", "process"):
             raise ValueError(f"unknown execute_many mode: {mode!r}")
@@ -1660,7 +1575,6 @@ class TopKServer:
             self._sessions.clear()
             pool, self._query_pool = self._query_pool, None
             self._query_pool_workers = 0
-            compute, self._compute = self._compute, None
             shard_pool, self._shard_pool = self._shard_pool, None
         # Scheduler teardown: cancel queued jobs, stop running ones at
         # the next round boundary, retire the workers.
@@ -1670,11 +1584,6 @@ class TopKServer:
             threads = list(self._scheduler_thread_objs)
         for job in running:
             job.cancel()
-        # Drain the scan rendezvous before joining anything: a job parked
-        # at the coalescing barrier must wake with JobCancelled, not hang
-        # waiting for peers that will never arrive.
-        if self._rendezvous is not None:
-            self._rendezvous.close()
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
         self._drain_queue()
@@ -1694,12 +1603,6 @@ class TopKServer:
         self._drain_queue()  # anything that slipped in during teardown
         for session in sessions:
             session.close()
-        if compute is not None:
-            # Drain rather than cancel: the job threads joined above, but
-            # an external caller sharing this pool (a daemon session
-            # racing the shutdown) gets its in-flight batch back instead
-            # of a mid-protocol cancellation.
-            compute.close(wait=True)
         if shard_pool is not None:
             # Running jobs were already stopped/waited above, so no
             # shard task can still be queued behind this shutdown.

@@ -501,6 +501,32 @@ class TestCuratedSurface:
         for name in repro.__all__:
             assert getattr(repro, name) is not None
 
+    def test_connect_knobs_are_server_knobs(self):
+        """``connect`` forwards its keyword-only options to ``TopKServer``
+        and neither accepts a retired pool / rendezvous knob."""
+        import inspect
+
+        server_params = inspect.signature(TopKServer.__init__).parameters
+        keyword_only = [
+            name
+            for name, param in inspect.signature(repro.connect).parameters.items()
+            if param.kind is inspect.Parameter.KEYWORD_ONLY
+        ]
+        assert keyword_only and set(keyword_only) <= set(server_params)
+        scheme, relation, _ = _fresh_deployment()
+        for retired in ({"s2_workers": 2}, {"s2_mode": "thread"}, {"coalesce_ms": 2.0}):
+            with pytest.raises(TypeError):
+                repro.connect(scheme, relation, **retired)
+            with pytest.raises(TypeError):
+                TopKServer(scheme, relation, **retired)
+
+    def test_daemon_cli_rejects_retired_pool_flag(self):
+        from repro.server import s2_service
+
+        with pytest.raises(SystemExit) as exit_info:
+            s2_service.main(["--s2-workers", "2"])
+        assert exit_info.value.code == 2
+
 
 class TestSchedulerRobustness:
     def test_bounded_queue_backpressure_drains(self):

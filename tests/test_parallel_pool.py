@@ -1,10 +1,8 @@
-"""ComputePool unit tests: chunking, modes, slab transport, lifecycle.
+"""ComputePool unit tests: chunk geometry, the thread / inline compute
+paths, validation, the closed-pool contract, and the kernel limb format.
 
-The server-level invariant (a pooled query's transcript is bit-identical
-to an unpooled one) lives in ``tests/test_server.py``; here the pool is
-exercised directly — balanced chunk geometry, the thread / process /
-inline compute paths, the shared-memory slab round-trip, and the
-failure-mode contract (closed pools, dead pools, drain-on-close).
+The pool is wired to nothing in ``repro.server``; it exists for
+``perfbench``'s ``crypto.pool_*`` probe (see ``repro.crypto.parallel``).
 """
 
 from __future__ import annotations
@@ -12,10 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto import backend, kernels
-from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.parallel import ComputePool, _chunk_count, _chunks, pool_start_method
 from repro.crypto.rng import SecureRandom
-from repro.exceptions import ComputePoolError
 
 needs_kernel = pytest.mark.skipif(
     not backend.kernel_available(), reason="gmp kernel unavailable"
@@ -23,22 +19,11 @@ needs_kernel = pytest.mark.skipif(
 
 
 @pytest.fixture(scope="module")
-def dj(keypair):
-    return DamgardJurik(keypair.public_key, s=2)
-
-
-@pytest.fixture(scope="module")
-def payload(keypair, dj):
-    """Ciphertext values plus their expected plaintexts/inner values."""
+def payload(keypair):
+    """Ciphertext values plus their expected plaintexts."""
     rng = SecureRandom(31)
-    plains = list(range(24))
-    dec_vals = [keypair.public_key.encrypt(v, rng).value for v in plains]
-    strip_vals = [dj.encrypt(v, rng).value for v in plains]
-    ref_dec = keypair.secret_key.raw_decrypt_batch(dec_vals)
-    ref_strip = dj.decrypt_batch(
-        [LayeredCiphertext(v, dj) for v in strip_vals], keypair
-    )
-    return dec_vals, ref_dec, strip_vals, ref_strip
+    dec_vals = [keypair.public_key.encrypt(v, rng).value for v in range(24)]
+    return dec_vals, keypair.secret_key.raw_decrypt_batch(dec_vals)
 
 
 class TestChunking:
@@ -68,131 +53,49 @@ class TestChunking:
         assert _chunk_count(10, 4, 0) == 4  # guarded against division by 0
 
 
+@needs_kernel
 class TestComputePaths:
-    """decrypt/strip results are identical on every mode × transport."""
+    """Pooled decryption equals ``raw_decrypt_batch`` on both paths."""
 
-    def _check(self, pool, payload):
-        dec_vals, ref_dec, strip_vals, ref_strip = payload
-        try:
+    def test_thread_mode(self, keypair, payload):
+        dec_vals, ref_dec = payload
+        with ComputePool(keypair, workers=3, min_batch=4, mode="thread") as pool:
             assert pool.decrypt_values(dec_vals) == ref_dec
-            assert pool.strip_values(strip_vals) == ref_strip
-        finally:
-            pool.close()
 
-    def test_inline_below_min_batch(self, keypair, dj, payload):
-        dec_vals, ref_dec, _, _ = payload
-        pool = ComputePool(keypair, dj, workers=4, min_batch=64, mode="process",
-                           transport="pickle")
-        try:
-            # 24 values < min_batch=64: computed inline, no fan-out.
+    def test_inline_below_min_batch(self, keypair, payload, monkeypatch):
+        dec_vals, ref_dec = payload
+        with ComputePool(keypair, workers=4, min_batch=64) as pool:
+            # 24 values < 2 * min_batch: computed inline, no fan-out.
+            monkeypatch.setattr(
+                pool._executor, "map", lambda *a: pytest.fail("fanned out")
+            )
             assert pool.decrypt_values(dec_vals) == ref_dec
-        finally:
-            pool.close()
-
-    @needs_kernel
-    def test_thread_mode(self, keypair, dj, payload):
-        pool = ComputePool(keypair, dj, workers=3, min_batch=4, mode="thread")
-        assert pool.transport == "none"
-        self._check(pool, payload)
-
-    def test_process_pickle(self, keypair, dj, payload):
-        pool = ComputePool(keypair, dj, workers=3, min_batch=4, mode="process",
-                           transport="pickle")
-        self._check(pool, payload)
-
-    def test_process_shm(self, keypair, dj, payload):
-        pool = ComputePool(keypair, dj, workers=3, min_batch=4, mode="process",
-                           transport="shm")
-        self._check(pool, payload)
-
-    def test_process_shm_oversize_chunk_falls_back(self, keypair, dj, payload):
-        # slab_items=2 < chunk size: every chunk takes the pickle path.
-        pool = ComputePool(keypair, dj, workers=3, min_batch=4, mode="process",
-                           transport="shm", slab_items=2)
-        self._check(pool, payload)
-
-    def test_auto_mode_resolves(self, keypair, dj):
-        pool = ComputePool(keypair, dj, workers=2)
-        try:
-            expected = "thread" if backend.kernel_available() else "process"
-            assert pool.mode == expected
-        finally:
-            pool.close()
-
-    def test_spawn_initializer_path(self, keypair, dj, payload, monkeypatch):
-        """Workers started without fork inheritance (the initializer
-        carries all state) still produce identical results."""
-        import multiprocessing
-
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            pytest.skip("spawn not available")
-        monkeypatch.setattr(
-            "repro.crypto.parallel.pool_start_method", lambda: "spawn"
-        )
-        pool = ComputePool(keypair, dj, workers=2, min_batch=4, mode="process",
-                           transport="shm")
-        self._check(pool, payload)
 
 
 class TestValidation:
-    def test_unknown_mode_rejected(self, keypair, dj):
-        with pytest.raises(ValueError):
-            ComputePool(keypair, dj, mode="fiber")
+    def test_unknown_mode_rejected(self, keypair):
+        for mode in ("fiber", "process", "auto"):
+            with pytest.raises(ValueError, match="mode"):
+                ComputePool(keypair, mode=mode)
 
-    def test_unknown_transport_rejected(self, keypair, dj):
-        with pytest.raises(ValueError):
-            ComputePool(keypair, dj, mode="process", transport="carrier-pigeon")
-
-    def test_thread_mode_requires_kernel(self, keypair, dj, monkeypatch):
+    def test_thread_mode_requires_kernel(self, keypair, monkeypatch):
         monkeypatch.setattr(backend, "kernel_available", lambda: False)
         with pytest.raises(ValueError, match="gmp-kernel"):
-            ComputePool(keypair, dj, mode="thread")
+            ComputePool(keypair, mode="thread")
 
 
+@needs_kernel
 class TestLifecycle:
-    def test_closed_pool_rejects_batches(self, keypair, dj, payload):
-        dec_vals = payload[0]
-        pool = ComputePool(keypair, dj, workers=2, min_batch=4, mode="process",
-                           transport="pickle")
+    def test_closed_pool_rejects_batches(self, keypair, payload):
+        pool = ComputePool(keypair, workers=2, min_batch=4)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.decrypt_values(dec_vals)
+            pool.decrypt_values(payload[0])
         pool.close()  # idempotent
-
-    def test_close_wait_drains(self, keypair, dj, payload):
-        dec_vals, ref_dec, _, _ = payload
-        pool = ComputePool(keypair, dj, workers=2, min_batch=4, mode="process",
-                           transport="shm")
-        assert pool.decrypt_values(dec_vals) == ref_dec
-        pool.close(wait=True)
-        pool.close(wait=True)
-
-    def test_slab_released_on_close(self, keypair, dj):
-        from multiprocessing import shared_memory
-
-        pool = ComputePool(keypair, dj, workers=2, mode="process", transport="shm")
-        name = pool._shm.name
-        pool.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_dead_pool_raises_typed_error(self, keypair, dj, payload):
-        dec_vals = payload[0]
-        pool = ComputePool(keypair, dj, workers=2, min_batch=4, mode="process",
-                           transport="pickle")
-        try:
-            # Kill the workers underneath the pool: the next batch must
-            # surface as the typed ComputePoolError, not BrokenProcessPool.
-            for proc in pool._executor._processes.values():
-                proc.terminate()
-            with pytest.raises(ComputePoolError):
-                pool.decrypt_values(dec_vals)
-        finally:
-            pool.close()
 
 
 class TestLimbFormat:
-    """The fixed-width word format shared by the kernel and the slab."""
+    """The fixed-width word format the kernel speaks."""
 
     def test_round_trip(self):
         values = [0, 1, 2**63, 2**64 - 1, 2**64, 2**191, 2**192 - 1]
@@ -200,15 +103,8 @@ class TestLimbFormat:
         buf = kernels.pack_ints(values, words)
         assert kernels.unpack_ints(buf, words, len(values)) == values
 
-    def test_round_trip_at_offset(self):
-        values = [7, 2**127 - 1]
-        buf = bytearray(200)
-        kernels.pack_ints(values, 2, out=buf, offset=40)
-        assert kernels.unpack_ints(buf, 2, 2, 40) == values
-
     def test_width_limit_enforced(self):
-        # A value too wide for its slot must fail loudly, not truncate —
-        # the guarantee the slab transport's correctness rests on.
+        # A value too wide for its slot must fail loudly, not truncate.
         with pytest.raises(OverflowError):
             kernels.pack_ints([2**64], 1)
         assert kernels.unpack_ints(kernels.pack_ints([2**64 - 1], 1), 1, 1) == [

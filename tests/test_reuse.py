@@ -1,4 +1,4 @@
-"""Cross-query scan reuse: result cache, scan coalescing, warm starts.
+"""Cross-query scan reuse: result cache, warm starts.
 
 Locks down the PR-7 reuse layer:
 
@@ -9,12 +9,6 @@ Locks down the PR-7 reuse layer:
   event the paper's L1 profile already grants S1; misses, evictions,
   re-registration invalidation and the ``cache=False`` opt-outs all
   behave; sessions bypass the cache entirely.
-* **Depth-scan coalescing** — concurrent jobs sharing physical
-  round-trips keep per-job transcripts bit-identical to solo runs
-  (property-based, in the style of ``test_sharding``), a lone job
-  passes through untouched, and ``TopKServer.close()`` drains the
-  rendezvous so a parked job surfaces ``JobCancelled`` instead of
-  hanging.
 * **Warm starts** — history-driven first-check placement never changes
   the returned top-k (tie-tolerant exact-score oracle; same contract
   as the batch variant) and only ever reduces pre-halt rounds.
@@ -25,17 +19,14 @@ cleanly where only the dependency-free core is installed.
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
 from repro.core.params import SystemParams
 from repro.core.results import QueryConfig
 from repro.core.scheme import SecTopK
 from repro.crypto.rng import SecureRandom
-from repro.exceptions import JobCancelled, QueryError
-from repro.server import QueryCache, ScanRendezvous, TopKServer
+from repro.exceptions import QueryError
+from repro.server import QueryCache, TopKServer
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnhandledThreadExceptionWarning"
@@ -229,118 +220,9 @@ class TestResultCache:
             QueryConfig(min_check_depth=0)
 
 
-# ---------------------------------------------------------------------------
-# Shared depth-scan coalescing.
-# ---------------------------------------------------------------------------
-
-
-class TestCoalescing:
-    def test_single_job_passes_through(self):
-        """A lone job on a coalescing server: transcript bit-identical
-        to a plain server, zero coalesced rounds, no added waiting."""
-        scheme, relation, _ = _deployment()
-        with TopKServer(scheme, relation, cache=False) as server:
-            base = server.execute(scheme.token([0, 1], k=2))
-            base_t = _transcript(scheme, base)
-        scheme, relation, _ = _deployment()
-        with TopKServer(
-            scheme, relation, cache=False, transport="threaded", coalesce_ms=40.0
-        ) as server:
-            solo = server.execute(scheme.token([0, 1], k=2))
-        assert _transcript(scheme, solo) == base_t
-        assert solo.coalesced_rounds == 0
-
-    def test_concurrent_jobs_share_rounds(self):
-        scheme, relation, _ = _deployment()
-        with TopKServer(
-            scheme, relation, cache=False, transport="threaded", coalesce_ms=60.0
-        ) as server:
-            tokens = [scheme.token([0, 1], k=2), scheme.token([1, 2], k=2)]
-            jobs = [server.submit(t) for t in tokens]
-            results = [j.result(timeout=60.0) for j in jobs]
-        assert any(r.coalesced_rounds > 0 for r in results)
-        assert all(r.stats.coalesced_rounds == r.coalesced_rounds for r in results)
-
-    def test_close_drains_parked_job(self):
-        """Satellite 6: a job waiting at the coalescing barrier must
-        surface ``JobCancelled`` on ``close()``, not hang."""
-        scheme, relation, _ = _deployment()
-        server = TopKServer(
-            scheme, relation, cache=False, transport="threaded", coalesce_ms=30_000.0
-        )
-        try:
-            # A phantom second enrollee forces every round of the real
-            # job to open a window and wait for a peer that never comes.
-            server._rendezvous.enroll()
-            job = server.submit(scheme.token([0, 1], k=2))
-            time.sleep(0.3)  # let the job reach its first barrier
-            start = time.monotonic()
-        finally:
-            server.close()
-        with pytest.raises(JobCancelled):
-            job.result(timeout=15.0)
-        assert time.monotonic() - start < 10.0
-
-    def test_rendezvous_unit_lifecycle(self):
-        with pytest.raises(ValueError):
-            ScanRendezvous(0)
-
-        class _Pipe:
-            rtt_ms = 0.0
-
-            def exchange(self, messages):
-                return [m * 2 for m in messages]
-
-            def begin_exchange(self, messages):
-                return messages
-
-            def finish_exchange(self, state):
-                return [m * 2 for m in state]
-
-        rv = ScanRendezvous(window_ms=10_000.0)
-        # Passthrough with one enrollee: plain exchange, not shared.
-        rv.enroll()
-        replies, shared = rv.exchange(_Pipe(), [1, 2])
-        assert replies == [2, 4] and not shared
-
-        # Two enrollees arriving concurrently: one shared round.
-        rv.enroll()
-        out = {}
-
-        def job(name):
-            out[name] = rv.exchange(_Pipe(), [3])
-
-        threads = [threading.Thread(target=job, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30.0)
-        assert out[0] == ([6], True) and out[1] == ([6], True)
-
-        # close() fails a parked leader promptly and rejects new rounds.
-        parked: dict = {}
-
-        def parked_leader():
-            try:
-                rv.exchange(_Pipe(), [4])
-            except BaseException as exc:  # noqa: BLE001
-                parked["error"] = exc
-
-        t = threading.Thread(target=parked_leader)
-        t.start()
-        time.sleep(0.2)
-        rv.close()
-        t.join(timeout=10.0)
-        assert not t.is_alive()
-        assert isinstance(parked["error"], JobCancelled)
-        with pytest.raises(JobCancelled):
-            rv.exchange(_Pipe(), [5])
-
-
 class TestReuseBehindDaemon:
     """The reuse layer composes with the socket transport: cache hits
-    skip the daemon entirely, and the rendezvous drives the split-phase
-    ``S2Client`` request path."""
+    skip the daemon entirely."""
 
     @pytest.fixture()
     def daemon(self):
@@ -353,23 +235,19 @@ class TestReuseBehindDaemon:
         disconnect_all()
         service.close()
 
-    def test_cache_and_coalescing_over_tcp(self, daemon):
+    def test_cache_hit_over_tcp(self, daemon):
         service, address = daemon
         scheme, relation, _ = _deployment()
-        with TopKServer(
-            scheme, relation, transport=address, coalesce_ms=60.0
-        ) as server:
+        with TopKServer(scheme, relation, transport=address) as server:
             tokens = [scheme.token([0, 1], k=2), scheme.token([1, 2], k=2)]
             jobs = [server.submit(t) for t in tokens]
             fresh = [j.result(timeout=120.0) for j in jobs]
             served_before = service.stats()["requests_served"]
             hit = server.execute(tokens[0])
-        assert any(r.coalesced_rounds > 0 for r in fresh)
         assert hit.cache_hit and hit.stats.rounds == 0
         assert scheme.reveal(hit) == scheme.reveal(fresh[0])
         # The hit never reached the daemon.
         assert service.stats()["requests_served"] == served_before
-        # Coalesced groups land as concurrent in-flight REQUESTs.
         assert service.stats()["requests_in_flight_peak"] >= 1
 
 
@@ -407,11 +285,9 @@ class TestWarmStart:
     def test_reuse_defaults_do_not_move_fresh_transcripts(self):
         """A default server (cache on) produces the exact transcript of
         one with the whole reuse layer disabled — the layer is inert
-        until a repeat, a concurrent scan, or a warm-start opt-in."""
+        until a repeat or a warm-start opt-in."""
         scheme, relation, _ = _deployment()
-        with TopKServer(
-            scheme, relation, cache=False, coalesce_ms=0.0, warm_start=False
-        ) as server:
+        with TopKServer(scheme, relation, cache=False, warm_start=False) as server:
             off = _transcript(scheme, server.execute(scheme.token([0, 1, 2], k=3)))
         scheme2, relation2, _ = _deployment()
         with TopKServer(scheme2, relation2) as server:
@@ -440,7 +316,7 @@ class TestWarmStart:
 
 
 # ---------------------------------------------------------------------------
-# Property harness: coalesced == solo, bit for bit (Hypothesis).
+# Property harness: warm starts never change the top-k (Hypothesis).
 # ---------------------------------------------------------------------------
 
 hypothesis = pytest.importorskip(
@@ -468,11 +344,8 @@ def reuse_cases(draw):
             max_size=n,
         )
     )
-    # Distinct (attrs, k) shapes only: with a *repeated* token the
-    # query-pattern bit lands on whichever duplicate the scheduler
-    # runs first (see execute_many docs), so per-index transcript
-    # comparison is only well-defined for distinct queries — repeats
-    # are the result cache's job, covered by TestResultCache.
+    # Distinct (attrs, k) shapes only — repeats are the result cache's
+    # job, covered by TestResultCache.
     queries = []
     for _ in range(draw(st.integers(min_value=2, max_value=3))):
         attrs = sorted(
@@ -485,37 +358,7 @@ def reuse_cases(draw):
     return rows, queries, engine
 
 
-class TestCoalescingProperty:
-    @settings(**PROPERTY_SETTINGS)
-    @given(case=reuse_cases())
-    def test_coalesced_transcripts_match_solo(self, case):
-        rows, queries, engine = case
-        config = QueryConfig(engine=engine, cache=False)
-
-        def deployment():
-            scheme = SecTopK(SystemParams.tiny(), seed=SEED)
-            return scheme, scheme.encrypt(rows)
-
-        scheme, relation = deployment()
-        solo = []
-        with TopKServer(scheme, relation, cache=False) as server:
-            for attrs, k in queries:
-                result = server.execute(scheme.token(attrs, k=k), config)
-                solo.append(_transcript(scheme, result))
-
-        scheme, relation = deployment()
-        with TopKServer(
-            scheme, relation, cache=False, transport="threaded", coalesce_ms=25.0
-        ) as server:
-            jobs = [
-                server.submit(scheme.token(attrs, k=k), config)
-                for attrs, k in queries
-            ]
-            coalesced = [
-                _transcript(scheme, job.result(timeout=120.0)) for job in jobs
-            ]
-        assert coalesced == solo
-
+class TestWarmStartProperty:
     @settings(**PROPERTY_SETTINGS)
     @given(case=reuse_cases())
     def test_warm_start_preserves_topk(self, case):

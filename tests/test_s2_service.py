@@ -112,21 +112,26 @@ class TestRegistration:
         assert after_second["registration_bytes"] == after_first["registration_bytes"]
 
     def test_two_relations_register_separately(self, daemon):
-        service, address = daemon
-        scheme_a, relation_a, _ = _fresh_deployment(seed=55)
-        scheme_b, relation_b, _ = _fresh_deployment(seed=56)
-        assert relation_a.relation_id() != relation_b.relation_id()
-        with TopKServer(scheme_a, relation_a, transport=address) as server:
-            server.execute(scheme_a.token([0], k=1))
-        with TopKServer(scheme_b, relation_b, transport=address) as server:
-            server.execute(scheme_b.token([0], k=1))
-        assert service.stats()["registrations"] == 2
+        """Two relations under two keys on one daemon: each session
+        decrypts under its own registration's key material, so both
+        answer their plaintext top-k."""
+        from repro.nra import SortedLists, nra_topk
 
-    def test_local_s2_workers_rejected_for_remote(self, daemon):
-        _, address = daemon
-        scheme, relation, _ = _fresh_deployment()
-        with pytest.raises(ValueError, match="--s2-workers"):
-            TopKServer(scheme, relation, transport=address, s2_workers=2)
+        service, address = daemon
+        scheme_a, relation_a, rows_a = _fresh_deployment(seed=55)
+        scheme_b, relation_b, rows_b = _fresh_deployment(seed=56)
+        assert relation_a.relation_id() != relation_b.relation_id()
+        assert scheme_a.public_key != scheme_b.public_key
+        for scheme, relation, rows in (
+            (scheme_a, relation_a, rows_a),
+            (scheme_b, relation_b, rows_b),
+        ):
+            with TopKServer(scheme, relation, transport=address) as server:
+                result = server.execute(scheme.token([0, 1, 2], k=3))
+            winners = {o for o, _ in scheme.reveal(result)}
+            expected = nra_topk(SortedLists(rows, [0, 1, 2]), 3).topk
+            assert winners == {o for o, _ in expected}
+        assert service.stats()["registrations"] == 2
 
 
 class TestMultiplexing:

@@ -175,57 +175,6 @@ class TestProcessMode:
                 server.execute_many([(scheme.token([0], k=1), None)], mode="fiber")
 
 
-class TestS2ComputePool:
-    def test_pool_matches_plain_and_audits_clean(self):
-        from repro.core.leakage import audit
-        from repro.protocols.base import LeakageLog
-
-        scheme_a, relation_a, _ = _fresh_deployment()
-        with TopKServer(scheme_a, relation_a) as server:
-            plain = server.execute_many(_requests(scheme_a), concurrency=1)
-
-        scheme_b, relation_b, _ = _fresh_deployment()
-        with TopKServer(scheme_b, relation_b, s2_workers=2) as server:
-            pooled = server.execute_many(_requests(scheme_b), concurrency=1)
-
-        for a, b in zip(plain, pooled):
-            assert scheme_a.reveal(a) == scheme_b.reveal(b)
-            assert _leakage_tuples(a) == _leakage_tuples(b)
-            log = LeakageLog()
-            log.events = list(b.leakage_events)
-            assert audit(log).clean
-
-    @pytest.mark.parametrize(
-        "s2_mode,transport",
-        [("process", "shm"), ("process", "pickle"), ("thread", None)],
-    )
-    def test_pool_modes_are_transcript_identical(self, s2_mode, transport):
-        """Every pool mode × transport replays the pool-less transcript
-        bit for bit (decryption draws no randomness, so fan-out shape is
-        invisible)."""
-        from repro.crypto import backend
-
-        if s2_mode == "thread" and not backend.kernel_available():
-            pytest.skip("gmp kernel unavailable")
-
-        scheme_a, relation_a, _ = _fresh_deployment()
-        with TopKServer(scheme_a, relation_a) as server:
-            plain = server.execute_many(_requests(scheme_a), concurrency=1)
-
-        scheme_b, relation_b, _ = _fresh_deployment()
-        with TopKServer(scheme_b, relation_b, s2_workers=2, s2_mode=s2_mode) as server:
-            assert server._compute.mode == s2_mode
-            if transport == "pickle":
-                server._compute.transport = "pickle"
-            elif transport is not None:
-                assert server._compute.transport == transport
-            pooled = server.execute_many(_requests(scheme_b), concurrency=1)
-
-        for a, b in zip(plain, pooled):
-            assert scheme_a.reveal(a) == scheme_b.reveal(b)
-            assert _leakage_tuples(a) == _leakage_tuples(b)
-
-
 class TestRelationStore:
     """The process-wide relation store behind process-mode worker pools:
     exports are keyed by relation id, shared across servers over the
