@@ -12,8 +12,8 @@ One object, one mental model::
     print(client.reveal(result), result.stats.rounds, result.stats.total_bytes)
 
 Everything the pre-redesign surface required the caller to stitch
-together — two-cloud context wiring, ``TopKServer`` sessions,
-``execute``/``execute_many`` modes, channel snapshots, leakage logs —
+together — two-cloud context wiring, ``execute``/``execute_many``
+modes, channel snapshots, leakage logs —
 sits behind :meth:`TopKClient.submit`: queries are *jobs* with
 ``result(timeout)`` / ``cancel()`` / ``done()`` and a typed
 ``events()`` stream, and every result carries its full cost profile in
@@ -38,14 +38,11 @@ def connect(
     address: str = "inprocess",
     *,
     rtt_ms: float = 0.0,
-    max_pending: int = 128,
     scheduler_workers: int = 8,
     shards: int | list[str] | tuple[str, ...] = 0,
     cache: bool = True,
-    cache_capacity: int = 256,
     warm_start: bool = False,
     metrics_port: int | None = None,
-    state_dir: str | None = None,
 ) -> "TopKClient":
     """Connect a client to a relation at ``address``.
 
@@ -53,7 +50,10 @@ def connect(
     ``"threaded"``) or the address of a standalone S2 daemon
     (``"tcp://host:port"`` / ``"unix:///path"``).  The returned
     :class:`TopKClient` owns its server: closing the client (or using
-    it as a context manager) tears the whole deployment down.
+    it as a context manager) tears the whole deployment down.  The
+    keyword-only options are :class:`~repro.server.topk_server.TopKServer`'s
+    own (``rtt_ms``: simulated link latency per round;
+    ``scheduler_workers``: cap on concurrently running jobs).
 
     ``shards`` sets the server's default S1 shard-worker count:
     ``shards >= 2`` splits every query's sorted lists into contiguous
@@ -78,10 +78,12 @@ def connect(
         per query with ``QueryConfig(cache=False)`` or globally here.
     ``warm_start``
         Use the relation's observed halting depths (L1's
-        ``halting_depth``) to place the first halting check just below
-        the shallowest depth seen, skipping pre-halt checks.  Results
-        are unchanged; only round count drops.  Also available
-        per-query via ``QueryConfig(warm_start=True)``.
+        ``halting_depth``) to place the first halting check at the
+        shallowest depth seen, skipping the shallower checks.  The
+        top-k is unchanged and rounds drop; a query that would have
+        halted earlier scans down to that depth instead.  Off by
+        default.  Also available per-query via
+        ``QueryConfig(warm_start=True)``.
 
     ``metrics_port`` mounts the server's Prometheus ``/metrics`` +
     ``/healthz`` endpoint on ``127.0.0.1`` (``0`` = ephemeral port, read
@@ -91,25 +93,18 @@ def connect(
     ``relation`` to make the deployment writable: ``client.insert`` /
     ``update`` / ``delete`` then apply encrypted mutations (each bumping
     ``client.version`` and invalidating every stale consumer), and
-    ``client.watch`` starts continuous top-k jobs.  ``state_dir``
-    persists the warm-start halting-depth history next to the daemon's
-    registration spill, so a restarted deployment over unchanged data
-    warm-starts immediately (the spill is dropped on every version
-    bump).
+    ``client.watch`` starts continuous top-k jobs.
     """
     server = TopKServer(
         scheme,
         relation,
         transport=address,
         rtt_ms=rtt_ms,
-        max_pending=max_pending,
         scheduler_workers=scheduler_workers,
         shards=shards,
         cache=cache,
-        cache_capacity=cache_capacity,
         warm_start=warm_start,
         metrics_port=metrics_port,
-        state_dir=state_dir,
     )
     return TopKClient(server, owns_server=True)
 
@@ -136,7 +131,7 @@ class TopKClient:
 
     @property
     def server(self) -> TopKServer:
-        """The underlying scheduler (sessions, pools, bookkeeping)."""
+        """The underlying scheduler (queue, pools, bookkeeping)."""
         return self._server
 
     @property
@@ -151,8 +146,9 @@ class TopKClient:
 
     @property
     def stats(self) -> dict:
-        """Reuse-layer counters: result-cache hits/misses/evictions,
-        the coalescing window, and the current warm-start depth hint."""
+        """The server's operational snapshot: result-cache counters
+        (``"cache"``), scheduler gauges, the current warm-start depth
+        hint, relation version, mutation and live-watch counts."""
         return self._server.stats
 
     # -- the job surface --------------------------------------------------

@@ -110,17 +110,6 @@ class SecTopK:
         self.__dict__.update(state)
         self._history_lock = threading.Lock()
 
-    def record_query_patterns(self, tokens) -> None:
-        """Fold query fingerprints into the cross-query history.
-
-        Process-mode ``execute_many`` workers hold forked copies of this
-        scheme, so the parent folds the batch back in afterwards to keep
-        the authoritative query-pattern history (the L1 leakage) exact.
-        """
-        with self._history_lock:
-            for token in tokens:
-                self._query_history.add(token.fingerprint())
-
     def query_pattern_snapshot(self) -> frozenset:
         """A frozen copy of the query-pattern history (fingerprints)."""
         with self._history_lock:
@@ -143,8 +132,8 @@ class SecTopK:
 
         Halting depths are L1 leakage (the ``HD`` function of Section 9),
         so remembering them — like the query-pattern set above — reveals
-        nothing new.  Inline queries record here directly; process-mode
-        ``execute_many`` folds its workers' depths back through the
+        nothing new.  Inline queries record here directly; for a query
+        handed to a worker process the server records the depth in the
         parent (worker scheme copies are per-task scratch).
         """
         with self._history_lock:
@@ -160,37 +149,16 @@ class SecTopK:
         it was a repeat.
 
         This is the L1 ``QP`` observation a fresh run of the token would
-        have recorded — the server's cache layer calls it when serving a
-        result without running the query (prefix hits included), so the
-        leakage it reports stays exactly what a fresh run would leak.
+        have recorded — the server calls it when it answers without
+        running the query in this process (a cache hit, prefix hits
+        included; a hand-off to a worker process), so the leakage it
+        reports stays exactly what a fresh run would leak.
         """
         fingerprint = token.fingerprint()
         with self._history_lock:
             repeated = fingerprint in self._query_history
             self._query_history.add(fingerprint)
         return repeated
-
-    def export_depth_history(self, relation_id: str) -> list[int]:
-        """This relation's halting-depth observations, oldest first.
-
-        The server's ``state_dir`` persistence spills these next to the
-        daemon's registrations; the depths are L1 leakage (``HD``), so
-        the spill reveals nothing the declared profile does not.
-        """
-        with self._history_lock:
-            history = self._depth_history.get(relation_id)
-            return list(history) if history else []
-
-    def import_depth_history(self, relation_id: str, depths) -> None:
-        """Restore spilled halting-depth observations (append order)."""
-        with self._history_lock:
-            history = self._depth_history.get(relation_id)
-            if history is None:
-                history = self._depth_history[relation_id] = deque(
-                    maxlen=self.DEPTH_HISTORY_SIZE
-                )
-            for depth in depths:
-                history.append(int(depth))
 
     def drop_depth_history(self, relation_id: str) -> None:
         """Forget one relation's warm-start history (mutation hook: a
@@ -202,12 +170,17 @@ class SecTopK:
         """The earliest depth history says a query on this relation may
         halt (``None`` with no observations yet).
 
-        The *minimum* observed depth is the safe anchor: a check point
-        below it has never been seen to halt, so skipping those rounds
-        costs nothing on history-shaped workloads — and even a query
-        that *would* have halted earlier still returns a correct top-k,
-        just from a deeper scan (exactly the ``"batch"`` variant's
-        sparse-check contract).
+        The anchor is the *minimum* of the retained observations — of
+        whatever happened to run first, not of what the relation can
+        do.  A warm-started query skips every halting check shallower
+        than the anchor (fewer rounds and bytes) and so cannot halt
+        before it: one that would have halted earlier scans down to the
+        anchor instead — still a correct top-k (the ``"batch"``
+        variant's sparse-check contract), from a deeper scan.  An
+        anchored query never records a shallower depth, so the hint only
+        ratchets deeper once warm starts are on, and a depth-1
+        observation makes it a no-op while retained (measurements:
+        ARCHITECTURE.md, reuse layer) — hence off by default.
         """
         with self._history_lock:
             history = self._depth_history.get(relation_id)

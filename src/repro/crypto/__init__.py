@@ -18,8 +18,8 @@ so everything the paper's construction needs is implemented here:
   benchmarks are reproducible;
 * :mod:`repro.crypto.backend` — the pluggable modular-arithmetic compute
   layer (pure Python or gmpy2) every hot operation routes through;
-* :mod:`repro.crypto.parallel` — the worker-process executor behind
-  ``execute_many(mode="process")``.
+* :mod:`repro.crypto.parallel` — the thread ``ComputePool`` kept for
+  the benchmark's ``crypto.pool_*`` probe.
 """
 
 from repro.crypto import backend

@@ -1,71 +1,22 @@
-"""Worker pools: the query-worker process executor, and a thread pool
-kept for one benchmark probe.
+"""A thread pool kept for one benchmark probe.
 
-* :func:`make_pool_executor` / :func:`pool_start_method` build the
-  process pool behind ``TopKServer.execute_many(mode="process")`` — the
-  one parallel mode that measures above 1.0 on real cores.
-
-* :class:`ComputePool` chunks a Paillier decrypt batch across threads on
-  the GIL-free ``gmp-kernel`` backend.  Nothing in ``repro.server`` uses
-  it: a query's rounds carry a handful of ciphertexts each, and one
-  kernel call is cheaper than a fan-out at that size.  It exists for
-  ``perfbench``'s ``crypto.pool_decrypt_us_per_ct`` /
-  ``crypto.pool_speedup_ratio`` probe and goes when a benchmark change
-  drops those two metrics.
+:class:`ComputePool` chunks a Paillier decrypt batch across threads on
+the GIL-free ``gmp-kernel`` backend.  Nothing in ``repro.server`` uses
+it: a query's rounds carry a handful of ciphertexts each, and one
+kernel call is cheaper than a fan-out at that size.  It exists for
+``perfbench``'s ``crypto.pool_decrypt_us_per_ct`` /
+``crypto.pool_speedup_ratio`` probe and goes when a benchmark change
+drops those two metrics.  (The worker *process* pool behind
+``TopKServer.execute_many(mode="process")`` lives with the server, in
+:mod:`repro.server.query_workers`.)
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.crypto import backend, kernels
-
-
-def _warmup() -> None:
-    return None
-
-
-def pool_start_method() -> str:
-    """The start method every pool here uses (fork where available).
-
-    Exposed so callers can tell whether worker processes inherit the
-    parent's memory (fork: module-level stores ship for free) or start
-    empty (spawn: state must travel through initializer arguments).
-    """
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]
-
-
-def make_pool_executor(workers: int, initializer, initargs) -> ProcessPoolExecutor:
-    """A worker-process pool with the platform's cheapest start method.
-
-    Fork starts workers cheaply on POSIX; spawn works too because the
-    initializer arguments carry everything workers need.
-
-    Workers are spawned eagerly here rather than at first submit:
-    executors fork lazily, and deferring the forks until a session or
-    transport thread is live would fork a multi-threaded process (lock
-    state inherited mid-held, ``DeprecationWarning`` on 3.12+).  Build
-    pools before starting threads where possible.  Fork stays preferred
-    even when threads exist: the non-fork methods re-import ``__main__``
-    in each worker, which breaks REPL/stdin parents outright, while a
-    late fork only risks the (documented) 3.12+ warning from another
-    pool's manager threads.
-    """
-    mp_context = multiprocessing.get_context(pool_start_method())
-    executor = ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=mp_context,
-        initializer=initializer,
-        initargs=initargs,
-    )
-    # One submit per worker forks the whole pool now (the executor adds
-    # a process per pending item until max_workers is reached).
-    for future in [executor.submit(_warmup) for _ in range(workers)]:
-        future.result()
-    return executor
 
 
 def _chunks(values: list, n: int) -> list[list]:

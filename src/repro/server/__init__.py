@@ -3,11 +3,12 @@
 :class:`~repro.server.topk_server.TopKServer` holds one encrypted
 relation plus the S2 connection recipe and schedules
 :class:`~repro.server.jobs.QueryJob`\\ s from a bounded queue —
-submitted directly or through the :mod:`repro.client` façade — next to
-long-lived isolated :class:`~repro.server.topk_server.QuerySession`\\ s,
-against an in-process S2 or a standalone
+submitted directly or through the :mod:`repro.client` façade — through
+one runner, against an in-process S2 or a standalone
 :class:`~repro.server.s2_service.S2Service` daemon reached by socket
 address (see ARCHITECTURE.md, deployment layer).
+:mod:`repro.server.query_workers` owns where a job's body executes (the
+scheduler thread, or a worker process bound to one relation id).
 
 :mod:`repro.server.sharding` splits a relation's sorted lists into
 contiguous depth slices scanned by shard workers behind
@@ -23,7 +24,7 @@ from repro.server.jobs import JobStatus, QueryJob, WatchJob, WatchSummary
 from repro.server.mutations import MutableRelation, MutationResult
 from repro.server.query_cache import CacheStats, QueryCache
 from repro.server.sharding import ShardPlan
-from repro.server.topk_server import QuerySession, TopKServer
+from repro.server.topk_server import TopKServer
 
 __all__ = [
     "CacheStats",
@@ -32,7 +33,6 @@ __all__ = [
     "MutationResult",
     "QueryCache",
     "QueryJob",
-    "QuerySession",
     "S2Service",
     "ShardPlan",
     "ShardService",

@@ -104,10 +104,14 @@ class JobControl:
 class QueryJob:
     """Future-like handle for one submitted top-k query."""
 
-    def __init__(self, job_id: int, token, config, timeout: float | None = None):
+    def __init__(self, job_id: int, token, config, timeout: float | None = None,
+                 expect_version: int | None = None):
         self.job_id = job_id
         self.token = token
         self.config = config
+        #: Relation version the submitter pinned the query to (``None``:
+        #: whichever version is served when the job runs).
+        self.expect_version = expect_version
         self._control = JobControl(timeout)
         self._status = JobStatus.PENDING
         self._result = None
@@ -118,10 +122,6 @@ class QueryJob:
         self._callbacks: list = []
         self._listeners: list = []
         self._listener_errors: list[BaseException] = []
-        # Whether a scheduler worker actually began executing the job
-        # (batch history accounting distinguishes attempted from
-        # never-started jobs).
-        self._attempted = False
         # Installed by the scheduler: how this job actually executes.
         self._runner = None
         #: Monotonic-clock span timeline of this job (queued, run,
@@ -272,7 +272,6 @@ class QueryJob:
             )
             return False
         self._status = JobStatus.RUNNING
-        self._attempted = True
         queued = self.trace.end("queued")
         if queued is not None:
             _QUEUE_WAIT.observe(queued.seconds)

@@ -1,24 +1,25 @@
 """Multi-query server front-end for one encrypted relation.
 
 A :class:`TopKServer` owns one :class:`~repro.core.relation.EncryptedRelation`
-plus the S2 connection recipe.  Since the client-API redesign it is a
-*job scheduler*: :meth:`TopKServer.submit` places a
-:class:`~repro.server.jobs.QueryJob` on a bounded queue serviced by a
-small pool of scheduler workers, each job resolving asynchronously with
-per-job deadline and cooperative cancellation at round boundaries.
-:meth:`TopKServer.execute` and :meth:`TopKServer.execute_many` are thin
-compatibility wrappers over the same queue, so within this release
-every execution mode — one-shot, submitted, thread-windowed batch,
-worker-process batch — produces bit-identical transcripts for the same
-request position (request salts are a pure function of the request id;
-one-shot ``execute`` previously drew a session-counter salt, so its
-randomness stream — not its results — differs from pre-scheduler
-releases).
+plus the S2 connection recipe and is a *job scheduler*:
+:meth:`TopKServer.submit` places a :class:`~repro.server.jobs.QueryJob`
+on a bounded queue serviced by a small pool of scheduler workers, each
+job resolving asynchronously with per-job deadline and cooperative
+cancellation at round boundaries.  :meth:`TopKServer.execute` and
+:meth:`TopKServer.execute_many` are thin wrappers over the same queue.
 
-Long-lived interactive callers can still open an isolated
-:class:`QuerySession`; sessions bypass the job queue (they hold their
-own transport) but share the relation, key material and the
-deliberately cross-query query-pattern history.
+**One runner.**  Every query the server runs — submitted, one-shot,
+thread-windowed batch, worker-process batch — goes through
+:meth:`TopKServer._run_query`: it snapshots the served relation once
+(the relation id is a pure function of that object), checks the job's
+``expect_version`` against the snapshot, does the cache lookup and the
+cache store under the snapshot's id, and runs the body
+(:func:`~repro.server.query_workers.run_salted_query`) in between.  The
+execution modes differ only in *where* that body executes — the
+scheduler thread, or a worker process bound to the snapshot's relation
+id (:mod:`repro.server.query_workers`) — so they cannot drift apart:
+a mutation landing before, between or during the jobs of a batch never
+lets a job compute over one version and answer or cache for another.
 
 One axis of parallelism: ``execute_many(..., mode="process")`` fans
 whole jobs across a persistent worker-process pool, so independent
@@ -42,22 +43,17 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import hashlib
-import json
-import os
-import pickle
 import queue
 import threading
-from concurrent.futures import CancelledError, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from repro.core.relation import EncryptedRelation
 from repro.core.results import QueryConfig, QueryResult
 from repro.core.scheme import SecTopK
 from repro.core.token import Token
-from repro.crypto import backend
-from repro.crypto.parallel import make_pool_executor, pool_start_method
 from repro.events import TopKChanged
 from repro.exceptions import (
     JobCancelled,
@@ -65,17 +61,21 @@ from repro.exceptions import (
     MutationError,
     QueryError,
     StaleRelationError,
-    TransportError,
 )
 from repro.net.channel import ChannelStats
 from repro.net.socket_transport import client_for, is_socket_address, shard_client_for
 from repro.obs.exporter import HealthState, MetricsExporter
 from repro.obs.metrics import REGISTRY
-from repro.protocols.base import LeakageEvent, LeakageLog, S1Context, owned_context
-from repro.server.frame_service import atomic_write
+from repro.protocols.base import LeakageEvent
 from repro.server.jobs import JobStatus, QueryJob, WatchJob, WatchSummary
 from repro.server.mutations import MutableRelation, MutationResult, mutation_delta
 from repro.server.query_cache import QueryCache
+from repro.server.query_workers import (
+    QueryWorkerPool,
+    export_relation,
+    release_relation,
+    run_salted_query,
+)
 from repro.server.sharding import invalidate_slices
 
 _QUEUE_DEPTH = REGISTRY.gauge(
@@ -104,76 +104,6 @@ _WATCH_CHANGES = REGISTRY.counter(
     "TopKChanged events emitted by watch jobs.",
 )
 
-# The relation store: (scheme, relation) pairs keyed by relation id, with
-# the blob each spawn-started worker needs pickled at most once.  In the
-# parent it is refcounted by the servers that exported into it; in a
-# worker it is either *inherited whole* (fork — entries travel with the
-# address space, no pickling, no transfer) or filled from the
-# initializer's one-time payload (spawn).  Either way repeated batches,
-# grown/rebuilt pools, and sibling servers over the same relation all
-# reuse the cached entry instead of re-shipping megabytes of ciphertexts.
-_RELATION_STORE: dict[str, tuple[SecTopK, EncryptedRelation]] = {}
-_RELATION_REFS: dict[str, int] = {}
-_RELATION_BLOBS: dict[str, bytes] = {}
-_STORE_LOCK = threading.Lock()
-
-# Worker-process query state, installed by the pool initializer.
-_QUERY_WORKER: dict = {}
-
-
-def _export_relation(scheme: SecTopK, relation: EncryptedRelation) -> str:
-    """Pin (scheme, relation) in the parent-side store; returns its key."""
-    key = relation.relation_id()
-    with _STORE_LOCK:
-        if key in _RELATION_STORE:
-            # A second server over the same relation (possibly holding a
-            # pickled copy of the same objects — interchangeable: the id
-            # pins identical ciphertexts and key material) shares the
-            # existing export.
-            _RELATION_REFS[key] += 1
-        else:
-            _RELATION_STORE[key] = (scheme, relation)
-            _RELATION_REFS[key] = 1
-    return key
-
-
-def _release_relation(key: str) -> None:
-    with _STORE_LOCK:
-        refs = _RELATION_REFS.get(key)
-        if refs is None:
-            return
-        if refs <= 1:
-            del _RELATION_REFS[key]
-            _RELATION_STORE.pop(key, None)
-            _RELATION_BLOBS.pop(key, None)
-        else:
-            _RELATION_REFS[key] = refs - 1
-
-
-def _relation_blob(key: str) -> bytes:
-    """The pickled (scheme, relation) payload, serialized at most once."""
-    with _STORE_LOCK:
-        blob = _RELATION_BLOBS.get(key)
-        if blob is None:
-            blob = pickle.dumps(
-                _RELATION_STORE[key], protocol=pickle.HIGHEST_PROTOCOL
-            )
-            _RELATION_BLOBS[key] = blob
-    return blob
-
-
-def _init_query_worker(relation_key, payload, transport, rtt_ms, backend_name) -> None:
-    backend.set_backend(backend_name)
-    entry = _RELATION_STORE.get(relation_key)
-    if entry is None:
-        # Spawn-started worker: install the shipped blob; later pool
-        # rebuilds over the same relation find it cached here.
-        entry = pickle.loads(payload)
-        _RELATION_STORE[relation_key] = entry
-    _QUERY_WORKER["scheme"], _QUERY_WORKER["relation"] = entry
-    _QUERY_WORKER["transport"] = transport
-    _QUERY_WORKER["rtt_ms"] = rtt_ms
-
 
 def _window_stream(rows, oids) -> str:
     """Randomness-stream label for one sliding-window encryption.
@@ -187,138 +117,6 @@ def _window_stream(rows, oids) -> str:
     """
     digest = hashlib.sha256(repr((rows, oids)).encode("utf-8"))
     return f"window-{digest.hexdigest()[:16]}"
-
-
-def _run_salted_query(
-    scheme,
-    relation,
-    transport: str,
-    rtt_ms: float,
-    salt: str,
-    token: Token,
-    config: QueryConfig | None,
-    on_event=None,
-    control=None,
-    session_label: str | None = None,
-    shard_executor=None,
-    shard_placement: tuple[str, ...] | None = None,
-) -> QueryResult:
-    """One salted query with leakage attached — the single body behind
-    both the in-process path and the worker path, so the two can never
-    drift apart (process-mode replay identity depends on them matching).
-
-    ``on_event`` / ``control`` are the job hooks (progress streaming,
-    cooperative cancellation); they are observations only, so a hooked
-    run is transcript-identical to a bare one.  When the query fails, a
-    dead transport's secondary close error is suppressed so the original
-    failure surfaces undisturbed.
-    """
-    ctx = scheme._make_context(
-        transport=transport, salt=salt, rtt_ms=rtt_ms, relation=relation,
-        on_event=on_event, control=control, session_label=session_label,
-    )
-    with owned_context(ctx):
-        # scheme._query attaches the per-query leakage slice itself; on
-        # this fresh context that slice is the whole session log.
-        return scheme.query(
-            relation, token, config, ctx=ctx, shard_executor=shard_executor,
-            shard_placement=shard_placement,
-        )
-
-
-def _run_query(
-    salt: str,
-    token: Token,
-    config: QueryConfig | None,
-    prior_patterns: frozenset,
-) -> QueryResult:
-    scheme = _QUERY_WORKER["scheme"]
-    # The parent ships exactly the query-pattern history a sequential run
-    # would see at this request (server history + earlier batch-mates), so
-    # the L1 repeat bit is deterministic no matter which worker serves it.
-    scheme.reset_query_history(prior_patterns)
-    return _run_salted_query(
-        scheme,
-        _QUERY_WORKER["relation"],
-        _QUERY_WORKER["transport"],
-        _QUERY_WORKER["rtt_ms"],
-        salt,
-        token,
-        config,
-    )
-
-
-class QuerySession:
-    """One client's query context on a :class:`TopKServer`."""
-
-    def __init__(self, server: "TopKServer", ctx: S1Context, session_id: int):
-        self._server = server
-        self._ctx = ctx
-        self.session_id = session_id
-        self.closed = False
-        #: Relation version this session pinned at open.  A session's
-        #: context captured the relation object (and, for remote
-        #: transports, its daemon registration), so queries after a
-        #: mutation would silently run against the predecessor — they
-        #: raise :class:`~repro.exceptions.StaleRelationError` instead.
-        self.version = server.relation.version
-
-    # -- querying --------------------------------------------------------
-
-    def query(self, token: Token, config: QueryConfig | None = None) -> QueryResult:
-        """Run one secure top-k query inside this session."""
-        if self.closed:
-            raise RuntimeError("session is closed")
-        current = self._server.relation.version
-        if current != self.version:
-            raise StaleRelationError(self.version, current)
-        config = self._server._effective_config(config)
-        return self._server.scheme.query(
-            self._server.relation,
-            token,
-            config,
-            ctx=self._ctx,
-            shard_executor=self._server._shard_executor(config),
-            shard_placement=self._server.shard_placement,
-        )
-
-    # -- per-session observability ---------------------------------------
-
-    @property
-    def leakage(self) -> LeakageLog:
-        """This session's leakage log (no cross-session events)."""
-        return self._ctx.leakage
-
-    @property
-    def channel_stats(self) -> ChannelStats:
-        """Cumulative traffic of this session's channel."""
-        return self._ctx.channel.snapshot()
-
-    # -- lifecycle -------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the session's transport.
-
-        Idempotent, and safe when the daemon connection already died: a
-        dead link's secondary :class:`~repro.exceptions.PeerDisconnected`
-        is swallowed here so it can never mask the error that killed the
-        connection in the first place.  The session is forgotten by the
-        server either way.
-        """
-        if self.closed:
-            return
-        self.closed = True
-        try:
-            with contextlib.suppress(TransportError):
-                self._ctx.close()
-        finally:
-            self._server._forget(self)
-
-    def __enter__(self) -> "QuerySession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class TopKServer:
@@ -335,9 +133,6 @@ class TopKServer:
         including process-mode worker jobs — opens by relation id alone.
     rtt_ms:
         Simulated link round-trip latency added to every exchange.
-    max_pending:
-        Bound of the job queue.  A full queue applies backpressure:
-        :meth:`submit` blocks until a scheduler worker frees a slot.
     scheduler_workers:
         Cap on concurrently running scheduler threads.  Workers spawn
         on demand up to this cap and retire when the queue drains;
@@ -375,17 +170,15 @@ class TopKServer:
         :mod:`repro.server.query_cache` for the full argument.
         ``QueryConfig(cache=False)`` opts a single query out both ways
         (never served from, never stored into); ``cache=False`` here
-        disables the cache entirely.  Sessions always run fresh — a
-        session owns a live protocol context whose per-session
-        accounting a cache hit would falsify.
-    cache_capacity:
-        LRU bound of the result cache (entries).
+        disables the cache entirely.
     warm_start:
         Make every query warm-start by default (as if
         ``QueryConfig(warm_start=True)``): the engine's first halting
         check is anchored at the earliest halting depth this relation's
-        history has shown (itself L1 leakage), skipping rounds that
-        history says cannot halt.  Never changes the returned top-k set.
+        history has shown (itself L1 leakage), skipping the shallower
+        checks.  Never changes the returned top-k set; may scan deeper
+        than a cold run (see
+        :meth:`~repro.core.scheme.SecTopK.halting_depth_hint`).
     metrics_port:
         When set, serve the process-wide metrics registry as Prometheus
         text at ``http://127.0.0.1:PORT/metrics`` (``0`` picks a free
@@ -397,20 +190,24 @@ class TopKServer:
 
     _IDLE_TTL = 0.5  # seconds a scheduler worker waits before retiring
 
+    #: Bound of the job queue.  A full queue applies backpressure:
+    #: :meth:`submit` blocks until a scheduler worker frees a slot.
+    MAX_PENDING = 128
+
+    #: LRU bound of the result cache (entries).
+    CACHE_CAPACITY = 256
+
     def __init__(
         self,
         scheme: SecTopK,
         relation: EncryptedRelation | MutableRelation,
         transport: str = "inprocess",
         rtt_ms: float = 0.0,
-        max_pending: int = 128,
         scheduler_workers: int = 8,
         shards: int | list[str] | tuple[str, ...] = 0,
         cache: bool = True,
-        cache_capacity: int = 256,
         warm_start: bool = False,
         metrics_port: int | None = None,
-        state_dir: str | None = None,
     ):
         self.scheme = scheme
         # A MutableRelation makes this server writable: insert/update/
@@ -427,8 +224,6 @@ class TopKServer:
         # Validate the cheap parameters before acquiring any resource
         # (relation-store pin) — a half-constructed server has no
         # reachable close().
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
         if scheduler_workers < 1:
             raise ValueError("scheduler_workers must be >= 1")
         if isinstance(shards, (list, tuple)):
@@ -451,44 +246,33 @@ class TopKServer:
             if shards < 0:
                 raise ValueError("shards must be >= 0")
             self.shard_placement = None
-        if cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
         self.shards = shards
         self.warm_start = warm_start
         # Cross-query reuse layer (see ARCHITECTURE.md, reuse layer).
-        self._cache = QueryCache(cache_capacity) if cache else None
+        self._cache = QueryCache(self.CACHE_CAPACITY) if cache else None
         # Shard-worker thread pool, created on the first sharded job and
-        # shared by every job/session of this server (the scheduler's
-        # placement target for shard slice preparation and window
-        # assembly).
+        # shared by every job of this server (the scheduler's placement
+        # target for shard slice preparation and window assembly).
         self._shard_pool = None
         # Scheme-wide unique namespace: request salts from different
         # servers sharing one scheme must never collide (a collision
         # would replay blinding/permutation streams across queries).
         self._salt_namespace = scheme.context_namespace()
-        # Pin the relation in the process-wide store: forked query
-        # workers inherit it outright, spawn-started ones receive its
-        # cached pickle — either way repeated batches and rebuilt pools
-        # never re-ship the ciphertexts.
-        self._relation_key = _export_relation(scheme, relation)
-        # Warm-start depth history persistence (``--state-dir`` twin of
-        # the daemon's registration spill): load any prior observations
-        # for this exact relation content now, spill after fresh results.
-        self._state_dir = state_dir
-        self._load_depth_spill()
-        self._session_lock = threading.Lock()
-        self._session_counter = 0
-        self._sessions: list[QuerySession] = []
+        # Pin the served relation in the process-wide store for this
+        # server's lifetime, so rebuilt worker pools never re-pickle it.
+        export_relation(scheme, relation)
+        self._worker_pool = QueryWorkerPool(scheme, transport, rtt_ms)
+        # Guards the request-id counter, the lazily-built shard pool and
+        # the closed flag.
+        self._state_lock = threading.Lock()
+        self._next_request_id = 0
         # -- mutation / watch state --
         self._mutation_lock = threading.Lock()
         self._mutation_count = 0
         self._watches: set[WatchJob] = set()
-        self._query_pool: ProcessPoolExecutor | None = None
-        self._query_pool_workers = 0
-        self._query_pool_active = 0  # in-flight process batches
         self._closed = False
         # -- job scheduler state --
-        self._job_queue: queue.Queue = queue.Queue(maxsize=max_pending)
+        self._job_queue: queue.Queue = queue.Queue(maxsize=self.MAX_PENDING)
         self._scheduler_cap = scheduler_workers
         self._scheduler_lock = threading.Lock()
         self._scheduler_threads = 0
@@ -509,45 +293,13 @@ class TopKServer:
                 raise
             self._exporter = exporter
 
-    # -- sessions --------------------------------------------------------
-
     def _reserve_ids(self, count: int) -> range:
-        with self._session_lock:
+        with self._state_lock:
             if self._closed:
                 raise RuntimeError("server is closed")
-            start = self._session_counter
-            self._session_counter += count
+            start = self._next_request_id
+            self._next_request_id += count
         return range(start, start + count)
-
-    def session(self) -> QuerySession:
-        """Open a fresh, isolated query session.
-
-        Session setup is serialized (it draws from the scheme's root
-        randomness); the returned session can then run queries
-        concurrently with other sessions.
-        """
-        with self._session_lock:
-            if self._closed:
-                raise RuntimeError("server is closed")
-            session_id = self._session_counter
-            self._session_counter += 1
-            ctx = self.scheme._make_context(
-                transport=self.transport,
-                label=f":session-{session_id}",
-                rtt_ms=self.rtt_ms,
-                relation=self.relation,
-            )
-            session = QuerySession(self, ctx, session_id)
-            self._sessions.append(session)
-            return session
-
-    def _forget(self, session: QuerySession) -> None:
-        """Drop a closed session so long-lived servers don't accumulate."""
-        with self._session_lock:
-            try:
-                self._sessions.remove(session)
-            except ValueError:
-                pass
 
     # -- sharding --------------------------------------------------------
 
@@ -558,9 +310,8 @@ class TopKServer:
         ``shards`` at ``None`` inherits ``TopKServer(shards=N)``, and
         ``TopKServer(warm_start=True)`` turns warm starts on for every
         query that did not ask for them itself.  The resolution happens
-        once, at job creation, so every execution path — inline,
-        windowed, worker process, session — sees the same effective
-        config.
+        once, at job creation, so the job carries the same effective
+        config wherever its body executes.
         """
         if self.shards and (config is None or config.shards is None):
             config = replace(config or QueryConfig(), shards=self.shards)
@@ -584,7 +335,7 @@ class TopKServer:
         """
         if config is None or config.effective_shards() < 2:
             return None
-        with self._session_lock:
+        with self._state_lock:
             if self._closed:
                 # A job caught mid-shutdown falls back to inline shard
                 # fan-out (same transcript); its cooperative cancel then
@@ -602,29 +353,17 @@ class TopKServer:
     def _cache_enabled(self, config: QueryConfig | None) -> bool:
         return self._cache is not None and (config is None or config.cache)
 
-    def _cache_key(
-        self, token: Token, config: QueryConfig | None, relation_key: str | None = None
-    ) -> tuple:
-        return QueryCache.key(
-            relation_key if relation_key is not None else self._relation_key,
-            token.fingerprint(),
-            config or QueryConfig(),
-        )
-
-    def _scan_cache_key(
-        self, token: Token, config: QueryConfig | None, relation_key: str | None = None
-    ) -> tuple:
-        return QueryCache.scan_key(
-            relation_key if relation_key is not None else self._relation_key,
-            token.scan_fingerprint(),
-            config or QueryConfig(),
+    @staticmethod
+    def _cache_keys(relation_key: str, token: Token, config: QueryConfig | None):
+        """``(exact key, k-independent scan key)`` of one query."""
+        config = config or QueryConfig()
+        return (
+            QueryCache.key(relation_key, token.fingerprint(), config),
+            QueryCache.scan_key(relation_key, token.scan_fingerprint(), config),
         )
 
     def _cache_lookup(
-        self,
-        token: Token,
-        config: QueryConfig | None,
-        relation_key: str | None = None,
+        self, token: Token, config: QueryConfig | None, relation_key: str
     ):
         """Serve a repeat query from the cache, or ``None`` on a miss.
 
@@ -649,11 +388,8 @@ class TopKServer:
         """
         if not self._cache_enabled(config):
             return None
-        result, sliced = self._cache.lookup(
-            self._cache_key(token, config, relation_key),
-            self._scan_cache_key(token, config, relation_key),
-            token.k,
-        )
+        key, scan_key = self._cache_keys(relation_key, token, config)
+        result, sliced = self._cache.lookup(key, scan_key, token.k)
         if result is None:
             return None
         repeated = self.scheme.observe_query_pattern(token)
@@ -672,48 +408,14 @@ class TopKServer:
         return result
 
     def _cache_store(
-        self,
-        token: Token,
-        config: QueryConfig | None,
-        result,
-        relation_key: str | None = None,
+        self, token: Token, config: QueryConfig | None, result, relation_key: str
     ) -> None:
         """Keep a fresh result for future repeats (deep copy: the caller
         owns — and may mutate — the returned object)."""
         if not self._cache_enabled(config):
             return
-        self._cache.put(
-            self._cache_key(token, config, relation_key),
-            copy.deepcopy(result),
-            scan_key=self._scan_cache_key(token, config, relation_key),
-            k=token.k,
-        )
-
-    def invalidate_cache(self) -> int:
-        """Drop every cached result (returns how many were dropped)."""
-        return self._cache.clear() if self._cache is not None else 0
-
-    def register_relation(self, relation: EncryptedRelation) -> None:
-        """Re-register the relation this server serves.
-
-        Swaps the served relation (typically a re-encrypted or updated
-        build) and invalidates every cached result of both the old and
-        the new relation id — a re-registration declares the previous
-        results stale even when the content fingerprint is unchanged.
-        In-flight jobs finish against the relation they started with.
-        """
-        with self._session_lock:
-            if self._closed:
-                raise RuntimeError("server is closed")
-            old_key = self._relation_key
-            self._relation_key = _export_relation(self.scheme, relation)
-            self.relation = relation
-            new_key = self._relation_key
-        if self._cache is not None:
-            self._cache.invalidate_relation(old_key)
-            if new_key != old_key:
-                self._cache.invalidate_relation(new_key)
-        _release_relation(old_key)
+        key, scan_key = self._cache_keys(relation_key, token, config)
+        self._cache.put(key, copy.deepcopy(result), scan_key=scan_key, k=token.k)
 
     # -- mutations -------------------------------------------------------
 
@@ -742,16 +444,14 @@ class TopKServer:
         return self._apply_mutation(op, *args)
 
     def _apply_mutation(self, op: str, *args) -> MutationResult:
-        """Apply one mutation and run the invalidation cascade.
+        """Apply one mutation, retire the predecessor, wake the watches.
 
         Under the mutation lock: apply the op to the
         :class:`MutableRelation` (incremental sorted-list maintenance,
-        version bump) and swap the served relation.  Then, outside it:
-        invalidate every consumer keyed by the predecessor's relation id
-        — result cache, shard-slice store, warm-start depth history and
-        its spill — tell a remote daemon to re-key its registration
-        (best-effort; the fallback is the lazy re-register on the next
-        session open), and wake every live watch.
+        version bump) and swap the served relation — one attribute
+        store, so a job's snapshot sees the predecessor or the successor
+        whole.  Then, outside it, :meth:`_retire_relation_id` drops
+        everything keyed by the predecessor's id.
         """
         if self._mutable is None:
             raise MutationError(
@@ -764,29 +464,22 @@ class TopKServer:
             # served relation, never one committed version ahead.
             # close() takes the mutation lock first, so it cannot flip
             # _closed between this check and the swap below.
-            with self._session_lock:
+            with self._state_lock:
                 if self._closed:
                     raise RuntimeError("server is closed")
             result = getattr(self._mutable, op)(*args)
+            old_key = self.relation.relation_id()
             new_relation = self._mutable.relation
-            with self._session_lock:
-                old_key = self._relation_key
-                self._relation_key = _export_relation(self.scheme, new_relation)
-                self.relation = new_relation
-                new_key = self._relation_key
+            new_key = export_relation(self.scheme, new_relation)
+            self.relation = new_relation
             self._mutation_count += 1
-        if self._cache is not None:
-            self._cache.invalidate_relation(old_key)
-            if new_key != old_key:
-                self._cache.invalidate_relation(new_key)
-        invalidate_slices(old_key)
-        # A halting depth observed on the predecessor means nothing on
-        # the successor (content changed) — drop memory and spill.
-        self.scheme.drop_depth_history(old_key)
-        self._drop_depth_spill(old_key)
-        self._notify_daemon_mutation(old_key, new_key)
-        self._notify_shard_mutation(old_key, new_relation, result)
-        _release_relation(old_key)
+        shard_delta = None
+        if self.shard_placement:
+            # The re-encrypted touched prefixes plus the suffix shift:
+            # daemons rebuild their slices without a full re-upload.
+            shard_delta = mutation_delta(new_relation, result, old_key)
+        self._retire_relation_id(old_key, new_key, shard_delta)
+        release_relation(old_key)
         _MUTATIONS.labels(op=op).inc()
         with self._scheduler_lock:
             watches = list(self._watches)
@@ -794,54 +487,42 @@ class TopKServer:
             watch.notify()
         return result
 
-    def _notify_daemon_mutation(self, old_key: str, new_key: str) -> None:
-        """Re-key a remote daemon's registration (best-effort).
-
-        A MUTATE frame moves the daemon's key material from the old
-        relation id to the new one, so the next session open skips the
-        re-upload.  Failures (old daemon without the frame, dead link)
-        are suppressed: the daemon then simply answers
-        ``UNKNOWN_RELATION`` on the next open and the client re-registers
-        — slower, never wrong.
-        """
-        if not is_socket_address(self.transport):
-            return
-        with contextlib.suppress(Exception):
-            client_for(self.transport).mutate_relation(old_key, new_key)
-
-    def _notify_shard_mutation(
-        self, old_key: str, new_relation, result: MutationResult
+    def _retire_relation_id(
+        self, old_key: str, new_key: str, shard_delta: dict | None = None
     ) -> None:
-        """Delta-sync remote shard workers across a mutation (best-effort).
+        """The one invalidation cascade: forget everything keyed by
+        ``old_key``, a relation id this server will not answer for again
+        (a mutation's predecessor, a watch's previous or last window).
 
-        Ships each placement daemon the re-encrypted touched prefixes
-        plus the suffix shift so it can rebuild its held slices under
-        the successor's id without a full slice re-upload.  Failures are
-        suppressed: a daemon that missed the frame answers
-        ``UNKNOWN_RELATION`` on the next scan and the worker re-uploads
-        its slice — slower, never wrong.
+        Locally: cached results, shard slices, and the warm-start depth
+        history (a halting depth observed on the predecessor means
+        nothing on changed content).  The worker pool needs no entry
+        here — it is bound to a relation id and rebinds on the next job
+        that names another (:mod:`repro.server.query_workers`).
+
+        Remotely, best-effort: a MUTATE frame moves the S2 daemon's key
+        material from ``old_key`` to ``new_key`` (identical across one
+        scheme's relations), so the next session open skips the
+        re-upload; placement daemons get ``shard_delta``, or — when the
+        successor is a wholesale re-encryption with no valid prefix
+        delta — a drop-only frame that purges ``old_key``'s slices.
+        Failures (old daemon without the frame, dead link) are
+        suppressed: a daemon that missed it answers
+        ``UNKNOWN_RELATION`` on the next open or scan and the client
+        re-registers / re-uploads — slower, never wrong.
         """
-        if not self.shard_placement:
-            return
-        delta = mutation_delta(new_relation, result, old_key)
-        for address in self.shard_placement:
+        if self._cache is not None:
+            self._cache.invalidate_relation(old_key)
+        invalidate_slices(old_key)
+        self.scheme.drop_depth_history(old_key)
+        if is_socket_address(self.transport):
             with contextlib.suppress(Exception):
-                shard_client_for(address).mutate(delta)
-
-    def _drop_shard_registration(self, old_key: str) -> None:
-        """Drop-only shard MUTATE: purge ``old_key``'s slices remotely.
-
-        Used by the watch/window retirement paths, whose successor
-        relations are wholesale re-encryptions — there is no valid
-        prefix delta, so the remote slices are simply dropped and the
-        next evaluation re-uploads lazily.
-        """
-        if not self.shard_placement:
-            return
-        delta = {"old_id": old_key, "new_id": None, "prefixes": None}
-        for address in self.shard_placement:
+                client_for(self.transport).mutate_relation(old_key, new_key)
+        if shard_delta is None:
+            shard_delta = {"old_id": old_key, "new_id": None, "prefixes": None}
+        for address in self.shard_placement or ():
             with contextlib.suppress(Exception):
-                shard_client_for(address).mutate(delta)
+                shard_client_for(address).mutate(shard_delta)
 
     # -- continuous top-k (watch jobs) -----------------------------------
 
@@ -936,7 +617,7 @@ class TopKServer:
                 job._wake.wait(timeout=job._control.remaining)
                 job._wake.clear()
         finally:
-            self._retire_window_registration(job)
+            self._rekey_window(job, None)
         return WatchSummary(
             evaluations=evaluations,
             changes=changes,
@@ -970,13 +651,13 @@ class TopKServer:
                 version=version,
                 stream=_window_stream(rows, oids),
             )
-            self._swap_window_registration(job, relation.relation_id())
+            self._rekey_window(job, relation.relation_id())
             if token.k > len(rows):
                 token = replace(token, k=len(rows))
         elif token.k > relation.n_objects:
             token = replace(token, k=relation.n_objects)
         salt = f":{self._salt_namespace}-watch-{job.job_id}-{sequence}#"
-        result = _run_salted_query(
+        result = run_salted_query(
             self.scheme,
             relation,
             self.transport,
@@ -992,92 +673,26 @@ class TopKServer:
         )
         return tuple(self.scheme.reveal(result))
 
-    def _swap_window_registration(self, job: WatchJob, new_key: str) -> None:
-        """Retire the previous evaluation's window relation state.
+    def _rekey_window(self, job: WatchJob, new_key: str | None) -> None:
+        """Retire the previous evaluation's window relation id
+        (``new_key=None``: the watch ended, retire its last one).
 
         Every windowed evaluation mints a relation whose id a socket
         transport lazily registers with the S2 daemon (key upload +
         state-dir spill) and whose halting depths the scheme records —
         without cleanup a long-lived watch grows both without bound.
-        Re-keying the daemon entry old→new (the same MUTATE frame the
-        mutation cascade uses: key material is identical across the
-        scheme's relations) keeps the registry at one entry per watch
-        and pre-registers the next OPEN, and dropping the predecessor's
-        depth history and slice-store entries bounds the local side.
+        The cascade's daemon re-key old→new keeps the registry at one
+        entry per watch and pre-registers the next OPEN.  A finished
+        watch re-keys onto the served relation's id: if that id is
+        already registered the moved entry is simply discarded (the
+        daemon never clobbers), otherwise the move pre-registers it —
+        bounded either way.
         """
-        old_key = job._window_relation_key
-        job._window_relation_key = new_key
-        if old_key is None or old_key == new_key:
-            return
-        self.scheme.drop_depth_history(old_key)
-        invalidate_slices(old_key)
-        self._notify_daemon_mutation(old_key, new_key)
-        self._drop_shard_registration(old_key)
-
-    def _retire_window_registration(self, job: WatchJob) -> None:
-        """Drop a finished watch's last window relation state.
-
-        The daemon entry is re-keyed onto the served relation's id: if
-        that id is already registered the moved entry is simply
-        discarded (the daemon never clobbers), otherwise the move
-        pre-registers it — bounded either way.
-        """
-        old_key = job._window_relation_key
-        if old_key is None:
-            return
-        job._window_relation_key = None
-        self.scheme.drop_depth_history(old_key)
-        invalidate_slices(old_key)
-        self._notify_daemon_mutation(old_key, self._relation_key)
-        self._drop_shard_registration(old_key)
-
-    # -- warm-start depth persistence ------------------------------------
-
-    def _depth_spill_path(self, relation_key: str) -> str | None:
-        if self._state_dir is None:
-            return None
-        if not relation_key.isalnum():
-            return None  # same safety gate as the daemon's spill names
-        return os.path.join(self._state_dir, f"{relation_key}.depths")
-
-    def _load_depth_spill(self) -> None:
-        """Import a prior run's halting-depth observations, if spilled.
-
-        Keyed by relation id — content fingerprint including the
-        version — so history can never leak across different data, and
-        a restart over unchanged data warm-starts immediately.
-        """
-        path = self._depth_spill_path(self._relation_key)
-        if path is None:
-            return
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            depths = [int(d) for d in payload["depths"]]
-        except (OSError, ValueError, KeyError, TypeError):
-            return  # absent or corrupt spill: start cold, never fail
-        self.scheme.import_depth_history(self._relation_key, depths)
-
-    def _spill_depths(self) -> None:
-        """Persist the current depth history (atomic tmp + rename)."""
-        path = self._depth_spill_path(self._relation_key)
-        if path is None:
-            return
-        depths = self.scheme.export_depth_history(self._relation_key)
-        if not depths:
-            return
-        try:
-            os.makedirs(self._state_dir, mode=0o700, exist_ok=True)
-            payload = {"relation_id": self._relation_key, "depths": depths}
-            atomic_write(path, json.dumps(payload).encode("utf-8"))
-        except OSError:
-            pass  # persistence is an optimization, never a failure mode
-
-    def _drop_depth_spill(self, relation_key: str) -> None:
-        path = self._depth_spill_path(relation_key)
-        if path is not None:
-            with contextlib.suppress(OSError):
-                os.remove(path)
+        old_key, job._window_relation_key = job._window_relation_key, new_key
+        if old_key is not None and old_key != new_key:
+            self._retire_relation_id(
+                old_key, new_key or self.relation.relation_id()
+            )
 
     @property
     def stats(self) -> dict:
@@ -1103,7 +718,7 @@ class TopKServer:
             "scheduler": scheduler,
             "warm_start": self.warm_start,
             "halting_depth_hint": self.scheme.halting_depth_hint(
-                self._relation_key
+                self.relation.relation_id()
             ),
             "version": self.relation.version,
             "mutations": self._mutation_count,
@@ -1153,17 +768,28 @@ class TopKServer:
         sequential :meth:`execute_many` at the same request position —
         request salts are a pure function of the request id.
         """
-        job_id = self._reserve_ids(1)[0]
         job = self._make_job(
-            job_id, token, self._effective_config(config), self._run_inline, timeout
+            self._reserve_ids(1)[0],
+            token,
+            self._effective_config(config),
+            timeout=timeout,
+            expect_version=expect_version,
         )
-        job._expect_version = expect_version
         self._dispatch(job)
         return job
 
-    def _make_job(self, job_id, token, config, runner, timeout=None) -> QueryJob:
-        job = QueryJob(job_id, token, config, timeout=timeout)
-        job._runner = runner
+    def _make_job(
+        self, job_id, token, config, *, timeout=None, expect_version=None,
+        in_worker=None,
+    ) -> QueryJob:
+        """A query job wired to the one runner.  ``in_worker`` — a
+        ``(pool width, prior query-pattern history)`` pair — places the
+        job's body on the worker-process pool instead of the scheduler
+        thread; nothing else about the job differs."""
+        job = QueryJob(
+            job_id, token, config, timeout=timeout, expect_version=expect_version
+        )
+        job._runner = functools.partial(self._run_query, in_worker=in_worker)
         return job
 
     def _dispatch(self, job: QueryJob, cap_hint: int = 0) -> None:
@@ -1274,70 +900,72 @@ class TopKServer:
                 self._jobs_active -= 1
             _JOBS_ACTIVE.dec()
 
-    def _run_inline(self, job: QueryJob) -> QueryResult:
-        """Default runner: the job's query in this scheduler thread
-        (shard work, if any, placed on the server's shard-worker pool).
-
-        Reuse layer: a cache hit returns immediately (zero rounds — the
-        job exchanges nothing); otherwise the fresh result feeds the
-        cache on the way out.
+    def _run_query(self, job: QueryJob, in_worker=None) -> QueryResult:
+        """The one runner (see the module docstring): snapshot, version
+        check, cache lookup, body, cache store — all under the
+        snapshot's relation id.  A cache hit returns immediately (zero
+        rounds — the job exchanges nothing); a fresh result feeds the
+        cache on the way out.  Only *where the body runs* varies: this
+        scheduler thread (shard work, if any, placed on the server's
+        shard-worker pool), or — ``in_worker`` — a worker process bound
+        to the snapshot's relation id.
         """
-        # Snapshot the served relation and its key together: a mutation
-        # landing mid-job swaps both atomically, and a job must never
-        # compute over one version while caching under another.
-        with self._session_lock:
-            relation = self.relation
-            relation_key = self._relation_key
-        expected = getattr(job, "_expect_version", None)
+        relation = self.relation
+        relation_key = relation.relation_id()
+        expected = job.expect_version
         if expected is not None and expected != relation.version:
             raise StaleRelationError(expected, relation.version)
         cached = self._cache_lookup(job.token, job.config, relation_key)
         if cached is not None:
             return cached
-        result = _run_salted_query(
-            self.scheme,
-            relation,
-            self.transport,
-            self.rtt_ms,
-            self._request_salt(job.job_id),
-            job.token,
-            job.config,
-            on_event=job._record_event,
-            control=job._control,
-            session_label=f"job-{job.job_id}",
-            shard_executor=self._shard_executor(job.config),
-            shard_placement=self.shard_placement,
-        )
+        if in_worker is not None:
+            result = self._run_in_worker(job, relation, *in_worker)
+        else:
+            result = run_salted_query(
+                self.scheme,
+                relation,
+                self.transport,
+                self.rtt_ms,
+                self._request_salt(job.job_id),
+                job.token,
+                job.config,
+                on_event=job._record_event,
+                control=job._control,
+                session_label=f"job-{job.job_id}",
+                shard_executor=self._shard_executor(job.config),
+                shard_placement=self.shard_placement,
+            )
         self._cache_store(job.token, job.config, result, relation_key)
-        # A fresh result observed a halting depth: make the warm-start
-        # history durable (no-op without state_dir).
-        self._spill_depths()
         return result
 
-    def _make_process_runner(self, executor, salt: str, prior: frozenset):
-        """Runner for one ``execute_many(mode="process")`` job: hand the
-        query to the persistent worker pool and wait.  Cancellation is
-        honoured only while the job is queued (the flag cannot reach the
-        child); a deadline abandons the wait (the worker's result is
+    def _run_in_worker(
+        self, job: QueryJob, relation, workers: int, prior: frozenset
+    ) -> QueryResult:
+        """Hand the job's body to the worker pool and wait.  Cancellation
+        is honoured only while the job is queued (the flag cannot reach
+        the child); a deadline abandons the wait (the worker's result is
         dropped)."""
-
-        def run(job: QueryJob) -> QueryResult:
-            # The cache lives in the parent: a repeat query never even
-            # reaches the pool (the hit itself re-records the pattern).
-            cached = self._cache_lookup(job.token, job.config)
-            if cached is not None:
-                return cached
-            future = executor.submit(_run_query, salt, job.token, job.config, prior)
-            try:
-                result = future.result(timeout=job._control.remaining)
-            except TimeoutError:
-                raise JobTimeout(
-                    "process-mode job deadline exceeded (worker result dropped)"
-                ) from None
-            self._cache_store(job.token, job.config, result)
-            return result
-
-        return run
+        future = self._worker_pool.submit(
+            relation, workers, self._request_salt(job.job_id),
+            job.token, job.config, prior,
+        )
+        # The worker's scheme copy is per-task scratch, so the parent's
+        # authoritative L1 state is kept here: the token is seen from
+        # the hand-off on (an inline run records it at query start too,
+        # and a handed-off query runs to completion regardless of what
+        # happens to this wait), the halting depth once it is known —
+        # under the snapshot's id, like the cache entry.
+        self.scheme.observe_query_pattern(job.token)
+        try:
+            result = future.result(timeout=job._control.remaining)
+        except TimeoutError:
+            raise JobTimeout(
+                "process-mode job deadline exceeded (worker result dropped)"
+            ) from None
+        self.scheme.record_halting_depth(
+            relation.relation_id(), result.halting_depth
+        )
+        return result
 
     # -- one-shot and bulk execution -------------------------------------
 
@@ -1361,191 +989,76 @@ class TopKServer:
         """Run many queries, ``concurrency`` at a time (wrapper over
         :meth:`submit`: every request rides the job queue).
 
-        ``mode="thread"`` windows inline jobs over the scheduler's
-        thread pool: big-int crypto holds the GIL, so threads overlap
-        link latency only.  ``mode="process"`` feeds the jobs to a
-        persistent worker-process pool — real multi-core execution.
+        ``mode="thread"`` runs each job's body on its scheduler thread:
+        big-int crypto holds the GIL, so threads overlap link latency
+        only.  ``mode="process"`` hands the bodies to a persistent
+        worker-process pool — real multi-core execution.
         Results come back in request order either way, each carrying its
         session's ``leakage_events``; randomness streams are salted per
         request id, so sequential and process modes produce identical
         results and leakage (each worker receives the exact
-        query-pattern history a sequential run would see at its request;
-        the parent's history is re-synced after the batch).  Thread mode
-        matches on results too, but for a batch that *repeats* a token
-        the query-pattern bit lands on whichever duplicate the scheduler
-        runs first — threads share the live history.
+        query-pattern history a sequential run would see at its
+        request).  Thread mode matches on results too, but for a batch
+        that *repeats* a token the query-pattern bit lands on whichever
+        duplicate the scheduler runs first — threads share the live
+        history.
 
-        ``concurrency <= 1`` always runs strictly sequentially (one job
-        at a time through the queue) — with one request at a time there
-        is no parallelism for a worker process to add, and the execution
-        is replay-identical by construction.
+        A window of one (``concurrency <= 1``, or a single request) runs
+        strictly sequentially on the scheduler thread in either mode —
+        with one request at a time there is no parallelism for a worker
+        process to add, and the execution is replay-identical by
+        construction.
         """
         if mode not in ("thread", "process"):
             raise ValueError(f"unknown execute_many mode: {mode!r}")
         if not requests:
             return []
-        # Resolve the server's default shard count once, up front: the
-        # jobs (and the pickled configs process-mode workers receive)
-        # then all carry the same effective config.
+        # Resolve the server's defaults once, up front: the jobs (and
+        # the pickled configs process-mode workers receive) then all
+        # carry the same effective config.
         requests = [
             (token, self._effective_config(config)) for token, config in requests
         ]
-        ids = list(self._reserve_ids(len(requests)))
-        if mode == "process" and concurrency > 1 and len(requests) > 1:
-            # Never build a wider pool than there is work to fill it.
-            return self._execute_many_process(
-                requests, ids, min(concurrency, len(requests))
-            )
-        if concurrency <= 1 or mode == "process":
-            # Sequential (also where a process batch is too small for a
-            # pool — never silently downgrade process mode to threads).
-            results = []
-            for (token, config), job_id in zip(requests, ids):
-                job = self._make_job(job_id, token, config, self._run_inline)
-                self._dispatch(job)
-                results.append(job.result())
-            return results
-        return self._collect_windowed(requests, ids, concurrency, self._run_inline)
+        ids = self._reserve_ids(len(requests))
+        # Never run (or build a pool) wider than there is work to fill.
+        window = max(1, min(concurrency, len(requests)))
+        placements = [None] * len(requests)
+        if mode == "process" and window > 1:
+            # Bind the pool before any job of the batch is dispatched, so
+            # the common-case fork precedes the batch's scheduler threads.
+            self._worker_pool.bind(self.relation, window)
+            # Sequential repeat semantics, precomputed: request i's history
+            # is the server history plus the fingerprints of requests
+            # 0..i-1.
+            seen = set(self.scheme.query_pattern_snapshot())
+            for i, (token, _) in enumerate(requests):
+                placements[i] = (window, frozenset(seen))
+                seen.add(token.fingerprint())
+        return self._collect_windowed(requests, ids, window, placements)
 
-    def _collect_windowed(
-        self, requests, ids, concurrency, runner, jobs_out: list | None = None
-    ) -> list:
-        """Dispatch jobs with at most ``concurrency`` in flight; gather
-        results in request order.  ``runner`` is one callable for the
-        batch or a per-request list.  Every dispatched job is waited on
+    def _collect_windowed(self, requests, ids, window, placements) -> list:
+        """Dispatch jobs with at most ``window`` in flight; gather
+        results in request order.  Every dispatched job is waited on
         before returning, even when an early job failed — no stragglers
         outlive the call."""
-        slots = threading.Semaphore(concurrency)
-        jobs: list[QueryJob] = [] if jobs_out is None else jobs_out
+        slots = threading.Semaphore(window)
+        jobs: list[QueryJob] = []
         try:
-            for (token, config), job_id in zip(requests, ids):
+            for (token, config), job_id, in_worker in zip(requests, ids, placements):
                 slots.acquire()
-                job_runner = runner[len(jobs)] if isinstance(runner, list) else runner
-                job = self._make_job(job_id, token, config, job_runner)
+                job = self._make_job(job_id, token, config, in_worker=in_worker)
                 job._add_done_callback(lambda _job: slots.release())
-                self._dispatch(job, cap_hint=concurrency)
+                self._dispatch(job, cap_hint=window)
                 jobs.append(job)
             return [job.result() for job in jobs]
         finally:
             for job in jobs:
                 job._done.wait()
 
-    def _acquire_query_executor(self, workers: int) -> ProcessPoolExecutor:
-        """The persistent query-worker pool, grown to ``workers`` when idle.
-
-        Growth replaces the pool, which is only safe with no in-flight
-        batch (a shutdown would cancel another thread's futures); while
-        batches are active the existing — possibly smaller — pool is
-        reused, and the per-batch window semaphore still enforces the
-        caller's concurrency cap either way.  Pool construction (forking
-        and warming N workers, pickling the scheme and relation to each)
-        happens *outside* the lock so jobs and other batches never
-        block on a multi-second spin-up; a racing builder's spare pool is
-        discarded.  Callers must pair with :meth:`_release_query_executor`.
-        """
-        with self._session_lock:
-            if self._closed:
-                raise RuntimeError("server is closed")
-            if self._query_pool is not None:
-                if self._query_pool_workers >= workers or self._query_pool_active > 0:
-                    self._query_pool_active += 1
-                    return self._query_pool
-                # Idle and smaller than requested: retire, rebuild below.
-                self._query_pool.shutdown(wait=False)
-                self._query_pool = None
-        # Fork-started workers inherit the relation store with the
-        # address space — the initializer payload stays empty; only a
-        # spawn platform ships the (cached, pickled-once) blob.
-        payload = (
-            None
-            if pool_start_method() == "fork"
-            else _relation_blob(self._relation_key)
-        )
-        new_pool = make_pool_executor(
-            workers,
-            _init_query_worker,
-            (
-                self._relation_key,
-                payload,
-                self.transport,
-                self.rtt_ms,
-                backend.get_backend().name,
-            ),
-        )
-        with self._session_lock:
-            if self._closed:
-                new_pool.shutdown(wait=False, cancel_futures=True)
-                raise RuntimeError("server is closed")
-            if self._query_pool is None:
-                self._query_pool = new_pool
-                self._query_pool_workers = workers
-            else:
-                new_pool.shutdown(wait=False)  # a concurrent builder won
-            self._query_pool_active += 1
-            return self._query_pool
-
-    def _release_query_executor(self) -> None:
-        with self._session_lock:
-            self._query_pool_active -= 1
-
-    def _execute_many_process(self, requests, ids, concurrency) -> list[QueryResult]:
-        executor = self._acquire_query_executor(concurrency)
-        jobs: list[QueryJob] = []
-        try:
-            # Sequential repeat semantics, precomputed: request i's history
-            # is the server history plus the fingerprints of requests
-            # 0..i-1.
-            seen = set(self.scheme.query_pattern_snapshot())
-            runners = []
-            for (token, _), job_id in zip(requests, ids):
-                runners.append(
-                    self._make_process_runner(
-                        executor, self._request_salt(job_id), frozenset(seen)
-                    )
-                )
-                seen.add(token.fingerprint())
-            try:
-                return self._collect_windowed(
-                    requests, ids, concurrency, runners, jobs_out=jobs
-                )
-            finally:
-                # Worker history copies are per-task scratch; fold the
-                # batch into the parent's authoritative query-pattern
-                # history even when a request fails — sequential execution
-                # records each fingerprint at query start, and a handed-off
-                # query runs to completion in its worker regardless of
-                # siblings.  Jobs that never started (server closed while
-                # queued) and broken-pool/cancelled casualties (their
-                # worker query may never have run) stay out.
-                # (_collect_windowed settled every dispatched job.)
-                self._record_batch_patterns(jobs)
-        finally:
-            self._release_query_executor()
-
-    def _record_batch_patterns(self, jobs: list[QueryJob]) -> None:
-        self.scheme.record_query_patterns(
-            [
-                job.token
-                for job in jobs
-                if job._attempted
-                and not isinstance(job._error, (BrokenProcessPool, CancelledError))
-            ]
-        )
-        # Worker scheme copies recorded their halting depths into
-        # per-task scratch; fold the observations into the parent's
-        # warm-start history the same way the patterns fold above.
-        # Cache hits stay out — they observed nothing new.
-        for job in jobs:
-            result = job._result
-            if result is not None and not result.cache_hit:
-                self.scheme.record_halting_depth(
-                    self._relation_key, result.halting_depth
-                )
-
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Close every job, session and worker pool this server opened.
+        """Close every job and worker pool this server opened.
 
         Idempotent, and safe when the S2 daemon connection already died
         (dead links are swallowed — they can never mask the error that
@@ -1557,24 +1070,19 @@ class TopKServer:
         ``WatchJob.cancel`` wakes the watch loop, so a watch parked on
         its wake event terminates promptly instead of holding a worker.
         """
-        self._spill_depths()
         # Health flips first (sticky, idempotent): /healthz reports
         # draining for the whole teardown window while /metrics stays
         # scrapeable until the very end.
         self._health.drain()
-        # Mutation lock before session lock (same order as
+        # Mutation lock before state lock (same order as
         # _apply_mutation): an in-flight mutation commits fully — or its
         # closed pre-check rejects it untouched — before _closed flips,
         # so the MutableRelation can never end up ahead of the served
         # relation, the caches, or the daemon registration.
-        with self._mutation_lock, self._session_lock:
+        with self._mutation_lock, self._state_lock:
             if self._closed:
                 return
             self._closed = True
-            sessions = list(self._sessions)
-            self._sessions.clear()
-            pool, self._query_pool = self._query_pool, None
-            self._query_pool_workers = 0
             shard_pool, self._shard_pool = self._shard_pool, None
         # Scheduler teardown: cancel queued jobs, stop running ones at
         # the next round boundary, retire the workers.
@@ -1584,15 +1092,14 @@ class TopKServer:
             threads = list(self._scheduler_thread_objs)
         for job in running:
             job.cancel()
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        self._worker_pool.close()
         self._drain_queue()
         # Shutdown sentinels wake workers parked in get(); best-effort
         # only — a worker that misses its sentinel (retired meanwhile, or
         # the bounded queue filled) still exits via the idle-TTL retire
         # path, since the queue is drained and _closed is set.  Never
-        # block here: with max_pending < workers a blocking put could
-        # wait on consumers that no longer exist.
+        # block here: with a queue bound below the worker count a
+        # blocking put could wait on consumers that no longer exist.
         for _ in range(workers):
             try:
                 self._job_queue.put_nowait(None)
@@ -1601,13 +1108,11 @@ class TopKServer:
         for thread in threads:
             thread.join()
         self._drain_queue()  # anything that slipped in during teardown
-        for session in sessions:
-            session.close()
         if shard_pool is not None:
             # Running jobs were already stopped/waited above, so no
             # shard task can still be queued behind this shutdown.
             shard_pool.shutdown(wait=True)
-        _release_relation(self._relation_key)
+        release_relation(self.relation.relation_id())
         exporter, self._exporter = self._exporter, None
         if exporter is not None:
             exporter.close()

@@ -338,25 +338,25 @@ class TestQueryStats:
 
     def test_per_query_leakage_slices_in_shared_session(self):
         scheme, relation, _ = _fresh_deployment()
-        with TopKServer(scheme, relation) as server:
-            with server.session() as session:
-                first = session.query(scheme.token([0, 1], k=2))
-                second = session.query(scheme.token([1, 2], k=2))
+        ctx = scheme._make_context(relation=relation)
+        try:
+            first = scheme.query(relation, scheme.token([0, 1], k=2), ctx=ctx)
+            second = scheme.query(relation, scheme.token([1, 2], k=2), ctx=ctx)
+        finally:
+            ctx.close()
         # Each result carries only its own query's events, while the
         # session log holds both.
-        assert len(session.leakage.events) == len(first.leakage_events) + len(
+        assert len(ctx.leakage.events) == len(first.leakage_events) + len(
             second.leakage_events
         )
         assert first.leakage_events[0].kind == "query_pattern"
         assert second.leakage_events[0].kind == "query_pattern"
         # Channel accounting is per-query too: the session's cumulative
         # counters are the sum of the per-result deltas.
+        session_stats = ctx.channel.snapshot()
+        assert session_stats.rounds == first.stats.rounds + second.stats.rounds
         assert (
-            session.channel_stats.rounds
-            == first.stats.rounds + second.stats.rounds
-        )
-        assert (
-            session.channel_stats.total_bytes
+            session_stats.total_bytes
             == first.stats.total_bytes + second.stats.total_bytes
         )
 
@@ -503,7 +503,8 @@ class TestCuratedSurface:
 
     def test_connect_knobs_are_server_knobs(self):
         """``connect`` forwards its keyword-only options to ``TopKServer``
-        and neither accepts a retired pool / rendezvous knob."""
+        and neither accepts a retired knob (pool, rendezvous, queue
+        bound, cache capacity, depth spill)."""
         import inspect
 
         server_params = inspect.signature(TopKServer.__init__).parameters
@@ -514,7 +515,14 @@ class TestCuratedSurface:
         ]
         assert keyword_only and set(keyword_only) <= set(server_params)
         scheme, relation, _ = _fresh_deployment()
-        for retired in ({"s2_workers": 2}, {"s2_mode": "thread"}, {"coalesce_ms": 2.0}):
+        for retired in (
+            {"s2_workers": 2},
+            {"s2_mode": "thread"},
+            {"coalesce_ms": 2.0},
+            {"max_pending": 2},
+            {"cache_capacity": 1},
+            {"state_dir": "/tmp"},
+        ):
             with pytest.raises(TypeError):
                 repro.connect(scheme, relation, **retired)
             with pytest.raises(TypeError):
@@ -529,11 +537,10 @@ class TestCuratedSurface:
 
 
 class TestSchedulerRobustness:
-    def test_bounded_queue_backpressure_drains(self):
+    def test_bounded_queue_backpressure_drains(self, monkeypatch):
+        monkeypatch.setattr(TopKServer, "MAX_PENDING", 2)
         scheme, relation, _ = _fresh_deployment()
-        with repro.connect(
-            scheme, relation, max_pending=2, scheduler_workers=2
-        ) as client:
+        with repro.connect(scheme, relation, scheduler_workers=2) as client:
             jobs = [client.submit(client.token([0, 1], k=1)) for _ in range(6)]
             assert all(len(j.result(timeout=120).items) == 1 for j in jobs)
 

@@ -12,15 +12,18 @@ Locks down the mutation layer end to end:
   lengths, copy-on-write suffix sharing, ``mutation_pattern`` leakage,
   version monotonicity, error paths.
 * **Invalidation cascade** — every mutation path drops the result
-  cache, the process-wide shard-slice store, the warm-start depth
-  history (memory + spill) and re-keys a remote daemon's registration;
-  pinned consumers (sessions, ``expect_version`` jobs) fail with
+  cache, the process-wide shard-slice store and the warm-start depth
+  history, and re-keys a remote daemon's registration; pinned consumers
+  (``expect_version`` jobs) fail with
   :class:`~repro.exceptions.StaleRelationError` instead of silently
   answering over stale data.
+* **One runner** — after a mutation every execution path (``submit``,
+  ``execute``, thread and process ``execute_many``) answers for the
+  successor, cached or not; a mutation landing *during* a process batch
+  leaves each job answering — and caching — for the version it
+  snapshotted.
 * **Prefix cache serving** — a ``k' < k`` repeat of a cached query is
   served as the first ``k'`` items with zero S2 rounds.
-* **Warm-start depth persistence** — ``state_dir`` spills survive a
-  restart over unchanged data and are dropped on every version bump.
 * **Continuous top-k** — ``watch()`` emits
   :class:`~repro.events.TopKChanged` exactly when the revealed winning
   set changes (plaintext oracle), windowed watches follow the insert
@@ -402,6 +405,7 @@ class TestServerMutations:
                 mutate()
                 after = server.execute(token)
                 assert not after.cache_hit, "mutation must drop the cache"
+            assert server.stats["cache"].invalidations >= len(mutations)
 
     def test_mutation_invalidates_the_slice_store(self):
         scheme, mutable, server = _deployment(
@@ -413,23 +417,6 @@ class TestServerMutations:
             assert any(k[0] == old_key for k in _SLICE_STORE)
             server.insert([18, 18])
             assert not any(k[0] == old_key for k in _SLICE_STORE)
-
-    def test_sessions_pin_their_version(self):
-        scheme, _, server = _deployment()
-        with server:
-            token = scheme.token([0, 1], k=2)
-            with server.session() as session:
-                session.query(token)
-                server.insert([9, 9])
-                with pytest.raises(StaleRelationError) as exc:
-                    session.query(token)
-                assert exc.value.expected == 0 and exc.value.current == 1
-            # A fresh session sees the successor (object 4 = [9, 9] now
-            # dominates; second place is a 12-12 tie, either id is valid).
-            with server.session() as session:
-                revealed = scheme.reveal(session.query(token))
-                ids = {o for o, _ in revealed}
-                assert 4 in ids and ids < {1, 3, 4}
 
     def test_expect_version_pins_a_job(self):
         scheme, _, server = _deployment()
@@ -479,6 +466,103 @@ class TestServerMutations:
             assert {o for o, _ in revealed} == _true_topk_ids(
                 dict(zip(oids, rows)), [0, 1], 1
             ) or revealed[0][1] == max(exact.values())
+
+
+# ---------------------------------------------------------------------------
+# One runner: every execution path sees the same relation snapshot.
+# ---------------------------------------------------------------------------
+
+_PATHS = {
+    "submit": lambda server, requests: [
+        server.submit(token, config).result() for token, config in requests
+    ],
+    "execute": lambda server, requests: [
+        server.execute(token, config) for token, config in requests
+    ],
+    "thread": lambda server, requests: server.execute_many(requests, concurrency=2),
+    "process": lambda server, requests: server.execute_many(
+        requests, concurrency=2, mode="process"
+    ),
+}
+
+
+class TestOneRunner:
+    ROWS = [[(7 * i + 3 * a) % 40 for a in range(3)] for i in range(12)]
+    ATTRS = ([0, 1, 2], [0, 1], [1, 2], [0, 2])
+    DOMINATING = [1000, 1000, 1000]  # becomes object 12, wins every query
+
+    def _oracle(self, rows) -> list[set]:
+        from repro.nra import SortedLists, nra_topk
+
+        return [
+            {o for o, _ in nra_topk(SortedLists(rows, attrs), 2).topk}
+            for attrs in self.ATTRS
+        ]
+
+    def _setup(self):
+        scheme, _, server = _deployment(rows=self.ROWS)
+        tokens = [scheme.token(attrs, k=2) for attrs in self.ATTRS]
+
+        def ids(results) -> list[set]:
+            return [{o for o, _ in scheme.reveal(r)} for r in results]
+
+        return scheme, server, tokens, ids
+
+    @pytest.mark.parametrize("path", sorted(_PATHS))
+    def test_every_path_answers_for_the_successor(self, path):
+        run = _PATHS[path]
+        _, server, tokens, ids = self._setup()
+        before = self._oracle(self.ROWS)
+        after = self._oracle(self.ROWS + [self.DOMINATING])
+        with server:
+            assert ids(run(server, [(t, None) for t in tokens])) == before
+            server.insert(self.DOMINATING)
+            uncached = run(server, [(t, QueryConfig(cache=False)) for t in tokens])
+            assert ids(uncached) == after
+            cached = run(server, [(t, None) for t in tokens])
+            assert ids(cached) == after
+            assert not any(r.cache_hit for r in cached), (
+                "the mutation dropped the predecessor's entries"
+            )
+            # What that run stored is the successor's answer.
+            repeats = [server.submit(t).result() for t in tokens]
+            assert all(r.cache_hit for r in repeats)
+            assert ids(repeats) == after
+
+    def test_mutation_during_a_process_batch(self, monkeypatch):
+        """The mutation lands after the first job snapshotted the
+        relation and before its body reaches a worker: that job answers
+        (and caches) for the predecessor, later jobs for the successor,
+        and nothing of the predecessor sits under the successor's id."""
+        scheme, server, tokens, ids = self._setup()
+        before = self._oracle(self.ROWS)
+        after = self._oracle(self.ROWS + [self.DOMINATING])
+        pool_submit = server._worker_pool.submit
+        snapshots: dict[str, int] = {}  # token fingerprint -> version handed off
+        first = threading.Lock()
+
+        def submit_after_insert(relation, workers, salt, token, *args):
+            if first.acquire(blocking=False):  # exactly one hand-off inserts
+                server.insert(self.DOMINATING)
+            snapshots[token.fingerprint()] = relation.version
+            return pool_submit(relation, workers, salt, token, *args)
+
+        monkeypatch.setattr(server._worker_pool, "submit", submit_after_insert)
+        with server:
+            results = server.execute_many(
+                [(t, None) for t in tokens], concurrency=2, mode="process"
+            )
+            versions = [snapshots[t.fingerprint()] for t in tokens]
+            assert 0 in versions and versions[-1] == 1
+            for got, version, old, new in zip(ids(results), versions, before, after):
+                assert got == (old, new)[version], (
+                    "a job answers for the version it snapshotted"
+                )
+            successor = server.relation.relation_id()
+            for key, stored in server._cache._entries.items():
+                if key[0] == successor:
+                    assert 12 in {o for o, _ in scheme.reveal(stored)}
+            assert ids([server.submit(t).result() for t in tokens]) == after
 
 
 # ---------------------------------------------------------------------------
@@ -553,65 +637,6 @@ class TestPrefixCacheServing:
             server.insert([9, 9])
             after = server.execute(scheme.token([0, 1], k=2))
             assert not after.cache_hit
-
-
-# ---------------------------------------------------------------------------
-# Warm-start depth persistence (--state-dir).
-# ---------------------------------------------------------------------------
-
-
-class TestDepthPersistence:
-    def test_depths_survive_a_restart(self, tmp_path):
-        import pickle
-
-        state = str(tmp_path)
-        rows = [[(3 * i + j) % 19 for j in range(2)] for i in range(8)]
-        scheme, mutable, server = _deployment(rows=rows, state_dir=state)
-        # Ciphertext randomness is not replayable, so a restart reloads
-        # the persisted deployment (scheme + relation) instead of
-        # re-encrypting — pickled up front, like the daemon's .reg spill.
-        blob = pickle.dumps((scheme, mutable))
-        with server:
-            server.execute(scheme.token([0, 1], k=2))
-            relation_key = mutable.relation.relation_id()
-        assert os.path.exists(os.path.join(state, f"{relation_key}.depths"))
-
-        # The reloaded deployment over unchanged data warm-starts from
-        # the spilled history immediately.
-        scheme2, mutable2 = pickle.loads(blob)
-        assert mutable2.relation.relation_id() == relation_key
-        with TopKServer(scheme2, mutable2, state_dir=state) as server2:
-            assert server2.stats["halting_depth_hint"] is not None
-
-    def test_mutation_drops_the_spill(self, tmp_path):
-        state = str(tmp_path)
-        scheme, mutable, server = _deployment(state_dir=state)
-        with server:
-            server.execute(scheme.token([0, 1], k=2))
-            old_key = mutable.relation.relation_id()
-            old_path = os.path.join(state, f"{old_key}.depths")
-            assert os.path.exists(old_path)
-            server.insert([9, 9])
-            assert not os.path.exists(old_path), (
-                "a version bump must drop the predecessor's depth spill"
-            )
-            assert server.stats["halting_depth_hint"] is None
-
-    def test_corrupt_spill_is_ignored(self, tmp_path):
-        import pickle
-
-        state = str(tmp_path)
-        scheme, mutable, server = _deployment(state_dir=state)
-        blob = pickle.dumps((scheme, mutable))
-        with server:
-            server.execute(scheme.token([0, 1], k=2))
-            key = mutable.relation.relation_id()
-        path = os.path.join(state, f"{key}.depths")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("not json{")
-        scheme2, mutable2 = pickle.loads(blob)
-        with TopKServer(scheme2, mutable2, state_dir=state) as server2:
-            assert server2.stats["halting_depth_hint"] is None
 
 
 # ---------------------------------------------------------------------------

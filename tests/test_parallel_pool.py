@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto import backend, kernels
-from repro.crypto.parallel import ComputePool, _chunk_count, _chunks, pool_start_method
+from repro.crypto.parallel import ComputePool, _chunk_count, _chunks
 from repro.crypto.rng import SecureRandom
 
 needs_kernel = pytest.mark.skipif(
@@ -119,6 +119,8 @@ class TestLimbFormat:
 
 def test_pool_start_method_is_fork_when_available():
     import multiprocessing
+
+    from repro.server.query_workers import pool_start_method
 
     if "fork" in multiprocessing.get_all_start_methods():
         assert pool_start_method() == "fork"

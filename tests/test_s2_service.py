@@ -240,9 +240,11 @@ class TestFailureModes:
         invisible to callers: a bare session works on first contact."""
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
-        with repro.connect(scheme, relation, address) as client:
-            with client.server.session():
-                assert service.stats()["sessions_active"] == 1
+        ctx = scheme._make_context(transport=address, relation=relation)
+        try:
+            assert service.stats()["sessions_active"] == 1
+        finally:
+            ctx.close()
         assert service.stats()["registrations"] == 1
 
     def test_non_daemon_peer_fails_cleanly(self):
