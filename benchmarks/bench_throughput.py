@@ -28,12 +28,6 @@ the **mutation grid**: qps across a mutation-rate × watch-count grid
 over a live mutable relation (cache invalidation and continuous-watch
 re-evaluation priced into one clock).
 
-A fourth series lands in ``benchmarks/results/sharding.json``: the
-**shard sweep** — weighted queries (per-item modexp weighting is the
-shard workers' parallel slice work) across ``TopKServer(shards=N)``,
-recording throughput, the per-shard ``QueryStats`` slice, and an
-explicit transcript-parity check against the unsharded run.
-
 Run directly (``PYTHONPATH=src python benchmarks/bench_throughput.py``)
 or via pytest.
 """
@@ -54,7 +48,6 @@ from repro.crypto.rng import SecureRandom
 from repro.server import TopKServer
 
 CLIENT_RESULTS = pathlib.Path(__file__).resolve().parent / "results" / "client.json"
-SHARD_RESULTS = pathlib.Path(__file__).resolve().parent / "results" / "sharding.json"
 
 N_ROWS = 16
 N_ATTRS = 4
@@ -493,219 +486,10 @@ def run_mutation_grid(out: pathlib.Path | None = None) -> dict:
     return grid
 
 
-def run_shard_sweep(out: pathlib.Path | None = None) -> dict:
-    """The sharding leg: ``TopKServer(shards=N)`` across shard counts.
-
-    Every leg runs the identical weighted workload on a fresh
-    identically-seeded deployment and the report carries an explicit
-    parity check (reveal/rounds/bytes vs the unsharded leg) alongside
-    throughput and the per-shard stats slice.  On a single-core box with
-    the GIL-bound pure backend the sweep measures the sharding layer's
-    *overhead* honestly; the shard workers' parallel slice weighting
-    pays off with multiple cores or a GIL-releasing big-int backend.
-    Writes ``benchmarks/results/sharding.json``.
-    """
-    queries = 4
-    legs = []
-    signatures = {}
-    for shards in (0, 2, 4):
-        scheme, relation, _ = _deployment()
-        token = scheme.token([0, 1, 2, 3], k=2, weights=[3, 2, 2, 3])
-        config = QueryConfig(variant="elim", engine="eager", halting="paper")
-        # The sweep repeats one token, so the result cache must be off:
-        # this leg measures sharding, not the reuse layer.
-        with TopKServer(scheme, relation, shards=shards, cache=False) as server:
-            started = time.perf_counter()
-            results = [server.execute(token, config) for _ in range(queries)]
-            elapsed = time.perf_counter() - started
-        last = results[-1]
-        signatures[shards] = [
-            (
-                scheme.reveal(r),
-                r.stats.rounds,
-                r.stats.total_bytes,
-                r.stats.leakage,
-            )
-            for r in results
-        ]
-        legs.append(
-            {
-                "shards": shards,
-                "queries": queries,
-                "seconds": round(elapsed, 4),
-                "qps": round(queries / elapsed, 3),
-                "rounds": last.stats.rounds,
-                "shard_stats": [
-                    {
-                        "shard": s.shard_id,
-                        "depths": [s.depth_lo, s.depth_hi],
-                        "records_scanned": s.records_scanned,
-                        "depth_reached": s.depth_reached,
-                        "elapsed_seconds": round(s.elapsed_seconds, 6),
-                    }
-                    for s in last.stats.shards
-                ],
-            }
-        )
-    parity = all(signatures[s] == signatures[0] for s in (2, 4))
-    assert parity, "sharded transcripts diverged from the unsharded leg"
-    by_shards = {leg["shards"]: leg["qps"] for leg in legs}
-    report = {
-        "meta": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "n_rows": N_ROWS,
-            "n_attrs": N_ATTRS,
-            "params": "tiny",
-            "note": "weighted workload; identical transcripts across shard "
-            "counts (parity-checked); single-core boxes measure the "
-            "sharding layer's overhead, not a speedup",
-        },
-        "rows": legs,
-        "transcript_parity": parity,
-        "relative_qps": {
-            "shards2_vs_unsharded": round(by_shards[2] / by_shards[0], 3),
-            "shards4_vs_unsharded": round(by_shards[4] / by_shards[0], 3),
-        },
-    }
-    out = out or SHARD_RESULTS
-    out.parent.mkdir(parents=True, exist_ok=True)
-    # Re-sweeping refreshes the sweep keys but keeps the placement grid
-    # (and vice versa) — the file accumulates both series.
-    if out.exists():
-        prior = json.loads(out.read_text())
-        if isinstance(prior, dict) and "placement_grid" in prior:
-            report["placement_grid"] = prior["placement_grid"]
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}")
-    print(json.dumps(report["relative_qps"], indent=2))
-    return report
-
-
-def run_shard_placement_grid(out: pathlib.Path | None = None) -> dict:
-    """The placement grid: local thread workers vs remote shard daemons.
-
-    Same weighted workload and shard count on every leg; the remote legs
-    place the plan's slices on one / two in-process
-    :class:`~repro.server.shard_service.ShardService` daemons over real
-    TCP sockets (round-robin when daemons < shards).  The grid records
-    throughput and slice-upload counts per leg plus an explicit
-    transcript-parity check — remote placement must be invisible in
-    results, rounds, bytes and leakage, paying only wall-clock for the
-    shard-link hops.  Merged under ``placement_grid`` in
-    ``benchmarks/results/sharding.json``.
-    """
-    from repro.net.socket_transport import disconnect_all
-    from repro.server.shard_service import ShardService
-
-    queries = 3
-    shards = 4
-    grid_config = QueryConfig(
-        variant="elim", engine="eager", halting="paper", shards=shards
-    )
-    services = [ShardService("tcp://127.0.0.1:0") for _ in range(2)]
-    addresses = [service.start() for service in services]
-    legs = []
-    signatures = {}
-    try:
-        for name, placement in (
-            ("local-threads", ()),
-            ("remote-1-daemon", tuple(addresses[:1])),
-            ("remote-2-daemons", tuple(addresses)),
-        ):
-            scheme, relation, _ = _deployment()
-            token = scheme.token([0, 1, 2, 3], k=2, weights=[3, 2, 2, 3])
-            uploads_before = sum(s.stats()["slice_uploads"] for s in services)
-            server_shards = list(placement) if placement else shards
-            with TopKServer(
-                scheme, relation, shards=server_shards, cache=False
-            ) as server:
-                started = time.perf_counter()
-                results = [
-                    server.execute(token, grid_config) for _ in range(queries)
-                ]
-                elapsed = time.perf_counter() - started
-            signatures[name] = [
-                (
-                    scheme.reveal(r),
-                    r.stats.rounds,
-                    r.stats.total_bytes,
-                    r.stats.leakage,
-                )
-                for r in results
-            ]
-            legs.append(
-                {
-                    "placement": name,
-                    "daemons": len(placement),
-                    "shards": shards,
-                    "queries": queries,
-                    "seconds": round(elapsed, 4),
-                    "qps": round(queries / elapsed, 3),
-                    "slice_uploads": sum(
-                        s.stats()["slice_uploads"] for s in services
-                    )
-                    - uploads_before,
-                }
-            )
-    finally:
-        disconnect_all()
-        for service in services:
-            service.close()
-    parity = all(
-        signatures[leg["placement"]] == signatures["local-threads"]
-        for leg in legs
-    )
-    assert parity, "remote placement diverged from the local-thread transcripts"
-    by_name = {leg["placement"]: leg["qps"] for leg in legs}
-    grid = {
-        "meta": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "n_rows": N_ROWS,
-            "n_attrs": N_ATTRS,
-            "params": "tiny",
-            "note": "remote legs cross real TCP sockets to in-process "
-            "shard daemons; transcripts are parity-checked against the "
-            "local-thread leg, so the qps delta is pure placement cost",
-        },
-        "rows": legs,
-        "transcript_parity": parity,
-        "relative_qps": {
-            "remote1_vs_local": round(
-                by_name["remote-1-daemon"] / by_name["local-threads"], 3
-            ),
-            "remote2_vs_local": round(
-                by_name["remote-2-daemons"] / by_name["local-threads"], 3
-            ),
-        },
-    }
-    out = out or SHARD_RESULTS
-    out.parent.mkdir(parents=True, exist_ok=True)
-    merged = json.loads(out.read_text()) if out.exists() else {}
-    if not isinstance(merged, dict):
-        merged = {}
-    merged["placement_grid"] = grid
-    out.write_text(json.dumps(merged, indent=2) + "\n")
-    print(f"wrote {out} (placement_grid)")
-    print(json.dumps(grid["relative_qps"], indent=2))
-    return grid
-
-
 def test_throughput_series():
     """Pytest entry point: emit both series."""
     run_throughput().emit("throughput.txt")
     run_coalescing().emit("throughput.txt")
-
-
-def test_shard_sweep_series():
-    """Pytest entry point: emit the shard-sweep series."""
-    run_shard_sweep()
-
-
-def test_shard_placement_grid_series():
-    """Pytest entry point: emit the local-vs-remote placement grid."""
-    run_shard_placement_grid()
 
 
 def test_submit_pipeline_series():
@@ -734,6 +518,4 @@ if __name__ == "__main__":
     run_submit_pipeline()
     run_reuse_grid()
     run_mutation_grid()
-    run_shard_sweep()
-    run_shard_placement_grid()
     run_instrumentation_overhead()

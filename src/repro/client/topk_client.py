@@ -39,7 +39,6 @@ def connect(
     *,
     rtt_ms: float = 0.0,
     scheduler_workers: int = 8,
-    shards: int | list[str] | tuple[str, ...] = 0,
     cache: bool = True,
     warm_start: bool = False,
     metrics_port: int | None = None,
@@ -54,17 +53,6 @@ def connect(
     keyword-only options are :class:`~repro.server.topk_server.TopKServer`'s
     own (``rtt_ms``: simulated link latency per round;
     ``scheduler_workers``: cap on concurrently running jobs).
-
-    ``shards`` sets the server's default S1 shard-worker count:
-    ``shards >= 2`` splits every query's sorted lists into contiguous
-    depth slices scanned by shard workers and merged by the fan-in
-    stage — transcripts (results, rounds, bytes, leakage) stay
-    bit-identical to unsharded runs, and each result's
-    ``stats.shards`` carries the per-shard cost slice.  Pass a list of
-    shard-daemon addresses (``shards=["tcp://h1:p", "tcp://h2:p"]``)
-    to place those slices on remote
-    :class:`~repro.server.shard_service.ShardService` workers instead
-    of local threads — same transcripts, distributed storage scan.
 
     The reuse layer rides on knowledge S1 already holds (L1 leakage):
 
@@ -101,7 +89,6 @@ def connect(
         transport=address,
         rtt_ms=rtt_ms,
         scheduler_workers=scheduler_workers,
-        shards=shards,
         cache=cache,
         warm_start=warm_start,
         metrics_port=metrics_port,
@@ -121,13 +108,6 @@ class TopKClient:
         self._server = server
         self._owns_server = owns_server
         self._closed = False
-
-    # -- construction helpers --------------------------------------------
-
-    @classmethod
-    def for_server(cls, server: TopKServer) -> "TopKClient":
-        """A client view over an existing server (not owned)."""
-        return cls(server, owns_server=False)
 
     @property
     def server(self) -> TopKServer:
@@ -213,7 +193,7 @@ class TopKClient:
         Each mutation re-encrypts only the touched prefix of every
         sorted list, bumps :attr:`version`, and invalidates every
         consumer keyed by the predecessor relation id (result cache,
-        shard slices, warm-start history, daemon registration).
+        warm-start history, daemon registration).
         """
         if self._closed:
             raise RuntimeError("client is closed")

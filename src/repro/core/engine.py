@@ -92,9 +92,9 @@ class _EngineBase:
         self.sort_method = sort_method
         self.depth_seconds: list[float] = []
         # Sharded relations (repro.server.sharding) expose a prefetch
-        # hook: announcing each depth boundary lets the shard workers
-        # assemble and fan-in the check window before its rounds are
-        # built.  Plain lists have no hook and cost nothing.
+        # hook: announcing each depth boundary lets the shards assemble
+        # and fan-in the check window before its rounds are built.
+        # Plain lists have no hook and cost nothing.
         self._prefetch_window = getattr(enc_lists, "prefetch", None)
 
     def _begin_depth(self, depth: int) -> None:

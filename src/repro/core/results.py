@@ -44,14 +44,14 @@ class QueryConfig:
         Optional scan cap (benchmarks use it to bound run time; results
         are then best-effort as in a budgeted NRA run).
     shards:
-        How many S1 shard workers hold the query lists.  ``None`` means
-        "the server's default" (``TopKServer(shards=N)``); ``0``/``1``
-        is the single-worker scan.  ``N >= 2`` splits every query list
-        into ``N`` contiguous depth slices served by shard workers and
-        merged by the fan-in stage — transcript-invisible: a sharded
-        run is bit-identical (results, rounds, bytes, leakage) to the
-        unsharded one (see :mod:`repro.server.sharding`).  Clamped to
-        the relation size for tiny relations.
+        How many depth slices S1 scans the query lists as.  ``None``,
+        ``0`` and ``1`` are the plain scan.  ``N >= 2`` splits every
+        query list into ``N`` contiguous depth slices merged by the
+        fan-in stage — transcript-invisible: a sharded run is
+        bit-identical (results, rounds, bytes, leakage) to the
+        unsharded one and no faster (see :mod:`repro.server.sharding`
+        for why it is still here).  Clamped to the relation size for
+        tiny relations.
     cache:
         Whether the server may serve this query from its leakage-aware
         result cache (see :mod:`repro.server.query_cache`).  A hit is
@@ -109,17 +109,16 @@ class QueryConfig:
         return self.batch_p if self.variant == "batch" else 1
 
     def effective_shards(self) -> int:
-        """Shard-worker count this config asks for (0/1 = unsharded)."""
+        """Depth-slice count this config asks for (0/1 = unsharded)."""
         return self.shards or 0
 
     def cache_key(self) -> tuple:
         """The config part of the result-cache key.
 
-        Covers every knob that can change what a query returns — the
-        wire transcript *or* the result's observable cost profile
-        (``shards`` is transcript-invisible but surfaces per-shard
-        stats, so it keys too).  Deliberately excludes the purely
-        operational ``cache`` flag itself.
+        Covers every knob that can change the result or its wire
+        transcript.  Deliberately excludes the operational knobs:
+        ``cache`` itself, and ``shards`` — transcript-invisible, and a
+        hit carries no per-shard stats whatever it was stored under.
         """
         return (
             self.variant,
@@ -129,7 +128,6 @@ class QueryConfig:
             self.compare_method,
             self.sort_method,
             self.max_depth,
-            self.shards,
             self.warm_start,
             self.min_check_depth,
         )

@@ -395,8 +395,6 @@ class SecTopK:
         token: Token,
         config: QueryConfig | None = None,
         ctx: S1Context | None = None,
-        shard_executor=None,
-        shard_placement: tuple[str, ...] | None = None,
     ) -> QueryResult:
         """Process a top-k query on the encrypted relation.
 
@@ -404,30 +402,12 @@ class SecTopK:
         transport); a default one is closed before returning.  When the
         query itself fails, a dead transport's secondary close error is
         suppressed so the original failure surfaces undisturbed.
-
-        ``shard_executor`` (optional) is where a sharded query
-        (``config.shards >= 2``) runs its shard workers' slice
-        preparation and window assembly; without one the shard fan-out
-        runs inline — same transcript, no overlap.  The
-        :class:`~repro.server.topk_server.TopKServer` scheduler passes
-        its shard-worker pool here.
-
-        ``shard_placement`` (optional) maps a sharded query's plan
-        slices onto remote shard-worker daemons
-        (:mod:`repro.server.shard_service`) instead of local threads:
-        shard ``s`` is served by address ``s % len(placement)``.  The
-        remote scan is transcript-identical to the local one (the shard
-        link is S1-internal and never touches channel accounting).
         """
         config = config or QueryConfig()
         if ctx is not None:
-            return self._query(
-                relation, token, config, ctx, shard_executor, shard_placement
-            )
+            return self._query(relation, token, config, ctx)
         with owned_context(self._make_context()) as ctx:
-            return self._query(
-                relation, token, config, ctx, shard_executor, shard_placement
-            )
+            return self._query(relation, token, config, ctx)
 
     def _query(
         self,
@@ -435,8 +415,6 @@ class SecTopK:
         token: Token,
         config: QueryConfig,
         ctx: S1Context,
-        shard_executor=None,
-        shard_placement: tuple[str, ...] | None = None,
     ) -> QueryResult:
         # This query's slice of the (possibly shared, session-long)
         # leakage log and channel accounting starts here; S2 events land
@@ -465,12 +443,12 @@ class SecTopK:
 
         shard_view = None
         if config.effective_shards() >= 2:
-            # Sharded scan: the query lists live as contiguous depth
-            # slices on shard workers; the engine consumes the fan-in
-            # merged windows.  Value-identical items in scan order keep
-            # the S2-visible transcript bit-identical to the unsharded
-            # path below.  (Function-level import: the sharding layer
-            # lives with the server, which imports this module.)
+            # Sharded scan: the query lists are split into contiguous
+            # depth slices; the engine consumes the fan-in merged
+            # windows.  Value-identical items in scan order keep the
+            # S2-visible transcript bit-identical to the unsharded path
+            # below.  (Function-level import: the sharding layer lives
+            # with the server, which imports this module.)
             from repro.server.sharding import ShardedQueryLists
 
             shard_view = ShardedQueryLists(
@@ -478,8 +456,6 @@ class SecTopK:
                 token,
                 config.effective_shards(),
                 window=config.check_every(),
-                executor=shard_executor,
-                placement=shard_placement,
             )
             enc_lists = shard_view
         else:

@@ -14,9 +14,9 @@ through this module, so a single switch moves the whole system between:
 * ``gmp-kernel`` — the compiled cffi batch kernel
   (:mod:`repro.crypto.kernels`): GMP speed *plus* the GIL released
   across an entire ``powmod_vec`` call, which is what lets thread-mode
-  compute pools and shard workers scale with cores.  Available when the
-  extension builds here (cffi + C compiler + GMP headers); absent, it
-  simply never registers.
+  compute pools scale with cores.  Available when the extension builds
+  here (cffi + C compiler + GMP headers); absent, it simply never
+  registers.
 
 Selection order:
 

@@ -13,9 +13,9 @@ Two things live here:
   operation signatures (``powmod`` / ``powmod_vec`` / ``powmod_pairs`` /
   ``pool_products`` / ``invert``).  A batch call packs the whole batch,
   makes *one* C call, and unpacks; cffi releases the GIL for the entire
-  C loop, which is what lets shard workers scale with cores.  Results
-  are bit-identical to the pure and gmpy2 backends
-  (``tests/test_backend.py`` pins this).
+  C loop, so concurrent queries' kernel stretches overlap.  Results are
+  bit-identical to the pure and gmpy2 backends (``tests/test_backend.py``
+  pins this).
 
 Use :func:`load_kernel` / :func:`kernel_available`; both are no-raise —
 a machine without cffi, a compiler or the GMP headers simply reports the

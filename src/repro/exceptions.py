@@ -63,24 +63,6 @@ class ShardFanInError(ProtocolError):
         self.window = window
 
 
-class ShardWorkerError(TransportError):
-    """A remote shard worker failed to serve its slice.
-
-    Wraps the connection-level failure (timeout, ``PeerDisconnected``,
-    remote error report) with the shard id and worker address, so a
-    worker dying mid-window surfaces as a typed job failure naming the
-    culprit instead of a hung fan-in.
-    """
-
-    def __init__(self, shard_id: int, address: str, reason: str):
-        super().__init__(
-            f"shard worker {shard_id} at {address} failed: {reason}"
-        )
-        self.shard_id = shard_id
-        self.address = address
-        self.reason = reason
-
-
 class RemoteS2Error(TransportError):
     """The S2 service failed to service a request and reported why.
 

@@ -48,9 +48,7 @@ def fan_in_batches(
     stage merges them into a single depth-ordered batch — the stream the
     engine consumes — *before* the window's rounds are built, so the
     messages that reach the round batcher are exactly the ones an
-    unsharded scan would send.  This is the single convergence point of
-    every placement: local thread workers and remote shard daemons both
-    land here, so one validation pins the invariant for all of them.
+    unsharded scan would send.
 
     Validates that the shards' contributions tile the window: a
     duplicated or missing depth means the shard plan and the workers

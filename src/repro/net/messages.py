@@ -181,29 +181,6 @@ class FilterBatch(Message):
     _unmeasured = ("own_public",)
 
 
-@dataclass(frozen=True)
-class ShardBatch(Message):
-    """One check-window request on the S1-internal shard link.
-
-    Not an S1 -> S2 message: it rides the
-    :class:`~repro.net.socket_transport.ShardClient` connection between
-    the query coordinator and a remote shard-worker daemon, asking for
-    the weighted ``(depth, items)`` pairs of window ``[lo, hi)`` from
-    the slice registered under ``(relation_id, shard_id)``.  It shares
-    the envelope codec for its ciphertext-bearing reply, but never
-    touches the S1 <-> S2 channel accounting — the shard link is storage
-    infrastructure, invisible in the paper's bandwidth numbers.
-    """
-
-    protocol: str = "shard-scan"
-    relation_id: str = ""
-    shard_id: int = 0
-    names: tuple = ()
-    weights: tuple = ()
-    lo: int = 0
-    hi: int = 0
-
-
 #: Stable wire ids (appended-only; never reorder).
 MESSAGE_TYPES: list[type] = [
     ZeroTestBatch,
@@ -220,7 +197,6 @@ MESSAGE_TYPES: list[type] = [
     FilterBatch,
     NaiveTopKQuery,
     AggregateByRecord,
-    ShardBatch,
 ]
 
 _TYPE_IDS = {cls: idx for idx, cls in enumerate(MESSAGE_TYPES)}

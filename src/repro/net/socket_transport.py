@@ -91,14 +91,6 @@ CLOSED = 0x0A
 ERROR = 0x0B
 MUTATE = 0x0C
 MUTATED = 0x0D
-SLICE = 0x0E
-SLICED = 0x0F
-
-#: Banner of the S1 shard-worker daemon (:mod:`repro.server.shard_service`).
-#: A separate protocol from S2: shard daemons hold ciphertext rows, never
-#: key material, and speak SLICE/REQUEST/MUTATE only.  Strict — there is
-#: no older shard daemon to downgrade to.
-SHARD_BANNER = b"repro-shard/1"
 
 _HEADER = struct.Struct("!IBI")  # payload length, frame type, session id
 
@@ -220,13 +212,13 @@ def default_registration_id(keypair, dj) -> str:
 class FrameClient:
     """One process's multiplexed connection to a frame daemon.
 
-    Everything the two daemon clients share: connect and banner
-    negotiation, the reader thread that demultiplexes session-tagged
-    reply frames to the waiting exchanges, and the poisoning that turns
-    peer death into an exception on every waiter instead of a hang.
-    Subclasses name the banners they speak (:attr:`BANNERS`, newest
-    first) and add their conversation on top of :meth:`begin` /
-    :meth:`finish` / :meth:`roundtrip`.
+    The frame format's client half: connect and banner negotiation,
+    the reader thread that demultiplexes session-tagged reply frames to
+    the waiting exchanges, and the poisoning that turns peer death into
+    an exception on every waiter instead of a hang.  A subclass names
+    the banners it speaks (:attr:`BANNERS`, newest first) and adds its
+    conversation on top of :meth:`begin` / :meth:`finish` /
+    :meth:`roundtrip`.
     """
 
     #: Banners to offer, newest first.  A daemon that does not speak one
@@ -586,89 +578,10 @@ class SocketTransport(Transport):
             pass  # a dead daemon cannot acknowledge; the session is gone
 
 
-# -- shard-worker client ---------------------------------------------------
-
-
-class ShardClient(FrameClient):
-    """The S1 side's connection to a shard-worker daemon.
-
-    The shard link reuses the frame core, but the conversation is
-    simpler: no key material, no long-lived sessions — every request is
-    one :meth:`roundtrip` under a fresh session id, so concurrent workers
-    mapped to the same daemon interleave freely on one socket.
-    Depth-batch requests take a per-call ``timeout``: a daemon that
-    stops answering poisons the connection and raises, so a worker dying
-    mid-window surfaces as a typed failure instead of a hung fan-in.
-
-    Byte accounting note: the shard link is S1-internal infrastructure
-    (storage tier, not the S1<->S2 channel), so nothing here touches the
-    query's :class:`~repro.net.channel.Channel` statistics — exactly why
-    remote placement is transcript-invisible.
-    """
-
-    BANNERS = (SHARD_BANNER,)
-
-    def upload_slice(self, slice_payload: dict) -> None:
-        """Register one ``(relation_id, shard_id)`` slice (idempotent)."""
-        self.roundtrip(
-            SLICE,
-            next(self._session_ids),
-            pickle.dumps(slice_payload, protocol=pickle.HIGHEST_PROTOCOL),
-            SLICED,
-        )
-
-    def depth_batch(
-        self,
-        relation_id: str,
-        shard_id: int,
-        names: tuple,
-        weights: tuple,
-        lo: int,
-        hi: int,
-        timeout: float | None = None,
-    ) -> list:
-        """One window request: the shard's ``(depth, items)`` pairs.
-
-        Raises :class:`RemoteS2Error` with kind ``unknown-relation``
-        when the daemon does not hold the slice (callers upload and
-        retry).
-        """
-        from repro.net.messages import ShardBatch
-
-        msg = ShardBatch(
-            relation_id=relation_id,
-            shard_id=shard_id,
-            names=tuple(names),
-            weights=tuple(weights),
-            lo=lo,
-            hi=hi,
-        )
-        # Fresh codec per frame on both endpoints: a shard exchange is
-        # self-contained (keys re-register per reply), so no cross-request
-        # codec state needs to survive connection churn.
-        payload = WireCodec().encode_envelope([msg])
-        reply = self.roundtrip(
-            REQUEST, next(self._session_ids), payload, REPLY, timeout
-        )
-        (batch,) = WireCodec().decode_replies(reply)
-        return list(batch)
-
-    def mutate(self, delta: dict) -> dict:
-        """Delta-sync the daemon's slices after a relation mutation."""
-        reply = self.roundtrip(
-            MUTATE,
-            next(self._session_ids),
-            pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL),
-            MUTATED,
-        )
-        return pickle.loads(reply) if reply else {}
-
-
 # -- per-process client registry -------------------------------------------
 
-#: address -> live client.  One daemon speaks one banner family, so the
-#: address alone identifies the connection; the class is checked on use.
-_CLIENTS: dict[str, FrameClient] = {}
+#: address -> live client.
+_CLIENTS: dict[str, S2Client] = {}
 _CLIENTS_LOCK = threading.Lock()
 
 
@@ -688,12 +601,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
-def _shared_client(cls, address: str, timeout: float | None):
+def client_for(address: str, timeout: float | None = 10.0) -> S2Client:
+    """The process-wide shared client for ``address``.
+
+    One connection per (process, address): concurrent sessions
+    multiplex over it, worker processes get their own (a forked child
+    never reuses the parent's socket — frames from two processes on one
+    stream would interleave; the pid check catches inherited entries),
+    and a poisoned connection is transparently replaced.
+    """
     with _CLIENTS_LOCK:
         client = _CLIENTS.get(address)
-        if client is not None and (
-            client.pid != os.getpid() or client.dead or not isinstance(client, cls)
-        ):
+        if client is not None and (client.pid != os.getpid() or client.dead):
             if client.pid != os.getpid():
                 # Forked-off inheritance: quietly drop our duplicate fd
                 # (the parent's open description keeps the stream alive).
@@ -706,30 +625,9 @@ def _shared_client(cls, address: str, timeout: float | None):
             _CLIENTS.pop(address, None)
             client = None
         if client is None:
-            client = cls(address, timeout)
+            client = S2Client(address, timeout)
             _CLIENTS[address] = client
         return client
-
-
-def client_for(address: str, timeout: float | None = 10.0) -> S2Client:
-    """The process-wide shared client for ``address``.
-
-    One connection per (process, address): concurrent sessions
-    multiplex over it, worker processes get their own (a forked child
-    never reuses the parent's socket — frames from two processes on one
-    stream would interleave; the pid check catches inherited entries),
-    and a poisoned connection is transparently replaced.
-    """
-    return _shared_client(S2Client, address, timeout)
-
-
-def shard_client_for(address: str, timeout: float | None = 10.0) -> ShardClient:
-    """The process-wide shared shard-daemon client for ``address``.
-
-    Same discipline as :func:`client_for` — a worker that failed once
-    does not doom the next query's attempt.
-    """
-    return _shared_client(ShardClient, address, timeout)
 
 
 def disconnect_all() -> None:

@@ -10,10 +10,10 @@ address (see ARCHITECTURE.md, deployment layer).
 :mod:`repro.server.query_workers` owns where a job's body executes (the
 scheduler thread, or a worker process bound to one relation id).
 
-:mod:`repro.server.sharding` splits a relation's sorted lists into
-contiguous depth slices scanned by shard workers behind
-``TopKServer(shards=N)`` — transcript-identical to the single-worker
-scan (see ARCHITECTURE.md, sharding).
+:mod:`repro.server.sharding` is what is left of S1 sharding: the
+inline ``QueryConfig(shards=N)`` scan over contiguous depth slices,
+transcript-identical to the plain scan and kept for the benchmark's
+``server.shard2_overhead_ratio`` probe (see ARCHITECTURE.md, sharding).
 
 The reuse layer (see ARCHITECTURE.md, reuse layer) lives here too:
 :mod:`repro.server.query_cache` serves repeat queries with zero S2
@@ -35,7 +35,6 @@ __all__ = [
     "QueryJob",
     "S2Service",
     "ShardPlan",
-    "ShardService",
     "TopKServer",
     "WatchJob",
     "WatchSummary",
@@ -43,15 +42,10 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # Lazy so `python -m repro.server.s2_service` (and the shard daemon)
-    # does not import the daemon module twice (once via this package,
-    # once as __main__).
+    # Lazy so `python -m repro.server.s2_service` does not import the
+    # daemon module twice (once via this package, once as __main__).
     if name == "S2Service":
         from repro.server.s2_service import S2Service
 
         return S2Service
-    if name == "ShardService":
-        from repro.server.shard_service import ShardService
-
-        return ShardService
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

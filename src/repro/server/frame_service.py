@@ -1,14 +1,15 @@
-"""The daemon core both standalone services are built on.
+"""The daemon core the standalone S2 service is built on.
 
 :class:`FrameService` is the server half of the frame protocol in
-:mod:`repro.net.socket_transport`, shared by the S2 daemon and the
-shard-worker daemon: listener and accept loop, per-connection HELLO and
-read loop dispatching through a ``{frame_type: handler}`` table, the
-connection set and its instruments, the ``/metrics`` + ``/healthz``
-mount with ``drain()`` / ``close()``, and the ``--state-dir``
+:mod:`repro.net.socket_transport` (it hides the frame format from
+:class:`~repro.server.s2_service.S2Service`, its one subclass):
+listener and accept loop, per-connection HELLO and read loop
+dispatching through a ``{frame_type: handler}`` table, the connection
+set and its instruments, the ``/metrics`` + ``/healthz`` mount with
+``drain()`` / ``close()``, and the ``--state-dir``
 :meth:`~FrameService.spill` / :meth:`~FrameService.restore` pair.
 :func:`launch_daemon` / :func:`daemon_main` are the subprocess launcher
-and CLI behind both ``python -m repro.server.{s2,shard}_service``.
+and CLI behind ``python -m repro.server.s2_service``.
 
 The error-scoping rule lives here too: a *handler* failure is answered
 with a typed ERROR on the offending session id and the connection lives
@@ -135,7 +136,7 @@ class FrameService:
     metrics, the ``s2-*`` threads and the ``repro-s2:`` CLI line), pass
     the banners they accept, fill :attr:`handlers`, add their own
     instruments to :attr:`_counters`, and may override
-    :meth:`_connection_lost` and :meth:`_release`.
+    :meth:`_connection_lost`.
 
     Parameters
     ----------
@@ -286,8 +287,7 @@ class FrameService:
         self._closed.wait()
 
     def close(self) -> None:
-        """Stop accepting, drop every connection, release what the
-        subclass holds (:meth:`_release`), unmount the exporter."""
+        """Stop accepting, drop every connection, unmount the exporter."""
         self._health.drain()
         if self._closed.is_set():
             return
@@ -313,7 +313,6 @@ class FrameService:
         if self._unix_path is not None:
             with contextlib.suppress(OSError):
                 os.unlink(self._unix_path)
-        self._release()
         exporter, self._exporter = self._exporter, None
         if exporter is not None:
             exporter.close()
@@ -328,12 +327,7 @@ class FrameService:
     # -- dispatch --------------------------------------------------------
 
     def run_handler(self, handler, connection, session_id, payload) -> None:
-        """Run one frame's handler; its failure is that session's ERROR.
-
-        Also the entry point for handlers a service runs off the read
-        thread (the shard daemon's dispatch pool), so the scoping rule
-        holds wherever the handler runs.
-        """
+        """Run one frame's handler; its failure is that session's ERROR."""
         try:
             handler(connection, session_id, payload)
         except PeerDisconnected:
@@ -350,10 +344,6 @@ class FrameService:
     def _connection_lost(self, connection: Connection) -> None:
         """Hook: a connection ended; retire what lived on it."""
 
-    def _release(self) -> None:
-        """Hook: :meth:`close` tore the connections down; release the
-        pools/executors the handlers ran on."""
-
     def stats(self) -> dict:
         """A consistent point-in-time snapshot of the service counters.
 
@@ -367,7 +357,7 @@ class FrameService:
     # -- state dir -------------------------------------------------------
 
     def _spill_path(self, name: str) -> str:
-        # Spill names are ``<hex relation id>[.<shard>].<suffix>`` —
+        # Spill names are ``<hex relation id>.<suffix>`` —
         # filesystem-safe by construction; reject anything else rather
         # than risk a traversal.
         if not all(part.isalnum() for part in name.split(".")):
@@ -467,7 +457,7 @@ def launch_daemon(
 
 
 def daemon_main(service_cls, argv: list[str] | None = None) -> None:
-    """The daemons' CLI: parse, start, announce, serve until interrupted."""
+    """The daemon CLI: parse, start, announce, serve until interrupted."""
     module = sys.modules[service_cls.__module__]
     parser = argparse.ArgumentParser(
         prog=module.__spec__.name, description=module.__doc__.split("\n\n")[0]

@@ -20,8 +20,8 @@ plaintext mirror and maintains the per-attribute sorted lists
   discipline as the query-side ``QP``/``HD`` events;
 * every mutation produces a *successor* :class:`EncryptedRelation` with
   ``version + 1``.  The version is folded into ``relation_id()``, so all
-  machinery keyed by relation id (daemon registrations, relation/slice
-  stores, the query cache, warm-start depth history) misses cleanly
+  machinery keyed by relation id (daemon registrations, the relation
+  store, the query cache, warm-start depth history) misses cleanly
   instead of aliasing stale ciphertexts.
 
 Equivalence invariant (pinned by ``tests/test_mutations.py``): after any
@@ -69,41 +69,6 @@ class MutationResult:
 
     leakage_events: tuple
     """:class:`~repro.protocols.base.LeakageEvent` tuple for this op."""
-
-
-#: Row-index shift of each mutation op: a suffix entry at new global
-#: depth ``d`` (``d >= prefix_len``) was at old depth ``d - shift``.
-_OP_SHIFT = {"insert": 1, "update": 0, "delete": -1}
-
-
-def mutation_delta(
-    relation: EncryptedRelation, result: MutationResult, old_id: str
-) -> dict:
-    """The touched-prefix delta-sync payload for remote shard workers.
-
-    After a mutation only the re-encrypted prefix of each list differs
-    from the predecessor; everything below the splice point is the same
-    ``EncryptedItem`` objects shifted by the op's row delta.  A shard
-    daemon holding the predecessor's slices therefore needs just the
-    prefix rows (shipped here, straight from the successor relation) to
-    rebuild its slices under the successor's id — suffix rows it already
-    holds, referenced by the predecessor id ``old_id``
-    (:meth:`repro.server.shard_service.ShardService._mutate`).
-
-    ``relation`` must be the successor the mutation produced (its
-    ``relation_id`` becomes the delta's ``new_id``).
-    """
-    prefixes = {
-        name: list(relation.lists[name][:prefix_len])
-        for name, prefix_len in result.touched
-    }
-    return {
-        "old_id": old_id,
-        "new_id": relation.relation_id(),
-        "shift": _OP_SHIFT[result.op],
-        "new_n_rows": relation.n_objects,
-        "prefixes": prefixes,
-    }
 
 
 class MutableRelation:

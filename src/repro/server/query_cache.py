@@ -22,7 +22,8 @@ The cache is **per-server**, bounded LRU, keyed by
   so the key itself introduces no new leakage;
 * ``config.cache_key()`` — every knob that can change the result or its
   transcript (engine, variant, halting rule, …); operational knobs such
-  as ``shards`` are excluded because they are transcript-invisible.
+  as ``shards`` are excluded because they are transcript-invisible (a
+  hit reports ``stats.shards == ()`` whatever ``shards`` asked for).
 
 **Prefix serving.**  A second index keyed by the token's
 ``scan_fingerprint()`` — the token *minus* ``k`` — lets a ``k' < k``

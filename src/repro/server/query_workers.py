@@ -101,8 +101,6 @@ def run_salted_query(
     on_event=None,
     control=None,
     session_label: str | None = None,
-    shard_executor=None,
-    shard_placement: tuple[str, ...] | None = None,
 ) -> QueryResult:
     """One salted query with leakage attached — the single body behind
     both the in-process path and the worker path, so the two can never
@@ -121,10 +119,7 @@ def run_salted_query(
     with owned_context(ctx):
         # scheme._query attaches the per-query leakage slice itself; on
         # this fresh context that slice is the whole session log.
-        return scheme.query(
-            relation, token, config, ctx=ctx, shard_executor=shard_executor,
-            shard_placement=shard_placement,
-        )
+        return scheme.query(relation, token, config, ctx=ctx)
 
 
 def _init_query_worker(relation_key, payload, transport, rtt_ms, backend_name) -> None:

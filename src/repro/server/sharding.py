@@ -1,15 +1,11 @@
-"""Sharded S1 storage: one relation's sorted lists across shard workers.
+"""Sharded S1 scan: one relation's sorted lists as contiguous depth slices.
 
-The paper's S1 scans per-attribute sorted lists depth by depth; a single
-process holding every list is the scalability ceiling once relations
-outgrow one worker's memory or one core's weighting throughput.  This
-module splits an :class:`~repro.core.relation.EncryptedRelation`'s query
-lists into ``n_shards`` *contiguous depth slices* — shard ``s`` stores
-rows ``[lo_s, hi_s)`` of **every** queried list — served by per-query
-:class:`ShardWorker` objects behind a :class:`ShardedQueryLists` façade
-the engines consume exactly like plain lists.
-
-The scan pipeline::
+``QueryConfig(shards=N)`` splits an
+:class:`~repro.core.relation.EncryptedRelation`'s query lists into
+``N`` *contiguous depth slices* — shard ``s`` holds rows
+``[lo_s, hi_s)`` of **every** queried list — behind a
+:class:`ShardedQueryLists` façade the engines consume exactly like
+plain lists::
 
     ShardPlan ──partition──▶ ShardWorker 0  (depths [0, n/N))
                              ShardWorker 1  (depths [n/N, 2n/N))
@@ -17,62 +13,40 @@ The scan pipeline::
                 ──per-window depth batches──▶ fan-in merge ──▶ engine
 
 Per check window (``QueryConfig.check_every()`` depths), every shard
-whose slice overlaps the window assembles its depth batch — applying
-the token's score weights to its own rows, the real per-item modexp
-work — on the server's shard-worker pool, and the batches are merged
-depth-ordered by :func:`repro.net.batching.fan_in_batches` *before* the
-window's rounds are built.  The merged items are value-identical to the
-unsharded lists (scalar weighting draws no randomness) and reach the
-engine in scan order, so every message, byte and leakage event of the
-S2-visible transcript is bit-identical to the single-worker run — the
-repo's core invariant, locked down property-style by
-``tests/test_sharding.py``.
+whose slice overlaps the window assembles its depth batch, inline on
+the query's thread, and the batches are merged depth-ordered by
+:func:`repro.net.batching.fan_in_batches` *before* the window's rounds
+are built.  The merged items are value-identical to the unsharded lists
+(scalar weighting draws no randomness) and reach the engine in scan
+order, so every message, byte and leakage event of the S2-visible
+transcript is bit-identical to the single-worker run — locked down
+property-style by ``tests/test_sharding.py``.
 
-Slice storage reuses the relation-store idea of
-:mod:`repro.server.topk_server`: the (unweighted) per-shard slices are
-cached process-wide per ``(relation_id, lists, n_shards)``, so repeated
-queries against a sharded relation never re-slice the ciphertext lists.
+**Why this is all that is left.**  Sharding by depth slices never paid:
+NRA halts early (depth ≤ 7 on the benchmark's first 16 ``fresh_inproc``
+tokens), so shard 0 serves every window and the other shards only ever
+contribute the up-front scalar weighting; and S1 keeps the whole
+relation anyway (mutations and worker processes read it), so slices on
+other threads or hosts save no memory.  The shard thread pool, the
+remote shard daemons and the slice cache measured no faster than the
+plain scan and were deleted (verdict table: ARCHITECTURE.md,
+"Sharding").  This inline path stays only because the benchmark's
+``server.shard2_overhead_ratio`` probe submits
+``QueryConfig(shards=2)``; once a ``benchmark`` PR drops that probe the
+rest of this module can follow.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
 import time
-from collections import OrderedDict
 from collections.abc import Sequence
 
 from repro.core.results import ShardStats
 from repro.core.token import Token
-from repro.exceptions import (
-    PeerDisconnected,
-    QueryError,
-    RemoteS2Error,
-    ShardWorkerError,
-    TransportError,
-)
+from repro.exceptions import QueryError
 from repro.net.batching import fan_in_batches
 from repro.structures.items import EncryptedItem, weight_entries
-
-# Process-wide LRU cache of unweighted shard slices, keyed by
-# (relation_id, permuted list names, n_shards, list count, row count) —
-# the sharded sibling of the topk_server relation store (fork workers
-# inherit it for free).  The trailing shape fingerprint guards against
-# relation-id reuse: a server registering a *different* relation object
-# under a recycled id (e.g. a forced ``_relation_id``) misses instead of
-# serving the old rows.  Entries are lists of per-shard, per-list row
-# slices sharing the relation's EncryptedItem objects, so the cache
-# costs references only; a small LRU bound keeps long-lived
-# multi-relation servers in check, and hits refresh recency so a hot
-# relation's slices outlive cold ones.
-_SLICE_STORE: OrderedDict[tuple, list] = OrderedDict()
-_SLICE_STORE_MAX = 32
-_SLICE_LOCK = threading.Lock()
-
-#: Seconds a remote shard worker gets to answer one depth-batch request
-#: before the scan gives up and surfaces a typed failure (tests shrink
-#: this to exercise the no-hang guarantee).
-SHARD_REQUEST_TIMEOUT = 30.0
 
 
 class ShardPlan:
@@ -126,12 +100,14 @@ class ShardPlan:
 class ShardWorker:
     """One shard's storage and scan state for a single query.
 
-    Holds row slice ``[lo, hi)`` of every query list, applies the
-    token's weights to *its own rows only* (:meth:`prepare` — the
-    parallelizable per-item modexp work), and assembles per-window depth
-    batches for the fan-in stage.  Workers are per-query (their stats
-    are), but the unweighted slices they wrap are shared through the
-    process-wide slice store.
+    Holds row slice ``[lo, hi)`` of every query list with the token's
+    weights applied to *its own rows only* (the per-item modexp work),
+    and assembles per-window depth batches for the fan-in stage.
+
+    Scalar multiplication of a Paillier ciphertext is deterministic
+    (``c^w mod N²``, no randomness) and the construction is shared with
+    the unsharded path (:func:`weight_entries`), so the weighted items
+    equal the ones that path builds.
     """
 
     __slots__ = (
@@ -144,32 +120,25 @@ class ShardWorker:
         "elapsed",
     )
 
-    def __init__(self, shard_id: int, lo: int, hi: int, slices: list[list[EncryptedItem]]):
+    def __init__(
+        self,
+        shard_id: int,
+        lo: int,
+        hi: int,
+        slices: list[list[EncryptedItem]],
+        weights: tuple[int, ...],
+    ):
         self.shard_id = shard_id
         self.lo = lo
         self.hi = hi
-        self._slices = slices
         self.records_scanned = 0
         self.depth_reached = 0
-        self.elapsed = 0.0
-
-    def prepare(self, weights: tuple[int, ...]) -> "ShardWorker":
-        """Apply the token's per-list weights to this shard's rows.
-
-        Scalar multiplication of a Paillier ciphertext is deterministic
-        (``c^w mod N²``, no randomness) and the construction is shared
-        with the unsharded path (:func:`weight_entries`), so the
-        weighted items equal the ones that path builds — the parity
-        invariant does not depend on *where* the weighting ran.  Returns
-        ``self`` so pool futures resolve to the prepared worker.
-        """
         started = time.perf_counter()
         self._slices = [
             weight_entries(entries, weight)
-            for entries, weight in zip(self._slices, weights)
+            for entries, weight in zip(slices, weights)
         ]
-        self.elapsed += time.perf_counter() - started
-        return self
+        self.elapsed = time.perf_counter() - started
 
     def depth_batch(self, lo: int, hi: int) -> list[tuple[int, list[EncryptedItem]]]:
         """This shard's ``(depth, items-per-list)`` pairs for the window
@@ -189,125 +158,6 @@ class ShardWorker:
 
     def stats(self) -> ShardStats:
         """This shard's slice of the query's cost profile."""
-        return ShardStats(
-            shard_id=self.shard_id,
-            depth_lo=self.lo,
-            depth_hi=self.hi,
-            records_scanned=self.records_scanned,
-            depth_reached=self.depth_reached,
-            elapsed_seconds=self.elapsed,
-        )
-
-
-class RemoteShardWorker:
-    """One shard's scan state when its slice lives on a remote daemon.
-
-    Same interface as :class:`ShardWorker`, but the rows sit on a
-    :class:`~repro.server.shard_service.ShardService` reached through a
-    multiplexed :class:`~repro.net.socket_transport.ShardClient`
-    session.  :meth:`prepare` only records the token's weights — the
-    per-item modexp work runs on the daemon, per batch, against its
-    registered slice.  The slice is uploaded lazily: the first batch
-    request against an id the daemon does not hold comes back
-    ``unknown-relation``, the worker ships rows ``[lo, hi)`` of every
-    relation list once, and retries.  Scalar weighting is deterministic
-    and the wire codec round-trips ciphertexts exactly, so the items a
-    remote worker returns are value-identical to a local worker's — the
-    parity invariant does not depend on where the slice lives.
-
-    Connection-level failures (timeout, peer death, remote error) are
-    wrapped in :class:`~repro.exceptions.ShardWorkerError` naming this
-    shard and its address, so a worker dying mid-window surfaces as a
-    typed job failure instead of a hung fan-in.
-    """
-
-    __slots__ = (
-        "shard_id",
-        "lo",
-        "hi",
-        "address",
-        "records_scanned",
-        "depth_reached",
-        "elapsed",
-        "_relation",
-        "_names",
-        "_n_shards",
-        "_weights",
-    )
-
-    def __init__(self, shard_id: int, lo: int, hi: int, relation,
-                 names: tuple[int, ...], address: str, n_shards: int):
-        self.shard_id = shard_id
-        self.lo = lo
-        self.hi = hi
-        self.address = address
-        self.records_scanned = 0
-        self.depth_reached = 0
-        self.elapsed = 0.0
-        self._relation = relation
-        self._names = tuple(names)
-        self._n_shards = n_shards
-        self._weights: tuple[int, ...] = ()
-
-    def prepare(self, weights: tuple[int, ...]) -> "RemoteShardWorker":
-        """Record the token's per-list weights (applied daemon-side)."""
-        self._weights = tuple(weights)
-        return self
-
-    def _slice_payload(self) -> dict:
-        """The one-time slice upload: rows ``[lo, hi)`` of every list."""
-        return {
-            "relation_id": self._relation.relation_id(),
-            "shard_id": self.shard_id,
-            "n_shards": self._n_shards,
-            "lo": self.lo,
-            "hi": self.hi,
-            "lists": {
-                name: entries[self.lo : self.hi]
-                for name, entries in self._relation.lists.items()
-            },
-        }
-
-    def depth_batch(self, lo: int, hi: int) -> list[tuple[int, list[EncryptedItem]]]:
-        """This shard's ``(depth, items-per-list)`` pairs for the window
-        ``[lo, hi)``, fetched from the remote daemon."""
-        from repro.net.socket_transport import shard_client_for
-
-        started = time.perf_counter()
-        lo = max(lo, self.lo)
-        hi = min(hi, self.hi)
-        if lo >= hi:
-            return []
-        try:
-            client = shard_client_for(self.address)
-            try:
-                batch = client.depth_batch(
-                    self._relation.relation_id(), self.shard_id,
-                    self._names, self._weights, lo, hi,
-                    timeout=SHARD_REQUEST_TIMEOUT,
-                )
-            except RemoteS2Error as exc:
-                if exc.kind != "unknown-relation":
-                    raise
-                client.upload_slice(self._slice_payload())
-                batch = client.depth_batch(
-                    self._relation.relation_id(), self.shard_id,
-                    self._names, self._weights, lo, hi,
-                    timeout=SHARD_REQUEST_TIMEOUT,
-                )
-        except ShardWorkerError:
-            raise
-        except (PeerDisconnected, TransportError) as exc:
-            raise ShardWorkerError(self.shard_id, self.address, str(exc)) from exc
-        if batch:
-            self.records_scanned += len(batch) * len(self._names)
-            self.depth_reached = max(self.depth_reached, hi)
-        self.elapsed += time.perf_counter() - started
-        return batch
-
-    def stats(self) -> ShardStats:
-        """This shard's slice of the query's cost profile (elapsed
-        includes the network round-trips to its daemon)."""
         return ShardStats(
             shard_id=self.shard_id,
             depth_lo=self.lo,
@@ -355,54 +205,28 @@ class ShardedQueryLists(Sequence):
     """The engines' view of a sharded relation: a sequence of columns.
 
     Construction partitions the query lists by a :class:`ShardPlan` and
-    prepares every shard (weight application) — in parallel on the
-    provided executor when one is given.  During the scan,
+    weights every shard's rows.  During the scan,
     :meth:`prefetch` (called by the engines at each depth boundary)
     assembles one check window: every overlapping shard builds its depth
-    batch — concurrently, on the executor — and
-    :func:`~repro.net.batching.fan_in_batches` merges them depth-ordered
-    into the cache the columns read from.  Serving cached items draws no
-    randomness and sends no message, which is why the construction is
-    transcript-invisible.
+    batch and :func:`~repro.net.batching.fan_in_batches` merges them
+    depth-ordered into the cache the columns read from.  Serving cached
+    items draws no randomness and sends no message, which is why the
+    construction is transcript-invisible.
     """
 
-    def __init__(
-        self,
-        relation,
-        token: Token,
-        n_shards: int,
-        window: int = 1,
-        executor=None,
-        placement: tuple[str, ...] | None = None,
-    ):
+    def __init__(self, relation, token: Token, n_shards: int, window: int = 1):
         self.n_rows = relation.n_objects
         self.n_lists = len(token.permuted_lists)
         self.window = max(1, window)
         self.plan = ShardPlan.for_scan(self.n_rows, n_shards)
-        self._executor = executor
         self._cache: dict[int, list[EncryptedItem]] = {}
-        if placement:
-            # Remote placement: shard s lives on daemon s % len(placement)
-            # (round-robin, so fewer daemons than shards still works).
-            # No local slicing or weighting — the rows ship to the
-            # daemons once and the modexp work runs there.
-            self._workers = [
-                RemoteShardWorker(
-                    shard, lo, hi, relation, token.permuted_lists,
-                    placement[shard % len(placement)], self.plan.n_shards,
-                )
-                for shard, (lo, hi) in enumerate(self.plan.bounds)
-            ]
-        else:
-            slices = _shard_slices(relation, token.permuted_lists, self.plan)
-            self._workers = [
-                ShardWorker(shard, lo, hi, slices[shard])
-                for shard, (lo, hi) in enumerate(self.plan.bounds)
-            ]
+        lists = [relation.list_for(name) for name in token.permuted_lists]
+        weights = token.effective_weights()
+        self._workers = [
+            ShardWorker(shard, lo, hi, [entries[lo:hi] for entries in lists], weights)
+            for shard, (lo, hi) in enumerate(self.plan.bounds)
+        ]
         self._columns = [ShardedColumn(self, j) for j in range(self.n_lists)]
-        self._fan_out(
-            [(worker.prepare, (token.effective_weights(),)) for worker in self._workers]
-        )
 
     # -- sequence-of-columns façade --------------------------------------
 
@@ -421,19 +245,17 @@ class ShardedQueryLists(Sequence):
         """Make the check window containing ``depth`` servable.
 
         No-op when the window is already cached; otherwise every shard
-        overlapping the window assembles its depth batch (in parallel on
-        the executor) and the fan-in stage merges them into scan order.
+        overlapping the window assembles its depth batch and the fan-in
+        stage merges them into scan order.
         """
         if depth in self._cache:
             return
         lo = depth - depth % self.window
         hi = min(lo + self.window, self.n_rows)
         workers = [self._workers[s] for s in self.plan.overlapping(lo, hi)]
-        batches = self._fan_out(
-            [(worker.depth_batch, (lo, hi)) for worker in workers]
-        )
         merged = fan_in_batches(
-            batches, lo, hi, shard_ids=[w.shard_id for w in workers]
+            [worker.depth_batch(lo, hi) for worker in workers],
+            lo, hi, shard_ids=[w.shard_id for w in workers],
         )
         for fetched, items in merged:
             self._cache[fetched] = items
@@ -447,81 +269,3 @@ class ShardedQueryLists(Sequence):
     def shard_stats(self) -> list[ShardStats]:
         """Per-shard cost profile, in depth order."""
         return [worker.stats() for worker in self._workers]
-
-    # -- shard-worker fan-out ---------------------------------------------
-
-    def _fan_out(self, calls: list) -> list:
-        """Run ``(fn, args)`` pairs — one per shard — and gather results
-        in shard order.  Uses the executor when it can actually overlap
-        work (two or more shards participating); inline otherwise.  An
-        executor shut down mid-call (a server closing under an in-flight
-        session query) degrades to the inline path — same results, no
-        overlap — so the scan fails at its own boundaries, not here."""
-        if self._executor is not None and len(calls) > 1:
-            futures = []
-            try:
-                for fn, args in calls:
-                    futures.append(self._executor.submit(fn, *args))
-            except RuntimeError:
-                # Tasks already submitted still run to completion; only
-                # the remainder moves inline (re-running a submitted
-                # prepare() would double-apply its weights).
-                return [future.result() for future in futures] + [
-                    fn(*args) for fn, args in calls[len(futures):]
-                ]
-            return [future.result() for future in futures]
-        return [fn(*args) for fn, args in calls]
-
-
-def _shard_slices(relation, names: tuple[int, ...], plan: ShardPlan) -> list:
-    """Per-shard, per-list row slices, via the process-wide slice store.
-
-    The slices alias the relation's ``EncryptedItem`` objects (weighting
-    replaces items per query, it never mutates them), so cache entries
-    are cheap and safe to share across queries, servers and forked
-    workers.
-
-    The store is a true LRU under one lock for the whole
-    lookup/build/evict path: a hit moves its entry to the recent end, a
-    miss evicts from the stale end — a hot relation's slices survive a
-    parade of cold ones.  The key carries the relation's shape
-    fingerprint (list count + row count) next to its id, so a different
-    relation recycled under the same id rebuilds instead of serving the
-    predecessor's rows.
-    """
-    key = (
-        relation.relation_id(),
-        tuple(names),
-        plan.n_shards,
-        len(relation.lists),
-        relation.n_objects,
-    )
-    with _SLICE_LOCK:
-        slices = _SLICE_STORE.get(key)
-        if slices is not None:
-            _SLICE_STORE.move_to_end(key)
-        else:
-            entries_by_list = [relation.list_for(name) for name in names]
-            slices = [
-                [entries[lo:hi] for entries in entries_by_list]
-                for lo, hi in plan.bounds
-            ]
-            while len(_SLICE_STORE) >= _SLICE_STORE_MAX:
-                _SLICE_STORE.popitem(last=False)
-            _SLICE_STORE[key] = slices
-    return slices
-
-
-def invalidate_slices(relation_id: str) -> int:
-    """Drop every cached shard slice of one relation (mutation hook).
-
-    Slices alias a specific relation's ``EncryptedItem`` objects; after
-    a mutation the predecessor's id never recurs (the version is folded
-    into ``relation_id``), so its entries would only pin dead
-    ciphertexts in the LRU.  Returns how many entries were dropped.
-    """
-    with _SLICE_LOCK:
-        stale = [key for key in _SLICE_STORE if key[0] == relation_id]
-        for key in stale:
-            del _SLICE_STORE[key]
-    return len(stale)

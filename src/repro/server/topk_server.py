@@ -47,7 +47,6 @@ import functools
 import hashlib
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from repro.core.relation import EncryptedRelation
@@ -63,12 +62,12 @@ from repro.exceptions import (
     StaleRelationError,
 )
 from repro.net.channel import ChannelStats
-from repro.net.socket_transport import client_for, is_socket_address, shard_client_for
+from repro.net.socket_transport import client_for, is_socket_address
 from repro.obs.exporter import HealthState, MetricsExporter
 from repro.obs.metrics import REGISTRY
 from repro.protocols.base import LeakageEvent
 from repro.server.jobs import JobStatus, QueryJob, WatchJob, WatchSummary
-from repro.server.mutations import MutableRelation, MutationResult, mutation_delta
+from repro.server.mutations import MutableRelation, MutationResult
 from repro.server.query_cache import QueryCache
 from repro.server.query_workers import (
     QueryWorkerPool,
@@ -76,7 +75,6 @@ from repro.server.query_workers import (
     release_relation,
     run_salted_query,
 )
-from repro.server.sharding import invalidate_slices
 
 _QUEUE_DEPTH = REGISTRY.gauge(
     "repro_scheduler_queue_depth",
@@ -138,29 +136,6 @@ class TopKServer:
         on demand up to this cap and retire when the queue drains;
         ``execute_many`` raises the effective cap to its requested
         concurrency for the duration of a batch.
-    shards:
-        Default S1 shard-worker count for every query this server runs
-        (``QueryConfig(shards=...)`` overrides per query; ``0`` keeps
-        the single-worker scan).  With ``shards >= 2`` each query's
-        sorted lists are split into contiguous depth slices served by
-        shard workers whose slice preparation and window assembly the
-        scheduler places on its shard-worker pool; the fan-in merge
-        keeps the S2-visible transcript bit-identical to unsharded
-        execution (see :mod:`repro.server.sharding`).
-
-        **Placement form**: a sequence of shard-daemon addresses
-        (``shards=["tcp://h1:p", "tcp://h2:p"]``) makes the shard
-        workers *remote* — the plan's slices are uploaded once to
-        :mod:`repro.server.shard_service` daemons (shard ``s`` on
-        address ``s % len(addresses)``) and every check window's depth
-        batches return over multiplexed shard sessions, converging in
-        the same fan-in stage.  The shard count defaults to the number
-        of addresses (``QueryConfig(shards=N)`` still overrides the
-        count; the placement sticks).  Transcript-identical to local
-        threads; mutations delta-sync the remote slices
-        (:func:`repro.server.mutations.mutation_delta`).  Note
-        ``execute_many(mode="process")`` workers run their shards
-        locally — transcript-identical by the same invariant.
     cache:
         Leakage-aware result cache (default on): a repeat of a query the
         server already answered — same relation, token fingerprint and
@@ -204,7 +179,6 @@ class TopKServer:
         transport: str = "inprocess",
         rtt_ms: float = 0.0,
         scheduler_workers: int = 8,
-        shards: int | list[str] | tuple[str, ...] = 0,
         cache: bool = True,
         warm_start: bool = False,
         metrics_port: int | None = None,
@@ -226,34 +200,9 @@ class TopKServer:
         # reachable close().
         if scheduler_workers < 1:
             raise ValueError("scheduler_workers must be >= 1")
-        if isinstance(shards, (list, tuple)):
-            # Placement form: remote shard-worker daemons.  The shard
-            # count defaults to one shard per daemon (QueryConfig can
-            # still raise it; the round-robin placement spreads extras).
-            if not shards:
-                raise ValueError("shard placement must name at least one address")
-            for address in shards:
-                if not is_socket_address(address):
-                    raise ValueError(
-                        f"shard placement entries must be socket addresses "
-                        f"(tcp:// or unix://), got {address!r}"
-                    )
-            self.shard_placement: tuple[str, ...] | None = tuple(shards)
-            # A single-daemon placement still shards (the scan only goes
-            # remote through the sharded path, which needs >= 2 slices).
-            shards = max(2, len(self.shard_placement))
-        else:
-            if shards < 0:
-                raise ValueError("shards must be >= 0")
-            self.shard_placement = None
-        self.shards = shards
         self.warm_start = warm_start
         # Cross-query reuse layer (see ARCHITECTURE.md, reuse layer).
         self._cache = QueryCache(self.CACHE_CAPACITY) if cache else None
-        # Shard-worker thread pool, created on the first sharded job and
-        # shared by every job of this server (the scheduler's placement
-        # target for shard slice preparation and window assembly).
-        self._shard_pool = None
         # Scheme-wide unique namespace: request salts from different
         # servers sharing one scheme must never collide (a collision
         # would replay blinding/permutation streams across queries).
@@ -262,8 +211,7 @@ class TopKServer:
         # server's lifetime, so rebuilt worker pools never re-pickle it.
         export_relation(scheme, relation)
         self._worker_pool = QueryWorkerPool(scheme, transport, rtt_ms)
-        # Guards the request-id counter, the lazily-built shard pool and
-        # the closed flag.
+        # Guards the request-id counter and the closed flag.
         self._state_lock = threading.Lock()
         self._next_request_id = 0
         # -- mutation / watch state --
@@ -301,52 +249,16 @@ class TopKServer:
             self._next_request_id += count
         return range(start, start + count)
 
-    # -- sharding --------------------------------------------------------
-
     def _effective_config(self, config: QueryConfig | None) -> QueryConfig | None:
-        """Fill the server's defaults into an unset config.
-
-        ``QueryConfig(shards=...)`` always wins; a config that leaves
-        ``shards`` at ``None`` inherits ``TopKServer(shards=N)``, and
+        """Fill the server's default into an unset config:
         ``TopKServer(warm_start=True)`` turns warm starts on for every
         query that did not ask for them itself.  The resolution happens
         once, at job creation, so the job carries the same effective
         config wherever its body executes.
         """
-        if self.shards and (config is None or config.shards is None):
-            config = replace(config or QueryConfig(), shards=self.shards)
         if self.warm_start and (config is None or not config.warm_start):
             config = replace(config or QueryConfig(), warm_start=True)
         return config
-
-    #: Thread cap of the lazily-created shard-worker pool.  Sized from
-    #: the cap alone — not from whichever sharded job arrives first —
-    #: so a later, wider job is never silently squeezed; idle
-    #: ThreadPoolExecutor threads are spawned on demand, so an
-    #: over-provisioned cap costs nothing.
-    _SHARD_POOL_MAX = 8
-
-    def _shard_executor(self, config: QueryConfig | None):
-        """The shard-worker pool for a sharded job (``None`` otherwise).
-
-        Created lazily on the first sharded job and shared server-wide
-        afterwards — shard tasks are short and window-granular, so one
-        modest pool serves concurrent jobs without oversubscribing.
-        """
-        if config is None or config.effective_shards() < 2:
-            return None
-        with self._state_lock:
-            if self._closed:
-                # A job caught mid-shutdown falls back to inline shard
-                # fan-out (same transcript); its cooperative cancel then
-                # lands at the first round boundary.
-                return None
-            if self._shard_pool is None:
-                self._shard_pool = ThreadPoolExecutor(
-                    max_workers=self._SHARD_POOL_MAX,
-                    thread_name_prefix=f"topk-shard-{self._salt_namespace}",
-                )
-            return self._shard_pool
 
     # -- result cache ----------------------------------------------------
 
@@ -473,12 +385,7 @@ class TopKServer:
             new_key = export_relation(self.scheme, new_relation)
             self.relation = new_relation
             self._mutation_count += 1
-        shard_delta = None
-        if self.shard_placement:
-            # The re-encrypted touched prefixes plus the suffix shift:
-            # daemons rebuild their slices without a full re-upload.
-            shard_delta = mutation_delta(new_relation, result, old_key)
-        self._retire_relation_id(old_key, new_key, shard_delta)
+        self._retire_relation_id(old_key, new_key)
         release_relation(old_key)
         _MUTATIONS.labels(op=op).inc()
         with self._scheduler_lock:
@@ -487,42 +394,31 @@ class TopKServer:
             watch.notify()
         return result
 
-    def _retire_relation_id(
-        self, old_key: str, new_key: str, shard_delta: dict | None = None
-    ) -> None:
+    def _retire_relation_id(self, old_key: str, new_key: str) -> None:
         """The one invalidation cascade: forget everything keyed by
         ``old_key``, a relation id this server will not answer for again
         (a mutation's predecessor, a watch's previous or last window).
 
-        Locally: cached results, shard slices, and the warm-start depth
-        history (a halting depth observed on the predecessor means
-        nothing on changed content).  The worker pool needs no entry
-        here — it is bound to a relation id and rebinds on the next job
-        that names another (:mod:`repro.server.query_workers`).
+        Locally: cached results and the warm-start depth history (a
+        halting depth observed on the predecessor means nothing on
+        changed content).  The worker pool needs no entry here — it is
+        bound to a relation id and rebinds on the next job that names
+        another (:mod:`repro.server.query_workers`).
 
         Remotely, best-effort: a MUTATE frame moves the S2 daemon's key
         material from ``old_key`` to ``new_key`` (identical across one
         scheme's relations), so the next session open skips the
-        re-upload; placement daemons get ``shard_delta``, or — when the
-        successor is a wholesale re-encryption with no valid prefix
-        delta — a drop-only frame that purges ``old_key``'s slices.
-        Failures (old daemon without the frame, dead link) are
-        suppressed: a daemon that missed it answers
-        ``UNKNOWN_RELATION`` on the next open or scan and the client
-        re-registers / re-uploads — slower, never wrong.
+        re-upload.  Failures (old daemon without the frame, dead link)
+        are suppressed: a daemon that missed it answers
+        ``UNKNOWN_RELATION`` on the next open and the client
+        re-registers — slower, never wrong.
         """
         if self._cache is not None:
             self._cache.invalidate_relation(old_key)
-        invalidate_slices(old_key)
         self.scheme.drop_depth_history(old_key)
         if is_socket_address(self.transport):
             with contextlib.suppress(Exception):
                 client_for(self.transport).mutate_relation(old_key, new_key)
-        if shard_delta is None:
-            shard_delta = {"old_id": old_key, "new_id": None, "prefixes": None}
-        for address in self.shard_placement or ():
-            with contextlib.suppress(Exception):
-                shard_client_for(address).mutate(shard_delta)
 
     # -- continuous top-k (watch jobs) -----------------------------------
 
@@ -668,8 +564,6 @@ class TopKServer:
             on_event=job._record_event,
             control=job._control,
             session_label=f"watch-{job.job_id}-{sequence}",
-            shard_executor=self._shard_executor(job.config),
-            shard_placement=self.shard_placement,
         )
         return tuple(self.scheme.reveal(result))
 
@@ -906,9 +800,8 @@ class TopKServer:
         snapshot's relation id.  A cache hit returns immediately (zero
         rounds — the job exchanges nothing); a fresh result feeds the
         cache on the way out.  Only *where the body runs* varies: this
-        scheduler thread (shard work, if any, placed on the server's
-        shard-worker pool), or — ``in_worker`` — a worker process bound
-        to the snapshot's relation id.
+        scheduler thread, or — ``in_worker`` — a worker process bound to
+        the snapshot's relation id.
         """
         relation = self.relation
         relation_key = relation.relation_id()
@@ -932,8 +825,6 @@ class TopKServer:
                 on_event=job._record_event,
                 control=job._control,
                 session_label=f"job-{job.job_id}",
-                shard_executor=self._shard_executor(job.config),
-                shard_placement=self.shard_placement,
             )
         self._cache_store(job.token, job.config, result, relation_key)
         return result
@@ -1083,7 +974,6 @@ class TopKServer:
             if self._closed:
                 return
             self._closed = True
-            shard_pool, self._shard_pool = self._shard_pool, None
         # Scheduler teardown: cancel queued jobs, stop running ones at
         # the next round boundary, retire the workers.
         with self._scheduler_lock:
@@ -1108,10 +998,6 @@ class TopKServer:
         for thread in threads:
             thread.join()
         self._drain_queue()  # anything that slipped in during teardown
-        if shard_pool is not None:
-            # Running jobs were already stopped/waited above, so no
-            # shard task can still be queued behind this shutdown.
-            shard_pool.shutdown(wait=True)
         release_relation(self.relation.relation_id())
         exporter, self._exporter = self._exporter, None
         if exporter is not None:

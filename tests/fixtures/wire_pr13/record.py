@@ -7,9 +7,8 @@ Run from a checkout of the commit whose bytes should be pinned::
 It drives one tiny query through a byte-logging TCP proxy in front of an
 in-process S2 daemon (``s2_session.frames``: ``b">"`` + frame for every
 client frame, ``b"<"`` + frame for every daemon frame, in wire order)
-and keeps the daemon's ``.reg`` spill; then one tiny sharded query
-against a shard daemon, keeping one ``.slice`` spill.  Nothing here
-reaches into the daemons or clients, so it runs on any commit.
+and keeps the daemon's ``.reg`` spill.  Nothing here reaches into the
+daemon or the client, so it runs on any commit.
 
 The REPLY frames hold ciphertexts S2 encrypted with OS entropy, so a
 re-recording differs from this one in those bytes; the replay test
@@ -33,7 +32,6 @@ from repro.core.results import QueryConfig
 from repro.core.scheme import SecTopK
 from repro.net.socket_transport import disconnect_all
 from repro.server import S2Service, TopKServer
-from repro.server.shard_service import ShardService
 
 HEADER = struct.Struct("!IBI")
 ROWS = [[(5 * i + 3 * j) % 11 for j in range(2)] for i in range(4)]
@@ -97,14 +95,6 @@ def main(out_dir: str) -> None:
         handle.write(b"".join(log))
     (reg,) = os.listdir(os.path.join(state, "s2"))
     shutil.copy(os.path.join(state, "s2", reg), os.path.join(out_dir, reg))
-
-    shard = ShardService("tcp://127.0.0.1:0", state_dir=os.path.join(state, "shard"))
-    with TopKServer(scheme, relation, shards=[shard.start()]) as server:
-        server.execute(scheme.token([0, 1], k=1), QueryConfig(max_depth=2))
-    disconnect_all()
-    shard.close()
-    first = sorted(os.listdir(os.path.join(state, "shard")))[0]
-    shutil.copy(os.path.join(state, "shard", first), os.path.join(out_dir, first))
     shutil.rmtree(state)
 
 

@@ -504,7 +504,7 @@ class TestCuratedSurface:
     def test_connect_knobs_are_server_knobs(self):
         """``connect`` forwards its keyword-only options to ``TopKServer``
         and neither accepts a retired knob (pool, rendezvous, queue
-        bound, cache capacity, depth spill)."""
+        bound, cache capacity, depth spill, server-level shards)."""
         import inspect
 
         server_params = inspect.signature(TopKServer.__init__).parameters
@@ -522,6 +522,7 @@ class TestCuratedSurface:
             {"max_pending": 2},
             {"cache_capacity": 1},
             {"state_dir": "/tmp"},
+            {"shards": 2},
         ):
             with pytest.raises(TypeError):
                 repro.connect(scheme, relation, **retired)
@@ -534,6 +535,17 @@ class TestCuratedSurface:
         with pytest.raises(SystemExit) as exit_info:
             s2_service.main(["--s2-workers", "2"])
         assert exit_info.value.code == 2
+
+    def test_shard_daemon_module_is_gone(self):
+        """``python -m`` on the S2 daemon's retired sibling (``shard_``
+        for ``s2_``) finds no module."""
+        import runpy
+
+        from repro.server import s2_service
+
+        retired = s2_service.__name__.replace("s2_", "shard_")
+        with pytest.raises(ImportError, match=retired):
+            runpy.run_module(retired, run_name="__main__")
 
 
 class TestSchedulerRobustness:

@@ -58,7 +58,6 @@ from repro.exceptions import (  # noqa: E402
     StaleRelationError,
 )
 from repro.server import MutableRelation, TopKServer  # noqa: E402
-from repro.server.sharding import _SLICE_STORE  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnhandledThreadExceptionWarning"
@@ -412,11 +411,17 @@ class TestServerMutations:
             rows=[[(3 * i + j) % 19 for j in range(2)] for i in range(8)]
         )
         with server:
-            old_key = mutable.relation.relation_id()
-            server.execute(scheme.token([0, 1], k=2), QueryConfig(shards=3))
-            assert any(k[0] == old_key for k in _SLICE_STORE)
-            server.insert([18, 18])
-            assert not any(k[0] == old_key for k in _SLICE_STORE)
+            token = scheme.token([0, 1], k=2)
+            before = server.execute(token, QueryConfig(shards=3))
+            assert before.shard_stats[-1].depth_hi == 8
+            inserted = server.insert([18, 18]).object_id
+            # Slices are cut from the served relation per query — there
+            # is no slice store — so a sharded query after a mutation
+            # answers for the successor.
+            after = server.execute(token, QueryConfig(shards=3))
+            assert not after.cache_hit
+            assert after.shard_stats[-1].depth_hi == 9
+            assert scheme.reveal(after)[0] == (inserted, 36)
 
     def test_expect_version_pins_a_job(self):
         scheme, _, server = _deployment()

@@ -134,6 +134,22 @@ class TestResultCache:
             )
         assert not a.cache_hit and not b.cache_hit and not c.cache_hit
 
+    def test_shards_do_not_split_the_cache(self):
+        """``shards`` is transcript-invisible, so it is not part of the
+        key: a stored result serves every sharding of the same query."""
+        scheme, relation, _ = _deployment()
+        with TopKServer(scheme, relation) as server:
+            token = scheme.token([0, 1], k=2)
+            fresh = server.execute(token, QueryConfig())
+            hits = [
+                server.execute(token, QueryConfig(shards=shards))
+                for shards in (0, 1, 2)
+            ]
+        assert not fresh.cache_hit
+        for hit in hits:
+            assert hit.cache_hit and hit.stats.rounds == 0
+            assert hit.stats.shards == ()
+
     def test_lru_eviction(self, monkeypatch):
         monkeypatch.setattr(TopKServer, "CACHE_CAPACITY", 1)
         scheme, relation, _ = _deployment()

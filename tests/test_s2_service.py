@@ -8,12 +8,11 @@ through the real client stack.  A CI leg additionally launches the
 daemon as a separate OS process and points ``REPRO_REMOTE_S2`` here,
 which activates :class:`TestExternalDaemon` against it.
 
-Everything the S2 daemon shares with the shard daemon — the
+The frame core under the daemon — the
 :class:`~repro.server.frame_service.FrameService` core and its
 :class:`~repro.net.socket_transport.FrameClient` counterpart — is pinned
-once here, parametrized over both (:class:`TestFrameCore`,
-:class:`TestFrameClient`); ``tests/test_shard_service.py`` keeps what
-only the shard daemon does.
+here through its one remaining pair, the ``"s2"`` kind
+(:class:`TestFrameCore`, :class:`TestFrameClient`).
 """
 
 from __future__ import annotations
@@ -51,11 +50,10 @@ from repro.net.socket_transport import (
     parse_address,
     recv_frame,
     send_frame,
-    shard_client_for,
 )
 from repro.net.wire import WireCodec, _Reader
-from repro.server import S2Service, ShardService, TopKServer, frame_service
-from repro.server import s2_service, shard_service
+from repro.server import S2Service, TopKServer, frame_service
+from repro.server import s2_service
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 
@@ -421,7 +419,7 @@ class TestPersistentRegistry:
 
 
 # ---------------------------------------------------------------------------
-# The shared daemon core, asserted once for both daemons.
+# The daemon core.
 # ---------------------------------------------------------------------------
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "wire_pr13"
@@ -441,20 +439,6 @@ KINDS = {
             "f00d.reg": pickle.dumps({"relation_id": "f00d"}),  # no key material
         },
         placement=lambda address: {"transport": address},
-    ),
-    "shard": SimpleNamespace(
-        service=ShardService,
-        module=shard_service,
-        client_for=shard_client_for,
-        banners=(socket_transport.SHARD_BANNER,),
-        control=(socket_transport.SLICE, socket_transport.SLICED),
-        restored="slices_restored",
-        corrupt={
-            "nothex!.0.slice": b"garbage",
-            "aaaa.0.slice": b"\x80\x04junk",
-            "bbbb.0.slice": pickle.dumps({"relation_id": "bbbb", "shard_id": 0}),
-        },
-        placement=lambda address: {"shards": [address]},
     ),
 }
 
@@ -494,41 +478,18 @@ def _pending_request(kind, address):
     """Put one real REQUEST on the shared connection to ``address``
     without collecting it; returns ``finish()`` -> the decoded reply."""
     scheme, relation, _ = _fresh_deployment()
-    if kind.service is S2Service:
-        ctx = scheme._make_context(transport=address, relation=relation)
-        state = ctx.transport.begin_exchange(
-            [messages.ZeroTestBatch(protocol="probe", cts=[scheme.public_key.encrypt(0)])]
-        )
+    ctx = scheme._make_context(transport=address, relation=relation)
+    state = ctx.transport.begin_exchange(
+        [messages.ZeroTestBatch(protocol="probe", cts=[scheme.public_key.encrypt(0)])]
+    )
 
-        def finish():
-            try:
-                return ctx.transport.finish_exchange(state)
-            finally:
-                ctx.close()
+    def finish():
+        try:
+            return ctx.transport.finish_exchange(state)
+        finally:
+            ctx.close()
 
-        return finish
-    client = shard_client_for(address)
-    client.upload_slice(
-        {
-            "relation_id": relation.relation_id(),
-            "shard_id": 0,
-            "n_shards": 1,
-            "lo": 0,
-            "hi": relation.n_objects,
-            "lists": dict(relation.lists),
-        }
-    )
-    name = next(iter(relation.lists))
-    batch = messages.ShardBatch(
-        relation_id=relation.relation_id(), shard_id=0, names=(name,),
-        weights=(1,), lo=0, hi=2,
-    )
-    waiter = client.begin(
-        socket_transport.REQUEST, 9001, WireCodec().encode_envelope([batch])
-    )
-    return lambda: WireCodec().decode_replies(
-        client.finish(9001, waiter, socket_transport.REPLY)
-    )
+    return finish
 
 
 class TestFrameCore:
@@ -813,7 +774,7 @@ class TestWireCompatibility:
 
 
 # ---------------------------------------------------------------------------
-# The shared client core, asserted once for both client kinds.
+# The client core.
 # ---------------------------------------------------------------------------
 
 

@@ -9,10 +9,9 @@ query shapes, engines, shard counts and transports, and every draw must
 reproduce the unsharded transcript bit for bit.
 
 Deterministic tests cover the plumbing around the property: the shard
-plan partition laws, the fan-in validation, the server/clients routes
-(``TopKServer(shards=N)`` / ``connect(shards=N)`` /
-``QueryConfig(shards=...)``), the per-shard ``QueryStats`` slice, and
-the process-wide slice store.
+plan partition laws, the fan-in validation, the ``QueryConfig(shards=N)``
+route through the server and the client, and the per-shard
+``QueryStats`` slice.
 
 Requires Hypothesis (the ``test`` extra); the module skips cleanly
 where only the dependency-free core is installed.
@@ -35,13 +34,7 @@ from repro.core.scheme import SecTopK  # noqa: E402
 from repro.exceptions import ProtocolError, QueryError, ShardFanInError  # noqa: E402
 from repro.net.batching import fan_in_batches  # noqa: E402
 from repro.server import TopKServer  # noqa: E402
-from repro.server.sharding import (  # noqa: E402
-    _SLICE_STORE,
-    _SLICE_STORE_MAX,
-    ShardPlan,
-    ShardedQueryLists,
-    invalidate_slices,
-)
+from repro.server.sharding import ShardPlan, ShardedQueryLists  # noqa: E402
 
 SEED = 424242
 
@@ -71,16 +64,14 @@ def _transcript(scheme: SecTopK, result) -> tuple:
     )
 
 
-def _run(rows, attrs, k, config, transport="inprocess", weights=None, placement=None):
+def _run(rows, attrs, k, config, transport="inprocess", weights=None):
     """One query on a fresh, identically-seeded deployment."""
     scheme = SecTopK(SystemParams.tiny(), seed=SEED)
     encrypted = scheme.encrypt(rows)
     token = scheme.token(attrs, k=k, weights=weights)
     ctx = scheme._make_context(transport=transport, relation=encrypted)
     try:
-        result = scheme.query(
-            encrypted, token, config, ctx=ctx, shard_placement=placement
-        )
+        result = scheme.query(encrypted, token, config, ctx=ctx)
     finally:
         ctx.close()
     return _transcript(scheme, result), result
@@ -204,51 +195,6 @@ class TestShardedEqualsUnsharded:
             service.close()
 
 
-class TestRemotePlacement:
-    """The distributed form: plan slices live on remote shard daemons.
-
-    Same acceptance bar as local sharding — the placement must be
-    transcript-invisible (results, rounds, bytes, leakage bit-identical
-    to the unsharded run) on every engine/variant/halting draw.  The
-    lifecycle suite (worker death, delta-sync, restarts) lives in
-    ``tests/test_shard_service.py``; this class pins only parity.
-    """
-
-    @pytest.fixture(scope="class")
-    def shard_daemons(self):
-        from repro.net.socket_transport import disconnect_all
-        from repro.server.shard_service import ShardService
-
-        services = [ShardService("tcp://127.0.0.1:0") for _ in range(2)]
-        addresses = tuple(service.start() for service in services)
-        yield addresses
-        disconnect_all()
-        for service in services:
-            service.close()
-
-    @given(case=query_cases())
-    @settings(**PROPERTY_SETTINGS)
-    def test_remote_bit_parity(self, case, shard_daemons):
-        rows, attrs, k, config, shards, transport, weights = case
-        base, _ = _run(rows, attrs, k, config, transport, weights)
-        sharded_config = QueryConfig(
-            variant=config.variant,
-            batch_p=config.batch_p,
-            engine=config.engine,
-            halting=config.halting,
-            shards=shards,
-        )
-        remote, result = _run(
-            rows, attrs, k, sharded_config, transport, weights,
-            placement=shard_daemons,
-        )
-        assert remote == base, (
-            f"remote-sharded transcript diverged (engine={config.engine}, "
-            f"variant={config.variant}, shards={shards}, transport={transport})"
-        )
-        assert result.shard_stats, "remote-sharded run reported no shard stats"
-
-
 # ---------------------------------------------------------------------------
 # Shard plan partition laws (pure, so the example budget can be generous).
 # ---------------------------------------------------------------------------
@@ -343,7 +289,7 @@ class TestFanIn:
 
 
 # ---------------------------------------------------------------------------
-# Server / client routes and the slice store.
+# Server / client routes.
 # ---------------------------------------------------------------------------
 
 
@@ -357,9 +303,8 @@ class TestServerRoutes:
     def test_config_validation(self):
         with pytest.raises(QueryError):
             QueryConfig(shards=-1)
-        with pytest.raises(ValueError):
-            TopKServer(*_deployment()[:2], shards=-2)
         assert QueryConfig().effective_shards() == 0
+        assert QueryConfig(shards=0).effective_shards() == 0
         assert QueryConfig(shards=1).effective_shards() == 1
 
     def test_server_default_and_per_query_override(self):
@@ -368,21 +313,24 @@ class TestServerRoutes:
             base = server.execute(scheme_a.token([0, 1, 2], k=2))
 
         scheme_b, relation_b, _ = _deployment()
-        with TopKServer(scheme_b, relation_b, shards=3) as server:
-            # Inherits the server default...
-            default = server.execute(scheme_b.token([0, 1, 2], k=2))
-            # ...and an explicit config overrides it.
-            override = server.execute(
-                scheme_b.token([0, 1, 2], k=2), QueryConfig(shards=2)
+        with TopKServer(scheme_b, relation_b) as server:
+            # The server has no sharding default of its own: shards come
+            # from each query's config, and only from there.
+            sharded = server.execute(
+                scheme_b.token([0, 1, 2], k=2), QueryConfig(shards=3, cache=False)
             )
-        assert len(default.shard_stats) == 3
+            override = server.execute(
+                scheme_b.token([0, 1, 2], k=2), QueryConfig(shards=2, cache=False)
+            )
+        assert base.shard_stats is None
+        assert len(sharded.shard_stats) == 3
         assert len(override.shard_stats) == 2
-        assert _transcript(scheme_a, base)[2:] == _transcript(scheme_b, default)[2:]
+        assert _transcript(scheme_a, base)[2:] == _transcript(scheme_b, sharded)[2:]
 
     def test_connect_shards_and_query_stats_slice(self):
         scheme, relation, _ = _deployment()
-        with repro.connect(scheme, relation, shards=2) as client:
-            result = client.query(client.token([0, 1], k=2))
+        with repro.connect(scheme, relation) as client:
+            result = client.query(client.token([0, 1], k=2), QueryConfig(shards=2))
         stats = result.stats
         assert len(stats.shards) == 2
         assert all(isinstance(s, ShardStats) for s in stats.shards)
@@ -395,71 +343,6 @@ class TestServerRoutes:
             result = client.query(client.token([0, 1], k=2))
         assert result.shard_stats is None
         assert result.stats.shards == ()
-
-    def test_slice_store_reused_across_queries(self):
-        scheme, relation, _ = _deployment()
-        for stale in [k for k in _SLICE_STORE if k[0] == relation.relation_id()]:
-            _SLICE_STORE.pop(stale, None)
-        token = scheme.token([0, 1, 2], k=2)
-        with TopKServer(scheme, relation, shards=3) as server:
-            server.execute(token)
-            matching = [k for k in _SLICE_STORE if k[0] == relation.relation_id()]
-            assert matching, "sharded query did not populate the slice store"
-            key = matching[0]
-            # Key carries the relation fingerprint: list count + row count.
-            assert key[3] == len(relation.lists)
-            assert key[4] == relation.n_objects
-            stored = _SLICE_STORE[key]
-            server.execute(token)
-            assert _SLICE_STORE[key] is stored, "slices re-built"
-
-    def test_slice_store_is_a_true_lru(self):
-        """A hit refreshes the entry's age (move-to-end), so a hot
-        relation survives eviction pressure that retires colder ones."""
-        scheme, relation, _ = _deployment()
-        token = scheme.token([0, 1, 2], k=2)
-        with TopKServer(scheme, relation, shards=3) as server:
-            server.execute(token)
-        (hot,) = [k for k in _SLICE_STORE if k[0] == relation.relation_id()]
-        # Age the hot entry to the eviction end, then hit it: it must
-        # move back to the fresh end.
-        _SLICE_STORE.move_to_end(hot, last=False)
-        lists = ShardedQueryLists(relation, token, n_shards=3)
-        lists[0]  # touches the store through _shard_slices
-        assert next(reversed(_SLICE_STORE)) == hot, "hit did not refresh LRU age"
-        # Under eviction pressure the refreshed entry survives while the
-        # filler entries (older, never hit) are retired first.
-        _SLICE_STORE.move_to_end(hot, last=False)
-        ShardedQueryLists(relation, token, n_shards=3)[0]
-        filler_ids = []
-        for i in range(_SLICE_STORE_MAX - 1):
-            filler_scheme, filler_relation, _ = _deployment(seed=SEED + 1 + i)
-            filler_token = filler_scheme.token([0, 1, 2], k=2)
-            ShardedQueryLists(filler_relation, filler_token, n_shards=3)[0]
-            filler_ids.append(filler_relation.relation_id())
-        assert hot in _SLICE_STORE, "LRU evicted the most recently used entry"
-        for rid in filler_ids:
-            invalidate_slices(rid)
-
-    def test_slice_store_key_fingerprints_relation_shape(self):
-        """An id collision (simulated) between relations of different
-        shapes must not cross-serve slices: the 9-row relation's slices
-        would make the 5-row scan read past its end."""
-        scheme, relation, rows = _deployment()
-        token = scheme.token([0, 1, 2], k=2)
-        with TopKServer(scheme, relation, shards=3) as server:
-            server.execute(token)
-
-        scheme2, _, _ = _deployment()
-        relation2 = scheme2.encrypt(rows[:5])
-        relation2._relation_id = relation.relation_id()  # forced collision
-        token2 = scheme2.token([0, 1, 2], k=2)
-        with TopKServer(scheme2, relation2, shards=3) as server:
-            result = server.execute(token2)
-        assert result.shard_stats[-1].depth_hi == 5
-        keys = [k for k in _SLICE_STORE if k[0] == relation.relation_id()]
-        assert {(k[3], k[4]) for k in keys} >= {(3, 9), (3, 5)}
-        invalidate_slices(relation.relation_id())
 
     def test_sharded_lists_reject_bad_index(self):
         scheme, relation, _ = _deployment()
