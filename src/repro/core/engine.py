@@ -56,6 +56,7 @@ from repro.protocols.sec_dup_elim import sec_dup_elim
 from repro.protocols.sec_update import sec_update
 from repro.protocols.sec_worst import sec_worst_flow
 from repro.core.results import QueryConfig
+from repro.structures.ehl import KnownPairs
 from repro.structures.items import EncryptedItem, ListPrefix, ScoredItem
 
 PROTOCOL = "SecQuery"
@@ -175,11 +176,16 @@ class _EngineBase:
                 key="worst",
             )
 
-    def _dedup(self, items: list[ScoredItem], ranks: list[int]) -> list[ScoredItem]:
+    def _dedup(
+        self,
+        items: list[ScoredItem],
+        ranks: list[int],
+        known: KnownPairs | None = None,
+    ) -> list[ScoredItem]:
         with self.ctx.channel.protocol(PROTOCOL):
             if self.config.variant == "full":
-                return sec_dedup(self.ctx, items, self.own_keypair, ranks)
-            return sec_dup_elim(self.ctx, items, self.own_keypair, ranks)
+                return sec_dedup(self.ctx, items, self.own_keypair, ranks, known=known)
+            return sec_dup_elim(self.ctx, items, self.own_keypair, ranks, known=known)
 
     def _is_check_depth(self, depth: int) -> bool:
         every = self.config.check_every()
@@ -220,6 +226,10 @@ class EagerEngine(_EngineBase):
     def run(self) -> tuple[list[ScoredItem], int]:
         """Execute the query; returns (top-k items, 1-based halting depth)."""
         t_list: list[ScoredItem] = []
+        # Every pair of candidates is either two survivors of the last
+        # deduplication or was ⊖-tested when the later one was absorbed:
+        # the next deduplication's matrix recomputes neither.
+        known = KnownPairs()
         for depth in range(self._max_depth()):
             started = time.perf_counter()
             self.ctx.checkpoint()
@@ -228,9 +238,9 @@ class EagerEngine(_EngineBase):
             # At check depths the bound refresh rides the absorption's
             # recover round (one coalesced flow batch) instead of paying
             # its own round afterwards.
-            t_list = self._absorb_depth(t_list, depth, refresh=check)
+            t_list = self._absorb_depth(t_list, depth, known, refresh=check)
             if check:
-                t_list = self._dedup(t_list, list(range(len(t_list))))
+                t_list = self._dedup(t_list, list(range(len(t_list))), known)
                 if len(t_list) >= self.k:
                     t_list = self._sort(t_list)
                     if self._halting_check(t_list, depth):
@@ -238,11 +248,15 @@ class EagerEngine(_EngineBase):
                         self._notify_depth(depth + 1, len(t_list))
                         self._notify_final(t_list[: self.k], depth + 1)
                         return t_list[: self.k], depth + 1
+                # The survivors are pairwise distinct (a sort only
+                # permutes them) and re-encrypted: start over from that.
+                known = KnownPairs()
+                known.distinct([t_item.ehl for t_item in t_list])
             self.depth_seconds.append(time.perf_counter() - started)
             self._notify_depth(depth + 1, len(t_list))
         # Budget exhausted (max_depth cap): best-effort answer.
         self._refresh_bounds(t_list, self._max_depth() - 1)
-        t_list = self._dedup(t_list, list(range(len(t_list))))
+        t_list = self._dedup(t_list, list(range(len(t_list))), known)
         t_list = self._sort(t_list)
         self._notify_final(t_list[: self.k], self._max_depth())
         return t_list[: self.k], self._max_depth()
@@ -250,7 +264,11 @@ class EagerEngine(_EngineBase):
     # -- coalesced per-depth absorption ----------------------------------
 
     def _absorb_depth(
-        self, t_list: list[ScoredItem], depth: int, refresh: bool = False
+        self,
+        t_list: list[ScoredItem],
+        depth: int,
+        known: KnownPairs,
+        refresh: bool = False,
     ) -> list[ScoredItem]:
         """Fold all ``m`` sorted-access items of one depth into the state.
 
@@ -271,7 +289,7 @@ class EagerEngine(_EngineBase):
         shared = list(t_list)
         base = len(shared)
         flows = [
-            self._absorb_flow(shared, base, j, items) for j in range(self.m)
+            self._absorb_flow(shared, base, j, items, known) for j in range(self.m)
         ]
         if refresh:
             flows.append(self._refresh_flow(shared, depth, wait_rounds=1))
@@ -284,6 +302,7 @@ class EagerEngine(_EngineBase):
         base: int,
         list_slot: int,
         items: list[EncryptedItem],
+        known: KnownPairs,
     ):
         """One list's absorption at the current depth (flow form).
 
@@ -295,7 +314,9 @@ class EagerEngine(_EngineBase):
         on the encrypted match bit); check-point deduplication clears the
         neutralized husks.  Flows are advanced in list order, so by the
         time this flow mutates candidate state, every earlier list's
-        entry for this depth exists in ``shared``.
+        entry for this depth exists in ``shared``.  The equality
+        ciphertexts are recorded in ``known`` against the two EHLs they
+        compare, for the next deduplication's matrix.
         """
         ctx = self.ctx
         dj = ctx.dj
@@ -310,7 +331,9 @@ class EagerEngine(_EngineBase):
             # Permute before shipping so S2's equality-pattern view is the
             # declared EP_d leakage (pattern up to a random permutation).
             order = ctx.rng.permutation(n_candidates)
-            eq_cts = item.ehl.minus_many([ehls[i] for i in order], ctx.rng)
+            others = [ehls[i] for i in order]
+            eq_cts = item.ehl.minus_many(others, ctx.rng)
+            known.tested(item.ehl, others, eq_cts)
             permuted_bits = yield ZeroTestBatch(protocol=PROTOCOL, cts=eq_cts)
             bits = [None] * n_candidates
             for slot, i in enumerate(order):
@@ -469,12 +492,19 @@ class LiteralEngine(_EngineBase):
                         gammas = sec_dedup(ctx, gammas, self.own_keypair)
                     else:
                         gammas = sec_dup_elim(ctx, gammas, self.own_keypair)
+                # Both lists are deduplication outputs (T possibly sorted
+                # since): SecUpdate's closing pass only needs Γ × T, which
+                # it tests itself.
+                known = KnownPairs()
+                known.distinct([t_item.ehl for t_item in t_list])
+                known.distinct([g_item.ehl for g_item in gammas])
                 t_list = sec_update(
                     ctx,
                     t_list,
                     gammas,
                     self.own_keypair,
                     eliminate=self.config.variant != "full",
+                    known=known,
                 )
 
             if self._is_check_depth(depth) and len(t_list) >= self.k:

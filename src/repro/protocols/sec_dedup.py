@@ -10,7 +10,10 @@ S1 learning which items were touched:
    ``B_{ij} = EHL(o_i) ⊖ EHL(o_j)``, blinds every item component with a
    per-item seed, encrypts the seed under S1's own key ``pk'`` into the
    companion ciphertext ``H_i``, applies a random permutation ``π`` to
-   matrix, items and companions, and ships everything.
+   matrix, items and companions, and ships everything.  An entry whose
+   answer S1 already holds (a pair of earlier survivors, a pair tested
+   one round ago) is filled from that instead of recomputing ``⊖`` —
+   same distribution for S2, see :func:`repro.structures.ehl.minus_pairs`.
 2. S2 decrypts the matrix entries (learning the equality pattern ``EP_d``
    of a permuted list — the declared ``L2`` leakage), groups duplicates by
    union-find, keeps the lowest-``rank`` member of each group and replaces
@@ -37,7 +40,7 @@ from repro.exceptions import ProtocolError
 from repro.net.messages import DedupBatch
 from repro.protocols.base import CryptoCloud, S1Context
 from repro.protocols.blinding import ItemBlinder, junk_item
-from repro.structures.ehl import EncryptedHashList
+from repro.structures.ehl import EncryptedHashList, KnownPairs
 from repro.structures.items import ScoredItem
 
 PROTOCOL = "SecDedup"
@@ -72,15 +75,23 @@ def _prepare(
     items: list[ScoredItem],
     ranks: list[int],
     own_keypair: PaillierKeypair,
+    known: KnownPairs | None,
 ):
-    """S1's blinding + permutation stage shared with ``SecDupElim``."""
+    """S1's blinding + permutation stage shared with ``SecDupElim``.
+
+    ``known`` is what the caller already holds about pairs of these
+    items' EHLs; those matrix entries are filled without recomputing
+    ``⊖`` (see :func:`repro.structures.ehl.minus_pairs`).
+    """
     blinder = ItemBlinder(ctx.public_key, ctx.dj)
     l = len(items)
     order = ctx.rng.permutation(l)
     permuted = [items[i] for i in order]
     permuted_ranks = [ranks[i] for i in order]
 
-    matrix = EncryptedHashList.minus_matrix([item.ehl for item in permuted], ctx.rng)
+    matrix = EncryptedHashList.minus_matrix(
+        [item.ehl for item in permuted], ctx.rng, known
+    )
     blinded, companions = blinder.blind_fresh(
         permuted, own_keypair.public_key, ctx.rng
     )
@@ -93,6 +104,7 @@ def sec_dedup(
     own_keypair: PaillierKeypair,
     ranks: list[int] | None = None,
     protocol: str = PROTOCOL,
+    known: KnownPairs | None = None,
 ) -> list[ScoredItem]:
     """Return a same-length list with duplicate objects buried as junk."""
     if len(items) <= 1:
@@ -102,7 +114,7 @@ def sec_dedup(
         raise ProtocolError("ranks/items length mismatch")
 
     blinder, matrix, blinded, companions, permuted_ranks = _prepare(
-        ctx, items, ranks, own_keypair
+        ctx, items, ranks, own_keypair, known
     )
     items_out, comps_out = ctx.call(
         DedupBatch(
@@ -133,6 +145,11 @@ def s2_dedup(
     """S2's side, shared by ``SecDedup`` (bury) and ``SecDupElim`` (drop)."""
     blinder = ItemBlinder(s2.public_key, s2.dj)
     l = len(blinded)
+    if len(matrix) != l * (l - 1) // 2 or not len(companions) == len(ranks) == l:
+        raise ProtocolError(
+            f"malformed dedup batch: {l} items with {len(matrix)} matrix "
+            f"entries, {len(companions)} companions, {len(ranks)} ranks"
+        )
     uf = _UnionFind(l)
     entries = s2.decrypt_batch_for_protocol(matrix, protocol, "dedup_matrix")
     idx = 0

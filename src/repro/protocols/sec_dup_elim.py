@@ -16,6 +16,7 @@ from repro.exceptions import ProtocolError
 from repro.net.messages import DedupBatch
 from repro.protocols.base import S1Context
 from repro.protocols.sec_dedup import _prepare
+from repro.structures.ehl import KnownPairs
 from repro.structures.items import ScoredItem
 
 PROTOCOL = "SecDupElim"
@@ -27,6 +28,7 @@ def sec_dup_elim(
     own_keypair: PaillierKeypair,
     ranks: list[int] | None = None,
     protocol: str = PROTOCOL,
+    known: KnownPairs | None = None,
 ) -> list[ScoredItem]:
     """Return a duplicate-free (shorter) list of re-encrypted items."""
     if len(items) <= 1:
@@ -36,7 +38,7 @@ def sec_dup_elim(
         raise ProtocolError("ranks/items length mismatch")
 
     blinder, matrix, blinded, companions, permuted_ranks = _prepare(
-        ctx, items, ranks, own_keypair
+        ctx, items, ranks, own_keypair, known
     )
     items_out, comps_out = ctx.call(
         DedupBatch(

@@ -29,7 +29,7 @@ from repro.protocols.base import S1Context
 from repro.protocols.recover_enc import select_recover_batch
 from repro.protocols.sec_dedup import sec_dedup
 from repro.protocols.sec_dup_elim import sec_dup_elim
-from repro.structures.ehl import minus_pairs
+from repro.structures.ehl import KnownPairs, minus_pairs
 from repro.structures.items import ScoredItem
 
 PROTOCOL = "SecUpdate"
@@ -42,11 +42,22 @@ def sec_update(
     own_keypair: PaillierKeypair,
     eliminate: bool = False,
     protocol: str = PROTOCOL,
+    known: KnownPairs | None = None,
 ) -> list[ScoredItem]:
-    """Merge ``gamma`` into ``t_list`` and return the new candidate list."""
+    """Merge ``gamma`` into ``t_list`` and return the new candidate list.
+
+    ``known`` is what the caller holds about the two lists' EHLs (a
+    caller whose ``t_list`` / ``gamma`` came out of a deduplication marks
+    each pairwise distinct); the Γ × T tests of this call are added to it
+    and the closing deduplication recomputes none of those pairs.
+    """
+    if known is None:
+        known = KnownPairs()
     if not t_list:
         merged = [g.clone_shallow() for g in gamma]
-        return _final_dedup(ctx, merged, [1] * len(merged), own_keypair, eliminate, protocol)
+        return _final_dedup(
+            ctx, merged, [1] * len(merged), own_keypair, eliminate, protocol, known
+        )
     if not gamma:
         return list(t_list)
 
@@ -64,6 +75,9 @@ def sec_update(
     bits: list[list[LayeredCiphertext]] = [
         bits_flat[i * n_t : (i + 1) * n_t] for i in range(len(permuted_gamma))
     ]
+    t_ehls = [t_item.ehl for t_item in t_list]
+    for i, g_item in enumerate(permuted_gamma):
+        known.tested(g_item.ehl, t_ehls, flat[i * n_t : (i + 1) * n_t])
 
     zero_ct = ctx.zero()
 
@@ -107,7 +121,7 @@ def sec_update(
 
     merged = new_t + new_gamma
     ranks = [0] * len(new_t) + [1] * len(new_gamma)
-    return _final_dedup(ctx, merged, ranks, own_keypair, eliminate, protocol)
+    return _final_dedup(ctx, merged, ranks, own_keypair, eliminate, protocol, known)
 
 
 def _final_dedup(
@@ -117,8 +131,9 @@ def _final_dedup(
     own_keypair: PaillierKeypair,
     eliminate: bool,
     protocol: str,
+    known: KnownPairs,
 ) -> list[ScoredItem]:
     with ctx.channel.protocol(protocol):
         if eliminate:
-            return sec_dup_elim(ctx, merged, own_keypair, ranks)
-        return sec_dedup(ctx, merged, own_keypair, ranks)
+            return sec_dup_elim(ctx, merged, own_keypair, ranks, known=known)
+        return sec_dedup(ctx, merged, own_keypair, ranks, known=known)

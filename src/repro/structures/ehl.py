@@ -24,6 +24,11 @@ share :class:`EncryptedHashList` — the cell list and the ``⊖`` operator in
 its one-pair (``minus``), one-against-many (``minus_many``) and
 all-pairs (``minus_matrix``) shapes — so the protocols are agnostic to
 which one the database was encrypted with.
+
+S1 often already holds the answer for a pair it is about to test again
+(survivors of a deduplication are pairwise distinct; a pair tested one
+round ago still has its ciphertext): :class:`KnownPairs` carries that to
+:func:`minus_pairs`, which then fills the entry without recomputing ``⊖``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.crypto.prf import Prf, derive_keys
 from repro.crypto.rng import SecureRandom
-from repro.exceptions import KeyMismatchError
+from repro.exceptions import KeyMismatchError, ProtocolError
 from repro.structures.bloom import BloomFilter
 
 
@@ -73,7 +78,9 @@ class EncryptedHashList:
 
     @staticmethod
     def minus_matrix(
-        items: list["EncryptedHashList"], rng: SecureRandom
+        items: list["EncryptedHashList"],
+        rng: SecureRandom,
+        known: "KnownPairs | None" = None,
     ) -> list[Ciphertext]:
         """The upper triangle ``items[i] ⊖ items[j]`` (``i < j``,
         row-major) of the pairwise equality matrix as one batch."""
@@ -84,6 +91,7 @@ class EncryptedHashList:
                 for j in range(i + 1, len(items))
             ],
             rng,
+            known,
         )
 
     def rerandomized(self, rng: SecureRandom) -> "EncryptedHashList":
@@ -95,10 +103,113 @@ class EncryptedHashList:
         return sum(cell.serialized_size() for cell in self.cells)
 
 
+#: :class:`KnownPairs` value for a pair known to hold different objects.
+_DISTINCT = object()
+
+
+class KnownPairs:
+    """Equalities S1 already holds, keyed by the structures themselves.
+
+    A pair is looked up by the identity of its two EHL objects, never by
+    a list position, so permuting or re-slicing the lists in between
+    cannot attribute an answer to the wrong pair; a structure that was
+    re-encrypted since (a new object) is simply unknown again.
+    """
+
+    __slots__ = ("_held",)
+
+    def __init__(self):
+        self._held: dict[frozenset, object] = {}
+
+    def distinct(self, ehls: list[EncryptedHashList]) -> None:
+        """``ehls`` hold pairwise different objects (the survivors of a
+        ``SecDedup`` / ``SecDupElim``: ``⊖`` has no false negatives, and
+        junk replacements carry fresh random identities)."""
+        for i, mine in enumerate(ehls):
+            for theirs in ehls[i + 1 :]:
+                self._held[frozenset((mine, theirs))] = _DISTINCT
+
+    def tested(
+        self,
+        mine: EncryptedHashList,
+        others: list[EncryptedHashList],
+        cts: list[Ciphertext],
+    ) -> None:
+        """``cts[i]`` is ``mine ⊖ others[i]`` (or its mirror image)."""
+        if len(cts) != len(others):
+            raise ProtocolError(
+                f"{len(others)} pairs claimed tested, {len(cts)} ciphertexts held"
+            )
+        for theirs, ct in zip(others, cts):
+            self._held[frozenset((mine, theirs))] = ct
+
+    def lookup(self, mine: EncryptedHashList, theirs: EncryptedHashList):
+        """``_DISTINCT``, the pair's earlier ``⊖`` ciphertext, or ``None``."""
+        return self._held.get(frozenset((mine, theirs)))
+
+
 def minus_pairs(
+    pairs: list[tuple[EncryptedHashList, EncryptedHashList]],
+    rng: SecureRandom,
+    known: KnownPairs | None = None,
+) -> list[Ciphertext]:
+    """``mine ⊖ theirs`` for every pair, each by the cheapest rule that
+    leaves the decryptor's view unchanged in distribution:
+
+    (a) a pair ``known`` to be distinct gets a fresh ``Enc(u)``, ``u``
+        uniform non-zero — what ``⊖`` of two different objects decrypts
+        to, for no exponentiation;
+    (b) a pair whose ``⊖`` ciphertext ``c = Enc(v)`` is ``known`` gets
+        ``c^ρ · r^N`` for a fresh uniform non-zero ``ρ`` and a fresh
+        randomizer: ``ρ·v`` is zero iff ``v`` is and otherwise uniform and
+        independent of ``v``, for one exponentiation instead of one per
+        cell;
+    (c) every other pair (all of them without ``known``) is computed.
+
+    The rng is read rule (c) first — exactly the reads of a call without
+    ``known`` — then (a)'s scalars and randomizers, then (b)'s.
+    """
+    if known is None or not pairs:
+        return _minus_computed(pairs, rng)
+    pk = pairs[0][0].public_key
+    n, n2 = pk.n, pk.n_squared
+    computed, distinct, rescaled, sources = [], [], [], []
+    for slot, pair in enumerate(pairs):
+        answer = known.lookup(*pair)
+        if answer is None:
+            computed.append(slot)
+        elif answer is _DISTINCT:
+            distinct.append(slot)
+        else:
+            if answer.public_key is not pk and answer.public_key != pk:
+                raise KeyMismatchError(
+                    "cannot combine ciphertexts under different keys"
+                )
+            rescaled.append(slot)
+            sources.append(answer.value)
+
+    out: list[Ciphertext | None] = [None] * len(pairs)
+    for slot, ct in zip(
+        computed, _minus_computed([pairs[slot] for slot in computed], rng)
+    ):
+        out[slot] = ct
+    if distinct:
+        fresh = pk.encrypt_batch([rng.rand_nonzero(n) for _ in distinct], rng)
+        for slot, ct in zip(distinct, fresh):
+            out[slot] = ct
+    if rescaled:
+        rhos = [rng.rand_nonzero(n) for _ in rescaled]
+        powers = backend.powmod_pairs(sources, rhos, n2)
+        scaled = pk.rerandomize_batch([Ciphertext(power, pk) for power in powers], rng)
+        for slot, ct in zip(rescaled, scaled):
+            out[slot] = ct
+    return out
+
+
+def _minus_computed(
     pairs: list[tuple[EncryptedHashList, EncryptedHashList]], rng: SecureRandom
 ) -> list[Ciphertext]:
-    """``mine ⊖ theirs`` for every pair, as whole-batch kernel calls.
+    """The real ``⊖`` of every pair, as whole-batch kernel calls.
 
     Each right-hand cell is inverted once however many pairs it appears
     in (Montgomery's trick over all of them: one inversion), and every
@@ -122,7 +233,7 @@ def minus_pairs(
         involved[id(theirs)] = rights[id(theirs)] = theirs
     for structure in involved.values():
         for cell in structure.cells:
-            if cell.public_key != pk:
+            if cell.public_key is not pk and cell.public_key != pk:
                 raise KeyMismatchError(
                     "cannot combine ciphertexts under different keys"
                 )

@@ -4,9 +4,11 @@ blinding, rerandomization and size accounting."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import backend
+from repro.crypto.paillier import PaillierKeypair, PaillierPublicKey
 from repro.crypto.rng import SecureRandom
-from repro.exceptions import KeyMismatchError
-from repro.structures.ehl import EhlFactory
+from repro.exceptions import KeyMismatchError, ProtocolError
+from repro.structures.ehl import EhlFactory, EncryptedHashList, KnownPairs
 from repro.structures.ehl_plus import EhlPlusFactory
 
 
@@ -148,6 +150,125 @@ class TestBatchedMinus:
         longer = EhlPlusFactory(keypair.public_key, b"m" * 32, n_hashes=4, rng=rng)
         with pytest.raises(KeyMismatchError):
             a.minus_many([factory_plus.encode(2), longer.encode(1)], rng)
+
+
+def _triangle(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+class TestKnownPairs:
+    """``minus_matrix`` with knowledge: same zero pattern, no recomputed ⊖."""
+
+    @staticmethod
+    def _encode(keypair, oids, plus, rng):
+        if plus:
+            source = EhlPlusFactory(keypair.public_key, b"m" * 32, n_hashes=3, rng=rng)
+        else:
+            source = EhlFactory(
+                keypair.public_key, b"m" * 32, table_size=16, n_hashes=3, rng=rng
+            )
+        return [source.encode(oid) for oid in oids]
+
+    @given(
+        oids=st.lists(st.integers(0, 4), min_size=2, max_size=6),
+        plus=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_zero_pattern_matches_the_full_matrix(self, keypair, oids, plus, data):
+        rng = SecureRandom(11)
+        sk = keypair.secret_key
+        ehls = self._encode(keypair, oids, plus, rng)
+        pairs = _triangle(len(ehls))
+        full = sk.decrypt_batch(EncryptedHashList.minus_matrix(ehls, rng))
+        is_zero = {pair: entry == 0 for pair, entry in zip(pairs, full)}
+
+        split = data.draw(
+            st.lists(
+                st.sampled_from(["distinct", "tested", "unknown"]),
+                min_size=len(pairs),
+                max_size=len(pairs),
+            )
+        )
+        known = KnownPairs()
+        source_plain = {}
+        for (i, j), rule in zip(pairs, split):
+            if rule == "distinct" and not is_zero[i, j]:
+                known.distinct([ehls[j], ehls[i]])
+            elif rule != "unknown":
+                # Recorded the other way round than the matrix asks.
+                ct = ehls[j].minus(ehls[i], rng)
+                known.tested(ehls[j], [ehls[i]], [ct])
+                source_plain[i, j] = sk.decrypt(ct)
+
+        order = data.draw(st.permutations(range(len(ehls))))
+        got = sk.decrypt_batch(
+            EncryptedHashList.minus_matrix([ehls[i] for i in order], rng, known)
+        )
+        for (a, b), entry in zip(pairs, got):
+            pair = tuple(sorted((order[a], order[b])))
+            assert (entry == 0) == is_zero[pair]
+            if source_plain.get(pair):
+                # Rule (b) on a non-zero source: non-zero and rescaled.
+                assert entry not in (0, source_plain[pair])
+
+    @pytest.mark.parametrize("plus", [False, True], ids=["bits", "plus"])
+    def test_empty_knowledge_is_the_loop_ciphertext_for_ciphertext(self, keypair, plus):
+        ehls = self._encode(keypair, (0, 1, 2, 0), plus, SecureRandom(3))
+        rng = SecureRandom(99)
+        loop = [ehls[i].minus(ehls[j], rng).value for i, j in _triangle(len(ehls))]
+        for known in (None, KnownPairs()):
+            matrix = EncryptedHashList.minus_matrix(ehls, SecureRandom(99), known)
+            assert [c.value for c in matrix] == loop
+
+    def test_covered_entries_draw_in_batches(self, keypair, monkeypatch):
+        """One ``encrypt_batch`` for rule (a), one ``randomizers`` plus one
+        ``powmod_pairs`` for rule (b) — per matrix, not per pair."""
+        rng = SecureRandom(5)
+        ehls = self._encode(keypair, range(5), True, rng)
+        known = KnownPairs()
+        known.distinct(ehls[:3])
+        known.tested(ehls[4], ehls[:4], ehls[4].minus_many(ehls[:4], rng))
+
+        powmods, draws = [], []
+        real_powmod = backend.powmod_pairs
+        real_randomizers = PaillierPublicKey.randomizers
+        monkeypatch.setattr(
+            backend,
+            "powmod_pairs",
+            lambda bases, exps, mod: powmods.append(len(bases))
+            or real_powmod(bases, exps, mod),
+        )
+        monkeypatch.setattr(
+            PaillierPublicKey,
+            "randomizers",
+            lambda self, rng, count: draws.append(count)
+            or real_randomizers(self, rng, count),
+        )
+        matrix = EncryptedHashList.minus_matrix(ehls, rng, known)
+        cells = len(ehls[0])
+        # 10 pairs: 3 known distinct, 4 tested, 3 computed (ehls[3] vs 0..2).
+        assert sorted(powmods) == [4, 3 * cells]
+        assert sorted(draws) == [1, 1, 1, 3, 4]
+        assert all(e != 0 for e in keypair.secret_key.decrypt_batch(matrix))
+
+    def test_claimed_but_uncovered_pair_raises(self, keypair):
+        rng = SecureRandom(6)
+        a, b, c = self._encode(keypair, (1, 2, 3), True, rng)
+        known = KnownPairs()
+        with pytest.raises(ProtocolError, match="claimed tested"):
+            known.tested(a, [b, c], [a.minus(b, rng)])
+        # Nothing was half-recorded: the matrix computes both pairs.
+        assert known.lookup(a, b) is None and known.lookup(a, c) is None
+
+    def test_tested_ciphertext_under_another_key_raises(self, keypair):
+        rng = SecureRandom(8)
+        a, b = self._encode(keypair, (1, 2), True, rng)
+        foreign = PaillierKeypair.generate(128, SecureRandom(77))
+        known = KnownPairs()
+        known.tested(a, [b], [foreign.public_key.encrypt(5, rng)])
+        with pytest.raises(KeyMismatchError):
+            EncryptedHashList.minus_matrix([a, b], rng, known)
 
 
 class TestIndistinguishabilityShape:

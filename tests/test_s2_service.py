@@ -233,6 +233,44 @@ class TestFailureModes:
         finally:
             ctx.close()
 
+    def test_malformed_dedup_batch_surfaces_protocol_error(self, daemon):
+        """S2 checks a ``DedupBatch``'s shape: a matrix one entry short
+        comes back as a typed ``ProtocolError``, not an ``IndexError``
+        from inside the handler."""
+        from repro.protocols.sec_dedup import _prepare
+        from repro.structures.items import ScoredItem
+
+        _, address = daemon
+        scheme, relation, _ = _fresh_deployment()
+        ctx = scheme._make_context(transport=address, relation=relation)
+        own = scheme._s1_keypair
+        entries = next(iter(relation.lists.values()))[:3]
+        items = [
+            ScoredItem(ehl=e.ehl, worst=e.score, best=e.score, record=e.record)
+            for e in entries
+        ]
+        try:
+            _, matrix, blinded, companions, ranks = _prepare(
+                ctx, items, [0, 0, 0], own, None
+            )
+            with pytest.raises(RemoteS2Error) as excinfo:
+                ctx.call(
+                    messages.DedupBatch(
+                        protocol="SecDedup",
+                        matrix=matrix[:-1],
+                        items=blinded,
+                        companions=companions,
+                        ranks=ranks,
+                        own_public=own.public_key,
+                        sentinel=-ctx.encoder.sentinel,
+                        eliminate=False,
+                    )
+                )
+            assert excinfo.value.kind == "ProtocolError"
+            assert "IndexError" not in str(excinfo.value)
+        finally:
+            ctx.close()
+
     def test_unregistered_relation_autoregisters(self, daemon):
         """The OPEN -> unknown-relation -> REGISTER -> OPEN dance is
         invisible to callers: a bare session works on first contact."""

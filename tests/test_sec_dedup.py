@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.protocols.sec_dedup import sec_dedup
+from repro.core.params import SystemParams
+from repro.core.results import QueryConfig
+from repro.core.scheme import SecTopK
+from repro.crypto import backend
+from repro.crypto.paillier import Ciphertext
+from repro.net.messages import DedupBatch
+from repro.nra import naive_topk
+from repro.protocols.sec_dedup import _prepare, sec_dedup
 from repro.protocols.sec_dup_elim import sec_dup_elim
 from repro.exceptions import ProtocolError
+from repro.structures.ehl import EncryptedHashList
 from repro.structures.ehl_plus import EhlPlusFactory
 from repro.structures.items import ScoredItem
 
@@ -132,3 +140,118 @@ class TestSecDupElim:
         items = [_scored(ctx, factory, f"o{i}", i, i) for i in range(3)]
         result = sec_dup_elim(ctx, items, own_keypair)
         assert len(result) == 3
+
+
+class TestMalformedBatch:
+    """S2 checks a ``DedupBatch``'s shape instead of trusting it."""
+
+    @pytest.mark.parametrize(
+        "field, reshape",
+        [
+            ("matrix", lambda cts: cts[:-1]),
+            ("matrix", lambda cts: cts + cts),
+            ("ranks", lambda ranks: ranks[:-1]),
+            ("companions", lambda cts: cts[:-1]),
+        ],
+        ids=["matrix-short", "matrix-long", "ranks-short", "companions-short"],
+    )
+    def test_wrong_shape_is_a_protocol_error(
+        self, ctx, factory, own_keypair, field, reshape
+    ):
+        items = [_scored(ctx, factory, f"o{i}", i, i + 1) for i in range(3)]
+        _, matrix, blinded, companions, ranks = _prepare(
+            ctx, items, [0, 0, 0], own_keypair, None
+        )
+        parts = {"matrix": matrix, "companions": companions, "ranks": ranks}
+        parts[field] = reshape(parts[field])
+        with pytest.raises(ProtocolError, match="malformed dedup batch"):
+            ctx.call(
+                DedupBatch(
+                    protocol="SecDedup",
+                    items=blinded,
+                    own_public=own_keypair.public_key,
+                    sentinel=-ctx.encoder.sentinel,
+                    eliminate=False,
+                    **parts,
+                )
+            )
+
+
+class TestMatrixReusesHeldEqualities:
+    """Engine level: a deduplication matrix never recomputes ``⊖`` for a
+    pair S1 already holds, and covered + computed pairs tile the triangle."""
+
+    ROWS = [[(7 * i + 3 * a) % 23 for a in range(3)] for i in range(10)]
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls, inside = [], []
+        real_matrix = EncryptedHashList.minus_matrix
+        real_powmod = backend.powmod_pairs
+
+        def powmod_pairs(bases, exps, mod):
+            if inside:
+                inside[-1]["exps"] += len(bases)
+            return real_powmod(bases, exps, mod)
+
+        def minus_matrix(items, rng, known=None):
+            held = [
+                known.lookup(items[i], items[j]) if known else None
+                for i in range(len(items))
+                for j in range(i + 1, len(items))
+            ]
+            call = {
+                "knowledge": known is not None,
+                "cells": len(items[0]),
+                "triangle": len(items) * (len(items) - 1) // 2,
+                "computed": sum(h is None for h in held),
+                "tested": sum(isinstance(h, Ciphertext) for h in held),
+                "exps": 0,
+            }
+            call["distinct"] = len(held) - call["computed"] - call["tested"]
+            inside.append(call)
+            try:
+                return real_matrix(items, rng, known)
+            finally:
+                calls.append(inside.pop())
+
+        monkeypatch.setattr(backend, "powmod_pairs", powmod_pairs)
+        monkeypatch.setattr(
+            EncryptedHashList, "minus_matrix", staticmethod(minus_matrix)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"variant": "elim"},
+            {"variant": "full"},
+            {"variant": "batch", "batch_p": 4},
+            {"engine": "literal", "variant": "elim"},
+        ],
+        ids=["eager-elim", "eager-full", "eager-batch", "literal-elim"],
+    )
+    def test_no_full_minus_for_a_covered_pair(self, monkeypatch, config):
+        scheme = SecTopK(SystemParams.tiny(), seed=21)
+        relation = scheme.encrypt(self.ROWS)
+        calls = self._spy(monkeypatch)
+        result = scheme.query(
+            relation, scheme.token([0, 1, 2], k=3), QueryConfig(**config)
+        )
+        assert {o for o, _ in scheme.reveal(result)} == {
+            o for o, _ in naive_topk(self.ROWS, [0, 1, 2], 3)
+        }
+
+        assert calls
+        for call in calls:
+            assert call["distinct"] + call["tested"] + call["computed"] == call["triangle"]
+            # One rescale per tested pair, one per cell only where computed.
+            assert call["exps"] == call["tested"] + call["computed"] * call["cells"]
+            if call["knowledge"]:
+                assert call["computed"] == 0
+        informed = [call for call in calls if call["knowledge"]]
+        assert sum(call["tested"] for call in informed) > 0
+        assert sum(call["distinct"] for call in informed) > 0
+        if config.get("engine") != "literal":
+            # Only the literal engine's per-depth Γ dedup comes uninformed.
+            assert informed == calls
