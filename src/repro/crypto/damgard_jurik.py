@@ -34,11 +34,57 @@ from repro.crypto.paillier import (
     Ciphertext,
     PaillierKeypair,
     PaillierPublicKey,
-    fresh_pool,
+    key_pool,
     pool_randomizers,
 )
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import DecryptionError, KeyMismatchError
+
+
+def _dlog_table(n: int, s: int) -> tuple:
+    """What :func:`_dlog` needs of ``(n, s)``, worked out once: per step
+    ``j = 1..s`` the moduli ``n^j``, ``n^{j+1}`` and the coefficients
+    ``n^{k-1} / k!  mod n^j`` for ``k = 2..j``."""
+    steps = []
+    for j in range(1, s + 1):
+        n_j = n**j
+        factorial = 1
+        coefficients = []
+        for k in range(2, j + 1):
+            factorial *= k
+            coefficients.append(n ** (k - 1) * pow(factorial, -1, n_j) % n_j)
+        steps.append((n_j, n_j * n, tuple(coefficients)))
+    return tuple(steps)
+
+
+def _dlog(a: int, n: int, table: tuple) -> int:
+    """Extract ``i mod n^s`` from ``a = (1 + n)^i mod n^{s+1}``.
+
+    The iterative algorithm of Damgård–Jurik, Theorem 1 — for any odd
+    ``n`` coprime to ``s!``, so the same routine serves base ``1 + p``
+    over ``p^{s+1}``.  ``table`` is :func:`_dlog_table` of ``(n, s)``.
+    """
+    i = 0
+    for n_j, n_j1, coefficients in table:
+        t1 = (a % n_j1 - 1) // n
+        t2 = i
+        for coefficient in coefficients:
+            i -= 1
+            t2 = t2 * i % n_j
+            t1 = (t1 - t2 * coefficient) % n_j
+        i = t1
+    return i
+
+
+def _residues(values: list[int], half: tuple) -> list[int]:
+    """The plaintexts of unit ciphertexts reduced mod ``p^s``: the ``p``
+    half of the CRT decryption (``half`` as ``_crt_constants`` builds
+    it), one vectorized ``|p|``-bit pow."""
+    prime, mod, prime_s, table, h = half
+    return [
+        _dlog(a, prime, table) * h % prime_s
+        for a in backend.powmod_vec([v % mod for v in values], prime - 1, mod)
+    ]
 
 
 class DamgardJurik:
@@ -94,12 +140,7 @@ class DamgardJurik:
     def randomizers(self, rng: SecureRandom, count: int) -> list[int]:
         """``count`` fresh randomizers ``r^{N^s} mod N^{s+1}`` from the
         cached pool (the Paillier key's randomizer-caching optimization)."""
-        pool = self._pool
-        if pool is None:
-            pool = self._pool = fresh_pool(
-                self.n, self.n_s, self.n_s1, self._POOL_SIZE, self._POOL_PICKS
-            )
-        return pool_randomizers(pool, rng, count)
+        return pool_randomizers(key_pool(self, self.n_s, self.n_s1), rng, count)
 
     def _g_pow(self, m: int) -> int:
         """``(1 + N)^m mod N^{s+1}`` via the binomial expansion.
@@ -146,59 +187,40 @@ class DamgardJurik:
 
     # -- decryption ------------------------------------------------------
 
-    def _dlog(self, a: int) -> int:
-        """Extract ``m`` from ``a = (1 + N)^m mod N^{s+1}``.
-
-        The iterative algorithm of Damgård–Jurik, Theorem 1.
-        """
-        n = self.n
-        i = 0
-        for j in range(1, self.s + 1):
-            n_j = n**j
-            t1 = ((a % n ** (j + 1)) - 1) // n
-            t2 = i
-            factorial = 1
-            for k in range(2, j + 1):
-                i = i - 1
-                t2 = t2 * i % n_j
-                factorial *= k
-                t1 = (t1 - t2 * n ** (k - 1) * pow(factorial, -1, n_j)) % n_j
-            i = t1
-        return i % self.n_s
-
-    def _crt_exponents(self, keypair: PaillierKeypair):
-        """Per-keypair CRT constants for decryption.
+    def _crt_constants(self, keypair: PaillierKeypair):
+        """Per-keypair constants of the short-exponent CRT decryption:
+        one ``(p, p^{s+1}, p^s, dlog table, h_p)`` per prime, with
+        ``h_p = dlog_{1+p}((1+N)^{p-1})^{-1} mod p^s``, and
+        ``(p^s)^{-1} mod q^s`` for the plaintext CRT.
 
         Cached *on the secret key* (fixed for a ``(keypair, s)`` pair;
-        the two big modular inversions would otherwise recur on every
+        the inversions and dlog tables would otherwise recur on every
         batch of the crypto cloud's hottest path).  Deliberately not
-        cached on this DJ instance: S1 holds the same object, and
-        secret-derived material must stay confined to the key the
-        crypto cloud owns.
+        cached on this DJ instance, nor in a module-level memo: S1 holds
+        the same objects, and secret-derived material must stay confined
+        to the key the crypto cloud owns.
         """
         sk = keypair.secret_key
         cached = sk.dj_crt_cache.get(self.s)
-        if cached is not None:
-            return cached
-        p, q = sk.p, sk.q
-        lam = sk.lam
-        # d = 1 mod N^s and d = 0 mod lambda (CRT); then c^d = (1+N)^m.
-        d = lam * backend.invert(lam, self.n_s)
-        p_s1 = p ** (self.s + 1)
-        q_s1 = q ** (self.s + 1)
-        # |Z*_{p^{s+1}}| = p^s (p - 1); reduce the exponent per factor.
-        dp = d % (p**self.s * (p - 1))
-        dq = d % (q**self.s * (q - 1))
-        p_s1_inv = backend.invert(p_s1, q_s1)
-        constants = (p_s1, q_s1, dp, dq, p_s1_inv)
-        sk.dj_crt_cache[self.s] = constants
-        return constants
+        if cached is None:
+            s = self.s
+            halves = []
+            for prime in (sk.p, sk.q):
+                prime_s = prime**s
+                mod = prime_s * prime
+                table = _dlog_table(prime, s)
+                g = backend.powmod((1 + self.n) % mod, prime - 1, mod)
+                h = backend.invert(_dlog(g, prime, table), prime_s)
+                halves.append((prime, mod, prime_s, table, h))
+            (_, _, p_s, _, _), (_, _, q_s, _, _) = halves
+            cached = sk.dj_crt_cache[s] = (*halves, backend.invert(p_s, q_s))
+        return cached
 
     def values_of(self, cts: list["LayeredCiphertext"]) -> list[int]:
         """The bare integers of ``cts``, each checked to belong to this
         instance — the way in for code that works on flat int vectors."""
         for c in cts:
-            if c.scheme != self:
+            if c.scheme is not self and c.scheme != self:
                 raise KeyMismatchError("ciphertext from a different DJ instance")
         return [c.value for c in cts]
 
@@ -206,37 +228,40 @@ class DamgardJurik:
         if keypair.public_key != self.public_key:
             raise KeyMismatchError("keypair does not match this DJ instance")
         for c in cts:
-            if c.scheme != self:
+            if c.scheme is not self and c.scheme != self:
                 raise KeyMismatchError("ciphertext from a different DJ instance")
             if backend.gcd(c.value, self.n) != 1:
                 raise DecryptionError("ciphertext is not a unit")
 
     def decrypt(self, c: "LayeredCiphertext", keypair: PaillierKeypair) -> int:
-        """Decrypt to an element of ``Z_{N^s}``.
-
-        Uses a CRT split over ``p^{s+1}`` / ``q^{s+1}`` with the exponent
-        reduced modulo each prime-power group order — the same speed trick
-        the Paillier secret key uses, worth ~4x on the crypto cloud's
-        hottest operation (layer stripping).
-        """
+        """Decrypt to an element of ``Z_{N^s}``."""
         return self.decrypt_batch([c], keypair)[0]
 
     def decrypt_batch(
         self, cts: list["LayeredCiphertext"], keypair: PaillierKeypair
     ) -> list[int]:
-        """Batch decryption: the CRT constants and the backend's shared
-        exponent/modulus setup are paid once for the whole batch."""
+        """Batch decryption, one ``|p|``-bit exponentiation per prime.
+
+        Over ``p^{s+1}`` the randomizer dies under ``p - 1`` alone
+        (``p^s (p-1)`` divides ``N^s (p-1)``), leaving
+        ``c^{p-1} = (1+N)^{m(p-1)}``; ``1 + N`` is a power of ``1 + p``
+        there, so ``m mod p^s = dlog_{1+p}(c^{p-1}) * h_p`` — the trick
+        Paillier's own CRT decryption uses, with the Theorem-1 dlog in
+        place of ``L``.  The two *plaintext* halves are then CRT-combined
+        into ``Z_{N^s}``.  Every unit of ``Z_{N^{s+1}}`` is a ciphertext,
+        so this is the full-exponent ``c^d`` answer for every input
+        :meth:`_check_batch` admits.
+        """
         if not cts:
             return []
         self._check_batch(cts, keypair)
-        p_s1, q_s1, dp, dq, p_s1_inv = self._crt_exponents(keypair)
-        aps = backend.powmod_vec([c.value % p_s1 for c in cts], dp, p_s1)
-        aqs = backend.powmod_vec([c.value % q_s1 for c in cts], dq, q_s1)
-        out = []
-        for ap, aq in zip(aps, aqs):
-            u = (aq - ap) * p_s1_inv % q_s1
-            out.append(self._dlog((ap + p_s1 * u) % self.n_s1))
-        return out
+        half_p, half_q, p_s_inv = self._crt_constants(keypair)
+        values = [c.value for c in cts]
+        p_s, q_s = half_p[2], half_q[2]
+        return [
+            mp + p_s * ((mq - mp) * p_s_inv % q_s)
+            for mp, mq in zip(_residues(values, half_p), _residues(values, half_q))
+        ]
 
     def decrypt_inner(self, c: "LayeredCiphertext", keypair: PaillierKeypair) -> Ciphertext:
         """Strip the outer layer: ``E2(Enc(m))`` -> ``Enc(m)``.
@@ -280,7 +305,7 @@ class LayeredCiphertext:
         self.scheme = scheme
 
     def _check(self, other: "LayeredCiphertext") -> None:
-        if self.scheme != other.scheme:
+        if self.scheme is not other.scheme and self.scheme != other.scheme:
             raise KeyMismatchError("cannot combine DJ ciphertexts across instances")
 
     def __add__(self, other):

@@ -52,6 +52,21 @@ def fresh_pool(
     )
 
 
+def key_pool(key, exponent: int, modulus: int) -> backend.RandomizerPool:
+    """``key``'s randomizer pool, built on its first draw.  Lock-free on
+    purpose: threads that reach the first draw together (a key decoded
+    from the wire is one object for every session of the process) may
+    each build one — every build is a valid pool and the key keeps the
+    last; a lock held across the build would be one a forked worker can
+    inherit locked."""
+    pool = key._pool
+    if pool is None:
+        pool = key._pool = fresh_pool(
+            key.n, exponent, modulus, key._POOL_SIZE, key._POOL_PICKS
+        )
+    return pool
+
+
 def pool_randomizers(
     pool: backend.RandomizerPool, rng: SecureRandom, count: int
 ) -> list[int]:
@@ -122,12 +137,7 @@ class PaillierPublicKey:
 
     def randomizers(self, rng: SecureRandom, count: int) -> list[int]:
         """``count`` fresh randomizers ``r^N mod N^2`` from the cached pool."""
-        pool = self._pool
-        if pool is None:
-            pool = self._pool = fresh_pool(
-                self.n, self.n, self.n_squared, self._POOL_SIZE, self._POOL_PICKS
-            )
-        return pool_randomizers(pool, rng, count)
+        return pool_randomizers(key_pool(self, self.n, self.n_squared), rng, count)
 
     def encrypt(self, m: int, rng: SecureRandom | None = None) -> "Ciphertext":
         """Encrypt ``m`` (reduced mod ``N``) into a :class:`Ciphertext`."""
@@ -201,10 +211,22 @@ class PaillierSecretKey:
             self._l_func(backend.powmod(1 + n, q - 1, self._q2), q), q
         )
         #: Damgård–Jurik decryption constants per expansion degree ``s``
-        #: (filled lazily by ``DamgardJurik._crt_exponents``).  Lives here
+        #: (filled lazily by ``DamgardJurik._crt_constants``).  Lives here
         #: — not on the DJ instance — because the constants derive from
         #: the secret primes and DJ objects are shared with S1.
         self.dj_crt_cache: dict[int, tuple] = {}
+
+    def __getstate__(self):
+        # The DJ constants are a per-process cache: never shipped, and
+        # dropped from any pickle that carries them (a spill written
+        # before the short-exponent decryption holds another layout).
+        state = self.__dict__.copy()
+        state["dj_crt_cache"] = {}
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.dj_crt_cache = {}
 
     @staticmethod
     def _l_func(u: int, n: int) -> int:

@@ -18,6 +18,10 @@ deliberately excluded from those statistics.
 
 from __future__ import annotations
 
+import collections
+import os
+import threading
+
 from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.exceptions import ProtocolError
@@ -46,6 +50,61 @@ _PK_NEW = 16
 _ENCITEM = 17
 
 _EHL_CLASSES = (Ehl, EhlPlus)
+
+#: Largest Damgård–Jurik degree a frame may name (the schemes use 2): a
+#: decoder that believed any ``s`` would compute ``n ** (s + 1)`` on a
+#: peer's say-so.
+_MAX_DJ_DEGREE = 8
+
+# -- the process's key objects ------------------------------------------
+#
+# A modulus decoded from the wire resolves to ONE key object per process,
+# so what a key object caches (its randomizer pool above all) lives as
+# long as the process and not as long as one session's codec — and a
+# ciphertext decoded under a registered modulus carries the very object
+# its consumer holds, so key guards pass on identity.  Bounded, least
+# recently used first out; an evicted modulus simply gets a new object.
+
+_SHARED_LIMIT = 64
+_SHARED: collections.OrderedDict = collections.OrderedDict()
+_SHARED_LOCK = threading.Lock()
+
+
+def _shared(ident, make):
+    with _SHARED_LOCK:
+        obj = _SHARED.get(ident)
+        if obj is None:
+            obj = _SHARED[ident] = make()
+            if len(_SHARED) > _SHARED_LIMIT:
+                _SHARED.popitem(last=False)
+        else:
+            _SHARED.move_to_end(ident)
+    return obj
+
+
+def shared_key(n: int, pk: PaillierPublicKey | None = None) -> PaillierPublicKey:
+    """The process's public-key object for modulus ``n`` — ``pk`` (or a
+    new key) when this is the first the process sees of ``n``."""
+    return _shared(n, lambda: PaillierPublicKey(n) if pk is None else pk)
+
+
+def shared_scheme(n: int, s: int, dj: DamgardJurik | None = None) -> DamgardJurik:
+    """The process's Damgård–Jurik instance for ``(n, s)``, likewise."""
+    key = shared_key(n, None if dj is None else dj.public_key)
+    return _shared((n, s), lambda: DamgardJurik(key, s) if dj is None else dj)
+
+
+def _reset_after_fork() -> None:
+    # A lock some other parent thread held at fork time would never be
+    # released in the child, and the table it guarded may be mid-update:
+    # the child starts with both new (its inherited keys re-enter the
+    # table, pools and all, the first time they cross a codec).
+    global _SHARED, _SHARED_LOCK
+    _SHARED, _SHARED_LOCK = collections.OrderedDict(), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -84,18 +143,39 @@ class _Reader:
         self.pos += n
         return chunk
 
+    def byte(self) -> int:
+        try:
+            value = self.data[self.pos]
+        except IndexError:
+            raise ProtocolError("truncated wire message") from None
+        self.pos += 1
+        return value
+
     def varint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self.take(1)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
+        data, pos = self.data, self.pos
+        try:
+            byte = data[pos]
+            pos += 1
+            value = byte & 0x7F
+            shift = 7
+            while byte & 0x80:
+                byte = data[pos]
+                pos += 1
+                value |= (byte & 0x7F) << shift
+                shift += 7
+        except IndexError:
+            raise ProtocolError("truncated wire message") from None
+        self.pos = pos
+        return value
 
     def signed(self) -> int:
         return _zigzag(self.varint())
+
+
+def _entry(registry: list, index: int, what: str):
+    if index >= len(registry):
+        raise ProtocolError(f"wire message names unregistered {what} {index}")
+    return registry[index]
 
 
 class WireCodec:
@@ -104,7 +184,8 @@ class WireCodec:
     One codec instance serves one endpoint of one transport; its key
     registry grows as the stream introduces new key material.  Both
     endpoints stay in sync because registration order is fully determined
-    by the byte stream itself.
+    by the byte stream itself.  The registry holds the *process's* object
+    for each modulus (:func:`shared_key` / :func:`shared_scheme`).
     """
 
     def __init__(self):
@@ -115,28 +196,33 @@ class WireCodec:
 
     # -- key registries --------------------------------------------------
 
-    def _register_key(self, pk: PaillierPublicKey) -> int:
-        idx = self._key_index.get(pk.n)
+    def _register_key(self, n: int, pk: PaillierPublicKey | None = None):
+        """Register modulus ``n`` (a no-op when the stream already did);
+        returns the registry's key object for it."""
+        idx = self._key_index.get(n)
         if idx is None:
-            idx = len(self._keys)
-            self._keys.append(pk)
-            self._key_index[pk.n] = idx
-        return idx
+            idx = self._key_index[n] = len(self._keys)
+            self._keys.append(shared_key(n, pk))
+        return self._keys[idx]
 
-    def _register_scheme(self, dj: DamgardJurik) -> int:
-        key = (dj.n, dj.s)
-        idx = self._scheme_index.get(key)
+    def _register_scheme(self, n: int, s: int, dj: DamgardJurik | None = None):
+        """The scheme twin of :meth:`_register_key`."""
+        idx = self._scheme_index.get((n, s))
         if idx is None:
-            idx = len(self._schemes)
-            self._schemes.append(dj)
-            self._scheme_index[key] = idx
-        return idx
+            idx = self._scheme_index[(n, s)] = len(self._schemes)
+            self._schemes.append(shared_scheme(n, s, dj))
+        return self._schemes[idx]
 
     # -- value encoding --------------------------------------------------
 
     def encode_value(self, value, out: bytearray) -> None:
         """Append the tagged encoding of ``value`` to ``out``."""
-        if value is None:
+        # What a round is made of goes by exact type, ahead of the
+        # general isinstance chain (which still catches subclasses).
+        encode = _ENCODE_EXACT.get(type(value))
+        if encode is not None:
+            encode(self, value, out)
+        elif value is None:
             out.append(_NONE)
         elif value is True:
             out.append(_TRUE)
@@ -155,10 +241,7 @@ class WireCodec:
             _write_varint(out, len(raw))
             out.extend(raw)
         elif isinstance(value, list):
-            out.append(_LIST)
-            _write_varint(out, len(value))
-            for entry in value:
-                self.encode_value(entry, out)
+            self._encode_list(value, out)
         elif isinstance(value, tuple):
             out.append(_TUPLE)
             _write_varint(out, len(value))
@@ -169,20 +252,9 @@ class WireCodec:
         elif isinstance(value, LayeredCiphertext):
             self._encode_layered(value, out)
         elif isinstance(value, _EHL_CLASSES):
-            out.append(_EHL)
-            out.append(_EHL_CLASSES.index(type(value)))
-            _write_varint(out, len(value.cells))
-            for cell in value.cells:
-                self._encode_ciphertext(cell, out)
+            self._encode_ehl(value, out)
         elif isinstance(value, ScoredItem):
-            out.append(_SCORED)
-            self.encode_value(value.ehl, out)
-            self.encode_value(value.worst, out)
-            self.encode_value(value.best, out)
-            self.encode_value(value.list_scores, out)
-            self.encode_value(value.seen_bits, out)
-            self.encode_value(value.record, out)
-            _write_signed(out, value.uid)
+            self._encode_scored(value, out)
         elif isinstance(value, EncryptedItem):
             out.append(_ENCITEM)
             self.encode_value(value.ehl, out)
@@ -195,7 +267,7 @@ class WireCodec:
         elif isinstance(value, PaillierPublicKey):
             idx = self._key_index.get(value.n)
             if idx is None:
-                self._register_key(value)
+                self._register_key(value.n, value)
                 raw = value.n.to_bytes((value.n.bit_length() + 7) // 8, "big")
                 out.append(_PK_NEW)
                 _write_varint(out, len(raw))
@@ -206,11 +278,76 @@ class WireCodec:
         else:
             raise ProtocolError(f"cannot serialize {type(value).__name__} on the wire")
 
+    def _encode_list(self, items: list, out: bytearray) -> None:
+        out.append(_LIST)
+        _write_varint(out, len(items))
+        if not self._encode_run(items, out):
+            for entry in items:
+                self.encode_value(entry, out)
+
+    def _encode_ehl(self, ehl, out: bytearray) -> None:
+        cells = ehl.cells
+        out.append(_EHL)
+        out.append(_EHL_CLASSES.index(type(ehl)))
+        _write_varint(out, len(cells))
+        if type(cells[0]) is not Ciphertext or not self._encode_run(cells, out):
+            for cell in cells:
+                self._encode_ciphertext(cell, out)
+
+    def _encode_scored(self, item: ScoredItem, out: bytearray) -> None:
+        out.append(_SCORED)
+        self.encode_value(item.ehl, out)
+        self.encode_value(item.worst, out)
+        self.encode_value(item.best, out)
+        self.encode_value(item.list_scores, out)
+        self.encode_value(item.seen_bits, out)
+        self.encode_value(item.record, out)
+        _write_signed(out, item.uid)
+
+    def _encode_run(self, items: list, out: bytearray) -> bool:
+        """Append the elements of a ``_LIST`` / ``_EHL`` as one slice —
+        the bytes the element loop would write — when they are one kind
+        of ciphertext under one key object the stream already registered
+        at a one-byte index; ``False`` (nothing written) otherwise."""
+        if not items:
+            return False
+        first = items[0]
+        kind = type(first)
+        if kind is Ciphertext:
+            key, tag = first.public_key, _CT
+            idx = self._key_index.get(key.n)
+        elif kind is LayeredCiphertext:
+            key, tag = first.scheme, _LC
+            idx = self._scheme_index.get((key.n, key.s))
+        else:
+            return False
+        if idx is None or idx >= 0x80:
+            return False
+        width = key.ciphertext_bytes
+        if tag == _CT:
+            chunks = [
+                c.value.to_bytes(width, "big")
+                for c in items
+                if type(c) is kind and c.public_key is key
+            ]
+        else:
+            chunks = [
+                c.value.to_bytes(width, "big")
+                for c in items
+                if type(c) is kind and c.scheme is key
+            ]
+        if len(chunks) != len(items):
+            return False
+        prefix = bytes((tag, idx))
+        out += prefix
+        out += prefix.join(chunks)
+        return True
+
     def _encode_ciphertext(self, ct: Ciphertext, out: bytearray) -> None:
         pk = ct.public_key
         idx = self._key_index.get(pk.n)
         if idx is None:
-            self._register_key(pk)
+            self._register_key(pk.n, pk)
             raw = pk.n.to_bytes((pk.n.bit_length() + 7) // 8, "big")
             out.append(_CT_NEWKEY)
             _write_varint(out, len(raw))
@@ -226,8 +363,8 @@ class WireCodec:
         if idx is None:
             # Register the underlying key too, mirroring _decode_layered —
             # the registries on both endpoints must grow identically.
-            self._register_key(scheme.public_key)
-            self._register_scheme(scheme)
+            self._register_key(scheme.n, scheme.public_key)
+            self._register_scheme(scheme.n, scheme.s, scheme)
             raw = scheme.n.to_bytes((scheme.n.bit_length() + 7) // 8, "big")
             out.append(_LC_NEWSCHEME)
             _write_varint(out, len(raw))
@@ -242,35 +379,35 @@ class WireCodec:
 
     def decode_value(self, reader: _Reader):
         """Decode one tagged value from ``reader``."""
-        tag = reader.take(1)[0]
+        tag = reader.byte()
+        if tag == _CT or tag == _CT_NEWKEY:
+            return self._decode_ciphertext(tag, reader)
+        if tag == _LC or tag == _LC_NEWSCHEME:
+            return self._decode_layered(tag, reader)
+        if tag == _LIST:
+            count = reader.varint()
+            run = self._decode_run(reader, count, (_CT, _LC))
+            if run is not None:
+                return run
+            return [self.decode_value(reader) for _ in range(count)]
         if tag == _NONE:
             return None
-        if tag == _TRUE:
-            return True
-        if tag == _FALSE:
-            return False
         if tag == _INT:
             return reader.signed()
-        if tag == _BYTES:
-            return bytes(reader.take(reader.varint()))
-        if tag == _STR:
-            return reader.take(reader.varint()).decode("utf-8")
-        if tag == _LIST:
-            return [self.decode_value(reader) for _ in range(reader.varint())]
-        if tag == _TUPLE:
-            return tuple(self.decode_value(reader) for _ in range(reader.varint()))
-        if tag in (_CT, _CT_NEWKEY):
-            return self._decode_ciphertext(tag, reader)
-        if tag in (_LC, _LC_NEWSCHEME):
-            return self._decode_layered(tag, reader)
         if tag == _EHL:
-            cls = _EHL_CLASSES[reader.take(1)[0]]
+            index = reader.byte()
+            if index >= len(_EHL_CLASSES):
+                raise ProtocolError(f"unknown EHL class {index}")
             count = reader.varint()
-            cells = []
-            for _ in range(count):
-                inner_tag = reader.take(1)[0]
-                cells.append(self._decode_ciphertext(inner_tag, reader))
-            return cls(cells)
+            if not count:
+                raise ProtocolError("EHL without cells")
+            cells = self._decode_run(reader, count, (_CT,))
+            if cells is None:
+                cells = [
+                    self._decode_ciphertext(reader.byte(), reader)
+                    for _ in range(count)
+                ]
+            return _EHL_CLASSES[index](cells)
         if tag == _SCORED:
             ehl = self.decode_value(reader)
             worst = self.decode_value(reader)
@@ -278,7 +415,6 @@ class WireCodec:
             list_scores = self.decode_value(reader)
             seen_bits = self.decode_value(reader)
             record = self.decode_value(reader)
-            uid = reader.signed()
             return ScoredItem(
                 ehl=ehl,
                 worst=worst,
@@ -286,8 +422,18 @@ class WireCodec:
                 list_scores=list_scores,
                 seen_bits=seen_bits,
                 record=record,
-                uid=uid,
+                uid=reader.signed(),
             )
+        if tag == _TRUE:
+            return True
+        if tag == _FALSE:
+            return False
+        if tag == _BYTES:
+            return bytes(reader.take(reader.varint()))
+        if tag == _STR:
+            return reader.take(reader.varint()).decode("utf-8")
+        if tag == _TUPLE:
+            return tuple(self.decode_value(reader) for _ in range(reader.varint()))
         if tag == _ENCITEM:
             return EncryptedItem(
                 ehl=self.decode_value(reader),
@@ -300,20 +446,54 @@ class WireCodec:
                 attributes=self.decode_value(reader),
             )
         if tag == _PK:
-            return self._keys[reader.varint()]
+            return _entry(self._keys, reader.varint(), "key")
         if tag == _PK_NEW:
-            pk = PaillierPublicKey(int.from_bytes(reader.take(reader.varint()), "big"))
-            self._register_key(pk)
-            return pk
+            return self._register_key(
+                int.from_bytes(reader.take(reader.varint()), "big")
+            )
         raise ProtocolError(f"unknown wire tag {tag}")
+
+    def _decode_run(self, reader: _Reader, count: int, tags: tuple):
+        """The inverse of :meth:`_encode_run`: when the next ``count``
+        elements all open with the first one's ``tags`` byte and
+        one-byte registered index (two strided compares), cut their
+        values at fixed stride; ``None`` (nothing consumed) otherwise —
+        the element loop then decodes, or rejects, whatever is there."""
+        data, pos = reader.data, reader.pos
+        if not count or pos + 2 > len(data):
+            return None
+        tag, idx = data[pos], data[pos + 1]
+        if tag not in tags:
+            return None
+        registry, make = (
+            (self._keys, Ciphertext) if tag == _CT else (self._schemes, LayeredCiphertext)
+        )
+        if idx >= 0x80 or idx >= len(registry):
+            return None
+        key = registry[idx]
+        width = key.ciphertext_bytes
+        stride = width + 2
+        end = pos + count * stride
+        if (
+            end > len(data)
+            or data[pos:end:stride] != bytes((tag,)) * count
+            or data[pos + 1 : end : stride] != bytes((idx,)) * count
+        ):
+            return None
+        reader.pos = end
+        from_bytes = int.from_bytes
+        return [
+            make(from_bytes(data[start : start + width], "big"), key)
+            for start in range(pos + 2, end, stride)
+        ]
 
     def _decode_ciphertext(self, tag: int, reader: _Reader) -> Ciphertext:
         if tag == _CT_NEWKEY:
-            n = int.from_bytes(reader.take(reader.varint()), "big")
-            pk = PaillierPublicKey(n)
-            self._register_key(pk)
+            pk = self._register_key(
+                int.from_bytes(reader.take(reader.varint()), "big")
+            )
         elif tag == _CT:
-            pk = self._keys[reader.varint()]
+            pk = _entry(self._keys, reader.varint(), "key")
         else:
             raise ProtocolError("expected a ciphertext tag")
         return Ciphertext(int.from_bytes(reader.take(pk.ciphertext_bytes), "big"), pk)
@@ -322,11 +502,12 @@ class WireCodec:
         if tag == _LC_NEWSCHEME:
             n = int.from_bytes(reader.take(reader.varint()), "big")
             s = reader.varint()
-            pk = self._keys[self._register_key(PaillierPublicKey(n))]
-            scheme = DamgardJurik(pk, s=s)
-            self._register_scheme(scheme)
+            if not 1 <= s <= _MAX_DJ_DEGREE:
+                raise ProtocolError(f"Damgård–Jurik degree {s} out of range")
+            self._register_key(n)
+            scheme = self._register_scheme(n, s)
         else:
-            scheme = self._schemes[reader.varint()]
+            scheme = _entry(self._schemes, reader.varint(), "scheme")
         return LayeredCiphertext(
             int.from_bytes(reader.take(scheme.ciphertext_bytes), "big"), scheme
         )
@@ -369,3 +550,13 @@ class WireCodec:
         """Inverse of :meth:`encode_replies`."""
         reader = _Reader(data)
         return [self.decode_value(reader) for _ in range(reader.varint())]
+
+
+_ENCODE_EXACT = {
+    Ciphertext: WireCodec._encode_ciphertext,
+    LayeredCiphertext: WireCodec._encode_layered,
+    list: WireCodec._encode_list,
+    ScoredItem: WireCodec._encode_scored,
+    Ehl: WireCodec._encode_ehl,
+    EhlPlus: WireCodec._encode_ehl,
+}

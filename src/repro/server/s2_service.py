@@ -72,7 +72,7 @@ from repro.net.socket_transport import (
     UNKNOWN_RELATION,
     encode_error,
 )
-from repro.net.wire import WireCodec
+from repro.net.wire import WireCodec, shared_key, shared_scheme
 from repro.protocols.base import CryptoCloud, LeakageLog
 from repro.server import frame_service
 from repro.server.frame_service import Connection, FrameService
@@ -354,7 +354,12 @@ class S2Service(FrameService):
                 self._counters["registration_uploads"].inc()
                 self._counters["registration_bytes"].inc(len(payload))
             if relation_id not in self._registry:
-                self._registry[relation_id] = (blob["keypair"], blob["dj"])
+                keypair, dj = blob["keypair"], blob["dj"]
+                self._registry[relation_id] = (keypair, dj)
+                # What sessions decode under these moduli is then these
+                # very objects: key guards pass on identity.
+                shared_key(keypair.public_key.n, keypair.public_key)
+                shared_scheme(dj.n, dj.s, dj)
                 if payload is None:
                     self._counters["registrations_restored"].inc()
                 else:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import backend
 from repro.crypto.damgard_jurik import (
     DamgardJurik,
     LayeredCiphertext,
@@ -12,7 +13,7 @@ from repro.crypto.damgard_jurik import (
 )
 from repro.crypto.paillier import PaillierKeypair
 from repro.crypto.rng import SecureRandom
-from repro.exceptions import KeyMismatchError
+from repro.exceptions import DecryptionError, KeyMismatchError
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +172,141 @@ class TestSerialization:
 
     def test_size(self, dj, rng):
         assert dj.encrypt(0, rng).serialized_size() == dj.ciphertext_bytes
+
+
+# ---------------------------------------------------------------------------
+# Short-exponent CRT decryption against the full-exponent formula.
+# ---------------------------------------------------------------------------
+
+
+def _theorem1_dlog(a: int, n: int, s: int) -> int:
+    """``m`` from ``a = (1 + n)^m mod n^{s+1}`` — Damgård–Jurik's
+    Theorem 1 written out step by step (the oracle's own copy)."""
+    i = 0
+    for j in range(1, s + 1):
+        n_j = n**j
+        t1 = ((a % n ** (j + 1)) - 1) // n
+        t2 = i
+        factorial = 1
+        for k in range(2, j + 1):
+            i = i - 1
+            t2 = t2 * i % n_j
+            factorial *= k
+            t1 = (t1 - t2 * n ** (k - 1) * pow(factorial, -1, n_j)) % n_j
+        i = t1
+    return i % n**s
+
+
+def _full_exponent_decrypt(scheme: DamgardJurik, keypair, value: int) -> int:
+    """The textbook decryption: ``c^d`` with ``d = 1 mod N^s`` and
+    ``d = 0 mod λ`` is ``(1 + N)^m``.  Lives here, as the oracle."""
+    lam = keypair.secret_key.lam
+    d = lam * pow(lam, -1, scheme.n_s)
+    return _theorem1_dlog(pow(value, d, scheme.n_s1), scheme.n, scheme.s)
+
+
+@pytest.fixture(scope="module")
+def paper_keypair():
+    return PaillierKeypair.generate(256, SecureRandom(0xD1))
+
+
+@pytest.fixture(scope="module")
+def tiny_keypair():
+    return PaillierKeypair.generate(32, SecureRandom(0xD2))
+
+
+class TestShortExponentDecrypt:
+    @given(
+        s=st.sampled_from([1, 2, 3]),
+        size=st.sampled_from(["tiny", "test", "paper"]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_full_exponent_formula(
+        self, keypair, tiny_keypair, paper_keypair, s, size, seed
+    ):
+        pair = {"tiny": tiny_keypair, "test": keypair, "paper": paper_keypair}[size]
+        scheme = DamgardJurik(pair.public_key, s=s)
+        rng = SecureRandom(seed)
+        plaintexts = [0, 1, scheme.n_s - 1, rng.randint_below(scheme.n_s)]
+        # What RecoverEnc strips is an inner Paillier ciphertext value
+        # (reduced into the plaintext space when s = 1 is too small).
+        plaintexts.append(pair.public_key.encrypt(seed, rng).value % scheme.n_s)
+        cts = scheme.encrypt_batch(plaintexts, rng)
+        # Every unit of Z_{N^{s+1}} is some ciphertext: arbitrary ones too.
+        while len(cts) < len(plaintexts) + 4:
+            value = rng.randint_below(scheme.n_s1)
+            if backend.gcd(value, scheme.n) == 1:
+                cts.append(LayeredCiphertext(value, scheme))
+        got = scheme.decrypt_batch(cts, pair)
+        assert got[: len(plaintexts)] == plaintexts
+        assert got == [_full_exponent_decrypt(scheme, pair, c.value) for c in cts]
+        assert all(0 <= m < scheme.n_s for m in got)
+
+    def test_guards_survive(self, dj, keypair, rng):
+        p = keypair.secret_key.p
+        with pytest.raises(DecryptionError):
+            dj.decrypt_batch([dj.encrypt(1, rng), LayeredCiphertext(p, dj)], keypair)
+        other = PaillierKeypair.generate(128, SecureRandom(78))
+        foreign = DamgardJurik(other.public_key, s=2)
+        with pytest.raises(KeyMismatchError):
+            dj.decrypt_batch([foreign.encrypt(1, rng)], keypair)
+        with pytest.raises(KeyMismatchError):
+            dj.decrypt_batch([dj.encrypt(1, rng)], other)
+        # Equal schemes that are not one object still pass the guard.
+        twin = DamgardJurik(keypair.public_key, s=2)
+        assert dj.decrypt_batch([twin.encrypt(5, rng)], keypair) == [5]
+        assert dj.decrypt(dj.encrypt(2, rng) + twin.encrypt(3, rng), keypair) == 5
+
+    def test_constants_stay_on_the_secret_key(self, rng):
+        """The dlog tables and inverses derive from ``p`` and ``q``: they
+        are cached on the secret key alone, never reach a pickle, and a
+        pickle that carries another layout (a spill written before this
+        decryption) is not trusted."""
+        import pickle
+
+        pair = PaillierKeypair.generate(64, SecureRandom(0xD3))
+        scheme = DamgardJurik(pair.public_key, s=2)
+        before = set(vars(scheme))
+        ct = scheme.encrypt(41, rng)
+        assert scheme.decrypt(ct, pair) == 41
+        assert set(vars(scheme)) == before
+        assert set(pair.secret_key.dj_crt_cache) == {2}
+        clone = pickle.loads(pickle.dumps(pair))
+        assert clone.secret_key.dj_crt_cache == {}
+        assert scheme.decrypt(ct, clone) == 41
+        stale = pickle.loads(pickle.dumps(pair))
+        state = dict(vars(stale.secret_key), dj_crt_cache={2: (1, 2, 3, 4, 5)})
+        stale.secret_key.__setstate__(state)
+        assert scheme.decrypt(ct, stale) == 41
+
+    @pytest.mark.parametrize("variant", ["elim", "full"])
+    def test_no_wide_exponent_over_a_prime_power_in_a_query(self, monkeypatch, variant):
+        """Every ``powmod_vec`` of a seeded eager query whose modulus is
+        ``p^3`` / ``q^3`` (the layer strips) carries an exponent no wider
+        than the larger prime."""
+        from repro.core.params import SystemParams
+        from repro.core.results import QueryConfig
+        from repro.core.scheme import SecTopK
+
+        rows = [[(7 * i + 3 * a) % 23 for a in range(3)] for i in range(10)]
+        scheme = SecTopK(SystemParams.tiny(), seed=21)
+        relation = scheme.encrypt(rows)
+        sk = scheme.keypair.secret_key
+        strip_moduli = {sk.p**3, sk.q**3}
+        widest = max(sk.p.bit_length(), sk.q.bit_length())
+        seen = []
+        real = backend.powmod_vec
+
+        def powmod_vec(bases, exp, mod):
+            if mod in strip_moduli:
+                seen.append((len(bases), exp.bit_length()))
+            return real(bases, exp, mod)
+
+        monkeypatch.setattr(backend, "powmod_vec", powmod_vec)
+        result = scheme.query(
+            relation, scheme.token([0, 1, 2], k=3), QueryConfig(variant=variant)
+        )
+        assert len(scheme.reveal(result)) == 3
+        assert sum(count for count, _ in seen) > 0
+        assert max(bits for _, bits in seen) <= widest

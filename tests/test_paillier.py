@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.paillier import (
     Ciphertext,
     PaillierKeypair,
+    PaillierPublicKey,
     decrypt_vector,
     encrypt_vector,
 )
@@ -238,3 +239,39 @@ class TestRandomizers:
         ]
         assert len(drawn) == 10_000
         assert len(set(drawn)) == 10_000
+
+
+class TestSharedKeyFirstDraw:
+    def test_two_threads_taking_the_first_draw_together(self, keypair):
+        """A key object decoded from the wire serves every session of the
+        process, so two threads can reach a pool's first draw together:
+        whichever build wins, both get valid randomizers (``r^N`` units —
+        re-blinded zeros still decrypt to zero) and the pool the key
+        keeps serves the next draw, limb cache included."""
+        import threading
+
+        pk = PaillierPublicKey(keypair.public_key.n)
+        barrier = threading.Barrier(2)
+        results, errors = {}, []
+
+        def draw(slot):
+            try:
+                barrier.wait(timeout=10)
+                results[slot] = pk.encrypt_batch([slot] * 50, SecureRandom(slot))
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=draw, args=(slot,)) for slot in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not errors
+        sk = keypair.secret_key
+        for slot in (1, 2):
+            assert sk.decrypt_batch(results[slot]) == [slot] * 50
+            assert len({c.value for c in results[slot]}) == 50
+        pool = pk._pool
+        assert pool is not None and len(pool) == pk._POOL_SIZE
+        assert sk.decrypt_batch(pk.encrypt_batch([7, 8], SecureRandom(3))) == [7, 8]
+        assert pk._pool is pool

@@ -185,6 +185,69 @@ class TestMultiplexing:
         assert stats["connections_total"] >= 2  # parent + workers
 
 
+class TestKeyObjectsOutliveSessions:
+    """A modulus decoded from the wire is one key object per process, so
+    S2's randomizer pool under S1's own key ``pk'`` is built once — not
+    once per session, as when every session's codec decoded its own
+    ``PaillierPublicKey``."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        from repro.crypto import paillier
+
+        builds: dict[int, int] = {}
+        real = paillier.fresh_pool
+
+        def fresh_pool(n, exponent, modulus, size, picks):
+            builds[modulus] = builds.get(modulus, 0) + 1
+            return real(n, exponent, modulus, size, picks)
+
+        monkeypatch.setattr(paillier, "fresh_pool", fresh_pool)
+        return builds
+
+    @staticmethod
+    def _five_sessions(server, scheme, builds):
+        """Three sequential and two concurrent sessions, every one
+        through SecDupElim (a ``DedupBatch`` sealed under ``pk'``);
+        returns the build counts as the first session left them."""
+        config = QueryConfig(variant="elim")
+        (first_token, _), *rest = _requests(scheme)
+        results = [server.execute(first_token, config)]
+        after_first = dict(builds)
+        results += [server.execute(token, cfg) for token, cfg in rest]
+        results += server.execute_many(
+            [(scheme.token([0, 2], k=2), config), (scheme.token([2], k=1), config)],
+            concurrency=2,
+        )
+        assert [len(r.items) for r in results] == [2, 2, 3, 2, 1]
+        return after_first
+
+    def test_tcp_daemon_builds_each_pool_once(self, daemon, monkeypatch):
+        service, address = daemon
+        scheme, relation, _ = _fresh_deployment(seed=2201)
+        builds = self._spy(monkeypatch)
+        with TopKServer(scheme, relation, transport=address) as server:
+            after_first = self._five_sessions(server, scheme, builds)
+        assert service.stats()["sessions_opened"] == 5
+        # pk' exists once in this process (S1's object, adopted when it
+        # first crossed the codec): one pool for five sessions.
+        assert builds[scheme._s1_keypair.public_key.n_squared] == 1
+        # The registered key reaches the in-thread daemon as an unpickled
+        # copy, so S1 and S2 each hold one object of it here: one pool per
+        # cloud, none per session.
+        assert all(count <= 2 for count in builds.values())
+        assert builds == after_first
+
+    def test_threaded_transport_builds_each_pool_once(self, monkeypatch):
+        scheme, relation, _ = _fresh_deployment(seed=2202)
+        builds = self._spy(monkeypatch)
+        with TopKServer(scheme, relation, transport="threaded") as server:
+            after_first = self._five_sessions(server, scheme, builds)
+        assert builds[scheme._s1_keypair.public_key.n_squared] == 1
+        assert set(builds.values()) == {1}
+        assert builds == after_first
+
+
 class TestFailureModes:
     def test_daemon_death_raises_typed_error_not_hang(self, daemon):
         service, address = daemon
@@ -270,6 +333,66 @@ class TestFailureModes:
             assert "IndexError" not in str(excinfo.value)
         finally:
             ctx.close()
+
+    def test_hostile_integers_surface_protocol_error_and_spare_the_sibling(
+        self, daemon, monkeypatch
+    ):
+        """A REQUEST whose ``_LC_NEWSCHEME`` header claims ``s = 20000``
+        (seconds of ``n ** (s + 1)`` if believed) or that references a
+        key index nobody registered comes back as a typed
+        ``ProtocolError`` before any scheme is built, and the
+        connection's other session keeps answering."""
+        from repro.net import wire
+
+        _, address = daemon
+        scheme, relation, _ = _fresh_deployment()
+        victim = scheme._make_context(transport=address, relation=relation)
+        sibling = scheme._make_context(transport=address, relation=relation)
+        built = []
+        real_dj = wire.DamgardJurik
+        monkeypatch.setattr(
+            wire,
+            "DamgardJurik",
+            lambda pk, s=2: built.append(s) or real_dj(pk, s),
+        )
+
+        def envelope(body: bytes) -> bytes:
+            # One StripLayerBatch(protocol="x", cts=<body>).
+            head = bytearray([1, messages.message_type_id(messages.StripLayerBatch)])
+            WireCodec().encode_value("x", head)
+            return bytes(head) + body
+
+        n = scheme.public_key.n
+        raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
+        degree = bytearray()
+        wire._write_varint(degree, 20000)
+        hostile = [
+            bytes([wire._LIST, 1, wire._LC_NEWSCHEME, len(raw)]) + raw + bytes(degree) + b"\x00" * 40,
+            bytes([wire._LIST, 1, wire._LC_NEWSCHEME, len(raw)]) + raw + b"\x00" + b"\x00" * 40,
+            bytes([wire._LIST, 2, wire._CT, 99]) + b"\x00" * 200,
+            bytes([wire._LIST, 1, wire._LC, 5]) + b"\x00" * 200,
+            bytes([wire._PK, 7]),
+        ]
+        try:
+            client = victim.transport._client
+            session_id = victim.transport.session_id
+            for body in hostile:
+                with pytest.raises(RemoteS2Error) as excinfo:
+                    client.request_finish(
+                        session_id, client.request_begin(session_id, envelope(body))
+                    )
+                assert excinfo.value.kind == "ProtocolError"
+            assert 20000 not in built and 0 not in built
+            probe = messages.ZeroTestBatch(
+                protocol="probe",
+                cts=scheme.public_key.encrypt_batch([0, 5], SecureRandom(3)),
+            )
+            for ctx in (sibling, victim):
+                zero, five = ctx.call(probe)
+                assert scheme.dj.decrypt_batch([zero, five], scheme.keypair) == [1, 0]
+        finally:
+            victim.close()
+            sibling.close()
 
     def test_unregistered_relation_autoregisters(self, daemon):
         """The OPEN -> unknown-relation -> REGISTER -> OPEN dance is
