@@ -6,7 +6,7 @@ separate OS process — the paper's crypto cloud on its own host — then
 runs the quickstart workload against it through a
 :class:`~repro.server.TopKServer` and checks the remote run is
 bit-identical to the in-process one: same winners, same halting depth,
-same round and byte counts.  A second query demonstrates the relation
+same round and byte counts.  A second query demonstrates the key
 registration: the daemon already holds the key material, so nothing but
 the tiny session handshake crosses the wire before the protocol rounds.
 

@@ -6,13 +6,13 @@ Demonstrates the PR-9 mutation subsystem:
 * :class:`repro.MutableRelation` — encrypted insert / update / delete
   with incremental sorted-list maintenance (only touched prefixes are
   re-encrypted; the ``mutation_pattern`` leakage is declared per op);
-* version bumps folding into ``relation_id()`` so caches, warm-start
-  history and daemon registrations invalidate instead of aliasing;
+* version bumps folding into ``relation_id()`` so the result cache and
+  warm-start history miss instead of aliasing;
 * ``client.watch`` — a long-lived job that re-evaluates after every
   mutation and streams :class:`repro.TopKChanged` exactly when the
   revealed winners change, including the sliding-insert ``window`` mode;
 * the same churn driven over a real S2 daemon in a separate OS process
-  (MUTATE frames re-key the registration, no key re-upload).
+  (it holds the key, registered once: mutations never contact it).
 
 Run:  PYTHONPATH=src python examples/streaming_topk.py
 """

@@ -7,12 +7,13 @@ everywhere.
 
 The core library is dependency-free (the crypto stack is built on Python
 integers).  Two optional extras accelerate the compute backend
-(``repro.crypto.backend``), which auto-detects whatever is installed::
+(``repro.crypto.backend``), which auto-detects whatever is installed —
+the kernel first, then gmpy2, then pure Python::
 
+    pip install .[kernel]         # cffi GMP batch kernel (GIL-free C
+                                  # batch primitives; needs a C compiler
+                                  # and the GMP headers, e.g. libgmp-dev)
     pip install .[accel]          # gmpy2-accelerated big-int backend
-    pip install .[kernel]         # cffi GMP batch kernel (GIL-free
-                                  # powmod_vec; needs a C compiler and
-                                  # the GMP headers, e.g. libgmp-dev)
 
 Select explicitly with ``REPRO_BACKEND=pure|gmpy2|gmp-kernel|auto``
 (default auto).  The kernel extension self-builds on first use and is

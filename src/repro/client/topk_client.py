@@ -191,9 +191,9 @@ class TopKClient:
         ``"delete"``; requires a :class:`MutableRelation` deployment).
 
         Each mutation re-encrypts only the touched prefix of every
-        sorted list, bumps :attr:`version`, and invalidates every
-        consumer keyed by the predecessor relation id (result cache,
-        warm-start history, daemon registration).
+        sorted list, bumps :attr:`version`, and drops the result-cache
+        entries keyed by the predecessor relation id.  The S2 daemon
+        holds the key, not the relation: a mutation never contacts it.
         """
         if self._closed:
             raise RuntimeError("client is closed")

@@ -86,8 +86,8 @@ class SecTopK:
         self._query_history: set[str] = set()
         # Per-relation halting-depth observations (also L1 leakage —
         # every query's halting depth is declared in HD), feeding the
-        # warm-start hint.  Bounded so a long-lived scheme never grows
-        # with traffic; recent depths dominate anyway.
+        # warm-start hint.  Bounded (depths per id, and ids) so a
+        # long-lived scheme never grows with traffic or mutations.
         self._depth_history: dict[str, deque] = {}
         # Query-pattern state is deliberately cross-query (it IS the L1
         # leakage), but concurrent server sessions must update it safely.
@@ -124,7 +124,8 @@ class SecTopK:
         with self._history_lock:
             self._query_history = set(patterns)
 
-    #: Halting-depth observations retained per relation (recent wins).
+    #: Halting-depth observations retained per relation id, and relation
+    #: ids retained at all (recent wins on both axes).
     DEPTH_HISTORY_SIZE = 64
 
     def record_halting_depth(self, relation_id: str, depth: int) -> None:
@@ -134,15 +135,19 @@ class SecTopK:
         so remembering them — like the query-pattern set above — reveals
         nothing new.  Inline queries record here directly; for a query
         handed to a worker process the server records the depth in the
-        parent (worker scheme copies are per-task scratch).
+        parent (worker scheme copies are per-task scratch).  Ids never
+        alias across versions, so none is retired by hand: past
+        ``DEPTH_HISTORY_SIZE`` ids the one observed longest ago goes.
         """
         with self._history_lock:
-            history = self._depth_history.get(relation_id)
+            # Re-inserted at the end: the dict's order is recency.
+            history = self._depth_history.pop(relation_id, None)
             if history is None:
-                history = self._depth_history[relation_id] = deque(
-                    maxlen=self.DEPTH_HISTORY_SIZE
-                )
+                history = deque(maxlen=self.DEPTH_HISTORY_SIZE)
             history.append(depth)
+            self._depth_history[relation_id] = history
+            if len(self._depth_history) > self.DEPTH_HISTORY_SIZE:
+                del self._depth_history[next(iter(self._depth_history))]
 
     def observe_query_pattern(self, token) -> bool:
         """Fold one token into the query-pattern history; return whether
@@ -159,12 +164,6 @@ class SecTopK:
             repeated = fingerprint in self._query_history
             self._query_history.add(fingerprint)
         return repeated
-
-    def drop_depth_history(self, relation_id: str) -> None:
-        """Forget one relation's warm-start history (mutation hook: a
-        version bump changes what any halting depth means)."""
-        with self._history_lock:
-            self._depth_history.pop(relation_id, None)
 
     def halting_depth_hint(self, relation_id: str) -> int | None:
         """The earliest depth history says a query on this relation may
@@ -338,7 +337,6 @@ class SecTopK:
         label: str = "",
         salt: str | None = None,
         rtt_ms: float = 0.0,
-        relation: EncryptedRelation | None = None,
         on_event=None,
         control=None,
         session_label: str | None = None,
@@ -351,10 +349,7 @@ class SecTopK:
         opens a multiplexed daemon session provisioned with this
         scheme's key material and the same spawned S2 randomness stream
         a local cloud would hold, so remote queries replay local ones
-        bit-for-bit.  ``relation`` (optional) scopes the daemon-side
-        registration to that relation's id, letting repeated queries
-        against a registered relation skip the key/param upload
-        entirely.  Each context's randomness streams are salted
+        bit-for-bit.  Each context's randomness streams are salted
         with a scheme-wide monotonic counter (plus the optional
         ``label``), so contexts created from one scheme — by however
         many servers or sessions share it — never repeat blinding or
@@ -383,7 +378,6 @@ class SecTopK:
             self._rng.spawn("s1" + salt),
             self._rng.spawn("s2" + salt),
             rtt_ms=rtt_ms,
-            relation_id=relation.relation_id() if relation is not None else None,
             session_label=session_label if session_label is not None else salt,
             on_event=on_event,
             control=control,

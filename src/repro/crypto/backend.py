@@ -12,25 +12,25 @@ through this module, so a single switch moves the whole system between:
   faster on the modular exponentiations that dominate query latency
   (the paper's Section 11 measures exactly these operations), and
 * ``gmp-kernel`` — the compiled cffi batch kernel
-  (:mod:`repro.crypto.kernels`): GMP speed *plus* the GIL released
-  across an entire ``powmod_vec`` call, which is what lets thread-mode
-  compute pools scale with cores.  Available when the extension builds
-  here (cffi + C compiler + GMP headers); absent, it simply never
-  registers.
+  (:mod:`repro.crypto.kernels`): GMP speed, the query path's batch
+  primitives (:func:`pool_products`, :func:`powmod_pairs`) as one C
+  call each, *and* the GIL released across every batch call, so
+  concurrent queries' kernel stretches overlap.  Available when the
+  extension builds here (cffi + C compiler + GMP headers); absent, it
+  simply never registers.
 
 Selection order:
 
-1. a thread-local :func:`use_backend` override (how thread-mode compute
-   pools run their chunks on the kernel without touching the rest of
-   the process);
+1. a thread-local :func:`use_backend` override (scopes a choice to one
+   thread without touching the rest of the process);
 2. ``set_backend(...)`` — explicit programmatic choice (tests, benches);
 3. the ``REPRO_BACKEND`` environment variable (``pure``, ``gmpy2``,
    ``gmp-kernel`` or ``auto``);
-4. ``auto`` — ``gmpy2`` when importable, else ``gmp-kernel`` when it
-   builds, else ``pure``.  (gmpy2 first: its scalar ops avoid the
-   kernel's per-call packing, and single-threaded batch speed is the
-   same GMP either way — the kernel's GIL release only pays off inside
-   the thread-based layers, which select it explicitly.)
+4. ``auto`` — ``gmp-kernel`` when it builds, else ``gmpy2`` when
+   importable, else ``pure``.  (The kernel first: it is the backend the
+   repo's benchmark measures, and the only one on which the randomizer
+   draw and the per-pair exponentiations are C — ``gmpy2`` runs
+   ``pool_products`` as the shared Python loop.)
 
 All backends are *bit-compatible*: for every operation the returned
 integers are identical, so ciphertexts, transcripts and seeded-test
@@ -277,10 +277,10 @@ def _resolve(name: str):
     if name == "gmp-kernel":
         return GmpKernelBackend()
     if name == "auto":
-        if gmpy2_available():
-            return Gmpy2Backend()
         if kernel_available():
             return GmpKernelBackend()
+        if gmpy2_available():
+            return Gmpy2Backend()
         return PurePythonBackend()
     raise ValueError(f"unknown compute backend: {name!r}")
 

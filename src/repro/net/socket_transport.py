@@ -13,9 +13,9 @@ Wire format (everything big-endian)::
 
     frame   := u32 payload_len | u8 type | u32 session_id | payload
     HELLO / HELLO_OK      version banner, once per connection
-    REGISTER / REGISTERED relation registration (key/param upload)
+    REGISTER / REGISTERED key registration (key/param upload)
     OPEN / OPENED         open one protocol session; the payload is
-                          ``relation_id NUL label NUL rng-blob`` — the
+                          ``registration_id NUL label NUL rng-blob`` — the
                           label names the job/session that opened it,
                           so daemon-side observability can attribute
                           sessions to client jobs
@@ -28,13 +28,15 @@ tagged with its session id, a reader thread demultiplexes replies, and
 each session keeps its own codec pair — exactly the isolation the
 in-process transports provide, shared over one socket.
 
-**Relation registration.** Before a session can open, the daemon must
-hold the deployment's key material (the data owner provisions S2 with
-the secret key in the paper's model — Section 3.1).  The client
-registers that blob once under a *relation id*; every later session —
-from this process, a worker process, or another client machine — opens
-by id alone, so repeated queries against the same relation never
-re-upload the registration payload.
+**Key registration.** Before a session can open, the daemon must hold
+the deployment's key material (the data owner provisions S2 with the
+secret key in the paper's model — Section 3.1).  Nothing S2 holds
+depends on which relation, version or window S1 scans, so the client
+registers that blob once under an id derived from the key itself
+(:func:`default_registration_id`; :func:`open_remote_session` is the
+one place that names a registration); every later session — any
+relation under that key, from this process, a worker process, or
+another client machine — opens by id alone and never re-uploads it.
 
 Failure model: a dead peer surfaces as
 :class:`~repro.exceptions.PeerDisconnected` on the in-flight or next
@@ -89,8 +91,8 @@ REPLY = 0x08
 CLOSE = 0x09
 CLOSED = 0x0A
 ERROR = 0x0B
-MUTATE = 0x0C
-MUTATED = 0x0D
+# 0x0C / 0x0D are retired — never reuse them: pre-PR-24 clients still
+# send 0x0C and rely on the ``unknown-frame`` ERROR a stray type gets.
 
 _HEADER = struct.Struct("!IBI")  # payload length, frame type, session id
 
@@ -99,7 +101,7 @@ _HEADER = struct.Struct("!IBI")  # payload length, frame type, session id
 MAX_FRAME_BYTES = 1 << 30
 
 #: Error kind the daemon sends for an OPEN naming an unregistered
-#: relation; the client reacts by registering and retrying (with the
+#: id; the client reacts by registering and retrying (with the
 #: version-mismatch downgrade, the only ERRORs that are part of the
 #: normal handshake).
 UNKNOWN_RELATION = "unknown-relation"
@@ -190,12 +192,9 @@ def decode_error(payload: bytes) -> tuple[str, str]:
 
 
 def default_registration_id(keypair, dj) -> str:
-    """Registration id for bare key material (no relation in sight).
-
-    Schemes that know their encrypted relation derive a relation-scoped
-    id instead (``EncryptedRelation.relation_id``); this fallback keys
-    the upload by the public modulus and DJ degree, which is exactly
-    what the daemon needs to service the sessions.
+    """The id a deployment's key material registers under: a digest of
+    the public modulus and DJ degree — exactly what the daemon needs to
+    service the sessions, and nothing about the relation S1 scans.
     """
     digest = hashlib.sha256()
     digest.update(b"repro-s2-registration:")
@@ -444,23 +443,24 @@ class S2Client(FrameClient):
 
     def open_session(
         self,
-        relation_id: str,
+        registration_id: str,
         payload_factory,
         session_blob: bytes,
         label: str = "",
     ) -> int:
-        """Open a session for a registered relation, registering on demand.
+        """Open a session under a key registration, registering on demand.
 
         ``payload_factory`` builds the registration blob lazily: it is
-        only invoked when the daemon does not yet know ``relation_id``,
-        so the steady state ships nothing but the tiny OPEN frame.
+        only invoked when the daemon does not yet know
+        ``registration_id``, so the steady state ships nothing but the
+        tiny OPEN frame.
         ``label`` rides the OPEN frame (NUL-free, truncated) so the
         daemon can attribute the session to the client job that opened
         it.
         """
         label_bytes = label.replace("\x00", "").encode("utf-8", "replace")[:128]
         open_payload = (
-            relation_id.encode("utf-8")
+            registration_id.encode("utf-8")
             + b"\x00"
             + label_bytes
             + b"\x00"
@@ -481,27 +481,6 @@ class S2Client(FrameClient):
         """End one session (graceful CLOSE/CLOSED exchange)."""
         with self._control_lock:
             self.roundtrip(CLOSE, session_id, b"", CLOSED)
-
-    def mutate_relation(self, old_id: str, new_id: str) -> bool:
-        """Re-key the daemon's registration after a relation mutation.
-
-        The key material is version-independent (a mutation re-randomizes
-        ciphertexts under the same keys), so a MUTATE frame moves the
-        daemon's registry entry from the predecessor's relation id to the
-        successor's — the next OPEN then skips the key re-upload.
-        Returns ``False`` — without raising — against a daemon that
-        predates the frame (it answers ``unknown-frame``); callers fall
-        back to the lazy re-register built into :meth:`open_session`.
-        """
-        payload = old_id.encode("utf-8") + b"\x00" + new_id.encode("utf-8")
-        with self._control_lock:
-            try:
-                self.roundtrip(MUTATE, 0, payload, MUTATED)
-            except RemoteS2Error as exc:
-                if exc.kind == "unknown-frame":
-                    return False
-                raise
-        return True
 
 
 class SocketTransport(Transport):
@@ -651,14 +630,15 @@ def open_remote_session(
 ) -> SocketTransport:
     """Open one protocol session against the S2 daemon at ``address``.
 
-    Registers the deployment's key material under ``relation_id`` if the
-    daemon does not hold it yet (first contact only), then hands the
-    session its randomness stream — the exact :class:`SecureRandom` the
-    in-process wiring would give a local crypto cloud, so a remote query
-    is bit-identical to a local one.  ``on_progress(batches, values,
-    seconds)``, when given, receives the daemon's per-round decrypt
-    progress piggybacked on /3 REPLY frames (never called against a /2
-    daemon; purely observational).
+    Registers the deployment's key material if the daemon does not hold
+    it yet (first contact only) — under :func:`default_registration_id`,
+    or under ``relation_id`` when the caller names its own opaque id —
+    then hands the session its randomness stream — the exact
+    :class:`SecureRandom` the in-process wiring would give a local
+    crypto cloud, so a remote query is bit-identical to a local one.
+    ``on_progress(batches, values, seconds)``, when given, receives the
+    daemon's per-round decrypt progress piggybacked on /3 REPLY frames
+    (never called against a /2 daemon; purely observational).
     """
     rid = relation_id or default_registration_id(keypair, dj)
 

@@ -439,7 +439,6 @@ def _wire_clouds(
     s2_rng: SecureRandom,
     leakage: LeakageLog | None = None,
     rtt_ms: float = 0.0,
-    relation_id: str | None = None,
     session_label: str = "",
     on_event=None,
     control=None,
@@ -451,9 +450,9 @@ def _wire_clouds(
     ``"threaded"``) or a remote S2 daemon address (``"tcp://host:port"``
     / ``"unix:///path"``).  The remote path opens one multiplexed
     session against the daemon — registering the deployment's key
-    material under ``relation_id`` on first contact — and ships the S2
-    randomness stream with the session, so the remote run is
-    bit-identical (results, rounds, bytes, leakage) to the local one.
+    material on first contact — and ships the S2 randomness stream with
+    the session, so the remote run is bit-identical (results, rounds,
+    bytes, leakage) to the local one.
 
     ``rtt_ms`` adds a simulated round-trip latency to the link.  Single
     point of truth for context construction — every scheme's context
@@ -492,7 +491,6 @@ def _wire_clouds(
             dj,
             s2_rng,
             leakage,
-            relation_id=relation_id,
             label=session_label,
             on_progress=on_progress,
         )

@@ -357,9 +357,8 @@ class FrameService:
     # -- state dir -------------------------------------------------------
 
     def _spill_path(self, name: str) -> str:
-        # Spill names are ``<hex relation id>.<suffix>`` —
-        # filesystem-safe by construction; reject anything else rather
-        # than risk a traversal.
+        # Spill names are ``<hex id>.<suffix>`` — filesystem-safe by
+        # construction; reject anything else rather than risk a traversal.
         if not all(part.isalnum() for part in name.split(".")):
             raise TransportError(f"unsafe spill name: {name!r}")
         return os.path.join(self.state_dir, name)
@@ -371,11 +370,6 @@ class FrameService:
         path = self._spill_path(name)
         os.makedirs(self.state_dir, mode=0o700, exist_ok=True)
         atomic_write(path, payload)
-
-    def unspill(self, name: str) -> None:
-        """Remove one spill (absent or unsafe names are ignored)."""
-        with contextlib.suppress(OSError, TransportError):
-            os.remove(self._spill_path(name))
 
     def restore(self, suffix: str, validate) -> list:
         """The unpickled spills named ``<stem><suffix>`` for which

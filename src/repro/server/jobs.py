@@ -391,12 +391,6 @@ class WatchJob(QueryJob):
         self.evaluations = 0
         self._wake = threading.Event()
         self._stopped = False
-        #: Relation id of the most recent sliding-window encryption
-        #: (windowed mode only).  The watch runner re-keys the daemon
-        #: registration and drops local per-relation state whenever it
-        #: changes, so a long-lived watch holds at most one window
-        #: relation's worth of remote and local bookkeeping.
-        self._window_relation_key: str | None = None
 
     def notify(self) -> None:
         """Wake the watch loop (the server calls this on every mutation)."""

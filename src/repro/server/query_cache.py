@@ -15,9 +15,9 @@ repeat the fresh run would have leaked anyway.
 The cache is **per-server**, bounded LRU, keyed by
 ``(relation_id, token.fingerprint(), config.cache_key())``:
 
-* ``relation_id`` — the relation's content fingerprint, so a relation
-  re-registered with different content can never serve stale results
-  (the server invalidates its entries on re-registration as well);
+* ``relation_id`` — the relation's content fingerprint, so a mutated
+  relation can never serve its predecessor's results (the server drops
+  the predecessor's entries on every mutation as well);
 * ``token.fingerprint()`` — exactly the query-pattern leakage handle,
   so the key itself introduces no new leakage;
 * ``config.cache_key()`` — every knob that can change the result or its
@@ -203,7 +203,7 @@ class QueryCache:
                 del self._scan_index[scan_key]
 
     def invalidate_relation(self, relation_id: str) -> int:
-        """Drop every entry of one relation (re-registration hook)."""
+        """Drop every entry of one relation (mutation hook)."""
         with self._lock:
             stale = [k for k in self._entries if k[0] == relation_id]
             for k in stale:

@@ -48,8 +48,8 @@ _STORE_LOCK = threading.Lock()
 _QUERY_WORKER: dict = {}
 
 
-def export_relation(scheme: SecTopK, relation: EncryptedRelation) -> str:
-    """Pin (scheme, relation) in the parent-side store; returns its key."""
+def export_relation(scheme: SecTopK, relation: EncryptedRelation) -> None:
+    """Pin (scheme, relation) in the parent-side store under its id."""
     key = relation.relation_id()
     with _STORE_LOCK:
         if key in _RELATION_STORE:
@@ -61,7 +61,6 @@ def export_relation(scheme: SecTopK, relation: EncryptedRelation) -> str:
         else:
             _RELATION_STORE[key] = (scheme, relation)
             _RELATION_REFS[key] = 1
-    return key
 
 
 def release_relation(key: str) -> None:
@@ -113,7 +112,7 @@ def run_salted_query(
     failure surfaces undisturbed.
     """
     ctx = scheme._make_context(
-        transport=transport, salt=salt, rtt_ms=rtt_ms, relation=relation,
+        transport=transport, salt=salt, rtt_ms=rtt_ms,
         on_event=on_event, control=control, session_label=session_label,
     )
     with owned_context(ctx):

@@ -16,10 +16,11 @@ by the shared daemon core (:mod:`repro.server.frame_service`):
 1. **HELLO** — version banner check, once per connection.
 2. **REGISTER** — the data owner's provisioning step (Section 3.1):
    key material (Paillier keypair, DJ instance) stored under a
-   *relation id*.  Idempotent, and shared daemon-wide: any later
-   connection — another session, another worker process, another
-   machine — opens sessions by id alone, so repeated queries against
-   a registered relation never re-upload the blob.
+   *registration id* the client derives from the key itself.
+   Idempotent, and shared daemon-wide: any later connection — another
+   session, another worker process, another machine — opens sessions
+   by id alone, so queries against any relation, version or window
+   under a registered key never re-upload the blob.
 3. **OPEN** — one protocol session: its own
    :class:`~repro.protocols.base.CryptoCloud` (seeded with the rng
    stream the client ships, so transcripts match in-process runs),
@@ -37,9 +38,9 @@ belongs to (typed :class:`~repro.exceptions.RemoteS2Error` on the
 client) and leaves the connection usable.
 
 ``--state-dir`` makes registrations *persistent*: each REGISTER payload
-is spilled (atomically) to ``<state_dir>/<relation_id>.reg`` and
+is spilled (atomically) to ``<state_dir>/<registration id>.reg`` and
 reloaded on restart, so a bounced daemon keeps serving its registered
-relation ids without any client re-upload.  The spill holds the secret
+keys without any client re-upload.  The spill holds the secret
 key material the client provisioned — protect the directory like the
 key itself.
 """
@@ -59,8 +60,6 @@ from repro.net.socket_transport import (
     CLOSE,
     CLOSED,
     ERROR,
-    MUTATE,
-    MUTATED,
     OPEN,
     OPENED,
     PROTOCOL_BANNER,
@@ -181,8 +180,8 @@ class _Session:
 
 
 def _valid_registration(stem: str, blob) -> bool:
-    # A valid spill is a registration dict for this file's relation id
-    # with complete key material.
+    # A valid spill is a registration dict for this file's id (wire
+    # field ``relation_id``) with complete key material.
     return (
         isinstance(blob, dict)
         and blob.get("relation_id") == stem
@@ -201,11 +200,11 @@ class S2Service(FrameService):
         ``tcp://host:port`` (port 0 picks a free one) or
         ``unix:///path`` (a stale socket file is replaced).
     state_dir:
-        When set, every relation registration is spilled to
-        ``<state_dir>/<relation_id>.reg`` (the raw REGISTER payload,
-        written atomically) and reloaded on :meth:`start` — a restarted
-        daemon serves its registered relation ids without any client
-        re-upload.  The files hold secret key material: protect the
+        When set, every registration is spilled to
+        ``<state_dir>/<registration id>.reg`` (the raw REGISTER payload,
+        written atomically, once per key) and reloaded on :meth:`start`
+        — a restarted daemon serves its registered keys without any
+        client re-upload.  The files hold secret key material: protect the
         directory like the key itself.
     metrics_port:
         When set, serve ``/metrics`` and ``/healthz`` there (see
@@ -227,14 +226,10 @@ class S2Service(FrameService):
             OPEN: self._on_open,
             REQUEST: self._on_request,
             CLOSE: self._on_close,
-            MUTATE: self._on_mutate,
         }
-        self._counter("registrations", "Relations registered (uploads).")
+        self._counter("registrations", "Keys registered (uploads).")
         self._counter(
-            "registrations_restored", "Relations reloaded from the state dir at boot."
-        )
-        self._counter(
-            "registration_mutations", "Registrations re-keyed by MUTATE frames."
+            "registrations_restored", "Keys reloaded from the state dir at boot."
         )
         self._counter(
             "registration_uploads",
@@ -262,7 +257,7 @@ class S2Service(FrameService):
 
         With a ``state_dir``, previously spilled registrations are
         reloaded first, so clients of the restarted daemon open
-        sessions by relation id without re-uploading key material.
+        sessions by registration id without re-uploading key material.
         """
         for blob in self.restore(".reg", _valid_registration):
             self._register(blob, None)
@@ -275,13 +270,13 @@ class S2Service(FrameService):
         conn.send(REGISTERED, session_id)
 
     def _on_open(self, conn: Connection, session_id: int, payload: bytes) -> None:
-        relation_id, _, rest = payload.partition(b"\x00")
+        registration_id, _, rest = payload.partition(b"\x00")
         label_bytes, _, blob = rest.partition(b"\x00")
         label = label_bytes.decode("utf-8", "replace")
         with self._lock:
-            entry = self._registry.get(relation_id.decode("utf-8"))
+            entry = self._registry.get(registration_id.decode("utf-8"))
         if entry is None:
-            conn.send_error(session_id, UNKNOWN_RELATION, relation_id.decode())
+            conn.send_error(session_id, UNKNOWN_RELATION, registration_id.decode())
             return
         if session_id in conn.sessions:
             conn.send_error(session_id, "duplicate-session", str(session_id))
@@ -316,14 +311,6 @@ class S2Service(FrameService):
             self._session_closed()
         conn.send(CLOSED, session_id)
 
-    def _on_mutate(self, conn: Connection, session_id: int, payload: bytes) -> None:
-        old_id, _, new_id = payload.partition(b"\x00")
-        self._mutate_registration(old_id.decode("utf-8"), new_id.decode("utf-8"))
-        # Idempotent by design: MUTATED even for an unknown old id —
-        # the client's fallback (lazy re-register on the next OPEN)
-        # makes the distinction irrelevant, and retries stay safe.
-        conn.send(MUTATED, session_id)
-
     def _connection_lost(self, conn: Connection) -> None:
         for session in conn.sessions.values():
             session.stop(abort=True)
@@ -347,15 +334,15 @@ class S2Service(FrameService):
         restoring from disk) — persisted verbatim so a restart replays
         exactly what the client uploaded.
         """
-        relation_id = blob["relation_id"]
+        registration_id = blob["relation_id"]  # the wire field's name
         persist = False
         with self._lock:
             if payload is not None:
                 self._counters["registration_uploads"].inc()
                 self._counters["registration_bytes"].inc(len(payload))
-            if relation_id not in self._registry:
+            if registration_id not in self._registry:
                 keypair, dj = blob["keypair"], blob["dj"]
-                self._registry[relation_id] = (keypair, dj)
+                self._registry[registration_id] = (keypair, dj)
                 # What sessions decode under these moduli is then these
                 # very objects: key guards pass on identity.
                 shared_key(keypair.public_key.n, keypair.public_key)
@@ -366,42 +353,7 @@ class S2Service(FrameService):
                     self._counters["registrations"].inc()
                     persist = self.state_dir is not None
         if persist:
-            self.spill(f"{relation_id}.reg", payload)
-
-    def _mutate_registration(self, old_id: str, new_id: str) -> None:
-        """Re-key one registration after a client-side relation mutation.
-
-        The key material is identical across versions of one relation
-        (mutations only re-randomize ciphertexts), so the entry moves —
-        it is never re-uploaded.  With a ``state_dir`` the spill moves
-        too: the payload is re-pickled under the new relation id (the
-        restore path validates the id against the file name) and the old
-        spill is removed.  Unknown old ids and an identity move are
-        no-ops; persistence failures are swallowed (the spill is an
-        optimization — the client re-registers on demand either way).
-        """
-        if not new_id or old_id == new_id:
-            return
-        with self._lock:
-            entry = self._registry.pop(old_id, None)
-            if entry is None:
-                return
-            # Never clobber an existing registration for the new id (a
-            # racing client may have re-registered it directly).
-            self._registry.setdefault(new_id, entry)
-            self._counters["registration_mutations"].inc()
-        if self.state_dir is None:
-            return
-        try:
-            keypair, dj = entry
-            payload = pickle.dumps(
-                {"relation_id": new_id, "keypair": keypair, "dj": dj},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            self.spill(f"{new_id}.reg", payload)
-            self.unspill(f"{old_id}.reg")
-        except Exception:  # noqa: BLE001 — spill moves are best-effort
-            pass
+            self.spill(f"{registration_id}.reg", payload)
 
 
 #: Start this daemon as a separate OS process; returns (process, address)

@@ -41,7 +41,6 @@ makes concurrency wins measurable on few-core machines.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import functools
 import hashlib
@@ -62,7 +61,6 @@ from repro.exceptions import (
     StaleRelationError,
 )
 from repro.net.channel import ChannelStats
-from repro.net.socket_transport import client_for, is_socket_address
 from repro.obs.exporter import HealthState, MetricsExporter
 from repro.obs.metrics import REGISTRY
 from repro.protocols.base import LeakageEvent
@@ -127,8 +125,9 @@ class TopKServer:
         or the address of a standalone S2 daemon (``"tcp://host:port"``
         / ``"unix:///path"``).  Remote sessions multiplex over one
         shared connection per process; the first one registers the
-        relation's key material with the daemon and every later one —
-        including process-mode worker jobs — opens by relation id alone.
+        scheme's key material with the daemon and every later one —
+        including process-mode worker jobs, after any mutation — opens
+        by that registration alone.
     rtt_ms:
         Simulated link round-trip latency added to every exchange.
     scheduler_workers:
@@ -356,14 +355,19 @@ class TopKServer:
         return self._apply_mutation(op, *args)
 
     def _apply_mutation(self, op: str, *args) -> MutationResult:
-        """Apply one mutation, retire the predecessor, wake the watches.
+        """Apply one mutation: swap the pointer, invalidate the cache,
+        wake the watches.
 
         Under the mutation lock: apply the op to the
         :class:`MutableRelation` (incremental sorted-list maintenance,
         version bump) and swap the served relation — one attribute
         store, so a job's snapshot sees the predecessor or the successor
-        whole.  Then, outside it, :meth:`_retire_relation_id` drops
-        everything keyed by the predecessor's id.
+        whole.  Then, outside it, the predecessor's cached results are
+        dropped — the one thing keyed by a relation id that needs
+        retiring by hand: the warm-start history bounds itself, the
+        worker pool rebinds on the next job that names another id
+        (:mod:`repro.server.query_workers`), and the S2 daemon holds the
+        key, not the relation, so a mutation never dials it.
         """
         if self._mutable is None:
             raise MutationError(
@@ -382,10 +386,11 @@ class TopKServer:
             result = getattr(self._mutable, op)(*args)
             old_key = self.relation.relation_id()
             new_relation = self._mutable.relation
-            new_key = export_relation(self.scheme, new_relation)
+            export_relation(self.scheme, new_relation)
             self.relation = new_relation
             self._mutation_count += 1
-        self._retire_relation_id(old_key, new_key)
+        if self._cache is not None:
+            self._cache.invalidate_relation(old_key)
         release_relation(old_key)
         _MUTATIONS.labels(op=op).inc()
         with self._scheduler_lock:
@@ -393,32 +398,6 @@ class TopKServer:
         for watch in watches:
             watch.notify()
         return result
-
-    def _retire_relation_id(self, old_key: str, new_key: str) -> None:
-        """The one invalidation cascade: forget everything keyed by
-        ``old_key``, a relation id this server will not answer for again
-        (a mutation's predecessor, a watch's previous or last window).
-
-        Locally: cached results and the warm-start depth history (a
-        halting depth observed on the predecessor means nothing on
-        changed content).  The worker pool needs no entry here — it is
-        bound to a relation id and rebinds on the next job that names
-        another (:mod:`repro.server.query_workers`).
-
-        Remotely, best-effort: a MUTATE frame moves the S2 daemon's key
-        material from ``old_key`` to ``new_key`` (identical across one
-        scheme's relations), so the next session open skips the
-        re-upload.  Failures (old daemon without the frame, dead link)
-        are suppressed: a daemon that missed it answers
-        ``UNKNOWN_RELATION`` on the next open and the client
-        re-registers — slower, never wrong.
-        """
-        if self._cache is not None:
-            self._cache.invalidate_relation(old_key)
-        self.scheme.drop_depth_history(old_key)
-        if is_socket_address(self.transport):
-            with contextlib.suppress(Exception):
-                client_for(self.transport).mutate_relation(old_key, new_key)
 
     # -- continuous top-k (watch jobs) -----------------------------------
 
@@ -484,36 +463,31 @@ class TopKServer:
         last_version: int | None = None
         seen_version: int | None = None
         sequence = 0
-        try:
-            while True:
-                if job._stopped:
-                    break
-                job._control.check()
-                relation = self.relation  # snapshot: mutations swap atomically
-                version = relation.version
-                if seen_version is None or version != seen_version:
-                    pairs = self._evaluate_watch(job, relation, version, sequence)
-                    sequence += 1
-                    seen_version = version
-                    if pairs is not None:
-                        evaluations += 1
-                        job.evaluations = evaluations
-                        _WATCH_EVALUATIONS.inc()
-                        last_version = version
-                        current = frozenset(pairs)
-                        if last_set is None or current != last_set:
-                            changes += 1
-                            _WATCH_CHANGES.inc()
-                            last_set = current
-                            last_pairs = pairs
-                            job._record_event(
-                                TopKChanged(version=version, top_k=pairs)
-                            )
-                    continue  # re-check stop/cancel/version before sleeping
-                job._wake.wait(timeout=job._control.remaining)
-                job._wake.clear()
-        finally:
-            self._rekey_window(job, None)
+        while not job._stopped:
+            job._control.check()
+            relation = self.relation  # snapshot: mutations swap atomically
+            version = relation.version
+            if seen_version is None or version != seen_version:
+                pairs = self._evaluate_watch(job, relation, version, sequence)
+                sequence += 1
+                seen_version = version
+                if pairs is not None:
+                    evaluations += 1
+                    job.evaluations = evaluations
+                    _WATCH_EVALUATIONS.inc()
+                    last_version = version
+                    current = frozenset(pairs)
+                    if last_set is None or current != last_set:
+                        changes += 1
+                        _WATCH_CHANGES.inc()
+                        last_set = current
+                        last_pairs = pairs
+                        job._record_event(
+                            TopKChanged(version=version, top_k=pairs)
+                        )
+                continue  # re-check stop/cancel/version before sleeping
+            job._wake.wait(timeout=job._control.remaining)
+            job._wake.clear()
         return WatchSummary(
             evaluations=evaluations,
             changes=changes,
@@ -547,7 +521,6 @@ class TopKServer:
                 version=version,
                 stream=_window_stream(rows, oids),
             )
-            self._rekey_window(job, relation.relation_id())
             if token.k > len(rows):
                 token = replace(token, k=len(rows))
         elif token.k > relation.n_objects:
@@ -566,27 +539,6 @@ class TopKServer:
             session_label=f"watch-{job.job_id}-{sequence}",
         )
         return tuple(self.scheme.reveal(result))
-
-    def _rekey_window(self, job: WatchJob, new_key: str | None) -> None:
-        """Retire the previous evaluation's window relation id
-        (``new_key=None``: the watch ended, retire its last one).
-
-        Every windowed evaluation mints a relation whose id a socket
-        transport lazily registers with the S2 daemon (key upload +
-        state-dir spill) and whose halting depths the scheme records —
-        without cleanup a long-lived watch grows both without bound.
-        The cascade's daemon re-key old→new keeps the registry at one
-        entry per watch and pre-registers the next OPEN.  A finished
-        watch re-keys onto the served relation's id: if that id is
-        already registered the moved entry is simply discarded (the
-        daemon never clobbers), otherwise the move pre-registers it —
-        bounded either way.
-        """
-        old_key, job._window_relation_key = job._window_relation_key, new_key
-        if old_key is not None and old_key != new_key:
-            self._retire_relation_id(
-                old_key, new_key or self.relation.relation_id()
-            )
 
     @property
     def stats(self) -> dict:
@@ -969,7 +921,7 @@ class TopKServer:
         # _apply_mutation): an in-flight mutation commits fully — or its
         # closed pre-check rejects it untouched — before _closed flips,
         # so the MutableRelation can never end up ahead of the served
-        # relation, the caches, or the daemon registration.
+        # relation or the cache.
         with self._mutation_lock, self._state_lock:
             if self._closed:
                 return

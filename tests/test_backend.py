@@ -61,10 +61,10 @@ class TestSelection:
     def test_auto_resolution_matches_availability(self):
         previous = backend.set_backend("auto")
         try:
-            if backend.gmpy2_available():
-                expected = "gmpy2"
-            elif backend.kernel_available():
+            if backend.kernel_available():
                 expected = "gmp-kernel"
+            elif backend.gmpy2_available():
+                expected = "gmpy2"
             else:
                 expected = "pure"
             assert backend.get_backend().name == expected

@@ -338,7 +338,7 @@ class TestQueryStats:
 
     def test_per_query_leakage_slices_in_shared_session(self):
         scheme, relation, _ = _fresh_deployment()
-        ctx = scheme._make_context(relation=relation)
+        ctx = scheme._make_context()
         try:
             first = scheme.query(relation, scheme.token([0, 1], k=2), ctx=ctx)
             second = scheme.query(relation, scheme.token([1, 2], k=2), ctx=ctx)

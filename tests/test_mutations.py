@@ -11,10 +11,10 @@ Locks down the mutation layer end to end:
 * **MutableRelation semantics** — splice positions, touched-prefix
   lengths, copy-on-write suffix sharing, ``mutation_pattern`` leakage,
   version monotonicity, error paths.
-* **Invalidation cascade** — every mutation path drops the result
-  cache, the process-wide shard-slice store and the warm-start depth
-  history, and re-keys a remote daemon's registration; pinned consumers
-  (``expect_version`` jobs) fail with
+* **Invalidation** — every mutation path drops the predecessor's
+  result-cache entries and never contacts a remote daemon (S2 holds the
+  key, registered once, whatever relation ids the run mints); pinned
+  consumers (``expect_version`` jobs) fail with
   :class:`~repro.exceptions.StaleRelationError` instead of silently
   answering over stale data.
 * **One runner** — after a mutation every execution path (``submit``,
@@ -94,7 +94,7 @@ def _transcript(scheme, result) -> tuple:
 def _query_transcript(scheme, relation, attrs, k, config, transport):
     """One query on a fresh context over ``relation`` (no cache)."""
     token = scheme.token(attrs, k=k)
-    ctx = scheme._make_context(transport=transport, relation=relation)
+    ctx = scheme._make_context(transport=transport)
     try:
         result = scheme.query(relation, token, config, ctx=ctx)
     finally:
@@ -823,8 +823,21 @@ class TestWindowEncryptionStreams:
 
 
 # ---------------------------------------------------------------------------
-# Daemon re-keying (MUTATE / MUTATED frames).
+# Mutations against a daemon: S2 holds the key, not the relation.
 # ---------------------------------------------------------------------------
+
+
+def _assert_one_registration(service, scheme):
+    """The daemon holds exactly this scheme's key, uploaded once, under
+    the key-derived id, spilled to exactly one ``.reg`` file."""
+    from repro.net.socket_transport import default_registration_id
+
+    key_id = default_registration_id(scheme.keypair, scheme.dj)
+    stats = service.stats()
+    assert stats["registrations"] == stats["registration_uploads"] == 1
+    with service._lock:
+        assert list(service._registry) == [key_id]
+    assert os.listdir(service.state_dir) == [f"{key_id}.reg"]
 
 
 class TestDaemonMutation:
@@ -839,62 +852,90 @@ class TestDaemonMutation:
         disconnect_all()
         service.close()
 
-    def test_mutations_rekey_the_registration(self, daemon):
+    def test_one_key_registers_once_across_relations_mutations_and_windows(
+        self, daemon
+    ):
+        """One scheme, two relations, mutations on both and a windowed
+        watch: every relation id the run mints opens sessions under the
+        one registration the first query uploaded."""
+        service, address = daemon
+        scheme = SecTopK(SystemParams.tiny(), seed=SEED)
+        rows_a = {0: [5, 2], 1: [3, 9], 2: [8, 1], 3: [6, 7]}
+        rows_b = {0: [1, 4], 1: [9, 2], 2: [2, 4]}
+        mutable_a = MutableRelation(scheme, list(rows_a.values()))
+        mutable_b = MutableRelation(scheme, list(rows_b.values()))
+        token = scheme.token([0, 1], k=2)
+        with TopKServer(scheme, mutable_a, transport=address) as server_a, \
+                TopKServer(scheme, mutable_b, transport=address) as server_b:
+            watch = server_a.watch(scheme.token([0, 1], k=1), window=2)
+            assert _wait_for(lambda: watch.evaluations >= 1)
+            for i, (server, rows) in enumerate(
+                [(server_a, rows_a), (server_b, rows_b), (server_a, rows_a)]
+            ):
+                row = [20 + 3 * i, 11 + i]  # distinct aggregates: no ties
+                rows[server.insert(row).object_id] = row
+                for srv, plain in ((server_a, rows_a), (server_b, rows_b)):
+                    revealed = scheme.reveal(srv.execute(token))
+                    assert {o for o, _ in revealed} == _true_topk_ids(
+                        plain, [0, 1], 2
+                    )
+            assert _wait_for(lambda: watch.evaluations >= 3)
+            watch.stop()
+            watch.summary(timeout=120.0)
+            _assert_one_registration(service, scheme)
+        _assert_one_registration(service, scheme)
+
+    def test_mutation_never_contacts_the_daemon(self, daemon, monkeypatch):
+        """A mutation swaps a pointer and drops cache entries — it sends
+        no frame and opens no connection, live daemon or dead."""
+        from repro.net import socket_transport
+
         service, address = daemon
         scheme, mutable, server = _deployment(transport=address)
         with server:
             token = scheme.token([0, 1], k=2)
-            server.execute(token)
-            uploads_before = service.stats()["registration_uploads"]
-            server.insert([9, 9])
-            assert service.stats()["registration_mutations"] == 1
-            # The re-keyed registration serves the successor without a
-            # re-upload...
-            server.execute(token)
-            assert (
-                service.stats()["registration_uploads"] == uploads_before
-            )
-            # ...and the persisted spill moved with it.
-            new_key = mutable.relation.relation_id()
-            assert os.path.exists(
-                os.path.join(service.state_dir, f"{new_key}.reg")
-            )
+            server.execute(token)  # the connection exists from here on
+            touched = []
 
-    def test_mutate_relation_is_idempotent_for_unknown_ids(self, daemon):
-        service, address = daemon
-        from repro.net.socket_transport import client_for
+            def spy(name):
+                real = getattr(socket_transport, name)
 
-        client = client_for(address)
-        assert client.mutate_relation("a" * 32, "b" * 32) is True
-        assert service.stats()["registration_mutations"] == 0
+                def wrapper(*args, **kwargs):
+                    touched.append(name)
+                    return real(*args, **kwargs)
+
+                monkeypatch.setattr(socket_transport, name, wrapper)
+
+            spy("send_frame")
+            spy("connect_socket")
+            oid = server.insert([9, 9]).object_id
+            server.update(oid, [9, 8])
+            assert touched == []
+            revealed = scheme.reveal(server.execute(token))
+            assert oid in {o for o, _ in revealed}
+            assert "send_frame" in touched  # the spy does see queries
+            socket_transport.disconnect_all()
+            service.close()
+            del touched[:]
+            server.delete(oid)
+            assert touched == [] and server.version == 3
 
     def test_windowed_watch_bounds_daemon_registrations(self, daemon):
-        """Every windowed evaluation mints a fresh relation id; the
-        watch re-keys the daemon entry along (one MUTATE per window,
-        zero re-uploads) so a long-lived churn workload holds at most
-        one window registration — and retires even that on stop."""
+        """Every windowed evaluation mints a fresh relation id; none of
+        them reaches the daemon, so a long-lived churn workload holds
+        the one key registration — while running and after it stops."""
         service, address = daemon
         scheme, mutable, server = _deployment(transport=address)
         with server:
             job = server.watch(scheme.token([0, 1], k=1), window=2)
             assert _wait_for(lambda: job.evaluations >= 1)
-            uploads = service.stats()["registration_uploads"]
             for i in range(3):
                 server.insert([5 + i, 6 + i])
                 assert _wait_for(lambda: job.evaluations >= i + 2)
-            # The window registration moved with each evaluation instead
-            # of accumulating, and never re-shipped key material.
-            assert service.stats()["registration_uploads"] == uploads
-            with service._lock:
-                assert len(service._registry) == 1
+            _assert_one_registration(service, scheme)
             job.stop()
             job.summary(timeout=120.0)
-            # The final re-key parks the entry under the served
-            # relation's id: nothing window-scoped survives the watch.
-            with service._lock:
-                assert set(service._registry) == {
-                    server.relation.relation_id()
-                }
+            _assert_one_registration(service, scheme)
 
     def test_interleaved_churn_over_the_daemon(self, daemon):
         """The socket-smoke shape: mutations, queries and a watch
@@ -912,7 +953,7 @@ class TestDaemonMutation:
             watch.stop()
             summary = watch.summary(timeout=120.0)
             assert summary.evaluations == 4
-            assert service.stats()["registration_mutations"] == 3
+            _assert_one_registration(service, scheme)
 
 
 class TestClientFacade:

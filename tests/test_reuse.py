@@ -309,6 +309,24 @@ class TestWarmStart:
         assert scheme.halting_depth_hint("rel") == 4
         assert scheme.halting_depth_hint("other") is None
 
+    def test_history_keeps_a_bounded_number_of_relation_ids(self):
+        """Mutations and window evaluations mint relation ids forever;
+        nothing retires one by hand, so the history evicts the id
+        observed longest ago — never one still being observed."""
+        scheme, relation, _ = _deployment()
+        size = scheme.DEPTH_HISTORY_SIZE
+        scheme.record_halting_depth("live", 5)
+        for i in range(size - 1):
+            scheme.record_halting_depth(f"minted-{i}", 3)
+            scheme.record_halting_depth("live", 6)  # the served relation
+        assert len(scheme._depth_history) == size
+        scheme.record_halting_depth("one-more", 2)  # the 65th id
+        assert len(scheme._depth_history) == size
+        assert scheme.halting_depth_hint("minted-0") is None
+        assert scheme.halting_depth_hint("minted-1") == 3
+        assert scheme.halting_depth_hint("live") == 5
+        assert scheme.halting_depth_hint("one-more") == 2
+
 
 # ---------------------------------------------------------------------------
 # Property harness: warm starts never change the top-k (Hypothesis).

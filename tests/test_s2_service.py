@@ -46,6 +46,7 @@ from repro.net.socket_transport import (
     client_for,
     connect_socket,
     decode_error,
+    default_registration_id,
     disconnect_all,
     parse_address,
     recv_frame,
@@ -252,7 +253,7 @@ class TestFailureModes:
     def test_daemon_death_raises_typed_error_not_hang(self, daemon):
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
-        ctx = scheme._make_context(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address)
         service.close()
         with pytest.raises(PeerDisconnected):
             ctx.call(
@@ -265,7 +266,7 @@ class TestFailureModes:
     def test_client_drop_tears_down_daemon_sessions(self, daemon):
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
-        ctx = scheme._make_context(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address)
         assert service.stats()["sessions_active"] == 1
         # Abrupt departure: sever the socket without a CLOSE frame.
         ctx.transport._client.close()
@@ -284,7 +285,7 @@ class TestFailureModes:
         _, address = daemon
         scheme, relation, _ = _fresh_deployment()
         foreign = SecTopK(SystemParams.tiny(), seed=91)
-        ctx = scheme._make_context(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address)
         try:
             with pytest.raises(RemoteS2Error) as excinfo:
                 ctx.call(
@@ -305,7 +306,7 @@ class TestFailureModes:
 
         _, address = daemon
         scheme, relation, _ = _fresh_deployment()
-        ctx = scheme._make_context(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address)
         own = scheme._s1_keypair
         entries = next(iter(relation.lists.values()))[:3]
         items = [
@@ -346,8 +347,8 @@ class TestFailureModes:
 
         _, address = daemon
         scheme, relation, _ = _fresh_deployment()
-        victim = scheme._make_context(transport=address, relation=relation)
-        sibling = scheme._make_context(transport=address, relation=relation)
+        victim = scheme._make_context(transport=address)
+        sibling = scheme._make_context(transport=address)
         built = []
         real_dj = wire.DamgardJurik
         monkeypatch.setattr(
@@ -399,7 +400,7 @@ class TestFailureModes:
         invisible to callers: a bare session works on first contact."""
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
-        ctx = scheme._make_context(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address)
         try:
             assert service.stats()["sessions_active"] == 1
         finally:
@@ -454,7 +455,7 @@ class TestGaugeRegression:
     def test_midrequest_socket_death_returns_gauges_to_zero(self, daemon):
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
-        ctx = scheme._make_context(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address)
         severed = threading.Event()
 
         def _spam():
@@ -490,7 +491,7 @@ class TestGaugeRegression:
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
         foreign = SecTopK(SystemParams.tiny(), seed=92)
-        ctx = scheme._make_context(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address)
         try:
             with pytest.raises(RemoteS2Error):
                 ctx.call(
@@ -507,7 +508,7 @@ class TestGaugeRegression:
         service = S2Service("tcp://127.0.0.1:0")
         address = service.start()
         scheme, relation, _ = _fresh_deployment()
-        ctx = scheme._make_context(transport=address, relation=relation)
+        ctx = scheme._make_context(transport=address)
         try:
             assert service.stats()["sessions_active"] == 1
             assert service.stats()["connections_active"] == 1
@@ -562,7 +563,8 @@ class TestPersistentRegistry:
             disconnect_all()
             first.close()
         spills = os.listdir(state_dir)
-        assert spills == [f"{relation.relation_id()}.reg"]
+        key_id = default_registration_id(scheme.keypair, scheme.dj)
+        assert spills == [f"{key_id}.reg"]
 
         # Restart: a fresh service over the same state dir serves the
         # relation id without any client re-upload.
@@ -639,7 +641,7 @@ def _pending_request(kind, address):
     """Put one real REQUEST on the shared connection to ``address``
     without collecting it; returns ``finish()`` -> the decoded reply."""
     scheme, relation, _ = _fresh_deployment()
-    ctx = scheme._make_context(transport=address, relation=relation)
+    ctx = scheme._make_context(transport=address)
     state = ctx.transport.begin_exchange(
         [messages.ZeroTestBatch(protocol="probe", cts=[scheme.public_key.encrypt(0)])]
     )
@@ -707,6 +709,24 @@ class TestFrameCore:
             client.roundtrip(0x7F, 3, b"", socket_transport.REPLY)
         assert excinfo.value.kind == "unknown-frame"
         assert not client.dead
+
+    def test_retired_rekey_frame_is_an_unknown_frame_error(self, core):
+        """``0x0C`` (a registration re-key before registrations were
+        keyed by key material) is retired: a client that still sends it
+        gets the typed ERROR on its session id — what such clients
+        already treat as "fall back to lazy re-register" — and a sibling
+        session's round on the same connection completes."""
+        kind, service, address = core
+        finish = _pending_request(kind, address)
+        client = kind.client_for(address)
+        old_id, new_id = b"a" * 32, b"b" * 32
+        with pytest.raises(RemoteS2Error) as excinfo:
+            client.roundtrip(0x0C, 9, old_id + b"\x00" + new_id, 0x0D)
+        assert excinfo.value.kind == "unknown-frame"
+        assert finish(), "the sibling request did not complete"
+        assert not client.dead
+        # Only the sibling's key is registered; nothing moved or appeared.
+        assert len(service._registry) == 1
 
     def test_oversize_frame_drops_the_connection(self, core):
         _, service, address = core

@@ -32,8 +32,8 @@ class TestSessions:
         # channel accounting) — what every server job runs on.
         scheme, relation, _ = _fresh_deployment()
         token = scheme.token([0, 1], k=2)
-        first = scheme._make_context(relation=relation)
-        second = scheme._make_context(relation=relation)
+        first = scheme._make_context()
+        second = scheme._make_context()
         try:
             result_a = scheme.query(
                 relation, token, QueryConfig(variant="elim"), ctx=first

@@ -69,7 +69,7 @@ def _run(rows, attrs, k, config, transport="inprocess", weights=None):
     scheme = SecTopK(SystemParams.tiny(), seed=SEED)
     encrypted = scheme.encrypt(rows)
     token = scheme.token(attrs, k=k, weights=weights)
-    ctx = scheme._make_context(transport=transport, relation=encrypted)
+    ctx = scheme._make_context(transport=transport)
     try:
         result = scheme.query(encrypted, token, config, ctx=ctx)
     finally:

@@ -35,7 +35,7 @@ def _run(transport: str, config: QueryConfig, rows, attrs, k=2):
     scheme = SecTopK(SystemParams.tiny(), seed=97)
     encrypted = scheme.encrypt(rows)
     token = scheme.token(attrs, k=k)
-    ctx = scheme._make_context(transport=transport, relation=encrypted)
+    ctx = scheme._make_context(transport=transport)
     try:
         result = scheme.query(encrypted, token, config, ctx=ctx)
         revealed = scheme.reveal(result)
