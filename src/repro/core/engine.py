@@ -2,16 +2,17 @@
 
 Two engines implement the same functionality:
 
-* :class:`EagerEngine` maintains, for every candidate, per-query-list
-  encrypted state: the accumulated list score ``Enc(s_j)`` and the layered
-  seen-indicator ``E2(seen_j)``.  At every *check point* it recomputes
-  every candidate's worst score ``Σ_j s_j`` and best score
-  ``Σ_j s_j + Σ_j (1 - seen_j)·bottom_j`` with one batched ``RecoverEnc``,
-  deduplicates, sorts with ``EncSort`` and evaluates the halting rule with
-  ``EncCompare``.  This engine reproduces textbook NRA exactly (same
-  halting depth as the plaintext oracle) and powers all three query
-  variants; the batching variant Qry_Ba simply spaces out the check
-  points.
+* :class:`EagerEngine` maintains, for every candidate, a running worst
+  score ``Enc(W)`` — every recovered match credited into it as it is
+  absorbed — and the per-query-list layered seen-indicators
+  ``E2(seen_j)``.  At every *check point* it deduplicates, sorts by
+  ``W`` with ``EncSort`` and evaluates the halting rule with
+  ``EncCompare``; the best score ``W + Σ_j (1 - seen_j)·bottom_j`` is
+  derived only for the candidates the rule compares (``t[k:]``, or
+  ``t[k]`` under the paper's rule), in the round of the rule's first
+  stage.  This engine reproduces textbook NRA exactly (same halting
+  depth as the plaintext oracle) and powers all three query variants;
+  the batching variant Qry_Ba simply spaces out the check points.
 
 * :class:`LiteralEngine` follows Algorithm 3 line by line: per depth it
   runs ``SecWorst`` (Algorithm 4) and ``SecBest`` (Algorithm 6) for the
@@ -47,7 +48,7 @@ from repro.events import CandidateFinalized, DepthAdvanced
 from repro.exceptions import QueryError
 from repro.protocols.base import S1Context
 from repro.net.messages import ZeroTestBatch
-from repro.protocols.enc_compare import enc_compare, enc_compare_flow
+from repro.protocols.enc_compare import enc_compare_flow
 from repro.protocols.enc_sort import enc_sort
 from repro.protocols.recover_enc import select_recover_flow
 from repro.protocols.sec_best import sec_best_flow
@@ -129,7 +130,9 @@ class _EngineBase:
         cheap early-out on the common non-halting path — then all
         remaining per-candidate comparisons together, regardless of the
         candidate-list size (the uncoalesced strict rule paid one round
-        per candidate).
+        per candidate).  Whatever the engine must still compute to know
+        the compared candidates' best bounds (:meth:`_best_flow`) rides
+        stage 1's first round.
         """
         if len(t_sorted) < self.k:
             return False
@@ -138,32 +141,40 @@ class _EngineBase:
             return True
         w_k = t_sorted[self.k - 1].worst
         ctx = self.ctx
+        if self.config.halting == "paper":
+            candidates = t_sorted[self.k : self.k + 1]
+        else:
+            # strict: every candidate outside the top-k must be dominated.
+            candidates = t_sorted[self.k :]
 
         # Stage 1 — unseen-object bound: B(unseen) = sum of bottom scores.
-        if not enc_compare(
+        stage_1 = enc_compare_flow(
             ctx,
             self._unseen_bound(depth),
             w_k,
             method=self.compare_method,
             protocol=PROTOCOL,
-        ):
+        )
+        unseen_dominated, bests = ctx.run_flows(
+            [stage_1, self._best_flow(candidates, depth)]
+        )
+        if not unseen_dominated:
             return False
 
         # Stage 2 — candidate bounds, coalesced into one round.
-        if self.config.halting == "paper":
-            if len(t_sorted) == self.k:
-                return True
-            candidates = [t_sorted[self.k]]
-        else:
-            # strict: every candidate outside the top-k must be dominated.
-            candidates = t_sorted[self.k :]
         flows = [
             enc_compare_flow(
-                ctx, item.best, w_k, method=self.compare_method, protocol=PROTOCOL
+                ctx, best, w_k, method=self.compare_method, protocol=PROTOCOL
             )
-            for item in candidates
+            for best in bests
         ]
         return all(ctx.run_flows(flows))
+
+    def _best_flow(self, candidates: list[ScoredItem], depth: int):
+        """Flow returning the ``candidates``' best bounds; the literal
+        engine keeps them on the items, so it needs no round."""
+        yield from ()
+        return [item.best for item in candidates]
 
     def _sort(self, items: list[ScoredItem]) -> list[ScoredItem]:
         with self.ctx.channel.protocol(PROTOCOL):
@@ -221,7 +232,8 @@ class _EngineBase:
 
 
 class EagerEngine(_EngineBase):
-    """Stateful engine: exact NRA bounds for every candidate."""
+    """Stateful engine: exact NRA bounds wherever the halting rule reads
+    them (every candidate's worst; the compared candidates' best)."""
 
     def run(self) -> tuple[list[ScoredItem], int]:
         """Execute the query; returns (top-k items, 1-based halting depth)."""
@@ -230,19 +242,19 @@ class EagerEngine(_EngineBase):
         # deduplication or was ⊖-tested when the later one was absorbed:
         # the next deduplication's matrix recomputes neither.
         known = KnownPairs()
+        # Whether t_list is this depth's deduplicated, sorted list.
+        settled = False
         for depth in range(self._max_depth()):
             started = time.perf_counter()
             self.ctx.checkpoint()
             self._begin_depth(depth)
-            check = self._is_check_depth(depth)
-            # At check depths the bound refresh rides the absorption's
-            # recover round (one coalesced flow batch) instead of paying
-            # its own round afterwards.
-            t_list = self._absorb_depth(t_list, depth, known, refresh=check)
-            if check:
+            t_list = self._absorb_depth(t_list, depth, known)
+            settled = False
+            if self._is_check_depth(depth):
                 t_list = self._dedup(t_list, list(range(len(t_list))), known)
                 if len(t_list) >= self.k:
                     t_list = self._sort(t_list)
+                    settled = True
                     if self._halting_check(t_list, depth):
                         self.depth_seconds.append(time.perf_counter() - started)
                         self._notify_depth(depth + 1, len(t_list))
@@ -254,21 +266,18 @@ class EagerEngine(_EngineBase):
                 known.distinct([t_item.ehl for t_item in t_list])
             self.depth_seconds.append(time.perf_counter() - started)
             self._notify_depth(depth + 1, len(t_list))
-        # Budget exhausted (max_depth cap): best-effort answer.
-        self._refresh_bounds(t_list, self._max_depth() - 1)
-        t_list = self._dedup(t_list, list(range(len(t_list))), known)
-        t_list = self._sort(t_list)
+        # Budget exhausted (max_depth cap): best-effort answer by worst
+        # score — already at hand when the capped depth was a check depth.
+        if not settled:
+            t_list = self._dedup(t_list, list(range(len(t_list))), known)
+            t_list = self._sort(t_list)
         self._notify_final(t_list[: self.k], self._max_depth())
         return t_list[: self.k], self._max_depth()
 
     # -- coalesced per-depth absorption ----------------------------------
 
     def _absorb_depth(
-        self,
-        t_list: list[ScoredItem],
-        depth: int,
-        known: KnownPairs,
-        refresh: bool = False,
+        self, t_list: list[ScoredItem], depth: int, known: KnownPairs
     ) -> list[ScoredItem]:
         """Fold all ``m`` sorted-access items of one depth into the state.
 
@@ -277,23 +286,13 @@ class EagerEngine(_EngineBase):
         candidates before it, which are known at depth start), so their
         equality tests ship in one round and their ``RecoverEnc`` batches
         in a second — two round-trips per depth instead of ``2m``.
-
-        With ``refresh=True`` (check depths) the worst/best bound
-        recomputation joins the same flow batch: its inputs are only the
-        seen bits, which the absorb flows settle from the equality
-        stage's bits, so its ``RecoverEnc`` batch coalesces into the
-        absorption's recover round — a check depth costs 5 rounds where
-        the uncoalesced refresh paid a 6th.
         """
         items = [self.lists[j][depth] for j in range(self.m)]
         shared = list(t_list)
         base = len(shared)
-        flows = [
-            self._absorb_flow(shared, base, j, items, known) for j in range(self.m)
-        ]
-        if refresh:
-            flows.append(self._refresh_flow(shared, depth, wait_rounds=1))
-        self.ctx.run_flows(flows)
+        self.ctx.run_flows(
+            [self._absorb_flow(shared, base, j, items, known) for j in range(self.m)]
+        )
         return shared
 
     def _absorb_flow(
@@ -308,18 +307,18 @@ class EagerEngine(_EngineBase):
 
         Runs the equality test against every candidate known before this
         item (earlier depths' candidates plus this depth's earlier list
-        items), credits the matched candidate's ``list_slot`` score/seen
-        state, and appends a new candidate entry that is homomorphically
-        neutralized when the object was already known (S1 cannot branch
-        on the encrypted match bit); check-point deduplication clears the
-        neutralized husks.  Flows are advanced in list order, so by the
-        time this flow mutates candidate state, every earlier list's
-        entry for this depth exists in ``shared``.  The equality
-        ciphertexts are recorded in ``known`` against the two EHLs they
-        compare, for the next deduplication's matrix.
+        items), credits the item's score into the matched candidate's
+        running worst and marks it seen in ``list_slot``, and appends a
+        new candidate entry that is homomorphically neutralized when the
+        object was already known (S1 cannot branch on the encrypted match
+        bit); check-point deduplication clears the neutralized husks.
+        Flows are advanced in list order, so by the time this flow
+        mutates candidate state, every earlier list's entry for this
+        depth exists in ``shared``.  The equality ciphertexts are
+        recorded in ``known`` against the two EHLs they compare, for the
+        next deduplication's matrix.
         """
         ctx = self.ctx
-        dj = ctx.dj
         item = items[list_slot]
         n_candidates = base + list_slot
         ehls = [shared[i].ehl for i in range(base)] + [
@@ -339,12 +338,7 @@ class EagerEngine(_EngineBase):
             for slot, i in enumerate(order):
                 bits[i] = permuted_bits[slot]
 
-        # Everything that needs only the equality bits — seen-bit credits
-        # and the new candidate's entry — settles *before* the recover
-        # round, so a check depth's bound refresh (whose inputs are the
-        # seen bits) can ride the same recover round.
-        for i, bit in enumerate(bits):
-            candidate = shared[i]
+        for candidate, bit in zip(shared, bits):
             candidate.seen_bits[list_slot] = candidate.seen_bits[list_slot] + bit
 
         matched = None
@@ -354,23 +348,18 @@ class EagerEngine(_EngineBase):
         # Per candidate: matched -> Enc(x) credit, else Enc(0).
         zero = ctx.zero()
         selections = [([bit], [item.score], zero) for bit in bits]
-        if matched is not None:
-            # Own entry: matched -> Enc(0), fresh object -> Enc(x).
-            selections.append(([matched], [zero], item.score))
-        # The own-list slot of list_scores is patched to the recovered
-        # score after the recover round resolves.
-        list_scores = ctx.public_key.encrypt_batch([0] * self.m, ctx.rng)
-        list_scores[list_slot] = zero
-        seen_bits = dj.encrypt_batch(
+        seen_bits = ctx.dj.encrypt_batch(
             [int(j == list_slot) for j in range(self.m)], ctx.rng
         )
         if matched is not None:
+            # Own entry: matched -> Enc(0), fresh object -> Enc(x).
+            selections.append(([matched], [zero], item.score))
             seen_bits[list_slot] = seen_bits[list_slot] - matched
+        # The own select is added to ``worst`` once recovered; later
+        # lists' credits may land on the entry in the same round.
         entry = ScoredItem(
             ehl=item.ehl,
-            worst=zero,
-            best=zero,
-            list_scores=list_scores,
+            worst=item.score if matched is None else zero,
             seen_bits=seen_bits,
             record=item.record,
         )
@@ -383,66 +372,41 @@ class EagerEngine(_EngineBase):
 
         recovered = yield from select_recover_flow(ctx, selections, PROTOCOL)
 
-        for i, credit in enumerate(recovered[: len(bits)]):
-            candidate = shared[i]
-            candidate.list_scores[list_slot] = (
-                candidate.list_scores[list_slot] + credit
-            )
+        for candidate, credit in zip(shared, recovered[: len(bits)]):
+            candidate.worst = candidate.worst + credit
+        if matched is not None:
+            entry.worst = entry.worst + recovered[-1]
 
-        entry.list_scores[list_slot] = (
-            recovered[-1] if matched is not None else item.score
-        )
+    # -- best bounds for the halting rule ----------------------------------
 
-    # -- bound recomputation ----------------------------------------------
-
-    def _refresh_flow(
-        self, t_list: list[ScoredItem], depth: int, wait_rounds: int = 0
-    ):
-        """Recompute every candidate's worst/best from the per-list state
-        (flow form).
-
-        ``wait_rounds`` lets the flow sit out leading rounds so that,
-        when appended after the absorb flows of a check depth, its
-        layered selects are built only once the absorptions have settled
-        the seen bits — the ``RecoverEnc`` batch then coalesces into the
-        absorption's recover round.  The worst/best sums are computed
-        after that round resolves, by which time the absorb flows (which
-        run first each stage) have applied their score credits.
-        """
-        for _ in range(wait_rounds):
-            yield None
-        if not t_list:
-            return
+    def _best_flow(self, candidates: list[ScoredItem], depth: int):
+        """``worst + Σ_j (seen_j ? 0 : bottom_j)`` for exactly the
+        candidates the halting rule compares, as one ``RecoverEnc`` batch
+        that rides the rule's first-stage round.  The bounds go straight
+        to the comparison; no candidate carries one onward."""
+        if not candidates:
+            return []
         ctx = self.ctx
         zero = ctx.zero()
         bottoms = [self.lists[j][depth].score for j in range(self.m)]
-
         # seen -> Enc(0) contribution, unseen -> Enc(bottom_j).
         recovered = yield from select_recover_flow(
             ctx,
             [
                 ([t_item.seen_bits[j]], [zero], bottoms[j])
-                for t_item in t_list
+                for t_item in candidates
                 for j in range(self.m)
             ],
             PROTOCOL,
         )
-
-        idx = 0
-        for t_item in t_list:
-            worst = t_item.list_scores[0]
-            for j in range(1, self.m):
-                worst = worst + t_item.list_scores[j]
-            best = worst
-            for j in range(self.m):
-                best = best + recovered[idx]
-                idx += 1
-            t_item.worst = worst
-            t_item.best = best
-
-    def _refresh_bounds(self, t_list: list[ScoredItem], depth: int) -> None:
-        """Standalone bound refresh (budget-exhausted best-effort path)."""
-        self.ctx.run_flows([self._refresh_flow(t_list, depth)])
+        unseen = iter(recovered)
+        bests = []
+        for t_item in candidates:
+            best = t_item.worst
+            for _ in range(self.m):
+                best = best + next(unseen)
+            bests.append(best)
+        return bests
 
 
 class LiteralEngine(_EngineBase):
@@ -462,11 +426,14 @@ class LiteralEngine(_EngineBase):
 
             # All SecWorst/SecBest runs of a depth are independent:
             # coalesce their equality stage and their recover stage into
-            # one round-trip each.
+            # one round-trip each.  SecWorst ⊖-tests every pair of the
+            # depth's items, whose EHLs Γ carries: Γ's deduplication
+            # matrix recomputes none of them.
+            tested = KnownPairs()
             flows = []
             for idx, item in enumerate(depth_items):
                 others = depth_items[:idx] + depth_items[idx + 1 :]
-                flows.append(sec_worst_flow(ctx, item, others))
+                flows.append(sec_worst_flow(ctx, item, others, known=tested))
                 flows.append(
                     sec_best_flow(
                         ctx,
@@ -488,10 +455,7 @@ class LiteralEngine(_EngineBase):
                         )
                     )
                 if len(gammas) > 1:
-                    if self.config.variant == "full":
-                        gammas = sec_dedup(ctx, gammas, self.own_keypair)
-                    else:
-                        gammas = sec_dup_elim(ctx, gammas, self.own_keypair)
+                    gammas = self._dedup(gammas, [0] * len(gammas), tested)
                 # Both lists are deduplication outputs (T possibly sorted
                 # since): SecUpdate's closing pass only needs Γ × T, which
                 # it tests itself.

@@ -26,10 +26,11 @@ class QueryConfig:
     batch_p:
         The batching parameter ``p`` (only used by ``"batch"``).
     engine:
-        ``"eager"`` — stateful engine: per-list encrypted score/seen state,
-        best scores refreshed for *all* candidates every check point
-        (matches textbook NRA and the paper's Fig. 3 walkthrough; halts at
-        the plaintext NRA depth).
+        ``"eager"`` — stateful engine: a running encrypted worst score and
+        per-list seen state per candidate, and at every check point the
+        exact best score of each candidate the halting rule compares —
+        all of ``t[k:]`` under ``"strict"``.  Matches textbook NRA and the
+        paper's Fig. 3 walkthrough; halts at the plaintext NRA depth.
         ``"literal"`` — Algorithm 3 to the letter: per-depth ``SecWorst``/
         ``SecBest``/``SecUpdate``; best scores of candidates not seen at
         the current depth go stale (conservative upper bounds, later

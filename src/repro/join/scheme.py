@@ -218,7 +218,6 @@ class SecTopKJoin:
             ScoredItem(
                 ehl=EhlPlus([self.public_key.encrypt(0, ctx.rng)]),
                 worst=t.score,
-                best=t.score,
                 list_scores=list(t.attributes),
             )
             for t in survivors

@@ -155,37 +155,25 @@ class RoundBatcher:
         Each iteration advances every unfinished flow by one yield,
         collects the yielded messages, and flushes them as a single
         coalesced round.  Flows of different lengths are fine — finished
-        flows simply stop participating.  A flow may ``yield None`` to
-        *wait out* one stage without sending anything — used by flows
-        whose inputs are produced by other flows' earlier stages (the
-        eager engine's bound refresh waits out the equality stage so its
-        recover batch rides the absorption's recover round).  Flows are
-        always advanced in list order, so a flow may rely on earlier
-        flows having completed the same stage (the eager engine's
-        absorption uses this).
+        flows simply stop participating.  Flows are always advanced in
+        list order, so a flow may rely on earlier flows having completed
+        the same stage (the eager engine's absorption uses this).
         """
         results = [None] * len(flows)
         replies = [None] * len(flows)
         active = list(range(len(flows)))
         while active:
             stage: list[tuple[int, object]] = []
-            still_active: list[int] = []
             for i in active:
                 try:
-                    msg = flows[i].send(replies[i])
+                    stage.append((i, flows[i].send(replies[i])))
                 except StopIteration as stop:
                     results[i] = stop.value
-                    continue
-                still_active.append(i)
-                if msg is None:  # wait marker: skip this round
-                    replies[i] = None
-                    continue
-                stage.append((i, msg))
             if stage:
                 flushed = self._flush([msg for _, msg in stage])
                 for (i, _), reply in zip(stage, flushed):
                     replies[i] = reply
-            active = still_active
+            active = [i for i, _ in stage]
         return results
 
     # -- one coalesced round ---------------------------------------------

@@ -79,6 +79,11 @@ class LatencyTransport(Transport):
     def __getattr__(self, name):
         # Transparent wrapper: backend-specific surface (``closed``,
         # ``session_id``, ...) stays reachable through the latency shim.
+        # ``copy`` and ``pickle`` probe dunders on an instance whose
+        # ``__init__`` never ran: neither those nor ``inner`` itself may
+        # be forwarded, or the lookup recurses.
+        if name == "inner" or name.startswith("__"):
+            raise AttributeError(name)
         return getattr(self.inner, name)
 
 

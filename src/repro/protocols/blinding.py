@@ -15,8 +15,10 @@ decrypting both seeds.  (Uniformity of the blinds now rests on the XOF
 being a PRF in its seed, the kind of assumption EHL already makes.)
 
 The blinder understands every field a :class:`ScoredItem` may carry:
-EHL cells, the worst/best Paillier ciphertexts, and the eager-mode
-per-list score ciphertexts and ``E2`` seen-bits (blinded modulo ``N^2``).
+EHL cells, the worst/best Paillier ciphertexts, payload ciphertexts
+(``list_scores``) and the eager-mode ``E2`` seen-bits (blinded modulo
+``N^2``).  An absent field is skipped — neither blinded nor shipped —
+and comes back absent.
 
 Everything works on a whole round's items at once: one XOF call per
 seed, then the blinds and the rerandomizers are applied over the flat
@@ -49,8 +51,10 @@ def _components(item: ScoredItem) -> tuple[list[Ciphertext], list]:
     """``item``'s Paillier components in blinding order, and its ``E2``
     seen-bits."""
     plain = list(item.ehl.cells)
-    plain.append(item.worst)
-    plain.append(item.best)
+    if item.worst is not None:
+        plain.append(item.worst)
+    if item.best is not None:
+        plain.append(item.best)
     if item.list_scores is not None:
         plain.extend(item.list_scores)
     if item.record is not None:
@@ -64,8 +68,8 @@ def _assemble(template: ScoredItem, cts, seen_bits, uid: int) -> ScoredItem:
     components) and ``seen_bits``."""
     return ScoredItem(
         ehl=type(template.ehl)([next(cts) for _ in template.ehl.cells]),
-        worst=next(cts),
-        best=next(cts),
+        worst=next(cts) if template.worst is not None else None,
+        best=next(cts) if template.best is not None else None,
         list_scores=(
             [next(cts) for _ in template.list_scores]
             if template.list_scores is not None
@@ -259,19 +263,18 @@ def junk_item(
 ) -> ScoredItem:
     """A replacement item for a buried duplicate (Algorithm 7, lines 22-25).
 
-    Random object identity, worst/best pinned to the huge-negative
-    ``sentinel`` so it sorts after every legitimate candidate and never
-    blocks the halting check.  The eager-mode state is constructed so a
-    later worst/best *recomputation* also lands on the sentinel: every
-    list is marked seen (no bottom-score contribution to the upper bound)
-    and the first list slot carries the sentinel itself.
+    Random object identity and payload, and whichever of worst/best the
+    template carries pinned to the huge-negative ``sentinel`` so it sorts
+    after every legitimate candidate and never blocks the halting check.
+    Every eager-mode list is marked seen, so the best bound the eager
+    engine later derives from the running worst (no bottom-score
+    contribution for a seen list) lands on the sentinel too.
     """
     n = public_key.n
     # One value vector in component order, encrypted as one batch.
     values = [rng.randint_below(n) for _ in template.ehl.cells]
-    values += [sentinel % n, sentinel % n]
-    if template.list_scores:
-        values += [sentinel % n] + [0] * (len(template.list_scores) - 1)
+    values += [sentinel % n for ct in (template.worst, template.best) if ct is not None]
+    values += [rng.randint_below(n) for _ in template.list_scores or ()]
     if template.record is not None:
         values.append(rng.randint_below(n))
     return _assemble(

@@ -29,6 +29,8 @@ Both return fresh, unlinkable encryptions, which is the only property
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.exceptions import ProtocolError
@@ -100,6 +102,13 @@ def _blind_keys(
     )
 
 
+def _without_key(items: list[ScoredItem], key: str) -> list[ScoredItem]:
+    """The items as they travel: the key crosses as its own blinded
+    ciphertext and is restored by :func:`_recover_keys`, so the item
+    copy of it is left out rather than blinded and shipped twice."""
+    return [dataclasses.replace(item, **{key: None}) for item in items]
+
+
 def _recover_keys(
     ctx: S1Context, key_cts: list[Ciphertext], maps: list[tuple[int, int]]
 ) -> list[Ciphertext]:
@@ -133,7 +142,7 @@ def _sort_affine(
     maps = [_affine_params(ctx)] * len(items)
     blinded_keys = _blind_keys(ctx, [getattr(item, key) for item in permuted], maps)
     blinded_items, companions = blinder.blind_fresh(
-        permuted, own_keypair.public_key, ctx.rng
+        _without_key(permuted, key), own_keypair.public_key, ctx.rng
     )
 
     keys_out, items_out, comps_out = ctx.call(
@@ -265,7 +274,9 @@ def _sort_network(
             maps += [r_s, r_s]
         keys = _blind_keys(ctx, [getattr(working[idx], key) for idx in slots], maps)
         blinded, companions = blinder.blind_fresh(
-            [working[idx] for idx in slots], own_keypair.public_key, ctx.rng
+            _without_key([working[idx] for idx in slots], key),
+            own_keypair.public_key,
+            ctx.rng,
         )
         replies = ctx.call(
             SortGateBatch(

@@ -27,6 +27,7 @@ from repro.crypto.paillier import Ciphertext
 from repro.net.messages import ZeroTestBatch
 from repro.protocols.base import S1Context
 from repro.protocols.recover_enc import select_recover_flow
+from repro.structures.ehl import KnownPairs
 from repro.structures.items import EncryptedItem
 
 PROTOCOL = "SecWorst"
@@ -37,15 +38,24 @@ def sec_worst_flow(
     item: EncryptedItem,
     others: list[EncryptedItem],
     protocol: str = PROTOCOL,
+    known: KnownPairs | None = None,
 ):
-    """Flow form: equality stage, then recover stage (coalescible)."""
+    """Flow form: equality stage, then recover stage (coalescible).
+
+    The equality ciphertexts are recorded in ``known`` (when given)
+    against the two EHLs they compare, so a later deduplication of the
+    same structures fills those matrix entries without recomputing ``⊖``.
+    """
     if not others:
         return ctx.public_key.rerandomize(item.score, ctx.rng)
 
     order = ctx.rng.permutation(len(others))
     permuted = [others[i] for i in order]
 
-    equality_cts = item.ehl.minus_many([other.ehl for other in permuted], ctx.rng)
+    other_ehls = [other.ehl for other in permuted]
+    equality_cts = item.ehl.minus_many(other_ehls, ctx.rng)
+    if known is not None:
+        known.tested(item.ehl, other_ehls, equality_cts)
     bits = yield ZeroTestBatch(protocol=protocol, cts=equality_cts)
 
     zero = ctx.zero()

@@ -6,10 +6,11 @@
   carried in the list ``T`` during query processing with its encrypted
   worst and best scores (Section 8.1).
 
-``ScoredItem`` optionally carries the per-list encrypted state
-(accumulated per-list score and encrypted seen-indicator) that the
-``eager`` best-refresh mode maintains; the paper-literal mode ignores
-those fields.
+A ``ScoredItem`` carries only the fields its next reader needs; an
+absent field (``None``) is neither blinded nor shipped.  The ``eager``
+engine keeps a running ``Enc(W)`` and the per-list encrypted
+seen-indicators (its best bounds never ride an item); the
+paper-literal mode carries worst and best.
 """
 
 from __future__ import annotations
@@ -135,11 +136,15 @@ class ScoredItem:
         Encrypted hash list of the object id.
     worst:
         ``Enc(W)`` — encrypted lower bound of the aggregate score.
+        ``None`` while ``EncSort`` carries it as the separate sort key.
     best:
-        ``Enc(B)`` — encrypted upper bound of the aggregate score.
+        ``Enc(B)`` — encrypted upper bound of the aggregate score.  The
+        eager engine never stores it: it derives the bound for exactly
+        the candidates its halting rule compares and hands it straight
+        to the comparison.
     list_scores:
-        Eager mode only: per-query-list accumulated encrypted score
-        (``Enc(0)`` until the object is seen in that list).
+        Payload ciphertexts riding along unchanged (the join's
+        attributes through ``EncSort``).
     seen_bits:
         Eager mode only: per-query-list layered encryption ``E2(seen_j)``
         of whether the object has been seen in list ``j`` yet.
@@ -149,20 +154,20 @@ class ScoredItem:
     """
 
     ehl: object
-    worst: Ciphertext
-    best: Ciphertext
+    worst: Ciphertext | None
+    best: Ciphertext | None = None
     list_scores: list[Ciphertext] | None = None
     seen_bits: list[LayeredCiphertext] | None = None
     record: Ciphertext | None = None
     uid: int = -1
 
     def serialized_size(self) -> int:
-        """Byte size on the wire (EHL + the two score ciphertexts)."""
-        size = (
-            self.ehl.serialized_size()
-            + self.worst.serialized_size()
-            + self.best.serialized_size()
-        )
+        """Byte size on the wire (EHL + every field present)."""
+        size = self.ehl.serialized_size()
+        if self.worst is not None:
+            size += self.worst.serialized_size()
+        if self.best is not None:
+            size += self.best.serialized_size()
         if self.list_scores is not None:
             size += sum(c.serialized_size() for c in self.list_scores)
         if self.seen_bits is not None:

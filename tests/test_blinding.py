@@ -226,12 +226,13 @@ class TestJunkItem:
         assert sk.decrypt_signed(junk.best) == -ctx.encoder.sentinel
 
     def test_eager_state_recomputes_to_sentinel(self, ctx, item, keypair):
-        """worst = sum(list_scores) and best = worst + unseen bottoms must
-        both land on the sentinel after an eager-engine refresh."""
-        junk = junk_item(ctx.public_key, ctx.dj, item, -ctx.encoder.sentinel, ctx.rng)
-        sk = keypair.secret_key
-        total = sum(sk.decrypt_signed(c) for c in junk.list_scores)
-        assert total == -ctx.encoder.sentinel
+        """An eager candidate carries a running worst and seen bits, no
+        best: the junk keeps that shape, its worst is the sentinel and
+        every list is seen, so best = worst + unseen bottoms is too."""
+        eager = ScoredItem(ehl=item.ehl, worst=item.worst, seen_bits=item.seen_bits)
+        junk = junk_item(ctx.public_key, ctx.dj, eager, -ctx.encoder.sentinel, ctx.rng)
+        assert keypair.secret_key.decrypt_signed(junk.worst) == -ctx.encoder.sentinel
+        assert junk.best is None and junk.list_scores is None and junk.record is None
         assert all(ctx.dj.decrypt(b, keypair) == 1 for b in junk.seen_bits)
 
     def test_random_identity(self, ctx, item, keypair):

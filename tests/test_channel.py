@@ -1,8 +1,12 @@
 """Tests for the inter-cloud accounting channel and latency model."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.net.channel import Channel, ChannelStats, LinkModel, measure_size
+from repro.net.transport import LatencyTransport, Transport
 
 
 class TestMeasureSize:
@@ -84,3 +88,37 @@ class TestLinkModel:
         stats = ChannelStats(rounds=10)
         model = LinkModel(bandwidth_mbps=50, rtt_ms=5)
         assert model.latency_seconds(stats) == pytest.approx(0.05)
+
+
+class _EchoTransport(Transport):
+    """A picklable stand-in link with one backend-specific attribute."""
+
+    session_id = 7
+
+    def exchange(self, messages: list) -> list:
+        return list(messages)
+
+
+class TestLatencyTransport:
+    """The latency shim forwards unknown attributes to the link it wraps —
+    but never ``inner`` itself or a dunder, which ``copy`` and ``pickle``
+    look up on an instance whose ``__init__`` never ran."""
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_clone_keeps_the_wrapped_link(self, clone):
+        twin = clone(LatencyTransport(_EchoTransport(), rtt_ms=0.0))
+        assert isinstance(twin.inner, _EchoTransport)
+        assert twin.rtt_ms == 0.0
+        assert twin.session_id == 7
+        assert twin.exchange(["ping"]) == ["ping"]
+
+    def test_uninitialised_shim_raises_attribute_error(self):
+        bare = LatencyTransport.__new__(LatencyTransport)
+        with pytest.raises(AttributeError):
+            bare.inner
+        with pytest.raises(AttributeError):
+            bare.session_id

@@ -228,8 +228,9 @@ class TestMatrixReusesHeldEqualities:
             {"variant": "full"},
             {"variant": "batch", "batch_p": 4},
             {"engine": "literal", "variant": "elim"},
+            {"engine": "literal", "variant": "full"},
         ],
-        ids=["eager-elim", "eager-full", "eager-batch", "literal-elim"],
+        ids=["eager-elim", "eager-full", "eager-batch", "literal-elim", "literal-full"],
     )
     def test_no_full_minus_for_a_covered_pair(self, monkeypatch, config):
         scheme = SecTopK(SystemParams.tiny(), seed=21)
@@ -249,9 +250,25 @@ class TestMatrixReusesHeldEqualities:
             assert call["exps"] == call["tested"] + call["computed"] * call["cells"]
             if call["knowledge"]:
                 assert call["computed"] == 0
-        informed = [call for call in calls if call["knowledge"]]
-        assert sum(call["tested"] for call in informed) > 0
-        assert sum(call["distinct"] for call in informed) > 0
-        if config.get("engine") != "literal":
-            # Only the literal engine's per-depth Γ dedup comes uninformed.
-            assert informed == calls
+        # Every matrix is informed — the literal engine's per-depth Γ
+        # dedup by the pairs its SecWorst runs tested — so none computes.
+        assert all(call["knowledge"] for call in calls)
+        assert sum(call["tested"] for call in calls) > 0
+        assert sum(call["distinct"] for call in calls) > 0
+
+    @pytest.mark.parametrize("variant", ["elim", "full"])
+    def test_literal_gamma_matrix_is_all_rescales(self, monkeypatch, variant):
+        """Γ holds one item per list, every pair of which SecWorst ⊖-tested
+        in the same depth: its matrix is m(m-1)/2 one-exponent rescales."""
+        scheme = SecTopK(SystemParams.tiny(), seed=21)
+        relation = scheme.encrypt(self.ROWS)
+        calls = self._spy(monkeypatch)
+        scheme.query(
+            relation,
+            scheme.token([0, 1, 2], k=3),
+            QueryConfig(engine="literal", variant=variant),
+        )
+        gamma = [call for call in calls if call["triangle"] == 3 and call["tested"]]
+        assert gamma
+        for call in gamma:
+            assert (call["computed"], call["tested"], call["exps"]) == (0, 3, 3)
