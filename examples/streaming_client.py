@@ -45,7 +45,7 @@ def main() -> None:
     try:
         with repro.connect(scheme, encrypted, address) as client:
             job = client.submit(client.token([0, 1, 2], k=3), config)
-            # A second job, pipelined behind the first on the job queue.
+            # A second job, running alongside the first on the server's pool.
             tail = client.submit(client.token([0, 1], k=2), config)
 
             for event in job.events():

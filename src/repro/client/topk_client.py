@@ -52,7 +52,8 @@ def connect(
     it as a context manager) tears the whole deployment down.  The
     keyword-only options are :class:`~repro.server.topk_server.TopKServer`'s
     own (``rtt_ms``: simulated link latency per round;
-    ``scheduler_workers``: cap on concurrently running jobs).
+    ``scheduler_workers``: size of the thread pool running submitted
+    jobs; watches run on threads of their own).
 
     The reuse layer rides on knowledge S1 already holds (L1 leakage):
 

@@ -32,14 +32,14 @@ class ProgressEvent:
 
 @dataclass(frozen=True)
 class JobQueued(ProgressEvent):
-    """The job entered the server's bounded job queue."""
+    """The server admitted the job; it waits for a thread."""
 
     job_id: int
 
 
 @dataclass(frozen=True)
 class JobStarted(ProgressEvent):
-    """A scheduler worker picked the job up and began executing it."""
+    """The job's thread picked it up and began executing it."""
 
     job_id: int
 

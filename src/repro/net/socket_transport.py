@@ -489,8 +489,8 @@ class SocketTransport(Transport):
     Mirrors :class:`~repro.net.transport.ThreadedTransport` exactly —
     same codec discipline (one stateful :class:`WireCodec` per endpoint
     per session, kept in sync by the byte stream itself), same
-    round-trip-per-exchange semantics — with the queue pair replaced by
-    session-tagged frames on the client's socket.  S2-side leakage
+    round-trip-per-exchange semantics — with the service thread replaced
+    by session-tagged frames on the client's socket.  S2-side leakage
     events ride back inside each REPLY and are folded into the local
     log at the position they would occupy in-process.
     """
@@ -505,29 +505,16 @@ class SocketTransport(Transport):
         self._closed = False
 
     def exchange(self, messages: list) -> list:
-        return self.finish_exchange(self.begin_exchange(messages))
-
-    def begin_exchange(self, messages: list):
-        """Put this session's REQUEST frame on the shared socket; the
-        session lock is held until :meth:`finish_exchange` collects the
-        demultiplexed REPLY."""
-        self._lock.acquire()
-        try:
+        # The session lock spans REQUEST out to REPLY decoded: the codec
+        # registries stay in sync only if rounds never interleave.
+        with self._lock:
             if self._closed:
                 raise TransportError("session transport is closed")
-            return self._client.request_begin(
+            waiter = self._client.request_begin(
                 self.session_id, self._codec.encode_envelope(messages)
             )
-        except BaseException:
-            self._lock.release()
-            raise
-
-    def finish_exchange(self, state) -> list:
-        try:
-            payload = self._client.request_finish(self.session_id, state)
+            payload = self._client.request_finish(self.session_id, waiter)
             decoded = self._codec.decode_value(_Reader(payload))
-        finally:
-            self._lock.release()
         if len(decoded) >= 3:
             # /3 REPLY: (replies, leaked, progress) — progress entries
             # are (batches, values, microseconds) int triples (the wire

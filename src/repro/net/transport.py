@@ -12,8 +12,8 @@ Two backends:
   payload sizes), which keeps the simulation as fast as the seed's
   direct-call style while enforcing the message boundary.
 
-* :class:`ThreadedTransport` — a queue-pair to a dedicated S2 service
-  thread.  Requests and replies genuinely cross the boundary as *bytes*
+* :class:`ThreadedTransport` — a one-thread executor standing in for
+  S2.  Requests and replies genuinely cross the boundary as *bytes*
   (encoded with :class:`~repro.net.wire.WireCodec`), so nothing but
   serialized messages ever reaches S2 — the strongest in-process stand-in
   for a socket link.
@@ -26,10 +26,10 @@ codec over TCP or Unix-domain sockets to the standalone S2 daemon
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from abc import ABC, abstractmethod
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.exceptions import ProtocolError
 from repro.net.wire import WireCodec
@@ -97,90 +97,55 @@ class InProcessTransport(Transport):
         return [self.dispatcher.dispatch(msg) for msg in messages]
 
 
-class _RemoteError:
-    """Marker shuttling an S2-side exception back over the reply queue."""
-
-    __slots__ = ("kind", "text")
-
-    def __init__(self, kind: str, text: str):
-        self.kind = kind
-        self.text = text
-
-
 class ThreadedTransport(Transport):
-    """A queue-pair link to an S2 service thread with real serialization.
+    """A link to an S2 service thread with real serialization.
 
-    The S1 side encodes each request batch to bytes, the service thread
-    decodes, dispatches in order, and encodes the replies back.  Each
-    endpoint owns its own :class:`WireCodec`; the registries stay in sync
-    because both process the identical byte stream in the same order.
+    The S1 side encodes each request batch to bytes; the transport's
+    one-worker executor decodes, dispatches in order and encodes the
+    replies back.  Each endpoint owns its own :class:`WireCodec`; the
+    registries stay in sync because both process the identical byte
+    stream in the same order — which is why one lock covers a whole
+    exchange, encode to decode.
     """
 
     def __init__(self, dispatcher):
         self.dispatcher = dispatcher
-        self._requests: queue.Queue = queue.Queue()
-        self._replies: queue.Queue = queue.Queue()
         self._s1_codec = WireCodec()
         self._s2_codec = WireCodec()
         self._closed = False
-        # _state_lock makes the closed-check + request-put atomic against
-        # close()'s closed-set + sentinel-put, so the shutdown sentinel
-        # always queues *behind* any admitted request — close() never
-        # waits on an in-flight round and no round can be orphaned.
-        # _exchange_lock serializes whole exchanges (request/reply pairing).
-        self._state_lock = threading.Lock()
-        self._exchange_lock = threading.Lock()
-        self._worker = threading.Thread(
-            target=self._serve, name="s2-transport", daemon=True
+        self._lock = threading.Lock()
+        self._executor = ThreadPoolExecutor(1, thread_name_prefix="s2-transport")
+
+    def _serve(self, data: bytes) -> bytes:
+        """S2 side of one round: decode, dispatch, encode the replies."""
+        messages = self._s2_codec.decode_envelope(data)
+        return self._s2_codec.encode_replies(
+            [self.dispatcher.dispatch(msg) for msg in messages]
         )
-        self._worker.start()
-
-    # -- S2 service thread ----------------------------------------------
-
-    def _serve(self) -> None:
-        while True:
-            data = self._requests.get()
-            if data is None:
-                return
-            try:
-                messages = self._s2_codec.decode_envelope(data)
-                replies = [self.dispatcher.dispatch(msg) for msg in messages]
-                self._replies.put(self._s2_codec.encode_replies(replies))
-            except Exception as exc:  # propagate to the S1 side
-                self._replies.put(_RemoteError(type(exc).__name__, str(exc)))
-
-    # -- S1 side ---------------------------------------------------------
 
     def exchange(self, messages: list) -> list:
-        with self._exchange_lock:
+        with self._lock:
+            if self._closed:
+                raise ProtocolError("transport is closed")
             data = self._s1_codec.encode_envelope(messages)
-            with self._state_lock:
-                if self._closed:
-                    raise ProtocolError("transport is closed")
-                self._requests.put(data)
-            reply = self._replies.get()
-        if isinstance(reply, _RemoteError):
-            raise ProtocolError(f"S2 dispatch failed ({reply.kind}): {reply.text}")
-        return self._s1_codec.decode_replies(reply)
+            try:
+                reply = self._executor.submit(self._serve, data).result()
+            except Exception as exc:
+                raise ProtocolError(
+                    f"S2 dispatch failed ({type(exc).__name__}): {exc}"
+                ) from exc
+            return self._s1_codec.decode_replies(reply)
 
     def close(self) -> None:
         """Retire the S2 service thread deterministically.
 
-        The shutdown sentinel queues behind any admitted request, the
-        worker finishes that round and exits, and the unbounded join
-        guarantees that when ``close`` returns no service thread
-        survives — tests can assert a clean slate between cases instead
-        of racing a timed-out join.  An in-flight ``exchange`` on
-        another thread still receives its reply (the queues are never
-        drained out from under it); the worker leaves both queues empty
-        on every normal path.
+        Waits for an in-flight exchange (it holds the lock) and joins
+        the worker, so when ``close`` returns no service thread survives
+        — tests can assert a clean slate between cases.
         """
-        with self._state_lock:
-            if self._closed:
-                return
+        with self._lock:
             self._closed = True
-            self._requests.put(None)
-        self._worker.join()
+            self._executor.shutdown(wait=True)
 
     @property
     def closed(self) -> bool:

@@ -1,14 +1,14 @@
 """The multi-query server front-end (see ARCHITECTURE.md, layer 3).
 
 :class:`~repro.server.topk_server.TopKServer` holds one encrypted
-relation plus the S2 connection recipe and schedules
-:class:`~repro.server.jobs.QueryJob`\\ s from a bounded queue —
+relation plus the S2 connection recipe and runs
+:class:`~repro.server.jobs.QueryJob`\\ s on a fixed thread pool —
 submitted directly or through the :mod:`repro.client` façade — through
 one runner, against an in-process S2 or a standalone
 :class:`~repro.server.s2_service.S2Service` daemon reached by socket
 address (see ARCHITECTURE.md, deployment layer).
 :mod:`repro.server.query_workers` owns where a job's body executes (the
-scheduler thread, or a worker process bound to one relation id).
+job's pool thread, or a worker process bound to one relation id).
 
 :mod:`repro.server.sharding` is what is left of S1 sharding: the
 inline ``QueryConfig(shards=N)`` scan over contiguous depth slices,

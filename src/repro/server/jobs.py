@@ -39,7 +39,7 @@ from repro.obs.trace import JobTrace
 
 _QUEUE_WAIT = REGISTRY.histogram(
     "repro_scheduler_queue_wait_seconds",
-    "Seconds a job waited in the bounded queue before starting.",
+    "Seconds a job waited between admission and start.",
 )
 
 #: How many swallowed listener exceptions a job retains (the first N; a
@@ -203,7 +203,7 @@ class QueryJob:
     def add_listener(self, callback) -> None:
         """Register a push listener: ``callback(event)`` runs for every
         subsequent progress event, on the thread that produced it (the
-        scheduler worker, inside the round loop).
+        job's own thread, inside the round loop).
 
         Listener exceptions are swallowed and recorded in
         :attr:`listener_errors` (the first
@@ -361,8 +361,9 @@ class WatchSummary:
 class WatchJob(QueryJob):
     """A long-lived continuous top-k job.
 
-    Scheduled through the same bounded queue and worker machinery as a
-    :class:`QueryJob`, but instead of resolving after one query it loops:
+    Runs through the same job lifecycle as a :class:`QueryJob`, but on a
+    thread of its own rather than the server's pool, because instead of
+    resolving after one query it loops:
     evaluate the top-k, emit a :class:`~repro.events.TopKChanged` event
     whenever the revealed winning set differs from the previous one,
     then sleep until the server signals a mutation (:meth:`notify`), the

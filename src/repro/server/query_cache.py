@@ -113,24 +113,6 @@ class QueryCache:
         """The ``k``-independent index key for prefix serving."""
         return (relation_id, scan_fingerprint, config.cache_key())
 
-    def get(self, key: tuple):
-        """A deep copy of the stored result, or ``None`` on a miss.
-
-        Counts the lookup either way and refreshes the entry's LRU
-        position on a hit.  The copy is taken outside the lock — the
-        stored result is never mutated, so concurrent copiers are safe.
-        """
-        with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self._misses += 1
-                _MISSES.inc()
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-        _HITS.inc()
-        return copy.deepcopy(result)
-
     def lookup(self, key: tuple, scan_key: tuple | None = None,
                k: int | None = None):
         """Exact-or-prefix lookup: ``(result_copy, sliced)``.
@@ -212,17 +194,6 @@ class QueryCache:
             self._invalidations += len(stale)
         _INVALIDATIONS.inc(len(stale))
         return len(stale)
-
-    def clear(self) -> int:
-        """Drop everything (counted as invalidations)."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._scan_index.clear()
-            self._scan_of.clear()
-            self._invalidations += dropped
-        _INVALIDATIONS.inc(dropped)
-        return dropped
 
     def __len__(self) -> int:
         with self._lock:

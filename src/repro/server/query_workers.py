@@ -228,7 +228,7 @@ class QueryWorkerPool:
     def bind(self, relation: EncryptedRelation, workers: int) -> None:
         """Make sure the pool serves ``relation`` with >= ``workers``
         processes.  Batches call this before they dispatch, so the
-        common-case fork happens ahead of their scheduler threads."""
+        common-case fork happens ahead of their jobs."""
         with self._lock:
             self._bind_locked(relation, workers)
 

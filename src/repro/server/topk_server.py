@@ -2,11 +2,12 @@
 
 A :class:`TopKServer` owns one :class:`~repro.core.relation.EncryptedRelation`
 plus the S2 connection recipe and is a *job scheduler*:
-:meth:`TopKServer.submit` places a :class:`~repro.server.jobs.QueryJob`
-on a bounded queue serviced by a small pool of scheduler workers, each
-job resolving asynchronously with per-job deadline and cooperative
-cancellation at round boundaries.  :meth:`TopKServer.execute` and
-:meth:`TopKServer.execute_many` are thin wrappers over the same queue.
+:meth:`TopKServer.submit` hands a :class:`~repro.server.jobs.QueryJob`
+to a fixed :class:`~concurrent.futures.ThreadPoolExecutor` behind an
+admission semaphore (backpressure), each job resolving asynchronously
+with per-job deadline and cooperative cancellation at round boundaries.
+:meth:`TopKServer.execute` and :meth:`TopKServer.execute_many` are thin
+wrappers over the same pool; a watch gets a thread of its own.
 
 **One runner.**  Every query the server runs — submitted, one-shot,
 thread-windowed batch, worker-process batch — goes through
@@ -16,7 +17,7 @@ thread-windowed batch, worker-process batch — goes through
 cache store under the snapshot's id, and runs the body
 (:func:`~repro.server.query_workers.run_salted_query`) in between.  The
 execution modes differ only in *where* that body executes — the
-scheduler thread, or a worker process bound to the snapshot's relation
+job's pool thread, or a worker process bound to the snapshot's relation
 id (:mod:`repro.server.query_workers`) — so they cannot drift apart:
 a mutation landing before, between or during the jobs of a batch never
 lets a job compute over one version and answer or cache for another.
@@ -44,8 +45,8 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from repro.core.relation import EncryptedRelation
@@ -54,7 +55,6 @@ from repro.core.scheme import SecTopK
 from repro.core.token import Token
 from repro.events import TopKChanged
 from repro.exceptions import (
-    JobCancelled,
     JobTimeout,
     MutationError,
     QueryError,
@@ -64,7 +64,7 @@ from repro.net.channel import ChannelStats
 from repro.obs.exporter import HealthState, MetricsExporter
 from repro.obs.metrics import REGISTRY
 from repro.protocols.base import LeakageEvent
-from repro.server.jobs import JobStatus, QueryJob, WatchJob, WatchSummary
+from repro.server.jobs import QueryJob, WatchJob, WatchSummary
 from repro.server.mutations import MutableRelation, MutationResult
 from repro.server.query_cache import QueryCache
 from repro.server.query_workers import (
@@ -76,7 +76,7 @@ from repro.server.query_workers import (
 
 _QUEUE_DEPTH = REGISTRY.gauge(
     "repro_scheduler_queue_depth",
-    "Jobs waiting in the bounded scheduler queue (admitted, not started).",
+    "Jobs admitted to the scheduler and not yet started.",
 )
 _JOBS_ACTIVE = REGISTRY.gauge(
     "repro_scheduler_jobs_active",
@@ -131,10 +131,10 @@ class TopKServer:
     rtt_ms:
         Simulated link round-trip latency added to every exchange.
     scheduler_workers:
-        Cap on concurrently running scheduler threads.  Workers spawn
-        on demand up to this cap and retire when the queue drains;
-        ``execute_many`` raises the effective cap to its requested
-        concurrency for the duration of a batch.
+        Size of the thread pool that runs submitted jobs: at most this
+        many queries run at once, and ``execute_many`` never runs a
+        window wider than it.  Watches do not count against it — each
+        runs on a thread of its own.
     cache:
         Leakage-aware result cache (default on): a repeat of a query the
         server already answered — same relation, token fingerprint and
@@ -162,10 +162,8 @@ class TopKServer:
         instrumentation is recorded either way.
     """
 
-    _IDLE_TTL = 0.5  # seconds a scheduler worker waits before retiring
-
-    #: Bound of the job queue.  A full queue applies backpressure:
-    #: :meth:`submit` blocks until a scheduler worker frees a slot.
+    #: Jobs that may wait for a pool thread.  Past that, backpressure:
+    #: :meth:`submit` blocks until a running job finishes.
     MAX_PENDING = 128
 
     #: LRU bound of the result cache (entries).
@@ -216,16 +214,22 @@ class TopKServer:
         # -- mutation / watch state --
         self._mutation_lock = threading.Lock()
         self._mutation_count = 0
-        self._watches: set[WatchJob] = set()
         self._closed = False
         # -- job scheduler state --
-        self._job_queue: queue.Queue = queue.Queue(maxsize=self.MAX_PENDING)
-        self._scheduler_cap = scheduler_workers
+        self._scheduler_workers = scheduler_workers
+        self._executor = ThreadPoolExecutor(
+            scheduler_workers,
+            thread_name_prefix=f"topk-scheduler-{self._salt_namespace}",
+        )
+        # One permit per pool thread plus MAX_PENDING waiting slots;
+        # released when a pooled job finishes.
+        self._admission = threading.Semaphore(self.MAX_PENDING + scheduler_workers)
+        # Guards the counters below, the watch map and every hand-off of
+        # a job to its thread (see _dispatch).
         self._scheduler_lock = threading.Lock()
-        self._scheduler_threads = 0
-        self._scheduler_thread_objs: set[threading.Thread] = set()
         self._jobs_active = 0
         self._running_jobs: set[QueryJob] = set()
+        self._watches: dict[WatchJob, threading.Thread] = {}
         # -- observability --
         # Exporter last: every other resource is attached, so a port
         # failure here leaves a server that close() can fully unwind.
@@ -349,7 +353,8 @@ class TopKServer:
 
     def mutate(self, op: str, *args) -> MutationResult:
         """String-dispatch spelling of :meth:`insert` / :meth:`update` /
-        :meth:`delete` (the wire-friendly form clients use)."""
+        :meth:`delete` (``op`` names the method; the client façade's
+        mutations all come through here)."""
         if op not in ("insert", "update", "delete"):
             raise MutationError(f"unknown mutation op: {op!r}")
         return self._apply_mutation(op, *args)
@@ -424,9 +429,9 @@ class TopKServer:
         :class:`~repro.server.jobs.WatchSummary`) or ``job.cancel()``;
         :meth:`close` drains live watches itself.
 
-        Each watch occupies one scheduler slot for its lifetime; the
-        dispatch cap is raised past the live-watch count so watches can
-        never starve ordinary queries out of the worker pool.
+        A watch runs on a thread of its own for its lifetime, outside
+        the pool that serves submitted jobs, so any number of live
+        watches leaves every ``scheduler_workers`` slot to queries.
         """
         if window is not None:
             if window < 1:
@@ -440,22 +445,29 @@ class TopKServer:
         job_id = self._reserve_ids(1)[0]
         job = WatchJob(job_id, token, config, timeout=timeout, window=window)
         job._runner = self._run_watch
-        with self._scheduler_lock:
-            self._watches.add(job)
-        _WATCHES_ACTIVE.inc()
-
-        def _retire(_job):
-            with self._scheduler_lock:
-                self._watches.discard(job)
-            _WATCHES_ACTIVE.dec()
-
-        job._add_done_callback(_retire)
-        self._dispatch(job, cap_hint=self._scheduler_cap + len(self._watches))
+        self._dispatch(
+            job,
+            threading.Thread(
+                target=self._watch_main,
+                args=(job,),
+                name=f"topk-watch-{self._salt_namespace}-{job_id}",
+                daemon=True,
+            ),
+        )
         return job
 
+    def _watch_main(self, job: WatchJob) -> None:
+        """Body of a watch's own thread: the job, then its retirement."""
+        try:
+            self._run_job(job)
+        finally:
+            with self._scheduler_lock:
+                del self._watches[job]
+            _WATCHES_ACTIVE.dec()
+
     def _run_watch(self, job: WatchJob) -> WatchSummary:
-        """Scheduler runner of one watch job: evaluate on every version
-        change, sleep on the wake event between changes."""
+        """Runner of one watch job: evaluate on every version change,
+        sleep on the wake event between changes."""
         evaluations = 0
         changes = 0
         last_set: frozenset | None = None
@@ -549,14 +561,18 @@ class TopKServer:
         under the cache lock, the scheduler's under the scheduler lock),
         and the returned dict is plain data the caller owns — it can
         never disagree with what ``/metrics`` scraped at the same
-        instant, because both read the same instruments.
+        instant, because both read the same instruments.  The
+        ``scheduler`` block counts jobs: ``queue_depth`` admitted and not
+        started, ``running`` started (live watches included),
+        ``jobs_active`` both.
         """
         cache_stats = self._cache.stats() if self._cache is not None else None
         with self._scheduler_lock:
+            running = len(self._running_jobs)
             scheduler = {
-                "queue_depth": self._job_queue.qsize(),
+                "queue_depth": self._jobs_active - running,
                 "jobs_active": self._jobs_active,
-                "workers": self._scheduler_threads,
+                "running": running,
             }
             watches_active = len(self._watches)
         return {
@@ -597,12 +613,12 @@ class TopKServer:
     ) -> QueryJob:
         """Submit one query as an asynchronous :class:`QueryJob`.
 
-        The job enters the bounded queue immediately (blocking for a
-        slot when the queue is full) and runs on a scheduler worker;
-        ``timeout`` sets a per-job deadline measured from submission,
-        enforced cooperatively at round boundaries.  The returned
-        handle resolves via ``result()``, cancels via ``cancel()``, and
-        streams progress via ``events()``.
+        The job is admitted immediately — blocking while
+        :attr:`MAX_PENDING` jobs already wait for a pool thread — and
+        runs on the next free one; ``timeout`` sets a per-job deadline
+        measured from submission, enforced cooperatively at round
+        boundaries.  The returned handle resolves via ``result()``,
+        cancels via ``cancel()``, and streams progress via ``events()``.
 
         ``expect_version`` pins the query to a relation version: if a
         mutation lands before the job starts, it fails with
@@ -638,91 +654,46 @@ class TopKServer:
         job._runner = functools.partial(self._run_query, in_worker=in_worker)
         return job
 
-    def _dispatch(self, job: QueryJob, cap_hint: int = 0) -> None:
-        """Queue a job and make sure a worker exists to serve it.
+    def _dispatch(self, job: QueryJob, thread: threading.Thread | None = None) -> None:
+        """Admit a job and hand it its thread: a pool thread, or — for a
+        watch — ``thread``, its own for the job's lifetime.
 
-        The spawn decision is taken *after* the put, under the same lock
-        the worker-retire check holds: a worker that retired before our
-        put is already reflected in ``_scheduler_threads`` when we
-        decide (so we spawn a replacement), and one that checks after
-        our put sees a non-empty queue and stays — a queued job can
-        never be stranded without a worker.
+        The closed check and the hand-off happen under the scheduler
+        lock, the lock :meth:`close` snapshots running jobs under after
+        raising the flag: a job is either refused here, or handed off
+        before that snapshot — and then settles, because the pool runs
+        every queued job through :meth:`_run_job` before it shuts down.
         """
-        cap = max(self._scheduler_cap, cap_hint)
+        if thread is None:
+            self._admission.acquire()  # backpressure: MAX_PENDING waiting
         with self._scheduler_lock:
             if self._closed:
+                if thread is None:
+                    self._admission.release()
                 raise RuntimeError("server is closed")
             self._jobs_active += 1
-        _JOBS_ACTIVE.inc()
-        job._mark_queued()
-        self._job_queue.put(job)
-        _QUEUE_DEPTH.inc()
-        spawn = False
-        with self._scheduler_lock:
-            if not self._closed and (
-                self._scheduler_threads < cap
-                and self._scheduler_threads < self._jobs_active
-            ):
-                self._scheduler_threads += 1
-                spawn = True
-        if spawn:
-            thread = threading.Thread(
-                target=self._scheduler_loop,
-                name=f"topk-scheduler-{self._salt_namespace}",
-                daemon=True,
-            )
-            with self._scheduler_lock:
-                self._scheduler_thread_objs.add(thread)
-            thread.start()
-        if self._closed:
-            # close() may have drained the queue before our put landed;
-            # sweep again so no job is ever stranded.
-            self._drain_queue()
+            _JOBS_ACTIVE.inc()
+            _QUEUE_DEPTH.inc()
+            job._mark_queued()
+            if thread is None:
+                self._executor.submit(self._run_pooled, job)
+            else:
+                self._watches[job] = thread
+                _WATCHES_ACTIVE.inc()
+                thread.start()
 
-    def _drain_queue(self) -> None:
-        """Fail every queued job as cancelled (server shutdown path)."""
-        while True:
-            try:
-                item = self._job_queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is not None:
-                _QUEUE_DEPTH.dec()
-            if item is not None and not item.done():
-                with self._scheduler_lock:
-                    self._jobs_active -= 1
-                _JOBS_ACTIVE.dec()
-                item._finish_error(
-                    JobCancelled("server closed before the job started"),
-                    JobStatus.CANCELLED,
-                )
-
-    def _scheduler_loop(self) -> None:
+    def _run_pooled(self, job: QueryJob) -> None:
         try:
-            while True:
-                try:
-                    item = self._job_queue.get(timeout=self._IDLE_TTL)
-                except queue.Empty:
-                    with self._scheduler_lock:
-                        if self._job_queue.empty():
-                            self._scheduler_threads -= 1
-                            return
-                    continue
-                if item is None:  # shutdown sentinel
-                    with self._scheduler_lock:
-                        self._scheduler_threads -= 1
-                    return
-                _QUEUE_DEPTH.dec()
-                self._run_job(item)
+            self._run_job(job)
         finally:
-            with self._scheduler_lock:
-                self._scheduler_thread_objs.discard(threading.current_thread())
+            self._admission.release()
 
     def _run_job(self, job: QueryJob) -> None:
+        _QUEUE_DEPTH.dec()
         try:
             if self._closed:
-                # Popped during shutdown (missed by the close-time queue
-                # drain): an explicit shutdown outranks the job.
+                # Queued when close() began: an explicit shutdown
+                # outranks the job, which settles without starting.
                 job._control.cancel()
             if not job._start():
                 return
@@ -752,7 +723,7 @@ class TopKServer:
         snapshot's relation id.  A cache hit returns immediately (zero
         rounds — the job exchanges nothing); a fresh result feeds the
         cache on the way out.  Only *where the body runs* varies: this
-        scheduler thread, or — ``in_worker`` — a worker process bound to
+        pool thread, or — ``in_worker`` — a worker process bound to
         the snapshot's relation id.
         """
         relation = self.relation
@@ -830,9 +801,11 @@ class TopKServer:
         mode: str = "thread",
     ) -> list[QueryResult]:
         """Run many queries, ``concurrency`` at a time (wrapper over
-        :meth:`submit`: every request rides the job queue).
+        :meth:`submit`: every request is a pooled job).  The window is
+        ``min(concurrency, scheduler_workers)`` — the pool runs no more
+        at once — and a process pool is built at that width.
 
-        ``mode="thread"`` runs each job's body on its scheduler thread:
+        ``mode="thread"`` runs each job's body on its pool thread:
         big-int crypto holds the GIL, so threads overlap link latency
         only.  ``mode="process"`` hands the bodies to a persistent
         worker-process pool — real multi-core execution.
@@ -847,7 +820,7 @@ class TopKServer:
         history.
 
         A window of one (``concurrency <= 1``, or a single request) runs
-        strictly sequentially on the scheduler thread in either mode —
+        strictly sequentially on a pool thread in either mode —
         with one request at a time there is no parallelism for a worker
         process to add, and the execution is replay-identical by
         construction.
@@ -863,12 +836,13 @@ class TopKServer:
             (token, self._effective_config(config)) for token, config in requests
         ]
         ids = self._reserve_ids(len(requests))
-        # Never run (or build a pool) wider than there is work to fill.
-        window = max(1, min(concurrency, len(requests)))
+        # Never run (or build a pool) wider than the thread pool can
+        # drive or there is work to fill.
+        window = max(1, min(concurrency, self._scheduler_workers, len(requests)))
         placements = [None] * len(requests)
         if mode == "process" and window > 1:
             # Bind the pool before any job of the batch is dispatched, so
-            # the common-case fork precedes the batch's scheduler threads.
+            # the common-case fork precedes the batch's jobs.
             self._worker_pool.bind(self.relation, window)
             # Sequential repeat semantics, precomputed: request i's history
             # is the server history plus the fingerprints of requests
@@ -891,7 +865,7 @@ class TopKServer:
                 slots.acquire()
                 job = self._make_job(job_id, token, config, in_worker=in_worker)
                 job._add_done_callback(lambda _job: slots.release())
-                self._dispatch(job, cap_hint=window)
+                self._dispatch(job)
                 jobs.append(job)
             return [job.result() for job in jobs]
         finally:
@@ -905,13 +879,13 @@ class TopKServer:
 
         Idempotent, and safe when the S2 daemon connection already died
         (dead links are swallowed — they can never mask the error that
-        killed them).  Queued jobs are cancelled; running jobs are asked
-        to stop at their next round boundary and waited for; a process
-        batch in flight has its pending pool futures cancelled (that
-        batch's ``execute_many`` raises) — an explicit shutdown outranks
-        in-flight work.  Live watch jobs drain with the running jobs:
-        ``WatchJob.cancel`` wakes the watch loop, so a watch parked on
-        its wake event terminates promptly instead of holding a worker.
+        killed them).  Queued jobs settle ``CANCELLED`` without starting;
+        running jobs and live watches are asked to stop at their next
+        round boundary and waited for (``WatchJob.cancel`` wakes a watch
+        parked on its wake event); a process batch in flight has its
+        pending pool futures cancelled (that batch's ``execute_many``
+        raises) — an explicit shutdown outranks in-flight work.  When
+        ``close`` returns, no thread this server started is alive.
         """
         # Health flips first (sticky, idempotent): /healthz reports
         # draining for the whole teardown window while /metrics stays
@@ -926,30 +900,17 @@ class TopKServer:
             if self._closed:
                 return
             self._closed = True
-        # Scheduler teardown: cancel queued jobs, stop running ones at
-        # the next round boundary, retire the workers.
+        # From here _dispatch refuses; everything it handed off before
+        # this snapshot is in the pool or holds a watch thread.
         with self._scheduler_lock:
-            running = list(self._running_jobs)
-            workers = self._scheduler_threads
-            threads = list(self._scheduler_thread_objs)
-        for job in running:
+            stopping = [*self._running_jobs, *self._watches]
+            watch_threads = list(self._watches.values())
+        for job in stopping:
             job.cancel()
         self._worker_pool.close()
-        self._drain_queue()
-        # Shutdown sentinels wake workers parked in get(); best-effort
-        # only — a worker that misses its sentinel (retired meanwhile, or
-        # the bounded queue filled) still exits via the idle-TTL retire
-        # path, since the queue is drained and _closed is set.  Never
-        # block here: with a queue bound below the worker count a
-        # blocking put could wait on consumers that no longer exist.
-        for _ in range(workers):
-            try:
-                self._job_queue.put_nowait(None)
-            except queue.Full:
-                break
-        for thread in threads:
+        self._executor.shutdown(wait=True)
+        for thread in watch_threads:
             thread.join()
-        self._drain_queue()  # anything that slipped in during teardown
         release_relation(self.relation.relation_id())
         exporter, self._exporter = self._exporter, None
         if exporter is not None:

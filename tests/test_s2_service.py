@@ -642,13 +642,18 @@ def _pending_request(kind, address):
     without collecting it; returns ``finish()`` -> the decoded reply."""
     scheme, relation, _ = _fresh_deployment()
     ctx = scheme._make_context(transport=address)
-    state = ctx.transport.begin_exchange(
-        [messages.ZeroTestBatch(protocol="probe", cts=[scheme.public_key.encrypt(0)])]
+    transport = ctx.transport
+    waiter = transport._client.request_begin(
+        transport.session_id,
+        transport._codec.encode_envelope(
+            [messages.ZeroTestBatch(protocol="probe", cts=[scheme.public_key.encrypt(0)])]
+        ),
     )
 
     def finish():
         try:
-            return ctx.transport.finish_exchange(state)
+            payload = transport._client.request_finish(transport.session_id, waiter)
+            return transport._codec.decode_value(_Reader(payload))
         finally:
             ctx.close()
 

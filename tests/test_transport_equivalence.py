@@ -95,15 +95,15 @@ class TestThreadedMatchesInProcess:
         assert wired[3].rounds == base[3].rounds
 
     def test_close_retires_service_thread(self):
-        """ThreadedTransport.close joins its worker and drains the
-        queues — no S2 service thread may outlive its context."""
+        """ThreadedTransport.close joins its worker — no S2 service
+        thread may outlive its context."""
         rows = _rows(5, n=6, m=2)
         before = {t for t in threading.enumerate()}
         _run("threaded", QueryConfig(variant="elim", engine="eager"), rows, [0, 1])
         leaked = [
             t
             for t in threading.enumerate()
-            if t not in before and t.name == "s2-transport"
+            if t not in before and t.name.startswith("s2-transport")
         ]
         assert leaked == [], f"leaked S2 service threads: {leaked}"
 
