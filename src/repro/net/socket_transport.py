@@ -68,16 +68,13 @@ from repro.net.wire import WireCodec, _Reader
 
 # -- frame protocol --------------------------------------------------------
 
-#: Bumped to /3 when REPLY frames grew the S2-progress element (/2 when
-#: the OPEN payload grew its session-label segment).  A /3 client
-#: negotiates down to /2 transparently: an old daemon answers the /3
-#: HELLO with a ``version-mismatch`` ERROR naming its banner and drops
-#: the connection, and the client redials speaking /2.
+#: The one HELLO banner both sides speak.  Bumped to /3 when REPLY
+#: frames grew the S2-progress element (/2 when the OPEN payload grew its
+#: session-label segment).
 PROTOCOL_BANNER = b"repro-s2/3"
-PROTOCOL_BANNER_V2 = b"repro-s2/2"
 
-#: ERROR kind a daemon sends for a HELLO banner it does not speak; the
-#: text names the daemon's own banner so the client can downgrade.
+#: ERROR kind a daemon sends for a HELLO banner it does not speak (the
+#: text names the daemon's own banner) before it drops the connection.
 VERSION_MISMATCH = "version-mismatch"
 
 HELLO = 0x01
@@ -101,9 +98,8 @@ _HEADER = struct.Struct("!IBI")  # payload length, frame type, session id
 MAX_FRAME_BYTES = 1 << 30
 
 #: Error kind the daemon sends for an OPEN naming an unregistered
-#: id; the client reacts by registering and retrying (with the
-#: version-mismatch downgrade, the only ERRORs that are part of the
-#: normal handshake).
+#: id; the client reacts by registering and retrying (the only ERROR
+#: that is part of the normal handshake).
 UNKNOWN_RELATION = "unknown-relation"
 
 
@@ -208,80 +204,58 @@ def default_registration_id(keypair, dj) -> str:
 # -- client side -----------------------------------------------------------
 
 
-class FrameClient:
-    """One process's multiplexed connection to a frame daemon.
+class S2Client:
+    """One process's multiplexed connection to the S2 daemon.
 
-    The frame format's client half: connect and banner negotiation,
-    the reader thread that demultiplexes session-tagged reply frames to
-    the waiting exchanges, and the poisoning that turns peer death into
-    an exception on every waiter instead of a hang.  A subclass names
-    the banners it speaks (:attr:`BANNERS`, newest first) and adds its
-    conversation on top of :meth:`begin` / :meth:`finish` /
-    :meth:`roundtrip`.
+    All sessions this process opens against one address share a single
+    socket: a reader thread demultiplexes session-tagged reply frames to
+    the waiting exchanges, and peer death poisons the link so every
+    waiter gets an exception instead of a hang.  Control operations
+    (registration, session open/close) are serialized; data rounds from
+    different sessions interleave freely.
     """
-
-    #: Banners to offer, newest first.  A daemon that does not speak one
-    #: answers ``version-mismatch`` naming its own; the client redials on
-    #: a fresh socket with the next banner the daemon named.
-    BANNERS: tuple[bytes, ...] = ()
 
     def __init__(self, address: str, timeout: float | None = 10.0):
         self.address = address
         self.pid = os.getpid()
         self._write_lock = threading.Lock()
         self._state_lock = threading.Lock()
+        self._control_lock = threading.Lock()
         self._pending: dict[int, queue.SimpleQueue] = {}
         self._session_ids = itertools.count(1)
         self._dead: Exception | None = None
         # The handshake happens before the reader thread exists, so a
         # non-daemon peer fails here with a clear error (and never leaks
         # the connected socket).
-        offered = ""
-        for banner in self.BANNERS:
-            if offered and banner.decode() not in offered.split():
-                continue
-            self._sock = connect_socket(address, timeout)
-            try:
-                self._sock.settimeout(timeout)
-                offered = self._handshake(banner)
-                self._sock.settimeout(None)
-            except BaseException:
-                self._sock.close()
-                raise
-            if not offered:
-                #: The banner this connection negotiated.
-                self.banner = banner
-                break
+        self._sock = connect_socket(address, timeout)
+        try:
+            self._sock.settimeout(timeout)
+            self._handshake()
+            self._sock.settimeout(None)
+        except BaseException:
             self._sock.close()
-        else:
-            raise TransportError(
-                f"peer at {address} speaks none of "
-                f"{[b.decode() for b in self.BANNERS]} (offered: {offered!r})"
-            )
+            raise
         self._reader = threading.Thread(
-            target=self._read_loop,
-            name=f"{type(self).__name__}:{address}",
-            daemon=True,
+            target=self._read_loop, name=f"S2Client:{address}", daemon=True
         )
         self._reader.start()
 
-    def _handshake(self, banner: bytes) -> str:
-        """One HELLO exchange: ``""`` when the peer accepted ``banner``,
-        else the banners it named in its ``version-mismatch`` report."""
-        send_frame(self._sock, HELLO, 0, banner)
+    def _handshake(self) -> None:
+        """One HELLO exchange offering :data:`PROTOCOL_BANNER`; a daemon
+        that speaks another banner names it in its ``version-mismatch``
+        report, which the raised error carries."""
+        send_frame(self._sock, HELLO, 0, PROTOCOL_BANNER)
         ftype, _, payload = recv_frame(self._sock)
         if ftype == ERROR:
             kind, text = decode_error(payload)
-            if kind == VERSION_MISMATCH and text:
-                return text
             raise TransportError(
-                f"peer at {self.address} rejected the handshake: {kind}: {text}"
+                f"peer at {self.address} refused {PROTOCOL_BANNER.decode()}: "
+                f"{kind}: {text}"
             )
-        if ftype != HELLO_OK or payload != banner:
+        if ftype != HELLO_OK or payload != PROTOCOL_BANNER:
             raise TransportError(
-                f"peer at {self.address} did not speak {banner.decode()}"
+                f"peer at {self.address} did not speak {PROTOCOL_BANNER.decode()}"
             )
-        return ""
 
     # -- reply routing ---------------------------------------------------
 
@@ -407,29 +381,8 @@ class FrameClient:
             session_id, self.begin(ftype, session_id, payload), expect, timeout
         )
 
-
-class S2Client(FrameClient):
-    """The S1 side's connection to a remote S2 daemon.
-
-    All sessions this process opens against one address share a single
-    socket.  Control operations (registration, session open/close) are
-    serialized; data rounds from different sessions interleave freely.
-    """
-
-    BANNERS = (PROTOCOL_BANNER, PROTOCOL_BANNER_V2)
-
-    def __init__(self, address: str, timeout: float | None = 10.0):
-        super().__init__(address, timeout)
-        self._control_lock = threading.Lock()
-
-    @property
-    def protocol_version(self) -> int:
-        """Negotiated protocol major version (3, or 2 against an old
-        daemon — /2 REPLYs carry no S2-progress element)."""
-        return 3 if self.banner == PROTOCOL_BANNER else 2
-
-    # One protocol round in two halves (see FrameClient.begin): REQUEST
-    # out, the matching REPLY payload back.
+    # One protocol round in two halves (see :meth:`begin`): REQUEST out,
+    # the matching REPLY payload back.
 
     def request_begin(self, session_id: int, data: bytes):
         """Send one REQUEST frame without waiting; returns the waiter."""
@@ -514,18 +467,13 @@ class SocketTransport(Transport):
                 self.session_id, self._codec.encode_envelope(messages)
             )
             payload = self._client.request_finish(self.session_id, waiter)
-            decoded = self._codec.decode_value(_Reader(payload))
-        if len(decoded) >= 3:
-            # /3 REPLY: (replies, leaked, progress) — progress entries
-            # are (batches, values, microseconds) int triples (the wire
-            # codec carries no floats).
-            replies, leaked, progress = decoded[0], decoded[1], decoded[2]
-        else:
-            replies, leaked = decoded
-            progress = ()
+            # REPLY: (replies, leaked, progress) — progress entries are
+            # (batches, values, microseconds) int triples (the wire codec
+            # carries no floats).
+            replies, leaked, progress = self._codec.decode_value(_Reader(payload))
         for observer, protocol, kind, event_payload in leaked:
             self._leakage.record(observer, protocol, kind, event_payload)
-        if progress and self._on_progress is not None:
+        if self._on_progress is not None:
             for batches, values, micros in progress:
                 try:
                     self._on_progress(int(batches), int(values), micros / 1e6)
@@ -624,8 +572,8 @@ def open_remote_session(
     :class:`SecureRandom` the in-process wiring would give a local
     crypto cloud, so a remote query is bit-identical to a local one.
     ``on_progress(batches, values, seconds)``, when given, receives the
-    daemon's per-round decrypt progress piggybacked on /3 REPLY frames
-    (never called against a /2 daemon; purely observational).
+    daemon's per-round decrypt progress piggybacked on REPLY frames
+    (purely observational).
     """
     rid = relation_id or default_registration_id(keypair, dj)
 

@@ -10,8 +10,7 @@ host)::
 The daemon owns nothing at start — no keys, no relations.  A client
 (the S1 side: :class:`~repro.server.topk_server.TopKServer` or any
 ``repro.connect(scheme, relation, "tcp://...")`` client) provisions it
-through the frame protocol of :mod:`repro.net.socket_transport`, served
-by the shared daemon core (:mod:`repro.server.frame_service`):
+through the frame protocol of :mod:`repro.net.socket_transport`:
 
 1. **HELLO** — version banner check, once per connection.
 2. **REGISTER** — the data owner's provisioning step (Section 3.1):
@@ -32,10 +31,12 @@ by the shared daemon core (:mod:`repro.server.frame_service`):
    the batches :class:`~repro.net.transport.ThreadedTransport` carries
    in-process.  S2-side leakage events ride back inside the REPLY.
 
-A dropped client connection tears down all of its sessions; a dispatch
-or handler failure is reported as an ERROR frame on the session it
-belongs to (typed :class:`~repro.exceptions.RemoteS2Error` on the
-client) and leaves the connection usable.
+Error scoping: a *handler* failure is answered with a typed ERROR on
+the offending session id (typed :class:`~repro.exceptions.RemoteS2Error`
+on the client) and the connection lives — its other sessions never
+notice; only a *framing* failure — oversize frame, short read, bad
+HELLO — drops the connection, and a dropped connection tears down all
+of its sessions.
 
 ``--state-dir`` makes registrations *persistent*: each REGISTER payload
 is spilled (atomically) to ``<state_dir>/<registration id>.reg`` and
@@ -47,38 +48,99 @@ key itself.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
-import functools
+import os
+import pathlib
 import pickle
 import queue
+import socket
+import subprocess
+import sys
+import tempfile
 import threading
 import time
 
-from repro.exceptions import TransportError
+from repro.crypto import backend
+from repro.exceptions import PeerDisconnected, TransportError
 from repro.net.dispatch import S2Dispatcher
 from repro.net.socket_transport import (
     CLOSE,
     CLOSED,
     ERROR,
+    HELLO,
+    HELLO_OK,
     OPEN,
     OPENED,
     PROTOCOL_BANNER,
-    PROTOCOL_BANNER_V2,
     REGISTER,
     REGISTERED,
     REPLY,
     REQUEST,
     UNKNOWN_RELATION,
+    VERSION_MISMATCH,
     encode_error,
+    parse_address,
+    recv_frame,
+    send_frame,
 )
 from repro.net.wire import WireCodec, shared_key, shared_scheme
+from repro.obs.exporter import HealthState, MetricsExporter
+from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.protocols.base import CryptoCloud, LeakageLog
-from repro.server import frame_service
-from repro.server.frame_service import Connection, FrameService
 
-#: Banners this daemon speaks, newest first.  Tests shrink this to
-#: emulate an old /2-only daemon against a new client.
-SUPPORTED_BANNERS = (PROTOCOL_BANNER, PROTOCOL_BANNER_V2)
+#: Seconds a fresh connection gets to send its HELLO.
+_HELLO_TIMEOUT_S = 30.0
+
+#: Seconds :meth:`S2Service.close` waits for each connection thread to
+#: notice its socket is gone (a handler mid-computation finishes first).
+_CONNECTION_JOIN_S = 5.0
+
+#: ``stats()`` key -> (metric name, help text): ``*_total`` names are
+#: counters, the rest gauges.
+_INSTRUMENTS = {
+    "connections_total": ("repro_s2_connections_total", "Client connections accepted."),
+    "connections_active": (
+        "repro_s2_connections_active", "Client connections currently open."
+    ),
+    "registrations": ("repro_s2_registrations_total", "Keys registered (uploads)."),
+    "registrations_restored": (
+        "repro_s2_registrations_restored_total",
+        "Keys reloaded from the state dir at boot.",
+    ),
+    "registration_uploads": (
+        "repro_s2_registration_uploads_total",
+        "REGISTER frames received (including idempotent repeats).",
+    ),
+    "registration_bytes": (
+        "repro_s2_registration_bytes_total", "Bytes of REGISTER payload received."
+    ),
+    "sessions_opened": ("repro_s2_sessions_opened_total", "Protocol sessions opened."),
+    "sessions_active": ("repro_s2_sessions_active", "Protocol sessions currently live."),
+    "job_sessions": (
+        "repro_s2_job_sessions_total",
+        "Sessions opened by server jobs (label ``job-*``).",
+    ),
+    "requests_served": ("repro_s2_requests_total", "REQUEST frames accepted."),
+    "requests_in_flight": (
+        "repro_s2_requests_in_flight", "Requests accepted and not yet answered."
+    ),
+    "requests_in_flight_peak": (
+        "repro_s2_requests_in_flight_peak",
+        "High-water mark of concurrent in-flight requests.",
+    ),
+}
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` so a reader sees the old content or the
+    new, never a partial file: owner-only (0600, whatever the umask —
+    spills hold key material) temp file, then rename."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with os.fdopen(fd, "wb") as handle:
+        handle.write(data)
+    os.replace(tmp, path)
 
 
 class _Session:
@@ -153,19 +215,13 @@ class _Session:
             for e in self.cloud.leakage.events
         ]
         self.cloud.leakage.clear()
+        # The REPLY piggybacks the round's decrypt progress: (batches,
+        # values, microseconds) int triples — the wire codec carries no
+        # floats, and integers keep transcripts byte-comparable.
+        values = sum(len(r) if isinstance(r, (list, tuple)) else 1 for r in replies)
+        progress = ((len(messages), values, int(elapsed * 1e6)),)
         out = bytearray()
-        if self.connection.banner == PROTOCOL_BANNER:
-            # /3 REPLY piggybacks the round's decrypt progress:
-            # (batches, values, microseconds) int triples — the wire
-            # codec carries no floats, and integers keep old/new
-            # transcripts byte-comparable per version.
-            values = sum(
-                len(r) if isinstance(r, (list, tuple)) else 1 for r in replies
-            )
-            progress = ((len(messages), values, int(elapsed * 1e6)),)
-            self.codec.encode_value((replies, events, progress), out)
-        else:
-            self.codec.encode_value((replies, events), out)
+        self.codec.encode_value((replies, events, progress), out)
         self.connection.service._request_seconds.observe(elapsed)
         return bytes(out)
 
@@ -179,6 +235,63 @@ class _Session:
         self.thread.join()
 
 
+class Connection:
+    """One accepted client connection."""
+
+    def __init__(self, service: S2Service, sock: socket.socket):
+        self.service = service
+        self.sock = sock
+        #: The read thread running :meth:`run`; joined by ``close()``.
+        self.thread = threading.Thread(
+            target=self.run, name="s2-connection", daemon=True
+        )
+        self._write_lock = threading.Lock()
+        #: Live sessions by id; touched only by this connection's read
+        #: thread.
+        self.sessions: dict[int, _Session] = {}
+
+    def send(self, ftype: int, session_id: int, payload: bytes = b"") -> None:
+        with self._write_lock:
+            send_frame(self.sock, ftype, session_id, payload)
+
+    def send_error(self, session_id: int, kind: str, text: str) -> None:
+        with contextlib.suppress(TransportError):
+            self.send(ERROR, session_id, encode_error(kind, text))
+
+    def run(self) -> None:
+        service = self.service
+        try:
+            # A peer that connects but never greets should not pin a
+            # thread forever; after the banner the link blocks freely.
+            self.sock.settimeout(_HELLO_TIMEOUT_S)
+            ftype, _, payload = recv_frame(self.sock)
+            if ftype != HELLO or payload != PROTOCOL_BANNER:
+                # Name the banner we speak, then drop the connection.
+                self.send_error(0, VERSION_MISMATCH, PROTOCOL_BANNER.decode())
+                return
+            self.send(HELLO_OK, 0, payload)
+            self.sock.settimeout(None)
+            while True:
+                ftype, session_id, payload = recv_frame(self.sock)
+                handler = service.handlers.get(ftype)
+                if handler is None:
+                    self.send_error(session_id, "unknown-frame", str(ftype))
+                else:
+                    service.run_handler(handler, self, session_id, payload)
+        except PeerDisconnected:
+            pass  # normal client departure
+        except Exception as exc:  # noqa: BLE001 — last-resort report
+            self.send_error(0, type(exc).__name__, str(exc))
+        finally:
+            for session in self.sessions.values():
+                session.stop(abort=True)
+                service._session_closed()
+            self.sessions.clear()
+            with contextlib.suppress(OSError):
+                self.sock.close()
+            service._connection_closed(self)
+
+
 def _valid_registration(stem: str, blob) -> bool:
     # A valid spill is a registration dict for this file's id (wire
     # field ``relation_id``) with complete key material.
@@ -190,9 +303,9 @@ def _valid_registration(stem: str, blob) -> bool:
     )
 
 
-class S2Service(FrameService):
-    """The S2 daemon: registration store and live protocol sessions on
-    the shared :class:`~repro.server.frame_service.FrameService` core.
+class S2Service:
+    """The S2 daemon: listener, connections and their protocol sessions,
+    the registration store, metrics mount and state dir.
 
     Parameters
     ----------
@@ -207,11 +320,12 @@ class S2Service(FrameService):
         client re-upload.  The files hold secret key material: protect the
         directory like the key itself.
     metrics_port:
-        When set, serve ``/metrics`` and ``/healthz`` there (see
-        :class:`~repro.server.frame_service.FrameService`).
+        When set, serve Prometheus text at
+        ``http://127.0.0.1:PORT/metrics`` (process-wide instruments plus
+        this service's own counters) and a ``/healthz`` endpoint that
+        flips to draining on :meth:`drain` / :meth:`close`.  ``0`` picks
+        a free port — read it back from :attr:`metrics_port`.
     """
-
-    name = "s2"
 
     def __init__(
         self,
@@ -219,38 +333,44 @@ class S2Service(FrameService):
         state_dir: str | None = None,
         metrics_port: int | None = None,
     ):
-        super().__init__(listen, SUPPORTED_BANNERS, state_dir, metrics_port)
-        self._registry: dict[str, tuple] = {}
+        self.listen_spec = listen
+        self.state_dir = state_dir
+        self.address: str | None = None
+        #: frame type -> ``handler(connection, session_id, payload)``.
         self.handlers = {
             REGISTER: self._on_register,
             OPEN: self._on_open,
             REQUEST: self._on_request,
             CLOSE: self._on_close,
         }
-        self._counter("registrations", "Keys registered (uploads).")
-        self._counter(
-            "registrations_restored", "Keys reloaded from the state dir at boot."
-        )
-        self._counter(
-            "registration_uploads",
-            "REGISTER frames received (including idempotent repeats).",
-        )
-        self._counter("registration_bytes", "Bytes of REGISTER payload received.")
-        self._counter("sessions_opened", "Protocol sessions opened.")
-        self._gauge("sessions_active", "Protocol sessions currently live.")
-        self._counter(
-            "job_sessions", "Sessions opened by server jobs (label ``job-*``)."
-        )
-        self._counter("requests_served", "REQUEST frames accepted.", metric="requests")
-        self._gauge("requests_in_flight", "Requests accepted and not yet answered.")
-        self._gauge(
-            "requests_in_flight_peak",
-            "High-water mark of concurrent in-flight requests.",
-        )
+        self._registry: dict[str, tuple] = {}
+        self._listener: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
+        self._unix_path: str | None = None
+        self._lock = threading.Lock()
+        self._connections: set[Connection] = set()
+        # Per-instance metrics registry: the service counters *are*
+        # these instruments (``stats()`` reads them back), so the dict
+        # snapshot and a ``/metrics`` scrape can never disagree — one
+        # source, two renderings.  A private registry keeps concurrent
+        # services (tests run several) from folding into each other.
+        self.registry = MetricsRegistry()
+        self._counters = {
+            key: (
+                self.registry.counter if name.endswith("_total") else self.registry.gauge
+            )(name, help_text)
+            for key, (name, help_text) in _INSTRUMENTS.items()
+        }
         self._request_seconds = self.registry.histogram(
             "repro_s2_request_seconds",
             "Per-round dispatch wall-clock inside session service threads.",
         )
+        self._health = HealthState()
+        self._metrics_port = metrics_port
+        self._exporter: MetricsExporter | None = None
+        self._closed = threading.Event()
+
+    # -- lifecycle -------------------------------------------------------
 
     def start(self) -> str:
         """Bind, listen, and start accepting; returns the bound address.
@@ -261,9 +381,141 @@ class S2Service(FrameService):
         """
         for blob in self.restore(".reg", _valid_registration):
             self._register(blob, None)
-        return super().start()
+        family, target = parse_address(self.listen_spec)
+        if family == "tcp":
+            host, port = target
+            listener = socket.create_server((host, port))
+            bound_port = listener.getsockname()[1]
+            self.address = f"tcp://{host}:{bound_port}"
+        else:
+            if not hasattr(socket, "AF_UNIX"):
+                raise TransportError("Unix-domain sockets unavailable here")
+            with contextlib.suppress(OSError):
+                os.unlink(target)
+            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            listener.bind(target)
+            listener.listen()
+            self._unix_path = target
+            self.address = f"unix://{target}"
+        # A blocking accept() does not reliably wake when another thread
+        # closes the listener; a short timeout lets the loop observe the
+        # shutdown flag, so close() can join deterministically.
+        listener.settimeout(0.1)
+        self._listener = listener
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="s2-accept", daemon=True
+        )
+        self._accept_thread.start()
+        if self._metrics_port is not None:
+            # Serve both the process-wide registry (channel/pool/cache
+            # instruments the daemon's own code records into) and this
+            # service's private counters on one endpoint.
+            exporter = MetricsExporter(
+                port=self._metrics_port,
+                registries=[REGISTRY, self.registry],
+                health=self._health,
+            )
+            try:
+                exporter.start()
+            except BaseException:
+                self.close()
+                raise
+            self._exporter = exporter
+        return self.address
+
+    @property
+    def metrics_port(self) -> int | None:
+        """Bound port of the metrics exporter (``None`` when not mounted)."""
+        exporter = self._exporter
+        return exporter.port if exporter is not None else None
+
+    def drain(self) -> None:
+        """Flip ``/healthz`` to draining (sticky; :meth:`close` implies it)."""
+        self._health.drain()
+
+    def _accept_loop(self) -> None:
+        while not self._closed.is_set():
+            try:
+                sock, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            except OSError:
+                return  # listener closed
+            sock.settimeout(None)
+            if isinstance(sock.getsockname(), tuple):
+                with contextlib.suppress(OSError):
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            connection = Connection(self, sock)
+            with self._lock:
+                self._connections.add(connection)
+                self._counters["connections_total"].inc()
+                self._counters["connections_active"].inc()
+                # Started under the lock: every connection close() finds
+                # in the set has a thread it can join.
+                connection.thread.start()
+
+    def serve_forever(self) -> None:
+        """Block until :meth:`close` (or the process) ends the service."""
+        self._closed.wait()
+
+    def close(self) -> None:
+        """Stop accepting, drop every connection, unmount the exporter."""
+        self._health.drain()
+        if self._closed.is_set():
+            return
+        self._closed.set()
+        if self._listener is not None:
+            with contextlib.suppress(OSError):
+                self._listener.close()
+        # The accept thread first, so the connection set is final.
+        if self._accept_thread is not None:
+            self._accept_thread.join()
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            with contextlib.suppress(OSError):
+                connection.sock.shutdown(socket.SHUT_RDWR)
+            with contextlib.suppress(OSError):
+                connection.sock.close()
+        # Each read thread retires its sessions and decrements the
+        # gauges on its way out; waiting for them is what makes
+        # ``stats()`` settled the moment close() returns.
+        for connection in connections:
+            connection.thread.join(_CONNECTION_JOIN_S)
+        if self._unix_path is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(self._unix_path)
+        exporter, self._exporter = self._exporter, None
+        if exporter is not None:
+            exporter.close()
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def stats(self) -> dict:
+        """A consistent point-in-time snapshot of the service counters.
+
+        Read under the same lock every mutator holds, from the same
+        instruments ``/metrics`` renders — the two views are one set of
+        numbers and can never disagree.  Values come back as ints.
+        """
+        with self._lock:
+            return {name: int(c.value) for name, c in self._counters.items()}
 
     # -- frame handlers --------------------------------------------------
+
+    def run_handler(self, handler, connection, session_id, payload) -> None:
+        """Run one frame's handler; its failure is that session's ERROR."""
+        try:
+            handler(connection, session_id, payload)
+        except PeerDisconnected:
+            pass  # client gone mid-reply; the read loop notices
+        except Exception as exc:  # noqa: BLE001 — report, don't die
+            connection.send_error(session_id, type(exc).__name__, str(exc))
 
     def _on_register(self, conn: Connection, session_id: int, payload: bytes) -> None:
         self._register(pickle.loads(payload), payload)
@@ -311,11 +563,11 @@ class S2Service(FrameService):
             self._session_closed()
         conn.send(CLOSED, session_id)
 
-    def _connection_lost(self, conn: Connection) -> None:
-        for session in conn.sessions.values():
-            session.stop(abort=True)
-            self._session_closed()
-        conn.sessions.clear()
+    def _connection_closed(self, connection: Connection) -> None:
+        with self._lock:
+            if connection in self._connections:
+                self._connections.discard(connection)
+                self._counters["connections_active"].dec()
 
     def _session_closed(self) -> None:
         with self._lock:
@@ -335,6 +587,11 @@ class S2Service(FrameService):
         exactly what the client uploaded.
         """
         registration_id = blob["relation_id"]  # the wire field's name
+        spill_name = f"{registration_id}.reg"
+        if payload is not None and self.state_dir is not None:
+            # An id the spill-name rule refuses is refused before
+            # anything is installed: never kept in memory alone.
+            self._spill_path(spill_name)
         persist = False
         with self._lock:
             if payload is not None:
@@ -353,19 +610,152 @@ class S2Service(FrameService):
                     self._counters["registrations"].inc()
                     persist = self.state_dir is not None
         if persist:
-            self.spill(f"{registration_id}.reg", payload)
+            self.spill(spill_name, payload)
+
+    # -- state dir -------------------------------------------------------
+
+    def _spill_path(self, name: str) -> str:
+        # Spill names are ``<hex id>.<suffix>`` — filesystem-safe by
+        # construction; reject anything else rather than risk a traversal.
+        if not all(part.isalnum() for part in name.split(".")):
+            raise TransportError(f"unsafe spill name: {name!r}")
+        return os.path.join(self.state_dir, name)
+
+    def spill(self, name: str, payload: bytes) -> None:
+        """Atomically write ``<state_dir>/<name>``.  The directory is
+        created owner-only (0700): spills hold the provisioned secret
+        key."""
+        path = self._spill_path(name)
+        os.makedirs(self.state_dir, mode=0o700, exist_ok=True)
+        atomic_write(path, payload)
+
+    def restore(self, suffix: str, validate) -> list:
+        """The unpickled spills named ``<stem><suffix>`` for which
+        ``validate(stem, blob)`` holds, in name order.  A file that does
+        not load or validate (truncated write, foreign pickle) is skipped
+        whole — a bad spill must not kill boot, clients re-upload on
+        demand."""
+        blobs = []
+        if self.state_dir is None or not os.path.isdir(self.state_dir):
+            return blobs
+        for name in sorted(os.listdir(self.state_dir)):
+            if not name.endswith(suffix):
+                continue
+            try:
+                with open(os.path.join(self.state_dir, name), "rb") as handle:
+                    blob = pickle.loads(handle.read())
+                if validate(name[: -len(suffix)], blob):
+                    blobs.append(blob)
+            except Exception:  # noqa: BLE001 — see docstring
+                continue
+        return blobs
 
 
-#: Start this daemon as a separate OS process; returns (process, address)
-#: — :func:`repro.server.frame_service.launch_daemon` bound to this module.
-launch_daemon = functools.partial(
-    frame_service.launch_daemon, "repro.server.s2_service"
-)
+# -- process launcher and CLI ----------------------------------------------
+
+
+def launch_daemon(
+    listen: str = "tcp://127.0.0.1:0", quiet: bool = False, timeout: float = 30.0
+):
+    """Start ``python -m repro.server.s2_service`` as a separate OS
+    process; returns (process, address).
+
+    The real deployment shape for examples, benchmarks, and smoke
+    scripts: the daemon is spawned with this package on its path, the
+    bound address is read from a ready file, and the caller owns the
+    returned :class:`subprocess.Popen` (terminate it when done).
+    """
+    src_root = str(pathlib.Path(__file__).resolve().parent.parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    with tempfile.NamedTemporaryFile(suffix=".addr", delete=False) as handle:
+        ready_file = handle.name
+    os.unlink(ready_file)
+    process = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.server.s2_service",
+            "--listen",
+            listen,
+            "--ready-file",
+            ready_file,
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL if quiet else None,
+    )
+    try:
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            # The daemon renames the file into place complete, so
+            # existing means readable.
+            if os.path.exists(ready_file):
+                return process, pathlib.Path(ready_file).read_text().strip()
+            if process.poll() is not None:
+                raise RuntimeError("the S2 daemon exited before becoming ready")
+            time.sleep(0.05)
+        raise RuntimeError("the S2 daemon did not become ready in time")
+    except BaseException:
+        process.terminate()
+        raise
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(ready_file)
 
 
 def main(argv: list[str] | None = None) -> None:
-    """CLI entry point: ``python -m repro.server.s2_service``."""
-    frame_service.daemon_main(S2Service, argv)
+    """CLI entry point: ``python -m repro.server.s2_service`` — parse,
+    start, announce, serve until interrupted."""
+    parser = argparse.ArgumentParser(
+        prog="repro.server.s2_service", description=__doc__.split("\n\n")[0]
+    )
+    parser.add_argument(
+        "--listen",
+        default="tcp://127.0.0.1:0",
+        help="tcp://host:port (port 0 = ephemeral) or unix:///path",
+    )
+    parser.add_argument(
+        "--backend",
+        default=None,
+        help="big-int backend (pure / gmpy2 / gmp-kernel / auto; "
+        "default: REPRO_BACKEND)",
+    )
+    parser.add_argument(
+        "--state-dir",
+        default=None,
+        help="spill registrations here and reload them on restart (the "
+        "spills hold secret key material — protect accordingly)",
+    )
+    parser.add_argument(
+        "--ready-file",
+        default=None,
+        help="write the bound address here once listening (CI/scripts)",
+    )
+    parser.add_argument(
+        "--metrics-port",
+        type=int,
+        default=None,
+        help="serve Prometheus text at http://127.0.0.1:PORT/metrics "
+        "plus /healthz (0 = ephemeral port; default: no exporter)",
+    )
+    args = parser.parse_args(argv)
+
+    if args.backend:
+        backend.set_backend(args.backend)
+    service = S2Service(
+        args.listen, state_dir=args.state_dir, metrics_port=args.metrics_port
+    )
+    address = service.start()
+    print(f"repro-s2: listening on {address}", flush=True)
+    if args.ready_file:
+        # Renamed into place whole: a poller never reads an empty file.
+        atomic_write(args.ready_file, address.encode("utf-8"))
+    try:
+        service.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        service.close()
 
 
 if __name__ == "__main__":

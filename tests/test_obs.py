@@ -21,6 +21,7 @@ from repro.core.results import QueryConfig
 from repro.core.scheme import SecTopK
 from repro.crypto.rng import SecureRandom
 from repro.events import JobFinished, JobQueued, S2Progress, SpanClosed
+from repro.exceptions import TransportError
 from repro.net import socket_transport
 from repro.net.socket_transport import disconnect_all
 from repro.obs.exporter import CONTENT_TYPE, HealthState, MetricsExporter
@@ -462,27 +463,19 @@ class TestRemoteProgress:
             disconnect_all()
             service.close()
 
-    def test_client_downgrades_against_v2_daemon(self, monkeypatch):
-        monkeypatch.setattr(
-            s2_service,
-            "SUPPORTED_BANNERS",
-            (socket_transport.PROTOCOL_BANNER_V2,),
-        )
+    def test_foreign_daemon_banner_is_a_transport_error_naming_it(
+        self, monkeypatch
+    ):
+        """One banner, no downgrade: a daemon speaking another revision
+        answers ``version-mismatch`` naming its banner, and the client
+        raises that — once, with no redial."""
+        monkeypatch.setattr(s2_service, "PROTOCOL_BANNER", b"repro-s2/9")
         service = S2Service("tcp://127.0.0.1:0")
         address = service.start()
-        scheme = SecTopK(SystemParams.tiny(), seed=59)
-        server = TopKServer(scheme, scheme.encrypt(_rows(24, n=8)), transport=address)
         try:
-            job = server.submit(scheme.token([0, 1], k=2))
-            job.result(timeout=60)
-            client = socket_transport._CLIENTS[address]
-            assert client.protocol_version == 2
-            # A /2 daemon sends no progress element — and the query
-            # still completes identically.
-            assert not any(
-                isinstance(e, S2Progress) for e in job.events()
-            )
+            with pytest.raises(TransportError, match="repro-s2/9") as excinfo:
+                socket_transport.S2Client(address)
+            assert socket_transport.VERSION_MISMATCH in str(excinfo.value)
+            assert service.stats()["connections_total"] == 1
         finally:
-            server.close()
-            disconnect_all()
             service.close()

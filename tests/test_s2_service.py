@@ -8,11 +8,10 @@ through the real client stack.  A CI leg additionally launches the
 daemon as a separate OS process and points ``REPRO_REMOTE_S2`` here,
 which activates :class:`TestExternalDaemon` against it.
 
-The frame core under the daemon — the
-:class:`~repro.server.frame_service.FrameService` core and its
-:class:`~repro.net.socket_transport.FrameClient` counterpart — is pinned
-here through its one remaining pair, the ``"s2"`` kind
-(:class:`TestFrameCore`, :class:`TestFrameClient`).
+The daemon's connection handling (handshake, error scoping, close,
+``/healthz``, state dir, launcher) is pinned in
+:class:`TestDaemonLifecycle`, the client link's failure handling in
+:class:`TestClientLink`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from types import SimpleNamespace
 
 import pytest
 
@@ -42,7 +40,6 @@ from repro.crypto.rng import SecureRandom
 from repro.exceptions import PeerDisconnected, RemoteS2Error, TransportError
 from repro.net import messages, socket_transport
 from repro.net.socket_transport import (
-    FrameClient,
     client_for,
     connect_socket,
     decode_error,
@@ -53,7 +50,8 @@ from repro.net.socket_transport import (
     send_frame,
 )
 from repro.net.wire import WireCodec, _Reader
-from repro.server import S2Service, TopKServer, frame_service
+from repro.protocols.base import LeakageLog
+from repro.server import S2Service, TopKServer
 from repro.server import s2_service
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
@@ -580,42 +578,46 @@ class TestPersistentRegistry:
             disconnect_all()
             second.close()
 
+    def test_refused_spill_name_leaves_no_registration(self, tmp_path):
+        """An id the spill-name rule refuses (``probe-1``, the shape
+        ``perfbench``'s daemon probe passes) fails its REGISTER every
+        time and leaves nothing behind — no registration held in memory
+        that the state dir lacks."""
+        state_dir = tmp_path / "registry"
+        service = S2Service("tcp://127.0.0.1:0", state_dir=str(state_dir))
+        address = service.start()
+        scheme, _, _ = _fresh_deployment()
+        try:
+            for attempt in range(2):
+                with pytest.raises(RemoteS2Error, match="unsafe spill name") as excinfo:
+                    socket_transport.open_remote_session(
+                        address,
+                        scheme.keypair,
+                        scheme.dj,
+                        SecureRandom(attempt),
+                        LeakageLog(),
+                        relation_id="probe-1",
+                    )
+                assert excinfo.value.kind == "TransportError"
+            assert service._registry == {}
+            assert service.stats()["registrations"] == 0
+            assert not state_dir.exists()
+        finally:
+            disconnect_all()
+            service.close()
+
 
 # ---------------------------------------------------------------------------
-# The daemon core.
+# The daemon's connections, lifecycle and state dir.
 # ---------------------------------------------------------------------------
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "wire_pr13"
 
-KINDS = {
-    "s2": SimpleNamespace(
-        service=S2Service,
-        module=s2_service,
-        client_for=client_for,
-        banners=(socket_transport.PROTOCOL_BANNER, socket_transport.PROTOCOL_BANNER_V2),
-        control=(socket_transport.REGISTER, socket_transport.REGISTERED),
-        restored="registrations_restored",
-        corrupt={
-            "deadbeef.reg": b"not a pickle",
-            # Valid pickles of the wrong shape must be skipped too.
-            "cafe.reg": pickle.dumps([1, 2, 3]),
-            "f00d.reg": pickle.dumps({"relation_id": "f00d"}),  # no key material
-        },
-        placement=lambda address: {"transport": address},
-    ),
-}
-
-
-@pytest.fixture(params=sorted(KINDS))
-def kind(request):
-    return KINDS[request.param]
-
-
 @pytest.fixture()
-def core(kind):
-    service = kind.service("tcp://127.0.0.1:0", metrics_port=0)
+def core():
+    service = S2Service("tcp://127.0.0.1:0", metrics_port=0)
     address = service.start()
-    yield kind, service, address
+    yield service, address
     disconnect_all()
     service.close()
 
@@ -637,7 +639,7 @@ def _http_status(url: str) -> tuple[int, str]:
         return err.code, err.read().decode()
 
 
-def _pending_request(kind, address):
+def _pending_request(address):
     """Put one real REQUEST on the shared connection to ``address``
     without collecting it; returns ``finish()`` -> the decoded reply."""
     scheme, relation, _ = _fresh_deployment()
@@ -660,9 +662,9 @@ def _pending_request(kind, address):
     return finish
 
 
-class TestFrameCore:
-    def test_wrong_banner_rejection_names_accepted_banners(self, core):
-        kind, service, address = core
+class TestDaemonLifecycle:
+    def test_wrong_banner_rejection_names_the_daemon_banner(self, core):
+        service, address = core
         sock = connect_socket(address)
         try:
             send_frame(sock, socket_transport.HELLO, 0, b"repro-bogus/9")
@@ -670,7 +672,7 @@ class TestFrameCore:
             assert (ftype, session_id) == (socket_transport.ERROR, 0)
             assert decode_error(payload) == (
                 socket_transport.VERSION_MISMATCH,
-                " ".join(b.decode() for b in kind.banners),
+                socket_transport.PROTOCOL_BANNER.decode(),
             )
             # A bad HELLO is a framing failure: the connection is dropped.
             with pytest.raises(PeerDisconnected):
@@ -680,8 +682,8 @@ class TestFrameCore:
         assert _wait_for(lambda: service.stats()["connections_active"] == 0)
 
     def test_peer_that_never_greets_is_dropped(self, core, monkeypatch):
-        _, service, address = core
-        monkeypatch.setattr(frame_service, "_HELLO_TIMEOUT_S", 0.2)
+        service, address = core
+        monkeypatch.setattr(s2_service, "_HELLO_TIMEOUT_S", 0.2)
         sock = connect_socket(address)
         try:
             sock.settimeout(5.0)
@@ -695,12 +697,13 @@ class TestFrameCore:
         """A garbage control frame on session 7 is answered with a typed
         ERROR on session 7; the connection — and a request in flight on
         it — is untouched."""
-        kind, service, address = core
-        finish = _pending_request(kind, address)
-        client = kind.client_for(address)
-        request_type, reply_type = kind.control
+        service, address = core
+        finish = _pending_request(address)
+        client = client_for(address)
         with pytest.raises(RemoteS2Error) as excinfo:
-            client.roundtrip(request_type, 7, b"\x00garbage", reply_type)
+            client.roundtrip(
+                socket_transport.REGISTER, 7, b"\x00garbage", socket_transport.REGISTERED
+            )
         assert excinfo.value.kind == "UnpicklingError"
         assert finish(), "the sibling request did not complete"
         assert not client.dead
@@ -708,8 +711,8 @@ class TestFrameCore:
         assert (stats["connections_total"], stats["connections_active"]) == (1, 1)
 
     def test_unknown_frame_type_is_a_session_error(self, core):
-        kind, service, address = core
-        client = kind.client_for(address)
+        _, address = core
+        client = client_for(address)
         with pytest.raises(RemoteS2Error) as excinfo:
             client.roundtrip(0x7F, 3, b"", socket_transport.REPLY)
         assert excinfo.value.kind == "unknown-frame"
@@ -721,9 +724,9 @@ class TestFrameCore:
         gets the typed ERROR on its session id — what such clients
         already treat as "fall back to lazy re-register" — and a sibling
         session's round on the same connection completes."""
-        kind, service, address = core
-        finish = _pending_request(kind, address)
-        client = kind.client_for(address)
+        service, address = core
+        finish = _pending_request(address)
+        client = client_for(address)
         old_id, new_id = b"a" * 32, b"b" * 32
         with pytest.raises(RemoteS2Error) as excinfo:
             client.roundtrip(0x0C, 9, old_id + b"\x00" + new_id, 0x0D)
@@ -734,10 +737,10 @@ class TestFrameCore:
         assert len(service._registry) == 1
 
     def test_oversize_frame_drops_the_connection(self, core):
-        _, service, address = core
+        service, address = core
         sock = connect_socket(address)
         try:
-            send_frame(sock, socket_transport.HELLO, 0, service.banners[0])
+            send_frame(sock, socket_transport.HELLO, 0, socket_transport.PROTOCOL_BANNER)
             assert recv_frame(sock)[0] == socket_transport.HELLO_OK
             sock.sendall(
                 struct.pack("!IBI", socket_transport.MAX_FRAME_BYTES + 1, 0x07, 1)
@@ -751,11 +754,11 @@ class TestFrameCore:
             sock.close()
         assert _wait_for(lambda: service.stats()["connections_active"] == 0)
 
-    def test_close_joins_accept_thread_and_zeroes_connections(self, kind):
-        service = kind.service("tcp://127.0.0.1:0")
+    def test_close_joins_accept_thread_and_zeroes_connections(self):
+        service = S2Service("tcp://127.0.0.1:0")
         address = service.start()
         try:
-            kind.client_for(address)
+            client_for(address)
             assert service.stats()["connections_active"] == 1
             service.close()
             assert not service._accept_thread.is_alive()
@@ -767,23 +770,23 @@ class TestFrameCore:
             disconnect_all()
             service.close()
 
-    def test_close_returns_with_the_gauges_settled(self, kind):
+    def test_close_returns_with_the_gauges_settled(self):
         """``close()`` joins every connection's read thread, so what those
         threads decrement on their way out reads settled the moment it
         returns — no polling."""
-        service = kind.service("tcp://127.0.0.1:0")
+        service = S2Service("tcp://127.0.0.1:0")
         address = service.start()
         idle = connect_socket(address)
         try:
-            send_frame(idle, socket_transport.HELLO, 0, service.banners[0])
+            send_frame(idle, socket_transport.HELLO, 0, socket_transport.PROTOCOL_BANNER)
             assert recv_frame(idle)[0] == socket_transport.HELLO_OK
-            kind.client_for(address)
+            client_for(address)
             assert service.stats()["connections_active"] == 2
             connections = list(service._connections)
             service.close()
             stats = service.stats()
             assert stats["connections_active"] == 0
-            assert stats.get("requests_in_flight", 0) == 0
+            assert stats["requests_in_flight"] == 0
             assert not any(c.thread.is_alive() for c in connections)
         finally:
             idle.close()
@@ -791,63 +794,68 @@ class TestFrameCore:
             service.close()
 
     def test_healthz_flips_ready_to_draining(self, core):
-        _, service, _ = core
+        service, _ = core
         base = f"http://127.0.0.1:{service.metrics_port}"
         assert _http_status(f"{base}/healthz") == (200, "ready\n")
         status, body = _http_status(f"{base}/metrics")
         assert status == 200
-        assert f"repro_{service.name}_connections_active 0" in body
+        assert "repro_s2_connections_active 0" in body
         service.drain()
         assert _http_status(f"{base}/healthz") == (503, "draining\n")
 
     @pytest.mark.skipif(
         not hasattr(socket_module, "AF_UNIX"), reason="no Unix-domain sockets"
     )
-    def test_stale_unix_socket_file_is_replaced(self, kind, tmp_path):
+    def test_stale_unix_socket_file_is_replaced(self, tmp_path):
         path = f"{tmp_path}/daemon.sock"
         stale = socket_module.socket(socket_module.AF_UNIX, socket_module.SOCK_STREAM)
         stale.bind(path)
         stale.close()  # the file outlives its socket: a crashed daemon's leftover
         assert os.path.exists(path)
-        service = kind.service(f"unix://{path}")
+        service = S2Service(f"unix://{path}")
         try:
             address = service.start()
-            assert not kind.client_for(address).dead
+            assert not client_for(address).dead
         finally:
             disconnect_all()
             service.close()
         assert not os.path.exists(path)
 
-    def test_corrupt_spill_is_skipped_not_fatal(self, kind, tmp_path):
-        for name, content in kind.corrupt.items():
+    def test_corrupt_spill_is_skipped_not_fatal(self, tmp_path):
+        corrupt = {
+            "deadbeef.reg": b"not a pickle",
+            # Valid pickles of the wrong shape must be skipped too.
+            "cafe.reg": pickle.dumps([1, 2, 3]),
+            "f00d.reg": pickle.dumps({"relation_id": "f00d"}),  # no key material
+        }
+        for name, content in corrupt.items():
             (tmp_path / name).write_bytes(content)
-        service = kind.service("tcp://127.0.0.1:0", state_dir=str(tmp_path))
+        service = S2Service("tcp://127.0.0.1:0", state_dir=str(tmp_path))
         address = service.start()
         try:
-            assert service.stats()[kind.restored] == 0
+            assert service.stats()["registrations_restored"] == 0
             scheme, relation, _ = _fresh_deployment()
-            with TopKServer(scheme, relation, **kind.placement(address)) as server:
+            with TopKServer(scheme, relation, transport=address) as server:
                 result = server.execute(scheme.token([0, 1], k=2))
             assert len(result.items) == 2
         finally:
             disconnect_all()
             service.close()
 
-    def test_parent_commit_state_dir_restores(self, kind, tmp_path):
-        """``.reg`` / ``.slice`` spills written by the PR 13 daemons (see
-        ``fixtures/wire_pr13/record.py``) load unchanged."""
-        suffix = ".reg" if kind.service is S2Service else ".slice"
-        (fixture,) = FIXTURES.glob(f"*{suffix}")
+    def test_parent_commit_state_dir_restores(self, tmp_path):
+        """A ``.reg`` spill written by the PR 13 daemon (see
+        ``fixtures/wire_pr13/record.py``) loads unchanged."""
+        (fixture,) = FIXTURES.glob("*.reg")
         shutil.copy(fixture, tmp_path / fixture.name)
-        service = kind.service("tcp://127.0.0.1:0", state_dir=str(tmp_path))
+        service = S2Service("tcp://127.0.0.1:0", state_dir=str(tmp_path))
         try:
             service.start()
-            assert service.stats()[kind.restored] == 1
+            assert service.stats()["registrations_restored"] == 1
         finally:
             service.close()
 
-    def test_spill_rejects_unsafe_names(self, kind, tmp_path):
-        service = kind.service("tcp://127.0.0.1:0", state_dir=str(tmp_path / "state"))
+    def test_spill_rejects_unsafe_names(self, tmp_path):
+        service = S2Service("tcp://127.0.0.1:0", state_dir=str(tmp_path / "state"))
         for name in ("../evil.reg", "a/b.reg", ".hidden", "", "x..reg"):
             with pytest.raises(TransportError, match="unsafe"):
                 service.spill(name, b"payload")
@@ -855,20 +863,20 @@ class TestFrameCore:
         assert os.listdir(tmp_path / "state") == ["abc123.reg"]
         assert os.stat(tmp_path / "state" / "abc123.reg").st_mode & 0o777 == 0o600
 
-    def test_launch_daemon_cleans_up_its_ready_file(self, kind, tmp_path, monkeypatch):
+    def test_launch_daemon_cleans_up_its_ready_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        process, address = kind.module.launch_daemon(quiet=True)
+        process, address = s2_service.launch_daemon(quiet=True)
         try:
             parse_address(address)
             assert not list(tmp_path.glob("*.addr*")), "ready file left behind"
-            assert not kind.client_for(address).dead
+            assert not client_for(address).dead
         finally:
             disconnect_all()
             process.terminate()
             process.wait(timeout=10)
         # Daemon death before readiness: a typed failure, nothing left.
         with pytest.raises(RuntimeError, match="exited before becoming ready"):
-            kind.module.launch_daemon("bogus://nowhere", quiet=True)
+            s2_service.launch_daemon("bogus://nowhere", quiet=True)
         assert not list(tmp_path.glob("*.addr*"))
 
 
@@ -960,12 +968,12 @@ class TestWireCompatibility:
 
 
 # ---------------------------------------------------------------------------
-# The client core.
+# The client link.
 # ---------------------------------------------------------------------------
 
 
-class TestFrameClient:
-    def test_finish_timeout_poisons_link_and_fails_every_waiter(self, kind):
+class TestClientLink:
+    def test_finish_timeout_poisons_link_and_fails_every_waiter(self):
         """A peer that greets and then goes silent: the one exchange
         with a timeout poisons the connection, and every other pending
         exchange fails with it instead of waiting forever."""
@@ -982,8 +990,7 @@ class TestFrameClient:
         thread.start()
         address = f"tcp://127.0.0.1:{listener.getsockname()[1]}"
         try:
-            client = kind.client_for(address)
-            assert isinstance(client, FrameClient)
+            client = client_for(address)
             patient = client.begin(socket_transport.REQUEST, 1, b"")
             hasty = client.begin(socket_transport.REQUEST, 2, b"")
             outcome: list[Exception] = []
@@ -1013,22 +1020,22 @@ class TestFrameClient:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork()")
     def test_forked_child_gets_a_fresh_connection(self, core):
-        kind, service, address = core
-        parent_client = kind.client_for(address)
+        service, address = core
+        parent_client = client_for(address)
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # child: report through the pipe, never return to pytest
             verdict = b"error"
             try:
                 os.close(read_fd)
-                child_client = kind.client_for(address)
+                child_client = client_for(address)
                 fresh = (
                     child_client is not parent_client
                     and child_client.pid == os.getpid()
                     and not child_client.dead
                 )
                 # The fresh link actually works (an unknown frame type is
-                # answered on its session by either daemon).
+                # answered on its session).
                 try:
                     child_client.roundtrip(0x7F, 5, b"", socket_transport.REPLY)
                 except RemoteS2Error as exc:
@@ -1044,7 +1051,7 @@ class TestFrameClient:
             os.waitpid(pid, 0)
         assert service.stats()["connections_total"] == 2
         # The parent's link was not disturbed by the child's life or exit.
-        assert kind.client_for(address) is parent_client
+        assert client_for(address) is parent_client
         with pytest.raises(RemoteS2Error):
             parent_client.roundtrip(0x7F, 6, b"", socket_transport.REPLY)
         assert not parent_client.dead
