@@ -3,20 +3,25 @@
 Two engines implement the same functionality:
 
 * :class:`EagerEngine` maintains, for every candidate, a running worst
-  score ``Enc(W)`` — every recovered match credited into it as it is
-  absorbed — and the per-query-list layered seen-indicators
-  ``E2(seen_j)``.  At every *check point* it deduplicates, sorts by
-  ``W`` with ``EncSort`` and evaluates the halting rule with
-  ``EncCompare``; the best score ``W + Σ_j (1 - seen_j)·bottom_j`` is
-  derived only for the candidates the rule compares (``t[k:]``, or
-  ``t[k]`` under the paper's rule), in the round of the rule's first
-  stage.  This engine reproduces textbook NRA exactly (same halting
-  depth as the plaintext oracle) and powers all three query variants;
-  the batching variant Qry_Ba simply spaces out the check points.
+  score ``Enc(W)`` — every match credited into it as it is absorbed —
+  and the per-query-list seen-indicators ``Enc(seen_j)``.  S2 already
+  decrypts every equality bit it is sent, so it applies the bit itself
+  (:mod:`repro.protocols.blinded_select`): one round per depth absorbs
+  all ``m`` items, and no credit costs an ``N^3`` exponentiation.  At
+  every *check point* the engine deduplicates, sorts by ``W`` with
+  ``EncSort`` and evaluates the halting rule with ``EncCompare``; the
+  best score ``W + Σ_j (1 - seen_j)·bottom_j`` is derived only for the
+  candidates the rule compares (``t[k:]``, or ``t[k]`` under the
+  paper's rule), from coin-masked seen bits, in the round of the rule's
+  first stage.  This engine reproduces textbook NRA exactly (same
+  halting depth as the plaintext oracle) and powers all three query
+  variants; the batching variant Qry_Ba simply spaces out the check
+  points.  It never uses the Damgård–Jurik layer.
 
 * :class:`LiteralEngine` follows Algorithm 3 line by line: per depth it
-  runs ``SecWorst`` (Algorithm 4) and ``SecBest`` (Algorithm 6) for the
-  depth's items, deduplicates the depth batch, merges it into ``T`` with
+  runs ``SecWorst`` (Algorithm 4) and ``SecBest`` (Algorithm 6) — the
+  paper's layered selects and ``RecoverEnc`` — for the depth's items,
+  deduplicates the depth batch, merges it into ``T`` with
   ``SecUpdate`` (Algorithm 9), then sorts and checks halting.  Candidates
   untouched at the current depth keep stale (conservative) upper bounds,
   so halting can come later than plaintext NRA — but the reported top-k
@@ -43,14 +48,14 @@ import time
 
 import importlib
 
+from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.events import CandidateFinalized, DepthAdvanced
 from repro.exceptions import QueryError
 from repro.protocols.base import S1Context
-from repro.net.messages import ZeroTestBatch
+from repro.protocols.blinded_select import blinded_select_flow
 from repro.protocols.enc_compare import enc_compare_flow
 from repro.protocols.enc_sort import enc_sort
-from repro.protocols.recover_enc import select_recover_flow
 from repro.protocols.sec_best import sec_best_flow
 from repro.protocols.sec_dedup import sec_dedup
 from repro.protocols.sec_dup_elim import sec_dup_elim
@@ -109,9 +114,8 @@ class _EngineBase:
     def _unseen_bound(self, depth: int) -> Ciphertext:
         """``Enc(Σ_j bottom_j)`` at ``depth`` — the NRA unseen-object bound.
 
-        Computed on demand, once per check depth (the halting rule is its
-        only consumer); hoisted into a helper so a future shard fan-in
-        can share it.
+        Computed on demand, once per check depth: the halting rule's
+        stage 1 is its only consumer.
         """
         total = self.lists[0][depth].score
         for j in range(1, self.m):
@@ -283,9 +287,9 @@ class EagerEngine(_EngineBase):
 
         The per-list absorptions are independent up to candidate-identity
         bookkeeping (an item only needs the *identities* — EHLs — of the
-        candidates before it, which are known at depth start), so their
-        equality tests ship in one round and their ``RecoverEnc`` batches
-        in a second — two round-trips per depth instead of ``2m``.
+        candidates before it, which are known at depth start), and S2
+        answers each equality test with the credit itself, so all ``m``
+        absorptions share one round-trip per depth.
         """
         items = [self.lists[j][depth] for j in range(self.m)]
         shared = list(t_list)
@@ -305,108 +309,122 @@ class EagerEngine(_EngineBase):
     ):
         """One list's absorption at the current depth (flow form).
 
-        Runs the equality test against every candidate known before this
-        item (earlier depths' candidates plus this depth's earlier list
-        items), credits the item's score into the matched candidate's
-        running worst and marks it seen in ``list_slot``, and appends a
-        new candidate entry that is homomorphically neutralized when the
-        object was already known (S1 cannot branch on the encrypted match
-        bit); check-point deduplication clears the neutralized husks.
+        Tests the item for equality against every candidate known before
+        it (earlier depths' candidates plus this depth's earlier list
+        items) in one blinded select: per candidate S2 returns
+        ``Enc(t·x)``, credited into the candidate's running worst, and
+        ``Enc(t)``, added to its seen bit for ``list_slot``.  The item
+        then becomes a new candidate entry, neutralized homomorphically
+        when its object was already known (S1 cannot branch on ``t``):
+        worst ``Enc(x) − Σ credits``, seen bit ``Enc(1) − Σ Enc(t)``.
+
+        Husks: until a check depth's deduplication clears them, an
+        object's neutralized entries carry its EHL too, so a later item
+        of the object matches *every* entry of it and ``Σ t`` exceeds 1
+        (``tests/test_eager_state.py::TestHusks`` builds the case).  The
+        object's first entry still gets exactly one credit per list —
+        each object is in each list once — while the extra credits land
+        on husks, whose worst and seen bits stop being a score and bits
+        (``x − 2x``, ``1 − 2``).  Deduplication keeps the lowest-ranked,
+        i.e. first, member of each group, and the best bounds are only
+        derived after it, so no husk state is ever read and every bit S2
+        decrypts on the best path is a bit.
+
         Flows are advanced in list order, so by the time this flow
-        mutates candidate state, every earlier list's entry for this
-        depth exists in ``shared``.  The equality ciphertexts are
-        recorded in ``known`` against the two EHLs they compare, for the
-        next deduplication's matrix.
+        resumes, every earlier list's entry for this depth exists in
+        ``shared``.  The equality ciphertexts are recorded in ``known``
+        against the two EHLs they compare, for the next deduplication's
+        matrix.
         """
         ctx = self.ctx
         item = items[list_slot]
         n_candidates = base + list_slot
-        ehls = [shared[i].ehl for i in range(base)] + [
-            items[i].ehl for i in range(list_slot)
-        ]
-
-        bits = []
+        credits: list[Ciphertext] = []
+        bits: list[Ciphertext] = []
         if n_candidates:
+            ehls = [shared[i].ehl for i in range(base)] + [
+                items[i].ehl for i in range(list_slot)
+            ]
             # Permute before shipping so S2's equality-pattern view is the
             # declared EP_d leakage (pattern up to a random permutation).
             order = ctx.rng.permutation(n_candidates)
             others = [ehls[i] for i in order]
             eq_cts = item.ehl.minus_many(others, ctx.rng)
             known.tested(item.ehl, others, eq_cts)
-            permuted_bits = yield ZeroTestBatch(protocol=PROTOCOL, cts=eq_cts)
+            permuted_credits, permuted_bits = yield from blinded_select_flow(
+                ctx, eq_cts, [item.score], [0] * n_candidates,
+                bit_mode=False, protocol=PROTOCOL,
+            )
+            credits = [None] * n_candidates
             bits = [None] * n_candidates
             for slot, i in enumerate(order):
+                credits[i] = permuted_credits[slot]
                 bits[i] = permuted_bits[slot]
 
-        for candidate, bit in zip(shared, bits):
-            candidate.seen_bits[list_slot] = candidate.seen_bits[list_slot] + bit
-
-        matched = None
-        for bit in bits:
-            matched = bit if matched is None else matched + bit
-
-        # Per candidate: matched -> Enc(x) credit, else Enc(0).
-        zero = ctx.zero()
-        selections = [([bit], [item.score], zero) for bit in bits]
-        seen_bits = ctx.dj.encrypt_batch(
-            [int(j == list_slot) for j in range(self.m)], ctx.rng
-        )
-        if matched is not None:
-            # Own entry: matched -> Enc(0), fresh object -> Enc(x).
-            selections.append(([matched], [zero], item.score))
-            seen_bits[list_slot] = seen_bits[list_slot] - matched
-        # The own select is added to ``worst`` once recovered; later
-        # lists' credits may land on the entry in the same round.
-        entry = ScoredItem(
-            ehl=item.ehl,
-            worst=item.score if matched is None else zero,
-            seen_bits=seen_bits,
-            record=item.record,
-        )
         if len(shared) != base + list_slot:
             raise QueryError(
                 "absorption order violated: earlier lists' entries must be "
                 "appended before this flow resumes"
             )
-        shared.append(entry)
-
-        recovered = yield from select_recover_flow(ctx, selections, PROTOCOL)
-
-        for candidate, credit in zip(shared, recovered[: len(bits)]):
+        for candidate, credit, bit in zip(shared, credits, bits):
             candidate.worst = candidate.worst + credit
-        if matched is not None:
-            entry.worst = entry.worst + recovered[-1]
+            candidate.seen_bits[list_slot] = candidate.seen_bits[list_slot] + bit
+        worst = item.score
+        seen_bits = ctx.public_key.encrypt_batch(
+            [int(j == list_slot) for j in range(self.m)], ctx.rng
+        )
+        if credits:
+            worst = worst - sum(credits[1:], credits[0])
+            seen_bits[list_slot] = seen_bits[list_slot] - sum(bits[1:], bits[0])
+        shared.append(
+            ScoredItem(ehl=item.ehl, worst=worst, seen_bits=seen_bits, record=item.record)
+        )
 
     # -- best bounds for the halting rule ----------------------------------
 
     def _best_flow(self, candidates: list[ScoredItem], depth: int):
-        """``worst + Σ_j (seen_j ? 0 : bottom_j)`` for exactly the
-        candidates the halting rule compares, as one ``RecoverEnc`` batch
-        that rides the rule's first-stage round.  The bounds go straight
-        to the comparison; no candidate carries one onward."""
+        """``worst + Σ_j (1 − seen_j)·bottom_j`` for exactly the
+        candidates the halting rule compares, as one bit-mode blinded
+        select that rides the rule's first-stage round.
+
+        Per candidate and list S1 ships ``Enc(u ⊕ c)``, ``u = 1 − seen_j``
+        masked by a fresh coin ``c``, so S2 decrypts a uniform bit ``t``
+        and applies it to ``bottom_j``: ``Enc(u·bottom_j)`` is the reply
+        itself when ``c = 0`` and ``Enc(bottom_j) − Enc(t·bottom_j)`` when
+        ``c = 1``.  The bounds go straight to the comparison; no
+        candidate carries one onward."""
         if not candidates:
             return []
         ctx = self.ctx
-        zero = ctx.zero()
-        bottoms = [self.lists[j][depth].score for j in range(self.m)]
-        # seen -> Enc(0) contribution, unseen -> Enc(bottom_j).
-        recovered = yield from select_recover_flow(
-            ctx,
-            [
-                ([t_item.seen_bits[j]], [zero], bottoms[j])
-                for t_item in candidates
-                for j in range(self.m)
-            ],
-            PROTOCOL,
+        pk = ctx.public_key
+        n2, m = pk.n_squared, self.m
+        bottoms = [self.lists[j][depth].score for j in range(m)]
+        seen = [t_item.seen_bits[j] for t_item in candidates for j in range(m)]
+        coins = ctx.rng.randbits(len(seen))
+        flips = [(coins >> slot) & 1 for slot in range(len(seen))]
+        # Enc(u ⊕ c): Enc(1 − seen_j) for c = 0, Enc(seen_j) for c = 1.
+        negated = iter(
+            backend.invert_vec([s.value for s, c in zip(seen, flips) if not c], n2)
         )
-        unseen = iter(recovered)
-        bests = []
-        for t_item in candidates:
-            best = t_item.worst
-            for _ in range(self.m):
-                best = best + next(unseen)
-            bests.append(best)
-        return bests
+        tests = pk.rerandomize_batch(
+            [s if c else Ciphertext(next(negated), pk) + 1 for s, c in zip(seen, flips)],
+            ctx.rng,
+        )
+        selected, _ = yield from blinded_select_flow(
+            ctx, tests, bottoms, list(range(m)) * len(candidates),
+            bit_mode=True, protocol=PROTOCOL,
+        )
+        negated = iter(
+            backend.invert_vec([s.value for s, c in zip(selected, flips) if c], n2)
+        )
+        unseen = [
+            bottoms[slot % m] + Ciphertext(next(negated), pk) if c else s
+            for slot, (s, c) in enumerate(zip(selected, flips))
+        ]
+        return [
+            sum(unseen[i * m : (i + 1) * m], t_item.worst)
+            for i, t_item in enumerate(candidates)
+        ]
 
 
 class LiteralEngine(_EngineBase):

@@ -41,6 +41,11 @@ class S2Dispatcher:
     def _strip_layer_batch(self, msg: m.StripLayerBatch):
         return self.cloud.strip_layer_batch(msg.cts, msg.protocol)
 
+    def _blinded_select(self, msg: m.BlindedSelect):
+        return self.cloud.blinded_select(
+            msg.cts, msg.values, msg.groups, msg.bit_mode, msg.protocol
+        )
+
     def _blinded_sign(self, msg: m.BlindedSign):
         return self.cloud.blinded_sign(msg.ct, msg.protocol)
 
@@ -116,6 +121,7 @@ class S2Dispatcher:
     _HANDLERS = {
         m.ZeroTestBatch: _test_zero_batch,
         m.StripLayerBatch: _strip_layer_batch,
+        m.BlindedSelect: _blinded_select,
         m.BlindedSign: _blinded_sign,
         m.DecryptMaskedBit: _decrypt_masked_bit,
         m.DgkDecompose: _dgk_decompose,

@@ -171,6 +171,22 @@ class AggregateByRecord(Message):
 
 
 @dataclass(frozen=True)
+class BlindedSelect(Message):
+    """S2 applies the bit it decrypts: slot ``i``'s ``cts[i]`` decrypts to
+    a bit ``t`` — ``value == 0`` for an equality test, the value itself
+    for a coin-masked bit (``bit_mode``) — and the reply is
+    ``t ? rerand(values[groups[i]]) : Enc(0)`` and ``Enc(t)`` per slot,
+    as two lists of fresh ciphertexts."""
+
+    cts: list
+    values: list
+    groups: list
+    bit_mode: bool
+
+    _unmeasured = ("bit_mode",)
+
+
+@dataclass(frozen=True)
 class FilterBatch(Message):
     """Algorithm 12 (``SecFilter``): drop zero-score tuples, re-blind rest."""
 
@@ -197,6 +213,7 @@ MESSAGE_TYPES: list[type] = [
     FilterBatch,
     NaiveTopKQuery,
     AggregateByRecord,
+    BlindedSelect,
 ]
 
 _TYPE_IDS = {cls: idx for idx, cls in enumerate(MESSAGE_TYPES)}

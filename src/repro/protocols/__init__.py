@@ -15,19 +15,21 @@ leakage log, which the security tests audit.
 Protocol inventory
 ------------------
 
-===============  =====================================================
-``recover_enc``  Algorithm 5 — strip one Damgård–Jurik layer (and its
-                 fused select-then-recover flow)
-``enc_compare``  EncCompare [11] — two constructions (blinded / DGK)
-``enc_sort``     EncSort [7] — two constructions (affine / network)
-``sec_worst``    Algorithm 4 — per-depth encrypted worst score
-``sec_best``     Algorithm 6 — encrypted best score
-``sec_dedup``    Algorithm 7 — duplicate burial (full privacy)
-``sec_dup_elim`` Section 10.1 — duplicate elimination (optimized)
-``sec_update``   Algorithm 9 — merge depth results into ``T``
-``sec_filter``   Algorithm 12 — drop non-joining tuples
-``sec_join``     Algorithm 11 — the secure top-k join core
-===============  =====================================================
+==================  ==================================================
+``recover_enc``     Algorithm 5 — strip one Damgård–Jurik layer (and
+                    its fused select-then-recover flow)
+``blinded_select``  S2 applies the bit it decrypts to a blinded
+                    ``Enc(x + r)`` — the eager engine's credits at N²
+``enc_compare``     EncCompare [11] — two constructions (blinded / DGK)
+``enc_sort``        EncSort [7] — two constructions (affine / network)
+``sec_worst``       Algorithm 4 — per-depth encrypted worst score
+``sec_best``        Algorithm 6 — encrypted best score
+``sec_dedup``       Algorithm 7 — duplicate burial (full privacy)
+``sec_dup_elim``    Section 10.1 — duplicate elimination (optimized)
+``sec_update``      Algorithm 9 — merge depth results into ``T``
+``sec_filter``      Algorithm 12 — drop non-joining tuples
+``sec_join``        Algorithm 11 — the secure top-k join core
+==================  ==================================================
 """
 
 from repro.protocols.base import CryptoCloud, S1Context

@@ -134,6 +134,65 @@ class CryptoCloud:
         self.leakage.record("S2", protocol, "eq_bits", bits)
         return replies
 
+    def blinded_select(
+        self,
+        cts: list[Ciphertext],
+        values: list[Ciphertext],
+        groups: list[int],
+        bit_mode: bool,
+        protocol: str,
+    ) -> tuple[list[Ciphertext], list[Ciphertext]]:
+        """Apply the bit each slot decrypts to, without a layered select.
+
+        Slot ``i``'s bit ``t`` is ``cts[i]``'s equality test (``b == 0``,
+        recorded as the ``EP_d`` bits exactly as :meth:`test_zero_batch`
+        records them) or, in ``bit_mode``, the coin-masked bit it holds
+        (which must be 0 or 1, as in :meth:`decrypt_masked_bit`; the
+        request's bits are one ``masked_bit`` event).  Its value
+        ``values[groups[i]]`` is S1's statistically blinded ``Enc(x + r)``,
+        which S2 never decrypts.  Per slot the reply is two fresh
+        ciphertexts, ``t ? V·ρ : ρ'`` and ``Enc(t)``; S1 unblinds
+        ``Enc(t·x)`` from them on its own.  A malformed request is refused
+        before any randomness is drawn or anything is recorded.
+        """
+        if not (
+            isinstance(cts, list)
+            and isinstance(values, list)
+            and isinstance(groups, list)
+            and type(bit_mode) is bool
+        ) or len(groups) != len(cts):
+            raise ProtocolError("malformed blinded select: slot and group counts disagree")
+        if any(type(g) is not int or not 0 <= g < len(values) for g in groups):
+            raise ProtocolError(
+                f"blinded select names a group outside its {len(values)} values"
+            )
+        for ct in (*cts, *values):
+            if type(ct) is not Ciphertext:
+                raise ProtocolError("blinded select carries a non-Paillier value")
+            if ct.public_key != self.public_key:
+                raise KeyMismatchError("ciphertext was produced under a different key")
+        plain = self._keypair.secret_key.raw_decrypt_batch([ct.value for ct in cts])
+        if bit_mode:
+            if any(value not in (0, 1) for value in plain):
+                raise ProtocolError("masked-bit ciphertext held a non-bit value")
+            bits = plain
+            self.leakage.record("S2", protocol, "masked_bit", bits)
+        else:
+            bits = [1 if value == 0 else 0 for value in plain]
+            self.leakage.record("S2", protocol, "eq_bits", bits)
+        pk = self.public_key
+        n, n2 = pk.n, pk.n_squared
+        fresh = pk.randomizers(self.rng, 2 * len(bits))
+        selected = [
+            Ciphertext((values[g].value if t else 1) * r % n2, pk)
+            for t, g, r in zip(bits, groups, fresh)
+        ]
+        bit_cts = [
+            Ciphertext((1 + t * n) * r % n2, pk)
+            for t, r in zip(bits, fresh[len(bits) :])
+        ]
+        return selected, bit_cts
+
     # ------------------------------------------------------------------
     # RecoverEnc (Algorithm 5), S2's side.
     # ------------------------------------------------------------------

@@ -16,9 +16,12 @@ being a PRF in its seed, the kind of assumption EHL already makes.)
 
 The blinder understands every field a :class:`ScoredItem` may carry:
 EHL cells, the worst/best Paillier ciphertexts, payload ciphertexts
-(``list_scores``) and the eager-mode ``E2`` seen-bits (blinded modulo
-``N^2``).  An absent field is skipped — neither blinded nor shipped —
-and comes back absent.
+(``list_scores``) and the seen bits — Paillier ciphertexts on the eager
+engine's items, blinded like every other Paillier component, or ``E2``
+ciphertexts (blinded modulo ``N^2``) on items recorded before the
+eager engine left the layered scheme, which S2 still serves.  An absent
+field is skipped — neither blinded nor shipped — and comes back absent;
+an item with no ``E2`` component costs no Damgård–Jurik work.
 
 Everything works on a whole round's items at once: one XOF call per
 seed, then the blinds and the rerandomizers are applied over the flat
@@ -47,9 +50,19 @@ _XOF_DOMAIN = b"repro-item-blind:"
 _SURPLUS_BITS = 128
 
 
+def _layered_bits(item: ScoredItem) -> bool:
+    """Whether ``item``'s seen bits are ``E2`` ciphertexts (``False`` for
+    Paillier bits and for an item without any)."""
+    kinds = {type(bit) for bit in item.seen_bits or ()}
+    if len(kinds) > 1 or not kinds <= {Ciphertext, LayeredCiphertext}:
+        raise ProtocolError("an item's seen bits must be ciphertexts of one kind")
+    return kinds == {LayeredCiphertext}
+
+
 def _components(item: ScoredItem) -> tuple[list[Ciphertext], list]:
     """``item``'s Paillier components in blinding order, and its ``E2``
-    seen-bits."""
+    seen bits."""
+    layered = _layered_bits(item)
     plain = list(item.ehl.cells)
     if item.worst is not None:
         plain.append(item.worst)
@@ -57,15 +70,18 @@ def _components(item: ScoredItem) -> tuple[list[Ciphertext], list]:
         plain.append(item.best)
     if item.list_scores is not None:
         plain.extend(item.list_scores)
+    if item.seen_bits is not None and not layered:
+        plain.extend(item.seen_bits)
     if item.record is not None:
         plain.append(item.record)
-    return plain, item.seen_bits or []
+    return plain, item.seen_bits if layered else []
 
 
-def _assemble(template: ScoredItem, cts, seen_bits, uid: int) -> ScoredItem:
+def _assemble(template: ScoredItem, cts, layered_bits, uid: int) -> ScoredItem:
     """An item of ``template``'s shape (inverse of :func:`_components`),
     taking exactly its share off the iterators ``cts`` (Paillier
-    components) and ``seen_bits``."""
+    components) and ``layered_bits``."""
+    bits = layered_bits if _layered_bits(template) else cts
     return ScoredItem(
         ehl=type(template.ehl)([next(cts) for _ in template.ehl.cells]),
         worst=next(cts) if template.worst is not None else None,
@@ -76,7 +92,7 @@ def _assemble(template: ScoredItem, cts, seen_bits, uid: int) -> ScoredItem:
             else None
         ),
         seen_bits=(
-            [next(seen_bits) for _ in template.seen_bits]
+            [next(bits) for _ in template.seen_bits]
             if template.seen_bits is not None
             else None
         ),
@@ -148,9 +164,11 @@ class ItemBlinder:
             plain = [
                 v * r % n2 for v, r in zip(plain, pk.randomizers(rng, len(plain)))
             ]
-            layered = [
-                v * r % n_s1 for v, r in zip(layered, dj.randomizers(rng, len(layered)))
-            ]
+            if layered:
+                layered = [
+                    v * r % n_s1
+                    for v, r in zip(layered, dj.randomizers(rng, len(layered)))
+                ]
         # Each item takes its own components back off the flat vectors.
         fresh_cts = (Ciphertext(v, pk) for v in plain)
         fresh_bits = (LayeredCiphertext(v, dj) for v in layered)
@@ -266,20 +284,25 @@ def junk_item(
     Random object identity and payload, and whichever of worst/best the
     template carries pinned to the huge-negative ``sentinel`` so it sorts
     after every legitimate candidate and never blocks the halting check.
-    Every eager-mode list is marked seen, so the best bound the eager
-    engine later derives from the running worst (no bottom-score
-    contribution for a seen list) lands on the sentinel too.
+    Every eager-mode list is marked seen — ``Enc(1)``, or ``E2(1)`` for a
+    template with layered seen bits — so the best bound the eager engine
+    later derives from the running worst (no bottom-score contribution
+    for a seen list) lands on the sentinel too.
     """
     n = public_key.n
+    layered = _layered_bits(template)
+    seen = [1] * len(template.seen_bits or ())
     # One value vector in component order, encrypted as one batch.
     values = [rng.randint_below(n) for _ in template.ehl.cells]
     values += [sentinel % n for ct in (template.worst, template.best) if ct is not None]
     values += [rng.randint_below(n) for _ in template.list_scores or ()]
+    if not layered:
+        values += seen
     if template.record is not None:
         values.append(rng.randint_below(n))
     return _assemble(
         template,
         iter(public_key.encrypt_batch(values, rng)),
-        iter(dj.encrypt_batch([1] * len(template.seen_bits or []), rng)),
+        iter(dj.encrypt_batch(seen, rng) if layered else ()),
         uid=-1,
     )

@@ -146,8 +146,12 @@ class ScoredItem:
         Payload ciphertexts riding along unchanged (the join's
         attributes through ``EncSort``).
     seen_bits:
-        Eager mode only: per-query-list layered encryption ``E2(seen_j)``
-        of whether the object has been seen in list ``j`` yet.
+        Eager mode only: per query list ``j``, the Paillier ciphertext
+        ``Enc(seen_j)`` of whether the object has been seen in list ``j``
+        yet — the sum of the ``Enc(t)`` bits S2 returned for it.  S2
+        also still serves items whose seen bits are layered
+        ``E2(seen_j)`` ciphertexts (the form an earlier eager engine
+        shipped).
     uid:
         An S1-local handle for bookkeeping.  Carries no information about
         the object (S1 assigns it sequentially), so it is not leakage.
@@ -157,7 +161,7 @@ class ScoredItem:
     worst: Ciphertext | None
     best: Ciphertext | None = None
     list_scores: list[Ciphertext] | None = None
-    seen_bits: list[LayeredCiphertext] | None = None
+    seen_bits: list[Ciphertext] | list[LayeredCiphertext] | None = None
     record: Ciphertext | None = None
     uid: int = -1
 

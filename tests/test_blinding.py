@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.params import SystemParams
 from repro.crypto import backend
+from repro.crypto.damgard_jurik import LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.crypto.rng import SecureRandom
 from repro.protocols.blinding import SEED_BYTES, ItemBlinder, junk_item
@@ -28,6 +29,16 @@ def item(ctx):
         seen_bits=[ctx.dj.encrypt(1, ctx.rng), ctx.dj.encrypt(0, ctx.rng)],
         record=ctx.encrypt(5),
     )
+
+
+def _decrypt_bits(bits, ctx, keypair):
+    """Seen bits of either kind, as ``(kind, value)`` pairs."""
+    return [
+        ("lc", ctx.dj.decrypt(b, keypair))
+        if isinstance(b, LayeredCiphertext)
+        else ("ct", keypair.secret_key.decrypt(b))
+        for b in bits
+    ]
 
 
 def _decrypt_item(item, ctx, keypair):
@@ -90,7 +101,14 @@ class TestWholeRound:
             list_scores=[ctx.encrypt(1)],
             seen_bits=[ctx.dj.encrypt(1, ctx.rng)],
         )
-        return [item, bare, no_record]
+        paillier_bits = ScoredItem(
+            ehl=factory.encode(3),
+            worst=ctx.encrypt(7),
+            best=ctx.encrypt(8),
+            seen_bits=[ctx.encrypt(0), ctx.encrypt(1), ctx.encrypt(1)],
+            record=ctx.encrypt(3),
+        )
+        return [item, bare, no_record, paillier_bits]
 
     @staticmethod
     def _plain(scored, ctx, keypair):
@@ -101,8 +119,7 @@ class TestWholeRound:
             "best": sk.decrypt_signed(scored.best),
             "scores": scored.list_scores
             and [sk.decrypt_signed(c) for c in scored.list_scores],
-            "seen": scored.seen_bits
-            and [ctx.dj.decrypt(b, keypair) for b in scored.seen_bits],
+            "seen": scored.seen_bits and _decrypt_bits(scored.seen_bits, ctx, keypair),
             "record": scored.record and sk.decrypt(scored.record),
         }
 
@@ -234,6 +251,34 @@ class TestJunkItem:
         assert keypair.secret_key.decrypt_signed(junk.worst) == -ctx.encoder.sentinel
         assert junk.best is None and junk.list_scores is None and junk.record is None
         assert all(ctx.dj.decrypt(b, keypair) == 1 for b in junk.seen_bits)
+
+    def test_paillier_seen_bits_stay_paillier(self, ctx, item, keypair):
+        """The eager engine's items carry Paillier seen bits: the junk
+        marks every list seen as ``Enc(1)`` and builds no layered
+        ciphertext (an ``E2`` template keeps ``E2(1)``, above)."""
+        eager = ScoredItem(
+            ehl=item.ehl,
+            worst=item.worst,
+            seen_bits=[ctx.encrypt(0), ctx.encrypt(1), ctx.encrypt(0)],
+            record=item.record,
+        )
+        junk = junk_item(ctx.public_key, ctx.dj, eager, -ctx.encoder.sentinel, ctx.rng)
+        sk = keypair.secret_key
+        assert sk.decrypt_signed(junk.worst) == -ctx.encoder.sentinel
+        assert all(type(b) is Ciphertext for b in junk.seen_bits)
+        assert [sk.decrypt(b) for b in junk.seen_bits] == [1, 1, 1]
+        assert junk.record is not None and junk.best is None
+
+    def test_seen_bits_of_two_kinds_are_refused(self, ctx, item, blinder):
+        mixed = ScoredItem(
+            ehl=item.ehl,
+            worst=item.worst,
+            seen_bits=[ctx.encrypt(1), ctx.dj.encrypt(1, ctx.rng)],
+        )
+        with pytest.raises(ProtocolError, match="one kind"):
+            junk_item(ctx.public_key, ctx.dj, mixed, -1, ctx.rng)
+        with pytest.raises(ProtocolError, match="one kind"):
+            blinder.blind(mixed, blinder.fresh_seed(ctx.rng), ctx.rng)
 
     def test_random_identity(self, ctx, item, keypair):
         junk = junk_item(ctx.public_key, ctx.dj, item, -1, ctx.rng)

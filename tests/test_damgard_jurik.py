@@ -282,9 +282,10 @@ class TestShortExponentDecrypt:
 
     @pytest.mark.parametrize("variant", ["elim", "full"])
     def test_no_wide_exponent_over_a_prime_power_in_a_query(self, monkeypatch, variant):
-        """Every ``powmod_vec`` of a seeded eager query whose modulus is
+        """Every ``powmod_vec`` of a seeded query whose modulus is
         ``p^3`` / ``q^3`` (the layer strips) carries an exponent no wider
-        than the larger prime."""
+        than the larger prime.  The literal engine is the query engine
+        that strips (the eager one never touches the layer)."""
         from repro.core.params import SystemParams
         from repro.core.results import QueryConfig
         from repro.core.scheme import SecTopK
@@ -305,7 +306,9 @@ class TestShortExponentDecrypt:
 
         monkeypatch.setattr(backend, "powmod_vec", powmod_vec)
         result = scheme.query(
-            relation, scheme.token([0, 1, 2], k=3), QueryConfig(variant=variant)
+            relation,
+            scheme.token([0, 1, 2], k=3),
+            QueryConfig(engine="literal", variant=variant),
         )
         assert len(scheme.reveal(result)) == 3
         assert sum(count for count, _ in seen) > 0

@@ -1,12 +1,15 @@
-"""The eager engine carries only what the halting rule reads.
+"""The eager engine carries only what the halting rule reads, and never
+touches the Damgård–Jurik layer.
 
-* A candidate holds one running ``Enc(worst)`` and its seen bits; its
-  best bound is derived only for the candidates the halting rule
-  compares (``t[k:]`` strict, ``t[k]`` paper), in the round of the
+* A candidate holds one running ``Enc(worst)`` and its Paillier seen
+  bits; its best bound is derived only for the candidates the halting
+  rule compares (``t[k:]`` strict, ``t[k]`` paper), in the round of the
   rule's first stage.
+* S2 applies the bits it decrypts (``BlindedSelect``): one absorb round
+  per depth, no ``N^3`` operation on either side.
 * Items cross SecDedup / SecDupElim without payload or best, and
   EncSort's items without the key it ships separately.
-* None of that moves a round, a halting depth or a revealed top-k.
+* Halting depths and revealed top-k match plaintext NRA, husks included.
 """
 
 import itertools
@@ -15,12 +18,22 @@ import random
 import pytest
 
 from repro.core.engine import EagerEngine
+from repro.core.leakage import equality_pattern_matrices
 from repro.core.params import SystemParams
 from repro.core.results import QueryConfig
 from repro.core.scheme import SecTopK
+from repro.crypto import backend
+from repro.crypto.paillier import Ciphertext
 from repro.net.batching import RoundBatcher
 from repro.net.dispatch import S2Dispatcher
-from repro.net.messages import BlindedSign, DedupBatch, SortAffine, StripLayerBatch
+from repro.net.messages import (
+    BlindedSelect,
+    BlindedSign,
+    DedupBatch,
+    SortAffine,
+    StripLayerBatch,
+    ZeroTestBatch,
+)
 from repro.net.transport import ThreadedTransport
 from repro.nra import SortedLists, nra_topk
 
@@ -115,9 +128,10 @@ class TestMatchesPlaintextNra:
 
 
 class TestBestBoundsRideStageOne:
-    """At a check depth the best bounds are recovered for exactly the
-    candidates the rule compares — ``m`` select bits each — in the round
-    that carries the rule's first comparison, and nowhere else."""
+    """At a check depth the best bounds are derived for exactly the
+    candidates the rule compares — ``m`` coin-masked bit-mode slots
+    each — in the round that carries the rule's first comparison, and
+    nowhere else."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -146,11 +160,11 @@ class TestBestBoundsRideStageOne:
         return rounds, checks
 
     @staticmethod
-    def _strips(batch):
+    def _selects(batch, bit_mode):
         return [
             len(msg.cts)
             for msg in batch
-            if isinstance(msg, StripLayerBatch) and msg.protocol == "SecQuery"
+            if isinstance(msg, BlindedSelect) and msg.bit_mode is bit_mode
         ]
 
     @pytest.mark.parametrize("config", _configs())
@@ -172,25 +186,32 @@ class TestBestBoundsRideStageOne:
             compared = min(behind, 1) if config.halting == "paper" else behind
             stage_1 = rounds[check["first"]]
             assert sum(isinstance(msg, BlindedSign) for msg in stage_1) == 1
-            assert self._strips(stage_1) == ([m * compared] if compared else [])
+            assert self._selects(stage_1, True) == ([m * compared] if compared else [])
+            assert self._selects(stage_1, False) == []
             for later in span[1:]:
-                assert self._strips(rounds[later]) == []
-        # Outside the halting rule only the m absorb flows recover.
+                assert self._selects(rounds[later], True) == []
+        # Outside the halting rule only the m absorb flows select, with
+        # equality tests; no round strips a layer or sends a zero test.
         for index, batch in enumerate(rounds):
+            assert not any(
+                isinstance(msg, (StripLayerBatch, ZeroTestBatch)) for msg in batch
+            )
             if index not in in_checks:
-                assert len(self._strips(batch)) <= m
+                assert self._selects(batch, True) == []
+                assert len(self._selects(batch, False)) <= m
                 assert not any(isinstance(msg, BlindedSign) for msg in batch)
 
     def test_no_refresh_below_k(self, scheme, relation, monkeypatch):
         """k = n: every check depth but the last has fewer than k
-        candidates, so no best bound is ever recovered."""
+        candidates, so no best bound is ever derived."""
         rounds, checks = self._spy(monkeypatch)
         result = scheme.query(
             relation, scheme.token(ATTRS, k=len(ROWS)), QueryConfig(engine="eager")
         )
         assert result.halting_depth == len(ROWS)
         assert [check["depth"] for check in checks] == [len(ROWS) - 1]
-        assert all(len(self._strips(batch)) <= len(ATTRS) for batch in rounds)
+        assert all(self._selects(batch, True) == [] for batch in rounds)
+        assert all(len(self._selects(batch, False)) <= len(ATTRS) for batch in rounds)
         assert not any(isinstance(msg, BlindedSign) for b in rounds for msg in b)
 
 
@@ -227,31 +248,151 @@ class TestItemsOnTheWire:
             for item in msg.items:
                 assert item.list_scores is None and item.best is None
                 assert item.worst is not None and len(item.seen_bits) == len(ATTRS)
+                assert all(type(bit) is Ciphertext for bit in item.seen_bits)
         for msg in seen[SortAffine]:
             assert len(msg.keys) == len(msg.items)
             for item in msg.items:
                 assert item.list_scores is None and item.best is None
                 assert item.worst is None  # the key travels as msg.keys
                 assert len(item.seen_bits) == len(ATTRS)
+                assert all(type(bit) is Ciphertext for bit in item.seen_bits)
 
 
-#: ``(rounds, halting depth)`` of two queries per configuration, recorded
-#: before the eager state was slimmed.  One number moved on purpose: the
-#: capped budget path paid 18 rounds, three of them to refresh, dedup and
-#: sort a list its last check depth had already deduplicated and sorted.
+def _layered_moduli(scheme) -> set[int]:
+    """Every modulus a Damgård–Jurik operation runs at: ``N^3`` (S1's
+    selects, either side's randomizer pool) and ``p^3`` / ``q^3`` (S2's
+    strips)."""
+    sk = scheme.keypair.secret_key
+    return {scheme.dj.n_s1, sk.p**3, sk.q**3}
+
+
+def _spy_moduli(monkeypatch) -> list[int]:
+    """The modulus of every backend exponentiation and randomizer product."""
+    moduli: list[int] = []
+    for name in ("powmod_vec", "powmod_pairs"):
+        real = getattr(backend, name)
+
+        def spy(bases, exps, mod, _real=real):
+            moduli.append(mod)
+            return _real(bases, exps, mod)
+
+        monkeypatch.setattr(backend, name, spy)
+    real_products = backend.pool_products
+
+    def pool_products(pool, reads):
+        moduli.append(pool.mod)
+        return real_products(pool, reads)
+
+    monkeypatch.setattr(backend, "pool_products", pool_products)
+    return moduli
+
+
+class TestNoLayeredWork:
+    """No eager query runs an operation in the Damgård–Jurik layer, on
+    either side — not a select, a strip, a randomizer, nor the pool
+    build behind them (each scheme below is fresh, so a first draw
+    would build its pool).  The literal engine still does."""
+
+    @pytest.mark.parametrize(
+        "methods", [("blinded", "affine"), ("dgk", "network")], ids=["blinded", "dgk"]
+    )
+    @pytest.mark.parametrize("config", _configs())
+    def test_eager_query_has_no_n3_operation(self, monkeypatch, config, methods):
+        scheme = SecTopK(SystemParams.tiny(), seed=31)
+        relation = scheme.encrypt(ROWS)
+        moduli = _spy_moduli(monkeypatch)
+        compare_method, sort_method = methods
+        result = scheme.query(
+            relation,
+            scheme.token(ATTRS, k=K),
+            QueryConfig(
+                engine="eager",
+                compare_method=compare_method,
+                sort_method=sort_method,
+                **config,
+            ),
+        )
+        assert scheme.reveal(result)
+        assert moduli and not set(moduli) & _layered_moduli(scheme)
+
+    def test_literal_engine_still_uses_the_layer(self, monkeypatch):
+        scheme = SecTopK(SystemParams.tiny(), seed=31)
+        relation = scheme.encrypt(ROWS)
+        moduli = _spy_moduli(monkeypatch)
+        scheme.query(relation, scheme.token(ATTRS, k=K), QueryConfig(engine="literal"))
+        assert set(moduli) >= _layered_moduli(scheme)
+
+
+def _husk_rows():
+    """Object 0 is list 0's first entry, list 1's second and list 2's
+    third, so a batch variant whose first check is at depth 3 or 4
+    absorbs list 2's copy against object 0's entry *and* the husk list
+    1's copy left."""
+    n = 12
+    orders = [
+        list(range(n)),
+        [5, 0, 1, 2, 3, 4] + list(range(6, n)),
+        [6, 7, 0, 1, 2, 3, 4, 5] + list(range(8, n)),
+    ]
+    rng = random.Random(0)
+    rows = [[0] * len(orders) for _ in range(n)]
+    for j, order in enumerate(orders):
+        for rank, obj in enumerate(order):
+            rows[obj][j] = 1000 * (n - rank) + rng.randrange(900)
+    return rows
+
+
+HUSK_ROWS = _husk_rows()
+
+
+class TestHusks:
+    """Between check points one item can match several entries of its
+    object — the object's first entry and the husks its earlier copies
+    left — and nothing breaks: the answer is plaintext NRA's, and every
+    bit S2 decrypts on the best path is a bit."""
+
+    def test_rows_are_tie_free(self):
+        assert _partial_sums_distinct(HUSK_ROWS)
+
+    @pytest.mark.parametrize("halting", ["strict", "paper"])
+    @pytest.mark.parametrize("batch_p", [3, 4])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_multi_match_absorb_matches_nra(self, halting, batch_p, k):
+        scheme = SecTopK(SystemParams.tiny(), seed=37)
+        relation = scheme.encrypt(HUSK_ROWS)
+        config = QueryConfig(variant="batch", batch_p=batch_p, halting=halting)
+        ctx = scheme._make_context()
+        try:
+            result = scheme.query(relation, scheme.token(ATTRS, k=k), config, ctx=ctx)
+        finally:
+            ctx.close()
+        topk, depth = _oracle(HUSK_ROWS, ATTRS, k, halting, batch_p)
+        assert result.halting_depth == depth
+        assert scheme.reveal(result) == topk
+        # The case is real: some item matched two entries at once ...
+        assert any(sum(bits) > 1 for bits in equality_pattern_matrices(ctx.leakage))
+        # ... and the best path only ever decrypted bits.
+        masked = [bit for e in ctx.leakage.by_kind("masked_bit") for bit in e.payload]
+        assert masked and set(masked) <= {0, 1}
+
+
+#: ``(rounds, halting depth)`` of two queries per configuration.  Every
+#: eager row is one round per scanned depth below what the two-round
+#: absorb paid (e.g. ``(37, 7)`` then, ``(30, 7)`` now); the literal rows
+#: have not moved.
 PINNED = {
-    "eager-elim-strict": ({"variant": "elim"}, [(37, 7), (27, 5)]),
-    "eager-full-strict": ({"variant": "full"}, [(37, 7), (27, 5)]),
-    "eager-batch-strict": ({"variant": "batch", "batch_p": 3}, [(29, 9), (19, 6)]),
-    "eager-elim-paper": ({"variant": "elim", "halting": "paper"}, [(31, 6), (27, 5)]),
-    "eager-full-paper": ({"variant": "full", "halting": "paper"}, [(31, 6), (27, 5)]),
+    "eager-elim-strict": ({"variant": "elim"}, [(30, 7), (22, 5)]),
+    "eager-full-strict": ({"variant": "full"}, [(30, 7), (22, 5)]),
+    "eager-batch-strict": ({"variant": "batch", "batch_p": 3}, [(20, 9), (13, 6)]),
+    "eager-elim-paper": ({"variant": "elim", "halting": "paper"}, [(25, 6), (22, 5)]),
+    "eager-full-paper": ({"variant": "full", "halting": "paper"}, [(25, 6), (22, 5)]),
     "eager-dgk-network": (
         {"compare_method": "dgk", "sort_method": "network"},
-        [(96, 7), (57, 5)],
+        [(89, 7), (52, 5)],
     ),
     "literal-elim": ({"engine": "literal", "variant": "elim"}, [(65, 8), (67, 8)]),
     "literal-full": ({"engine": "literal", "variant": "full"}, [(65, 8), (67, 8)]),
-    "eager-capped": ({"variant": "elim", "max_depth": 3}, [(15, 3), (15, 3)]),
+    "eager-capped": ({"variant": "elim", "max_depth": 3}, [(12, 3), (12, 3)]),
 }
 
 

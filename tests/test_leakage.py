@@ -7,6 +7,8 @@ profile, S1 must never hold key material, and the equality patterns S2
 sees must match the (permuted) ground truth — no more, no less.
 """
 
+import random
+
 import pytest
 
 from repro.core.leakage import ALLOWED_KINDS, audit, equality_pattern_matrices
@@ -15,6 +17,7 @@ from repro.core.results import QueryConfig
 from repro.core.scheme import SecTopK
 from repro.crypto.paillier import PaillierSecretKey
 from repro.crypto.rng import SecureRandom
+from repro.nra import SortedLists
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +120,8 @@ class TestS1HoldsNoSecrets:
 class TestEqualityPatternSemantics:
     def test_eq_bits_count_matches_truth(self, keypair, own_keypair):
         """S2's per-batch equality bits have the ground-truth multiset
-        (the permutation hides positions, not the count)."""
+        (the permutation hides positions, not the count) — for one
+        SecWorst, and for every absorb batch of an eager query."""
         from repro.protocols.base import make_parties
         from repro.protocols.sec_worst import sec_worst
         from repro.structures.ehl_plus import EhlPlusFactory
@@ -134,6 +138,34 @@ class TestEqualityPatternSemantics:
         matrices = equality_pattern_matrices(ctx.leakage)
         assert len(matrices) == 1
         assert sorted(matrices[0]) == [0, 0, 1, 1]
+
+        # Eager, elim variant (a deduplication every depth): each list's
+        # item against every candidate known before it — the distinct
+        # objects of earlier depths, then this depth's earlier items.
+        shuffle = random.Random(5)
+        rows = [list(r) for r in zip(*(shuffle.sample(range(40), 10) for _ in range(3)))]
+        scheme = SecTopK(SystemParams.tiny(), seed=19)
+        ctx = scheme._make_context()
+        try:
+            result = scheme.query(
+                scheme.encrypt(rows),
+                scheme.token([0, 1, 2], k=2),
+                QueryConfig(engine="eager", variant="elim"),
+                ctx=ctx,
+            )
+        finally:
+            ctx.close()
+        lists = SortedLists(rows, [0, 1, 2])
+        known, expected = [], []
+        for depth in range(result.halting_depth):
+            objects = [entry.object_id for entry in lists.depth(depth)]
+            for j, obj in enumerate(objects):
+                if known or j:
+                    expected.append(sorted(int(o == obj) for o in known + objects[:j]))
+            known = list(dict.fromkeys(known + objects))
+        assert any(1 in bits for bits in expected)
+        assert [sorted(bits) for bits in equality_pattern_matrices(ctx.leakage)] == expected
+        assert not ctx.leakage.by_kind("recover_batch")
 
     def test_no_plaintext_scores_in_log(self, query_run):
         """Blinded-value observations must not carry payloads."""

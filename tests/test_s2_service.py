@@ -333,6 +333,74 @@ class TestFailureModes:
         finally:
             ctx.close()
 
+    @staticmethod
+    def _hostile_selects(scheme):
+        """One ``BlindedSelect`` per shape S2 must refuse: slots and group
+        indices disagree, a group index names no value, a bit-mode slot
+        holds a non-bit."""
+        pk, rng = scheme.public_key, SecureRandom(7)
+        tests, value = pk.encrypt_batch([0, 1], rng), pk.encrypt(5, rng)
+        return [
+            messages.BlindedSelect(
+                protocol="probe", cts=tests, values=[value], groups=[0], bit_mode=False
+            ),
+            messages.BlindedSelect(
+                protocol="probe", cts=tests, values=[value], groups=[0, 1], bit_mode=False
+            ),
+            messages.BlindedSelect(
+                protocol="probe",
+                cts=pk.encrypt_batch([1, 2], rng),
+                values=[value],
+                groups=[0, 0],
+                bit_mode=True,
+            ),
+        ]
+
+    def test_malformed_blinded_select_is_refused_before_any_draw(self):
+        from repro.exceptions import ProtocolError
+        from repro.protocols.base import CryptoCloud
+
+        scheme, _, _ = _fresh_deployment()
+        cloud = CryptoCloud(scheme.keypair, scheme.dj, SecureRandom(1), LeakageLog())
+        for msg in self._hostile_selects(scheme):
+            with pytest.raises(ProtocolError):
+                cloud.blinded_select(
+                    msg.cts, msg.values, msg.groups, msg.bit_mode, msg.protocol
+                )
+        assert cloud.leakage.events == []
+        assert cloud.rng.randbytes(32) == SecureRandom(1).randbytes(32)
+
+    def test_malformed_blinded_select_spares_the_sibling(self, daemon):
+        """Over tcp each refused ``BlindedSelect`` comes back as a typed
+        ``ProtocolError``, and a sibling session's round on the same
+        connection — then the victim's own — still completes."""
+        _, address = daemon
+        scheme, _, _ = _fresh_deployment()
+        victim = scheme._make_context(transport=address)
+        sibling = scheme._make_context(transport=address)
+        hostile = self._hostile_selects(scheme)
+        sk = scheme.keypair.secret_key
+        try:
+            for msg in hostile:
+                with pytest.raises(RemoteS2Error) as excinfo:
+                    victim.call(msg)
+                assert excinfo.value.kind == "ProtocolError"
+            probe = messages.BlindedSelect(
+                protocol="probe",
+                cts=hostile[0].cts,
+                values=hostile[0].values,
+                groups=[0, 0],
+                bit_mode=True,
+            )
+            for ctx in (sibling, victim):
+                selected, bits = ctx.call(probe)
+                # cts hold the bits 0 and 1; the value holds 5.
+                assert sk.decrypt_batch(selected) == [0, 5]
+                assert sk.decrypt_batch(bits) == [0, 1]
+        finally:
+            victim.close()
+            sibling.close()
+
     def test_hostile_integers_surface_protocol_error_and_spare_the_sibling(
         self, daemon, monkeypatch
     ):
