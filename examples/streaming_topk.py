@@ -6,8 +6,8 @@ Demonstrates the PR-9 mutation subsystem:
 * :class:`repro.MutableRelation` — encrypted insert / update / delete
   with incremental sorted-list maintenance (only touched prefixes are
   re-encrypted; the ``mutation_pattern`` leakage is declared per op);
-* version bumps folding into ``relation_id()`` so the result cache and
-  warm-start history miss instead of aliasing;
+* version bumps folding into ``relation_id()`` so the result cache
+  misses instead of aliasing;
 * ``client.watch`` — a long-lived job that re-evaluates after every
   mutation and streams :class:`repro.TopKChanged` exactly when the
   revealed winners change, including the sliding-insert ``window`` mode;

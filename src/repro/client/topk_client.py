@@ -40,7 +40,6 @@ def connect(
     rtt_ms: float = 0.0,
     scheduler_workers: int = 8,
     cache: bool = True,
-    warm_start: bool = False,
     metrics_port: int | None = None,
 ) -> "TopKClient":
     """Connect a client to a relation at ``address``.
@@ -55,24 +54,14 @@ def connect(
     ``scheduler_workers``: size of the thread pool running submitted
     jobs; watches run on threads of their own).
 
-    The reuse layer rides on knowledge S1 already holds (L1 leakage):
-
-    ``cache``
-        Leakage-aware result cache (on by default).  A repeat of an
-        earlier query — same token fingerprint, same relation, same
-        transcript-relevant config — is served from the cache with
-        **zero** S2 round-trips and ``stats.cache_hit=True``; the
-        scheme still records the repeat, since ``query_pattern`` is
-        exactly what the paper's L1 profile says S1 learns.  Opt out
-        per query with ``QueryConfig(cache=False)`` or globally here.
-    ``warm_start``
-        Use the relation's observed halting depths (L1's
-        ``halting_depth``) to place the first halting check at the
-        shallowest depth seen, skipping the shallower checks.  The
-        top-k is unchanged and rounds drop; a query that would have
-        halted earlier scans down to that depth instead.  Off by
-        default.  Also available per-query via
-        ``QueryConfig(warm_start=True)``.
+    ``cache`` is the leakage-aware result cache (on by default), which
+    rides on knowledge S1 already holds (L1 leakage).  A repeat of an
+    earlier query — same token fingerprint, same relation, same
+    transcript-relevant config — is served from the cache with **zero**
+    S2 round-trips and ``stats.cache_hit=True``; the scheme still
+    records the repeat, since ``query_pattern`` is exactly what the
+    paper's L1 profile says S1 learns.  Opt out per query with
+    ``QueryConfig(cache=False)`` or globally here.
 
     ``metrics_port`` mounts the server's Prometheus ``/metrics`` +
     ``/healthz`` endpoint on ``127.0.0.1`` (``0`` = ephemeral port, read
@@ -91,7 +80,6 @@ def connect(
         rtt_ms=rtt_ms,
         scheduler_workers=scheduler_workers,
         cache=cache,
-        warm_start=warm_start,
         metrics_port=metrics_port,
     )
     return TopKClient(server, owns_server=True)
@@ -128,8 +116,8 @@ class TopKClient:
     @property
     def stats(self) -> dict:
         """The server's operational snapshot: result-cache counters
-        (``"cache"``), scheduler gauges, the current warm-start depth
-        hint, relation version, mutation and live-watch counts."""
+        (``"cache"``), scheduler gauges, relation version, mutation and
+        live-watch counts."""
         return self._server.stats
 
     # -- the job surface --------------------------------------------------

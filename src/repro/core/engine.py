@@ -203,20 +203,7 @@ class _EngineBase:
             return sec_dup_elim(self.ctx, items, self.own_keypair, ranks, known=known)
 
     def _is_check_depth(self, depth: int) -> bool:
-        every = self.config.check_every()
-        first = self.config.min_check_depth
-        if first is not None:
-            # Warm-started grid: anchored at the earliest depth history
-            # says a halt is possible (1-based ``first``), then every
-            # ``every`` depths, plus the unconditional last depth.  Same
-            # correctness contract as the batch variant's sparse grid:
-            # checks only ever move later, so the top-k set is
-            # unchanged, only rounds are saved.
-            anchor = first - 1
-            return depth == self.n - 1 or (
-                depth >= anchor and (depth - anchor) % every == 0
-            )
-        return (depth + 1) % every == 0 or depth == self.n - 1
+        return (depth + 1) % self.config.check_every() == 0 or depth == self.n - 1
 
     def _max_depth(self) -> int:
         if self.config.max_depth is None:

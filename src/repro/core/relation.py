@@ -33,8 +33,8 @@ class EncryptedRelation:
     insert/update/delete through :class:`~repro.server.mutations.MutableRelation`
     produces a successor relation with ``version + 1``.  Folded into
     :meth:`relation_id`, so every mutation re-keys the process-wide
-    relation store, the query cache and the warm-start history — stale
-    consumers miss rather than alias."""
+    relation store and the query cache — stale consumers miss rather
+    than alias."""
 
     _relation_id: str | None = field(default=None, repr=False, compare=False)
 
@@ -42,9 +42,9 @@ class EncryptedRelation:
         """A stable fingerprint identifying this encrypted relation.
 
         Keys everything S1-side that depends on *content*: the result
-        cache, the warm-start depth history, and the relation store
-        query-worker pools bind to.  (Not the S2 daemon: it holds key
-        material, registered under an id of the key alone.)  Derived from
+        cache and the relation store query-worker pools bind to.  (Not
+        the S2 daemon: it holds key material, registered under an id of
+        the key alone.)  Derived from
         the shape, the mutation :attr:`version` and one ciphertext per
         list — encryption randomness makes that distinguishing — so the
         same ``ER`` object, pickled copies of it, and re-loads of it all

@@ -59,17 +59,6 @@ class QueryConfig:
         legal exactly because the query-pattern repeat is already L1
         leakage; ``cache=False`` forces a fresh two-cloud run and keeps
         the result out of the cache.
-    warm_start:
-        Let the server derive ``min_check_depth`` from the relation's
-        halting-depth history (itself L1 leakage) so the engine skips
-        check points that history says cannot halt.  Never changes the
-        revealed top-k set — only the number of pre-halt rounds (the
-        same contract as the ``"batch"`` variant's sparse check grid).
-    min_check_depth:
-        Explicit first check depth (1-based): check points below it are
-        skipped.  ``None`` leaves the engine's grid untouched.  Usually
-        filled in by the server from ``warm_start`` rather than set by
-        hand.
     """
 
     variant: str = "elim"
@@ -81,8 +70,6 @@ class QueryConfig:
     max_depth: int | None = None
     shards: int | None = None
     cache: bool = True
-    warm_start: bool = False
-    min_check_depth: int | None = None
 
     def __post_init__(self):
         # Lazy import: the registry lives with the engines, which import
@@ -102,8 +89,6 @@ class QueryConfig:
             raise QueryError("batch_p must be >= 1")
         if self.shards is not None and self.shards < 0:
             raise QueryError("shards must be >= 0")
-        if self.min_check_depth is not None and self.min_check_depth < 1:
-            raise QueryError("min_check_depth must be >= 1")
 
     def check_every(self) -> int:
         """How many depths between check points (dedup + sort + halt)."""
@@ -129,8 +114,6 @@ class QueryConfig:
             self.compare_method,
             self.sort_method,
             self.max_depth,
-            self.warm_start,
-            self.min_check_depth,
         )
 
 

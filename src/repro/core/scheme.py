@@ -23,8 +23,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
-from dataclasses import replace
 
 from repro.crypto.damgard_jurik import DamgardJurik
 from repro.crypto.encoding import SignedEncoder
@@ -84,11 +82,6 @@ class SecTopK:
             2 * self.params.key_bits + 16, self._rng.spawn("s1-own")
         )
         self._query_history: set[str] = set()
-        # Per-relation halting-depth observations (also L1 leakage —
-        # every query's halting depth is declared in HD), feeding the
-        # warm-start hint.  Bounded (depths per id, and ids) so a
-        # long-lived scheme never grows with traffic or mutations.
-        self._depth_history: dict[str, deque] = {}
         # Query-pattern state is deliberately cross-query (it IS the L1
         # leakage), but concurrent server sessions must update it safely.
         self._history_lock = threading.Lock()
@@ -124,31 +117,6 @@ class SecTopK:
         with self._history_lock:
             self._query_history = set(patterns)
 
-    #: Halting-depth observations retained per relation id, and relation
-    #: ids retained at all (recent wins on both axes).
-    DEPTH_HISTORY_SIZE = 64
-
-    def record_halting_depth(self, relation_id: str, depth: int) -> None:
-        """Fold one halting-depth observation into the warm-start history.
-
-        Halting depths are L1 leakage (the ``HD`` function of Section 9),
-        so remembering them — like the query-pattern set above — reveals
-        nothing new.  Inline queries record here directly; for a query
-        handed to a worker process the server records the depth in the
-        parent (worker scheme copies are per-task scratch).  Ids never
-        alias across versions, so none is retired by hand: past
-        ``DEPTH_HISTORY_SIZE`` ids the one observed longest ago goes.
-        """
-        with self._history_lock:
-            # Re-inserted at the end: the dict's order is recency.
-            history = self._depth_history.pop(relation_id, None)
-            if history is None:
-                history = deque(maxlen=self.DEPTH_HISTORY_SIZE)
-            history.append(depth)
-            self._depth_history[relation_id] = history
-            if len(self._depth_history) > self.DEPTH_HISTORY_SIZE:
-                del self._depth_history[next(iter(self._depth_history))]
-
     def observe_query_pattern(self, token) -> bool:
         """Fold one token into the query-pattern history; return whether
         it was a repeat.
@@ -164,26 +132,6 @@ class SecTopK:
             repeated = fingerprint in self._query_history
             self._query_history.add(fingerprint)
         return repeated
-
-    def halting_depth_hint(self, relation_id: str) -> int | None:
-        """The earliest depth history says a query on this relation may
-        halt (``None`` with no observations yet).
-
-        The anchor is the *minimum* of the retained observations — of
-        whatever happened to run first, not of what the relation can
-        do.  A warm-started query skips every halting check shallower
-        than the anchor (fewer rounds and bytes) and so cannot halt
-        before it: one that would have halted earlier scans down to the
-        anchor instead — still a correct top-k (the ``"batch"``
-        variant's sparse-check contract), from a deeper scan.  An
-        anchored query never records a shallower depth, so the hint only
-        ratchets deeper once warm starts are on, and a depth-1
-        observation makes it a no-op while retained (measurements:
-        ARCHITECTURE.md, reuse layer) — hence off by default.
-        """
-        with self._history_lock:
-            history = self._depth_history.get(relation_id)
-            return min(history) if history else None
 
     def context_namespace(self) -> str:
         """Reserve a scheme-wide unique namespace for caller-built salts.
@@ -424,17 +372,6 @@ class SecTopK:
             self._query_history.add(fingerprint)
         ctx.leakage.record("S1", "SecQuery", "query_pattern", repeated)
 
-        relation_id = relation.relation_id()
-        if config.warm_start and config.min_check_depth is None:
-            # History-driven warm start: anchor the engine's check grid
-            # at the earliest halting depth this relation has shown
-            # (itself L1 leakage, recorded below).  Resolved here — not
-            # at the server — so sessions and bare scheme.query calls
-            # warm-start identically; an explicit min_check_depth wins.
-            hint = self.halting_depth_hint(relation_id)
-            if hint is not None and hint > 1:
-                config = replace(config, min_check_depth=hint)
-
         shard_view = None
         if config.effective_shards() >= 2:
             # Sharded scan: the query lists are split into contiguous
@@ -474,7 +411,6 @@ class SecTopK:
         run_start = time.perf_counter()
         items, halting_depth = engine.run()
         ctx.leakage.record("S1", "SecQuery", "halting_depth", halting_depth)
-        self.record_halting_depth(relation_id, halting_depth)
         channel_stats = ctx.channel.snapshot().delta(stats_start)
         _QUERY_SECONDS.labels(engine=config.engine).observe(
             time.perf_counter() - run_start

@@ -20,9 +20,8 @@ plaintext mirror and maintains the per-attribute sorted lists
   discipline as the query-side ``QP``/``HD`` events;
 * every mutation produces a *successor* :class:`EncryptedRelation` with
   ``version + 1``.  The version is folded into ``relation_id()``, so all
-  machinery keyed by relation id (the relation store, the query cache,
-  warm-start depth history) misses cleanly instead of aliasing stale
-  ciphertexts.
+  machinery keyed by relation id (the relation store, the query cache)
+  misses cleanly instead of aliasing stale ciphertexts.
 
 Equivalence invariant (pinned by ``tests/test_mutations.py``): after any
 interleaving of mutations, the grown relation holds *exactly* the same

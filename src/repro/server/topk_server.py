@@ -145,14 +145,6 @@ class TopKServer:
         ``QueryConfig(cache=False)`` opts a single query out both ways
         (never served from, never stored into); ``cache=False`` here
         disables the cache entirely.
-    warm_start:
-        Make every query warm-start by default (as if
-        ``QueryConfig(warm_start=True)``): the engine's first halting
-        check is anchored at the earliest halting depth this relation's
-        history has shown (itself L1 leakage), skipping the shallower
-        checks.  Never changes the returned top-k set; may scan deeper
-        than a cold run (see
-        :meth:`~repro.core.scheme.SecTopK.halting_depth_hint`).
     metrics_port:
         When set, serve the process-wide metrics registry as Prometheus
         text at ``http://127.0.0.1:PORT/metrics`` (``0`` picks a free
@@ -177,7 +169,6 @@ class TopKServer:
         rtt_ms: float = 0.0,
         scheduler_workers: int = 8,
         cache: bool = True,
-        warm_start: bool = False,
         metrics_port: int | None = None,
     ):
         self.scheme = scheme
@@ -197,7 +188,6 @@ class TopKServer:
         # reachable close().
         if scheduler_workers < 1:
             raise ValueError("scheduler_workers must be >= 1")
-        self.warm_start = warm_start
         # Cross-query reuse layer (see ARCHITECTURE.md, reuse layer).
         self._cache = QueryCache(self.CACHE_CAPACITY) if cache else None
         # Scheme-wide unique namespace: request salts from different
@@ -251,17 +241,6 @@ class TopKServer:
             start = self._next_request_id
             self._next_request_id += count
         return range(start, start + count)
-
-    def _effective_config(self, config: QueryConfig | None) -> QueryConfig | None:
-        """Fill the server's default into an unset config:
-        ``TopKServer(warm_start=True)`` turns warm starts on for every
-        query that did not ask for them itself.  The resolution happens
-        once, at job creation, so the job carries the same effective
-        config wherever its body executes.
-        """
-        if self.warm_start and (config is None or not config.warm_start):
-            config = replace(config or QueryConfig(), warm_start=True)
-        return config
 
     # -- result cache ----------------------------------------------------
 
@@ -369,10 +348,10 @@ class TopKServer:
         store, so a job's snapshot sees the predecessor or the successor
         whole.  Then, outside it, the predecessor's cached results are
         dropped — the one thing keyed by a relation id that needs
-        retiring by hand: the warm-start history bounds itself, the
-        worker pool rebinds on the next job that names another id
-        (:mod:`repro.server.query_workers`), and the S2 daemon holds the
-        key, not the relation, so a mutation never dials it.
+        retiring by hand: the worker pool rebinds on the next job that
+        names another id (:mod:`repro.server.query_workers`), and the S2
+        daemon holds the key, not the relation, so a mutation never
+        dials it.
         """
         if self._mutable is None:
             raise MutationError(
@@ -441,7 +420,6 @@ class TopKServer:
                     "windowed watches need a mutable relation (the window "
                     "is defined over its insert log)"
                 )
-        config = self._effective_config(config)
         job_id = self._reserve_ids(1)[0]
         job = WatchJob(job_id, token, config, timeout=timeout, window=window)
         job._runner = self._run_watch
@@ -578,10 +556,6 @@ class TopKServer:
         return {
             "cache": cache_stats,
             "scheduler": scheduler,
-            "warm_start": self.warm_start,
-            "halting_depth_hint": self.scheme.halting_depth_hint(
-                self.relation.relation_id()
-            ),
             "version": self.relation.version,
             "mutations": self._mutation_count,
             "watches_active": watches_active,
@@ -633,7 +607,7 @@ class TopKServer:
         job = self._make_job(
             self._reserve_ids(1)[0],
             token,
-            self._effective_config(config),
+            config,
             timeout=timeout,
             expect_version=expect_version,
         )
@@ -764,22 +738,17 @@ class TopKServer:
             job.token, job.config, prior,
         )
         # The worker's scheme copy is per-task scratch, so the parent's
-        # authoritative L1 state is kept here: the token is seen from
-        # the hand-off on (an inline run records it at query start too,
-        # and a handed-off query runs to completion regardless of what
-        # happens to this wait), the halting depth once it is known —
-        # under the snapshot's id, like the cache entry.
+        # authoritative query-pattern history is kept here: the token is
+        # seen from the hand-off on (an inline run records it at query
+        # start too, and a handed-off query runs to completion
+        # regardless of what happens to this wait).
         self.scheme.observe_query_pattern(job.token)
         try:
-            result = future.result(timeout=job._control.remaining)
+            return future.result(timeout=job._control.remaining)
         except TimeoutError:
             raise JobTimeout(
                 "process-mode job deadline exceeded (worker result dropped)"
             ) from None
-        self.scheme.record_halting_depth(
-            relation.relation_id(), result.halting_depth
-        )
-        return result
 
     # -- one-shot and bulk execution -------------------------------------
 
@@ -829,12 +798,6 @@ class TopKServer:
             raise ValueError(f"unknown execute_many mode: {mode!r}")
         if not requests:
             return []
-        # Resolve the server's defaults once, up front: the jobs (and
-        # the pickled configs process-mode workers receive) then all
-        # carry the same effective config.
-        requests = [
-            (token, self._effective_config(config)) for token, config in requests
-        ]
         ids = self._reserve_ids(len(requests))
         # Never run (or build a pool) wider than the thread pool can
         # drive or there is work to fill.
