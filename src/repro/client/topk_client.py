@@ -236,13 +236,6 @@ class TopKClient:
         """Decrypt a result's winners into ``(object_id, score)`` pairs."""
         return self.scheme.reveal(result)
 
-    @staticmethod
-    def engines() -> tuple[str, ...]:
-        """Engine names selectable through ``QueryConfig(engine=...)``."""
-        from repro.core.engine import engine_names
-
-        return engine_names()
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:

@@ -46,8 +46,6 @@ from __future__ import annotations
 
 import time
 
-import importlib
-
 from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.events import CandidateFinalized, DepthAdvanced
@@ -491,51 +489,8 @@ class LiteralEngine(_EngineBase):
         return t_list[: self.k], self._max_depth()
 
 
-# ---------------------------------------------------------------------------
-# Engine registry: every execution strategy the scheme can run, selectable
-# by name through ``QueryConfig(engine=...)``.
-# ---------------------------------------------------------------------------
-
-#: name -> engine class, or a lazy ``"module:attr"`` reference (resolved on
-#: first use, so listing engine names never imports the baseline modules).
-_ENGINE_REGISTRY: dict[str, object] = {}
-
-
-def register_engine(name: str, factory) -> None:
-    """Register an engine under ``name``.
-
-    ``factory`` is either an engine class with the :class:`_EngineBase`
-    constructor signature — ``(ctx, own_keypair, enc_lists, k, config,
-    compare_method, sort_method)``, exposing ``run() -> (items, depth)``
-    and ``depth_seconds`` — or a ``"module:attr"`` string resolved
-    lazily.  Re-registering a name replaces the previous entry.
-    """
-    _ENGINE_REGISTRY[name] = factory
-
-
-def engine_names() -> tuple[str, ...]:
-    """Registered engine names, sorted (for errors, docs and clients)."""
-    return tuple(sorted(_ENGINE_REGISTRY))
-
-
-def is_registered_engine(name: str) -> bool:
-    """Whether ``name`` is selectable through ``QueryConfig(engine=...)``."""
-    return name in _ENGINE_REGISTRY
-
-
-def resolve_engine(name: str):
-    """The engine class registered under ``name`` (lazy refs resolved)."""
-    try:
-        factory = _ENGINE_REGISTRY[name]
-    except KeyError:
-        raise QueryError(
-            f"unknown engine: {name!r} (registered: {', '.join(engine_names())})"
-        ) from None
-    if isinstance(factory, str):
-        module_name, _, attr = factory.partition(":")
-        factory = getattr(importlib.import_module(module_name), attr)
-        _ENGINE_REGISTRY[name] = factory
-    return factory
+#: ``QueryConfig(engine=...)`` name -> engine class.
+ENGINES = {"eager": EagerEngine, "literal": LiteralEngine}
 
 
 def build_engine(
@@ -548,13 +503,5 @@ def build_engine(
     sort_method: str,
 ):
     """Instantiate the engine the config asks for."""
-    cls = resolve_engine(config.engine)
+    cls = ENGINES[config.engine]
     return cls(ctx, own_keypair, enc_lists, k, config, compare_method, sort_method)
-
-
-register_engine("eager", EagerEngine)
-register_engine("literal", LiteralEngine)
-# Cost-model baselines (Section 11): selectable through the same config,
-# implemented in their own module so the secure path never imports them.
-register_engine("plaintext", "repro.core.baseline_engines:NaiveShipEngine")
-register_engine("sknn", "repro.core.baseline_engines:SknnScanEngine")

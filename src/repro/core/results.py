@@ -42,8 +42,8 @@ class QueryConfig:
     compare_method / sort_method:
         Override the scheme defaults per query.
     max_depth:
-        Optional scan cap (benchmarks use it to bound run time; results
-        are then best-effort as in a budgeted NRA run).
+        Optional scan cap, ``>= 1`` (benchmarks use it to bound run
+        time; results are then best-effort as in a budgeted NRA run).
     shards:
         How many depth slices S1 scans the query lists as.  ``None``,
         ``0`` and ``1`` are the plain scan.  ``N >= 2`` splits every
@@ -72,21 +72,16 @@ class QueryConfig:
     cache: bool = True
 
     def __post_init__(self):
-        # Lazy import: the registry lives with the engines, which import
-        # this module for the config type.
-        from repro.core.engine import engine_names, is_registered_engine
-
         if self.variant not in ("full", "elim", "batch"):
             raise QueryError(f"unknown query variant: {self.variant!r}")
-        if not is_registered_engine(self.engine):
-            raise QueryError(
-                f"unknown engine: {self.engine!r} "
-                f"(registered: {', '.join(engine_names())})"
-            )
+        if self.engine not in ("eager", "literal"):
+            raise QueryError(f"unknown engine: {self.engine!r}")
         if self.halting not in ("strict", "paper"):
             raise QueryError(f"unknown halting rule: {self.halting!r}")
         if self.variant == "batch" and self.batch_p < 1:
             raise QueryError("batch_p must be >= 1")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise QueryError("max_depth must be >= 1")
         if self.shards is not None and self.shards < 0:
             raise QueryError("shards must be >= 0")
 

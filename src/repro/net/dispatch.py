@@ -66,12 +66,6 @@ class S2Dispatcher:
     def _record_shipment(self, msg: m.RecordShipment):
         return None
 
-    def _naive_topk(self, msg: m.NaiveTopKQuery):
-        return self.cloud.naive_topk(msg.scores, msg.records, msg.k, msg.protocol)
-
-    def _aggregate_by_record(self, msg: m.AggregateByRecord):
-        return self.cloud.aggregate_by_record(msg.scores, msg.records, msg.protocol)
-
     # -- bulk S2 protocol sides (imported lazily: the protocol modules
     #    import the transport machinery themselves) ----------------------
 
@@ -132,6 +126,4 @@ class S2Dispatcher:
         m.SortGateBatch: _sort_gates,
         m.DedupBatch: _dedup,
         m.FilterBatch: _filter,
-        m.NaiveTopKQuery: _naive_topk,
-        m.AggregateByRecord: _aggregate_by_record,
     }

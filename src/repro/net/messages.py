@@ -22,6 +22,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from repro.exceptions import ProtocolError
+
 
 @dataclass(frozen=True)
 class Message:
@@ -148,29 +150,6 @@ class DedupBatch(Message):
 
 
 @dataclass(frozen=True)
-class NaiveTopKQuery(Message):
-    """Full-shipment baseline ("plaintext" engine): every (score, record)
-    ciphertext crosses the link; S2 decrypts, aggregates per object and
-    returns the top-k as fresh ``(Enc(record), Enc(total))`` pairs."""
-
-    scores: list
-    records: list
-    k: int
-
-    _unmeasured = ("k",)
-
-
-@dataclass(frozen=True)
-class AggregateByRecord(Message):
-    """SkNN-scan baseline phase 1: ship all (score, record) ciphertexts;
-    S2 replies with per-object aggregate totals (record ids in clear —
-    the baseline's declared wholesale reveal)."""
-
-    scores: list
-    records: list
-
-
-@dataclass(frozen=True)
 class BlindedSelect(Message):
     """S2 applies the bit it decrypts: slot ``i``'s ``cts[i]`` decrypts to
     a bit ``t`` — ``value == 0`` for an equality test, the value itself
@@ -197,8 +176,9 @@ class FilterBatch(Message):
     _unmeasured = ("own_public",)
 
 
-#: Stable wire ids (appended-only; never reorder).
-MESSAGE_TYPES: list[type] = [
+#: Stable wire ids (appended-only; never reorder).  A retired id keeps
+#: its slot as ``None`` so later ids do not move; decoding refuses it.
+MESSAGE_TYPES: list[type | None] = [
     ZeroTestBatch,
     StripLayerBatch,
     BlindedSign,
@@ -211,12 +191,12 @@ MESSAGE_TYPES: list[type] = [
     SortGateBatch,
     DedupBatch,
     FilterBatch,
-    NaiveTopKQuery,
-    AggregateByRecord,
+    None,  # 12: retired
+    None,  # 13: retired
     BlindedSelect,
 ]
 
-_TYPE_IDS = {cls: idx for idx, cls in enumerate(MESSAGE_TYPES)}
+_TYPE_IDS = {cls: idx for idx, cls in enumerate(MESSAGE_TYPES) if cls is not None}
 
 
 def message_type_id(cls: type) -> int:
@@ -225,8 +205,11 @@ def message_type_id(cls: type) -> int:
 
 
 def message_class(type_id: int) -> type:
-    """Message class for a wire id."""
-    return MESSAGE_TYPES[type_id]
+    """Message class for a wire id; unknown and retired ids are refused."""
+    cls = MESSAGE_TYPES[type_id] if type_id < len(MESSAGE_TYPES) else None
+    if cls is None:
+        raise ProtocolError(f"unknown or retired message type id {type_id}")
+    return cls
 
 
 def message_fields(cls: type) -> list[str]:

@@ -278,14 +278,6 @@ class CryptoCloud:
         self.leakage.record("S2", protocol, kind, None)
         return value
 
-    def decrypt_signed_for_protocol(
-        self, ct: Ciphertext, protocol: str, kind: str
-    ) -> int:
-        """Signed variant of :meth:`decrypt_for_protocol`."""
-        value = self._keypair.secret_key.decrypt_signed(ct)
-        self.leakage.record("S2", protocol, kind, None)
-        return value
-
     def decrypt_batch_for_protocol(
         self, cts: list[Ciphertext], protocol: str, kind: str
     ) -> list[int]:
@@ -307,64 +299,6 @@ class CryptoCloud:
     def fresh_encrypt(self, value: int) -> Ciphertext:
         """A fresh Paillier encryption (S2 re-encrypting after a bulk op)."""
         return self.public_key.encrypt(value, self.rng)
-
-    # ------------------------------------------------------------------
-    # Baseline engines (engine registry: "plaintext" / "sknn").  These
-    # reproduce the *cost structure* of the paper's comparison points —
-    # full-relation shipment, no oblivious machinery — so S2 legitimately
-    # learns everything it decrypts; the leakage log records that
-    # wholesale reveal explicitly.
-    # ------------------------------------------------------------------
-
-    def _aggregate_records(
-        self, scores: list[Ciphertext], records: list[Ciphertext]
-    ) -> dict[int, int]:
-        """Decrypt all (score, record-id) pairs and sum scores per object."""
-        values = to_signed(self.public_key.n, self._decrypt_values(scores))
-        rids = self._decrypt_values(records)
-        totals: dict[int, int] = {}
-        for rid, value in zip(rids, values):
-            totals[rid] = totals.get(rid, 0) + value
-        return totals
-
-    def naive_topk(
-        self, scores: list[Ciphertext], records: list[Ciphertext], k: int, protocol: str
-    ) -> list[tuple[Ciphertext, Ciphertext]]:
-        """Full-shipment strawman: decrypt everything, return the top-k.
-
-        The reply is ``k`` fresh ``(Enc(record_id), Enc(total))`` pairs,
-        best first (ties by record id, matching the plaintext oracle).
-        """
-        totals = self._aggregate_records(scores, records)
-        ranked = sorted(totals.items(), key=lambda t: (-t[1], t[0]))[:k]
-        self.leakage.record(
-            "S2", protocol, "full_reveal", (len(scores), len(totals))
-        )
-        self.leakage.record(
-            "S2", protocol, "naive_topk_ids", tuple(rid for rid, _ in ranked)
-        )
-        return [
-            (self.fresh_encrypt(rid), self.fresh_encrypt(total % self.public_key.n))
-            for rid, total in ranked
-        ]
-
-    def aggregate_by_record(
-        self, scores: list[Ciphertext], records: list[Ciphertext], protocol: str
-    ) -> tuple[list[int], list[Ciphertext]]:
-        """SkNN-style phase 1: per-object aggregate scores, re-encrypted.
-
-        Returns the (plaintext) record ids in ascending order alongside
-        fresh encryptions of each object's total — the input to the
-        baseline's secure-maximum selection scan.
-        """
-        totals = self._aggregate_records(scores, records)
-        self.leakage.record(
-            "S2", protocol, "full_reveal", (len(scores), len(totals))
-        )
-        rids = sorted(totals)
-        return rids, [
-            self.fresh_encrypt(totals[rid] % self.public_key.n) for rid in rids
-        ]
 
 
 @dataclass

@@ -261,8 +261,8 @@ class ShardedQueryLists(Sequence):
             self._cache[fetched] = items
 
     def item(self, slot: int, depth: int) -> EncryptedItem:
-        """One list entry, fetching its window on a cache miss (the
-        baseline engines iterate without announcing depth boundaries)."""
+        """One list entry, fetching its window on a cache miss (iteration
+        does not announce depth boundaries)."""
         self.prefetch(depth)
         return self._cache[depth][slot]
 

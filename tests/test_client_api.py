@@ -8,11 +8,8 @@ Covers the PR-4 acceptance criteria:
 * cancellation at a round boundary and per-job timeouts resolve the
   job without wedging the server — subsequent jobs are served;
 * the streaming event taxonomy arrives in order;
-* the engine registry serves eager/literal plus the plaintext/sknn
-  baselines through the same ``QueryConfig``;
 * ``QueryStats`` carries the uniform cost profile;
-* the curated ``repro.__all__`` leads with the client façade and the
-  legacy spellings warn.
+* the curated ``repro.__all__`` leads with the client façade.
 """
 
 from __future__ import annotations
@@ -244,59 +241,10 @@ class TestCancellationAndTimeouts:
 
 
 class TestEngineRegistry:
-    def test_registry_lists_all_engines(self):
-        from repro.core.engine import engine_names
-
-        assert set(engine_names()) >= {"eager", "literal", "plaintext", "sknn"}
-        assert repro.TopKClient.engines() == engine_names()
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(QueryError):
-            QueryConfig(engine="quantum")
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            pytest.param(QueryConfig(engine="plaintext"), id="plaintext"),
-            pytest.param(
-                QueryConfig(engine="sknn", compare_method="blinded"), id="sknn"
-            ),
-        ],
-    )
-    def test_baselines_match_oracle(self, config):
-        scheme, relation, rows = _fresh_deployment()
-        with repro.connect(scheme, relation) as client:
-            result = client.query(client.token([0, 1, 2], k=3), config)
-        assert client.reveal(result) == _oracle_topk(rows, [0, 1, 2], 3)
-        assert result.halting_depth == len(rows)  # full scan, by design
-        assert result.stats.engine == config.engine
-
-    def test_plaintext_engine_transport_equivalent(self):
-        runs = {}
-        for transport in ("inprocess", "threaded"):
-            scheme, relation, _ = _fresh_deployment()
-            with repro.connect(scheme, relation, transport) as client:
-                result = client.query(
-                    client.token([0, 1], k=2), QueryConfig(engine="plaintext")
-                )
-                runs[transport] = (
-                    client.reveal(result),
-                    result.channel_stats.rounds,
-                    result.channel_stats.total_bytes,
-                    tuple(_leakage_tuples(result)),
-                )
-        assert runs["inprocess"] == runs["threaded"]
-
-    def test_naive_engine_ships_everything_once(self):
-        scheme, relation, rows = _fresh_deployment()
-        with repro.connect(scheme, relation) as client:
-            result = client.query(
-                client.token([0, 1, 2], k=2), QueryConfig(engine="plaintext")
-            )
-        # One round, O(n·m) payload: the strawman's cost signature.
-        assert result.channel_stats.rounds == 1
-        reveals = [e for e in result.leakage_events if e.kind == "full_reveal"]
-        assert reveals and reveals[0].payload == (3 * len(rows), len(rows))
+        for retired in ("quantum", "plaintext", "sknn"):
+            with pytest.raises(QueryError):
+                QueryConfig(engine=retired)
 
 
 class TestQueryStats:

@@ -202,6 +202,11 @@ class TestQueryConfig:
             QueryConfig(halting="bogus")
         with pytest.raises(QueryError):
             QueryConfig(variant="batch", batch_p=0)
+        with pytest.raises(QueryError):
+            QueryConfig(max_depth=0)
+        with pytest.raises(QueryError):
+            QueryConfig(max_depth=-1)
+        assert QueryConfig(max_depth=1).max_depth == 1
 
     def test_check_every(self):
         assert QueryConfig(variant="elim").check_every() == 1

@@ -405,11 +405,13 @@ class TestFailureModes:
         self, daemon, monkeypatch
     ):
         """A REQUEST whose ``_LC_NEWSCHEME`` header claims ``s = 20000``
-        (seconds of ``n ** (s + 1)`` if believed) or that references a
-        key index nobody registered comes back as a typed
-        ``ProtocolError`` before any scheme is built, and the
+        (seconds of ``n ** (s + 1)`` if believed), that references a
+        key index nobody registered, or that names a retired or unknown
+        message type id comes back as a typed ``ProtocolError`` before
+        any scheme is built or any message is dispatched, and the
         connection's other session keeps answering."""
         from repro.net import wire
+        from repro.net.dispatch import S2Dispatcher
 
         _, address = daemon
         scheme, relation, _ = _fresh_deployment()
@@ -422,10 +424,20 @@ class TestFailureModes:
             "DamgardJurik",
             lambda pk, s=2: built.append(s) or real_dj(pk, s),
         )
+        dispatched = []
+        real_dispatch = S2Dispatcher.dispatch
+        monkeypatch.setattr(
+            S2Dispatcher,
+            "dispatch",
+            lambda self, msg: dispatched.append(msg) or real_dispatch(self, msg),
+        )
 
-        def envelope(body: bytes) -> bytes:
-            # One StripLayerBatch(protocol="x", cts=<body>).
-            head = bytearray([1, messages.message_type_id(messages.StripLayerBatch)])
+        def envelope(body: bytes, type_id: int | None = None) -> bytes:
+            # One message (default StripLayerBatch) with protocol="x", then <body>.
+            if type_id is None:
+                type_id = messages.message_type_id(messages.StripLayerBatch)
+            head = bytearray([1])
+            wire._write_varint(head, type_id)
             WireCodec().encode_value("x", head)
             return bytes(head) + body
 
@@ -434,22 +446,31 @@ class TestFailureModes:
         degree = bytearray()
         wire._write_varint(degree, 20000)
         hostile = [
-            bytes([wire._LIST, 1, wire._LC_NEWSCHEME, len(raw)]) + raw + bytes(degree) + b"\x00" * 40,
-            bytes([wire._LIST, 1, wire._LC_NEWSCHEME, len(raw)]) + raw + b"\x00" + b"\x00" * 40,
-            bytes([wire._LIST, 2, wire._CT, 99]) + b"\x00" * 200,
-            bytes([wire._LIST, 1, wire._LC, 5]) + b"\x00" * 200,
-            bytes([wire._PK, 7]),
+            envelope(bytes([wire._LIST, 1, wire._LC_NEWSCHEME, len(raw)]) + raw + bytes(degree) + b"\x00" * 40),
+            envelope(bytes([wire._LIST, 1, wire._LC_NEWSCHEME, len(raw)]) + raw + b"\x00" + b"\x00" * 40),
+            envelope(bytes([wire._LIST, 2, wire._CT, 99]) + b"\x00" * 200),
+            envelope(bytes([wire._LIST, 1, wire._LC, 5]) + b"\x00" * 200),
+            envelope(bytes([wire._PK, 7])),
         ]
+        # Ids 12 and 13 once made S2 decrypt (score, record) lists and
+        # answer with the record ids in the clear; give them such a body.
+        shipped = bytearray()
+        codec = WireCodec()
+        codec.encode_value(scheme.public_key.encrypt_batch([0], SecureRandom(4)), shipped)
+        codec.encode_value(scheme.public_key.encrypt_batch([424242], SecureRandom(5)), shipped)
+        for type_id in (12, 13, len(messages.MESSAGE_TYPES)):
+            hostile.append(envelope(bytes(shipped), type_id))
         try:
             client = victim.transport._client
             session_id = victim.transport.session_id
-            for body in hostile:
+            for request in hostile:
                 with pytest.raises(RemoteS2Error) as excinfo:
                     client.request_finish(
-                        session_id, client.request_begin(session_id, envelope(body))
+                        session_id, client.request_begin(session_id, request)
                     )
                 assert excinfo.value.kind == "ProtocolError"
             assert 20000 not in built and 0 not in built
+            assert dispatched == []
             probe = messages.ZeroTestBatch(
                 protocol="probe",
                 cts=scheme.public_key.encrypt_batch([0, 5], SecureRandom(3)),

@@ -147,9 +147,16 @@ class TestWireValues:
 
 class TestMessageEnvelopes:
     def test_registry_is_bijective(self):
+        retired = [i for i, cls in enumerate(MESSAGE_TYPES) if cls is None]
+        assert retired == [12, 13]
         for cls in MESSAGE_TYPES:
+            if cls is None:
+                continue
             assert message_class(message_type_id(cls)) is cls
             assert message_fields(cls)[0] == "protocol"
+        for type_id in retired + [len(MESSAGE_TYPES)]:
+            with pytest.raises(ProtocolError):
+                message_class(type_id)
 
     def test_envelope_roundtrip(self, keypair, dj, rng):
         msgs = [
