@@ -12,12 +12,12 @@ through this module, so a single switch moves the whole system between:
   faster on the modular exponentiations that dominate query latency
   (the paper's Section 11 measures exactly these operations), and
 * ``gmp-kernel`` — the compiled cffi batch kernel
-  (:mod:`repro.crypto.kernels`): GMP speed, the query path's batch
-  primitives (:func:`pool_products`, :func:`powmod_pairs`) as one C
-  call each, *and* the GIL released across every batch call, so
-  concurrent queries' kernel stretches overlap.  Available when the
-  extension builds here (cffi + C compiler + GMP headers); absent, it
-  simply never registers.
+  (:mod:`repro.crypto.kernels`): GMP speed, *every* batch primitive
+  below as one C call (:func:`powmod_products`, :func:`pool_products`
+  and :func:`invert_vec` on the kernel's Montgomery core), *and* the GIL
+  released across every batch call, so concurrent queries' kernel
+  stretches overlap.  Available when the extension builds here (cffi +
+  C compiler + GMP headers); absent, it simply never registers.
 
 Selection order:
 
@@ -28,9 +28,10 @@ Selection order:
    ``gmp-kernel`` or ``auto``);
 4. ``auto`` — ``gmp-kernel`` when it builds, else ``gmpy2`` when
    importable, else ``pure``.  (The kernel first: it is the backend the
-   repo's benchmark measures, and the only one on which the randomizer
-   draw and the per-pair exponentiations are C — ``gmpy2`` runs
-   ``pool_products`` as the shared Python loop.)
+   repo's benchmark measures, and the only one on which the batch
+   primitives are C — ``gmpy2`` runs ``powmod_products``,
+   ``pool_products`` and ``invert_vec`` as the shared Python loops
+   around its scalar calls.)
 
 All backends are *bit-compatible*: for every operation the returned
 integers are identical, so ciphertexts, transcripts and seeded-test
@@ -44,7 +45,8 @@ replaced the per-item ``pow`` loops previously inlined in
 ``encrypt_vector``/``decrypt_vector`` and the S2 decrypt handlers, and
 gives an accelerated backend one conversion of the shared
 modulus/exponent per *batch* instead of per item.  :func:`powmod_pairs`
-(one exponent *per* base), :func:`invert_vec` (Montgomery's trick) and
+(one exponent *per* base), :func:`powmod_products` (``acc · Π b^e`` per
+group of bases), :func:`invert_vec` (Montgomery's trick) and
 :func:`pool_products` (the randomizer-pool draw) carry the query path's
 per-ciphertext work — the ⊖ matrix, the layered selects, ``RecoverEnc``,
 every fresh encryption's randomizer — as one call per round.
@@ -71,8 +73,40 @@ except ImportError:  # pragma: no cover
 
 class _SharedBatchOps:
     """The batch ops every backend runs as one Python loop unless it
-    overrides them: ``invert_vec`` on top of the backend's scalar
-    ``invert``, and the reference ``pool_products``."""
+    overrides them: ``powmod_products`` on top of the backend's
+    ``powmod_pairs``, ``invert_vec`` on top of its scalar ``invert``,
+    and the reference ``pool_products``."""
+
+    def powmod_products(
+        self,
+        accs: list[int],
+        bases: list[int],
+        exps: list[int],
+        counts: list[int],
+        mod: int,
+    ) -> list[int]:
+        """``accs[g] · Π b ** e mod mod`` per group ``g``: the group's
+        ``counts[g]`` consecutive ``(base, exponent)`` pairs of ``bases``
+        / ``exps``."""
+        if mod == 0:
+            raise ValueError("pow() 3rd argument cannot be 0")
+        if (
+            len(accs) != len(counts)
+            or sum(counts) != len(bases)
+            or min(counts, default=0) < 0
+        ):
+            raise ValueError(
+                "powmod_products needs one acc per count and counts that "
+                "sum to one exponent per base"
+            )
+        powers = iter(self.powmod_pairs(bases, exps, mod))
+        out = []
+        for acc, count in zip(accs, counts):
+            acc %= mod
+            for _ in range(count):
+                acc = acc * next(powers) % mod
+            out.append(acc)
+        return out
 
     @staticmethod
     def pool_products(pool: "RandomizerPool", reads: bytes) -> list[int]:
@@ -202,10 +236,9 @@ class GmpKernelBackend(_SharedBatchOps):
     """The compiled GIL-free GMP batch kernel as a backend.
 
     Same GMP arithmetic as gmpy2 (bit-identical results); the
-    difference is *where the GIL goes*: :meth:`powmod_vec`,
-    :meth:`powmod_pairs` and :meth:`pool_products` make one C call for
-    the whole batch and cffi releases the GIL for its entire duration,
-    so concurrent threads running batches genuinely overlap.
+    difference is *where the GIL goes*: every batch op makes one C call
+    for the whole batch and cffi releases the GIL for its entire
+    duration, so concurrent threads running batches genuinely overlap.
     ``gcd`` stays on :func:`math.gcd` — already C-speed, and never a
     batch bottleneck.
     """
@@ -230,6 +263,22 @@ class GmpKernelBackend(_SharedBatchOps):
 
     def powmod_pairs(self, bases: list[int], exps: list[int], mod: int) -> list[int]:
         return self._kernel.powmod_pairs(bases, exps, mod)
+
+    def powmod_products(
+        self,
+        accs: list[int],
+        bases: list[int],
+        exps: list[int],
+        counts: list[int],
+        mod: int,
+    ) -> list[int]:
+        if min(exps, default=0) < 0:
+            # Negative powers go through invert; no hot path has them.
+            return super().powmod_products(accs, bases, exps, counts, mod)
+        return self._kernel.powmod_products(accs, bases, exps, counts, mod)
+
+    def invert_vec(self, values: list[int], mod: int) -> list[int]:
+        return self._kernel.invert_vec(values, mod)
 
     def pool_products(self, pool: "RandomizerPool", reads: bytes) -> list[int]:
         if pool.packed is None:
@@ -394,6 +443,16 @@ def powmod_pairs(bases: list[int], exps: list[int], mod: int) -> list[int]:
     """Exponentiate each base by its own exponent — the shape of the ⊖
     matrix's random scalars and of the layered scalar multiplications."""
     return _current().powmod_pairs(bases, exps, mod)
+
+
+def powmod_products(
+    accs: list[int], bases: list[int], exps: list[int], counts: list[int], mod: int
+) -> list[int]:
+    """``accs[g] · Π b ** e mod mod`` for each group ``g`` of ``counts[g]``
+    consecutive ``(base, exponent)`` pairs — the shape of the ⊖ operator
+    (the ``Enc(0)`` randomizer times one power per EHL cell) and of a
+    layered select (``E2(c_default)`` times one power per selector bit)."""
+    return _current().powmod_products(accs, bases, exps, counts, mod)
 
 
 def invert_vec(values: list[int], mod: int) -> list[int]:

@@ -416,9 +416,9 @@ def layered_select_batch(
 ) -> list["LayeredCiphertext"]:
     """One :func:`layered_one_hot_select` per ``(bits, options, default)``
     entry of ``selections``, for a whole flow step at once: every
-    ``E2(t)^{c_i - c_default}`` of the batch in one
-    :func:`~repro.crypto.backend.powmod_pairs` call and every
-    ``E2(c_default)`` in one :meth:`DamgardJurik.encrypt_batch`.
+    ``E2(c_default)`` in one :meth:`DamgardJurik.encrypt_batch`, then
+    each select's ``E2(c_default) · Π E2(t_i)^{c_i - c_default}`` as one
+    group of one :func:`~repro.crypto.backend.powmod_products` call.
 
     ``scalars`` (one Paillier ciphertext *value* ``k`` per selection)
     additionally multiplies each selected inner value by ``k`` mod
@@ -431,13 +431,13 @@ def layered_select_batch(
     n_s1 = dj.n_s1
     if scalars is None:
         scalars = [1] * len(selections)
-    bases, exps, ends = [], [], []
+    bases, exps, counts = [], [], []
     for (bits, options, default), scalar in zip(selections, scalars):
+        start = len(bases)
         for base, option in zip(dj.values_of(bits), options):
             bases.append(base)
             exps.append((option.value - default.value) * scalar % n2)
-        ends.append(len(bases))
-    powers = backend.powmod_pairs(bases, exps, n_s1)
+        counts.append(len(bases) - start)
     defaults = dj.encrypt_batch(
         [
             default.value * scalar % n2
@@ -445,12 +445,9 @@ def layered_select_batch(
         ],
         rng,
     )
-    out = []
-    start = 0
-    for acc, end in zip(defaults, ends):
-        value = acc.value
-        for power in powers[start:end]:
-            value = value * power % n_s1
-        out.append(LayeredCiphertext(value, dj))
-        start = end
-    return out
+    return [
+        LayeredCiphertext(value, dj)
+        for value in backend.powmod_products(
+            dj.values_of(defaults), bases, exps, counts, n_s1
+        )
+    ]

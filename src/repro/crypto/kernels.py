@@ -11,11 +11,15 @@ Two things live here:
 
 * **:class:`GmpKernel`** — the loaded extension wrapped in the backend
   operation signatures (``powmod`` / ``powmod_vec`` / ``powmod_pairs`` /
-  ``pool_products`` / ``invert``).  A batch call packs the whole batch,
-  makes *one* C call, and unpacks; cffi releases the GIL for the entire
-  C loop, so concurrent queries' kernel stretches overlap.  Results are
-  bit-identical to the pure and gmpy2 backends (``tests/test_backend.py``
-  pins this).
+  ``powmod_products`` / ``pool_products`` / ``invert`` / ``invert_vec``).
+  A batch call packs the whole batch, makes *one* C call, and unpacks;
+  cffi releases the GIL for the entire C loop, so concurrent queries'
+  kernel stretches overlap.  ``powmod_products``, ``pool_products`` and
+  ``invert_vec`` run on the kernel's Montgomery core (odd moduli; an even
+  one takes the same call's ``mpz`` path).  Results are bit-identical to
+  the pure and gmpy2 backends (``tests/test_backend.py`` pins this).
+  The C loops index raw buffers, so every buffer size is checked here,
+  before the call.
 
 Use :func:`load_kernel` / :func:`kernel_available`; both are no-raise —
 a machine without cffi, a compiler or the GMP headers simply reports the
@@ -140,11 +144,64 @@ class GmpKernel:
         """Scalar sugar over :meth:`powmod_vec`."""
         return self.powmod_vec([base], exp, mod)[0]
 
+    def powmod_products(
+        self,
+        accs: list[int],
+        bases: list[int],
+        exps: list[int],
+        counts: list[int],
+        mod: int,
+    ) -> list[int]:
+        """``accs[g] · Π b ** e mod mod`` per group ``g`` of ``counts[g]``
+        consecutive ``(base, exponent)`` pairs, in one GIL-free C call (a
+        multi-exponentiation per group, see ``repro_powmod_products``).
+        Exponents must be non-negative."""
+        if mod == 0:
+            raise ValueError("pow() 3rd argument cannot be 0")
+        if (
+            len(accs) != len(counts)
+            or len(bases) != len(exps)
+            or sum(counts) != len(bases)
+            or min(counts, default=0) < 0
+        ):
+            raise ValueError(
+                "powmod_products needs one acc per count and counts that "
+                "sum to one exponent per base"
+            )
+        if not accs:
+            return []
+        mod_words, packed_mod = self._packed_mod(mod)
+        exp_words = words_for(max(exps, default=0))
+        out_buf = bytearray(len(accs) * mod_words * WORD_BYTES)
+        from_buffer = self._ffi.from_buffer
+        rc = self._lib.repro_powmod_products(
+            from_buffer("uint64_t[]", pack_ints([a % mod for a in accs], mod_words)),
+            from_buffer("uint64_t[]", pack_ints(counts, 1)),
+            len(accs),
+            from_buffer("uint64_t[]", pack_ints([b % mod for b in bases], mod_words)),
+            from_buffer("uint64_t[]", pack_ints(exps, exp_words)),
+            len(bases),
+            exp_words,
+            from_buffer("uint64_t[]", packed_mod),
+            mod_words,
+            from_buffer("uint64_t[]", out_buf),
+        )
+        if rc != 0:  # pragma: no cover - shapes are checked above
+            raise ValueError("kernel multi-exponentiation failed")
+        return unpack_ints(out_buf, mod_words, len(accs))
+
     @staticmethod
     def pack_pool(values: list[int], mod: int) -> bytes:
         """``values`` in the limb format at ``mod``'s width — the
-        ``packed_pool`` of :meth:`pool_products`, built once per pool."""
-        return bytes(pack_ints(values, words_for(mod)))
+        ``packed_pool`` of :meth:`pool_products`, built once per pool.
+        For an odd ``mod`` (every key's) each value is packed in
+        Montgomery form, ``v · 2 ** (64 · words) mod mod``, which is what
+        the kernel's pool loop multiplies."""
+        words = words_for(mod)
+        if mod & 1:
+            shift = 64 * words
+            values = [(v << shift) % mod for v in values]
+        return bytes(pack_ints(values, words))
 
     def pool_products(
         self, packed_pool: bytes, index_bits: int, picks: int, reads: bytes, mod: int
@@ -200,6 +257,30 @@ class GmpKernel:
         if rc != 1:
             raise ValueError("base is not invertible for the given modulus")
         return unpack_ints(out_buf, mod_words, 1)[0]
+
+    def invert_vec(self, values: list[int], mod: int) -> list[int]:
+        """Every inverse of a batch in one C call (Montgomery's trick:
+        one ``mpz_invert`` for the batch); raises ``ValueError`` when any
+        element has none."""
+        if mod == 0:
+            raise ValueError("modulus cannot be 0")
+        if not values:
+            return []
+        mod_words, packed_mod = self._packed_mod(mod)
+        out_buf = bytearray(len(values) * mod_words * WORD_BYTES)
+        from_buffer = self._ffi.from_buffer
+        rc = self._lib.repro_invert_vec(
+            from_buffer("uint64_t[]", pack_ints([v % mod for v in values], mod_words)),
+            len(values),
+            from_buffer("uint64_t[]", packed_mod),
+            mod_words,
+            from_buffer("uint64_t[]", out_buf),
+        )
+        if rc != 1:
+            raise ValueError(
+                "batch holds an element that is not invertible for the given modulus"
+            )
+        return unpack_ints(out_buf, mod_words, len(values))
 
 
 _KERNEL: GmpKernel | None = None

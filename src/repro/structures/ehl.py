@@ -212,9 +212,10 @@ def _minus_computed(
     """The real ``⊖`` of every pair, as whole-batch kernel calls.
 
     Each right-hand cell is inverted once however many pairs it appears
-    in (Montgomery's trick over all of them: one inversion), and every
-    ``(mine / theirs)^r`` of the batch goes through one
-    :func:`~repro.crypto.backend.powmod_pairs`.  The rng is read in the
+    in (Montgomery's trick over all of them: one inversion), and each
+    pair's ``Enc(0) · Π (mine / theirs)^r`` is one multi-exponentiation
+    of one :func:`~repro.crypto.backend.powmod_products` call for the
+    whole batch.  The rng is read in the
     order a loop of single ``⊖`` calls reads it — per pair the ``Enc(0)``
     randomizer, then one scalar per cell — so batch and loop agree
     ciphertext for ciphertext under a seed.
@@ -252,13 +253,11 @@ def _minus_computed(
         for cell, inverse in zip(mine.cells, inverse_of[id(theirs)]):
             scalars.append(rng.rand_nonzero(n))
             bases.append(cell.value * inverse % n2)
-    powers = iter(backend.powmod_pairs(bases, scalars, n2))
-    out = []
-    for (mine, _), acc in zip(pairs, accs):
-        for _ in mine.cells:
-            acc = acc * next(powers) % n2
-        out.append(Ciphertext(acc, pk))
-    return out
+    counts = [len(mine) for mine, _ in pairs]
+    return [
+        Ciphertext(value, pk)
+        for value in backend.powmod_products(accs, bases, scalars, counts, n2)
+    ]
 
 
 class Ehl(EncryptedHashList):

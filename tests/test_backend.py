@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.params import SystemParams
 from repro.core.scheme import SecTopK
-from repro.crypto import backend
+from repro.crypto import backend, kernels
 from repro.crypto.damgard_jurik import DamgardJurik
 from repro.crypto.paillier import (
     PaillierKeypair,
@@ -279,9 +279,9 @@ class TestKernelParity:
     ],
 )
 class TestBatchPrimitiveParity:
-    """``powmod_pairs`` / ``invert_vec`` / ``pool_products`` agree with
-    per-element built-ins on every backend that exists here (the CI legs
-    pin one each)."""
+    """``powmod_pairs`` / ``powmod_products`` / ``invert_vec`` /
+    ``pool_products`` agree with per-element built-ins on every backend
+    that exists here (the CI legs pin one each)."""
 
     def test_powmod_pairs_mixed_widths(self, name):
         fast = backend._resolve(name)
@@ -303,6 +303,59 @@ class TestBatchPrimitiveParity:
             fast.powmod_pairs([2, 3], [1], 7)
         with pytest.raises(ValueError):
             fast.powmod_pairs([2], [3], 0)
+
+    @pytest.mark.parametrize(
+        "mod_bits, odd", [(512, True), (768, True), (512, False)],
+        ids=["odd512", "odd768", "even512"],
+    )
+    def test_powmod_products_match_reference(self, name, mod_bits, odd):
+        """Ragged groups — every edge base against every edge exponent
+        as width-1 groups, then widths 5, 23 (the EHL bit-list's), 0 and
+        5 — with accs at and above the modulus.  An even modulus takes
+        the kernel's mpz path."""
+        fast = backend._resolve(name)
+        rng = SecureRandom(mod_bits + odd)
+        mod = rng.randbits(mod_bits) | (1 << (mod_bits - 1))
+        mod = mod | 1 if odd else mod & ~1
+        edge_bases = [0, 1, mod - 1, mod, mod + 1]
+        edge_exps = [0, 1, 65537, rng.randbits(600)]
+        counts = [1] * 20 + [5, 23, 0, 5]
+        bases = [b for b in edge_bases for _ in edge_exps]
+        exps = edge_exps * len(edge_bases)
+        wide = sum(counts) - len(bases)
+        bases += [rng.randbits(mod_bits + 64) for _ in range(wide)]
+        exps += [rng.randbits(8 * (1 + rng.randint_below(75))) for _ in range(wide)]
+        bases[-3:], exps[-3:] = [mod - 1, 0, mod + 1], [65537, 1, 0]
+        accs = [mod, mod + 1, 0, 2 * mod - 1] + [
+            rng.randbits(mod_bits + 64) for _ in counts[4:]
+        ]
+        expected, pairs = [], iter(zip(bases, exps))
+        for acc, count in zip(accs, counts):
+            for base, exp in (next(pairs) for _ in range(count)):
+                acc = acc * pow(base, exp, mod) % mod
+            expected.append(acc % mod)
+        assert fast.powmod_products(accs, bases, exps, counts, mod) == expected
+
+    def test_powmod_products_edges(self, name):
+        fast = backend._resolve(name)
+        assert fast.powmod_products([], [], [], [], 7) == []
+        assert fast.powmod_products([9], [], [], [0], 7) == [2]
+        assert fast.powmod_products([3], [5], [0], [1], 8) == [3]
+        assert fast.powmod_products([5], [3], [0], [1], 1) == [0]
+        assert fast.powmod_products([2], [3], [-1], [1], 7) == [2 * pow(3, -1, 7) % 7]
+        for accs, bases, exps, counts in (
+            ([1], [2, 3], [1, 1], [1]),  # counts short of the bases
+            ([1], [2], [1], [2]),  # counts overrun the bases
+            ([1, 1], [2], [1], [1]),  # an acc without a count
+            ([1], [2], [1, 1], [1]),  # exps disagree with bases
+            ([1, 1], [2], [1], [2, -1]),  # a negative count
+        ):
+            with pytest.raises(ValueError):
+                fast.powmod_products(accs, bases, exps, counts, 7)
+        with pytest.raises(ValueError):
+            fast.powmod_products([1], [2], [3], [1], 0)
+        with pytest.raises(ValueError):
+            fast.powmod_products([], [], [], [], 0)
 
     def test_invert_vec_matches_scalar(self, name):
         fast = backend._resolve(name)
@@ -326,12 +379,25 @@ class TestBatchPrimitiveParity:
                     fast.invert_vec(values, mod)
 
     def test_invert_vec_is_one_inversion(self, name):
+        """One scalar ``invert`` of the batch's product; on the kernel,
+        one C call and no scalar ``invert`` at all."""
         fast = backend._resolve(name)
         calls = []
         scalar = fast.invert
         fast.invert = lambda a, m: calls.append(a) or scalar(a, m)
+        expected = [3 * 5 * 7 * 11 % 1009]
+        if name == "gmp-kernel":
+            lib = fast._kernel._lib
+
+            class Spy:
+                def __getattr__(self, attr):
+                    calls.append(attr)
+                    return getattr(lib, attr)
+
+            fast._kernel = kernels.GmpKernel(fast._kernel._ffi, Spy())
+            expected = ["repro_invert_vec"]
         fast.invert_vec([3, 5, 7, 11], 1009)
-        assert len(calls) == 1
+        assert calls == expected
 
 
     @pytest.mark.parametrize(
@@ -403,21 +469,18 @@ class TestKernelCache:
             return _gmp_kernel.load()
 
         with monkeypatch.context() as older:
-            # The kernel as it was before powmod_pairs and pool_products
+            # The kernel as it was before powmod_products and invert_vec
             # existed.
             cdef = build.CDEF
             older.setattr(
-                build,
-                "CDEF",
-                cdef[: cdef.index("int repro_powmod_pairs")]
-                + cdef[cdef.index("int repro_invert") : cdef.index("int repro_pool_products")],
+                build, "CDEF", cdef[: cdef.index("int repro_powmod_products")]
             )
             _, old_lib = fresh_load()
-            assert not hasattr(old_lib, "repro_powmod_pairs")
-            assert not hasattr(old_lib, "repro_pool_products")
+            assert not hasattr(old_lib, "repro_powmod_products")
+            assert not hasattr(old_lib, "repro_invert_vec")
         _, lib = fresh_load()
-        assert hasattr(lib, "repro_powmod_pairs")
-        assert hasattr(lib, "repro_pool_products")
+        assert hasattr(lib, "repro_powmod_products")
+        assert hasattr(lib, "repro_invert_vec")
         assert len([p for p in tmp_path.iterdir() if p.is_dir()]) == 2
 
     def test_pool_products_rejects_malformed_input(self):

@@ -223,21 +223,29 @@ class TestKnownPairs:
 
     def test_covered_entries_draw_in_batches(self, keypair, monkeypatch):
         """One ``encrypt_batch`` for rule (a), one ``randomizers`` plus one
-        ``powmod_pairs`` for rule (b) — per matrix, not per pair."""
+        ``powmod_pairs`` for rule (b), one ``powmod_products`` for rule (c)
+        — per matrix, not per pair."""
         rng = SecureRandom(5)
         ehls = self._encode(keypair, range(5), True, rng)
         known = KnownPairs()
         known.distinct(ehls[:3])
         known.tested(ehls[4], ehls[:4], ehls[4].minus_many(ehls[:4], rng))
 
-        powmods, draws = [], []
+        powmods, products, draws = [], [], []
         real_powmod = backend.powmod_pairs
+        real_products = backend.powmod_products
         real_randomizers = PaillierPublicKey.randomizers
         monkeypatch.setattr(
             backend,
             "powmod_pairs",
             lambda bases, exps, mod: powmods.append(len(bases))
             or real_powmod(bases, exps, mod),
+        )
+        monkeypatch.setattr(
+            backend,
+            "powmod_products",
+            lambda accs, bases, exps, counts, mod: products.append(counts)
+            or real_products(accs, bases, exps, counts, mod),
         )
         monkeypatch.setattr(
             PaillierPublicKey,
@@ -248,7 +256,8 @@ class TestKnownPairs:
         matrix = EncryptedHashList.minus_matrix(ehls, rng, known)
         cells = len(ehls[0])
         # 10 pairs: 3 known distinct, 4 tested, 3 computed (ehls[3] vs 0..2).
-        assert sorted(powmods) == [4, 3 * cells]
+        assert powmods == [4]
+        assert products == [[cells] * 3]
         assert sorted(draws) == [1, 1, 1, 3, 4]
         assert all(e != 0 for e in keypair.secret_key.decrypt_batch(matrix))
 

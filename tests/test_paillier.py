@@ -3,6 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.params import SystemParams
+from repro.core.results import QueryConfig
+from repro.core.scheme import SecTopK
+from repro.crypto import backend
 from repro.crypto.paillier import (
     Ciphertext,
     PaillierKeypair,
@@ -11,6 +15,7 @@ from repro.crypto.paillier import (
     encrypt_vector,
 )
 from repro.crypto.rng import SecureRandom
+from repro.data import correlated_relation
 from repro.exceptions import DecryptionError, KeyMismatchError
 
 
@@ -239,6 +244,42 @@ class TestRandomizers:
         ]
         assert len(drawn) == 10_000
         assert len(set(drawn)) == 10_000
+
+
+class TestRandomizerRepeats:
+    """How often a seeded run draws a randomizer it already drew under
+    the same key — a repeated pool-index multiset.  Counted, not fixed:
+    the pool shape allows ~1.2e8 multisets per key, so a long run
+    repeats (ARCHITECTURE.md records the paper-size count).  The pins
+    move only when the seeded streams or the number of draws do."""
+
+    def test_counts_repeated_multisets_per_key(self, pool_draws):
+        # 2 elements, 2 picks: index bits 1, one byte per read, top bits.
+        pool = backend.RandomizerPool([3, 5], 101, 2)
+        reads = bytes(digits << 6 for digits in (0b01, 0b10, 0b11, 0b00, 0b11))
+        backend.pool_products(pool, reads)
+        assert pool_draws.draws == {101: [(0, 1), (0, 1), (1, 1), (0, 0), (1, 1)]}
+        assert pool_draws.repeats() == {101: 2}
+
+    def test_seeded_tiny_run(self, pool_draws):
+        """Upload plus one query per engine and variant at tiny sizes."""
+        scheme = SecTopK(SystemParams.tiny(), seed=12)
+        rows = correlated_relation(16, 6, seed=12, correlation=0.95).rows
+        relation = scheme.encrypt(rows)
+        for attributes, config in (
+            ([0, 1], QueryConfig()),
+            ([2, 3, 4], QueryConfig(variant="full")),
+            ([1, 5], QueryConfig(variant="batch", batch_p=4)),
+            ([0, 4], QueryConfig(engine="literal")),
+        ):
+            scheme.query(relation, scheme.token(attributes, k=3), config)
+        # (draws, repeats) per key; N'^2 is S1's own key (sealed seeds).
+        role = {scheme.public_key.n_squared: "N^2", scheme.dj.n_s1: "N^3"}
+        repeats = pool_draws.repeats()
+        assert {
+            role.get(mod, "N'^2"): (len(draws), repeats[mod])
+            for mod, draws in pool_draws.draws.items()
+        } == {"N^2": (4107, 0), "N'^2": (307, 0), "N^3": (101, 0)}
 
 
 class TestSharedKeyFirstDraw:

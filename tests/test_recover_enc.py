@@ -107,18 +107,18 @@ class TestSelectRecover:
         ]
 
     def test_one_wide_exponentiation_per_selection_bit(self, ctx, monkeypatch):
-        """The saving itself: the whole batch is ONE ``powmod_pairs`` call
-        under ``N^3`` carrying one exponent per selection bit — none for
-        the blinding."""
+        """The saving itself: the whole batch is ONE ``powmod_products``
+        call under ``N^3`` carrying one exponent per selection bit — none
+        for the blinding."""
         selections = self._selections(ctx)
         calls = []
-        real = backend.powmod_pairs
+        real = backend.powmod_products
 
-        def spy(bases, exps, mod):
-            calls.append((len(bases), mod))
-            return real(bases, exps, mod)
+        def spy(accs, bases, exps, counts, mod):
+            calls.append((counts, mod))
+            return real(accs, bases, exps, counts, mod)
 
-        monkeypatch.setattr(backend, "powmod_pairs", spy)
+        monkeypatch.setattr(backend, "powmod_products", spy)
+        monkeypatch.setattr(backend, "powmod_pairs", None)  # and no other
         select_recover_batch(ctx, selections)
-        bits = sum(len(sel[0]) for sel in selections)
-        assert calls == [(bits, ctx.dj.n_s1)]
+        assert calls == [([len(sel[0]) for sel in selections], ctx.dj.n_s1)]
