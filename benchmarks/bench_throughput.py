@@ -181,15 +181,15 @@ def run_submit_pipeline(rtt_ms: float = 10.0, out: pathlib.Path | None = None) -
 
     _measure(
         "execute_many-sequential",
-        lambda c, reqs: c.server.execute_many(reqs, concurrency=1),
+        lambda c, reqs: c.execute_many(reqs, concurrency=1),
     )
     _measure(
         "execute_many-thread-4",
-        lambda c, reqs: c.server.execute_many(reqs, concurrency=4),
+        lambda c, reqs: c.execute_many(reqs, concurrency=4),
     )
     _measure(
         "submit-pipeline-4",
-        lambda c, reqs: [job.result() for job in c.submit_many(reqs)],
+        lambda c, reqs: [job.result() for job in [c.submit(*req) for req in reqs]],
     )
 
     by_mode = {r["mode"]: r["qps"] for r in rows}
@@ -324,7 +324,7 @@ def run_reuse_grid(rtt_ms: float = 5.0, out: pathlib.Path | None = None) -> dict
                     cache=cache,
                 ) as client:
                     started = time.perf_counter()
-                    results = client.server.execute_many(
+                    results = client.execute_many(
                         requests, concurrency=concurrency
                     )
                     elapsed = time.perf_counter() - started

@@ -24,11 +24,11 @@ def main() -> None:
     scheme = SecTopK(SystemParams.insecure_demo(), seed=8)
     encrypted = scheme.encrypt(rows)
 
-    # The client API attaches every query's leakage slice to the result,
+    # The server attaches every query's leakage slice to the result,
     # so the audit needs no access to the context at all.
-    client = repro.connect(scheme, encrypted)
-    token = client.token([0, 1, 2], k=3)
-    result = client.query(token, QueryConfig(variant="elim", engine="eager"))
+    server = repro.connect(scheme, encrypted)
+    token = server.token([0, 1, 2], k=3)
+    result = server.query(token, QueryConfig(variant="elim", engine="eager"))
     print(f"query done: halting depth {result.halting_depth}\n")
 
     log = LeakageLog()
@@ -48,8 +48,8 @@ def main() -> None:
         print(f"\nexample EP_d batch S2 saw (bits of a permuted batch): {eq[-1].payload}")
 
     # Repeat the query: S1's query-pattern leakage flips to "repeated".
-    repeat = client.query(token, QueryConfig(variant="elim"))
-    client.close()
+    repeat = server.query(token, QueryConfig(variant="elim"))
+    server.close()
     qp = [
         e.payload
         for r in (result, repeat)

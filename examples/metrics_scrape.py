@@ -46,15 +46,15 @@ def main() -> None:
     encrypted = scheme.encrypt(relation.rows)
     config = QueryConfig(variant="elim", engine="eager")
 
-    with repro.connect(scheme, encrypted, metrics_port=0) as client:
-        port = client.server.metrics_port
+    with repro.connect(scheme, encrypted, metrics_port=0) as server:
+        port = server.metrics_port
         print(f"exporter on http://127.0.0.1:{port}/metrics\n")
 
         # Drive some traffic: two distinct queries plus one cache hit.
-        hot = client.token([0, 1], k=3)
-        client.query(hot, config)
-        client.query(client.token([1, 2], k=3), config)
-        job = client.submit(hot, config)
+        hot = server.token([0, 1], k=3)
+        server.query(hot, config)
+        server.query(server.token([1, 2], k=3), config)
+        job = server.submit(hot, config)
         result = job.result()
         assert result.cache_hit, "repeat of a finished query must hit the cache"
 
@@ -84,7 +84,7 @@ def main() -> None:
         status, text = scrape(port, "/healthz")
         print(f"\n/healthz while serving: {status} {text.strip()}")
         assert status == 200
-        client.server.drain()
+        server.drain()
         status, text = scrape(port, "/healthz")
         print(f"/healthz after drain():  {status} {text.strip()}")
         assert status == 503

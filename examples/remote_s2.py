@@ -33,7 +33,7 @@ def main() -> None:
 
     # -- Reference: both clouds in this process --------------------------
     with TopKServer(scheme, encrypted) as server:
-        local = server.execute(token, config)
+        local = server.query(token, config)
     local_winners = scheme.reveal(local)
     print(f"in-process: top-3 {local_winners}, "
           f"{local.channel_stats.rounds} rounds, "
@@ -44,10 +44,10 @@ def main() -> None:
     print(f"S2 daemon up at {address} (pid {daemon.pid})")
     try:
         with TopKServer(scheme, encrypted, transport=address) as server:
-            remote = server.execute(token, config)
+            remote = server.query(token, config)
             # Second query: the relation is registered, the daemon keeps
             # the key material — only protocol rounds cross the wire.
-            again = server.execute(scheme.token(attributes=[0, 1], k=2), config)
+            again = server.query(scheme.token(attributes=[0, 1], k=2), config)
         remote_winners = scheme.reveal(remote)
         print(f"remote:     top-3 {remote_winners}, "
               f"{remote.channel_stats.rounds} rounds, "

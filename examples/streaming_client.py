@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The job-oriented client API, live against a remote S2 daemon.
+"""The job API of ``repro.connect``, live against a remote S2 daemon.
 
 Launches the standalone S2 service as a separate OS process, connects
 with :func:`repro.connect`, and demonstrates the whole job surface:
@@ -11,7 +11,7 @@ with :func:`repro.connect`, and demonstrates the whole job surface:
 * ``result().stats`` — the uniform :class:`~repro.core.results.QueryStats`
   cost block;
 * parity — the remote submit path is bit-identical to an in-process
-  ``execute``.
+  ``query``.
 
 Run:  PYTHONPATH=src python examples/streaming_client.py
 """
@@ -34,8 +34,8 @@ def main() -> None:
     config = QueryConfig(variant="elim", engine="eager")
 
     # -- Reference: the same job in-process ------------------------------
-    with repro.connect(scheme, encrypted) as client:
-        local = client.query(client.token([0, 1, 2], k=3), config)
+    with repro.connect(scheme, encrypted) as server:
+        local = server.query(server.token([0, 1, 2], k=3), config)
     print(f"in-process: top-3 {scheme.reveal(local)}, "
           f"{local.stats.rounds} rounds, {local.stats.total_bytes / 1000:.1f} KB")
 
@@ -43,10 +43,10 @@ def main() -> None:
     daemon, address = launch_daemon()
     print(f"S2 daemon up at {address} (pid {daemon.pid})")
     try:
-        with repro.connect(scheme, encrypted, address) as client:
-            job = client.submit(client.token([0, 1, 2], k=3), config)
+        with repro.connect(scheme, encrypted, address) as server:
+            job = server.submit(server.token([0, 1, 2], k=3), config)
             # A second job, running alongside the first on the server's pool.
-            tail = client.submit(client.token([0, 1], k=2), config)
+            tail = server.submit(server.token([0, 1], k=2), config)
 
             for event in job.events():
                 if isinstance(event, DepthAdvanced):

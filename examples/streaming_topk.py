@@ -8,7 +8,7 @@ Demonstrates the PR-9 mutation subsystem:
   re-encrypted; the ``mutation_pattern`` leakage is declared per op);
 * version bumps folding into ``relation_id()`` so the result cache
   misses instead of aliasing;
-* ``client.watch`` — a long-lived job that re-evaluates after every
+* ``server.watch`` — a long-lived job that re-evaluates after every
   mutation and streams :class:`repro.TopKChanged` exactly when the
   revealed winners change, including the sliding-insert ``window`` mode;
 * the same churn driven over a real S2 daemon in a separate OS process
@@ -45,23 +45,23 @@ def mutate_and_watch(address: str | None = None) -> list[tuple[int, int]]:
     mutable = repro.MutableRelation(scheme, rows)
 
     target = address or "inprocess"
-    with repro.connect(scheme, mutable, target) as client:
-        token = client.token([0, 1], k=2)
-        baseline = client.query(token)
-        print(f"  [{target}] v{client.version} top-2: "
-              f"{client.reveal(baseline)}")
+    with repro.connect(scheme, mutable, target) as server:
+        token = server.token([0, 1], k=2)
+        baseline = server.query(token)
+        print(f"  [{target}] v{server.version} top-2: "
+              f"{server.reveal(baseline)}")
 
         # A continuous watch: evaluates now, then after every mutation.
-        watch = client.watch(token)
+        watch = server.watch(token)
         _settled(watch, 1)
 
-        res = client.insert([9, 9])                  # new champion (18)
+        res = server.insert([9, 9])                  # new champion (18)
         print(f"  [{target}] insert -> oid {res.object_id}, v{res.version}, "
               f"touched prefixes {res.touched}")
         _settled(watch, 2)
-        client.update(res.object_id, [0, 0])         # demote it again
+        server.update(res.object_id, [0, 0])         # demote it again
         _settled(watch, 3)
-        client.delete(res.object_id)                 # and remove it
+        server.delete(res.object_id)                 # and remove it
         _settled(watch, 4)
 
         watch.stop()
@@ -74,12 +74,12 @@ def mutate_and_watch(address: str | None = None) -> list[tuple[int, int]]:
         # original winners, so the delete evaluated silently.
         assert summary.evaluations == 4, summary
         assert summary.changes == 3, summary
-        assert client.version == 3
+        assert server.version == 3
 
         # Compared as sorted pairs: the two winners tie at 12, and EncSort
         # keeps S1's random permutation among equal scores.
-        final = sorted(client.reveal(client.query(token)))
-        assert final == sorted(client.reveal(baseline))
+        final = sorted(server.reveal(server.query(token)))
+        assert final == sorted(server.reveal(baseline))
         print(f"  [{target}] watch summary: {summary.evaluations} evaluations, "
               f"{summary.changes} changes; winners restored")
         return final
@@ -89,11 +89,11 @@ def sliding_window(n_events: int = 4) -> None:
     """The streaming mode: top-k over the last-N inserted rows."""
     scheme = repro.SecTopK(repro.SystemParams.tiny(), seed=7)
     mutable = repro.MutableRelation(scheme, [[1, 1], [2, 2]])
-    with repro.connect(scheme, mutable) as client:
-        watch = client.watch(client.token([0, 1], k=1), window=2)
+    with repro.connect(scheme, mutable) as server:
+        watch = server.watch(server.token([0, 1], k=1), window=2)
         _settled(watch, 1)
         for step, value in enumerate(range(3, 3 + n_events), start=2):
-            client.insert([value * 3 % 11, value * 5 % 11])
+            server.insert([value * 3 % 11, value * 5 % 11])
             _settled(watch, step)
         watch.stop()
         summary = watch.summary(timeout=60)

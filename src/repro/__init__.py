@@ -13,10 +13,11 @@ The package implements the complete system described in the paper:
   :mod:`repro.nra`;
 * the top-level ``SecTopK = (Enc, Token, SecQuery)`` scheme in
   :mod:`repro.core`;
-* the job-oriented client API — :func:`connect` / :class:`TopKClient`,
+* the serving layer in :mod:`repro.server`: :func:`connect` returns a
+  :class:`~repro.server.TopKServer` that mints tokens, runs queries as
   asynchronous :class:`QueryJob` handles with streaming progress events
-  — in :mod:`repro.client`, in front of the scheduling server of
-  :mod:`repro.server` and the deployable S2 daemon;
+  and reveals results, against an in-process S2 or the deployable S2
+  daemon;
 * the secure top-k join operator of Section 12 in :mod:`repro.join`;
 * the secure-kNN comparator of Section 11.3 in :mod:`repro.baselines`;
 * dataset generators mirroring the paper's evaluation data in
@@ -32,8 +33,8 @@ Quickstart
 >>> relation = gaussian_relation(n_objects=40, n_attributes=4, seed=7)
 >>> scheme = repro.SecTopK(repro.SystemParams.insecure_demo())
 >>> encrypted = scheme.encrypt(relation.rows)
->>> with repro.connect(scheme, encrypted) as client:
-...     job = client.submit(client.token([0, 1, 2], k=3))
+>>> with repro.connect(scheme, encrypted) as server:
+...     job = server.submit(server.token([0, 1, 2], k=3))
 ...     result = job.result()
 >>> len(scheme.reveal(result))
 3
@@ -56,13 +57,12 @@ from repro.exceptions import (
     TransportError,
 )
 
-#: Curated public surface, client façade first: ``repro.connect`` is the
-#: supported entry point; the scheme types follow for the data-owner
-#: role; the exception hierarchy closes the list.
+#: Curated public surface, entry point first: ``repro.connect`` returns
+#: the serving object; the scheme types follow for the data-owner role;
+#: the exception hierarchy closes the list.
 __all__ = [
-    # client façade
+    # entry point and job handles
     "connect",
-    "TopKClient",
     "QueryJob",
     "WatchJob",
     "JobStatus",
@@ -97,8 +97,7 @@ __all__ = [
 ]
 
 _LAZY = {
-    "connect": ("repro.client", "connect"),
-    "TopKClient": ("repro.client", "TopKClient"),
+    "connect": ("repro.server.topk_server", "connect"),
     "QueryJob": ("repro.server.jobs", "QueryJob"),
     "WatchJob": ("repro.server.jobs", "WatchJob"),
     "JobStatus": ("repro.server.jobs", "JobStatus"),

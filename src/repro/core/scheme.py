@@ -358,6 +358,16 @@ class SecTopK:
         config: QueryConfig,
         ctx: S1Context,
     ) -> QueryResult:
+        # Every aggregate must stay below the sentinel magnitude that
+        # EncCompare, BlindedSelect and the affine EncSort assume; past it
+        # the blinded comparisons wrap and reveal a wrong top-k.
+        encoder = self.encoder
+        if sum(token.effective_weights()) * encoder.max_score >= encoder.sentinel:
+            raise QueryError(
+                "token weights too large: the weighted aggregate of "
+                f"{self.params.score_bits}-bit scores could reach 2**"
+                f"{self.params.score_bits + self.params.blind_bits}"
+            )
         # This query's slice of the (possibly shared, session-long)
         # leakage log and channel accounting starts here; S2 events land
         # in-position during the engine run on every transport, and the

@@ -50,11 +50,8 @@ group of bases), :func:`invert_vec` (Montgomery's trick) and
 :func:`pool_products` (the randomizer-pool draw) carry the query path's
 per-ciphertext work — the ⊖ matrix, the layered selects, ``RecoverEnc``,
 every fresh encryption's randomizer — as one call per round.
-:func:`encrypt_batch` and :func:`decrypt_batch` are the module-level
-faces of the key-method equivalents (``pk.encrypt_batch`` /
-``sk.decrypt_batch``) for callers that want the whole compute API
-importable from one place; the stack itself calls the key methods
-directly.
+Batch encryption and decryption are the key methods built on them
+(``pk.encrypt_batch`` / ``sk.decrypt_batch``).
 """
 
 from __future__ import annotations
@@ -487,22 +484,3 @@ def pool_products(pool: RandomizerPool, reads: bytes) -> list[int]:
     :func:`repro.crypto.paillier.pool_randomizers`, the one caller)."""
     return _current().pool_products(pool, reads)
 
-
-def encrypt_batch(pk, values: list[int], rng=None) -> list:
-    """Paillier-encrypt ``values`` component-wise in one batch.
-
-    Delegates to :meth:`PaillierPublicKey.encrypt_batch`, which draws all
-    randomizers from the key's cached pool and runs the modular
-    arithmetic through the active backend.
-    """
-    return pk.encrypt_batch(values, rng)
-
-
-def decrypt_batch(sk, cts: list) -> list[int]:
-    """Paillier-decrypt ``cts`` component-wise in one batch.
-
-    Delegates to :meth:`PaillierSecretKey.decrypt_batch`: two
-    :func:`powmod_vec` calls (one per CRT prime) replace the per-item
-    ``pow`` pairs of the naive loop.
-    """
-    return sk.decrypt_batch(cts)

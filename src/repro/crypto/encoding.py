@@ -28,9 +28,9 @@ class SignedEncoder:
     modulus:
         The Paillier modulus ``N``.
     score_bits:
-        Maximum bit-width ``ℓ`` of legitimate scores.  Aggregated scores
-        (sums over ``m`` attributes over ``D`` depths) must also fit, so
-        callers should budget headroom; :meth:`fits_aggregate` helps.
+        Maximum bit-width ``ℓ`` of legitimate scores.  A weighted
+        aggregate must stay below :attr:`sentinel`; ``SecTopK`` refuses a
+        token whose weights could reach it.
     blind_bits:
         Statistical blinding parameter ``κ``: additive blinds are drawn
         from ``[0, 2**(score_bits + blind_bits))``.
@@ -86,8 +86,3 @@ class SignedEncoder:
                 f"score {value} outside [0, 2**{self.score_bits})"
             )
         return value
-
-    def fits_aggregate(self, n_attributes: int, headroom_bits: int = 8) -> bool:
-        """Whether a sum of ``n_attributes`` scores still fits comfortably."""
-        needed = self.score_bits + (n_attributes - 1).bit_length() + headroom_bits
-        return needed + self.blind_bits + 2 < self.modulus.bit_length()

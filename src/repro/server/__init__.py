@@ -1,10 +1,10 @@
 """The multi-query server front-end (see ARCHITECTURE.md, layer 3).
 
-:class:`~repro.server.topk_server.TopKServer` holds one encrypted
-relation plus the S2 connection recipe and runs
-:class:`~repro.server.jobs.QueryJob`\\ s on a fixed thread pool —
-submitted directly or through the :mod:`repro.client` façade — through
-one runner, against an in-process S2 or a standalone
+:class:`~repro.server.topk_server.TopKServer` — what ``repro.connect``
+returns — holds one encrypted relation, the scheme that mints its tokens
+and reveals its results, and the S2 connection recipe, and runs
+:class:`~repro.server.jobs.QueryJob`\\ s on a fixed thread pool
+through one runner, against an in-process S2 or a standalone
 :class:`~repro.server.s2_service.S2Service` daemon reached by socket
 address (see ARCHITECTURE.md, deployment layer).
 :mod:`repro.server.query_workers` owns where a job's body executes (the

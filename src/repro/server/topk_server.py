@@ -1,12 +1,25 @@
-"""Multi-query server front-end for one encrypted relation.
+"""The serving object: one encrypted relation behind a job scheduler.
 
-A :class:`TopKServer` owns one :class:`~repro.core.relation.EncryptedRelation`
-plus the S2 connection recipe and is a *job scheduler*:
-:meth:`TopKServer.submit` hands a :class:`~repro.server.jobs.QueryJob`
-to a fixed :class:`~concurrent.futures.ThreadPoolExecutor` behind an
-admission semaphore (backpressure), each job resolving asynchronously
-with per-job deadline and cooperative cancellation at round boundaries.
-:meth:`TopKServer.execute` and :meth:`TopKServer.execute_many` are thin
+:func:`connect` (``repro.connect``) builds a :class:`TopKServer`, the
+one object a caller holds::
+
+    import repro
+
+    with repro.connect(scheme, encrypted, "tcp://s2.example:9317") as server:
+        job = server.submit(server.token([0, 1, 2], k=3))
+        for event in job.events():          # DepthAdvanced, RoundTrip, ...
+            print(event)
+        result = job.result(timeout=30.0)
+        print(server.reveal(result), result.stats.rounds, result.stats.total_bytes)
+
+A :class:`TopKServer` owns one :class:`~repro.core.relation.EncryptedRelation`,
+the scheme that mints its tokens and reveals its results, and the S2
+connection recipe.  :meth:`TopKServer.submit` hands a
+:class:`~repro.server.jobs.QueryJob` to a fixed
+:class:`~concurrent.futures.ThreadPoolExecutor` behind an admission
+semaphore (backpressure), each job resolving asynchronously with
+per-job deadline and cooperative cancellation at round boundaries.
+:meth:`TopKServer.query` and :meth:`TopKServer.execute_many` are thin
 wrappers over the same pool; a watch gets a thread of its own.
 
 **One runner.**  Every query the server runs — submitted, one-shot,
@@ -115,8 +128,25 @@ def _window_stream(rows, oids) -> str:
     return f"window-{digest.hexdigest()[:16]}"
 
 
+def connect(
+    scheme: SecTopK,
+    relation: EncryptedRelation | MutableRelation,
+    address: str = "inprocess",
+    **options,
+) -> "TopKServer":
+    """``TopKServer(scheme, relation, transport=address, **options)`` —
+    the package's entry point; the options are :class:`TopKServer`'s."""
+    return TopKServer(scheme, relation, transport=address, **options)
+
+
 class TopKServer:
     """Serves top-k queries over one encrypted relation.
+
+    Pass a :class:`~repro.server.mutations.MutableRelation` as
+    ``relation`` to make the server writable: :meth:`insert` /
+    :meth:`update` / :meth:`delete` then apply encrypted mutations, each
+    bumping :attr:`version` and invalidating every stale consumer, and
+    :meth:`watch` with ``window=N`` can follow the insert log.
 
     Parameters
     ----------
@@ -329,14 +359,6 @@ class TopKServer:
     def delete(self, object_id: int) -> MutationResult:
         """Remove one row from the served relation."""
         return self._apply_mutation("delete", object_id)
-
-    def mutate(self, op: str, *args) -> MutationResult:
-        """String-dispatch spelling of :meth:`insert` / :meth:`update` /
-        :meth:`delete` (``op`` names the method; the client façade's
-        mutations all come through here)."""
-        if op not in ("insert", "update", "delete"):
-            raise MutationError(f"unknown mutation op: {op!r}")
-        return self._apply_mutation(op, *args)
 
     def _apply_mutation(self, op: str, *args) -> MutationResult:
         """Apply one mutation: swap the pointer, invalidate the cache,
@@ -600,7 +622,7 @@ class TopKServer:
         silently answering over data the caller never saw.
 
         A submitted job's transcript (results, rounds, bytes, leakage)
-        is bit-identical to the same query through :meth:`execute` or a
+        is bit-identical to the same query through :meth:`query` or a
         sequential :meth:`execute_many` at the same request position —
         request salts are a pure function of the request id.
         """
@@ -752,8 +774,8 @@ class TopKServer:
 
     # -- one-shot and bulk execution -------------------------------------
 
-    def execute(self, token: Token, config: QueryConfig | None = None) -> QueryResult:
-        """Run one query to completion (thin wrapper over :meth:`submit`)."""
+    def query(self, token: Token, config: QueryConfig | None = None) -> QueryResult:
+        """Run one query to completion (``submit(...).result()``)."""
         return self.submit(token, config).result()
 
     def _request_salt(self, request_id: int) -> str:
@@ -834,6 +856,18 @@ class TopKServer:
         finally:
             for job in jobs:
                 job._done.wait()
+
+    # -- the data owner's half (the scheme this server holds) ------------
+
+    def token(
+        self, attributes: list[int], k: int, weights: list[int] | None = None
+    ) -> Token:
+        """Mint a query token (:meth:`SecTopK.token`)."""
+        return self.scheme.token(attributes, k, weights)
+
+    def reveal(self, result: QueryResult) -> list[tuple[int, int]]:
+        """Decrypt a result's winners into ``(object_id, score)`` pairs."""
+        return self.scheme.reveal(result)
 
     # -- lifecycle -------------------------------------------------------
 

@@ -88,7 +88,7 @@ def main(out_dir: str) -> None:
     threading.Thread(target=_accept, daemon=True).start()
     address = f"tcp://127.0.0.1:{proxy.getsockname()[1]}"
     with TopKServer(scheme, relation, transport=address) as server:
-        server.execute(scheme.token([0, 1], k=1), QueryConfig(max_depth=2))
+        server.query(scheme.token([0, 1], k=1), QueryConfig(max_depth=2))
     disconnect_all()
     service.close()
     with open(os.path.join(out_dir, "s2_session.frames"), "wb") as handle:

@@ -1,15 +1,13 @@
-"""The job-oriented client API: ``repro.connect`` / ``TopKClient``.
+"""The job API: ``repro.connect`` returns the serving ``TopKServer``.
 
-Covers the PR-4 acceptance criteria:
-
-* ``submit(...).result()`` is bit-identical (results, rounds, bytes,
-  leakage profile) to the legacy ``TopKServer.execute`` path, across
-  the in-process, threaded and TCP-daemon transports;
+* a job through ``repro.connect`` is bit-identical (results, rounds,
+  bytes, leakage profile) to ``TopKServer.query``, across the
+  in-process, threaded and TCP-daemon transports;
 * cancellation at a round boundary and per-job timeouts resolve the
   job without wedging the server — subsequent jobs are served;
 * the streaming event taxonomy arrives in order;
 * ``QueryStats`` carries the uniform cost profile;
-* the curated ``repro.__all__`` leads with the client façade.
+* the curated ``repro.__all__`` leads with ``connect`` and the job types.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ def tcp_daemon():
 
 
 class TestSubmitExecuteParity:
-    """The acceptance criterion: submit == execute, bit for bit."""
+    """submit == query, bit for bit."""
 
     CONFIGS = [
         pytest.param(QueryConfig(variant="elim", engine="eager"), id="eager"),
@@ -87,7 +85,7 @@ class TestSubmitExecuteParity:
         scheme_a, relation_a, _ = _fresh_deployment()
         token_a = scheme_a.token([0, 1, 2], k=2)
         with TopKServer(scheme_a, relation_a, transport=transport) as server:
-            legacy = server.execute(token_a, config)
+            legacy = server.query(token_a, config)
 
         scheme_b, relation_b, _ = _fresh_deployment()
         token_b = scheme_b.token([0, 1, 2], k=2)
@@ -109,7 +107,7 @@ class TestSubmitExecuteParity:
         assert _leakage_tuples(legacy) == _leakage_tuples(modern)
         assert job.status == JobStatus.DONE and job.done()
 
-    def test_submit_many_overlap_matches_execute_many(self):
+    def test_submit_overlap_matches_execute_many(self):
         scheme_a, relation_a, _ = _fresh_deployment()
         requests_a = [
             (scheme_a.token([0, 1], k=2), None),
@@ -126,7 +124,7 @@ class TestSubmitExecuteParity:
             (scheme_b.token([0, 2], k=2), None),
         ]
         with repro.connect(scheme_b, relation_b) as client:
-            jobs = client.submit_many(requests_b)
+            jobs = [client.submit(token, config) for token, config in requests_b]
             piped = [job.result(timeout=120) for job in jobs]
 
         for a, b in zip(batch, piped):
@@ -439,30 +437,31 @@ class TestListenerRobustness:
 
 class TestCuratedSurface:
     def test_all_leads_with_client_facade(self):
-        assert repro.__all__[:5] == [
-            "connect",
-            "TopKClient",
-            "QueryJob",
-            "WatchJob",
-            "JobStatus",
-        ]
+        """The client-facing entry point, ``connect``, and the job types
+        lead the curated surface; there is no separate client class."""
+        assert repro.__all__[:4] == ["connect", "QueryJob", "WatchJob", "JobStatus"]
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+        assert not hasattr(repro, "TopKClient")
 
-    def test_connect_knobs_are_server_knobs(self):
-        """``connect`` forwards its keyword-only options to ``TopKServer``
-        and neither accepts a retired knob (pool, rendezvous, queue
-        bound, cache capacity, depth spill, server-level shards)."""
-        import inspect
+    #: What ``perfbench`` drives on the object ``repro.connect`` returns.
+    DRIVEN = ("submit", "token", "reveal", "insert", "update", "delete", "stats",
+              "__enter__", "__exit__")
 
-        server_params = inspect.signature(TopKServer.__init__).parameters
-        keyword_only = [
-            name
-            for name, param in inspect.signature(repro.connect).parameters.items()
-            if param.kind is inspect.Parameter.KEYWORD_ONLY
-        ]
-        assert keyword_only and set(keyword_only) <= set(server_params)
+    def test_connect_returns_the_server(self):
+        """``repro.connect`` hands back the ``TopKServer`` itself, with
+        every member the benchmark drives, and neither it nor the server
+        accepts a retired knob (pool, rendezvous, queue bound, cache
+        capacity, depth spill, server-level shards)."""
         scheme, relation, _ = _fresh_deployment()
+        with repro.connect(scheme, relation, "threaded", rtt_ms=1.0) as server:
+            assert type(server) is TopKServer
+            assert server.transport == "threaded" and server.rtt_ms == 1.0
+            for member in self.DRIVEN:
+                assert hasattr(server, member), member
+            result = server.submit(server.token([0, 1], k=2)).result(timeout=120)
+            assert server.reveal(result) == scheme.reveal(result)
+            assert server.stats["cache"] is not None
         for retired in (
             {"s2_workers": 2},
             {"s2_mode": "thread"},
@@ -534,7 +533,6 @@ class TestSchedulerRobustness:
             # PeerDisconnected — and must stay idempotent.
             client.close()
             client.close()
-            client.server.close()
         finally:
             disconnect_all()
             service.close()

@@ -192,6 +192,45 @@ class TestEdgeCases:
         assert result.channel_stats.rounds > 0
 
 
+class TestWeightBound:
+    """A weighted aggregate must stay below the encoder's sentinel
+    ``2**(score_bits + blind_bits)``: past it the blinded comparisons
+    wrap and reveal a wrong top-k, so such a token is refused up front."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = SecureRandom(9)
+        rows = [[rng.randint_below(1 << 16) for _ in range(3)] for _ in range(16)]
+        scheme = SecTopK(SystemParams.tiny(), seed=5)
+        return scheme, scheme.encrypt(rows), rows
+
+    @staticmethod
+    def _heaviest(scheme) -> int:
+        """The largest weight sum the bound admits."""
+        return (scheme.encoder.sentinel - 1) // scheme.encoder.max_score
+
+    @pytest.mark.parametrize("variant", ["elim", "full"])
+    def test_oversized_weights_rejected_before_any_round(self, wide, variant):
+        scheme, encrypted, _ = wide
+        for weights in ([2**90, 1], [self._heaviest(scheme), 1]):
+            token = scheme.token([0, 1], k=3, weights=weights)
+            ctx = scheme._make_context()
+            try:
+                with pytest.raises(QueryError, match="weights"):
+                    scheme.query(encrypted, token, QueryConfig(variant=variant), ctx=ctx)
+                assert ctx.channel.snapshot().rounds == 0
+                assert not ctx.leakage.events
+            finally:
+                ctx.close()
+
+    def test_weights_at_the_bound_accepted(self, wide):
+        scheme, encrypted, rows = wide
+        weights = [self._heaviest(scheme) - 1, 1]
+        result = scheme.query(encrypted, scheme.token([0, 1], k=3, weights=weights))
+        expected = naive_topk(rows, [0, 1], 3, weights=weights)
+        assert {o for o, _ in scheme.reveal(result)} == {o for o, _ in expected}
+
+
 class TestQueryConfig:
     def test_validation(self):
         with pytest.raises(QueryError):

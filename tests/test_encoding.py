@@ -49,8 +49,3 @@ class TestScores:
 
     def test_sentinel_dominates_scores(self, encoder):
         assert encoder.sentinel > encoder.max_score
-
-    def test_fits_aggregate(self, encoder):
-        assert encoder.fits_aggregate(8)
-        tight = SignedEncoder(1 << 70, score_bits=20, blind_bits=20)
-        assert not tight.fits_aggregate(1 << 28)

@@ -18,7 +18,7 @@ Locks down the mutation layer end to end:
   :class:`~repro.exceptions.StaleRelationError` instead of silently
   answering over stale data.
 * **One runner** — after a mutation every execution path (``submit``,
-  ``execute``, thread and process ``execute_many``) answers for the
+  ``query``, thread and process ``execute_many``) answers for the
   successor, cached or not; a mutation landing *during* a process batch
   leaves each job answering — and caching — for the version it
   snapshotted.
@@ -366,13 +366,13 @@ class TestServerMutations:
         scheme, _, server = _deployment(rows=[[5, 2], [3, 9], [8, 1], [6, 7]])
         with server:
             token = scheme.token([0, 1], k=2)
-            assert {o for o, _ in scheme.reveal(server.execute(token))} == {1, 3}
+            assert {o for o, _ in scheme.reveal(server.query(token))} == {1, 3}
             oid = server.insert([9, 9]).object_id
-            assert {o for o, _ in scheme.reveal(server.execute(token))} == {oid, 3}
+            assert {o for o, _ in scheme.reveal(server.query(token))} == {oid, 3}
             server.update(oid, [0, 0])
-            assert {o for o, _ in scheme.reveal(server.execute(token))} == {1, 3}
+            assert {o for o, _ in scheme.reveal(server.query(token))} == {1, 3}
             server.delete(3)
-            assert {o for o, _ in scheme.reveal(server.execute(token))} == {1, 2}
+            assert {o for o, _ in scheme.reveal(server.query(token))} == {1, 2}
             stats = server.stats
             assert stats["version"] == 3 and stats["mutations"] == 3
 
@@ -382,12 +382,6 @@ class TestServerMutations:
         with TopKServer(scheme, relation) as server:
             with pytest.raises(MutationError, match="immutable"):
                 server.insert([1, 1])
-
-    def test_unknown_op_rejected(self):
-        _, _, server = _deployment()
-        with server:
-            with pytest.raises(MutationError, match="unknown mutation op"):
-                server.mutate("truncate")
 
     def test_every_mutation_path_invalidates_the_cache(self):
         scheme, _, server = _deployment()
@@ -399,10 +393,10 @@ class TestServerMutations:
                 lambda: server.delete(1),
             ]
             for mutate in mutations:
-                server.execute(token)  # prime (or legitimately repeat)
-                assert server.execute(token).cache_hit
+                server.query(token)  # prime (or legitimately repeat)
+                assert server.query(token).cache_hit
                 mutate()
-                after = server.execute(token)
+                after = server.query(token)
                 assert not after.cache_hit, "mutation must drop the cache"
             assert server.stats["cache"].invalidations >= len(mutations)
 
@@ -412,13 +406,13 @@ class TestServerMutations:
         )
         with server:
             token = scheme.token([0, 1], k=2)
-            before = server.execute(token, QueryConfig(shards=3))
+            before = server.query(token, QueryConfig(shards=3))
             assert before.shard_stats[-1].depth_hi == 8
             inserted = server.insert([18, 18]).object_id
             # Slices are cut from the served relation per query — there
             # is no slice store — so a sharded query after a mutation
             # answers for the successor.
-            after = server.execute(token, QueryConfig(shards=3))
+            after = server.query(token, QueryConfig(shards=3))
             assert not after.cache_hit
             assert after.shard_stats[-1].depth_hi == 9
             assert scheme.reveal(after)[0] == (inserted, 36)
@@ -445,7 +439,7 @@ class TestServerMutations:
             try:
                 for i in range(4):
                     oid = server.insert([i, i]).object_id
-                    server.execute(token)
+                    server.query(token)
                     server.delete(oid)
             except BaseException as exc:  # noqa: BLE001 — surfaced below
                 errors.append(exc)
@@ -453,7 +447,7 @@ class TestServerMutations:
         def query():
             try:
                 for _ in range(6):
-                    server.execute(token)
+                    server.query(token)
             except BaseException as exc:  # noqa: BLE001 — surfaced below
                 errors.append(exc)
 
@@ -466,7 +460,7 @@ class TestServerMutations:
             assert not errors
             rows, oids = mutable.snapshot()
             assert len(rows) == 4 and server.version == 8
-            revealed = scheme.reveal(server.execute(token))
+            revealed = scheme.reveal(server.query(token))
             exact = _exact_scores(dict(zip(oids, rows)), [0, 1])
             assert {o for o, _ in revealed} == _true_topk_ids(
                 dict(zip(oids, rows)), [0, 1], 1
@@ -481,8 +475,8 @@ _PATHS = {
     "submit": lambda server, requests: [
         server.submit(token, config).result() for token, config in requests
     ],
-    "execute": lambda server, requests: [
-        server.execute(token, config) for token, config in requests
+    "query": lambda server, requests: [
+        server.query(token, config) for token, config in requests
     ],
     "thread": lambda server, requests: server.execute_many(requests, concurrency=2),
     "process": lambda server, requests: server.execute_many(
@@ -581,9 +575,9 @@ class TestPrefixCacheServing:
             rows=[[(5 * i + 2 * j) % 21 for j in range(2)] for i in range(7)]
         )
         with server:
-            full = server.execute(scheme.token([0, 1], k=3))
+            full = server.query(scheme.token([0, 1], k=3))
             assert not full.cache_hit
-            sliced = server.execute(scheme.token([0, 1], k=2))
+            sliced = server.query(scheme.token([0, 1], k=2))
             assert sliced.cache_hit and sliced.stats.rounds == 0
             assert scheme.reveal(sliced) == scheme.reveal(full)[:2]
             stats = server.stats["cache"]
@@ -592,8 +586,8 @@ class TestPrefixCacheServing:
     def test_larger_k_misses(self):
         scheme, _, server = _deployment()
         with server:
-            server.execute(scheme.token([0, 1], k=2))
-            bigger = server.execute(scheme.token([0, 1], k=3))
+            server.query(scheme.token([0, 1], k=2))
+            bigger = server.query(scheme.token([0, 1], k=3))
             assert not bigger.cache_hit
             assert server.stats["cache"].prefix_hits == 0
 
@@ -602,16 +596,16 @@ class TestPrefixCacheServing:
             rows=[[(5 * i + 2 * j) % 21 for j in range(2)] for i in range(7)]
         )
         with server:
-            server.execute(scheme.token([0, 1], k=2))  # miss, stored
-            again = server.execute(scheme.token([0, 1], k=2))
+            server.query(scheme.token([0, 1], k=2))  # miss, stored
+            again = server.query(scheme.token([0, 1], k=2))
             assert again.cache_hit
             assert server.stats["cache"].prefix_hits == 0
-            server.execute(scheme.token([0, 1], k=4))  # miss, stored
-            sliced = server.execute(scheme.token([0, 1], k=3))
+            server.query(scheme.token([0, 1], k=4))  # miss, stored
+            sliced = server.query(scheme.token([0, 1], k=3))
             assert sliced.cache_hit and len(sliced.items) == 3
             assert server.stats["cache"].prefix_hits == 1
             # k=2 has its own exact entry: served exactly, not sliced.
-            exact = server.execute(scheme.token([0, 1], k=2))
+            exact = server.query(scheme.token([0, 1], k=2))
             assert exact.cache_hit and len(exact.items) == 2
             assert server.stats["cache"].prefix_hits == 1
 
@@ -623,24 +617,24 @@ class TestPrefixCacheServing:
             rows=[[(5 * i + 2 * j) % 21 for j in range(2)] for i in range(7)]
         )
         with server:
-            full = server.execute(scheme.token([0, 1], k=3))
+            full = server.query(scheme.token([0, 1], k=3))
             assert full.halting_depth > 0
-            sliced = server.execute(scheme.token([0, 1], k=2))
+            sliced = server.query(scheme.token([0, 1], k=2))
             assert sliced.cache_hit and sliced.halting_depth == 0
-            exact = server.execute(scheme.token([0, 1], k=3))
+            exact = server.query(scheme.token([0, 1], k=3))
             assert exact.cache_hit
             assert exact.halting_depth == full.halting_depth
 
     def test_prefix_hits_respect_config_and_relation(self):
         scheme, _, server = _deployment()
         with server:
-            server.execute(scheme.token([0, 1], k=3))
-            other_engine = server.execute(
+            server.query(scheme.token([0, 1], k=3))
+            other_engine = server.query(
                 scheme.token([0, 1], k=2), QueryConfig(engine="literal")
             )
             assert not other_engine.cache_hit
             server.insert([9, 9])
-            after = server.execute(scheme.token([0, 1], k=2))
+            after = server.query(scheme.token([0, 1], k=2))
             assert not after.cache_hit
 
 
@@ -875,7 +869,7 @@ class TestDaemonMutation:
                 row = [20 + 3 * i, 11 + i]  # distinct aggregates: no ties
                 rows[server.insert(row).object_id] = row
                 for srv, plain in ((server_a, rows_a), (server_b, rows_b)):
-                    revealed = scheme.reveal(srv.execute(token))
+                    revealed = scheme.reveal(srv.query(token))
                     assert {o for o, _ in revealed} == _true_topk_ids(
                         plain, [0, 1], 2
                     )
@@ -894,7 +888,7 @@ class TestDaemonMutation:
         scheme, mutable, server = _deployment(transport=address)
         with server:
             token = scheme.token([0, 1], k=2)
-            server.execute(token)  # the connection exists from here on
+            server.query(token)  # the connection exists from here on
             touched = []
 
             def spy(name):
@@ -911,7 +905,7 @@ class TestDaemonMutation:
             oid = server.insert([9, 9]).object_id
             server.update(oid, [9, 8])
             assert touched == []
-            revealed = scheme.reveal(server.execute(token))
+            revealed = scheme.reveal(server.query(token))
             assert oid in {o for o, _ in revealed}
             assert "send_frame" in touched  # the spy does see queries
             socket_transport.disconnect_all()
@@ -948,7 +942,7 @@ class TestDaemonMutation:
             assert _wait_for(lambda: watch.evaluations >= 1)
             for i in range(3):
                 oid = server.insert([10 + i, 10 + i]).object_id
-                revealed = scheme.reveal(server.execute(token))
+                revealed = scheme.reveal(server.query(token))
                 assert oid in {o for o, _ in revealed}
             watch.stop()
             summary = watch.summary(timeout=120.0)
@@ -975,6 +969,6 @@ class TestClientFacade:
             job.stop()
             assert job.summary(timeout=60.0).changes == 1
         with pytest.raises(RuntimeError):
-            client.mutate("insert", [1, 1])
+            client.insert([1, 1])
         with pytest.raises(RuntimeError):
             client.watch(token)

@@ -60,8 +60,8 @@ class TestResultCache:
         scheme, relation = _deployment()
         with TopKServer(scheme, relation) as server:
             token = scheme.token([0, 1], k=2)
-            fresh = server.execute(token)
-            hit = server.execute(token)
+            fresh = server.query(token)
+            hit = server.query(token)
         assert not fresh.cache_hit and fresh.stats.rounds > 0
         assert hit.cache_hit
         # Winners are bit-identical; the transport cost is zero.
@@ -85,11 +85,11 @@ class TestResultCache:
         scheme, relation = _deployment()
         with TopKServer(scheme, relation) as server:
             token = scheme.token([0, 1], k=2)
-            server.execute(token)
-            server.execute(token)
+            server.query(token)
+            server.query(token)
             # A fresh run of the same fingerprint on a cache-off config
             # must still see the repeat: the hit re-recorded the pattern.
-            third = server.execute(token, QueryConfig(cache=False))
+            third = server.query(token, QueryConfig(cache=False))
         repeats = [
             e.payload for e in third.leakage_events if e.kind == "query_pattern"
         ]
@@ -98,10 +98,10 @@ class TestResultCache:
     def test_distinct_tokens_and_configs_miss(self):
         scheme, relation = _deployment()
         with TopKServer(scheme, relation) as server:
-            a = server.execute(scheme.token([0, 1], k=2))
-            b = server.execute(scheme.token([1, 2], k=2))
+            a = server.query(scheme.token([0, 1], k=2))
+            b = server.query(scheme.token([1, 2], k=2))
             # Same token, transcript-relevant config change: a miss.
-            c = server.execute(
+            c = server.query(
                 scheme.token([0, 1], k=2), QueryConfig(engine="literal")
             )
         assert not a.cache_hit and not b.cache_hit and not c.cache_hit
@@ -112,9 +112,9 @@ class TestResultCache:
         scheme, relation = _deployment()
         with TopKServer(scheme, relation) as server:
             token = scheme.token([0, 1], k=2)
-            fresh = server.execute(token, QueryConfig())
+            fresh = server.query(token, QueryConfig())
             hits = [
-                server.execute(token, QueryConfig(shards=shards))
+                server.query(token, QueryConfig(shards=shards))
                 for shards in (0, 1, 2)
             ]
         assert not fresh.cache_hit
@@ -127,9 +127,9 @@ class TestResultCache:
         scheme, relation = _deployment()
         with TopKServer(scheme, relation) as server:
             t1, t2 = scheme.token([0, 1], k=2), scheme.token([1, 2], k=2)
-            server.execute(t1)
-            server.execute(t2)  # evicts t1
-            again = server.execute(t1)  # miss: was evicted
+            server.query(t1)
+            server.query(t2)  # evicts t1
+            again = server.query(t1)  # miss: was evicted
             assert not again.cache_hit
             stats = server.stats["cache"]
             assert stats.evictions >= 1 and stats.size == 1
@@ -139,16 +139,16 @@ class TestResultCache:
         # Per-query opt-out: neither serves from nor stores to the cache.
         with TopKServer(scheme, relation) as server:
             token = scheme.token([0, 1], k=2)
-            server.execute(token, QueryConfig(cache=False))
-            second = server.execute(token, QueryConfig(cache=False))
+            server.query(token, QueryConfig(cache=False))
+            second = server.query(token, QueryConfig(cache=False))
             assert not second.cache_hit and second.stats.rounds > 0
             assert server.stats["cache"].size == 0
         # Server-wide opt-out.
         scheme, relation = _deployment()
         with TopKServer(scheme, relation, cache=False) as server:
             token = scheme.token([0, 1], k=2)
-            server.execute(token)
-            second = server.execute(token)
+            server.query(token)
+            second = server.query(token)
             assert not second.cache_hit and second.stats.rounds > 0
             assert server.stats["cache"] is None
 
@@ -156,10 +156,10 @@ class TestResultCache:
         scheme, relation = _deployment()
         with TopKServer(scheme, relation) as server:
             token = scheme.token([0, 1], k=2)
-            fresh = server.execute(token)
-            first_hit = server.execute(token)
+            fresh = server.query(token)
+            first_hit = server.query(token)
             first_hit.items.clear()  # caller mutates their copy
-            second_hit = server.execute(token)
+            second_hit = server.query(token)
         assert len(second_hit.items) == len(fresh.items) > 0
         assert scheme.reveal(second_hit) == scheme.reveal(fresh)
 
@@ -208,10 +208,10 @@ class TestResultCache:
         one with the cache disabled — the cache is inert until a repeat."""
         scheme, relation = _deployment()
         with TopKServer(scheme, relation, cache=False) as server:
-            off = _transcript(scheme, server.execute(scheme.token([0, 1, 2], k=3)))
+            off = _transcript(scheme, server.query(scheme.token([0, 1, 2], k=3)))
         scheme2, relation2 = _deployment()
         with TopKServer(scheme2, relation2) as server:
-            on = _transcript(scheme2, server.execute(scheme2.token([0, 1, 2], k=3)))
+            on = _transcript(scheme2, server.query(scheme2.token([0, 1, 2], k=3)))
         assert on == off
 
 
@@ -238,7 +238,7 @@ class TestReuseBehindDaemon:
             jobs = [server.submit(t) for t in tokens]
             fresh = [j.result(timeout=120.0) for j in jobs]
             served_before = service.stats()["requests_served"]
-            hit = server.execute(tokens[0])
+            hit = server.query(tokens[0])
         assert hit.cache_hit and hit.stats.rounds == 0
         assert scheme.reveal(hit) == scheme.reveal(fresh[0])
         # The hit never reached the daemon.

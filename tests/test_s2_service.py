@@ -96,9 +96,9 @@ class TestRegistration:
         service, address = daemon
         scheme, relation, _ = _fresh_deployment()
         with TopKServer(scheme, relation, transport=address) as server:
-            server.execute(scheme.token([0, 1], k=2))
+            server.query(scheme.token([0, 1], k=2))
             after_first = service.stats()
-            server.execute(scheme.token([1, 2], k=2))
+            server.query(scheme.token([1, 2], k=2))
             after_second = service.stats()
 
         assert after_first["registrations"] == 1
@@ -124,7 +124,7 @@ class TestRegistration:
             (scheme_b, relation_b, rows_b),
         ):
             with TopKServer(scheme, relation, transport=address) as server:
-                result = server.execute(scheme.token([0, 1, 2], k=3))
+                result = server.query(scheme.token([0, 1, 2], k=3))
             winners = {o for o, _ in scheme.reveal(result)}
             expected = nra_topk(SortedLists(rows, [0, 1, 2]), 3).topk
             assert winners == {o for o, _ in expected}
@@ -164,14 +164,14 @@ class TestMultiplexing:
         # one only if their id sequences line up.
         scheme_a, relation_a, _ = _fresh_deployment()
         with TopKServer(scheme_a, relation_a) as server:
-            server.execute(scheme_a.token([0], k=1))
+            server.query(scheme_a.token([0], k=1))
             baseline = server.execute_many(_requests(scheme_a), concurrency=1)
 
         scheme_b, relation_b, _ = _fresh_deployment()
         with TopKServer(scheme_b, relation_b, transport=address) as server:
             # The warm-up also registers the relation from the parent, so
             # the worker-side upload *skip* is what the stats assert.
-            server.execute(scheme_b.token([0], k=1))
+            server.query(scheme_b.token([0], k=1))
             results = server.execute_many(
                 _requests(scheme_b), concurrency=2, mode="process"
             )
@@ -211,9 +211,9 @@ class TestKeyObjectsOutliveSessions:
         returns the build counts as the first session left them."""
         config = QueryConfig(variant="elim")
         (first_token, _), *rest = _requests(scheme)
-        results = [server.execute(first_token, config)]
+        results = [server.query(first_token, config)]
         after_first = dict(builds)
-        results += [server.execute(token, cfg) for token, cfg in rest]
+        results += [server.query(token, cfg) for token, cfg in rest]
         results += server.execute_many(
             [(scheme.token([0, 2], k=2), config), (scheme.token([2], k=1), config)],
             concurrency=2,
@@ -619,7 +619,7 @@ class TestUnixSocket:
         try:
             scheme, relation, rows = _fresh_deployment()
             with TopKServer(scheme, relation, transport=address) as server:
-                result = server.execute(scheme.token([0, 2], k=2))
+                result = server.query(scheme.token([0, 2], k=2))
             from repro.nra import SortedLists, nra_topk
 
             winners = {o for o, _ in scheme.reveal(result)}
@@ -642,7 +642,7 @@ class TestPersistentRegistry:
         address = first.start()
         try:
             with TopKServer(scheme, relation, transport=address) as server:
-                baseline = server.execute(scheme.token([0, 1], k=2))
+                baseline = server.query(scheme.token([0, 1], k=2))
             stats = first.stats()
             assert stats["registrations"] == 1
             assert stats["registration_uploads"] == 1
@@ -660,7 +660,7 @@ class TestPersistentRegistry:
         try:
             assert second.stats()["registrations_restored"] == 1
             with TopKServer(scheme, relation, transport=address) as server:
-                revived = server.execute(scheme.token([0, 1], k=2))
+                revived = server.query(scheme.token([0, 1], k=2))
             assert second.stats()["registration_uploads"] == 0
             assert scheme.reveal(revived) == scheme.reveal(baseline)
         finally:
@@ -925,7 +925,7 @@ class TestDaemonLifecycle:
             assert service.stats()["registrations_restored"] == 0
             scheme, relation, _ = _fresh_deployment()
             with TopKServer(scheme, relation, transport=address) as server:
-                result = server.execute(scheme.token([0, 1], k=2))
+                result = server.query(scheme.token([0, 1], k=2))
             assert len(result.items) == 2
         finally:
             disconnect_all()
@@ -1180,7 +1180,7 @@ class TestExternalDaemon:
         try:
             with TopKServer(scheme_b, relation_b, transport=address) as server:
                 remote = server.execute_many(_requests(scheme_b), concurrency=1)
-                again = server.execute(scheme_b.token([0, 2], k=1))
+                again = server.query(scheme_b.token([0, 2], k=1))
         finally:
             disconnect_all()
         assert len(again.items) == 1
@@ -1199,7 +1199,7 @@ class TestExternalDaemon:
         try:
             with TopKServer(scheme, relation, transport=address) as server:
                 for engine in ("eager", "literal"):
-                    result = server.execute(
+                    result = server.query(
                         scheme.token([0, 1], k=2),
                         QueryConfig(variant="elim", engine=engine),
                     )

@@ -61,14 +61,14 @@ class TestSessions:
     def test_results_match_oracle(self, deployment):
         scheme, relation, rows = deployment
         with TopKServer(scheme, relation) as server:
-            result = server.execute(scheme.token([0, 2], k=2))
+            result = server.query(scheme.token([0, 2], k=2))
             winners = {o for o, _ in scheme.reveal(result)}
             assert winners == _oracle_topk(rows, [0, 2], 2)
 
     def test_threaded_transport_sessions(self, deployment):
         scheme, relation, rows = deployment
         with TopKServer(scheme, relation, transport="threaded") as server:
-            result = server.execute(scheme.token([1, 2], k=2))
+            result = server.query(scheme.token([1, 2], k=2))
             winners = {o for o, _ in scheme.reveal(result)}
             assert winners == _oracle_topk(rows, [1, 2], 2)
 
@@ -165,7 +165,7 @@ class TestProcessMode:
             # The parent kept the authoritative history: a fresh run of
             # either token now reads as a repeat (L1 query-pattern leakage).
             for token in tokens:
-                again = server.execute(token, QueryConfig(cache=False))
+                again = server.query(token, QueryConfig(cache=False))
                 pattern = [
                     e.payload
                     for e in again.leakage_events

@@ -310,16 +310,16 @@ class TestServerRoutes:
     def test_server_default_and_per_query_override(self):
         scheme_a, relation_a, _ = _deployment()
         with TopKServer(scheme_a, relation_a) as server:
-            base = server.execute(scheme_a.token([0, 1, 2], k=2))
+            base = server.query(scheme_a.token([0, 1, 2], k=2))
 
         scheme_b, relation_b, _ = _deployment()
         with TopKServer(scheme_b, relation_b) as server:
             # The server has no sharding default of its own: shards come
             # from each query's config, and only from there.
-            sharded = server.execute(
+            sharded = server.query(
                 scheme_b.token([0, 1, 2], k=2), QueryConfig(shards=3, cache=False)
             )
-            override = server.execute(
+            override = server.query(
                 scheme_b.token([0, 1, 2], k=2), QueryConfig(shards=2, cache=False)
             )
         assert base.shard_stats is None
