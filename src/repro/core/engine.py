@@ -8,8 +8,10 @@ Two engines implement the same functionality:
   decrypts every equality bit it is sent, so it applies the bit itself
   (:mod:`repro.protocols.blinded_select`): one round per depth absorbs
   all ``m`` items, and no credit costs an ``N^3`` exponentiation.  At
-  every *check point* the engine deduplicates, sorts by ``W`` with
-  ``EncSort`` and evaluates the halting rule with ``EncCompare``; the
+  every *check point* the engine deduplicates and sorts by ``W`` — one
+  ``DedupSort`` round with the affine sort, ``SecDedup``/``SecDupElim``
+  then ``EncSort`` with the network — and evaluates the halting rule
+  with ``EncCompare``; the
   best score ``W + Σ_j (1 - seen_j)·bottom_j`` is derived only for the
   candidates the rule compares (``t[k:]``, or ``t[k]`` under the
   paper's rule), from coin-masked seen bits, in the round of the rule's
@@ -25,7 +27,8 @@ Two engines implement the same functionality:
   ``SecUpdate`` (Algorithm 9), then sorts and checks halting.  Candidates
   untouched at the current depth keep stale (conservative) upper bounds,
   so halting can come later than plaintext NRA — but the reported top-k
-  set is still correct (DESIGN.md §3).
+  set is still correct (ARCHITECTURE.md, "Protocol substitutions and
+  declared leakage").
 
 Round coalescing: every independent S2 interaction of one depth is a
 *flow* (see :mod:`repro.net.batching`), and the engines run a depth's
@@ -194,11 +197,13 @@ class _EngineBase:
         items: list[ScoredItem],
         ranks: list[int],
         known: KnownPairs | None = None,
+        sort: bool = False,
     ) -> list[ScoredItem]:
+        dedup = sec_dedup if self.config.variant == "full" else sec_dup_elim
         with self.ctx.channel.protocol(PROTOCOL):
-            if self.config.variant == "full":
-                return sec_dedup(self.ctx, items, self.own_keypair, ranks, known=known)
-            return sec_dup_elim(self.ctx, items, self.own_keypair, ranks, known=known)
+            return dedup(
+                self.ctx, items, self.own_keypair, ranks, known=known, sort=sort
+            )
 
     def _is_check_depth(self, depth: int) -> bool:
         return (depth + 1) % self.config.check_every() == 0 or depth == self.n - 1
@@ -231,6 +236,8 @@ class EagerEngine(_EngineBase):
         # deduplication or was ⊖-tested when the later one was absorbed:
         # the next deduplication's matrix recomputes neither.
         known = KnownPairs()
+        # The head of t_list the last check depth left (pairwise distinct).
+        carried = 0
         # Whether t_list is this depth's deduplicated, sorted list.
         settled = False
         for depth in range(self._max_depth()):
@@ -240,10 +247,8 @@ class EagerEngine(_EngineBase):
             t_list = self._absorb_depth(t_list, depth, known)
             settled = False
             if self._is_check_depth(depth):
-                t_list = self._dedup(t_list, list(range(len(t_list))), known)
+                t_list, settled = self._settle(t_list, carried, known)
                 if len(t_list) >= self.k:
-                    t_list = self._sort(t_list)
-                    settled = True
                     if self._halting_check(t_list, depth):
                         self.depth_seconds.append(time.perf_counter() - started)
                         self._notify_depth(depth + 1, len(t_list))
@@ -253,15 +258,42 @@ class EagerEngine(_EngineBase):
                 # permutes them) and re-encrypted: start over from that.
                 known = KnownPairs()
                 known.distinct([t_item.ehl for t_item in t_list])
+                carried = len(t_list)
             self.depth_seconds.append(time.perf_counter() - started)
             self._notify_depth(depth + 1, len(t_list))
         # Budget exhausted (max_depth cap): best-effort answer by worst
         # score — already at hand when the capped depth was a check depth.
         if not settled:
-            t_list = self._dedup(t_list, list(range(len(t_list))), known)
-            t_list = self._sort(t_list)
+            t_list, _ = self._settle(t_list, carried, known, always_sort=True)
         self._notify_final(t_list[: self.k], self._max_depth())
         return t_list[: self.k], self._max_depth()
+
+    def _settle(
+        self,
+        t_list: list[ScoredItem],
+        carried: int,
+        known: KnownPairs,
+        always_sort: bool = False,
+    ) -> tuple[list[ScoredItem], bool]:
+        """Deduplicate ``t_list`` and sort it by worst score; returns the
+        list and whether it is sorted.
+
+        The affine sort rides the deduplication's round (``DedupSort``);
+        the network sort is its own rounds, run once the list holds ``k``
+        candidates (or ``always_sort``).  Ranks name only which entries
+        are new: 0 for every candidate ``carried`` from the last check,
+        which are pairwise distinct, and ``1, 2, …`` for this window's
+        entries in creation order, so the first entry of a new object
+        keeps its state (``TestHusks``) and S2 learns nothing of the last
+        sort's order.
+        """
+        ranks = [0] * carried + list(range(1, len(t_list) - carried + 1))
+        if self.sort_method == "affine":
+            return self._dedup(t_list, ranks, known, sort=True), True
+        t_list = self._dedup(t_list, ranks, known)
+        if always_sort or len(t_list) >= self.k:
+            return self._sort(t_list), True
+        return t_list, False
 
     # -- coalesced per-depth absorption ----------------------------------
 

@@ -15,10 +15,23 @@ The optimized variants add (Section 10):
 * group-membership ranks in ``SecUpdate``'s trailing dedup (same
   granularity as ``EP_d``).
 
-Our fast building-block constructions add (DESIGN.md substitutions):
+Our fast building-block constructions add (ARCHITECTURE.md, "Protocol
+substitutions and declared leakage"):
 
 * blinded-comparison sign bits (uniform coins) and blinded magnitudes;
-* affinely-scaled sort-key values of permuted lists.
+* sort keys blinded by one secret affine map per sort, of permuted
+  lists.  ``SortAffine`` ships ``r*k + s`` exactly, so S2 usually reads
+  ``r`` off the gcd of the key differences and each key up to
+  ``s/r < 2``; ``DedupSort``'s keys add per-key noise ``e_i ∈ [0, r)``,
+  which removes that common factor.  A full-variant junk item's key,
+  ``r*(-sentinel) + s``, still hands S2 the map on either path (a
+  known gap, ROADMAP);
+* ``dedup_sort_link`` — ``DedupSort`` settles a check depth in one S2
+  round, so S2 sees each survivor's duplicate-group size (how many of
+  the window's entries were that object) next to its sort key: one
+  event per operation, payload the survivors' group sizes in output
+  (descending key) order.  Separate dedup and sort rounds kept them
+  apart behind a fresh permutation.
 
 :func:`audit` classifies every event a run recorded against this
 whitelist; anything unclassified fails the security tests.
@@ -44,6 +57,7 @@ ALLOWED_KINDS: dict[str, str] = {
     "unique_count": "UP_d: uniqueness pattern (optimized variants)",
     "sort_key_blinded": "affinely-scaled sort key of a permuted list",
     "sort_size": "batch size only",
+    "dedup_sort_link": "DedupSort: survivors' group sizes in sort-key order",
     "gate_key_blinded": "affinely-scaled gate pair (network sort)",
     "gate_bit": "coin-randomized gate order bit (network sort)",
     "filter_flag": "join-match count (SecFilter; Section 12 leakage)",

@@ -34,7 +34,8 @@ class QueryConfig:
         ``"literal"`` — Algorithm 3 to the letter: per-depth ``SecWorst``/
         ``SecBest``/``SecUpdate``; best scores of candidates not seen at
         the current depth go stale (conservative upper bounds, later
-        halting).  See DESIGN.md §3.
+        halting).  See ARCHITECTURE.md, "Protocol substitutions and
+        declared leakage".
     halting:
         ``"strict"`` — check every candidate outside the top-k plus the
         unseen-objects bound (exact NRA halting);

@@ -14,7 +14,8 @@ synthetic  1 000 000       10       Gaussian
 
 This environment has no network access, so each loader generates a
 synthetic relation with the *same schema shape* and a plausible value
-distribution (substitution documented in DESIGN.md: NRA behaviour depends
+distribution (substitution documented in ARCHITECTURE.md, "Protocol
+substitutions and declared leakage": NRA behaviour depends
 on score distributions and duplicate structure, which the generators
 control; absolute row counts are scaled by ``scale`` and every benchmark
 prints the scale it ran at).

@@ -105,6 +105,22 @@ class S2Dispatcher:
             protocol=msg.protocol,
         )
 
+    def _dedup_sort(self, msg: m.DedupSort):
+        from repro.protocols.sec_dedup import s2_dedup_sort
+
+        return s2_dedup_sort(
+            self.cloud,
+            msg.own_public,
+            msg.matrix,
+            msg.items,
+            msg.keys,
+            msg.companions,
+            msg.ranks,
+            sentinel=msg.sentinel,
+            eliminate=msg.eliminate,
+            protocol=msg.protocol,
+        )
+
     def _filter(self, msg: m.FilterBatch):
         from repro.protocols.sec_filter import s2_filter
 
@@ -125,5 +141,6 @@ class S2Dispatcher:
         m.SortAffine: _sort_affine,
         m.SortGateBatch: _sort_gates,
         m.DedupBatch: _dedup,
+        m.DedupSort: _dedup_sort,
         m.FilterBatch: _filter,
     }

@@ -150,6 +150,24 @@ class DedupBatch(Message):
 
 
 @dataclass(frozen=True)
+class DedupSort(Message):
+    """A ``DedupBatch`` whose survivors S2 also sorts: it orders them by
+    ``keys`` (one-way, noisily affine-blinded worst scores, descending),
+    places new junk last and returns items and companions only."""
+
+    matrix: list
+    items: list
+    keys: list
+    companions: list
+    ranks: list
+    own_public: object
+    sentinel: int
+    eliminate: bool
+
+    _unmeasured = ("own_public", "sentinel", "eliminate")
+
+
+@dataclass(frozen=True)
 class BlindedSelect(Message):
     """S2 applies the bit it decrypts: slot ``i``'s ``cts[i]`` decrypts to
     a bit ``t`` — ``value == 0`` for an equality test, the value itself
@@ -194,6 +212,7 @@ MESSAGE_TYPES: list[type | None] = [
     None,  # 12: retired
     None,  # 13: retired
     BlindedSelect,
+    DedupSort,
 ]
 
 _TYPE_IDS = {cls: idx for idx, cls in enumerate(MESSAGE_TYPES) if cls is not None}

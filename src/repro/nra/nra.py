@@ -12,13 +12,14 @@ This plaintext implementation is the semantic specification that
 ``tests/test_core_query.py`` check the secure engine against it depth by
 depth.
 
-Both halting rules discussed in DESIGN.md are supported:
+Both halting rules (ARCHITECTURE.md, "Protocol substitutions and declared
+leakage") are supported:
 
 * ``halting="strict"`` — textbook NRA: check every candidate outside the
   current top-k plus the unseen bound (exact halting depth).
 * ``halting="paper"``  — Algorithm 3's check: only the (k+1)-th candidate
   of ``T`` sorted by worst score (plus the unseen-object bound, without
-  which the rule is unsound — see DESIGN.md).
+  which the rule is unsound — see the same section).
 """
 
 from __future__ import annotations

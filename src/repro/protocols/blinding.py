@@ -2,9 +2,9 @@
 
 Algorithm 7 has S1 blind every component of an item with random values,
 encrypt those values under S1's *own* key ``pk'`` into a companion
-ciphertext ``H``, and let S2 add its own blinding on top (homomorphically
-extending ``H``); S1 finally decrypts ``H`` and removes the combined blind
-without ever learning which items S2 touched.
+ciphertext ``H``, and let S2 add its own blinding on top, homomorphically
+extending ``H``; S1 finally decrypts ``H`` and removes the combined blind
+without learning which items S2 touched.
 
 Shipping one ``pk'`` ciphertext *per blinded component* would be wasteful,
 so we apply a standard optimization: each party draws one 96-bit seed per
@@ -13,6 +13,13 @@ function, and ships only ``Enc_pk'(seed)``.  The combined blind on a
 component is the sum of the per-party outputs, which S1 reconstructs after
 decrypting both seeds.  (Uniformity of the blinds now rests on the XOF
 being a PRF in its seed, the kind of assumption EHL already makes.)
+
+That substitution gives up the paper's unlinkability: a seed cannot be
+extended homomorphically, so S2 forwards S1's ``Enc_pk'(seed)`` untouched
+next to its own, and S1, decrypting its own seed, maps every output item
+back to the input slot it blinded with it (a known gap, ROADMAP; the
+paper's additive companion needs per-component ``pk'`` work — see
+ARCHITECTURE.md, "Protocol substitutions and declared leakage").
 
 The blinder understands every field a :class:`ScoredItem` may carry:
 EHL cells, the worst/best Paillier ciphertexts, payload ciphertexts

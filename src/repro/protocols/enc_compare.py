@@ -1,7 +1,8 @@
 """``EncCompare`` — S1 learns ``f := (a <= b)`` from ``Enc(a), Enc(b)``.
 
 The paper imports this functionality from Bost et al. [11].  Two
-constructions are provided (see DESIGN.md, substitutions table):
+constructions are provided (ARCHITECTURE.md, "Protocol substitutions and
+declared leakage"):
 
 ``method="blinded"`` (default for benchmarks)
     One round.  S1 computes ``d = 2(b - a) + 1`` homomorphically (never

@@ -2,19 +2,21 @@
 
 The paper imports this building block from Baldimtsi–Ohrimenko (FC 2014):
 S1 holds encrypted key/value pairs, S2 holds the secret key, and S1 ends
-up with a *freshly encrypted* list sorted by key, learning nothing about
-the order of the original items.  Two constructions are provided (see
-DESIGN.md, substitutions table):
+up with a *freshly encrypted* list sorted by key.  Two constructions are
+provided (ARCHITECTURE.md, "Protocol substitutions and declared
+leakage"):
 
 ``method="affine"`` (default)
     One round, O(n) communication.  S1 order-preservingly blinds every
     sort key with a shared secret affine map ``k -> r*k + s`` (``r > 0``),
     blinds all other components with per-item seeds, randomly permutes the
     list, and ships it.  S2 decrypts the blinded keys, sorts, re-encrypts
-    the keys freshly, adds its own seed-blinding to the payloads (so S1
-    cannot link output positions back to inputs), and returns the sorted
-    list.  S2's leakage: the multiset of affinely-scaled key values of a
-    randomly permuted list.
+    the keys freshly, adds its own seed-blinding to the payloads, and
+    returns the sorted list.  S2's leakage: the multiset of affinely-scaled
+    key values of a randomly permuted list — and, because one map serves
+    the whole list, the map itself in most sorts: the gcd of the key
+    differences is ``r`` unless the keys' own differences share a factor,
+    which leaves each key readable up to ``s/r < 2``.
 
 ``method="network"``
     A Batcher odd-even merge sorting network; each compare-exchange gate
@@ -23,8 +25,14 @@ DESIGN.md, substitutions table):
     layer share a communication round.  S2's per-gate leakage is a single
     uniformly-distributed order bit.
 
-Both return fresh, unlinkable encryptions, which is the only property
-``SecQuery`` relies on (Section 8.1).
+Both return fresh encryptions, which is what ``SecQuery`` relies on
+(Section 8.1), but not unlinkable ones: S2 forwards S1's companion
+``Enc_pk'(seed)`` next to its own, so S1, decrypting its own seed, maps
+every output back to the input slot it blinded with it and learns S2's
+sort permutation (a known gap, ROADMAP).  The eager engine does not call
+this module's rounds; its check depths sort inside ``DedupSort``
+(:mod:`repro.protocols.sec_dedup`), whose keys :func:`one_way_keys`
+blinds.
 """
 
 from __future__ import annotations
@@ -102,6 +110,34 @@ def _blind_keys(
     )
 
 
+def one_way_keys(ctx: S1Context, keys: list[Ciphertext]) -> list[Ciphertext]:
+    """``Enc(r*k + s + e_i)`` per key, for a sort S1 never inverts.
+
+    One map ``(r, s)`` for the round plus a fresh ``e_i ∈ [0, r)`` per
+    key: strictly order-preserving on integer keys (``k < k'`` gives
+    ``r*k + s + e_i < r*k' + s``), ties broken at random, and the key
+    differences S2 sees no longer share the factor ``r``.
+    """
+    r, s = _affine_params(ctx)
+    return _blind_keys(ctx, keys, [(r, s + ctx.rng.randint_below(r)) for _ in keys])
+
+
+def s2_order(
+    s2: CryptoCloud,
+    keys: list[Ciphertext],
+    payloads: list,
+    descending: bool,
+    protocol: str,
+):
+    """S2's sort step, shared by ``SortAffine`` and ``DedupSort``: decrypt
+    the blinded keys and return ``(key value, payload)`` pairs in key
+    order (stable, so ties keep the order they arrived in)."""
+    values = s2.decrypt_signed_batch_for_protocol(keys, protocol, "sort_key_blinded")
+    ordered = sorted(zip(values, payloads), key=lambda t: t[0], reverse=descending)
+    s2.leakage.record("S2", protocol, "sort_size", len(ordered))
+    return ordered
+
+
 def _without_key(items: list[ScoredItem], key: str) -> list[ScoredItem]:
     """The items as they travel: the key crosses as its own blinded
     ciphertext and is restored by :func:`_recover_keys`, so the item
@@ -173,19 +209,15 @@ def s2_sort_affine(
 ):
     """S2's side of the affine construction."""
     blinder = ItemBlinder(s2.public_key, s2.dj)
-    values = s2.decrypt_signed_batch_for_protocol(
-        blinded_keys, protocol, "sort_key_blinded"
+    decorated = s2_order(
+        s2, blinded_keys, list(zip(blinded_items, companions)), descending, protocol
     )
-    decorated = list(zip(values, blinded_items, companions))
-    decorated.sort(key=lambda t: t[0], reverse=descending)
-    s2.leakage.record("S2", protocol, "sort_size", len(decorated))
-
     n = s2.public_key.n
-    keys_out = s2.public_key.encrypt_batch([value % n for value, _, _ in decorated], s2.rng)
+    keys_out = s2.public_key.encrypt_batch([value % n for value, _ in decorated], s2.rng)
     items_out, fresh = blinder.blind_fresh(
-        [item for _, item, _ in decorated], own_public, s2.rng
+        [item for _, (item, _) in decorated], own_public, s2.rng
     )
-    comps_out = [(comp, h) for (_, _, comp), h in zip(decorated, fresh)]
+    comps_out = [(comp, h) for (_, (_, comp)), h in zip(decorated, fresh)]
     return keys_out, items_out, comps_out
 
 

@@ -3,8 +3,7 @@
 The same object can surface in several sorted lists at the same depth; S1
 cannot detect this because everything is probabilistically encrypted.
 ``SecDedup`` lets S2 find the duplicate groups from a *permuted* pairwise
-equality matrix and neutralize all but one member of each group, without
-S1 learning which items were touched:
+equality matrix and neutralize all but one member of each group:
 
 1. S1 fills the upper triangle of the symmetric matrix
    ``B_{ij} = EHL(o_i) ⊖ EHL(o_j)``, blinds every item component with a
@@ -19,27 +18,42 @@ S1 learning which items were touched:
    union-find, keeps the lowest-``rank`` member of each group and replaces
    the rest with *junk*: fresh random identity, worst/best pinned to the
    huge-negative sentinel so they sort last and never block halting.
-   Every outgoing item (kept or junk) is re-blinded with a fresh seed and
-   its companion extended to the uniform shape ``(H_a, H_b)``, so S1
-   cannot distinguish replaced items.  S2 permutes with its own ``π'`` and
-   returns.
+   Every outgoing item (kept or junk) is re-blinded with a fresh seed of
+   S2's, so its components are fresh encryptions, and carries two
+   companions: a survivor S1's ``H_i``, forwarded untouched, next to
+   S2's, a junk item two of S2's.  S2 permutes with its own ``π'`` and
+   returns.  The forwarded ``H_i`` is the catch: S1 decrypts its own
+   seed, maps every survivor back to the input slot it blinded with it
+   and so tells junk from survivors — the uniqueness pattern the full
+   variant is meant to hide from S1 (a known gap, ROADMAP; ``SecFilter``
+   extends its material homomorphically instead and does not leak so).
 3. S1 decrypts both companion seeds per item and unblinds.
 
 ``ranks`` bias which group member survives; ``SecUpdate`` uses them to
 make sure the accumulated candidate (not the freshly appended duplicate)
 is the copy that is kept.  The ranks are sent in the clear, which reveals
 to S2 how duplicate groups split between old and new items — leakage of
-the same granularity as ``EP_d`` (recorded in the leakage log and
-documented in DESIGN.md).
+the same granularity as ``EP_d`` (recorded in the leakage log; see
+ARCHITECTURE.md, "Protocol substitutions and declared leakage").
+
+``sort=True`` is ``DedupSort``, the eager engine's check depth in one
+round: S1 also ships each item's worst score as a one-way key
+(:func:`repro.protocols.enc_sort.one_way_keys`), and S2 returns the
+survivors ordered by it, descending, with new junk last — the item's
+own (blinded) worst is what S1 gets back, so no key returns.  S2 then
+sees each survivor's duplicate-group size next to its key, which it
+records as ``dedup_sort_link``.
 """
 
 from __future__ import annotations
 
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.exceptions import ProtocolError
-from repro.net.messages import DedupBatch
+from repro.net.messages import DedupBatch, DedupSort
 from repro.protocols.base import CryptoCloud, S1Context
 from repro.protocols.blinding import ItemBlinder, junk_item
+from repro.protocols.enc_sort import PROTOCOL as SORT_PROTOCOL
+from repro.protocols.enc_sort import one_way_keys, s2_order
 from repro.structures.ehl import EncryptedHashList, KnownPairs
 from repro.structures.items import ScoredItem
 
@@ -76,26 +90,65 @@ def _prepare(
     ranks: list[int],
     own_keypair: PaillierKeypair,
     known: KnownPairs | None,
+    sort: bool,
 ):
-    """S1's blinding + permutation stage shared with ``SecDupElim``.
+    """S1's permutation ``π``, ``⊖`` matrix and blinding of one round:
+    its blinder and the per-item fields of its ``DedupBatch`` (with
+    ``sort``, of its ``DedupSort``).
 
     ``known`` is what the caller already holds about pairs of these
     items' EHLs; those matrix entries are filled without recomputing
     ``⊖`` (see :func:`repro.structures.ehl.minus_pairs`).
     """
     blinder = ItemBlinder(ctx.public_key, ctx.dj)
-    l = len(items)
-    order = ctx.rng.permutation(l)
+    order = ctx.rng.permutation(len(items))
     permuted = [items[i] for i in order]
-    permuted_ranks = [ranks[i] for i in order]
-
-    matrix = EncryptedHashList.minus_matrix(
-        [item.ehl for item in permuted], ctx.rng, known
-    )
-    blinded, companions = blinder.blind_fresh(
+    fields = {
+        "matrix": EncryptedHashList.minus_matrix(
+            [item.ehl for item in permuted], ctx.rng, known
+        ),
+        "ranks": [ranks[i] for i in order],
+    }
+    if sort:
+        fields["keys"] = one_way_keys(ctx, [item.worst for item in permuted])
+    fields["items"], fields["companions"] = blinder.blind_fresh(
         permuted, own_keypair.public_key, ctx.rng
     )
-    return blinder, matrix, blinded, companions, permuted_ranks
+    return blinder, fields
+
+
+def dedup_round(
+    ctx: S1Context,
+    items: list[ScoredItem],
+    own_keypair: PaillierKeypair,
+    ranks: list[int] | None,
+    protocol: str,
+    known: KnownPairs | None,
+    eliminate: bool,
+    sort: bool,
+) -> list[ScoredItem]:
+    """S1's side of one deduplication round, shared by ``SecDedup``
+    (bury), ``SecDupElim`` (drop) and, with ``sort``, ``DedupSort``."""
+    if len(items) <= 1:
+        return list(items)
+    ranks = ranks if ranks is not None else [0] * len(items)
+    if len(ranks) != len(items):
+        raise ProtocolError("ranks/items length mismatch")
+
+    blinder, fields = _prepare(ctx, items, ranks, own_keypair, known, sort)
+    message = DedupSort if sort else DedupBatch
+    items_out, comps_out = ctx.call(
+        message(
+            protocol=protocol,
+            own_public=own_keypair.public_key,
+            sentinel=-ctx.encoder.sentinel,
+            eliminate=eliminate,
+            **fields,
+        )
+    )
+    if eliminate:
+        ctx.leakage.record("S1", protocol, "unique_count", len(items_out))
+    return blinder.unblind_companions(own_keypair, items_out, comps_out)
 
 
 def sec_dedup(
@@ -105,30 +158,104 @@ def sec_dedup(
     ranks: list[int] | None = None,
     protocol: str = PROTOCOL,
     known: KnownPairs | None = None,
+    sort: bool = False,
 ) -> list[ScoredItem]:
-    """Return a same-length list with duplicate objects buried as junk."""
-    if len(items) <= 1:
-        return list(items)
-    ranks = ranks if ranks is not None else [0] * len(items)
-    if len(ranks) != len(items):
-        raise ProtocolError("ranks/items length mismatch")
+    """Return a same-length list with duplicate objects buried as junk;
+    with ``sort``, the survivors first, by worst score, descending."""
+    return dedup_round(
+        ctx, items, own_keypair, ranks, protocol, known, eliminate=False, sort=sort
+    )
 
-    blinder, matrix, blinded, companions, permuted_ranks = _prepare(
-        ctx, items, ranks, own_keypair, known
+
+# ----------------------------------------------------------------------
+# S2's side: one grouping and one re-blinding, shared by DedupBatch and
+# DedupSort.
+# ----------------------------------------------------------------------
+
+
+def _s2_keepers(
+    s2: CryptoCloud,
+    matrix: list[Ciphertext],
+    ranks: list[int],
+    protocol: str,
+) -> list[tuple[int, int]]:
+    """Decrypt the matrix, group the items by union-find and return each
+    group's keeper — its lowest-``rank`` member — with the group's size."""
+    l = len(ranks)
+    uf = _UnionFind(l)
+    entries = s2.decrypt_batch_for_protocol(matrix, protocol, "dedup_matrix")
+    idx = 0
+    for i in range(l):
+        for j in range(i + 1, l):
+            if entries[idx] == 0:
+                uf.union(i, j)
+            idx += 1
+
+    groups = uf.groups()
+    s2.leakage.record(
+        "S2", protocol, "dedup_groups", sorted(len(g) for g in groups.values())
     )
-    items_out, comps_out = ctx.call(
-        DedupBatch(
-            protocol=protocol,
-            matrix=matrix,
-            items=blinded,
-            companions=companions,
-            ranks=permuted_ranks,
-            own_public=own_keypair.public_key,
-            sentinel=-ctx.encoder.sentinel,
-            eliminate=False,
+    return [
+        (min(members, key=lambda i: (ranks[i], i)), len(members))
+        for members in groups.values()
+    ]
+
+
+def _s2_release(
+    s2: CryptoCloud,
+    own_public,
+    blinded: list[ScoredItem],
+    companions: list[Ciphertext],
+    kept: list[int],
+    sentinel: int,
+    eliminate: bool,
+    protocol: str,
+):
+    """The outgoing items, each re-blinded once: the ``kept`` input slots
+    in that order, then — unless ``eliminate`` drops them — a junk
+    replacement for every other item.
+
+    A survivor travels on under one more seed next to its companion; a
+    junk item gets two seeds of S2's, so every outgoing item has the
+    uniform companion shape ``(H_a, H_b)``.
+    """
+    outgoing = [blinded[i] for i in kept]
+    carried: list[Ciphertext | None] = [companions[i] for i in kept]
+    if not eliminate:
+        survivors = set(kept)
+        for i, item in enumerate(blinded):
+            if i not in survivors:
+                outgoing.append(junk_item(s2.public_key, s2.dj, item, sentinel, s2.rng))
+                carried.append(None)
+
+    blinder = ItemBlinder(s2.public_key, s2.dj)
+    counts = [1 if h is not None else 2 for h in carried]
+    seeds = blinder.fresh_seeds(s2.rng, sum(counts))
+    sealed = blinder.encrypt_seeds(own_public, seeds, s2.rng)
+    seed_lists: list[list[bytes]] = []
+    comps_out: list[tuple[Ciphertext, Ciphertext]] = []
+    at = 0
+    for h, count in zip(carried, counts):
+        seed_lists.append(seeds[at : at + count])
+        comps_out.append(
+            (h, sealed[at]) if h is not None else (sealed[at], sealed[at + 1])
         )
-    )
-    return blinder.unblind_companions(own_keypair, items_out, comps_out)
+        at += count
+    items_out = blinder.blind_many(outgoing, seed_lists, s2.rng)
+    if eliminate:
+        s2.leakage.record("S2", protocol, "unique_count", len(items_out))
+    return items_out, comps_out
+
+
+def _check_shape(matrix: list, blinded: list, **per_item: list) -> None:
+    """Refuse a batch whose matrix or per-item fields do not fit its items."""
+    l = len(blinded)
+    if len(matrix) != l * (l - 1) // 2 or any(len(v) != l for v in per_item.values()):
+        shapes = ", ".join(f"{len(v)} {name}" for name, v in per_item.items())
+        raise ProtocolError(
+            f"malformed dedup batch: {l} items with {len(matrix)} matrix "
+            f"entries, {shapes}"
+        )
 
 
 def s2_dedup(
@@ -143,61 +270,40 @@ def s2_dedup(
     protocol: str,
 ):
     """S2's side, shared by ``SecDedup`` (bury) and ``SecDupElim`` (drop)."""
-    blinder = ItemBlinder(s2.public_key, s2.dj)
-    l = len(blinded)
-    if len(matrix) != l * (l - 1) // 2 or not len(companions) == len(ranks) == l:
-        raise ProtocolError(
-            f"malformed dedup batch: {l} items with {len(matrix)} matrix "
-            f"entries, {len(companions)} companions, {len(ranks)} ranks"
-        )
-    uf = _UnionFind(l)
-    entries = s2.decrypt_batch_for_protocol(matrix, protocol, "dedup_matrix")
-    idx = 0
-    for i in range(l):
-        for j in range(i + 1, l):
-            if entries[idx] == 0:
-                uf.union(i, j)
-            idx += 1
-
-    groups = uf.groups()
-    s2.leakage.record(
-        "S2", protocol, "dedup_groups", sorted(len(g) for g in groups.values())
+    _check_shape(matrix, blinded, companions=companions, ranks=ranks)
+    kept = sorted(keeper for keeper, _ in _s2_keepers(s2, matrix, ranks, protocol))
+    items_out, comps_out = _s2_release(
+        s2, own_public, blinded, companions, kept, sentinel, eliminate, protocol
     )
-
-    survivors: set[int] = set()
-    for members in groups.values():
-        keeper = min(members, key=lambda i: (ranks[i], i))
-        survivors.add(keeper)
-
-    # Survivors travel on under one more seed next to their companion;
-    # junk replacements get two seeds of S2's, so every outgoing item
-    # has the uniform companion shape (H_a, H_b).  eliminate=True simply
-    # drops the duplicates.
-    outgoing: list[ScoredItem] = []
-    carried: list[Ciphertext | None] = []
-    for i in range(l):
-        if i in survivors:
-            outgoing.append(blinded[i])
-            carried.append(companions[i])
-        elif not eliminate:
-            outgoing.append(junk_item(s2.public_key, s2.dj, blinded[i], sentinel, s2.rng))
-            carried.append(None)
-    counts = [1 if h is not None else 2 for h in carried]
-    seeds = blinder.fresh_seeds(s2.rng, sum(counts))
-    sealed = blinder.encrypt_seeds(own_public, seeds, s2.rng)
-    seed_lists: list[list[bytes]] = []
-    comps_out: list[tuple[Ciphertext, Ciphertext]] = []
-    at = 0
-    for h, count in zip(carried, counts):
-        seed_lists.append(seeds[at : at + count])
-        comps_out.append(
-            (h, sealed[at]) if h is not None else (sealed[at], sealed[at + 1])
-        )
-        at += count
-    items_out = blinder.blind_many(outgoing, seed_lists, s2.rng)
-
-    if eliminate:
-        s2.leakage.record("S2", protocol, "unique_count", len(items_out))
-
     order = s2.rng.permutation(len(items_out))
     return [items_out[i] for i in order], [comps_out[i] for i in order]
+
+
+def s2_dedup_sort(
+    s2: CryptoCloud,
+    own_public,
+    matrix: list[Ciphertext],
+    blinded: list[ScoredItem],
+    keys: list[Ciphertext],
+    companions: list[Ciphertext],
+    ranks: list[int],
+    sentinel: int,
+    eliminate: bool,
+    protocol: str,
+):
+    """S2's side of ``DedupSort``: :func:`s2_dedup`'s grouping, then only
+    the survivors' keys are decrypted, the survivors ordered by them
+    (descending) and new junk appended; no second permutation."""
+    _check_shape(matrix, blinded, keys=keys, companions=companions, ranks=ranks)
+    keepers = _s2_keepers(s2, matrix, ranks, protocol)
+    ordered = [
+        keeper
+        for _, keeper in s2_order(
+            s2, [keys[i] for i, _ in keepers], keepers, True, SORT_PROTOCOL
+        )
+    ]
+    s2.leakage.record("S2", protocol, "dedup_sort_link", [size for _, size in ordered])
+    return _s2_release(
+        s2, own_public, blinded, companions, [i for i, _ in ordered],
+        sentinel, eliminate, protocol,
+    )

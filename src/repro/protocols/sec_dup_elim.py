@@ -12,10 +12,8 @@ then runs on far fewer items.
 from __future__ import annotations
 
 from repro.crypto.paillier import PaillierKeypair
-from repro.exceptions import ProtocolError
-from repro.net.messages import DedupBatch
 from repro.protocols.base import S1Context
-from repro.protocols.sec_dedup import _prepare
+from repro.protocols.sec_dedup import dedup_round
 from repro.structures.ehl import KnownPairs
 from repro.structures.items import ScoredItem
 
@@ -29,28 +27,10 @@ def sec_dup_elim(
     ranks: list[int] | None = None,
     protocol: str = PROTOCOL,
     known: KnownPairs | None = None,
+    sort: bool = False,
 ) -> list[ScoredItem]:
-    """Return a duplicate-free (shorter) list of re-encrypted items."""
-    if len(items) <= 1:
-        return list(items)
-    ranks = ranks if ranks is not None else [0] * len(items)
-    if len(ranks) != len(items):
-        raise ProtocolError("ranks/items length mismatch")
-
-    blinder, matrix, blinded, companions, permuted_ranks = _prepare(
-        ctx, items, ranks, own_keypair, known
+    """Return a duplicate-free (shorter) list of re-encrypted items;
+    with ``sort``, ordered by worst score, descending (``DedupSort``)."""
+    return dedup_round(
+        ctx, items, own_keypair, ranks, protocol, known, eliminate=True, sort=sort
     )
-    items_out, comps_out = ctx.call(
-        DedupBatch(
-            protocol=protocol,
-            matrix=matrix,
-            items=blinded,
-            companions=companions,
-            ranks=permuted_ranks,
-            own_public=own_keypair.public_key,
-            sentinel=-ctx.encoder.sentinel,
-            eliminate=True,
-        )
-    )
-    ctx.leakage.record("S1", protocol, "unique_count", len(items_out))
-    return blinder.unblind_companions(own_keypair, items_out, comps_out)

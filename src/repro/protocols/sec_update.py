@@ -12,7 +12,8 @@ resulting ``E2(t_ij)`` S1 updates homomorphically:
   bound when the object resurfaced (line 8);
 * ``W'_i = (1 − Σ_j t_ij) · W_i`` and the same for ``B'_i`` — neutralize
   the Γ copy that was merged into an existing candidate (our reading of
-  the line-10 typo; DESIGN.md discusses the deviation).
+  the line-10 typo; ARCHITECTURE.md, "Protocol substitutions and
+  declared leakage", discusses the deviation).
 
 All neutralized Γ items are appended anyway (S1 cannot branch on the
 encrypted match bit) and the trailing ``SecDedup``/``SecDupElim`` pass

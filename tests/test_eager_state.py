@@ -7,8 +7,8 @@ touches the Damgård–Jurik layer.
   rule's first stage.
 * S2 applies the bits it decrypts (``BlindedSelect``): one absorb round
   per depth, no ``N^3`` operation on either side.
-* Items cross SecDedup / SecDupElim without payload or best, and
-  EncSort's items without the key it ships separately.
+* A check depth is one ``DedupSort`` round, whose items cross without
+  payload or best, next to a one-way key per item.
 * Halting depths and revealed top-k match plaintext NRA, husks included.
 """
 
@@ -30,6 +30,7 @@ from repro.net.messages import (
     BlindedSelect,
     BlindedSign,
     DedupBatch,
+    DedupSort,
     SortAffine,
     StripLayerBatch,
     ZeroTestBatch,
@@ -222,7 +223,7 @@ class TestItemsOnTheWire:
     def test_dedup_and_sort_items_carry_no_dead_fields(
         self, scheme, relation, monkeypatch, variant
     ):
-        seen: dict[type, list] = {DedupBatch: [], SortAffine: []}
+        seen: dict[type, list] = {DedupBatch: [], SortAffine: [], DedupSort: []}
         real = S2Dispatcher.dispatch
 
         def dispatch(self, msg):
@@ -243,18 +244,15 @@ class TestItemsOnTheWire:
         finally:
             ctx.close()
         assert scheme.reveal(result) == _oracle(ROWS, ATTRS, K, "strict", 1)[0]
-        assert seen[DedupBatch] and seen[SortAffine]
-        for msg in seen[DedupBatch]:
-            for item in msg.items:
-                assert item.list_scores is None and item.best is None
-                assert item.worst is not None and len(item.seen_bits) == len(ATTRS)
-                assert all(type(bit) is Ciphertext for bit in item.seen_bits)
-        for msg in seen[SortAffine]:
+        # Every check depth is one DedupSort: no separate dedup or sort.
+        assert seen[DedupSort] and not seen[DedupBatch] and not seen[SortAffine]
+        for msg in seen[DedupSort]:
+            # The one-way key rides next to the item, whose own blinded
+            # worst is what comes back.
             assert len(msg.keys) == len(msg.items)
             for item in msg.items:
                 assert item.list_scores is None and item.best is None
-                assert item.worst is None  # the key travels as msg.keys
-                assert len(item.seen_bits) == len(ATTRS)
+                assert item.worst is not None and len(item.seen_bits) == len(ATTRS)
                 assert all(type(bit) is Ciphertext for bit in item.seen_bits)
 
 
@@ -377,22 +375,22 @@ class TestHusks:
 
 
 #: ``(rounds, halting depth)`` of two queries per configuration.  Every
-#: eager row is one round per scanned depth below what the two-round
-#: absorb paid (e.g. ``(37, 7)`` then, ``(30, 7)`` now); the literal rows
-#: have not moved.
+#: affine-sort eager row is one round per sorted check depth below what
+#: a separate dedup and sort paid (e.g. ``(30, 7)`` then, ``(23, 7)``
+#: now); the dgk-network and literal rows have not moved.
 PINNED = {
-    "eager-elim-strict": ({"variant": "elim"}, [(30, 7), (22, 5)]),
-    "eager-full-strict": ({"variant": "full"}, [(30, 7), (22, 5)]),
-    "eager-batch-strict": ({"variant": "batch", "batch_p": 3}, [(20, 9), (13, 6)]),
-    "eager-elim-paper": ({"variant": "elim", "halting": "paper"}, [(25, 6), (22, 5)]),
-    "eager-full-paper": ({"variant": "full", "halting": "paper"}, [(25, 6), (22, 5)]),
+    "eager-elim-strict": ({"variant": "elim"}, [(23, 7), (17, 5)]),
+    "eager-full-strict": ({"variant": "full"}, [(23, 7), (17, 5)]),
+    "eager-batch-strict": ({"variant": "batch", "batch_p": 3}, [(17, 9), (11, 6)]),
+    "eager-elim-paper": ({"variant": "elim", "halting": "paper"}, [(19, 6), (17, 5)]),
+    "eager-full-paper": ({"variant": "full", "halting": "paper"}, [(19, 6), (17, 5)]),
     "eager-dgk-network": (
         {"compare_method": "dgk", "sort_method": "network"},
         [(89, 7), (52, 5)],
     ),
     "literal-elim": ({"engine": "literal", "variant": "elim"}, [(65, 8), (67, 8)]),
     "literal-full": ({"engine": "literal", "variant": "full"}, [(65, 8), (67, 8)]),
-    "eager-capped": ({"variant": "elim", "max_depth": 3}, [(12, 3), (12, 3)]),
+    "eager-capped": ({"variant": "elim", "max_depth": 3}, [(9, 3), (9, 3)]),
 }
 
 

@@ -312,17 +312,13 @@ class TestFailureModes:
             for e in entries
         ]
         try:
-            _, matrix, blinded, companions, ranks = _prepare(
-                ctx, items, [0, 0, 0], own, None
-            )
+            _, fields = _prepare(ctx, items, [0, 0, 0], own, None, sort=False)
+            fields["matrix"] = fields["matrix"][:-1]
             with pytest.raises(RemoteS2Error) as excinfo:
                 ctx.call(
                     messages.DedupBatch(
                         protocol="SecDedup",
-                        matrix=matrix[:-1],
-                        items=blinded,
-                        companions=companions,
-                        ranks=ranks,
+                        **fields,
                         own_public=own.public_key,
                         sentinel=-ctx.encoder.sentinel,
                         eliminate=False,

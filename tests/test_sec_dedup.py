@@ -159,16 +159,12 @@ class TestMalformedBatch:
         self, ctx, factory, own_keypair, field, reshape
     ):
         items = [_scored(ctx, factory, f"o{i}", i, i + 1) for i in range(3)]
-        _, matrix, blinded, companions, ranks = _prepare(
-            ctx, items, [0, 0, 0], own_keypair, None
-        )
-        parts = {"matrix": matrix, "companions": companions, "ranks": ranks}
+        _, parts = _prepare(ctx, items, [0, 0, 0], own_keypair, None, sort=False)
         parts[field] = reshape(parts[field])
         with pytest.raises(ProtocolError, match="malformed dedup batch"):
             ctx.call(
                 DedupBatch(
                     protocol="SecDedup",
-                    items=blinded,
                     own_public=own_keypair.public_key,
                     sentinel=-ctx.encoder.sentinel,
                     eliminate=False,

@@ -13,7 +13,9 @@ from repro.net.channel import Channel, measure_size
 from repro.net.dispatch import S2Dispatcher
 from repro.net.messages import (
     MESSAGE_TYPES,
+    BlindedSelect,
     DedupBatch,
+    DedupSort,
     StripLayerBatch,
     ZeroTestBatch,
     message_class,
@@ -182,6 +184,37 @@ class TestMessageEnvelopes:
         assert back[2].sentinel == -(1 << 40)
         assert back[2].eliminate is True
         assert back[2].own_public == keypair.public_key
+
+    def test_dedup_sort_is_appended_at_id_15(self, keypair, rng):
+        """The fused check-depth operation takes the next free id; ids
+        0–14 keep their classes, and the id past it is refused."""
+        assert message_type_id(DedupSort) == 15 == len(MESSAGE_TYPES) - 1
+        assert message_type_id(BlindedSelect) == 14
+        with pytest.raises(ProtocolError):
+            message_class(16)
+        pk = keypair.public_key
+        msg = DedupSort(
+            protocol="SecDupElim",
+            matrix=[pk.encrypt(3, rng)],
+            items=[],
+            keys=[pk.encrypt(5, rng), pk.encrypt(7, rng)],
+            companions=[],
+            ranks=[0, 1],
+            own_public=pk,
+            sentinel=-(1 << 40),
+            eliminate=False,
+        )
+        frame = WireCodec().encode_envelope([msg])
+        assert frame[1] == 15  # count varint, then the type id
+        (back,) = WireCodec().decode_envelope(frame)
+        assert type(back) is DedupSort
+        assert [ct.value for ct in back.keys] == [ct.value for ct in msg.keys]
+        assert [ct.value for ct in back.matrix] == [msg.matrix[0].value]
+        assert (back.ranks, back.sentinel, back.eliminate) == ([0, 1], -(1 << 40), False)
+        assert back.own_public == pk
+        assert msg.request_payload() == (
+            msg.matrix, msg.items, msg.keys, msg.companions, msg.ranks
+        )
 
     def test_request_payload_excludes_metadata(self, keypair, rng):
         msg = DedupBatch(
