@@ -33,6 +33,7 @@ from repro.crypto.rng import SecureRandom
 from repro.exceptions import DataError, QueryError
 from repro.obs.metrics import REGISTRY
 from repro.protocols.base import S1Context, _wire_clouds, owned_context
+from repro.protocols.blinding import seed_key_bits
 from repro.core.engine import build_engine
 from repro.core.params import SystemParams
 from repro.core.relation import EncryptedRelation
@@ -75,11 +76,10 @@ class SecTopK:
         self._ehl_master = random_key(self._rng.spawn("ehl-master"))
         self._prp_key = self._rng.spawn("prp").randbytes(32)
         # S1's own keypair for blinding-seed transport (Algorithm 7's pk');
-        # generated once and reused across protocol invocations.  Its
-        # modulus is oversized so that SecFilter's combined unblinding
-        # values (products/sums of residues mod N) never wrap under pk'.
+        # generated once and reused across protocol invocations.  It
+        # carries nothing but seeds, so it is sized by the seed bound.
         self._s1_keypair = PaillierKeypair.generate(
-            2 * self.params.key_bits + 16, self._rng.spawn("s1-own")
+            seed_key_bits(self.params.key_bits), self._rng.spawn("s1-own")
         )
         self._query_history: set[str] = set()
         # Query-pattern state is deliberately cross-query (it IS the L1

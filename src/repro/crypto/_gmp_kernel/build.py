@@ -1,10 +1,13 @@
 """cffi build recipe for the GIL-free GMP batch kernel.
 
 The C side is small: two vectorized ``mpz_powm`` loops — one exponent
-for the whole batch (CRT Paillier decryption, DJ layer stripping,
-randomizer pools, shard weighting) and one exponent per base (the
-``RecoverEnc`` blinds, the blinded select's unblinding, the ⊖ rescales)
-— a scalar ``mpz_invert``, and three loops on one Montgomery core:
+for the whole batch (DJ layer stripping, randomizer pools, shard
+weighting) and one exponent per base (the ``RecoverEnc`` blinds, the
+blinded select's unblinding, the ⊖ rescales) — a scalar ``mpz_invert``,
+``repro_paillier_decrypt`` (a batch of whole CRT Paillier decryptions:
+the range and unit checks, both ``mpz_powm`` halves, ``L``, ``h_p`` /
+``h_q`` and the recombination, or the mod-``p`` half alone), and three
+loops on one Montgomery core:
 
 * ``repro_powmod_products`` — ``acc · Π b^e`` per group of ragged width,
   as an interleaved sliding-window multi-exponentiation (Straus's
@@ -76,6 +79,9 @@ int repro_powmod_products(const uint64_t *accs, const uint64_t *counts,
 int repro_invert_vec(const uint64_t *values, size_t n_items,
                      const uint64_t *mod, size_t mod_words,
                      uint64_t *out);
+int repro_paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
+                           const uint64_t *crt, int below_p,
+                           uint64_t *out, size_t out_words);
 """
 
 SOURCE = r"""
@@ -701,6 +707,80 @@ int repro_invert_vec(const uint64_t *values, size_t n_items,
     mpz_clear(r);
     mpz_clear(m);
     return ok;
+}
+
+/* One CRT half of a Paillier decryption: m = L(c^(prime-1) mod prime^2)
+   · h mod prime, with L(u) = (u - 1) / prime exact for a unit c.  e is
+   scratch. */
+static void crt_half(mpz_t m, const mpz_t c, const mpz_t prime,
+                     const mpz_t prime2, const mpz_t h, mpz_t e)
+{
+    mpz_sub_ui(e, prime, 1);
+    mpz_mod(m, c, prime2);
+    mpz_powm(m, m, e, prime2);
+    mpz_sub_ui(m, m, 1);
+    mpz_divexact(m, m, prime);
+    mpz_mul(m, m, h);
+    mpz_mod(m, m, prime);
+}
+
+/* out[i] = the Paillier plaintext of cts[i], every value at ct_words.
+   crt holds nine constants at ct_words each: N^2, N, p, q, p^2, q^2,
+   h_p, h_q and p^-1 mod q.  The plaintext is recombined from its two
+   CRT halves, m = m_p + p · ((m_q - m_p) · p^-1 mod q); below_p stops
+   at m_p.  The whole batch is checked before any output is written:
+   returns 0 on success, 1 when a value lies outside (0, N^2), else 2
+   when one shares a factor with N, and -1 for a zero N or one wider
+   than out_words (every plaintext is below N). */
+int repro_paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
+                           const uint64_t *crt, int below_p,
+                           uint64_t *out, size_t out_words)
+{
+    enum { N2, N, P, Q, P2, Q2, HP, HQ, PINVQ, CONSTANTS };
+    mpz_t k[CONSTANTS], c, mp, mq, e;
+    size_t i;
+    int j, status = 0;
+
+    for (j = 0; j < CONSTANTS; j++) {
+        mpz_init(k[j]);
+        import_words(k[j], crt + (size_t)j * ct_words, ct_words);
+    }
+    mpz_init(c);
+    mpz_init(mp);
+    mpz_init(mq);
+    mpz_init(e);
+    if (mpz_sgn(k[N]) == 0 || mpz_sizeinbase(k[N], 2) > 64 * out_words)
+        status = -1;
+    for (i = 0; status == 0 && i < n_items; i++) {
+        import_words(c, cts + i * ct_words, ct_words);
+        if (mpz_sgn(c) == 0 || mpz_cmp(c, k[N2]) >= 0)
+            status = 1;
+    }
+    for (i = 0; status == 0 && i < n_items; i++) {
+        import_words(c, cts + i * ct_words, ct_words);
+        mpz_gcd(e, c, k[N]);
+        if (mpz_cmp_ui(e, 1) != 0)
+            status = 2;
+    }
+    for (i = 0; status == 0 && i < n_items; i++) {
+        import_words(c, cts + i * ct_words, ct_words);
+        crt_half(mp, c, k[P], k[P2], k[HP], e);
+        if (!below_p) {
+            crt_half(mq, c, k[Q], k[Q2], k[HQ], e);
+            mpz_sub(mq, mq, mp);
+            mpz_mul(mq, mq, k[PINVQ]);
+            mpz_mod(mq, mq, k[Q]);
+            mpz_addmul(mp, mq, k[P]);
+        }
+        export_words(out + i * out_words, out_words, mp);
+    }
+    for (j = 0; j < CONSTANTS; j++)
+        mpz_clear(k[j]);
+    mpz_clear(c);
+    mpz_clear(mp);
+    mpz_clear(mq);
+    mpz_clear(e);
+    return status;
 }
 """
 

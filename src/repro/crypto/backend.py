@@ -14,7 +14,8 @@ through this module, so a single switch moves the whole system between:
 * ``gmp-kernel`` — the compiled cffi batch kernel
   (:mod:`repro.crypto.kernels`): GMP speed, *every* batch primitive
   below as one C call (:func:`powmod_products`, :func:`pool_products`
-  and :func:`invert_vec` on the kernel's Montgomery core), *and* the GIL
+  and :func:`invert_vec` on the kernel's Montgomery core, a whole
+  :func:`paillier_decrypt` batch on ``mpz_powm``), *and* the GIL
   released across every batch call, so concurrent queries' kernel
   stretches overlap.  Available when the extension builds here (cffi +
   C compiler + GMP headers); absent, it simply never registers.
@@ -30,8 +31,8 @@ Selection order:
    importable, else ``pure``.  (The kernel first: it is the backend the
    repo's benchmark measures, and the only one on which the batch
    primitives are C — ``gmpy2`` runs ``powmod_products``,
-   ``pool_products`` and ``invert_vec`` as the shared Python loops
-   around its scalar calls.)
+   ``pool_products``, ``invert_vec`` and ``paillier_decrypt`` as the
+   shared Python loops around its scalar and vector calls.)
 
 All backends are *bit-compatible*: for every operation the returned
 integers are identical, so ciphertexts, transcripts and seeded-test
@@ -39,19 +40,19 @@ expectations never depend on which backend served them
 (``tests/test_backend.py`` pins this).
 
 Besides the scalar ops the module exposes batch entry points.
-:func:`powmod_vec` (one exponent, many bases: the shape of batched CRT
-decryption) is the primitive the key-level batch methods build on — it
-replaced the per-item ``pow`` loops previously inlined in
-``encrypt_vector``/``decrypt_vector`` and the S2 decrypt handlers, and
-gives an accelerated backend one conversion of the shared
-modulus/exponent per *batch* instead of per item.  :func:`powmod_pairs`
-(one exponent *per* base), :func:`powmod_products` (``acc · Π b^e`` per
-group of bases), :func:`invert_vec` (Montgomery's trick) and
-:func:`pool_products` (the randomizer-pool draw) carry the query path's
-per-ciphertext work — the ⊖ matrix, the layered selects, ``RecoverEnc``,
-every fresh encryption's randomizer — as one call per round.
-Batch encryption and decryption are the key methods built on them
-(``pk.encrypt_batch`` / ``sk.decrypt_batch``).
+:func:`paillier_decrypt` is every Paillier decryption — a batch of
+bare ciphertexts under one key's :class:`PaillierCrt` constants, both
+CRT halves or (``below_p``) the mod-``p`` half alone; the key methods
+(``sk.decrypt_batch`` and friends) are its callers.  :func:`powmod_vec`
+(one exponent, many bases) gives an accelerated backend one conversion
+of the shared modulus/exponent per *batch* instead of per item.
+:func:`powmod_pairs` (one exponent *per* base), :func:`powmod_products`
+(``acc · Π b^e`` per group of bases), :func:`invert_vec` (Montgomery's
+trick) and :func:`pool_products` (the randomizer-pool draw) carry the
+query path's per-ciphertext work — the ⊖ matrix, the layered selects,
+``RecoverEnc``, every fresh encryption's randomizer — as one call per
+round.  Batch encryption is the key method built on them
+(``pk.encrypt_batch``).
 """
 
 from __future__ import annotations
@@ -62,17 +63,57 @@ import os
 import threading
 import warnings
 
+from repro.exceptions import DecryptionError
+
 try:  # pragma: no cover - exercised only where gmpy2 is installed
     import gmpy2 as _gmpy2
 except ImportError:  # pragma: no cover
     _gmpy2 = None
 
 
+#: The refusal texts of :func:`paillier_decrypt`, identical on every
+#: backend.
+OUTSIDE_ZN2 = "ciphertext outside Z_{N^2}"
+NOT_A_UNIT = "ciphertext is not a unit mod N^2"
+
+
 class _SharedBatchOps:
     """The batch ops every backend runs as one Python loop unless it
     overrides them: ``powmod_products`` on top of the backend's
     ``powmod_pairs``, ``invert_vec`` on top of its scalar ``invert``,
-    and the reference ``pool_products``."""
+    ``paillier_decrypt`` on top of its ``powmod_vec``, and the reference
+    ``pool_products``."""
+
+    def paillier_decrypt(
+        self, crt: "PaillierCrt", values: list[int], below_p: bool = False
+    ) -> list[int]:
+        """The Paillier plaintexts of bare ciphertexts under ``crt``'s key:
+        ``m_p = L_p(c^(p-1) mod p^2) · h_p mod p``, the same mod ``q``,
+        recombined by the CRT.  ``below_p`` returns ``m_p`` alone — the
+        plaintext itself when the caller knows it is below ``p``.
+
+        The whole batch is refused, with :class:`DecryptionError`, when
+        any value lies outside ``(0, N^2)`` or, failing that, when any
+        value shares a factor with ``N``.
+        """
+        n2, n = crt.n_squared, crt.n
+        if not all(0 < c < n2 for c in values):
+            raise DecryptionError(OUTSIDE_ZN2)
+        if any(self.gcd(c, n) != 1 for c in values):
+            raise DecryptionError(NOT_A_UNIT)
+        p, p2, hp = crt.p, crt.p_squared, crt.hp
+        mps = [
+            (u - 1) // p * hp % p
+            for u in self.powmod_vec([c % p2 for c in values], p - 1, p2)
+        ]
+        if below_p:
+            return mps
+        q, q2, hq, p_inv_q = crt.q, crt.q_squared, crt.hq, crt.p_inv_q
+        mqs = self.powmod_vec([c % q2 for c in values], q - 1, q2)
+        return [
+            mp + p * (((u - 1) // q * hq - mp) * p_inv_q % q)
+            for mp, u in zip(mps, mqs)
+        ]
 
     def powmod_products(
         self,
@@ -276,6 +317,13 @@ class GmpKernelBackend(_SharedBatchOps):
 
     def invert_vec(self, values: list[int], mod: int) -> list[int]:
         return self._kernel.invert_vec(values, mod)
+
+    def paillier_decrypt(
+        self, crt: "PaillierCrt", values: list[int], below_p: bool = False
+    ) -> list[int]:
+        if crt.packed is None:
+            crt.packed = self._kernel.pack_crt(crt)
+        return self._kernel.paillier_decrypt(crt.packed, crt.n, values, below_p)
 
     def pool_products(self, pool: "RandomizerPool", reads: bytes) -> list[int]:
         if pool.packed is None:
@@ -484,3 +532,36 @@ def pool_products(pool: RandomizerPool, reads: bytes) -> list[int]:
     :func:`repro.crypto.paillier.pool_randomizers`, the one caller)."""
     return _current().pool_products(pool, reads)
 
+
+class PaillierCrt:
+    """The ``crt`` argument of :func:`paillier_decrypt`: one Paillier
+    key's decryption constants, worked out once per key.
+
+    ``h_p = L_p((1 + N)^(p-1) mod p^2)^(-1) mod p`` (and ``h_q``) undo
+    the generator's contribution to each CRT half, and ``p_inv_q``
+    recombines the halves.  :attr:`packed` is the kernel backend's
+    limb-format copy, filled on its first decryption.
+    """
+
+    def __init__(self, p: int, q: int):
+        self.p = p
+        self.q = q
+        self.n = n = p * q
+        self.n_squared = n * n
+        self.p_squared = p2 = p * p
+        self.q_squared = q2 = q * q
+        self.hp = invert((powmod(1 + n, p - 1, p2) - 1) // p, p)
+        self.hq = invert((powmod(1 + n, q - 1, q2) - 1) // q, q)
+        self.p_inv_q = invert(p, q)
+        self.packed: bytes | None = None
+
+
+def paillier_decrypt(
+    crt: PaillierCrt, values: list[int], below_p: bool = False
+) -> list[int]:
+    """Decrypt a batch of bare Paillier ciphertexts under ``crt``'s key
+    (``below_p``: the mod-``p`` half alone, for plaintexts below ``p``) —
+    every Paillier decryption of the package, one call per batch.
+    Raises :class:`DecryptionError` for the whole batch on a value
+    outside ``(0, N^2)`` or not a unit."""
+    return _current().paillier_decrypt(crt, values, below_p)

@@ -11,7 +11,8 @@ Two things live here:
 
 * **:class:`GmpKernel`** — the loaded extension wrapped in the backend
   operation signatures (``powmod`` / ``powmod_vec`` / ``powmod_pairs`` /
-  ``powmod_products`` / ``pool_products`` / ``invert`` / ``invert_vec``).
+  ``powmod_products`` / ``pool_products`` / ``invert`` / ``invert_vec`` /
+  ``paillier_decrypt``).
   A batch call packs the whole batch, makes *one* C call, and unpacks;
   cffi releases the GIL for the entire C loop, so concurrent queries'
   kernel stretches overlap.  ``powmod_products``, ``pool_products`` and
@@ -28,7 +29,8 @@ kernel absent and every caller falls back.
 
 from __future__ import annotations
 
-from repro.crypto import _gmp_kernel
+from repro.crypto import _gmp_kernel, backend
+from repro.exceptions import DecryptionError
 
 # ----------------------------------------------------------------------
 # The limb format.
@@ -282,6 +284,57 @@ class GmpKernel:
             )
         return unpack_ints(out_buf, mod_words, len(values))
 
+    @staticmethod
+    def pack_crt(crt) -> bytes:
+        """A :class:`~repro.crypto.backend.PaillierCrt`'s constants in the
+        limb format, each at ``N^2``'s width, in the order
+        ``repro_paillier_decrypt`` reads them — the ``packed_crt`` of
+        :meth:`paillier_decrypt`, built once per key."""
+        constants = [
+            crt.n_squared, crt.n, crt.p, crt.q, crt.p_squared, crt.q_squared,
+            crt.hp, crt.hq, crt.p_inv_q,
+        ]
+        return bytes(pack_ints(constants, words_for(crt.n_squared)))
+
+    def paillier_decrypt(
+        self, packed_crt: bytes, n: int, values: list[int], below_p: bool
+    ) -> list[int]:
+        """The Paillier plaintexts of ``values`` (each below ``N^2``) in
+        one GIL-free C call (see ``repro_paillier_decrypt``); ``n`` is the
+        key's modulus.  A refused batch raises :class:`DecryptionError`
+        with the shared backend's texts and returns nothing."""
+        if not values:
+            return []
+        ct_words, ragged = divmod(len(packed_crt), _CRT_CONSTANTS * WORD_BYTES)
+        if ragged or not ct_words:
+            raise ValueError("packed CRT constants are not nine limb-format values")
+        out_words = words_for(n)
+        try:
+            in_buf = pack_ints(values, ct_words)
+        except OverflowError:  # negative, or wider than N^2
+            raise DecryptionError(_REFUSALS[1]) from None
+        out_buf = bytearray(len(values) * out_words * WORD_BYTES)
+        from_buffer = self._ffi.from_buffer
+        rc = self._lib.repro_paillier_decrypt(
+            from_buffer("uint64_t[]", in_buf),
+            len(values),
+            ct_words,
+            from_buffer("uint64_t[]", packed_crt),
+            1 if below_p else 0,
+            from_buffer("uint64_t[]", out_buf),
+            out_words,
+        )
+        if rc in _REFUSALS:
+            raise DecryptionError(_REFUSALS[rc])
+        if rc != 0:
+            raise ValueError("packed CRT constants do not match the modulus")
+        return unpack_ints(out_buf, out_words, len(values))
+
+
+#: Constants ``GmpKernel.pack_crt`` packs per key.
+_CRT_CONSTANTS = 9
+#: ``repro_paillier_decrypt``'s refusal codes and their texts.
+_REFUSALS = {1: backend.OUTSIDE_ZN2, 2: backend.NOT_A_UNIT}
 
 _KERNEL: GmpKernel | None = None
 

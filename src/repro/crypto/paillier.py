@@ -15,8 +15,11 @@ Homomorphic properties used throughout the construction:
 Decryption uses the CRT split over ``p^2`` and ``q^2`` for a ~3x speedup,
 which matters because the two-cloud protocols decrypt constantly.  All
 modular arithmetic routes through :mod:`repro.crypto.backend`, so the
-same code runs on the pure-Python big-int implementation or on gmpy2
-when installed; the batch methods (:meth:`PaillierPublicKey.encrypt_batch`,
+same code runs on the pure-Python big-int implementation, on gmpy2 or
+on the compiled kernel; every decryption is one
+:func:`~repro.crypto.backend.paillier_decrypt` call per batch, on the
+key's :class:`~repro.crypto.backend.PaillierCrt` constants, and the
+batch methods (:meth:`PaillierPublicKey.encrypt_batch`,
 :meth:`PaillierSecretKey.decrypt_batch`) amortize backend setup over
 whole vectors — the shape every protocol round actually has.
 
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from repro.crypto import backend
 from repro.crypto.primes import lcm, random_prime_pair
 from repro.crypto.rng import SecureRandom
-from repro.exceptions import DecryptionError, KeyMismatchError
+from repro.exceptions import KeyMismatchError
 
 
 def fresh_pool(
@@ -194,22 +197,15 @@ class PaillierSecretKey:
         self.p = p
         self.q = q
         self.public_key = public_key
-        n = public_key.n
         self.lam = lcm(p - 1, q - 1)
         # mu = (L(g^lam mod N^2))^-1 mod N; with g = N+1, g^lam = 1 + lam*N,
         # so L(g^lam) = lam and mu = lam^-1 mod N.
-        self.mu = backend.invert(self.lam, n)
-        # CRT precomputations.
-        self._p2 = p * p
-        self._q2 = q * q
-        self._p2_inv_q2 = backend.invert(self._p2, self._q2)
-        self._p_inv_q = backend.invert(p, q)
-        self._hp = backend.invert(
-            self._l_func(backend.powmod(1 + n, p - 1, self._p2), p), p
-        )
-        self._hq = backend.invert(
-            self._l_func(backend.powmod(1 + n, q - 1, self._q2), q), q
-        )
+        self.mu = backend.invert(self.lam, public_key.n)
+        self._caches()
+
+    def _caches(self) -> None:
+        #: The CRT decryption constants every decryption runs on.
+        self.crt = backend.PaillierCrt(self.p, self.q)
         #: Damgård–Jurik decryption constants per expansion degree ``s``
         #: (filled lazily by ``DamgardJurik._crt_constants``).  Lives here
         #: — not on the DJ instance — because the constants derive from
@@ -217,70 +213,28 @@ class PaillierSecretKey:
         self.dj_crt_cache: dict[int, tuple] = {}
 
     def __getstate__(self):
-        # The DJ constants are a per-process cache: never shipped, and
-        # dropped from any pickle that carries them (a spill written
-        # before the short-exponent decryption holds another layout).
+        # The decryption constants are per-process caches: never shipped,
+        # and dropped from any pickle that carries them (a spill written
+        # by an older build holds other layouts).
         state = self.__dict__.copy()
-        state["dj_crt_cache"] = {}
+        del state["crt"], state["dj_crt_cache"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.dj_crt_cache = {}
-
-    @staticmethod
-    def _l_func(u: int, n: int) -> int:
-        return (u - 1) // n
-
-    def _crt_combine(self, mp: int, mq: int) -> int:
-        # CRT combine mp (mod p) and mq (mod q) into m (mod n).
-        u = (mq - mp) * self._p_inv_q % self.q
-        return (mp + self.p * u) % self.public_key.n
-
-    def _decrypt_crt(self, c: int) -> int:
-        p, q = self.p, self.q
-        mp = self._l_func(backend.powmod(c % self._p2, p - 1, self._p2), p) * self._hp % p
-        mq = self._l_func(backend.powmod(c % self._q2, q - 1, self._q2), q) * self._hq % q
-        return self._crt_combine(mp, mq)
-
-    def _check_unit(self, c: int) -> None:
-        if not 0 < c < self.public_key.n_squared:
-            raise DecryptionError("ciphertext outside Z_{N^2}")
-        if backend.gcd(c, self.public_key.n) != 1:
-            raise DecryptionError("ciphertext is not a unit mod N^2")
+        self._caches()
 
     def raw_decrypt(self, c: int) -> int:
         """Decrypt a bare integer ciphertext to an element of ``Z_N``."""
-        self._check_unit(c)
-        return self._decrypt_crt(c)
-
-    def _residues_mod_p(self, values: list[int]) -> list[int]:
-        """The plaintexts of bare (unit) ciphertexts reduced mod ``p``:
-        the ``p`` half of the CRT decryption, one vectorized pow."""
-        p, hp = self.p, self._hp
-        return [
-            self._l_func(u, p) * hp % p
-            for u in backend.powmod_vec([c % self._p2 for c in values], p - 1, self._p2)
-        ]
+        return self.raw_decrypt_batch([c])[0]
 
     def raw_decrypt_batch(self, values: list[int]) -> list[int]:
-        """Decrypt many bare ciphertexts with two vectorized CRT pows."""
-        if not values:
-            return []
-        q, hq = self.q, self._hq
-        for c in values:
-            self._check_unit(c)
-        mqs = backend.powmod_vec([c % self._q2 for c in values], q - 1, self._q2)
-        return [
-            self._crt_combine(mp, self._l_func(u, q) * hq % q)
-            for mp, u in zip(self._residues_mod_p(values), mqs)
-        ]
+        """Decrypt many bare ciphertexts in one backend call."""
+        return backend.paillier_decrypt(self.crt, values)
 
     def decrypt(self, c: "Ciphertext") -> int:
         """Decrypt to the canonical representative in ``[0, N)``."""
-        if c.public_key != self.public_key:
-            raise KeyMismatchError("ciphertext was produced under a different key")
-        return self.raw_decrypt(c.value)
+        return self.decrypt_batch([c])[0]
 
     def _values_of(self, cts: list["Ciphertext"]) -> list[int]:
         for c in cts:
@@ -289,7 +243,7 @@ class PaillierSecretKey:
         return [c.value for c in cts]
 
     def decrypt_batch(self, cts: list["Ciphertext"]) -> list[int]:
-        """Batch variant of :meth:`decrypt` (one backend setup per batch)."""
+        """Batch variant of :meth:`decrypt` (one backend call per batch)."""
         return self.raw_decrypt_batch(self._values_of(cts))
 
     def decrypt_batch_below_p(self, cts: list["Ciphertext"]) -> list[int]:
@@ -298,10 +252,7 @@ class PaillierSecretKey:
         the ``q`` half of the CRT — half the exponentiations — is never
         computed.  A plaintext that is *not* below ``p`` comes back
         reduced mod ``p``."""
-        values = self._values_of(cts)
-        for c in values:
-            self._check_unit(c)
-        return self._residues_mod_p(values)
+        return backend.paillier_decrypt(self.crt, self._values_of(cts), below_p=True)
 
     def decrypt_signed(self, c: "Ciphertext") -> int:
         """Decrypt to a signed integer in ``(-N/2, N/2]``."""

@@ -104,6 +104,9 @@ class SecTopKJoin:
         self._ehl_master = random_key(self._rng.spawn("ehl-master"))
         self._prp_keys: dict[str, bytes] = {}
         self._widths: dict[str, int] = {}
+        # S1's own keypair (Algorithm 7's pk').  Besides seeds it carries
+        # SecFilter's combined unblinding values (products and sums of
+        # residues mod N), so it is oversized to keep them from wrapping.
         self._s1_keypair = PaillierKeypair.generate(
             2 * self.params.key_bits + 16, self._rng.spawn("s1-own")
         )

@@ -46,10 +46,23 @@ from repro.crypto.rng import SecureRandom
 from repro.exceptions import ProtocolError
 from repro.structures.items import ScoredItem
 
-# 96-bit seeds: comfortably inside every supported Paillier modulus (the
-# smallest test preset uses 128-bit moduli) while leaving blind-derivation
-# security far above the statistical parameters used elsewhere.
+# 96-bit seeds: blind-derivation security far above the statistical
+# parameters used elsewhere.
 SEED_BYTES = 12
+
+
+def seed_key_bits(key_bits: int) -> int:
+    """The modulus size of S1's seed key ``pk'`` beside a main key of
+    ``key_bits``: ``max(key_bits, 2 * 8 * SEED_BYTES + 32)``.
+
+    A seed must stay below the smaller prime of ``pk'`` (the companions
+    decrypt with the mod-``p`` half of the CRT alone, see
+    :meth:`ItemBlinder.decrypt_seeds`): the floor gives primes of
+    ``8 * SEED_BYTES + 16`` bits.  ``pk'`` is never weaker than the main
+    key.
+    """
+    return max(key_bits, 2 * 8 * SEED_BYTES + 32)
+
 
 _XOF_DOMAIN = b"repro-item-blind:"
 #: Bits drawn beyond a component's modulus before reducing into it, which

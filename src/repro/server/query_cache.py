@@ -33,8 +33,12 @@ best-scoring objects is a correct top-``k'``, so the slice is exact.
 Both fingerprints derive from the same S1-visible token, so prefix hits
 introduce no leakage beyond the declared query pattern either.
 
-A hit serves a **deep copy** of the stored :class:`QueryResult` so
-callers can never mutate each other's results through the cache.
+An entry is a :class:`CachedResult`, a slim snapshot of a finished
+query: its winners, halting depth and config — no leakage log, trace or
+channel stats, which a hit replaces anyway.  Its items are copied on the
+way in and again on every hit, each copy sharing the scheme's key
+objects rather than cloning them, so callers can never mutate each
+other's results — or the cache — through it.
 """
 
 from __future__ import annotations
@@ -65,6 +69,38 @@ _INVALIDATIONS = REGISTRY.counter(
 
 
 @dataclass(frozen=True)
+class CachedResult:
+    """What a hit is served from: the winners of one finished query
+    (best first, still encrypted), its halting depth and its config.
+
+    :attr:`items` is never handed out; :meth:`copy_items` is.  Every copy
+    shares the objects in :attr:`shared` — the scheme's Paillier key and
+    Damgård–Jurik instance — instead of cloning them.
+    """
+
+    items: list
+    halting_depth: int
+    config: object
+    shared: tuple
+
+    @classmethod
+    def of(cls, result, shared: tuple) -> "CachedResult":
+        """A snapshot of ``result`` whose items share ``shared``."""
+        return cls(
+            _copy(result.items, shared), result.halting_depth, result.config, shared
+        )
+
+    def copy_items(self, k: int | None = None) -> list:
+        """The caller's own copy of the first ``k`` items (all of them
+        when ``k`` is ``None``)."""
+        return _copy(self.items[:k], self.shared)
+
+
+def _copy(items: list, shared: tuple) -> list:
+    return copy.deepcopy(items, {id(obj): obj for obj in shared})
+
+
+@dataclass(frozen=True)
 class CacheStats:
     """Counters of one :class:`QueryCache` (frozen snapshot)."""
 
@@ -85,13 +121,13 @@ class CacheStats:
 
 
 class QueryCache:
-    """Bounded, thread-safe LRU of finished :class:`QueryResult`\\ s."""
+    """Bounded, thread-safe LRU of :class:`CachedResult` snapshots."""
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
+        self._entries: OrderedDict[tuple, CachedResult] = OrderedDict()
         # scan key -> {stored k -> full cache key}; `_scan_of` is the
         # reverse map so evictions/invalidations can clean the index.
         self._scan_index: dict[tuple, dict[int, tuple]] = {}
@@ -115,18 +151,19 @@ class QueryCache:
 
     def lookup(self, key: tuple, scan_key: tuple | None = None,
                k: int | None = None):
-        """Exact-or-prefix lookup: ``(result_copy, sliced)``.
+        """Exact-or-prefix lookup: ``(entry, sliced)``.
 
         Tries ``key`` exactly first; on a miss, when ``scan_key``/``k``
         are given, looks for a stored result of the *same scan* with a
-        larger ``k`` (smallest such, to keep the copy cheap).  Returns
-        ``(deep copy, False)`` on an exact hit, ``(deep copy, True)``
-        when the caller must slice ``items[:k]``, or ``(None, False)``.
-        Counts exactly one hit or miss per call.
+        larger ``k`` (smallest such).  Returns ``(entry, False)`` on an
+        exact hit, ``(entry, True)`` when the caller must serve only the
+        first ``k`` items, or ``(None, False)``.  The caller takes its
+        items through :meth:`CachedResult.copy_items`.  Counts exactly
+        one hit or miss per call.
         """
         with self._lock:
-            result = self._entries.get(key)
-            if result is not None:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
                 _HITS.inc()
@@ -143,18 +180,18 @@ class QueryCache:
                     self._misses += 1
                     _MISSES.inc()
                     return None, False
-                result = self._entries[full_key]
+                entry = self._entries[full_key]
                 self._entries.move_to_end(full_key)
                 self._hits += 1
                 self._prefix_hits += 1
                 _HITS.inc()
                 _PREFIX_HITS.inc()
                 sliced = True
-        return copy.deepcopy(result), sliced
+        return entry, sliced
 
-    def put(self, key: tuple, result, scan_key: tuple | None = None,
+    def put(self, key: tuple, result: CachedResult, scan_key: tuple | None = None,
             k: int | None = None) -> None:
-        """Store a finished result, evicting the LRU tail if full.
+        """Store a snapshot, evicting the LRU tail if full.
 
         ``scan_key``/``k`` additionally index the entry for prefix
         serving (see module docstring).

@@ -55,7 +55,6 @@ makes concurrency wins measurable on few-core machines.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import threading
@@ -79,7 +78,7 @@ from repro.obs.metrics import REGISTRY
 from repro.protocols.base import LeakageEvent
 from repro.server.jobs import QueryJob, WatchJob, WatchSummary
 from repro.server.mutations import MutableRelation, MutationResult
-from repro.server.query_cache import QueryCache
+from repro.server.query_cache import CachedResult, QueryCache
 from repro.server.query_workers import (
     QueryWorkerPool,
     export_relation,
@@ -168,7 +167,7 @@ class TopKServer:
     cache:
         Leakage-aware result cache (default on): a repeat of a query the
         server already answered — same relation, token fingerprint and
-        config — is served as a deep copy of the stored result with
+        config — is served from a snapshot of the stored result with
         **zero** S2 round-trips.  Legal because the repeat itself is
         already L1 leakage (``query_pattern``); see
         :mod:`repro.server.query_cache` for the full argument.
@@ -313,33 +312,30 @@ class TopKServer:
         if not self._cache_enabled(config):
             return None
         key, scan_key = self._cache_keys(relation_key, token, config)
-        result, sliced = self._cache.lookup(key, scan_key, token.k)
-        if result is None:
+        entry, sliced = self._cache.lookup(key, scan_key, token.k)
+        if entry is None:
             return None
         repeated = self.scheme.observe_query_pattern(token)
-        vars(result).pop("stats", None)  # cached_property of the stored run
-        if sliced:
-            result.items = result.items[: token.k]
-            result.halting_depth = 0
-        result.channel_stats = ChannelStats()
-        result.leakage_events = [
-            LeakageEvent("S1", "SecQuery", "query_pattern", repeated)
-        ]
-        result.depth_seconds = []
-        result.shard_stats = None
-        result.cache_hit = True
-        result.trace = None  # the serving job attaches its own timeline
-        return result
+        return QueryResult(
+            items=entry.copy_items(token.k if sliced else None),
+            halting_depth=0 if sliced else entry.halting_depth,
+            channel_stats=ChannelStats(),
+            config=entry.config,
+            leakage_events=[LeakageEvent("S1", "SecQuery", "query_pattern", repeated)],
+            cache_hit=True,
+        )
 
     def _cache_store(
         self, token: Token, config: QueryConfig | None, result, relation_key: str
     ) -> None:
-        """Keep a fresh result for future repeats (deep copy: the caller
-        owns — and may mutate — the returned object)."""
+        """Keep a snapshot of a fresh result for future repeats (its
+        items copied: the caller owns — and may mutate — the returned
+        object)."""
         if not self._cache_enabled(config):
             return
         key, scan_key = self._cache_keys(relation_key, token, config)
-        self._cache.put(key, copy.deepcopy(result), scan_key=scan_key, k=token.k)
+        snapshot = CachedResult.of(result, (self.scheme.public_key, self.scheme.dj))
+        self._cache.put(key, snapshot, scan_key=scan_key, k=token.k)
 
     # -- mutations -------------------------------------------------------
 

@@ -10,6 +10,7 @@ to batching.
 
 from __future__ import annotations
 
+import functools
 import pickle
 
 import pytest
@@ -24,6 +25,8 @@ from repro.crypto.paillier import (
     encrypt_vector,
 )
 from repro.crypto.rng import SecureRandom
+from repro.exceptions import DecryptionError
+from repro.protocols.blinding import seed_key_bits
 
 needs_gmpy2 = pytest.mark.skipif(
     not backend.gmpy2_available(), reason="gmpy2 not installed"
@@ -41,6 +44,25 @@ def keypair():
 @pytest.fixture(scope="module")
 def dj(keypair):
     return DamgardJurik(keypair.public_key, s=2)
+
+
+#: pk''s modulus at the smallest preset (``tiny``: the 224-bit floor).
+SEED_KEY_BITS = seed_key_bits(SystemParams.tiny().key_bits)
+
+
+@functools.lru_cache(maxsize=None)
+def _decrypt_batch(key_bits: int):
+    """A key's CRT constants, 17 plaintexts (edges and random) and their
+    ciphertexts, built with the built-in ``pow`` alone."""
+    rng = SecureRandom(key_bits)
+    sk = PaillierKeypair.generate(key_bits, rng).secret_key
+    crt = backend.PaillierCrt(sk.p, sk.q)
+    n, n2 = crt.n, crt.n_squared
+    plain = [0, 1, n - 1, crt.p - 1, crt.p, crt.q + 3] + [
+        rng.randint_below(n) for _ in range(11)
+    ]
+    cts = [(1 + m * n) * pow(rng.rand_unit(n), n, n2) % n2 for m in plain]
+    return crt, plain, cts
 
 
 class TestSelection:
@@ -280,8 +302,9 @@ class TestKernelParity:
 )
 class TestBatchPrimitiveParity:
     """``powmod_pairs`` / ``powmod_products`` / ``invert_vec`` /
-    ``pool_products`` agree with per-element built-ins on every backend
-    that exists here (the CI legs pin one each)."""
+    ``pool_products`` / ``paillier_decrypt`` agree with per-element
+    built-ins on every backend that exists here (the CI legs pin one
+    each)."""
 
     def test_powmod_pairs_mixed_widths(self, name):
         fast = backend._resolve(name)
@@ -452,6 +475,66 @@ class TestBatchPrimitiveParity:
         tail = reference.randbytes(16)
         assert batch_rng.randbytes(16) == single_rng.randbytes(16) == tail
 
+    @pytest.mark.parametrize("below_p", [False, True], ids=["full", "below_p"])
+    @pytest.mark.parametrize("key_bits", [128, 256, SEED_KEY_BITS])
+    def test_paillier_decrypt_matches_reference(self, name, below_p, key_bits):
+        """Batches of 0, 1 and many, at the main key sizes and at the
+        seed key's: the plaintext mod ``N`` (mod ``p`` in ``below_p``
+        mode), bit-identical to the pure backend."""
+        crt, plain, cts = _decrypt_batch(key_bits)
+        fast = backend._resolve(name)
+        modulus = crt.p if below_p else crt.n
+        expected = [m % modulus for m in plain]
+        assert fast.paillier_decrypt(crt, cts, below_p) == expected
+        assert fast.paillier_decrypt(crt, cts[:1], below_p) == expected[:1]
+        assert fast.paillier_decrypt(crt, [], below_p) == []
+        pure = backend._resolve("pure")
+        assert pure.paillier_decrypt(crt, cts, below_p) == expected
+
+    @pytest.mark.parametrize("below_p", [False, True], ids=["full", "below_p"])
+    def test_paillier_decrypt_refuses_whole_batch(self, name, below_p):
+        """One bad value refuses the batch with the same text on every
+        backend, wherever it sits; a value outside ``(0, N^2)`` outranks a
+        non-unit anywhere in the batch."""
+        crt, _, cts = _decrypt_batch(128)
+        fast = backend._resolve(name)
+        wide = 1 << (crt.n_squared.bit_length() + 64)
+        outside = (0, crt.n_squared, crt.n_squared + 1, -1, wide)
+        cases = [(bad, backend.OUTSIDE_ZN2) for bad in outside]
+        cases.append((crt.p, backend.NOT_A_UNIT))
+        for bad, text in cases:
+            for position in (0, 1, 2):
+                values = cts[:2]
+                values.insert(position, bad)
+                with pytest.raises(DecryptionError) as excinfo:
+                    fast.paillier_decrypt(crt, values, below_p)
+                assert str(excinfo.value) == text
+        with pytest.raises(DecryptionError, match=r"outside"):
+            fast.paillier_decrypt(crt, [crt.q, cts[0], crt.n_squared], below_p)
+
+    def test_paillier_decrypt_is_one_kernel_call(self, name):
+        """On the kernel a batch is one C call, in either mode, and no
+        ``powmod_vec``; elsewhere one ``powmod_vec`` per CRT half."""
+        crt, plain, cts = _decrypt_batch(128)
+        fast = backend._resolve(name)
+        calls = []
+        vec = fast.powmod_vec
+        fast.powmod_vec = lambda b, e, m: calls.append(m) or vec(b, e, m)
+        expected = [crt.p_squared, crt.q_squared, crt.p_squared]
+        if name == "gmp-kernel":
+            lib = fast._kernel._lib
+
+            class Spy:
+                def __getattr__(self, attr):
+                    calls.append(attr)
+                    return getattr(lib, attr)
+
+            fast._kernel = kernels.GmpKernel(fast._kernel._ffi, Spy())
+            expected = ["repro_paillier_decrypt"] * 2
+        assert fast.paillier_decrypt(crt, cts) == [m % crt.n for m in plain]
+        fast.paillier_decrypt(crt, cts, below_p=True)
+        assert calls == expected
+
 
 @needs_kernel
 class TestKernelCache:
@@ -504,6 +587,24 @@ class TestKernelCache:
         short = backend.RandomizerPool(list(range(2, 65)), mod, 6)
         with pytest.raises(ValueError, match="2\\*\\*index_bits elements"):
             backend._resolve("gmp-kernel").pool_products(short, bytes(5))
+
+    def test_paillier_decrypt_rejects_malformed_constants(self):
+        """The C loop reads the packed constants and writes the output
+        buffer raw: a ragged packing, or a modulus wider than the output
+        words, is refused before any output is written."""
+        from repro.crypto import kernels
+
+        kernel = kernels.load_kernel()
+        wide, _, _ = _decrypt_batch(256)
+        narrow, plain, cts = _decrypt_batch(128)
+        packed = kernel.pack_crt(narrow)
+        expected = [m % narrow.n for m in plain]
+        assert kernel.paillier_decrypt(packed, narrow.n, cts, False) == expected
+        for bad in (packed[:-8], b""):
+            with pytest.raises(ValueError, match="nine limb-format values"):
+                kernel.paillier_decrypt(bad, narrow.n, cts, False)
+        with pytest.raises(ValueError, match="do not match the modulus"):
+            kernel.paillier_decrypt(kernel.pack_crt(wide), narrow.n, cts, False)
 
 
 class TestBatchEntryPoints:

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.core.params import SystemParams
+from repro.core.scheme import SecTopK
 from repro.crypto import backend
 from repro.crypto.damgard_jurik import LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.crypto.rng import SecureRandom
-from repro.protocols.blinding import SEED_BYTES, ItemBlinder, junk_item
+from repro.protocols.blinding import SEED_BYTES, ItemBlinder, junk_item, seed_key_bits
 from repro.exceptions import ProtocolError
+from repro.join.scheme import SecTopKJoin
 from repro.structures.ehl_plus import EhlPlusFactory
 from repro.structures.items import ScoredItem
 
@@ -217,15 +219,39 @@ class TestSeedTransport:
         seeds = blinder.fresh_seeds(ctx.rng, 4)
         companions = blinder.encrypt_seeds(own_keypair.public_key, seeds, ctx.rng)
         calls = []
-        real = backend.powmod_vec
+        real = backend.paillier_decrypt
 
-        def spy(bases, exp, mod):
-            calls.append((len(bases), mod))
-            return real(bases, exp, mod)
+        def spy(crt, values, below_p=False):
+            calls.append((len(values), crt.n, below_p))
+            return real(crt, values, below_p)
 
-        monkeypatch.setattr(backend, "powmod_vec", spy)
+        monkeypatch.setattr(backend, "paillier_decrypt", spy)
         assert blinder.decrypt_seeds(own_keypair, companions) == seeds
-        assert calls == [(4, own_keypair.secret_key.p ** 2)]
+        assert calls == [(4, own_keypair.public_key.n, True)]
+
+    @pytest.mark.parametrize(
+        "preset, bits",
+        [("tiny", 224), ("insecure_demo", 224), ("paper", 256), ("secure", 2048)],
+    )
+    def test_seed_key_is_sized_by_the_seed_bound(self, preset, bits):
+        """``SecTopK``'s ``pk'`` carries seeds alone: ``seed_key_bits``
+        wide, never narrower than the main key, with both primes wider
+        than a seed."""
+        params = getattr(SystemParams, preset)()
+        own = SecTopK(params, seed=5)._s1_keypair
+        assert own.public_key.bits == seed_key_bits(params.key_bits) == bits
+        assert bits >= params.key_bits
+        primes = {own.secret_key.p.bit_length(), own.secret_key.q.bit_length()}
+        assert primes == {bits // 2} and bits // 2 > 8 * SEED_BYTES
+
+    @pytest.mark.parametrize("preset", ["tiny", "paper"])
+    def test_join_seed_key_keeps_the_sec_filter_width(self, preset):
+        """``SecTopKJoin``'s ``pk'`` also carries SecFilter's combined
+        unblinding values, so it stays ``2 * key_bits + 16`` wide."""
+        params = getattr(SystemParams, preset)()
+        own = SecTopKJoin(params, seed=5)._s1_keypair
+        assert own.public_key.bits == 2 * params.key_bits + 16
+        assert min(own.secret_key.p, own.secret_key.q).bit_length() == params.key_bits + 8
 
     def test_key_too_narrow_for_a_seed_rejected(self, blinder, ctx, keypair):
         """The main test key's primes are 64 bits: a 96-bit seed would

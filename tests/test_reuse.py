@@ -20,6 +20,7 @@ from repro.core.results import QueryConfig
 from repro.core.scheme import SecTopK
 from repro.crypto.rng import SecureRandom
 from repro.server import QueryCache, TopKServer
+from repro.server.query_cache import CachedResult
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnhandledThreadExceptionWarning"
@@ -162,6 +163,50 @@ class TestResultCache:
             second_hit = server.query(token)
         assert len(second_hit.items) == len(fresh.items) > 0
         assert scheme.reveal(second_hit) == scheme.reveal(fresh)
+
+    def test_stored_entry_is_a_slim_snapshot(self):
+        """An entry holds the winners, the halting depth and the config —
+        no leakage log, trace or channel stats — and its ciphertexts
+        reference the scheme's key objects instead of clones."""
+        scheme, relation = _deployment()
+        with TopKServer(scheme, relation) as server:
+            fresh = server.query(scheme.token([0, 1], k=2))
+            (entry,) = server._cache._entries.values()
+        assert isinstance(entry, CachedResult)
+        assert {f.name for f in dataclasses.fields(entry)} == {
+            "items", "halting_depth", "config", "shared"
+        }
+        assert entry.halting_depth == fresh.halting_depth
+        assert entry.items is not fresh.items
+        cts = [
+            ct
+            for item in entry.items
+            for ct in (*item.ehl.cells, item.worst, item.record, *(item.seen_bits or ()))
+            if ct is not None
+        ]
+        assert cts and all(ct.public_key is scheme.public_key for ct in cts)
+        assert not any(ct is fresh_ct for ct in cts for fresh_ct in fresh.items[0].ehl.cells)
+
+    def test_mutating_a_result_never_reaches_a_later_hit(self):
+        """Whatever a caller does to its result — fresh or served — a
+        later exact or prefix hit serves the stored winners."""
+        scheme, relation = _deployment()
+        token = scheme.token([0, 1], k=3)
+        with TopKServer(scheme, relation) as server:
+            fresh = server.query(token)
+            want = scheme.reveal(fresh)
+            for result in (fresh, server.query(token)):
+                result.items[0].worst.value = 1
+                result.items[-1].ehl.cells[0].value = 1
+                result.items.pop()
+                result.leakage_events.clear()
+            exact = server.query(token)
+            prefix = server.query(scheme.token([0, 1], k=2))
+        assert exact.cache_hit and prefix.cache_hit
+        assert scheme.reveal(exact) == want
+        assert scheme.reveal(prefix) == want[:2]
+        for hit in (exact, prefix):
+            assert [e.kind for e in hit.leakage_events] == ["query_pattern"]
 
     def test_execute_many_repeats_hit_sequentially(self):
         scheme, relation = _deployment()
