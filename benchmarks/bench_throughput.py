@@ -78,24 +78,23 @@ def run_throughput() -> SeriesReport:
         f"(n={N_ROWS}, m={N_ATTRS}, k=2, {N_QUERIES} queries, tiny params)",
         header=["transport", "concurrency", "queries", "seconds", "qps"],
     )
-    for transport in ("inprocess", "threaded"):
-        for concurrency in (1, 2, 4):
-            scheme, relation, _ = _deployment()
-            requests = _workload(scheme, N_QUERIES)
-            with TopKServer(scheme, relation, transport=transport) as server:
-                started = time.perf_counter()
-                results = server.execute_many(requests, concurrency=concurrency)
-                elapsed = time.perf_counter() - started
-            assert all(len(r.items) == 2 for r in results)
-            report.add(
-                [
-                    transport,
-                    concurrency,
-                    N_QUERIES,
-                    f"{elapsed:.2f}",
-                    f"{N_QUERIES / elapsed:.2f}",
-                ]
-            )
+    for concurrency in (1, 2, 4):
+        scheme, relation, _ = _deployment()
+        requests = _workload(scheme, N_QUERIES)
+        with TopKServer(scheme, relation) as server:
+            started = time.perf_counter()
+            results = server.execute_many(requests, concurrency=concurrency)
+            elapsed = time.perf_counter() - started
+        assert all(len(r.items) == 2 for r in results)
+        report.add(
+            [
+                "inprocess",
+                concurrency,
+                N_QUERIES,
+                f"{elapsed:.2f}",
+                f"{N_QUERIES / elapsed:.2f}",
+            ]
+        )
     report.note(
         "GIL-bound big-int crypto: threads overlap link latency, not CPU; "
         "session isolation is the scaling primitive a multi-process "
@@ -301,7 +300,7 @@ def run_reuse_grid(rtt_ms: float = 5.0, out: pathlib.Path | None = None) -> dict
     with the result cache on/off.
 
     Every leg runs its workload on a fresh identically-seeded deployment
-    over a simulated-latency threaded link.  Cache hits cost zero
+    over a simulated-latency in-process link.  Cache hits cost zero
     round-trips, so the cache-on repeat-heavy legs are where the qps win
     lands.  Merged into ``benchmarks/results/client.json`` under
     ``"reuse_grid"`` (next to the submit-pipeline rows).
@@ -318,7 +317,7 @@ def run_reuse_grid(rtt_ms: float = 5.0, out: pathlib.Path | None = None) -> dict
                 with repro.connect(
                     scheme,
                     relation,
-                    "threaded",
+                    "inprocess",
                     rtt_ms=rtt_ms,
                     scheduler_workers=4,
                     cache=cache,
@@ -355,7 +354,7 @@ def run_reuse_grid(rtt_ms: float = 5.0, out: pathlib.Path | None = None) -> dict
     grid = {
         "meta": {
             "note": "windowed execute_many over a simulated-latency "
-            "threaded link; repeat-heavy = hot token at every odd slot; "
+            "in-process link; repeat-heavy = hot token at every odd slot; "
             "cache hits serve with zero S2 rounds under L1 query_pattern "
             "leakage (concurrent repeats of a still-running query miss, "
             "so the win is largest sequentially)",
@@ -406,7 +405,7 @@ def run_mutation_grid(out: pathlib.Path | None = None) -> dict:
             scheme = SecTopK(SystemParams.tiny(), seed=SEED)
             mutable = repro.MutableRelation(scheme, base)
             requests = _reuse_workload(scheme, queries, repeat_heavy=True)
-            with repro.connect(scheme, mutable, "threaded") as client:
+            with repro.connect(scheme, mutable, "inprocess") as client:
                 watches = [
                     client.watch(scheme.token([0, 1], k=2), config)
                     for _ in range(watch_count)
@@ -461,7 +460,7 @@ def run_mutation_grid(out: pathlib.Path | None = None) -> dict:
 
     grid = {
         "meta": {
-            "note": "repeat-heavy workload over a threaded mutable "
+            "note": "repeat-heavy workload over an in-process mutable "
             "deployment; mutations interleave at the given rate (insert "
             "of a fresh random row) and each live watch re-evaluates "
             "after every mutation; cache hits drop as mutations "

@@ -291,8 +291,8 @@ class SecTopK:
     ) -> S1Context:
         """Wire up a fresh S1 context and S2 crypto cloud.
 
-        ``transport`` selects the backend (``"inprocess"`` or
-        ``"threaded"``) or names a remote S2 daemon
+        ``transport`` is ``"inprocess"`` (a local crypto cloud) or
+        names a remote S2 daemon
         (``"tcp://host:port"`` / ``"unix:///path"``): the remote path
         opens a multiplexed daemon session provisioned with this
         scheme's key material and the same spawned S2 randomness stream

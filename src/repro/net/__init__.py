@@ -24,12 +24,7 @@ from repro.net.socket_transport import (
     disconnect_all,
     is_socket_address,
 )
-from repro.net.transport import (
-    InProcessTransport,
-    ThreadedTransport,
-    Transport,
-    make_transport,
-)
+from repro.net.transport import InProcessTransport, Transport
 from repro.net.wire import WireCodec
 
 __all__ = [
@@ -40,11 +35,9 @@ __all__ = [
     "RoundBatcher",
     "S2Dispatcher",
     "SocketTransport",
-    "ThreadedTransport",
     "Transport",
     "WireCodec",
     "disconnect_all",
     "is_socket_address",
-    "make_transport",
     "measure_size",
 ]

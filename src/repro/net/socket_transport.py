@@ -1,10 +1,10 @@
 """Socket transport: the S1 <-> S2 link as a real network connection.
 
 This is the deployment half of the transport layer: where
-:class:`~repro.net.transport.ThreadedTransport` moves serialized bytes
-through an in-process queue pair, :class:`SocketTransport` moves the
-same :class:`~repro.net.wire.WireCodec` byte streams over a TCP or
-Unix-domain socket to a standalone S2 daemon
+:class:`~repro.net.transport.InProcessTransport` hands message objects
+to a local dispatcher, :class:`SocketTransport` encodes them as
+:class:`~repro.net.wire.WireCodec` byte streams and carries them over a
+TCP or Unix-domain socket to a standalone S2 daemon
 (:mod:`repro.server.s2_service`), so the two clouds genuinely run in
 different processes or on different hosts — the paper's two-provider
 threat model made literal.
@@ -25,8 +25,10 @@ Wire format (everything big-endian)::
 
 One connection carries many concurrent *sessions*: every data frame is
 tagged with its session id, a reader thread demultiplexes replies, and
-each session keeps its own codec pair — exactly the isolation the
-in-process transports provide, shared over one socket.
+each session keeps its own codec pair — the isolation of one
+in-process crypto cloud per session, shared over one socket.  The
+daemon answers a connection's frames in arrival order; separate
+connections (worker processes, other hosts) are served in parallel.
 
 **Key registration.** Before a session can open, the daemon must hold
 the deployment's key material (the data owner provisions S2 with the
@@ -439,13 +441,14 @@ class S2Client:
 class SocketTransport(Transport):
     """One session's transport over a shared :class:`S2Client`.
 
-    Mirrors :class:`~repro.net.transport.ThreadedTransport` exactly —
-    same codec discipline (one stateful :class:`WireCodec` per endpoint
-    per session, kept in sync by the byte stream itself), same
-    round-trip-per-exchange semantics — with the service thread replaced
-    by session-tagged frames on the client's socket.  S2-side leakage
-    events ride back inside each REPLY and are folded into the local
-    log at the position they would occupy in-process.
+    Each endpoint of a session owns one stateful :class:`WireCodec`;
+    the two registries stay in sync because both process the identical
+    byte stream in the same order, so rounds on one session must never
+    interleave — the session lock spans a whole exchange, encode to
+    decode.  One exchange is one REQUEST/REPLY pair of session-tagged
+    frames on the client's shared socket.  S2-side leakage events ride
+    back inside each REPLY and are folded into the local log at the
+    position they would occupy in-process.
     """
 
     def __init__(self, client: S2Client, session_id: int, leakage, on_progress=None):

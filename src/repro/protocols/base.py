@@ -36,7 +36,7 @@ from repro.events import RoundTrip
 from repro.net.batching import RoundBatcher
 from repro.net.channel import Channel
 from repro.net.dispatch import S2Dispatcher
-from repro.net.transport import Transport, make_transport
+from repro.net.transport import InProcessTransport, LatencyTransport, Transport
 from repro.exceptions import KeyMismatchError, ProtocolError, TransportError
 
 
@@ -389,7 +389,7 @@ class S1Context:
         return self._batcher.run_flows(flows)
 
     def close(self) -> None:
-        """Release the transport (threaded backends own a service thread)."""
+        """Release the transport (a socket session sends its CLOSE)."""
         self.transport.close()
 
     # -- local helpers ---------------------------------------------------
@@ -439,9 +439,9 @@ def _wire_clouds(
     """Assemble the two-cloud wiring: crypto cloud behind a dispatcher
     behind a ``transport``, and an S1 context in front of it.
 
-    ``transport`` is either a local backend name (``"inprocess"`` /
-    ``"threaded"``) or a remote S2 daemon address (``"tcp://host:port"``
-    / ``"unix:///path"``).  The remote path opens one multiplexed
+    ``transport`` is either ``"inprocess"`` (the crypto cloud behind an
+    :class:`~repro.net.transport.InProcessTransport`) or a remote S2
+    daemon address (``"tcp://host:port"`` / ``"unix:///path"``).  The remote path opens one multiplexed
     session against the daemon — registering the deployment's key
     material on first contact — and ships the S2 randomness stream with
     the session, so the remote run is bit-identical (results, rounds,
@@ -457,7 +457,6 @@ def _wire_clouds(
     :class:`S1Context`).
     """
     from repro.net.socket_transport import is_socket_address, open_remote_session
-    from repro.net.transport import LatencyTransport
 
     leakage = leakage or LeakageLog()
     if is_socket_address(transport):
@@ -487,11 +486,16 @@ def _wire_clouds(
             label=session_label,
             on_progress=on_progress,
         )
-        if rtt_ms > 0:
-            link = LatencyTransport(link, rtt_ms)
-    else:
+    elif transport == "inprocess":
         cloud = CryptoCloud(keypair, dj, s2_rng, leakage)
-        link = make_transport(transport, S2Dispatcher(cloud), rtt_ms=rtt_ms)
+        link = InProcessTransport(S2Dispatcher(cloud))
+    else:
+        raise ProtocolError(
+            f"unknown transport kind: {transport!r} (\"inprocess\", or an S2 "
+            "daemon address: repro.connect(scheme, relation, \"tcp://host:port\"))"
+        )
+    if rtt_ms > 0:
+        link = LatencyTransport(link, rtt_ms)
     return S1Context(
         public_key=keypair.public_key,
         dj=dj,
@@ -513,7 +517,7 @@ def make_parties(
 ) -> S1Context:
     """Wire up an S1 context talking to a fresh S2 over a fresh channel.
 
-    ``transport`` selects the backend (``"inprocess"`` or ``"threaded"``).
+    ``transport`` is ``"inprocess"`` or an S2 daemon address.
     Convenience for tests and examples; the full scheme in
     :mod:`repro.core` builds the parties itself.
     """

@@ -23,13 +23,20 @@ through the frame protocol of :mod:`repro.net.socket_transport`:
 3. **OPEN** — one protocol session: its own
    :class:`~repro.protocols.base.CryptoCloud` (seeded with the rng
    stream the client ships, so transcripts match in-process runs),
-   :class:`~repro.net.dispatch.S2Dispatcher`, wire codec, leakage log,
-   and service thread.  Sessions are multiplexed over the connection by
-   the session id tagged on every frame; each runs on its own thread,
-   so a large batch in one session never blocks another's round.
-4. **REQUEST/REPLY** — one coalesced protocol round per frame, exactly
-   the batches :class:`~repro.net.transport.ThreadedTransport` carries
-   in-process.  S2-side leakage events ride back inside the REPLY.
+   :class:`~repro.net.dispatch.S2Dispatcher`, wire codec and leakage
+   log.  Sessions are multiplexed over the connection by the session
+   id tagged on every frame.
+4. **REQUEST/REPLY** — one coalesced protocol round per frame: the
+   wire-encoded message batch one
+   :meth:`~repro.net.transport.Transport.exchange` carries.  S2-side
+   leakage events ride back inside the REPLY.
+
+Scheduling: S2 only answers — every round is one request and one
+reply — so a connection's read thread serves its frames itself, in
+arrival order, each REQUEST's round run to completion before the next
+frame is read.  Parallelism is across connections: every worker
+process and every other S1 host dials its own, and each connection has
+its own read thread.
 
 Error scoping: a *handler* failure is answered with a typed ERROR on
 the offending session id (typed :class:`~repro.exceptions.RemoteS2Error`
@@ -53,7 +60,6 @@ import contextlib
 import os
 import pathlib
 import pickle
-import queue
 import socket
 import subprocess
 import sys
@@ -144,64 +150,22 @@ def atomic_write(path: str, data: bytes) -> None:
 
 
 class _Session:
-    """One protocol session: crypto cloud + codec + service thread.
+    """One protocol session: crypto cloud, dispatcher and codec.
 
     ``label`` is the client-supplied session label from the OPEN frame
-    (a job id like ``job-17``, a server session tag, ...): it names the
-    service thread and feeds the daemon's per-job observability.
+    (a job id like ``job-17``, a server session tag, ...): it feeds the
+    daemon's per-job observability.
     """
 
-    def __init__(
-        self,
-        connection: Connection,
-        session_id: int,
-        cloud: CryptoCloud,
-        label: str = "",
-    ):
-        self.connection = connection
-        self.session_id = session_id
+    def __init__(self, cloud: CryptoCloud, label: str = ""):
         self.cloud = cloud
         self.label = label
         self.dispatcher = S2Dispatcher(cloud)
         self.codec = WireCodec()
-        self.requests: queue.SimpleQueue = queue.SimpleQueue()
-        self._abort = False
-        suffix = f":{label}" if label else ""
-        self.thread = threading.Thread(
-            target=self._serve, name=f"s2-session-{session_id}{suffix}", daemon=True
-        )
-        self.thread.start()
 
-    def _serve(self) -> None:
-        service = self.connection.service
-        while True:
-            data = self.requests.get()
-            if data is None:
-                return
-            if self._abort:
-                # Teardown path: the client is gone, so dispatching the
-                # round and writing its reply to a dead socket would be
-                # pure waste — but the in-flight gauge still has to come
-                # back down for every request this session accepted.
-                service._request_done()
-                continue
-            try:
-                ftype, payload = REPLY, self._round(data)
-            except Exception as exc:  # noqa: BLE001 — report, don't die
-                # Drop any events the failed round recorded before the
-                # error: the client never sees that round's reply, and
-                # stale events must not ride the *next* reply at wrong
-                # positions.
-                self.cloud.leakage.clear()
-                ftype, payload = ERROR, encode_error(type(exc).__name__, str(exc))
-            # Settle the gauge before the frame leaves: a client holding
-            # its answer must never read this request as still in flight.
-            service._request_done()
-            with contextlib.suppress(TransportError):
-                self.connection.send(ftype, self.session_id, payload)
-
-    def _round(self, data: bytes) -> bytes:
-        """Dispatch one coalesced round; returns the REPLY payload."""
+    def _round(self, data: bytes) -> tuple[bytes, float]:
+        """Dispatch one coalesced round; returns the REPLY payload and
+        the dispatch wall-clock in seconds."""
         started = time.perf_counter()
         messages = self.codec.decode_envelope(data)
         replies = [self.dispatcher.dispatch(msg) for msg in messages]
@@ -222,21 +186,12 @@ class _Session:
         progress = ((len(messages), values, int(elapsed * 1e6)),)
         out = bytearray()
         self.codec.encode_value((replies, events, progress), out)
-        self.connection.service._request_seconds.observe(elapsed)
-        return bytes(out)
-
-    def stop(self, abort: bool = False) -> None:
-        """Retire the service thread: finish queued rounds (graceful
-        CLOSE), or with ``abort`` drain them unserved (dead connection)
-        — either way every accepted request's in-flight accounting is
-        settled before the thread joins."""
-        self._abort = abort or self._abort
-        self.requests.put(None)
-        self.thread.join()
+        return bytes(out), elapsed
 
 
 class Connection:
-    """One accepted client connection."""
+    """One accepted client connection; :meth:`run`'s thread reads its
+    frames and answers each one, rounds included."""
 
     def __init__(self, service: S2Service, sock: socket.socket):
         self.service = service
@@ -245,14 +200,13 @@ class Connection:
         self.thread = threading.Thread(
             target=self.run, name="s2-connection", daemon=True
         )
-        self._write_lock = threading.Lock()
         #: Live sessions by id; touched only by this connection's read
         #: thread.
         self.sessions: dict[int, _Session] = {}
 
     def send(self, ftype: int, session_id: int, payload: bytes = b"") -> None:
-        with self._write_lock:
-            send_frame(self.sock, ftype, session_id, payload)
+        # Only the read thread writes, so frames never interleave.
+        send_frame(self.sock, ftype, session_id, payload)
 
     def send_error(self, session_id: int, kind: str, text: str) -> None:
         with contextlib.suppress(TransportError):
@@ -283,9 +237,7 @@ class Connection:
         except Exception as exc:  # noqa: BLE001 — last-resort report
             self.send_error(0, type(exc).__name__, str(exc))
         finally:
-            for session in self.sessions.values():
-                session.stop(abort=True)
-                service._session_closed()
+            service._sessions_closed(len(self.sessions))
             self.sessions.clear()
             with contextlib.suppress(OSError):
                 self.sock.close()
@@ -363,7 +315,7 @@ class S2Service:
         }
         self._request_seconds = self.registry.histogram(
             "repro_s2_request_seconds",
-            "Per-round dispatch wall-clock inside session service threads.",
+            "Per-round dispatch wall-clock on connection read threads.",
         )
         self._health = HealthState()
         self._metrics_port = metrics_port
@@ -477,9 +429,10 @@ class S2Service:
                 connection.sock.shutdown(socket.SHUT_RDWR)
             with contextlib.suppress(OSError):
                 connection.sock.close()
-        # Each read thread retires its sessions and decrements the
-        # gauges on its way out; waiting for them is what makes
-        # ``stats()`` settled the moment close() returns.
+        # Each read thread finishes the round it is serving, then
+        # settles its connection's gauges on its way out; waiting for
+        # them is what makes ``stats()`` settled the moment close()
+        # returns.
         for connection in connections:
             connection.thread.join(_CONNECTION_JOIN_S)
         if self._unix_path is not None:
@@ -535,7 +488,7 @@ class S2Service:
             return
         keypair, dj = entry
         cloud = CryptoCloud(keypair, dj, rng=pickle.loads(blob), leakage=LeakageLog())
-        conn.sessions[session_id] = _Session(conn, session_id, cloud, label)
+        conn.sessions[session_id] = _Session(cloud, label)
         with self._lock:
             self._counters["sessions_opened"].inc()
             self._counters["sessions_active"].inc()
@@ -554,13 +507,26 @@ class S2Service:
             in_flight = self._counters["requests_in_flight"].value
             if in_flight > self._counters["requests_in_flight_peak"].value:
                 self._counters["requests_in_flight_peak"].set(in_flight)
-        session.requests.put(payload)
+        try:
+            reply, elapsed = session._round(payload)
+        except Exception:
+            # Drop any events the failed round recorded before the
+            # error: the client never sees that round's reply, and stale
+            # events must not ride the *next* reply at wrong positions.
+            # ``run_handler`` answers with the typed ERROR.
+            session.cloud.leakage.clear()
+            raise
+        finally:
+            # Settle the gauge before the frame leaves: a client holding
+            # its answer must never read this request as still in flight.
+            with self._lock:
+                self._counters["requests_in_flight"].dec()
+        self._request_seconds.observe(elapsed)
+        conn.send(REPLY, session_id, reply)
 
     def _on_close(self, conn: Connection, session_id: int, payload: bytes) -> None:
-        session = conn.sessions.pop(session_id, None)
-        if session is not None:
-            session.stop()
-            self._session_closed()
+        if conn.sessions.pop(session_id, None) is not None:
+            self._sessions_closed(1)
         conn.send(CLOSED, session_id)
 
     def _connection_closed(self, connection: Connection) -> None:
@@ -569,13 +535,9 @@ class S2Service:
                 self._connections.discard(connection)
                 self._counters["connections_active"].dec()
 
-    def _session_closed(self) -> None:
+    def _sessions_closed(self, count: int) -> None:
         with self._lock:
-            self._counters["sessions_active"].dec()
-
-    def _request_done(self) -> None:
-        with self._lock:
-            self._counters["requests_in_flight"].dec()
+            self._counters["sessions_active"].dec(count)
 
     # -- registration store ----------------------------------------------
 

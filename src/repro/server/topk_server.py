@@ -150,8 +150,8 @@ class TopKServer:
     Parameters
     ----------
     transport:
-        Per-job transport backend (``"inprocess"`` or ``"threaded"``)
-        or the address of a standalone S2 daemon (``"tcp://host:port"``
+        ``"inprocess"`` (each job's crypto cloud in this process) or
+        the address of a standalone S2 daemon (``"tcp://host:port"``
         / ``"unix:///path"``).  Remote sessions multiplex over one
         shared connection per process; the first one registers the
         scheme's key material with the daemon and every later one —

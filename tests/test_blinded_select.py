@@ -11,8 +11,10 @@ from repro.crypto import backend
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import ProtocolError
 from repro.net.messages import MESSAGE_TYPES, BlindedSelect, message_type_id
+from repro.net.socket_transport import disconnect_all
 from repro.protocols.base import make_parties
 from repro.protocols.blinded_select import blinded_select_flow
+from repro.server import S2Service
 
 
 def _select(ctx, tests, values, groups, bit_mode):
@@ -21,9 +23,20 @@ def _select(ctx, tests, values, groups, bit_mode):
     )[0]
 
 
-@pytest.fixture(params=["inprocess", "threaded"])
+@pytest.fixture(scope="module")
+def tcp_daemon():
+    service = S2Service("tcp://127.0.0.1:0")
+    yield service.start()
+    disconnect_all()
+    service.close()
+
+
+@pytest.fixture(params=["inprocess", "tcp"])
 def parties(request, keypair):
-    ctx = make_parties(keypair, rng=SecureRandom(42), transport=request.param)
+    transport = request.param
+    if transport == "tcp":
+        transport = request.getfixturevalue("tcp_daemon")
+    ctx = make_parties(keypair, rng=SecureRandom(42), transport=transport)
     yield ctx
     ctx.close()
 

@@ -2,7 +2,7 @@
 
 * a job through ``repro.connect`` is bit-identical (results, rounds,
   bytes, leakage profile) to ``TopKServer.query``, across the
-  in-process, threaded and TCP-daemon transports;
+  in-process and TCP-daemon transports;
 * cancellation at a round boundary and per-job timeouts resolve the
   job without wedging the server — subsequent jobs are served;
 * the streaming event taxonomy arrives in order;
@@ -77,7 +77,7 @@ class TestSubmitExecuteParity:
     ]
 
     @pytest.mark.parametrize("config", CONFIGS)
-    @pytest.mark.parametrize("transport", ["inprocess", "threaded", "tcp"])
+    @pytest.mark.parametrize("transport", ["inprocess", "tcp"])
     def test_bit_identical(self, transport, config, request):
         if transport == "tcp":
             _, transport = request.getfixturevalue("tcp_daemon")
@@ -454,9 +454,9 @@ class TestCuratedSurface:
         accepts a retired knob (pool, rendezvous, queue bound, cache
         capacity, depth spill, server-level shards)."""
         scheme, relation, _ = _fresh_deployment()
-        with repro.connect(scheme, relation, "threaded", rtt_ms=1.0) as server:
+        with repro.connect(scheme, relation, "inprocess", rtt_ms=1.0) as server:
             assert type(server) is TopKServer
-            assert server.transport == "threaded" and server.rtt_ms == 1.0
+            assert server.transport == "inprocess" and server.rtt_ms == 1.0
             for member in self.DRIVEN:
                 assert hasattr(server, member), member
             result = server.submit(server.token([0, 1], k=2)).result(timeout=120)

@@ -35,7 +35,6 @@ from repro.net.messages import (
     StripLayerBatch,
     ZeroTestBatch,
 )
-from repro.net.transport import ThreadedTransport
 from repro.nra import SortedLists, nra_topk
 
 _RNG = random.Random(31)
@@ -217,7 +216,7 @@ class TestBestBoundsRideStageOne:
 
 
 class TestItemsOnTheWire:
-    """What S2 decodes from the frames a threaded link carries."""
+    """What S2's dispatcher receives on the eager path."""
 
     @pytest.mark.parametrize("variant", ["elim", "full"])
     def test_dedup_and_sort_items_carry_no_dead_fields(
@@ -232,9 +231,8 @@ class TestItemsOnTheWire:
             return real(self, msg)
 
         monkeypatch.setattr(S2Dispatcher, "dispatch", dispatch)
-        ctx = scheme._make_context(transport="threaded")
+        ctx = scheme._make_context()
         try:
-            assert isinstance(ctx.transport, ThreadedTransport)
             result = scheme.query(
                 relation,
                 scheme.token(ATTRS, k=K),

@@ -6,8 +6,9 @@ Locks down the mutation layer end to end:
   interleaving of insert/update/delete, a query over the incrementally
   maintained relation produces a transcript — results, rounds, bytes,
   leakage event sequence — bit-identical to the same query over a
-  relation rebuilt from scratch at the final state, on every engine and
-  transport.  Hypothesis draws the interleavings.
+  relation rebuilt from scratch at the final state, on every engine.
+  Hypothesis draws the interleavings in-process; a daemon leg checks
+  the socket transport.
 * **MutableRelation semantics** — splice positions, touched-prefix
   lengths, copy-on-write suffix sharing, ``mutation_pattern`` leakage,
   version monotonicity, error paths.
@@ -166,8 +167,7 @@ def mutation_cases(draw):
     attrs = [0, 1]
     k = draw(st.integers(min_value=1, max_value=2))
     engine = draw(st.sampled_from(["eager", "literal"]))
-    transport = draw(st.sampled_from(["inprocess", "threaded"]))
-    return rows, ops, attrs, k, engine, transport
+    return rows, ops, attrs, k, engine
 
 
 class TestMutatedEqualsRebuilt:
@@ -178,14 +178,14 @@ class TestMutatedEqualsRebuilt:
     @given(case=mutation_cases())
     @settings(**PROPERTY_SETTINGS)
     def test_bit_parity(self, case):
-        rows, ops, attrs, k, engine, transport = case
+        rows, ops, attrs, k, engine = case
         config = QueryConfig(engine=engine)
 
         scheme_a = SecTopK(SystemParams.tiny(), seed=SEED)
         mutable = MutableRelation(scheme_a, rows)
         _apply(mutable, ops)
         grown = _query_transcript(
-            scheme_a, mutable.relation, attrs, k, config, transport
+            scheme_a, mutable.relation, attrs, k, config, "inprocess"
         )
 
         final_rows, final_oids = mutable.snapshot()
@@ -194,16 +194,16 @@ class TestMutatedEqualsRebuilt:
             final_rows, object_ids=final_oids, version=mutable.version
         )
         rebuilt = _query_transcript(
-            scheme_b, rebuilt_relation, attrs, k, config, transport
+            scheme_b, rebuilt_relation, attrs, k, config, "inprocess"
         )
         assert grown == rebuilt, (
             f"mutated transcript diverged from rebuild "
-            f"(engine={engine}, transport={transport}, ops={ops})"
+            f"(engine={engine}, ops={ops})"
         )
 
     def test_socket_transport_mutation_leg(self):
         """The equivalence holds over a real S2 daemon too (the cheap
-        socket complement to the in-process/threaded property axis)."""
+        socket complement to the in-process property)."""
         from repro.net.socket_transport import disconnect_all
         from repro.server import S2Service
 

@@ -155,6 +155,38 @@ class TestMultiplexing:
         assert stats["sessions_opened"] == len(multiplexed)
         assert stats["sessions_active"] == 0
 
+    def test_sessions_run_their_rounds_on_the_read_thread(self, daemon):
+        """Three sessions open on one connection, each having run a
+        round: the daemon answered them all without a thread per
+        session."""
+        service, address = daemon
+        before = set(threading.enumerate())
+        scheme, _, _ = _fresh_deployment()
+        contexts = [scheme._make_context(transport=address) for _ in range(3)]
+        try:
+            for ctx in contexts:
+                (reply,) = ctx.transport.exchange(
+                    [
+                        messages.ZeroTestBatch(
+                            protocol="probe", cts=[scheme.public_key.encrypt(0)]
+                        )
+                    ]
+                )
+                assert ctx.dj.decrypt_batch(reply, scheme.keypair) == [1]
+            stats = service.stats()
+            assert stats["connections_active"] == 1
+            assert stats["sessions_active"] == 3
+            assert stats["requests_served"] == 3
+            started = [
+                t.name
+                for t in threading.enumerate()
+                if t not in before and t.name.startswith("s2-")
+            ]
+            assert started == ["s2-connection"]
+        finally:
+            for ctx in contexts:
+                ctx.close()
+
     def test_process_mode_workers_reuse_registration(self, daemon):
         """Process-mode worker processes open their own connections but
         find the relation already registered — no blob re-upload."""
@@ -235,15 +267,6 @@ class TestKeyObjectsOutliveSessions:
         # copy, so S1 and S2 each hold one object of it here: one pool per
         # cloud, none per session.
         assert all(count <= 2 for count in builds.values())
-        assert builds == after_first
-
-    def test_threaded_transport_builds_each_pool_once(self, monkeypatch):
-        scheme, relation, _ = _fresh_deployment(seed=2202)
-        builds = self._spy(monkeypatch)
-        with TopKServer(scheme, relation, transport="threaded") as server:
-            after_first = self._five_sessions(server, scheme, builds)
-        assert builds[scheme._s1_keypair.public_key.n_squared] == 1
-        assert set(builds.values()) == {1}
         assert builds == after_first
 
 

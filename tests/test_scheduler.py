@@ -1,5 +1,5 @@
 """The serving path's threads: TopKServer's job pool, watch threads,
-shutdown, and ThreadedTransport under concurrent exchanges."""
+shutdown, and one socket session under concurrent exchanges."""
 
 from __future__ import annotations
 
@@ -15,11 +15,20 @@ from repro.core.scheme import SecTopK
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import JobCancelled
 from repro.net import messages
+from repro.net.socket_transport import disconnect_all
 from repro.protocols.base import make_parties
-from repro.server import JobStatus, TopKServer
+from repro.server import JobStatus, S2Service, TopKServer
 from repro.server import topk_server
 
-_SERVING_THREADS = ("topk-scheduler-", "topk-watch-", "s2-transport")
+_SERVING_THREADS = ("topk-scheduler-", "topk-watch-")
+
+
+@pytest.fixture()
+def daemon():
+    service = S2Service("tcp://127.0.0.1:0")
+    yield service.start()
+    disconnect_all()
+    service.close()
 
 
 def _deployment():
@@ -68,9 +77,7 @@ class TestClose:
     def test_close_leaves_no_serving_thread_and_settles_stats(self):
         before = set(threading.enumerate())
         scheme, relation = _deployment()
-        server = TopKServer(
-            scheme, relation, transport="threaded", rtt_ms=20.0, scheduler_workers=1
-        )
+        server = TopKServer(scheme, relation, rtt_ms=20.0, scheduler_workers=1)
         watches = [server.watch(scheme.token([0, 1], k=2)) for _ in range(2)]
         assert _wait_for(lambda: all(w.evaluations >= 1 for w in watches))
         config = QueryConfig(cache=False)
@@ -160,9 +167,9 @@ class TestExecuteManyWindow:
         assert peak[0] == 2
 
 
-class TestThreadedTransportConcurrency:
-    def test_concurrent_exchanges_get_the_sequential_replies(self):
-        """Threads sharing one ThreadedTransport — more of them than
+class TestSessionConcurrency:
+    def test_concurrent_exchanges_get_the_sequential_replies(self, daemon):
+        """Threads sharing one SocketTransport — more of them than
         cores, switching often, their first rounds racing the key
         registration — get exactly the replies a sequential run gets:
         the two codec registries never see rounds interleave."""
@@ -188,7 +195,7 @@ class TestThreadedTransportConcurrency:
                 replies.append(ctx.dj.decrypt_batch(reply, scheme.keypair))
             return replies
 
-        ctx = make_parties(scheme.keypair, transport="threaded")
+        ctx = make_parties(scheme.keypair, transport=daemon)
         try:
             assert {name: run(ctx, vs) for name, vs in batches.items()} == expected
         finally:
@@ -197,8 +204,8 @@ class TestThreadedTransportConcurrency:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for _ in range(10):  # a fresh transport: a fresh first round
-                ctx = make_parties(scheme.keypair, transport="threaded")
+            for _ in range(10):  # a fresh session: a fresh first round
+                ctx = make_parties(scheme.keypair, transport=daemon)
                 start = threading.Barrier(len(batches))
                 concurrent: dict = {}
                 errors: list = []

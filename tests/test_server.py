@@ -65,13 +65,6 @@ class TestSessions:
             winners = {o for o, _ in scheme.reveal(result)}
             assert winners == _oracle_topk(rows, [0, 2], 2)
 
-    def test_threaded_transport_sessions(self, deployment):
-        scheme, relation, rows = deployment
-        with TopKServer(scheme, relation, transport="threaded") as server:
-            result = server.query(scheme.token([1, 2], k=2))
-            winners = {o for o, _ in scheme.reveal(result)}
-            assert winners == _oracle_topk(rows, [1, 2], 2)
-
 
 def _fresh_deployment():
     """An identically-seeded deployment per call (parity comparisons need

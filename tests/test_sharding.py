@@ -5,8 +5,9 @@ The repo's core invariant is that every execution strategy produces the
 leakage event sequence — for the same seeded deployment.  PR 5 adds
 relation sharding (``repro.server.sharding``), and this suite locks the
 invariant down **property-style**: Hypothesis draws random relations,
-query shapes, engines, shard counts and transports, and every draw must
-reproduce the unsharded transcript bit for bit.
+query shapes, engines and shard counts, and every draw must reproduce
+the unsharded transcript bit for bit (in-process; one daemon leg checks
+the socket transport).
 
 Deterministic tests cover the plumbing around the property: the shard
 plan partition laws, the fan-in validation, the ``QueryConfig(shards=N)``
@@ -102,7 +103,6 @@ def query_cases(draw):
     halting = draw(st.sampled_from(["strict", "paper"]))
     batch_p = draw(st.integers(2, 3)) if variant == "batch" else 150
     shards = draw(st.integers(min_value=2, max_value=5))
-    transport = draw(st.sampled_from(["inprocess", "threaded"]))
     weights = draw(
         st.one_of(
             st.none(),
@@ -112,7 +112,7 @@ def query_cases(draw):
     config = QueryConfig(
         variant=variant, batch_p=batch_p, engine=engine, halting=halting
     )
-    return rows, attrs, k, config, shards, transport, weights
+    return rows, attrs, k, config, shards, weights
 
 
 class TestShardedEqualsUnsharded:
@@ -121,8 +121,8 @@ class TestShardedEqualsUnsharded:
     @given(case=query_cases())
     @settings(**PROPERTY_SETTINGS)
     def test_bit_parity(self, case):
-        rows, attrs, k, config, shards, transport, weights = case
-        base, _ = _run(rows, attrs, k, config, transport, weights)
+        rows, attrs, k, config, shards, weights = case
+        base, _ = _run(rows, attrs, k, config, weights=weights)
         sharded_config = QueryConfig(
             variant=config.variant,
             batch_p=config.batch_p,
@@ -130,10 +130,10 @@ class TestShardedEqualsUnsharded:
             halting=config.halting,
             shards=shards,
         )
-        sharded, result = _run(rows, attrs, k, sharded_config, transport, weights)
+        sharded, result = _run(rows, attrs, k, sharded_config, weights=weights)
         assert sharded == base, (
             f"sharded transcript diverged (engine={config.engine}, "
-            f"variant={config.variant}, shards={shards}, transport={transport})"
+            f"variant={config.variant}, shards={shards})"
         )
         assert result.shard_stats, "sharded run reported no shard stats"
 
@@ -143,7 +143,7 @@ class TestShardedEqualsUnsharded:
         """The per-shard cost slice is internally consistent: the slices
         tile ``[0, n)``, served records match the fetched windows, and
         untouched tail shards report zero work."""
-        rows, attrs, k, config, shards, transport, weights = case
+        rows, attrs, k, config, shards, weights = case
         sharded_config = QueryConfig(
             variant=config.variant,
             batch_p=config.batch_p,
@@ -151,7 +151,7 @@ class TestShardedEqualsUnsharded:
             halting=config.halting,
             shards=shards,
         )
-        _, result = _run(rows, attrs, k, sharded_config, transport, weights)
+        _, result = _run(rows, attrs, k, sharded_config, weights=weights)
 
         stats = result.shard_stats
         n, m = len(rows), len(attrs)
@@ -178,8 +178,8 @@ class TestShardedEqualsUnsharded:
     def test_socket_transport_shard_leg(self):
         """One sharded run against a real S2 daemon: the wire transport
         carries the sharded scan identically too (the cheap complement
-        to the in-process/threaded property dimension; CI runs the full
-        shard-enabled transport-equivalence leg against a daemon)."""
+        to the in-process property; CI runs the full shard-enabled
+        transport-equivalence leg against a daemon)."""
         from repro.net.socket_transport import disconnect_all
         from repro.server import S2Service
 

@@ -1,19 +1,17 @@
 """Equivalence of the transport backends (and the coalescing layer).
 
-The threaded transport genuinely serializes every message to bytes and
-services it on an S2 thread, and the socket transport carries the same
+The socket transport serializes every message to bytes and carries the
 byte streams to a standalone S2 daemon over TCP or a Unix-domain
-socket; these tests pin down that, on a fixed seed, every backend
-produces *identical* results, leakage event multisets, and S1 <-> S2
-byte totals as the in-process path — i.e. the wire layer is a faithful
-carrier, not a reinterpretation of the protocol, whether the crypto
-cloud lives in-process, on a thread, or behind a real socket.
+socket; these tests pin down that, on a fixed seed, it produces
+*identical* results, leakage event multisets, and S1 <-> S2 byte totals
+as the in-process path — i.e. the wire layer is a faithful carrier, not
+a reinterpretation of the protocol, whether the crypto cloud lives
+in-process or behind a real socket.
 """
 
 from __future__ import annotations
 
 import socket as socket_module
-import threading
 
 import pytest
 
@@ -21,7 +19,10 @@ from repro.core.params import SystemParams
 from repro.core.results import QueryConfig
 from repro.core.scheme import SecTopK
 from repro.crypto.rng import SecureRandom
+from repro.exceptions import ProtocolError, TransportError
+from repro.net import messages
 from repro.net.socket_transport import disconnect_all
+from repro.protocols.base import make_parties
 from repro.server import S2Service
 
 
@@ -50,9 +51,9 @@ def _run(transport: str, config: QueryConfig, rows, attrs, k=2):
 
 
 CONFIGS = [
-    pytest.param(QueryConfig(variant="elim", engine="eager"), id="eager-elim"),
+    pytest.param(QueryConfig(variant="elim", engine="eager"), id="eager"),
     pytest.param(QueryConfig(variant="full", engine="eager"), id="eager-full"),
-    pytest.param(QueryConfig(variant="elim", engine="literal"), id="literal-elim"),
+    pytest.param(QueryConfig(variant="elim", engine="literal"), id="literal"),
     pytest.param(
         QueryConfig(variant="batch", engine="eager", batch_p=3), id="eager-batch"
     ),
@@ -78,61 +79,6 @@ CONFIGS = [
         id="literal-sharded",
     ),
 ]
-
-
-class TestThreadedMatchesInProcess:
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_identical_runs(self, config):
-        rows = _rows(5, n=8, m=3)
-        base = _run("inprocess", config, rows, [0, 1, 2])
-        wired = _run("threaded", config, rows, [0, 1, 2])
-
-        assert wired[0] == base[0], "top-k results differ across transports"
-        assert wired[1] == base[1], "halting depth differs"
-        assert wired[2] == base[2], "leakage event multisets differ"
-        assert wired[3].bytes_s1_to_s2 == base[3].bytes_s1_to_s2
-        assert wired[3].bytes_s2_to_s1 == base[3].bytes_s2_to_s1
-        assert wired[3].rounds == base[3].rounds
-
-    def test_close_retires_service_thread(self):
-        """ThreadedTransport.close joins its worker — no S2 service
-        thread may outlive its context."""
-        rows = _rows(5, n=6, m=2)
-        before = {t for t in threading.enumerate()}
-        _run("threaded", QueryConfig(variant="elim", engine="eager"), rows, [0, 1])
-        leaked = [
-            t
-            for t in threading.enumerate()
-            if t not in before and t.name.startswith("s2-transport")
-        ]
-        assert leaked == [], f"leaked S2 service threads: {leaked}"
-
-    def test_exchange_after_close_raises(self):
-        from repro.exceptions import ProtocolError
-        from repro.net import messages
-        from repro.protocols.base import make_parties
-
-        scheme = SecTopK(SystemParams.tiny(), seed=3)
-        ctx = make_parties(scheme.keypair, transport="threaded")
-        ctx.close()
-        assert ctx.transport.closed
-        with pytest.raises(ProtocolError):
-            ctx.call(
-                messages.ZeroTestBatch(
-                    protocol="probe", cts=[scheme.public_key.encrypt(0)]
-                )
-            )
-
-    def test_matches_plaintext_oracle(self):
-        """Both transports agree with plain NRA on the winning set."""
-        from repro.nra import SortedLists, nra_topk
-
-        rows = _rows(11, n=10, m=2)
-        config = QueryConfig(variant="elim", engine="eager")
-        for transport in ("inprocess", "threaded"):
-            revealed, _, _, _ = _run(transport, config, rows, [0, 1], k=2)
-            expected = nra_topk(SortedLists(rows, [0, 1]), 2, halting="strict")
-            assert {o for o, _ in revealed} == {o for o, _ in expected.topk}
 
 
 @pytest.fixture(scope="module")
@@ -162,16 +108,7 @@ class TestSocketMatchesInProcess:
     returns bit-identical results with identical round counts, byte
     totals, and leakage profiles (the tentpole acceptance criterion)."""
 
-    ENGINE_CONFIGS = [
-        pytest.param(QueryConfig(variant="elim", engine="eager"), id="eager"),
-        pytest.param(QueryConfig(variant="elim", engine="literal"), id="literal"),
-        pytest.param(
-            QueryConfig(variant="elim", engine="eager", shards=2),
-            id="eager-sharded",
-        ),
-    ]
-
-    @pytest.mark.parametrize("config", ENGINE_CONFIGS)
+    @pytest.mark.parametrize("config", CONFIGS)
     @pytest.mark.parametrize("family", ["tcp", "unix"])
     def test_identical_runs(self, config, family, request):
         address = request.getfixturevalue(f"{family}_daemon")
@@ -187,18 +124,58 @@ class TestSocketMatchesInProcess:
         assert remote[3].rounds == base[3].rounds
 
     def test_remaining_message_types_over_tcp(self, tcp_daemon):
-        """DGK comparison + sorting-network gates cross the socket too."""
+        """DGK comparison + sorting-network gates cross the socket on
+        the literal engine's full variant too."""
         config = QueryConfig(
-            variant="elim",
-            engine="eager",
+            variant="full",
+            engine="literal",
             compare_method="dgk",
             sort_method="network",
-            max_depth=4,
+            max_depth=3,
         )
         rows = _rows(5, n=8, m=3)
         base = _run("inprocess", config, rows, [0, 1, 2])
         remote = _run(tcp_daemon, config, rows, [0, 1, 2])
         assert remote == base
+
+    def test_matches_plaintext_oracle(self, tcp_daemon):
+        """Both transports agree with plain NRA on the winning set."""
+        from repro.nra import SortedLists, nra_topk
+
+        rows = _rows(11, n=10, m=2)
+        config = QueryConfig(variant="elim", engine="eager")
+        expected = nra_topk(SortedLists(rows, [0, 1]), 2, halting="strict")
+        for transport in ("inprocess", tcp_daemon):
+            revealed, _, _, _ = _run(transport, config, rows, [0, 1], k=2)
+            assert {o for o, _ in revealed} == {o for o, _ in expected.topk}
+
+    def test_exchange_after_close_raises(self):
+        """A closed session refuses the next round locally: no REQUEST
+        frame leaves for a session the daemon already dropped."""
+        service = S2Service("tcp://127.0.0.1:0")
+        address = service.start()
+        try:
+            scheme = SecTopK(SystemParams.tiny(), seed=3)
+            ctx = make_parties(scheme.keypair, transport=address)
+            ctx.close()
+            with pytest.raises(TransportError, match="session transport is closed"):
+                ctx.call(
+                    messages.ZeroTestBatch(
+                        protocol="probe", cts=[scheme.public_key.encrypt(0)]
+                    )
+                )
+            assert service.stats()["requests_served"] == 0
+        finally:
+            disconnect_all()
+            service.close()
+
+    def test_threaded_kind_is_refused(self):
+        """Only ``"inprocess"`` and daemon addresses name a transport."""
+        scheme = SecTopK(SystemParams.tiny(), seed=3)
+        with pytest.raises(ProtocolError, match="unknown transport kind: 'threaded'"):
+            make_parties(scheme.keypair, transport="threaded")
+        with pytest.raises(ProtocolError, match="repro.connect"):
+            scheme._make_context(transport="threaded")
 
 
 class TestOtherSchemesOverTheWire:
@@ -228,8 +205,8 @@ class TestOtherSchemesOverTheWire:
         finally:
             ctx.close()
 
-    def test_join_identical(self):
-        assert self._join_run("threaded") == self._join_run("inprocess")
+    def test_join_identical(self, tcp_daemon):
+        assert self._join_run(tcp_daemon) == self._join_run("inprocess")
 
     @staticmethod
     def _sknn_run(transport: str):
@@ -249,8 +226,8 @@ class TestOtherSchemesOverTheWire:
         finally:
             ctx.close()
 
-    def test_sknn_identical(self):
-        assert self._sknn_run("threaded") == self._sknn_run("inprocess")
+    def test_sknn_identical(self, tcp_daemon):
+        assert self._sknn_run(tcp_daemon) == self._sknn_run("inprocess")
 
 
 class TestRoundCoalescing:

@@ -8,8 +8,8 @@ from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import ProtocolError
-from repro.net.batching import RoundBatcher, single_message_flow
-from repro.net.channel import Channel, measure_size
+from repro.net.batching import single_message_flow
+from repro.net.channel import measure_size
 from repro.net.dispatch import S2Dispatcher
 from repro.net.messages import (
     MESSAGE_TYPES,
@@ -22,7 +22,7 @@ from repro.net.messages import (
     message_fields,
     message_type_id,
 )
-from repro.net.transport import InProcessTransport, ThreadedTransport
+from repro.net.transport import InProcessTransport
 from repro.net import wire
 from repro.net.wire import WireCodec, _Reader
 from repro.structures.ehl import Ehl, EncryptedHashList
@@ -293,33 +293,24 @@ class TestRoundBatcher:
         assert ctx.channel.stats.per_protocol_rounds["A"] == 2
         assert ctx.channel.stats.per_protocol_rounds["B"] == 1
 
-    def test_threaded_transport_propagates_errors(self, keypair):
-        from repro.crypto.rng import SecureRandom
-        from repro.protocols.base import make_parties
-
-        ctx = make_parties(keypair, rng=SecureRandom(6), transport="threaded")
-        try:
-            batcher = RoundBatcher(Channel(), ctx.transport)
-            with pytest.raises(ProtocolError, match="S2 dispatch failed"):
-                # A DJ ciphertext is not a valid Paillier ciphertext.
-                batcher.call(
-                    ZeroTestBatch(
-                        protocol="P",
-                        cts=[DamgardJurik(keypair.public_key, s=2).encrypt(0, ctx.rng)],
-                    )
-                )
-        finally:
-            ctx.close()
-
     def test_transport_close_is_idempotent(self, keypair):
+        from repro.net.socket_transport import SocketTransport, disconnect_all
         from repro.protocols.base import make_parties
+        from repro.server import S2Service
 
-        ctx = make_parties(keypair, transport="threaded")
-        assert isinstance(ctx.transport, ThreadedTransport)
-        ctx.close()
-        ctx.close()
-        with pytest.raises(ProtocolError):
-            ctx.call(ZeroTestBatch(protocol="P", cts=[]))
+        service = S2Service("tcp://127.0.0.1:0")
+        address = service.start()
+        try:
+            ctx = make_parties(keypair, transport=address)
+            assert isinstance(ctx.transport, SocketTransport)
+            ctx.close()
+            ctx.close()
+            assert service.stats()["sessions_active"] == 0
+            with pytest.raises(ProtocolError, match="session transport is closed"):
+                ctx.call(ZeroTestBatch(protocol="P", cts=[]))
+        finally:
+            disconnect_all()
+            service.close()
 
 
 class TestListPrefix:
