@@ -31,7 +31,7 @@ Two engines implement the same functionality:
   declared leakage").
 
 Round coalescing: every independent S2 interaction of one depth is a
-*flow* (see :mod:`repro.net.batching`), and the engines run a depth's
+*flow* (see :meth:`~repro.protocols.base.S1Context.run_flows`), and the engines run a depth's
 flows lock-step so each stage crosses the link as ONE round-trip.  A
 depth therefore costs O(1) rounds regardless of the number of query
 lists ``m`` or the candidate-list size — the per-depth round complexity

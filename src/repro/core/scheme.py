@@ -294,7 +294,7 @@ class SecTopK:
         ``transport`` is ``"inprocess"`` (a local crypto cloud) or
         names a remote S2 daemon
         (``"tcp://host:port"`` / ``"unix:///path"``): the remote path
-        opens a multiplexed daemon session provisioned with this
+        opens a daemon session provisioned with this
         scheme's key material and the same spawned S2 randomness stream
         a local cloud would hold, so remote queries replay local ones
         bit-for-bit.  Each context's randomness streams are salted

@@ -2,9 +2,10 @@
 
 Everything that crosses the S1/S2 boundary is a typed request message
 (:mod:`repro.net.messages`) carried by a :class:`repro.net.transport.Transport`
-and serviced by the :class:`repro.net.dispatch.S2Dispatcher`; the
-:class:`repro.net.batching.RoundBatcher` coalesces independent requests
-into single round-trips, and :class:`repro.net.channel.Channel` records
+and serviced by the :class:`repro.net.dispatch.S2Dispatcher`; S1's
+round loop (:meth:`repro.protocols.base.S1Context.run_flows`) coalesces
+independent requests into single round-trips, and
+:class:`repro.net.channel.Channel` records
 
 * bytes transferred in each direction,
 * the number of communication rounds, and
@@ -16,7 +17,6 @@ turns byte counts into modeled latency (the paper assumes a 50 Mbps
 inter-cloud link).  See ARCHITECTURE.md for the full layer map.
 """
 
-from repro.net.batching import RoundBatcher
 from repro.net.channel import Channel, ChannelStats, LinkModel, measure_size
 from repro.net.dispatch import S2Dispatcher
 from repro.net.socket_transport import (
@@ -32,7 +32,6 @@ __all__ = [
     "ChannelStats",
     "InProcessTransport",
     "LinkModel",
-    "RoundBatcher",
     "S2Dispatcher",
     "SocketTransport",
     "Transport",

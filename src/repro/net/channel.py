@@ -121,7 +121,7 @@ class LinkModel:
 class Channel:
     """The S1 <-> S2 message channel with automatic accounting.
 
-    The transport machinery (:class:`repro.net.batching.RoundBatcher`)
+    The S1 round loop (:meth:`repro.protocols.base.S1Context.run_flows`)
     accounts every message exchange here::
 
         with channel.coalesced_round([msg.protocol for msg in batch]):

@@ -23,12 +23,15 @@ Wire format (everything big-endian)::
     CLOSE / CLOSED        end one session
     ERROR                 failure report (session_id 0 = connection)
 
-One connection carries many concurrent *sessions*: every data frame is
-tagged with its session id, a reader thread demultiplexes replies, and
-each session keeps its own codec pair — the isolation of one
-in-process crypto cloud per session, shared over one socket.  The
-daemon answers a connection's frames in arrival order; separate
-connections (worker processes, other hosts) are served in parallel.
+Every frame is tagged with its session id, and each session keeps its
+own codec pair — the isolation of one in-process crypto cloud per
+session.  The daemon answers a connection's frames in arrival order and
+serves separate connections in parallel, so this client gives each
+session a connection of its own for the session's life: it sends a
+frame and reads the reply on the calling thread.  Connections are
+pooled per process (:func:`client_for` / :func:`release`), so a
+sequence of sessions reuses one and concurrent sessions each dial
+their own.
 
 **Key registration.** Before a session can open, the daemon must hold
 the deployment's key material (the data owner provisions S2 with the
@@ -59,7 +62,6 @@ import io
 import itertools
 import os
 import pickle
-import queue
 import socket
 import struct
 import threading
@@ -137,8 +139,12 @@ def connect_socket(address: str, timeout: float | None = 10.0) -> socket.socket:
             if not hasattr(socket, "AF_UNIX"):
                 raise TransportError("Unix-domain sockets unavailable here")
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(timeout)
-            sock.connect(target)
+            try:
+                sock.settimeout(timeout)
+                sock.connect(target)
+            except OSError:
+                sock.close()
+                raise
     except OSError as exc:
         raise TransportError(f"cannot connect to S2 at {address}: {exc}") from exc
     sock.settimeout(None)
@@ -207,28 +213,21 @@ def default_registration_id(keypair, dj) -> str:
 
 
 class S2Client:
-    """One process's multiplexed connection to the S2 daemon.
+    """One connection to the S2 daemon, used by one session at a time.
 
-    All sessions this process opens against one address share a single
-    socket: a reader thread demultiplexes session-tagged reply frames to
-    the waiting exchanges, and peer death poisons the link so every
-    waiter gets an exception instead of a hang.  Control operations
-    (registration, session open/close) are serialized; data rounds from
-    different sessions interleave freely.
+    Every exchange is one frame out and the reply read back on the
+    calling thread — no reader thread, no reply routing.  A send or
+    receive that fails partway leaves the stream out of step, so it
+    marks the connection :attr:`dead`; a typed ERROR reply leaves it in
+    step and usable.  :func:`client_for` hands connections out and
+    :func:`release` takes them back.
     """
 
     def __init__(self, address: str, timeout: float | None = 10.0):
         self.address = address
         self.pid = os.getpid()
-        self._write_lock = threading.Lock()
-        self._state_lock = threading.Lock()
-        self._control_lock = threading.Lock()
-        self._pending: dict[int, queue.SimpleQueue] = {}
         self._session_ids = itertools.count(1)
-        self._dead: Exception | None = None
-        # The handshake happens before the reader thread exists, so a
-        # non-daemon peer fails here with a clear error (and never leaks
-        # the connected socket).
+        self._dead: BaseException | None = None
         self._sock = connect_socket(address, timeout)
         try:
             self._sock.settimeout(timeout)
@@ -237,10 +236,6 @@ class S2Client:
         except BaseException:
             self._sock.close()
             raise
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"S2Client:{address}", daemon=True
-        )
-        self._reader.start()
 
     def _handshake(self) -> None:
         """One HELLO exchange offering :data:`PROTOCOL_BANNER`; a daemon
@@ -259,140 +254,88 @@ class S2Client:
                 f"peer at {self.address} did not speak {PROTOCOL_BANNER.decode()}"
             )
 
-    # -- reply routing ---------------------------------------------------
+    @property
+    def dead(self) -> bool:
+        """Whether the connection has failed or been closed."""
+        return self._dead is not None
 
-    def _read_loop(self) -> None:
-        try:
-            while True:
-                ftype, session_id, payload = recv_frame(self._sock)
-                if ftype == ERROR:
-                    item: object = RemoteS2Error(*decode_error(payload))
-                else:
-                    item = (ftype, payload)
-                with self._state_lock:
-                    waiter = self._pending.get(session_id)
-                if waiter is None:
-                    if ftype == ERROR:
-                        # Connection-level failure with nobody waiting.
-                        raise item
-                    raise TransportError(
-                        f"unsolicited frame {ftype} for session {session_id}"
-                    )
-                waiter.put(item)
-        except Exception as exc:  # noqa: BLE001 — every exit poisons the link
-            self._fail(exc)
-
-    def _fail(self, exc: Exception) -> None:
-        """Poison the connection: every waiter gets the failure now, and
-        every later operation raises immediately — peer death is an
-        exception, never a hang."""
-        with self._state_lock:
-            if self._dead is None:
-                self._dead = exc
-            waiters = list(self._pending.values())
-        for waiter in waiters:
-            waiter.put(exc)
-        # shutdown() before close(): close alone neither wakes a reader
-        # thread blocked in recv on this fd nor guarantees the peer sees
-        # FIN while that syscall pins the description.
+    def close(self, reason: BaseException | None = None) -> None:
+        """Drop the connection (idempotent).  Safe from another thread:
+        an exchange blocked on it fails with :class:`PeerDisconnected`."""
+        if self._dead is None:
+            self._dead = reason or TransportError("client connection closed")
+        # shutdown() before close(): close alone does not wake a thread
+        # blocked in recv on this fd.
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
+
+    def idle_and_open(self) -> bool:
+        """Whether the connection can take a new session: not dead, and
+        nothing to read while idle (a readable idle connection means
+        the peer hung up or broke the protocol)."""
+        if self._dead is not None:
+            return False
         try:
-            self._sock.close()
+            self._sock.setblocking(False)
+            try:
+                self._sock.recv(1, socket.MSG_PEEK)
+            finally:
+                self._sock.setblocking(True)
+        except BlockingIOError:
+            return True
         except OSError:
             pass
-
-    @property
-    def dead(self) -> bool:
-        """Whether the connection has been poisoned."""
-        return self._dead is not None
-
-    def close(self) -> None:
-        """Drop the connection (idempotent; pending exchanges fail)."""
-        self._fail(TransportError("client connection closed"))
+        return False
 
     # -- request/reply ---------------------------------------------------
 
-    def begin(self, ftype: int, session_id: int, payload: bytes):
-        """Send one frame without waiting; returns the waiter.
-
-        The split lets several sessions' frames go out back-to-back on
-        the shared socket before any reply is collected — the wire shape
-        of one combined round-trip.  Pair with :meth:`finish` (exactly
-        once) after a successful begin.
-        """
-        with self._state_lock:
-            if self._dead is not None:
-                raise PeerDisconnected(
-                    f"connection to {self.address} is down: {self._dead}"
-                ) from self._dead
-            if session_id in self._pending:
-                raise TransportError(
-                    f"session {session_id} already has a request in flight"
-                )
-            waiter: queue.SimpleQueue = queue.SimpleQueue()
-            self._pending[session_id] = waiter
+    def _send(self, ftype: int, session_id: int, payload: bytes) -> None:
+        if self._dead is not None:
+            raise PeerDisconnected(
+                f"connection to {self.address} is down: {self._dead}"
+            ) from self._dead
         try:
-            with self._write_lock:
-                send_frame(self._sock, ftype, session_id, payload)
-        except BaseException:
-            with self._state_lock:
-                self._pending.pop(session_id, None)
+            send_frame(self._sock, ftype, session_id, payload)
+        except BaseException as exc:
+            self.close(exc)
             raise
-        return waiter
 
-    def finish(
-        self, session_id: int, waiter, expect: int, timeout: float | None = None
-    ) -> bytes:
-        """Collect the reply of a :meth:`begin`: the ``expect`` frame's
-        payload, or the remote/connection failure raised."""
+    def _receive(self, session_id: int, expect: int) -> bytes:
         try:
-            item = waiter.get(timeout=timeout)
-        except queue.Empty:
-            exc = TransportError(
-                f"daemon at {self.address} did not answer within {timeout:.1f}s"
-            )
-            # A silent daemon leaves the stream in an unknowable state;
-            # poison the connection so every other in-flight exchange
-            # fails fast too instead of waiting out its own timeout
-            # against a wedged peer.
-            self._fail(exc)
-            raise exc from None
-        finally:
-            with self._state_lock:
-                self._pending.pop(session_id, None)
-        if isinstance(item, Exception):
-            raise item
-        got, payload = item
-        if got != expect:
-            raise TransportError(f"expected frame {expect}, peer sent {got}")
+            ftype, got, payload = recv_frame(self._sock)
+            if ftype != ERROR and (ftype, got) != (expect, session_id):
+                raise TransportError(
+                    f"expected frame {expect} on session {session_id}, "
+                    f"peer sent {ftype} on session {got}"
+                )
+        except BaseException as exc:
+            self.close(exc)
+            raise
+        if ftype == ERROR:
+            raise RemoteS2Error(*decode_error(payload))
         return payload
 
     def roundtrip(
-        self,
-        ftype: int,
-        session_id: int,
-        payload: bytes,
-        expect: int,
-        timeout: float | None = None,
+        self, ftype: int, session_id: int, payload: bytes, expect: int
     ) -> bytes:
         """One exchange: ``ftype`` out, the matching ``expect`` payload back."""
-        return self.finish(
-            session_id, self.begin(ftype, session_id, payload), expect, timeout
-        )
+        self._send(ftype, session_id, payload)
+        return self._receive(session_id, expect)
 
-    # One protocol round in two halves (see :meth:`begin`): REQUEST out,
-    # the matching REPLY payload back.
+    # One protocol round in two halves, so the send and the wait for the
+    # reply can be timed apart: REQUEST out, the matching REPLY back.
 
-    def request_begin(self, session_id: int, data: bytes):
-        """Send one REQUEST frame without waiting; returns the waiter."""
-        return self.begin(REQUEST, session_id, data)
+    def request_begin(self, session_id: int, data: bytes) -> None:
+        """Send one REQUEST frame."""
+        self._send(REQUEST, session_id, data)
 
-    def request_finish(self, session_id: int, waiter) -> bytes:
-        """Collect the REPLY of a :meth:`request_begin`."""
-        return self.finish(session_id, waiter, REPLY)
+    def request_finish(self, session_id: int, waiter=None) -> bytes:
+        """Read the REPLY to the REQUEST just sent: the next frame on
+        this connection (``waiter`` is ignored)."""
+        return self._receive(session_id, REPLY)
 
     # -- session lifecycle -----------------------------------------------
 
@@ -421,34 +364,29 @@ class S2Client:
             + b"\x00"
             + session_blob
         )
-        with self._control_lock:
-            session_id = next(self._session_ids)
-            try:
-                self.roundtrip(OPEN, session_id, open_payload, OPENED)
-            except RemoteS2Error as exc:
-                if exc.kind != UNKNOWN_RELATION:
-                    raise
-                self.roundtrip(REGISTER, 0, payload_factory(), REGISTERED)
-                self.roundtrip(OPEN, session_id, open_payload, OPENED)
-            return session_id
-
-    def close_session(self, session_id: int) -> None:
-        """End one session (graceful CLOSE/CLOSED exchange)."""
-        with self._control_lock:
-            self.roundtrip(CLOSE, session_id, b"", CLOSED)
+        session_id = next(self._session_ids)
+        try:
+            self.roundtrip(OPEN, session_id, open_payload, OPENED)
+        except RemoteS2Error as exc:
+            if exc.kind != UNKNOWN_RELATION:
+                raise
+            self.roundtrip(REGISTER, 0, payload_factory(), REGISTERED)
+            self.roundtrip(OPEN, session_id, open_payload, OPENED)
+        return session_id
 
 
 class SocketTransport(Transport):
-    """One session's transport over a shared :class:`S2Client`.
+    """One session's transport over an :class:`S2Client` it holds alone.
 
     Each endpoint of a session owns one stateful :class:`WireCodec`;
     the two registries stay in sync because both process the identical
     byte stream in the same order, so rounds on one session must never
     interleave — the session lock spans a whole exchange, encode to
-    decode.  One exchange is one REQUEST/REPLY pair of session-tagged
-    frames on the client's shared socket.  S2-side leakage events ride
-    back inside each REPLY and are folded into the local log at the
-    position they would occupy in-process.
+    decode.  One exchange is one REQUEST/REPLY pair on the session's
+    connection.  S2-side leakage events ride back inside each REPLY and
+    are folded into the local log at the position they would occupy
+    in-process.  :meth:`close` ends the session and returns the
+    connection to the pool.
     """
 
     def __init__(self, client: S2Client, session_id: int, leakage, on_progress=None):
@@ -466,10 +404,10 @@ class SocketTransport(Transport):
         with self._lock:
             if self._closed:
                 raise TransportError("session transport is closed")
-            waiter = self._client.request_begin(
+            self._client.request_begin(
                 self.session_id, self._codec.encode_envelope(messages)
             )
-            payload = self._client.request_finish(self.session_id, waiter)
+            payload = self._client.request_finish(self.session_id)
             # REPLY: (replies, leaked, progress) — progress entries are
             # (batches, values, microseconds) int triples (the wire codec
             # carries no floats).
@@ -489,29 +427,34 @@ class SocketTransport(Transport):
             if self._closed:
                 return
             self._closed = True
-        try:
-            self._client.close_session(self.session_id)
-        except TransportError:
-            pass  # a dead daemon cannot acknowledge; the session is gone
+            try:
+                self._client.roundtrip(CLOSE, self.session_id, b"", CLOSED)
+            except TransportError:
+                pass  # a dead daemon cannot acknowledge; the session is gone
+            finally:
+                release(self._client)
 
 
-# -- per-process client registry -------------------------------------------
+# -- per-process connection pool -------------------------------------------
 
-#: address -> live client.
-_CLIENTS: dict[str, S2Client] = {}
-_CLIENTS_LOCK = threading.Lock()
+#: Every connection this process holds, idle or checked out.
+_CLIENTS: set[S2Client] = set()
+#: address -> idle connections, most recently returned last.
+_IDLE: dict[str, list[S2Client]] = {}
+_POOL_LOCK = threading.Lock()
 
 
 def _reset_after_fork() -> None:
     # A forked child must not touch the parent's connections (frames
     # from two processes would interleave on one stream) and must not
     # inherit a lock some other parent thread held at fork time: start
-    # the child with an empty registry and a fresh lock.  The inherited
+    # the child with an empty pool and a fresh lock.  The inherited
     # socket objects are simply abandoned — closing the child's fds
     # never FINs a stream the parent still holds.
-    global _CLIENTS_LOCK
-    _CLIENTS_LOCK = threading.Lock()
+    global _POOL_LOCK
+    _POOL_LOCK = threading.Lock()
     _CLIENTS.clear()
+    _IDLE.clear()
 
 
 if hasattr(os, "register_at_fork"):
@@ -519,39 +462,53 @@ if hasattr(os, "register_at_fork"):
 
 
 def client_for(address: str, timeout: float | None = 10.0) -> S2Client:
-    """The process-wide shared client for ``address``.
+    """Check out a connection to ``address`` for one session.
 
-    One connection per (process, address): concurrent sessions
-    multiplex over it, worker processes get their own (a forked child
-    never reuses the parent's socket — frames from two processes on one
-    stream would interleave; the pid check catches inherited entries),
-    and a poisoned connection is transparently replaced.
+    Reuses an idle connection this process dialled, closing any whose
+    peer hung up while it sat idle, or dials a new one.  Hand it back
+    with :func:`release`.  A forked child never reuses the parent's
+    connections (frames from two processes on one stream would
+    interleave; the pid check backs up the fork hook).
     """
-    with _CLIENTS_LOCK:
-        client = _CLIENTS.get(address)
-        if client is not None and (client.pid != os.getpid() or client.dead):
-            if client.pid != os.getpid():
-                # Forked-off inheritance: quietly drop our duplicate fd
-                # (the parent's open description keeps the stream alive).
-                try:
-                    client._sock.close()
-                except OSError:
-                    pass
-            else:
-                client.close()
-            _CLIENTS.pop(address, None)
-            client = None
+    while True:
+        with _POOL_LOCK:
+            idle = _IDLE.get(address)
+            client = idle.pop() if idle else None
         if client is None:
-            client = S2Client(address, timeout)
-            _CLIENTS[address] = client
-        return client
+            break
+        if client.pid == os.getpid() and client.idle_and_open():
+            return client
+        _discard(client)
+    client = S2Client(address, timeout)
+    with _POOL_LOCK:
+        _CLIENTS.add(client)
+    return client
+
+
+def _discard(client: S2Client) -> None:
+    with _POOL_LOCK:
+        _CLIENTS.discard(client)
+    if client.pid == os.getpid():
+        client.close()
+
+
+def release(client: S2Client) -> None:
+    """Return a checked-out connection: to the idle pool if it is still
+    in step, closed otherwise."""
+    with _POOL_LOCK:
+        if not client.dead and client in _CLIENTS:
+            _IDLE.setdefault(client.address, []).append(client)
+            return
+    _discard(client)
 
 
 def disconnect_all() -> None:
-    """Drop every cached daemon connection (tests and benchmarks)."""
-    with _CLIENTS_LOCK:
-        clients = list(_CLIENTS.values())
+    """Close every connection this process holds, idle or checked out;
+    a live session's next exchange raises :class:`PeerDisconnected`."""
+    with _POOL_LOCK:
+        clients = list(_CLIENTS)
         _CLIENTS.clear()
+        _IDLE.clear()
     for client in clients:
         client.close()
 
@@ -586,11 +543,16 @@ def open_remote_session(
             protocol=pickle.HIGHEST_PROTOCOL,
         )
 
+    session_blob = pickle.dumps(s2_rng, protocol=pickle.HIGHEST_PROTOCOL)
     client = client_for(address)
-    session_id = client.open_session(
-        rid,
-        registration_payload,
-        pickle.dumps(s2_rng, protocol=pickle.HIGHEST_PROTOCOL),
-        label=label,
-    )
+    try:
+        session_id = client.open_session(
+            rid, registration_payload, session_blob, label=label
+        )
+    except RemoteS2Error:
+        release(client)  # the daemon refused in step: the link is fine
+        raise
+    except BaseException:
+        _discard(client)
+        raise
     return SocketTransport(client, session_id, leakage, on_progress=on_progress)

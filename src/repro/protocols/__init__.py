@@ -5,7 +5,7 @@ Every protocol is written from S1's point of view as a function taking an
 communication channel, and a transport to S2).  The interactive protocols
 also expose a ``*_flow`` generator form that yields typed request
 messages — the engines run many flows lock-step so each stage crosses
-the link as one coalesced round (see :mod:`repro.net.batching`).  S2's
+the link as one coalesced round (see :meth:`~repro.protocols.base.S1Context.run_flows`).  S2's
 side of each protocol is a :class:`~repro.protocols.base.CryptoCloud`
 method or an ``s2_*`` function in the protocol module, reached only
 through the :class:`~repro.net.dispatch.S2Dispatcher`; S2 only ever sees

@@ -33,7 +33,6 @@ from repro.crypto.paillier import (
 )
 from repro.crypto.rng import SecureRandom
 from repro.events import RoundTrip
-from repro.net.batching import RoundBatcher
 from repro.net.channel import Channel
 from repro.net.dispatch import S2Dispatcher
 from repro.net.transport import InProcessTransport, LatencyTransport, Transport
@@ -330,18 +329,14 @@ class S1Context:
     cooperative cancellation and per-job deadlines possible without a
     single mid-round interruption point."""
 
-    def __post_init__(self):
-        self._batcher = RoundBatcher(
-            self.channel,
-            self.transport,
-            before_round=self.checkpoint,
-            after_round=self._emit_round,
-        )
-        # One shared record of broken observation hooks: the batcher
-        # guards its after-round hook, notify() guards the engine-loop
-        # events — either way the query keeps running and the error is
-        # kept for inspection instead of corrupting the round loop.
-        self.hook_errors = self._batcher.hook_errors
+    hook_errors: list = field(default_factory=list, init=False, repr=False)
+    """Exceptions raised by the progress listener, in occurrence order;
+    the first :data:`MAX_RECORDED_HOOK_ERRORS` are kept — a persistently
+    broken listener fails every round, and keeping every traceback alive
+    would grow with the scan.  The query keeps running either way."""
+
+    #: Retention cap for :attr:`hook_errors`.
+    MAX_RECORDED_HOOK_ERRORS = 32
 
     # -- job control and progress hooks ----------------------------------
 
@@ -364,29 +359,81 @@ class S1Context:
         try:
             on_event(event)
         except Exception as exc:
-            self._batcher.record_hook_error(exc)
+            if len(self.hook_errors) < self.MAX_RECORDED_HOOK_ERRORS:
+                self.hook_errors.append(exc)
 
-    def _emit_round(self) -> None:
+    # -- S2 interaction --------------------------------------------------
+
+    def call(self, msg):
+        """Submit one request message to S2; one communication round."""
+        return self._flush([msg])[0]
+
+    def run_flows(self, flows: list) -> list:
+        """Run protocol flows in lock-step; returns their results in order.
+
+        A flow is a generator that ``yield``\\ s request messages and
+        receives their replies.  Each iteration advances every unfinished
+        flow by one yield and ships the yielded messages as ONE coalesced
+        round-trip, so a depth's ``m`` independent equality/recover flows
+        cost ``O(1)`` rounds instead of ``O(m)``.  Flows of different
+        lengths are fine — finished flows simply stop participating.
+        Flows are always advanced in list order, so a flow may rely on
+        earlier flows having completed the same stage (the eager
+        engine's absorption uses this).
+        """
+        results = [None] * len(flows)
+        replies = [None] * len(flows)
+        active = list(range(len(flows)))
+        while active:
+            stage: list[tuple[int, object]] = []
+            for i in active:
+                try:
+                    stage.append((i, flows[i].send(replies[i])))
+                except StopIteration as stop:
+                    results[i] = stop.value
+            if stage:
+                flushed = self._flush([msg for _, msg in stage])
+                for (i, _), reply in zip(stage, flushed):
+                    replies[i] = reply
+            active = [i for i, _ in stage]
+        return results
+
+    def _flush(self, messages: list) -> list:
+        """Ship ``messages`` in one round-trip, with byte/round accounting.
+
+        The job-control :meth:`checkpoint` (deadline / cancellation)
+        fires before anything is sent, so a cancelled job stops at the
+        round boundary — *the* round boundary of the client API.  After
+        the replies land, one :class:`~repro.events.RoundTrip` goes to
+        the listener.
+
+        A coalesced round increments the global round counter once and
+        credits each *distinct* participating protocol's round counter,
+        so ``sum(per_protocol_rounds)`` can exceed ``rounds`` — the
+        per-protocol view answers "how many rounds did this protocol
+        ride in", the global counter "how many round-trips crossed the
+        link".
+        """
+        self.checkpoint()
+        channel = self.channel
+        with channel.coalesced_round([msg.protocol for msg in messages]):
+            for msg in messages:
+                with channel.protocol(msg.protocol):
+                    channel.send(msg.request_payload())
+            replies = self.transport.exchange(messages)
+            for msg, reply in zip(messages, replies):
+                with channel.protocol(msg.protocol):
+                    channel.receive(reply)
         if self.on_event is not None:
-            stats = self.channel.stats
-            self.on_event(
+            stats = channel.stats
+            self.notify(
                 RoundTrip(
                     rounds=stats.rounds,
                     bytes_s1_to_s2=stats.bytes_s1_to_s2,
                     bytes_s2_to_s1=stats.bytes_s2_to_s1,
                 )
             )
-
-    # -- S2 interaction --------------------------------------------------
-
-    def call(self, msg):
-        """Submit one request message to S2; one communication round."""
-        return self._batcher.call(msg)
-
-    def run_flows(self, flows: list) -> list:
-        """Run protocol flows lock-step, coalescing each stage's requests
-        into a single round-trip (see :mod:`repro.net.batching`)."""
-        return self._batcher.run_flows(flows)
+        return replies
 
     def close(self) -> None:
         """Release the transport (a socket session sends its CLOSE)."""
@@ -441,11 +488,11 @@ def _wire_clouds(
 
     ``transport`` is either ``"inprocess"`` (the crypto cloud behind an
     :class:`~repro.net.transport.InProcessTransport`) or a remote S2
-    daemon address (``"tcp://host:port"`` / ``"unix:///path"``).  The remote path opens one multiplexed
-    session against the daemon — registering the deployment's key
-    material on first contact — and ships the S2 randomness stream with
-    the session, so the remote run is bit-identical (results, rounds,
-    bytes, leakage) to the local one.
+    daemon address (``"tcp://host:port"`` / ``"unix:///path"``).  The
+    remote path opens one session on a pooled daemon connection —
+    registering the deployment's key material on first contact — and
+    ships the S2 randomness stream with the session, so the remote run
+    is bit-identical (results, rounds, bytes, leakage) to the local one.
 
     ``rtt_ms`` adds a simulated round-trip latency to the link.  Single
     point of truth for context construction — every scheme's context

@@ -9,7 +9,7 @@ deadlines, and streams typed :mod:`repro.events` progress events
 
 Cancellation and deadlines are *cooperative*: the job's
 :class:`JobControl` is checked at every communication round boundary
-(see :class:`~repro.net.batching.RoundBatcher`) and at every engine
+(see :meth:`~repro.protocols.base.S1Context.checkpoint`) and at every engine
 depth, so an abort never interrupts a round mid-flight — the transport
 and the S2 side stay consistent, and the server keeps serving
 subsequent jobs.  A job executed on a worker *process*

@@ -24,8 +24,9 @@ through the frame protocol of :mod:`repro.net.socket_transport`:
    :class:`~repro.protocols.base.CryptoCloud` (seeded with the rng
    stream the client ships, so transcripts match in-process runs),
    :class:`~repro.net.dispatch.S2Dispatcher`, wire codec and leakage
-   log.  Sessions are multiplexed over the connection by the session
-   id tagged on every frame.
+   log.  A connection can carry several sessions, told apart by the
+   session id tagged on every frame; the client holds one session per
+   connection at a time.
 4. **REQUEST/REPLY** — one coalesced protocol round per frame: the
    wire-encoded message batch one
    :meth:`~repro.net.transport.Transport.exchange` carries.  S2-side
@@ -34,9 +35,9 @@ through the frame protocol of :mod:`repro.net.socket_transport`:
 Scheduling: S2 only answers — every round is one request and one
 reply — so a connection's read thread serves its frames itself, in
 arrival order, each REQUEST's round run to completion before the next
-frame is read.  Parallelism is across connections: every worker
-process and every other S1 host dials its own, and each connection has
-its own read thread.
+frame is read.  Parallelism is across connections, each with its own
+read thread: the client gives every concurrent session a connection of
+its own.
 
 Error scoping: a *handler* failure is answered with a typed ERROR on
 the offending session id (typed :class:`~repro.exceptions.RemoteS2Error`

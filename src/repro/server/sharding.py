@@ -15,7 +15,7 @@ plain lists::
 Per check window (``QueryConfig.check_every()`` depths), every shard
 whose slice overlaps the window assembles its depth batch, inline on
 the query's thread, and the batches are merged depth-ordered by
-:func:`repro.net.batching.fan_in_batches` *before* the window's rounds
+:func:`fan_in_batches` *before* the window's rounds
 are built.  The merged items are value-identical to the unsharded lists
 (scalar weighting draws no randomness) and reach the engine in scan
 order, so every message, byte and leakage event of the S2-visible
@@ -44,9 +44,73 @@ from collections.abc import Sequence
 
 from repro.core.results import ShardStats
 from repro.core.token import Token
-from repro.exceptions import QueryError
-from repro.net.batching import fan_in_batches
+from repro.exceptions import QueryError, ShardFanInError
 from repro.structures.items import EncryptedItem, weight_entries
+
+
+def fan_in_batches(
+    per_shard_batches: list,
+    lo: int | None = None,
+    hi: int | None = None,
+    shard_ids: list | None = None,
+) -> list:
+    """Fan-in stage of the sharded scan: merge per-shard depth batches.
+
+    Each shard worker contributes a batch of ``(depth, payload)`` pairs
+    for the depths of one check window that fall inside its slice; this
+    stage merges them into a single depth-ordered batch — the stream the
+    engine consumes — *before* the window's rounds are built, so the
+    messages that reach the round loop are exactly the ones an
+    unsharded scan would send.
+
+    Validates that the shards' contributions tile the window: a
+    duplicated or missing depth means the shard plan and the workers
+    disagree, and silently proceeding would desynchronize the transcript
+    from the unsharded run.  Pass the window bounds ``[lo, hi)`` to
+    catch depths missing at the window *edges* too — without them only
+    interior gaps are detectable.  Pass ``shard_ids`` (one id per batch,
+    in batch order) and the raised :class:`ShardFanInError` names the
+    shard whose contribution broke the tiling.
+    """
+    if shard_ids is None:
+        shard_ids = [None] * len(per_shard_batches)
+    owner = {}
+    merged = []
+    for batch, shard_id in zip(per_shard_batches, shard_ids):
+        for pair in batch:
+            depth = pair[0]
+            if depth in owner:
+                raise ShardFanInError(
+                    "shard fan-in: overlapping depth batches at depth "
+                    f"{depth}",
+                    shard_id=shard_id,
+                    window=(lo, hi) if lo is not None and hi is not None else None,
+                )
+            owner[depth] = shard_id
+            merged.append(pair)
+    merged.sort(key=lambda pair: pair[0])
+    depths = [depth for depth, _ in merged]
+    if lo is not None and hi is not None:
+        if depths != list(range(lo, hi)):
+            missing = sorted(set(range(lo, hi)) - set(depths))
+            stray = sorted(set(depths) - set(range(lo, hi)))
+            detail = f"shard fan-in: batches do not tile the window [{lo}, {hi})"
+            culprit = None
+            if stray:
+                detail += f"; stray depths {stray}"
+                culprit = owner.get(stray[0])
+            if missing:
+                detail += f"; missing depths {missing}"
+            raise ShardFanInError(detail, shard_id=culprit, window=(lo, hi))
+    elif depths and depths != list(range(depths[0], depths[0] + len(depths))):
+        gap_after = next(
+            d for d, nxt in zip(depths, depths[1:]) if nxt != d + 1
+        )
+        raise ShardFanInError(
+            f"shard fan-in: depth batches leave a gap after depth {gap_after}",
+            shard_id=owner.get(gap_after),
+        )
+    return merged
 
 
 class ShardPlan:
@@ -208,7 +272,7 @@ class ShardedQueryLists(Sequence):
     weights every shard's rows.  During the scan,
     :meth:`prefetch` (called by the engines at each depth boundary)
     assembles one check window: every overlapping shard builds its depth
-    batch and :func:`~repro.net.batching.fan_in_batches` merges them
+    batch and :func:`fan_in_batches` merges them
     depth-ordered into the cache the columns read from.  Serving cached
     items draws no randomness and sends no message, which is why the
     construction is transcript-invisible.

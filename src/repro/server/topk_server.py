@@ -152,8 +152,8 @@ class TopKServer:
     transport:
         ``"inprocess"`` (each job's crypto cloud in this process) or
         the address of a standalone S2 daemon (``"tcp://host:port"``
-        / ``"unix:///path"``).  Remote sessions multiplex over one
-        shared connection per process; the first one registers the
+        / ``"unix:///path"``).  Each remote session holds a pooled
+        connection of its own while it runs; the first one registers the
         scheme's key material with the daemon and every later one —
         including process-mode worker jobs, after any mutation — opens
         by that registration alone.

@@ -24,7 +24,6 @@ from repro.core.results import QueryConfig
 from repro.core.scheme import SecTopK
 from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext
-from repro.net.batching import RoundBatcher
 from repro.net.dispatch import S2Dispatcher
 from repro.net.messages import (
     BlindedSelect,
@@ -36,6 +35,7 @@ from repro.net.messages import (
     ZeroTestBatch,
 )
 from repro.nra import SortedLists, nra_topk
+from repro.protocols.base import S1Context
 
 _RNG = random.Random(31)
 #: Loosely correlated (strict NRA halts at depth 7 of 12, the paper rule
@@ -137,7 +137,7 @@ class TestBestBoundsRideStageOne:
     def _spy(monkeypatch):
         rounds: list[list] = []
         checks: list[dict] = []
-        real_flush = RoundBatcher._flush
+        real_flush = S1Context._flush
         real_check = EagerEngine._halting_check
 
         def flush(self, messages):
@@ -155,7 +155,7 @@ class TestBestBoundsRideStageOne:
             check["rounds"] = len(rounds) - before
             return halted
 
-        monkeypatch.setattr(RoundBatcher, "_flush", flush)
+        monkeypatch.setattr(S1Context, "_flush", flush)
         monkeypatch.setattr(EagerEngine, "_halting_check", halting_check)
         return rounds, checks
 

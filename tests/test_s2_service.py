@@ -10,8 +10,8 @@ which activates :class:`TestExternalDaemon` against it.
 
 The daemon's connection handling (handshake, error scoping, close,
 ``/healthz``, state dir, launcher) is pinned in
-:class:`TestDaemonLifecycle`, the client link's failure handling in
-:class:`TestClientLink`.
+:class:`TestDaemonLifecycle`, the client's connections and their pool
+in :class:`TestClientLink`.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from repro.net.socket_transport import (
     disconnect_all,
     parse_address,
     recv_frame,
+    release,
     send_frame,
 )
 from repro.net.wire import WireCodec, _Reader
@@ -132,10 +133,11 @@ class TestRegistration:
 
 
 class TestMultiplexing:
-    def test_concurrent_sessions_share_one_connection(self, daemon):
-        """Thread-mode execute_many interleaves several sessions' rounds
-        over a single socket; results match the sequential in-process
-        run and the daemon confirms exactly one connection carried it."""
+    def test_concurrent_sessions_each_hold_their_own_connection(self, daemon):
+        """Thread-mode execute_many over tcp: results match the
+        sequential in-process run, each concurrent session reads its
+        replies on a connection of its own (at most one per session in
+        the window), and the client runs no thread of its own."""
         service, address = daemon
         scheme_a, relation_a, rows = _fresh_deployment()
         with TopKServer(scheme_a, relation_a) as server:
@@ -143,16 +145,20 @@ class TestMultiplexing:
 
         scheme_b, relation_b, _ = _fresh_deployment()
         with TopKServer(scheme_b, relation_b, transport=address) as server:
-            multiplexed = server.execute_many(_requests(scheme_b), concurrency=3)
+            concurrent = server.execute_many(_requests(scheme_b), concurrency=3)
+            client_threads = [
+                t.name for t in threading.enumerate() if t.name.startswith("S2Client:")
+            ]
 
-        for a, b in zip(baseline, multiplexed):
+        for a, b in zip(baseline, concurrent):
             assert scheme_a.reveal(a) == scheme_b.reveal(b)
             assert a.halting_depth == b.halting_depth
             assert a.channel_stats.rounds == b.channel_stats.rounds
             assert a.channel_stats.total_bytes == b.channel_stats.total_bytes
+        assert client_threads == []
         stats = service.stats()
-        assert stats["connections_total"] == 1
-        assert stats["sessions_opened"] == len(multiplexed)
+        assert 1 <= stats["connections_total"] <= 3
+        assert stats["sessions_opened"] == len(concurrent)
         assert stats["sessions_active"] == 0
 
     def test_sessions_run_their_rounds_on_the_read_thread(self, daemon):
@@ -161,18 +167,11 @@ class TestMultiplexing:
         session."""
         service, address = daemon
         before = set(threading.enumerate())
-        scheme, _, _ = _fresh_deployment()
-        contexts = [scheme._make_context(transport=address) for _ in range(3)]
+        sock, scheme = _raw_connection(address, sessions=3)
         try:
-            for ctx in contexts:
-                (reply,) = ctx.transport.exchange(
-                    [
-                        messages.ZeroTestBatch(
-                            protocol="probe", cts=[scheme.public_key.encrypt(0)]
-                        )
-                    ]
-                )
-                assert ctx.dj.decrypt_batch(reply, scheme.keypair) == [1]
+            for session_id in (1, 2, 3):
+                finish = _pending_request(sock, scheme, WireCodec(), session_id)
+                assert finish(), f"session {session_id} was not answered"
             stats = service.stats()
             assert stats["connections_active"] == 1
             assert stats["sessions_active"] == 3
@@ -184,8 +183,7 @@ class TestMultiplexing:
             ]
             assert started == ["s2-connection"]
         finally:
-            for ctx in contexts:
-                ctx.close()
+            sock.close()
 
     def test_process_mode_workers_reuse_registration(self, daemon):
         """Process-mode worker processes open their own connections but
@@ -747,25 +745,47 @@ def _http_status(url: str) -> tuple[int, str]:
         return err.code, err.read().decode()
 
 
-def _pending_request(address):
-    """Put one real REQUEST on the shared connection to ``address``
-    without collecting it; returns ``finish()`` -> the decoded reply."""
-    scheme, relation, _ = _fresh_deployment()
-    ctx = scheme._make_context(transport=address)
-    transport = ctx.transport
-    waiter = transport._client.request_begin(
-        transport.session_id,
-        transport._codec.encode_envelope(
-            [messages.ZeroTestBatch(protocol="probe", cts=[scheme.public_key.encrypt(0)])]
-        ),
-    )
+def _raw_connection(address, sessions: int):
+    """One raw connection to ``address``, greeted, with the key of a fresh
+    deployment registered and sessions ``1..sessions`` open on it;
+    returns the socket and the deployment's scheme."""
+    scheme, _, _ = _fresh_deployment()
+    rid = default_registration_id(scheme.keypair, scheme.dj)
+    blob = {"relation_id": rid, "keypair": scheme.keypair, "dj": scheme.dj}
+    frames = [
+        (socket_transport.HELLO, 0, socket_transport.PROTOCOL_BANNER, socket_transport.HELLO_OK),
+        (socket_transport.REGISTER, 0, pickle.dumps(blob), socket_transport.REGISTERED),
+    ] + [
+        (
+            socket_transport.OPEN,
+            session_id,
+            rid.encode() + b"\x00probe\x00" + pickle.dumps(SecureRandom(session_id)),
+            socket_transport.OPENED,
+        )
+        for session_id in range(1, sessions + 1)
+    ]
+    sock = connect_socket(address)
+    sock.settimeout(30.0)
+    for ftype, session_id, payload, expect in frames:
+        send_frame(sock, ftype, session_id, payload)
+        assert recv_frame(sock)[:2] == (expect, session_id)
+    return sock, scheme
 
-    def finish():
-        try:
-            payload = transport._client.request_finish(transport.session_id, waiter)
-            return transport._codec.decode_value(_Reader(payload))
-        finally:
-            ctx.close()
+
+def _pending_request(sock, scheme, codec: WireCodec, session_id: int = 1):
+    """Put one real REQUEST for ``session_id`` on ``sock`` without
+    collecting it; returns ``finish()`` -> whether the next frame on the
+    connection is that request's correct answer.  ``codec`` is the
+    session's own: it must see every round of the session in order."""
+    probe = messages.ZeroTestBatch(protocol="probe", cts=[scheme.public_key.encrypt(0)])
+    send_frame(sock, socket_transport.REQUEST, session_id, codec.encode_envelope([probe]))
+
+    def finish() -> bool:
+        ftype, got, payload = recv_frame(sock)
+        if (ftype, got) != (socket_transport.REPLY, session_id):
+            return False
+        (reply,), _, _ = codec.decode_value(_Reader(payload))
+        return scheme.dj.decrypt_batch(reply, scheme.keypair) == [1]
 
     return finish
 
@@ -806,17 +826,20 @@ class TestDaemonLifecycle:
         ERROR on session 7; the connection — and a request in flight on
         it — is untouched."""
         service, address = core
-        finish = _pending_request(address)
-        client = client_for(address)
-        with pytest.raises(RemoteS2Error) as excinfo:
-            client.roundtrip(
-                socket_transport.REGISTER, 7, b"\x00garbage", socket_transport.REGISTERED
-            )
-        assert excinfo.value.kind == "UnpicklingError"
-        assert finish(), "the sibling request did not complete"
-        assert not client.dead
-        stats = service.stats()
-        assert (stats["connections_total"], stats["connections_active"]) == (1, 1)
+        sock, scheme = _raw_connection(address, sessions=1)
+        codec = WireCodec()
+        try:
+            finish = _pending_request(sock, scheme, codec)
+            send_frame(sock, socket_transport.REGISTER, 7, b"\x00garbage")
+            assert finish(), "the sibling request did not complete"
+            ftype, session_id, payload = recv_frame(sock)
+            assert (ftype, session_id) == (socket_transport.ERROR, 7)
+            assert decode_error(payload)[0] == "UnpicklingError"
+            assert _pending_request(sock, scheme, codec)(), "the connection did not survive"
+            stats = service.stats()
+            assert (stats["connections_total"], stats["connections_active"]) == (1, 1)
+        finally:
+            sock.close()
 
     def test_unknown_frame_type_is_a_session_error(self, core):
         _, address = core
@@ -833,14 +856,19 @@ class TestDaemonLifecycle:
         already treat as "fall back to lazy re-register" — and a sibling
         session's round on the same connection completes."""
         service, address = core
-        finish = _pending_request(address)
-        client = client_for(address)
+        sock, scheme = _raw_connection(address, sessions=1)
+        codec = WireCodec()
         old_id, new_id = b"a" * 32, b"b" * 32
-        with pytest.raises(RemoteS2Error) as excinfo:
-            client.roundtrip(0x0C, 9, old_id + b"\x00" + new_id, 0x0D)
-        assert excinfo.value.kind == "unknown-frame"
-        assert finish(), "the sibling request did not complete"
-        assert not client.dead
+        try:
+            finish = _pending_request(sock, scheme, codec)
+            send_frame(sock, 0x0C, 9, old_id + b"\x00" + new_id)
+            assert finish(), "the sibling request did not complete"
+            ftype, session_id, payload = recv_frame(sock)
+            assert (ftype, session_id) == (socket_transport.ERROR, 9)
+            assert decode_error(payload)[0] == "unknown-frame"
+            assert _pending_request(sock, scheme, codec)(), "the connection did not survive"
+        finally:
+            sock.close()
         # Only the sibling's key is registered; nothing moved or appeared.
         assert len(service._registry) == 1
 
@@ -1081,55 +1109,99 @@ class TestWireCompatibility:
 
 
 class TestClientLink:
-    def test_finish_timeout_poisons_link_and_fails_every_waiter(self):
-        """A peer that greets and then goes silent: the one exchange
-        with a timeout poisons the connection, and every other pending
-        exchange fails with it instead of waiting forever."""
-        listener = socket_module.create_server(("127.0.0.1", 0))
-        peers: list[socket_module.socket] = []
+    @pytest.mark.skipif(
+        not hasattr(socket_module, "AF_UNIX"), reason="no Unix-domain sockets"
+    )
+    def test_failed_unix_connect_closes_its_socket(self, tmp_path, monkeypatch):
+        made: list[socket_module.socket] = []
+        real = socket_module.socket
 
-        def _greet_then_go_silent():
-            sock, _ = listener.accept()
-            peers.append(sock)
-            _, _, banner = recv_frame(sock)
-            send_frame(sock, socket_transport.HELLO_OK, 0, banner)
+        def spy(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
 
-        thread = threading.Thread(target=_greet_then_go_silent, daemon=True)
-        thread.start()
-        address = f"tcp://127.0.0.1:{listener.getsockname()[1]}"
+        monkeypatch.setattr(socket_transport.socket, "socket", spy)
+        with pytest.raises(TransportError, match="cannot connect"):
+            connect_socket(f"unix://{tmp_path}/missing.sock")
+        assert len(made) == 1 and made[0].fileno() == -1
+
+    @pytest.mark.skipif(
+        not hasattr(socket_module, "AF_UNIX"), reason="no Unix-domain sockets"
+    )
+    def test_restarted_daemon_is_redialled(self, tmp_path):
+        """The pooled connection to a daemon that went away is readable
+        (EOF) while idle: the next query dials the daemon now listening
+        at the same path instead of failing on the dead one."""
+        address = f"unix://{tmp_path}/s2.sock"
+        scheme, relation, _ = _fresh_deployment()
+        first = S2Service(address)
+        first.start()
+        second = S2Service(address)
         try:
-            client = client_for(address)
-            patient = client.begin(socket_transport.REQUEST, 1, b"")
-            hasty = client.begin(socket_transport.REQUEST, 2, b"")
-            outcome: list[Exception] = []
-
-            def _wait_forever():
-                try:
-                    client.finish(1, patient, socket_transport.REPLY)
-                except Exception as exc:  # noqa: BLE001 — collected for the assert
-                    outcome.append(exc)
-
-            waiter_thread = threading.Thread(target=_wait_forever, daemon=True)
-            waiter_thread.start()
-            with pytest.raises(TransportError, match="did not answer"):
-                client.finish(2, hasty, socket_transport.REPLY, timeout=0.2)
-            waiter_thread.join(timeout=5)
-            assert not waiter_thread.is_alive(), "untimed waiter still hanging"
-            assert len(outcome) == 1 and "did not answer" in str(outcome[0])
-            assert client.dead
-            with pytest.raises(PeerDisconnected):
-                client.begin(socket_transport.REQUEST, 3, b"")
+            with TopKServer(scheme, relation, transport=address) as server:
+                token = scheme.token([0, 1], k=2)
+                before = server.query(token, QueryConfig(cache=False))
+                first.close()
+                second.start()
+                after = server.query(token, QueryConfig(cache=False))
+            assert scheme.reveal(after) == scheme.reveal(before)
+            assert second.stats()["connections_total"] == 1
         finally:
             disconnect_all()
-            thread.join(timeout=5)
-            for sock in peers:
-                sock.close()
-            listener.close()
+            first.close()
+            second.close()
+
+    def test_failed_exchange_connection_is_not_handed_out_again(self, core):
+        """A typed ERROR leaves the connection in step, so it goes back
+        to the pool; a round that fails on the wire leaves it out of
+        step, so it is closed and the next session dials afresh."""
+        service, address = core
+        scheme, _, _ = _fresh_deployment()
+        foreign = SecTopK(SystemParams.tiny(), seed=91)
+        ctx = scheme._make_context(transport=address)
+        client = ctx.transport._client
+        with pytest.raises(RemoteS2Error):
+            ctx.call(
+                messages.ZeroTestBatch(protocol="probe", cts=[foreign.public_key.encrypt(0)])
+            )
+        ctx.close()
+        assert not client.dead
+
+        ctx = scheme._make_context(transport=address)
+        assert ctx.transport._client is client
+        (connection,) = service._connections
+        connection.sock.shutdown(socket_module.SHUT_RDWR)
+        with pytest.raises(PeerDisconnected):
+            ctx.call(messages.ZeroTestBatch(protocol="probe", cts=[scheme.public_key.encrypt(0)]))
+        ctx.close()  # tolerates the dead link
+        assert client.dead and client._sock.fileno() == -1
+
+        fresh = client_for(address)
+        assert fresh is not client and not fresh.dead
+        with pytest.raises(RemoteS2Error, match="unknown-frame"):
+            fresh.roundtrip(0x7F, 1, b"", socket_transport.REPLY)
+        assert service.stats()["connections_total"] == 2
+
+    def test_disconnect_all_fails_a_live_session(self, core):
+        """``disconnect_all`` closes connections that are checked out
+        too: the session holding one fails its next exchange with
+        ``PeerDisconnected`` instead of hanging or reusing it."""
+        _, address = core
+        scheme, _, _ = _fresh_deployment()
+        ctx = scheme._make_context(transport=address)
+        probe = messages.ZeroTestBatch(protocol="probe", cts=[scheme.public_key.encrypt(0)])
+        ctx.call(probe)
+        disconnect_all()
+        with pytest.raises(PeerDisconnected):
+            ctx.call(probe)
+        ctx.close()  # tolerates the closed link
+        assert ctx.transport._client.dead
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork()")
     def test_forked_child_gets_a_fresh_connection(self, core):
         service, address = core
         parent_client = client_for(address)
+        release(parent_client)  # idle in the parent's pool across the fork
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # child: report through the pipe, never return to pytest

@@ -33,9 +33,8 @@ from repro.core.params import SystemParams  # noqa: E402
 from repro.core.results import QueryConfig, ShardStats  # noqa: E402
 from repro.core.scheme import SecTopK  # noqa: E402
 from repro.exceptions import ProtocolError, QueryError, ShardFanInError  # noqa: E402
-from repro.net.batching import fan_in_batches  # noqa: E402
 from repro.server import TopKServer  # noqa: E402
-from repro.server.sharding import ShardPlan, ShardedQueryLists  # noqa: E402
+from repro.server.sharding import ShardPlan, ShardedQueryLists, fan_in_batches  # noqa: E402
 
 SEED = 424242
 

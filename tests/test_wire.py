@@ -1,4 +1,4 @@
-"""Unit tests for the wire codec, typed messages and round batcher."""
+"""Unit tests for the wire codec, typed messages and S1's round loop."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import ProtocolError
-from repro.net.batching import single_message_flow
 from repro.net.channel import measure_size
 from repro.net.dispatch import S2Dispatcher
 from repro.net.messages import (
@@ -231,7 +230,15 @@ class TestMessageEnvelopes:
         assert payload == (msg.matrix, msg.items, msg.companions, msg.ranks)
 
 
+def single_message_flow(msg):
+    """A flow that performs exactly one request/reply exchange."""
+    reply = yield msg
+    return reply
+
+
 class TestRoundBatcher:
+    """``S1Context.call`` / ``run_flows``: one coalesced round per stage."""
+
     def _parties(self, keypair, seed=5):
         from repro.crypto.rng import SecureRandom
         from repro.protocols.base import make_parties
