@@ -55,7 +55,7 @@ from repro.events import CandidateFinalized, DepthAdvanced
 from repro.exceptions import QueryError
 from repro.protocols.base import S1Context
 from repro.protocols.blinded_select import blinded_select_flow
-from repro.protocols.enc_compare import enc_compare_flow
+from repro.protocols.enc_compare import enc_compare_flow, enc_compare_flows
 from repro.protocols.enc_sort import enc_sort
 from repro.protocols.sec_best import sec_best_flow
 from repro.protocols.sec_dedup import sec_dedup
@@ -167,12 +167,12 @@ class _EngineBase:
             return False
 
         # Stage 2 — candidate bounds, coalesced into one round.
-        flows = [
-            enc_compare_flow(
-                ctx, best, w_k, method=self.compare_method, protocol=PROTOCOL
-            )
-            for best in bests
-        ]
+        flows = enc_compare_flows(
+            ctx,
+            [(best, w_k) for best in bests],
+            method=self.compare_method,
+            protocol=PROTOCOL,
+        )
         return all(ctx.run_flows(flows))
 
     def _best_flow(self, candidates: list[ScoredItem], depth: int):

@@ -3,10 +3,16 @@
 The C side is small: two vectorized ``mpz_powm`` loops — one exponent
 for the whole batch (DJ layer stripping, randomizer pools, shard
 weighting) and one exponent per base (the ``RecoverEnc`` blinds, the
-blinded select's unblinding, the ⊖ rescales) — a scalar ``mpz_invert``,
-``repro_paillier_decrypt`` (a batch of whole CRT Paillier decryptions:
-the range and unit checks, both ``mpz_powm`` halves, ``L``, ``h_p`` /
-``h_q`` and the recombination, or the mod-``p`` half alone), and three
+blinded select's unblinding, the ⊖ rescales, the blinded comparisons'
+scales) — a scalar ``mpz_invert``, ``repro_paillier_decrypt`` (a batch
+of whole CRT Paillier decryptions: the range and unit checks, both
+``mpz_powm`` halves, ``L``, ``h_p`` / ``h_q`` and the recombination, or
+the mod-``p`` half alone), two fused round operations built on the
+loops below — ``repro_blind_round`` (an item-blinding round: every
+component's summed seed blinds read off the SHAKE-256 streams, reduced
+mod ``N`` and applied as ``c · (1 ± b·N)``, times its pool randomizer)
+and ``repro_ehl_minus`` (a batch of ⊖: each pair's ``Enc(0)`` pool
+draw, its cell quotients and its multi-exponentiation) — and three
 loops on one Montgomery core:
 
 * ``repro_powmod_products`` — ``acc · Π b^e`` per group of ragged width,
@@ -82,6 +88,19 @@ int repro_invert_vec(const uint64_t *values, size_t n_items,
 int repro_paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
                            const uint64_t *crt, int below_p,
                            uint64_t *out, size_t out_words);
+int repro_blind_round(const uint64_t *values, size_t n_items, size_t ct_words,
+                      const uint64_t *layout, size_t n_groups,
+                      const uint8_t *streams, size_t width,
+                      const uint64_t *n, size_t n_words, int sign,
+                      const uint64_t *pool, size_t index_bits,
+                      const uint8_t *reads, size_t picks,
+                      const uint64_t *mod, uint64_t *out);
+int repro_ehl_minus(const uint64_t *pool, size_t index_bits,
+                    const uint8_t *reads, size_t picks,
+                    const uint64_t *counts, size_t n_groups,
+                    const uint64_t *nums, const uint64_t *invs,
+                    const uint64_t *exps, size_t n_items, size_t exp_words,
+                    const uint64_t *mod, size_t mod_words, uint64_t *out);
 """
 
 SOURCE = r"""
@@ -780,6 +799,150 @@ int repro_paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
     mpz_clear(mp);
     mpz_clear(mq);
     mpz_clear(e);
+    return status;
+}
+
+/* out[i] = values[i] · (1 + sign · b_i · N) · r_i  mod  N^2 for every
+   Paillier component of a blinding round (ItemBlinder).  Group g is
+   one item: layout[2g] components under layout[2g + 1] seeds.  Its
+   streams follow one another in `streams`, one per seed, each
+   layout[2g] big-endian `width`-byte reads; b_i is the sum of
+   component i's read in every stream of its group, reduced mod N and,
+   for sign < 0, negated mod N.  With picks > 0, r_i is the pool draw of
+   read i of `reads` (see repro_pool_products; the pool is at mod's
+   width); with picks == 0 there is no r_i.  mod is N^2 at ct_words,
+   the width of every value.  The whole batch is checked before any
+   output is written: returns 0 on success, 1 when a value lies outside
+   [0, N^2), and -1 for a zero N, a mod that is not N^2, a layout that
+   does not sum to n_items, or a pool draw repro_pool_products refuses. */
+int repro_blind_round(const uint64_t *values, size_t n_items, size_t ct_words,
+                      const uint64_t *layout, size_t n_groups,
+                      const uint8_t *streams, size_t width,
+                      const uint64_t *n, size_t n_words, int sign,
+                      const uint64_t *pool, size_t index_bits,
+                      const uint8_t *reads, size_t picks,
+                      const uint64_t *mod, uint64_t *out)
+{
+    mpz_t nz, n2, c, b, t;
+    uint64_t *rands = NULL;
+    size_t g, i, j, s, count, seeds, total = 0;
+    int status = 0;
+
+    for (g = 0; g < n_groups; g++)
+        total += layout[2 * g];
+    mpz_init(nz);
+    mpz_init(n2);
+    mpz_init(c);
+    mpz_init(b);
+    mpz_init(t);
+    import_words(nz, n, n_words);
+    import_words(n2, mod, ct_words);
+    mpz_mul(t, nz, nz);
+    if (total != n_items || mpz_sgn(nz) == 0 || mpz_cmp(t, n2) != 0)
+        status = -1;
+    for (i = 0; status == 0 && i < n_items; i++) {
+        import_words(c, values + i * ct_words, ct_words);
+        if (mpz_cmp(c, n2) >= 0)
+            status = 1;
+    }
+    if (status == 0 && picks > 0 && n_items > 0) {
+        rands = (uint64_t *)malloc(n_items * ct_words * sizeof(uint64_t));
+        if (rands == NULL || repro_pool_products(pool, index_bits, reads, n_items,
+                                                 picks, mod, ct_words, rands) != 0)
+            status = -1;
+    }
+    for (g = 0, i = 0; status == 0 && g < n_groups; g++) {
+        count = layout[2 * g];
+        seeds = layout[2 * g + 1];
+        for (j = 0; j < count; j++, i++) {
+            mpz_set_ui(b, 0);
+            for (s = 0; s < seeds; s++) {
+                mpz_import(t, width, 1, 1, 0, 0, streams + (s * count + j) * width);
+                mpz_add(b, b, t);
+            }
+            mpz_mod(b, b, nz);
+            if (sign < 0 && mpz_sgn(b) != 0)
+                mpz_sub(b, nz, b);
+            /* c · (1 + b·N) = c + N · (c·b mod N)  mod N^2 */
+            import_words(c, values + i * ct_words, ct_words);
+            mpz_mul(t, c, b);
+            mpz_mod(t, t, nz);
+            mpz_addmul(c, t, nz);
+            if (mpz_cmp(c, n2) >= 0)
+                mpz_sub(c, c, n2);
+            if (rands != NULL) {
+                import_words(t, rands + i * ct_words, ct_words);
+                mpz_mul(c, c, t);
+                mpz_mod(c, c, n2);
+            }
+            export_words(out + i * ct_words, ct_words, c);
+        }
+        streams += seeds * count * width;
+    }
+    free(rands);
+    mpz_clear(nz);
+    mpz_clear(n2);
+    mpz_clear(c);
+    mpz_clear(b);
+    mpz_clear(t);
+    return status;
+}
+
+/* out[g] = r_g · Π (nums[j] · invs[j]) ** exps[j]  mod  mod over group
+   g's counts[g] consecutive cells: the ⊖ of one EHL pair, its Enc(0)
+   randomizer r_g (the pool draw of read g of `reads`, see
+   repro_pool_products) times one power per cell quotient, each group
+   one repro_powmod_products multi-exponentiation.  nums and invs are
+   residues at mod_words each, every exponent is packed to exp_words.
+   The whole batch is checked before any output is written: returns 0
+   on success, 1 when a numerator or an inverse lies outside [0, mod),
+   and -1 for a zero modulus, a failed allocation, or a shape the pool
+   draw or the products refuse. */
+int repro_ehl_minus(const uint64_t *pool, size_t index_bits,
+                    const uint8_t *reads, size_t picks,
+                    const uint64_t *counts, size_t n_groups,
+                    const uint64_t *nums, const uint64_t *invs,
+                    const uint64_t *exps, size_t n_items, size_t exp_words,
+                    const uint64_t *mod, size_t mod_words, uint64_t *out)
+{
+    mpz_t m, a, b;
+    uint64_t *accs, *bases = NULL;
+    size_t i;
+    int status = 0;
+
+    mpz_init(m);
+    mpz_init(a);
+    mpz_init(b);
+    import_words(m, mod, mod_words);
+    /* one word more than the groups and cells need: never malloc(0) */
+    accs = (uint64_t *)malloc(((n_groups + n_items) * mod_words + 1) * sizeof(uint64_t));
+    if (mpz_sgn(m) == 0 || accs == NULL)
+        status = -1;
+    else
+        bases = accs + n_groups * mod_words;
+    for (i = 0; status == 0 && i < n_items; i++) {
+        import_words(a, nums + i * mod_words, mod_words);
+        import_words(b, invs + i * mod_words, mod_words);
+        if (mpz_cmp(a, m) >= 0 || mpz_cmp(b, m) >= 0) {
+            status = 1;
+            break;
+        }
+        mpz_mul(a, a, b);
+        mpz_mod(a, a, m);
+        export_words(bases + i * mod_words, mod_words, a);
+    }
+    if (status == 0 && n_groups > 0
+        && repro_pool_products(pool, index_bits, reads, n_groups, picks,
+                               mod, mod_words, accs) != 0)
+        status = -1;
+    if (status == 0
+        && repro_powmod_products(accs, counts, n_groups, bases, exps, n_items,
+                                 exp_words, mod, mod_words, out) != 0)
+        status = -1;
+    free(accs);
+    mpz_clear(m);
+    mpz_clear(a);
+    mpz_clear(b);
     return status;
 }
 """

@@ -15,8 +15,9 @@ through this module, so a single switch moves the whole system between:
   (:mod:`repro.crypto.kernels`): GMP speed, *every* batch primitive
   below as one C call (:func:`powmod_products`, :func:`pool_products`
   and :func:`invert_vec` on the kernel's Montgomery core, a whole
-  :func:`paillier_decrypt` batch on ``mpz_powm``), *and* the GIL
-  released across every batch call, so concurrent queries' kernel
+  :func:`paillier_decrypt` batch on ``mpz_powm``, and the two fused
+  round operations :func:`blind_round` and :func:`ehl_minus`), *and* the
+  GIL released across every batch call, so concurrent queries' kernel
   stretches overlap.  Available when the extension builds here (cffi +
   C compiler + GMP headers); absent, it simply never registers.
 
@@ -31,8 +32,9 @@ Selection order:
    importable, else ``pure``.  (The kernel first: it is the backend the
    repo's benchmark measures, and the only one on which the batch
    primitives are C — ``gmpy2`` runs ``powmod_products``,
-   ``pool_products``, ``invert_vec`` and ``paillier_decrypt`` as the
-   shared Python loops around its scalar and vector calls.)
+   ``pool_products``, ``invert_vec``, ``paillier_decrypt``,
+   ``blind_round`` and ``ehl_minus`` as the shared Python loops around
+   its scalar and vector calls.)
 
 All backends are *bit-compatible*: for every operation the returned
 integers are identical, so ciphertexts, transcripts and seeded-test
@@ -52,7 +54,14 @@ trick) and :func:`pool_products` (the randomizer-pool draw) carry the
 query path's per-ciphertext work — the ⊖ matrix, the layered selects,
 ``RecoverEnc``, every fresh encryption's randomizer — as one call per
 round.  Batch encryption is the key method built on them
-(``pk.encrypt_batch``).
+(``pk.encrypt_batch``).  Two operations fuse a whole round of the query
+path into one call: :func:`blind_round` (``c · (1 ± b·N) · r`` over
+every Paillier component of an ``ItemBlinder`` round, the blinds ``b``
+summed and reduced from the items' SHAKE-256 streams, ``r`` the pool
+draw) and :func:`ehl_minus` (a batch of EHL ⊖: each pair's ``Enc(0)``
+pool draw, its cell quotients and its multi-exponentiation).  Both
+refuse a ragged layout or an input outside ``[0, mod)`` with
+``ValueError`` before any arithmetic, identically on every backend.
 """
 
 from __future__ import annotations
@@ -75,14 +84,85 @@ except ImportError:  # pragma: no cover
 #: backend.
 OUTSIDE_ZN2 = "ciphertext outside Z_{N^2}"
 NOT_A_UNIT = "ciphertext is not a unit mod N^2"
+#: The ``ValueError`` text of :func:`blind_round` and :func:`ehl_minus`
+#: for an input residue outside ``[0, mod)``.
+OUTSIDE_MOD = "value outside [0, mod)"
+
+
+def check_blind_round(
+    values: list[int],
+    counts: list[int],
+    seeds: list[int],
+    streams: bytes,
+    width: int,
+    n: int,
+    sign: int,
+    pool: "RandomizerPool | None",
+    reads: bytes,
+) -> None:
+    """Refuse, with ``ValueError``, a :func:`blind_round` call whose
+    layout, streams or reads are ragged, or whose values are not residues
+    mod ``N^2`` — on every backend, before any arithmetic."""
+    if n < 1 or width < 1 or sign not in (1, -1):
+        raise ValueError("blind_round needs N >= 1, a read width and a sign of ±1")
+    if (
+        len(counts) != len(seeds)
+        or min(counts, default=0) < 0
+        or min(seeds, default=0) < 0
+        or sum(counts) != len(values)
+        or len(streams) != width * sum(c * k for c, k in zip(counts, seeds))
+    ):
+        raise ValueError(
+            "blind_round needs a component and a seed count per item, counts "
+            "that sum to the values and one stream of reads per seed"
+        )
+    n2 = n * n
+    if pool is None:
+        if reads:
+            raise ValueError("blind_round reads need a randomizer pool")
+    elif pool.mod != n2 or len(reads) != pool.read_bytes * len(values):
+        raise ValueError("blind_round needs a pool under N^2 and one read per value")
+    if not all(0 <= v < n2 for v in values):
+        raise ValueError(OUTSIDE_MOD)
+
+
+def check_ehl_minus(
+    pool: "RandomizerPool",
+    reads: bytes,
+    numerators: list[int],
+    inverses: list[int],
+    exps: list[int],
+    counts: list[int],
+) -> None:
+    """Refuse, with ``ValueError``, an :func:`ehl_minus` call whose reads
+    or cells are ragged, whose exponents are negative, or whose
+    numerators or inverses are not residues mod ``pool.mod`` — on every
+    backend, before any arithmetic."""
+    if (
+        len(reads) != pool.read_bytes * len(counts)
+        or min(counts, default=0) < 0
+        or not len(numerators) == len(inverses) == len(exps) == sum(counts)
+    ):
+        raise ValueError(
+            "ehl_minus needs one read per group and one numerator, inverse "
+            "and exponent per cell"
+        )
+    if min(exps, default=0) < 0:
+        raise ValueError("ehl_minus needs non-negative exponents")
+    mod = pool.mod
+    if not (
+        all(0 <= v < mod for v in numerators) and all(0 <= v < mod for v in inverses)
+    ):
+        raise ValueError(OUTSIDE_MOD)
 
 
 class _SharedBatchOps:
     """The batch ops every backend runs as one Python loop unless it
     overrides them: ``powmod_products`` on top of the backend's
     ``powmod_pairs``, ``invert_vec`` on top of its scalar ``invert``,
-    ``paillier_decrypt`` on top of its ``powmod_vec``, and the reference
-    ``pool_products``."""
+    ``paillier_decrypt`` on top of its ``powmod_vec``, ``ehl_minus`` on
+    top of its ``pool_products`` and ``powmod_products``, and the
+    reference ``pool_products`` and ``blind_round``."""
 
     def paillier_decrypt(
         self, crt: "PaillierCrt", values: list[int], below_p: bool = False
@@ -169,6 +249,68 @@ class _SharedBatchOps:
                 value = value * pool[digits & mask] % mod
             out.append(value)
         return out
+
+    def blind_round(
+        self,
+        values: list[int],
+        counts: list[int],
+        seeds: list[int],
+        streams: bytes,
+        width: int,
+        n: int,
+        sign: int,
+        pool: "RandomizerPool | None" = None,
+        reads: bytes = b"",
+    ) -> list[int]:
+        """``values[i] · (1 + sign · b_i · N) · r_i mod N^2`` over a
+        round's Paillier components.
+
+        Item ``g`` owns ``counts[g]`` consecutive values and ``seeds[g]``
+        consecutive streams of ``streams``, each ``counts[g]`` big-endian
+        ``width``-byte reads; ``b_i`` is the sum of component ``i``'s
+        read in every stream of its item, reduced mod ``N``.  ``r_i`` is
+        the pool draw of read ``i`` of ``reads`` (``pool`` under
+        ``N^2``), or 1 without a pool.
+        """
+        check_blind_round(values, counts, seeds, streams, width, n, sign, pool, reads)
+        n2 = n * n
+        from_bytes = int.from_bytes
+        out = []
+        start = offset = 0
+        for count, k in zip(counts, seeds):
+            blinds = [0] * count
+            for _ in range(k):
+                for j in range(count):
+                    blinds[j] += from_bytes(streams[offset : offset + width], "big")
+                    offset += width
+            out.extend(
+                value * (1 + sign * (b % n) % n * n) % n2
+                for value, b in zip(values[start : start + count], blinds)
+            )
+            start += count
+        if pool is not None:
+            out = [v * r % n2 for v, r in zip(out, self.pool_products(pool, reads))]
+        return out
+
+    def ehl_minus(
+        self,
+        pool: "RandomizerPool",
+        reads: bytes,
+        numerators: list[int],
+        inverses: list[int],
+        exps: list[int],
+        counts: list[int],
+    ) -> list[int]:
+        """``r_g · Π (num · inv) ** e mod pool.mod`` per group ``g`` of
+        ``counts[g]`` consecutive cells: the ⊖ of one EHL pair, whose
+        ``Enc(0)`` randomizer ``r_g`` is the pool draw of read ``g`` of
+        ``reads``."""
+        check_ehl_minus(pool, reads, numerators, inverses, exps, counts)
+        mod = pool.mod
+        bases = [a * b % mod for a, b in zip(numerators, inverses)]
+        return self.powmod_products(
+            self.pool_products(pool, reads), bases, exps, counts, mod
+        )
 
     def invert_vec(self, values: list[int], mod: int) -> list[int]:
         """Every inverse of a batch from ONE modular inversion.
@@ -326,11 +468,36 @@ class GmpKernelBackend(_SharedBatchOps):
         return self._kernel.paillier_decrypt(crt.packed, crt.n, values, below_p)
 
     def pool_products(self, pool: "RandomizerPool", reads: bytes) -> list[int]:
-        if pool.packed is None:
-            pool.packed = self._kernel.pack_pool(pool, pool.mod)
         return self._kernel.pool_products(
-            pool.packed, pool.index_bits, pool.picks, reads, pool.mod
+            self._kernel.packed_pool(pool), pool.index_bits, pool.picks, reads, pool.mod
         )
+
+    def blind_round(
+        self,
+        values: list[int],
+        counts: list[int],
+        seeds: list[int],
+        streams: bytes,
+        width: int,
+        n: int,
+        sign: int,
+        pool: "RandomizerPool | None" = None,
+        reads: bytes = b"",
+    ) -> list[int]:
+        return self._kernel.blind_round(
+            values, counts, seeds, streams, width, n, sign, pool, reads
+        )
+
+    def ehl_minus(
+        self,
+        pool: "RandomizerPool",
+        reads: bytes,
+        numerators: list[int],
+        inverses: list[int],
+        exps: list[int],
+        counts: list[int],
+    ) -> list[int]:
+        return self._kernel.ehl_minus(pool, reads, numerators, inverses, exps, counts)
 
     def invert(self, a: int, mod: int) -> int:
         return self._kernel.invert(a, mod)
@@ -529,8 +696,46 @@ class RandomizerPool(list):
 def pool_products(pool: RandomizerPool, reads: bytes) -> list[int]:
     """One product of ``pool.picks`` pool elements per read of ``reads`` —
     the shape of every randomizer draw (see
-    :func:`repro.crypto.paillier.pool_randomizers`, the one caller)."""
+    :func:`repro.crypto.paillier.pool_randomizers`)."""
     return _current().pool_products(pool, reads)
+
+
+def blind_round(
+    values: list[int],
+    counts: list[int],
+    seeds: list[int],
+    streams: bytes,
+    width: int,
+    n: int,
+    sign: int,
+    pool: RandomizerPool | None = None,
+    reads: bytes = b"",
+) -> list[int]:
+    """``c · (1 ± b·N) · r mod N^2`` over every Paillier component of an
+    item-blinding round (``ItemBlinder``): item ``g``'s ``counts[g]``
+    components take the sums of their ``width``-byte reads in its
+    ``seeds[g]`` SHAKE-256 streams, reduced mod ``N``, and each takes the
+    pool draw of its read of ``reads`` when ``pool`` is given.  Raises
+    ``ValueError`` for a ragged layout or a value outside ``[0, N^2)``."""
+    return _current().blind_round(
+        values, counts, seeds, streams, width, n, sign, pool, reads
+    )
+
+
+def ehl_minus(
+    pool: RandomizerPool,
+    reads: bytes,
+    numerators: list[int],
+    inverses: list[int],
+    exps: list[int],
+    counts: list[int],
+) -> list[int]:
+    """The EHL ⊖ of a batch of pairs: per group ``g`` of ``counts[g]``
+    cells, the pool draw of read ``g`` (the pair's ``Enc(0)``) times
+    ``Π (num · inv) ** e mod pool.mod`` over its cells.  Raises
+    ``ValueError`` for ragged reads or cells, a negative exponent, or a
+    numerator or inverse outside ``[0, pool.mod)``."""
+    return _current().ehl_minus(pool, reads, numerators, inverses, exps, counts)
 
 
 class PaillierCrt:

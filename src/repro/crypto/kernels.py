@@ -12,7 +12,7 @@ Two things live here:
 * **:class:`GmpKernel`** — the loaded extension wrapped in the backend
   operation signatures (``powmod`` / ``powmod_vec`` / ``powmod_pairs`` /
   ``powmod_products`` / ``pool_products`` / ``invert`` / ``invert_vec`` /
-  ``paillier_decrypt``).
+  ``paillier_decrypt`` / ``blind_round`` / ``ehl_minus``).
   A batch call packs the whole batch, makes *one* C call, and unpacks;
   cffi releases the GIL for the entire C loop, so concurrent queries'
   kernel stretches overlap.  ``powmod_products``, ``pool_products`` and
@@ -192,6 +192,14 @@ class GmpKernel:
             raise ValueError("kernel multi-exponentiation failed")
         return unpack_ints(out_buf, mod_words, len(accs))
 
+    def packed_pool(self, pool) -> bytes:
+        """A :class:`~repro.crypto.backend.RandomizerPool`'s
+        :meth:`pack_pool` copy, built on its first draw and kept on the
+        pool (so on the key that owns it)."""
+        if pool.packed is None:
+            pool.packed = self.pack_pool(pool, pool.mod)
+        return pool.packed
+
     @staticmethod
     def pack_pool(values: list[int], mod: int) -> bytes:
         """``values`` in the limb format at ``mod``'s width — the
@@ -240,6 +248,108 @@ class GmpKernel:
         if rc != 0:
             raise ValueError("kernel pool products failed")
         return unpack_ints(out_buf, mod_words, count)
+
+    def blind_round(
+        self,
+        values: list[int],
+        counts: list[int],
+        seeds: list[int],
+        streams: bytes,
+        width: int,
+        n: int,
+        sign: int,
+        pool=None,
+        reads: bytes = b"",
+    ) -> list[int]:
+        """:func:`~repro.crypto.backend.blind_round` in one GIL-free C
+        call (see ``repro_blind_round``): the blinds are summed and
+        reduced from the streams in C, and the pool draw rides the same
+        call.  Every buffer size is checked here, before the call."""
+        backend.check_blind_round(
+            values, counts, seeds, streams, width, n, sign, pool, reads
+        )
+        if not values:
+            return []
+        ct_words, packed_mod = self._packed_mod(n * n)
+        n_words = words_for(n)
+        ffi = self._ffi
+        from_buffer = ffi.from_buffer
+        if pool is None:
+            packed_pool, index_bits, picks, reads_ptr = ffi.NULL, 0, 0, ffi.NULL
+        else:
+            packed_pool = from_buffer("uint64_t[]", self.packed_pool(pool))
+            index_bits, picks = pool.index_bits, pool.picks
+            reads_ptr = from_buffer("uint8_t[]", reads)
+        out_buf = bytearray(len(values) * ct_words * WORD_BYTES)
+        rc = self._lib.repro_blind_round(
+            from_buffer("uint64_t[]", pack_ints(values, ct_words)),
+            len(values),
+            ct_words,
+            from_buffer(
+                "uint64_t[]",
+                pack_ints([v for pair in zip(counts, seeds) for v in pair], 1),
+            ),
+            len(counts),
+            # never an empty buffer: seeds may all be zero
+            from_buffer("uint8_t[]", streams or b"\0"),
+            width,
+            from_buffer("uint64_t[]", pack_ints([n], n_words)),
+            n_words,
+            sign,
+            packed_pool,
+            index_bits,
+            reads_ptr,
+            picks,
+            from_buffer("uint64_t[]", packed_mod),
+            from_buffer("uint64_t[]", out_buf),
+        )
+        if rc == 1:
+            raise ValueError(backend.OUTSIDE_MOD)
+        if rc != 0:
+            raise ValueError("kernel blinding round failed")
+        return unpack_ints(out_buf, ct_words, len(values))
+
+    def ehl_minus(
+        self,
+        pool,
+        reads: bytes,
+        numerators: list[int],
+        inverses: list[int],
+        exps: list[int],
+        counts: list[int],
+    ) -> list[int]:
+        """:func:`~repro.crypto.backend.ehl_minus` in one GIL-free C call
+        (see ``repro_ehl_minus``): the pool draws, the cell quotients and
+        every pair's multi-exponentiation.  Every buffer size is checked
+        here, before the call."""
+        backend.check_ehl_minus(pool, reads, numerators, inverses, exps, counts)
+        if not counts:
+            return []
+        mod_words, packed_mod = self._packed_mod(pool.mod)
+        exp_words = words_for(max(exps, default=0))
+        out_buf = bytearray(len(counts) * mod_words * WORD_BYTES)
+        from_buffer = self._ffi.from_buffer
+        rc = self._lib.repro_ehl_minus(
+            from_buffer("uint64_t[]", self.packed_pool(pool)),
+            pool.index_bits,
+            from_buffer("uint8_t[]", reads),
+            pool.picks,
+            from_buffer("uint64_t[]", pack_ints(counts, 1)),
+            len(counts),
+            from_buffer("uint64_t[]", pack_ints(numerators, mod_words)),
+            from_buffer("uint64_t[]", pack_ints(inverses, mod_words)),
+            from_buffer("uint64_t[]", pack_ints(exps, exp_words)),
+            len(exps),
+            exp_words,
+            from_buffer("uint64_t[]", packed_mod),
+            mod_words,
+            from_buffer("uint64_t[]", out_buf),
+        )
+        if rc == 1:
+            raise ValueError(backend.OUTSIDE_MOD)
+        if rc != 0:
+            raise ValueError("kernel ⊖ batch failed")
+        return unpack_ints(out_buf, mod_words, len(counts))
 
     def invert(self, a: int, mod: int) -> int:
         """Modular inverse; raises ``ValueError`` when none exists

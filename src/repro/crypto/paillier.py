@@ -138,9 +138,15 @@ class PaillierPublicKey:
             rng = self._rng = SecureRandom()
         return rng
 
+    def randomizer_pool(self) -> backend.RandomizerPool:
+        """The key's pool of ``r^N mod N^2`` values, for batch operations
+        that draw their randomizers inside one backend call (each draw is
+        one ``pool.read_bytes``-byte read, as in :meth:`randomizers`)."""
+        return key_pool(self, self.n, self.n_squared)
+
     def randomizers(self, rng: SecureRandom, count: int) -> list[int]:
         """``count`` fresh randomizers ``r^N mod N^2`` from the cached pool."""
-        return pool_randomizers(key_pool(self, self.n, self.n_squared), rng, count)
+        return pool_randomizers(self.randomizer_pool(), rng, count)
 
     def encrypt(self, m: int, rng: SecureRandom | None = None) -> "Ciphertext":
         """Encrypt ``m`` (reduced mod ``N``) into a :class:`Ciphertext`."""

@@ -40,6 +40,11 @@ def measure_size(obj) -> int:
     encrypted items, integers, bits/bools, bytes, and (possibly nested)
     lists/tuples of those.
     """
+    # Most of a message is objects that know their own size (each a
+    # length sum); ask them before walking the type chain.
+    sized = getattr(obj, "serialized_size", None)
+    if sized is not None:
+        return sized()
     if obj is None:
         return 0
     if isinstance(obj, bool):
@@ -50,8 +55,6 @@ def measure_size(obj) -> int:
         return len(obj)
     if isinstance(obj, (list, tuple)):
         return sum(measure_size(x) for x in obj)
-    if hasattr(obj, "serialized_size"):
-        return obj.serialized_size()
     raise TypeError(f"cannot measure wire size of {type(obj).__name__}")
 
 

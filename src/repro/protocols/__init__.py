@@ -40,7 +40,7 @@ from repro.protocols.recover_enc import (
     select_recover_batch,
     select_recover_flow,
 )
-from repro.protocols.enc_compare import enc_compare, enc_compare_flow
+from repro.protocols.enc_compare import enc_compare, enc_compare_flow, enc_compare_flows
 from repro.protocols.enc_sort import enc_sort
 from repro.protocols.sec_worst import sec_worst, sec_worst_flow
 from repro.protocols.sec_best import sec_best, sec_best_flow
@@ -58,6 +58,7 @@ __all__ = [
     "select_recover_flow",
     "enc_compare",
     "enc_compare_flow",
+    "enc_compare_flows",
     "enc_sort",
     "sec_worst",
     "sec_worst_flow",

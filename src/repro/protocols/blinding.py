@@ -31,15 +31,18 @@ field is skipped — neither blinded nor shipped — and comes back absent;
 an item with no ``E2`` component costs no Damgård–Jurik work.
 
 Everything works on a whole round's items at once: one XOF call per
-seed, then the blinds and the rerandomizers are applied over the flat
-vector of every component of every item, and the companion seeds are
-encrypted (or decrypted) as one batch.
+seed, then one :func:`~repro.crypto.backend.blind_round` call cuts the
+streams into the blinds and applies them and the rerandomizers over the
+flat vector of every Paillier component of every item (one C call on
+the kernel backend), and the companion seeds are encrypted (or
+decrypted) as one batch.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from repro.crypto import backend
 from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair, PaillierPublicKey
 from repro.crypto.rng import SecureRandom
@@ -132,30 +135,6 @@ class ItemBlinder:
 
     # -- blind streams ---------------------------------------------------
 
-    def _blinds(
-        self, seeds: list[bytes], n_plain: int, n_layered: int
-    ) -> tuple[list[int], list[int]]:
-        """The summed blinds of ``seeds`` for an item with ``n_plain``
-        Paillier and ``n_layered`` ``E2`` components: one XOF expansion
-        per seed, cut into one slice per component."""
-        plain_bytes, layered_bytes = self._plain_bytes, self._layered_bytes
-        split = n_plain * plain_bytes
-        total = split + n_layered * layered_bytes
-        plain = [0] * n_plain
-        layered = [0] * n_layered
-        from_bytes = int.from_bytes
-        for seed in seeds:
-            stream = hashlib.shake_256(_XOF_DOMAIN + seed).digest(total)
-            for k in range(n_plain):
-                plain[k] += from_bytes(
-                    stream[k * plain_bytes : (k + 1) * plain_bytes], "big"
-                )
-            for k in range(n_layered):
-                start = split + k * layered_bytes
-                layered[k] += from_bytes(stream[start : start + layered_bytes], "big")
-        n, n_s = self.public_key.n, self.dj.n_s
-        return [b % n for b in plain], [b % n_s for b in layered]
-
     def _apply(
         self,
         items: list[ScoredItem],
@@ -164,31 +143,49 @@ class ItemBlinder:
         rng: SecureRandom | None,
     ) -> list[ScoredItem]:
         """Add (``sign=+1``) or remove (``-1``) every item's summed seed
-        blinds; rerandomize every component when ``rng`` is given."""
+        blinds; rerandomize every component when ``rng`` is given.
+
+        One XOF expansion per seed covers the item's Paillier components
+        first, then its ``E2`` ones.  The Paillier part of every stream
+        goes to one :func:`~repro.crypto.backend.blind_round` call for the
+        round; ``E2`` blinds are cut here.
+        """
         pk, dj = self.public_key, self.dj
-        n, n2, n_s1, g_pow = pk.n, pk.n_squared, dj.n_s1, dj._g_pow
-        plain, layered = [], []
+        n_s, n_s1, g_pow = dj.n_s, dj.n_s1, dj._g_pow
+        plain_bytes, layered_bytes = self._plain_bytes, self._layered_bytes
+        values, counts, seeds_per_item, streams, layered = [], [], [], [], []
+        from_bytes = int.from_bytes
         for item, seeds in zip(items, seed_lists):
             cts, lcs = _components(item)
-            plain_blinds, layered_blinds = self._blinds(seeds, len(cts), len(lcs))
-            # Enc(x) -> Enc(x ± b): multiply by (1 ± b*N) resp. (1+N)^(±b).
-            plain.extend(
-                ct.value * (1 + sign * b % n * n) % n2
-                for ct, b in zip(cts, plain_blinds)
-            )
+            split = len(cts) * plain_bytes
+            total = split + len(lcs) * layered_bytes
+            blinds = [0] * len(lcs)
+            for seed in seeds:
+                stream = hashlib.shake_256(_XOF_DOMAIN + seed).digest(total)
+                streams.append(stream[:split] if lcs else stream)
+                for k in range(len(lcs)):
+                    start = split + k * layered_bytes
+                    blinds[k] += from_bytes(stream[start : start + layered_bytes], "big")
+            values.extend(ct.value for ct in cts)
+            counts.append(len(cts))
+            seeds_per_item.append(len(seeds))
+            # Enc(x) -> Enc(x ± b): multiply by (1+N)^(±b).
             layered.extend(
-                value * g_pow(sign * b) % n_s1
-                for value, b in zip(dj.values_of(lcs), layered_blinds)
+                value * g_pow(sign * (b % n_s)) % n_s1
+                for value, b in zip(dj.values_of(lcs), blinds)
             )
+        pool, reads = None, b""
         if rng is not None:
-            plain = [
-                v * r % n2 for v, r in zip(plain, pk.randomizers(rng, len(plain)))
+            pool = pk.randomizer_pool()
+            reads = rng.randbytes(pool.read_bytes * len(values))
+        plain = backend.blind_round(
+            values, counts, seeds_per_item, b"".join(streams), plain_bytes,
+            pk.n, sign, pool, reads,
+        )
+        if rng is not None and layered:
+            layered = [
+                v * r % n_s1 for v, r in zip(layered, dj.randomizers(rng, len(layered)))
             ]
-            if layered:
-                layered = [
-                    v * r % n_s1
-                    for v, r in zip(layered, dj.randomizers(rng, len(layered)))
-                ]
         # Each item takes its own components back off the flat vectors.
         fresh_cts = (Ciphertext(v, pk) for v in plain)
         fresh_bits = (LayeredCiphertext(v, dj) for v in layered)

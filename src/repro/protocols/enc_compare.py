@@ -28,10 +28,11 @@ non-negative range internally, so the huge negative sentinel that
 
 from __future__ import annotations
 
+from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext
 from repro.net.messages import BlindedSign, DecryptMaskedBit, DgkAnyZero, DgkDecompose
 from repro.protocols.base import S1Context
-from repro.exceptions import ProtocolError
+from repro.exceptions import KeyMismatchError, ProtocolError
 
 PROTOCOL = "EncCompare"
 
@@ -45,6 +46,30 @@ def comparison_bits(ctx: S1Context) -> int:
     return ctx.encoder.score_bits + ctx.encoder.blind_bits + 2
 
 
+def enc_compare_flows(
+    ctx: S1Context,
+    pairs: list[tuple[Ciphertext, Ciphertext]],
+    method: str = "blinded",
+    protocol: str = PROTOCOL,
+) -> list:
+    """One :func:`enc_compare` flow per ``(enc_a, enc_b)`` pair, for one
+    coalesced stage of :meth:`S1Context.run_flows`.
+
+    The blinded construction builds the stage's masked differences here,
+    as whole-batch backend calls, reading the rng as the stage's flows
+    would one after another; its flows only ship them.  DGK flows run
+    their own arithmetic.
+    """
+    if method == "blinded":
+        return [
+            _blinded_sign_flow(message, sigma)
+            for message, sigma in _blinded_signs(ctx, pairs, protocol)
+        ]
+    if method == "dgk":
+        return [_compare_dgk_flow(ctx, a, b, protocol) for a, b in pairs]
+    raise ProtocolError(f"unknown EncCompare method: {method!r}")
+
+
 def enc_compare_flow(
     ctx: S1Context,
     enc_a: Ciphertext,
@@ -53,11 +78,7 @@ def enc_compare_flow(
     protocol: str = PROTOCOL,
 ):
     """Flow form of :func:`enc_compare` (coalescible across candidates)."""
-    if method == "blinded":
-        return (yield from _compare_blinded_flow(ctx, enc_a, enc_b, protocol))
-    if method == "dgk":
-        return (yield from _compare_dgk_flow(ctx, enc_a, enc_b, protocol))
-    raise ProtocolError(f"unknown EncCompare method: {method!r}")
+    return enc_compare_flows(ctx, [(enc_a, enc_b)], method, protocol)[0]
 
 
 def enc_compare(
@@ -76,21 +97,57 @@ def enc_compare(
 # ----------------------------------------------------------------------
 
 
-def _compare_blinded_flow(
-    ctx: S1Context, enc_a: Ciphertext, enc_b: Ciphertext, protocol: str
-):
+def _blinded_signs(
+    ctx: S1Context, pairs: list[tuple[Ciphertext, Ciphertext]], protocol: str
+) -> list[tuple[BlindedSign, int]]:
+    """Every pair's ``BlindedSign`` request and S1's coin ``sigma``.
+
+    The request carries ``Enc((-1)^sigma · scale · (2(b - a) + 1))``,
+    rerandomized, built as ``q^(2·scale) · (1 ± scale·N) · r`` with
+    ``q = b/a`` (``a/b`` when ``sigma`` flips the sign, because
+    ``-(2(b - a) + 1) = 2(a - b) - 1``): one ``invert_vec``, one
+    ``powmod_pairs`` and one pool draw for the whole stage.  Per pair the
+    rng is read ``sigma``, ``scale``, then the randomizer's pool read.
+    """
     ell = comparison_bits(ctx)
     kappa = ctx.encoder.blind_bits
-    if ell + 1 + kappa + 2 >= ctx.public_key.n.bit_length():
+    pk, rng = ctx.public_key, ctx.rng
+    n, n2 = pk.n, pk.n_squared
+    if ell + 1 + kappa + 2 >= n.bit_length():
         raise ProtocolError("modulus too small for blinded comparison range")
-    # d = 2(b - a) + 1: strictly positive iff a <= b, never zero.
-    diff = (enc_b - enc_a) * 2 + 1
-    sigma = ctx.rng.randbits(1)
-    if sigma:
-        diff = -diff
-    scale = ctx.rng.randint(1, (1 << kappa) - 1)
-    masked = ctx.public_key.rerandomize(diff * scale, ctx.rng)
-    positive = yield BlindedSign(protocol=protocol, ct=masked)
+    pool = pk.randomizer_pool()
+    sigmas, scales, reads, numerators, denominators = [], [], [], [], []
+    for enc_a, enc_b in pairs:
+        if enc_a.public_key != enc_b.public_key:
+            raise KeyMismatchError("cannot combine ciphertexts under different keys")
+        sigma = rng.randbits(1)
+        sigmas.append(sigma)
+        scales.append(rng.randint(1, (1 << kappa) - 1))
+        reads.append(rng.randbytes(pool.read_bytes))
+        first, second = (enc_a, enc_b) if sigma else (enc_b, enc_a)
+        numerators.append(first.value)
+        denominators.append(second.value)
+    inverses = backend.invert_vec(denominators, n2)
+    quotients = [a * b % n2 for a, b in zip(numerators, inverses)]
+    powers = backend.powmod_pairs(quotients, [2 * scale for scale in scales], n2)
+    randomizers = backend.pool_products(pool, b"".join(reads))
+    return [
+        (
+            BlindedSign(
+                protocol=protocol,
+                ct=Ciphertext(
+                    power * (1 + (-scale if sigma else scale) % n * n) % n2 * r % n2,
+                    pk,
+                ),
+            ),
+            sigma,
+        )
+        for power, scale, sigma, r in zip(powers, scales, sigmas, randomizers)
+    ]
+
+
+def _blinded_sign_flow(message: BlindedSign, sigma: int):
+    positive = yield message
     # S2 reported sign of (-1)^sigma * scale * (2(b-a)+1).
     return positive != bool(sigma)
 

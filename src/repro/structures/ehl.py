@@ -99,8 +99,9 @@ class EncryptedHashList:
         return type(self)(self.public_key.rerandomize_batch(self.cells, rng))
 
     def serialized_size(self) -> int:
-        """Byte size on the wire (all cells)."""
-        return sum(cell.serialized_size() for cell in self.cells)
+        """Byte size on the wire (all cells, each a ciphertext of the
+        structure's key)."""
+        return len(self.cells) * self.public_key.ciphertext_bytes
 
 
 #: :class:`KnownPairs` value for a pair known to hold different objects.
@@ -209,16 +210,16 @@ def minus_pairs(
 def _minus_computed(
     pairs: list[tuple[EncryptedHashList, EncryptedHashList]], rng: SecureRandom
 ) -> list[Ciphertext]:
-    """The real ``⊖`` of every pair, as whole-batch kernel calls.
+    """The real ``⊖`` of every pair, as two whole-batch backend calls.
 
     Each right-hand cell is inverted once however many pairs it appears
-    in (Montgomery's trick over all of them: one inversion), and each
-    pair's ``Enc(0) · Π (mine / theirs)^r`` is one multi-exponentiation
-    of one :func:`~repro.crypto.backend.powmod_products` call for the
-    whole batch.  The rng is read in the
-    order a loop of single ``⊖`` calls reads it — per pair the ``Enc(0)``
-    randomizer, then one scalar per cell — so batch and loop agree
-    ciphertext for ciphertext under a seed.
+    in (one :func:`~repro.crypto.backend.invert_vec`: Montgomery's trick
+    over all of them), and one :func:`~repro.crypto.backend.ehl_minus`
+    call draws every pair's ``Enc(0)`` randomizer and computes its
+    ``Enc(0) · Π (mine / theirs)^r`` as one multi-exponentiation.  The
+    rng is read in the order a loop of single ``⊖`` calls reads it — per
+    pair the ``Enc(0)`` randomizer's pool read, then one scalar per cell
+    — so batch and loop agree ciphertext for ciphertext under a seed.
     """
     if not pairs:
         return []
@@ -247,16 +248,19 @@ def _minus_computed(
         inverse_of[key] = inverses[start : start + len(theirs)]
         start += len(theirs)
 
-    accs, bases, scalars = [], [], []
+    pool = pk.randomizer_pool()
+    reads, numerators, inverses, scalars = [], [], [], []
     for mine, theirs in pairs:
-        accs.append(pk.randomizers(rng, 1)[0])  # Enc(0; r) is the randomizer
-        for cell, inverse in zip(mine.cells, inverse_of[id(theirs)]):
-            scalars.append(rng.rand_nonzero(n))
-            bases.append(cell.value * inverse % n2)
+        reads.append(rng.randbytes(pool.read_bytes))  # Enc(0; r) is the randomizer
+        numerators.extend(cell.value for cell in mine.cells)
+        inverses.extend(inverse_of[id(theirs)])
+        scalars.extend(rng.rand_nonzero(n) for _ in mine.cells)
     counts = [len(mine) for mine, _ in pairs]
     return [
         Ciphertext(value, pk)
-        for value in backend.powmod_products(accs, bases, scalars, counts, n2)
+        for value in backend.ehl_minus(
+            pool, b"".join(reads), numerators, inverses, scalars, counts
+        )
     ]
 
 

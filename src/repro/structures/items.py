@@ -45,31 +45,74 @@ class EncryptedItem:
         return size
 
 
-def weight_entries(entries: list["EncryptedItem"], weight: int) -> list["EncryptedItem"]:
+def weight_entries(
+    entries: list["EncryptedItem"], weight: int
+) -> "list[EncryptedItem] | WeightedEntries":
     """Apply a query weight to a sorted list's entries.
 
     The single home of the weighting construction: the unsharded query
     path and the shard workers both call it, and the sharded-vs-unsharded
     bit-parity invariant depends on the two producing identical
     ciphertexts (scalar multiplication is deterministic, and ``weight ==
-    1`` keeps the original objects on both paths).
+    1`` keeps the original objects on both paths).  The weighted entries
+    are a :class:`WeightedEntries` view, which weights a block at a time
+    on first access: a scan halts a few depths in, and an entry it never
+    reads costs no exponentiation.
     """
     if weight == 1 or not entries:
         return entries
-    # One backend.powmod_vec call for the whole list instead of a
-    # Ciphertext.__mul__ per entry: same exponent reduction as __mul__
-    # (``weight % n``), so the ciphertexts stay bit-identical, but an
-    # accelerated backend converts the shared exponent/modulus once —
-    # and the gmp-kernel backend releases the GIL across the whole list,
-    # which is what lets concurrent shard workers overlap here.
-    pk = entries[0].score.public_key
-    powers = backend.powmod_vec(
-        [e.score.value for e in entries], weight % pk.n, pk.n_squared
-    )
-    return [
-        EncryptedItem(ehl=e.ehl, score=Ciphertext(value, pk), record=e.record)
-        for e, value in zip(entries, powers)
-    ]
+    return WeightedEntries(entries, weight)
+
+
+class WeightedEntries:
+    """``entries`` under a query weight, weighted :attr:`BLOCK` entries
+    at a time on first access — the sequence operations a scan uses
+    (``len`` and integer indexing, which iteration falls back on).
+
+    A block is one ``backend.powmod_vec`` call: the same exponent
+    reduction as ``Ciphertext.__mul__`` (``weight % n``), so the
+    ciphertexts stay bit-identical, an accelerated backend converts the
+    shared exponent and modulus once, and the gmp-kernel backend releases
+    the GIL across the block.  Two threads that weight a block together
+    compute the same values; the last store wins.
+    """
+
+    __slots__ = ("_entries", "_weight", "_blocks")
+
+    #: Entries weighted per backend call (a constant, not a knob).
+    BLOCK = 8
+
+    def __init__(self, entries: list["EncryptedItem"], weight: int):
+        self._entries = entries
+        self._weight = weight
+        self._blocks: list[list[EncryptedItem] | None] = [None] * (
+            -(-len(entries) // self.BLOCK)
+        )
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, index: int) -> "EncryptedItem":
+        if index < 0:
+            index += len(self._entries)
+        if not 0 <= index < len(self._entries):
+            raise IndexError("entry index out of range")
+        block, offset = divmod(index, self.BLOCK)
+        weighted = self._blocks[block]
+        if weighted is None:
+            weighted = self._blocks[block] = self._weigh(block)
+        return weighted[offset]
+
+    def _weigh(self, block: int) -> list["EncryptedItem"]:
+        entries = self._entries[block * self.BLOCK : (block + 1) * self.BLOCK]
+        pk = entries[0].score.public_key
+        powers = backend.powmod_vec(
+            [e.score.value for e in entries], self._weight % pk.n, pk.n_squared
+        )
+        return [
+            EncryptedItem(ehl=e.ehl, score=Ciphertext(value, pk), record=e.record)
+            for e, value in zip(entries, powers)
+        ]
 
 
 @dataclass

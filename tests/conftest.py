@@ -74,14 +74,29 @@ class PoolDraws:
 
 @pytest.fixture()
 def pool_draws(monkeypatch) -> PoolDraws:
-    """A :class:`PoolDraws` fed by every ``backend.pool_products`` call
-    for the duration of the test."""
+    """A :class:`PoolDraws` fed by every pool draw for the duration of
+    the test: each ``backend.pool_products`` call, and the reads the
+    fused ``backend.blind_round`` and ``backend.ehl_minus`` draw inside
+    their own call."""
     draws = PoolDraws()
     real = backend.pool_products
+    real_blind = backend.blind_round
+    real_minus = backend.ehl_minus
 
     def spy(pool, reads):
         draws.record(pool, reads)
         return real(pool, reads)
 
+    def blind_spy(values, counts, seeds, streams, width, n, sign, pool=None, reads=b""):
+        if pool is not None:
+            draws.record(pool, reads)
+        return real_blind(values, counts, seeds, streams, width, n, sign, pool, reads)
+
+    def minus_spy(pool, reads, numerators, inverses, exps, counts):
+        draws.record(pool, reads)
+        return real_minus(pool, reads, numerators, inverses, exps, counts)
+
     monkeypatch.setattr(backend, "pool_products", spy)
+    monkeypatch.setattr(backend, "blind_round", blind_spy)
+    monkeypatch.setattr(backend, "ehl_minus", minus_spy)
     return draws

@@ -18,15 +18,20 @@ import pytest
 from repro.core.params import SystemParams
 from repro.core.scheme import SecTopK
 from repro.crypto import backend, kernels
-from repro.crypto.damgard_jurik import DamgardJurik
+from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.paillier import (
+    Ciphertext,
     PaillierKeypair,
     decrypt_vector,
     encrypt_vector,
 )
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import DecryptionError
-from repro.protocols.blinding import seed_key_bits
+from repro.protocols.base import make_parties
+from repro.protocols.blinding import ItemBlinder, seed_key_bits
+from repro.protocols.enc_compare import enc_compare_flows
+from repro.structures.ehl import Ehl, minus_pairs
+from repro.structures.items import ScoredItem
 
 needs_gmpy2 = pytest.mark.skipif(
     not backend.gmpy2_available(), reason="gmpy2 not installed"
@@ -535,6 +540,166 @@ class TestBatchPrimitiveParity:
         fast.paillier_decrypt(crt, cts, below_p=True)
         assert calls == expected
 
+    @pytest.mark.parametrize("with_pool", [True, False], ids=["pool", "no_pool"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["blind", "unblind"])
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+    def test_blind_round_matches_reference(self, name, odd, sign, with_pool):
+        """Ragged items (3, 0, 1 and 6 components under 1, 2, 0 and 3
+        seeds) with edge values: each component times ``1 ± b·N`` for
+        its summed, reduced reads, times its pool draw.  An even ``N``
+        takes the kernel's plain-pool path."""
+        fast = backend._resolve(name)
+        rng = SecureRandom(35 + odd)
+        n = rng.randbits(192) | (1 << 191)
+        n = n | 1 if odd else n & ~1
+        n2 = n * n
+        width = (n.bit_length() + 128 + 7) // 8
+        counts, seeds = [3, 0, 1, 6], [1, 2, 0, 3]
+        values = [0, 1, n2 - 1] + [rng.randint_below(n2) for _ in range(7)]
+        streams = rng.randbytes(width * sum(c * k for c, k in zip(counts, seeds)))
+        pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
+        reads = rng.randbytes(pool.read_bytes * len(values)) if with_pool else b""
+        expected, start, offset = [], 0, 0
+        for count, k in zip(counts, seeds):
+            blinds = [0] * count
+            for _ in range(k):
+                for j in range(count):
+                    blinds[j] += int.from_bytes(streams[offset : offset + width], "big")
+                    offset += width
+            for value, b in zip(values[start : start + count], blinds):
+                expected.append(value * (1 + sign * b % n * n) % n2)
+            start += count
+        if with_pool:
+            draws = backend._resolve("pure").pool_products(pool, reads)
+            expected = [v * r % n2 for v, r in zip(expected, draws)]
+        args = (values, counts, seeds, streams, width, n, sign)
+        assert fast.blind_round(*args, pool if with_pool else None, reads) == expected
+
+    def test_blind_round_refusals(self, name):
+        """An empty round is empty; a ragged layout, stream or read
+        buffer, or a value outside ``[0, N^2)`` anywhere in the round,
+        refuses the whole call with ``ValueError``."""
+        fast = backend._resolve(name)
+        rng = SecureRandom(37)
+        n = rng.randbits(128) | (1 << 127) | 1
+        n2, width = n * n, 20
+        pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
+        assert fast.blind_round([], [], [], b"", width, n, 1) == []
+        assert fast.blind_round([], [0], [2], b"", width, n, -1, pool, b"") == []
+        values, counts, seeds = [5, 6, 7], [2, 1], [1, 2]
+        streams = rng.randbytes(width * 4)
+        reads = rng.randbytes(pool.read_bytes * 3)
+        good = (values, counts, seeds, streams, width, n, 1, pool, reads)
+        assert len(fast.blind_round(*good)) == 3
+        for bad in (
+            (values, [2, 2], seeds, streams, width, n, 1, pool, reads),  # counts
+            (values, counts, [1], streams, width, n, 1, pool, reads),  # seed list
+            (values, [3, 0], [1, -1], streams, width, n, 1, pool, reads),  # negative
+            (values, counts, seeds, streams[:-1], width, n, 1, pool, reads),  # stream
+            (values, counts, seeds, streams, width, n, 1, pool, reads[:-1]),  # reads
+            (values, counts, seeds, streams, width, n, 1, None, reads),  # no pool
+            (values, counts, seeds, streams, width, n, 0, pool, reads),  # sign
+            (values, counts, seeds, streams, width, n + 2, 1, pool, reads),  # pool key
+        ):
+            with pytest.raises(ValueError):
+                fast.blind_round(*bad)
+        for oversized in (n2, n2 + 1, -1, 1 << (n2.bit_length() + 64)):
+            for position in range(3):
+                values = [5, 6]
+                values.insert(position, oversized)
+                with pytest.raises(ValueError) as excinfo:
+                    fast.blind_round(values, counts, seeds, streams, width, n, 1, pool, reads)
+                assert str(excinfo.value) == backend.OUTSIDE_MOD
+
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+    def test_ehl_minus_matches_reference(self, name, odd):
+        """Ragged pairs (1, 5, 0, 23 and 3 cells), edge numerators,
+        inverses and exponents: each group's pool draw times one power
+        per cell quotient.  An even modulus takes the kernel's mpz
+        path."""
+        fast = backend._resolve(name)
+        rng = SecureRandom(38 + odd)
+        mod = rng.randbits(512) | (1 << 511)
+        mod = mod | 1 if odd else mod & ~1
+        counts = [1, 5, 0, 23, 3]
+        cells = sum(counts)
+        nums = [0, 1, mod - 1] + [rng.randint_below(mod) for _ in range(cells - 3)]
+        invs = [mod - 1, 1, 0] + [rng.randint_below(mod) for _ in range(cells - 3)]
+        exps = [0, 1, 65537] + [rng.randbits(8 * (1 + rng.randint_below(40)))
+                                for _ in range(cells - 3)]
+        pool = backend.RandomizerPool([rng.rand_unit(mod) for _ in range(64)], mod, 6)
+        reads = rng.randbytes(pool.read_bytes * len(counts))
+        expected, cell = [], 0
+        for acc, count in zip(backend._resolve("pure").pool_products(pool, reads), counts):
+            for _ in range(count):
+                acc = acc * pow(nums[cell] * invs[cell] % mod, exps[cell], mod) % mod
+                cell += 1
+            expected.append(acc)
+        assert fast.ehl_minus(pool, reads, nums, invs, exps, counts) == expected
+
+    def test_ehl_minus_refusals(self, name):
+        """An empty batch is empty; ragged reads or cells, a negative
+        exponent, or a numerator or inverse outside ``[0, mod)`` refuses
+        the whole call with ``ValueError``."""
+        fast = backend._resolve(name)
+        rng = SecureRandom(40)
+        mod = rng.randbits(256) | (1 << 255) | 1
+        pool = backend.RandomizerPool([rng.rand_unit(mod) for _ in range(64)], mod, 6)
+        assert fast.ehl_minus(pool, b"", [], [], [], []) == []
+        reads = rng.randbytes(pool.read_bytes * 2)
+        nums, invs, exps, counts = [2, 3, 4], [5, 6, 7], [1, 2, 3], [2, 1]
+        assert len(fast.ehl_minus(pool, reads, nums, invs, exps, counts)) == 2
+        for bad in (
+            (reads[:-1], nums, invs, exps, counts),  # reads
+            (reads, nums, invs, exps, [2, 2]),  # counts overrun the cells
+            (reads, nums, invs, exps, [3]),  # a group without a read
+            (reads, nums[:2], invs, exps, counts),  # numerators
+            (reads, nums, invs[:2], exps, counts),  # inverses
+            (reads, nums, invs, exps[:2], counts),  # exponents
+            (reads, nums, invs, exps, [4, -1]),  # a negative count
+            (reads, nums, invs, [1, -2, 3], counts),  # a negative exponent
+        ):
+            with pytest.raises(ValueError):
+                fast.ehl_minus(pool, *bad)
+        for oversized in (mod, mod + 1, -1, 1 << (mod.bit_length() + 64)):
+            for position in range(3):
+                for side in ("nums", "invs"):
+                    column = [2, 3, 4]
+                    column[position] = oversized
+                    args = (column, invs) if side == "nums" else (nums, column)
+                    with pytest.raises(ValueError) as excinfo:
+                        fast.ehl_minus(pool, reads, *args, exps, counts)
+                    assert str(excinfo.value) == backend.OUTSIDE_MOD
+
+    def test_fused_rounds_are_one_kernel_call(self, name):
+        """On the kernel a blinding round and a ⊖ batch are one C call
+        each, their pool draws included; elsewhere they are the
+        reference loops over the backend's own ops."""
+        fast = backend._resolve(name)
+        if name != "gmp-kernel":
+            assert type(fast).blind_round is backend._SharedBatchOps.blind_round
+            assert type(fast).ehl_minus is backend._SharedBatchOps.ehl_minus
+            return
+        calls = []
+        lib = fast._kernel._lib
+
+        class Spy:
+            def __getattr__(self, attr):
+                calls.append(attr)
+                return getattr(lib, attr)
+
+        fast._kernel = kernels.GmpKernel(fast._kernel._ffi, Spy())
+        rng = SecureRandom(41)
+        n = rng.randbits(128) | (1 << 127) | 1
+        n2 = n * n
+        pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
+        fast.blind_round(
+            [3, 4], [2], [2], rng.randbytes(80), 20, n, 1, pool,
+            rng.randbytes(pool.read_bytes * 2),
+        )
+        fast.ehl_minus(pool, rng.randbytes(pool.read_bytes), [3, 4], [5, 6], [7, 8], [2])
+        assert calls == ["repro_blind_round", "repro_ehl_minus"]
+
 
 @needs_kernel
 class TestKernelCache:
@@ -689,3 +854,171 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(scheme))
         result = clone.query(relation, clone.token([0, 1], k=1))
         assert len(clone.reveal(result)) == 1
+
+
+def _parent_blind(blinder, items, seed_lists, sign, rng):
+    """The per-component blinding loop ``ItemBlinder._apply`` ran before
+    its Paillier half became one ``blind_round`` call: every component
+    value of every item (Paillier ones first, then ``E2`` seen bits)."""
+    import hashlib
+
+    pk, dj = blinder.public_key, blinder.dj
+    n, n2, n_s, n_s1 = pk.n, pk.n_squared, dj.n_s, dj.n_s1
+    plain_bytes = (n.bit_length() + 128 + 7) // 8
+    layered_bytes = (n_s.bit_length() + 128 + 7) // 8
+    plain, layered = [], []
+    for item, seeds in zip(items, seed_lists):
+        lcs = [b for b in item.seen_bits or () if isinstance(b, LayeredCiphertext)]
+        cts = list(item.ehl.cells) + [
+            ct for ct in (item.worst, item.best) if ct is not None
+        ] + list(item.list_scores or ()) + [
+            b for b in item.seen_bits or () if isinstance(b, Ciphertext)
+        ] + ([item.record] if item.record is not None else [])
+        split = len(cts) * plain_bytes
+        plain_blinds, layered_blinds = [0] * len(cts), [0] * len(lcs)
+        for seed in seeds:
+            stream = hashlib.shake_256(b"repro-item-blind:" + seed).digest(
+                split + len(lcs) * layered_bytes
+            )
+            for k in range(len(cts)):
+                plain_blinds[k] += int.from_bytes(
+                    stream[k * plain_bytes : (k + 1) * plain_bytes], "big"
+                )
+            for k in range(len(lcs)):
+                start = split + k * layered_bytes
+                layered_blinds[k] += int.from_bytes(
+                    stream[start : start + layered_bytes], "big"
+                )
+        plain += [
+            ct.value * (1 + sign * (b % n) % n * n) % n2
+            for ct, b in zip(cts, plain_blinds)
+        ]
+        layered += [
+            lc.value * dj._g_pow(sign * (b % n_s)) % n_s1
+            for lc, b in zip(lcs, layered_blinds)
+        ]
+    if rng is not None:
+        plain = [v * r % n2 for v, r in zip(plain, pk.randomizers(rng, len(plain)))]
+        if layered:
+            layered = [
+                v * r % n_s1 for v, r in zip(layered, dj.randomizers(rng, len(layered)))
+            ]
+    return plain + layered
+
+
+def _parent_minus(pairs, rng):
+    """The ⊖ batch before ``ehl_minus``: per pair one ``randomizers``
+    draw for ``Enc(0)``, then one scalar per cell."""
+    pk = pairs[0][0].public_key
+    n, n2 = pk.n, pk.n_squared
+    out = []
+    for mine, theirs in pairs:
+        acc = pk.randomizers(rng, 1)[0]
+        for cell, other in zip(mine.cells, theirs.cells):
+            quotient = cell.value * pow(other.value, -1, n2) % n2
+            acc = acc * pow(quotient, rng.rand_nonzero(n), n2) % n2
+        out.append(acc)
+    return out
+
+
+def _parent_compare(ctx, enc_a, enc_b):
+    """The blinded ``EncCompare`` request before the stage was batched,
+    in ciphertext operator sugar: ``(masked value, sigma)``."""
+    diff = (enc_b - enc_a) * 2 + 1
+    sigma = ctx.rng.randbits(1)
+    if sigma:
+        diff = -diff
+    scale = ctx.rng.randint(1, (1 << ctx.encoder.blind_bits) - 1)
+    return ctx.public_key.rerandomize(diff * scale, ctx.rng).value, sigma
+
+
+def _components_of(items):
+    """Every component value of ``items``, Paillier ones first (in the
+    blinder's order), then ``E2`` seen bits."""
+    plain, layered = [], []
+    for item in items:
+        plain += [c.value for c in item.ehl.cells]
+        plain += [c.value for c in (item.worst, item.best) if c is not None]
+        plain += [c.value for c in item.list_scores or ()]
+        for bit in item.seen_bits or ():
+            (layered if isinstance(bit, LayeredCiphertext) else plain).append(bit.value)
+        plain += [item.record.value] if item.record is not None else []
+    return plain + layered
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "pure",
+        pytest.param("gmpy2", marks=needs_gmpy2),
+        pytest.param("gmp-kernel", marks=needs_kernel),
+    ],
+)
+class TestFusedRoundsPinTheirFormulas:
+    """Under one seed, the fused blinding round, the ⊖ batch and the
+    batched blinded comparisons give the ciphertexts of the formulas
+    they replaced (kept above as the reference) and leave the rng where
+    those left it."""
+
+    @staticmethod
+    def _items(keypair, dj, rng):
+        pk = keypair.public_key
+        enc = lambda count: pk.encrypt_batch(  # noqa: E731
+            [rng.randint_below(pk.n) for _ in range(count)], rng
+        )
+        return [
+            ScoredItem(ehl=Ehl(enc(5)), worst=enc(1)[0], seen_bits=enc(3),
+                       record=enc(1)[0], uid=1),
+            ScoredItem(ehl=Ehl(enc(5)), worst=enc(1)[0], best=enc(1)[0],
+                       list_scores=enc(2), uid=2),
+            ScoredItem(ehl=Ehl(enc(5)), worst=enc(1)[0],
+                       seen_bits=dj.encrypt_batch([1, 0], rng), uid=3),
+        ]
+
+    def test_blind_round(self, name, keypair, dj):
+        blinder = ItemBlinder(keypair.public_key, dj)
+        items = self._items(keypair, dj, SecureRandom(50))
+        seed_lists = [[b"a" * 12], [b"b" * 12, b"c" * 12], [b"d" * 12, b"e" * 12]]
+        fused_rng, parent_rng = SecureRandom(51), SecureRandom(51)
+        with backend.use_backend(name):
+            blinded = blinder.blind_many(items, seed_lists, fused_rng)
+            unblinded = blinder.unblind_many(blinded, seed_lists)
+        assert _components_of(blinded) == _parent_blind(
+            blinder, items, seed_lists, 1, parent_rng
+        )
+        assert fused_rng.randbytes(16) == parent_rng.randbytes(16)
+        assert _components_of(unblinded) == _parent_blind(
+            blinder, blinded, seed_lists, -1, None
+        )
+
+    def test_minus(self, name, keypair):
+        rng = SecureRandom(52)
+        pk = keypair.public_key
+        ehls = [Ehl(pk.encrypt_batch([rng.randint_below(2) for _ in range(5)], rng))
+                for _ in range(4)]
+        pairs = [(ehls[0], ehls[1]), (ehls[2], ehls[1]), (ehls[3], ehls[0]),
+                 (ehls[1], ehls[1])]
+        fused_rng, parent_rng = SecureRandom(53), SecureRandom(53)
+        with backend.use_backend(name):
+            fused = minus_pairs(pairs, fused_rng)
+        assert [c.value for c in fused] == _parent_minus(pairs, parent_rng)
+        assert fused_rng.randbytes(16) == parent_rng.randbytes(16)
+
+    def test_compare(self, name, keypair):
+        rng = SecureRandom(54)
+        pk = keypair.public_key
+        cts = pk.encrypt_batch([3, 9, 0, pk.n - 4, 9, 1], rng)
+        pairs = [(cts[0], cts[1]), (cts[1], cts[0]), (cts[2], cts[3]),
+                 (cts[4], cts[1]), (cts[5], cts[5])]
+        fused_ctx = make_parties(keypair, rng=SecureRandom(55))
+        parent_ctx = make_parties(keypair, rng=SecureRandom(55))
+        with backend.use_backend(name):
+            flows = enc_compare_flows(fused_ctx, pairs)
+            requests = [flow.send(None) for flow in flows]
+        expected = [_parent_compare(parent_ctx, a, b) for a, b in pairs]
+        assert [r.ct.value for r in requests] == [value for value, _ in expected]
+        for flow, (_, sigma) in zip(flows, expected):
+            with pytest.raises(StopIteration) as stop:
+                flow.send(True)
+            assert stop.value.value == (not sigma)
+        assert fused_ctx.rng.randbytes(16) == parent_ctx.rng.randbytes(16)

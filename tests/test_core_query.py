@@ -250,3 +250,59 @@ class TestQueryConfig:
     def test_check_every(self):
         assert QueryConfig(variant="elim").check_every() == 1
         assert QueryConfig(variant="batch", batch_p=7).check_every() == 7
+
+
+class TestLazyWeighting:
+    """``weight_entries`` weights a block of entries on first access, to
+    the values eager weighting gives, and a scan that halts early never
+    weights the blocks past its halting depth."""
+
+    def test_blocks_weighted_on_first_access(self, encrypted, monkeypatch):
+        from repro.crypto import backend
+        from repro.structures.items import WeightedEntries, weight_entries
+
+        entries = next(iter(encrypted.lists.values()))
+        assert weight_entries(entries, 1) is entries
+        pk = entries[0].score.public_key
+        calls = []
+        real = backend.powmod_vec
+        monkeypatch.setattr(
+            backend, "powmod_vec",
+            lambda bases, exp, mod: calls.append(len(bases)) or real(bases, exp, mod),
+        )
+        weighted = weight_entries(entries, 3)
+        assert isinstance(weighted, WeightedEntries) and len(weighted) == len(entries)
+        assert calls == []
+        weighted[1], weighted[WeightedEntries.BLOCK - 1], weighted[0]
+        assert calls == [WeightedEntries.BLOCK]
+        tail = len(entries) - WeightedEntries.BLOCK
+        assert weighted[-1] is weighted[len(entries) - 1]
+        assert calls == [WeightedEntries.BLOCK, tail]
+        assert [e.score.value for e in weighted] == [
+            pow(e.score.value, 3, pk.n_squared) for e in entries
+        ]
+        assert all(
+            w.ehl is e.ehl and w.record is e.record for w, e in zip(weighted, entries)
+        )
+        with pytest.raises(IndexError):
+            weighted[len(entries)]
+
+    def test_early_halt_weights_only_its_blocks(self, scheme, encrypted, rows, monkeypatch):
+        from repro.crypto import backend
+        from repro.structures.items import WeightedEntries
+
+        weighed = []
+        real = backend.powmod_vec
+
+        def spy(bases, exp, mod):
+            if exp == 2 and mod == scheme.public_key.n_squared:
+                weighed.append(len(bases))
+            return real(bases, exp, mod)
+
+        monkeypatch.setattr(backend, "powmod_vec", spy)
+        token = scheme.token([0, 1, 2], k=1, weights=[2, 2, 2])
+        result = scheme.query(encrypted, token, QueryConfig(variant="elim"))
+        assert scheme.reveal(result) == _oracle(rows, [0, 1, 2], 1, weights=[2, 2, 2]).topk
+        # The scan halts inside the first block: one block per list.
+        assert result.halting_depth <= WeightedEntries.BLOCK < len(rows)
+        assert weighed == [WeightedEntries.BLOCK] * 3

@@ -223,8 +223,9 @@ class TestKnownPairs:
 
     def test_covered_entries_draw_in_batches(self, keypair, monkeypatch):
         """One ``encrypt_batch`` for rule (a), one ``randomizers`` plus one
-        ``powmod_pairs`` for rule (b), one ``powmod_products`` for rule (c)
-        — per matrix, not per pair."""
+        ``powmod_pairs`` for rule (b), one ``ehl_minus`` (which draws each
+        pair's ``Enc(0)`` randomizer itself, one read per pair) for rule
+        (c) — per matrix, not per pair."""
         rng = SecureRandom(5)
         ehls = self._encode(keypair, range(5), True, rng)
         known = KnownPairs()
@@ -233,7 +234,7 @@ class TestKnownPairs:
 
         powmods, products, draws = [], [], []
         real_powmod = backend.powmod_pairs
-        real_products = backend.powmod_products
+        real_minus = backend.ehl_minus
         real_randomizers = PaillierPublicKey.randomizers
         monkeypatch.setattr(
             backend,
@@ -243,9 +244,11 @@ class TestKnownPairs:
         )
         monkeypatch.setattr(
             backend,
-            "powmod_products",
-            lambda accs, bases, exps, counts, mod: products.append(counts)
-            or real_products(accs, bases, exps, counts, mod),
+            "ehl_minus",
+            lambda pool, reads, nums, invs, exps, counts: products.append(
+                (counts, len(reads) // pool.read_bytes)
+            )
+            or real_minus(pool, reads, nums, invs, exps, counts),
         )
         monkeypatch.setattr(
             PaillierPublicKey,
@@ -257,8 +260,8 @@ class TestKnownPairs:
         cells = len(ehls[0])
         # 10 pairs: 3 known distinct, 4 tested, 3 computed (ehls[3] vs 0..2).
         assert powmods == [4]
-        assert products == [[cells] * 3]
-        assert sorted(draws) == [1, 1, 1, 3, 4]
+        assert products == [([cells] * 3, 3)]
+        assert sorted(draws) == [3, 4]
         assert all(e != 0 for e in keypair.secret_key.decrypt_batch(matrix))
 
     def test_claimed_but_uncovered_pair_raises(self, keypair):
