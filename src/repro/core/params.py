@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exceptions import QueryError
+from repro.crypto.encoding import check_plaintext_bound, plaintext_bits
+from repro.exceptions import EncodingRangeError, QueryError
 
 
 @dataclass(frozen=True)
@@ -22,10 +23,14 @@ class SystemParams:
     key_bits:
         Paillier modulus size.  The paper's experiments use a 256-bit
         modulus ("128-bit security for the Paillier and DJ encryption").
+        Key generation draws two ``key_bits/2``-bit primes, and S2
+        decrypts every protocol value mod one of them, ``p``.
     score_bits:
         Maximum bit-width of a single attribute score.
     blind_bits:
-        Statistical blinding parameter ``κ``.
+        Statistical blinding parameter ``κ``.  With ``score_bits`` it
+        must meet the encoder's plaintext bound ``score_bits +
+        2·blind_bits + 4 < |p| − 1`` (see :attr:`plaintext_room`).
     ehl_variant:
         ``"plus"`` for EHL+ (default, what the paper's query experiments
         use) or ``"bits"`` for the original EHL.
@@ -54,15 +59,36 @@ class SystemParams:
             raise QueryError(f"unknown compare method: {self.compare_method!r}")
         if self.sort_method not in ("affine", "network"):
             raise QueryError(f"unknown sort method: {self.sort_method!r}")
-        # The widest range any protocol needs: affine sort blinding of
-        # sentinel-magnitude keys.
-        needed = self.score_bits + 2 * self.blind_bits + 4
-        if needed >= self.key_bits:
-            raise QueryError(
-                f"key_bits={self.key_bits} too small for score_bits="
-                f"{self.score_bits}, blind_bits={self.blind_bits} "
-                f"(need > {needed})"
-            )
+        try:
+            check_plaintext_bound(self.prime_bits, self.score_bits, self.blind_bits)
+        except EncodingRangeError as exc:
+            raise QueryError(f"key_bits={self.key_bits}: {exc}") from None
+
+    @property
+    def prime_bits(self) -> int:
+        """``|p| = key_bits/2``, the size of the prime S2 decrypts mod."""
+        return self.key_bits // 2
+
+    @property
+    def plaintext_room(self) -> int:
+        """Bits to spare under the plaintext bound: ``(|p| − 1) −
+        (score_bits + 2·blind_bits + 4)``, at least 1 for valid widths."""
+        return self.prime_bits - 1 - plaintext_bits(self.score_bits, self.blind_bits)
+
+    @property
+    def zero_test_error_bits(self) -> int:
+        """``-log2`` of the bound on a zero test's false positive.
+
+        S2 tests a ⊖ result, a SecFilter flag or a DGK term for zero mod
+        ``p``.  A true zero is zero mod ``p``; a uniform non-zero ``m`` of
+        ``Z_N`` is a multiple of ``p`` with probability ``(q − 1)/(N − 1)
+        < 1/p ≤ 2^−(|p|−1)``, so the bound is ``|p| − 1`` bits: 127 at
+        :meth:`paper`, 63 at :meth:`tiny`.  Beside it sits the EHL+
+        collision bound (``structures.bloom.ehl_plus_false_positive_bound``):
+        tested mod ``p``, two objects' ``s`` hashes collide with
+        probability ``n²/p^s`` rather than ``n²/N^s``.
+        """
+        return self.prime_bits - 1
 
     @classmethod
     def paper(cls) -> "SystemParams":
@@ -80,11 +106,15 @@ class SystemParams:
 
     @classmethod
     def tiny(cls) -> "SystemParams":
-        """Minimal parameters for fast unit tests (128-bit modulus)."""
+        """Minimal parameters for fast unit tests (128-bit modulus).
+
+        The widths meet the plaintext bound in the open, with 3 bits of
+        room: ``16 + 2·20 + 4 = 60 < |p| − 1 = 63``.
+        """
         return cls(
             key_bits=128,
             score_bits=16,
-            blind_bits=24,
+            blind_bits=20,
             ehl_hashes=3,
             ehl_table_size=16,
         )

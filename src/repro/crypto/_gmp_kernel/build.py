@@ -749,8 +749,8 @@ static void crt_half(mpz_t m, const mpz_t c, const mpz_t prime,
    CRT halves, m = m_p + p · ((m_q - m_p) · p^-1 mod q); below_p stops
    at m_p.  The whole batch is checked before any output is written:
    returns 0 on success, 1 when a value lies outside (0, N^2), else 2
-   when one shares a factor with N, and -1 for a zero N or one wider
-   than out_words (every plaintext is below N). */
+   when one shares a factor with N = pq (p or q divides it), and -1 for
+   a zero N or one wider than out_words (every plaintext is below N). */
 int repro_paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
                            const uint64_t *crt, int below_p,
                            uint64_t *out, size_t out_words)
@@ -777,8 +777,7 @@ int repro_paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
     }
     for (i = 0; status == 0 && i < n_items; i++) {
         import_words(c, cts + i * ct_words, ct_words);
-        mpz_gcd(e, c, k[N]);
-        if (mpz_cmp_ui(e, 1) != 0)
+        if (mpz_divisible_p(c, k[P]) || mpz_divisible_p(c, k[Q]))
             status = 2;
     }
     for (i = 0; status == 0 && i < n_items; i++) {

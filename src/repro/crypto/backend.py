@@ -174,21 +174,22 @@ class _SharedBatchOps:
 
         The whole batch is refused, with :class:`DecryptionError`, when
         any value lies outside ``(0, N^2)`` or, failing that, when any
-        value shares a factor with ``N``.
+        value shares a factor with ``N = pq`` — when ``p`` or ``q``
+        divides it.
         """
-        n2, n = crt.n_squared, crt.n
+        n2, p, q = crt.n_squared, crt.p, crt.q
         if not all(0 < c < n2 for c in values):
             raise DecryptionError(OUTSIDE_ZN2)
-        if any(self.gcd(c, n) != 1 for c in values):
+        if any(c % p == 0 or c % q == 0 for c in values):
             raise DecryptionError(NOT_A_UNIT)
-        p, p2, hp = crt.p, crt.p_squared, crt.hp
+        p2, hp = crt.p_squared, crt.hp
         mps = [
             (u - 1) // p * hp % p
             for u in self.powmod_vec([c % p2 for c in values], p - 1, p2)
         ]
         if below_p:
             return mps
-        q, q2, hq, p_inv_q = crt.q, crt.q_squared, crt.hq, crt.p_inv_q
+        q2, hq, p_inv_q = crt.q_squared, crt.hq, crt.p_inv_q
         mqs = self.powmod_vec([c % q2 for c in values], q - 1, q2)
         return [
             mp + p * (((u - 1) // q * hq - mp) * p_inv_q % q)

@@ -10,6 +10,15 @@ can assert its inputs fit before homomorphic evaluation.
 Negative intermediate values (e.g. the difference fed to ``EncCompare``)
 use the standard two's-complement-style embedding: ``x < 0`` is stored as
 ``N + x``, and anything above ``N/2`` decodes as negative.
+
+S2 decrypts every protocol value on one CRT half, mod the prime ``p``
+(``|p| = key_bits/2``: key generation draws two such primes).  What it
+reads is a zero test, a coin-masked bit or a blinded value below
+``2**plaintext_bits(score_bits, blind_bits)`` in magnitude, so ``m mod p``
+read as a centred residue decides every answer — provided the widths
+meet the one bound of the construction, ``score_bits + 2·blind_bits + 4
+< |p| − 1`` (:func:`check_plaintext_bound`).  :class:`SignedEncoder`
+refuses widths that miss it, and so does ``SystemParams``.
 """
 
 from __future__ import annotations
@@ -19,14 +28,47 @@ from dataclasses import dataclass
 from repro.exceptions import EncodingRangeError
 
 
+def plaintext_bits(score_bits: int, blind_bits: int) -> int:
+    """Bit width bounding every plaintext S2 decrypts to read a value.
+
+    The widest are the affine-blinded sort keys (a sentinel-magnitude key
+    times a ``blind_bits`` scale, plus noise), the blinded comparison
+    values (a ``score_bits + blind_bits + 3``-bit difference times a
+    ``blind_bits`` scale) and the DGK decomposition's blinded value: each
+    below ``2**(score_bits + 2·blind_bits + 3)`` in magnitude, one bit
+    under this width.
+    """
+    return score_bits + 2 * blind_bits + 4
+
+
+def check_plaintext_bound(prime_bits: int, score_bits: int, blind_bits: int) -> None:
+    """Refuse, with :class:`EncodingRangeError`, widths whose plaintexts
+    S2 could not read mod a ``prime_bits``-bit prime ``p``: the bound is
+    ``score_bits + 2·blind_bits + 4 < |p| − 1``, which keeps every value
+    S2 reads below ``p/4`` in magnitude."""
+    needed = plaintext_bits(score_bits, blind_bits)
+    if needed >= prime_bits - 1:
+        raise EncodingRangeError(
+            f"|p|={prime_bits} too small for score_bits={score_bits}, "
+            f"blind_bits={blind_bits}: score_bits + 2*blind_bits + 4 = "
+            f"{needed} must be below |p| - 1 = {prime_bits - 1}"
+        )
+
+
 @dataclass(frozen=True)
 class SignedEncoder:
-    """Range-checked signed encoding in ``Z_n``.
+    """Range-checked signed encoding in ``Z_n``, and the home of the
+    plaintext bound S2's mod-``p`` decryption relies on.
+
+    ``SecTopK``, ``SecTopKJoin`` and ``make_parties`` all build one, so a
+    deployment whose widths miss :func:`check_plaintext_bound` is refused
+    before any key material is used.
 
     Parameters
     ----------
     modulus:
-        The Paillier modulus ``N``.
+        The Paillier modulus ``N``, the product of two ``|N|/2``-bit
+        primes.
     score_bits:
         Maximum bit-width ``ℓ`` of legitimate scores.  A weighted
         aggregate must stay below :attr:`sentinel`; ``SecTopK`` refuses a
@@ -41,13 +83,18 @@ class SignedEncoder:
     blind_bits: int = 40
 
     def __post_init__(self):
-        # Multiplicative-blind comparisons need ℓ + κ + 2 < |N|.
-        if self.score_bits + self.blind_bits + 2 >= self.modulus.bit_length():
-            raise EncodingRangeError(
-                "modulus too small for score_bits + blind_bits "
-                f"({self.score_bits}+{self.blind_bits} vs |N|="
-                f"{self.modulus.bit_length()})"
-            )
+        check_plaintext_bound(self.prime_bits, self.score_bits, self.blind_bits)
+
+    @property
+    def prime_bits(self) -> int:
+        """``|p|``, the size of the prime S2 decrypts protocol values mod."""
+        return self.modulus.bit_length() // 2
+
+    @property
+    def plaintext_bits(self) -> int:
+        """Bound on the width of every value S2 reads (see
+        :func:`plaintext_bits`); below ``|p| − 1``."""
+        return plaintext_bits(self.score_bits, self.blind_bits)
 
     @property
     def max_score(self) -> int:

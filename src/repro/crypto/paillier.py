@@ -253,11 +253,10 @@ class PaillierSecretKey:
         return self.raw_decrypt_batch(self._values_of(cts))
 
     def decrypt_batch_below_p(self, cts: list["Ciphertext"]) -> list[int]:
-        """:meth:`decrypt_batch` for plaintexts the caller knows to be
-        smaller than the prime ``p``: ``m mod p`` is then ``m`` itself, so
-        the ``q`` half of the CRT — half the exponentiations — is never
-        computed.  A plaintext that is *not* below ``p`` comes back
-        reduced mod ``p``."""
+        """``m mod p`` for every ciphertext: the ``q`` half of the CRT —
+        half the exponentiations — is never computed.  That is the
+        plaintext itself when the caller knows it is below the prime
+        ``p`` (the ``pk'`` seeds), and all that S2's protocol reads need."""
         return backend.paillier_decrypt(self.crt, self._values_of(cts), below_p=True)
 
     def decrypt_signed(self, c: "Ciphertext") -> int:

@@ -59,7 +59,9 @@ class S2Dispatcher:
         return self.cloud.dgk_any_zero(msg.cts, msg.protocol)
 
     def _square_blinded(self, msg: m.SquareBlinded):
-        value = self.cloud.decrypt_for_protocol(msg.ct, msg.protocol, "dgk_blinded")
+        (value,) = self.cloud.decrypt_batch_for_protocol(
+            [msg.ct], msg.protocol, "dgk_blinded"
+        )
         n = self.cloud.public_key.n
         return self.cloud.fresh_encrypt(value * value % n)
 

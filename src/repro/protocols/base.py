@@ -1,7 +1,8 @@
 """Party objects for the two-cloud architecture (Section 3.2).
 
 * :class:`CryptoCloud` is S2: it holds the Paillier secret key and exposes
-  exactly the operations the sub-protocols require.  Every piece of
+  exactly the operations the sub-protocols require.  It decrypts on the
+  ``p`` half of the CRT alone, so what it reads is ``m mod p``.  Every piece of
   information S2 legitimately learns during a protocol (equality bits,
   duplicate-group structure, comparison signs of blinded values, ...) is
   recorded in a :class:`LeakageLog`, which the security test-suite audits
@@ -101,17 +102,23 @@ class CryptoCloud:
         self.leakage = leakage or LeakageLog()
 
     # ------------------------------------------------------------------
-    # Batched secret-key primitive.  All bulk Paillier decryption funnels
-    # through this helper, which uses the backend's vectorized CRT path.
+    # S2's one decryption.  Everything S2 reads is a zero test, a coin-
+    # masked bit or a blinded value below the encoder's plaintext bound
+    # (well under p/2 in magnitude), and ``m mod p`` decides each: every
+    # protocol decryption runs the p half of the CRT alone, in one
+    # backend call per batch, so S2 never learns more than ``m mod p``.
     # ------------------------------------------------------------------
 
-    def _decrypt_values(self, cts: list[Ciphertext]) -> list[int]:
-        for ct in cts:
-            if ct.public_key != self.public_key:
-                raise KeyMismatchError(
-                    "ciphertext was produced under a different key"
-                )
-        return self._keypair.secret_key.raw_decrypt_batch([ct.value for ct in cts])
+    def _residues(self, cts: list[Ciphertext]) -> list[int]:
+        """``m mod p`` of every ciphertext.  A true zero reads 0; a
+        uniform non-zero ``m`` reads 0 with probability below
+        ``2^−(|p|−1)`` (``SystemParams.zero_test_error_bits``)."""
+        return self._keypair.secret_key.decrypt_batch_below_p(cts)
+
+    def _centred(self, cts: list[Ciphertext]) -> list[int]:
+        """The signed plaintexts of ``cts``, each within the plaintext
+        bound: ``m mod p`` read as a centred residue."""
+        return to_signed(self._keypair.secret_key.p, self._residues(cts))
 
     # ------------------------------------------------------------------
     # Equality testing (S2's side of SecWorst / SecBest / SecUpdate).
@@ -128,7 +135,7 @@ class CryptoCloud:
         S2 legitimately learns the multiset of equality bits — exactly the
         equality-pattern leakage ``EP_d`` of Section 9 — and nothing else.
         """
-        bits = [1 if b == 0 else 0 for b in self._decrypt_values(cts)]
+        bits = [1 if b == 0 else 0 for b in self._residues(cts)]
         replies = self.dj.encrypt_batch(bits, self.rng)
         self.leakage.record("S2", protocol, "eq_bits", bits)
         return replies
@@ -147,7 +154,8 @@ class CryptoCloud:
         recorded as the ``EP_d`` bits exactly as :meth:`test_zero_batch`
         records them) or, in ``bit_mode``, the coin-masked bit it holds
         (which must be 0 or 1, as in :meth:`decrypt_masked_bit`; the
-        request's bits are one ``masked_bit`` event).  Its value
+        request's bits are one ``masked_bit`` event); both read ``m mod
+        p``.  Its value
         ``values[groups[i]]`` is S1's statistically blinded ``Enc(x + r)``,
         which S2 never decrypts.  Per slot the reply is two fresh
         ciphertexts, ``t ? V·ρ : ρ'`` and ``Enc(t)``; S1 unblinds
@@ -170,7 +178,7 @@ class CryptoCloud:
                 raise ProtocolError("blinded select carries a non-Paillier value")
             if ct.public_key != self.public_key:
                 raise KeyMismatchError("ciphertext was produced under a different key")
-        plain = self._keypair.secret_key.raw_decrypt_batch([ct.value for ct in cts])
+        plain = self._residues(cts)
         if bit_mode:
             if any(value not in (0, 1) for value in plain):
                 raise ProtocolError("masked-bit ciphertext held a non-bit value")
@@ -221,14 +229,14 @@ class CryptoCloud:
         magnitude class is extra (documented) leakage of this fast
         construction; the DGK construction avoids it.
         """
-        value = self._keypair.secret_key.decrypt_signed(ct)
-        sign = value > 0
+        sign = self._centred([ct])[0] > 0
         self.leakage.record("S2", protocol, "cmp_sign", sign)
         return sign
 
     def decrypt_masked_bit(self, ct: Ciphertext, protocol: str) -> int:
-        """Decrypt a ciphertext known to hold a coin-masked bit."""
-        bit = self._keypair.secret_key.decrypt(ct)
+        """Decrypt a ciphertext known to hold a coin-masked bit: its
+        residue mod ``p`` must be 0 or 1."""
+        bit = self._residues([ct])[0]
         if bit not in (0, 1):
             raise ProtocolError("masked-bit ciphertext held a non-bit value")
         self.leakage.record("S2", protocol, "masked_bit", bit)
@@ -243,7 +251,7 @@ class CryptoCloud:
         the blinding), and returns encryptions of the low ``ell`` bits of
         ``c`` plus an encryption of ``floor(c / 2**ell)``.
         """
-        c = self._keypair.secret_key.decrypt(ct)
+        c = self._centred([ct])[0]
         low = c % (1 << ell)
         high = c >> ell
         bit_cts = self.public_key.encrypt_batch(
@@ -254,9 +262,7 @@ class CryptoCloud:
 
     def dgk_any_zero(self, cts: list[Ciphertext], protocol: str) -> bool:
         """Whether any of the (randomized, permuted) values decrypts to 0."""
-        # Short-circuit: stop decrypting at the first zero.
-        sk = self._keypair.secret_key
-        found = any(sk.decrypt(ct) == 0 for ct in cts)
+        found = 0 in self._residues(cts)
         self.leakage.record("S2", protocol, "dgk_any_zero", found)
         return found
 
@@ -267,33 +273,28 @@ class CryptoCloud:
     # but the primitive they share is below.
     # ------------------------------------------------------------------
 
-    def decrypt_for_protocol(self, ct: Ciphertext, protocol: str, kind: str) -> int:
-        """Decrypt one blinded value and log the observation kind.
+    def decrypt_batch_for_protocol(
+        self, cts: list[Ciphertext], protocol: str, kind: str
+    ) -> list[int]:
+        """Decrypt blinded values to their residues mod ``p`` and log one
+        ``kind`` event per decryption.
 
         Centralized so the leakage audit can enumerate every decryption
         S2 ever performed and classify it.
         """
-        value = self._keypair.secret_key.decrypt(ct)
-        self.leakage.record("S2", protocol, kind, None)
-        return value
-
-    def decrypt_batch_for_protocol(
-        self, cts: list[Ciphertext], protocol: str, kind: str
-    ) -> list[int]:
-        """Batch variant of :meth:`decrypt_for_protocol`: one leakage event
-        per decryption (same audit granularity as the loop it replaces)."""
-        values = self._decrypt_values(cts)
-        for _ in values:
-            self.leakage.record("S2", protocol, kind, None)
-        return values
+        return self._logged(self._residues(cts), protocol, kind)
 
     def decrypt_signed_batch_for_protocol(
         self, cts: list[Ciphertext], protocol: str, kind: str
     ) -> list[int]:
-        """Signed variant of :meth:`decrypt_batch_for_protocol`."""
-        return to_signed(
-            self.public_key.n, self.decrypt_batch_for_protocol(cts, protocol, kind)
-        )
+        """Signed variant of :meth:`decrypt_batch_for_protocol`: centred
+        residues mod ``p``."""
+        return self._logged(self._centred(cts), protocol, kind)
+
+    def _logged(self, values: list[int], protocol: str, kind: str) -> list[int]:
+        for _ in values:
+            self.leakage.record("S2", protocol, kind, None)
+        return values
 
     def fresh_encrypt(self, value: int) -> Ciphertext:
         """A fresh Paillier encryption (S2 re-encrypting after a bulk op)."""
@@ -564,13 +565,23 @@ def make_parties(
 ) -> S1Context:
     """Wire up an S1 context talking to a fresh S2 over a fresh channel.
 
-    ``transport`` is ``"inprocess"`` or an S2 daemon address.
-    Convenience for tests and examples; the full scheme in
-    :mod:`repro.core` builds the parties itself.
+    ``transport`` is ``"inprocess"`` or an S2 daemon address.  The
+    default encoder takes :meth:`SystemParams.tiny`'s widths, which meet
+    the plaintext bound from a 128-bit key up.  Convenience for tests
+    and examples; the full scheme in :mod:`repro.core` builds the
+    parties itself.
     """
+    from repro.core.params import SystemParams
+
     rng = rng or SecureRandom()
     dj = DamgardJurik(keypair.public_key, s=2)
-    encoder = encoder or SignedEncoder(keypair.public_key.n)
+    if encoder is None:
+        widths = SystemParams.tiny()
+        encoder = SignedEncoder(
+            keypair.public_key.n,
+            score_bits=widths.score_bits,
+            blind_bits=widths.blind_bits,
+        )
     return _wire_clouds(
         keypair, dj, encoder, transport, rng.spawn("s1"), rng.spawn("s2")
     )

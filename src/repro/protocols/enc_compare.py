@@ -113,8 +113,8 @@ def _blinded_signs(
     kappa = ctx.encoder.blind_bits
     pk, rng = ctx.public_key, ctx.rng
     n, n2 = pk.n, pk.n_squared
-    if ell + 1 + kappa + 2 >= n.bit_length():
-        raise ProtocolError("modulus too small for blinded comparison range")
+    if ell + 1 + kappa >= ctx.encoder.plaintext_bits:
+        raise ProtocolError("blinded comparison range exceeds the plaintext bound")
     pool = pk.randomizer_pool()
     sigmas, scales, reads, numerators, denominators = [], [], [], [], []
     for enc_a, enc_b in pairs:
@@ -162,9 +162,8 @@ def _compare_dgk_flow(
 ):
     ell = comparison_bits(ctx)
     kappa = ctx.encoder.blind_bits
-    n_bits = ctx.public_key.n.bit_length()
-    if ell + kappa + 2 >= n_bits:
-        raise ProtocolError("modulus too small for DGK comparison range")
+    if ell + kappa + 1 >= ctx.encoder.plaintext_bits:
+        raise ProtocolError("DGK comparison range exceeds the plaintext bound")
     offset = 1 << (ell - 1)
     # Shift both operands into [0, 2^ell); then z = 2^ell + b - a is in
     # [1, 2^(ell+1)) and bit ell of z equals (a <= b).

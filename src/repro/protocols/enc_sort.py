@@ -85,14 +85,15 @@ def _affine_params(ctx: S1Context) -> tuple[int, int]:
 
     Keys are signed values bounded by the sentinel magnitude
     ``2**(score_bits + blind_bits)``; with ``r`` of ``blind_bits`` bits and
-    ``s`` of similar size the image stays well inside ``(-N/2, N/2)``.
+    ``s`` of similar size the image stays inside the encoder's plaintext
+    bound, so S2 reads it mod ``p`` as a centred residue.
     """
     kappa = ctx.encoder.blind_bits
     r = ctx.rng.randint(1 << (kappa - 1), (1 << kappa) - 1)
     s = ctx.rng.randint_below(1 << kappa)
     magnitude_bits = ctx.encoder.score_bits + ctx.encoder.blind_bits + 1 + kappa + 2
-    if magnitude_bits >= ctx.public_key.n.bit_length():
-        raise ProtocolError("modulus too small for affine key blinding")
+    if magnitude_bits >= ctx.encoder.plaintext_bits:
+        raise ProtocolError("affine key blinding exceeds the plaintext bound")
     return r, s
 
 

@@ -98,9 +98,11 @@ def s2_filter(
     n = s2.public_key.n
     survivors: list[JoinedTuple] = []
     material_out: list[list[Ciphertext]] = []
-    for t, material in zip(blinded, keys_material):
-        value = s2.decrypt_for_protocol(t.score, protocol, "filter_flag")
-        if value == 0:
+    flags = s2.decrypt_batch_for_protocol(
+        [t.score for t in blinded], protocol, "filter_flag"
+    )
+    for t, material, flag in zip(blinded, keys_material, flags):
+        if flag == 0:
             continue
         gamma = s2.rng.rand_unit(n)
         shifts = [s2.rng.randint_below(n) for _ in t.attributes]

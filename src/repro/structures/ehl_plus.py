@@ -8,7 +8,8 @@ group ``Z_N`` ``s`` times and encrypts only those ``s`` hash values::
 The equality operator ``⊖`` homomorphically subtracts the hash values
 component-wise with fresh random scalars, so its cost drops from ``O(H)``
 to ``O(s)`` while the false-positive rate falls to the negligible
-``n^2 / N^s`` (union bound; Section 5).
+``n^2 / N^s`` (union bound; Section 5) — ``n^2 / p^s`` here, because S2
+tests a ``⊖`` result for zero mod the prime ``p`` alone.
 
 EHL+ additionally supports the block-wise blinding ``⊙`` of the notation
 paragraph in Section 5 (``c ← Enc(x) ⊙ EHL(y)``), which ``SecDedup`` uses

@@ -517,6 +517,41 @@ class TestBatchPrimitiveParity:
         with pytest.raises(DecryptionError, match=r"outside"):
             fast.paillier_decrypt(crt, [crt.q, cts[0], crt.n_squared], below_p)
 
+    @pytest.mark.parametrize("below_p", [False, True], ids=["full", "below_p"])
+    def test_paillier_decrypt_refuses_multiples_of_p_and_q(self, name, below_p):
+        """The unit check is divisibility by ``p`` or ``q``: ``c = k·p`` and
+        ``c = k·q`` anywhere in ``(0, N^2)`` — ``N`` and the primes'
+        squares among them — refuse the whole batch with the ``gcd``
+        check's ``NOT_A_UNIT`` text, in either mode, and return nothing."""
+        crt, _, cts = _decrypt_batch(128)
+        fast = backend._resolve(name)
+        rng = SecureRandom(13)
+        for prime, other in ((crt.p, crt.q), (crt.q, crt.p)):
+            top = crt.n_squared // prime - 1
+            multiples = [1, 2, other, prime, top] + [
+                rng.randint(2, top) for _ in range(4)
+            ]
+            for k in multiples:
+                for position in (0, 2):
+                    values = cts[:2]
+                    values.insert(position, k * prime)
+                    with pytest.raises(DecryptionError) as excinfo:
+                        fast.paillier_decrypt(crt, values, below_p)
+                    assert str(excinfo.value) == backend.NOT_A_UNIT
+
+    @pytest.mark.parametrize("key_bits", [128, 256])
+    def test_paillier_decrypt_below_p_is_full_mod_p(self, name, key_bits):
+        """Seeded: for uniform units ``c`` of ``Z_{N^2}`` — every one a
+        Paillier ciphertext — the ``p`` half is the full decryption
+        reduced mod ``p``."""
+        crt, _, _ = _decrypt_batch(key_bits)
+        rng = SecureRandom(key_bits + 1)
+        cts = [rng.rand_unit(crt.n_squared) for _ in range(24)]
+        fast = backend._resolve(name)
+        full = fast.paillier_decrypt(crt, cts)
+        assert fast.paillier_decrypt(crt, cts, below_p=True) == [m % crt.p for m in full]
+        assert full == backend._resolve("pure").paillier_decrypt(crt, cts)
+
     def test_paillier_decrypt_is_one_kernel_call(self, name):
         """On the kernel a batch is one C call, in either mode, and no
         ``powmod_vec``; elsewhere one ``powmod_vec`` per CRT half."""

@@ -139,11 +139,57 @@ class TestParams:
         with pytest.raises(QueryError):
             SystemParams(sort_method="magic")
 
+    def test_plaintext_bound_refuses_old_tiny_widths(self):
+        """S2 reads every protocol value mod ``p`` (``|p| = key_bits/2``),
+        so ``score_bits + 2·blind_bits + 4`` must stay below ``|p| − 1``:
+        the 128 / 16 / 24 widths (68 bits against 63) are refused, and
+        the next blind width down is the widest a 128-bit key takes."""
+        with pytest.raises(QueryError, match=r"68 must be below \|p\| - 1 = 63"):
+            SystemParams(key_bits=128, score_bits=16, blind_bits=24)
+        assert SystemParams(key_bits=128, score_bits=16, blind_bits=21).plaintext_room == 1
+        with pytest.raises(QueryError):
+            SystemParams(key_bits=128, score_bits=18, blind_bits=21)
+        # The old bound read |N|: 32 + 80 + 4 = 116 < 128 passed it.
+        with pytest.raises(QueryError):
+            SystemParams(key_bits=128, score_bits=32, blind_bits=40)
+
+    @pytest.mark.parametrize(
+        "preset, widths, room, zero_test_bits",
+        [
+            ("paper", (256, 32, 40), 11, 127),
+            ("tiny", (128, 16, 20), 3, 63),
+            ("insecure_demo", (192, 20, 28), 15, 95),
+            ("secure", (2048, 48, 60), 851, 1023),
+        ],
+    )
+    def test_preset_plaintext_room(self, preset, widths, room, zero_test_bits):
+        """Each shipped preset's widths, its room under the plaintext
+        bound, ``(|p| − 1) − (score_bits + 2·blind_bits + 4)``, and its
+        zero-test false-positive bound: a uniform non-zero ``m`` is
+        ``≡ 0 mod p`` with probability at most ``2^−(|p|−1)``."""
+        params = getattr(SystemParams, preset)()
+        assert (params.key_bits, params.score_bits, params.blind_bits) == widths
+        assert params.plaintext_room == room
+        assert params.zero_test_error_bits == zero_test_bits == params.key_bits // 2 - 1
+
+    def test_zero_test_bound_holds(self):
+        """The pinned bound is a bound: at ``tiny()`` the multiples of
+        ``p`` among the non-zero residues of ``Z_N`` are ``q − 1`` of
+        ``N − 1``, below ``2^−63``."""
+        from fractions import Fraction
+
+        scheme = SecTopK(SystemParams.tiny(), seed=11)
+        sk = scheme.keypair.secret_key
+        rate = Fraction(sk.q - 1, sk.public_key.n - 1)
+        assert rate < Fraction(1, sk.p) <= Fraction(
+            1, 2 ** scheme.params.zero_test_error_bits
+        )
+
     def test_bits_variant_encrypts(self):
         params = SystemParams(
             key_bits=128,
             score_bits=16,
-            blind_bits=24,
+            blind_bits=20,
             ehl_variant="bits",
             ehl_hashes=2,
             ehl_table_size=8,

@@ -11,7 +11,7 @@ MODULUS = (1 << 127) + 1  # stand-in 128-bit odd modulus
 
 @pytest.fixture(scope="module")
 def encoder():
-    return SignedEncoder(MODULUS, score_bits=16, blind_bits=24)
+    return SignedEncoder(MODULUS, score_bits=16, blind_bits=20)
 
 
 class TestConstruction:
@@ -21,6 +21,14 @@ class TestConstruction:
 
     def test_paper_sizes_fit(self):
         SignedEncoder((1 << 255) + 1, score_bits=32, blind_bits=40)
+
+    def test_bound_is_against_p(self):
+        """The bound reads ``|p| = |N|/2``, not ``|N|``: 16 + 2·24 + 4 =
+        68 bits fit a 128-bit ``N`` but not its 64-bit primes."""
+        with pytest.raises(EncodingRangeError, match=r"\|p\|=64"):
+            SignedEncoder(MODULUS, score_bits=16, blind_bits=24)
+        encoder = SignedEncoder(MODULUS, score_bits=16, blind_bits=20)
+        assert (encoder.prime_bits, encoder.plaintext_bits) == (64, 60)
 
 
 class TestEncodeDecode:
