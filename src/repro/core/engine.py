@@ -195,14 +195,14 @@ class _EngineBase:
     def _dedup(
         self,
         items: list[ScoredItem],
-        ranks: list[int],
+        ranks: list[int] | None = None,
         known: KnownPairs | None = None,
-        sort: bool = False,
+        counts: list[Ciphertext] | None = None,
     ) -> list[ScoredItem]:
         dedup = sec_dedup if self.config.variant == "full" else sec_dup_elim
         with self.ctx.channel.protocol(PROTOCOL):
             return dedup(
-                self.ctx, items, self.own_keypair, ranks, known=known, sort=sort
+                self.ctx, items, self.own_keypair, ranks, known=known, counts=counts
             )
 
     def _is_check_depth(self, depth: int) -> bool:
@@ -232,22 +232,23 @@ class EagerEngine(_EngineBase):
     def run(self) -> tuple[list[ScoredItem], int]:
         """Execute the query; returns (top-k items, 1-based halting depth)."""
         t_list: list[ScoredItem] = []
-        # Every pair of candidates is either two survivors of the last
-        # deduplication or was ⊖-tested when the later one was absorbed:
-        # the next deduplication's matrix recomputes neither.
-        known = KnownPairs()
-        # The head of t_list the last check depth left (pairwise distinct).
-        carried = 0
+        # Per entry of t_list past the head the last check depth left
+        # (pairwise distinct), in creation order: Enc(its earlier copies).
+        counts: list[Ciphertext] = []
+        # The network sort's deduplication is a DedupBatch, whose matrix
+        # recomputes no pair of two survivors of the last deduplication
+        # and no pair ⊖-tested when the later entry was absorbed.
+        known = KnownPairs() if self.sort_method == "network" else None
         # Whether t_list is this depth's deduplicated, sorted list.
         settled = False
         for depth in range(self._max_depth()):
             started = time.perf_counter()
             self.ctx.checkpoint()
             self._begin_depth(depth)
-            t_list = self._absorb_depth(t_list, depth, known)
+            t_list = self._absorb_depth(t_list, counts, depth, known)
             settled = False
             if self._is_check_depth(depth):
-                t_list, settled = self._settle(t_list, carried, known)
+                t_list, settled = self._settle(t_list, counts, known)
                 if len(t_list) >= self.k:
                     if self._halting_check(t_list, depth):
                         self.depth_seconds.append(time.perf_counter() - started)
@@ -256,40 +257,44 @@ class EagerEngine(_EngineBase):
                         return t_list[: self.k], depth + 1
                 # The survivors are pairwise distinct (a sort only
                 # permutes them) and re-encrypted: start over from that.
-                known = KnownPairs()
-                known.distinct([t_item.ehl for t_item in t_list])
-                carried = len(t_list)
+                counts = []
+                if known is not None:
+                    known = KnownPairs()
+                    known.distinct([t_item.ehl for t_item in t_list])
             self.depth_seconds.append(time.perf_counter() - started)
             self._notify_depth(depth + 1, len(t_list))
         # Budget exhausted (max_depth cap): best-effort answer by worst
         # score — already at hand when the capped depth was a check depth.
         if not settled:
-            t_list, _ = self._settle(t_list, carried, known, always_sort=True)
+            t_list, _ = self._settle(t_list, counts, known, always_sort=True)
         self._notify_final(t_list[: self.k], self._max_depth())
         return t_list[: self.k], self._max_depth()
 
     def _settle(
         self,
         t_list: list[ScoredItem],
-        carried: int,
-        known: KnownPairs,
+        counts: list[Ciphertext],
+        known: KnownPairs | None,
         always_sort: bool = False,
     ) -> tuple[list[ScoredItem], bool]:
         """Deduplicate ``t_list`` and sort it by worst score; returns the
         list and whether it is sorted.
 
-        The affine sort rides the deduplication's round (``DedupSort``);
-        the network sort is its own rounds, run once the list holds ``k``
-        candidates (or ``always_sort``).  Ranks name only which entries
-        are new: 0 for every candidate ``carried`` from the last check,
-        which are pairwise distinct, and ``1, 2, …`` for this window's
-        entries in creation order, so the first entry of a new object
-        keeps its state (``TestHusks``) and S2 learns nothing of the last
-        sort's order.
+        The affine sort rides the deduplication's round (``DedupSort``),
+        which reads each new entry's ``counts`` — a count of 0 is the
+        first entry of its object — instead of a pair matrix; the network
+        sort is its own rounds after a ``DedupBatch``, run once the list
+        holds ``k`` candidates (or ``always_sort``).  Ranks name only
+        which entries are new: 0 for every candidate carried from the
+        last check, which are pairwise distinct, and ``1, 2, …`` for this
+        window's entries in creation order, so the first entry of a new
+        object keeps its state (``TestHusks``) and S2 learns nothing of
+        the last sort's order.
         """
-        ranks = [0] * carried + list(range(1, len(t_list) - carried + 1))
         if self.sort_method == "affine":
-            return self._dedup(t_list, ranks, known, sort=True), True
+            return self._dedup(t_list, counts=counts), True
+        carried = len(t_list) - len(counts)
+        ranks = [0] * carried + list(range(1, len(counts) + 1))
         t_list = self._dedup(t_list, ranks, known)
         if always_sort or len(t_list) >= self.k:
             return self._sort(t_list), True
@@ -298,7 +303,11 @@ class EagerEngine(_EngineBase):
     # -- coalesced per-depth absorption ----------------------------------
 
     def _absorb_depth(
-        self, t_list: list[ScoredItem], depth: int, known: KnownPairs
+        self,
+        t_list: list[ScoredItem],
+        counts: list[Ciphertext],
+        depth: int,
+        known: KnownPairs | None,
     ) -> list[ScoredItem]:
         """Fold all ``m`` sorted-access items of one depth into the state.
 
@@ -312,17 +321,21 @@ class EagerEngine(_EngineBase):
         shared = list(t_list)
         base = len(shared)
         self.ctx.run_flows(
-            [self._absorb_flow(shared, base, j, items, known) for j in range(self.m)]
+            [
+                self._absorb_flow(shared, counts, base, j, items, known)
+                for j in range(self.m)
+            ]
         )
         return shared
 
     def _absorb_flow(
         self,
         shared: list[ScoredItem],
+        counts: list[Ciphertext],
         base: int,
         list_slot: int,
         items: list[EncryptedItem],
-        known: KnownPairs,
+        known: KnownPairs | None,
     ):
         """One list's absorption at the current depth (flow form).
 
@@ -349,9 +362,14 @@ class EagerEngine(_EngineBase):
 
         Flows are advanced in list order, so by the time this flow
         resumes, every earlier list's entry for this depth exists in
-        ``shared``.  The equality ciphertexts are recorded in ``known``
-        against the two EHLs they compare, for the next deduplication's
-        matrix.
+        ``shared``.  ``Σ Enc(t)`` — how many earlier entries the item
+        matched — is appended to ``counts`` next to the entry: the next
+        ``DedupSort`` keeps exactly the entries whose count is 0.  An
+        entry tested against nothing gets the trivial ``Enc(0)``, made
+        fresh with the rest when the counts are rerandomized.  Given
+        ``known`` (the network sort's ``DedupBatch``), the equality
+        ciphertexts are recorded there against the two EHLs they compare,
+        for the next deduplication's matrix.
         """
         ctx = self.ctx
         item = items[list_slot]
@@ -367,7 +385,8 @@ class EagerEngine(_EngineBase):
             order = ctx.rng.permutation(n_candidates)
             others = [ehls[i] for i in order]
             eq_cts = item.ehl.minus_many(others, ctx.rng)
-            known.tested(item.ehl, others, eq_cts)
+            if known is not None:
+                known.tested(item.ehl, others, eq_cts)
             permuted_credits, permuted_bits = yield from blinded_select_flow(
                 ctx, eq_cts, [item.score], [0] * n_candidates,
                 bit_mode=False, protocol=PROTOCOL,
@@ -390,12 +409,15 @@ class EagerEngine(_EngineBase):
         seen_bits = ctx.public_key.encrypt_batch(
             [int(j == list_slot) for j in range(self.m)], ctx.rng
         )
+        matched = Ciphertext(1, ctx.public_key)
         if credits:
+            matched = sum(bits[1:], bits[0])
             worst = worst - sum(credits[1:], credits[0])
-            seen_bits[list_slot] = seen_bits[list_slot] - sum(bits[1:], bits[0])
+            seen_bits[list_slot] = seen_bits[list_slot] - matched
         shared.append(
             ScoredItem(ehl=item.ehl, worst=worst, seen_bits=seen_bits, record=item.record)
         )
+        counts.append(matched)
 
     # -- best bounds for the halting rule ----------------------------------
 

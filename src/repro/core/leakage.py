@@ -26,12 +26,12 @@ substitutions and declared leakage"):
   which removes that common factor.  A full-variant junk item's key,
   ``r*(-sentinel) + s``, still hands S2 the map on either path (a
   known gap, ROADMAP);
-* ``dedup_sort_link`` — ``DedupSort`` settles a check depth in one S2
-  round, so S2 sees each survivor's duplicate-group size (how many of
-  the window's entries were that object) next to its sort key: one
-  event per operation, payload the survivors' group sizes in output
-  (descending key) order.  Separate dedup and sort rounds kept them
-  apart behind a fresh permutation.
+* ``dedup_count`` — ``DedupSort`` decrypts, per new entry of the check
+  window, how many earlier entries its absorb matched: the sum of that
+  absorb's ``eq_bits``, which S2 already decrypted, so a function of
+  ``EP_d`` (one event per decryption, no payload).  S2 sees no pairwise
+  equality pattern of the window and no survivor's group size next to
+  its sort key.
 
 :func:`audit` classifies every event a run recorded against this
 whitelist; anything unclassified fails the security tests.
@@ -54,10 +54,10 @@ ALLOWED_KINDS: dict[str, str] = {
     "dgk_any_zero": "coin-masked DGK intermediate bit",
     "dedup_matrix": "L2: equality pattern EP_d (permuted)",
     "dedup_groups": "L2: duplicate-group sizes (EP_d granularity)",
+    "dedup_count": "L2: an entry's earlier copies (sum of its absorb's EP_d bits)",
     "unique_count": "UP_d: uniqueness pattern (optimized variants)",
     "sort_key_blinded": "affinely-scaled sort key of a permuted list",
     "sort_size": "batch size only",
-    "dedup_sort_link": "DedupSort: survivors' group sizes in sort-key order",
     "gate_key_blinded": "affinely-scaled gate pair (network sort)",
     "gate_bit": "coin-randomized gate order bit (network sort)",
     "filter_flag": "join-match count (SecFilter; Section 12 leakage)",

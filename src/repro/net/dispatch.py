@@ -113,7 +113,7 @@ class S2Dispatcher:
         return s2_dedup_sort(
             self.cloud,
             msg.own_public,
-            msg.matrix,
+            msg.counts,
             msg.items,
             msg.keys,
             msg.companions,

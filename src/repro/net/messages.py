@@ -151,11 +151,14 @@ class DedupBatch(Message):
 
 @dataclass(frozen=True)
 class DedupSort(Message):
-    """A ``DedupBatch`` whose survivors S2 also sorts: it orders them by
-    ``keys`` (one-way, noisily affine-blinded worst scores, descending),
-    places new junk last and returns items and companions only."""
+    """The eager engine's check depth: S2 keeps every rank-0 item and
+    every new item (rank ≥ 1) whose ``counts`` entry — ``Enc(c)``, ``c``
+    its earlier copies, one per new item in item order — decrypts to 0,
+    orders the survivors by ``keys`` (one-way, noisily affine-blinded
+    worst scores, descending), places new junk last and returns items
+    and companions only."""
 
-    matrix: list
+    counts: list
     items: list
     keys: list
     companions: list
@@ -212,6 +215,7 @@ MESSAGE_TYPES: list[type | None] = [
     None,  # 12: retired
     None,  # 13: retired
     BlindedSelect,
+    None,  # 15: retired (DedupSort with a pair matrix)
     DedupSort,
 ]
 

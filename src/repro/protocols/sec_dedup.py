@@ -36,16 +36,25 @@ to S2 how duplicate groups split between old and new items — leakage of
 the same granularity as ``EP_d`` (recorded in the leakage log; see
 ARCHITECTURE.md, "Protocol substitutions and declared leakage").
 
-``sort=True`` is ``DedupSort``, the eager engine's check depth in one
-round: S1 also ships each item's worst score as a one-way key
+``counts`` make it ``DedupSort``, the eager engine's check depth in one
+round.  The items are the candidates carried from the last check
+(pairwise distinct, rank 0) followed by the window's new entries in
+creation order (ranks ``1, 2, …``), and ``counts[j]`` is the new entry's
+``Enc(c_j)``, ``c_j`` the number of earlier entries its absorb matched —
+the sum of the equality bits S2 decrypted for it then.  An entry is the
+first of its object exactly when ``c_j = 0``, so S2 needs no matrix: it
+keeps every carried item and every entry whose count decrypts to 0.  S1
+also ships each item's worst score as a one-way key
 (:func:`repro.protocols.enc_sort.one_way_keys`), and S2 returns the
 survivors ordered by it, descending, with new junk last — the item's
-own (blinded) worst is what S1 gets back, so no key returns.  S2 then
-sees each survivor's duplicate-group size next to its key, which it
-records as ``dedup_sort_link``.
+own (blinded) worst is what S1 gets back, so no key returns.  What S2
+reads is a function of the absorbs' ``EP_d`` bits it already saw: the
+counts, and the group sizes they imply (``dedup_groups``).
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.exceptions import ProtocolError
@@ -90,26 +99,30 @@ def _prepare(
     ranks: list[int],
     own_keypair: PaillierKeypair,
     known: KnownPairs | None,
-    sort: bool,
+    counts: list[Ciphertext] | None = None,
 ):
-    """S1's permutation ``π``, ``⊖`` matrix and blinding of one round:
-    its blinder and the per-item fields of its ``DedupBatch`` (with
-    ``sort``, of its ``DedupSort``).
+    """S1's permutation ``π`` and blinding of one round: its blinder and
+    the per-item fields of its ``DedupBatch`` — the ``⊖`` matrix — or,
+    given ``counts``, of its ``DedupSort``.
 
     ``known`` is what the caller already holds about pairs of these
     items' EHLs; those matrix entries are filled without recomputing
-    ``⊖`` (see :func:`repro.structures.ehl.minus_pairs`).
+    ``⊖`` (see :func:`repro.structures.ehl.minus_pairs`).  ``counts[r −
+    1]`` belongs to the item of rank ``r ≥ 1``; the counts are
+    rerandomized in one batch and travel in the permuted order of those
+    items.
     """
     blinder = ItemBlinder(ctx.public_key, ctx.dj)
     order = ctx.rng.permutation(len(items))
     permuted = [items[i] for i in order]
-    fields = {
-        "matrix": EncryptedHashList.minus_matrix(
+    fields = {"ranks": [ranks[i] for i in order]}
+    if counts is None:
+        fields["matrix"] = EncryptedHashList.minus_matrix(
             [item.ehl for item in permuted], ctx.rng, known
-        ),
-        "ranks": [ranks[i] for i in order],
-    }
-    if sort:
+        )
+    else:
+        fresh = ctx.public_key.rerandomize_batch(counts, ctx.rng)
+        fields["counts"] = [fresh[ranks[i] - 1] for i in order if ranks[i]]
         fields["keys"] = one_way_keys(ctx, [item.worst for item in permuted])
     fields["items"], fields["companions"] = blinder.blind_fresh(
         permuted, own_keypair.public_key, ctx.rng
@@ -125,18 +138,22 @@ def dedup_round(
     protocol: str,
     known: KnownPairs | None,
     eliminate: bool,
-    sort: bool,
+    counts: list[Ciphertext] | None = None,
 ) -> list[ScoredItem]:
     """S1's side of one deduplication round, shared by ``SecDedup``
-    (bury), ``SecDupElim`` (drop) and, with ``sort``, ``DedupSort``."""
+    (bury), ``SecDupElim`` (drop) and, with ``counts``, ``DedupSort``,
+    whose ranks the counts imply: 0 for the items before the last
+    ``len(counts)``, then ``1, 2, …``."""
     if len(items) <= 1:
         return list(items)
+    if counts is not None:
+        ranks = [0] * (len(items) - len(counts)) + list(range(1, len(counts) + 1))
     ranks = ranks if ranks is not None else [0] * len(items)
     if len(ranks) != len(items):
         raise ProtocolError("ranks/items length mismatch")
 
-    blinder, fields = _prepare(ctx, items, ranks, own_keypair, known, sort)
-    message = DedupSort if sort else DedupBatch
+    blinder, fields = _prepare(ctx, items, ranks, own_keypair, known, counts)
+    message = DedupBatch if counts is None else DedupSort
     items_out, comps_out = ctx.call(
         message(
             protocol=protocol,
@@ -158,12 +175,13 @@ def sec_dedup(
     ranks: list[int] | None = None,
     protocol: str = PROTOCOL,
     known: KnownPairs | None = None,
-    sort: bool = False,
+    counts: list[Ciphertext] | None = None,
 ) -> list[ScoredItem]:
     """Return a same-length list with duplicate objects buried as junk;
-    with ``sort``, the survivors first, by worst score, descending."""
+    with ``counts`` (``DedupSort``), the survivors first, by worst
+    score, descending."""
     return dedup_round(
-        ctx, items, own_keypair, ranks, protocol, known, eliminate=False, sort=sort
+        ctx, items, own_keypair, ranks, protocol, known, eliminate=False, counts=counts
     )
 
 
@@ -178,9 +196,9 @@ def _s2_keepers(
     matrix: list[Ciphertext],
     ranks: list[int],
     protocol: str,
-) -> list[tuple[int, int]]:
+) -> list[int]:
     """Decrypt the matrix, group the items by union-find and return each
-    group's keeper — its lowest-``rank`` member — with the group's size."""
+    group's keeper — its lowest-``rank`` member — in input order."""
     l = len(ranks)
     uf = _UnionFind(l)
     entries = s2.decrypt_batch_for_protocol(matrix, protocol, "dedup_matrix")
@@ -195,10 +213,19 @@ def _s2_keepers(
     s2.leakage.record(
         "S2", protocol, "dedup_groups", sorted(len(g) for g in groups.values())
     )
-    return [
-        (min(members, key=lambda i: (ranks[i], i)), len(members))
-        for members in groups.values()
-    ]
+    return sorted(min(members, key=lambda i: (ranks[i], i)) for members in groups.values())
+
+
+def _group_sizes(copies: list[int]) -> list[int]:
+    """Duplicate-group sizes, ascending, from each item's count of
+    earlier copies: a group of ``g`` items holds one item of each count
+    ``0 … g − 1``, so ``#(count = s) − #(count = s + 1)`` groups have
+    ``s + 1`` members."""
+    tally = Counter(copies)
+    sizes: list[int] = []
+    for s in sorted(tally):
+        sizes += [s + 1] * max(tally[s] - tally.get(s + 1, 0), 0)
+    return sorted(sizes)
 
 
 def _s2_release(
@@ -247,13 +274,21 @@ def _s2_release(
     return items_out, comps_out
 
 
-def _check_shape(matrix: list, blinded: list, **per_item: list) -> None:
-    """Refuse a batch whose matrix or per-item fields do not fit its items."""
+def _check_shape(blinded: list, sized: tuple[str, list, int], **per_item: list) -> None:
+    """Refuse a batch that does not fit its items: a ``per_item`` field
+    (``ranks`` among them) of another length, a rank that is not a
+    non-negative integer, or the ``sized`` field ``(name, values,
+    length)`` of another length."""
     l = len(blinded)
-    if len(matrix) != l * (l - 1) // 2 or any(len(v) != l for v in per_item.values()):
-        shapes = ", ".join(f"{len(v)} {name}" for name, v in per_item.items())
+    name, values, length = sized
+    if (
+        len(values) != length
+        or any(len(v) != l for v in per_item.values())
+        or any(type(rank) is not int or rank < 0 for rank in per_item["ranks"])
+    ):
+        shapes = ", ".join(f"{len(v)} {field}" for field, v in per_item.items())
         raise ProtocolError(
-            f"malformed dedup batch: {l} items with {len(matrix)} matrix "
+            f"malformed dedup batch: {l} items with {len(values)} {name} "
             f"entries, {shapes}"
         )
 
@@ -270,8 +305,11 @@ def s2_dedup(
     protocol: str,
 ):
     """S2's side, shared by ``SecDedup`` (bury) and ``SecDupElim`` (drop)."""
-    _check_shape(matrix, blinded, companions=companions, ranks=ranks)
-    kept = sorted(keeper for keeper, _ in _s2_keepers(s2, matrix, ranks, protocol))
+    l = len(blinded)
+    _check_shape(
+        blinded, ("matrix", matrix, l * (l - 1) // 2), companions=companions, ranks=ranks
+    )
+    kept = _s2_keepers(s2, matrix, ranks, protocol)
     items_out, comps_out = _s2_release(
         s2, own_public, blinded, companions, kept, sentinel, eliminate, protocol
     )
@@ -282,7 +320,7 @@ def s2_dedup(
 def s2_dedup_sort(
     s2: CryptoCloud,
     own_public,
-    matrix: list[Ciphertext],
+    counts: list[Ciphertext],
     blinded: list[ScoredItem],
     keys: list[Ciphertext],
     companions: list[Ciphertext],
@@ -291,19 +329,21 @@ def s2_dedup_sort(
     eliminate: bool,
     protocol: str,
 ):
-    """S2's side of ``DedupSort``: :func:`s2_dedup`'s grouping, then only
-    the survivors' keys are decrypted, the survivors ordered by them
+    """S2's side of ``DedupSort``: every rank-0 item survives, and every
+    new item whose count of earlier copies decrypts to 0; then only the
+    survivors' keys are decrypted, the survivors ordered by them
     (descending) and new junk appended; no second permutation."""
-    _check_shape(matrix, blinded, keys=keys, companions=companions, ranks=ranks)
-    keepers = _s2_keepers(s2, matrix, ranks, protocol)
-    ordered = [
-        keeper
-        for _, keeper in s2_order(
-            s2, [keys[i] for i, _ in keepers], keepers, True, SORT_PROTOCOL
-        )
-    ]
-    s2.leakage.record("S2", protocol, "dedup_sort_link", [size for _, size in ordered])
+    new = [i for i, rank in enumerate(ranks) if rank != 0]
+    _check_shape(
+        blinded, ("counts", counts, len(new)), keys=keys, companions=companions, ranks=ranks
+    )
+    copies = [0] * len(blinded)
+    for i, c in zip(new, s2.decrypt_batch_for_protocol(counts, protocol, "dedup_count")):
+        copies[i] = c
+    s2.leakage.record("S2", protocol, "dedup_groups", _group_sizes(copies))
+    kept = [i for i, c in enumerate(copies) if c == 0]
+    ordered = s2_order(s2, [keys[i] for i in kept], kept, True, SORT_PROTOCOL)
     return _s2_release(
-        s2, own_public, blinded, companions, [i for i, _ in ordered],
+        s2, own_public, blinded, companions, [i for _, i in ordered],
         sentinel, eliminate, protocol,
     )

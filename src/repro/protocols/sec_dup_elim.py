@@ -11,7 +11,7 @@ then runs on far fewer items.
 
 from __future__ import annotations
 
-from repro.crypto.paillier import PaillierKeypair
+from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.protocols.base import S1Context
 from repro.protocols.sec_dedup import dedup_round
 from repro.structures.ehl import KnownPairs
@@ -27,10 +27,10 @@ def sec_dup_elim(
     ranks: list[int] | None = None,
     protocol: str = PROTOCOL,
     known: KnownPairs | None = None,
-    sort: bool = False,
+    counts: list[Ciphertext] | None = None,
 ) -> list[ScoredItem]:
     """Return a duplicate-free (shorter) list of re-encrypted items;
-    with ``sort``, ordered by worst score, descending (``DedupSort``)."""
+    with ``counts`` (``DedupSort``), ordered by worst score, descending."""
     return dedup_round(
-        ctx, items, own_keypair, ranks, protocol, known, eliminate=True, sort=sort
+        ctx, items, own_keypair, ranks, protocol, known, eliminate=True, counts=counts
     )

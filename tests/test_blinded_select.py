@@ -88,7 +88,8 @@ class TestBlindedSelect:
         assert len(exps) == 8 and max(e.bit_length() for e in exps) <= width
 
     def test_appends_one_wire_id(self):
-        # Id 14 since it was appended; DedupSort came after it (id 15).
+        # Id 14 since it was appended; DedupSort came after it (id 16;
+        # its matrix form's id 15 is retired).
         assert message_type_id(BlindedSelect) == 14 < len(MESSAGE_TYPES) - 1
         assert BlindedSelect(
             protocol="P", cts=[], values=[], groups=[], bit_mode=True

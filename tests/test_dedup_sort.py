@@ -1,9 +1,11 @@
 """``DedupSort``: the eager engine's check depth — duplicate elimination
 (or burial) and the affine sort by worst score — in one S2 round.
 
-* S2 keeps one member per duplicate group exactly as ``DedupBatch``
-  does, orders the survivors by their one-way keys (descending) and
-  appends new junk, whose worst unblinds to the sentinel.
+* S2 keeps every carried candidate and every new entry whose count of
+  earlier copies is 0 — one member per duplicate group, the groups
+  ``DedupBatch``'s matrix finds — orders the survivors by their one-way
+  keys (descending) and appends new junk, whose worst unblinds to the
+  sentinel.
 * The ranks S2 receives name only which candidates are new.
 
 That the keys' per-item noise hides S1's scale ``r`` from S2 is pinned
@@ -46,6 +48,15 @@ def _items(ctx, factory, entries):
     ]
 
 
+def _counts(ctx, entries, carried=0):
+    """``Enc(c)`` per entry past the first ``carried``: ``c`` counts the
+    entries before it with the same object, as its absorb would have."""
+    objects = [obj for obj, _ in entries]
+    return ctx.public_key.encrypt_batch(
+        [objects[:i].count(objects[i]) for i in range(carried, len(objects))], ctx.rng
+    )
+
+
 def _opened(items, keypair):
     """``(worst, record)`` per returned item, in output order."""
     sk = keypair.secret_key
@@ -62,7 +73,10 @@ class TestDedupSort:
         self, ctx, factory, keypair, own_keypair, variant
     ):
         result = VARIANTS[variant](
-            ctx, _items(ctx, factory, DUPLICATED), own_keypair, sort=True
+            ctx,
+            _items(ctx, factory, DUPLICATED),
+            own_keypair,
+            counts=_counts(ctx, DUPLICATED),
         )
         assert ctx.channel.stats.rounds == 1
         opened = _opened(result, keypair)
@@ -84,7 +98,7 @@ class TestDedupSort:
     def test_ties_keep_every_item(self, ctx, factory, keypair, own_keypair, variant):
         entries = [("p", 7), ("q", 7), ("r", 3), ("s", 7), ("p", 7)]
         result = VARIANTS[variant](
-            ctx, _items(ctx, factory, entries), own_keypair, sort=True
+            ctx, _items(ctx, factory, entries), own_keypair, counts=_counts(ctx, entries)
         )
         opened = _opened(result, keypair)
         assert [w for w, _ in opened[:4]] == [7, 7, 7, 3]
@@ -93,30 +107,43 @@ class TestDedupSort:
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_lowest_rank_copy_survives(self, ctx, factory, keypair, own_keypair, variant):
-        items = _items(ctx, factory, [("x", 111), ("x", 333), ("y", 5)])
-        result = VARIANTS[variant](ctx, items, own_keypair, [2, 0, 1], sort=True)
+        """The carried (rank-0) copy wins over a new entry of its object."""
+        entries = [("x", 333), ("y", 5), ("x", 111)]
+        items = _items(ctx, factory, entries)
+        result = VARIANTS[variant](
+            ctx, items, own_keypair, counts=_counts(ctx, entries, carried=1)
+        )
         assert _opened(result, keypair)[:2] == [(333, ord("x")), (5, ord("y"))]
+        assert len(result) == (2 if variant == "elim" else 3)
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_short_lists_cost_no_round(self, ctx, factory, own_keypair, variant):
         single = _items(ctx, factory, [("x", 1)])
-        assert VARIANTS[variant](ctx, [], own_keypair, sort=True) == []
-        assert VARIANTS[variant](ctx, single, own_keypair, sort=True) == single
+        assert VARIANTS[variant](ctx, [], own_keypair, counts=[]) == []
+        counts = _counts(ctx, [("x", 1)])
+        assert VARIANTS[variant](ctx, single, own_keypair, counts=counts) == single
         assert ctx.channel.stats.rounds == 0
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_declared_events(self, ctx, factory, own_keypair, variant):
-        """One ``dedup_sort_link`` per operation — the survivors' group
-        sizes in output order — and every kind the two separate rounds
-        recorded; the bytes go to the dedup protocol, the sort half's
-        events keep ``EncSort``."""
+        """One ``dedup_count`` per new entry, the group sizes the counts
+        imply, and the sort half's events under ``EncSort``; no pair
+        matrix, and nothing links a group to a key.  The bytes go to the
+        dedup protocol."""
         protocol = {"elim": "SecDupElim", "full": "SecDedup"}[variant]
-        VARIANTS[variant](ctx, _items(ctx, factory, DUPLICATED), own_keypair, sort=True)
+        VARIANTS[variant](
+            ctx,
+            _items(ctx, factory, DUPLICATED),
+            own_keypair,
+            counts=_counts(ctx, DUPLICATED),
+        )
         log = ctx.leakage
-        (link,) = log.by_kind("dedup_sort_link")
-        assert (link.observer, link.protocol, link.payload) == ("S2", protocol, [2, 1, 2, 1])
         assert [e.payload for e in log.by_kind("dedup_groups")] == [[1, 1, 2, 2]]
-        assert len(log.by_kind("dedup_matrix")) == 15
+        counts = log.by_kind("dedup_count")
+        assert len(counts) == 6 and {(e.observer, e.protocol) for e in counts} == {
+            ("S2", protocol)
+        }
+        assert not log.by_kind("dedup_matrix")
         keys = log.by_kind("sort_key_blinded")
         assert len(keys) == 4 and {e.protocol for e in keys} == {"EncSort"}
         assert [(e.protocol, e.payload) for e in log.by_kind("sort_size")] == [
@@ -127,21 +154,34 @@ class TestDedupSort:
         assert audit(log).clean
         assert set(ctx.channel.stats.per_protocol_bytes) == {protocol}
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_group_sizes_match_the_matrix(self, ctx, factory, own_keypair, variant):
+        """Carried ``a, b`` and new ``a, a, c, b``: the ``dedup_groups``
+        the counts imply are the ones ``DedupBatch``'s matrix finds."""
+        entries = [("a", 9), ("b", 8), ("a", 9), ("a", 9), ("c", 4), ("b", 8)]
+        counts = _counts(ctx, entries, carried=2)
+        VARIANTS[variant](ctx, _items(ctx, factory, entries), own_keypair, counts=counts)
+        VARIANTS[variant](ctx, _items(ctx, factory, entries), own_keypair, [0, 0, 1, 2, 3, 4])
+        groups = [e.payload for e in ctx.leakage.by_kind("dedup_groups")]
+        assert groups == [[1, 2, 3], [1, 2, 3]]
+
     @pytest.mark.parametrize(
         "field, reshape",
         [
-            ("matrix", lambda v: v[:-1]),
+            ("counts", lambda v: v[:-1]),
             ("keys", lambda v: v[:-1]),
             ("ranks", lambda v: v + v),
+            ("ranks", lambda v: [-1] + v[1:]),
             ("companions", lambda v: v[:-1]),
         ],
-        ids=["matrix", "keys", "ranks", "companions"],
+        ids=["counts", "keys", "ranks", "negative-rank", "companions"],
     )
     def test_wrong_shape_is_a_protocol_error(
         self, ctx, factory, own_keypair, field, reshape
     ):
         items = _items(ctx, factory, DUPLICATED[:3])
-        _, fields = _prepare(ctx, items, [0, 1, 2], own_keypair, None, sort=True)
+        counts = _counts(ctx, DUPLICATED[:3])
+        _, fields = _prepare(ctx, items, [1, 2, 3], own_keypair, None, counts)
         fields[field] = reshape(fields[field])
         with pytest.raises(ProtocolError, match="malformed dedup batch"):
             ctx.call(

@@ -246,8 +246,9 @@ class TestItemsOnTheWire:
         assert seen[DedupSort] and not seen[DedupBatch] and not seen[SortAffine]
         for msg in seen[DedupSort]:
             # The one-way key rides next to the item, whose own blinded
-            # worst is what comes back.
+            # worst is what comes back; a count rides with each new one.
             assert len(msg.keys) == len(msg.items)
+            assert len(msg.counts) == sum(1 for rank in msg.ranks if rank)
             for item in msg.items:
                 assert item.list_scores is None and item.best is None
                 assert item.worst is not None and len(item.seen_bits) == len(ATTRS)

@@ -170,7 +170,7 @@ class TestEqualityPatternSemantics:
     def test_no_plaintext_scores_in_log(self, query_run):
         """Blinded-value observations must not carry payloads."""
         _, ctx, _, rows = query_run
-        blinded_kinds = {"sort_key_blinded", "dedup_matrix", "dgk_blinded"}
+        blinded_kinds = {"sort_key_blinded", "dedup_matrix", "dedup_count", "dgk_blinded"}
         for event in ctx.leakage.events:
             if event.kind in blinded_kinds:
                 assert event.payload is None

@@ -87,7 +87,10 @@ ROUNDS = {
     "DedupBatch": lambda ctx, items, own: sec_dedup(ctx, items, own),
     "SortAffine": lambda ctx, items, own: enc_sort(ctx, items, own),
     "SortGateBatch": lambda ctx, items, own: enc_sort(ctx, items, own, method="network"),
-    "DedupSort": lambda ctx, items, own: sec_dedup(ctx, items, own, sort=True),
+    # The four items as new entries; the second "a" counts one copy.
+    "DedupSort": lambda ctx, items, own: sec_dedup(
+        ctx, items, own, counts=ctx.public_key.encrypt_batch([0, 0, 1, 0], ctx.rng)
+    ),
 }
 
 

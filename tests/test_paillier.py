@@ -279,7 +279,7 @@ class TestRandomizerRepeats:
         assert {
             role.get(mod, "N'^2"): (len(draws), repeats[mod])
             for mod, draws in pool_draws.draws.items()
-        } == {"N^2": (3259, 1), "N'^2": (189, 0), "N^3": (101, 0)}
+        } == {"N^2": (3012, 1), "N'^2": (189, 0), "N^3": (101, 0)}
 
 
 class TestSharedKeyFirstDraw:

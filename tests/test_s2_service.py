@@ -333,7 +333,7 @@ class TestFailureModes:
             for e in entries
         ]
         try:
-            _, fields = _prepare(ctx, items, [0, 0, 0], own, None, sort=False)
+            _, fields = _prepare(ctx, items, [0, 0, 0], own, None)
             fields["matrix"] = fields["matrix"][:-1]
             with pytest.raises(RemoteS2Error) as excinfo:
                 ctx.call(

@@ -159,7 +159,7 @@ class TestMalformedBatch:
         self, ctx, factory, own_keypair, field, reshape
     ):
         items = [_scored(ctx, factory, f"o{i}", i, i + 1) for i in range(3)]
-        _, parts = _prepare(ctx, items, [0, 0, 0], own_keypair, None, sort=False)
+        _, parts = _prepare(ctx, items, [0, 0, 0], own_keypair, None)
         parts[field] = reshape(parts[field])
         with pytest.raises(ProtocolError, match="malformed dedup batch"):
             ctx.call(
@@ -220,9 +220,11 @@ class TestMatrixReusesHeldEqualities:
     @pytest.mark.parametrize(
         "config",
         [
-            {"variant": "elim"},
-            {"variant": "full"},
-            {"variant": "batch", "batch_p": 4},
+            # The eager engine's matrix is the network sort's DedupBatch;
+            # its affine settle has none (test_eager_affine_settle_has_no_matrix).
+            {"variant": "elim", "sort_method": "network"},
+            {"variant": "full", "sort_method": "network"},
+            {"variant": "batch", "batch_p": 4, "sort_method": "network"},
             {"engine": "literal", "variant": "elim"},
             {"engine": "literal", "variant": "full"},
         ],
@@ -251,6 +253,23 @@ class TestMatrixReusesHeldEqualities:
         assert all(call["knowledge"] for call in calls)
         assert sum(call["tested"] for call in calls) > 0
         assert sum(call["distinct"] for call in calls) > 0
+
+    @pytest.mark.parametrize("variant", ["elim", "full", "batch"])
+    def test_eager_affine_settle_has_no_matrix(self, monkeypatch, variant):
+        """A ``DedupSort`` reads the absorbs' counts: no ``⊖`` pair is
+        built for it, known or not."""
+        scheme = SecTopK(SystemParams.tiny(), seed=21)
+        relation = scheme.encrypt(self.ROWS)
+        calls = self._spy(monkeypatch)
+        result = scheme.query(
+            relation,
+            scheme.token([0, 1, 2], k=3),
+            QueryConfig(variant=variant, batch_p=4),
+        )
+        assert {o for o, _ in scheme.reveal(result)} == {
+            o for o, _ in naive_topk(self.ROWS, [0, 1, 2], 3)
+        }
+        assert calls == []
 
     @pytest.mark.parametrize("variant", ["elim", "full"])
     def test_literal_gamma_matrix_is_all_rescales(self, monkeypatch, variant):

@@ -149,7 +149,7 @@ class TestWireValues:
 class TestMessageEnvelopes:
     def test_registry_is_bijective(self):
         retired = [i for i, cls in enumerate(MESSAGE_TYPES) if cls is None]
-        assert retired == [12, 13]
+        assert retired == [12, 13, 15]
         for cls in MESSAGE_TYPES:
             if cls is None:
                 continue
@@ -184,17 +184,19 @@ class TestMessageEnvelopes:
         assert back[2].eliminate is True
         assert back[2].own_public == keypair.public_key
 
-    def test_dedup_sort_is_appended_at_id_15(self, keypair, rng):
-        """The fused check-depth operation takes the next free id; ids
-        0–14 keep their classes, and the id past it is refused."""
-        assert message_type_id(DedupSort) == 15 == len(MESSAGE_TYPES) - 1
+    def test_dedup_sort_is_appended_at_id_16(self, keypair, rng):
+        """The counts form of the check-depth operation takes the next
+        free id; ids 0–14 keep their classes, the matrix form's id 15 is
+        retired, and so are the ids past the end."""
+        assert message_type_id(DedupSort) == 16 == len(MESSAGE_TYPES) - 1
         assert message_type_id(BlindedSelect) == 14
-        with pytest.raises(ProtocolError):
-            message_class(16)
+        for retired in (15, 17):
+            with pytest.raises(ProtocolError):
+                message_class(retired)
         pk = keypair.public_key
         msg = DedupSort(
             protocol="SecDupElim",
-            matrix=[pk.encrypt(3, rng)],
+            counts=[pk.encrypt(3, rng)],
             items=[],
             keys=[pk.encrypt(5, rng), pk.encrypt(7, rng)],
             companions=[],
@@ -204,16 +206,20 @@ class TestMessageEnvelopes:
             eliminate=False,
         )
         frame = WireCodec().encode_envelope([msg])
-        assert frame[1] == 15  # count varint, then the type id
+        assert frame[1] == 16  # count varint, then the type id
         (back,) = WireCodec().decode_envelope(frame)
         assert type(back) is DedupSort
         assert [ct.value for ct in back.keys] == [ct.value for ct in msg.keys]
-        assert [ct.value for ct in back.matrix] == [msg.matrix[0].value]
+        assert [ct.value for ct in back.counts] == [msg.counts[0].value]
         assert (back.ranks, back.sentinel, back.eliminate) == ([0, 1], -(1 << 40), False)
         assert back.own_public == pk
         assert msg.request_payload() == (
-            msg.matrix, msg.items, msg.keys, msg.companions, msg.ranks
+            msg.counts, msg.items, msg.keys, msg.companions, msg.ranks
         )
+        # A frame of the matrix form (id 15) is refused, whichever side
+        # still speaks it.
+        with pytest.raises(ProtocolError):
+            WireCodec().decode_envelope(frame[:1] + bytes([15]) + frame[2:])
 
     def test_request_payload_excludes_metadata(self, keypair, rng):
         msg = DedupBatch(
