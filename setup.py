@@ -6,16 +6,15 @@ PEP-517 editable installs cannot build; this classic setup.py keeps
 everywhere.
 
 The core library is dependency-free (the crypto stack is built on Python
-integers).  Two optional extras accelerate the compute backend
-(``repro.crypto.backend``), which auto-detects whatever is installed —
-the kernel first, then gmpy2, then pure Python::
+integers).  One optional extra accelerates the compute backend
+(``repro.crypto.backend``), which picks the kernel when it builds and
+pure Python otherwise::
 
     pip install .[kernel]         # cffi GMP batch kernel (GIL-free C
                                   # batch primitives; needs a C compiler
                                   # and the GMP headers, e.g. libgmp-dev)
-    pip install .[accel]          # gmpy2-accelerated big-int backend
 
-Select explicitly with ``REPRO_BACKEND=pure|gmpy2|gmp-kernel|auto``
+Select explicitly with ``REPRO_BACKEND=pure|gmp-kernel|auto``
 (default auto).  The kernel extension self-builds on first use and is
 cached under ``~/.cache/repro-gmp-kernel``; without cffi/GMP it simply
 never registers.
@@ -34,8 +33,6 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     extras_require={
-        # Optional GMP-backed big-int acceleration for the compute layer.
-        "accel": ["gmpy2>=2.1"],
         # Optional GIL-free GMP batch kernel (cffi extension, built
         # lazily on first use; also needs a C compiler + GMP headers).
         "kernel": ["cffi>=1.15"],

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 from repro.crypto.encoding import check_plaintext_bound, plaintext_bits
 from repro.exceptions import EncodingRangeError, QueryError
 
+#: The ``EncCompare`` and ``EncSort`` constructions a scheme default or a
+#: per-query override may name.
+COMPARE_METHODS = ("blinded", "dgk")
+SORT_METHODS = ("affine", "network")
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -55,9 +60,9 @@ class SystemParams:
     def __post_init__(self):
         if self.ehl_variant not in ("plus", "bits"):
             raise QueryError(f"unknown EHL variant: {self.ehl_variant!r}")
-        if self.compare_method not in ("blinded", "dgk"):
+        if self.compare_method not in COMPARE_METHODS:
             raise QueryError(f"unknown compare method: {self.compare_method!r}")
-        if self.sort_method not in ("affine", "network"):
+        if self.sort_method not in SORT_METHODS:
             raise QueryError(f"unknown sort method: {self.sort_method!r}")
         try:
             check_plaintext_bound(self.prime_bits, self.score_bits, self.blind_bits)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
+from repro.core.params import COMPARE_METHODS, SORT_METHODS
 from repro.exceptions import QueryError
 from repro.net.channel import ChannelStats
 from repro.structures.items import ScoredItem
@@ -41,7 +42,7 @@ class QueryConfig:
         unseen-objects bound (exact NRA halting);
         ``"paper"`` — only the (k+1)-th candidate plus the unseen bound.
     compare_method / sort_method:
-        Override the scheme defaults per query.
+        Override the scheme defaults per query (``None``: the scheme's).
     max_depth:
         Optional scan cap, ``>= 1`` (benchmarks use it to bound run
         time; results are then best-effort as in a budgeted NRA run).
@@ -79,6 +80,10 @@ class QueryConfig:
             raise QueryError(f"unknown engine: {self.engine!r}")
         if self.halting not in ("strict", "paper"):
             raise QueryError(f"unknown halting rule: {self.halting!r}")
+        if self.compare_method not in (None, *COMPARE_METHODS):
+            raise QueryError(f"unknown compare method: {self.compare_method!r}")
+        if self.sort_method not in (None, *SORT_METHODS):
+            raise QueryError(f"unknown sort method: {self.sort_method!r}")
         if self.variant == "batch" and self.batch_p < 1:
             raise QueryError("batch_p must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:

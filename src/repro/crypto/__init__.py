@@ -17,7 +17,8 @@ so everything the paper's construction needs is implemented here:
 * :mod:`repro.crypto.rng` — deterministic randomness plumbing so tests and
   benchmarks are reproducible;
 * :mod:`repro.crypto.backend` — the pluggable modular-arithmetic compute
-  layer (pure Python or gmpy2) every hot operation routes through;
+  layer (pure Python, or the compiled GMP kernel of
+  :mod:`repro.crypto.kernels`) every hot operation routes through;
 * :mod:`repro.crypto.parallel` — the thread ``ComputePool`` kept for
   the benchmark's ``crypto.pool_*`` probe.
 """

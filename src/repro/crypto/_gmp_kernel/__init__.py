@@ -5,15 +5,16 @@ extension on first use when it can (cffi + a C compiler + the GMP
 headers present), and returns ``None`` — recording why in
 :func:`unavailable_reason` — when it cannot.  Nothing in the package
 ever *requires* the kernel: :mod:`repro.crypto.backend` registers it as
-the ``gmp-kernel`` backend only when this loader succeeds, exactly like
-the gmpy2 backend registers only when gmpy2 imports.
+the ``gmp-kernel`` backend only when this loader succeeds, and falls
+back to the pure backend otherwise.
 
 The build is cached under ``~/.cache/repro-gmp-kernel/<tag>`` (override
 with ``REPRO_KERNEL_CACHE``), in a subdirectory named by a digest of the
 C declarations and source, so a cache populated by another version of
 this package is never imported in place of a rebuild.
-``REPRO_NO_KERNEL=1`` disables the kernel outright, which is how the pure/gmpy2 CI legs stay deterministic on
-machines that happen to carry a compiler.  Concurrent builders compile
+``REPRO_NO_KERNEL=1`` disables the kernel outright, which is how the
+pure CI legs stay deterministic on machines that happen to carry a
+compiler.  Concurrent builders compile
 into private scratch directories and ``os.replace`` the shared object
 into place, so racing processes (spawn-started pool workers, parallel
 test runs) at worst build twice, never corrupt the cache.

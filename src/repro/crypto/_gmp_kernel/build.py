@@ -40,7 +40,7 @@ Everything crosses the boundary as fixed-width little-endian arrays of
 64-bit words (least-significant word first, little-endian bytes within
 each word), so a single C call carries an entire batch and cffi
 releases the GIL for its whole duration.  That one property is the
-point of this extension: with the pure and gmpy2 backends every modular
+point of this extension: with the pure backend every modular
 exponentiation holds the GIL, so concurrent queries cannot overlap
 their arithmetic; with this kernel they can.
 

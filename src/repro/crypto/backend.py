@@ -6,37 +6,28 @@ Miller–Rabin rounds, the blinding and comparison protocols' scalar
 exponentiations — the operations that dominate query latency) funnels
 through this module, so a single switch moves the whole system between:
 
-* ``pure``       — the built-in CPython big-int implementation (always
-  available; the default when nothing faster is installed),
-* ``gmpy2``      — GMP-backed ``powmod``/``invert``, typically 3–10x
-  faster on the modular exponentiations that dominate query latency
-  (the paper's Section 11 measures exactly these operations), and
+* ``pure``       — the built-in CPython big-int implementation, the
+  always-available reference (:class:`PurePythonBackend`), and
 * ``gmp-kernel`` — the compiled cffi batch kernel
-  (:mod:`repro.crypto.kernels`): GMP speed, *every* batch primitive
-  below as one C call (:func:`powmod_products`, :func:`pool_products`
-  and :func:`invert_vec` on the kernel's Montgomery core, a whole
-  :func:`paillier_decrypt` batch on ``mpz_powm``, and the two fused
-  round operations :func:`blind_round` and :func:`ehl_minus`), *and* the
-  GIL released across every batch call, so concurrent queries' kernel
-  stretches overlap.  Available when the extension builds here (cffi +
-  C compiler + GMP headers); absent, it simply never registers.
+  (:class:`repro.crypto.kernels.GmpKernel`): GMP speed, *every* batch
+  primitive below as one C call (:func:`powmod_products`,
+  :func:`pool_products` and :func:`invert_vec` on the kernel's Montgomery
+  core, a whole :func:`paillier_decrypt` batch on ``mpz_powm``, and the
+  two fused round operations :func:`blind_round` and :func:`ehl_minus`),
+  *and* the GIL released across every batch call, so concurrent queries'
+  kernel stretches overlap.  Available when the extension builds here
+  (cffi + C compiler + GMP headers); absent, it simply never registers.
 
 Selection order:
 
 1. a thread-local :func:`use_backend` override (scopes a choice to one
    thread without touching the rest of the process);
 2. ``set_backend(...)`` — explicit programmatic choice (tests, benches);
-3. the ``REPRO_BACKEND`` environment variable (``pure``, ``gmpy2``,
-   ``gmp-kernel`` or ``auto``);
-4. ``auto`` — ``gmp-kernel`` when it builds, else ``gmpy2`` when
-   importable, else ``pure``.  (The kernel first: it is the backend the
-   repo's benchmark measures, and the only one on which the batch
-   primitives are C — ``gmpy2`` runs ``powmod_products``,
-   ``pool_products``, ``invert_vec``, ``paillier_decrypt``,
-   ``blind_round`` and ``ehl_minus`` as the shared Python loops around
-   its scalar and vector calls.)
+3. the ``REPRO_BACKEND`` environment variable (``pure``, ``gmp-kernel``
+   or ``auto``);
+4. ``auto`` — ``gmp-kernel`` when it builds, else ``pure``.
 
-All backends are *bit-compatible*: for every operation the returned
+Both backends are *bit-compatible*: for every operation the returned
 integers are identical, so ciphertexts, transcripts and seeded-test
 expectations never depend on which backend served them
 (``tests/test_backend.py`` pins this).
@@ -46,8 +37,8 @@ Besides the scalar ops the module exposes batch entry points.
 bare ciphertexts under one key's :class:`PaillierCrt` constants, both
 CRT halves or (``below_p``) the mod-``p`` half alone; the key methods
 (``sk.decrypt_batch`` and friends) are its callers.  :func:`powmod_vec`
-(one exponent, many bases) gives an accelerated backend one conversion
-of the shared modulus/exponent per *batch* instead of per item.
+(one exponent, many bases) gives the kernel one conversion of the
+shared modulus/exponent per *batch* instead of per item.
 :func:`powmod_pairs` (one exponent *per* base), :func:`powmod_products`
 (``acc · Π b^e`` per group of bases), :func:`invert_vec` (Montgomery's
 trick) and :func:`pool_products` (the randomizer-pool draw) carry the
@@ -73,12 +64,6 @@ import threading
 import warnings
 
 from repro.exceptions import DecryptionError
-
-try:  # pragma: no cover - exercised only where gmpy2 is installed
-    import gmpy2 as _gmpy2
-except ImportError:  # pragma: no cover
-    _gmpy2 = None
-
 
 #: The refusal texts of :func:`paillier_decrypt`, identical on every
 #: backend.
@@ -156,13 +141,39 @@ def check_ehl_minus(
         raise ValueError(OUTSIDE_MOD)
 
 
-class _SharedBatchOps:
-    """The batch ops every backend runs as one Python loop unless it
-    overrides them: ``powmod_products`` on top of the backend's
-    ``powmod_pairs``, ``invert_vec`` on top of its scalar ``invert``,
-    ``paillier_decrypt`` on top of its ``powmod_vec``, ``ehl_minus`` on
-    top of its ``pool_products`` and ``powmod_products``, and the
-    reference ``pool_products`` and ``blind_round``."""
+class PurePythonBackend:
+    """CPython built-ins; the always-available reference backend.
+
+    The batch ops are Python loops over the scalar ones —
+    ``powmod_products`` on ``powmod_pairs``, ``invert_vec`` on
+    ``invert``, ``paillier_decrypt`` on ``powmod_vec``, ``ehl_minus`` on
+    ``pool_products`` and ``powmod_products`` — so they pin what the
+    kernel's C loops must return.
+    """
+
+    name = "pure"
+
+    @staticmethod
+    def powmod(base: int, exp: int, mod: int) -> int:
+        return pow(base, exp, mod)
+
+    @staticmethod
+    def powmod_vec(bases: list[int], exp: int, mod: int) -> list[int]:
+        return [pow(b, exp, mod) for b in bases]
+
+    @staticmethod
+    def powmod_pairs(bases: list[int], exps: list[int], mod: int) -> list[int]:
+        if len(bases) != len(exps):
+            raise ValueError("powmod_pairs needs one exponent per base")
+        return [pow(b, e, mod) for b, e in zip(bases, exps)]
+
+    @staticmethod
+    def invert(a: int, mod: int) -> int:
+        return pow(a, -1, mod)
+
+    @staticmethod
+    def gcd(a: int, b: int) -> int:
+        return math.gcd(a, b)
 
     def paillier_decrypt(
         self, crt: "PaillierCrt", values: list[int], below_p: bool = False
@@ -341,92 +352,25 @@ class _SharedBatchOps:
         return out
 
 
-class PurePythonBackend(_SharedBatchOps):
-    """CPython built-ins; the always-available reference backend."""
+def kernel_available() -> bool:
+    """Whether the compiled ``gmp-kernel`` backend can be constructed
+    here (the extension imports, or builds on first use)."""
+    from repro.crypto import _gmp_kernel
 
-    name = "pure"
-
-    @staticmethod
-    def powmod(base: int, exp: int, mod: int) -> int:
-        return pow(base, exp, mod)
-
-    @staticmethod
-    def powmod_vec(bases: list[int], exp: int, mod: int) -> list[int]:
-        return [pow(b, exp, mod) for b in bases]
-
-    @staticmethod
-    def powmod_pairs(bases: list[int], exps: list[int], mod: int) -> list[int]:
-        if len(bases) != len(exps):
-            raise ValueError("powmod_pairs needs one exponent per base")
-        return [pow(b, e, mod) for b, e in zip(bases, exps)]
-
-    @staticmethod
-    def invert(a: int, mod: int) -> int:
-        return pow(a, -1, mod)
-
-    @staticmethod
-    def gcd(a: int, b: int) -> int:
-        return math.gcd(a, b)
+    return _gmp_kernel.available()
 
 
-class Gmpy2Backend(_SharedBatchOps):
-    """GMP-accelerated ops via :mod:`gmpy2` (optional dependency).
-
-    Results are converted back to built-in ``int`` at the boundary so
-    callers (and the wire codec, and pickling) never see ``mpz``.
-    """
-
-    name = "gmpy2"
-
-    def __init__(self):
-        if _gmpy2 is None:
-            raise RuntimeError("gmpy2 is not installed")
-        self._mpz = _gmpy2.mpz
-        self._powmod = _gmpy2.powmod
-        self._invert = _gmpy2.invert
-        self._gcd = _gmpy2.gcd
-
-    def powmod(self, base: int, exp: int, mod: int) -> int:
-        return int(self._powmod(base, exp, mod))
-
-    def powmod_vec(self, bases: list[int], exp: int, mod: int) -> list[int]:
-        # Convert the shared exponent/modulus once for the whole batch.
-        mpz, powmod = self._mpz, self._powmod
-        e, m = mpz(exp), mpz(mod)
-        return [int(powmod(b, e, m)) for b in bases]
-
-    def powmod_pairs(self, bases: list[int], exps: list[int], mod: int) -> list[int]:
-        if len(bases) != len(exps):
-            raise ValueError("powmod_pairs needs one exponent per base")
-        powmod = self._powmod
-        m = self._mpz(mod)
-        return [int(powmod(b, e, m)) for b, e in zip(bases, exps)]
-
-    def invert(self, a: int, mod: int) -> int:
-        # gmpy2.invert returns 0 for non-invertible inputs (instead of
-        # raising, as pow(a, -1, m) does); normalize to the pure error.
-        if self._gcd(a, mod) != 1:
-            raise ValueError("base is not invertible for the given modulus")
-        return int(self._invert(a, mod))
-
-    def gcd(self, a: int, b: int) -> int:
-        return int(self._gcd(a, b))
+def available_backends() -> tuple[str, ...]:
+    """Names accepted by :func:`set_backend` in this environment."""
+    return ("pure", "gmp-kernel") if kernel_available() else ("pure",)
 
 
-class GmpKernelBackend(_SharedBatchOps):
-    """The compiled GIL-free GMP batch kernel as a backend.
-
-    Same GMP arithmetic as gmpy2 (bit-identical results); the
-    difference is *where the GIL goes*: every batch op makes one C call
-    for the whole batch and cffi releases the GIL for its entire
-    duration, so concurrent threads running batches genuinely overlap.
-    ``gcd`` stays on :func:`math.gcd` — already C-speed, and never a
-    batch bottleneck.
-    """
-
-    name = "gmp-kernel"
-
-    def __init__(self):
+def _resolve(name: str):
+    """A fresh backend instance for ``name`` (callers set instance
+    attributes on what they get, so instances are never shared)."""
+    if name == "pure" or (name == "auto" and not kernel_available()):
+        return PurePythonBackend()
+    if name in ("gmp-kernel", "auto"):
         from repro.crypto import kernels
 
         kernel = kernels.load_kernel()
@@ -434,116 +378,7 @@ class GmpKernelBackend(_SharedBatchOps):
             raise RuntimeError(
                 f"gmp kernel unavailable ({kernels.kernel_unavailable_reason()})"
             )
-        self._kernel = kernel
-
-    def powmod(self, base: int, exp: int, mod: int) -> int:
-        return self._kernel.powmod(base, exp, mod)
-
-    def powmod_vec(self, bases: list[int], exp: int, mod: int) -> list[int]:
-        return self._kernel.powmod_vec(bases, exp, mod)
-
-    def powmod_pairs(self, bases: list[int], exps: list[int], mod: int) -> list[int]:
-        return self._kernel.powmod_pairs(bases, exps, mod)
-
-    def powmod_products(
-        self,
-        accs: list[int],
-        bases: list[int],
-        exps: list[int],
-        counts: list[int],
-        mod: int,
-    ) -> list[int]:
-        if min(exps, default=0) < 0:
-            # Negative powers go through invert; no hot path has them.
-            return super().powmod_products(accs, bases, exps, counts, mod)
-        return self._kernel.powmod_products(accs, bases, exps, counts, mod)
-
-    def invert_vec(self, values: list[int], mod: int) -> list[int]:
-        return self._kernel.invert_vec(values, mod)
-
-    def paillier_decrypt(
-        self, crt: "PaillierCrt", values: list[int], below_p: bool = False
-    ) -> list[int]:
-        if crt.packed is None:
-            crt.packed = self._kernel.pack_crt(crt)
-        return self._kernel.paillier_decrypt(crt.packed, crt.n, values, below_p)
-
-    def pool_products(self, pool: "RandomizerPool", reads: bytes) -> list[int]:
-        return self._kernel.pool_products(
-            self._kernel.packed_pool(pool), pool.index_bits, pool.picks, reads, pool.mod
-        )
-
-    def blind_round(
-        self,
-        values: list[int],
-        counts: list[int],
-        seeds: list[int],
-        streams: bytes,
-        width: int,
-        n: int,
-        sign: int,
-        pool: "RandomizerPool | None" = None,
-        reads: bytes = b"",
-    ) -> list[int]:
-        return self._kernel.blind_round(
-            values, counts, seeds, streams, width, n, sign, pool, reads
-        )
-
-    def ehl_minus(
-        self,
-        pool: "RandomizerPool",
-        reads: bytes,
-        numerators: list[int],
-        inverses: list[int],
-        exps: list[int],
-        counts: list[int],
-    ) -> list[int]:
-        return self._kernel.ehl_minus(pool, reads, numerators, inverses, exps, counts)
-
-    def invert(self, a: int, mod: int) -> int:
-        return self._kernel.invert(a, mod)
-
-    @staticmethod
-    def gcd(a: int, b: int) -> int:
-        return math.gcd(a, b)
-
-
-def gmpy2_available() -> bool:
-    """Whether the gmpy2 backend can be constructed here."""
-    return _gmpy2 is not None
-
-
-def kernel_available() -> bool:
-    """Whether the compiled ``gmp-kernel`` backend can be constructed
-    here (the extension imports, or builds on first use)."""
-    from repro.crypto import kernels
-
-    return kernels.kernel_available()
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`set_backend` in this environment."""
-    names = ["pure"]
-    if gmpy2_available():
-        names.append("gmpy2")
-    if kernel_available():
-        names.append("gmp-kernel")
-    return tuple(names)
-
-
-def _resolve(name: str):
-    if name == "pure":
-        return PurePythonBackend()
-    if name == "gmpy2":
-        return Gmpy2Backend()
-    if name == "gmp-kernel":
-        return GmpKernelBackend()
-    if name == "auto":
-        if kernel_available():
-            return GmpKernelBackend()
-        if gmpy2_available():
-            return Gmpy2Backend()
-        return PurePythonBackend()
+        return kernel
     raise ValueError(f"unknown compute backend: {name!r}")
 
 
@@ -553,8 +388,9 @@ def _initial_backend():
     A typo'd or unsatisfiable env var must not make ``import repro``
     itself raise (code that would fix the selection via
     :func:`set_backend` could then never run); the misconfiguration is
-    surfaced as a warning instead.  CI's accelerated leg asserts the
-    resolved backend name, so a silent fallback cannot pass there.
+    surfaced as a warning instead — a retired backend name included.
+    CI's kernel leg asserts the resolved backend name, so a silent
+    fallback cannot pass there.
     """
     name = os.environ.get("REPRO_BACKEND", "auto")
     try:

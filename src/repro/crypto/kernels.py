@@ -9,22 +9,22 @@ Two things live here:
   C side reads and writes (``mpz_import``/``mpz_export`` with
   ``order=-1, endian=-1``).
 
-* **:class:`GmpKernel`** — the loaded extension wrapped in the backend
-  operation signatures (``powmod`` / ``powmod_vec`` / ``powmod_pairs`` /
-  ``powmod_products`` / ``pool_products`` / ``invert`` / ``invert_vec`` /
-  ``paillier_decrypt`` / ``blind_round`` / ``ehl_minus``).
-  A batch call packs the whole batch, makes *one* C call, and unpacks;
-  cffi releases the GIL for the entire C loop, so concurrent queries'
-  kernel stretches overlap.  ``powmod_products``, ``pool_products`` and
-  ``invert_vec`` run on the kernel's Montgomery core (odd moduli; an even
-  one takes the same call's ``mpz`` path).  Results are bit-identical to
-  the pure and gmpy2 backends (``tests/test_backend.py`` pins this).
-  The C loops index raw buffers, so every buffer size is checked here,
-  before the call.
+* **:class:`GmpKernel`** — the ``gmp-kernel`` compute backend itself:
+  the loaded extension behind every backend operation (``powmod`` /
+  ``powmod_vec`` / ``powmod_pairs`` / ``powmod_products`` /
+  ``pool_products`` / ``invert`` / ``invert_vec`` / ``paillier_decrypt``
+  / ``blind_round`` / ``ehl_minus``).  A batch call packs the whole
+  batch, makes *one* C call, and unpacks; cffi releases the GIL for the
+  entire C loop, so concurrent queries' kernel stretches overlap.
+  ``powmod_products``, ``pool_products`` and ``invert_vec`` run on the
+  kernel's Montgomery core (odd moduli; an even one takes the same call's
+  ``mpz`` path).  Results are bit-identical to the pure backend
+  (``tests/test_backend.py`` pins this).  The C loops index raw buffers,
+  so every buffer size is checked here, before the call.
 
-Use :func:`load_kernel` / :func:`kernel_available`; both are no-raise —
-a machine without cffi, a compiler or the GMP headers simply reports the
-kernel absent and every caller falls back.
+Use :func:`load_kernel`; it is no-raise — a machine without cffi, a
+compiler or the GMP headers simply reports the kernel absent and every
+caller falls back to the pure backend.
 """
 
 from __future__ import annotations
@@ -72,8 +72,17 @@ def unpack_ints(buf, words: int, count: int) -> list[int]:
 # ----------------------------------------------------------------------
 
 
-class GmpKernel:
-    """Batch modular arithmetic through the compiled GMP extension."""
+class GmpKernel(backend.PurePythonBackend):
+    """The ``gmp-kernel`` backend: batch modular arithmetic through the
+    compiled GMP extension.
+
+    It subclasses the pure backend only for ``gcd`` (:func:`math.gcd`,
+    already C speed) and for ``powmod_products`` with a negative
+    exponent, which no hot path has; every other operation is the
+    kernel's own.
+    """
+
+    name = "gmp-kernel"
 
     def __init__(self, ffi, lib):
         self._ffi = ffi
@@ -143,8 +152,12 @@ class GmpKernel:
         return self._powm(self._lib.repro_powmod_pairs, bases, exps, mod)
 
     def powmod(self, base: int, exp: int, mod: int) -> int:
-        """Scalar sugar over :meth:`powmod_vec`."""
-        return self.powmod_vec([base], exp, mod)[0]
+        """``base ** exp mod mod`` in one C call."""
+        if mod == 0:
+            raise ValueError("pow() 3rd argument cannot be 0")
+        if exp < 0:
+            return pow(base, exp, mod)
+        return self._powm(self._lib.repro_powmod_vec, [base], [exp], mod)[0]
 
     def powmod_products(
         self,
@@ -157,7 +170,9 @@ class GmpKernel:
         """``accs[g] · Π b ** e mod mod`` per group ``g`` of ``counts[g]``
         consecutive ``(base, exponent)`` pairs, in one GIL-free C call (a
         multi-exponentiation per group, see ``repro_powmod_products``).
-        Exponents must be non-negative."""
+        A negative exponent takes the pure backend's loop."""
+        if min(exps, default=0) < 0:
+            return super().powmod_products(accs, bases, exps, counts, mod)
         if mod == 0:
             raise ValueError("pow() 3rd argument cannot be 0")
         if (
@@ -192,42 +207,35 @@ class GmpKernel:
             raise ValueError("kernel multi-exponentiation failed")
         return unpack_ints(out_buf, mod_words, len(accs))
 
-    def packed_pool(self, pool) -> bytes:
-        """A :class:`~repro.crypto.backend.RandomizerPool`'s
-        :meth:`pack_pool` copy, built on its first draw and kept on the
-        pool (so on the key that owns it)."""
+    @staticmethod
+    def _packed_pool(pool) -> bytes:
+        """A :class:`~repro.crypto.backend.RandomizerPool` in the limb
+        format at its modulus's width, built on its first draw and kept
+        on the pool (so on the key that owns it).  For an odd modulus
+        (every key's) each value is packed in Montgomery form,
+        ``v · 2 ** (64 · words) mod mod``, which is what the kernel's pool
+        loop multiplies."""
         if pool.packed is None:
-            pool.packed = self.pack_pool(pool, pool.mod)
+            mod = pool.mod
+            words = words_for(mod)
+            values = [(v << 64 * words) % mod for v in pool] if mod & 1 else pool
+            pool.packed = bytes(pack_ints(values, words))
         return pool.packed
 
-    @staticmethod
-    def pack_pool(values: list[int], mod: int) -> bytes:
-        """``values`` in the limb format at ``mod``'s width — the
-        ``packed_pool`` of :meth:`pool_products`, built once per pool.
-        For an odd ``mod`` (every key's) each value is packed in
-        Montgomery form, ``v · 2 ** (64 · words) mod mod``, which is what
-        the kernel's pool loop multiplies."""
-        words = words_for(mod)
-        if mod & 1:
-            shift = 64 * words
-            values = [(v << shift) % mod for v in values]
-        return bytes(pack_ints(values, words))
+    def pool_products(self, pool, reads: bytes) -> list[int]:
+        """One product of ``pool.picks`` pool elements per read of
+        ``reads``, in one GIL-free C call (see ``repro_pool_products``).
 
-    def pool_products(
-        self, packed_pool: bytes, index_bits: int, picks: int, reads: bytes, mod: int
-    ) -> list[int]:
-        """One product of ``picks`` pool elements per read of ``reads``,
-        in one GIL-free C call (see ``repro_pool_products``).
-
-        ``packed_pool`` is the pool's ``2 ** index_bits`` elements in the
-        limb format at ``mod``'s width; ``reads`` holds one
-        ``ceil(picks * index_bits / 8)``-byte read per product.  The C
-        loop indexes both buffers raw, so their sizes are checked here.
+        The C loop indexes the packed pool and the reads raw, so their
+        sizes are checked here: ``pool.packed`` must hold
+        ``2 ** pool.index_bits`` elements and ``reads`` a whole number of
+        ``pool.read_bytes``-byte reads.
         """
-        mod_words, packed_mod = self._packed_mod(mod)
-        read_bytes = (picks * index_bits + 7) // 8
+        mod_words, packed_mod = self._packed_mod(pool.mod)
+        index_bits, picks, read_bytes = pool.index_bits, pool.picks, pool.read_bytes
         if picks < 1 or not 1 <= read_bytes <= WORD_BYTES:
             raise ValueError("a pool draw reads 1..64 index bits per product")
+        packed_pool = self._packed_pool(pool)
         if len(packed_pool) != (mod_words * WORD_BYTES) << index_bits:
             raise ValueError("packed pool does not hold 2**index_bits elements")
         count, ragged = divmod(len(reads), read_bytes)
@@ -277,7 +285,7 @@ class GmpKernel:
         if pool is None:
             packed_pool, index_bits, picks, reads_ptr = ffi.NULL, 0, 0, ffi.NULL
         else:
-            packed_pool = from_buffer("uint64_t[]", self.packed_pool(pool))
+            packed_pool = from_buffer("uint64_t[]", self._packed_pool(pool))
             index_bits, picks = pool.index_bits, pool.picks
             reads_ptr = from_buffer("uint8_t[]", reads)
         out_buf = bytearray(len(values) * ct_words * WORD_BYTES)
@@ -330,7 +338,7 @@ class GmpKernel:
         out_buf = bytearray(len(counts) * mod_words * WORD_BYTES)
         from_buffer = self._ffi.from_buffer
         rc = self._lib.repro_ehl_minus(
-            from_buffer("uint64_t[]", self.packed_pool(pool)),
+            from_buffer("uint64_t[]", self._packed_pool(pool)),
             pool.index_bits,
             from_buffer("uint8_t[]", reads),
             pool.picks,
@@ -353,7 +361,7 @@ class GmpKernel:
 
     def invert(self, a: int, mod: int) -> int:
         """Modular inverse; raises ``ValueError`` when none exists
-        (the same error contract as the pure and gmpy2 backends)."""
+        (the same error contract as the pure backend)."""
         if mod == 0:
             raise ValueError("modulus cannot be 0")
         mod_words, packed_mod = self._packed_mod(mod)
@@ -395,30 +403,34 @@ class GmpKernel:
         return unpack_ints(out_buf, mod_words, len(values))
 
     @staticmethod
-    def pack_crt(crt) -> bytes:
+    def _packed_crt(crt) -> bytes:
         """A :class:`~repro.crypto.backend.PaillierCrt`'s constants in the
         limb format, each at ``N^2``'s width, in the order
-        ``repro_paillier_decrypt`` reads them — the ``packed_crt`` of
-        :meth:`paillier_decrypt`, built once per key."""
-        constants = [
-            crt.n_squared, crt.n, crt.p, crt.q, crt.p_squared, crt.q_squared,
-            crt.hp, crt.hq, crt.p_inv_q,
-        ]
-        return bytes(pack_ints(constants, words_for(crt.n_squared)))
+        ``repro_paillier_decrypt`` reads them — built on the key's first
+        decryption and kept on ``crt``."""
+        if crt.packed is None:
+            constants = [
+                crt.n_squared, crt.n, crt.p, crt.q, crt.p_squared, crt.q_squared,
+                crt.hp, crt.hq, crt.p_inv_q,
+            ]
+            crt.packed = bytes(pack_ints(constants, words_for(crt.n_squared)))
+        return crt.packed
 
-    def paillier_decrypt(
-        self, packed_crt: bytes, n: int, values: list[int], below_p: bool
-    ) -> list[int]:
-        """The Paillier plaintexts of ``values`` (each below ``N^2``) in
-        one GIL-free C call (see ``repro_paillier_decrypt``); ``n`` is the
-        key's modulus.  A refused batch raises :class:`DecryptionError`
-        with the shared backend's texts and returns nothing."""
+    def paillier_decrypt(self, crt, values: list[int], below_p: bool = False) -> list[int]:
+        """The Paillier plaintexts of ``values`` under ``crt``'s key in one
+        GIL-free C call (see ``repro_paillier_decrypt``); ``below_p``
+        returns the mod-``p`` half alone.  A refused batch raises
+        :class:`DecryptionError` with the pure backend's texts and returns
+        nothing.  A ragged ``crt.packed`` is refused before the call, one
+        packed for a wider modulus by the call, before it writes any
+        output."""
         if not values:
             return []
+        packed_crt = self._packed_crt(crt)
         ct_words, ragged = divmod(len(packed_crt), _CRT_CONSTANTS * WORD_BYTES)
         if ragged or not ct_words:
             raise ValueError("packed CRT constants are not nine limb-format values")
-        out_words = words_for(n)
+        out_words = words_for(crt.n)
         try:
             in_buf = pack_ints(values, ct_words)
         except OverflowError:  # negative, or wider than N^2
@@ -441,28 +453,18 @@ class GmpKernel:
         return unpack_ints(out_buf, out_words, len(values))
 
 
-#: Constants ``GmpKernel.pack_crt`` packs per key.
+#: Constants ``GmpKernel._packed_crt`` packs per key.
 _CRT_CONSTANTS = 9
 #: ``repro_paillier_decrypt``'s refusal codes and their texts.
 _REFUSALS = {1: backend.OUTSIDE_ZN2, 2: backend.NOT_A_UNIT}
 
-_KERNEL: GmpKernel | None = None
-
 
 def load_kernel() -> GmpKernel | None:
-    """The process-wide :class:`GmpKernel`, or ``None`` when unavailable."""
-    global _KERNEL
-    if _KERNEL is None:
-        loaded = _gmp_kernel.load()
-        if loaded is None:
-            return None
-        _KERNEL = GmpKernel(*loaded)
-    return _KERNEL
-
-
-def kernel_available() -> bool:
-    """Whether the compiled kernel can be used in this environment."""
-    return load_kernel() is not None
+    """A new :class:`GmpKernel` over the process's one loaded extension,
+    or ``None`` when unavailable.  Each caller gets its own instance:
+    tests and tracers set instance attributes on the backend they hold."""
+    loaded = _gmp_kernel.load()
+    return None if loaded is None else GmpKernel(*loaded)
 
 
 def kernel_unavailable_reason() -> str | None:

@@ -15,8 +15,8 @@ Homomorphic properties used throughout the construction:
 Decryption uses the CRT split over ``p^2`` and ``q^2`` for a ~3x speedup,
 which matters because the two-cloud protocols decrypt constantly.  All
 modular arithmetic routes through :mod:`repro.crypto.backend`, so the
-same code runs on the pure-Python big-int implementation, on gmpy2 or
-on the compiled kernel; every decryption is one
+same code runs on the pure-Python big-int implementation or on the
+compiled GMP kernel; every decryption is one
 :func:`~repro.crypto.backend.paillier_decrypt` call per batch, on the
 key's :class:`~repro.crypto.backend.PaillierCrt` constants, and the
 batch methods (:meth:`PaillierPublicKey.encrypt_batch`,

@@ -60,7 +60,9 @@ class ComputePool:
                  min_batch: int = 8, mode: str = "thread"):
         if mode != "thread":
             raise ValueError(f"unknown compute-pool mode: {mode!r}")
-        if not backend.kernel_available():
+        # Chunks run under a thread-local backend override on the kernel.
+        self._kernel = kernels.load_kernel()
+        if self._kernel is None:
             raise ValueError(
                 "the compute pool requires the compiled gmp-kernel backend "
                 f"(unavailable here: {kernels.kernel_unavailable_reason()})"
@@ -68,15 +70,13 @@ class ComputePool:
         self.workers = workers or os.cpu_count() or 1
         self.min_batch = min_batch
         self._secret_key = keypair.secret_key
-        # Chunks run under a thread-local backend override on the kernel.
-        self._kernel_backend = backend.GmpKernelBackend()
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="compute-pool"
         )
         self._closed = False
 
     def _chunk(self, values: list[int]) -> list[int]:
-        with backend.use_backend(self._kernel_backend):
+        with backend.use_backend(self._kernel):
             return self._secret_key.raw_decrypt_batch(values)
 
     def decrypt_values(self, values: list[int]) -> list[int]:

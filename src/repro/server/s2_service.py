@@ -680,8 +680,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--backend",
         default=None,
-        help="big-int backend (pure / gmpy2 / gmp-kernel / auto; "
-        "default: REPRO_BACKEND)",
+        choices=("pure", "gmp-kernel", "auto"),
+        help="big-int backend (default: REPRO_BACKEND)",
     )
     parser.add_argument(
         "--state-dir",

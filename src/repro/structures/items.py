@@ -71,9 +71,9 @@ class WeightedEntries:
 
     A block is one ``backend.powmod_vec`` call: the same exponent
     reduction as ``Ciphertext.__mul__`` (``weight % n``), so the
-    ciphertexts stay bit-identical, an accelerated backend converts the
-    shared exponent and modulus once, and the gmp-kernel backend releases
-    the GIL across the block.  Two threads that weight a block together
+    ciphertexts stay bit-identical, and the gmp-kernel backend converts
+    the shared exponent and modulus once and releases the GIL across the
+    block.  Two threads that weight a block together
     compute the same values; the last store wins.
     """
 

@@ -1,8 +1,8 @@
 """Backend parity and batch entry-point tests for the compute layer.
 
 Every public op of :mod:`repro.crypto.backend` must be bit-identical
-under the pure-Python, gmpy2 and compiled gmp-kernel backends (the
-accelerated halves skip where the package/extension is absent), and the
+under the pure-Python and compiled gmp-kernel backends (the kernel
+halves skip where the extension is absent), and the
 batch entry points must match their per-item equivalents exactly —
 including randomness stream order, so seeded transcripts are invariant
 to batching.
@@ -11,7 +11,11 @@ to batching.
 from __future__ import annotations
 
 import functools
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -33,9 +37,6 @@ from repro.protocols.enc_compare import enc_compare_flows
 from repro.structures.ehl import Ehl, minus_pairs
 from repro.structures.items import ScoredItem
 
-needs_gmpy2 = pytest.mark.skipif(
-    not backend.gmpy2_available(), reason="gmpy2 not installed"
-)
 needs_kernel = pytest.mark.skipif(
     not backend.kernel_available(), reason="gmp kernel unavailable"
 )
@@ -53,6 +54,19 @@ def dj(keypair):
 
 #: pk''s modulus at the smallest preset (``tiny``: the 224-bit floor).
 SEED_KEY_BITS = seed_key_bits(SystemParams.tiny().key_bits)
+
+
+def _spy_on_lib(kernel, calls: list) -> None:
+    """Append the name of every C entry point ``kernel`` calls to
+    ``calls``."""
+    lib = kernel._lib
+
+    class Spy:
+        def __getattr__(self, attr):
+            calls.append(attr)
+            return getattr(lib, attr)
+
+    kernel._lib = Spy()
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,12 +102,7 @@ class TestSelection:
     def test_auto_resolution_matches_availability(self):
         previous = backend.set_backend("auto")
         try:
-            if backend.kernel_available():
-                expected = "gmp-kernel"
-            elif backend.gmpy2_available():
-                expected = "gmpy2"
-            else:
-                expected = "pure"
+            expected = "gmp-kernel" if backend.kernel_available() else "pure"
             assert backend.get_backend().name == expected
         finally:
             backend.set_backend(previous)
@@ -134,6 +143,35 @@ class TestSelection:
         finally:
             backend.set_backend(previous)
 
+    def test_retired_env_value_falls_back_to_pure(self):
+        """``REPRO_BACKEND`` naming the retired third backend does not
+        make ``import repro`` raise: one ``RuntimeWarning`` names the
+        value and the process runs on the pure backend."""
+        retired = "gmpy2"
+        code = (
+            "import warnings\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    import repro\n"
+            "    from repro.crypto import backend\n"
+            "print(backend.get_backend().name)\n"
+            "for w in caught:\n"
+            "    print(w.category.__name__, w.message)\n"
+        )
+        src = str(pathlib.Path(backend.__file__).parents[2])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, REPRO_BACKEND=retired)
+        env["PYTHONPATH"] = src + os.pathsep + path if path else src
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        name, *warned = done.stdout.splitlines()
+        assert name == "pure"
+        assert len(warned) == 1
+        assert warned[0].startswith(f"RuntimeWarning REPRO_BACKEND={retired!r}")
+
 
 class TestPureOps:
     def test_powmod_matches_builtin(self):
@@ -158,70 +196,6 @@ class TestPureOps:
         assert b.gcd(48, 36) == 12
 
 
-@needs_gmpy2
-class TestGmpy2Parity:
-    """Bit-identical results for every public backend op."""
-
-    CASES = [
-        (2, 10, 1_000),
-        (0, 5, 77),
-        (1, 0, 77),
-        (123456789, 987654321, 2**127 - 1),
-    ]
-
-    def test_powmod(self):
-        pure, fast = backend.PurePythonBackend(), backend.Gmpy2Backend()
-        rng = SecureRandom(3)
-        cases = list(self.CASES) + [
-            (rng.randbits(256), rng.randbits(256), rng.randbits(256) | 1)
-            for _ in range(20)
-        ]
-        for base, exp, mod in cases:
-            assert pure.powmod(base, exp, mod) == fast.powmod(base, exp, mod)
-
-    def test_powmod_vec(self):
-        pure, fast = backend.PurePythonBackend(), backend.Gmpy2Backend()
-        rng = SecureRandom(4)
-        bases = [rng.randbits(256) for _ in range(16)]
-        exp, mod = rng.randbits(256), rng.randbits(256) | 1
-        assert pure.powmod_vec(bases, exp, mod) == fast.powmod_vec(bases, exp, mod)
-
-    def test_invert(self):
-        pure, fast = backend.PurePythonBackend(), backend.Gmpy2Backend()
-        rng = SecureRandom(5)
-        mod = (2**89 - 1) * (2**107 - 1)  # composite, mostly coprime draws
-        for _ in range(20):
-            a = rng.randint(1, mod - 1)
-            if pure.gcd(a, mod) != 1:
-                continue
-            assert pure.invert(a, mod) == fast.invert(a, mod)
-        with pytest.raises(ValueError):
-            fast.invert(2**89 - 1, mod)
-
-    def test_gcd(self):
-        pure, fast = backend.PurePythonBackend(), backend.Gmpy2Backend()
-        rng = SecureRandom(6)
-        for _ in range(20):
-            a, b = rng.randbits(300), rng.randbits(300)
-            assert pure.gcd(a, b) == fast.gcd(a, b)
-
-    def test_whole_query_invariant_under_backend(self):
-        """A seeded scheme reveals identical winners on both backends."""
-        revealed = []
-        for name in ("pure", "gmpy2"):
-            previous = backend.set_backend(name)
-            try:
-                rng = SecureRandom(77)
-                rows = [[rng.randint_below(40) for _ in range(3)] for _ in range(8)]
-                scheme = SecTopK(SystemParams.tiny(), seed=13)
-                relation = scheme.encrypt(rows)
-                result = scheme.query(relation, scheme.token([0, 1], k=2))
-                revealed.append(sorted(scheme.reveal(result)))
-            finally:
-                backend.set_backend(previous)
-        assert revealed[0] == revealed[1]
-
-
 @needs_kernel
 class TestKernelParity:
     """The compiled gmp-kernel backend is bit-identical to pure."""
@@ -234,7 +208,7 @@ class TestKernelParity:
     ]
 
     def test_powmod(self):
-        pure, fast = backend.PurePythonBackend(), backend.GmpKernelBackend()
+        pure, fast = backend.PurePythonBackend(), kernels.load_kernel()
         rng = SecureRandom(3)
         cases = list(self.CASES) + [
             (rng.randbits(256), rng.randbits(256), rng.randbits(256) | 1)
@@ -244,7 +218,7 @@ class TestKernelParity:
             assert pure.powmod(base, exp, mod) == fast.powmod(base, exp, mod)
 
     def test_powmod_vec(self):
-        pure, fast = backend.PurePythonBackend(), backend.GmpKernelBackend()
+        pure, fast = backend.PurePythonBackend(), kernels.load_kernel()
         rng = SecureRandom(4)
         bases = [rng.randbits(256) for _ in range(16)]
         exp, mod = rng.randbits(256), rng.randbits(256) | 1
@@ -253,7 +227,7 @@ class TestKernelParity:
     def test_powmod_vec_mixed_widths(self):
         """Exponent and base words differ from modulus words (the
         Paillier-encrypt shape: half-width exponent, double-width mod)."""
-        pure, fast = backend.PurePythonBackend(), backend.GmpKernelBackend()
+        pure, fast = backend.PurePythonBackend(), kernels.load_kernel()
         rng = SecureRandom(12)
         mod = rng.randbits(512) | (1 << 511) | 1
         bases = [rng.randbits(700) for _ in range(8)] + [0, 1, mod - 1, mod, mod + 1]
@@ -261,7 +235,7 @@ class TestKernelParity:
             assert pure.powmod_vec(bases, exp, mod) == fast.powmod_vec(bases, exp, mod)
 
     def test_powmod_vec_edges(self):
-        fast = backend.GmpKernelBackend()
+        fast = kernels.load_kernel()
         assert fast.powmod_vec([], 3, 7) == []
         with pytest.raises(ValueError):
             fast.powmod_vec([2], 3, 0)
@@ -269,7 +243,7 @@ class TestKernelParity:
         assert fast.powmod_vec([3], -1, 11) == [pow(3, -1, 11)]
 
     def test_invert(self):
-        pure, fast = backend.PurePythonBackend(), backend.GmpKernelBackend()
+        pure, fast = backend.PurePythonBackend(), kernels.load_kernel()
         rng = SecureRandom(5)
         mod = (2**89 - 1) * (2**107 - 1)
         for _ in range(20):
@@ -279,6 +253,25 @@ class TestKernelParity:
             assert pure.invert(a, mod) == fast.invert(a, mod)
         with pytest.raises(ValueError):
             fast.invert(2**89 - 1, mod)
+
+    def test_resolve_gives_a_fresh_kernel_over_one_extension(self):
+        """Each resolve is its own :class:`GmpKernel` (callers set
+        instance attributes on it) over the process's one loaded
+        extension."""
+        first, second = backend._resolve("gmp-kernel"), backend._resolve("gmp-kernel")
+        assert type(first) is kernels.GmpKernel and first.name == "gmp-kernel"
+        assert first is not second
+        assert (first._ffi, first._lib) == (second._ffi, second._lib)
+
+    def test_scalar_powmod_is_one_kernel_call(self):
+        """A scalar power is one C call and never goes through
+        ``powmod_vec`` (a tracer wrapping both counts it once)."""
+        fast = kernels.load_kernel()
+        calls = []
+        fast.powmod_vec = lambda *args: calls.append("powmod_vec")
+        _spy_on_lib(fast, calls)
+        assert fast.powmod(3, 5, 7) == 5
+        assert calls == ["repro_powmod_vec"]
 
     def test_whole_query_invariant_under_backend(self):
         """A seeded scheme reveals identical winners on both backends."""
@@ -301,7 +294,6 @@ class TestKernelParity:
     "name",
     [
         "pure",
-        pytest.param("gmpy2", marks=needs_gmpy2),
         pytest.param("gmp-kernel", marks=needs_kernel),
     ],
 )
@@ -415,14 +407,7 @@ class TestBatchPrimitiveParity:
         fast.invert = lambda a, m: calls.append(a) or scalar(a, m)
         expected = [3 * 5 * 7 * 11 % 1009]
         if name == "gmp-kernel":
-            lib = fast._kernel._lib
-
-            class Spy:
-                def __getattr__(self, attr):
-                    calls.append(attr)
-                    return getattr(lib, attr)
-
-            fast._kernel = kernels.GmpKernel(fast._kernel._ffi, Spy())
+            _spy_on_lib(fast, calls)
             expected = ["repro_invert_vec"]
         fast.invert_vec([3, 5, 7, 11], 1009)
         assert calls == expected
@@ -562,14 +547,7 @@ class TestBatchPrimitiveParity:
         fast.powmod_vec = lambda b, e, m: calls.append(m) or vec(b, e, m)
         expected = [crt.p_squared, crt.q_squared, crt.p_squared]
         if name == "gmp-kernel":
-            lib = fast._kernel._lib
-
-            class Spy:
-                def __getattr__(self, attr):
-                    calls.append(attr)
-                    return getattr(lib, attr)
-
-            fast._kernel = kernels.GmpKernel(fast._kernel._ffi, Spy())
+            _spy_on_lib(fast, calls)
             expected = ["repro_paillier_decrypt"] * 2
         assert fast.paillier_decrypt(crt, cts) == [m % crt.n for m in plain]
         fast.paillier_decrypt(crt, cts, below_p=True)
@@ -712,18 +690,11 @@ class TestBatchPrimitiveParity:
         reference loops over the backend's own ops."""
         fast = backend._resolve(name)
         if name != "gmp-kernel":
-            assert type(fast).blind_round is backend._SharedBatchOps.blind_round
-            assert type(fast).ehl_minus is backend._SharedBatchOps.ehl_minus
+            assert type(fast).blind_round is backend.PurePythonBackend.blind_round
+            assert type(fast).ehl_minus is backend.PurePythonBackend.ehl_minus
             return
         calls = []
-        lib = fast._kernel._lib
-
-        class Spy:
-            def __getattr__(self, attr):
-                calls.append(attr)
-                return getattr(lib, attr)
-
-        fast._kernel = kernels.GmpKernel(fast._kernel._ffi, Spy())
+        _spy_on_lib(fast, calls)
         rng = SecureRandom(41)
         n = rng.randbits(128) | (1 << 127) | 1
         n2 = n * n
@@ -767,44 +738,51 @@ class TestKernelCache:
         assert len([p for p in tmp_path.iterdir() if p.is_dir()]) == 2
 
     def test_pool_products_rejects_malformed_input(self):
-        """The C loop indexes raw buffers, so a buffer of the wrong size
-        or a shape the loop cannot index is refused before the call."""
-        from repro.crypto import kernels
-
+        """The C loop indexes raw buffers, so a ragged ``pool.packed``, a
+        ragged read buffer or a shape the loop cannot index is refused
+        before the call."""
         kernel = kernels.load_kernel()
         mod = (2**89 - 1) * (2**107 - 1)
-        packed = kernel.pack_pool(list(range(2, 66)), mod)
-        assert kernel.pool_products(packed, 6, 6, bytes(10), mod) == [2**6] * 2
+        pool = backend.RandomizerPool(list(range(2, 66)), mod, 6)
+        assert kernel.pool_products(pool, bytes(10)) == [2**6] * 2
         with pytest.raises(ValueError, match="whole number of draws"):
-            kernel.pool_products(packed, 6, 6, bytes(7), mod)
+            kernel.pool_products(pool, bytes(7))
+        ragged = backend.RandomizerPool(pool, mod, 6)
+        ragged.packed = pool.packed[:-32]
         with pytest.raises(ValueError, match="2\\*\\*index_bits elements"):
-            kernel.pool_products(packed[:-32], 6, 6, bytes(5), mod)
+            kernel.pool_products(ragged, bytes(5))
         with pytest.raises(ValueError, match="index bits"):
-            kernel.pool_products(packed, 6, 11, bytes(9), mod)
+            kernel.pool_products(backend.RandomizerPool(pool, mod, 11), bytes(9))
         with pytest.raises(ValueError, match="index bits"):
-            kernel.pool_products(packed, 6, 0, b"", mod)
+            kernel.pool_products(backend.RandomizerPool(pool, mod, 0), b"")
         # A pool that is not a power of two many values fails its first draw.
         short = backend.RandomizerPool(list(range(2, 65)), mod, 6)
         with pytest.raises(ValueError, match="2\\*\\*index_bits elements"):
-            backend._resolve("gmp-kernel").pool_products(short, bytes(5))
+            kernel.pool_products(short, bytes(5))
 
     def test_paillier_decrypt_rejects_malformed_constants(self):
         """The C loop reads the packed constants and writes the output
-        buffer raw: a ragged packing, or a modulus wider than the output
-        words, is refused before any output is written."""
-        from repro.crypto import kernels
-
+        buffer raw: a ragged ``crt.packed``, or one packed for a modulus
+        wider than the output words, is refused before any output is
+        written."""
         kernel = kernels.load_kernel()
-        wide, _, _ = _decrypt_batch(256)
+        wide, _, wide_cts = _decrypt_batch(256)
         narrow, plain, cts = _decrypt_batch(128)
-        packed = kernel.pack_crt(narrow)
         expected = [m % narrow.n for m in plain]
-        assert kernel.paillier_decrypt(packed, narrow.n, cts, False) == expected
-        for bad in (packed[:-8], b""):
-            with pytest.raises(ValueError, match="nine limb-format values"):
-                kernel.paillier_decrypt(bad, narrow.n, cts, False)
-        with pytest.raises(ValueError, match="do not match the modulus"):
-            kernel.paillier_decrypt(kernel.pack_crt(wide), narrow.n, cts, False)
+        assert kernel.paillier_decrypt(narrow, cts) == expected
+        packed = narrow.packed
+        kernel.paillier_decrypt(wide, wide_cts[:1])
+        try:
+            for bad in (packed[:-8], b""):
+                narrow.packed = bad
+                with pytest.raises(ValueError, match="nine limb-format values"):
+                    kernel.paillier_decrypt(narrow, cts)
+            narrow.packed = wide.packed
+            with pytest.raises(ValueError, match="do not match the modulus"):
+                kernel.paillier_decrypt(narrow, cts)
+        finally:
+            narrow.packed = packed
+        assert kernel.paillier_decrypt(narrow, cts) == expected
 
 
 class TestBatchEntryPoints:
@@ -985,7 +963,6 @@ def _components_of(items):
     "name",
     [
         "pure",
-        pytest.param("gmpy2", marks=needs_gmpy2),
         pytest.param("gmp-kernel", marks=needs_kernel),
     ],
 )

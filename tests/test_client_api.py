@@ -483,6 +483,17 @@ class TestCuratedSurface:
             s2_service.main(["--s2-workers", "2"])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("name", ["gmp_kernel", "GMP-KERNEL", "quantum"])
+    def test_daemon_cli_rejects_unknown_backend(self, name, capsys):
+        """A misspelt or retired ``--backend`` is argparse's usage error
+        (exit 2), before any backend is resolved."""
+        from repro.server import s2_service
+
+        with pytest.raises(SystemExit) as exit_info:
+            s2_service.main(["--backend", name])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_shard_daemon_module_is_gone(self):
         """``python -m`` on the S2 daemon's retired sibling (``shard_``
         for ``s2_``) finds no module."""

@@ -239,6 +239,12 @@ class TestQueryConfig:
             QueryConfig(engine="bogus")
         with pytest.raises(QueryError):
             QueryConfig(halting="bogus")
+        with pytest.raises(QueryError, match="sort method"):
+            QueryConfig(sort_method="magic")
+        with pytest.raises(QueryError, match="compare method"):
+            QueryConfig(compare_method="magic")
+        assert QueryConfig(sort_method=None, compare_method=None).sort_method is None
+        assert QueryConfig(sort_method="network", compare_method="dgk").compare_method == "dgk"
         with pytest.raises(QueryError):
             QueryConfig(variant="batch", batch_p=0)
         with pytest.raises(QueryError):

@@ -79,7 +79,7 @@ class TestValidation:
                 ComputePool(keypair, mode=mode)
 
     def test_thread_mode_requires_kernel(self, keypair, monkeypatch):
-        monkeypatch.setattr(backend, "kernel_available", lambda: False)
+        monkeypatch.setattr(kernels, "load_kernel", lambda: None)
         with pytest.raises(ValueError, match="gmp-kernel"):
             ComputePool(keypair, mode="thread")
 
