@@ -280,11 +280,12 @@ def run_instrumentation_overhead(
     return report
 
 
-def _reuse_workload(scheme: SecTopK, count: int, repeat_heavy: bool):
-    """``count`` requests; repeat-heavy interleaves one hot token at
-    every odd position (its first occurrence, position 0, is fresh)."""
+def _reuse_workload(scheme: SecTopK, count: int, repeat_heavy: bool, cache: bool):
+    """``count`` requests, each opted in to or out of the server's result
+    cache by ``cache``; repeat-heavy interleaves one hot token at every
+    odd position (its first occurrence, position 0, is fresh)."""
     subsets = [[0, 1], [1, 2], [0, 2], [0, 1, 2], [2, 3], [1, 3]]
-    config = QueryConfig(variant="elim", engine="eager", halting="paper")
+    config = QueryConfig(variant="elim", engine="eager", halting="paper", cache=cache)
     hot = scheme.token(subsets[0], k=2)
     requests = []
     for i in range(count):
@@ -297,7 +298,8 @@ def _reuse_workload(scheme: SecTopK, count: int, repeat_heavy: bool):
 
 def run_reuse_grid(rtt_ms: float = 5.0, out: pathlib.Path | None = None) -> dict:
     """The reuse-layer leg: qps across a repeat-ratio × concurrency grid
-    with the result cache on/off.
+    with every request opted in to or out of the result cache
+    (``QueryConfig(cache=...)``).
 
     Every leg runs its workload on a fresh identically-seeded deployment
     over a simulated-latency in-process link.  Cache hits cost zero
@@ -312,7 +314,7 @@ def run_reuse_grid(rtt_ms: float = 5.0, out: pathlib.Path | None = None) -> dict
             for cache in (True, False):
                 scheme, relation, _ = _deployment()
                 requests = _reuse_workload(
-                    scheme, queries, workload == "repeat-heavy"
+                    scheme, queries, workload == "repeat-heavy", cache
                 )
                 with repro.connect(
                     scheme,
@@ -320,7 +322,6 @@ def run_reuse_grid(rtt_ms: float = 5.0, out: pathlib.Path | None = None) -> dict
                     "inprocess",
                     rtt_ms=rtt_ms,
                     scheduler_workers=4,
-                    cache=cache,
                 ) as client:
                     started = time.perf_counter()
                     results = client.execute_many(

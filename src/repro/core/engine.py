@@ -189,7 +189,6 @@ class _EngineBase:
                 self.own_keypair,
                 descending=True,
                 method=self.sort_method,
-                key="worst",
             )
 
     def _dedup(

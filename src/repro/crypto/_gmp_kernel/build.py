@@ -1,18 +1,19 @@
 """cffi build recipe for the GIL-free GMP batch kernel.
 
-The C side is small: two vectorized ``mpz_powm`` loops — one exponent
-for the whole batch (DJ layer stripping, randomizer pools, shard
-weighting) and one exponent per base (the ``RecoverEnc`` blinds, the
-blinded select's unblinding, the ⊖ rescales, the blinded comparisons'
-scales) — a scalar ``mpz_invert``, ``repro_paillier_decrypt`` (a batch
-of whole CRT Paillier decryptions: the range and unit checks, both
+The C side is small: one entry point per operation.  One vectorized
+``mpz_powm`` loop, ``repro_powmod_pairs`` — one exponent per base (the
+``RecoverEnc`` blinds, the blinded select's unblinding, the ⊖ rescales,
+the blinded comparisons' scales), or with a zero exponent stride one
+shared exponent for the whole batch (DJ layer stripping, randomizer
+pools, a scalar power as a batch of one); ``repro_paillier_decrypt`` (a
+batch of whole CRT Paillier decryptions: the range and unit checks, both
 ``mpz_powm`` halves, ``L``, ``h_p`` / ``h_q`` and the recombination, or
-the mod-``p`` half alone), two fused round operations built on the
+the mod-``p`` half alone); two fused round operations built on the
 loops below — ``repro_blind_round`` (an item-blinding round: every
 component's summed seed blinds read off the SHAKE-256 streams, reduced
 mod ``N`` and applied as ``c · (1 ± b·N)``, times its pool randomizer)
 and ``repro_ehl_minus`` (a batch of ⊖: each pair's ``Enc(0)`` pool
-draw, its cell quotients and its multi-exponentiation) — and three
+draw, its cell quotients and its multi-exponentiation); and three
 loops on one Montgomery core:
 
 * ``repro_powmod_products`` — ``acc · Π b^e`` per group of ragged width,
@@ -26,7 +27,8 @@ loops on one Montgomery core:
   in Montgomery form: ``picks − 1`` Montgomery multiplications and one
   reduction out of Montgomery form per draw.
 * ``repro_invert_vec`` — Montgomery's batch-inversion trick: one
-  ``mpz_invert`` for the whole batch.
+  ``mpz_invert`` for the whole batch (a scalar inverse is a batch of
+  one).
 
 The core is Montgomery multiplication (Montgomery, "Modular
 multiplication without trial division", Math. Comp. 1985) on GMP's
@@ -61,17 +63,10 @@ except ImportError:  # pragma: no cover - environments without cffi
 MODULE_NAME = "_repro_gmp_kernel"
 
 CDEF = """
-int repro_powmod_vec(const uint64_t *bases, size_t n_items, size_t base_words,
-                     const uint64_t *exp, size_t exp_words,
-                     const uint64_t *mod, size_t mod_words,
-                     uint64_t *out);
 int repro_powmod_pairs(const uint64_t *bases, size_t n_items, size_t base_words,
-                       const uint64_t *exps, size_t exp_words,
+                       const uint64_t *exps, size_t exp_words, size_t exp_stride,
                        const uint64_t *mod, size_t mod_words,
                        uint64_t *out);
-int repro_invert(const uint64_t *a, size_t a_words,
-                 const uint64_t *mod, size_t mod_words,
-                 uint64_t *out);
 int repro_pool_products(const uint64_t *pool, size_t index_bits,
                         const uint8_t *reads, size_t n_items, size_t picks,
                         const uint64_t *mod, size_t mod_words,
@@ -128,46 +123,13 @@ static void export_words(uint64_t *words, size_t n_words, const mpz_t op)
     mpz_export(words, &count, -1, sizeof(uint64_t), -1, 0, op);
 }
 
-/* out[i] = bases[i] ** exp  mod  mod, for the whole batch in one call.
-   Returns 0 on success, -1 for a zero modulus.  The shared exponent and
-   modulus are imported once per call; cffi releases the GIL around the
+/* out[i] = bases[i] ** exps[i]  mod  mod for the whole batch in one call:
+   exponent i is the exp_words words at exps + i * exp_stride, so a zero
+   stride gives every base one shared exponent, imported once.  Returns 0
+   on success, -1 for a zero modulus; cffi releases the GIL around the
    entire loop. */
-int repro_powmod_vec(const uint64_t *bases, size_t n_items, size_t base_words,
-                     const uint64_t *exp, size_t exp_words,
-                     const uint64_t *mod, size_t mod_words,
-                     uint64_t *out)
-{
-    mpz_t b, e, m, r;
-    size_t i;
-    int status = 0;
-
-    mpz_init(e);
-    mpz_init(m);
-    import_words(e, exp, exp_words);
-    import_words(m, mod, mod_words);
-    if (mpz_sgn(m) == 0) {
-        mpz_clear(e);
-        mpz_clear(m);
-        return -1;
-    }
-    mpz_init(b);
-    mpz_init(r);
-    for (i = 0; i < n_items; i++) {
-        import_words(b, bases + i * base_words, base_words);
-        mpz_powm(r, b, e, m);
-        export_words(out + i * mod_words, mod_words, r);
-    }
-    mpz_clear(b);
-    mpz_clear(e);
-    mpz_clear(m);
-    mpz_clear(r);
-    return status;
-}
-
-/* out[i] = bases[i] ** exps[i]  mod  mod: one exponent per base, every
-   exponent packed to the same exp_words.  Same contract as above. */
 int repro_powmod_pairs(const uint64_t *bases, size_t n_items, size_t base_words,
-                       const uint64_t *exps, size_t exp_words,
+                       const uint64_t *exps, size_t exp_words, size_t exp_stride,
                        const uint64_t *mod, size_t mod_words,
                        uint64_t *out)
 {
@@ -184,8 +146,9 @@ int repro_powmod_pairs(const uint64_t *bases, size_t n_items, size_t base_words,
     mpz_init(e);
     mpz_init(r);
     for (i = 0; i < n_items; i++) {
+        if (i == 0 || exp_stride != 0)
+            import_words(e, exps + i * exp_stride, exp_words);
         import_words(b, bases + i * base_words, base_words);
-        import_words(e, exps + i * exp_words, exp_words);
         mpz_powm(r, b, e, m);
         export_words(out + i * mod_words, mod_words, r);
     }
@@ -194,34 +157,6 @@ int repro_powmod_pairs(const uint64_t *bases, size_t n_items, size_t base_words,
     mpz_clear(m);
     mpz_clear(r);
     return 0;
-}
-
-/* out = a ** -1 mod mod.  Returns 1 when the inverse exists, 0 when it
-   does not (out untouched), -1 for a zero modulus. */
-int repro_invert(const uint64_t *a, size_t a_words,
-                 const uint64_t *mod, size_t mod_words,
-                 uint64_t *out)
-{
-    mpz_t a_z, m_z, r;
-    int ok;
-
-    mpz_init(a_z);
-    mpz_init(m_z);
-    import_words(a_z, a, a_words);
-    import_words(m_z, mod, mod_words);
-    if (mpz_sgn(m_z) == 0) {
-        mpz_clear(a_z);
-        mpz_clear(m_z);
-        return -1;
-    }
-    mpz_init(r);
-    ok = mpz_invert(r, a_z, m_z) != 0;
-    if (ok)
-        export_words(out, mod_words, r);
-    mpz_clear(a_z);
-    mpz_clear(m_z);
-    mpz_clear(r);
-    return ok;
 }
 
 /* ------------------------------------------------------------------

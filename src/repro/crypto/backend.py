@@ -18,14 +18,13 @@ through this module, so a single switch moves the whole system between:
   kernel stretches overlap.  Available when the extension builds here
   (cffi + C compiler + GMP headers); absent, it simply never registers.
 
-Selection order:
+One backend serves the whole process.  Selection order:
 
-1. a thread-local :func:`use_backend` override (scopes a choice to one
-   thread without touching the rest of the process);
-2. ``set_backend(...)`` — explicit programmatic choice (tests, benches);
-3. the ``REPRO_BACKEND`` environment variable (``pure``, ``gmp-kernel``
+1. ``set_backend(...)`` — explicit programmatic choice (tests, benches,
+   worker processes on startup);
+2. the ``REPRO_BACKEND`` environment variable (``pure``, ``gmp-kernel``
    or ``auto``);
-4. ``auto`` — ``gmp-kernel`` when it builds, else ``pure``.
+3. ``auto`` — ``gmp-kernel`` when it builds, else ``pure``.
 
 Both backends are *bit-compatible*: for every operation the returned
 integers are identical, so ciphertexts, transcripts and seeded-test
@@ -57,10 +56,8 @@ refuse a ragged layout or an input outside ``[0, mod)`` with
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
-import threading
 import warnings
 
 from repro.exceptions import DecryptionError
@@ -360,11 +357,6 @@ def kernel_available() -> bool:
     return _gmp_kernel.available()
 
 
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`set_backend` in this environment."""
-    return ("pure", "gmp-kernel") if kernel_available() else ("pure",)
-
-
 def _resolve(name: str):
     """A fresh backend instance for ``name`` (callers set instance
     attributes on what they get, so instances are never shared)."""
@@ -406,20 +398,10 @@ def _initial_backend():
 
 _ACTIVE = _initial_backend()
 
-# Per-thread override installed by use_backend().  Checked before the
-# process-wide selection so one thread can run on the GIL-free kernel
-# (a compute-pool chunk) while the rest of the process stays put.
-_TLS = threading.local()
-
-
-def _current():
-    override = getattr(_TLS, "backend", None)
-    return _ACTIVE if override is None else override
-
 
 def get_backend():
-    """The active backend instance (honouring any thread-local override)."""
-    return _current()
+    """The process's active backend instance."""
+    return _ACTIVE
 
 
 def set_backend(backend) -> object:
@@ -428,33 +410,12 @@ def set_backend(backend) -> object:
 
     Worker processes call this on startup so a programmatic selection in
     the parent survives ``spawn``-style pools; tests use the return value
-    to restore the previous backend.  Does not touch thread-local
-    overrides (:func:`use_backend`).
+    to restore the previous backend.
     """
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = _resolve(backend) if isinstance(backend, str) else backend
     return previous
-
-
-@contextlib.contextmanager
-def use_backend(backend):
-    """Run the current thread on ``backend`` for the duration of a block.
-
-    The override is strictly thread-local: other threads — and code in
-    this thread outside the block — keep using the process-wide
-    selection.  This is how the compute pool's thread mode pins its
-    chunk computations to the GIL-free kernel without a process-wide
-    ``set_backend`` racing concurrent queries.  Nestable; restores the
-    previous override on exit.
-    """
-    resolved = _resolve(backend) if isinstance(backend, str) else backend
-    previous = getattr(_TLS, "backend", None)
-    _TLS.backend = resolved
-    try:
-        yield resolved
-    finally:
-        _TLS.backend = previous
 
 
 # ----------------------------------------------------------------------
@@ -464,17 +425,17 @@ def use_backend(backend):
 
 def powmod(base: int, exp: int, mod: int) -> int:
     """``base**exp mod mod`` through the active backend."""
-    return _current().powmod(base, exp, mod)
+    return _ACTIVE.powmod(base, exp, mod)
 
 
 def invert(a: int, mod: int) -> int:
     """Modular inverse through the active backend (raises if none)."""
-    return _current().invert(a, mod)
+    return _ACTIVE.invert(a, mod)
 
 
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor through the active backend."""
-    return _current().gcd(a, b)
+    return _ACTIVE.gcd(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -485,13 +446,13 @@ def gcd(a: int, b: int) -> int:
 def powmod_vec(bases: list[int], exp: int, mod: int) -> list[int]:
     """Exponentiate many bases by one shared exponent — the shape of
     batched CRT decryption and batched randomizer generation."""
-    return _current().powmod_vec(bases, exp, mod)
+    return _ACTIVE.powmod_vec(bases, exp, mod)
 
 
 def powmod_pairs(bases: list[int], exps: list[int], mod: int) -> list[int]:
     """Exponentiate each base by its own exponent — the shape of the ⊖
     matrix's random scalars and of the layered scalar multiplications."""
-    return _current().powmod_pairs(bases, exps, mod)
+    return _ACTIVE.powmod_pairs(bases, exps, mod)
 
 
 def powmod_products(
@@ -501,13 +462,13 @@ def powmod_products(
     consecutive ``(base, exponent)`` pairs — the shape of the ⊖ operator
     (the ``Enc(0)`` randomizer times one power per EHL cell) and of a
     layered select (``E2(c_default)`` times one power per selector bit)."""
-    return _current().powmod_products(accs, bases, exps, counts, mod)
+    return _ACTIVE.powmod_products(accs, bases, exps, counts, mod)
 
 
 def invert_vec(values: list[int], mod: int) -> list[int]:
     """Every modular inverse of a batch for the price of one (raises
     ``ValueError`` if any element has none)."""
-    return _current().invert_vec(values, mod)
+    return _ACTIVE.invert_vec(values, mod)
 
 
 class RandomizerPool(list):
@@ -534,7 +495,7 @@ def pool_products(pool: RandomizerPool, reads: bytes) -> list[int]:
     """One product of ``pool.picks`` pool elements per read of ``reads`` —
     the shape of every randomizer draw (see
     :func:`repro.crypto.paillier.pool_randomizers`)."""
-    return _current().pool_products(pool, reads)
+    return _ACTIVE.pool_products(pool, reads)
 
 
 def blind_round(
@@ -554,7 +515,7 @@ def blind_round(
     ``seeds[g]`` SHAKE-256 streams, reduced mod ``N``, and each takes the
     pool draw of its read of ``reads`` when ``pool`` is given.  Raises
     ``ValueError`` for a ragged layout or a value outside ``[0, N^2)``."""
-    return _current().blind_round(
+    return _ACTIVE.blind_round(
         values, counts, seeds, streams, width, n, sign, pool, reads
     )
 
@@ -572,7 +533,7 @@ def ehl_minus(
     ``Π (num · inv) ** e mod pool.mod`` over its cells.  Raises
     ``ValueError`` for ragged reads or cells, a negative exponent, or a
     numerator or inverse outside ``[0, pool.mod)``."""
-    return _current().ehl_minus(pool, reads, numerators, inverses, exps, counts)
+    return _ACTIVE.ehl_minus(pool, reads, numerators, inverses, exps, counts)
 
 
 class PaillierCrt:
@@ -606,4 +567,4 @@ def paillier_decrypt(
     every Paillier decryption of the package, one call per batch.
     Raises :class:`DecryptionError` for the whole batch on a value
     outside ``(0, N^2)`` or not a unit."""
-    return _current().paillier_decrypt(crt, values, below_p)
+    return _ACTIVE.paillier_decrypt(crt, values, below_p)

@@ -263,23 +263,14 @@ class DamgardJurik:
             for mp, mq in zip(_residues(values, half_p), _residues(values, half_q))
         ]
 
-    def decrypt_inner(self, c: "LayeredCiphertext", keypair: PaillierKeypair) -> Ciphertext:
-        """Strip the outer layer: ``E2(Enc(m))`` -> ``Enc(m)``.
-
-        This is what the crypto cloud computes inside ``RecoverEnc``
-        (Algorithm 5).
-        """
-        return self.decrypt_inner_batch([c], keypair)[0]
-
-    def wrap_inner_value(self, value: int) -> Ciphertext:
-        """Wrap a decrypted DJ plaintext as the inner Paillier ciphertext."""
-        return Ciphertext(value % self.public_key.n_squared, self.public_key)
-
     def decrypt_inner_batch(
         self, cts: list["LayeredCiphertext"], keypair: PaillierKeypair
     ) -> list[Ciphertext]:
-        """Batch layer stripping — the crypto cloud's hottest operation."""
-        return [self.wrap_inner_value(v) for v in self.decrypt_batch(cts, keypair)]
+        """Strip the outer layer, ``E2(Enc(m))`` -> ``Enc(m)``, of a batch:
+        what the crypto cloud computes inside ``RecoverEnc`` (Algorithm 5),
+        its hottest operation."""
+        n2, pk = self.public_key.n_squared, self.public_key
+        return [Ciphertext(v % n2, pk) for v in self.decrypt_batch(cts, keypair)]
 
     @functools.cached_property
     def ciphertext_bytes(self) -> int:
@@ -364,49 +355,6 @@ class LayeredCiphertext:
         """Byte size on the wire."""
         return self.scheme.ciphertext_bytes
 
-    def to_bytes(self) -> bytes:
-        """Fixed-width big-endian serialization."""
-        return self.value.to_bytes(self.scheme.ciphertext_bytes, "big")
-
-    @classmethod
-    def from_bytes(cls, data: bytes, scheme: DamgardJurik) -> "LayeredCiphertext":
-        """Inverse of :meth:`to_bytes`."""
-        return cls(int.from_bytes(data, "big"), scheme)
-
-
-def layered_select(
-    dj: DamgardJurik,
-    bit: "LayeredCiphertext",
-    if_one: Ciphertext,
-    if_zero: Ciphertext,
-) -> "LayeredCiphertext":
-    """Homomorphic mux: ``E2(t*Enc(a) + (1-t)*Enc(b))`` for an encrypted bit.
-
-    Semantically this is the paper's expression
-    ``E2(t)^{Enc(a)} * (E2(1) * E2(t)^{-1})^{Enc(b)}`` from Algorithms 4
-    and 6; we evaluate the algebraically identical (and cheaper) telescoped
-    form ``E2(t)^{(Enc(a) - Enc(b))} * E2(Enc(b))`` — the inner value is
-    ``t*(c_a - c_b) + c_b``, which is exactly ``c_a`` when ``t = 1`` and
-    ``c_b`` when ``t = 0``.  One big exponentiation instead of three.
-    """
-    return layered_select_batch(dj, [([bit], [if_one], if_zero)])[0]
-
-
-def layered_one_hot_select(
-    dj: DamgardJurik,
-    bits: list["LayeredCiphertext"],
-    options: list[Ciphertext],
-    default: Ciphertext,
-) -> "LayeredCiphertext":
-    """Generalized mux over a one-hot encrypted selector.
-
-    Given at most one ``bits[i] = E2(1)`` (all others ``E2(0)``), returns
-    ``E2(Enc(options[i]))`` — or ``E2(Enc(default))`` when every bit is
-    zero.  Inner value: ``Σ_i t_i (c_i - c_default) + c_default``; the
-    integer cancellation leaves exactly one live ciphertext value.
-    """
-    return layered_select_batch(dj, [(bits, options, default)])[0]
-
 
 def layered_select_batch(
     dj: DamgardJurik,
@@ -414,11 +362,20 @@ def layered_select_batch(
     rng: SecureRandom | None = None,
     scalars: list[int] | None = None,
 ) -> list["LayeredCiphertext"]:
-    """One :func:`layered_one_hot_select` per ``(bits, options, default)``
-    entry of ``selections``, for a whole flow step at once: every
-    ``E2(c_default)`` in one :meth:`DamgardJurik.encrypt_batch`, then
-    each select's ``E2(c_default) · Π E2(t_i)^{c_i - c_default}`` as one
-    group of one :func:`~repro.crypto.backend.powmod_products` call.
+    """Homomorphic muxes over one-hot encrypted selectors, a whole flow
+    step at once.
+
+    Per ``(bits, options, default)`` entry of ``selections``, with at
+    most one ``bits[i] = E2(1)`` (all others ``E2(0)``):
+    ``E2(Enc(options[i]))``, or ``E2(Enc(default))`` when every bit is
+    zero.  A two-way select of Algorithms 4 and 6, the paper's
+    ``E2(t)^{Enc(a)} · (E2(1) · E2(t)^{-1})^{Enc(b)}``, is the one-bit
+    case, evaluated in the telescoped form ``E2(t)^{c_a - c_b} ·
+    E2(c_b)``: one exponentiation instead of three.  Every
+    ``E2(c_default)`` comes from one :meth:`DamgardJurik.encrypt_batch`,
+    then each select's ``E2(c_default) · Π E2(t_i)^{c_i - c_default}``
+    is one group of one :func:`~repro.crypto.backend.powmod_products`
+    call.
 
     ``scalars`` (one Paillier ciphertext *value* ``k`` per selection)
     additionally multiplies each selected inner value by ``k`` mod

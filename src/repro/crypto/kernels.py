@@ -13,12 +13,14 @@ Two things live here:
   the loaded extension behind every backend operation (``powmod`` /
   ``powmod_vec`` / ``powmod_pairs`` / ``powmod_products`` /
   ``pool_products`` / ``invert`` / ``invert_vec`` / ``paillier_decrypt``
-  / ``blind_round`` / ``ehl_minus``).  A batch call packs the whole
-  batch, makes *one* C call, and unpacks; cffi releases the GIL for the
-  entire C loop, so concurrent queries' kernel stretches overlap.
-  ``powmod_products``, ``pool_products`` and ``invert_vec`` run on the
-  kernel's Montgomery core (odd moduli; an even one takes the same call's
-  ``mpz`` path).  Results are bit-identical to the pure backend
+  / ``blind_round`` / ``ehl_minus``), one C entry point per operation
+  (the scalar ``powmod`` and ``powmod_vec`` are ``repro_powmod_pairs``
+  with a zero exponent stride, ``invert`` is ``repro_invert_vec`` on one
+  element).  A call packs the whole batch, makes *one* C call, and
+  unpacks; cffi releases the GIL for the entire C loop, so concurrent
+  queries' kernel stretches overlap.  ``powmod_products``,
+  ``pool_products`` and ``invert_vec`` run on the kernel's Montgomery
+  core (odd moduli; an even one takes the same call's ``mpz`` path).  Results are bit-identical to the pure backend
   (``tests/test_backend.py`` pins this).  The C loops index raw buffers,
   so every buffer size is checked here, before the call.
 
@@ -101,10 +103,10 @@ class GmpKernel(backend.PurePythonBackend):
             self._last_mod = (mod, words, packed)
         return words, packed
 
-    def _powm(self, entry, bases: list[int], exps: list[int], mod: int) -> list[int]:
-        """Marshal one batch through ``entry`` — ``repro_powmod_vec``
-        (``exps`` holds the one shared exponent) or ``repro_powmod_pairs``
-        (one exponent per base, packed to the widest)."""
+    def _powm(self, bases: list[int], exps: list[int], mod: int) -> list[int]:
+        """Marshal one batch through ``repro_powmod_pairs``: ``exps`` holds
+        one exponent per base, packed to the widest, or one exponent for
+        the whole batch (a zero exponent stride)."""
         mod_words, packed_mod = self._packed_mod(mod)
         exp_words = words_for(max(exps))
         # Reduce up front: callers pass canonical residues already, and
@@ -112,12 +114,13 @@ class GmpKernel(backend.PurePythonBackend):
         in_buf = pack_ints([b % mod for b in bases], mod_words)
         out_buf = bytearray(len(bases) * mod_words * WORD_BYTES)
         from_buffer = self._ffi.from_buffer
-        rc = entry(
+        rc = self._lib.repro_powmod_pairs(
             from_buffer("uint64_t[]", in_buf),
             len(bases),
             mod_words,
             from_buffer("uint64_t[]", pack_ints(exps, exp_words)),
             exp_words,
+            0 if len(exps) == 1 else exp_words,
             from_buffer("uint64_t[]", packed_mod),
             mod_words,
             from_buffer("uint64_t[]", out_buf),
@@ -136,7 +139,7 @@ class GmpKernel(backend.PurePythonBackend):
             return [pow(b, exp, mod) for b in bases]
         if not bases:
             return []
-        return self._powm(self._lib.repro_powmod_vec, bases, [exp], mod)
+        return self._powm(bases, [exp], mod)
 
     def powmod_pairs(self, bases: list[int], exps: list[int], mod: int) -> list[int]:
         """``[b ** e mod mod for b, e in zip(bases, exps)]`` in one
@@ -149,7 +152,7 @@ class GmpKernel(backend.PurePythonBackend):
             return []
         if min(exps) < 0:
             return [pow(b, e, mod) for b, e in zip(bases, exps)]
-        return self._powm(self._lib.repro_powmod_pairs, bases, exps, mod)
+        return self._powm(bases, exps, mod)
 
     def powmod(self, base: int, exp: int, mod: int) -> int:
         """``base ** exp mod mod`` in one C call."""
@@ -157,7 +160,7 @@ class GmpKernel(backend.PurePythonBackend):
             raise ValueError("pow() 3rd argument cannot be 0")
         if exp < 0:
             return pow(base, exp, mod)
-        return self._powm(self._lib.repro_powmod_vec, [base], [exp], mod)[0]
+        return self._powm([base], [exp], mod)[0]
 
     def powmod_products(
         self,
@@ -359,33 +362,12 @@ class GmpKernel(backend.PurePythonBackend):
             raise ValueError("kernel ⊖ batch failed")
         return unpack_ints(out_buf, mod_words, len(counts))
 
-    def invert(self, a: int, mod: int) -> int:
-        """Modular inverse; raises ``ValueError`` when none exists
-        (the same error contract as the pure backend)."""
+    def _inverses(self, values: list[int], mod: int) -> list[int] | None:
+        """Every inverse of a non-empty batch in one ``repro_invert_vec``
+        call (Montgomery's trick: one ``mpz_invert`` for the batch), or
+        ``None`` when any element has none."""
         if mod == 0:
             raise ValueError("modulus cannot be 0")
-        mod_words, packed_mod = self._packed_mod(mod)
-        out_buf = bytearray(mod_words * WORD_BYTES)
-        ffi = self._ffi
-        rc = self._lib.repro_invert(
-            ffi.from_buffer("uint64_t[]", pack_ints([a % mod], mod_words)),
-            mod_words,
-            ffi.from_buffer("uint64_t[]", packed_mod),
-            mod_words,
-            ffi.from_buffer("uint64_t[]", out_buf),
-        )
-        if rc != 1:
-            raise ValueError("base is not invertible for the given modulus")
-        return unpack_ints(out_buf, mod_words, 1)[0]
-
-    def invert_vec(self, values: list[int], mod: int) -> list[int]:
-        """Every inverse of a batch in one C call (Montgomery's trick:
-        one ``mpz_invert`` for the batch); raises ``ValueError`` when any
-        element has none."""
-        if mod == 0:
-            raise ValueError("modulus cannot be 0")
-        if not values:
-            return []
         mod_words, packed_mod = self._packed_mod(mod)
         out_buf = bytearray(len(values) * mod_words * WORD_BYTES)
         from_buffer = self._ffi.from_buffer
@@ -396,11 +378,27 @@ class GmpKernel(backend.PurePythonBackend):
             mod_words,
             from_buffer("uint64_t[]", out_buf),
         )
-        if rc != 1:
+        return unpack_ints(out_buf, mod_words, len(values)) if rc == 1 else None
+
+    def invert(self, a: int, mod: int) -> int:
+        """Modular inverse in one C call, a batch of one; raises the pure
+        backend's ``ValueError`` when none exists."""
+        inverse = self._inverses([a], mod)
+        if inverse is None:
+            raise ValueError("base is not invertible for the given modulus")
+        return inverse[0]
+
+    def invert_vec(self, values: list[int], mod: int) -> list[int]:
+        """Every inverse of a batch in one C call; raises ``ValueError``
+        when any element has none."""
+        if not values:
+            return []
+        inverses = self._inverses(values, mod)
+        if inverses is None:
             raise ValueError(
                 "batch holds an element that is not invertible for the given modulus"
             )
-        return unpack_ints(out_buf, mod_words, len(values))
+        return inverses
 
     @staticmethod
     def _packed_crt(crt) -> bytes:

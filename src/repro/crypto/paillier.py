@@ -230,10 +230,6 @@ class PaillierSecretKey:
         self.__dict__.update(state)
         self._caches()
 
-    def raw_decrypt(self, c: int) -> int:
-        """Decrypt a bare integer ciphertext to an element of ``Z_N``."""
-        return self.raw_decrypt_batch([c])[0]
-
     def raw_decrypt_batch(self, values: list[int]) -> list[int]:
         """Decrypt many bare ciphertexts in one backend call."""
         return backend.paillier_decrypt(self.crt, values)
@@ -262,10 +258,6 @@ class PaillierSecretKey:
     def decrypt_signed(self, c: "Ciphertext") -> int:
         """Decrypt to a signed integer in ``(-N/2, N/2]``."""
         return to_signed(self.public_key.n, [self.decrypt(c)])[0]
-
-    def decrypt_signed_batch(self, cts: list["Ciphertext"]) -> list[int]:
-        """Batch variant of :meth:`decrypt_signed`."""
-        return to_signed(self.public_key.n, self.decrypt_batch(cts))
 
 
 @dataclass(frozen=True)
@@ -358,11 +350,6 @@ class Ciphertext:
         """Fixed-width big-endian serialization."""
         return self.value.to_bytes(self.public_key.ciphertext_bytes, "big")
 
-    @classmethod
-    def from_bytes(cls, data: bytes, public_key: PaillierPublicKey) -> "Ciphertext":
-        """Inverse of :meth:`to_bytes`."""
-        return cls(int.from_bytes(data, "big"), public_key)
-
 
 def to_signed(n: int, values: list[int]) -> list[int]:
     """Map ``Z_N`` representatives to signed integers in ``(-N/2, N/2]``.
@@ -373,14 +360,3 @@ def to_signed(n: int, values: list[int]) -> list[int]:
     half = n // 2
     return [m - n if m > half else m for m in values]
 
-
-def encrypt_vector(
-    pk: PaillierPublicKey, values: list[int], rng: SecureRandom | None = None
-) -> list[Ciphertext]:
-    """Encrypt a list of integers component-wise."""
-    return pk.encrypt_batch(values, rng)
-
-
-def decrypt_vector(sk: PaillierSecretKey, cts: list[Ciphertext]) -> list[int]:
-    """Decrypt a list of ciphertexts component-wise."""
-    return sk.decrypt_batch(cts)

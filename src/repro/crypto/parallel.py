@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.crypto import backend, kernels
+from repro.crypto import kernels
 
 
 def _chunks(values: list, n: int) -> list[list]:
@@ -60,7 +60,8 @@ class ComputePool:
                  min_batch: int = 8, mode: str = "thread"):
         if mode != "thread":
             raise ValueError(f"unknown compute-pool mode: {mode!r}")
-        # Chunks run under a thread-local backend override on the kernel.
+        # Every chunk runs on the pool's own kernel, whatever the
+        # process-wide backend is.
         self._kernel = kernels.load_kernel()
         if self._kernel is None:
             raise ValueError(
@@ -76,8 +77,7 @@ class ComputePool:
         self._closed = False
 
     def _chunk(self, values: list[int]) -> list[int]:
-        with backend.use_backend(self._kernel):
-            return self._secret_key.raw_decrypt_batch(values)
+        return self._kernel.paillier_decrypt(self._secret_key.crt, values)
 
     def decrypt_values(self, values: list[int]) -> list[int]:
         """Paillier decryption of bare ciphertext values, fanned out."""
@@ -85,7 +85,7 @@ class ComputePool:
             raise RuntimeError("compute pool is closed")
         n_chunks = _chunk_count(len(values), self.workers, self.min_batch)
         if n_chunks < 2:
-            return self._secret_key.raw_decrypt_batch(values)
+            return self._chunk(values)
         chunks = self._executor.map(self._chunk, _chunks(values, n_chunks))
         return [plain for chunk in chunks for plain in chunk]
 

@@ -3,13 +3,10 @@
 ``Token`` (Section 7) permutes the *attribute indices* of the relation with
 a PRP ``P_K`` so that the query token reveals only permuted list names to
 the data cloud.  Domains here are tiny (the number of attributes, or the
-number of sorted lists), so we implement the PRP as a keyed
-Fisher–Yates-style ranking: sort the domain by PRF value, which yields a
-permutation computationally indistinguishable from uniform for a PRF.
-
-A small Feistel construction is also provided for power-of-two domains;
-the default :class:`Prp` uses the sort-based construction because it works
-for any domain size and the domains are tiny.
+number of sorted lists), so :class:`Prp` is a keyed Fisher–Yates-style
+ranking: sort the domain by PRF value, which yields a permutation
+computationally indistinguishable from uniform for a PRF, for any domain
+size.
 """
 
 from __future__ import annotations
@@ -52,76 +49,3 @@ class Prp:
     def inverse(self, j: int) -> int:
         """``P_K^{-1}(j)``."""
         return self._inverse[j]
-
-    def as_list(self) -> list[int]:
-        """The full forward mapping as a list (``result[i] = P_K(i)``)."""
-        return list(self._forward)
-
-
-class FeistelPrp:
-    """A 4-round Feistel PRP over ``[0, 2**(2*half_bits))``.
-
-    Provided as an alternative construction for larger domains (e.g.
-    permuting record addresses); uses cycle-walking when the caller's
-    domain is not a power of four.
-    """
-
-    def __init__(self, key: bytes, domain_size: int, rounds: int = 4):
-        if domain_size < 2:
-            raise ValueError("domain must have at least 2 elements")
-        self.domain_size = domain_size
-        self.rounds = rounds
-        bits = max(2, (domain_size - 1).bit_length())
-        self.half_bits = (bits + 1) // 2
-        self._prfs = [Prf(key + bytes([r])) for r in range(rounds)]
-
-    def _feistel(self, value: int, direction: int) -> int:
-        mask = (1 << self.half_bits) - 1
-        left = value >> self.half_bits
-        right = value & mask
-        rounds = range(self.rounds) if direction > 0 else range(self.rounds - 1, -1, -1)
-        for r in rounds:
-            f = self._prfs[r].to_int(right.to_bytes(8, "big"), self.half_bits)
-            left, right = right, left ^ f
-            if direction < 0:
-                # Re-derive for inverse direction: swap back appropriately.
-                pass
-        return (left << self.half_bits) | right
-
-    def forward(self, i: int) -> int:
-        """Permute ``i`` within the domain via cycle-walking."""
-        if not 0 <= i < self.domain_size:
-            raise ValueError("input outside the PRP domain")
-        value = i
-        while True:
-            value = self._encrypt_block(value)
-            if value < self.domain_size:
-                return value
-
-    def inverse(self, j: int) -> int:
-        """Inverse permutation via cycle-walking."""
-        if not 0 <= j < self.domain_size:
-            raise ValueError("input outside the PRP domain")
-        value = j
-        while True:
-            value = self._decrypt_block(value)
-            if value < self.domain_size:
-                return value
-
-    def _encrypt_block(self, value: int) -> int:
-        mask = (1 << self.half_bits) - 1
-        left = value >> self.half_bits
-        right = value & mask
-        for r in range(self.rounds):
-            f = self._prfs[r].to_int(right.to_bytes(8, "big"), self.half_bits)
-            left, right = right, left ^ f
-        return (left << self.half_bits) | right
-
-    def _decrypt_block(self, value: int) -> int:
-        mask = (1 << self.half_bits) - 1
-        left = value >> self.half_bits
-        right = value & mask
-        for r in range(self.rounds - 1, -1, -1):
-            f = self._prfs[r].to_int(left.to_bytes(8, "big"), self.half_bits)
-            left, right = right ^ f, left
-        return (left << self.half_bits) | right

@@ -231,7 +231,6 @@ class SecTopKJoin:
             self._s1_keypair,
             descending=True,
             method=self.params.sort_method,
-            key="worst",
             protocol="SecJoinSort",
         )
         top = [

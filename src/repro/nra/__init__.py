@@ -4,14 +4,11 @@
 * :mod:`repro.nra.nra` — Fagin–Lotem–Naor No-Random-Access algorithm
   (Algorithm 1), the algorithm ``SecQuery`` executes obliviously.  Used as
   the differential-testing oracle for the secure engine.
-* :mod:`repro.nra.ta` — the Threshold Algorithm (random-access variant),
-  provided as an additional baseline/extension.
 * :mod:`repro.nra.naive` — full-scan top-k, the ground-truth oracle.
 """
 
 from repro.nra.items import DataItem, SortedLists
 from repro.nra.nra import NraResult, nra_topk
-from repro.nra.ta import ta_topk
 from repro.nra.naive import naive_topk
 
 __all__ = [
@@ -19,6 +16,5 @@ __all__ = [
     "SortedLists",
     "NraResult",
     "nra_topk",
-    "ta_topk",
     "naive_topk",
 ]

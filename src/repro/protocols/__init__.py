@@ -16,12 +16,13 @@ Protocol inventory
 ------------------
 
 ==================  ==================================================
-``recover_enc``     Algorithm 5 — strip one Damgård–Jurik layer (and
-                    its fused select-then-recover flow)
+``recover_enc``     Algorithm 5 — strip one Damgård–Jurik layer off a
+                    batch (and its fused select-then-recover flow)
 ``blinded_select``  S2 applies the bit it decrypts to a blinded
                     ``Enc(x + r)`` — the eager engine's credits at N²
 ``enc_compare``     EncCompare [11] — two constructions (blinded / DGK)
-``enc_sort``        EncSort [7] — two constructions (affine / network)
+``enc_sort``        EncSort [7] — by ``worst``, two constructions
+                    (affine / network)
 ``sec_worst``       Algorithm 4 — per-depth encrypted worst score
 ``sec_best``        Algorithm 6 — encrypted best score
 ``sec_dedup``       Algorithm 7 — duplicate burial (full privacy)
@@ -34,7 +35,6 @@ Protocol inventory
 
 from repro.protocols.base import CryptoCloud, S1Context
 from repro.protocols.recover_enc import (
-    recover_enc,
     recover_enc_batch,
     recover_enc_flow,
     select_recover_batch,
@@ -51,7 +51,6 @@ from repro.protocols.sec_update import sec_update
 __all__ = [
     "CryptoCloud",
     "S1Context",
-    "recover_enc",
     "recover_enc_batch",
     "recover_enc_flow",
     "select_recover_batch",

@@ -70,10 +70,6 @@ class LeakageLog:
         """All events of one kind."""
         return [e for e in self.events if e.kind == kind]
 
-    def by_observer(self, observer: str) -> list[LeakageEvent]:
-        """All events one server made."""
-        return [e for e in self.events if e.observer == observer]
-
     def clear(self) -> None:
         """Forget everything (between queries)."""
         self.events.clear()

@@ -210,24 +210,12 @@ class ItemBlinder:
         subtracted without a fresh rerandomization."""
         return self._apply(items, seed_lists, -1, None)
 
-    def blind(self, item: ScoredItem, seed: bytes, rng: SecureRandom) -> ScoredItem:
-        """:meth:`blind_many` for one item under one seed."""
-        return self.blind_many([item], [[seed]], rng)[0]
-
-    def unblind(self, item: ScoredItem, seeds: list[bytes]) -> ScoredItem:
-        """:meth:`unblind_many` for one item."""
-        return self.unblind_many([item], [seeds])[0]
-
     # -- seed transport under S1's own key pk' ---------------------------
 
     def fresh_seeds(self, rng: SecureRandom, count: int) -> list[bytes]:
         """``count`` fresh per-item blinding seeds."""
         data = rng.randbytes(SEED_BYTES * count)
         return [data[i : i + SEED_BYTES] for i in range(0, len(data), SEED_BYTES)]
-
-    def fresh_seed(self, rng: SecureRandom) -> bytes:
-        """A fresh per-item blinding seed."""
-        return self.fresh_seeds(rng, 1)[0]
 
     def encrypt_seeds(
         self, own_public: PaillierPublicKey, seeds: list[bytes], rng: SecureRandom
@@ -236,12 +224,6 @@ class ItemBlinder:
         return own_public.encrypt_batch(
             [int.from_bytes(seed, "big") for seed in seeds], rng
         )
-
-    def encrypt_seed(
-        self, own_public: PaillierPublicKey, seed: bytes, rng: SecureRandom
-    ) -> Ciphertext:
-        """:meth:`encrypt_seeds` for one seed."""
-        return self.encrypt_seeds(own_public, [seed], rng)[0]
 
     def decrypt_seeds(
         self, own_keypair: PaillierKeypair, h_list: list[Ciphertext]

@@ -1,8 +1,9 @@
 """``EncSort`` — sort encrypted items by an encrypted key with S2's help.
 
 The paper imports this building block from Baldimtsi–Ohrimenko (FC 2014):
-S1 holds encrypted key/value pairs, S2 holds the secret key, and S1 ends
-up with a *freshly encrypted* list sorted by key.  Two constructions are
+S1 holds encrypted key/value pairs (the key is an item's ``worst``
+score), S2 holds the secret key, and S1 ends up with a *freshly
+encrypted* list sorted by key.  Two constructions are
 provided (ARCHITECTURE.md, "Protocol substitutions and declared
 leakage"):
 
@@ -56,22 +57,19 @@ def enc_sort(
     own_keypair: PaillierKeypair,
     descending: bool = True,
     method: str = "affine",
-    key: str = "worst",
     protocol: str = PROTOCOL,
 ) -> list[ScoredItem]:
-    """Sort ``items`` by the encrypted ``key`` attribute.
+    """Sort ``items`` by their encrypted ``worst`` score.
 
     ``own_keypair`` is S1's private key pair ``(pk', sk')`` used only to
     transport blinding seeds (Algorithm 7 uses the same device).
     """
-    if key not in ("worst", "best"):
-        raise ProtocolError(f"unsupported sort key: {key!r}")
     if len(items) <= 1:
         return list(items)
     if method == "affine":
-        return _sort_affine(ctx, items, own_keypair, descending, key, protocol)
+        return _sort_affine(ctx, items, own_keypair, descending, protocol)
     if method == "network":
-        return _sort_network(ctx, items, own_keypair, descending, key, protocol)
+        return _sort_network(ctx, items, own_keypair, descending, protocol)
     raise ProtocolError(f"unknown EncSort method: {method!r}")
 
 
@@ -139,11 +137,11 @@ def s2_order(
     return ordered
 
 
-def _without_key(items: list[ScoredItem], key: str) -> list[ScoredItem]:
-    """The items as they travel: the key crosses as its own blinded
-    ciphertext and is restored by :func:`_recover_keys`, so the item
-    copy of it is left out rather than blinded and shipped twice."""
-    return [dataclasses.replace(item, **{key: None}) for item in items]
+def _without_key(items: list[ScoredItem]) -> list[ScoredItem]:
+    """The items as they travel: the ``worst`` key crosses as its own
+    blinded ciphertext and is restored by :func:`_recover_keys`, so the
+    item copy of it is left out rather than blinded and shipped twice."""
+    return [dataclasses.replace(item, worst=None) for item in items]
 
 
 def _recover_keys(
@@ -171,15 +169,14 @@ def _sort_affine(
     items: list[ScoredItem],
     own_keypair: PaillierKeypair,
     descending: bool,
-    key: str,
     protocol: str,
 ) -> list[ScoredItem]:
     blinder = ItemBlinder(ctx.public_key, ctx.dj)
     permuted = [items[i] for i in ctx.rng.permutation(len(items))]
     maps = [_affine_params(ctx)] * len(items)
-    blinded_keys = _blind_keys(ctx, [getattr(item, key) for item in permuted], maps)
+    blinded_keys = _blind_keys(ctx, [item.worst for item in permuted], maps)
     blinded_items, companions = blinder.blind_fresh(
-        _without_key(permuted, key), own_keypair.public_key, ctx.rng
+        _without_key(permuted), own_keypair.public_key, ctx.rng
     )
 
     keys_out, items_out, comps_out = ctx.call(
@@ -195,7 +192,7 @@ def _sort_affine(
 
     result = blinder.unblind_companions(own_keypair, items_out, comps_out)
     for clean, recovered in zip(result, _recover_keys(ctx, keys_out, maps)):
-        setattr(clean, key, recovered)
+        clean.worst = recovered
     return result
 
 
@@ -290,7 +287,6 @@ def _sort_network(
     items: list[ScoredItem],
     own_keypair: PaillierKeypair,
     descending: bool,
-    key: str,
     protocol: str,
 ) -> list[ScoredItem]:
     working = [item.clone_shallow() for item in items]
@@ -305,9 +301,9 @@ def _sort_network(
             swap = bool(ctx.rng.randbits(1))
             slots += (j, i) if swap else (i, j)
             maps += [r_s, r_s]
-        keys = _blind_keys(ctx, [getattr(working[idx], key) for idx in slots], maps)
+        keys = _blind_keys(ctx, [working[idx].worst for idx in slots], maps)
         blinded, companions = blinder.blind_fresh(
-            _without_key([working[idx] for idx in slots], key),
+            _without_key([working[idx] for idx in slots]),
             own_keypair.public_key,
             ctx.rng,
         )
@@ -331,7 +327,7 @@ def _sort_network(
             ctx, [k for keys_out, _, _ in replies for k in keys_out], maps
         )
         for clean, key_ct in zip(cleaned, recovered):
-            setattr(clean, key, key_ct)
+            clean.worst = key_ct
         for g, (i, j) in enumerate(layer):
             working[i], working[j] = cleaned[2 * g], cleaned[2 * g + 1]
     return working

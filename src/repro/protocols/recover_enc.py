@@ -75,13 +75,6 @@ def recover_enc_batch(
     return ctx.run_flows([recover_enc_flow(ctx, layered, protocol)])[0]
 
 
-def recover_enc(
-    ctx: S1Context, layered: LayeredCiphertext, protocol: str = PROTOCOL
-) -> Ciphertext:
-    """Single-ciphertext convenience wrapper around the batch protocol."""
-    return recover_enc_batch(ctx, [layered], protocol)[0]
-
-
 def select_recover_flow(
     ctx: S1Context, selections: list[tuple], protocol: str = PROTOCOL
 ):

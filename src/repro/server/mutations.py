@@ -97,7 +97,6 @@ class MutableRelation:
                 (-row[attribute], oid) for oid, row in self._rows.items()
             )
         self._insert_order = list(object_ids)
-        self._log: list[tuple] = []
         self._lock = threading.RLock()
         self.relation = relation
 
@@ -150,11 +149,6 @@ class MutableRelation:
             oids = self._insert_order[-window:]
             return [list(self._rows[o]) for o in oids], list(oids)
 
-    def mutation_log(self) -> tuple:
-        """``(op, object_id, row_or_None, version)`` per applied op."""
-        with self._lock:
-            return tuple(self._log)
-
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
@@ -186,8 +180,7 @@ class MutableRelation:
                 touched.append((name, pos + 1))
             self._rows[oid] = row
             self._insert_order.append(oid)
-            return self._commit("insert", oid, row, version, new_lists,
-                                touched, n_delta=1)
+            return self._commit("insert", oid, version, new_lists, touched, n_delta=1)
 
     def update(self, object_id: int, row) -> MutationResult:
         """Replace an existing row's scores in place (same object id)."""
@@ -228,8 +221,8 @@ class MutableRelation:
                 )
                 touched.append((name, prefix_len))
             self._rows[object_id] = row
-            return self._commit("update", object_id, row, version,
-                                new_lists, touched, n_delta=0)
+            return self._commit("update", object_id, version, new_lists, touched,
+                                n_delta=0)
 
     def delete(self, object_id: int) -> MutationResult:
         """Remove a row.  The last remaining row cannot be deleted (the
@@ -256,8 +249,8 @@ class MutableRelation:
                 touched.append((name, pos))
             del self._rows[object_id]
             self._insert_order.remove(object_id)
-            return self._commit("delete", object_id, None, version,
-                                new_lists, touched, n_delta=-1)
+            return self._commit("delete", object_id, version, new_lists, touched,
+                                n_delta=-1)
 
     # ------------------------------------------------------------------
     # Internals
@@ -307,7 +300,7 @@ class MutableRelation:
             for entry in entries
         ]
 
-    def _commit(self, op, object_id, row, version, new_lists, touched,
+    def _commit(self, op, object_id, version, new_lists, touched,
                 n_delta) -> MutationResult:
         relation = EncryptedRelation(
             lists=new_lists,
@@ -317,7 +310,6 @@ class MutableRelation:
             version=version,
         )
         self.relation = relation
-        self._log.append((op, object_id, row, version))
         touched = tuple(sorted(touched))
         events = (
             LeakageEvent(

@@ -113,12 +113,6 @@ class CacheStats:
     prefix_hits: int = 0
     """Subset of ``hits`` that were served as a ``k' < k`` slice."""
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when nothing was looked up yet)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
 
 class QueryCache:
     """Bounded, thread-safe LRU of :class:`CachedResult` snapshots."""

@@ -245,17 +245,6 @@ class Connection:
             service._connection_closed(self)
 
 
-def _valid_registration(stem: str, blob) -> bool:
-    # A valid spill is a registration dict for this file's id (wire
-    # field ``relation_id``) with complete key material.
-    return (
-        isinstance(blob, dict)
-        and blob.get("relation_id") == stem
-        and "keypair" in blob
-        and "dj" in blob
-    )
-
-
 class S2Service:
     """The S2 daemon: listener, connections and their protocol sessions,
     the registration store, metrics mount and state dir.
@@ -332,7 +321,7 @@ class S2Service:
         reloaded first, so clients of the restarted daemon open
         sessions by registration id without re-uploading key material.
         """
-        for blob in self.restore(".reg", _valid_registration):
+        for blob in self.restore():
             self._register(blob, None)
         family, target = parse_address(self.listen_spec)
         if family == "tcp":
@@ -550,11 +539,10 @@ class S2Service:
         exactly what the client uploaded.
         """
         registration_id = blob["relation_id"]  # the wire field's name
-        spill_name = f"{registration_id}.reg"
         if payload is not None and self.state_dir is not None:
             # An id the spill-name rule refuses is refused before
             # anything is installed: never kept in memory alone.
-            self._spill_path(spill_name)
+            self._spill_path(registration_id)
         persist = False
         with self._lock:
             if payload is not None:
@@ -573,44 +561,51 @@ class S2Service:
                     self._counters["registrations"].inc()
                     persist = self.state_dir is not None
         if persist:
-            self.spill(spill_name, payload)
+            self.spill(registration_id, payload)
 
     # -- state dir -------------------------------------------------------
 
-    def _spill_path(self, name: str) -> str:
-        # Spill names are ``<hex id>.<suffix>`` — filesystem-safe by
+    def _spill_path(self, registration_id: str) -> str:
+        # Registration ids are hex digests — filesystem-safe by
         # construction; reject anything else rather than risk a traversal.
-        if not all(part.isalnum() for part in name.split(".")):
-            raise TransportError(f"unsafe spill name: {name!r}")
-        return os.path.join(self.state_dir, name)
+        if not registration_id.isalnum():
+            raise TransportError(f"unsafe spill name: {registration_id!r}")
+        return os.path.join(self.state_dir, f"{registration_id}.reg")
 
-    def spill(self, name: str, payload: bytes) -> None:
-        """Atomically write ``<state_dir>/<name>``.  The directory is
-        created owner-only (0700): spills hold the provisioned secret
-        key."""
-        path = self._spill_path(name)
+    def spill(self, registration_id: str, payload: bytes) -> None:
+        """Atomically write ``<state_dir>/<registration_id>.reg``.  The
+        directory is created owner-only (0700): spills hold the
+        provisioned secret key."""
+        path = self._spill_path(registration_id)
         os.makedirs(self.state_dir, mode=0o700, exist_ok=True)
         atomic_write(path, payload)
 
-    def restore(self, suffix: str, validate) -> list:
-        """The unpickled spills named ``<stem><suffix>`` for which
-        ``validate(stem, blob)`` holds, in name order.  A file that does
-        not load or validate (truncated write, foreign pickle) is skipped
-        whole — a bad spill must not kill boot, clients re-upload on
-        demand."""
+    def restore(self) -> list:
+        """The unpickled ``.reg`` spills, in name order, that hold a
+        registration for their own file's id (wire field
+        ``relation_id``) with complete key material.  A file that does
+        not load or hold one (truncated write, foreign pickle) is
+        skipped whole — a bad spill must not kill boot, clients
+        re-upload on demand."""
         blobs = []
         if self.state_dir is None or not os.path.isdir(self.state_dir):
             return blobs
         for name in sorted(os.listdir(self.state_dir)):
-            if not name.endswith(suffix):
+            stem, ext = os.path.splitext(name)
+            if ext != ".reg":
                 continue
             try:
                 with open(os.path.join(self.state_dir, name), "rb") as handle:
                     blob = pickle.loads(handle.read())
-                if validate(name[: -len(suffix)], blob):
-                    blobs.append(blob)
             except Exception:  # noqa: BLE001 — see docstring
                 continue
+            if (
+                isinstance(blob, dict)
+                and blob.get("relation_id") == stem
+                and "keypair" in blob
+                and "dj" in blob
+            ):
+                blobs.append(blob)
         return blobs
 
 

@@ -164,16 +164,6 @@ class TopKServer:
         many queries run at once, and ``execute_many`` never runs a
         window wider than it.  Watches do not count against it — each
         runs on a thread of its own.
-    cache:
-        Leakage-aware result cache (default on): a repeat of a query the
-        server already answered — same relation, token fingerprint and
-        config — is served from a snapshot of the stored result with
-        **zero** S2 round-trips.  Legal because the repeat itself is
-        already L1 leakage (``query_pattern``); see
-        :mod:`repro.server.query_cache` for the full argument.
-        ``QueryConfig(cache=False)`` opts a single query out both ways
-        (never served from, never stored into); ``cache=False`` here
-        disables the cache entirely.
     metrics_port:
         When set, serve the process-wide metrics registry as Prometheus
         text at ``http://127.0.0.1:PORT/metrics`` (``0`` picks a free
@@ -197,7 +187,6 @@ class TopKServer:
         transport: str = "inprocess",
         rtt_ms: float = 0.0,
         scheduler_workers: int = 8,
-        cache: bool = True,
         metrics_port: int | None = None,
     ):
         self.scheme = scheme
@@ -217,8 +206,11 @@ class TopKServer:
         # reachable close().
         if scheduler_workers < 1:
             raise ValueError("scheduler_workers must be >= 1")
-        # Cross-query reuse layer (see ARCHITECTURE.md, reuse layer).
-        self._cache = QueryCache(self.CACHE_CAPACITY) if cache else None
+        # Cross-query reuse layer (ARCHITECTURE.md, reuse layer): a repeat
+        # is served with zero S2 round-trips, legal because the repeat is
+        # already L1 leakage (``query_pattern``).  QueryConfig(cache=False)
+        # opts one query out of both lookup and store.
+        self._cache = QueryCache(self.CACHE_CAPACITY)
         # Scheme-wide unique namespace: request salts from different
         # servers sharing one scheme must never collide (a collision
         # would replay blinding/permutation streams across queries).
@@ -273,8 +265,9 @@ class TopKServer:
 
     # -- result cache ----------------------------------------------------
 
-    def _cache_enabled(self, config: QueryConfig | None) -> bool:
-        return self._cache is not None and (config is None or config.cache)
+    @staticmethod
+    def _cache_enabled(config: QueryConfig | None) -> bool:
+        return config is None or config.cache
 
     @staticmethod
     def _cache_keys(relation_key: str, token: Token, config: QueryConfig | None):
@@ -391,8 +384,7 @@ class TopKServer:
             export_relation(self.scheme, new_relation)
             self.relation = new_relation
             self._mutation_count += 1
-        if self._cache is not None:
-            self._cache.invalidate_relation(old_key)
+        self._cache.invalidate_relation(old_key)
         release_relation(old_key)
         _MUTATIONS.labels(op=op).inc()
         with self._scheduler_lock:
@@ -562,7 +554,7 @@ class TopKServer:
         started, ``running`` started (live watches included),
         ``jobs_active`` both.
         """
-        cache_stats = self._cache.stats() if self._cache is not None else None
+        cache_stats = self._cache.stats()
         with self._scheduler_lock:
             running = len(self._running_jobs)
             scheduler = {

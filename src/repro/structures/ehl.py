@@ -309,13 +309,3 @@ class EhlFactory:
         """Size of one EHL in bytes (for the Fig. 7/8 size series)."""
         return self.table_size * self.public_key.ciphertext_bytes
 
-
-def ehl_equal_plain(factory: EhlFactory, x, y) -> bool:
-    """Plaintext oracle for whether ``⊖`` would report equality.
-
-    Used by tests to distinguish genuine matches from Bloom false
-    positives.
-    """
-    return factory.positions(x) == factory.positions(y) and set(
-        factory.positions(x)
-    ) == set(factory.positions(y))

@@ -78,19 +78,6 @@ class EhlPlusFactory:
             [self.public_key.encrypt(h, self.rng) for h in self.hash_vector(object_id)]
         )
 
-    def encode_random(self, rng: SecureRandom | None = None) -> EhlPlus:
-        """An EHL+ of a freshly random (non-existent) object.
-
-        ``SecDedup`` replaces duplicated objects with random identities;
-        sampling the hash vector uniformly from ``Z_N^s`` is statistically
-        identical to hashing a random unused id.
-        """
-        rng = rng or self.rng
-        n = self.public_key.n
-        return EhlPlus(
-            [self.public_key.encrypt(rng.randint_below(n), rng) for _ in range(self.n_hashes)]
-        )
-
     def structure_bytes(self) -> int:
         """Size of one EHL+ in bytes (for the Fig. 7/8 size series)."""
         return self.n_hashes * self.public_key.ciphertext_bytes

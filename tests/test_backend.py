@@ -10,6 +10,7 @@ to batching.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import pathlib
@@ -23,12 +24,7 @@ from repro.core.params import SystemParams
 from repro.core.scheme import SecTopK
 from repro.crypto import backend, kernels
 from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
-from repro.crypto.paillier import (
-    Ciphertext,
-    PaillierKeypair,
-    decrypt_vector,
-    encrypt_vector,
-)
+from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import DecryptionError
 from repro.protocols.base import make_parties
@@ -69,6 +65,17 @@ def _spy_on_lib(kernel, calls: list) -> None:
     kernel._lib = Spy()
 
 
+@contextlib.contextmanager
+def _on_backend(name: str):
+    """Run the process on backend ``name`` for a block, restoring the
+    previous selection afterwards."""
+    previous = backend.set_backend(name)
+    try:
+        yield backend.get_backend()
+    finally:
+        backend.set_backend(previous)
+
+
 @functools.lru_cache(maxsize=None)
 def _decrypt_batch(key_bits: int):
     """A key's CRT constants, 17 plaintexts (edges and random) and their
@@ -86,7 +93,7 @@ def _decrypt_batch(key_bits: int):
 
 class TestSelection:
     def test_pure_always_available(self):
-        assert "pure" in backend.available_backends()
+        assert type(backend._resolve("pure")) is backend.PurePythonBackend
 
     def test_set_backend_round_trip(self):
         previous = backend.set_backend("pure")
@@ -104,42 +111,6 @@ class TestSelection:
         try:
             expected = "gmp-kernel" if backend.kernel_available() else "pure"
             assert backend.get_backend().name == expected
-        finally:
-            backend.set_backend(previous)
-
-    def test_use_backend_is_thread_local(self):
-        import threading
-
-        previous = backend.set_backend("pure")
-        seen = {}
-        try:
-            with backend.use_backend("pure") as override:
-                assert backend.get_backend() is override
-
-                def probe():
-                    seen["other"] = backend.get_backend().name
-
-                t = threading.Thread(target=probe)
-                t.start()
-                t.join()
-            # The override is gone outside the block; the other thread
-            # never saw it (it read the process-wide selection).
-            assert backend.get_backend().name == "pure"
-            assert seen["other"] == "pure"
-        finally:
-            backend.set_backend(previous)
-
-    def test_use_backend_nests_and_restores(self):
-        previous = backend.set_backend("pure")
-        try:
-            inner = backend.PurePythonBackend()
-            outer = backend.PurePythonBackend()
-            with backend.use_backend(outer):
-                assert backend.get_backend() is outer
-                with backend.use_backend(inner):
-                    assert backend.get_backend() is inner
-                assert backend.get_backend() is outer
-            assert backend.get_backend().name == "pure"
         finally:
             backend.set_backend(previous)
 
@@ -264,14 +235,22 @@ class TestKernelParity:
         assert (first._ffi, first._lib) == (second._ffi, second._lib)
 
     def test_scalar_powmod_is_one_kernel_call(self):
-        """A scalar power is one C call and never goes through
-        ``powmod_vec`` (a tracer wrapping both counts it once)."""
-        fast = kernels.load_kernel()
-        calls = []
-        fast.powmod_vec = lambda *args: calls.append("powmod_vec")
-        _spy_on_lib(fast, calls)
-        assert fast.powmod(3, 5, 7) == 5
-        assert calls == ["repro_powmod_vec"]
+        """A scalar power, a shared-exponent batch and a scalar inverse
+        are one C call each on the one entry point of their operation —
+        and never go through another backend method (a tracer wrapping
+        ``powmod`` / ``powmod_vec`` / ``invert`` counts each once)."""
+        methods = {"powmod", "powmod_vec", "powmod_pairs", "invert", "invert_vec"}
+        for op, args, result, entry in (
+            ("powmod", (3, 5, 7), 5, "repro_powmod_pairs"),
+            ("powmod_vec", ([3, 4], 5, 7), [5, 2], "repro_powmod_pairs"),
+            ("invert", (3, 7), 5, "repro_invert_vec"),
+        ):
+            fast, calls = kernels.load_kernel(), []
+            for other in methods - {op}:
+                setattr(fast, other, lambda *a, other=other: calls.append(other))
+            _spy_on_lib(fast, calls)
+            assert getattr(fast, op)(*args) == result
+            assert calls == [entry], op
 
     def test_whole_query_invariant_under_backend(self):
         """A seeded scheme reveals identical winners on both backends."""
@@ -302,6 +281,34 @@ class TestBatchPrimitiveParity:
     ``pool_products`` / ``paillier_decrypt`` agree with per-element
     built-ins on every backend that exists here (the CI legs pin one
     each)."""
+
+    def test_scalar_entries_match_pure(self, name):
+        """``powmod`` / ``powmod_vec`` / ``invert`` — on the kernel, the
+        shared-exponent and batch-of-one forms of ``powmod_pairs`` and
+        ``invert_vec`` — agree with the pure reference at exponent 0, on
+        a single base, on bases at and above the modulus, and refuse a
+        non-invertible element with the same ``ValueError``."""
+        fast, pure = backend._resolve(name), backend.PurePythonBackend()
+        rng = SecureRandom(30)
+        composite = (2**89 - 1) * (2**107 - 1)
+        for mod in (composite, rng.randbits(256) | (1 << 255) | 1, rng.randbits(256) & ~1, 7):
+            bases = [0, 1, 2, mod - 1, mod, mod + 1, 3 * mod + 5, rng.randbits(300)]
+            for exp in (0, 1, 65537, rng.randbits(256)):
+                assert fast.powmod_vec(bases, exp, mod) == pure.powmod_vec(bases, exp, mod)
+                assert fast.powmod_vec(bases[-1:], exp, mod) == pure.powmod_vec(
+                    bases[-1:], exp, mod
+                )
+                for base in bases:
+                    assert fast.powmod(base, exp, mod) == pure.powmod(base, exp, mod)
+            for a in (1, mod - 1, mod + 1, 3 * mod + 5):
+                if pure.gcd(a, mod) == 1:
+                    assert fast.invert(a, mod) == pure.invert(a, mod)
+            for bad in [0, mod, 2 * mod] + [f for f in (2**89 - 1, 2) if mod % f == 0]:
+                with pytest.raises(ValueError) as expected:
+                    pure.invert(bad, mod)
+                with pytest.raises(ValueError) as refused:
+                    fast.invert(bad, mod)
+                assert str(refused.value) == str(expected.value)
 
     def test_powmod_pairs_mixed_widths(self, name):
         fast = backend._resolve(name)
@@ -455,11 +462,11 @@ class TestBatchPrimitiveParity:
         one 36-bit read each and leaves the stream where singles would."""
         key = keypair.public_key if scheme == "paillier" else dj
         batch_rng, single_rng, reference = (SecureRandom(34) for _ in range(3))
-        with backend.use_backend(name):
+        with _on_backend(name):
             batch = key.randomizers(batch_rng, 9)
             singles = [key.randomizers(single_rng, 1)[0] for _ in range(9)]
             assert key.randomizers(batch_rng, 0) == []
-        with backend.use_backend("pure"):
+        with _on_backend("pure"):
             assert batch == singles == key.randomizers(SecureRandom(34), 9)
         reference.randbytes(5 * 9)
         tail = reference.randbytes(16)
@@ -815,7 +822,6 @@ class TestBatchEntryPoints:
         pk, sk = keypair.public_key, keypair.secret_key
         cts = pk.encrypt_batch([5, 0, 999, pk.n - 3], SecureRandom(8))
         assert sk.decrypt_batch(cts) == [sk.decrypt(c) for c in cts]
-        assert sk.decrypt_signed_batch(cts) == [sk.decrypt_signed(c) for c in cts]
 
     def test_module_level_entry_points(self, keypair):
         # Batch encryption and decryption are the key methods; the backend
@@ -827,21 +833,17 @@ class TestBatchEntryPoints:
         assert not hasattr(backend, "encrypt_batch")
         assert not hasattr(backend, "decrypt_batch")
 
-    def test_vector_helpers_round_trip(self, keypair):
-        pk, sk = keypair.public_key, keypair.secret_key
-        values = [10, 20, 30]
-        assert decrypt_vector(sk, encrypt_vector(pk, values, SecureRandom(1))) == values
-
     def test_dj_batch_matches_singles(self, keypair, dj):
         rng = SecureRandom(21)
         lcs = [dj.encrypt(v, rng) for v in (0, 1, 12345)]
         assert dj.decrypt_batch(lcs, keypair) == [
             dj.decrypt(lc, keypair) for lc in lcs
         ]
-        inner = [dj.encrypt_ciphertext(keypair.public_key.encrypt(7, rng), rng)]
-        assert dj.decrypt_inner_batch(inner, keypair)[0].value == dj.decrypt_inner(
-            inner[0], keypair
-        ).value
+        pk = keypair.public_key
+        inner = [dj.encrypt_ciphertext(pk.encrypt(v, rng), rng) for v in (7, 8)]
+        stripped = dj.decrypt_inner_batch(inner, keypair)
+        assert [c.value for c in stripped] == dj.decrypt_batch(inner, keypair)
+        assert keypair.secret_key.decrypt_batch(stripped) == [7, 8]
 
 
 class TestPickling:
@@ -992,7 +994,7 @@ class TestFusedRoundsPinTheirFormulas:
         items = self._items(keypair, dj, SecureRandom(50))
         seed_lists = [[b"a" * 12], [b"b" * 12, b"c" * 12], [b"d" * 12, b"e" * 12]]
         fused_rng, parent_rng = SecureRandom(51), SecureRandom(51)
-        with backend.use_backend(name):
+        with _on_backend(name):
             blinded = blinder.blind_many(items, seed_lists, fused_rng)
             unblinded = blinder.unblind_many(blinded, seed_lists)
         assert _components_of(blinded) == _parent_blind(
@@ -1011,7 +1013,7 @@ class TestFusedRoundsPinTheirFormulas:
         pairs = [(ehls[0], ehls[1]), (ehls[2], ehls[1]), (ehls[3], ehls[0]),
                  (ehls[1], ehls[1])]
         fused_rng, parent_rng = SecureRandom(53), SecureRandom(53)
-        with backend.use_backend(name):
+        with _on_backend(name):
             fused = minus_pairs(pairs, fused_rng)
         assert [c.value for c in fused] == _parent_minus(pairs, parent_rng)
         assert fused_rng.randbytes(16) == parent_rng.randbytes(16)
@@ -1024,7 +1026,7 @@ class TestFusedRoundsPinTheirFormulas:
                  (cts[4], cts[1]), (cts[5], cts[5])]
         fused_ctx = make_parties(keypair, rng=SecureRandom(55))
         parent_ctx = make_parties(keypair, rng=SecureRandom(55))
-        with backend.use_backend(name):
+        with _on_backend(name):
             flows = enc_compare_flows(fused_ctx, pairs)
             requests = [flow.send(None) for flow in flows]
         expected = [_parent_compare(parent_ctx, a, b) for a, b in pairs]

@@ -56,32 +56,34 @@ def _decrypt_item(item, ctx, keypair):
 
 class TestBlindUnblind:
     def test_roundtrip_single_seed(self, blinder, item, ctx, keypair):
-        seed = blinder.fresh_seed(ctx.rng)
-        blinded = blinder.blind(item, seed, ctx.rng)
-        restored = blinder.unblind(blinded, [seed])
+        (seed,) = blinder.fresh_seeds(ctx.rng, 1)
+        (blinded,) = blinder.blind_many([item], [[seed]], ctx.rng)
+        (restored,) = blinder.unblind_many([blinded], [[seed]])
         assert _decrypt_item(restored, ctx, keypair) == _decrypt_item(item, ctx, keypair)
 
     def test_roundtrip_double_seed(self, blinder, item, ctx, keypair):
-        s1, s2 = blinder.fresh_seed(ctx.rng), blinder.fresh_seed(ctx.rng)
-        blinded = blinder.blind(blinder.blind(item, s1, ctx.rng), s2, ctx.rng)
-        restored = blinder.unblind(blinded, [s2, s1])  # order-independent
+        s1, s2 = blinder.fresh_seeds(ctx.rng, 2)
+        once = blinder.blind_many([item], [[s1]], ctx.rng)
+        blinded = blinder.blind_many(once, [[s2]], ctx.rng)
+        (restored,) = blinder.unblind_many(blinded, [[s2, s1]])  # order-independent
         assert _decrypt_item(restored, ctx, keypair) == _decrypt_item(item, ctx, keypair)
 
     def test_blinding_changes_plaintexts(self, blinder, item, ctx, keypair):
-        seed = blinder.fresh_seed(ctx.rng)
-        blinded = blinder.blind(item, seed, ctx.rng)
+        (seed,) = blinder.fresh_seeds(ctx.rng, 1)
+        (blinded,) = blinder.blind_many([item], [[seed]], ctx.rng)
         assert keypair.secret_key.decrypt(blinded.worst) != 10
 
     def test_blinding_breaks_equality(self, blinder, item, ctx, keypair):
-        seed = blinder.fresh_seed(ctx.rng)
-        blinded = blinder.blind(item, seed, ctx.rng)
+        (seed,) = blinder.fresh_seeds(ctx.rng, 1)
+        (blinded,) = blinder.blind_many([item], [[seed]], ctx.rng)
         assert keypair.secret_key.decrypt(item.ehl.minus(blinded.ehl, ctx.rng)) != 0
 
     def test_plain_item_without_state(self, blinder, ctx, keypair):
         factory = EhlPlusFactory(ctx.public_key, b"b" * 32, n_hashes=2, rng=ctx.rng)
         item = ScoredItem(ehl=factory.encode(1), worst=ctx.encrypt(1), best=ctx.encrypt(2))
-        seed = blinder.fresh_seed(ctx.rng)
-        restored = blinder.unblind(blinder.blind(item, seed, ctx.rng), [seed])
+        (seed,) = blinder.fresh_seeds(ctx.rng, 1)
+        blinded = blinder.blind_many([item], [[seed]], ctx.rng)
+        (restored,) = blinder.unblind_many(blinded, [[seed]])
         assert keypair.secret_key.decrypt(restored.worst) == 1
         assert restored.list_scores is None
 
@@ -158,15 +160,16 @@ class TestWholeRound:
         seeds = blinder.fresh_seeds(ctx.rng, len(items))
         blinded = blinder.blind_many(items, [[s] for s in seeds], ctx.rng)
         for before, between, seed in zip(items, blinded, seeds):
-            after = blinder.unblind(between, [seed])
+            (after,) = blinder.unblind_many([between], [[seed]])
             assert self._plain(after, ctx, keypair) == self._plain(before, ctx, keypair)
 
     def test_unblind_does_not_rerandomize(self, blinder, item, ctx):
         """Removing a known constant needs no fresh randomness: a second
         unblind of the same input is the same ciphertexts."""
-        seed = blinder.fresh_seed(ctx.rng)
-        blinded = blinder.blind(item, seed, ctx.rng)
-        once, twice = blinder.unblind(blinded, [seed]), blinder.unblind(blinded, [seed])
+        (seed,) = blinder.fresh_seeds(ctx.rng, 1)
+        (blinded,) = blinder.blind_many([item], [[seed]], ctx.rng)
+        (once,) = blinder.unblind_many([blinded], [[seed]])
+        (twice,) = blinder.unblind_many([blinded], [[seed]])
         assert [b.value for b in once.seen_bits] == [b.value for b in twice.seen_bits]
         assert once.worst.value == twice.worst.value
 
@@ -179,12 +182,12 @@ class TestWholeRound:
 
 class TestSeedTransport:
     def test_encrypt_decrypt_seed(self, blinder, ctx, own_keypair):
-        seed = blinder.fresh_seed(ctx.rng)
-        companion = blinder.encrypt_seed(own_keypair.public_key, seed, ctx.rng)
-        assert blinder.decrypt_seeds(own_keypair, [companion]) == [seed]
+        (seed,) = blinder.fresh_seeds(ctx.rng, 1)
+        companions = blinder.encrypt_seeds(own_keypair.public_key, [seed], ctx.rng)
+        assert blinder.decrypt_seeds(own_keypair, companions) == [seed]
 
     def test_seed_size(self, blinder, ctx):
-        assert len(blinder.fresh_seed(ctx.rng)) == SEED_BYTES
+        assert [len(seed) for seed in blinder.fresh_seeds(ctx.rng, 3)] == [SEED_BYTES] * 3
 
     def test_non_seed_value_rejected(self, blinder, ctx, own_keypair):
         bogus = own_keypair.public_key.encrypt(1 << (8 * SEED_BYTES), ctx.rng)
@@ -304,7 +307,7 @@ class TestJunkItem:
         with pytest.raises(ProtocolError, match="one kind"):
             junk_item(ctx.public_key, ctx.dj, mixed, -1, ctx.rng)
         with pytest.raises(ProtocolError, match="one kind"):
-            blinder.blind(mixed, blinder.fresh_seed(ctx.rng), ctx.rng)
+            blinder.blind_many([mixed], [blinder.fresh_seeds(ctx.rng, 1)], ctx.rng)
 
     def test_random_identity(self, ctx, item, keypair):
         junk = junk_item(ctx.public_key, ctx.dj, item, -1, ctx.rng)

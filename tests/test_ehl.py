@@ -93,11 +93,6 @@ class TestEhlPlusEquality:
         with pytest.raises(KeyMismatchError):
             factory_plus.encode(1).blind_add([1, 2])
 
-    def test_random_encode_distinct(self, factory_plus, keypair, rng):
-        a = factory_plus.encode_random(rng)
-        b = factory_plus.encode(1)
-        assert keypair.secret_key.decrypt(a.minus(b, rng)) != 0
-
 
 class TestBatchedMinus:
     """``minus_matrix`` / ``minus_many`` are the ``minus`` loop, batched."""

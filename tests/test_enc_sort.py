@@ -98,11 +98,6 @@ class TestAffineSort:
             assert item.worst.value not in originals
             assert item.best.value not in originals
 
-    def test_sort_by_best(self, ctx, own_keypair, keypair):
-        items = _items(ctx, [5, 1, 9])
-        result = enc_sort(ctx, items, own_keypair, descending=True, key="best")
-        assert [keypair.secret_key.decrypt(i.best) for i in result] == [10, 6, 2]
-
     def test_negative_keys(self, ctx, own_keypair, keypair):
         sentinel = -ctx.encoder.sentinel
         items = _items(ctx, [5, 1])
@@ -119,10 +114,6 @@ class TestAffineSort:
         before = ctx.channel.stats.rounds
         enc_sort(ctx, _items(ctx, [3, 1, 2]), own_keypair)
         assert ctx.channel.stats.rounds == before + 1
-
-    def test_unknown_key_rejected(self, ctx, own_keypair):
-        with pytest.raises(ProtocolError):
-            enc_sort(ctx, _items(ctx, [1, 2]), own_keypair, key="score")
 
     def test_unknown_method_rejected(self, ctx, own_keypair):
         with pytest.raises(ProtocolError):

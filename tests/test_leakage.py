@@ -48,12 +48,11 @@ class TestLeakageAudit:
 
     def test_query_pattern_and_depth_recorded(self, query_run):
         _, ctx, result, _ = query_run
-        s1_kinds = {e.kind for e in ctx.leakage.by_observer("S1")}
+        s1_events = [e for e in ctx.leakage.events if e.observer == "S1"]
+        s1_kinds = {e.kind for e in s1_events}
         assert "query_pattern" in s1_kinds
         assert "halting_depth" in s1_kinds
-        depth_events = [
-            e for e in ctx.leakage.by_observer("S1") if e.kind == "halting_depth"
-        ]
+        depth_events = [e for e in s1_events if e.kind == "halting_depth"]
         assert depth_events[-1].payload == result.halting_depth
 
     def test_dgk_and_network_paths_also_clean(self):

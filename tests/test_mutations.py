@@ -37,6 +37,7 @@ cleanly where only the dependency-free core is installed.
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 import time
 
@@ -306,15 +307,25 @@ class TestMutableRelation:
 
     def test_snapshot_and_log_replay(self):
         _, mutable = self._mutable()
-        oid = mutable.insert([7, 7]).object_id
-        mutable.update(0, [1, 1])
-        mutable.delete(2)
+        results = [mutable.insert([7, 7]), mutable.update(0, [1, 1]), mutable.delete(2)]
         rows, oids = mutable.snapshot()
-        assert oids == [0, 1, 3, oid]
+        assert oids == [0, 1, 3, results[0].object_id]
         assert rows[0] == [1, 1] and rows[-1] == [7, 7]
-        log = mutable.mutation_log()
-        assert [entry[0] for entry in log] == ["insert", "update", "delete"]
-        assert [entry[3] for entry in log] == [1, 2, 3]
+        assert [r.op for r in results] == ["insert", "update", "delete"]
+        assert [r.object_id for r in results[1:]] == [0, 2]
+        assert [r.version for r in results] == [1, 2, 3] and mutable.version == 3
+
+    def test_state_does_not_grow_with_mutation_history(self):
+        """A long-lived mutable keeps only the live rows: after 100
+        insert/delete cycles of one row its pickle is the size it had
+        after the first cycle (the ciphertexts' own widths aside)."""
+        _, mutable = self._mutable()
+        sizes = []
+        for _ in range(100):
+            mutable.delete(mutable.insert([7, 7]).object_id)
+            sizes.append(len(pickle.dumps(mutable)))
+        assert mutable.version == 200
+        assert abs(sizes[-1] - sizes[0]) <= 0.02 * sizes[0]
 
     def test_window_rows_follow_the_insert_log(self):
         _, mutable = self._mutable(rows=[[1, 1], [2, 2]])
@@ -708,11 +719,12 @@ class TestWatch:
         touching the MutableRelation — a post-hoc check would leave it
         one committed version ahead of the served relation and caches."""
         scheme, mutable, server = _deployment()
+        before = mutable.snapshot()
         server.close()
         with pytest.raises(RuntimeError, match="closed"):
             server.insert([9, 9])
         assert mutable.version == 0
-        assert mutable.mutation_log() == ()
+        assert mutable.snapshot() == before
         assert server.relation is mutable.relation
 
     def test_windowed_watch_requires_a_mutable_relation(self):

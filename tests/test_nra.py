@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import DataError, QueryError
-from repro.nra import SortedLists, naive_topk, nra_topk, ta_topk
+from repro.nra import SortedLists, naive_topk, nra_topk
 
 ROWS = [
     [10, 3, 2],
@@ -140,36 +140,3 @@ class TestNra:
         result = nra_topk(SortedLists(rows), k)
         naive = naive_topk(rows, [0, 1, 2], k)
         assert {o for o, _ in result.topk} == {o for o, _ in naive}
-
-
-class TestTa:
-    def test_matches_naive(self):
-        lists = SortedLists(ROWS)
-        assert ta_topk(lists, ROWS, 2).topk == naive_topk(ROWS, [0, 1, 2], 2)
-
-    def test_halts_no_later_than_nra(self):
-        """TA's random accesses give exact scores immediately, so it can
-        never need more depths than NRA."""
-        lists = SortedLists(ROWS)
-        assert (
-            ta_topk(lists, ROWS, 2).halting_depth
-            <= nra_topk(lists, 2).halting_depth
-        )
-
-    def test_validation(self):
-        with pytest.raises(QueryError):
-            ta_topk(SortedLists(ROWS), ROWS, 0)
-
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 50), min_size=2, max_size=2),
-            min_size=2,
-            max_size=15,
-        )
-    )
-    @settings(max_examples=25)
-    def test_score_agreement_property(self, rows):
-        lists = SortedLists(rows)
-        result = ta_topk(lists, rows, 1)
-        naive = naive_topk(rows, [0, 1], 1)
-        assert result.topk[0][1] == naive[0][1]

@@ -11,8 +11,6 @@ from repro.crypto.paillier import (
     Ciphertext,
     PaillierKeypair,
     PaillierPublicKey,
-    decrypt_vector,
-    encrypt_vector,
 )
 from repro.crypto.rng import SecureRandom
 from repro.data import correlated_relation
@@ -120,13 +118,13 @@ class TestKeySeparation:
 class TestValidation:
     def test_decrypt_out_of_range(self, keypair):
         with pytest.raises(DecryptionError):
-            keypair.secret_key.raw_decrypt(0)
+            keypair.secret_key.raw_decrypt_batch([0])
         with pytest.raises(DecryptionError):
-            keypair.secret_key.raw_decrypt(keypair.public_key.n_squared + 1)
+            keypair.secret_key.raw_decrypt_batch([keypair.public_key.n_squared + 1])
 
     def test_decrypt_non_unit(self, keypair):
         with pytest.raises(DecryptionError):
-            keypair.secret_key.raw_decrypt(keypair.secret_key.p)
+            keypair.secret_key.raw_decrypt_batch([keypair.secret_key.p])
 
     def test_decrypt_below_p_validates_like_decrypt(self, keypair, other_keypair, rng):
         """The half-CRT decrypt keeps every check of the full one, and
@@ -146,8 +144,7 @@ class TestSerialization:
     def test_bytes_roundtrip(self, keypair, rng):
         pk = keypair.public_key
         c = pk.encrypt(12345, rng)
-        restored = Ciphertext.from_bytes(c.to_bytes(), pk)
-        assert restored.value == c.value
+        assert int.from_bytes(c.to_bytes(), "big") == c.value
         assert len(c.to_bytes()) == pk.ciphertext_bytes
 
     def test_ciphertext_bytes_survives_old_and_new_pickles(self, keypair):
@@ -166,11 +163,6 @@ class TestSerialization:
                 {k: v for k, v in key.__getstate__().items() if k != "ciphertext_bytes"}
             )
             assert older.ciphertext_bytes == width
-
-    def test_vector_helpers(self, keypair, rng):
-        values = [1, 2, 3, 999]
-        cts = encrypt_vector(keypair.public_key, values, rng)
-        assert decrypt_vector(keypair.secret_key, cts) == values
 
     def test_serialized_size_constant(self, keypair, rng):
         pk = keypair.public_key

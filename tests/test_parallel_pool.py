@@ -72,6 +72,29 @@ class TestComputePaths:
             assert pool.decrypt_values(dec_vals) == ref_dec
 
 
+    def test_decrypts_on_its_own_kernel_under_pure(self, keypair, payload):
+        """With the process on the pure backend, every chunk still runs on
+        the pool's own kernel — one ``repro_paillier_decrypt`` call each —
+        bit-identical to the pure decryption."""
+        dec_vals, ref_dec = payload
+        previous = backend.set_backend("pure")
+        try:
+            with ComputePool(keypair, workers=3, min_batch=4) as pool:
+                calls, lib = [], pool._kernel._lib
+
+                class Spy:
+                    def __getattr__(self, attr):
+                        calls.append(attr)
+                        return getattr(lib, attr)
+
+                pool._kernel._lib = Spy()
+                pooled = pool.decrypt_values(dec_vals)
+            assert pooled == keypair.secret_key.raw_decrypt_batch(dec_vals) == ref_dec
+            assert calls == ["repro_paillier_decrypt"] * 3
+        finally:
+            backend.set_backend(previous)
+
+
 class TestValidation:
     def test_unknown_mode_rejected(self, keypair):
         for mode in ("fiber", "process", "auto"):

@@ -5,7 +5,6 @@ import pytest
 from repro.crypto import backend
 from repro.crypto.damgard_jurik import layered_select_batch
 from repro.protocols.recover_enc import (
-    recover_enc,
     recover_enc_batch,
     select_recover_batch,
 )
@@ -15,7 +14,7 @@ class TestRecoverEnc:
     def test_single_roundtrip(self, ctx, keypair):
         inner = ctx.public_key.encrypt(123, ctx.rng)
         layered = ctx.dj.encrypt_ciphertext(inner, ctx.rng)
-        recovered = recover_enc(ctx, layered)
+        recovered = recover_enc_batch(ctx, [layered])[0]
         assert keypair.secret_key.decrypt(recovered) == 123
 
     def test_batch_roundtrip(self, ctx, keypair):
@@ -43,7 +42,7 @@ class TestRecoverEnc:
         """The recovered ciphertext is a fresh-looking encryption."""
         inner = ctx.public_key.encrypt(5, ctx.rng)
         layered = ctx.dj.encrypt_ciphertext(inner, ctx.rng)
-        recovered = recover_enc(ctx, layered)
+        recovered = recover_enc_batch(ctx, [layered])[0]
         assert recovered.value != inner.value
         assert keypair.secret_key.decrypt(recovered) == 5
 
@@ -51,7 +50,7 @@ class TestRecoverEnc:
         """S2's view during RecoverEnc must be the blinded inner value,
         never the true plaintext (checked via the leakage log kinds)."""
         inner = ctx.public_key.encrypt(99, ctx.rng)
-        recover_enc(ctx, ctx.dj.encrypt_ciphertext(inner, ctx.rng))
+        recover_enc_batch(ctx, [ctx.dj.encrypt_ciphertext(inner, ctx.rng)])
         kinds = {e.kind for e in ctx.leakage.events}
         assert kinds == {"recover_batch"}
 
@@ -60,7 +59,7 @@ class TestRecoverEnc:
         a = ctx.public_key.encrypt(10, ctx.rng)
         b = ctx.public_key.encrypt(32, ctx.rng)
         layered = ctx.dj.encrypt_ciphertext(a, ctx.rng).scalar_ct(b)
-        recovered = recover_enc(ctx, layered)
+        recovered = recover_enc_batch(ctx, [layered])[0]
         assert keypair.secret_key.decrypt(recovered) == 42
 
 

@@ -4,8 +4,8 @@ A repeat query (same relation, token fingerprint and
 transcript-relevant config) is served from the server's LRU with
 **zero** S2 round-trips, bit-identical winners, ``cache_hit=True`` and
 exactly the ``query_pattern`` repeat event the paper's L1 profile
-already grants S1; misses, evictions and the ``cache=False`` opt-outs
-all behave, and a cache-on server leaves fresh transcripts untouched
+already grants S1; misses, evictions and the ``QueryConfig(cache=False)``
+opt-out all behave, and the cache leaves fresh transcripts untouched
 (invalidation on mutation is pinned in ``test_mutations.py``).
 """
 
@@ -144,14 +144,6 @@ class TestResultCache:
             second = server.query(token, QueryConfig(cache=False))
             assert not second.cache_hit and second.stats.rounds > 0
             assert server.stats["cache"].size == 0
-        # Server-wide opt-out.
-        scheme, relation = _deployment()
-        with TopKServer(scheme, relation, cache=False) as server:
-            token = scheme.token([0, 1], k=2)
-            server.query(token)
-            second = server.query(token)
-            assert not second.cache_hit and second.stats.rounds > 0
-            assert server.stats["cache"] is None
 
     def test_hit_copies_are_isolated(self):
         scheme, relation = _deployment()
@@ -249,11 +241,12 @@ class TestResultCache:
             QueryCache(capacity=0)
 
     def test_cache_on_does_not_move_fresh_transcripts(self):
-        """A default server (cache on) produces the exact transcript of
-        one with the cache disabled — the cache is inert until a repeat."""
+        """A cached query produces the exact transcript of one opted out
+        of the cache — the cache is inert until a repeat."""
         scheme, relation = _deployment()
-        with TopKServer(scheme, relation, cache=False) as server:
-            off = _transcript(scheme, server.query(scheme.token([0, 1, 2], k=3)))
+        with TopKServer(scheme, relation) as server:
+            token = scheme.token([0, 1, 2], k=3)
+            off = _transcript(scheme, server.query(token, QueryConfig(cache=False)))
         scheme2, relation2 = _deployment()
         with TopKServer(scheme2, relation2) as server:
             on = _transcript(scheme2, server.query(scheme2.token([0, 1, 2], k=3)))

@@ -992,10 +992,10 @@ class TestDaemonLifecycle:
 
     def test_spill_rejects_unsafe_names(self, tmp_path):
         service = S2Service("tcp://127.0.0.1:0", state_dir=str(tmp_path / "state"))
-        for name in ("../evil.reg", "a/b.reg", ".hidden", "", "x..reg"):
+        for registration_id in ("../evil", "a/b", ".hidden", "", "x.", "a.b"):
             with pytest.raises(TransportError, match="unsafe"):
-                service.spill(name, b"payload")
-        service.spill("abc123.reg", b"payload")
+                service.spill(registration_id, b"payload")
+        service.spill("abc123", b"payload")
         assert os.listdir(tmp_path / "state") == ["abc123.reg"]
         assert os.stat(tmp_path / "state" / "abc123.reg").st_mode & 0o777 == 0o600
 
