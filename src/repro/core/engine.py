@@ -371,52 +371,60 @@ class EagerEngine(_EngineBase):
         for the next deduplication's matrix.
         """
         ctx = self.ctx
+        pk = ctx.public_key
         item = items[list_slot]
         n_candidates = base + list_slot
-        credits: list[Ciphertext] = []
-        bits: list[Ciphertext] = []
-        if n_candidates:
-            ehls = [shared[i].ehl for i in range(base)] + [
-                items[i].ehl for i in range(list_slot)
-            ]
-            # Permute before shipping so S2's equality-pattern view is the
-            # declared EP_d leakage (pattern up to a random permutation).
-            order = ctx.rng.permutation(n_candidates)
-            others = [ehls[i] for i in order]
-            eq_cts = item.ehl.minus_many(others, ctx.rng)
-            if known is not None:
-                known.tested(item.ehl, others, eq_cts)
-            permuted_credits, permuted_bits = yield from blinded_select_flow(
-                ctx, eq_cts, [item.score], [0] * n_candidates,
-                bit_mode=False, protocol=PROTOCOL,
-            )
-            credits = [None] * n_candidates
-            bits = [None] * n_candidates
-            for slot, i in enumerate(order):
-                credits[i] = permuted_credits[slot]
-                bits[i] = permuted_bits[slot]
+        order: list[int] = []
 
-        if len(shared) != base + list_slot:
-            raise QueryError(
-                "absorption order violated: earlier lists' entries must be "
-                "appended before this flow resumes"
+        def credit(selected: list[int], bits: list[int], blinds: list[int]) -> None:
+            if len(shared) != base + list_slot:
+                raise QueryError(
+                    "absorption order violated: earlier lists' entries must be "
+                    "appended before this flow resumes"
+                )
+            targets = [shared[i] for i in order]
+            pool = pk.randomizer_pool()
+            values = backend.select_apply(
+                pk.n, selected, bits, blinds,
+                [target.worst.value for target in targets] + [item.score.value],
+                seen=[target.seen_bits[list_slot].value for target in targets],
+                pool=pool,
+                # the new entry's seen bits, read as encrypt_batch reads them
+                reads=ctx.rng.randbytes(pool.read_bytes * self.m),
+                slot=list_slot,
             )
-        for candidate, credit, bit in zip(shared, credits, bits):
-            candidate.worst = candidate.worst + credit
-            candidate.seen_bits[list_slot] = candidate.seen_bits[list_slot] + bit
-        worst = item.score
-        seen_bits = ctx.public_key.encrypt_batch(
-            [int(j == list_slot) for j in range(self.m)], ctx.rng
+            cts = [Ciphertext(value, pk) for value in values]
+            tested = len(targets)
+            for target, worst, bit in zip(targets, cts, cts[tested:]):
+                target.worst = worst
+                target.seen_bits[list_slot] = bit
+            shared.append(
+                ScoredItem(
+                    ehl=item.ehl,
+                    worst=cts[2 * tested],
+                    seen_bits=cts[2 * tested + 2 :],
+                    record=item.record,
+                )
+            )
+            counts.append(cts[2 * tested + 1])
+
+        if not n_candidates:
+            credit([], [], [])
+            return
+        ehls = [shared[i].ehl for i in range(base)] + [
+            items[i].ehl for i in range(list_slot)
+        ]
+        # Permute before shipping so S2's equality-pattern view is the
+        # declared EP_d leakage (pattern up to a random permutation).
+        order = ctx.rng.permutation(n_candidates)
+        others = [ehls[i] for i in order]
+        eq_cts = item.ehl.minus_many(others, ctx.rng)
+        if known is not None:
+            known.tested(item.ehl, others, eq_cts)
+        yield from blinded_select_flow(
+            ctx, eq_cts, [item.score], [0] * n_candidates,
+            bit_mode=False, protocol=PROTOCOL, apply=credit,
         )
-        matched = Ciphertext(1, ctx.public_key)
-        if credits:
-            matched = sum(bits[1:], bits[0])
-            worst = worst - sum(credits[1:], credits[0])
-            seen_bits[list_slot] = seen_bits[list_slot] - matched
-        shared.append(
-            ScoredItem(ehl=item.ehl, worst=worst, seen_bits=seen_bits, record=item.record)
-        )
-        counts.append(matched)
 
     # -- best bounds for the halting rule ----------------------------------
 
@@ -429,8 +437,10 @@ class EagerEngine(_EngineBase):
         masked by a fresh coin ``c``, so S2 decrypts a uniform bit ``t``
         and applies it to ``bottom_j``: ``Enc(u·bottom_j)`` is the reply
         itself when ``c = 0`` and ``Enc(bottom_j) − Enc(t·bottom_j)`` when
-        ``c = 1``.  The bounds go straight to the comparison; no
-        candidate carries one onward."""
+        ``c = 1``.  S1 unblinds the reply into the bounds with one
+        :func:`~repro.crypto.backend.select_apply` call, a candidate's
+        ``m`` powers one multi-exponentiation.  The bounds go straight to
+        the comparison; no candidate carries one onward."""
         if not candidates:
             return []
         ctx = self.ctx
@@ -448,21 +458,21 @@ class EagerEngine(_EngineBase):
             [s if c else Ciphertext(next(negated), pk) + 1 for s, c in zip(seen, flips)],
             ctx.rng,
         )
-        selected, _ = yield from blinded_select_flow(
+
+        def bound(selected: list[int], bits: list[int], blinds: list[int]) -> list[int]:
+            return backend.select_apply(
+                pk.n, selected, bits, blinds,
+                [t_item.worst.value for t_item in candidates],
+                [m] * len(candidates),
+                flips,
+                [bottom.value for bottom in bottoms] * len(candidates),
+            )
+
+        bests = yield from blinded_select_flow(
             ctx, tests, bottoms, list(range(m)) * len(candidates),
-            bit_mode=True, protocol=PROTOCOL,
+            bit_mode=True, protocol=PROTOCOL, apply=bound,
         )
-        negated = iter(
-            backend.invert_vec([s.value for s, c in zip(selected, flips) if c], n2)
-        )
-        unseen = [
-            bottoms[slot % m] + Ciphertext(next(negated), pk) if c else s
-            for slot, (s, c) in enumerate(zip(selected, flips))
-        ]
-        return [
-            sum(unseen[i * m : (i + 1) * m], t_item.worst)
-            for i, t_item in enumerate(candidates)
-        ]
+        return [Ciphertext(value, pk) for value in bests]
 
 
 class LiteralEngine(_EngineBase):

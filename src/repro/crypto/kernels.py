@@ -13,14 +13,15 @@ Two things live here:
   the loaded extension behind every backend operation (``powmod`` /
   ``powmod_vec`` / ``powmod_pairs`` / ``powmod_products`` /
   ``pool_products`` / ``invert`` / ``invert_vec`` / ``paillier_decrypt``
-  / ``blind_round`` / ``ehl_minus``), one C entry point per operation
-  (the scalar ``powmod`` and ``powmod_vec`` are ``repro_powmod_pairs``
-  with a zero exponent stride, ``invert`` is ``repro_invert_vec`` on one
-  element).  A call packs the whole batch, makes *one* C call, and
-  unpacks; cffi releases the GIL for the entire C loop, so concurrent
-  queries' kernel stretches overlap.  ``powmod_products``,
-  ``pool_products`` and ``invert_vec`` run on the kernel's Montgomery
-  core (odd moduli; an even one takes the same call's ``mpz`` path).  Results are bit-identical to the pure backend
+  / ``blind_round`` / ``ehl_minus`` / ``select_apply``), one C entry
+  point per operation (the scalar ``powmod`` and ``powmod_vec`` are
+  ``repro_powmod_pairs`` with a zero exponent stride, ``invert`` is
+  ``repro_invert_vec`` on one element).  A call packs the whole batch,
+  makes *one* C call, and unpacks; cffi releases the GIL for the entire
+  C loop, so concurrent queries' kernel stretches overlap.
+  ``powmod_products``, ``pool_products`` and ``invert_vec`` run on the
+  kernel's Montgomery core (odd moduli; an even one takes the same
+  call's ``mpz`` path).  Results are bit-identical to the pure backend
   (``tests/test_backend.py`` pins this).  The C loops index raw buffers,
   so every buffer size is checked here, before the call.
 
@@ -47,14 +48,15 @@ def words_for(value: int) -> int:
     return max(1, (value.bit_length() + 63) // 64)
 
 
-def pack_ints(values: list[int], words: int) -> bytearray:
+def pack_ints(values: list[int], words: int) -> bytes:
     """Pack non-negative integers into fixed-width little-endian words:
-    a new ``len(values) * words * 8``-byte buffer.  Every value must fit
+    a ``len(values) * words * 8``-byte buffer (read-only: the C side
+    writes only into its own output buffers).  Every value must fit
     ``words`` words; ``int.to_bytes`` raises ``OverflowError`` otherwise
     (a value too wide fails loudly, it is never truncated).
     """
     stride = words * WORD_BYTES
-    return bytearray(b"".join(value.to_bytes(stride, "little") for value in values))
+    return b"".join([value.to_bytes(stride, "little") for value in values])
 
 
 def unpack_ints(buf, words: int, count: int) -> list[int]:
@@ -99,7 +101,7 @@ class GmpKernel(backend.PurePythonBackend):
         cached, words, packed = self._last_mod
         if cached != mod:
             words = words_for(mod)
-            packed = bytes(pack_ints([mod], words))
+            packed = pack_ints([mod], words)
             self._last_mod = (mod, words, packed)
         return words, packed
 
@@ -222,7 +224,7 @@ class GmpKernel(backend.PurePythonBackend):
             mod = pool.mod
             words = words_for(mod)
             values = [(v << 64 * words) % mod for v in pool] if mod & 1 else pool
-            pool.packed = bytes(pack_ints(values, words))
+            pool.packed = pack_ints(values, words)
         return pool.packed
 
     def pool_products(self, pool, reads: bytes) -> list[int]:
@@ -362,6 +364,81 @@ class GmpKernel(backend.PurePythonBackend):
             raise ValueError("kernel ⊖ batch failed")
         return unpack_ints(out_buf, mod_words, len(counts))
 
+    def select_apply(
+        self,
+        n: int,
+        selected: list[int],
+        bits: list[int],
+        exps: list[int],
+        accs: list[int],
+        counts: list[int] | None = None,
+        flips: list[int] | None = None,
+        values: list[int] | None = None,
+        seen: list[int] | None = None,
+        pool=None,
+        reads: bytes = b"",
+        slot: int = 0,
+    ) -> list[int]:
+        """:func:`~repro.crypto.backend.select_apply` in one GIL-free C
+        call (see ``repro_select_apply``): the unblinding powers (one
+        multi-exponentiation per bound), one batch inversion, every
+        product and, for the absorb, the new seen bits' pool draws.
+        Every buffer size is checked here, before the call."""
+        counts, flips = backend.check_select_apply(
+            n, selected, bits, exps, accs, counts, flips, values, seen, pool, reads, slot
+        )
+        if not accs:
+            return []
+        words, packed_mod = self._packed_mod(n * n)
+        exp_words = words_for(max(exps, default=0))
+        ffi = self._ffi
+        from_buffer = ffi.from_buffer
+
+        def limbs(column: list[int]):
+            # never an empty buffer: a reply may have no slots
+            return from_buffer("uint64_t[]", pack_ints(column, words) or bytes(8))
+
+        if seen is None:
+            seen_ptr = pool_ptr = reads_ptr = ffi.NULL
+            index_bits = picks = draws = 0
+            out_count = len(accs)
+        else:
+            seen_ptr = limbs(seen)
+            pool_ptr = from_buffer("uint64_t[]", self._packed_pool(pool))
+            reads_ptr = from_buffer("uint8_t[]", reads)
+            index_bits, picks = pool.index_bits, pool.picks
+            draws = len(reads) // pool.read_bytes
+            out_count = 2 * len(selected) + 2 + draws
+        out_buf = bytearray(out_count * words * WORD_BYTES)
+        rc = self._lib.repro_select_apply(
+            limbs(selected),
+            limbs(bits),
+            from_buffer("uint64_t[]", pack_ints(exps, exp_words) or bytes(8)),
+            len(selected),
+            exp_words,
+            limbs(accs),
+            from_buffer("uint64_t[]", pack_ints(counts, 1) or bytes(8)),
+            len(counts),
+            from_buffer("uint8_t[]", bytes(flips) or b"\0"),
+            ffi.NULL if values is None else limbs(values),
+            seen_ptr,
+            pool_ptr,
+            index_bits,
+            reads_ptr,
+            draws,
+            picks,
+            slot,
+            limbs([n]),
+            from_buffer("uint64_t[]", packed_mod),
+            words,
+            from_buffer("uint64_t[]", out_buf),
+        )
+        if rc == 1:
+            raise ValueError(backend.NOT_INVERTIBLE)
+        if rc != 0:
+            raise ValueError("kernel select apply failed")
+        return unpack_ints(out_buf, words, out_count)
+
     def _inverses(self, values: list[int], mod: int) -> list[int] | None:
         """Every inverse of a non-empty batch in one ``repro_invert_vec``
         call (Montgomery's trick: one ``mpz_invert`` for the batch), or
@@ -395,9 +472,7 @@ class GmpKernel(backend.PurePythonBackend):
             return []
         inverses = self._inverses(values, mod)
         if inverses is None:
-            raise ValueError(
-                "batch holds an element that is not invertible for the given modulus"
-            )
+            raise ValueError(backend.NOT_INVERTIBLE)
         return inverses
 
     @staticmethod
@@ -411,7 +486,7 @@ class GmpKernel(backend.PurePythonBackend):
                 crt.n_squared, crt.n, crt.p, crt.q, crt.p_squared, crt.q_squared,
                 crt.hp, crt.hq, crt.p_inv_q,
             ]
-            crt.packed = bytes(pack_ints(constants, words_for(crt.n_squared)))
+            crt.packed = pack_ints(constants, words_for(crt.n_squared))
         return crt.packed
 
     def paillier_decrypt(self, crt, values: list[int], below_p: bool = False) -> list[int]:

@@ -121,6 +121,32 @@ class SecureRandom:
         """Return a uniform element of ``Z_n \\ {0}``."""
         return self.randint(1, modulus - 1)
 
+    def rand_nonzero_batch(self, modulus: int, count: int) -> list[int]:
+        """``count`` uniform elements of ``Z_n \\ {0}``: the stream a loop
+        of :meth:`rand_nonzero` calls reads, byte for byte, rejections
+        included.
+
+        Each attempt is one ``randbits(k)`` read, ``k`` the bit length
+        of ``n − 1``; a chunk holds exactly as many attempts as values are
+        still missing, so no chunk reads past the attempt the loop would
+        stop at.
+        """
+        upper = modulus - 1
+        if upper < 1:
+            raise ValueError("empty range")
+        k = upper.bit_length()
+        width = (k + 7) // 8
+        shift = width * 8 - k
+        from_bytes = int.from_bytes
+        out: list[int] = []
+        while len(out) < count:
+            chunk = self.randbytes(width * (count - len(out)))
+            for offset in range(0, len(chunk), width):
+                value = from_bytes(chunk[offset : offset + width], "big") >> shift
+                if value < upper:
+                    out.append(value + 1)
+        return out
+
     def shuffle(self, items: list) -> None:
         """Fisher–Yates shuffle of ``items`` in place."""
         for i in range(len(items) - 1, 0, -1):

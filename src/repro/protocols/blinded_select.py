@@ -12,7 +12,13 @@ value it cannot read:
 2. S2 decrypts each slot's bit ``t`` and replies with two fresh
    ciphertexts, ``t ? V·ρ : ρ'`` and ``Enc(t)``.
 3. S1 removes the blind: ``Enc(t·x) = reply · (Enc(t)^r)^{-1}`` — one
-   short-exponent ``N^2`` power per slot and one batched inversion.
+   short-exponent ``N^2`` power per slot and one batched inversion.  The
+   eager engine never holds the unblinded ``Enc(t·x)``: it hands the
+   reply and the blinds to an ``apply`` that credits them straight into
+   their targets with one :func:`~repro.crypto.backend.select_apply`
+   call (the absorb's running worsts, seen bits and new entry; or the
+   best bounds, whose ``m`` powers per bound are one
+   multi-exponentiation).
 
 S2's view is the bits it already learns (the ``EP_d`` equality pattern,
 or coin-masked bits) next to ``x + r`` values that are uniform given the
@@ -38,9 +44,12 @@ def blinded_select_flow(
     groups: list[int],
     bit_mode: bool,
     protocol: str,
+    apply=None,
 ):
     """Flow form: yields one :class:`BlindedSelect`, returns
-    ``(Enc(t_i · x_{groups[i]}), Enc(t_i))`` per slot ``i`` of ``tests``.
+    ``(Enc(t_i · x_{groups[i]}), Enc(t_i))`` per slot ``i`` of ``tests``
+    — or, given ``apply``, what ``apply(selected, bits, blinds)`` returns
+    for the reply's bare values and each slot's blind ``r``.
 
     ``tests`` are equality tests (``t = [b == 0]``) or, with
     ``bit_mode``, rerandomized coin-masked bits.  Every ``x`` is a score
@@ -59,6 +68,10 @@ def blinded_select_flow(
     )
     if not len(selected) == len(bits) == len(tests):
         raise ProtocolError("blinded select reply does not match its slots")
+    if apply is not None:
+        return apply(
+            [s.value for s in selected], [b.value for b in bits], [blinds[g] for g in groups]
+        )
     unblind = backend.invert_vec(
         backend.powmod_pairs([b.value for b in bits], [blinds[g] for g in groups], n2),
         n2,

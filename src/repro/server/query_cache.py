@@ -36,9 +36,10 @@ introduce no leakage beyond the declared query pattern either.
 An entry is a :class:`CachedResult`, a slim snapshot of a finished
 query: its winners, halting depth and config — no leakage log, trace or
 channel stats, which a hit replaces anyway.  Its items are copied on the
-way in and again on every hit, each copy sharing the scheme's key
-objects rather than cloning them, so callers can never mutate each
-other's results — or the cache — through it.
+way in and again on every hit, so callers can never mutate each other's
+results — or the cache — through it.  A copy is new item shells, lists
+and ciphertext wrappers around the same integers and key objects: no
+key, integer or ciphertext is ever cloned deeper than its wrapper.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.crypto.paillier import Ciphertext
 from repro.obs.metrics import REGISTRY
+from repro.structures.items import ScoredItem
 
 # Process-wide cache instruments; the per-instance counters below stay
 # the source of `TopKServer.stats` — both tick together, so /metrics
@@ -74,8 +77,9 @@ class CachedResult:
     (best first, still encrypted), its halting depth and its config.
 
     :attr:`items` is never handed out; :meth:`copy_items` is.  Every copy
-    shares the objects in :attr:`shared` — the scheme's Paillier key and
-    Damgård–Jurik instance — instead of cloning them.
+    shares the key objects its ciphertexts reference; an item that is not
+    a :class:`ScoredItem` is deep-copied sharing the objects in
+    :attr:`shared` — the scheme's Paillier key and Damgård–Jurik instance.
     """
 
     items: list
@@ -97,7 +101,36 @@ class CachedResult:
 
 
 def _copy(items: list, shared: tuple) -> list:
-    return copy.deepcopy(items, {id(obj): obj for obj in shared})
+    memo = {id(obj): obj for obj in shared}
+    return [
+        _copy_scored(item) if type(item) is ScoredItem else copy.deepcopy(item, memo)
+        for item in items
+    ]
+
+
+def _copy_scored(item: ScoredItem) -> ScoredItem:
+    """A new :class:`ScoredItem` whose EHL, lists and ciphertexts are new
+    objects over the same integers and key objects."""
+    return ScoredItem(
+        ehl=type(item.ehl)([_wrapper(cell) for cell in item.ehl.cells]),
+        worst=_wrapper(item.worst),
+        best=_wrapper(item.best),
+        list_scores=_wrappers(item.list_scores),
+        seen_bits=_wrappers(item.seen_bits),
+        record=_wrapper(item.record),
+        uid=item.uid,
+    )
+
+
+def _wrapper(ct):
+    """A new wrapper around ``ct``'s integer and key (``None`` stays)."""
+    if type(ct) is Ciphertext:
+        return Ciphertext(ct.value, ct.public_key)
+    return copy.copy(ct)
+
+
+def _wrappers(cts: list | None) -> list | None:
+    return None if cts is None else [_wrapper(ct) for ct in cts]
 
 
 @dataclass(frozen=True)

@@ -254,7 +254,7 @@ def _minus_computed(
         reads.append(rng.randbytes(pool.read_bytes))  # Enc(0; r) is the randomizer
         numerators.extend(cell.value for cell in mine.cells)
         inverses.extend(inverse_of[id(theirs)])
-        scalars.extend(rng.rand_nonzero(n) for _ in mine.cells)
+        scalars.extend(rng.rand_nonzero_batch(n, len(mine)))
     counts = [len(mine) for mine, _ in pairs]
     return [
         Ciphertext(value, pk)

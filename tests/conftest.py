@@ -76,12 +76,13 @@ class PoolDraws:
 def pool_draws(monkeypatch) -> PoolDraws:
     """A :class:`PoolDraws` fed by every pool draw for the duration of
     the test: each ``backend.pool_products`` call, and the reads the
-    fused ``backend.blind_round`` and ``backend.ehl_minus`` draw inside
-    their own call."""
+    fused ``backend.blind_round``, ``backend.ehl_minus`` and
+    ``backend.select_apply`` draw inside their own call."""
     draws = PoolDraws()
     real = backend.pool_products
     real_blind = backend.blind_round
     real_minus = backend.ehl_minus
+    real_select = backend.select_apply
 
     def spy(pool, reads):
         draws.record(pool, reads)
@@ -96,7 +97,15 @@ def pool_draws(monkeypatch) -> PoolDraws:
         draws.record(pool, reads)
         return real_minus(pool, reads, numerators, inverses, exps, counts)
 
+    def select_spy(n, selected, bits, exps, accs, counts=None, flips=None,
+                   values=None, seen=None, pool=None, reads=b"", slot=0):
+        if pool is not None:
+            draws.record(pool, reads)
+        return real_select(n, selected, bits, exps, accs, counts, flips, values,
+                           seen, pool, reads, slot)
+
     monkeypatch.setattr(backend, "pool_products", spy)
     monkeypatch.setattr(backend, "blind_round", blind_spy)
     monkeypatch.setattr(backend, "ehl_minus", minus_spy)
+    monkeypatch.setattr(backend, "select_apply", select_spy)
     return draws

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import os
 import pathlib
 import pickle
@@ -20,9 +21,10 @@ import sys
 
 import pytest
 
+from repro.core import engine
 from repro.core.params import SystemParams
 from repro.core.scheme import SecTopK
-from repro.crypto import backend, kernels
+from repro.crypto import backend, kernels, paillier
 from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.crypto.rng import SecureRandom
@@ -691,6 +693,154 @@ class TestBatchPrimitiveParity:
                         fast.ehl_minus(pool, reads, *args, exps, counts)
                     assert str(excinfo.value) == backend.OUTSIDE_MOD
 
+    @staticmethod
+    def _reply(rng, n2, slots):
+        """A reply's slots: ``sel``, ``bits`` (units mod ``n2``) and the
+        blinds, edge exponents 0 and 1 first."""
+        sel = [rng.rand_unit(n2) for _ in range(slots)]
+        bits = [rng.rand_unit(n2) for _ in range(slots)]
+        return sel, bits, [0, 1] + [rng.randbits(200) for _ in range(slots - 2)]
+
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+    def test_select_apply_matches_reference(self, name, odd):
+        """Bounds over ragged targets (2, 0, 1, 3 and 4 slots) with no,
+        every and some slots flipped, and the absorb with its new seen
+        bit at every position, against per-slot built-ins: a term is
+        ``sel · (bits^e)^-1``, flipped ``value · sel^-1 · bits^e``.  An
+        even ``N`` takes the kernel's ``mpz`` path."""
+        fast = backend._resolve(name)
+        rng = SecureRandom(43 + odd)
+        n = rng.randbits(256) | (1 << 255)
+        n = n | 1 if odd else n & ~1
+        n2, slots = n * n, 10
+        sel, bits, exps = self._reply(rng, n2, slots)
+        values = [rng.rand_unit(n2) for _ in range(slots)]
+
+        def term(j, flip):
+            power = pow(bits[j], exps[j], n2)
+            if flip:
+                return values[j] * pow(sel[j], -1, n2) * power % n2
+            return sel[j] * pow(power, -1, n2) % n2
+
+        counts = [2, 0, 1, 3, 4]
+        accs = [0, 1, n2 - 1] + [rng.randint_below(n2) for _ in range(2)]
+        for flips in ([0] * slots, [1] * slots, [j % 3 // 2 for j in range(slots)]):
+            expected, start = [], 0
+            for acc, count in zip(accs, counts):
+                for j in range(start, start + count):
+                    acc = acc * term(j, flips[j]) % n2
+                expected.append(acc)
+                start += count
+            got = fast.select_apply(n, sel, bits, exps, accs, counts, flips, values)
+            assert got == expected, flips
+
+        pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
+        reads = rng.randbytes(pool.read_bytes * 3)
+        draws = backend.PurePythonBackend.pool_products(pool, reads)
+        worsts = [rng.randint_below(n2) for _ in range(slots)]
+        seen = [rng.rand_unit(n2) for _ in range(slots)]
+        score = rng.randint_below(n2)
+        entry, matched = score, 1
+        for j in range(slots):
+            entry = entry * pow(term(j, 0), -1, n2) % n2
+            matched = matched * bits[j] % n2
+        for slot in range(3):
+            fresh = list(draws)
+            fresh[slot] = fresh[slot] * (1 + n) * pow(matched, -1, n2) % n2
+            expected = (
+                [w * term(j, 0) % n2 for j, w in enumerate(worsts)]
+                + [v * b % n2 for v, b in zip(seen, bits)]
+                + [entry, matched]
+                + fresh
+            )
+            got = fast.select_apply(
+                n, sel, bits, exps, worsts + [score], seen=seen, pool=pool,
+                reads=reads, slot=slot,
+            )
+            assert got == expected, slot
+        # No slot: the tested item's entry alone, its seen bits the
+        # one-hot encryption encrypt_batch makes of the same reads.
+        assert fast.select_apply(
+            n, [], [], [], [score], seen=[], pool=pool, reads=reads, slot=1
+        ) == [score, 1] + [(1 + (j == 1) * n) * r % n2 for j, r in enumerate(draws)]
+
+    def test_select_apply_refusals(self, name):
+        """An empty batch is empty; a ragged layout or read buffer, a
+        negative exponent, a residue outside ``[0, N^2)`` in any column
+        or an element without an inverse refuses the whole call with
+        the pure backend's ``ValueError`` text."""
+        fast, pure = backend._resolve(name), backend.PurePythonBackend()
+        rng = SecureRandom(45)
+        n = rng.randbits(128) | (1 << 127) | 1
+        n2 = n * n
+        pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
+        other = backend.RandomizerPool(list(pool), n2 + 2, 6)
+        reads = rng.randbytes(pool.read_bytes * 2)
+        sel, bits, exps = self._reply(rng, n2, 3)
+        accs, counts, flips, values = [5, 6], [2, 1], [0, 1, 0], [7, 8, 9]
+        seen = [rng.rand_unit(n2) for _ in range(3)]
+        absorb = {"seen": seen, "pool": pool, "reads": reads, "slot": 1}
+        assert fast.select_apply(n, [], [], [], [], [], [], []) == []
+        assert len(fast.select_apply(n, sel, bits, exps, accs, counts, flips, values)) == 2
+        assert len(fast.select_apply(n, sel, bits, exps, [5, 6, 7, 8], **absorb)) == 10
+
+        def refused(*args, **kwargs) -> str:
+            with pytest.raises(ValueError) as got:
+                fast.select_apply(*args, **kwargs)
+            with pytest.raises(ValueError) as want:
+                pure.select_apply(*args, **kwargs)
+            assert str(got.value) == str(want.value)
+            return str(got.value)
+
+        for bad in (
+            (1, sel, bits, exps, accs, counts, flips, values),  # N
+            (n, sel, bits[:2], exps, accs, counts, flips, values),  # bits
+            (n, sel, bits, exps[:2], accs, counts, flips, values),  # exponents
+            (n, sel, bits, [1, -2, 3], accs, counts, flips, values),  # negative
+            (n, sel, bits, exps, accs, [2, 2], flips, values),  # counts overrun
+            (n, sel, bits, exps, accs, [3], flips, values),  # a target without a count
+            (n, sel, bits, exps, accs, [4, -1], flips, values),  # negative count
+            (n, sel, bits, exps, accs, counts, flips[:2], values),  # flips
+            (n, sel, bits, exps, accs, counts, [0, 2, 0], values),  # not a flip
+            (n, sel, bits, exps, accs, counts, flips, values[:2]),  # values
+            (n, sel, bits, exps, accs, counts, flips, None),  # no values
+        ):
+            refused(*bad)
+        for args, kwargs in (
+            ((n, sel, bits, exps, [5, 6, 7]), absorb),  # no score
+            ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "seen": seen[:2]}),
+            ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "reads": reads[:-1]}),
+            ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "slot": 2}),
+            ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "slot": -1}),
+            ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "pool": other}),
+            ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "pool": None}),
+            ((n, sel, bits, exps, [5, 6, 7, 8], [1, 1, 1]), absorb),  # counts too
+            ((n, sel, bits, exps, accs, counts, flips, values), {"pool": pool}),
+        ):
+            refused(*args, **kwargs)
+        for oversized in (n2, n2 + 1, -1, 1 << (n2.bit_length() + 64)):
+            for position in range(3):
+                column = [2, 3, 4]
+                column[position] = oversized
+                for args, kwargs in (
+                    ((n, column, bits, exps, accs, counts, flips, values), {}),
+                    ((n, sel, column, exps, accs, counts, flips, values), {}),
+                    ((n, sel, bits, exps, column, [1, 1, 1], flips, values), {}),
+                    ((n, sel, bits, exps, accs, counts, flips, column), {}),
+                    ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "seen": column}),
+                    ((n, sel, bits, exps, column + [8]), absorb),
+                ):
+                    assert refused(*args, **kwargs) == backend.OUTSIDE_MOD
+        for flip, zeroed in ((1, "sel"), (0, "bits")):
+            column = {"sel": list(sel), "bits": list(bits)}
+            column[zeroed][1] = 0
+            assert refused(
+                n, column["sel"], column["bits"], exps, accs, counts, [0, flip, 0], values
+            ) == backend.NOT_INVERTIBLE
+        assert refused(
+            n, sel, [bits[0], n, bits[2]], exps, [5, 6, 7, 8], **absorb
+        ) == backend.NOT_INVERTIBLE
+
     def test_fused_rounds_are_one_kernel_call(self, name):
         """On the kernel a blinding round and a ⊖ batch are one C call
         each, their pool draws included; elsewhere they are the
@@ -699,6 +849,7 @@ class TestBatchPrimitiveParity:
         if name != "gmp-kernel":
             assert type(fast).blind_round is backend.PurePythonBackend.blind_round
             assert type(fast).ehl_minus is backend.PurePythonBackend.ehl_minus
+            assert type(fast).select_apply is backend.PurePythonBackend.select_apply
             return
         calls = []
         _spy_on_lib(fast, calls)
@@ -711,7 +862,51 @@ class TestBatchPrimitiveParity:
             rng.randbytes(pool.read_bytes * 2),
         )
         fast.ehl_minus(pool, rng.randbytes(pool.read_bytes), [3, 4], [5, 6], [7, 8], [2])
-        assert calls == ["repro_blind_round", "repro_ehl_minus"]
+        sel, bits = [rng.rand_unit(n2) for _ in range(2)], [rng.rand_unit(n2) for _ in range(2)]
+        fast.select_apply(n, sel, bits, [7, 8], [9], [2], [0, 1], [10, 11])
+        fast.select_apply(
+            n, sel, bits, [7, 8], [9, 10, 11], seen=[12, 13], pool=pool,
+            reads=rng.randbytes(pool.read_bytes * 2), slot=0,
+        )
+        assert calls == [
+            "repro_blind_round", "repro_ehl_minus", "repro_select_apply", "repro_select_apply"
+        ]
+
+    def test_each_select_reply_is_one_call(self, name, monkeypatch):
+        """Every ``BlindedSelect`` reply of an eager query — each absorb
+        and each best-bound select — is applied by one ``select_apply``:
+        on the kernel one ``repro_select_apply`` C call, with no
+        ``repro_powmod_pairs`` and no ``repro_invert_vec``."""
+        replies, calls = [], []
+        real_flow = engine.blinded_select_flow
+
+        def flow(*args, bit_mode, apply, **kwargs):
+            def spied(*reply):
+                start = len(calls)
+                out = apply(*reply)
+                replies.append((bit_mode, calls[start:]))
+                return out
+
+            return (yield from real_flow(*args, bit_mode=bit_mode, apply=spied, **kwargs))
+
+        monkeypatch.setattr(engine, "blinded_select_flow", flow)
+        with _on_backend(name) as active:
+            if name == "gmp-kernel":
+                _spy_on_lib(active, calls)
+            else:
+                real = active.select_apply
+                monkeypatch.setattr(
+                    active, "select_apply",
+                    lambda *a, **k: calls.append("select_apply") or real(*a, **k),
+                )
+            rng = SecureRandom(12)
+            rows = [[rng.randint_below(40) for _ in range(4)] for _ in range(14)]
+            scheme = SecTopK(SystemParams.tiny(), seed=12)
+            relation = scheme.encrypt(rows)
+            scheme.query(relation, scheme.token([0, 2, 3], k=3))
+        entry = "repro_select_apply" if name == "gmp-kernel" else "select_apply"
+        assert {mode for mode, _ in replies} == {False, True}
+        assert all(made == [entry] for _, made in replies)
 
 
 @needs_kernel
@@ -875,8 +1070,6 @@ def _parent_blind(blinder, items, seed_lists, sign, rng):
     """The per-component blinding loop ``ItemBlinder._apply`` ran before
     its Paillier half became one ``blind_round`` call: every component
     value of every item (Paillier ones first, then ``E2`` seen bits)."""
-    import hashlib
-
     pk, dj = blinder.public_key, blinder.dj
     n, n2, n_s, n_s1 = pk.n, pk.n_squared, dj.n_s, dj.n_s1
     plain_bytes = (n.bit_length() + 128 + 7) // 8
@@ -945,6 +1138,14 @@ def _parent_compare(ctx, enc_a, enc_b):
         diff = -diff
     scale = ctx.rng.randint(1, (1 << ctx.encoder.blind_bits) - 1)
     return ctx.public_key.rerandomize(diff * scale, ctx.rng).value, sigma
+
+
+def _seeded_pool(n, exponent, modulus, size, picks):
+    """``paillier.fresh_pool`` from a stream seeded by the modulus, so a
+    seeded run's ciphertexts are a function of its seed alone."""
+    rng = SecureRandom(b"pool:" + modulus.to_bytes((modulus.bit_length() + 7) // 8, "big"))
+    values = [pow(rng.rand_unit(n), exponent, modulus) for _ in range(size)]
+    return backend.RandomizerPool(values, modulus, picks)
 
 
 def _components_of(items):
@@ -1017,6 +1218,32 @@ class TestFusedRoundsPinTheirFormulas:
             fused = minus_pairs(pairs, fused_rng)
         assert [c.value for c in fused] == _parent_minus(pairs, parent_rng)
         assert fused_rng.randbytes(16) == parent_rng.randbytes(16)
+
+    def test_select_apply(self, name, monkeypatch):
+        """A seeded eager query (randomizer pools seeded too) ends with
+        the integers the per-slot unblinding gave before ``select_apply``:
+        every result item's worst and seen bits and every best bound the
+        halting rule compared, recorded on the parent as one digest."""
+        monkeypatch.setattr(paillier, "fresh_pool", _seeded_pool)
+        bests = []
+        real = engine.EagerEngine._best_flow
+
+        def best_flow(self, candidates, depth):
+            out = yield from real(self, candidates, depth)
+            bests.append([best.value for best in out])
+            return out
+
+        monkeypatch.setattr(engine.EagerEngine, "_best_flow", best_flow)
+        rng = SecureRandom(12)
+        rows = [[rng.randint_below(40) for _ in range(4)] for _ in range(14)]
+        with _on_backend(name):
+            scheme = SecTopK(SystemParams.tiny(), seed=12)
+            result = scheme.query(scheme.encrypt(rows), scheme.token([0, 2, 3], k=3))
+        items = [(i.worst.value, [b.value for b in i.seen_bits]) for i in result.items]
+        assert result.halting_depth == 9 and [len(b) for b in bests] == [1, 4, 6, 7, 8, 9, 9, 9]
+        assert hashlib.sha256(repr((items, bests)).encode()).hexdigest() == (
+            "93ae061a696f6b710ce9e5ea04c66bec91efd3eee988c9dd2fe3eabc909b551d"
+        )
 
     def test_compare(self, name, keypair):
         rng = SecureRandom(54)

@@ -200,6 +200,31 @@ class TestResultCache:
         for hit in (exact, prefix):
             assert [e.kind for e in hit.leakage_events] == ["query_pattern"]
 
+    def test_reassigning_a_served_item_never_reaches_a_later_hit(self):
+        """Reassigning an item's ``worst`` or appending to its seen bits —
+        on a fresh result or a served one — changes no later exact or
+        prefix hit: each copy owns its item shells and lists."""
+        scheme, relation = _deployment()
+        token = scheme.token([0, 1], k=3)
+        with TopKServer(scheme, relation) as server:
+            fresh = server.query(token)
+            want = [
+                (item.worst.value, [bit.value for bit in item.seen_bits])
+                for item in fresh.items
+            ]
+            for result in (fresh, server.query(token)):
+                for item in result.items:
+                    item.worst = item.seen_bits[0]
+                    item.seen_bits.append(item.worst)
+            exact = server.query(token)
+            prefix = server.query(scheme.token([0, 1], k=2))
+        for hit, count in ((exact, 3), (prefix, 2)):
+            assert hit.cache_hit
+            assert [
+                (item.worst.value, [bit.value for bit in item.seen_bits])
+                for item in hit.items
+            ] == want[:count]
+
     def test_execute_many_repeats_hit_sequentially(self):
         scheme, relation = _deployment()
         token = scheme.token([0, 1], k=2)

@@ -168,6 +168,34 @@ class TestRanges:
         r = SecureRandom(5)
         assert all(1 <= r.rand_nonzero(7) <= 6 for _ in range(50))
 
+    @pytest.mark.parametrize(
+        "modulus",
+        [2, 7, (1 << 64) + 2, (1 << 255) + 12345, (1 << 512) - 3],
+        ids=["two", "seven", "2^64+2", "2^255+c", "2^512-3"],
+    )
+    def test_rand_nonzero_batch_reads_like_the_loop(self, modulus):
+        """Under one seed the batch returns the loop's values and leaves
+        the stream where the loop leaves it.  Just above a power of two
+        (``2^64 + 2``, ``2^255 + c``: ``n − 1`` one bit wider than most
+        of its range) about half the attempts are rejected."""
+        for count in (0, 1, 5, 300):
+            batch, loop = SecureRandom(6), SecureRandom(6)
+            batch.randbytes(3)
+            loop.randbytes(3)
+            drawn = batch.rand_nonzero_batch(modulus, count)
+            assert drawn == [loop.rand_nonzero(modulus) for _ in range(count)]
+            assert all(1 <= v < modulus for v in drawn)
+            assert batch.randbytes(16) == loop.randbytes(16)
+
+    def test_rand_nonzero_batch_os_backed(self):
+        r = system_random()
+        modulus = (1 << 64) + 2
+        drawn = r.rand_nonzero_batch(modulus, 200)
+        assert len(drawn) == 200 and all(1 <= v < modulus for v in drawn)
+        assert len(set(drawn)) == 200
+        with pytest.raises(ValueError):
+            r.rand_nonzero_batch(1, 3)
+
 
 class TestPermutations:
     def test_shuffle_is_permutation(self):
