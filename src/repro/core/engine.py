@@ -54,7 +54,7 @@ from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.events import CandidateFinalized, DepthAdvanced
 from repro.exceptions import QueryError
 from repro.protocols.base import S1Context
-from repro.protocols.blinded_select import blinded_select_flow
+from repro.protocols.blinded_select import blinded_select_reply_flow
 from repro.protocols.enc_compare import enc_compare_flow, enc_compare_flows
 from repro.protocols.enc_sort import enc_sort
 from repro.protocols.sec_best import sec_best_flow
@@ -374,57 +374,54 @@ class EagerEngine(_EngineBase):
         pk = ctx.public_key
         item = items[list_slot]
         n_candidates = base + list_slot
-        order: list[int] = []
-
-        def credit(selected: list[int], bits: list[int], blinds: list[int]) -> None:
-            if len(shared) != base + list_slot:
-                raise QueryError(
-                    "absorption order violated: earlier lists' entries must be "
-                    "appended before this flow resumes"
-                )
-            targets = [shared[i] for i in order]
-            pool = pk.randomizer_pool()
-            values = backend.select_apply(
-                pk.n, selected, bits, blinds,
-                [target.worst.value for target in targets] + [item.score.value],
-                seen=[target.seen_bits[list_slot].value for target in targets],
-                pool=pool,
-                # the new entry's seen bits, read as encrypt_batch reads them
-                reads=ctx.rng.randbytes(pool.read_bytes * self.m),
-                slot=list_slot,
+        order, selected, bits, blinds = [], [], [], []
+        if n_candidates:
+            ehls = [shared[i].ehl for i in range(base)] + [
+                items[i].ehl for i in range(list_slot)
+            ]
+            # Permute before shipping so S2's equality-pattern view is the
+            # declared EP_d leakage (pattern up to a random permutation).
+            order = ctx.rng.permutation(n_candidates)
+            others = [ehls[i] for i in order]
+            eq_cts = item.ehl.minus_many(others, ctx.rng)
+            if known is not None:
+                known.tested(item.ehl, others, eq_cts)
+            selected, bits, blinds = yield from blinded_select_reply_flow(
+                ctx, eq_cts, [item.score], [0] * n_candidates,
+                bit_mode=False, protocol=PROTOCOL,
             )
-            cts = [Ciphertext(value, pk) for value in values]
-            tested = len(targets)
-            for target, worst, bit in zip(targets, cts, cts[tested:]):
-                target.worst = worst
-                target.seen_bits[list_slot] = bit
-            shared.append(
-                ScoredItem(
-                    ehl=item.ehl,
-                    worst=cts[2 * tested],
-                    seen_bits=cts[2 * tested + 2 :],
-                    record=item.record,
-                )
-            )
-            counts.append(cts[2 * tested + 1])
 
-        if not n_candidates:
-            credit([], [], [])
-            return
-        ehls = [shared[i].ehl for i in range(base)] + [
-            items[i].ehl for i in range(list_slot)
-        ]
-        # Permute before shipping so S2's equality-pattern view is the
-        # declared EP_d leakage (pattern up to a random permutation).
-        order = ctx.rng.permutation(n_candidates)
-        others = [ehls[i] for i in order]
-        eq_cts = item.ehl.minus_many(others, ctx.rng)
-        if known is not None:
-            known.tested(item.ehl, others, eq_cts)
-        yield from blinded_select_flow(
-            ctx, eq_cts, [item.score], [0] * n_candidates,
-            bit_mode=False, protocol=PROTOCOL, apply=credit,
+        if len(shared) != base + list_slot:
+            raise QueryError(
+                "absorption order violated: earlier lists' entries must be "
+                "appended before this flow resumes"
+            )
+        targets = [shared[i] for i in order]
+        pool = pk.randomizer_pool()
+        values = backend.select_absorb(
+            pk.n, selected, bits, blinds,
+            [target.worst.value for target in targets],
+            [target.seen_bits[list_slot].value for target in targets],
+            item.score.value,
+            pool,
+            # the new entry's seen bits, read as encrypt_batch reads them
+            ctx.rng.randbytes(pool.read_bytes * self.m),
+            list_slot,
         )
+        cts = [Ciphertext(value, pk) for value in values]
+        tested = len(targets)
+        for target, worst, bit in zip(targets, cts, cts[tested:]):
+            target.worst = worst
+            target.seen_bits[list_slot] = bit
+        shared.append(
+            ScoredItem(
+                ehl=item.ehl,
+                worst=cts[2 * tested],
+                seen_bits=cts[2 * tested + 2 :],
+                record=item.record,
+            )
+        )
+        counts.append(cts[2 * tested + 1])
 
     # -- best bounds for the halting rule ----------------------------------
 
@@ -438,7 +435,7 @@ class EagerEngine(_EngineBase):
         and applies it to ``bottom_j``: ``Enc(u·bottom_j)`` is the reply
         itself when ``c = 0`` and ``Enc(bottom_j) − Enc(t·bottom_j)`` when
         ``c = 1``.  S1 unblinds the reply into the bounds with one
-        :func:`~repro.crypto.backend.select_apply` call, a candidate's
+        :func:`~repro.crypto.backend.select_bounds` call, a candidate's
         ``m`` powers one multi-exponentiation.  The bounds go straight to
         the comparison; no candidate carries one onward."""
         if not candidates:
@@ -458,19 +455,16 @@ class EagerEngine(_EngineBase):
             [s if c else Ciphertext(next(negated), pk) + 1 for s, c in zip(seen, flips)],
             ctx.rng,
         )
-
-        def bound(selected: list[int], bits: list[int], blinds: list[int]) -> list[int]:
-            return backend.select_apply(
-                pk.n, selected, bits, blinds,
-                [t_item.worst.value for t_item in candidates],
-                [m] * len(candidates),
-                flips,
-                [bottom.value for bottom in bottoms] * len(candidates),
-            )
-
-        bests = yield from blinded_select_flow(
+        selected, bits, blinds = yield from blinded_select_reply_flow(
             ctx, tests, bottoms, list(range(m)) * len(candidates),
-            bit_mode=True, protocol=PROTOCOL, apply=bound,
+            bit_mode=True, protocol=PROTOCOL,
+        )
+        bests = backend.select_bounds(
+            pk.n, selected, bits, blinds,
+            [t_item.worst.value for t_item in candidates],
+            [m] * len(candidates),
+            flips,
+            [bottoms[slot % m].value for slot, c in enumerate(flips) if c],
         )
         return [Ciphertext(value, pk) for value in bests]
 

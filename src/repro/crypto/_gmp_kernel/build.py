@@ -3,23 +3,24 @@
 The C side is small: one entry point per operation.  One vectorized
 ``mpz_powm`` loop, ``repro_powmod_pairs`` — one exponent per base (the
 ``RecoverEnc`` blinds, the ⊖ rescales, the blinded comparisons'
-scales, the absorb's unblinding powers inside ``repro_select_apply``),
+scales, the absorb's unblinding powers inside ``repro_select_absorb``),
 or with a zero exponent stride one shared exponent for the whole batch
 (DJ layer stripping, randomizer pools, a scalar power as a batch of
 one); ``repro_paillier_decrypt`` (a batch of whole CRT Paillier
 decryptions: the range and unit checks, both ``mpz_powm`` halves,
 ``L``, ``h_p`` / ``h_q`` and the recombination, or the mod-``p`` half
-alone); three fused round operations built on the loops below —
+alone); four fused round operations built on the loops below —
 ``repro_blind_round`` (an item-blinding round: every component's summed
 seed blinds read off the SHAKE-256 streams, reduced mod ``N`` and
 applied as ``c · (1 ± b·N)``, times its pool randomizer),
 ``repro_ehl_minus`` (a batch of ⊖: each pair's ``Enc(0)`` pool draw,
-its cell quotients and its multi-exponentiation) and
-``repro_select_apply`` (a ``BlindedSelect`` reply unblinded into its
-targets: the eager absorb's credits, seen bits and new entry with its
-seen bits' pool draws, or the best bounds, each bound's powers one
-multi-exponentiation — one batch inversion either way); and three loops
-on one Montgomery core:
+its cell quotients and its multi-exponentiation),
+``repro_select_bounds`` (a ``BlindedSelect`` reply unblinded into
+running bounds: one batch inversion, each bound's powers one
+multi-exponentiation) and ``repro_select_absorb`` (a reply applied as
+the eager absorb: the candidates' credits and seen bits, the tested
+item's new entry and its seen bits' pool draws, one batch inversion);
+and three loops on one Montgomery core:
 
 * ``repro_powmod_products`` — ``acc · Π b^e`` per group of ragged width,
   as an interleaved sliding-window multi-exponentiation (Straus's
@@ -101,14 +102,18 @@ int repro_ehl_minus(const uint64_t *pool, size_t index_bits,
                     const uint64_t *nums, const uint64_t *invs,
                     const uint64_t *exps, size_t n_items, size_t exp_words,
                     const uint64_t *mod, size_t mod_words, uint64_t *out);
-int repro_select_apply(const uint64_t *sel, const uint64_t *bits,
-                       const uint64_t *exps, size_t n_slots, size_t exp_words,
-                       const uint64_t *accs, const uint64_t *counts, size_t n_targets,
-                       const uint8_t *flips, const uint64_t *values,
-                       const uint64_t *seen, const uint64_t *pool, size_t index_bits,
-                       const uint8_t *reads, size_t n_draws, size_t picks, size_t slot,
-                       const uint64_t *n, const uint64_t *mod, size_t mod_words,
-                       uint64_t *out);
+int repro_select_bounds(const uint64_t *sel, const uint64_t *bits,
+                        const uint64_t *exps, size_t n_slots, size_t exp_words,
+                        const uint64_t *accs, const uint64_t *counts, size_t n_targets,
+                        const uint8_t *flips, const uint64_t *values,
+                        const uint64_t *mod, size_t mod_words, uint64_t *out);
+int repro_select_absorb(const uint64_t *sel, const uint64_t *bits,
+                        const uint64_t *exps, size_t n_slots, size_t exp_words,
+                        const uint64_t *worsts, const uint64_t *seen,
+                        const uint64_t *score, const uint64_t *pool, size_t index_bits,
+                        const uint8_t *reads, size_t n_draws, size_t picks, size_t slot,
+                        const uint64_t *n, const uint64_t *mod, size_t mod_words,
+                        uint64_t *out);
 """
 
 SOURCE = r"""
@@ -901,33 +906,25 @@ static void mul_in(mpz_t acc, const uint64_t *v, size_t w, mpz_t t, const mpz_t 
     mpz_mod(acc, acc, m);
 }
 
-/* The targets of one BlindedSelect reply, mod N^2 (mod; n is N, both at
-   mod_words, like every residue here).  Slot j is sel[j], bits[j] =
-   Enc(t_j) and its blind exps[j] (exp_words each); its term is
-   sel_j · bits_j^-e_j or, where flips[j], values[j] · sel_j^-1 · bits_j^e_j.
-   Bounds (seen == NULL): target g owns counts[g] consecutive slots and
-   out[g] = accs[g] · Π term — one batch inversion (sel_j where flipped,
-   else bits_j), then each target's powers as one repro_powmod_products
-   multi-exponentiation.  Absorb (seen != NULL; every slot its own
-   unflipped target, accs[n_slots] the tested item's score x): out holds
-   accs[j] · term_j per slot, seen[j] · bits_j per slot, x · Π term_j^-1,
-   M = Π bits_j and the n_draws pool draws of `reads` (see
-   repro_pool_products), the one at `slot` times (1 + N) · M^-1 — one
-   power per slot and one batch inversion of the powers, Π sel_j and M.
-   Every residue is < mod (the caller checks).  Returns 0 on success, 1
-   when an element has no inverse, -1 for a zero modulus, a failed
-   allocation or a shape the loops refuse. */
-int repro_select_apply(const uint64_t *sel, const uint64_t *bits,
-                       const uint64_t *exps, size_t n_slots, size_t exp_words,
-                       const uint64_t *accs, const uint64_t *counts, size_t n_targets,
-                       const uint8_t *flips, const uint64_t *values,
-                       const uint64_t *seen, const uint64_t *pool, size_t index_bits,
-                       const uint8_t *reads, size_t n_draws, size_t picks, size_t slot,
-                       const uint64_t *n, const uint64_t *mod, size_t mod_words,
-                       uint64_t *out)
+/* A BlindedSelect reply multiplied into running bounds mod N^2 (mod;
+   every residue at mod_words and < mod, the caller checks).  Slot j is
+   sel[j], bits[j] = Enc(t_j) and its blind exps[j] (exp_words each); its
+   term is sel_j · bits_j^-e_j or, where flips[j], v · sel_j^-1 ·
+   bits_j^e_j with v the next of values (one per flipped slot).  Target g
+   owns counts[g] consecutive slots: out[g] = accs[g] · Π term — one batch
+   inversion (sel_j where flipped, else bits_j), then each target's
+   powers as one repro_powmod_products multi-exponentiation.  Returns 0
+   on success, 1 when an element has no inverse, -1 for a zero modulus,
+   a failed allocation or counts that do not sum to n_slots. */
+int repro_select_bounds(const uint64_t *sel, const uint64_t *bits,
+                        const uint64_t *exps, size_t n_slots, size_t exp_words,
+                        const uint64_t *accs, const uint64_t *counts, size_t n_targets,
+                        const uint8_t *flips, const uint64_t *values,
+                        const uint64_t *mod, size_t mod_words, uint64_t *out)
 {
     size_t w = mod_words, bytes = mod_words * sizeof(uint64_t), g, j, start, total = 0;
-    uint64_t *scratch, *inv_in, *inv;
+    uint64_t *scratch, *inv_in, *inv, *folded, *bases;
+    const uint64_t *value = values;
     mpz_t m, x, t;
     int status = 0;
 
@@ -937,67 +934,12 @@ int repro_select_apply(const uint64_t *sel, const uint64_t *bits,
     mpz_init(x);
     mpz_init(t);
     import_words(m, mod, w);
-    /* absorb: the powers, n_slots + 2 values to invert and their
-       inverses; bounds: n_slots values to invert, their inverses, the
-       targets' folded accs and the bases.  One word more: never malloc(0). */
-    scratch = (uint64_t *)malloc(((3 * n_slots + 4 + n_targets) * w + 1) * sizeof(uint64_t));
-    if (scratch == NULL || mpz_sgn(m) == 0 || total != n_slots
-        || (seen != NULL && (n_targets != n_slots || slot >= n_draws)))
+    /* the values to invert, their inverses, the targets' folded accs and
+       the bases.  One word more: never malloc(0). */
+    scratch = (uint64_t *)malloc(((3 * n_slots + n_targets) * w + 1) * sizeof(uint64_t));
+    if (scratch == NULL || mpz_sgn(m) == 0 || total != n_slots)
         status = -1;
-    if (status == 0 && seen != NULL) {
-        uint64_t *powers = scratch;
-
-        inv_in = powers + n_slots * w;
-        inv = inv_in + (n_slots + 2) * w;
-        if (repro_powmod_pairs(bits, n_slots, w, exps, exp_words, exp_words,
-                               mod, w, powers) != 0)
-            status = -1;
-        if (status == 0) {
-            memcpy(inv_in, powers, n_slots * bytes);
-            mpz_set_ui(x, 1);
-            for (j = 0; j < n_slots; j++)
-                mul_in(x, sel + j * w, w, t, m);
-            export_words(inv_in + n_slots * w, w, x);
-            mpz_set_ui(x, 1);
-            for (j = 0; j < n_slots; j++)
-                mul_in(x, bits + j * w, w, t, m);
-            export_words(inv_in + (n_slots + 1) * w, w, x);
-            status = repro_invert_vec(inv_in, n_slots + 2, mod, w, inv);
-            status = status == 1 ? 0 : status == 0 ? 1 : -1;
-        }
-        for (j = 0; status == 0 && j < n_slots; j++) {
-            import_words(x, accs + j * w, w);
-            mul_in(x, sel + j * w, w, t, m);
-            mul_in(x, inv + j * w, w, t, m);
-            export_words(out + j * w, w, x);
-            import_words(x, seen + j * w, w);
-            mul_in(x, bits + j * w, w, t, m);
-            export_words(out + (n_slots + j) * w, w, x);
-        }
-        if (status == 0) {
-            import_words(x, accs + n_slots * w, w);
-            for (j = 0; j < n_slots; j++)
-                mul_in(x, powers + j * w, w, t, m);
-            mul_in(x, inv + n_slots * w, w, t, m);
-            export_words(out + 2 * n_slots * w, w, x);
-            memcpy(out + (2 * n_slots + 1) * w, inv_in + (n_slots + 1) * w, bytes);
-            out += (2 * n_slots + 2) * w;
-            if (repro_pool_products(pool, index_bits, reads, n_draws, picks,
-                                    mod, w, out) != 0)
-                status = -1;
-        }
-        if (status == 0) {
-            import_words(x, out + slot * w, w);
-            import_words(t, n, w);
-            mpz_add_ui(t, t, 1);
-            mpz_mul(x, x, t);
-            mpz_mod(x, x, m);
-            mul_in(x, inv + (n_slots + 1) * w, w, t, m);
-            export_words(out + slot * w, w, x);
-        }
-    } else if (status == 0) {
-        uint64_t *folded, *bases;
-
+    if (status == 0) {
         inv_in = scratch;
         inv = inv_in + n_slots * w;
         folded = inv + n_slots * w;
@@ -1010,7 +952,8 @@ int repro_select_apply(const uint64_t *sel, const uint64_t *bits,
             import_words(x, accs + g * w, w);
             for (j = start; j < start + counts[g]; j++) {
                 if (flips[j]) {
-                    mul_in(x, values + j * w, w, t, m);
+                    mul_in(x, value, w, t, m);
+                    value += w;
                     mul_in(x, inv + j * w, w, t, m);
                     memcpy(bases + j * w, bits + j * w, bytes);
                 } else {
@@ -1026,6 +969,92 @@ int repro_select_apply(const uint64_t *sel, const uint64_t *bits,
             status = -1;
     }
     free(scratch);
+    mpz_clear(m);
+    mpz_clear(x);
+    mpz_clear(t);
+    return status;
+}
+
+/* An eager absorb's BlindedSelect reply applied mod N^2 (mod; n is N,
+   every residue at mod_words and < mod, the caller checks).  Slot j,
+   its own target, has the term sel_j · bits_j^-e_j of
+   repro_select_bounds.  out holds worsts[j] · term_j per slot,
+   seen[j] · bits_j per slot, then the tested item's new entry:
+   score · Π term_j^-1, its match count M = Π bits_j and the n_draws
+   pool draws of `reads` (see repro_pool_products), the one at `slot`
+   times (1 + N) · M^-1 — one power per slot and one batch inversion of
+   the powers, Π sel_j and M.  Returns 0 on success, 1 when an element
+   has no inverse, -1 for a zero modulus, a failed allocation or a slot
+   past the draws. */
+int repro_select_absorb(const uint64_t *sel, const uint64_t *bits,
+                        const uint64_t *exps, size_t n_slots, size_t exp_words,
+                        const uint64_t *worsts, const uint64_t *seen,
+                        const uint64_t *score, const uint64_t *pool, size_t index_bits,
+                        const uint8_t *reads, size_t n_draws, size_t picks, size_t slot,
+                        const uint64_t *n, const uint64_t *mod, size_t mod_words,
+                        uint64_t *out)
+{
+    size_t w = mod_words, bytes = mod_words * sizeof(uint64_t), j;
+    uint64_t *powers, *inv_in, *inv;
+    mpz_t m, x, t;
+    int status = 0;
+
+    mpz_init(m);
+    mpz_init(x);
+    mpz_init(t);
+    import_words(m, mod, w);
+    /* the powers, the n_slots + 2 values to invert and their inverses.
+       One word more: never malloc(0). */
+    powers = (uint64_t *)malloc(((3 * n_slots + 4) * w + 1) * sizeof(uint64_t));
+    if (powers == NULL || mpz_sgn(m) == 0 || slot >= n_draws
+        || repro_powmod_pairs(bits, n_slots, w, exps, exp_words, exp_words,
+                              mod, w, powers) != 0)
+        status = -1;
+    if (status == 0) {
+        inv_in = powers + n_slots * w;
+        inv = inv_in + (n_slots + 2) * w;
+        memcpy(inv_in, powers, n_slots * bytes);
+        mpz_set_ui(x, 1);
+        for (j = 0; j < n_slots; j++)
+            mul_in(x, sel + j * w, w, t, m);
+        export_words(inv_in + n_slots * w, w, x);
+        mpz_set_ui(x, 1);
+        for (j = 0; j < n_slots; j++)
+            mul_in(x, bits + j * w, w, t, m);
+        export_words(inv_in + (n_slots + 1) * w, w, x);
+        status = repro_invert_vec(inv_in, n_slots + 2, mod, w, inv);
+        status = status == 1 ? 0 : status == 0 ? 1 : -1;
+    }
+    for (j = 0; status == 0 && j < n_slots; j++) {
+        import_words(x, worsts + j * w, w);
+        mul_in(x, sel + j * w, w, t, m);
+        mul_in(x, inv + j * w, w, t, m);
+        export_words(out + j * w, w, x);
+        import_words(x, seen + j * w, w);
+        mul_in(x, bits + j * w, w, t, m);
+        export_words(out + (n_slots + j) * w, w, x);
+    }
+    if (status == 0) {
+        import_words(x, score, w);
+        for (j = 0; j < n_slots; j++)
+            mul_in(x, powers + j * w, w, t, m);
+        mul_in(x, inv + n_slots * w, w, t, m);
+        export_words(out + 2 * n_slots * w, w, x);
+        memcpy(out + (2 * n_slots + 1) * w, inv_in + (n_slots + 1) * w, bytes);
+        out += (2 * n_slots + 2) * w;
+        if (repro_pool_products(pool, index_bits, reads, n_draws, picks, mod, w, out) != 0)
+            status = -1;
+    }
+    if (status == 0) {
+        import_words(x, out + slot * w, w);
+        import_words(t, n, w);
+        mpz_add_ui(t, t, 1);
+        mpz_mul(x, x, t);
+        mpz_mod(x, x, m);
+        mul_in(x, inv + (n_slots + 1) * w, w, t, m);
+        export_words(out + slot * w, w, x);
+    }
+    free(powers);
     mpz_clear(m);
     mpz_clear(x);
     mpz_clear(t);

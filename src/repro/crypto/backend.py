@@ -13,8 +13,8 @@ through this module, so a single switch moves the whole system between:
   primitive below as one C call (:func:`powmod_products`,
   :func:`pool_products` and :func:`invert_vec` on the kernel's Montgomery
   core, a whole :func:`paillier_decrypt` batch on ``mpz_powm``, and the
-  three fused round operations :func:`blind_round`, :func:`ehl_minus`
-  and :func:`select_apply`),
+  four fused round operations :func:`blind_round`, :func:`ehl_minus`,
+  :func:`select_bounds` and :func:`select_absorb`),
   *and* the GIL released across every batch call, so concurrent queries'
   kernel stretches overlap.  Available when the extension builds here
   (cffi + C compiler + GMP headers); absent, it simply never registers.
@@ -45,15 +45,16 @@ trick) and :func:`pool_products` (the randomizer-pool draw) carry the
 query path's per-ciphertext work — the ⊖ matrix, the layered selects,
 ``RecoverEnc``, every fresh encryption's randomizer — as one call per
 round.  Batch encryption is the key method built on them
-(``pk.encrypt_batch``).  Three operations fuse a whole round of the
+(``pk.encrypt_batch``).  Four operations fuse a whole round of the
 query path into one call: :func:`blind_round` (``c · (1 ± b·N) · r``
 over every Paillier component of an ``ItemBlinder`` round, the blinds
 ``b`` summed and reduced from the items' SHAKE-256 streams, ``r`` the
 pool draw), :func:`ehl_minus` (a batch of EHL ⊖: each pair's ``Enc(0)``
-pool draw, its cell quotients and its multi-exponentiation) and
-:func:`select_apply` (a ``BlindedSelect`` reply unblinded into its
-targets: the eager absorb's credits, seen bits and new entry, or the
-best bounds, one multi-exponentiation per bound).  All three refuse a
+pool draw, its cell quotients and its multi-exponentiation),
+:func:`select_bounds` (a ``BlindedSelect`` reply unblinded into running
+bounds, one multi-exponentiation per bound) and :func:`select_absorb`
+(a reply applied as the eager absorb: the candidates' credits and seen
+bits, and the tested item's new entry).  All four refuse a
 ragged layout or an input outside ``[0, mod)`` with ``ValueError``
 before any arithmetic, identically on every backend.
 """
@@ -73,8 +74,8 @@ NOT_A_UNIT = "ciphertext is not a unit mod N^2"
 #: The ``ValueError`` text of the fused round operations for an input
 #: residue outside ``[0, mod)``.
 OUTSIDE_MOD = "value outside [0, mod)"
-#: The ``ValueError`` text of :func:`invert_vec` and :func:`select_apply`
-#: when an element has no inverse.
+#: The ``ValueError`` text of :func:`invert_vec`, :func:`select_bounds`
+#: and :func:`select_absorb` when an element has no inverse.
 NOT_INVERTIBLE = "batch holds an element that is not invertible for the given modulus"
 
 
@@ -145,72 +146,80 @@ def check_ehl_minus(
         raise ValueError(OUTSIDE_MOD)
 
 
-def check_select_apply(
+def _check_reply(name: str, n: int, selected: list[int], bits: list[int],
+                 exps: list[int]) -> None:
+    """The checks a ``BlindedSelect`` reply's slots share."""
+    if n < 2 or not len(bits) == len(exps) == len(selected):
+        raise ValueError(f"{name} needs N >= 2 and one bit and exponent per slot")
+    if min(exps, default=0) < 0:
+        raise ValueError(f"{name} needs non-negative exponents")
+
+
+def check_select_bounds(
     n: int,
     selected: list[int],
     bits: list[int],
     exps: list[int],
     accs: list[int],
-    counts: list[int] | None,
-    flips: list[int] | None,
-    values: list[int] | None,
-    seen: list[int] | None,
-    pool: "RandomizerPool | None",
+    counts: list[int],
+    flips: list[int],
+    values: list[int],
+) -> None:
+    """Refuse, with ``ValueError``, a :func:`select_bounds` call whose
+    layout is ragged, whose exponents or counts are negative or whose
+    residues are not residues mod ``N^2`` — on every backend, before any
+    arithmetic."""
+    _check_reply("select_bounds", n, selected, bits, exps)
+    if (
+        len(counts) != len(accs)
+        or min(counts, default=0) < 0
+        or sum(counts) != len(selected)
+        or len(flips) != len(selected)
+        or not set(flips) <= {0, 1}
+        or len(values) != sum(flips)
+    ):
+        raise ValueError(
+            "select_bounds needs a count per target, counts that sum to the "
+            "slots, a flip per slot and a value per flipped slot"
+        )
+    n2 = n * n
+    if not all(0 <= v < n2 for column in (selected, bits, accs, values) for v in column):
+        raise ValueError(OUTSIDE_MOD)
+
+
+def check_select_absorb(
+    n: int,
+    selected: list[int],
+    bits: list[int],
+    exps: list[int],
+    worsts: list[int],
+    seen: list[int],
+    score: int,
+    pool: "RandomizerPool",
     reads: bytes,
     slot: int,
-) -> tuple[list[int], list[int]]:
-    """Refuse, with ``ValueError``, a :func:`select_apply` call whose
-    layout is ragged, whose exponents are negative or whose residues are
-    not residues mod ``N^2`` — on every backend, before any arithmetic.
-    Returns the call's ``counts`` and ``flips``, filled in for the
-    absorb's shape (one unflipped slot per target)."""
-    slots = len(selected)
-    if n < 2 or not len(bits) == len(exps) == slots:
-        raise ValueError("select_apply needs N >= 2 and one bit and exponent per slot")
-    if min(exps, default=0) < 0:
-        raise ValueError("select_apply needs non-negative exponents")
+) -> None:
+    """Refuse, with ``ValueError``, a :func:`select_absorb` call whose
+    layout or read buffer is ragged, whose exponents are negative or
+    whose residues are not residues mod ``N^2`` — on every backend,
+    before any arithmetic."""
+    _check_reply("select_absorb", n, selected, bits, exps)
     n2 = n * n
-    residues = [selected, bits, accs]
-    if seen is None:
-        if (
-            pool is not None
-            or reads
-            or counts is None
-            or flips is None
-            or values is None
-            or len(counts) != len(accs)
-            or min(counts, default=0) < 0
-            or sum(counts) != slots
-            or len(flips) != slots
-            or len(values) != slots
-            or not set(flips) <= {0, 1}
-        ):
-            raise ValueError(
-                "select_apply's bounds need a count per target, counts that sum "
-                "to the slots and a flip and value per slot"
-            )
-        residues.append(values)
-    else:
-        if (
-            counts is not None
-            or flips is not None
-            or values is not None
-            or pool is None
-            or pool.mod != n2
-            or len(seen) != slots
-            or len(accs) != slots + 1
-            or len(reads) % pool.read_bytes
-            or not 0 <= slot < len(reads) // pool.read_bytes
-        ):
-            raise ValueError(
-                "select_apply's absorb needs a pool under N^2, an acc and a seen "
-                "bit per slot, the item's score and a read per new seen bit"
-            )
-        counts, flips = [1] * slots, [0] * slots
-        residues.append(seen)
-    if not all(0 <= v < n2 for column in residues for v in column):
+    if (
+        pool is None
+        or pool.mod != n2
+        or not len(worsts) == len(seen) == len(selected)
+        or len(reads) % pool.read_bytes
+        or not 0 <= slot < len(reads) // pool.read_bytes
+    ):
+        raise ValueError(
+            "select_absorb needs a pool under N^2, a worst and a seen bit per "
+            "slot and a read per new seen bit"
+        )
+    if not 0 <= score < n2 or not all(
+        0 <= v < n2 for column in (selected, bits, worsts, seen) for v in column
+    ):
         raise ValueError(OUTSIDE_MOD)
-    return counts, flips
 
 
 class PurePythonBackend:
@@ -219,9 +228,10 @@ class PurePythonBackend:
     The batch ops are Python loops over the scalar ones —
     ``powmod_products`` on ``powmod_pairs``, ``invert_vec`` on
     ``invert``, ``paillier_decrypt`` on ``powmod_vec``, ``ehl_minus`` on
-    ``pool_products`` and ``powmod_products``, ``select_apply`` on
-    ``invert_vec`` and ``powmod_pairs`` or ``powmod_products`` — so they
-    pin what the kernel's C loops must return.
+    ``pool_products`` and ``powmod_products``, ``select_bounds`` on
+    ``invert_vec`` and ``powmod_products``, ``select_absorb`` on
+    ``powmod_pairs``, ``invert_vec`` and ``pool_products`` — so they pin
+    what the kernel's C loops must return.
     """
 
     name = "pure"
@@ -397,59 +407,73 @@ class PurePythonBackend:
             self.pool_products(pool, reads), bases, exps, counts, mod
         )
 
-    def select_apply(
+    def select_bounds(
         self,
         n: int,
         selected: list[int],
         bits: list[int],
         exps: list[int],
         accs: list[int],
-        counts: list[int] | None = None,
-        flips: list[int] | None = None,
-        values: list[int] | None = None,
-        seen: list[int] | None = None,
-        pool: "RandomizerPool | None" = None,
-        reads: bytes = b"",
-        slot: int = 0,
+        counts: list[int],
+        flips: list[int],
+        values: list[int],
     ) -> list[int]:
-        """A ``BlindedSelect`` reply applied to its targets mod ``N^2``.
+        """A ``BlindedSelect`` reply multiplied into running bounds mod
+        ``N^2``.
 
         Slot ``j`` of the reply is ``sel_j``, ``bits_j = Enc(t_j)`` and
         its blind ``e_j``; its term is ``sel_j · bits_j^(−e_j)``
-        (``Enc(t·x)``) or, flipped, ``values[j] · sel_j^(−1) ·
-        bits_j^(e_j)`` (``Enc(x − t·x)`` for ``values[j] = Enc(x)``).
-
-        * Bounds (``counts``, ``flips``, ``values``): target ``g`` owns
-          ``counts[g]`` consecutive slots; returns ``accs[g] · Π term``
-          per target.
-        * Absorb (``seen``, ``pool``, ``reads``, ``slot``): every slot is
-          its own unflipped target and ``accs`` ends with the tested
-          item's score ``x``.  Returns ``accs[j] · term_j`` per slot, then
-          ``seen[j] · bits_j`` per slot, then the item's new entry:
-          ``x · Π term_j^(−1)``, its match count ``M = Π bits_j``, and
-          one seen bit per read of ``reads`` — the read's pool draw,
-          times ``(1 + N) · M^(−1)`` at ``slot``.
+        (``Enc(t·x)``) or, flipped, ``v · sel_j^(−1) · bits_j^(e_j)``
+        (``Enc(x − t·x)``), ``v = Enc(x)`` the next of ``values`` (one
+        per flipped slot).  Target ``g`` owns ``counts[g]`` consecutive
+        slots; returns ``accs[g] · Π term`` per target — one batch
+        inversion and one multi-exponentiation per target.
         """
-        counts, flips = check_select_apply(
-            n, selected, bits, exps, accs, counts, flips, values, seen, pool, reads, slot
-        )
+        check_select_bounds(n, selected, bits, exps, accs, counts, flips, values)
         n2 = n * n
-        if seen is None:
-            inverses = self.invert_vec(
-                [s if f else b for s, b, f in zip(selected, bits, flips)], n2
-            )
-            folded, bases, start = [], [], 0
-            for acc, count in zip(accs, counts):
-                for j in range(start, start + count):
-                    if flips[j]:
-                        acc = acc * values[j] % n2 * inverses[j] % n2
-                        bases.append(bits[j])
-                    else:
-                        acc = acc * selected[j] % n2
-                        bases.append(inverses[j])
-                folded.append(acc)
-                start += count
-            return self.powmod_products(folded, bases, exps, counts, n2)
+        inverses = self.invert_vec(
+            [s if f else b for s, b, f in zip(selected, bits, flips)], n2
+        )
+        flipped = iter(values)
+        folded, bases, start = [], [], 0
+        for acc, count in zip(accs, counts):
+            for j in range(start, start + count):
+                if flips[j]:
+                    acc = acc * next(flipped) % n2 * inverses[j] % n2
+                    bases.append(bits[j])
+                else:
+                    acc = acc * selected[j] % n2
+                    bases.append(inverses[j])
+            folded.append(acc)
+            start += count
+        return self.powmod_products(folded, bases, exps, counts, n2)
+
+    def select_absorb(
+        self,
+        n: int,
+        selected: list[int],
+        bits: list[int],
+        exps: list[int],
+        worsts: list[int],
+        seen: list[int],
+        score: int,
+        pool: "RandomizerPool",
+        reads: bytes,
+        slot: int,
+    ) -> list[int]:
+        """An eager absorb's ``BlindedSelect`` reply applied mod ``N^2``.
+
+        Slot ``j`` (its own target) has the term ``sel_j ·
+        bits_j^(−e_j)`` of :meth:`select_bounds`.  Returns ``worsts[j] ·
+        term_j`` per slot, then ``seen[j] · bits_j`` per slot, then the
+        tested item's new entry: ``score · Π term_j^(−1)``, its match
+        count ``M = Π bits_j``, and one seen bit per read of ``reads`` —
+        the read's pool draw, times ``(1 + N) · M^(−1)`` at ``slot``.
+        One power per slot and one batch inversion of the powers,
+        ``Π sel_j`` and ``M``.
+        """
+        check_select_absorb(n, selected, bits, exps, worsts, seen, score, pool, reads, slot)
+        n2 = n * n
         powers = self.powmod_pairs(bits, exps, n2)
         product, matched, power = 1, 1, 1
         for s, b, p in zip(selected, bits, powers):
@@ -457,9 +481,9 @@ class PurePythonBackend:
             matched = matched * b % n2
             power = power * p % n2
         inverses = self.invert_vec(powers + [product, matched], n2)
-        out = [a * s % n2 * i % n2 for a, s, i in zip(accs, selected, inverses)]
-        out += [s * b % n2 for s, b in zip(seen, bits)]
-        out += [accs[-1] * power % n2 * inverses[-2] % n2, matched]
+        out = [w * s % n2 * i % n2 for w, s, i in zip(worsts, selected, inverses)]
+        out += [v * b % n2 for v, b in zip(seen, bits)]
+        out += [score * power % n2 * inverses[-2] % n2, matched]
         draws = self.pool_products(pool, reads)
         draws[slot] = draws[slot] * (1 + n) % n2 * inverses[-1] % n2
         return out + draws
@@ -677,30 +701,48 @@ def ehl_minus(
     return _ACTIVE.ehl_minus(pool, reads, numerators, inverses, exps, counts)
 
 
-def select_apply(
+def select_bounds(
     n: int,
     selected: list[int],
     bits: list[int],
     exps: list[int],
     accs: list[int],
-    counts: list[int] | None = None,
-    flips: list[int] | None = None,
-    values: list[int] | None = None,
-    seen: list[int] | None = None,
-    pool: RandomizerPool | None = None,
-    reads: bytes = b"",
-    slot: int = 0,
+    counts: list[int],
+    flips: list[int],
+    values: list[int],
 ) -> list[int]:
-    """A ``BlindedSelect`` reply unblinded into its targets mod ``N^2``:
-    per slot ``Enc(t·x) = sel · Enc(t)^(−r)``, or flipped ``Enc(x − t·x)``,
-    multiplied into the targets' running values — the eager engine's best
-    bounds (one multi-exponentiation per bound), or its absorb's credits,
-    seen bits and new entry (see
-    :meth:`PurePythonBackend.select_apply`).  Raises ``ValueError`` for a
-    ragged layout, a negative exponent, a residue outside ``[0, N^2)``
+    """A ``BlindedSelect`` reply unblinded into running bounds mod
+    ``N^2``: per slot ``Enc(t·x) = sel · Enc(t)^(−r)``, or flipped
+    ``Enc(x − t·x)``, multiplied into its target — the eager engine's
+    best bounds (one multi-exponentiation per bound), or one slot per
+    target over ``acc = 1`` for the bare ``Enc(t·x)`` (see
+    :meth:`PurePythonBackend.select_bounds`).  Raises ``ValueError`` for
+    a ragged layout, a negative exponent, a residue outside ``[0, N^2)``
     or an element without an inverse."""
-    return _ACTIVE.select_apply(
-        n, selected, bits, exps, accs, counts, flips, values, seen, pool, reads, slot
+    return _ACTIVE.select_bounds(n, selected, bits, exps, accs, counts, flips, values)
+
+
+def select_absorb(
+    n: int,
+    selected: list[int],
+    bits: list[int],
+    exps: list[int],
+    worsts: list[int],
+    seen: list[int],
+    score: int,
+    pool: RandomizerPool,
+    reads: bytes,
+    slot: int,
+) -> list[int]:
+    """An eager absorb's ``BlindedSelect`` reply applied mod ``N^2``: each
+    tested candidate's worst and seen bit credited, then the tested
+    item's new entry — worst, match count and seen bits, their pool
+    draws read from ``reads`` (see :meth:`PurePythonBackend.select_absorb`).
+    Raises ``ValueError`` for a ragged layout or read buffer, a negative
+    exponent, a residue outside ``[0, N^2)`` or an element without an
+    inverse."""
+    return _ACTIVE.select_absorb(
+        n, selected, bits, exps, worsts, seen, score, pool, reads, slot
     )
 
 

@@ -13,12 +13,13 @@ Two things live here:
   the loaded extension behind every backend operation (``powmod`` /
   ``powmod_vec`` / ``powmod_pairs`` / ``powmod_products`` /
   ``pool_products`` / ``invert`` / ``invert_vec`` / ``paillier_decrypt``
-  / ``blind_round`` / ``ehl_minus`` / ``select_apply``), one C entry
-  point per operation (the scalar ``powmod`` and ``powmod_vec`` are
-  ``repro_powmod_pairs`` with a zero exponent stride, ``invert`` is
-  ``repro_invert_vec`` on one element).  A call packs the whole batch,
-  makes *one* C call, and unpacks; cffi releases the GIL for the entire
-  C loop, so concurrent queries' kernel stretches overlap.
+  / ``blind_round`` / ``ehl_minus`` / ``select_bounds`` /
+  ``select_absorb``), one C entry point per operation (the scalar
+  ``powmod`` and ``powmod_vec`` are ``repro_powmod_pairs`` with a zero
+  exponent stride, ``invert`` is ``repro_invert_vec`` on one element).
+  A call packs the whole batch, makes *one* C call, and unpacks; cffi
+  releases the GIL for the entire C loop, so concurrent queries' kernel
+  stretches overlap.
   ``powmod_products``, ``pool_products`` and ``invert_vec`` run on the
   kernel's Montgomery core (odd moduli; an even one takes the same
   call's ``mpz`` path).  Results are bit-identical to the pure backend
@@ -364,71 +365,44 @@ class GmpKernel(backend.PurePythonBackend):
             raise ValueError("kernel ⊖ batch failed")
         return unpack_ints(out_buf, mod_words, len(counts))
 
-    def select_apply(
+    def _limbs(self, column: list[int], words: int):
+        """``column`` packed at ``words`` words as a C buffer — never an
+        empty one: a reply may have no slots."""
+        return self._ffi.from_buffer("uint64_t[]", pack_ints(column, words) or bytes(8))
+
+    def select_bounds(
         self,
         n: int,
         selected: list[int],
         bits: list[int],
         exps: list[int],
         accs: list[int],
-        counts: list[int] | None = None,
-        flips: list[int] | None = None,
-        values: list[int] | None = None,
-        seen: list[int] | None = None,
-        pool=None,
-        reads: bytes = b"",
-        slot: int = 0,
+        counts: list[int],
+        flips: list[int],
+        values: list[int],
     ) -> list[int]:
-        """:func:`~repro.crypto.backend.select_apply` in one GIL-free C
-        call (see ``repro_select_apply``): the unblinding powers (one
-        multi-exponentiation per bound), one batch inversion, every
-        product and, for the absorb, the new seen bits' pool draws.
-        Every buffer size is checked here, before the call."""
-        counts, flips = backend.check_select_apply(
-            n, selected, bits, exps, accs, counts, flips, values, seen, pool, reads, slot
-        )
+        """:func:`~repro.crypto.backend.select_bounds` in one GIL-free C
+        call (see ``repro_select_bounds``): one batch inversion, every
+        product and one multi-exponentiation per bound.  Every buffer
+        size is checked here, before the call."""
+        backend.check_select_bounds(n, selected, bits, exps, accs, counts, flips, values)
         if not accs:
             return []
         words, packed_mod = self._packed_mod(n * n)
         exp_words = words_for(max(exps, default=0))
-        ffi = self._ffi
-        from_buffer = ffi.from_buffer
-
-        def limbs(column: list[int]):
-            # never an empty buffer: a reply may have no slots
-            return from_buffer("uint64_t[]", pack_ints(column, words) or bytes(8))
-
-        if seen is None:
-            seen_ptr = pool_ptr = reads_ptr = ffi.NULL
-            index_bits = picks = draws = 0
-            out_count = len(accs)
-        else:
-            seen_ptr = limbs(seen)
-            pool_ptr = from_buffer("uint64_t[]", self._packed_pool(pool))
-            reads_ptr = from_buffer("uint8_t[]", reads)
-            index_bits, picks = pool.index_bits, pool.picks
-            draws = len(reads) // pool.read_bytes
-            out_count = 2 * len(selected) + 2 + draws
-        out_buf = bytearray(out_count * words * WORD_BYTES)
-        rc = self._lib.repro_select_apply(
-            limbs(selected),
-            limbs(bits),
-            from_buffer("uint64_t[]", pack_ints(exps, exp_words) or bytes(8)),
+        from_buffer = self._ffi.from_buffer
+        out_buf = bytearray(len(accs) * words * WORD_BYTES)
+        rc = self._lib.repro_select_bounds(
+            self._limbs(selected, words),
+            self._limbs(bits, words),
+            self._limbs(exps, exp_words),
             len(selected),
             exp_words,
-            limbs(accs),
-            from_buffer("uint64_t[]", pack_ints(counts, 1) or bytes(8)),
+            self._limbs(accs, words),
+            self._limbs(counts, 1),
             len(counts),
             from_buffer("uint8_t[]", bytes(flips) or b"\0"),
-            ffi.NULL if values is None else limbs(values),
-            seen_ptr,
-            pool_ptr,
-            index_bits,
-            reads_ptr,
-            draws,
-            picks,
-            slot,
-            limbs([n]),
+            self._limbs(values, words),
             from_buffer("uint64_t[]", packed_mod),
             words,
             from_buffer("uint64_t[]", out_buf),
@@ -436,7 +410,59 @@ class GmpKernel(backend.PurePythonBackend):
         if rc == 1:
             raise ValueError(backend.NOT_INVERTIBLE)
         if rc != 0:
-            raise ValueError("kernel select apply failed")
+            raise ValueError("kernel select bounds failed")
+        return unpack_ints(out_buf, words, len(accs))
+
+    def select_absorb(
+        self,
+        n: int,
+        selected: list[int],
+        bits: list[int],
+        exps: list[int],
+        worsts: list[int],
+        seen: list[int],
+        score: int,
+        pool,
+        reads: bytes,
+        slot: int,
+    ) -> list[int]:
+        """:func:`~repro.crypto.backend.select_absorb` in one GIL-free C
+        call (see ``repro_select_absorb``): the unblinding powers, one
+        batch inversion, every product and the new seen bits' pool
+        draws.  Every buffer size is checked here, before the call."""
+        backend.check_select_absorb(
+            n, selected, bits, exps, worsts, seen, score, pool, reads, slot
+        )
+        words, packed_mod = self._packed_mod(n * n)
+        exp_words = words_for(max(exps, default=0))
+        from_buffer = self._ffi.from_buffer
+        draws = len(reads) // pool.read_bytes
+        out_count = 2 * len(selected) + 2 + draws
+        out_buf = bytearray(out_count * words * WORD_BYTES)
+        rc = self._lib.repro_select_absorb(
+            self._limbs(selected, words),
+            self._limbs(bits, words),
+            self._limbs(exps, exp_words),
+            len(selected),
+            exp_words,
+            self._limbs(worsts, words),
+            self._limbs(seen, words),
+            self._limbs([score], words),
+            from_buffer("uint64_t[]", self._packed_pool(pool)),
+            pool.index_bits,
+            from_buffer("uint8_t[]", reads),
+            draws,
+            pool.picks,
+            slot,
+            self._limbs([n], words),
+            from_buffer("uint64_t[]", packed_mod),
+            words,
+            from_buffer("uint64_t[]", out_buf),
+        )
+        if rc == 1:
+            raise ValueError(backend.NOT_INVERTIBLE)
+        if rc != 0:
+            raise ValueError("kernel select absorb failed")
         return unpack_ints(out_buf, words, out_count)
 
     def _inverses(self, values: list[int], mod: int) -> list[int] | None:

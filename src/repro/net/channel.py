@@ -14,7 +14,6 @@ import contextlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.crypto.paillier import Ciphertext
 from repro.obs.metrics import REGISTRY
 
 # Process-wide traffic instruments (see ARCHITECTURE.md, observability
@@ -55,12 +54,6 @@ def measure_size(obj) -> int:
     if isinstance(obj, bytes):
         return len(obj)
     if isinstance(obj, (list, tuple)):
-        first = obj[0] if obj else None
-        if type(first) is Ciphertext:
-            key = first.public_key
-            if all(type(x) is Ciphertext and x.public_key is key for x in obj):
-                # Most lists are ciphertexts under one key: a length product.
-                return len(obj) * key.ciphertext_bytes
         return sum(measure_size(x) for x in obj)
     raise TypeError(f"cannot measure wire size of {type(obj).__name__}")
 

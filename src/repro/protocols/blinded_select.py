@@ -11,14 +11,16 @@ value it cannot read:
    bits (the surplus :mod:`repro.protocols.blinding` uses).
 2. S2 decrypts each slot's bit ``t`` and replies with two fresh
    ciphertexts, ``t ? V·ρ : ρ'`` and ``Enc(t)``.
-3. S1 removes the blind: ``Enc(t·x) = reply · (Enc(t)^r)^{-1}`` — one
-   short-exponent ``N^2`` power per slot and one batched inversion.  The
-   eager engine never holds the unblinded ``Enc(t·x)``: it hands the
-   reply and the blinds to an ``apply`` that credits them straight into
-   their targets with one :func:`~repro.crypto.backend.select_apply`
-   call (the absorb's running worsts, seen bits and new entry; or the
-   best bounds, whose ``m`` powers per bound are one
-   multi-exponentiation).
+3. S1 removes the blind: ``Enc(t·x) = reply · (Enc(t)^r)^{-1}``, with
+   one :func:`~repro.crypto.backend.select_bounds` call for the whole
+   reply (one batched inversion and one short-exponent ``N^2`` power per
+   slot).  The eager engine never holds the unblinded ``Enc(t·x)``: it
+   takes the bare reply from :func:`blinded_select_reply_flow` and
+   unblinds it straight into its targets with one backend call —
+   :func:`~repro.crypto.backend.select_absorb` (the absorb's running
+   worsts, seen bits and new entry) or
+   :func:`~repro.crypto.backend.select_bounds` (the best bounds, whose
+   ``m`` powers per bound are one multi-exponentiation).
 
 S2's view is the bits it already learns (the ``EP_d`` equality pattern,
 or coin-masked bits) next to ``x + r`` values that are uniform given the
@@ -37,19 +39,18 @@ from repro.protocols.base import S1Context
 from repro.protocols.blinding import _SURPLUS_BITS
 
 
-def blinded_select_flow(
+def blinded_select_reply_flow(
     ctx: S1Context,
     tests: list[Ciphertext],
     values: list[Ciphertext],
     groups: list[int],
     bit_mode: bool,
     protocol: str,
-    apply=None,
 ):
-    """Flow form: yields one :class:`BlindedSelect`, returns
-    ``(Enc(t_i · x_{groups[i]}), Enc(t_i))`` per slot ``i`` of ``tests``
-    — or, given ``apply``, what ``apply(selected, bits, blinds)`` returns
-    for the reply's bare values and each slot's blind ``r``.
+    """Flow form: yields one :class:`BlindedSelect`, returns the reply
+    still blinded — ``(selected, bits, blinds)``: per slot ``i`` of
+    ``tests`` the residues of ``Enc(t_i · (x_{groups[i]} + r))`` and
+    ``Enc(t_i)``, and the slot's blind ``r``.
 
     ``tests`` are equality tests (``t = [b == 0]``) or, with
     ``bit_mode``, rerandomized coin-masked bits.  Every ``x`` is a score
@@ -57,7 +58,6 @@ def blinded_select_flow(
     already assumes, which is the ``|x|`` the blinds cover.
     """
     pk = ctx.public_key
-    n2 = pk.n_squared
     width = ctx.encoder.score_bits + ctx.encoder.blind_bits + _SURPLUS_BITS
     blinds = [ctx.rng.randbits(width) for _ in values]
     blinded = pk.rerandomize_batch(
@@ -68,15 +68,33 @@ def blinded_select_flow(
     )
     if not len(selected) == len(bits) == len(tests):
         raise ProtocolError("blinded select reply does not match its slots")
-    if apply is not None:
-        return apply(
-            [s.value for s in selected], [b.value for b in bits], [blinds[g] for g in groups]
-        )
-    unblind = backend.invert_vec(
-        backend.powmod_pairs([b.value for b in bits], [blinds[g] for g in groups], n2),
-        n2,
+    return (
+        [s.value for s in selected],
+        [b.value for b in bits],
+        [blinds[g] for g in groups],
     )
-    products = [
-        Ciphertext(s.value * u % n2, pk) for s, u in zip(selected, unblind)
-    ]
-    return products, bits
+
+
+def blinded_select_flow(
+    ctx: S1Context,
+    tests: list[Ciphertext],
+    values: list[Ciphertext],
+    groups: list[int],
+    bit_mode: bool,
+    protocol: str,
+):
+    """Flow form of :func:`blinded_select_reply_flow`, unblinded: returns
+    ``(Enc(t_i · x_{groups[i]}), Enc(t_i))`` per slot ``i`` of ``tests``
+    — every slot its own one-slot, unflipped bound over ``acc = 1``."""
+    pk = ctx.public_key
+    selected, bits, blinds = yield from blinded_select_reply_flow(
+        ctx, tests, values, groups, bit_mode, protocol
+    )
+    ones = [1] * len(bits)
+    products = backend.select_bounds(
+        pk.n, selected, bits, blinds, ones, ones, [0] * len(bits), []
+    )
+    return (
+        [Ciphertext(value, pk) for value in products],
+        [Ciphertext(bit, pk) for bit in bits],
+    )

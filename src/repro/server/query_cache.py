@@ -77,9 +77,7 @@ class CachedResult:
     (best first, still encrypted), its halting depth and its config.
 
     :attr:`items` is never handed out; :meth:`copy_items` is.  Every copy
-    shares the key objects its ciphertexts reference; an item that is not
-    a :class:`ScoredItem` is deep-copied sharing the objects in
-    :attr:`shared` — the scheme's Paillier key and Damgård–Jurik instance.
+    shares the key objects its ciphertexts reference.
     """
 
     items: list
@@ -89,23 +87,17 @@ class CachedResult:
 
     @classmethod
     def of(cls, result, shared: tuple) -> "CachedResult":
-        """A snapshot of ``result`` whose items share ``shared``."""
-        return cls(
-            _copy(result.items, shared), result.halting_depth, result.config, shared
-        )
+        """A snapshot of ``result``."""
+        return cls(_copy(result.items), result.halting_depth, result.config, shared)
 
     def copy_items(self, k: int | None = None) -> list:
         """The caller's own copy of the first ``k`` items (all of them
         when ``k`` is ``None``)."""
-        return _copy(self.items[:k], self.shared)
+        return _copy(self.items[:k])
 
 
-def _copy(items: list, shared: tuple) -> list:
-    memo = {id(obj): obj for obj in shared}
-    return [
-        _copy_scored(item) if type(item) is ScoredItem else copy.deepcopy(item, memo)
-        for item in items
-    ]
+def _copy(items: list[ScoredItem]) -> list[ScoredItem]:
+    return [_copy_scored(item) for item in items]
 
 
 def _copy_scored(item: ScoredItem) -> ScoredItem:

@@ -77,12 +77,12 @@ def pool_draws(monkeypatch) -> PoolDraws:
     """A :class:`PoolDraws` fed by every pool draw for the duration of
     the test: each ``backend.pool_products`` call, and the reads the
     fused ``backend.blind_round``, ``backend.ehl_minus`` and
-    ``backend.select_apply`` draw inside their own call."""
+    ``backend.select_absorb`` draw inside their own call."""
     draws = PoolDraws()
     real = backend.pool_products
     real_blind = backend.blind_round
     real_minus = backend.ehl_minus
-    real_select = backend.select_apply
+    real_absorb = backend.select_absorb
 
     def spy(pool, reads):
         draws.record(pool, reads)
@@ -97,15 +97,12 @@ def pool_draws(monkeypatch) -> PoolDraws:
         draws.record(pool, reads)
         return real_minus(pool, reads, numerators, inverses, exps, counts)
 
-    def select_spy(n, selected, bits, exps, accs, counts=None, flips=None,
-                   values=None, seen=None, pool=None, reads=b"", slot=0):
-        if pool is not None:
-            draws.record(pool, reads)
-        return real_select(n, selected, bits, exps, accs, counts, flips, values,
-                           seen, pool, reads, slot)
+    def absorb_spy(n, selected, bits, exps, worsts, seen, score, pool, reads, slot):
+        draws.record(pool, reads)
+        return real_absorb(n, selected, bits, exps, worsts, seen, score, pool, reads, slot)
 
     monkeypatch.setattr(backend, "pool_products", spy)
     monkeypatch.setattr(backend, "blind_round", blind_spy)
     monkeypatch.setattr(backend, "ehl_minus", minus_spy)
-    monkeypatch.setattr(backend, "select_apply", select_spy)
+    monkeypatch.setattr(backend, "select_absorb", absorb_spy)
     return draws

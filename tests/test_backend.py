@@ -701,13 +701,22 @@ class TestBatchPrimitiveParity:
         bits = [rng.rand_unit(n2) for _ in range(slots)]
         return sel, bits, [0, 1] + [rng.randbits(200) for _ in range(slots - 2)]
 
+    @staticmethod
+    def _term(n2, sel, bits, exps, j, flip, value=None):
+        """Slot ``j``'s term from built-ins: ``sel · (bits^e)^-1``, flipped
+        ``value · sel^-1 · bits^e``."""
+        power = pow(bits[j], exps[j], n2)
+        if flip:
+            return value * pow(sel[j], -1, n2) * power % n2
+        return sel[j] * pow(power, -1, n2) % n2
+
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
-    def test_select_apply_matches_reference(self, name, odd):
+    def test_select_bounds_matches_reference(self, name, odd):
         """Bounds over ragged targets (2, 0, 1, 3 and 4 slots) with no,
-        every and some slots flipped, and the absorb with its new seen
-        bit at every position, against per-slot built-ins: a term is
-        ``sel · (bits^e)^-1``, flipped ``value · sel^-1 · bits^e``.  An
-        even ``N`` takes the kernel's ``mpz`` path."""
+        every and some slots flipped, edge accs and exponents, against
+        per-slot built-ins; one slot per target over ``acc = 1`` is the
+        bare ``Enc(t·x)``.  An even ``N`` takes the kernel's ``mpz``
+        path."""
         fast = backend._resolve(name)
         rng = SecureRandom(43 + odd)
         n = rng.randbits(256) | (1 << 255)
@@ -715,82 +724,92 @@ class TestBatchPrimitiveParity:
         n2, slots = n * n, 10
         sel, bits, exps = self._reply(rng, n2, slots)
         values = [rng.rand_unit(n2) for _ in range(slots)]
-
-        def term(j, flip):
-            power = pow(bits[j], exps[j], n2)
-            if flip:
-                return values[j] * pow(sel[j], -1, n2) * power % n2
-            return sel[j] * pow(power, -1, n2) % n2
-
         counts = [2, 0, 1, 3, 4]
         accs = [0, 1, n2 - 1] + [rng.randint_below(n2) for _ in range(2)]
         for flips in ([0] * slots, [1] * slots, [j % 3 // 2 for j in range(slots)]):
             expected, start = [], 0
             for acc, count in zip(accs, counts):
                 for j in range(start, start + count):
-                    acc = acc * term(j, flips[j]) % n2
+                    acc = acc * self._term(n2, sel, bits, exps, j, flips[j], values[j]) % n2
                 expected.append(acc)
                 start += count
-            got = fast.select_apply(n, sel, bits, exps, accs, counts, flips, values)
+            flipped = [v for v, f in zip(values, flips) if f]
+            got = fast.select_bounds(n, sel, bits, exps, accs, counts, flips, flipped)
             assert got == expected, flips
+        ones = [1] * slots
+        assert fast.select_bounds(n, sel, bits, exps, ones, ones, [0] * slots, []) == [
+            self._term(n2, sel, bits, exps, j, 0) for j in range(slots)
+        ]
 
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+    def test_select_absorb_matches_reference(self, name, odd):
+        """The absorb with its new seen bit at every position, edge
+        exponents, and with no slot, against per-slot built-ins: the
+        credits, the seen bits, the new entry's worst and match count
+        and its seen bits over the pool draws.  An even ``N`` takes the
+        kernel's ``mpz`` path."""
+        fast = backend._resolve(name)
+        rng = SecureRandom(46 + odd)
+        n = rng.randbits(256) | (1 << 255)
+        n = n | 1 if odd else n & ~1
+        n2, slots = n * n, 10
+        sel, bits, exps = self._reply(rng, n2, slots)
         pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
         reads = rng.randbytes(pool.read_bytes * 3)
         draws = backend.PurePythonBackend.pool_products(pool, reads)
-        worsts = [rng.randint_below(n2) for _ in range(slots)]
+        worsts = [0, n2 - 1] + [rng.randint_below(n2) for _ in range(slots - 2)]
         seen = [rng.rand_unit(n2) for _ in range(slots)]
         score = rng.randint_below(n2)
+        terms = [self._term(n2, sel, bits, exps, j, 0) for j in range(slots)]
         entry, matched = score, 1
         for j in range(slots):
-            entry = entry * pow(term(j, 0), -1, n2) % n2
+            entry = entry * pow(terms[j], -1, n2) % n2
             matched = matched * bits[j] % n2
         for slot in range(3):
             fresh = list(draws)
             fresh[slot] = fresh[slot] * (1 + n) * pow(matched, -1, n2) % n2
             expected = (
-                [w * term(j, 0) % n2 for j, w in enumerate(worsts)]
+                [w * t % n2 for w, t in zip(worsts, terms)]
                 + [v * b % n2 for v, b in zip(seen, bits)]
                 + [entry, matched]
                 + fresh
             )
-            got = fast.select_apply(
-                n, sel, bits, exps, worsts + [score], seen=seen, pool=pool,
-                reads=reads, slot=slot,
-            )
+            got = fast.select_absorb(n, sel, bits, exps, worsts, seen, score, pool, reads, slot)
             assert got == expected, slot
         # No slot: the tested item's entry alone, its seen bits the
         # one-hot encryption encrypt_batch makes of the same reads.
-        assert fast.select_apply(
-            n, [], [], [], [score], seen=[], pool=pool, reads=reads, slot=1
-        ) == [score, 1] + [(1 + (j == 1) * n) * r % n2 for j, r in enumerate(draws)]
+        assert fast.select_absorb(n, [], [], [], [], [], score, pool, reads, 1) == [
+            score, 1
+        ] + [(1 + (j == 1) * n) * r % n2 for j, r in enumerate(draws)]
 
-    def test_select_apply_refusals(self, name):
-        """An empty batch is empty; a ragged layout or read buffer, a
-        negative exponent, a residue outside ``[0, N^2)`` in any column
-        or an element without an inverse refuses the whole call with
-        the pure backend's ``ValueError`` text."""
+    @staticmethod
+    def _refused(fast, pure, op: str, *args) -> str:
+        """``op`` refuses ``args`` on ``fast`` with the pure backend's
+        ``ValueError`` text; returns the text."""
+        with pytest.raises(ValueError) as got:
+            getattr(fast, op)(*args)
+        with pytest.raises(ValueError) as want:
+            getattr(pure, op)(*args)
+        assert str(got.value) == str(want.value)
+        return str(got.value)
+
+    def test_select_bounds_refusals(self, name):
+        """An empty batch is empty; a ragged layout, a negative exponent
+        or count, a residue outside ``[0, N^2)`` in any column or an
+        element without an inverse refuses the whole call with the pure
+        backend's ``ValueError`` text."""
         fast, pure = backend._resolve(name), backend.PurePythonBackend()
         rng = SecureRandom(45)
         n = rng.randbits(128) | (1 << 127) | 1
         n2 = n * n
-        pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
-        other = backend.RandomizerPool(list(pool), n2 + 2, 6)
-        reads = rng.randbytes(pool.read_bytes * 2)
         sel, bits, exps = self._reply(rng, n2, 3)
-        accs, counts, flips, values = [5, 6], [2, 1], [0, 1, 0], [7, 8, 9]
-        seen = [rng.rand_unit(n2) for _ in range(3)]
-        absorb = {"seen": seen, "pool": pool, "reads": reads, "slot": 1}
-        assert fast.select_apply(n, [], [], [], [], [], [], []) == []
-        assert len(fast.select_apply(n, sel, bits, exps, accs, counts, flips, values)) == 2
-        assert len(fast.select_apply(n, sel, bits, exps, [5, 6, 7, 8], **absorb)) == 10
+        accs, counts, flips, values = [5, 6], [2, 1], [0, 1, 1], [7, 8]
+        assert fast.select_bounds(n, [], [], [], [], [], [], []) == []
+        assert fast.select_bounds(n, [], [], [], [5], [0], [], []) == [5]
+        assert len(fast.select_bounds(n, sel, bits, exps, accs, counts, flips, values)) == 2
 
-        def refused(*args, **kwargs) -> str:
-            with pytest.raises(ValueError) as got:
-                fast.select_apply(*args, **kwargs)
-            with pytest.raises(ValueError) as want:
-                pure.select_apply(*args, **kwargs)
-            assert str(got.value) == str(want.value)
-            return str(got.value)
+        def refused(*args) -> str:
+            return self._refused(fast, pure, "select_bounds", *args)
 
         for bad in (
             (1, sel, bits, exps, accs, counts, flips, values),  # N
@@ -802,44 +821,77 @@ class TestBatchPrimitiveParity:
             (n, sel, bits, exps, accs, [4, -1], flips, values),  # negative count
             (n, sel, bits, exps, accs, counts, flips[:2], values),  # flips
             (n, sel, bits, exps, accs, counts, [0, 2, 0], values),  # not a flip
-            (n, sel, bits, exps, accs, counts, flips, values[:2]),  # values
-            (n, sel, bits, exps, accs, counts, flips, None),  # no values
+            (n, sel, bits, exps, accs, counts, flips, values[:1]),  # values
+            (n, sel, bits, exps, accs, counts, flips, values + [9]),  # a value unflipped
         ):
             refused(*bad)
-        for args, kwargs in (
-            ((n, sel, bits, exps, [5, 6, 7]), absorb),  # no score
-            ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "seen": seen[:2]}),
-            ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "reads": reads[:-1]}),
-            ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "slot": 2}),
-            ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "slot": -1}),
-            ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "pool": other}),
-            ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "pool": None}),
-            ((n, sel, bits, exps, [5, 6, 7, 8], [1, 1, 1]), absorb),  # counts too
-            ((n, sel, bits, exps, accs, counts, flips, values), {"pool": pool}),
-        ):
-            refused(*args, **kwargs)
         for oversized in (n2, n2 + 1, -1, 1 << (n2.bit_length() + 64)):
             for position in range(3):
                 column = [2, 3, 4]
                 column[position] = oversized
-                for args, kwargs in (
-                    ((n, column, bits, exps, accs, counts, flips, values), {}),
-                    ((n, sel, column, exps, accs, counts, flips, values), {}),
-                    ((n, sel, bits, exps, column, [1, 1, 1], flips, values), {}),
-                    ((n, sel, bits, exps, accs, counts, flips, column), {}),
-                    ((n, sel, bits, exps, [5, 6, 7, 8]), {**absorb, "seen": column}),
-                    ((n, sel, bits, exps, column + [8]), absorb),
+                for bad in (
+                    (n, column, bits, exps, accs, counts, flips, values),
+                    (n, sel, column, exps, accs, counts, flips, values),
+                    (n, sel, bits, exps, column, [1, 1, 1], flips, values),
+                    (n, sel, bits, exps, accs, counts, [1, 1, 1], column),
                 ):
-                    assert refused(*args, **kwargs) == backend.OUTSIDE_MOD
+                    assert refused(*bad) == backend.OUTSIDE_MOD
         for flip, zeroed in ((1, "sel"), (0, "bits")):
             column = {"sel": list(sel), "bits": list(bits)}
             column[zeroed][1] = 0
             assert refused(
-                n, column["sel"], column["bits"], exps, accs, counts, [0, flip, 0], values
+                n, column["sel"], column["bits"], exps, accs, counts, [0, flip, 0],
+                [7] * flip,
             ) == backend.NOT_INVERTIBLE
-        assert refused(
-            n, sel, [bits[0], n, bits[2]], exps, [5, 6, 7, 8], **absorb
-        ) == backend.NOT_INVERTIBLE
+
+    def test_select_absorb_refusals(self, name):
+        """A ragged layout or read buffer, a slot past the reads, a pool
+        under another key, a negative exponent, a residue outside
+        ``[0, N^2)`` in any column or an element without an inverse
+        refuses the whole call with the pure backend's ``ValueError``
+        text."""
+        fast, pure = backend._resolve(name), backend.PurePythonBackend()
+        rng = SecureRandom(48)
+        n = rng.randbits(128) | (1 << 127) | 1
+        n2 = n * n
+        pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
+        other = backend.RandomizerPool(list(pool), n2 + 2, 6)
+        reads = rng.randbytes(pool.read_bytes * 2)
+        sel, bits, exps = self._reply(rng, n2, 3)
+        worsts, seen = [5, 6, 7], [rng.rand_unit(n2) for _ in range(3)]
+        good = (n, sel, bits, exps, worsts, seen, 8, pool, reads, 1)
+        assert len(fast.select_absorb(*good)) == 10
+
+        def refused(**changes) -> str:
+            names = ("n", "sel", "bits", "exps", "worsts", "seen", "score", "pool",
+                     "reads", "slot")
+            args = dict(zip(names, good), **changes)
+            return self._refused(fast, pure, "select_absorb", *args.values())
+
+        for changes in (
+            {"n": 1},
+            {"bits": bits[:2]},
+            {"exps": exps[:2]},
+            {"exps": [1, -2, 3]},
+            {"worsts": worsts[:2]},
+            {"seen": seen[:2]},
+            {"reads": reads[:-1]},
+            {"reads": b""},
+            {"slot": 2},
+            {"slot": -1},
+            {"pool": other},
+            {"pool": None},
+        ):
+            refused(**changes)
+        for oversized in (n2, n2 + 1, -1, 1 << (n2.bit_length() + 64)):
+            assert refused(score=oversized) == backend.OUTSIDE_MOD
+            for position in range(3):
+                column = [2, 3, 4]
+                column[position] = oversized
+                for field in ("sel", "bits", "worsts", "seen"):
+                    assert refused(**{field: column}) == backend.OUTSIDE_MOD
+        assert refused(bits=[bits[0], n, bits[2]]) == backend.NOT_INVERTIBLE
+        assert refused(sel=[sel[0], 0, sel[2]]) == backend.NOT_INVERTIBLE
 
     def test_fused_rounds_are_one_kernel_call(self, name):
         """On the kernel a blinding round and a ⊖ batch are one C call
@@ -849,7 +901,8 @@ class TestBatchPrimitiveParity:
         if name != "gmp-kernel":
             assert type(fast).blind_round is backend.PurePythonBackend.blind_round
             assert type(fast).ehl_minus is backend.PurePythonBackend.ehl_minus
-            assert type(fast).select_apply is backend.PurePythonBackend.select_apply
+            assert type(fast).select_bounds is backend.PurePythonBackend.select_bounds
+            assert type(fast).select_absorb is backend.PurePythonBackend.select_absorb
             return
         calls = []
         _spy_on_lib(fast, calls)
@@ -863,50 +916,60 @@ class TestBatchPrimitiveParity:
         )
         fast.ehl_minus(pool, rng.randbytes(pool.read_bytes), [3, 4], [5, 6], [7, 8], [2])
         sel, bits = [rng.rand_unit(n2) for _ in range(2)], [rng.rand_unit(n2) for _ in range(2)]
-        fast.select_apply(n, sel, bits, [7, 8], [9], [2], [0, 1], [10, 11])
-        fast.select_apply(
-            n, sel, bits, [7, 8], [9, 10, 11], seen=[12, 13], pool=pool,
-            reads=rng.randbytes(pool.read_bytes * 2), slot=0,
+        fast.select_bounds(n, sel, bits, [7, 8], [9], [2], [0, 1], [10])
+        fast.select_absorb(
+            n, sel, bits, [7, 8], [9, 10], [12, 13], 11, pool,
+            rng.randbytes(pool.read_bytes * 2), 0,
         )
         assert calls == [
-            "repro_blind_round", "repro_ehl_minus", "repro_select_apply", "repro_select_apply"
+            "repro_blind_round", "repro_ehl_minus", "repro_select_bounds",
+            "repro_select_absorb",
         ]
 
     def test_each_select_reply_is_one_call(self, name, monkeypatch):
-        """Every ``BlindedSelect`` reply of an eager query — each absorb
-        and each best-bound select — is applied by one ``select_apply``:
-        on the kernel one ``repro_select_apply`` C call, with no
-        ``repro_powmod_pairs`` and no ``repro_invert_vec``."""
-        replies, calls = [], []
-        real_flow = engine.blinded_select_flow
+        """Every ``BlindedSelect`` reply of an eager query is applied by the
+        very next backend call — ``select_absorb`` for an absorb,
+        ``select_bounds`` for the best bounds — and that call is one
+        ``repro_select_*`` C call on the kernel: no ``repro_powmod_pairs``,
+        no ``repro_invert_vec``, nothing else between reply and result."""
+        calls = []
+        real_flow = engine.blinded_select_reply_flow
 
-        def flow(*args, bit_mode, apply, **kwargs):
-            def spied(*reply):
-                start = len(calls)
-                out = apply(*reply)
-                replies.append((bit_mode, calls[start:]))
+        def flow(*args, bit_mode, **kwargs):
+            reply = yield from real_flow(*args, bit_mode=bit_mode, **kwargs)
+            calls.append(("reply", bit_mode))
+            return reply
+
+        def entry(op):
+            real = getattr(backend, op)
+
+            def spied(*args):
+                calls.append(("enter", op))
+                out = real(*args)
+                calls.append("exit")
                 return out
 
-            return (yield from real_flow(*args, bit_mode=bit_mode, apply=spied, **kwargs))
+            monkeypatch.setattr(backend, op, spied)
 
-        monkeypatch.setattr(engine, "blinded_select_flow", flow)
+        monkeypatch.setattr(engine, "blinded_select_reply_flow", flow)
+        entry("select_absorb")
+        entry("select_bounds")
         with _on_backend(name) as active:
             if name == "gmp-kernel":
                 _spy_on_lib(active, calls)
-            else:
-                real = active.select_apply
-                monkeypatch.setattr(
-                    active, "select_apply",
-                    lambda *a, **k: calls.append("select_apply") or real(*a, **k),
-                )
             rng = SecureRandom(12)
             rows = [[rng.randint_below(40) for _ in range(4)] for _ in range(14)]
             scheme = SecTopK(SystemParams.tiny(), seed=12)
             relation = scheme.encrypt(rows)
             scheme.query(relation, scheme.token([0, 2, 3], k=3))
-        entry = "repro_select_apply" if name == "gmp-kernel" else "select_apply"
-        assert {mode for mode, _ in replies} == {False, True}
-        assert all(made == [entry] for _, made in replies)
+        replies = [
+            i for i, call in enumerate(calls) if isinstance(call, tuple) and call[0] == "reply"
+        ]
+        assert {calls[i][1] for i in replies} == {False, True}
+        for i in replies:
+            op = "select_bounds" if calls[i][1] else "select_absorb"
+            made = ["repro_" + op] if name == "gmp-kernel" else []
+            assert calls[i + 1 : i + 3 + len(made)] == [("enter", op), *made, "exit"]
 
 
 @needs_kernel
@@ -1219,9 +1282,10 @@ class TestFusedRoundsPinTheirFormulas:
         assert [c.value for c in fused] == _parent_minus(pairs, parent_rng)
         assert fused_rng.randbytes(16) == parent_rng.randbytes(16)
 
-    def test_select_apply(self, name, monkeypatch):
+    def test_select_replies(self, name, monkeypatch):
         """A seeded eager query (randomizer pools seeded too) ends with
-        the integers the per-slot unblinding gave before ``select_apply``:
+        the integers the per-slot unblinding gave before ``select_bounds``
+        and ``select_absorb``:
         every result item's worst and seen bits and every best bound the
         halting rule compared, recorded on the parent as one digest."""
         monkeypatch.setattr(paillier, "fresh_pool", _seeded_pool)

@@ -76,13 +76,13 @@ class TestBlindedSelect:
         ctx = make_parties(keypair, rng=SecureRandom(5))
         width = ctx.encoder.score_bits + ctx.encoder.blind_bits + 128
         exps = []
-        real = backend.powmod_pairs
+        real = backend.select_bounds
 
-        def powmod_pairs(bases, exponents, mod):
+        def select_bounds(n, selected, bits, exponents, *rest):
             exps.extend(exponents)
-            return real(bases, exponents, mod)
+            return real(n, selected, bits, exponents, *rest)
 
-        monkeypatch.setattr(backend, "powmod_pairs", powmod_pairs)
+        monkeypatch.setattr(backend, "select_bounds", select_bounds)
         tests = ctx.public_key.encrypt_batch([0] * 8, ctx.rng)
         _select(ctx, tests, [ctx.encrypt(1)], [0] * 8, False)
         assert len(exps) == 8 and max(e.bit_length() for e in exps) <= width
