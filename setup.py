@@ -36,10 +36,10 @@ setup(
         # Optional GIL-free GMP batch kernel (cffi extension, built
         # lazily on first use; also needs a C compiler + GMP headers).
         "kernel": ["cffi>=1.15"],
-        # Test harness: the property-based sharding-equivalence suite
-        # needs Hypothesis; pytest-cov powers the CI coverage floor.
-        # The plain tier-1 suite still runs with pytest alone (the
-        # property module skips itself when Hypothesis is absent).
+        # Test harness: the differential harness and the sharding
+        # property tests need Hypothesis; pytest-cov powers the CI
+        # coverage floor.  The plain tier-1 suite still runs with pytest
+        # alone (those modules skip themselves when Hypothesis is absent).
         "test": ["pytest>=7", "hypothesis>=6", "pytest-cov>=4"],
     },
 )

@@ -31,7 +31,6 @@ full-length exponent.
 
 from __future__ import annotations
 
-from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext
 from repro.exceptions import ProtocolError
 from repro.net.messages import BlindedSelect
@@ -74,27 +73,3 @@ def blinded_select_reply_flow(
         [blinds[g] for g in groups],
     )
 
-
-def blinded_select_flow(
-    ctx: S1Context,
-    tests: list[Ciphertext],
-    values: list[Ciphertext],
-    groups: list[int],
-    bit_mode: bool,
-    protocol: str,
-):
-    """Flow form of :func:`blinded_select_reply_flow`, unblinded: returns
-    ``(Enc(t_i · x_{groups[i]}), Enc(t_i))`` per slot ``i`` of ``tests``
-    — every slot its own one-slot, unflipped bound over ``acc = 1``."""
-    pk = ctx.public_key
-    selected, bits, blinds = yield from blinded_select_reply_flow(
-        ctx, tests, values, groups, bit_mode, protocol
-    )
-    ones = [1] * len(bits)
-    products = backend.select_bounds(
-        pk.n, selected, bits, blinds, ones, ones, [0] * len(bits), []
-    )
-    return (
-        [Ciphertext(value, pk) for value in products],
-        [Ciphertext(bit, pk) for bit in bits],
-    )

@@ -83,12 +83,11 @@ class CachedResult:
     items: list
     halting_depth: int
     config: object
-    shared: tuple
 
     @classmethod
-    def of(cls, result, shared: tuple) -> "CachedResult":
+    def of(cls, result) -> "CachedResult":
         """A snapshot of ``result``."""
-        return cls(_copy(result.items), result.halting_depth, result.config, shared)
+        return cls(_copy(result.items), result.halting_depth, result.config)
 
     def copy_items(self, k: int | None = None) -> list:
         """The caller's own copy of the first ``k`` items (all of them

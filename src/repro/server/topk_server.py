@@ -327,7 +327,7 @@ class TopKServer:
         if not self._cache_enabled(config):
             return
         key, scan_key = self._cache_keys(relation_key, token, config)
-        snapshot = CachedResult.of(result, (self.scheme.public_key, self.scheme.dj))
+        snapshot = CachedResult.of(result)
         self._cache.put(key, snapshot, scan_key=scan_key, k=token.k)
 
     # -- mutations -------------------------------------------------------

@@ -12,7 +12,43 @@ import pytest
 from repro.crypto import backend
 from repro.crypto.paillier import PaillierKeypair
 from repro.crypto.rng import SecureRandom
+from repro.net.socket_transport import disconnect_all
 from repro.protocols.base import S1Context, make_parties
+from repro.server import S2Service
+
+
+def _leakage_tuples(result) -> tuple:
+    return tuple(
+        (e.observer, e.protocol, e.kind, repr(e.payload)) for e in result.leakage_events
+    )
+
+
+def _transcript(scheme, result) -> tuple:
+    stats = result.channel_stats
+    return (
+        scheme.reveal(result),
+        result.halting_depth,
+        stats.rounds,
+        stats.bytes_s1_to_s2,
+        stats.bytes_s2_to_s1,
+        _leakage_tuples(result),
+    )
+
+
+@pytest.fixture(scope="session")
+def leakage_tuples():
+    """``leakage_tuples(result)``: a result's declared leakage, in event
+    order, as comparable tuples."""
+    return _leakage_tuples
+
+
+@pytest.fixture(scope="session")
+def transcript():
+    """``transcript(scheme, result)``: everything S2 and the accountant
+    see of one query, as one comparable value — the revealed winners,
+    the halting depth, rounds, bytes in each direction and the ordered
+    leakage tuples."""
+    return _transcript
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +72,17 @@ def ctx(keypair) -> S1Context:
 @pytest.fixture()
 def rng() -> SecureRandom:
     return SecureRandom(7)
+
+
+@pytest.fixture(scope="session")
+def tcp_daemon():
+    """The address of one in-process S2 daemon on an ephemeral TCP port,
+    shared by every test that only needs somewhere to send rounds (a test
+    that reads a service's counters starts its own)."""
+    service = S2Service("tcp://127.0.0.1:0")
+    yield service.start()
+    disconnect_all()
+    service.close()
 
 
 class PoolDraws:

@@ -8,27 +8,27 @@ that the message only appends a wire id.
 import pytest
 
 from repro.crypto import backend
+from repro.crypto.paillier import Ciphertext
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import ProtocolError
 from repro.net.messages import MESSAGE_TYPES, BlindedSelect, message_type_id
-from repro.net.socket_transport import disconnect_all
 from repro.protocols.base import make_parties
-from repro.protocols.blinded_select import blinded_select_flow
-from repro.server import S2Service
+from repro.protocols.blinded_select import blinded_select_reply_flow
 
 
 def _select(ctx, tests, values, groups, bit_mode):
-    return ctx.run_flows(
-        [blinded_select_flow(ctx, tests, values, groups, bit_mode=bit_mode, protocol="P")]
+    """One round, unblinded the way the engine does it: a single
+    ``select_bounds`` call, one unflipped slot per target over
+    ``acc = 1``.  Returns ``(Enc(t_i · x_{groups[i]}), Enc(t_i))``."""
+    pk = ctx.public_key
+    selected, bits, blinds = ctx.run_flows(
+        [blinded_select_reply_flow(ctx, tests, values, groups, bit_mode, "P")]
     )[0]
-
-
-@pytest.fixture(scope="module")
-def tcp_daemon():
-    service = S2Service("tcp://127.0.0.1:0")
-    yield service.start()
-    disconnect_all()
-    service.close()
+    ones = [1] * len(bits)
+    products = backend.select_bounds(
+        pk.n, selected, bits, blinds, ones, ones, [0] * len(bits), []
+    )
+    return [Ciphertext(v, pk) for v in products], [Ciphertext(b, pk) for b in bits]
 
 
 @pytest.fixture(params=["inprocess", "tcp"])

@@ -1,12 +1,12 @@
 """The job API: ``repro.connect`` returns the serving ``TopKServer``.
 
-* a job through ``repro.connect`` is bit-identical (results, rounds,
-  bytes, leakage profile) to ``TopKServer.query``, across the
-  in-process and TCP-daemon transports;
 * cancellation at a round boundary and per-job timeouts resolve the
   job without wedging the server — subsequent jobs are served;
 * the streaming event taxonomy arrives in order;
 * ``QueryStats`` carries the uniform cost profile;
+* a listener observes a job without changing its transcript (that
+  every execution path's transcript matches is
+  ``tests/test_differential.py``'s);
 * the curated ``repro.__all__`` leads with ``connect`` and the job types.
 """
 
@@ -52,87 +52,6 @@ def _oracle_topk(rows, attrs, k):
     return naive_topk(rows, attrs, k)
 
 
-def _leakage_tuples(result):
-    return [
-        (e.observer, e.protocol, e.kind, repr(e.payload))
-        for e in result.leakage_events
-    ]
-
-
-@pytest.fixture(scope="module")
-def tcp_daemon():
-    service = S2Service("tcp://127.0.0.1:0")
-    address = service.start()
-    yield service, address
-    disconnect_all()
-    service.close()
-
-
-class TestSubmitExecuteParity:
-    """submit == query, bit for bit."""
-
-    CONFIGS = [
-        pytest.param(QueryConfig(variant="elim", engine="eager"), id="eager"),
-        pytest.param(QueryConfig(variant="elim", engine="literal"), id="literal"),
-    ]
-
-    @pytest.mark.parametrize("config", CONFIGS)
-    @pytest.mark.parametrize("transport", ["inprocess", "tcp"])
-    def test_bit_identical(self, transport, config, request):
-        if transport == "tcp":
-            _, transport = request.getfixturevalue("tcp_daemon")
-
-        scheme_a, relation_a, _ = _fresh_deployment()
-        token_a = scheme_a.token([0, 1, 2], k=2)
-        with TopKServer(scheme_a, relation_a, transport=transport) as server:
-            legacy = server.query(token_a, config)
-
-        scheme_b, relation_b, _ = _fresh_deployment()
-        token_b = scheme_b.token([0, 1, 2], k=2)
-        with repro.connect(scheme_b, relation_b, transport) as client:
-            job = client.submit(token_b, config)
-            modern = job.result(timeout=120)
-
-        assert scheme_a.reveal(legacy) == scheme_b.reveal(modern)
-        assert legacy.halting_depth == modern.halting_depth
-        assert legacy.channel_stats.rounds == modern.channel_stats.rounds
-        assert (
-            legacy.channel_stats.bytes_s1_to_s2
-            == modern.channel_stats.bytes_s1_to_s2
-        )
-        assert (
-            legacy.channel_stats.bytes_s2_to_s1
-            == modern.channel_stats.bytes_s2_to_s1
-        )
-        assert _leakage_tuples(legacy) == _leakage_tuples(modern)
-        assert job.status == JobStatus.DONE and job.done()
-
-    def test_submit_overlap_matches_execute_many(self):
-        scheme_a, relation_a, _ = _fresh_deployment()
-        requests_a = [
-            (scheme_a.token([0, 1], k=2), None),
-            (scheme_a.token([1, 2], k=2), None),
-            (scheme_a.token([0, 2], k=2), None),
-        ]
-        with TopKServer(scheme_a, relation_a) as server:
-            batch = server.execute_many(requests_a, concurrency=1)
-
-        scheme_b, relation_b, _ = _fresh_deployment()
-        requests_b = [
-            (scheme_b.token([0, 1], k=2), None),
-            (scheme_b.token([1, 2], k=2), None),
-            (scheme_b.token([0, 2], k=2), None),
-        ]
-        with repro.connect(scheme_b, relation_b) as client:
-            jobs = [client.submit(token, config) for token, config in requests_b]
-            piped = [job.result(timeout=120) for job in jobs]
-
-        for a, b in zip(batch, piped):
-            assert scheme_a.reveal(a) == scheme_b.reveal(b)
-            assert a.channel_stats.rounds == b.channel_stats.rounds
-            assert a.channel_stats.total_bytes == b.channel_stats.total_bytes
-
-
 class TestEventStream:
     def test_event_taxonomy_and_ordering(self):
         scheme, relation, _ = _fresh_deployment()
@@ -164,7 +83,7 @@ class TestEventStream:
         # Replays see the identical stream.
         assert list(job.events()) == events
 
-    def test_listener_does_not_change_transcript(self):
+    def test_listener_does_not_change_transcript(self, leakage_tuples):
         scheme_a, relation_a, _ = _fresh_deployment()
         with repro.connect(scheme_a, relation_a) as client:
             silent = client.submit(client.token([0, 1], k=2)).result()
@@ -177,7 +96,7 @@ class TestEventStream:
         assert consumed > 0
         assert scheme_a.reveal(silent) == scheme_b.reveal(watched)
         assert silent.channel_stats.rounds == watched.channel_stats.rounds
-        assert _leakage_tuples(silent) == _leakage_tuples(watched)
+        assert leakage_tuples(silent) == leakage_tuples(watched)
 
 
 class TestCancellationAndTimeouts:
@@ -263,24 +182,6 @@ class TestQueryStats:
             for e in result.leakage_events
         )
         assert stats.leakage[0][2] == "query_pattern"
-
-    def test_stats_uniform_across_execution_modes(self):
-        scheme_a, relation_a, _ = _fresh_deployment()
-        with TopKServer(scheme_a, relation_a) as server:
-            seq = server.execute_many(
-                [(scheme_a.token([0, 1], k=2), None)], concurrency=1
-            )[0]
-        scheme_b, relation_b, _ = _fresh_deployment()
-        with TopKServer(scheme_b, relation_b) as server:
-            proc = server.execute_many(
-                [(scheme_b.token([0, 1], k=2), None)], concurrency=2, mode="process"
-            )[0]
-        from dataclasses import replace
-
-        # Identical modulo wall-clock (elapsed is measured, not derived).
-        assert replace(seq.stats, elapsed_seconds=0.0) == replace(
-            proc.stats, elapsed_seconds=0.0
-        )
 
     def test_per_query_leakage_slices_in_shared_session(self):
         scheme, relation, _ = _fresh_deployment()
@@ -397,7 +298,7 @@ class TestSchedulerRaces:
 class TestListenerRobustness:
     """A broken ``events`` listener must observe, never corrupt."""
 
-    def test_raising_listener_swallowed_and_recorded(self):
+    def test_raising_listener_swallowed_and_recorded(self, leakage_tuples):
         scheme_a, relation_a, _ = _fresh_deployment()
         with repro.connect(scheme_a, relation_a) as client:
             clean = client.submit(client.token([0, 1], k=2)).result()
@@ -415,7 +316,7 @@ class TestListenerRobustness:
         assert scheme_a.reveal(clean) == scheme_b.reveal(watched)
         assert clean.channel_stats.rounds == watched.channel_stats.rounds
         assert clean.channel_stats.total_bytes == watched.channel_stats.total_bytes
-        assert _leakage_tuples(clean) == _leakage_tuples(watched)
+        assert leakage_tuples(clean) == leakage_tuples(watched)
 
     def test_context_on_event_hook_guarded(self):
         """The low-level hook path: a raising ``on_event`` on the S1

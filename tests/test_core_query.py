@@ -1,9 +1,10 @@
-"""Differential tests: SecQuery vs the plaintext NRA oracle.
+"""SecQuery on one fixed relation: the paper's halting rule against its
+plaintext NRA run, the depth cap, per-query accounting, the weight bound
+and lazy weighting.
 
-These are the capstone integration tests — the oblivious engine must
-return exactly the plaintext algorithm's answers.  Relations are kept
-small (the crypto is pure Python) but cover duplicates, ties in local
-scores, every variant/engine combination and both halting rules.
+Every engine, variant and strict halting against the plaintext oracle on
+drawn relations (ties, duplicates, ``k = 1``, ``k = n``, ``k > n``,
+weights) is ``tests/test_differential.py``'s.
 """
 
 import pytest
@@ -55,26 +56,6 @@ def _oracle(rows, attributes, k, halting="strict", weights=None):
 
 
 class TestEagerVariants:
-    @pytest.mark.parametrize("variant", ["elim", "full", "batch"])
-    def test_matches_oracle_exactly(self, scheme, encrypted, rows, variant):
-        """Same top-k ids, same scores, same halting depth as plain NRA."""
-        config = QueryConfig(
-            variant=variant, batch_p=3, engine="eager", halting="strict"
-        )
-        token = scheme.token([0, 1, 2], k=3)
-        result = scheme.query(encrypted, token, config)
-        oracle = _oracle(rows, [0, 1, 2], 3)
-        got = scheme.reveal(result)
-        if variant != "batch":
-            # Same algorithm, same depth: ids AND worst scores agree.
-            assert got == oracle.topk
-            assert result.halting_depth == oracle.halting_depth
-        else:
-            # Batched checks halt at the next check point, where worst
-            # bounds have grown; the winning id set is what must agree.
-            assert {o for o, _ in got} == {o for o, _ in oracle.topk}
-            assert result.halting_depth >= oracle.halting_depth
-
     def test_paper_halting_correct(self, scheme, encrypted, rows):
         config = QueryConfig(variant="elim", engine="eager", halting="paper")
         token = scheme.token([0, 1, 2], k=2)
@@ -83,92 +64,8 @@ class TestEagerVariants:
         oracle = _oracle(rows, [0, 1, 2], 2, halting="paper")
         assert got == oracle.topk
 
-    def test_two_attributes(self, scheme, encrypted, rows):
-        token = scheme.token([0, 2], k=2)
-        result = scheme.query(
-            encrypted, token, QueryConfig(variant="elim", engine="eager")
-        )
-        got = scheme.reveal(result)
-        assert [o for o, _ in got] == [
-            o for o, _ in _oracle(rows, [0, 2], 2).topk
-        ]
-
-    def test_k_equals_one(self, scheme, encrypted, rows):
-        token = scheme.token([0, 1, 2], k=1)
-        result = scheme.query(
-            encrypted, token, QueryConfig(variant="elim", engine="eager")
-        )
-        got = scheme.reveal(result)
-        assert got == _oracle(rows, [0, 1, 2], 1).topk
-        # The winner is also the exact-score winner.
-        assert got[0][0] == naive_topk(rows, [0, 1, 2], 1)[0][0]
-
-    def test_weights(self, scheme, encrypted, rows):
-        token = scheme.token([0, 1], k=2, weights=[2, 3])
-        result = scheme.query(
-            encrypted, token, QueryConfig(variant="elim", engine="eager")
-        )
-        oracle = _oracle(rows, [0, 1], 2, weights=[2, 3])
-        assert scheme.reveal(result) == oracle.topk
-
-
-class TestLiteralEngine:
-    def test_correct_topk_elim(self, scheme, encrypted, rows):
-        token = scheme.token([0, 1], k=2)
-        result = scheme.query(
-            encrypted, token, QueryConfig(variant="elim", engine="literal")
-        )
-        oracle = _oracle(rows, [0, 1], 2)
-        got = scheme.reveal(result)
-        # Literal halts at or after the oracle (stale upper bounds), so
-        # the id set matches but worst bounds may have grown.
-        assert {o for o, _ in got} == {o for o, _ in oracle.topk}
-        assert result.halting_depth >= oracle.halting_depth
-
-    def test_correct_topk_full(self, scheme, encrypted, rows):
-        token = scheme.token([0, 1], k=2)
-        result = scheme.query(
-            encrypted, token, QueryConfig(variant="full", engine="literal")
-        )
-        got = scheme.reveal(result)
-        oracle = _oracle(rows, [0, 1], 2)
-        assert {o for o, _ in got} == {o for o, _ in oracle.topk}
-
 
 class TestEdgeCases:
-    def test_duplicate_heavy_relation(self):
-        """Small value range -> many within-depth duplicates."""
-        rng = SecureRandom(55)
-        rows = [[rng.randint_below(4) for _ in range(3)] for _ in range(10)]
-        scheme = SecTopK(SystemParams.tiny(), seed=91)
-        encrypted = scheme.encrypt(rows)
-        token = scheme.token([0, 1, 2], k=3)
-        result = scheme.query(
-            encrypted, token, QueryConfig(variant="elim", engine="eager")
-        )
-        got = scheme.reveal(result)
-        oracle = _oracle(rows, [0, 1, 2], 3)
-        assert sorted(s for _, s in got) == sorted(s for _, s in oracle.topk)
-
-    def test_k_equals_n(self):
-        rows = [[5, 1], [3, 3], [1, 9], [2, 2]]
-        scheme = SecTopK(SystemParams.tiny(), seed=92)
-        encrypted = scheme.encrypt(rows)
-        token = scheme.token([0, 1], k=4)
-        result = scheme.query(
-            encrypted, token, QueryConfig(variant="elim", engine="eager")
-        )
-        got = scheme.reveal(result)
-        oracle = _oracle(rows, [0, 1], 4)
-        assert got == oracle.topk
-        # Every object is reported; the id set is exactly 0..n-1.
-        assert {o for o, _ in got} == {0, 1, 2, 3}
-
-    def test_k_too_large_rejected(self, scheme, encrypted):
-        token = scheme.token([0, 1], k=100)
-        with pytest.raises(QueryError):
-            scheme.query(encrypted, token)
-
     def test_max_depth_cap(self, scheme, encrypted, rows):
         token = scheme.token([0, 1, 2], k=3)
         result = scheme.query(

@@ -36,12 +36,10 @@ from repro.crypto.rng import SecureRandom
 from repro.exceptions import RemoteS2Error
 from repro.net.dispatch import S2Dispatcher
 from repro.net.messages import DedupSort, Message
-from repro.net.socket_transport import disconnect_all
 from repro.protocols.base import CryptoCloud
 from repro.protocols.blinding import ItemBlinder
 from repro.protocols.enc_sort import one_way_keys, s2_order
 from repro.protocols.sec_dedup import _prepare, _s2_keepers, _s2_release
-from repro.server import S2Service
 from repro.structures.ehl import EncryptedHashList
 from repro.structures.items import ScoredItem
 
@@ -303,15 +301,6 @@ def test_literal_transcript_is_unchanged(monkeypatch, variant):
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture()
-def daemon():
-    service = S2Service("tcp://127.0.0.1:0")
-    address = service.start()
-    yield address
-    disconnect_all()
-    service.close()
-
-
 def _dedup_sort(ctx, scheme, relation) -> DedupSort:
     """A well-formed ``DedupSort`` of three list entries: one carried,
     two new, the second a copy of the first."""
@@ -333,7 +322,7 @@ def _dedup_sort(ctx, scheme, relation) -> DedupSort:
     )
 
 
-def test_hostile_counts_are_refused_and_spare_a_sibling(daemon):
+def test_hostile_counts_are_refused_and_spare_a_sibling(tcp_daemon):
     """Counts one short, or one extra for the rank-0 item: each comes
     back as a typed ``ProtocolError``; a sibling session on the daemon
     then answers its next round exactly as an identically seeded session
@@ -342,8 +331,8 @@ def test_hostile_counts_are_refused_and_spare_a_sibling(daemon):
     def deployment():
         scheme = SecTopK(SystemParams.tiny(), seed=55)
         relation = scheme.encrypt(ROWS)
-        victim = scheme._make_context(transport=daemon)
-        sibling = scheme._make_context(transport=daemon)
+        victim = scheme._make_context(transport=tcp_daemon)
+        sibling = scheme._make_context(transport=tcp_daemon)
         return scheme, relation, victim, sibling
 
     scheme, relation, victim, sibling = deployment()

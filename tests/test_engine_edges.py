@@ -1,7 +1,9 @@
-"""Edge-path tests for the query engines and supporting containers."""
+"""Edge-path tests for the query engines and supporting containers.
+
+Random relations against the plaintext NRA oracle (tie orders, halting
+depths) are drawn by ``tests/test_differential.py``."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.bench.harness import BenchContext, SeriesReport, measure_query, oracle_halting_depth
 from repro.core.params import SystemParams
@@ -66,72 +68,6 @@ class TestAlternativeBuildingBlocks:
         oracle = nra_topk(SortedLists(rows, [0, 1]), 2)
         got = scheme.reveal(result)
         assert {o for o, _ in got} == {o for o, _ in oracle.topk}
-
-
-def _nra_outcomes_over_tie_orders(rows, attributes, k):
-    """``{halting depth: sorted top-k worst scores}`` for every depth at
-    which strict NRA may stop under *some* order of equal worst scores.
-
-    Only candidates tied at the k-th worst score are order-dependent: one
-    whose best bound still exceeds it blocks the halt unless the order
-    puts it inside the top-k.
-    """
-    lists = SortedLists(rows, attributes)
-    n, m = lists.n_objects, lists.n_lists
-    seen: dict[int, dict[int, int]] = {}
-    outcomes = {}
-    for d in range(n):
-        for j, item in enumerate(lists.depth(d)):
-            seen.setdefault(item.object_id, {})[j] = item.score
-        bottoms = lists.bottoms(d)
-        worst = {o: sum(per_list.values()) for o, per_list in seen.items()}
-        if len(worst) < k:
-            continue
-        top = sorted(worst.values(), reverse=True)[:k]
-        if d == n - 1:
-            outcomes[d + 1] = sorted(top)
-            break
-        mk = top[-1]
-        open_bound = {
-            o for o, per_list in seen.items()
-            if worst[o] + sum(bottoms[j] for j in range(m) if j not in per_list) > mk
-        }
-        if sum(bottoms) > mk or any(worst[o] < mk for o in open_bound):
-            continue
-        tied_slots = k - sum(1 for w in worst.values() if w > mk)
-        n_tied = sum(1 for w in worst.values() if w == mk)
-        blockers = sum(1 for o in open_bound if worst[o] == mk)
-        if blockers <= tied_slots:
-            outcomes[d + 1] = sorted(top)
-        if blockers == 0 or n_tied == tied_slots:
-            break  # every tie order stops here
-    return outcomes
-
-
-class TestPropertyEndToEnd:
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 25), min_size=2, max_size=2),
-            min_size=4,
-            max_size=7,
-        )
-    )
-    @settings(max_examples=5, deadline=None)
-    def test_random_small_relations(self, rows):
-        """Hypothesis-driven differential test on tiny relations."""
-        scheme = SecTopK(SystemParams.tiny(), seed=sum(map(sum, rows)) + len(rows))
-        encrypted = scheme.encrypt(rows)
-        token = scheme.token([0, 1], k=2)
-        result = scheme.query(
-            encrypted, token, QueryConfig(variant="elim", engine="eager")
-        )
-        # The secure engine breaks worst-score ties by S1's permutation,
-        # the oracle by object id: any depth some tie order allows is
-        # right, with the top-k scores NRA holds at that depth.
-        allowed = _nra_outcomes_over_tie_orders(rows, [0, 1], 2)
-        assert result.halting_depth in allowed
-        got = scheme.reveal(result)
-        assert sorted(s for _, s in got) == allowed[result.halting_depth]
 
 
 class TestHarness:

@@ -1,14 +1,9 @@
-"""Mutable encrypted relations + continuous top-k: the PR-9 subsystem.
+"""Mutable encrypted relations + continuous top-k.
 
-Locks down the mutation layer end to end:
+Locks down the mutation layer end to end (that a mutated relation's
+transcripts equal a rebuild's at the final version, and that answers
+under racing mutations are right, is ``tests/test_differential.py``'s):
 
-* **Transcript equivalence** (the tentpole property) — after *any*
-  interleaving of insert/update/delete, a query over the incrementally
-  maintained relation produces a transcript — results, rounds, bytes,
-  leakage event sequence — bit-identical to the same query over a
-  relation rebuilt from scratch at the final state, on every engine.
-  Hypothesis draws the interleavings in-process; a daemon leg checks
-  the socket transport.
 * **MutableRelation semantics** — splice positions, touched-prefix
   lengths, copy-on-write suffix sharing, ``mutation_pattern`` leakage,
   version monotonicity, error paths.
@@ -23,15 +18,11 @@ Locks down the mutation layer end to end:
   successor, cached or not; a mutation landing *during* a process batch
   leaves each job answering — and caching — for the version it
   snapshotted.
-* **Prefix cache serving** — a ``k' < k`` repeat of a cached query is
-  served as the first ``k'`` items with zero S2 rounds.
+* **Prefix cache serving** — which entry serves a ``k' < k`` repeat.
 * **Continuous top-k** — ``watch()`` emits
   :class:`~repro.events.TopKChanged` exactly when the revealed winning
   set changes (plaintext oracle), windowed watches follow the insert
   log, and ``close()`` drains live watches.
-
-The property tests require Hypothesis (the ``test`` extra) and skip
-cleanly where only the dependency-free core is installed.
 """
 
 from __future__ import annotations
@@ -43,23 +34,13 @@ import time
 
 import pytest
 
-hypothesis = pytest.importorskip(
-    "hypothesis", reason="property harness needs the 'test' extra (hypothesis)"
-)
-
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
-
-import repro  # noqa: E402
-from repro.core.params import SystemParams  # noqa: E402
-from repro.core.results import QueryConfig  # noqa: E402
-from repro.core.scheme import SecTopK  # noqa: E402
-from repro.events import TopKChanged  # noqa: E402
-from repro.exceptions import (  # noqa: E402
-    EncodingRangeError,
-    MutationError,
-    StaleRelationError,
-)
-from repro.server import MutableRelation, TopKServer  # noqa: E402
+import repro
+from repro.core.params import SystemParams
+from repro.core.results import QueryConfig
+from repro.core.scheme import SecTopK
+from repro.events import TopKChanged
+from repro.exceptions import EncodingRangeError, MutationError, StaleRelationError
+from repro.server import MutableRelation, TopKServer
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnhandledThreadExceptionWarning"
@@ -67,171 +48,12 @@ pytestmark = pytest.mark.filterwarnings(
 
 SEED = 424242
 
-# Every property example runs two full secure queries; keep the budget
-# small and deterministic so the tier-1 suite stays fast and CI never
-# flakes on a fresh draw (same discipline as test_sharding).
-PROPERTY_SETTINGS = dict(
-    max_examples=10,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-
-
-def _transcript(scheme, result) -> tuple:
-    """Everything S2 (and the accountant) can see, as one comparable value."""
-    return (
-        scheme.reveal(result),
-        result.halting_depth,
-        result.channel_stats.rounds,
-        result.channel_stats.bytes_s1_to_s2,
-        result.channel_stats.bytes_s2_to_s1,
-        tuple(
-            (e.observer, e.protocol, e.kind, repr(e.payload))
-            for e in result.leakage_events
-        ),
-    )
-
-
-def _query_transcript(scheme, relation, attrs, k, config, transport):
-    """One query on a fresh context over ``relation`` (no cache)."""
-    token = scheme.token(attrs, k=k)
-    ctx = scheme._make_context(transport=transport)
-    try:
-        result = scheme.query(relation, token, config, ctx=ctx)
-    finally:
-        ctx.close()
-    return _transcript(scheme, result)
-
-
-def _apply(mutable: MutableRelation, ops) -> None:
-    """Replay a drawn mutation script, tolerating ids that went away."""
-    for op, payload in ops:
-        live = sorted(mutable._rows)
-        if op == "insert":
-            mutable.insert(payload)
-        elif op == "update":
-            mutable.update(live[payload % len(live)], payload_row(payload))
-        elif op == "delete" and len(live) > 1:
-            mutable.delete(live[payload % len(live)])
-
-
-def payload_row(seed: int, m: int = 2, spread: int = 30):
-    return [(7 * seed + 3 * j + 1) % spread for j in range(m)]
-
-
-def _exact_scores(rows_by_id: dict, attrs, weights=None):
-    weights = weights or [1] * len(attrs)
-    return {
-        oid: sum(w * row[a] for w, a in zip(weights, attrs))
-        for oid, row in rows_by_id.items()
-    }
-
 
 def _true_topk_ids(rows_by_id: dict, attrs, k) -> set:
     """The unique top-k id set (callers keep aggregates distinct)."""
-    exact = _exact_scores(rows_by_id, attrs)
+    exact = {oid: sum(row[a] for a in attrs) for oid, row in rows_by_id.items()}
     ranked = sorted(exact, key=lambda o: (-exact[o], o))
     return set(ranked[:k])
-
-
-# ---------------------------------------------------------------------------
-# The tentpole property: mutated == rebuilt, bit for bit.
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def mutation_cases(draw):
-    n = draw(st.integers(min_value=3, max_value=6))
-    m = 2
-    rows = draw(
-        st.lists(
-            st.lists(st.integers(min_value=0, max_value=30), min_size=m, max_size=m),
-            min_size=n,
-            max_size=n,
-        )
-    )
-    ops = draw(
-        st.lists(
-            st.one_of(
-                st.tuples(
-                    st.just("insert"),
-                    st.lists(st.integers(0, 30), min_size=m, max_size=m),
-                ),
-                st.tuples(st.just("update"), st.integers(0, 97)),
-                st.tuples(st.just("delete"), st.integers(0, 97)),
-            ),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    attrs = [0, 1]
-    k = draw(st.integers(min_value=1, max_value=2))
-    engine = draw(st.sampled_from(["eager", "literal"]))
-    return rows, ops, attrs, k, engine
-
-
-class TestMutatedEqualsRebuilt:
-    """Acceptance criterion: any interleaving of mutations produces a
-    relation whose query transcripts are bit-identical to a rebuild
-    from scratch at the final state."""
-
-    @given(case=mutation_cases())
-    @settings(**PROPERTY_SETTINGS)
-    def test_bit_parity(self, case):
-        rows, ops, attrs, k, engine = case
-        config = QueryConfig(engine=engine)
-
-        scheme_a = SecTopK(SystemParams.tiny(), seed=SEED)
-        mutable = MutableRelation(scheme_a, rows)
-        _apply(mutable, ops)
-        grown = _query_transcript(
-            scheme_a, mutable.relation, attrs, k, config, "inprocess"
-        )
-
-        final_rows, final_oids = mutable.snapshot()
-        scheme_b = SecTopK(SystemParams.tiny(), seed=SEED)
-        rebuilt_relation = scheme_b.encrypt(
-            final_rows, object_ids=final_oids, version=mutable.version
-        )
-        rebuilt = _query_transcript(
-            scheme_b, rebuilt_relation, attrs, k, config, "inprocess"
-        )
-        assert grown == rebuilt, (
-            f"mutated transcript diverged from rebuild "
-            f"(engine={engine}, ops={ops})"
-        )
-
-    def test_socket_transport_mutation_leg(self):
-        """The equivalence holds over a real S2 daemon too (the cheap
-        socket complement to the in-process property)."""
-        from repro.net.socket_transport import disconnect_all
-        from repro.server import S2Service
-
-        rows = [[(5 * i + j) % 17 for j in range(2)] for i in range(5)]
-        ops = [("insert", [16, 3]), ("update", 1), ("delete", 0)]
-        config = QueryConfig()
-        service = S2Service("tcp://127.0.0.1:0")
-        address = service.start()
-        try:
-            scheme_a = SecTopK(SystemParams.tiny(), seed=SEED)
-            mutable = MutableRelation(scheme_a, rows)
-            _apply(mutable, ops)
-            grown = _query_transcript(
-                scheme_a, mutable.relation, [0, 1], 2, config, address
-            )
-            final_rows, final_oids = mutable.snapshot()
-            scheme_b = SecTopK(SystemParams.tiny(), seed=SEED)
-            rebuilt_relation = scheme_b.encrypt(
-                final_rows, object_ids=final_oids, version=mutable.version
-            )
-            rebuilt = _query_transcript(
-                scheme_b, rebuilt_relation, [0, 1], 2, config, address
-            )
-            assert grown == rebuilt
-        finally:
-            disconnect_all()
-            service.close()
 
 
 # ---------------------------------------------------------------------------
@@ -438,46 +260,6 @@ class TestServerMutations:
                 server.submit(token, expect_version=0).result()
             server.submit(token, expect_version=1).result()
 
-    def test_concurrent_mutation_churn(self):
-        """Interleaved mutations and queries from racing threads never
-        corrupt state: every query answers over *some* complete version
-        and the final state matches the plaintext mirror."""
-        scheme, mutable, server = _deployment()
-        errors: list[BaseException] = []
-        token = scheme.token([0, 1], k=1)
-
-        def churn():
-            try:
-                for i in range(4):
-                    oid = server.insert([i, i]).object_id
-                    server.query(token)
-                    server.delete(oid)
-            except BaseException as exc:  # noqa: BLE001 — surfaced below
-                errors.append(exc)
-
-        def query():
-            try:
-                for _ in range(6):
-                    server.query(token)
-            except BaseException as exc:  # noqa: BLE001 — surfaced below
-                errors.append(exc)
-
-        with server:
-            threads = [threading.Thread(target=churn), threading.Thread(target=query)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120.0)
-            assert not errors
-            rows, oids = mutable.snapshot()
-            assert len(rows) == 4 and server.version == 8
-            revealed = scheme.reveal(server.query(token))
-            exact = _exact_scores(dict(zip(oids, rows)), [0, 1])
-            assert {o for o, _ in revealed} == _true_topk_ids(
-                dict(zip(oids, rows)), [0, 1], 1
-            ) or revealed[0][1] == max(exact.values())
-
-
 # ---------------------------------------------------------------------------
 # One runner: every execution path sees the same relation snapshot.
 # ---------------------------------------------------------------------------
@@ -581,19 +363,6 @@ class TestOneRunner:
 
 
 class TestPrefixCacheServing:
-    def test_smaller_k_served_from_cached_result(self):
-        scheme, _, server = _deployment(
-            rows=[[(5 * i + 2 * j) % 21 for j in range(2)] for i in range(7)]
-        )
-        with server:
-            full = server.query(scheme.token([0, 1], k=3))
-            assert not full.cache_hit
-            sliced = server.query(scheme.token([0, 1], k=2))
-            assert sliced.cache_hit and sliced.stats.rounds == 0
-            assert scheme.reveal(sliced) == scheme.reveal(full)[:2]
-            stats = server.stats["cache"]
-            assert stats.prefix_hits == 1 and stats.hits == 1
-
     def test_larger_k_misses(self):
         scheme, _, server = _deployment()
         with server:
@@ -619,22 +388,6 @@ class TestPrefixCacheServing:
             exact = server.query(scheme.token([0, 1], k=2))
             assert exact.cache_hit and len(exact.items) == 2
             assert server.stats["cache"].prefix_hits == 1
-
-    def test_sliced_hits_do_not_inherit_the_deeper_runs_depth(self):
-        """A prefix-served result reports halting_depth 0 — the k' query
-        never ran, so the deeper k run's depth would be misattributed
-        metadata; exact repeats keep their genuine depth."""
-        scheme, _, server = _deployment(
-            rows=[[(5 * i + 2 * j) % 21 for j in range(2)] for i in range(7)]
-        )
-        with server:
-            full = server.query(scheme.token([0, 1], k=3))
-            assert full.halting_depth > 0
-            sliced = server.query(scheme.token([0, 1], k=2))
-            assert sliced.cache_hit and sliced.halting_depth == 0
-            exact = server.query(scheme.token([0, 1], k=3))
-            assert exact.cache_hit
-            assert exact.halting_depth == full.halting_depth
 
     def test_prefix_hits_respect_config_and_relation(self):
         scheme, _, server = _deployment()

@@ -6,7 +6,11 @@ transcript-relevant config) is served from the server's LRU with
 exactly the ``query_pattern`` repeat event the paper's L1 profile
 already grants S1; misses, evictions and the ``QueryConfig(cache=False)``
 opt-out all behave, and the cache leaves fresh transcripts untouched
-(invalidation on mutation is pinned in ``test_mutations.py``).
+(invalidation on mutation is pinned in ``test_mutations.py``).  A hit's
+shape — zero rounds and bytes, the source's winners and depth, the one
+``query_pattern`` event, the counters — and a cache-on fresh
+transcript's identity with a cache-off one are drawn by
+``tests/test_differential.py``.
 """
 
 from __future__ import annotations
@@ -36,66 +40,12 @@ def _deployment():
     return scheme, scheme.encrypt(rows)
 
 
-def _transcript(scheme, result) -> tuple:
-    """Everything S2 (and the accountant) can see, as one comparable value."""
-    return (
-        scheme.reveal(result),
-        result.halting_depth,
-        result.channel_stats.rounds,
-        result.channel_stats.bytes_s1_to_s2,
-        result.channel_stats.bytes_s2_to_s1,
-        tuple(
-            (e.observer, e.protocol, e.kind, repr(e.payload))
-            for e in result.leakage_events
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # The leakage-aware result cache.
 # ---------------------------------------------------------------------------
 
 
 class TestResultCache:
-    def test_repeat_hit_is_bit_identical_with_zero_rounds(self):
-        scheme, relation = _deployment()
-        with TopKServer(scheme, relation) as server:
-            token = scheme.token([0, 1], k=2)
-            fresh = server.query(token)
-            hit = server.query(token)
-        assert not fresh.cache_hit and fresh.stats.rounds > 0
-        assert hit.cache_hit
-        # Winners are bit-identical; the transport cost is zero.
-        assert scheme.reveal(hit) == scheme.reveal(fresh)
-        assert len(hit.items) == len(fresh.items)
-        assert [repr(i.worst) for i in hit.items] == [
-            repr(i.worst) for i in fresh.items
-        ]
-        assert hit.halting_depth == fresh.halting_depth
-        assert hit.stats.rounds == 0
-        assert hit.channel_stats.bytes_s1_to_s2 == 0
-        assert hit.channel_stats.bytes_s2_to_s1 == 0
-        # The hit leaks exactly what L1 already grants S1: the repeat.
-        assert [(e.observer, e.protocol, e.kind, e.payload) for e in hit.leakage_events] == [
-            ("S1", "SecQuery", "query_pattern", True)
-        ]
-        stats = server.stats["cache"]
-        assert stats.hits == 1 and stats.misses == 1 and stats.size == 1
-
-    def test_hit_recorded_in_scheme_pattern_history(self):
-        scheme, relation = _deployment()
-        with TopKServer(scheme, relation) as server:
-            token = scheme.token([0, 1], k=2)
-            server.query(token)
-            server.query(token)
-            # A fresh run of the same fingerprint on a cache-off config
-            # must still see the repeat: the hit re-recorded the pattern.
-            third = server.query(token, QueryConfig(cache=False))
-        repeats = [
-            e.payload for e in third.leakage_events if e.kind == "query_pattern"
-        ]
-        assert repeats == [True]
-
     def test_distinct_tokens_and_configs_miss(self):
         scheme, relation = _deployment()
         with TopKServer(scheme, relation) as server:
@@ -135,16 +85,6 @@ class TestResultCache:
             stats = server.stats["cache"]
             assert stats.evictions >= 1 and stats.size == 1
 
-    def test_cache_false_opt_outs(self):
-        scheme, relation = _deployment()
-        # Per-query opt-out: neither serves from nor stores to the cache.
-        with TopKServer(scheme, relation) as server:
-            token = scheme.token([0, 1], k=2)
-            server.query(token, QueryConfig(cache=False))
-            second = server.query(token, QueryConfig(cache=False))
-            assert not second.cache_hit and second.stats.rounds > 0
-            assert server.stats["cache"].size == 0
-
     def test_hit_copies_are_isolated(self):
         scheme, relation = _deployment()
         with TopKServer(scheme, relation) as server:
@@ -166,7 +106,7 @@ class TestResultCache:
             (entry,) = server._cache._entries.values()
         assert isinstance(entry, CachedResult)
         assert {f.name for f in dataclasses.fields(entry)} == {
-            "items", "halting_depth", "config", "shared"
+            "items", "halting_depth", "config"
         }
         assert entry.halting_depth == fresh.halting_depth
         assert entry.items is not fresh.items
@@ -264,19 +204,6 @@ class TestResultCache:
             assert QueryCache.key("rel", "fp1", changed) == k1, name
         with pytest.raises(ValueError):
             QueryCache(capacity=0)
-
-    def test_cache_on_does_not_move_fresh_transcripts(self):
-        """A cached query produces the exact transcript of one opted out
-        of the cache — the cache is inert until a repeat."""
-        scheme, relation = _deployment()
-        with TopKServer(scheme, relation) as server:
-            token = scheme.token([0, 1, 2], k=3)
-            off = _transcript(scheme, server.query(token, QueryConfig(cache=False)))
-        scheme2, relation2 = _deployment()
-        with TopKServer(scheme2, relation2) as server:
-            on = _transcript(scheme2, server.query(scheme2.token([0, 1, 2], k=3)))
-        assert on == off
-
 
 class TestReuseBehindDaemon:
     """The reuse layer composes with the socket transport: cache hits

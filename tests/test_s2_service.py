@@ -4,9 +4,9 @@ failure modes.
 Each test spins up an in-process :class:`S2Service` on an ephemeral
 TCP port (or a temp Unix socket) — the same code path the
 ``python -m repro.server.s2_service`` daemon runs — and talks to it
-through the real client stack.  A CI leg additionally launches the
-daemon as a separate OS process and points ``REPRO_REMOTE_S2`` here,
-which activates :class:`TestExternalDaemon` against it.
+through the real client stack.  Query parity against a daemon in a
+separate OS process (``REPRO_REMOTE_S2``) is a transport the
+differential harness draws.
 
 The daemon's connection handling (handshake, error scoping, close,
 ``/healthz``, state dir, launcher) is pinned in
@@ -72,13 +72,6 @@ def _fresh_deployment(seed: int = 55):
     rows = [[rng.randint_below(40) for _ in range(3)] for _ in range(10)]
     scheme = SecTopK(SystemParams.tiny(), seed=seed)
     return scheme, scheme.encrypt(rows), rows
-
-
-def _leakage_tuples(result):
-    return [
-        (e.observer, e.protocol, e.kind, repr(e.payload))
-        for e in result.leakage_events
-    ]
 
 
 def _requests(scheme):
@@ -185,7 +178,7 @@ class TestMultiplexing:
         finally:
             sock.close()
 
-    def test_process_mode_workers_reuse_registration(self, daemon):
+    def test_process_mode_workers_reuse_registration(self, daemon, leakage_tuples):
         """Process-mode worker processes open their own connections but
         find the relation already registered — no blob re-upload."""
         service, address = daemon
@@ -208,7 +201,7 @@ class TestMultiplexing:
 
         for a, b in zip(baseline, results):
             assert scheme_a.reveal(a) == scheme_b.reveal(b)
-            assert _leakage_tuples(a) == _leakage_tuples(b)
+            assert leakage_tuples(a) == leakage_tuples(b)
         stats = service.stats()
         assert stats["registration_uploads"] == 1
         assert stats["connections_total"] >= 2  # parent + workers
@@ -1245,57 +1238,3 @@ class TestJobSessionsOverTheWire:
             job = client.submit(client.token([0, 1], k=2))
             assert len(job.result(timeout=120).items) == 2
         assert service.stats()["job_sessions"] >= 1
-
-
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_REMOTE_S2"),
-    reason="REPRO_REMOTE_S2 not set (CI socket-smoke leg launches the daemon)",
-)
-class TestExternalDaemon:
-    """Query-suite smoke against a daemon in a *separate OS process*.
-
-    The CI socket-smoke job launches ``python -m repro.server.s2_service``
-    on localhost and exports its address; everything the in-process
-    tests pin (parity, registration skip) must hold across a real
-    process boundary too.
-    """
-
-    def test_query_suite_parity(self):
-        address = os.environ["REPRO_REMOTE_S2"]
-        parse_address(address)  # fail fast on a malformed env var
-        scheme_a, relation_a, _ = _fresh_deployment()
-        with TopKServer(scheme_a, relation_a) as server:
-            baseline = server.execute_many(_requests(scheme_a), concurrency=1)
-
-        scheme_b, relation_b, _ = _fresh_deployment()
-        try:
-            with TopKServer(scheme_b, relation_b, transport=address) as server:
-                remote = server.execute_many(_requests(scheme_b), concurrency=1)
-                again = server.query(scheme_b.token([0, 2], k=1))
-        finally:
-            disconnect_all()
-        assert len(again.items) == 1
-        for a, b in zip(baseline, remote):
-            assert scheme_a.reveal(a) == scheme_b.reveal(b)
-            assert a.halting_depth == b.halting_depth
-            assert a.channel_stats.rounds == b.channel_stats.rounds
-            assert a.channel_stats.total_bytes == b.channel_stats.total_bytes
-            assert _leakage_tuples(a) == _leakage_tuples(b)
-
-    def test_engines_over_external_daemon(self):
-        address = os.environ["REPRO_REMOTE_S2"]
-        scheme, relation, rows = _fresh_deployment()
-        from repro.nra import SortedLists, nra_topk
-
-        try:
-            with TopKServer(scheme, relation, transport=address) as server:
-                for engine in ("eager", "literal"):
-                    result = server.query(
-                        scheme.token([0, 1], k=2),
-                        QueryConfig(variant="elim", engine=engine),
-                    )
-                    winners = {o for o, _ in scheme.reveal(result)}
-                    expected = nra_topk(SortedLists(rows, [0, 1]), 2).topk
-                    assert winners == {o for o, _ in expected}
-        finally:
-            disconnect_all()

@@ -15,20 +15,11 @@ from repro.core.scheme import SecTopK
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import JobCancelled
 from repro.net import messages
-from repro.net.socket_transport import disconnect_all
 from repro.protocols.base import make_parties
-from repro.server import JobStatus, S2Service, TopKServer
+from repro.server import JobStatus, TopKServer
 from repro.server import topk_server
 
 _SERVING_THREADS = ("topk-scheduler-", "topk-watch-")
-
-
-@pytest.fixture()
-def daemon():
-    service = S2Service("tcp://127.0.0.1:0")
-    yield service.start()
-    disconnect_all()
-    service.close()
 
 
 def _deployment():
@@ -168,7 +159,7 @@ class TestExecuteManyWindow:
 
 
 class TestSessionConcurrency:
-    def test_concurrent_exchanges_get_the_sequential_replies(self, daemon):
+    def test_concurrent_exchanges_get_the_sequential_replies(self, tcp_daemon):
         """Threads sharing one SocketTransport — more of them than
         cores, switching often, their first rounds racing the key
         registration — get exactly the replies a sequential run gets:
@@ -195,7 +186,7 @@ class TestSessionConcurrency:
                 replies.append(ctx.dj.decrypt_batch(reply, scheme.keypair))
             return replies
 
-        ctx = make_parties(scheme.keypair, transport=daemon)
+        ctx = make_parties(scheme.keypair, transport=tcp_daemon)
         try:
             assert {name: run(ctx, vs) for name, vs in batches.items()} == expected
         finally:
@@ -205,7 +196,7 @@ class TestSessionConcurrency:
         sys.setswitchinterval(1e-5)
         try:
             for _ in range(10):  # a fresh session: a fresh first round
-                ctx = make_parties(scheme.keypair, transport=daemon)
+                ctx = make_parties(scheme.keypair, transport=tcp_daemon)
                 start = threading.Barrier(len(batches))
                 concurrent: dict = {}
                 errors: list = []

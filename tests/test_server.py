@@ -1,4 +1,7 @@
-"""Tests for the multi-query server front-end."""
+"""Tests for the multi-query server front-end: sessions, the process
+pool's plumbing and the relation store.  That every execution mode
+(query, submit, thread and process batches) replays the sequential
+transcript and answers what NRA answers is ``tests/test_differential.py``'s."""
 
 from __future__ import annotations
 
@@ -11,19 +14,17 @@ from repro.crypto.rng import SecureRandom
 from repro.server import TopKServer
 
 
-@pytest.fixture(scope="module")
-def deployment():
+def _fresh_deployment():
+    """An identically-seeded deployment per call."""
     rng = SecureRandom(123)
     rows = [[rng.randint_below(40) for _ in range(3)] for _ in range(10)]
     scheme = SecTopK(SystemParams.tiny(), seed=55)
-    relation = scheme.encrypt(rows)
-    return scheme, relation, rows
+    return scheme, scheme.encrypt(rows), rows
 
 
-def _oracle_topk(rows, attrs, k):
-    from repro.nra import SortedLists, nra_topk
-
-    return {o for o, _ in nra_topk(SortedLists(rows, attrs), k).topk}
+@pytest.fixture(scope="module")
+def deployment():
+    return _fresh_deployment()
 
 
 class TestSessions:
@@ -58,84 +59,8 @@ class TestSessions:
         assert a_pattern[0].payload is False
         assert b_pattern[0].payload is True
 
-    def test_results_match_oracle(self, deployment):
-        scheme, relation, rows = deployment
-        with TopKServer(scheme, relation) as server:
-            result = server.query(scheme.token([0, 2], k=2))
-            winners = {o for o, _ in scheme.reveal(result)}
-            assert winners == _oracle_topk(rows, [0, 2], 2)
-
-
-def _fresh_deployment():
-    """An identically-seeded deployment per call (parity comparisons need
-    two independent servers whose request ids start from zero)."""
-    rng = SecureRandom(123)
-    rows = [[rng.randint_below(40) for _ in range(3)] for _ in range(10)]
-    scheme = SecTopK(SystemParams.tiny(), seed=55)
-    return scheme, scheme.encrypt(rows), rows
-
-
-def _requests(scheme):
-    return [
-        (scheme.token([0, 1], k=2), QueryConfig(variant="elim")),
-        (scheme.token([1, 2], k=2), QueryConfig(variant="elim")),
-        (scheme.token([0, 1, 2], k=3), QueryConfig(variant="elim")),
-    ]
-
-
-def _leakage_tuples(result):
-    return [
-        (e.observer, e.protocol, e.kind, repr(e.payload))
-        for e in result.leakage_events
-    ]
-
 
 class TestProcessMode:
-    """Process-pool execution must be replay-identical to sequential."""
-
-    def test_process_matches_sequential(self):
-        scheme_a, relation_a, rows = _fresh_deployment()
-        with TopKServer(scheme_a, relation_a) as server:
-            sequential = server.execute_many(_requests(scheme_a), concurrency=1)
-
-        scheme_b, relation_b, _ = _fresh_deployment()
-        with TopKServer(scheme_b, relation_b) as server:
-            process = server.execute_many(
-                _requests(scheme_b), concurrency=2, mode="process"
-            )
-            # The pool is persistent: a second batch reuses the workers.
-            again = server.execute_many(
-                [(scheme_b.token([0, 2], k=1), None)], concurrency=2, mode="process"
-            )
-        assert len(again) == 1 and len(again[0].items) == 1
-
-        for a, b in zip(sequential, process):
-            assert scheme_a.reveal(a) == scheme_b.reveal(b)
-            assert a.halting_depth == b.halting_depth
-            assert a.channel_stats.rounds == b.channel_stats.rounds
-            assert a.channel_stats.total_bytes == b.channel_stats.total_bytes
-            # Identical leakage event sequences per request — which makes
-            # the batch multisets identical too.
-            assert _leakage_tuples(a) == _leakage_tuples(b)
-
-    def test_cross_batch_repeat_detected_in_workers(self):
-        """A token repeated across process batches must read as a repeat
-        regardless of which worker serves it (the parent ships each
-        request its sequential-equivalent history)."""
-        scheme, relation, _ = _fresh_deployment()
-        token = scheme.token([0, 1], k=2)
-        with TopKServer(scheme, relation) as server:
-            first = server.execute_many([(token, None)], concurrency=2, mode="process")
-            second = server.execute_many([(token, None)], concurrency=2, mode="process")
-
-        def pattern(result):
-            return [
-                e.payload for e in result.leakage_events if e.kind == "query_pattern"
-            ]
-
-        assert pattern(first[0]) == [False]
-        assert pattern(second[0]) == [True]
-
     def test_servers_sharing_a_scheme_draw_disjoint_streams(self):
         """Two servers on one scheme must not reuse request salts."""
         scheme, relation, _ = _fresh_deployment()
@@ -145,26 +70,6 @@ class TestProcessMode:
         assert server_a._request_salt(0) != server_b._request_salt(0)
         server_a.close()
         server_b.close()
-
-    def test_process_history_syncs_to_parent(self):
-        scheme, relation, _ = _fresh_deployment()
-        tokens = [scheme.token([0, 1], k=2), scheme.token([1, 2], k=2)]
-        with TopKServer(scheme, relation) as server:
-            # Two requests, so both bodies really run in worker processes
-            # (whose scheme copies are per-task scratch).
-            server.execute_many(
-                [(t, None) for t in tokens], concurrency=2, mode="process"
-            )
-            # The parent kept the authoritative history: a fresh run of
-            # either token now reads as a repeat (L1 query-pattern leakage).
-            for token in tokens:
-                again = server.query(token, QueryConfig(cache=False))
-                pattern = [
-                    e.payload
-                    for e in again.leakage_events
-                    if e.kind == "query_pattern"
-                ]
-                assert pattern == [True]
 
     def test_unknown_mode_rejected(self, deployment):
         scheme, relation, _ = deployment
@@ -250,21 +155,6 @@ class TestRelationStore:
 
 
 class TestExecuteMany:
-    def test_concurrent_matches_sequential(self, deployment):
-        scheme, relation, rows = deployment
-        requests = [
-            (scheme.token([0, 1], k=2), QueryConfig(variant="elim")),
-            (scheme.token([1, 2], k=2), QueryConfig(variant="elim")),
-            (scheme.token([0, 2], k=3), QueryConfig(variant="elim")),
-            (scheme.token([0, 1, 2], k=2), QueryConfig(variant="elim")),
-        ]
-        attrs_and_k = [([0, 1], 2), ([1, 2], 2), ([0, 2], 3), ([0, 1, 2], 2)]
-        with TopKServer(scheme, relation) as server:
-            concurrent = server.execute_many(requests, concurrency=3)
-        for result, (attrs, k) in zip(concurrent, attrs_and_k):
-            winners = {o for o, _ in scheme.reveal(result)}
-            assert winners == _oracle_topk(rows, attrs, k)
-
     def test_results_keep_request_order(self, deployment):
         scheme, relation, _ = deployment
         requests = [

@@ -1,18 +1,11 @@
-"""Sharded S1 relations: property-based transcript-equivalence harness.
+"""Sharded S1 relations: the plumbing around the sharded scan.
 
-The repo's core invariant is that every execution strategy produces the
-*same S2-visible transcript* — results, round counts, byte totals and
-leakage event sequence — for the same seeded deployment.  PR 5 adds
-relation sharding (``repro.server.sharding``), and this suite locks the
-invariant down **property-style**: Hypothesis draws random relations,
-query shapes, engines and shard counts, and every draw must reproduce
-the unsharded transcript bit for bit (in-process; one daemon leg checks
-the socket transport).
-
-Deterministic tests cover the plumbing around the property: the shard
-plan partition laws, the fan-in validation, the ``QueryConfig(shards=N)``
-route through the server and the client, and the per-shard
-``QueryStats`` slice.
+That ``shards >= 2`` is transcript-invisible — results, rounds, bytes
+and leakage bit-identical to the unsharded scan, on every transport —
+is drawn by ``tests/test_differential.py``.  Here: the per-shard
+``QueryStats`` slice tiles the scan (property-style), the shard plan
+partition laws, the fan-in validation and the ``QueryConfig(shards=N)``
+route through the server and the client.
 
 Requires Hypothesis (the ``test`` extra); the module skips cleanly
 where only the dependency-free core is installed.
@@ -38,9 +31,8 @@ from repro.server.sharding import ShardPlan, ShardedQueryLists, fan_in_batches  
 
 SEED = 424242
 
-# Every property example runs two full secure queries; keep the example
-# budget small and deterministic (derandomized) so the tier-1 suite
-# stays fast and CI never flakes on a fresh draw.
+# Keep the example budget small and deterministic (derandomized) so the
+# tier-1 suite stays fast and CI never flakes on a fresh draw.
 PROPERTY_SETTINGS = dict(
     max_examples=10,
     deadline=None,
@@ -49,36 +41,15 @@ PROPERTY_SETTINGS = dict(
 )
 
 
-def _transcript(scheme: SecTopK, result) -> tuple:
-    """Everything S2 (and the accountant) can see, as one comparable value."""
-    return (
-        scheme.reveal(result),
-        result.halting_depth,
-        result.channel_stats.rounds,
-        result.channel_stats.bytes_s1_to_s2,
-        result.channel_stats.bytes_s2_to_s1,
-        tuple(
-            (e.observer, e.protocol, e.kind, repr(e.payload))
-            for e in result.leakage_events
-        ),
-    )
-
-
-def _run(rows, attrs, k, config, transport="inprocess", weights=None):
+def _run(rows, attrs, k, config, weights=None):
     """One query on a fresh, identically-seeded deployment."""
     scheme = SecTopK(SystemParams.tiny(), seed=SEED)
-    encrypted = scheme.encrypt(rows)
-    token = scheme.token(attrs, k=k, weights=weights)
-    ctx = scheme._make_context(transport=transport)
-    try:
-        result = scheme.query(encrypted, token, config, ctx=ctx)
-    finally:
-        ctx.close()
-    return _transcript(scheme, result), result
+    relation = scheme.encrypt(rows)
+    return scheme.query(relation, scheme.token(attrs, k=k, weights=weights), config)
 
 
 # ---------------------------------------------------------------------------
-# The tentpole property: sharded == unsharded, bit for bit.
+# The per-shard cost slice.
 # ---------------------------------------------------------------------------
 
 
@@ -115,27 +86,6 @@ def query_cases(draw):
 
 
 class TestShardedEqualsUnsharded:
-    """Acceptance criterion: ``shards >= 2`` is transcript-invisible."""
-
-    @given(case=query_cases())
-    @settings(**PROPERTY_SETTINGS)
-    def test_bit_parity(self, case):
-        rows, attrs, k, config, shards, weights = case
-        base, _ = _run(rows, attrs, k, config, weights=weights)
-        sharded_config = QueryConfig(
-            variant=config.variant,
-            batch_p=config.batch_p,
-            engine=config.engine,
-            halting=config.halting,
-            shards=shards,
-        )
-        sharded, result = _run(rows, attrs, k, sharded_config, weights=weights)
-        assert sharded == base, (
-            f"sharded transcript diverged (engine={config.engine}, "
-            f"variant={config.variant}, shards={shards})"
-        )
-        assert result.shard_stats, "sharded run reported no shard stats"
-
     @given(case=query_cases())
     @settings(**PROPERTY_SETTINGS)
     def test_shard_stats_tile_the_scan(self, case):
@@ -150,7 +100,7 @@ class TestShardedEqualsUnsharded:
             halting=config.halting,
             shards=shards,
         )
-        _, result = _run(rows, attrs, k, sharded_config, weights=weights)
+        result = _run(rows, attrs, k, sharded_config, weights=weights)
 
         stats = result.shard_stats
         n, m = len(rows), len(attrs)
@@ -173,26 +123,6 @@ class TestShardedEqualsUnsharded:
                 )
             else:
                 assert s.depth_reached == 0 and s.records_scanned == 0
-
-    def test_socket_transport_shard_leg(self):
-        """One sharded run against a real S2 daemon: the wire transport
-        carries the sharded scan identically too (the cheap complement
-        to the in-process property; CI runs the full shard-enabled
-        transport-equivalence leg against a daemon)."""
-        from repro.net.socket_transport import disconnect_all
-        from repro.server import S2Service
-
-        rows = [[(7 * i + 3 * j) % 23 for j in range(3)] for i in range(8)]
-        service = S2Service("tcp://127.0.0.1:0")
-        address = service.start()
-        try:
-            base, _ = _run(rows, [0, 1, 2], 2, QueryConfig())
-            remote, _ = _run(rows, [0, 1, 2], 2, QueryConfig(shards=3), address)
-            assert remote == base
-        finally:
-            disconnect_all()
-            service.close()
-
 
 # ---------------------------------------------------------------------------
 # Shard plan partition laws (pure, so the example budget can be generous).
@@ -306,7 +236,7 @@ class TestServerRoutes:
         assert QueryConfig(shards=0).effective_shards() == 0
         assert QueryConfig(shards=1).effective_shards() == 1
 
-    def test_server_default_and_per_query_override(self):
+    def test_server_default_and_per_query_override(self, transcript):
         scheme_a, relation_a, _ = _deployment()
         with TopKServer(scheme_a, relation_a) as server:
             base = server.query(scheme_a.token([0, 1, 2], k=2))
@@ -324,7 +254,7 @@ class TestServerRoutes:
         assert base.shard_stats is None
         assert len(sharded.shard_stats) == 3
         assert len(override.shard_stats) == 2
-        assert _transcript(scheme_a, base)[2:] == _transcript(scheme_b, sharded)[2:]
+        assert transcript(scheme_a, base)[2:] == transcript(scheme_b, sharded)[2:]
 
     def test_connect_shards_and_query_stats_slice(self):
         scheme, relation, _ = _deployment()
