@@ -7,6 +7,9 @@ stream so the suite is reproducible end to end.
 
 from __future__ import annotations
 
+import socket
+
+import differential
 import pytest
 
 from repro.crypto import backend
@@ -17,29 +20,11 @@ from repro.protocols.base import S1Context, make_parties
 from repro.server import S2Service
 
 
-def _leakage_tuples(result) -> tuple:
-    return tuple(
-        (e.observer, e.protocol, e.kind, repr(e.payload)) for e in result.leakage_events
-    )
-
-
-def _transcript(scheme, result) -> tuple:
-    stats = result.channel_stats
-    return (
-        scheme.reveal(result),
-        result.halting_depth,
-        stats.rounds,
-        stats.bytes_s1_to_s2,
-        stats.bytes_s2_to_s1,
-        _leakage_tuples(result),
-    )
-
-
 @pytest.fixture(scope="session")
 def leakage_tuples():
     """``leakage_tuples(result)``: a result's declared leakage, in event
     order, as comparable tuples."""
-    return _leakage_tuples
+    return differential.leakage_tuples
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +33,7 @@ def transcript():
     see of one query, as one comparable value — the revealed winners,
     the halting depth, rounds, bytes in each direction and the ordered
     leakage tuples."""
-    return _transcript
+    return differential.transcript
 
 
 @pytest.fixture(scope="session")
@@ -80,6 +65,19 @@ def tcp_daemon():
     shared by every test that only needs somewhere to send rounds (a test
     that reads a service's counters starts its own)."""
     service = S2Service("tcp://127.0.0.1:0")
+    yield service.start()
+    disconnect_all()
+    service.close()
+
+
+@pytest.fixture(scope="session")
+def unix_daemon(tmp_path_factory):
+    """The same, on a Unix-domain socket (``None`` where the platform
+    has none)."""
+    if not hasattr(socket, "AF_UNIX"):
+        yield None
+        return
+    service = S2Service(f"unix://{tmp_path_factory.mktemp('s2')}/s2.sock")
     yield service.start()
     disconnect_all()
     service.close()

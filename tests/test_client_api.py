@@ -1,12 +1,13 @@
 """The job API: ``repro.connect`` returns the serving ``TopKServer``.
 
+* a submitted job has the transcript (results, rounds, bytes, ordered
+  leakage, ``QueryStats``) of a sequential ``query``, in process and
+  over a TCP daemon, and so does a process batch;
 * cancellation at a round boundary and per-job timeouts resolve the
   job without wedging the server — subsequent jobs are served;
 * the streaming event taxonomy arrives in order;
 * ``QueryStats`` carries the uniform cost profile;
-* a listener observes a job without changing its transcript (that
-  every execution path's transcript matches is
-  ``tests/test_differential.py``'s);
+* a listener observes a job without changing its transcript;
 * the curated ``repro.__all__`` leads with ``connect`` and the job types.
 """
 
@@ -16,6 +17,7 @@ import threading
 import time
 
 import pytest
+from differential import make_case, run_case
 
 import repro
 from repro import JobCancelled, JobStatus, JobTimeout, QueryConfig
@@ -50,6 +52,24 @@ def _oracle_topk(rows, attrs, k):
     from repro.nra import naive_topk
 
     return naive_topk(rows, attrs, k)
+
+
+class TestSubmitExecuteParity:
+    """submit == query, bit for bit."""
+
+    @pytest.mark.parametrize("config", ["eager", "literal"])
+    @pytest.mark.parametrize("transport", ["inprocess", "tcp"])
+    def test_bit_identical(self, transport, config, request):
+        if transport == "tcp":
+            transport = request.getfixturevalue("tcp_daemon")
+        _, _, rows = _fresh_deployment()
+        run_case(make_case(rows, [([0, 1, 2], 2, None)], QueryConfig(engine=config),
+                           transport=transport, execution="submit"))
+
+    def test_submit_overlap_matches_execute_many(self):
+        _, _, rows = _fresh_deployment()
+        queries = [([0, 1], 2, None), ([1, 2], 2, None), ([0, 2], 2, None)]
+        run_case(make_case(rows, queries, execution="submit"))
 
 
 class TestEventStream:
@@ -182,6 +202,10 @@ class TestQueryStats:
             for e in result.leakage_events
         )
         assert stats.leakage[0][2] == "query_pattern"
+
+    def test_stats_uniform_across_execution_modes(self):
+        _, _, rows = _fresh_deployment()
+        run_case(make_case(rows, [([0, 1], 2, None)], execution="process"))
 
     def test_per_query_leakage_slices_in_shared_session(self):
         scheme, relation, _ = _fresh_deployment()

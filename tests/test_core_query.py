@@ -1,13 +1,17 @@
-"""SecQuery on one fixed relation: the paper's halting rule against its
-plaintext NRA run, the depth cap, per-query accounting, the weight bound
-and lazy weighting.
+"""Differential tests: SecQuery vs the plaintext NRA oracle.
 
-Every engine, variant and strict halting against the plaintext oracle on
-drawn relations (ties, duplicates, ``k = 1``, ``k = n``, ``k > n``,
-weights) is ``tests/test_differential.py``'s.
+The oblivious engine must return the plaintext algorithm's answers
+(``differential.check_oracle``: the top-k by NRA worst bound at the
+halting depth, an exact top-k at a depth strict NRA may halt at).
+Relations are small (the crypto is pure Python) but cover duplicates,
+``k = 1``, ``k = n``, ``k > n``, weights, every variant and engine, and
+both halting rules; ``tests/test_differential.py`` draws more.  Also
+here: the depth cap, per-query accounting, the weight bound and lazy
+weighting.
 """
 
 import pytest
+from differential import check_oracle
 
 from repro.core.params import SystemParams
 from repro.core.results import QueryConfig
@@ -55,7 +59,18 @@ def _oracle(rows, attributes, k, halting="strict", weights=None):
     return nra_topk(SortedLists(rows, attributes), k, halting=halting)
 
 
+def _check(scheme, encrypted, rows, attrs, k, config=QueryConfig(), weights=None):
+    """One query, checked against the plaintext oracle."""
+    result = scheme.query(encrypted, scheme.token(attrs, k=k, weights=weights), config)
+    check_oracle(dict(enumerate(rows)), attrs, weights, k, scheme.reveal(result),
+                 result.halting_depth, config)
+
+
 class TestEagerVariants:
+    @pytest.mark.parametrize("variant", ["elim", "full", "batch"])
+    def test_matches_oracle_exactly(self, scheme, encrypted, rows, variant):
+        _check(scheme, encrypted, rows, [0, 1, 2], 3, QueryConfig(variant=variant, batch_p=3))
+
     def test_paper_halting_correct(self, scheme, encrypted, rows):
         config = QueryConfig(variant="elim", engine="eager", halting="paper")
         token = scheme.token([0, 1, 2], k=2)
@@ -64,8 +79,41 @@ class TestEagerVariants:
         oracle = _oracle(rows, [0, 1, 2], 2, halting="paper")
         assert got == oracle.topk
 
+    def test_two_attributes(self, scheme, encrypted, rows):
+        _check(scheme, encrypted, rows, [0, 2], 2)
+
+    def test_k_equals_one(self, scheme, encrypted, rows):
+        _check(scheme, encrypted, rows, [0, 1, 2], 1)
+
+    def test_weights(self, scheme, encrypted, rows):
+        _check(scheme, encrypted, rows, [0, 1], 2, weights=[2, 3])
+
+
+class TestLiteralEngine:
+    def test_correct_topk_elim(self, scheme, encrypted, rows):
+        _check(scheme, encrypted, rows, [0, 1], 2, QueryConfig(engine="literal"))
+
+    def test_correct_topk_full(self, scheme, encrypted, rows):
+        _check(scheme, encrypted, rows, [0, 1], 2, QueryConfig(variant="full", engine="literal"))
+
 
 class TestEdgeCases:
+    def test_duplicate_heavy_relation(self):
+        """Small value range -> many within-depth duplicates."""
+        rng = SecureRandom(55)
+        rows = [[rng.randint_below(4) for _ in range(3)] for _ in range(10)]
+        scheme = SecTopK(SystemParams.tiny(), seed=91)
+        _check(scheme, scheme.encrypt(rows), rows, [0, 1, 2], 3)
+
+    def test_k_equals_n(self):
+        rows = [[5, 1], [3, 3], [1, 9], [2, 2]]
+        scheme = SecTopK(SystemParams.tiny(), seed=92)
+        _check(scheme, scheme.encrypt(rows), rows, [0, 1], 4)
+
+    def test_k_too_large_rejected(self, scheme, encrypted):
+        with pytest.raises(QueryError):
+            scheme.query(encrypted, scheme.token([0, 1], k=100))
+
     def test_max_depth_cap(self, scheme, encrypted, rows):
         token = scheme.token([0, 1, 2], k=3)
         result = scheme.query(

@@ -7,13 +7,13 @@ execution mode, shard count and mutation history, and its winners are
 what plaintext NRA (Fagin, Lotem and Naor) returns.
 
 Hypothesis draws one case (relation, mutation history, two queries, a
-config and one value per serving axis), runs it on the drawn path, and
-runs the same requests on the **reference path**: an identically
-seeded scheme, in process, queried sequentially at the same request ids
-with ``cache=False`` and no shards, over a relation rebuilt from
-``MutableRelation.snapshot()`` at the final version when a history was
-drawn.  Fresh answers must match the reference's transcript exactly;
-cache hits have their own shape (zero rounds and bytes, one
+config and one value per serving axis) and ``differential.run_case``
+runs it on the drawn path and on the **reference path** — an
+identically seeded scheme, in process, queried sequentially at the same
+request ids with ``cache=False`` and no shards, over a relation rebuilt
+from ``MutableRelation.snapshot()`` at the final version when a history
+was drawn.  Fresh answers must match the reference's transcript
+exactly; cache hits have their own shape (zero rounds and bytes, one
 ``query_pattern`` event, the source's depth — 0 for a ``k' < k``
 prefix slice); every answer must pass the plaintext oracle.
 
@@ -30,7 +30,6 @@ import socket as socket_module
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -38,21 +37,19 @@ hypothesis = pytest.importorskip(
     "hypothesis", reason="the differential harness needs the 'test' extra (hypothesis)"
 )
 
+from differential import SEED, check_oracle, make_case, run_case  # noqa: E402
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
 from repro.core.params import SystemParams  # noqa: E402
 from repro.core.results import QueryConfig  # noqa: E402
 from repro.core.scheme import SecTopK  # noqa: E402
 from repro.crypto import backend  # noqa: E402
-from repro.exceptions import QueryError  # noqa: E402
-from repro.net.socket_transport import disconnect_all  # noqa: E402
-from repro.server import MutableRelation, S2Service, TopKServer  # noqa: E402
+from repro.server import MutableRelation, TopKServer  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnhandledThreadExceptionWarning"
 )
 
-SEED = 424242
 M = 3  # attributes per row
 
 # Pinned here, not in a profile: no environment can draw fresh examples.
@@ -72,93 +69,6 @@ if os.environ.get("REPRO_REMOTE_S2"):
 BACKENDS = ["pure"] + (["gmp-kernel"] if backend.kernel_available() else [])
 EXECUTIONS = ["query", "submit", "thread", "process"]
 CACHES = ["off", "fresh", "exact", "prefix"]
-
-
-# ---------------------------------------------------------------------------
-# The plaintext oracle.
-# ---------------------------------------------------------------------------
-
-
-def _columns(mirror: dict, attrs, weights) -> dict:
-    weights = weights or [1] * len(attrs)
-    return {o: [w * row[a] for w, a in zip(weights, attrs)] for o, row in mirror.items()}
-
-
-def _worst_at(columns: dict, depth: int) -> dict:
-    """NRA's worst bound per seen object after ``depth`` sorted accesses
-    (lists sorted best-first, ties by object id, as the relation is)."""
-    worst: dict = {}
-    for j in range(len(next(iter(columns.values())))):
-        for o in sorted(columns, key=lambda o: (-columns[o][j], o))[:depth]:
-            worst[o] = worst.get(o, 0) + columns[o][j]
-    return worst
-
-
-def _strict_depths(columns: dict, k: int) -> set:
-    """Every depth at which strict NRA may halt under *some* order of
-    candidates tied at the k-th worst score (a tie order that puts an
-    open candidate outside the top-k blocks the halt)."""
-    n, m = len(columns), len(next(iter(columns.values())))
-    lists = [sorted(columns, key=lambda o: (-columns[o][j], o)) for j in range(m)]
-    depths = set()
-    for d in range(1, n + 1):
-        worst = _worst_at(columns, d)
-        if len(worst) < k:
-            continue
-        if d == n:
-            return depths | {d}
-        bottoms = [columns[lists[j][d - 1]][j] for j in range(m)]
-        seen = {o: {j for j in range(m) if o in lists[j][:d]} for o in worst}
-        kth = sorted(worst.values(), reverse=True)[k - 1]
-        open_ = {
-            o for o in worst
-            if worst[o] + sum(bottoms[j] for j in range(m) if j not in seen[o]) > kth
-        }
-        if sum(bottoms) > kth or any(worst[o] < kth for o in open_):
-            continue
-        slots = k - sum(1 for w in worst.values() if w > kth)
-        tied = sum(1 for w in worst.values() if w == kth)
-        blockers = sum(1 for o in open_ if worst[o] == kth)
-        if blockers <= slots:
-            depths.add(d)
-        if blockers == 0 or tied == slots:
-            return depths
-    return depths
-
-
-def check_oracle(mirror, attrs, weights, k, revealed, depth, config, halted=True) -> None:
-    """Tie-safe: winners are the top-k by NRA worst bound at ``depth``
-    (score multiset; id set where the k-th score is not tied).  A run
-    that ``halted`` at ``depth`` (not a prefix slice of a deeper run's
-    winners) with no ``max_depth`` cap returns every row when
-    ``k == n``, and with strict halting returns an exact top-k — the
-    eager engine at a depth where NRA may halt, the batch variant and
-    the literal engine (stale bounds) at or after one."""
-    columns = _columns(mirror, attrs, weights)
-    worst = _worst_at(columns, depth)
-    ranked = sorted(worst.values(), reverse=True)
-    ids = [o for o, _ in revealed]
-    assert len(set(ids)) == len(ids) == min(k, len(worst)), revealed
-    assert all(worst.get(o) == score for o, score in revealed), (revealed, worst)
-    scores = [s for _, s in revealed]
-    assert scores == sorted(scores, reverse=True) == ranked[: len(ids)]  # best first
-    if len(ranked) > len(ids) and ranked[len(ids) - 1] > ranked[len(ids)]:
-        assert set(ids) == {o for o, w in worst.items() if w >= ranked[len(ids) - 1]}
-    if config.max_depth is not None:
-        assert depth <= config.max_depth
-    if config.max_depth is not None or not halted:
-        return
-    if k == len(mirror):
-        assert set(ids) == set(mirror)
-    if config.halting == "strict":
-        exact = {o: sum(c) for o, c in columns.items()}
-        losers = [exact[o] for o in exact if o not in ids]
-        assert min(exact[o] for o in ids) >= max(losers, default=0)
-        allowed = _strict_depths(columns, k)
-        if config.engine == "eager" and config.check_every() == 1:
-            assert depth in allowed
-        else:
-            assert depth >= min(allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -207,96 +117,16 @@ def cases(draw):
     )
 
 
-def _apply(server, mutable, history) -> None:
-    """Replay a drawn history through the server's mutation API."""
-    for op, payload in history:
-        live = sorted(mutable.snapshot()[1])
-        if op == "insert":
-            server.insert(payload)
-        elif op == "update":
-            server.update(live[payload % len(live)], [(7 * payload + 3 * j) % 21 for j in range(M)])
-        elif len(live) > 1:
-            server.delete(live[payload % len(live)])
-
-
-def _phases(case, n):
-    """The drawn requests, phase by phase, as ``(query index, k, cache)``.
-
-    Phase 1 runs both queries.  ``exact`` / ``prefix`` repeat them with
-    the cache on (``prefix`` at ``k - 1`` where ``k >= 2``); every mode
-    but ``fresh`` ends with the last phase's tokens re-run with
-    ``cache=False``, whose ``query_pattern`` bits must count the hits.
-    A token never repeats within a phase (a thread batch that repeats
-    one races on which duplicate reads as the repeat).
-    """
-    ks = [
-        {"n": n, "over": n + 1}[k] if isinstance(k, str) else min(k, n)
-        for _, k, _ in case["queries"]
-    ]
-    mode = case["cache"]
-    phases = [[(i, k, mode != "off") for i, k in enumerate(ks)]]
-    if ks[0] > n:
-        return phases
-    if mode in ("exact", "prefix"):
-        shrink = 1 if mode == "prefix" else 0
-        phases.append([(i, k - shrink if k >= 2 else k, True) for i, k in enumerate(ks)])
-    if mode != "fresh":
-        phases.append([(i, k, False) for i, k, _ in phases[-1]])
-    return phases
-
-
-def _issue(server, execution, requests):
-    if execution == "query":
-        return [server.query(token, config) for token, config in requests]
-    if execution == "submit":
-        jobs = [server.submit(token, config) for token, config in requests]
-        return [job.result(timeout=120) for job in jobs]
-    return server.execute_many(requests, concurrency=2, mode=execution)
-
-
-def _run_phases(server, case, phases, config, execution):
-    """Mint every token up front (same order on both paths), then issue
-    each phase; returns the per-phase results, or the ``QueryError``."""
-    queries = case["queries"]
-    tokens = {
-        (i, k): server.token(queries[i][0], k, queries[i][2])
-        for phase in phases for i, k, _ in phase
-    }
-    out = []
-    for phase in phases:
-        requests = [(tokens[i, k], replace(config, cache=cache)) for i, k, cache in phase]
-        try:
-            out.append(_issue(server, execution, requests))
-        except QueryError as exc:
-            return exc
-    return out
-
-
-@pytest.fixture(scope="module")
-def unix_daemon(tmp_path_factory):
-    if "unix" not in TRANSPORTS:
-        yield None  # never drawn on this platform
-        return
-    service = S2Service(f"unix://{tmp_path_factory.mktemp('s2')}/s2.sock")
-    yield service.start()
-    disconnect_all()
-    service.close()
-
-
-def _case(rows, queries, config, **axes):
-    return dict(rows=rows, queries=queries, config=config, **axes)
-
-
 # Pinned cases, run before the drawn ones: the paths the documented
 # traps live on (a prefix hit re-run in a worker process, every message
 # type over a socket, k > n on a submitted batch).
-@example(case=_case(
+@example(case=make_case(
     [[4, 9, 1], [7, 2, 5], [3, 3, 8], [9, 1, 1], [2, 6, 6]],
     [([0, 1, 2], 2, None), ([0, 2], 2, [2, 1])], QueryConfig(),
     history=[("insert", [8, 8, 0]), ("update", 1), ("delete", 3)], shards=2,
     transport=TRANSPORTS[-1], backend=BACKENDS[-1], cache="prefix", execution="process",
 ))
-@example(case=_case(
+@example(case=make_case(
     [[5, 1, 0], [3, 3, 3], [1, 9, 2], [2, 2, 7]],
     [([0, 1, 2], "n", None), ([1], 1, None)],
     QueryConfig(variant="full", engine="literal", compare_method="dgk",
@@ -304,7 +134,7 @@ def _case(rows, queries, config, **axes):
     history=[], shards=3, transport="tcp", backend=BACKENDS[0], cache="exact",
     execution="thread",
 ))
-@example(case=_case(
+@example(case=make_case(
     [[6, 1, 4], [6, 5, 0], [2, 2, 9]], [([0, 1], "over", None), ([1, 2], 2, [3, 1])],
     QueryConfig(variant="batch", batch_p=2, halting="paper"),
     history=[("insert", [9, 9, 9])], shards=0, transport="inprocess",
@@ -312,79 +142,8 @@ def _case(rows, queries, config, **axes):
 ))
 @given(case=cases())
 @HARNESS
-def test_every_path_matches_the_reference(
-    case, tcp_daemon, unix_daemon, transcript, leakage_tuples
-):
-    transport = {
-        "tcp": tcp_daemon,
-        "unix": unix_daemon,
-        "remote": os.environ.get("REPRO_REMOTE_S2"),
-    }.get(case["transport"], "inprocess")
-    scheme = SecTopK(SystemParams.tiny(), seed=SEED)
-    rows, history = case["rows"], case["history"]
-    relation = MutableRelation(scheme, rows) if history else scheme.encrypt(rows)
-    previous = backend.set_backend(case["backend"])
-    try:
-        with TopKServer(scheme, relation, transport=transport) as server:
-            _apply(server, relation, history)
-            rows, oids = relation.snapshot() if history else (rows, range(len(rows)))
-            phases = _phases(case, len(rows))
-            config = replace(case["config"], shards=case["shards"])
-            got = _run_phases(server, case, phases, config, case["execution"])
-            cache = server.stats["cache"]
-    finally:
-        backend.set_backend(previous)
-
-    reference = SecTopK(SystemParams.tiny(), seed=SEED)
-    rebuilt = (
-        reference.encrypt(rows, object_ids=list(oids), version=relation.version)
-        if history else reference.encrypt(rows)
-    )
-    unshared = [[(i, k, False) for i, k, _ in phase] for phase in phases]
-    with TopKServer(reference, rebuilt) as server:
-        want = _run_phases(server, case, unshared, case["config"], "query")
-
-    if isinstance(want, QueryError):
-        assert isinstance(got, QueryError), "k > n must raise on every path"
-        return
-    mirror = dict(zip(oids, rows))
-    sources = {}
-    hits = prefix_hits = misses = 0
-    for phase, results, expected in zip(phases, got, want):
-        for (i, k, cached), result, ref in zip(phase, results, expected):
-            attrs, _, weights = case["queries"][i]
-            if cached and i in sources:
-                source_k, source = sources[i]
-                sliced = k < source_k
-                hits += 1
-                prefix_hits += sliced
-                assert result.cache_hit and result.stats.rounds == 0
-                assert result.stats.bytes_s1_to_s2 == result.stats.bytes_s2_to_s1 == 0
-                assert leakage_tuples(result) == leakage_tuples(ref)[:1]
-                assert result.halting_depth == (0 if sliced else source.halting_depth)
-                assert scheme.reveal(result) == scheme.reveal(source)[:k]
-                assert [item.worst.value for item in result.items] == [
-                    item.worst.value for item in source.items[:k]
-                ]
-                depth = source.halting_depth
-            else:
-                sliced = False
-                assert not result.cache_hit
-                assert transcript(scheme, result) == transcript(reference, ref)
-                assert replace(result.stats, elapsed_seconds=0.0, shards=()) == replace(
-                    ref.stats, elapsed_seconds=0.0
-                )
-                sources.setdefault(i, (k, result))
-                misses += cached
-                depth = result.halting_depth
-            check_oracle(
-                mirror, attrs, weights, k, scheme.reveal(result), depth, case["config"],
-                halted=not sliced,
-            )
-    # Every miss stored one entry; cache=False neither served nor stored.
-    assert (cache.hits, cache.prefix_hits, cache.misses, cache.size) == (
-        hits, prefix_hits, misses, misses
-    )
+def test_every_path_matches_the_reference(case, tcp_daemon, unix_daemon):
+    run_case(case, {"tcp": tcp_daemon, "unix": unix_daemon})
 
 
 # ---------------------------------------------------------------------------

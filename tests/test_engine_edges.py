@@ -1,9 +1,8 @@
-"""Edge-path tests for the query engines and supporting containers.
-
-Random relations against the plaintext NRA oracle (tie orders, halting
-depths) are drawn by ``tests/test_differential.py``."""
+"""Edge-path tests for the query engines and supporting containers."""
 
 import pytest
+from differential import check_oracle
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.harness import BenchContext, SeriesReport, measure_query, oracle_halting_depth
 from repro.core.params import SystemParams
@@ -68,6 +67,25 @@ class TestAlternativeBuildingBlocks:
         oracle = nra_topk(SortedLists(rows, [0, 1]), 2)
         got = scheme.reveal(result)
         assert {o for o, _ in got} == {o for o, _ in oracle.topk}
+
+
+class TestPropertyEndToEnd:
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 25), min_size=2, max_size=2),
+            min_size=4,
+            max_size=7,
+        )
+    )
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    def test_random_small_relations(self, rows):
+        """Hypothesis-driven differential test on tiny relations.  The
+        secure engine breaks worst-score ties by S1's permutation, the
+        oracle by object id: any depth some tie order allows is right."""
+        scheme = SecTopK(SystemParams.tiny(), seed=sum(map(sum, rows)) + len(rows))
+        result = scheme.query(scheme.encrypt(rows), scheme.token([0, 1], k=2))
+        check_oracle(dict(enumerate(rows)), [0, 1], None, 2, scheme.reveal(result),
+                     result.halting_depth, QueryConfig())
 
 
 class TestHarness:

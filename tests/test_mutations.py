@@ -1,9 +1,13 @@
 """Mutable encrypted relations + continuous top-k.
 
-Locks down the mutation layer end to end (that a mutated relation's
-transcripts equal a rebuild's at the final version, and that answers
-under racing mutations are right, is ``tests/test_differential.py``'s):
+Locks down the mutation layer end to end (that answers under racing
+mutations are right is ``tests/test_differential.py``'s stress leg):
 
+* **Transcript equivalence** — after any interleaving of
+  insert/update/delete, a query over the incrementally maintained
+  relation has the transcript of the same query over a relation rebuilt
+  from scratch at the final state (``differential.run_case``'s
+  reference path), on every engine and over a daemon.
 * **MutableRelation semantics** — splice positions, touched-prefix
   lengths, copy-on-write suffix sharing, ``mutation_pattern`` leakage,
   version monotonicity, error paths.
@@ -18,7 +22,9 @@ under racing mutations are right, is ``tests/test_differential.py``'s):
   successor, cached or not; a mutation landing *during* a process batch
   leaves each job answering — and caching — for the version it
   snapshotted.
-* **Prefix cache serving** — which entry serves a ``k' < k`` repeat.
+* **Prefix cache serving** — a ``k' < k`` repeat of a cached query is
+  served as the first ``k'`` items with zero S2 rounds and depth 0, and
+  the right entry serves it.
 * **Continuous top-k** — ``watch()`` emits
   :class:`~repro.events.TopKChanged` exactly when the revealed winning
   set changes (plaintext oracle), windowed watches follow the insert
@@ -33,6 +39,8 @@ import threading
 import time
 
 import pytest
+from differential import make_case, run_case
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.core.params import SystemParams
@@ -54,6 +62,42 @@ def _true_topk_ids(rows_by_id: dict, attrs, k) -> set:
     exact = {oid: sum(row[a] for a in attrs) for oid, row in rows_by_id.items()}
     ranked = sorted(exact, key=lambda o: (-exact[o], o))
     return set(ranked[:k])
+
+
+# ---------------------------------------------------------------------------
+# Mutated == rebuilt, bit for bit.
+# ---------------------------------------------------------------------------
+
+_row = st.lists(st.integers(0, 30), min_size=2, max_size=2)
+
+
+@st.composite
+def mutation_cases(draw):
+    return make_case(
+        draw(st.lists(_row, min_size=3, max_size=6)),
+        [([0, 1], draw(st.integers(1, 2)), None)],
+        QueryConfig(engine=draw(st.sampled_from(["eager", "literal"]))),
+        history=draw(st.lists(st.one_of(
+            st.tuples(st.just("insert"), _row),
+            st.tuples(st.sampled_from(["update", "delete"]), st.integers(0, 97)),
+        ), min_size=1, max_size=5)),
+    )
+
+
+class TestMutatedEqualsRebuilt:
+    """Any interleaving of mutations produces a relation whose query
+    transcripts equal a rebuild's from scratch at the final state."""
+
+    @given(case=mutation_cases())
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_bit_parity(self, case):
+        run_case(case)
+
+    def test_socket_transport_mutation_leg(self, tcp_daemon):
+        rows = [[(5 * i + j) % 17 for j in range(2)] for i in range(5)]
+        history = [("insert", [16, 3]), ("update", 1), ("delete", 0)]
+        run_case(make_case(rows, [([0, 1], 2, None)], history=history, transport=tcp_daemon))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +407,17 @@ class TestOneRunner:
 
 
 class TestPrefixCacheServing:
+    ROWS = [[(5 * i + 2 * j) % 21 for j in range(2)] for i in range(7)]
+
+    def test_smaller_k_served_from_cached_result(self):
+        run_case(make_case(self.ROWS, [([0, 1], 3, None)], cache="prefix"))
+
+    def test_sliced_hits_do_not_inherit_the_deeper_runs_depth(self):
+        """A prefix-served result reports halting_depth 0 — the k' query
+        never ran; exact repeats keep their genuine depth."""
+        for cache in ("prefix", "exact"):
+            run_case(make_case(self.ROWS, [([0, 1], 3, None)], cache=cache))
+
     def test_larger_k_misses(self):
         scheme, _, server = _deployment()
         with server:

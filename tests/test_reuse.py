@@ -9,8 +9,9 @@ opt-out all behave, and the cache leaves fresh transcripts untouched
 (invalidation on mutation is pinned in ``test_mutations.py``).  A hit's
 shape — zero rounds and bytes, the source's winners and depth, the one
 ``query_pattern`` event, the counters — and a cache-on fresh
-transcript's identity with a cache-off one are drawn by
-``tests/test_differential.py``.
+transcript's identity with a cache-off one are checked by the
+differential runner (``differential.run_case``), here on pinned cases
+and in ``tests/test_differential.py`` on drawn ones.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from differential import make_case, pattern, run_case
 
 from repro.core.params import SystemParams
 from repro.core.results import QueryConfig
@@ -33,11 +35,14 @@ pytestmark = pytest.mark.filterwarnings(
 SEED = 771177
 
 
-def _deployment():
+def _rows():
     rng = SecureRandom(SEED + 1)
-    rows = [[rng.randint_below(40) for _ in range(3)] for _ in range(10)]
+    return [[rng.randint_below(40) for _ in range(3)] for _ in range(10)]
+
+
+def _deployment():
     scheme = SecTopK(SystemParams.tiny(), seed=SEED)
-    return scheme, scheme.encrypt(rows)
+    return scheme, scheme.encrypt(_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +51,29 @@ def _deployment():
 
 
 class TestResultCache:
+    def test_repeat_hit_is_bit_identical_with_zero_rounds(self):
+        (fresh,), (hit,), _ = run_case(make_case(_rows(), [([0, 1], 2, None)], cache="exact"))
+        assert fresh.stats.rounds > 0
+        # The hit leaks exactly what L1 already grants S1: the repeat.
+        assert [(e.observer, e.protocol, e.kind, e.payload) for e in hit.leakage_events] == [
+            ("S1", "SecQuery", "query_pattern", True)
+        ]
+
+    def test_hit_recorded_in_scheme_pattern_history(self):
+        # A fresh run of the same fingerprint on a cache-off config must
+        # still see the repeat: the hit re-recorded the pattern.
+        *_, (third,) = run_case(make_case(_rows(), [([0, 1], 2, None)], cache="exact"))
+        assert not third.cache_hit and pattern(third) == [True]
+
+    def test_cache_false_opt_outs(self):
+        """Per-query opt-out: neither serves from nor stores to the cache."""
+        run_case(make_case(_rows(), [([0, 1], 2, None)], cache="off"))
+
+    def test_cache_on_does_not_move_fresh_transcripts(self):
+        """A cached query produces the exact transcript of one opted out
+        of the cache — the cache is inert until a repeat."""
+        run_case(make_case(_rows(), [([0, 1, 2], 3, None)], cache="fresh"))
+
     def test_distinct_tokens_and_configs_miss(self):
         scheme, relation = _deployment()
         with TopKServer(scheme, relation) as server:

@@ -1,11 +1,12 @@
 """Tests for the multi-query server front-end: sessions, the process
-pool's plumbing and the relation store.  That every execution mode
-(query, submit, thread and process batches) replays the sequential
-transcript and answers what NRA answers is ``tests/test_differential.py``'s."""
+pool and the relation store.  Thread and process batches replay the
+sequential transcript and answer what NRA answers (the differential
+runner, ``differential.run_case``)."""
 
 from __future__ import annotations
 
 import pytest
+from differential import make_case, pattern, run_case
 
 from repro.core.params import SystemParams
 from repro.core.results import QueryConfig
@@ -59,8 +60,39 @@ class TestSessions:
         assert a_pattern[0].payload is False
         assert b_pattern[0].payload is True
 
+    def test_results_match_oracle(self):
+        run_case(make_case(_fresh_deployment()[2], [([0, 2], 2, None)]))
+
 
 class TestProcessMode:
+    """Process-pool execution must be replay-identical to sequential."""
+
+    def test_process_matches_sequential(self):
+        # Two batches: the pool is persistent, the second reuses the workers.
+        queries = [([0, 1], 2, None), ([1, 2], 2, None), ([0, 1, 2], 3, None)]
+        run_case(make_case(_fresh_deployment()[2], queries, execution="process"))
+
+    def test_cross_batch_repeat_detected_in_workers(self):
+        """A token repeated across process batches must read as a repeat
+        regardless of which worker serves it (the parent ships each
+        request its sequential-equivalent history)."""
+        (first,), (second,) = run_case(
+            make_case(_fresh_deployment()[2], [([0, 1], 2, None)], execution="process")
+        )
+        assert pattern(first) == [False] and pattern(second) == [True]
+
+    def test_process_history_syncs_to_parent(self):
+        scheme, relation, _ = _fresh_deployment()
+        tokens = [scheme.token([0, 1], k=2), scheme.token([1, 2], k=2)]
+        with TopKServer(scheme, relation) as server:
+            # Two requests, so both bodies really run in worker processes
+            # (whose scheme copies are per-task scratch).
+            server.execute_many([(t, None) for t in tokens], concurrency=2, mode="process")
+            # The parent kept the authoritative history: a fresh run of
+            # either token now reads as a repeat (L1 query-pattern leakage).
+            for token in tokens:
+                assert pattern(server.query(token, QueryConfig(cache=False))) == [True]
+
     def test_servers_sharing_a_scheme_draw_disjoint_streams(self):
         """Two servers on one scheme must not reuse request salts."""
         scheme, relation, _ = _fresh_deployment()
@@ -155,6 +187,10 @@ class TestRelationStore:
 
 
 class TestExecuteMany:
+    def test_concurrent_matches_sequential(self):
+        queries = [([0, 1], 2, None), ([1, 2], 2, None), ([0, 2], 3, None), ([0, 1, 2], 2, None)]
+        run_case(make_case(_fresh_deployment()[2], queries, execution="thread"))
+
     def test_results_keep_request_order(self, deployment):
         scheme, relation, _ = deployment
         requests = [

@@ -1,9 +1,9 @@
 """Sharded S1 relations: the plumbing around the sharded scan.
 
-That ``shards >= 2`` is transcript-invisible — results, rounds, bytes
-and leakage bit-identical to the unsharded scan, on every transport —
-is drawn by ``tests/test_differential.py``.  Here: the per-shard
-``QueryStats`` slice tiles the scan (property-style), the shard plan
+``shards >= 2`` is transcript-invisible — results, rounds, bytes and
+leakage bit-identical to the unsharded scan (the differential runner's
+reference path), property-style and over a daemon.  Also here: the
+per-shard ``QueryStats`` slice tiles the scan, the shard plan
 partition laws, the fan-in validation and the ``QueryConfig(shards=N)``
 route through the server and the client.
 
@@ -19,6 +19,7 @@ hypothesis = pytest.importorskip(
     "hypothesis", reason="property harness needs the 'test' extra (hypothesis)"
 )
 
+from differential import make_case, run_case  # noqa: E402
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 import repro  # noqa: E402
@@ -49,7 +50,7 @@ def _run(rows, attrs, k, config, weights=None):
 
 
 # ---------------------------------------------------------------------------
-# The per-shard cost slice.
+# Sharded == unsharded, and the per-shard cost slice.
 # ---------------------------------------------------------------------------
 
 
@@ -86,6 +87,20 @@ def query_cases(draw):
 
 
 class TestShardedEqualsUnsharded:
+    """``shards >= 2`` is transcript-invisible."""
+
+    @given(case=query_cases())
+    @settings(**PROPERTY_SETTINGS)
+    def test_bit_parity(self, case):
+        rows, attrs, k, config, shards, weights = case
+        phases = run_case(make_case(rows, [(attrs, k, weights)], config, shards=shards))
+        assert all(result.shard_stats for (result,) in phases), "no shard stats reported"
+
+    def test_socket_transport_shard_leg(self, tcp_daemon):
+        """One sharded run against a real S2 daemon."""
+        rows = [[(7 * i + 3 * j) % 23 for j in range(3)] for i in range(8)]
+        run_case(make_case(rows, [([0, 1, 2], 2, None)], shards=3, transport=tcp_daemon))
+
     @given(case=query_cases())
     @settings(**PROPERTY_SETTINGS)
     def test_shard_stats_tile_the_scan(self, case):

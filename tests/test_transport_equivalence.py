@@ -1,14 +1,22 @@
-"""What the differential harness does not draw: a closed session's
-refusal, transport-kind validation, the join and SkNN schemes over the
-wire, and per-depth round coalescing.
+"""Equivalence of the transport backends (and the coalescing layer).
 
-Query transcripts across transports (in-process, TCP, Unix sockets, a
-daemon in another process) are pinned by ``tests/test_differential.py``.
+The socket transport serializes every message to bytes and carries the
+byte streams to a standalone S2 daemon over TCP or a Unix-domain
+socket.  On a fixed seed it must produce the in-process transcript —
+results, halting depth, rounds, bytes both ways and the ordered leakage
+sequence — through the differential runner (``differential.run_case``,
+whose drawn cases in ``tests/test_differential.py`` add a daemon in
+another process).  Also here: a closed session's refusal,
+transport-kind validation, the join and SkNN schemes over the wire, and
+per-depth round coalescing.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from differential import make_case, run_case
 
 from repro.core.params import SystemParams
 from repro.core.results import QueryConfig
@@ -33,8 +41,44 @@ def _run(config: QueryConfig, rows, attrs):
     return result.halting_depth, result.stats
 
 
+CONFIGS = {
+    "eager": QueryConfig(),
+    "eager-full": QueryConfig(variant="full"),
+    "literal": QueryConfig(engine="literal"),
+    "eager-batch": QueryConfig(variant="batch", batch_p=3),
+    "dgk-network": QueryConfig(compare_method="dgk", sort_method="network", max_depth=4),
+    # The sharded scan is a faithful carrier across transports too.
+    "eager-sharded": QueryConfig(shards=2),
+    "literal-sharded": QueryConfig(engine="literal", shards=3),
+}
+
+
 class TestSocketMatchesInProcess:
-    """Session-level behaviour the harness does not draw."""
+    """A query against the standalone S2 daemon — over TCP or a
+    Unix-domain socket — has the in-process transcript."""
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("family", ["tcp", "unix"])
+    def test_identical_runs(self, config, family, request):
+        address = request.getfixturevalue(f"{family}_daemon")
+        if address is None:
+            pytest.skip("no Unix-domain sockets on this platform")
+        config = CONFIGS[config]
+        run_case(make_case(_rows(5, n=8, m=3), [([0, 1, 2], 2, None)],
+                           replace(config, shards=0), shards=config.shards, transport=address))
+
+    def test_remaining_message_types_over_tcp(self, tcp_daemon):
+        """DGK comparison + sorting-network gates cross the socket on
+        the literal engine's full variant too."""
+        config = QueryConfig(variant="full", engine="literal", compare_method="dgk",
+                             sort_method="network", max_depth=3)
+        run_case(make_case(_rows(5, n=8, m=3), [([0, 1, 2], 2, None)], config,
+                           transport=tcp_daemon))
+
+    def test_matches_plaintext_oracle(self, tcp_daemon):
+        """Both transports agree with plain NRA on the winning set."""
+        for transport in ("inprocess", tcp_daemon):
+            run_case(make_case(_rows(11, n=10, m=2), [([0, 1], 2, None)], transport=transport))
 
     def test_exchange_after_close_raises(self):
         """A closed session refuses the next round locally: no REQUEST
