@@ -431,7 +431,8 @@ class EagerEngine(_EngineBase):
         select that rides the rule's first-stage round.
 
         Per candidate and list S1 ships ``Enc(u ⊕ c)``, ``u = 1 − seen_j``
-        masked by a fresh coin ``c``, so S2 decrypts a uniform bit ``t``
+        masked by a fresh coin ``c`` (the whole request one
+        :func:`~repro.crypto.backend.masked_unseen` call), so S2 decrypts a uniform bit ``t``
         and applies it to ``bottom_j``: ``Enc(u·bottom_j)`` is the reply
         itself when ``c = 0`` and ``Enc(bottom_j) − Enc(t·bottom_j)`` when
         ``c = 1``.  S1 unblinds the reply into the bounds with one
@@ -442,19 +443,24 @@ class EagerEngine(_EngineBase):
             return []
         ctx = self.ctx
         pk = ctx.public_key
-        n2, m = pk.n_squared, self.m
+        m = self.m
         bottoms = [self.lists[j][depth].score for j in range(m)]
         seen = [t_item.seen_bits[j] for t_item in candidates for j in range(m)]
         coins = ctx.rng.randbits(len(seen))
         flips = [(coins >> slot) & 1 for slot in range(len(seen))]
-        # Enc(u ⊕ c): Enc(1 − seen_j) for c = 0, Enc(seen_j) for c = 1.
-        negated = iter(
-            backend.invert_vec([s.value for s, c in zip(seen, flips) if not c], n2)
-        )
-        tests = pk.rerandomize_batch(
-            [s if c else Ciphertext(next(negated), pk) + 1 for s, c in zip(seen, flips)],
-            ctx.rng,
-        )
+        # Enc(u ⊕ c), rerandomized: Enc(1 − seen_j) for c = 0, Enc(seen_j)
+        # for c = 1.
+        pool = pk.randomizer_pool()
+        tests = [
+            Ciphertext(value, pk)
+            for value in backend.masked_unseen(
+                pk.n,
+                [s.value for s in seen],
+                flips,
+                pool,
+                ctx.rng.randbytes(pool.read_bytes * len(seen)),
+            )
+        ]
         selected, bits, blinds = yield from blinded_select_reply_flow(
             ctx, tests, bottoms, list(range(m)) * len(candidates),
             bit_mode=True, protocol=PROTOCOL,

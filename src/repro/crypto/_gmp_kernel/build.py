@@ -75,6 +75,7 @@ int repro_powmod_pairs(const uint64_t *bases, size_t n_items, size_t base_words,
                        uint64_t *out);
 int repro_pool_products(const uint64_t *pool, size_t index_bits,
                         const uint8_t *reads, size_t n_items, size_t picks,
+                        const uint64_t *factors,
                         const uint64_t *mod, size_t mod_words,
                         uint64_t *out);
 int repro_powmod_products(const uint64_t *accs, const uint64_t *counts,
@@ -102,6 +103,10 @@ int repro_ehl_minus(const uint64_t *pool, size_t index_bits,
                     const uint64_t *nums, const uint64_t *invs,
                     const uint64_t *exps, size_t n_items, size_t exp_words,
                     const uint64_t *mod, size_t mod_words, uint64_t *out);
+int repro_masked_unseen(const uint64_t *seen, const uint8_t *coins, size_t n_items,
+                        const uint64_t *n, const uint64_t *pool, size_t index_bits,
+                        const uint8_t *reads, size_t picks,
+                        const uint64_t *mod, size_t mod_words, uint64_t *out);
 int repro_select_bounds(const uint64_t *sel, const uint64_t *bits,
                         const uint64_t *exps, size_t n_slots, size_t exp_words,
                         const uint64_t *accs, const uint64_t *counts, size_t n_targets,
@@ -505,21 +510,46 @@ int repro_powmod_products(const uint64_t *accs, const uint64_t *counts,
     return 0;
 }
 
-/* out[i] = product of `picks` pool elements mod mod: the randomizer-pool
-   draw of paillier.pool_randomizers.  pool holds 2^index_bits elements of
+/* 1 when every one of the n_items values at w words lies below mod (at
+   w words too), else 0. */
+static int all_below(const uint64_t *values, size_t n_items, const uint64_t *mod,
+                     size_t w)
+{
+    mpz_t v, m;
+    size_t i;
+    int ok = 1;
+
+    mpz_init(v);
+    mpz_init(m);
+    import_words(m, mod, w);
+    for (i = 0; ok && i < n_items; i++) {
+        import_words(v, values + i * w, w);
+        ok = mpz_cmp(v, m) < 0;
+    }
+    mpz_clear(v);
+    mpz_clear(m);
+    return ok;
+}
+
+/* out[i] = product of `picks` pool elements mod mod, times factors[i]
+   when factors is not NULL: the randomizer-pool draw of
+   paillier.pool_randomizers, multiplied into its value for a batch
+   encryption or rerandomization.  pool holds 2^index_bits elements of
    mod_words words each — in Montgomery form x·2^(64·mod_words) mod mod
    when mod is odd, plain when it is even; item i owns one big-endian
    read of ceil(picks * index_bits / 8) bytes, and its elements are
    chosen by the read's index_bits-wide digits, least significant first,
    after the read's surplus low bits are dropped.  Returns 0 on success,
-   -1 for a zero modulus or a shape this loop cannot index (no pick, or
-   a read wider than one uint64_t). */
+   1 (before writing anything) when a factor lies outside [0, mod), -1
+   for a zero modulus or a shape this loop cannot index (no pick, or a
+   read wider than one uint64_t). */
 int repro_pool_products(const uint64_t *pool, size_t index_bits,
                         const uint8_t *reads, size_t n_items, size_t picks,
+                        const uint64_t *factors,
                         const uint64_t *mod, size_t mod_words,
                         uint64_t *out)
 {
-    mpz_t m, acc, unmont;
+    mpz_t m, acc, unmont, f;
     mpz_t *elems;
     size_t i, k, idx;
     uint64_t digits;
@@ -527,20 +557,23 @@ int repro_pool_products(const uint64_t *pool, size_t index_bits,
 
     if (picks == 0 || picks > 64 || index_bits > 30 || picks * index_bits > 64)
         return -1;
+    if (factors != NULL && !all_below(factors, n_items, mod, mod_words))
+        return 1;
     pool_size = (size_t)1 << index_bits;
     read_bytes = (picks * index_bits + 7) / 8;
 #if REPRO_MONT
     mont_t M;
     if (mont_init(&M, mod, mod_words)) {
         size_t n = mod_words;
-        mp_limb_t *elem = (mp_limb_t *)malloc((pool_size + 1) * n * sizeof(mp_limb_t));
-        mp_limb_t *r;
+        mp_limb_t *elem = (mp_limb_t *)malloc((pool_size + 2) * n * sizeof(mp_limb_t));
+        mp_limb_t *r, *f;
 
         if (elem == NULL) {
             mont_clear(&M);
             return -1;
         }
         r = elem + pool_size * n;
+        f = r + n;
         load_limbs(elem, pool, pool_size * n);
         for (i = 0; i < n_items; i++) {
             digits = 0;
@@ -552,7 +585,13 @@ int repro_pool_products(const uint64_t *pool, size_t index_bits,
                 digits >>= index_bits;
                 mont_mul(&M, r, r, elem + (digits & (pool_size - 1)) * n);
             }
-            mont_out(&M, r, r);
+            /* r·R times a plain factor leaves Montgomery form in the
+               same multiplication. */
+            if (factors != NULL) {
+                load_limbs(f, factors + i * n, n);
+                mont_mul(&M, r, r, f);
+            } else
+                mont_out(&M, r, r);
             store_limbs(out + i * n, r, n);
         }
         free(elem);
@@ -583,6 +622,7 @@ int repro_pool_products(const uint64_t *pool, size_t index_bits,
         }
     }
     mpz_init(acc);
+    mpz_init(f);
     for (i = 0; i < n_items; i++) {
         digits = 0;
         for (k = 0; k < read_bytes; k++)
@@ -594,12 +634,18 @@ int repro_pool_products(const uint64_t *pool, size_t index_bits,
             mpz_mul(acc, acc, elems[digits & (pool_size - 1)]);
             mpz_mod(acc, acc, m);
         }
+        if (factors != NULL) {
+            import_words(f, factors + i * mod_words, mod_words);
+            mpz_mul(acc, acc, f);
+            mpz_mod(acc, acc, m);
+        }
         export_words(out + i * mod_words, mod_words, acc);
     }
     for (idx = 0; idx < pool_size; idx++)
         mpz_clear(elems[idx]);
     free(elems);
     mpz_clear(acc);
+    mpz_clear(f);
     mpz_clear(unmont);
     mpz_clear(m);
     return 0;
@@ -800,7 +846,7 @@ int repro_blind_round(const uint64_t *values, size_t n_items, size_t ct_words,
     if (status == 0 && picks > 0 && n_items > 0) {
         rands = (uint64_t *)malloc(n_items * ct_words * sizeof(uint64_t));
         if (rands == NULL || repro_pool_products(pool, index_bits, reads, n_items,
-                                                 picks, mod, ct_words, rands) != 0)
+                                                 picks, NULL, mod, ct_words, rands) != 0)
             status = -1;
     }
     for (g = 0, i = 0; status == 0 && g < n_groups; g++) {
@@ -884,7 +930,7 @@ int repro_ehl_minus(const uint64_t *pool, size_t index_bits,
         export_words(bases + i * mod_words, mod_words, a);
     }
     if (status == 0 && n_groups > 0
-        && repro_pool_products(pool, index_bits, reads, n_groups, picks,
+        && repro_pool_products(pool, index_bits, reads, n_groups, picks, NULL,
                                mod, mod_words, accs) != 0)
         status = -1;
     if (status == 0
@@ -895,6 +941,65 @@ int repro_ehl_minus(const uint64_t *pool, size_t index_bits,
     mpz_clear(m);
     mpz_clear(a);
     mpz_clear(b);
+    return status;
+}
+
+/* out[i] = Enc(u ⊕ c) · r_i  mod  mod (mod = N^2 at mod_words words,
+   n = N at the same width) for every slot of a best-bound select: u =
+   1 − s for the seen bit seen[i] = Enc(s) and c = coins[i], so the slot
+   is seen[i] itself for c = 1 and (1 + N) · seen[i]^-1 for c = 0 (one
+   batch inversion over the coin-0 slots), times r_i, the pool draw of
+   read i of `reads` (see repro_pool_products).  Returns 0 on success, 1
+   (before writing anything) when a seen bit lies outside [0, mod), 2
+   when a coin-0 seen bit has no inverse, -1 for a failed allocation or
+   a pool draw repro_pool_products refuses. */
+int repro_masked_unseen(const uint64_t *seen, const uint8_t *coins, size_t n_items,
+                        const uint64_t *n, const uint64_t *pool, size_t index_bits,
+                        const uint8_t *reads, size_t picks,
+                        const uint64_t *mod, size_t mod_words, uint64_t *out)
+{
+    size_t bytes = mod_words * sizeof(uint64_t), i, zeros = 0;
+    uint64_t *factors, *inv;
+    mpz_t m, x, g;
+    int status = 0, rc;
+
+    if (!all_below(seen, n_items, mod, mod_words))
+        return 1;
+    /* the factors, then the coin-0 values and their inverses; one word
+       more than they need: never malloc(0) */
+    factors = (uint64_t *)malloc(3 * n_items * bytes + sizeof(uint64_t));
+    if (factors == NULL)
+        return -1;
+    inv = factors + 2 * n_items * mod_words;
+    for (i = 0; i < n_items; i++)
+        if (!coins[i])
+            memcpy(factors + (n_items + zeros++) * mod_words, seen + i * mod_words, bytes);
+    rc = repro_invert_vec(factors + n_items * mod_words, zeros, mod, mod_words, inv);
+    if (rc != 1)
+        status = rc == 0 ? 2 : -1;
+    mpz_init(m);
+    mpz_init(x);
+    mpz_init(g);
+    import_words(m, mod, mod_words);
+    import_words(g, n, mod_words);
+    mpz_add_ui(g, g, 1);
+    for (i = 0, zeros = 0; status == 0 && i < n_items; i++) {
+        if (coins[i]) {
+            memcpy(factors + i * mod_words, seen + i * mod_words, bytes);
+            continue;
+        }
+        import_words(x, inv + zeros++ * mod_words, mod_words);
+        mpz_mul(x, x, g);
+        mpz_mod(x, x, m);
+        export_words(factors + i * mod_words, mod_words, x);
+    }
+    if (status == 0 && repro_pool_products(pool, index_bits, reads, n_items, picks,
+                                           factors, mod, mod_words, out) != 0)
+        status = -1;
+    free(factors);
+    mpz_clear(m);
+    mpz_clear(x);
+    mpz_clear(g);
     return status;
 }
 
@@ -1042,7 +1147,7 @@ int repro_select_absorb(const uint64_t *sel, const uint64_t *bits,
         export_words(out + 2 * n_slots * w, w, x);
         memcpy(out + (2 * n_slots + 1) * w, inv_in + (n_slots + 1) * w, bytes);
         out += (2 * n_slots + 2) * w;
-        if (repro_pool_products(pool, index_bits, reads, n_draws, picks, mod, w, out) != 0)
+        if (repro_pool_products(pool, index_bits, reads, n_draws, picks, NULL, mod, w, out) != 0)
             status = -1;
     }
     if (status == 0) {

@@ -13,8 +13,8 @@ through this module, so a single switch moves the whole system between:
   primitive below as one C call (:func:`powmod_products`,
   :func:`pool_products` and :func:`invert_vec` on the kernel's Montgomery
   core, a whole :func:`paillier_decrypt` batch on ``mpz_powm``, and the
-  four fused round operations :func:`blind_round`, :func:`ehl_minus`,
-  :func:`select_bounds` and :func:`select_absorb`),
+  five fused round operations :func:`blind_round`, :func:`ehl_minus`,
+  :func:`masked_unseen`, :func:`select_bounds` and :func:`select_absorb`),
   *and* the GIL released across every batch call, so concurrent queries'
   kernel stretches overlap.  Available when the extension builds here
   (cffi + C compiler + GMP headers); absent, it simply never registers.
@@ -44,19 +44,29 @@ shared modulus/exponent per *batch* instead of per item.
 trick) and :func:`pool_products` (the randomizer-pool draw) carry the
 query path's per-ciphertext work — the ⊖ matrix, the layered selects,
 ``RecoverEnc``, every fresh encryption's randomizer — as one call per
-round.  Batch encryption is the key method built on them
-(``pk.encrypt_batch``).  Four operations fuse a whole round of the
-query path into one call: :func:`blind_round` (``c · (1 ± b·N) · r``
-over every Paillier component of an ``ItemBlinder`` round, the blinds
-``b`` summed and reduced from the items' SHAKE-256 streams, ``r`` the
-pool draw), :func:`ehl_minus` (a batch of EHL ⊖: each pair's ``Enc(0)``
-pool draw, its cell quotients and its multi-exponentiation),
-:func:`select_bounds` (a ``BlindedSelect`` reply unblinded into running
-bounds, one multi-exponentiation per bound) and :func:`select_absorb`
-(a reply applied as the eager absorb: the candidates' credits and seen
-bits, and the tested item's new entry).  All four refuse a
-ragged layout or an input outside ``[0, mod)`` with ``ValueError``
-before any arithmetic, identically on every backend.
+round.  A pool draw multiplies each draw into its factor inside the
+call, so batch encryption and rerandomization (``pk.encrypt_batch``,
+``pk.rerandomize_batch``) are one :func:`pool_products` call each.
+Five operations fuse a whole round of the query path into one call:
+:func:`blind_round` (``c · (1 ± b·N) · r`` over every Paillier component
+of an ``ItemBlinder`` round, read from and written to the round's limb
+buffer, the blinds ``b`` summed and reduced from the items' SHAKE-256
+streams, ``r`` the pool draw), :func:`ehl_minus` (a batch of EHL ⊖: each
+pair's ``Enc(0)`` pool draw, its cell quotients and its
+multi-exponentiation), :func:`masked_unseen` (the coin-masked unseen
+bits a best-bound select ships), :func:`select_bounds` (a
+``BlindedSelect`` reply unblinded into running bounds, one
+multi-exponentiation per bound) and :func:`select_absorb` (a reply
+applied as the eager absorb: the candidates' credits and seen bits, and
+the tested item's new entry).  All five refuse a ragged layout or an
+input outside ``[0, mod)`` with ``ValueError`` before any arithmetic,
+identically on every backend.
+
+The limb format — fixed-width arrays of 64-bit words, least-significant
+word first, little-endian bytes within each word (:func:`words_for`,
+:func:`pack_ints`, :func:`unpack_ints`) — is what the kernel's C side
+reads and writes, and what an item batch
+(:class:`~repro.structures.items.ItemBatch`) holds its components in.
 """
 
 from __future__ import annotations
@@ -79,8 +89,55 @@ OUTSIDE_MOD = "value outside [0, mod)"
 NOT_INVERTIBLE = "batch holds an element that is not invertible for the given modulus"
 
 
+#: Bytes per limb word (the kernel is specified in 64-bit words).
+WORD_BYTES = 8
+
+
+def words_for(value: int) -> int:
+    """How many 64-bit words a non-negative integer needs (minimum 1)."""
+    return max(1, (value.bit_length() + 63) // 64)
+
+
+def pack_ints(values: list[int], words: int) -> bytes:
+    """Pack non-negative integers into fixed-width little-endian words:
+    a ``len(values) * words * 8``-byte buffer (read-only: the C side
+    writes only into its own output buffers).  Every value must fit
+    ``words`` words; ``int.to_bytes`` raises ``OverflowError`` otherwise
+    (a value too wide fails loudly, it is never truncated).
+    """
+    stride = words * WORD_BYTES
+    return b"".join([value.to_bytes(stride, "little") for value in values])
+
+
+def unpack_ints(buf, words: int, count: int) -> list[int]:
+    """Inverse of :func:`pack_ints`: read ``count`` integers."""
+    stride = words * WORD_BYTES
+    # One contiguous copy, then slice plain bytes: bytes slices convert
+    # faster than per-item memoryview slices.
+    data = bytes(memoryview(buf)[: count * stride])
+    from_bytes = int.from_bytes
+    return [
+        from_bytes(data[i * stride : (i + 1) * stride], "little") for i in range(count)
+    ]
+
+
+def check_pool_products(
+    pool: "RandomizerPool", reads: bytes, factors: list[int] | None
+) -> None:
+    """Refuse, with ``ValueError``, a :func:`pool_products` call whose
+    reads are not a whole number of draws or whose factors are not one
+    per draw — on every backend, before any arithmetic.  (Each backend
+    refuses a factor outside ``[0, pool.mod)`` itself.)"""
+    if pool.read_bytes < 1:
+        raise ValueError("a pool draw reads at least one index bit")
+    if len(reads) % pool.read_bytes:
+        raise ValueError("reads is not a whole number of draws")
+    if factors is not None and len(factors) * pool.read_bytes != len(reads):
+        raise ValueError("pool_products needs one factor per draw")
+
+
 def check_blind_round(
-    values: list[int],
+    values: bytes,
     counts: list[int],
     seeds: list[int],
     streams: bytes,
@@ -89,31 +146,33 @@ def check_blind_round(
     sign: int,
     pool: "RandomizerPool | None",
     reads: bytes,
-) -> None:
+) -> int:
     """Refuse, with ``ValueError``, a :func:`blind_round` call whose
-    layout, streams or reads are ragged, or whose values are not residues
-    mod ``N^2`` — on every backend, before any arithmetic."""
+    layout, limb buffer, streams or reads are ragged — on every backend,
+    before any arithmetic; returns the round's component count.  (Each
+    backend refuses a value outside ``[0, N^2)`` itself, before writing
+    anything.)"""
     if n < 1 or width < 1 or sign not in (1, -1):
         raise ValueError("blind_round needs N >= 1, a read width and a sign of ±1")
+    total = sum(counts)
     if (
         len(counts) != len(seeds)
         or min(counts, default=0) < 0
         or min(seeds, default=0) < 0
-        or sum(counts) != len(values)
+        or len(values) != total * words_for(n * n) * WORD_BYTES
         or len(streams) != width * sum(c * k for c, k in zip(counts, seeds))
     ):
         raise ValueError(
             "blind_round needs a component and a seed count per item, counts "
-            "that sum to the values and one stream of reads per seed"
+            "that sum to the values in the limb buffer and one stream of "
+            "reads per seed"
         )
-    n2 = n * n
     if pool is None:
         if reads:
             raise ValueError("blind_round reads need a randomizer pool")
-    elif pool.mod != n2 or len(reads) != pool.read_bytes * len(values):
+    elif pool.mod != n * n or len(reads) != pool.read_bytes * total:
         raise ValueError("blind_round needs a pool under N^2 and one read per value")
-    if not all(0 <= v < n2 for v in values):
-        raise ValueError(OUTSIDE_MOD)
+    return total
 
 
 def check_ehl_minus(
@@ -144,6 +203,27 @@ def check_ehl_minus(
         all(0 <= v < mod for v in numerators) and all(0 <= v < mod for v in inverses)
     ):
         raise ValueError(OUTSIDE_MOD)
+
+
+def check_masked_unseen(
+    n: int, seen: list[int], coins: list[int], pool: "RandomizerPool", reads: bytes
+) -> None:
+    """Refuse, with ``ValueError``, a :func:`masked_unseen` call whose
+    coins or reads do not match its slots — on every backend, before any
+    arithmetic.  (Each backend refuses a seen bit outside ``[0, N^2)``
+    itself.)"""
+    if (
+        n < 2
+        or pool is None
+        or pool.mod != n * n
+        or len(coins) != len(seen)
+        or not set(coins) <= {0, 1}
+        or len(reads) != pool.read_bytes * len(seen)
+    ):
+        raise ValueError(
+            "masked_unseen needs N >= 2, a pool under N^2, and a coin and a "
+            "read per slot"
+        )
 
 
 def _check_reply(name: str, n: int, selected: list[int], bits: list[int],
@@ -228,7 +308,8 @@ class PurePythonBackend:
     The batch ops are Python loops over the scalar ones —
     ``powmod_products`` on ``powmod_pairs``, ``invert_vec`` on
     ``invert``, ``paillier_decrypt`` on ``powmod_vec``, ``ehl_minus`` on
-    ``pool_products`` and ``powmod_products``, ``select_bounds`` on
+    ``pool_products`` and ``powmod_products``, ``masked_unseen`` on
+    ``invert_vec`` and ``pool_products``, ``select_bounds`` on
     ``invert_vec`` and ``powmod_products``, ``select_absorb`` on
     ``powmod_pairs``, ``invert_vec`` and ``pool_products`` — so they pin
     what the kernel's C loops must return.
@@ -322,16 +403,22 @@ class PurePythonBackend:
         return out
 
     @staticmethod
-    def pool_products(pool: "RandomizerPool", reads: bytes) -> list[int]:
+    def pool_products(
+        pool: "RandomizerPool", reads: bytes, factors: list[int] | None = None
+    ) -> list[int]:
         """One product of ``pool.picks`` elements of ``pool`` mod
-        ``pool.mod`` per read of ``reads``.
+        ``pool.mod`` per read of ``reads``, times the read's factor when
+        ``factors`` (one residue mod ``pool.mod`` per read) is given.
 
         ``reads`` is a whole number of big-endian ``pool.read_bytes``-byte
         reads; a read's ``pool.index_bits``-wide digits, least
         significant first once its surplus low bits are dropped, index
         the pool.
         """
+        check_pool_products(pool, reads, factors)
         index_bits, read_bytes, mod = pool.index_bits, pool.read_bytes, pool.mod
+        if factors is not None and not all(0 <= f < mod for f in factors):
+            raise ValueError(OUTSIDE_MOD)
         shift = read_bytes * 8 - pool.picks * index_bits
         mask = len(pool) - 1
         from_bytes = int.from_bytes
@@ -343,11 +430,13 @@ class PurePythonBackend:
                 digits >>= index_bits
                 value = value * pool[digits & mask] % mod
             out.append(value)
+        if factors is not None:
+            out = [f * r % mod for f, r in zip(factors, out)]
         return out
 
     def blind_round(
         self,
-        values: list[int],
+        values: bytes,
         counts: list[int],
         seeds: list[int],
         streams: bytes,
@@ -356,9 +445,10 @@ class PurePythonBackend:
         sign: int,
         pool: "RandomizerPool | None" = None,
         reads: bytes = b"",
-    ) -> list[int]:
-        """``values[i] · (1 + sign · b_i · N) · r_i mod N^2`` over a
-        round's Paillier components.
+    ) -> bytes:
+        """``c_i · (1 + sign · b_i · N) · r_i mod N^2`` over a round's
+        Paillier components ``c_i``, read from and returned as a limb
+        buffer at ``words_for(N^2)`` words per value.
 
         Item ``g`` owns ``counts[g]`` consecutive values and ``seeds[g]``
         consecutive streams of ``streams``, each ``counts[g]`` big-endian
@@ -367,8 +457,14 @@ class PurePythonBackend:
         the pool draw of read ``i`` of ``reads`` (``pool`` under
         ``N^2``), or 1 without a pool.
         """
-        check_blind_round(values, counts, seeds, streams, width, n, sign, pool, reads)
+        total = check_blind_round(
+            values, counts, seeds, streams, width, n, sign, pool, reads
+        )
         n2 = n * n
+        words = words_for(n2)
+        cts = unpack_ints(values, words, total)
+        if not all(v < n2 for v in cts):
+            raise ValueError(OUTSIDE_MOD)
         from_bytes = int.from_bytes
         out = []
         start = offset = 0
@@ -380,12 +476,12 @@ class PurePythonBackend:
                     offset += width
             out.extend(
                 value * (1 + sign * (b % n) % n * n) % n2
-                for value, b in zip(values[start : start + count], blinds)
+                for value, b in zip(cts[start : start + count], blinds)
             )
             start += count
         if pool is not None:
-            out = [v * r % n2 for v, r in zip(out, self.pool_products(pool, reads))]
-        return out
+            out = self.pool_products(pool, reads, out)
+        return pack_ints(out, words)
 
     def ehl_minus(
         self,
@@ -405,6 +501,30 @@ class PurePythonBackend:
         bases = [a * b % mod for a, b in zip(numerators, inverses)]
         return self.powmod_products(
             self.pool_products(pool, reads), bases, exps, counts, mod
+        )
+
+    def masked_unseen(
+        self,
+        n: int,
+        seen: list[int],
+        coins: list[int],
+        pool: "RandomizerPool",
+        reads: bytes,
+    ) -> list[int]:
+        """``Enc(u ⊕ c) · r mod N^2`` per slot, ``u = 1 − s`` for the seen
+        bit ``seen[i] = Enc(s)`` and the slot's coin ``c``: the seen bit
+        itself for ``c = 1``, ``(1 + N) · seen[i]^(−1)`` for ``c = 0``,
+        each times the pool draw ``r`` of its read of ``reads`` — one
+        batch inversion and one pool draw per slot."""
+        check_masked_unseen(n, seen, coins, pool, reads)
+        n2 = n * n
+        if not all(0 <= v < n2 for v in seen):
+            raise ValueError(OUTSIDE_MOD)
+        inverses = iter(self.invert_vec([s for s, c in zip(seen, coins) if not c], n2))
+        return self.pool_products(
+            pool,
+            reads,
+            [s if c else next(inverses) * (1 + n) % n2 for s, c in zip(seen, coins)],
         )
 
     def select_bounds(
@@ -656,15 +776,20 @@ class RandomizerPool(list):
         self.packed: bytes | None = None
 
 
-def pool_products(pool: RandomizerPool, reads: bytes) -> list[int]:
-    """One product of ``pool.picks`` pool elements per read of ``reads`` —
-    the shape of every randomizer draw (see
-    :func:`repro.crypto.paillier.pool_randomizers`)."""
-    return _ACTIVE.pool_products(pool, reads)
+def pool_products(
+    pool: RandomizerPool, reads: bytes, factors: list[int] | None = None
+) -> list[int]:
+    """One product of ``pool.picks`` pool elements per read of ``reads``,
+    times the read's entry of ``factors`` when given — the shape of every
+    randomizer draw (see :func:`repro.crypto.paillier.pool_randomizers`),
+    and with factors of every batch encryption and rerandomization.
+    Raises ``ValueError`` for ragged reads or factors, or a factor
+    outside ``[0, pool.mod)``."""
+    return _ACTIVE.pool_products(pool, reads, factors)
 
 
 def blind_round(
-    values: list[int],
+    values: bytes,
     counts: list[int],
     seeds: list[int],
     streams: bytes,
@@ -673,16 +798,30 @@ def blind_round(
     sign: int,
     pool: RandomizerPool | None = None,
     reads: bytes = b"",
-) -> list[int]:
+) -> bytes:
     """``c · (1 ± b·N) · r mod N^2`` over every Paillier component of an
-    item-blinding round (``ItemBlinder``): item ``g``'s ``counts[g]``
-    components take the sums of their ``width``-byte reads in its
-    ``seeds[g]`` SHAKE-256 streams, reduced mod ``N``, and each takes the
-    pool draw of its read of ``reads`` when ``pool`` is given.  Raises
-    ``ValueError`` for a ragged layout or a value outside ``[0, N^2)``."""
+    item-blinding round (``ItemBlinder``), read from and written to the
+    round's limb buffer (``words_for(N^2)`` words per value): item ``g``'s
+    ``counts[g]`` components take the sums of their ``width``-byte reads
+    in its ``seeds[g]`` SHAKE-256 streams, reduced mod ``N``, and each
+    takes the pool draw of its read of ``reads`` when ``pool`` is given.
+    Raises ``ValueError`` for a ragged layout or buffer, or a value
+    outside ``[0, N^2)``."""
     return _ACTIVE.blind_round(
         values, counts, seeds, streams, width, n, sign, pool, reads
     )
+
+
+def masked_unseen(
+    n: int, seen: list[int], coins: list[int], pool: RandomizerPool, reads: bytes
+) -> list[int]:
+    """The tests of a best-bound select: per slot ``Enc(u ⊕ c)``,
+    rerandomized by the pool draw of its read of ``reads``, ``u = 1 − s``
+    for the seen bit ``Enc(s)`` and ``c`` the slot's coin (see
+    :meth:`PurePythonBackend.masked_unseen`).  Raises ``ValueError`` for a
+    ragged layout, a coin that is not a bit, a residue outside
+    ``[0, N^2)`` or a coin-0 seen bit without an inverse."""
+    return _ACTIVE.masked_unseen(n, seen, coins, pool, reads)
 
 
 def ehl_minus(

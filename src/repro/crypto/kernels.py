@@ -1,30 +1,24 @@
 """Python face of the GIL-free GMP batch kernel.
 
-Two things live here:
-
-* **The limb format.**  :func:`words_for`, :func:`pack_ints` and
-  :func:`unpack_ints` define the one fixed-width integer wire format the
-  native tier uses everywhere: arrays of 64-bit words, least-significant
-  word first, little-endian bytes within each word — what the kernel's
-  C side reads and writes (``mpz_import``/``mpz_export`` with
-  ``order=-1, endian=-1``).
-
-* **:class:`GmpKernel`** — the ``gmp-kernel`` compute backend itself:
-  the loaded extension behind every backend operation (``powmod`` /
-  ``powmod_vec`` / ``powmod_pairs`` / ``powmod_products`` /
-  ``pool_products`` / ``invert`` / ``invert_vec`` / ``paillier_decrypt``
-  / ``blind_round`` / ``ehl_minus`` / ``select_bounds`` /
-  ``select_absorb``), one C entry point per operation (the scalar
-  ``powmod`` and ``powmod_vec`` are ``repro_powmod_pairs`` with a zero
-  exponent stride, ``invert`` is ``repro_invert_vec`` on one element).
-  A call packs the whole batch, makes *one* C call, and unpacks; cffi
-  releases the GIL for the entire C loop, so concurrent queries' kernel
-  stretches overlap.
-  ``powmod_products``, ``pool_products`` and ``invert_vec`` run on the
-  kernel's Montgomery core (odd moduli; an even one takes the same
-  call's ``mpz`` path).  Results are bit-identical to the pure backend
-  (``tests/test_backend.py`` pins this).  The C loops index raw buffers,
-  so every buffer size is checked here, before the call.
+:class:`GmpKernel` is the ``gmp-kernel`` compute backend itself: the
+loaded extension behind every backend operation (``powmod`` /
+``powmod_vec`` / ``powmod_pairs`` / ``powmod_products`` /
+``pool_products`` / ``invert`` / ``invert_vec`` / ``paillier_decrypt`` /
+``blind_round`` / ``ehl_minus`` / ``masked_unseen`` / ``select_bounds``
+/ ``select_absorb``), one C entry point per operation (the scalar
+``powmod`` and ``powmod_vec`` are ``repro_powmod_pairs`` with a zero
+exponent stride, ``invert`` is ``repro_invert_vec`` on one element).  A
+call packs the whole batch into the limb format
+(:func:`~repro.crypto.backend.pack_ints`, re-exported here with
+``unpack_ints`` and ``words_for``), makes *one* C call, and unpacks —
+except ``blind_round``, whose values arrive and leave as a limb buffer
+already; cffi releases the GIL for the entire C loop, so concurrent
+queries' kernel stretches overlap.  ``powmod_products``,
+``pool_products`` and ``invert_vec`` run on the kernel's Montgomery
+core (odd moduli; an even one takes the same call's ``mpz`` path).
+Results are bit-identical to the pure backend (``tests/test_backend.py``
+pins this).  The C loops index raw buffers, so every buffer size is
+checked here, before the call.
 
 Use :func:`load_kernel`; it is no-raise — a machine without cffi, a
 compiler or the GMP headers simply reports the kernel absent and every
@@ -34,43 +28,8 @@ caller falls back to the pure backend.
 from __future__ import annotations
 
 from repro.crypto import _gmp_kernel, backend
+from repro.crypto.backend import WORD_BYTES, pack_ints, unpack_ints, words_for
 from repro.exceptions import DecryptionError
-
-# ----------------------------------------------------------------------
-# The limb format.
-# ----------------------------------------------------------------------
-
-#: Bytes per limb word (the kernel is specified in 64-bit words).
-WORD_BYTES = 8
-
-
-def words_for(value: int) -> int:
-    """How many 64-bit words a non-negative integer needs (minimum 1)."""
-    return max(1, (value.bit_length() + 63) // 64)
-
-
-def pack_ints(values: list[int], words: int) -> bytes:
-    """Pack non-negative integers into fixed-width little-endian words:
-    a ``len(values) * words * 8``-byte buffer (read-only: the C side
-    writes only into its own output buffers).  Every value must fit
-    ``words`` words; ``int.to_bytes`` raises ``OverflowError`` otherwise
-    (a value too wide fails loudly, it is never truncated).
-    """
-    stride = words * WORD_BYTES
-    return b"".join([value.to_bytes(stride, "little") for value in values])
-
-
-def unpack_ints(buf, words: int, count: int) -> list[int]:
-    """Inverse of :func:`pack_ints`: read ``count`` integers."""
-    stride = words * WORD_BYTES
-    # One contiguous copy, then slice plain bytes: bytes slices convert
-    # faster than per-item memoryview slices.
-    data = bytes(memoryview(buf)[: count * stride])
-    from_bytes = int.from_bytes
-    return [
-        from_bytes(data[i * stride : (i + 1) * stride], "little") for i in range(count)
-    ]
-
 
 # ----------------------------------------------------------------------
 # The kernel wrapper.
@@ -228,44 +187,60 @@ class GmpKernel(backend.PurePythonBackend):
             pool.packed = pack_ints(values, words)
         return pool.packed
 
-    def pool_products(self, pool, reads: bytes) -> list[int]:
+    def _residues(self, column: list[int], words: int) -> bytes:
+        """``column`` packed at ``words`` words; a negative or too wide
+        value is a residue outside ``[0, mod)``, refused like the C side
+        refuses one."""
+        try:
+            return pack_ints(column, words)
+        except OverflowError:
+            raise ValueError(backend.OUTSIDE_MOD) from None
+
+    def pool_products(self, pool, reads: bytes, factors=None) -> list[int]:
         """One product of ``pool.picks`` pool elements per read of
-        ``reads``, in one GIL-free C call (see ``repro_pool_products``).
+        ``reads``, each times its factor when ``factors`` is given, in
+        one GIL-free C call (see ``repro_pool_products``).
 
         The C loop indexes the packed pool and the reads raw, so their
         sizes are checked here: ``pool.packed`` must hold
         ``2 ** pool.index_bits`` elements and ``reads`` a whole number of
         ``pool.read_bytes``-byte reads.
         """
-        mod_words, packed_mod = self._packed_mod(pool.mod)
         index_bits, picks, read_bytes = pool.index_bits, pool.picks, pool.read_bytes
         if picks < 1 or not 1 <= read_bytes <= WORD_BYTES:
             raise ValueError("a pool draw reads 1..64 index bits per product")
+        mod_words, packed_mod = self._packed_mod(pool.mod)
         packed_pool = self._packed_pool(pool)
         if len(packed_pool) != (mod_words * WORD_BYTES) << index_bits:
             raise ValueError("packed pool does not hold 2**index_bits elements")
-        count, ragged = divmod(len(reads), read_bytes)
-        if ragged:
-            raise ValueError("reads is not a whole number of draws")
+        backend.check_pool_products(pool, reads, factors)
+        count = len(reads) // read_bytes
+        ffi = self._ffi
+        from_buffer = ffi.from_buffer
+        factor_ptr = ffi.NULL
+        if factors:
+            factor_ptr = from_buffer("uint64_t[]", self._residues(factors, mod_words))
         out_buf = bytearray(count * mod_words * WORD_BYTES)
-        from_buffer = self._ffi.from_buffer
         rc = self._lib.repro_pool_products(
             from_buffer("uint64_t[]", packed_pool),
             index_bits,
             from_buffer("uint8_t[]", reads),
             count,
             picks,
+            factor_ptr,
             from_buffer("uint64_t[]", packed_mod),
             mod_words,
             from_buffer("uint64_t[]", out_buf),
         )
+        if rc == 1:
+            raise ValueError(backend.OUTSIDE_MOD)
         if rc != 0:
             raise ValueError("kernel pool products failed")
         return unpack_ints(out_buf, mod_words, count)
 
     def blind_round(
         self,
-        values: list[int],
+        values: bytes,
         counts: list[int],
         seeds: list[int],
         streams: bytes,
@@ -274,16 +249,17 @@ class GmpKernel(backend.PurePythonBackend):
         sign: int,
         pool=None,
         reads: bytes = b"",
-    ) -> list[int]:
+    ) -> bytes:
         """:func:`~repro.crypto.backend.blind_round` in one GIL-free C
-        call (see ``repro_blind_round``): the blinds are summed and
+        call (see ``repro_blind_round``) on the round's limb buffer,
+        passed in and handed back as it is: the blinds are summed and
         reduced from the streams in C, and the pool draw rides the same
         call.  Every buffer size is checked here, before the call."""
-        backend.check_blind_round(
+        total = backend.check_blind_round(
             values, counts, seeds, streams, width, n, sign, pool, reads
         )
-        if not values:
-            return []
+        if not total:
+            return b""
         ct_words, packed_mod = self._packed_mod(n * n)
         n_words = words_for(n)
         ffi = self._ffi
@@ -294,10 +270,10 @@ class GmpKernel(backend.PurePythonBackend):
             packed_pool = from_buffer("uint64_t[]", self._packed_pool(pool))
             index_bits, picks = pool.index_bits, pool.picks
             reads_ptr = from_buffer("uint8_t[]", reads)
-        out_buf = bytearray(len(values) * ct_words * WORD_BYTES)
+        out_buf = bytearray(len(values))
         rc = self._lib.repro_blind_round(
-            from_buffer("uint64_t[]", pack_ints(values, ct_words)),
-            len(values),
+            from_buffer("uint64_t[]", values),
+            total,
             ct_words,
             from_buffer(
                 "uint64_t[]",
@@ -321,7 +297,7 @@ class GmpKernel(backend.PurePythonBackend):
             raise ValueError(backend.OUTSIDE_MOD)
         if rc != 0:
             raise ValueError("kernel blinding round failed")
-        return unpack_ints(out_buf, ct_words, len(values))
+        return out_buf
 
     def ehl_minus(
         self,
@@ -369,6 +345,38 @@ class GmpKernel(backend.PurePythonBackend):
         """``column`` packed at ``words`` words as a C buffer — never an
         empty one: a reply may have no slots."""
         return self._ffi.from_buffer("uint64_t[]", pack_ints(column, words) or bytes(8))
+
+    def masked_unseen(self, n: int, seen: list[int], coins: list[int], pool, reads: bytes):
+        """:func:`~repro.crypto.backend.masked_unseen` in one GIL-free C
+        call (see ``repro_masked_unseen``): the coin-0 slots' batch
+        inversion and every slot's pool draw.  Every buffer size is
+        checked here, before the call."""
+        backend.check_masked_unseen(n, seen, coins, pool, reads)
+        if not seen:
+            return []
+        words, packed_mod = self._packed_mod(n * n)
+        from_buffer = self._ffi.from_buffer
+        out_buf = bytearray(len(seen) * words * WORD_BYTES)
+        rc = self._lib.repro_masked_unseen(
+            from_buffer("uint64_t[]", self._residues(seen, words)),
+            from_buffer("uint8_t[]", bytes(coins)),
+            len(seen),
+            from_buffer("uint64_t[]", pack_ints([n], words)),
+            from_buffer("uint64_t[]", self._packed_pool(pool)),
+            pool.index_bits,
+            from_buffer("uint8_t[]", reads),
+            pool.picks,
+            from_buffer("uint64_t[]", packed_mod),
+            words,
+            from_buffer("uint64_t[]", out_buf),
+        )
+        if rc == 1:
+            raise ValueError(backend.OUTSIDE_MOD)
+        if rc == 2:
+            raise ValueError(backend.NOT_INVERTIBLE)
+        if rc != 0:
+            raise ValueError("kernel masked unseen bits failed")
+        return unpack_ints(out_buf, words, len(seen))
 
     def select_bounds(
         self,

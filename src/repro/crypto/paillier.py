@@ -156,16 +156,27 @@ class PaillierPublicKey:
         """Encrypt a signed integer (negatives become ``N - |m|``)."""
         return self.encrypt(m % self.n, rng)
 
+    def randomize_values(
+        self, values: list[int], rng: SecureRandom | None = None
+    ) -> list[int]:
+        """``v · r mod N^2`` per residue ``v``, ``r`` a fresh randomizer:
+        the pool draws and the products in one backend call, reading the
+        stream as :meth:`randomizers` does."""
+        rng = rng or self._fresh_rng()
+        pool = self.randomizer_pool()
+        return backend.pool_products(
+            pool, rng.randbytes(pool.read_bytes * len(values)), values
+        )
+
     def encrypt_batch(
         self, values: list[int], rng: SecureRandom | None = None
     ) -> list["Ciphertext"]:
         """Encrypt a vector component-wise (same stream order as a loop
         of :meth:`encrypt` calls)."""
-        rng = rng or self._fresh_rng()
-        n, n2 = self.n, self.n_squared
+        n = self.n
         return [
-            Ciphertext((1 + m % n * n) * r % n2, self)
-            for m, r in zip(values, self.randomizers(rng, len(values)))
+            Ciphertext(value, self)
+            for value in self.randomize_values([1 + m % n * n for m in values], rng)
         ]
 
     def rerandomize(self, c: "Ciphertext", rng: SecureRandom | None = None) -> "Ciphertext":
@@ -177,11 +188,9 @@ class PaillierPublicKey:
     ) -> list["Ciphertext"]:
         """Fresh encryptions of the same plaintexts (same stream order as
         a loop of :meth:`rerandomize` calls)."""
-        rng = rng or self._fresh_rng()
-        n2 = self.n_squared
         return [
-            Ciphertext(c.value * r % n2, self)
-            for c, r in zip(cts, self.randomizers(rng, len(cts)))
+            Ciphertext(value, self)
+            for value in self.randomize_values([c.value for c in cts], rng)
         ]
 
     @functools.cached_property

@@ -23,6 +23,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.exceptions import ProtocolError
+from repro.structures.items import ItemBatch
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,11 @@ class RecordShipment(Message):
 
 @dataclass(frozen=True)
 class SortAffine(Message):
-    """``EncSort`` (affine construction): sort blinded keys, re-blind items."""
+    """``EncSort`` (affine construction): sort blinded keys, re-blind items
+    (one :class:`~repro.structures.items.ItemBatch`)."""
 
     keys: list
-    items: list
+    items: ItemBatch
     companions: list
     own_public: object
     descending: bool
@@ -124,7 +126,9 @@ class SortGateBatch(Message):
     """``EncSort`` (network construction): one layer of compare-exchange gates.
 
     ``gates`` is a list of ``(pair_keys, pair_items, pair_companions)``
-    triples; the reply is the per-gate ordered, re-blinded triples.
+    triples, ``pair_items`` a two-item
+    :class:`~repro.structures.items.ItemBatch`; the reply is the per-gate
+    ordered, re-blinded triples.
     """
 
     gates: list
@@ -136,10 +140,11 @@ class SortGateBatch(Message):
 
 @dataclass(frozen=True)
 class DedupBatch(Message):
-    """Algorithm 7 / Section 10.1: bury or drop duplicate-group members."""
+    """Algorithm 7 / Section 10.1: bury or drop duplicate-group members
+    of ``items`` (one :class:`~repro.structures.items.ItemBatch`)."""
 
     matrix: list
-    items: list
+    items: ItemBatch
     companions: list
     ranks: list
     own_public: object
@@ -156,10 +161,11 @@ class DedupSort(Message):
     its earlier copies, one per new item in item order — decrypts to 0,
     orders the survivors by ``keys`` (one-way, noisily affine-blinded
     worst scores, descending), places new junk last and returns items
-    and companions only."""
+    (one :class:`~repro.structures.items.ItemBatch`, as they came) and
+    companions only."""
 
     counts: list
-    items: list
+    items: ItemBatch
     keys: list
     companions: list
     ranks: list

@@ -184,17 +184,16 @@ class CryptoCloud:
             bits = [1 if value == 0 else 0 for value in plain]
             self.leakage.record("S2", protocol, "eq_bits", bits)
         pk = self.public_key
-        n, n2 = pk.n, pk.n_squared
-        fresh = pk.randomizers(self.rng, 2 * len(bits))
-        selected = [
-            Ciphertext((values[g].value if t else 1) * r % n2, pk)
-            for t, g, r in zip(bits, groups, fresh)
+        n = pk.n
+        fresh = [
+            Ciphertext(value, pk)
+            for value in pk.randomize_values(
+                [values[g].value if t else 1 for t, g in zip(bits, groups)]
+                + [1 + t * n for t in bits],
+                self.rng,
+            )
         ]
-        bit_cts = [
-            Ciphertext((1 + t * n) * r % n2, pk)
-            for t, r in zip(bits, fresh[len(bits) :])
-        ]
-        return selected, bit_cts
+        return fresh[: len(bits)], fresh[len(bits) :]
 
     # ------------------------------------------------------------------
     # RecoverEnc (Algorithm 5), S2's side.

@@ -21,21 +21,23 @@ back to the input slot it blinded with it (a known gap, ROADMAP; the
 paper's additive companion needs per-component ``pk'`` work — see
 ARCHITECTURE.md, "Protocol substitutions and declared leakage").
 
-The blinder understands every field a :class:`ScoredItem` may carry:
-EHL cells, the worst/best Paillier ciphertexts, payload ciphertexts
-(``list_scores``) and the seen bits — Paillier ciphertexts on the eager
-engine's items, blinded like every other Paillier component, or ``E2``
-ciphertexts (blinded modulo ``N^2``) on items recorded before the
-eager engine left the layered scheme, which S2 still serves.  An absent
-field is skipped — neither blinded nor shipped — and comes back absent;
-an item with no ``E2`` component costs no Damgård–Jurik work.
+The blinder works on a round's :class:`~repro.structures.items.ItemBatch`:
+each item's layout and one limb buffer of every Paillier component — EHL
+cells, the worst/best ciphertexts, payload ciphertexts (``list_scores``)
+and the seen bits, Paillier ciphertexts on the eager engine's items —
+plus the side vector of ``E2`` seen bits (blinded modulo ``N^2``) of
+items recorded before the eager engine left the layered scheme, which S2
+still serves.  An absent field is neither blinded nor shipped and comes
+back absent; an item with no ``E2`` component costs no Damgård–Jurik
+work.
 
-Everything works on a whole round's items at once: one XOF call per
+Everything works on a whole round's batch at once: one XOF call per
 seed, then one :func:`~repro.crypto.backend.blind_round` call cuts the
-streams into the blinds and applies them and the rerandomizers over the
-flat vector of every Paillier component of every item (one C call on
-the kernel backend), and the companion seeds are encrypted (or
-decrypted) as one batch.
+streams into the blinds and applies them and the rerandomizers to the
+batch's buffer as it is (one C call on the kernel backend), and the
+companion seeds are encrypted (or decrypted) as one batch.  S1 packs a
+round's items once; S2 keeps, permutes and adds junk by whole item
+slices; S1 builds its items again once, after the unblind.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair, PaillierPublicKey
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import ProtocolError
-from repro.structures.items import ScoredItem
+from repro.structures.items import ItemBatch, ScoredItem
 
 # 96-bit seeds: blind-derivation security far above the statistical
 # parameters used elsewhere.
@@ -73,59 +75,17 @@ _XOF_DOMAIN = b"repro-item-blind:"
 _SURPLUS_BITS = 128
 
 
-def _layered_bits(item: ScoredItem) -> bool:
-    """Whether ``item``'s seen bits are ``E2`` ciphertexts (``False`` for
-    Paillier bits and for an item without any)."""
-    kinds = {type(bit) for bit in item.seen_bits or ()}
-    if len(kinds) > 1 or not kinds <= {Ciphertext, LayeredCiphertext}:
-        raise ProtocolError("an item's seen bits must be ciphertexts of one kind")
-    return kinds == {LayeredCiphertext}
-
-
-def _components(item: ScoredItem) -> tuple[list[Ciphertext], list]:
-    """``item``'s Paillier components in blinding order, and its ``E2``
-    seen bits."""
-    layered = _layered_bits(item)
-    plain = list(item.ehl.cells)
-    if item.worst is not None:
-        plain.append(item.worst)
-    if item.best is not None:
-        plain.append(item.best)
-    if item.list_scores is not None:
-        plain.extend(item.list_scores)
-    if item.seen_bits is not None and not layered:
-        plain.extend(item.seen_bits)
-    if item.record is not None:
-        plain.append(item.record)
-    return plain, item.seen_bits if layered else []
-
-
-def _assemble(template: ScoredItem, cts, layered_bits, uid: int) -> ScoredItem:
-    """An item of ``template``'s shape (inverse of :func:`_components`),
-    taking exactly its share off the iterators ``cts`` (Paillier
-    components) and ``layered_bits``."""
-    bits = layered_bits if _layered_bits(template) else cts
-    return ScoredItem(
-        ehl=type(template.ehl)([next(cts) for _ in template.ehl.cells]),
-        worst=next(cts) if template.worst is not None else None,
-        best=next(cts) if template.best is not None else None,
-        list_scores=(
-            [next(cts) for _ in template.list_scores]
-            if template.list_scores is not None
-            else None
-        ),
-        seen_bits=(
-            [next(bits) for _ in template.seen_bits]
-            if template.seen_bits is not None
-            else None
-        ),
-        record=next(cts) if template.record is not None else None,
-        uid=uid,
-    )
+def check_batch(batch, public_key: PaillierPublicKey) -> ItemBatch:
+    """``batch`` when it is an :class:`ItemBatch` under ``public_key``;
+    a :class:`ProtocolError` otherwise (a peer's round names its items
+    as one batch under the main key)."""
+    if type(batch) is not ItemBatch or batch.public_key.n != public_key.n:
+        raise ProtocolError("a blinded round's items must be one batch under the main key")
+    return batch
 
 
 class ItemBlinder:
-    """Blind/unblind :class:`ScoredItem` objects with seed-derived masks."""
+    """Blind/unblind a round's :class:`ItemBatch` with seed-derived masks."""
 
     def __init__(self, public_key: PaillierPublicKey, dj: DamgardJurik):
         self.public_key = public_key
@@ -137,78 +97,94 @@ class ItemBlinder:
 
     def _apply(
         self,
-        items: list[ScoredItem],
+        batch: ItemBatch,
         seed_lists: list[list[bytes]],
         sign: int,
         rng: SecureRandom | None,
-    ) -> list[ScoredItem]:
+    ) -> ItemBatch:
         """Add (``sign=+1``) or remove (``-1``) every item's summed seed
         blinds; rerandomize every component when ``rng`` is given.
 
         One XOF expansion per seed covers the item's Paillier components
         first, then its ``E2`` ones.  The Paillier part of every stream
         goes to one :func:`~repro.crypto.backend.blind_round` call for the
-        round; ``E2`` blinds are cut here.
+        round, on the batch's buffer; ``E2`` blinds are cut here.
         """
+        check_batch(batch, self.public_key)
+        if len(seed_lists) != len(batch):
+            raise ProtocolError("a blinded round needs one seed list per item")
         pk, dj = self.public_key, self.dj
-        n_s, n_s1, g_pow = dj.n_s, dj.n_s1, dj._g_pow
         plain_bytes, layered_bytes = self._plain_bytes, self._layered_bytes
-        values, counts, seeds_per_item, streams, layered = [], [], [], [], []
-        from_bytes = int.from_bytes
-        for item, seeds in zip(items, seed_lists):
-            cts, lcs = _components(item)
-            split = len(cts) * plain_bytes
-            total = split + len(lcs) * layered_bytes
-            blinds = [0] * len(lcs)
-            for seed in seeds:
-                stream = hashlib.shake_256(_XOF_DOMAIN + seed).digest(total)
-                streams.append(stream[:split] if lcs else stream)
-                for k in range(len(lcs)):
-                    start = split + k * layered_bytes
-                    blinds[k] += from_bytes(stream[start : start + layered_bytes], "big")
-            values.extend(ct.value for ct in cts)
-            counts.append(len(cts))
-            seeds_per_item.append(len(seeds))
-            # Enc(x) -> Enc(x ± b): multiply by (1+N)^(±b).
-            layered.extend(
-                value * g_pow(sign * (b % n_s)) % n_s1
-                for value, b in zip(dj.values_of(lcs), blinds)
+        counts, layered_counts = batch.counts()
+        seeds_per_item = [len(seeds) for seeds in seed_lists]
+        xof = hashlib.shake_256
+        if not batch.layered:
+            streams = b"".join(
+                [
+                    xof(_XOF_DOMAIN + seed).digest(count * plain_bytes)
+                    for count, seeds in zip(counts, seed_lists)
+                    for seed in seeds
+                ]
+            )
+            layered = []
+        else:
+            streams, layered = self._layered_blinds(
+                batch, counts, layered_counts, seed_lists, sign
             )
         pool, reads = None, b""
         if rng is not None:
             pool = pk.randomizer_pool()
-            reads = rng.randbytes(pool.read_bytes * len(values))
-        plain = backend.blind_round(
-            values, counts, seeds_per_item, b"".join(streams), plain_bytes,
+            reads = rng.randbytes(pool.read_bytes * sum(counts))
+        buffer = backend.blind_round(
+            batch.buffer, counts, seeds_per_item, streams, plain_bytes,
             pk.n, sign, pool, reads,
         )
         if rng is not None and layered:
+            n_s1 = dj.n_s1
             layered = [
                 v * r % n_s1 for v, r in zip(layered, dj.randomizers(rng, len(layered)))
             ]
-        # Each item takes its own components back off the flat vectors.
-        fresh_cts = (Ciphertext(v, pk) for v in plain)
-        fresh_bits = (LayeredCiphertext(v, dj) for v in layered)
-        return [_assemble(item, fresh_cts, fresh_bits, item.uid) for item in items]
+        return batch.with_components(buffer, [LayeredCiphertext(v, dj) for v in layered])
 
-    def blind_many(
-        self,
-        items: list[ScoredItem],
-        seed_lists: list[list[bytes]],
-        rng: SecureRandom,
-    ) -> list[ScoredItem]:
+    def _layered_blinds(self, batch, counts, layered_counts, seed_lists, sign):
+        """The Paillier streams of a round whose batch holds ``E2`` seen
+        bits, and those bits with their blinds applied: each seed's
+        stream runs on past its item's Paillier reads into one read per
+        ``E2`` bit."""
+        dj = self.dj
+        n_s, n_s1, g_pow = dj.n_s, dj.n_s1, dj._g_pow
+        plain_bytes, layered_bytes = self._plain_bytes, self._layered_bytes
+        from_bytes = int.from_bytes
+        values = iter(dj.values_of(batch.layered))
+        streams, layered = [], []
+        for count, lcount, seeds in zip(counts, layered_counts, seed_lists):
+            split = count * plain_bytes
+            blinds = [0] * lcount
+            for seed in seeds:
+                stream = hashlib.shake_256(_XOF_DOMAIN + seed).digest(
+                    split + lcount * layered_bytes
+                )
+                streams.append(stream[:split])
+                for k in range(lcount):
+                    start = split + k * layered_bytes
+                    blinds[k] += from_bytes(stream[start : start + layered_bytes], "big")
+            # Enc(x) -> Enc(x ± b): multiply by (1+N)^(±b).
+            layered += [next(values) * g_pow(sign * (b % n_s)) % n_s1 for b in blinds]
+        return b"".join(streams), layered
+
+    def blind_batch(
+        self, batch: ItemBatch, seed_lists: list[list[bytes]], rng: SecureRandom
+    ) -> ItemBatch:
         """Additively blind every component of every item with the summed
         blinds of its seeds; rerandomize so nothing links."""
-        return self._apply(items, seed_lists, +1, rng)
+        return self._apply(batch, seed_lists, +1, rng)
 
-    def unblind_many(
-        self, items: list[ScoredItem], seed_lists: list[list[bytes]]
-    ) -> list[ScoredItem]:
+    def unblind_batch(self, batch: ItemBatch, seed_lists: list[list[bytes]]) -> ItemBatch:
         """Remove the blinds of every item's seeds (order-independent).
 
         The result is consumed by S1 itself, so the known constants are
         subtracted without a fresh rerandomization."""
-        return self._apply(items, seed_lists, -1, None)
+        return self._apply(batch, seed_lists, -1, None)
 
     # -- seed transport under S1's own key pk' ---------------------------
 
@@ -247,61 +223,70 @@ class ItemBlinder:
     # -- whole rounds ----------------------------------------------------
 
     def blind_fresh(
-        self, items: list[ScoredItem], own_public: PaillierPublicKey, rng: SecureRandom
-    ) -> tuple[list[ScoredItem], list[Ciphertext]]:
+        self, batch: ItemBatch, own_public: PaillierPublicKey, rng: SecureRandom
+    ) -> tuple[ItemBatch, list[Ciphertext]]:
         """Blind every item under a fresh seed of its own; returns the
-        blinded items and their companions ``Enc_pk'(seed)``."""
-        seeds = self.fresh_seeds(rng, len(items))
-        blinded = self.blind_many(items, [[seed] for seed in seeds], rng)
+        blinded batch and its companions ``Enc_pk'(seed)``."""
+        seeds = self.fresh_seeds(rng, len(batch))
+        blinded = self.blind_batch(batch, [[seed] for seed in seeds], rng)
         return blinded, self.encrypt_seeds(own_public, seeds, rng)
 
     def unblind_companions(
         self,
         own_keypair: PaillierKeypair,
-        items: list[ScoredItem],
+        batch: ItemBatch,
         companions: list[tuple],
     ) -> list[ScoredItem]:
         """S1's last step of a blinded round: decrypt every item's
-        companion seeds (one batch for the round) and remove their blinds."""
+        companion seeds (one batch for the round), remove their blinds and
+        build the round's items."""
         seeds = iter(
             self.decrypt_seeds(own_keypair, [h for comp in companions for h in comp])
         )
-        return self.unblind_many(
-            items, [[next(seeds) for _ in comp] for comp in companions]
-        )
+        return self.unblind_batch(
+            batch, [[next(seeds) for _ in comp] for comp in companions]
+        ).unpack()
 
 
-def junk_item(
+def junk_batch(
     public_key: PaillierPublicKey,
     dj: DamgardJurik,
-    template: ScoredItem,
+    templates: ItemBatch,
     sentinel: int,
     rng: SecureRandom,
-) -> ScoredItem:
-    """A replacement item for a buried duplicate (Algorithm 7, lines 22-25).
+) -> ItemBatch:
+    """One replacement per item of ``templates`` for a buried duplicate
+    (Algorithm 7, lines 22-25), in order.
 
-    Random object identity and payload, and whichever of worst/best the
-    template carries pinned to the huge-negative ``sentinel`` so it sorts
-    after every legitimate candidate and never blocks the halting check.
-    Every eager-mode list is marked seen — ``Enc(1)``, or ``E2(1)`` for a
-    template with layered seen bits — so the best bound the eager engine
-    later derives from the running worst (no bottom-score contribution
-    for a seen list) lands on the sentinel too.
+    Each keeps its template's shape: random object identity and payload,
+    and whichever of worst/best the template carries pinned to the
+    huge-negative ``sentinel`` so it sorts after every legitimate
+    candidate and never blocks the halting check.  Every eager-mode list
+    is marked seen — ``Enc(1)``, or ``E2(1)`` for a template with layered
+    seen bits — so the best bound the eager engine later derives from the
+    running worst (no bottom-score contribution for a seen list) lands on
+    the sentinel too.  Each item's values are drawn, then encrypted as
+    one batch, item after item.
     """
     n = public_key.n
-    layered = _layered_bits(template)
-    seen = [1] * len(template.seen_bits or ())
-    # One value vector in component order, encrypted as one batch.
-    values = [rng.randint_below(n) for _ in template.ehl.cells]
-    values += [sentinel % n for ct in (template.worst, template.best) if ct is not None]
-    values += [rng.randint_below(n) for _ in template.list_scores or ()]
-    if not layered:
-        values += seen
-    if template.record is not None:
-        values.append(rng.randint_below(n))
-    return _assemble(
-        template,
-        iter(public_key.encrypt_batch(values, rng)),
-        iter(dj.encrypt_batch(seen, rng) if layered else ()),
-        uid=-1,
+    values, layered = [], []
+    for shape in templates.shapes:
+        seen = [1] * (shape.seen or 0)
+        item = [rng.randint_below(n) for _ in range(shape.cells)]
+        item += [sentinel % n] * (shape.worst + shape.best)
+        item += [rng.randint_below(n) for _ in range(shape.scores or 0)]
+        if not shape.layered:
+            item += seen
+        if shape.record:
+            item.append(rng.randint_below(n))
+        values += [ct.value for ct in public_key.encrypt_batch(item, rng)]
+        if shape.layered:
+            layered += dj.encrypt_batch(seen, rng)
+    words = backend.words_for(public_key.n_squared)
+    return ItemBatch(
+        public_key,
+        list(templates.shapes),
+        [-1] * len(templates),
+        backend.pack_ints(values, words),
+        layered,
     )

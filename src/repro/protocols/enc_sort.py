@@ -45,8 +45,8 @@ from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.exceptions import ProtocolError
 from repro.net.messages import SortAffine, SortGateBatch
 from repro.protocols.base import CryptoCloud, S1Context
-from repro.protocols.blinding import ItemBlinder
-from repro.structures.items import ScoredItem
+from repro.protocols.blinding import ItemBlinder, check_batch
+from repro.structures.items import ItemBatch, ScoredItem
 
 PROTOCOL = "EncSort"
 
@@ -176,7 +176,9 @@ def _sort_affine(
     maps = [_affine_params(ctx)] * len(items)
     blinded_keys = _blind_keys(ctx, [item.worst for item in permuted], maps)
     blinded_items, companions = blinder.blind_fresh(
-        _without_key(permuted), own_keypair.public_key, ctx.rng
+        ItemBatch.pack(ctx.public_key, _without_key(permuted)),
+        own_keypair.public_key,
+        ctx.rng,
     )
 
     keys_out, items_out, comps_out = ctx.call(
@@ -200,22 +202,25 @@ def s2_sort_affine(
     s2: CryptoCloud,
     own_public,
     blinded_keys: list[Ciphertext],
-    blinded_items: list[ScoredItem],
+    blinded_items: ItemBatch,
     companions: list[Ciphertext],
     descending: bool,
     protocol: str,
 ):
     """S2's side of the affine construction."""
+    check_batch(blinded_items, s2.public_key)
+    if not len(blinded_keys) == len(blinded_items) == len(companions):
+        raise ProtocolError("malformed sort: keys, items and companions disagree")
     blinder = ItemBlinder(s2.public_key, s2.dj)
     decorated = s2_order(
-        s2, blinded_keys, list(zip(blinded_items, companions)), descending, protocol
+        s2, blinded_keys, range(len(blinded_keys)), descending, protocol
     )
     n = s2.public_key.n
     keys_out = s2.public_key.encrypt_batch([value % n for value, _ in decorated], s2.rng)
     items_out, fresh = blinder.blind_fresh(
-        [item for _, (item, _) in decorated], own_public, s2.rng
+        blinded_items.select([i for _, i in decorated]), own_public, s2.rng
     )
-    comps_out = [(comp, h) for (_, (_, comp)), h in zip(decorated, fresh)]
+    comps_out = [(companions[i], h) for (_, i), h in zip(decorated, fresh)]
     return keys_out, items_out, comps_out
 
 
@@ -303,7 +308,7 @@ def _sort_network(
             maps += [r_s, r_s]
         keys = _blind_keys(ctx, [working[idx].worst for idx in slots], maps)
         blinded, companions = blinder.blind_fresh(
-            _without_key([working[idx] for idx in slots]),
+            ItemBatch.pack(ctx.public_key, _without_key([working[idx] for idx in slots])),
             own_keypair.public_key,
             ctx.rng,
         )
@@ -311,7 +316,7 @@ def _sort_network(
             SortGateBatch(
                 protocol=protocol,
                 gates=[
-                    (keys[g : g + 2], blinded[g : g + 2], companions[g : g + 2])
+                    (keys[g : g + 2], blinded.select((g, g + 1)), companions[g : g + 2])
                     for g in range(0, len(slots), 2)
                 ],
                 own_public=own_keypair.public_key,
@@ -320,7 +325,7 @@ def _sort_network(
         )
         cleaned = blinder.unblind_companions(
             own_keypair,
-            [item for _, items_out, _ in replies for item in items_out],
+            ItemBatch.concat([items_out for _, items_out, _ in replies]),
             [comp for _, _, comps_out in replies for comp in comps_out],
         )
         recovered = _recover_keys(
@@ -346,29 +351,34 @@ def s2_gates(
     (one backend setup) before the per-gate ordering/re-blinding logic
     runs.
     """
-    blinder = ItemBlinder(s2.public_key, s2.dj)
+    pk = s2.public_key
+    for pair_keys, pair_items, pair_comps in gates:
+        if not len(pair_keys) == len(check_batch(pair_items, pk)) == len(pair_comps) == 2:
+            raise ProtocolError("malformed sort gate: a gate holds two keys, items and companions")
+    blinder = ItemBlinder(pk, s2.dj)
     all_keys = [k for pair_keys, _, _ in gates for k in pair_keys]
     all_values = s2.decrypt_signed_batch_for_protocol(
         all_keys, protocol, "gate_key_blinded"
     )
 
-    # Every gate's ordered pair, flat in reply order.
-    values_out, items_in, comps_in = [], [], []
-    for gate_index, (_, pair_items, pair_comps) in enumerate(gates):
+    # Every gate's ordered pair, flat in reply order: input slot 2g + idx.
+    values_out, slots, comps_in = [], [], []
+    for gate_index, (_, _, pair_comps) in enumerate(gates):
         values = all_values[2 * gate_index : 2 * gate_index + 2]
         order = [0, 1]
         if (values[0] < values[1]) == descending:
             order = [1, 0]
         s2.leakage.record("S2", protocol, "gate_bit", order[0])
         for idx in order:
-            values_out.append(values[idx] % s2.public_key.n)
-            items_in.append(pair_items[idx])
+            values_out.append(values[idx] % pk.n)
+            slots.append(2 * gate_index + idx)
             comps_in.append(pair_comps[idx])
 
-    keys_out = s2.public_key.encrypt_batch(values_out, s2.rng)
+    keys_out = pk.encrypt_batch(values_out, s2.rng)
+    items_in = ItemBatch.concat([pair_items for _, pair_items, _ in gates]).select(slots)
     items_out, fresh = blinder.blind_fresh(items_in, own_public, s2.rng)
     comps_out = list(zip(comps_in, fresh))
     return [
-        (keys_out[g : g + 2], items_out[g : g + 2], comps_out[g : g + 2])
+        (keys_out[g : g + 2], items_out.select((g, g + 1)), comps_out[g : g + 2])
         for g in range(0, len(keys_out), 2)
     ]

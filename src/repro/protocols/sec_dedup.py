@@ -60,11 +60,11 @@ from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.exceptions import ProtocolError
 from repro.net.messages import DedupBatch, DedupSort
 from repro.protocols.base import CryptoCloud, S1Context
-from repro.protocols.blinding import ItemBlinder, junk_item
+from repro.protocols.blinding import ItemBlinder, check_batch, junk_batch
 from repro.protocols.enc_sort import PROTOCOL as SORT_PROTOCOL
 from repro.protocols.enc_sort import one_way_keys, s2_order
 from repro.structures.ehl import EncryptedHashList, KnownPairs
-from repro.structures.items import ScoredItem
+from repro.structures.items import ItemBatch, ScoredItem
 
 PROTOCOL = "SecDedup"
 
@@ -125,7 +125,7 @@ def _prepare(
         fields["counts"] = [fresh[ranks[i] - 1] for i in order if ranks[i]]
         fields["keys"] = one_way_keys(ctx, [item.worst for item in permuted])
     fields["items"], fields["companions"] = blinder.blind_fresh(
-        permuted, own_keypair.public_key, ctx.rng
+        ItemBatch.pack(ctx.public_key, permuted), own_keypair.public_key, ctx.rng
     )
     return blinder, fields
 
@@ -231,29 +231,29 @@ def _group_sizes(copies: list[int]) -> list[int]:
 def _s2_release(
     s2: CryptoCloud,
     own_public,
-    blinded: list[ScoredItem],
+    blinded: ItemBatch,
     companions: list[Ciphertext],
     kept: list[int],
     sentinel: int,
     eliminate: bool,
     protocol: str,
 ):
-    """The outgoing items, each re-blinded once: the ``kept`` input slots
-    in that order, then — unless ``eliminate`` drops them — a junk
-    replacement for every other item.
+    """The outgoing batch, each item re-blinded once: the ``kept`` input
+    slots in that order, then — unless ``eliminate`` drops them — a junk
+    replacement for every other item, all in one blinding call.
 
     A survivor travels on under one more seed next to its companion; a
     junk item gets two seeds of S2's, so every outgoing item has the
     uniform companion shape ``(H_a, H_b)``.
     """
-    outgoing = [blinded[i] for i in kept]
+    outgoing = blinded.select(kept)
     carried: list[Ciphertext | None] = [companions[i] for i in kept]
     if not eliminate:
         survivors = set(kept)
-        for i, item in enumerate(blinded):
-            if i not in survivors:
-                outgoing.append(junk_item(s2.public_key, s2.dj, item, sentinel, s2.rng))
-                carried.append(None)
+        buried = [i for i in range(len(blinded)) if i not in survivors]
+        junk = junk_batch(s2.public_key, s2.dj, blinded.select(buried), sentinel, s2.rng)
+        outgoing = ItemBatch.concat([outgoing, junk])
+        carried += [None] * len(buried)
 
     blinder = ItemBlinder(s2.public_key, s2.dj)
     counts = [1 if h is not None else 2 for h in carried]
@@ -268,13 +268,13 @@ def _s2_release(
             (h, sealed[at]) if h is not None else (sealed[at], sealed[at + 1])
         )
         at += count
-    items_out = blinder.blind_many(outgoing, seed_lists, s2.rng)
+    items_out = blinder.blind_batch(outgoing, seed_lists, s2.rng)
     if eliminate:
         s2.leakage.record("S2", protocol, "unique_count", len(items_out))
     return items_out, comps_out
 
 
-def _check_shape(blinded: list, sized: tuple[str, list, int], **per_item: list) -> None:
+def _check_shape(blinded: ItemBatch, sized: tuple[str, list, int], **per_item: list) -> None:
     """Refuse a batch that does not fit its items: a ``per_item`` field
     (``ranks`` among them) of another length, a rank that is not a
     non-negative integer, or the ``sized`` field ``(name, values,
@@ -297,7 +297,7 @@ def s2_dedup(
     s2: CryptoCloud,
     own_public,
     matrix: list[Ciphertext],
-    blinded: list[ScoredItem],
+    blinded: ItemBatch,
     companions: list[Ciphertext],
     ranks: list[int],
     sentinel: int,
@@ -305,7 +305,7 @@ def s2_dedup(
     protocol: str,
 ):
     """S2's side, shared by ``SecDedup`` (bury) and ``SecDupElim`` (drop)."""
-    l = len(blinded)
+    l = len(check_batch(blinded, s2.public_key))
     _check_shape(
         blinded, ("matrix", matrix, l * (l - 1) // 2), companions=companions, ranks=ranks
     )
@@ -314,14 +314,14 @@ def s2_dedup(
         s2, own_public, blinded, companions, kept, sentinel, eliminate, protocol
     )
     order = s2.rng.permutation(len(items_out))
-    return [items_out[i] for i in order], [comps_out[i] for i in order]
+    return items_out.select(order), [comps_out[i] for i in order]
 
 
 def s2_dedup_sort(
     s2: CryptoCloud,
     own_public,
     counts: list[Ciphertext],
-    blinded: list[ScoredItem],
+    blinded: ItemBatch,
     keys: list[Ciphertext],
     companions: list[Ciphertext],
     ranks: list[int],
@@ -334,6 +334,7 @@ def s2_dedup_sort(
     survivors' keys are decrypted, the survivors ordered by them
     (descending) and new junk appended; no second permutation."""
     new = [i for i, rank in enumerate(ranks) if rank != 0]
+    check_batch(blinded, s2.public_key)
     _check_shape(
         blinded, ("counts", counts, len(new)), keys=keys, companions=companions, ranks=ranks
     )

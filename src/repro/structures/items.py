@@ -5,6 +5,10 @@
 * :class:`ScoredItem` — ``E(I) = (EHL(o), Enc(W), Enc(B))``: a candidate
   carried in the list ``T`` during query processing with its encrypted
   worst and best scores (Section 8.1).
+* :class:`ItemBatch` — the candidates of one blinded round (``SecDedup``,
+  ``EncSort``), packed: each item's :class:`ItemShape` and one limb
+  buffer of every Paillier component, from S1's blind through S2's
+  re-blind to S1's unblind.
 
 A ``ScoredItem`` carries only the fields its next reader needs; an
 absent field (``None``) is neither blinded nor shipped.  The ``eager``
@@ -15,11 +19,15 @@ paper-literal mode carries worst and best.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.crypto import backend
+from repro.crypto.backend import WORD_BYTES, pack_ints, unpack_ints, words_for
 from repro.crypto.damgard_jurik import LayeredCiphertext
-from repro.crypto.paillier import Ciphertext
+from repro.crypto.paillier import Ciphertext, PaillierPublicKey
+from repro.exceptions import ProtocolError
 
 
 @dataclass
@@ -234,3 +242,231 @@ class ScoredItem:
             record=self.record,
             uid=self.uid,
         )
+
+
+def layered_bits(bits) -> bool:
+    """Whether seen bits are ``E2`` ciphertexts (``False`` for Paillier
+    bits and for an item without any); bits of two kinds are refused."""
+    kinds = set(map(type, bits or ()))
+    if len(kinds) > 1 or not kinds <= {Ciphertext, LayeredCiphertext}:
+        raise ProtocolError("an item's seen bits must be ciphertexts of one kind")
+    return kinds == {LayeredCiphertext}
+
+
+class ItemShape(NamedTuple):
+    """What one item of an :class:`ItemBatch` carries: its EHL class and
+    cell count, which of worst / best / record it has, how many payload
+    ciphertexts (``list_scores``) and seen bits (``None``: the field is
+    absent), and whether its seen bits are ``E2`` ciphertexts."""
+
+    ehl: type
+    cells: int
+    worst: bool
+    best: bool
+    scores: int | None
+    seen: int | None
+    layered: bool
+    record: bool
+
+    def counts(self) -> tuple[int, int]:
+        """``(Paillier components, E2 seen bits)`` of the item."""
+        seen = self.seen or 0
+        plain = self.cells + self.worst + self.best + (self.scores or 0) + self.record
+        return (plain, seen) if self.layered else (plain + seen, 0)
+
+
+class ItemBatch:
+    """The items of one blinded round, packed.
+
+    * :attr:`shapes` and :attr:`uids` — each item's layout and S1-local
+      handle;
+    * :attr:`buffer` — every Paillier component of every item, item by
+      item in the blinding order (EHL cells, worst, best, ``list_scores``,
+      Paillier seen bits, record), in the limb format at
+      ``words_for(N^2)`` words each: what
+      :func:`~repro.crypto.backend.blind_round` reads and writes;
+    * :attr:`layered` — the ``E2`` seen bits of the items that carry
+      them (items recorded before the eager engine left the layered
+      scheme), as the side vector they are.
+
+    S1 packs a round once (:meth:`pack`), the blinders and S2 keep,
+    reorder and extend it by whole item slices (:meth:`select`,
+    :meth:`concat`, :meth:`with_components`), and S1 builds its
+    :class:`ScoredItem` objects once, after unblinding (:meth:`unpack`).
+    On the wire a batch is exactly the bytes of the list of items it
+    holds, and its size is a function of its buffer.  A batch is never
+    modified in place.
+    """
+
+    __slots__ = ("public_key", "shapes", "uids", "buffer", "layered", "_counts")
+
+    def __init__(
+        self,
+        public_key: PaillierPublicKey,
+        shapes: list[ItemShape],
+        uids: list[int],
+        buffer: bytes,
+        layered: list[LayeredCiphertext],
+    ):
+        self.public_key = public_key
+        self.shapes = shapes
+        self.uids = uids
+        self.buffer = buffer
+        self.layered = layered
+        self._counts: tuple[list[int], list[int]] | None = None
+
+    @staticmethod
+    def stride(public_key: PaillierPublicKey) -> int:
+        """Bytes one component takes in a batch under ``public_key``."""
+        return words_for(public_key.n_squared) * WORD_BYTES
+
+    @classmethod
+    def pack(cls, public_key: PaillierPublicKey, items: list[ScoredItem]) -> "ItemBatch":
+        """``items`` packed under ``public_key``: the one pass over their
+        components on the way into a blinded round."""
+        shapes, uids, values, layered = [], [], [], []
+        for item in items:
+            bits = item.seen_bits
+            in_e2 = layered_bits(bits)
+            values += [c.value for c in item.ehl.cells]
+            if item.worst is not None:
+                values.append(item.worst.value)
+            if item.best is not None:
+                values.append(item.best.value)
+            if item.list_scores is not None:
+                values += [c.value for c in item.list_scores]
+            if bits is not None:
+                if in_e2:
+                    layered += bits
+                else:
+                    values += [c.value for c in bits]
+            if item.record is not None:
+                values.append(item.record.value)
+            shapes.append(
+                ItemShape(
+                    type(item.ehl),
+                    len(item.ehl.cells),
+                    item.worst is not None,
+                    item.best is not None,
+                    None if item.list_scores is None else len(item.list_scores),
+                    None if bits is None else len(bits),
+                    in_e2,
+                    item.record is not None,
+                )
+            )
+            uids.append(item.uid)
+        words = words_for(public_key.n_squared)
+        return cls(public_key, shapes, uids, pack_ints(values, words), layered)
+
+    @classmethod
+    def concat(cls, batches: list["ItemBatch"]) -> "ItemBatch":
+        """One batch of the items of ``batches`` (at least one, all under
+        one key), in order."""
+        first = batches[0]
+        if len(batches) == 1:
+            return first
+        return cls(
+            first.public_key,
+            [shape for batch in batches for shape in batch.shapes],
+            [uid for batch in batches for uid in batch.uids],
+            b"".join([batch.buffer for batch in batches]),
+            [bit for batch in batches for bit in batch.layered],
+        )
+
+    def counts(self) -> tuple[list[int], list[int]]:
+        """Per item, its Paillier component count and its ``E2`` count."""
+        if self._counts is None:
+            pairs = [shape.counts() for shape in self.shapes]
+            self._counts = ([p for p, _ in pairs], [q for _, q in pairs])
+        return self._counts
+
+    def with_components(self, buffer: bytes, layered: list[LayeredCiphertext]) -> "ItemBatch":
+        """The same items with new component values (a blinding's
+        output): same layout, ``buffer`` and ``layered`` in its order."""
+        batch = ItemBatch(self.public_key, self.shapes, self.uids, buffer, layered)
+        batch._counts = self._counts
+        return batch
+
+    def select(self, indices) -> "ItemBatch":
+        """The items at ``indices``, in that order, as whole slices of
+        this batch."""
+        plain, in_e2 = self.counts()
+        stride = self.stride(self.public_key)
+        starts = list(itertools.accumulate(plain, initial=0))
+        buffer = self.buffer
+        pieces = [buffer[starts[i] * stride : starts[i + 1] * stride] for i in indices]
+        layered = []
+        if self.layered:
+            lstarts = list(itertools.accumulate(in_e2, initial=0))
+            for i in indices:
+                layered += self.layered[lstarts[i] : lstarts[i + 1]]
+        shapes, uids = self.shapes, self.uids
+        return ItemBatch(
+            self.public_key,
+            [shapes[i] for i in indices],
+            [uids[i] for i in indices],
+            b"".join(pieces),
+            layered,
+        )
+
+    def unpack(self) -> list[ScoredItem]:
+        """The :class:`ScoredItem` objects of the batch: the one pass
+        that builds ciphertext objects on the way out of a round."""
+        pk = self.public_key
+        words = words_for(pk.n_squared)
+        cts = [
+            Ciphertext(value, pk)
+            for value in unpack_ints(self.buffer, words, len(self.buffer) // (words * WORD_BYTES))
+        ]
+        layered = iter(self.layered)
+        items = []
+        at = 0
+        for shape, uid in zip(self.shapes, self.uids):
+            end = at + shape.cells
+            ehl = shape.ehl(cts[at:end])
+            at = end
+            worst = best = scores = bits = record = None
+            if shape.worst:
+                worst = cts[at]
+                at += 1
+            if shape.best:
+                best = cts[at]
+                at += 1
+            if shape.scores is not None:
+                scores = cts[at : at + shape.scores]
+                at += shape.scores
+            if shape.seen is not None:
+                if shape.layered:
+                    bits = [next(layered) for _ in range(shape.seen)]
+                else:
+                    bits = cts[at : at + shape.seen]
+                    at += shape.seen
+            if shape.record:
+                record = cts[at]
+                at += 1
+            items.append(
+                ScoredItem(
+                    ehl=ehl,
+                    worst=worst,
+                    best=best,
+                    list_scores=scores,
+                    seen_bits=bits,
+                    record=record,
+                    uid=uid,
+                )
+            )
+        return items
+
+    def __len__(self) -> int:
+        return len(self.shapes)
+
+    def __iter__(self):
+        return iter(self.unpack())
+
+    def serialized_size(self) -> int:
+        """Byte size on the wire: the size of the items it holds, from
+        the buffer's length alone (every Paillier component is one
+        ciphertext of the key) and the ``E2`` bits'."""
+        pk = self.public_key
+        size = len(self.buffer) // self.stride(pk) * pk.ciphertext_bytes
+        return size + sum(bit.serialized_size() for bit in self.layered)

@@ -121,17 +121,19 @@ class PoolDraws:
 def pool_draws(monkeypatch) -> PoolDraws:
     """A :class:`PoolDraws` fed by every pool draw for the duration of
     the test: each ``backend.pool_products`` call, and the reads the
-    fused ``backend.blind_round``, ``backend.ehl_minus`` and
-    ``backend.select_absorb`` draw inside their own call."""
+    fused ``backend.blind_round``, ``backend.ehl_minus``,
+    ``backend.masked_unseen`` and ``backend.select_absorb`` draw inside
+    their own call."""
     draws = PoolDraws()
     real = backend.pool_products
     real_blind = backend.blind_round
     real_minus = backend.ehl_minus
+    real_masked = backend.masked_unseen
     real_absorb = backend.select_absorb
 
-    def spy(pool, reads):
+    def spy(pool, reads, factors=None):
         draws.record(pool, reads)
-        return real(pool, reads)
+        return real(pool, reads, factors)
 
     def blind_spy(values, counts, seeds, streams, width, n, sign, pool=None, reads=b""):
         if pool is not None:
@@ -142,6 +144,10 @@ def pool_draws(monkeypatch) -> PoolDraws:
         draws.record(pool, reads)
         return real_minus(pool, reads, numerators, inverses, exps, counts)
 
+    def masked_spy(n, seen, coins, pool, reads):
+        draws.record(pool, reads)
+        return real_masked(n, seen, coins, pool, reads)
+
     def absorb_spy(n, selected, bits, exps, worsts, seen, score, pool, reads, slot):
         draws.record(pool, reads)
         return real_absorb(n, selected, bits, exps, worsts, seen, score, pool, reads, slot)
@@ -149,5 +155,6 @@ def pool_draws(monkeypatch) -> PoolDraws:
     monkeypatch.setattr(backend, "pool_products", spy)
     monkeypatch.setattr(backend, "blind_round", blind_spy)
     monkeypatch.setattr(backend, "ehl_minus", minus_spy)
+    monkeypatch.setattr(backend, "masked_unseen", masked_spy)
     monkeypatch.setattr(backend, "select_absorb", absorb_spy)
     return draws

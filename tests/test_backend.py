@@ -33,7 +33,7 @@ from repro.protocols.base import make_parties
 from repro.protocols.blinding import ItemBlinder, seed_key_bits
 from repro.protocols.enc_compare import enc_compare_flows
 from repro.structures.ehl import Ehl, minus_pairs
-from repro.structures.items import ScoredItem
+from repro.structures.items import ItemBatch, ScoredItem
 
 needs_kernel = pytest.mark.skipif(
     not backend.kernel_available(), reason="gmp kernel unavailable"
@@ -567,14 +567,16 @@ class TestBatchPrimitiveParity:
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
     def test_blind_round_matches_reference(self, name, odd, sign, with_pool):
         """Ragged items (3, 0, 1 and 6 components under 1, 2, 0 and 3
-        seeds) with edge values: each component times ``1 ± b·N`` for
-        its summed, reduced reads, times its pool draw.  An even ``N``
-        takes the kernel's plain-pool path."""
+        seeds) with edge values, read from and written to one limb
+        buffer: each component times ``1 ± b·N`` for its summed, reduced
+        reads, times its pool draw.  An even ``N`` takes the kernel's
+        plain-pool path."""
         fast = backend._resolve(name)
         rng = SecureRandom(35 + odd)
         n = rng.randbits(192) | (1 << 191)
         n = n | 1 if odd else n & ~1
         n2 = n * n
+        words = backend.words_for(n2)
         width = (n.bit_length() + 128 + 7) // 8
         counts, seeds = [3, 0, 1, 6], [1, 2, 0, 3]
         values = [0, 1, n2 - 1] + [rng.randint_below(n2) for _ in range(7)]
@@ -594,29 +596,32 @@ class TestBatchPrimitiveParity:
         if with_pool:
             draws = backend._resolve("pure").pool_products(pool, reads)
             expected = [v * r % n2 for v, r in zip(expected, draws)]
-        args = (values, counts, seeds, streams, width, n, sign)
-        assert fast.blind_round(*args, pool if with_pool else None, reads) == expected
+        args = (backend.pack_ints(values, words), counts, seeds, streams, width, n, sign)
+        out = fast.blind_round(*args, pool if with_pool else None, reads)
+        assert bytes(out) == backend.pack_ints(expected, words)
 
     def test_blind_round_refusals(self, name):
-        """An empty round is empty; a ragged layout, stream or read
-        buffer, or a value outside ``[0, N^2)`` anywhere in the round,
-        refuses the whole call with ``ValueError``."""
+        """An empty round is empty; a ragged layout, limb buffer, stream
+        or read buffer, or a value outside ``[0, N^2)`` anywhere in the
+        round, refuses the whole call with ``ValueError``."""
         fast = backend._resolve(name)
         rng = SecureRandom(37)
         n = rng.randbits(128) | (1 << 127) | 1
         n2, width = n * n, 20
+        words = backend.words_for(n2)
         pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
-        assert fast.blind_round([], [], [], b"", width, n, 1) == []
-        assert fast.blind_round([], [0], [2], b"", width, n, -1, pool, b"") == []
-        values, counts, seeds = [5, 6, 7], [2, 1], [1, 2]
+        assert fast.blind_round(b"", [], [], b"", width, n, 1) == b""
+        assert fast.blind_round(b"", [0], [2], b"", width, n, -1, pool, b"") == b""
+        values, counts, seeds = backend.pack_ints([5, 6, 7], words), [2, 1], [1, 2]
         streams = rng.randbytes(width * 4)
         reads = rng.randbytes(pool.read_bytes * 3)
         good = (values, counts, seeds, streams, width, n, 1, pool, reads)
-        assert len(fast.blind_round(*good)) == 3
+        assert len(fast.blind_round(*good)) == len(values)
         for bad in (
             (values, [2, 2], seeds, streams, width, n, 1, pool, reads),  # counts
             (values, counts, [1], streams, width, n, 1, pool, reads),  # seed list
             (values, [3, 0], [1, -1], streams, width, n, 1, pool, reads),  # negative
+            (values[:-1], counts, seeds, streams, width, n, 1, pool, reads),  # buffer
             (values, counts, seeds, streams[:-1], width, n, 1, pool, reads),  # stream
             (values, counts, seeds, streams, width, n, 1, pool, reads[:-1]),  # reads
             (values, counts, seeds, streams, width, n, 1, None, reads),  # no pool
@@ -625,13 +630,94 @@ class TestBatchPrimitiveParity:
         ):
             with pytest.raises(ValueError):
                 fast.blind_round(*bad)
-        for oversized in (n2, n2 + 1, -1, 1 << (n2.bit_length() + 64)):
+        for oversized in (n2, n2 + 1, (1 << 64 * words) - 1):
             for position in range(3):
-                values = [5, 6]
-                values.insert(position, oversized)
+                column = [5, 6]
+                column.insert(position, oversized)
                 with pytest.raises(ValueError) as excinfo:
-                    fast.blind_round(values, counts, seeds, streams, width, n, 1, pool, reads)
+                    fast.blind_round(
+                        backend.pack_ints(column, words), counts, seeds, streams,
+                        width, n, 1, pool, reads,
+                    )
                 assert str(excinfo.value) == backend.OUTSIDE_MOD
+
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+    def test_pool_products_with_factors_match_reference(self, name, odd):
+        """A draw times its factor, for encryption and rerandomization in
+        one call: the reference draws times the factors, on the kernel's
+        Montgomery and ``mpz`` paths alike; a factor outside
+        ``[0, mod)`` or a factor count off by one is refused."""
+        fast = backend._resolve(name)
+        rng = SecureRandom(38 + odd)
+        n = rng.randbits(160) | (1 << 159)
+        n = n | 1 if odd else n & ~1
+        n2 = n * n
+        pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
+        factors = [0, 1, n2 - 1] + [rng.randint_below(n2) for _ in range(6)]
+        reads = rng.randbytes(pool.read_bytes * len(factors))
+        draws = backend._resolve("pure").pool_products(pool, reads)
+        expected = [f * r % n2 for f, r in zip(factors, draws)]
+        assert fast.pool_products(pool, reads, factors) == expected
+        assert fast.pool_products(pool, b"", []) == []
+        for bad in (factors[:-1], factors + [1]):
+            with pytest.raises(ValueError, match="one factor per draw"):
+                fast.pool_products(pool, reads, bad)
+        for oversized in (n2, -1, 1 << 64 * backend.words_for(n2)):
+            with pytest.raises(ValueError) as excinfo:
+                fast.pool_products(pool, reads, factors[:4] + [oversized] + factors[5:])
+            assert str(excinfo.value) == backend.OUTSIDE_MOD
+
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+    def test_masked_unseen_matches_reference(self, name, odd):
+        """A best-bound select's tests: ``Enc(seen)`` for coin 1,
+        ``Enc(1 − seen)`` for coin 0 (the inverse times ``1 + N``), each
+        rerandomized by its pool draw — the formulas the request was
+        written in before it was one call."""
+        fast = backend._resolve(name)
+        rng = SecureRandom(40 + odd)
+        n = rng.randbits(160) | (1 << 159)
+        n = n | 1 if odd else n & ~1
+        n2 = n * n
+        pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
+        seen = [1, n2 - 1] + [rng.rand_unit(n2) for _ in range(7)]
+        coins = [1, 0, 0, 1, 1, 0, 1, 0, 0]
+        reads = rng.randbytes(pool.read_bytes * len(seen))
+        draws = backend._resolve("pure").pool_products(pool, reads)
+        expected = [
+            (s if c else pow(s, -1, n2) * (1 + n) % n2) * r % n2
+            for s, c, r in zip(seen, coins, draws)
+        ]
+        assert fast.masked_unseen(n, seen, coins, pool, reads) == expected
+        assert fast.masked_unseen(n, [], [], pool, b"") == []
+
+    def test_masked_unseen_refusals(self, name):
+        """Ragged coins or reads, a coin that is not a bit, a pool under
+        another modulus, a seen bit outside ``[0, N^2)`` or a coin-0 seen
+        bit without an inverse refuse the whole call with ``ValueError``."""
+        fast = backend._resolve(name)
+        rng = SecureRandom(42)
+        n = rng.randbits(128) | (1 << 127) | 1
+        n2 = n * n
+        pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
+        other = backend.RandomizerPool(list(pool), n2 + 2, 6)
+        seen, coins = [rng.rand_unit(n2) for _ in range(3)], [0, 1, 0]
+        reads = rng.randbytes(pool.read_bytes * 3)
+        for bad in (
+            (n, seen, coins[:-1], pool, reads),
+            (n, seen, [0, 2, 0], pool, reads),
+            (n, seen, coins, pool, reads[:-1]),
+            (n, seen, coins, other, reads),
+            (n, seen, coins, None, reads),
+        ):
+            with pytest.raises(ValueError):
+                fast.masked_unseen(*bad)
+        for oversized in (n2, -1, 1 << 64 * backend.words_for(n2)):
+            with pytest.raises(ValueError) as excinfo:
+                fast.masked_unseen(n, [seen[0], oversized, seen[2]], [1, 1, 1], pool, reads)
+            assert str(excinfo.value) == backend.OUTSIDE_MOD
+        with pytest.raises(ValueError) as excinfo:
+            fast.masked_unseen(n, [seen[0], n, seen[2]], [1, 0, 1], pool, reads)
+        assert str(excinfo.value) == backend.NOT_INVERTIBLE
 
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
     def test_ehl_minus_matches_reference(self, name, odd):
@@ -911,8 +997,8 @@ class TestBatchPrimitiveParity:
         n2 = n * n
         pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
         fast.blind_round(
-            [3, 4], [2], [2], rng.randbytes(80), 20, n, 1, pool,
-            rng.randbytes(pool.read_bytes * 2),
+            backend.pack_ints([3, 4], backend.words_for(n2)), [2], [2],
+            rng.randbytes(80), 20, n, 1, pool, rng.randbytes(pool.read_bytes * 2),
         )
         fast.ehl_minus(pool, rng.randbytes(pool.read_bytes), [3, 4], [5, 6], [7, 8], [2])
         sel, bits = [rng.rand_unit(n2) for _ in range(2)], [rng.rand_unit(n2) for _ in range(2)]
@@ -924,6 +1010,30 @@ class TestBatchPrimitiveParity:
         assert calls == [
             "repro_blind_round", "repro_ehl_minus", "repro_select_bounds",
             "repro_select_absorb",
+        ]
+
+    def test_request_side_draws_are_one_kernel_call(self, name):
+        """A batch encryption, a batch rerandomization and a best-bound
+        select's tests are one C call each on the kernel, the pool draws
+        multiplied into their values inside it."""
+        rng = SecureRandom(43)
+        pk = PaillierKeypair.generate(128, SecureRandom(44)).public_key
+        n, n2 = pk.n, pk.n_squared
+        pool = pk.randomizer_pool()
+        with _on_backend(name) as fast:
+            if name != "gmp-kernel":
+                assert type(fast).masked_unseen is backend.PurePythonBackend.masked_unseen
+                return
+            calls = []
+            _spy_on_lib(fast, calls)
+            cts = pk.encrypt_batch([3, 4, 5], rng)
+            pk.rerandomize_batch(cts, rng)
+            fast.masked_unseen(
+                n, [ct.value for ct in cts], [0, 1, 0], pool,
+                rng.randbytes(pool.read_bytes * 3),
+            )
+        assert n2 and calls == [
+            "repro_pool_products", "repro_pool_products", "repro_masked_unseen",
         ]
 
     def test_each_select_reply_is_one_call(self, name, monkeypatch):
@@ -1259,8 +1369,10 @@ class TestFusedRoundsPinTheirFormulas:
         seed_lists = [[b"a" * 12], [b"b" * 12, b"c" * 12], [b"d" * 12, b"e" * 12]]
         fused_rng, parent_rng = SecureRandom(51), SecureRandom(51)
         with _on_backend(name):
-            blinded = blinder.blind_many(items, seed_lists, fused_rng)
-            unblinded = blinder.unblind_many(blinded, seed_lists)
+            blinded = blinder.blind_batch(
+                ItemBatch.pack(keypair.public_key, items), seed_lists, fused_rng
+            )
+            unblinded = blinder.unblind_batch(blinded, seed_lists)
         assert _components_of(blinded) == _parent_blind(
             blinder, items, seed_lists, 1, parent_rng
         )

@@ -8,16 +8,26 @@ from repro.crypto import backend
 from repro.crypto.damgard_jurik import LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.crypto.rng import SecureRandom
-from repro.protocols.blinding import SEED_BYTES, ItemBlinder, junk_item, seed_key_bits
+from repro.protocols.blinding import SEED_BYTES, ItemBlinder, junk_batch, seed_key_bits
 from repro.exceptions import ProtocolError
 from repro.join.scheme import SecTopKJoin
 from repro.structures.ehl_plus import EhlPlusFactory
-from repro.structures.items import ScoredItem
+from repro.structures.items import ItemBatch, ScoredItem
 
 
 @pytest.fixture()
 def blinder(ctx):
     return ItemBlinder(ctx.public_key, ctx.dj)
+
+
+def _pack(ctx, items):
+    return ItemBatch.pack(ctx.public_key, items)
+
+
+def junk_item(public_key, dj, template, sentinel, rng):
+    """The junk replacement of one template item."""
+    (junk,) = junk_batch(public_key, dj, ItemBatch.pack(public_key, [template]), sentinel, rng)
+    return junk
 
 
 @pytest.fixture()
@@ -57,33 +67,33 @@ def _decrypt_item(item, ctx, keypair):
 class TestBlindUnblind:
     def test_roundtrip_single_seed(self, blinder, item, ctx, keypair):
         (seed,) = blinder.fresh_seeds(ctx.rng, 1)
-        (blinded,) = blinder.blind_many([item], [[seed]], ctx.rng)
-        (restored,) = blinder.unblind_many([blinded], [[seed]])
+        blinded = blinder.blind_batch(_pack(ctx, [item]), [[seed]], ctx.rng)
+        (restored,) = blinder.unblind_batch(blinded, [[seed]])
         assert _decrypt_item(restored, ctx, keypair) == _decrypt_item(item, ctx, keypair)
 
     def test_roundtrip_double_seed(self, blinder, item, ctx, keypair):
         s1, s2 = blinder.fresh_seeds(ctx.rng, 2)
-        once = blinder.blind_many([item], [[s1]], ctx.rng)
-        blinded = blinder.blind_many(once, [[s2]], ctx.rng)
-        (restored,) = blinder.unblind_many(blinded, [[s2, s1]])  # order-independent
+        once = blinder.blind_batch(_pack(ctx, [item]), [[s1]], ctx.rng)
+        blinded = blinder.blind_batch(once, [[s2]], ctx.rng)
+        (restored,) = blinder.unblind_batch(blinded, [[s2, s1]])  # order-independent
         assert _decrypt_item(restored, ctx, keypair) == _decrypt_item(item, ctx, keypair)
 
     def test_blinding_changes_plaintexts(self, blinder, item, ctx, keypair):
         (seed,) = blinder.fresh_seeds(ctx.rng, 1)
-        (blinded,) = blinder.blind_many([item], [[seed]], ctx.rng)
+        (blinded,) = blinder.blind_batch(_pack(ctx, [item]), [[seed]], ctx.rng)
         assert keypair.secret_key.decrypt(blinded.worst) != 10
 
     def test_blinding_breaks_equality(self, blinder, item, ctx, keypair):
         (seed,) = blinder.fresh_seeds(ctx.rng, 1)
-        (blinded,) = blinder.blind_many([item], [[seed]], ctx.rng)
+        (blinded,) = blinder.blind_batch(_pack(ctx, [item]), [[seed]], ctx.rng)
         assert keypair.secret_key.decrypt(item.ehl.minus(blinded.ehl, ctx.rng)) != 0
 
     def test_plain_item_without_state(self, blinder, ctx, keypair):
         factory = EhlPlusFactory(ctx.public_key, b"b" * 32, n_hashes=2, rng=ctx.rng)
         item = ScoredItem(ehl=factory.encode(1), worst=ctx.encrypt(1), best=ctx.encrypt(2))
         (seed,) = blinder.fresh_seeds(ctx.rng, 1)
-        blinded = blinder.blind_many([item], [[seed]], ctx.rng)
-        (restored,) = blinder.unblind_many(blinded, [[seed]])
+        blinded = blinder.blind_batch(_pack(ctx, [item]), [[seed]], ctx.rng)
+        (restored,) = blinder.unblind_batch(blinded, [[seed]])
         assert keypair.secret_key.decrypt(restored.worst) == 1
         assert restored.list_scores is None
 
@@ -132,7 +142,7 @@ class TestWholeRound:
 
         own_public = own_keypair.public_key
         s2_rng = SecureRandom(43)
-        blinded, companions = blinder.blind_fresh(items, own_public, ctx.rng)
+        blinded, companions = blinder.blind_fresh(_pack(ctx, items), own_public, ctx.rng)
         # S2: a different blinder object, as on the other cloud.
         s2_blinder = ItemBlinder(ctx.public_key, ctx.dj)
         reblinded, fresh = s2_blinder.blind_fresh(blinded, own_public, s2_rng)
@@ -149,8 +159,8 @@ class TestWholeRound:
     def test_two_seeds_in_one_pass(self, blinder, items, ctx, keypair):
         """The junk-replacement shape: one item under two of S2's seeds."""
         seed_lists = [blinder.fresh_seeds(ctx.rng, 2) for _ in items]
-        blinded = blinder.blind_many(items, seed_lists, ctx.rng)
-        restored = blinder.unblind_many(blinded, [s[::-1] for s in seed_lists])
+        blinded = blinder.blind_batch(_pack(ctx, items), seed_lists, ctx.rng)
+        restored = blinder.unblind_batch(blinded, [s[::-1] for s in seed_lists])
         for before, after in zip(items, restored):
             assert self._plain(after, ctx, keypair) == self._plain(before, ctx, keypair)
 
@@ -158,18 +168,18 @@ class TestWholeRound:
         """Blinds are a function of (seed, item shape) alone, whichever
         batch the item travels in: blind in one batch, unblind singly."""
         seeds = blinder.fresh_seeds(ctx.rng, len(items))
-        blinded = blinder.blind_many(items, [[s] for s in seeds], ctx.rng)
+        blinded = blinder.blind_batch(_pack(ctx, items), [[s] for s in seeds], ctx.rng)
         for before, between, seed in zip(items, blinded, seeds):
-            (after,) = blinder.unblind_many([between], [[seed]])
+            (after,) = blinder.unblind_batch(_pack(ctx, [between]), [[seed]])
             assert self._plain(after, ctx, keypair) == self._plain(before, ctx, keypair)
 
     def test_unblind_does_not_rerandomize(self, blinder, item, ctx):
         """Removing a known constant needs no fresh randomness: a second
         unblind of the same input is the same ciphertexts."""
         (seed,) = blinder.fresh_seeds(ctx.rng, 1)
-        (blinded,) = blinder.blind_many([item], [[seed]], ctx.rng)
-        (once,) = blinder.unblind_many([blinded], [[seed]])
-        (twice,) = blinder.unblind_many([blinded], [[seed]])
+        blinded = blinder.blind_batch(_pack(ctx, [item]), [[seed]], ctx.rng)
+        (once,) = blinder.unblind_batch(blinded, [[seed]])
+        (twice,) = blinder.unblind_batch(blinded, [[seed]])
         assert [b.value for b in once.seen_bits] == [b.value for b in twice.seen_bits]
         assert once.worst.value == twice.worst.value
 
@@ -307,7 +317,7 @@ class TestJunkItem:
         with pytest.raises(ProtocolError, match="one kind"):
             junk_item(ctx.public_key, ctx.dj, mixed, -1, ctx.rng)
         with pytest.raises(ProtocolError, match="one kind"):
-            blinder.blind_many([mixed], [blinder.fresh_seeds(ctx.rng, 1)], ctx.rng)
+            blinder.blind_batch(_pack(ctx, [mixed]), [blinder.fresh_seeds(ctx.rng, 1)], ctx.rng)
 
     def test_random_identity(self, ctx, item, keypair):
         junk = junk_item(ctx.public_key, ctx.dj, item, -1, ctx.rng)

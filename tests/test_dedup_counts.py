@@ -41,7 +41,7 @@ from repro.protocols.blinding import ItemBlinder
 from repro.protocols.enc_sort import one_way_keys, s2_order
 from repro.protocols.sec_dedup import _prepare, _s2_keepers, _s2_release
 from repro.structures.ehl import EncryptedHashList
-from repro.structures.items import ScoredItem
+from repro.structures.items import ItemBatch, ScoredItem
 
 _RNG = random.Random(47)
 #: Correlated heads (duplicates at every check depth, several candidates
@@ -123,7 +123,9 @@ def _matrix_settle(self, t_list, counts, known, always_sort=False):
     permuted = [t_list[i] for i in order]
     matrix = EncryptedHashList.minus_matrix([item.ehl for item in permuted], ctx.rng)
     keys = one_way_keys(ctx, [item.worst for item in permuted])
-    items, companions = blinder.blind_fresh(permuted, own.public_key, ctx.rng)
+    items, companions = blinder.blind_fresh(
+        ItemBatch.pack(ctx.public_key, permuted), own.public_key, ctx.rng
+    )
     with ctx.channel.protocol("SecQuery"):
         items_out, comps_out = ctx.call(
             _MatrixDedupSort(
@@ -231,7 +233,10 @@ def _seeded_pool(n, exponent, modulus, size, picks):
 
 
 def _canonical(value):
-    """A wire-order, type-tagged rendering of a message or reply."""
+    """A wire-order, type-tagged rendering of a message or reply (a
+    round's item batch as the list of items it holds)."""
+    if isinstance(value, ItemBatch):
+        value = value.unpack()
     if isinstance(value, (Ciphertext, LayeredCiphertext)):
         return ("ct", value.value)
     if isinstance(value, PaillierPublicKey):

@@ -276,9 +276,9 @@ def _spy_moduli(monkeypatch) -> list[int]:
         monkeypatch.setattr(backend, name, spy)
     real_products = backend.pool_products
 
-    def pool_products(pool, reads):
+    def pool_products(pool, reads, factors=None):
         moduli.append(pool.mod)
-        return real_products(pool, reads)
+        return real_products(pool, reads, factors)
 
     monkeypatch.setattr(backend, "pool_products", pool_products)
     return moduli

@@ -230,7 +230,7 @@ class TestKnownPairs:
         powmods, products, draws = [], [], []
         real_powmod = backend.powmod_pairs
         real_minus = backend.ehl_minus
-        real_randomizers = PaillierPublicKey.randomizers
+        real_randomize = PaillierPublicKey.randomize_values
         monkeypatch.setattr(
             backend,
             "powmod_pairs",
@@ -247,9 +247,9 @@ class TestKnownPairs:
         )
         monkeypatch.setattr(
             PaillierPublicKey,
-            "randomizers",
-            lambda self, rng, count: draws.append(count)
-            or real_randomizers(self, rng, count),
+            "randomize_values",
+            lambda self, values, rng: draws.append(len(values))
+            or real_randomize(self, values, rng),
         )
         matrix = EncryptedHashList.minus_matrix(ehls, rng, known)
         cells = len(ehls[0])

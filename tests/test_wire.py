@@ -26,7 +26,7 @@ from repro.net import wire
 from repro.net.wire import WireCodec, _Reader
 from repro.structures.ehl import Ehl, EncryptedHashList
 from repro.structures.ehl_plus import EhlPlus, EhlPlusFactory
-from repro.structures.items import JoinedTuple, ListPrefix, ScoredItem
+from repro.structures.items import ItemBatch, JoinedTuple, ListPrefix, ScoredItem
 
 
 @pytest.fixture()
@@ -397,6 +397,8 @@ def _plain(value):
         return (type(value).__name__, _plain(value.cells))
     if isinstance(value, ScoredItem):
         return ("scored", [_plain(v) for v in vars(value).values()])
+    if isinstance(value, ItemBatch):
+        return _plain(value.unpack())
     return value
 
 
