@@ -9,12 +9,15 @@ or with a zero exponent stride one shared exponent for the whole batch
 one); ``repro_paillier_decrypt`` (a batch of whole CRT Paillier
 decryptions: the range and unit checks, both ``mpz_powm`` halves,
 ``L``, ``h_p`` / ``h_q`` and the recombination, or the mod-``p`` half
-alone); four fused round operations built on the loops below —
-``repro_blind_round`` (an item-blinding round: every component's summed
-seed blinds read off the SHAKE-256 streams, reduced mod ``N`` and
-applied as ``c · (1 ± b·N)``, times its pool randomizer),
-``repro_ehl_minus`` (a batch of ⊖: each pair's ``Enc(0)`` pool draw,
-its cell quotients and its multi-exponentiation),
+alone); five fused round operations built on the loops below —
+``repro_blind_round`` (an item-blinding round on the round's limb
+buffer: every component's summed seed blinds read off the SHAKE-256
+streams, reduced mod ``N`` and applied as ``c · (1 ± b·N)``, times its
+pool randomizer), ``repro_ehl_minus`` (a batch of ⊖: each pair's
+``Enc(0)`` pool draw, its cell quotients and its multi-exponentiation),
+``repro_masked_unseen`` (a best-bound select's request: the coin-0
+slots' batch inversion times ``1 + N``, every slot times its pool
+draw),
 ``repro_select_bounds`` (a ``BlindedSelect`` reply unblinded into
 running bounds: one batch inversion, each bound's powers one
 multi-exponentiation) and ``repro_select_absorb`` (a reply applied as
@@ -31,7 +34,9 @@ and three loops on one Montgomery core:
   which GMP tunes better for a single exponentiation than this core can.
 * ``repro_pool_products`` — the randomizer-pool draw, on a pool packed
   in Montgomery form: ``picks − 1`` Montgomery multiplications and one
-  reduction out of Montgomery form per draw.
+  reduction out of Montgomery form per draw — or one multiplication by
+  the draw's factor, which leaves Montgomery form in the same step (a
+  batch encryption or rerandomization in one call).
 * ``repro_invert_vec`` — Montgomery's batch-inversion trick: one
   ``mpz_invert`` for the whole batch (a scalar inverse is a batch of
   one).
@@ -807,12 +812,14 @@ int repro_paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
    layout[2g] big-endian `width`-byte reads; b_i is the sum of
    component i's read in every stream of its group, reduced mod N and,
    for sign < 0, negated mod N.  With picks > 0, r_i is the pool draw of
-   read i of `reads` (see repro_pool_products; the pool is at mod's
-   width); with picks == 0 there is no r_i.  mod is N^2 at ct_words,
-   the width of every value.  The whole batch is checked before any
-   output is written: returns 0 on success, 1 when a value lies outside
-   [0, N^2), and -1 for a zero N, a mod that is not N^2, a layout that
-   does not sum to n_items, or a pool draw repro_pool_products refuses. */
+   read i of `reads`, multiplied in by the draw itself (see
+   repro_pool_products, given the blinded values as its factors; the
+   pool is at mod's width); with picks == 0 there is no r_i.  mod is N^2
+   at ct_words, the width of every value.  The whole batch is checked
+   before any output is written: returns 0 on success, 1 when a value
+   lies outside [0, N^2), and -1 for a zero N, a mod that is not N^2, a
+   layout that does not sum to n_items, or a pool draw shape
+   repro_pool_products cannot index. */
 int repro_blind_round(const uint64_t *values, size_t n_items, size_t ct_words,
                       const uint64_t *layout, size_t n_groups,
                       const uint8_t *streams, size_t width,
@@ -822,12 +829,13 @@ int repro_blind_round(const uint64_t *values, size_t n_items, size_t ct_words,
                       const uint64_t *mod, uint64_t *out)
 {
     mpz_t nz, n2, c, b, t;
-    uint64_t *rands = NULL;
     size_t g, i, j, s, count, seeds, total = 0;
     int status = 0;
 
     for (g = 0; g < n_groups; g++)
         total += layout[2 * g];
+    if (picks > 0 && (picks > 64 || index_bits > 30 || picks * index_bits > 64))
+        status = -1;
     mpz_init(nz);
     mpz_init(n2);
     mpz_init(c);
@@ -842,12 +850,6 @@ int repro_blind_round(const uint64_t *values, size_t n_items, size_t ct_words,
         import_words(c, values + i * ct_words, ct_words);
         if (mpz_cmp(c, n2) >= 0)
             status = 1;
-    }
-    if (status == 0 && picks > 0 && n_items > 0) {
-        rands = (uint64_t *)malloc(n_items * ct_words * sizeof(uint64_t));
-        if (rands == NULL || repro_pool_products(pool, index_bits, reads, n_items,
-                                                 picks, NULL, mod, ct_words, rands) != 0)
-            status = -1;
     }
     for (g = 0, i = 0; status == 0 && g < n_groups; g++) {
         count = layout[2 * g];
@@ -868,16 +870,17 @@ int repro_blind_round(const uint64_t *values, size_t n_items, size_t ct_words,
             mpz_addmul(c, t, nz);
             if (mpz_cmp(c, n2) >= 0)
                 mpz_sub(c, c, n2);
-            if (rands != NULL) {
-                import_words(t, rands + i * ct_words, ct_words);
-                mpz_mul(c, c, t);
-                mpz_mod(c, c, n2);
-            }
             export_words(out + i * ct_words, ct_words, c);
         }
         streams += seeds * count * width;
     }
-    free(rands);
+    /* Each blinded value is its own draw's factor: one Montgomery
+       multiplication per component takes the draw out of Montgomery
+       form and multiplies it in. */
+    if (status == 0 && picks > 0 && n_items > 0
+        && repro_pool_products(pool, index_bits, reads, n_items, picks, out,
+                               mod, ct_words, out) != 0)
+        status = -1;
     mpz_clear(nz);
     mpz_clear(n2);
     mpz_clear(c);

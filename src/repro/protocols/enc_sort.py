@@ -99,14 +99,17 @@ def _blind_keys(
     ctx: S1Context, keys: list[Ciphertext], maps: list[tuple[int, int]]
 ) -> list[Ciphertext]:
     """``Enc(r*k + s)``, rerandomized, for every key under its ``(r, s)``
-    map: one scalar-multiplication batch for the round."""
+    map: one scalar-multiplication batch for the round, then ``+ s`` (a
+    factor ``1 + s·N``) and the rerandomizer in one draw."""
     pk = ctx.public_key
-    scaled = backend.powmod_pairs(
-        [k.value for k in keys], [r % pk.n for r, _ in maps], pk.n_squared
-    )
-    return pk.rerandomize_batch(
-        [Ciphertext(value, pk) + s for value, (_, s) in zip(scaled, maps)], ctx.rng
-    )
+    n, n2 = pk.n, pk.n_squared
+    scaled = backend.powmod_pairs([k.value for k in keys], [r % n for r, _ in maps], n2)
+    return [
+        Ciphertext(value, pk)
+        for value in pk.randomize_values(
+            [value * (1 + s % n * n) % n2 for value, (_, s) in zip(scaled, maps)], ctx.rng
+        )
+    ]
 
 
 def one_way_keys(ctx: S1Context, keys: list[Ciphertext]) -> list[Ciphertext]:
