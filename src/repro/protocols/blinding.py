@@ -114,43 +114,28 @@ class ItemBlinder:
         if len(seed_lists) != len(batch):
             raise ProtocolError("a blinded round needs one seed list per item")
         pk, dj = self.public_key, self.dj
-        plain_bytes, layered_bytes = self._plain_bytes, self._layered_bytes
         counts, layered_counts = batch.counts()
-        seeds_per_item = [len(seeds) for seeds in seed_lists]
-        xof = hashlib.shake_256
-        if not batch.layered:
-            streams = b"".join(
-                [
-                    xof(_XOF_DOMAIN + seed).digest(count * plain_bytes)
-                    for count, seeds in zip(counts, seed_lists)
-                    for seed in seeds
-                ]
-            )
-            layered = []
-        else:
-            streams, layered = self._layered_blinds(
-                batch, counts, layered_counts, seed_lists, sign
-            )
+        streams, layered = self._streams(batch, counts, layered_counts, seed_lists, sign)
         pool, reads = None, b""
         if rng is not None:
             pool = pk.randomizer_pool()
             reads = rng.randbytes(pool.read_bytes * sum(counts))
         buffer = backend.blind_round(
-            batch.buffer, counts, seeds_per_item, streams, plain_bytes,
-            pk.n, sign, pool, reads,
+            batch.buffer, counts, [len(seeds) for seeds in seed_lists], streams,
+            self._plain_bytes, pk.n, sign, pool, reads,
         )
         if rng is not None and layered:
             n_s1 = dj.n_s1
             layered = [
                 v * r % n_s1 for v, r in zip(layered, dj.randomizers(rng, len(layered)))
             ]
-        return batch.with_components(buffer, [LayeredCiphertext(v, dj) for v in layered])
+        return batch.with_components(pk, buffer, [LayeredCiphertext(v, dj) for v in layered])
 
-    def _layered_blinds(self, batch, counts, layered_counts, seed_lists, sign):
-        """The Paillier streams of a round whose batch holds ``E2`` seen
-        bits, and those bits with their blinds applied: each seed's
+    def _streams(self, batch, counts, layered_counts, seed_lists, sign):
+        """Every seed's stream of Paillier reads, joined in item order,
+        and the ``E2`` seen bits with their blinds applied: a seed's
         stream runs on past its item's Paillier reads into one read per
-        ``E2`` bit."""
+        ``E2`` bit, cut here."""
         dj = self.dj
         n_s, n_s1, g_pow = dj.n_s, dj.n_s1, dj._g_pow
         plain_bytes, layered_bytes = self._plain_bytes, self._layered_bytes

@@ -244,15 +244,6 @@ class ScoredItem:
         )
 
 
-def layered_bits(bits) -> bool:
-    """Whether seen bits are ``E2`` ciphertexts (``False`` for Paillier
-    bits and for an item without any); bits of two kinds are refused."""
-    kinds = set(map(type, bits or ()))
-    if len(kinds) > 1 or not kinds <= {Ciphertext, LayeredCiphertext}:
-        raise ProtocolError("an item's seen bits must be ciphertexts of one kind")
-    return kinds == {LayeredCiphertext}
-
-
 class ItemShape(NamedTuple):
     """What one item of an :class:`ItemBatch` carries: its EHL class and
     cell count, which of worst / best / record it has, how many payload
@@ -313,7 +304,7 @@ class ItemBatch:
         self.uids = uids
         self.buffer = buffer
         self.layered = layered
-        self._counts: tuple[list[int], list[int]] | None = None
+        self._counts: tuple | None = None
 
     @staticmethod
     def stride(public_key: PaillierPublicKey) -> int:
@@ -327,7 +318,10 @@ class ItemBatch:
         shapes, uids, values, layered = [], [], [], []
         for item in items:
             bits = item.seen_bits
-            in_e2 = layered_bits(bits)
+            kinds = set(map(type, bits or ()))
+            if len(kinds) > 1 or not kinds <= {Ciphertext, LayeredCiphertext}:
+                raise ProtocolError("an item's seen bits must be ciphertexts of one kind")
+            in_e2 = LayeredCiphertext in kinds
             values += [c.value for c in item.ehl.cells]
             if item.worst is not None:
                 values.append(item.worst.value)
@@ -373,31 +367,48 @@ class ItemBatch:
             [bit for batch in batches for bit in batch.layered],
         )
 
-    def counts(self) -> tuple[list[int], list[int]]:
-        """Per item, its Paillier component count and its ``E2`` count."""
+    def _layout(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Per item its Paillier component count and its ``E2`` count,
+        then where each item's components start in the buffer and in
+        :attr:`layered` (one entry more than there are items)."""
         if self._counts is None:
             pairs = [shape.counts() for shape in self.shapes]
-            self._counts = ([p for p, _ in pairs], [q for _, q in pairs])
+            plain, in_e2 = [p for p, _ in pairs], [q for _, q in pairs]
+            self._counts = (
+                plain,
+                in_e2,
+                list(itertools.accumulate(plain, initial=0)),
+                list(itertools.accumulate(in_e2, initial=0)),
+            )
         return self._counts
 
-    def with_components(self, buffer: bytes, layered: list[LayeredCiphertext]) -> "ItemBatch":
-        """The same items with new component values (a blinding's
-        output): same layout, ``buffer`` and ``layered`` in its order."""
-        batch = ItemBatch(self.public_key, self.shapes, self.uids, buffer, layered)
+    def counts(self) -> tuple[list[int], list[int]]:
+        """Per item, its Paillier component count and its ``E2`` count."""
+        plain, in_e2, _, _ = self._layout()
+        return plain, in_e2
+
+    def with_components(
+        self,
+        public_key: PaillierPublicKey,
+        buffer: bytes,
+        layered: list[LayeredCiphertext],
+    ) -> "ItemBatch":
+        """The same items with new component values under ``public_key``
+        (a blinding's output, under the blinder's key object): same
+        layout, ``buffer`` and ``layered`` in its order."""
+        batch = ItemBatch(public_key, self.shapes, self.uids, buffer, layered)
         batch._counts = self._counts
         return batch
 
     def select(self, indices) -> "ItemBatch":
         """The items at ``indices``, in that order, as whole slices of
         this batch."""
-        plain, in_e2 = self.counts()
+        _, _, starts, lstarts = self._layout()
         stride = self.stride(self.public_key)
-        starts = list(itertools.accumulate(plain, initial=0))
         buffer = self.buffer
         pieces = [buffer[starts[i] * stride : starts[i + 1] * stride] for i in indices]
         layered = []
         if self.layered:
-            lstarts = list(itertools.accumulate(in_e2, initial=0))
             for i in indices:
                 layered += self.layered[lstarts[i] : lstarts[i + 1]]
         shapes, uids = self.shapes, self.uids
