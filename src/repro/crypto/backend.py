@@ -74,6 +74,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from itertools import repeat
 
 from repro.exceptions import DecryptionError
 
@@ -105,20 +106,18 @@ def pack_ints(values: list[int], words: int) -> bytes:
     ``words`` words; ``int.to_bytes`` raises ``OverflowError`` otherwise
     (a value too wide fails loudly, it is never truncated).
     """
-    stride = words * WORD_BYTES
-    return b"".join([value.to_bytes(stride, "little") for value in values])
+    return b"".join(map(int.to_bytes, values, repeat(words * WORD_BYTES), repeat("little")))
 
 
 def unpack_ints(buf, words: int, count: int) -> list[int]:
     """Inverse of :func:`pack_ints`: read ``count`` integers."""
     stride = words * WORD_BYTES
+    end = count * stride
     # One contiguous copy, then slice plain bytes: bytes slices convert
     # faster than per-item memoryview slices.
-    data = bytes(memoryview(buf)[: count * stride])
+    data = bytes(memoryview(buf)[:end])
     from_bytes = int.from_bytes
-    return [
-        from_bytes(data[i * stride : (i + 1) * stride], "little") for i in range(count)
-    ]
+    return [from_bytes(data[at : at + stride], "little") for at in range(0, end, stride)]
 
 
 def check_pool_products(
