@@ -44,9 +44,9 @@ shared modulus/exponent per *batch* instead of per item.
 trick) and :func:`pool_products` (the randomizer-pool draw) carry the
 query path's per-ciphertext work — the ⊖ matrix, the layered selects,
 ``RecoverEnc``, every fresh encryption's randomizer — as one call per
-round.  A pool draw multiplies each draw into its factor inside the
-call, so batch encryption and rerandomization (``pk.encrypt_batch``,
-``pk.rerandomize_batch``) are one :func:`pool_products` call each.
+round.  Given factors, :func:`pool_products` multiplies each draw into
+its factor inside the call, so batch encryption and rerandomization
+(``pk.encrypt_batch``, ``pk.rerandomize_batch``) are one call each.
 Five operations fuse a whole round of the query path into one call:
 :func:`blind_round` (``c · (1 ± b·N) · r`` over every Paillier component
 of an ``ItemBlinder`` round, read from and written to the round's limb
