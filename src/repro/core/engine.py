@@ -433,9 +433,10 @@ class EagerEngine(_EngineBase):
         Per candidate and list S1 ships ``Enc(u ⊕ c)``, ``u = 1 − seen_j``
         masked by a fresh coin ``c`` (the whole request one
         :func:`~repro.crypto.backend.masked_unseen` call), so S2 decrypts
-        a uniform bit ``t`` and applies it to ``bottom_j``: ``Enc(u·bottom_j)`` is the reply
-        itself when ``c = 0`` and ``Enc(bottom_j) − Enc(t·bottom_j)`` when
-        ``c = 1``.  S1 unblinds the reply into the bounds with one
+        a uniform bit ``t`` and applies it to ``bottom_j``:
+        ``Enc(u·bottom_j)`` is the reply itself when ``c = 0`` and
+        ``Enc(bottom_j) − Enc(t·bottom_j)`` when ``c = 1``.  S1 unblinds
+        the reply into the bounds with one
         :func:`~repro.crypto.backend.select_bounds` call, a candidate's
         ``m`` powers one multi-exponentiation.  The bounds go straight to
         the comparison; no candidate carries one onward."""

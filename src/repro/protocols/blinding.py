@@ -76,9 +76,12 @@ _SURPLUS_BITS = 128
 
 
 def check_batch(batch, public_key: PaillierPublicKey) -> ItemBatch:
-    """``batch`` when it is an :class:`ItemBatch` under ``public_key``;
-    a :class:`ProtocolError` otherwise (a peer's round names its items
-    as one batch under the main key)."""
+    """``batch`` when it is an :class:`ItemBatch` under ``public_key`` —
+    or the empty batch for an empty list, the form an empty round's items
+    decode to — and a :class:`ProtocolError` otherwise (a peer's round
+    names its items as one batch under the main key)."""
+    if type(batch) is list and not batch:
+        return ItemBatch.pack(public_key, [])
     if type(batch) is not ItemBatch or batch.public_key.n != public_key.n:
         raise ProtocolError("a blinded round's items must be one batch under the main key")
     return batch
@@ -110,7 +113,7 @@ class ItemBlinder:
         goes to one :func:`~repro.crypto.backend.blind_round` call for the
         round, on the batch's buffer; ``E2`` blinds are cut here.
         """
-        check_batch(batch, self.public_key)
+        batch = check_batch(batch, self.public_key)
         if len(seed_lists) != len(batch):
             raise ProtocolError("a blinded round needs one seed list per item")
         pk, dj = self.public_key, self.dj

@@ -211,7 +211,7 @@ def s2_sort_affine(
     protocol: str,
 ):
     """S2's side of the affine construction."""
-    check_batch(blinded_items, s2.public_key)
+    blinded_items = check_batch(blinded_items, s2.public_key)
     if not len(blinded_keys) == len(blinded_items) == len(companions):
         raise ProtocolError("malformed sort: keys, items and companions disagree")
     blinder = ItemBlinder(s2.public_key, s2.dj)
@@ -358,6 +358,8 @@ def s2_gates(
     for pair_keys, pair_items, pair_comps in gates:
         if not len(pair_keys) == len(check_batch(pair_items, pk)) == len(pair_comps) == 2:
             raise ProtocolError("malformed sort gate: a gate holds two keys, items and companions")
+    if not gates:
+        return []
     blinder = ItemBlinder(pk, s2.dj)
     all_keys = [k for pair_keys, _, _ in gates for k in pair_keys]
     all_values = s2.decrypt_signed_batch_for_protocol(

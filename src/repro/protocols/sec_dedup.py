@@ -305,7 +305,8 @@ def s2_dedup(
     protocol: str,
 ):
     """S2's side, shared by ``SecDedup`` (bury) and ``SecDupElim`` (drop)."""
-    l = len(check_batch(blinded, s2.public_key))
+    blinded = check_batch(blinded, s2.public_key)
+    l = len(blinded)
     _check_shape(
         blinded, ("matrix", matrix, l * (l - 1) // 2), companions=companions, ranks=ranks
     )
@@ -334,7 +335,7 @@ def s2_dedup_sort(
     survivors' keys are decrypted, the survivors ordered by them
     (descending) and new junk appended; no second permutation."""
     new = [i for i, rank in enumerate(ranks) if rank != 0]
-    check_batch(blinded, s2.public_key)
+    blinded = check_batch(blinded, s2.public_key)
     _check_shape(
         blinded, ("counts", counts, len(new)), keys=keys, companions=companions, ranks=ranks
     )

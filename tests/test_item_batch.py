@@ -16,6 +16,7 @@ S1's blind through S2's re-blind to S1's unblind.  Here:
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import pytest
@@ -26,7 +27,7 @@ from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair, PaillierPublicKey
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import ProtocolError, RemoteS2Error
-from repro.net import messages
+from repro.net import messages, wire
 from repro.net.channel import measure_size
 from repro.net.wire import WireCodec, _Reader
 from repro.protocols.sec_dedup import _prepare
@@ -128,12 +129,14 @@ def _warm(codec: WireCodec, pk: PaillierPublicKey, dj: DamgardJurik, before: int
 
 
 class TestWire:
-    @pytest.mark.parametrize("before", [None, 0, 0x7F], ids=["cold", "warm", "wide-index"])
-    def test_same_bytes_as_the_items(self, keys, before):
+    @pytest.mark.parametrize("before", [None, 0, 0x80], ids=["cold", "warm", "wide-index"])
+    def test_same_bytes_as_the_items(self, keys, before, monkeypatch):
         """Key unregistered (the first item registers it), registered at a
         one-byte index, or registered at index 0x80 (a two-byte varint):
         the batch writes the bytes of its list of items, and decodes into
-        a batch holding those items."""
+        a batch holding those items.  (The throwaway keys go to a table of
+        the process's key objects of this test's own.)"""
+        monkeypatch.setattr(wire, "_SHARED", collections.OrderedDict())
         pk, dj, _ = keys
         items = _items(pk, dj, SecureRandom(67))
         batch = ItemBatch.pack(pk, items)
@@ -185,6 +188,33 @@ class TestWire:
         assert type(back.items) is ItemBatch
         assert back.items.buffer == msg.items.buffer
         assert WireCodec().encode_envelope([back]) == frame
+
+
+def test_an_empty_round_is_the_empty_batch(ctx, own_keypair):
+    """An empty round's items are the empty list on the wire, which is
+    what they decode to: every S2 handler takes it as the empty batch and
+    answers with no items, as it did for an empty list of items."""
+    own = own_keypair.public_key
+    rounds = [
+        messages.DedupBatch(protocol="SecDedup", matrix=[], items=[], companions=[],
+                            ranks=[], own_public=own, sentinel=-5, eliminate=False),
+        messages.DedupSort(protocol="SecDupElim", counts=[], items=[], keys=[],
+                           companions=[], ranks=[], own_public=own, sentinel=-5,
+                           eliminate=True),
+        messages.SortAffine(protocol="EncSort", keys=[], items=[], companions=[],
+                            own_public=own, descending=True),
+    ]
+    for msg in rounds:
+        reply = ctx.call(msg)
+        items_out = reply[-2]
+        assert type(items_out) is ItemBatch and len(items_out) == 0
+        assert reply[-1] == []
+        out = bytearray()
+        WireCodec().encode_value(items_out, out)
+        assert bytes(out) == bytes((6, 0))  # _LIST, no elements
+    assert ctx.call(
+        messages.SortGateBatch(protocol="EncSort", gates=[], own_public=own, descending=True)
+    ) == []
 
 
 # ----------------------------------------------------------------------
