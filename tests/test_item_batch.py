@@ -158,7 +158,6 @@ class TestWire:
         assert type(back) is ItemBatch
         assert back.public_key.n == pk.n
         assert [_fields(i) for i in back] == [_fields(i) for i in items]
-        # Re-encoded by a codec in the decoder's state: the same bytes.
         assert back.serialized_size() == batch.serialized_size()
 
     def test_round_trip_of_a_real_round(self, keys):
