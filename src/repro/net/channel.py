@@ -14,7 +14,6 @@ import contextlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.crypto.paillier import Ciphertext
 from repro.obs.metrics import REGISTRY
 
 # Process-wide traffic instruments (see ARCHITECTURE.md, observability
@@ -55,17 +54,6 @@ def measure_size(obj) -> int:
     if isinstance(obj, bytes):
         return len(obj)
     if isinstance(obj, (list, tuple)):
-        # A vector of ciphertexts under one key object — most of what a
-        # round ships that is not an item batch — is its length times
-        # the key's ciphertext size; a vector of integers (ranks, group
-        # indices) is summed without a call per element.
-        first = type(obj[0]) if obj else None
-        if first is Ciphertext:
-            key = obj[0].public_key
-            if all(type(c) is Ciphertext and c.public_key is key for c in obj):
-                return len(obj) * key.ciphertext_bytes
-        elif first is int and all(type(v) is int for v in obj):
-            return sum(max(1, (v.bit_length() + 7) // 8) for v in obj)
         return sum(measure_size(x) for x in obj)
     raise TypeError(f"cannot measure wire size of {type(obj).__name__}")
 

@@ -9,9 +9,8 @@ on first appearance in the stream and referenced by index afterwards, so
 both endpoints rebuild identical registries simply by processing the same
 bytes in the same order — no out-of-band key exchange is needed.
 
-A round's :class:`~repro.structures.items.ItemBatch` travels as exactly
-the bytes of the list of items it holds, cut straight from its limb
-buffer, and a list of items decodes back into one batch.
+A round's :class:`~repro.structures.items.ItemBatch` travels as the list
+of items it holds, and a list of items decodes back into one batch.
 
 Note on accounting: the paper's bandwidth numbers (Table 3, Fig. 13)
 count ciphertext payload bytes, so the channel statistics keep using
@@ -31,13 +30,7 @@ from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.exceptions import ProtocolError
 from repro.structures.ehl import Ehl
 from repro.structures.ehl_plus import EhlPlus
-from repro.structures.items import (
-    EncryptedItem,
-    ItemBatch,
-    ItemShape,
-    JoinedTuple,
-    ScoredItem,
-)
+from repro.structures.items import EncryptedItem, ItemBatch, JoinedTuple, ScoredItem
 
 # Value tags.
 _NONE = 0
@@ -315,64 +308,7 @@ class WireCodec:
         _write_signed(out, item.uid)
 
     def _encode_batch(self, batch: ItemBatch, out: bytearray) -> None:
-        """Append a batch as the bytes of the list of its items: every
-        Paillier component as ``_CT idx`` and its big-endian value, cut
-        from the limb buffer reversed once (a component's limbs reversed
-        are its big-endian bytes behind the width's zero padding).  A key
-        the stream has not registered at a one-byte index takes the
-        element path, which registers it inside the first item."""
-        pk = batch.public_key
-        idx = self._key_index.get(pk.n)
-        if idx is None or idx >= 0x80:
-            self._encode_list(batch.unpack(), out)
-            return
-        width = pk.ciphertext_bytes
-        stride = ItemBatch.stride(pk)
-        flipped = batch.buffer[::-1]
-        chunks = [flipped[at : at + width] for at in range(stride - width, len(flipped), stride)]
-        chunks.reverse()
-        ct = bytes((_CT, idx))
-        layered = iter(batch.layered)
-        out.append(_LIST)
-        _write_varint(out, len(batch))
-        at = 0
-        for shape, uid in zip(batch.shapes, batch.uids):
-            out.append(_SCORED)
-            out.append(_EHL)
-            out.append(_EHL_CLASSES.index(shape.ehl))
-            _write_varint(out, shape.cells)
-            end = at + shape.cells
-            out += ct
-            out += ct.join(chunks[at:end])
-            at = end
-            for present in (shape.worst, shape.best):
-                if present:
-                    out += ct
-                    out += chunks[at]
-                    at += 1
-                else:
-                    out.append(_NONE)
-            for count, in_e2 in ((shape.scores, False), (shape.seen, shape.layered)):
-                if count is None:
-                    out.append(_NONE)
-                    continue
-                out.append(_LIST)
-                _write_varint(out, count)
-                if in_e2:
-                    for _ in range(count):
-                        self._encode_layered(next(layered), out)
-                elif count:
-                    end = at + count
-                    out += ct
-                    out += ct.join(chunks[at:end])
-                    at = end
-            if shape.record:
-                out += ct
-                out += chunks[at]
-                at += 1
-            else:
-                out.append(_NONE)
-            _write_signed(out, uid)
+        self._encode_list(batch.unpack(), out)
 
     def _encode_run(self, items: list, out: bytearray) -> bool:
         """Append the elements of a ``_LIST`` / ``_EHL`` as one slice —
@@ -459,9 +395,10 @@ class WireCodec:
             run = self._decode_run(reader, count, (_CT, _LC))
             if run is not None:
                 return run
-            if count and reader.data[reader.pos : reader.pos + 1] == _SCORED_BYTE:
-                return self._decode_batch(reader, count)
-            return [self.decode_value(reader) for _ in range(count)]
+            values = [self.decode_value(reader) for _ in range(count)]
+            if count and type(values[0]) is ScoredItem:
+                return _item_batch(values)
+            return values
         if tag == _NONE:
             return None
         if tag == _INT:
@@ -559,35 +496,6 @@ class WireCodec:
             for start in range(pos + 2, end, stride)
         ]
 
-    def _decode_batch(self, reader: _Reader, count: int) -> ItemBatch:
-        """The inverse of :meth:`_encode_batch`: ``count`` items, every
-        Paillier component under one key, into one batch; a list that
-        holds anything else, or components under two keys, is refused."""
-        take = _BatchReader(self, reader)
-        shapes, uids = [], []
-        for _ in range(count):
-            if reader.byte() != _SCORED or reader.byte() != _EHL:
-                raise ProtocolError("an item batch holds items, each opening with its EHL")
-            index = reader.byte()
-            if index >= len(_EHL_CLASSES):
-                raise ProtocolError(f"unknown EHL class {index}")
-            cells = reader.varint()
-            if not cells:
-                raise ProtocolError("EHL without cells")
-            take.cts(cells)
-            worst, best = take.optional(), take.optional()
-            scores, _ = take.vector(layered_ok=False)
-            seen, in_e2 = take.vector(layered_ok=True)
-            record = take.optional()
-            shapes.append(
-                ItemShape(_EHL_CLASSES[index], cells, worst, best, scores, seen, in_e2, record)
-            )
-            uids.append(reader.signed())
-        key = take.key
-        pad = bytes(ItemBatch.stride(key) - key.ciphertext_bytes)
-        buffer = (pad + pad.join(reversed(take.chunks)))[::-1]
-        return ItemBatch(key, shapes, uids, buffer, take.layered)
-
     def _decode_ciphertext(self, tag: int, reader: _Reader) -> Ciphertext:
         if tag == _CT_NEWKEY:
             pk = self._register_key(
@@ -653,94 +561,29 @@ class WireCodec:
         return [self.decode_value(reader) for _ in range(reader.varint())]
 
 
-class _BatchReader:
-    """The component reads of one :meth:`WireCodec._decode_batch`: each
-    Paillier component's big-endian bytes (:attr:`chunks`) under the one
-    key (:attr:`key`) they must share, and the ``E2`` seen bits
-    (:attr:`layered`)."""
+def _item_batch(items: list) -> ItemBatch:
+    """A decoded list of items as the batch it was sent as.  Every
+    element must be an item with an EHL and list (or absent) vectors,
+    and every Paillier component a ciphertext under one key; the ``E2``
+    seen bits are checked by :meth:`ItemBatch.pack`."""
+    components = []
+    for item in items:
+        if type(item) is not ScoredItem or type(item.ehl) not in _EHL_CLASSES:
+            raise ProtocolError("an item batch holds items, each opening with its EHL")
+        components += item.ehl.cells
+        for field in (item.worst, item.best, item.record):
+            if field is not None:
+                components.append(field)
+        for vector in (item.list_scores, item.seen_bits):
+            if vector is not None and type(vector) is not list:
+                raise ProtocolError("an item's vector field must be a list or absent")
+        components += item.list_scores or ()
+        components += [c for c in item.seen_bits or () if type(c) is not LayeredCiphertext]
+    key = components[0].public_key
+    if any(type(c) is not Ciphertext or c.public_key is not key for c in components):
+        raise ProtocolError("an item batch's components must be ciphertexts under one key")
+    return ItemBatch.pack(key, items)
 
-    __slots__ = ("codec", "reader", "key", "head", "chunks", "layered")
-
-    def __init__(self, codec: WireCodec, reader: _Reader):
-        self.codec = codec
-        self.reader = reader
-        self.key: PaillierPublicKey | None = None
-        self.head: bytes | None = None  # "_CT idx" of the key, at one byte
-        self.chunks: list[bytes] = []
-        self.layered: list[LayeredCiphertext] = []
-
-    def cts(self, count: int) -> None:
-        """Read ``count`` Paillier components: one strided slice when each
-        opens with the key's one-byte head, else one by one."""
-        reader, head = self.reader, self.head
-        if head is not None:
-            data, pos = reader.data, reader.pos
-            width = self.key.ciphertext_bytes
-            stride = width + 2
-            end = pos + count * stride
-            if (
-                end <= len(data)
-                and data[pos:end:stride] == head[:1] * count
-                and data[pos + 1 : end : stride] == head[1:] * count
-            ):
-                reader.pos = end
-                self.chunks += [data[at : at + width] for at in range(pos + 2, end, stride)]
-                return
-        codec = self.codec
-        for _ in range(count):
-            tag = reader.byte()
-            if tag == _CT:
-                index = reader.varint()
-                key = _entry(codec._keys, index, "key")
-            elif tag == _CT_NEWKEY:
-                index = None
-                key = codec._register_key(int.from_bytes(reader.take(reader.varint()), "big"))
-            else:
-                raise ProtocolError("an item batch carries Paillier components only")
-            if self.key is None:
-                self.key = key
-            elif key is not self.key:
-                raise ProtocolError("an item batch's components must share one key")
-            if self.head is None and index is not None and index < 0x80:
-                self.head = bytes((_CT, index))
-            self.chunks.append(reader.take(key.ciphertext_bytes))
-
-    def optional(self) -> bool:
-        """Read an optional component; whether it is present."""
-        reader = self.reader
-        if reader.data[reader.pos : reader.pos + 1] == _NONE_BYTE:
-            reader.pos += 1
-            return False
-        self.cts(1)
-        return True
-
-    def vector(self, layered_ok: bool) -> tuple[int | None, bool]:
-        """Read an optional list of components: ``(length or None,
-        whether they are E2 ciphertexts)``."""
-        reader = self.reader
-        tag = reader.byte()
-        if tag == _NONE:
-            return None, False
-        if tag != _LIST:
-            raise ProtocolError("an item's vector field must be a list or absent")
-        count = reader.varint()
-        next_tag = reader.data[reader.pos : reader.pos + 1]
-        if count and layered_ok and next_tag in (_LC_BYTE, _LC_NEWSCHEME_BYTE):
-            decode = self.codec._decode_layered
-            for _ in range(count):
-                tag = reader.byte()
-                if tag != _LC and tag != _LC_NEWSCHEME:
-                    raise ProtocolError("an item's seen bits must be ciphertexts of one kind")
-                self.layered.append(decode(tag, reader))
-            return count, True
-        self.cts(count)
-        return count, False
-
-
-_NONE_BYTE = bytes((_NONE,))
-_SCORED_BYTE = bytes((_SCORED,))
-_LC_BYTE = bytes((_LC,))
-_LC_NEWSCHEME_BYTE = bytes((_LC_NEWSCHEME,))
 
 _ENCODE_EXACT = {
     Ciphertext: WireCodec._encode_ciphertext,

@@ -328,7 +328,9 @@ def _sort_network(
         )
         cleaned = blinder.unblind_companions(
             own_keypair,
-            ItemBatch.concat([items_out for _, items_out, _ in replies]),
+            ItemBatch.concat(
+                [check_batch(items_out, ctx.public_key) for _, items_out, _ in replies]
+            ),
             [comp for _, _, comps_out in replies for comp in comps_out],
         )
         recovered = _recover_keys(

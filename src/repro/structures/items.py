@@ -471,9 +471,6 @@ class ItemBatch:
     def __len__(self) -> int:
         return len(self.shapes)
 
-    def __iter__(self):
-        return iter(self.unpack())
-
     def serialized_size(self) -> int:
         """Byte size on the wire: the size of the items it holds, from
         the buffer's length alone (every Paillier component is one

@@ -1373,6 +1373,7 @@ class TestFusedRoundsPinTheirFormulas:
                 ItemBatch.pack(keypair.public_key, items), seed_lists, fused_rng
             )
             unblinded = blinder.unblind_batch(blinded, seed_lists)
+        blinded, unblinded = blinded.unpack(), unblinded.unpack()
         assert _components_of(blinded) == _parent_blind(
             blinder, items, seed_lists, 1, parent_rng
         )

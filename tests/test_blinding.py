@@ -26,8 +26,9 @@ def _pack(ctx, items):
 
 def junk_item(public_key, dj, template, sentinel, rng):
     """The junk replacement of one template item."""
-    (junk,) = junk_batch(public_key, dj, ItemBatch.pack(public_key, [template]), sentinel, rng)
-    return junk
+    junk = junk_batch(public_key, dj, ItemBatch.pack(public_key, [template]), sentinel, rng)
+    (item,) = junk.unpack()
+    return item
 
 
 @pytest.fixture()
@@ -68,24 +69,24 @@ class TestBlindUnblind:
     def test_roundtrip_single_seed(self, blinder, item, ctx, keypair):
         (seed,) = blinder.fresh_seeds(ctx.rng, 1)
         blinded = blinder.blind_batch(_pack(ctx, [item]), [[seed]], ctx.rng)
-        (restored,) = blinder.unblind_batch(blinded, [[seed]])
+        (restored,) = blinder.unblind_batch(blinded, [[seed]]).unpack()
         assert _decrypt_item(restored, ctx, keypair) == _decrypt_item(item, ctx, keypair)
 
     def test_roundtrip_double_seed(self, blinder, item, ctx, keypair):
         s1, s2 = blinder.fresh_seeds(ctx.rng, 2)
         once = blinder.blind_batch(_pack(ctx, [item]), [[s1]], ctx.rng)
         blinded = blinder.blind_batch(once, [[s2]], ctx.rng)
-        (restored,) = blinder.unblind_batch(blinded, [[s2, s1]])  # order-independent
+        (restored,) = blinder.unblind_batch(blinded, [[s2, s1]]).unpack()  # order-independent
         assert _decrypt_item(restored, ctx, keypair) == _decrypt_item(item, ctx, keypair)
 
     def test_blinding_changes_plaintexts(self, blinder, item, ctx, keypair):
         (seed,) = blinder.fresh_seeds(ctx.rng, 1)
-        (blinded,) = blinder.blind_batch(_pack(ctx, [item]), [[seed]], ctx.rng)
+        (blinded,) = blinder.blind_batch(_pack(ctx, [item]), [[seed]], ctx.rng).unpack()
         assert keypair.secret_key.decrypt(blinded.worst) != 10
 
     def test_blinding_breaks_equality(self, blinder, item, ctx, keypair):
         (seed,) = blinder.fresh_seeds(ctx.rng, 1)
-        (blinded,) = blinder.blind_batch(_pack(ctx, [item]), [[seed]], ctx.rng)
+        (blinded,) = blinder.blind_batch(_pack(ctx, [item]), [[seed]], ctx.rng).unpack()
         assert keypair.secret_key.decrypt(item.ehl.minus(blinded.ehl, ctx.rng)) != 0
 
     def test_plain_item_without_state(self, blinder, ctx, keypair):
@@ -93,7 +94,7 @@ class TestBlindUnblind:
         item = ScoredItem(ehl=factory.encode(1), worst=ctx.encrypt(1), best=ctx.encrypt(2))
         (seed,) = blinder.fresh_seeds(ctx.rng, 1)
         blinded = blinder.blind_batch(_pack(ctx, [item]), [[seed]], ctx.rng)
-        (restored,) = blinder.unblind_batch(blinded, [[seed]])
+        (restored,) = blinder.unblind_batch(blinded, [[seed]]).unpack()
         assert keypair.secret_key.decrypt(restored.worst) == 1
         assert restored.list_scores is None
 
@@ -149,7 +150,7 @@ class TestWholeRound:
         restored = blinder.unblind_companions(
             own_keypair, reblinded, list(zip(companions, fresh))
         )
-        for before, between, after in zip(items, reblinded, restored):
+        for before, between, after in zip(items, reblinded.unpack(), restored):
             assert self._plain(after, ctx, keypair) == self._plain(before, ctx, keypair)
             assert self._plain(between, ctx, keypair) != self._plain(before, ctx, keypair)
             assert after.list_scores is None or len(after.list_scores) == len(before.list_scores)
@@ -160,7 +161,7 @@ class TestWholeRound:
         """The junk-replacement shape: one item under two of S2's seeds."""
         seed_lists = [blinder.fresh_seeds(ctx.rng, 2) for _ in items]
         blinded = blinder.blind_batch(_pack(ctx, items), seed_lists, ctx.rng)
-        restored = blinder.unblind_batch(blinded, [s[::-1] for s in seed_lists])
+        restored = blinder.unblind_batch(blinded, [s[::-1] for s in seed_lists]).unpack()
         for before, after in zip(items, restored):
             assert self._plain(after, ctx, keypair) == self._plain(before, ctx, keypair)
 
@@ -169,8 +170,8 @@ class TestWholeRound:
         batch the item travels in: blind in one batch, unblind singly."""
         seeds = blinder.fresh_seeds(ctx.rng, len(items))
         blinded = blinder.blind_batch(_pack(ctx, items), [[s] for s in seeds], ctx.rng)
-        for before, between, seed in zip(items, blinded, seeds):
-            (after,) = blinder.unblind_batch(_pack(ctx, [between]), [[seed]])
+        for before, between, seed in zip(items, blinded.unpack(), seeds):
+            (after,) = blinder.unblind_batch(_pack(ctx, [between]), [[seed]]).unpack()
             assert self._plain(after, ctx, keypair) == self._plain(before, ctx, keypair)
 
     def test_unblind_does_not_rerandomize(self, blinder, item, ctx):
@@ -178,8 +179,8 @@ class TestWholeRound:
         unblind of the same input is the same ciphertexts."""
         (seed,) = blinder.fresh_seeds(ctx.rng, 1)
         blinded = blinder.blind_batch(_pack(ctx, [item]), [[seed]], ctx.rng)
-        (once,) = blinder.unblind_batch(blinded, [[seed]])
-        (twice,) = blinder.unblind_batch(blinded, [[seed]])
+        (once,) = blinder.unblind_batch(blinded, [[seed]]).unpack()
+        (twice,) = blinder.unblind_batch(blinded, [[seed]]).unpack()
         assert [b.value for b in once.seen_bits] == [b.value for b in twice.seen_bits]
         assert once.worst.value == twice.worst.value
 

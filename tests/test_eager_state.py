@@ -249,7 +249,7 @@ class TestItemsOnTheWire:
             # worst is what comes back; a count rides with each new one.
             assert len(msg.keys) == len(msg.items)
             assert len(msg.counts) == sum(1 for rank in msg.ranks if rank)
-            for item in msg.items:
+            for item in msg.items.unpack():
                 assert item.list_scores is None and item.best is None
                 assert item.worst is not None and len(item.seen_bits) == len(ATTRS)
                 assert all(type(bit) is Ciphertext for bit in item.seen_bits)

@@ -138,6 +138,19 @@ class TestNetworkSort:
         for item in result:
             assert sk.decrypt(item.best) == sk.decrypt(item.worst) + 1
 
+    @pytest.mark.parametrize("bad", [[], [[]], "items"], ids=["empty", "nested", "str"])
+    def test_a_gate_reply_without_a_batch_is_refused(self, ctx, own_keypair, monkeypatch, bad):
+        """A gate reply whose items are not one batch is a ProtocolError
+        on S1, as every other malformed batch is."""
+        call = ctx.call
+
+        def tampered(msg):
+            return [(keys, bad, comps) for keys, _, comps in call(msg)]
+
+        monkeypatch.setattr(ctx, "call", tampered)
+        with pytest.raises(ProtocolError):
+            enc_sort(ctx, _items(ctx, [3, 1, 2, 4]), own_keypair, method="network")
+
     def test_more_rounds_than_affine(self, ctx, own_keypair):
         items = _items(ctx, [3, 1, 2, 9, 4, 6])
         before = ctx.channel.stats.rounds
