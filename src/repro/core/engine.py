@@ -68,6 +68,85 @@ from repro.structures.items import EncryptedItem, ListPrefix, ScoredItem
 
 PROTOCOL = "SecQuery"
 
+_MOD, _LIMBS, _EXPS, _INTS, _BYTES, _POOL = (
+    backend.MOD, backend.LIMBS, backend.EXPS, backend.INTS, backend.BYTES, backend.POOL
+)
+
+
+def _absorb_program() -> backend.Program:
+    """An absorb's ``BlindedSelect`` reply applied mod ``N^2``.
+
+    Slot ``j`` (its own target) is ``sel_j``, ``bits_j = Enc(t_j)`` and
+    its blind ``e_j``; its term is ``sel_j · bits_j^(−e_j)``
+    (``Enc(t·x)``).  Writes ``worst_j · term_j`` per slot, then the
+    tested item's new worst ``score · Π term_j^(−1)`` and ``(1 + N) ·
+    M^(−1)`` (``[0]``); ``seen_j · bits_j`` per slot (``[1]``); the match
+    count ``M = Π bits_j`` (``[2]``); and the new entry's seen bits, one
+    pool draw per read, the one at the one-hot mask's slot times ``(1 +
+    N) · M^(−1)`` (``[3]``).  One power per slot and one inversion of the
+    powers, ``Π sel_j`` and ``M``.  Inputs: ``N^2``, ``sel``, ``bits``,
+    the blinds, the worsts, the seen bits, ``[score]``, ``[1]``,
+    ``[1 + N]``, ``[slots]``, ``[slots + 1]``, the pool, its reads and
+    the one-hot mask."""
+    p = backend.Program()
+    n2, sel, bits, exps = p.input(_MOD), p.input(_LIMBS), p.input(_LIMBS), p.input(_EXPS)
+    worsts, seen, score = p.input(_LIMBS), p.input(_LIMBS), p.input(_LIMBS)
+    one, lift, whole, last = p.input(_LIMBS), p.input(_LIMBS), p.input(_INTS), p.input(_INTS)
+    pool, reads, onehot = p.input(_POOL), p.input(_BYTES), p.input(_BYTES)
+    powers = p.op("pow", n2, bits, exps)
+    matched = p.op("prod", n2, one, bits, whole)
+    inverses = p.op(
+        "inv", n2, p.op("cat", n2, powers, p.op("prod", n2, one, sel, whole), matched)
+    )
+    numerators = p.op(
+        "cat", n2, p.op("mul", n2, worsts, sel), p.op("prod", n2, score, powers, whole), lift
+    )
+    credited = p.op("mul", n2, numerators, inverses)
+    factors = p.op("pick", n2, onehot, p.op("gather", n2, credited, last), one)
+    p.output(credited)
+    p.output(p.op("mul", n2, seen, bits))
+    p.output(matched)
+    p.output(p.op("pool", n2, pool, reads, factors))
+    return p
+
+
+def _masked_unseen_program() -> backend.Program:
+    """A best-bound select's tests: per slot ``Enc(u ⊕ c) · r``, ``u = 1
+    − s`` for the seen bit ``Enc(s)`` and the coin ``c`` — the seen bit
+    for ``c = 1``, ``(1 + N) · Enc(s)^(−1)`` for ``c = 0`` — times its
+    pool draw ``r``.  Inputs: ``N^2``, the seen bits, the coins,
+    ``[1 + N]``, the pool and its reads."""
+    p = backend.Program()
+    n2, seen, coins, lift = p.input(_MOD), p.input(_LIMBS), p.input(_BYTES), p.input(_LIMBS)
+    pool, reads = p.input(_POOL), p.input(_BYTES)
+    unseen = p.op("mul", n2, p.op("inv", n2, seen), lift)
+    p.output(p.op("pool", n2, pool, reads, p.op("pick", n2, coins, seen, unseen)))
+    return p
+
+
+def _bounds_program() -> backend.Program:
+    """A best-bound select's reply multiplied into the bounds mod
+    ``N^2``: slot ``j``'s term is ``sel_j · bits_j^(−e_j)``
+    (``Enc(t·x)``) or, flipped, ``v_j · sel_j^(−1) · bits_j^(e_j)``
+    (``Enc(x − t·x)``, ``v_j = Enc(x)`` its bottom); target ``g`` owns
+    ``counts[g]`` consecutive slots and becomes ``acc_g · Π term`` — one
+    batch inversion and one multi-exponentiation per target.  Inputs:
+    ``N^2``, ``sel``, ``bits``, the blinds, the accs, the counts, the
+    flips, the bottoms and each slot's bottom."""
+    p = backend.Program()
+    n2, sel, bits, exps = p.input(_MOD), p.input(_LIMBS), p.input(_LIMBS), p.input(_EXPS)
+    accs, counts, flips = p.input(_LIMBS), p.input(_INTS), p.input(_BYTES)
+    bottoms, slots = p.input(_LIMBS), p.input(_INTS)
+    inverses = p.op("inv", n2, p.op("pick", n2, flips, sel, bits))
+    folded = p.op("mul", n2, p.op("gather", n2, bottoms, slots), inverses)
+    accs = p.op("prod", n2, accs, p.op("pick", n2, flips, folded, sel), counts)
+    bases = p.op("pick", n2, flips, bits, inverses)
+    p.output(p.op("powprod", n2, accs, bases, exps, counts))
+    return p
+
+
+ABSORB, MASKED_UNSEEN, BOUNDS = _absorb_program(), _masked_unseen_program(), _bounds_program()
+
 
 class _EngineBase:
     """Shared plumbing: sorting, halting rule, per-depth timing."""
@@ -398,30 +477,29 @@ class EagerEngine(_EngineBase):
             )
         targets = [shared[i] for i in order]
         pool = pk.randomizer_pool()
-        values = backend.select_absorb(
-            pk.n, selected, bits, blinds,
+        tested = len(targets)
+        credited, seen, matched, fresh = backend.run(ABSORB, [
+            pk.n_squared, selected, bits, blinds,
             [target.worst.value for target in targets],
             [target.seen_bits[list_slot].value for target in targets],
-            item.score.value,
+            [item.score.value], [1], [1 + pk.n], [tested], [tested + 1],
             pool,
             # the new entry's seen bits, read as encrypt_batch reads them
             ctx.rng.randbytes(pool.read_bytes * self.m),
-            list_slot,
-        )
-        cts = [Ciphertext(value, pk) for value in values]
-        tested = len(targets)
-        for target, worst, bit in zip(targets, cts, cts[tested:]):
-            target.worst = worst
-            target.seen_bits[list_slot] = bit
+            bytes(j == list_slot for j in range(self.m)),
+        ])
+        for target, worst, bit in zip(targets, credited, seen):
+            target.worst = Ciphertext(worst, pk)
+            target.seen_bits[list_slot] = Ciphertext(bit, pk)
         shared.append(
             ScoredItem(
                 ehl=item.ehl,
-                worst=cts[2 * tested],
-                seen_bits=cts[2 * tested + 2 :],
+                worst=Ciphertext(credited[tested], pk),
+                seen_bits=[Ciphertext(value, pk) for value in fresh],
                 record=item.record,
             )
         )
-        counts.append(cts[2 * tested + 1])
+        counts.append(Ciphertext(matched[0], pk))
 
     # -- best bounds for the halting rule ----------------------------------
 
@@ -431,14 +509,13 @@ class EagerEngine(_EngineBase):
         select that rides the rule's first-stage round.
 
         Per candidate and list S1 ships ``Enc(u ⊕ c)``, ``u = 1 − seen_j``
-        masked by a fresh coin ``c`` (the whole request one
-        :func:`~repro.crypto.backend.masked_unseen` call), so S2 decrypts
-        a uniform bit ``t`` and applies it to ``bottom_j``:
-        ``Enc(u·bottom_j)`` is the reply itself when ``c = 0`` and
-        ``Enc(bottom_j) − Enc(t·bottom_j)`` when ``c = 1``.  S1 unblinds
-        the reply into the bounds with one
-        :func:`~repro.crypto.backend.select_bounds` call, a candidate's
-        ``m`` powers one multi-exponentiation.  The bounds go straight to
+        masked by a fresh coin ``c`` (the whole request one run of
+        :data:`MASKED_UNSEEN`), so S2 decrypts a uniform bit ``t`` and
+        applies it to ``bottom_j``: ``Enc(u·bottom_j)`` is the reply
+        itself when ``c = 0`` and ``Enc(bottom_j) − Enc(t·bottom_j)`` when
+        ``c = 1``.  S1 unblinds the reply into the bounds with one run of
+        :data:`BOUNDS`, a candidate's ``m`` powers one
+        multi-exponentiation.  The bounds go straight to
         the comparison; no candidate carries one onward."""
         if not candidates:
             return []
@@ -448,31 +525,27 @@ class EagerEngine(_EngineBase):
         bottoms = [self.lists[j][depth].score for j in range(m)]
         seen = [t_item.seen_bits[j] for t_item in candidates for j in range(m)]
         coins = ctx.rng.randbits(len(seen))
-        flips = [(coins >> slot) & 1 for slot in range(len(seen))]
+        flips = bytes((coins >> slot) & 1 for slot in range(len(seen)))
         # Enc(u ⊕ c), rerandomized: Enc(1 − seen_j) for c = 0, Enc(seen_j)
         # for c = 1.
         pool = pk.randomizer_pool()
-        tests = [
-            Ciphertext(value, pk)
-            for value in backend.masked_unseen(
-                pk.n,
-                [s.value for s in seen],
-                flips,
-                pool,
-                ctx.rng.randbytes(pool.read_bytes * len(seen)),
-            )
-        ]
+        (tests,) = backend.run(MASKED_UNSEEN, [
+            pk.n_squared, [s.value for s in seen], flips, [1 + pk.n], pool,
+            ctx.rng.randbytes(pool.read_bytes * len(seen)),
+        ])
+        groups = list(range(m)) * len(candidates)
         selected, bits, blinds = yield from blinded_select_reply_flow(
-            ctx, tests, bottoms, list(range(m)) * len(candidates),
+            ctx, [Ciphertext(value, pk) for value in tests], bottoms, groups,
             bit_mode=True, protocol=PROTOCOL,
         )
-        bests = backend.select_bounds(
-            pk.n, selected, bits, blinds,
+        (bests,) = backend.run(BOUNDS, [
+            pk.n_squared, selected, bits, blinds,
             [t_item.worst.value for t_item in candidates],
             [m] * len(candidates),
             flips,
-            [bottoms[slot % m].value for slot, c in enumerate(flips) if c],
-        )
+            [bottom.value for bottom in bottoms],
+            groups,
+        ])
         return [Ciphertext(value, pk) for value in bests]
 
 

@@ -217,13 +217,22 @@ class SecTopK:
                 range(len(rows)),
                 key=lambda o: (-rows[o][attribute], object_ids[o]),
             )
+            # One batch per list, read from the stream in the order of
+            # per-entry encode / encrypt calls: each entry's EHL cells,
+            # its score, its record.
+            plain = []
+            for o in ranked:
+                plain += factory.vector(object_ids[o])
+                plain += (rows[o][attribute], object_ids[o])
+            cts = iter(self.public_key.encrypt_batch(plain, rng))
+            cells = len(plain) // len(ranked) - 2
             entries = [
                 EncryptedItem(
-                    ehl=factory.encode(object_ids[o]),
-                    score=self.public_key.encrypt(rows[o][attribute], rng),
-                    record=self.public_key.encrypt(object_ids[o], rng),
+                    ehl=factory.structure([next(cts) for _ in range(cells)]),
+                    score=next(cts),
+                    record=next(cts),
                 )
-                for o in ranked
+                for _ in ranked
             ]
             lists[prp.forward(attribute)] = entries
         return EncryptedRelation(

@@ -1,68 +1,38 @@
-"""cffi build recipe for the GIL-free GMP batch kernel.
+"""cffi build recipe for the GIL-free GMP kernel.
 
-The C side is small: one entry point per operation.  One vectorized
-``mpz_powm`` loop, ``repro_powmod_pairs`` — one exponent per base (the
-``RecoverEnc`` blinds, the ⊖ rescales, the blinded comparisons'
-scales, the absorb's unblinding powers inside ``repro_select_absorb``),
-or with a zero exponent stride one shared exponent for the whole batch
-(DJ layer stripping, randomizer pools, a scalar power as a batch of
-one); ``repro_paillier_decrypt`` (a batch of whole CRT Paillier
-decryptions: the range and unit checks, both ``mpz_powm`` halves,
-``L``, ``h_p`` / ``h_q`` and the recombination, or the mod-``p`` half
-alone); five fused round operations built on the loops below —
-``repro_blind_round`` (an item-blinding round on the round's limb
-buffer: every component's summed seed blinds read off the SHAKE-256
-streams, reduced mod ``N`` and applied as ``c · (1 ± b·N)``, times its
-pool randomizer), ``repro_ehl_minus`` (a batch of ⊖: each pair's
-``Enc(0)`` pool draw, its cell quotients and its multi-exponentiation),
-``repro_masked_unseen`` (a best-bound select's request: the coin-0
-slots' batch inversion times ``1 + N``, every slot times its pool
-draw),
-``repro_select_bounds`` (a ``BlindedSelect`` reply unblinded into
-running bounds: one batch inversion, each bound's powers one
-multi-exponentiation) and ``repro_select_absorb`` (a reply applied as
-the eager absorb: the candidates' credits and seen bits, the tested
-item's new entry and its seen bits' pool draws, one batch inversion);
-and three loops on one Montgomery core:
-
-* ``repro_powmod_products`` — ``acc · Π b^e`` per group of ragged width,
-  as an interleaved sliding-window multi-exponentiation (Straus's
-  interleaving with Möller's windows, "Algorithms for
-  multi-exponentiation", SAC 2001): the group's bases share one chain of
-  squarings.  Every ⊖ of an EHL pair, every layered select and every
-  best bound is one group; a group of one base is plain ``mpz_powm``,
-  which GMP tunes better for a single exponentiation than this core can.
-* ``repro_pool_products`` — the randomizer-pool draw, on a pool packed
-  in Montgomery form: ``picks − 1`` Montgomery multiplications and one
-  reduction out of Montgomery form per draw — or one multiplication by
-  the draw's factor, which leaves Montgomery form in the same step (a
-  batch encryption or rerandomization in one call).
-* ``repro_invert_vec`` — Montgomery's batch-inversion trick: one
-  ``mpz_invert`` for the whole batch (a scalar inverse is a batch of
-  one).
-
-The core is Montgomery multiplication (Montgomery, "Modular
+The C side has one entry point, ``repro_run``: an interpreter of the
+straight-line programs of :mod:`repro.crypto.backend`
+(:class:`~repro.crypto.backend.Program`; its ``OPS`` say what each op
+writes).  A program's registers live in one arena of 64-bit words the
+caller lays out; ``repro_run`` checks every register index and size
+against the arena and every op against its registers, range-checks the
+program's input residues, then runs the ops as the static bodies here.
+``powprod`` is an interleaved sliding-window multi-exponentiation
+(Straus's interleaving with Möller's windows, "Algorithms for
+multi-exponentiation", SAC 2001): a group's bases share one chain of
+squarings, and a group of one base is plain ``mpz_powm``, which GMP
+tunes better for a single exponentiation.  ``powprod``, ``pool`` (on a
+pool packed in Montgomery form, a factor leaving the form in the same
+multiplication) and ``inv`` (Montgomery's batch-inversion trick, one
+``mpz_invert``) run on one Montgomery core (Montgomery, "Modular
 multiplication without trial division", Math. Comp. 1985) on GMP's
-``mpn`` layer: ``mpn_mul_n`` / ``mpn_sqr`` for the product and an
+``mpn`` layer: ``mpn_mul_n`` / ``mpn_sqr`` products and an
 ``mpn_addmul_1`` word-by-word REDC.  It needs an odd modulus and 64-bit
 GMP limbs; an even modulus, or a GMP built with other limbs, runs the
-same entry point on ``mpz_powm`` / ``mpz_mul`` instead, with identical
-results.
+same op on ``mpz_powm`` / ``mpz_mul``, with identical results.
 
 Everything crosses the boundary as fixed-width little-endian arrays of
 64-bit words (least-significant word first, little-endian bytes within
-each word), so a single C call carries an entire batch and cffi
-releases the GIL for its whole duration.  That one property is the
-point of this extension: with the pure backend every modular
-exponentiation holds the GIL, so concurrent queries cannot overlap
-their arithmetic; with this kernel they can.
+each word), so one C call carries a whole program and cffi releases the
+GIL for all of it — the point of this extension: with the pure backend
+every modular exponentiation holds the GIL, so concurrent queries
+cannot overlap their arithmetic; with this kernel they can.
 
 Compiled on demand by :mod:`repro.crypto._gmp_kernel` (see ``load()``
-there) into a per-user cache directory; building requires cffi, a C
-compiler and the GMP development headers (``libgmp-dev``).  The
-``kernel`` extra in ``setup.py`` pulls in cffi; the system pieces come
-from the OS.  ``SOURCE`` is plain C, so it can be linted on its own:
-``gcc -x c -fsyntax-only -Wall -Wextra -Werror -``.
+there) into a per-user cache directory; building requires cffi (the
+``kernel`` extra in ``setup.py``), a C compiler and the GMP development
+headers (``libgmp-dev``).  ``SOURCE`` is plain C, so it can be linted on
+its own: ``gcc -x c -fsyntax-only -Wall -Wextra -Werror -``.
 """
 
 try:
@@ -74,56 +44,8 @@ except ImportError:  # pragma: no cover - environments without cffi
 MODULE_NAME = "_repro_gmp_kernel"
 
 CDEF = """
-int repro_powmod_pairs(const uint64_t *bases, size_t n_items, size_t base_words,
-                       const uint64_t *exps, size_t exp_words, size_t exp_stride,
-                       const uint64_t *mod, size_t mod_words,
-                       uint64_t *out);
-int repro_pool_products(const uint64_t *pool, size_t index_bits,
-                        const uint8_t *reads, size_t n_items, size_t picks,
-                        const uint64_t *factors,
-                        const uint64_t *mod, size_t mod_words,
-                        uint64_t *out);
-int repro_powmod_products(const uint64_t *accs, const uint64_t *counts,
-                          size_t n_groups,
-                          const uint64_t *bases, const uint64_t *exps,
-                          size_t n_items, size_t exp_words,
-                          const uint64_t *mod, size_t mod_words,
-                          uint64_t *out);
-int repro_invert_vec(const uint64_t *values, size_t n_items,
-                     const uint64_t *mod, size_t mod_words,
-                     uint64_t *out);
-int repro_paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
-                           const uint64_t *crt, int below_p,
-                           uint64_t *out, size_t out_words);
-int repro_blind_round(const uint64_t *values, size_t n_items, size_t ct_words,
-                      const uint64_t *layout, size_t n_groups,
-                      const uint8_t *streams, size_t width,
-                      const uint64_t *n, size_t n_words, int sign,
-                      const uint64_t *pool, size_t index_bits,
-                      const uint8_t *reads, size_t picks,
-                      const uint64_t *mod, uint64_t *out);
-int repro_ehl_minus(const uint64_t *pool, size_t index_bits,
-                    const uint8_t *reads, size_t picks,
-                    const uint64_t *counts, size_t n_groups,
-                    const uint64_t *nums, const uint64_t *invs,
-                    const uint64_t *exps, size_t n_items, size_t exp_words,
-                    const uint64_t *mod, size_t mod_words, uint64_t *out);
-int repro_masked_unseen(const uint64_t *seen, const uint8_t *coins, size_t n_items,
-                        const uint64_t *n, const uint64_t *pool, size_t index_bits,
-                        const uint8_t *reads, size_t picks,
-                        const uint64_t *mod, size_t mod_words, uint64_t *out);
-int repro_select_bounds(const uint64_t *sel, const uint64_t *bits,
-                        const uint64_t *exps, size_t n_slots, size_t exp_words,
-                        const uint64_t *accs, const uint64_t *counts, size_t n_targets,
-                        const uint8_t *flips, const uint64_t *values,
-                        const uint64_t *mod, size_t mod_words, uint64_t *out);
-int repro_select_absorb(const uint64_t *sel, const uint64_t *bits,
-                        const uint64_t *exps, size_t n_slots, size_t exp_words,
-                        const uint64_t *worsts, const uint64_t *seen,
-                        const uint64_t *score, const uint64_t *pool, size_t index_bits,
-                        const uint8_t *reads, size_t n_draws, size_t picks, size_t slot,
-                        const uint64_t *n, const uint64_t *mod, size_t mod_words,
-                        uint64_t *out);
+int repro_run(const uint64_t *ops, size_t n_ops, const uint64_t *table, size_t n_regs,
+              uint64_t *arena, size_t arena_words);
 """
 
 SOURCE = r"""
@@ -153,30 +75,23 @@ static void export_words(uint64_t *words, size_t n_words, const mpz_t op)
 
 /* out[i] = bases[i] ** exps[i]  mod  mod for the whole batch in one call:
    exponent i is the exp_words words at exps + i * exp_stride, so a zero
-   stride gives every base one shared exponent, imported once.  Returns 0
-   on success, -1 for a zero modulus; cffi releases the GIL around the
-   entire loop. */
-int repro_powmod_pairs(const uint64_t *bases, size_t n_items, size_t base_words,
-                       const uint64_t *exps, size_t exp_words, size_t exp_stride,
-                       const uint64_t *mod, size_t mod_words,
-                       uint64_t *out)
+   stride gives every base one shared exponent, imported once. */
+static void powmod_pairs(const uint64_t *bases, size_t n_items,
+                         const uint64_t *exps, size_t exp_words, size_t exp_stride,
+                         const uint64_t *mod, size_t mod_words, uint64_t *out)
 {
     mpz_t b, e, m, r;
     size_t i;
 
     mpz_init(m);
     import_words(m, mod, mod_words);
-    if (mpz_sgn(m) == 0) {
-        mpz_clear(m);
-        return -1;
-    }
     mpz_init(b);
     mpz_init(e);
     mpz_init(r);
     for (i = 0; i < n_items; i++) {
         if (i == 0 || exp_stride != 0)
             import_words(e, exps + i * exp_stride, exp_words);
-        import_words(b, bases + i * base_words, base_words);
+        import_words(b, bases + i * mod_words, mod_words);
         mpz_powm(r, b, e, m);
         export_words(out + i * mod_words, mod_words, r);
     }
@@ -184,7 +99,6 @@ int repro_powmod_pairs(const uint64_t *bases, size_t n_items, size_t base_words,
     mpz_clear(e);
     mpz_clear(m);
     mpz_clear(r);
-    return 0;
 }
 
 /* ------------------------------------------------------------------
@@ -366,7 +280,7 @@ static size_t mark_windows(unsigned char *marks, const mp_limb_t *e, size_t bits
     return top;
 }
 
-/* One group of repro_powmod_products: r = acc · Π bases[j]^exps[j] mod
+/* One group of powmod_products: r = acc · Π bases[j]^exps[j] mod
    m, by interleaved sliding windows — one chain of squarings for the
    whole group, one multiplication per window of each exponent.  acc
    and the bases are plain residues < m.  Scratch: tables (count *
@@ -424,7 +338,7 @@ static void mont_group(const mont_t *M, mp_limb_t *r, const mp_limb_t *r2,
         mont_mul(M, r, r, tab);
 }
 
-#endif  /* REPRO_MONT; without it every entry point takes its mpz path. */
+#endif  /* REPRO_MONT; without it every op takes its mpz path. */
 
 /* out[g] = accs[g] · Π bases[j] ** exps[j]  mod  mod over group g's
    counts[g] consecutive (base, exponent) pairs.  accs and bases are
@@ -432,27 +346,18 @@ static void mont_group(const mont_t *M, mp_limb_t *r, const mp_limb_t *r2,
    exp_words.  A group of two or more bases is one interleaved
    multi-exponentiation on the Montgomery core; a single base is
    mpz_powm (GMP's own single exponentiation is the faster one), as is
-   every group under an even modulus or without 64-bit limbs.  Returns
-   0 on success, -1 for a zero modulus or counts that do not sum to
-   n_items. */
-int repro_powmod_products(const uint64_t *accs, const uint64_t *counts,
-                          size_t n_groups,
-                          const uint64_t *bases, const uint64_t *exps,
-                          size_t n_items, size_t exp_words,
-                          const uint64_t *mod, size_t mod_words,
-                          uint64_t *out)
+   every group under an even modulus or without 64-bit limbs. */
+static void powmod_products(const uint64_t *accs, const uint64_t *counts,
+                           size_t n_groups,
+                           const uint64_t *bases, const uint64_t *exps, size_t exp_words,
+                           const uint64_t *mod, size_t mod_words,
+                           uint64_t *out)
 {
     mpz_t m, acc, b, e, p;
-    size_t g, j, start, total = 0;
+    size_t g, j, start;
 
-    for (g = 0; g < n_groups; g++)
-        total += counts[g];
     mpz_init(m);
     import_words(m, mod, mod_words);
-    if (total != n_items || mpz_sgn(m) == 0) {
-        mpz_clear(m);
-        return -1;
-    }
 #if REPRO_MONT
     mont_t M;
     size_t n = mod_words, widest = 1, limbs = 0;
@@ -512,7 +417,6 @@ int repro_powmod_products(const uint64_t *accs, const uint64_t *counts,
     mpz_clear(e);
     mpz_clear(p);
     mpz_clear(m);
-    return 0;
 }
 
 /* 1 when every one of the n_items values at w words lies below mod (at
@@ -544,15 +448,13 @@ static int all_below(const uint64_t *values, size_t n_items, const uint64_t *mod
    when mod is odd, plain when it is even; item i owns one big-endian
    read of ceil(picks * index_bits / 8) bytes, and its elements are
    chosen by the read's index_bits-wide digits, least significant first,
-   after the read's surplus low bits are dropped.  Returns 0 on success,
-   1 (before writing anything) when a factor lies outside [0, mod), -1
-   for a zero modulus or a shape this loop cannot index (no pick, or a
-   read wider than one uint64_t). */
-int repro_pool_products(const uint64_t *pool, size_t index_bits,
-                        const uint8_t *reads, size_t n_items, size_t picks,
-                        const uint64_t *factors,
-                        const uint64_t *mod, size_t mod_words,
-                        uint64_t *out)
+   after the read's surplus low bits are dropped; every factor is below
+   mod.  Returns 0 on success, -1 when an allocation fails. */
+static int pool_products(const uint64_t *pool, size_t index_bits,
+                         const uint8_t *reads, size_t n_items, size_t picks,
+                         const uint64_t *factors,
+                         const uint64_t *mod, size_t mod_words,
+                         uint64_t *out)
 {
     mpz_t m, acc, unmont, f;
     mpz_t *elems;
@@ -560,10 +462,6 @@ int repro_pool_products(const uint64_t *pool, size_t index_bits,
     uint64_t digits;
     size_t pool_size, read_bytes;
 
-    if (picks == 0 || picks > 64 || index_bits > 30 || picks * index_bits > 64)
-        return -1;
-    if (factors != NULL && !all_below(factors, n_items, mod, mod_words))
-        return 1;
     pool_size = (size_t)1 << index_bits;
     read_bytes = (picks * index_bits + 7) / 8;
 #if REPRO_MONT
@@ -607,8 +505,7 @@ int repro_pool_products(const uint64_t *pool, size_t index_bits,
     mpz_init(m);
     import_words(m, mod, mod_words);
     elems = (mpz_t *)malloc(pool_size * sizeof(mpz_t));
-    if (mpz_sgn(m) == 0 || elems == NULL) {
-        free(elems);
+    if (elems == NULL) {
         mpz_clear(m);
         return -1;
     }
@@ -658,14 +555,13 @@ int repro_pool_products(const uint64_t *pool, size_t index_bits,
 
 /* out[i] = values[i] ** -1 mod mod for the whole batch, residues < mod
    at mod_words each.  Returns 1 when every inverse exists, 0 when one
-   does not (out is then garbage), -1 for a zero modulus or a failed
-   allocation.  Montgomery's trick on plain residues: with
+   does not (out is then garbage), -1 for a failed allocation.  Montgomery's trick on plain residues: with
    p_i = mont_mul(p_{i-1}, v_i) = P_i / R^i, the inverse of p_i peels
    back to v_i^-1 = mont_mul(p_i^-1, p_{i-1}) and
    p_{i-1}^-1 = mont_mul(p_i^-1, v_i), so one mpz_invert serves all. */
-int repro_invert_vec(const uint64_t *values, size_t n_items,
-                     const uint64_t *mod, size_t mod_words,
-                     uint64_t *out)
+static int invert_vec(const uint64_t *values, size_t n_items,
+                      const uint64_t *mod, size_t mod_words,
+                      uint64_t *out)
 {
     mpz_t m, v, r;
     size_t i;
@@ -714,10 +610,6 @@ int repro_invert_vec(const uint64_t *values, size_t n_items,
 #endif
     mpz_init(m);
     import_words(m, mod, mod_words);
-    if (mpz_sgn(m) == 0) {
-        mpz_clear(m);
-        return -1;
-    }
     mpz_init(v);
     mpz_init(r);
     for (i = 0; ok && i < n_items; i++) {
@@ -753,11 +645,11 @@ static void crt_half(mpz_t m, const mpz_t c, const mpz_t prime,
    CRT halves, m = m_p + p · ((m_q - m_p) · p^-1 mod q); below_p stops
    at m_p.  The whole batch is checked before any output is written:
    returns 0 on success, 1 when a value lies outside (0, N^2), else 2
-   when one shares a factor with N = pq (p or q divides it), and -1 for
-   a zero N or one wider than out_words (every plaintext is below N). */
-int repro_paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
-                           const uint64_t *crt, int below_p,
-                           uint64_t *out, size_t out_words)
+   when one shares a factor with N = pq (p or q divides it); every
+   plaintext (below N) is written at ct_words. */
+static int paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
+                            const uint64_t *crt, int below_p,
+                            uint64_t *out)
 {
     enum { N2, N, P, Q, P2, Q2, HP, HQ, PINVQ, CONSTANTS };
     mpz_t k[CONSTANTS], c, mp, mq, e;
@@ -772,8 +664,6 @@ int repro_paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
     mpz_init(mp);
     mpz_init(mq);
     mpz_init(e);
-    if (mpz_sgn(k[N]) == 0 || mpz_sizeinbase(k[N], 2) > 64 * out_words)
-        status = -1;
     for (i = 0; status == 0 && i < n_items; i++) {
         import_words(c, cts + i * ct_words, ct_words);
         if (mpz_sgn(c) == 0 || mpz_cmp(c, k[N2]) >= 0)
@@ -794,7 +684,7 @@ int repro_paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
             mpz_mod(mq, mq, k[Q]);
             mpz_addmul(mp, mq, k[P]);
         }
-        export_words(out + i * out_words, out_words, mp);
+        export_words(out + i * ct_words, ct_words, mp);
     }
     for (j = 0; j < CONSTANTS; j++)
         mpz_clear(k[j]);
@@ -805,367 +695,396 @@ int repro_paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
     return status;
 }
 
-/* out[i] = values[i] · (1 + sign · b_i · N) · r_i  mod  N^2 for every
-   Paillier component of a blinding round (ItemBlinder).  Group g is
-   one item: layout[2g] components under layout[2g + 1] seeds.  Its
-   streams follow one another in `streams`, one per seed, each
-   layout[2g] big-endian `width`-byte reads; b_i is the sum of
-   component i's read in every stream of its group, reduced mod N and,
-   for sign < 0, negated mod N.  With picks > 0, r_i is the pool draw of
-   read i of `reads`, multiplied in by the draw itself (see
-   repro_pool_products, given the blinded values as its factors; the
-   pool is at mod's width); with picks == 0 there is no r_i.  mod is N^2
-   at ct_words, the width of every value.  The whole batch is checked
-   before any output is written: returns 0 on success, 1 when a value
-   lies outside [0, N^2), and -1 for a zero N, a mod that is not N^2, a
-   layout that does not sum to n_items, or a pool draw shape
-   repro_pool_products cannot index. */
-int repro_blind_round(const uint64_t *values, size_t n_items, size_t ct_words,
-                      const uint64_t *layout, size_t n_groups,
-                      const uint8_t *streams, size_t width,
-                      const uint64_t *n, size_t n_words, int sign,
-                      const uint64_t *pool, size_t index_bits,
-                      const uint8_t *reads, size_t picks,
-                      const uint64_t *mod, uint64_t *out)
+/* ------------------------------------------------------------------
+   The program interpreter.  A program is n_ops ops of OP_FIELDS words
+   each — its code, its modulus register, the register it writes and up
+   to four operand registers (NONE where absent) — over n_regs registers
+   laid out in one arena of 64-bit words.  The table holds REG_FIELDS
+   words per register: its offset in the arena, its element count, its
+   width in words (0 for a byte register, whose count is in bytes) and
+   an auxiliary word (a pool's picks).  The Python side checks the
+   shapes before the call (repro.crypto.backend.Program.shapes); this
+   side checks every index and size again before it reads or writes.
+   ------------------------------------------------------------------ */
+
+enum { OP_MUL, OP_INV, OP_POW, OP_POWPROD, OP_PROD, OP_POOL, OP_PICK,
+       OP_GATHER, OP_CAT, OP_DECRYPT, OP_BLINDS, N_OPS };
+#define OP_FIELDS 7
+#define REG_FIELDS 4
+#define NONE UINT64_MAX
+
+/* Refusals: an input residue outside [0, mod), an element without an
+   inverse, a ciphertext outside (0, N^2), one that is not a unit. */
+enum { ST_RANGE = 1, ST_NOT_INVERTIBLE, ST_OUTSIDE_ZN2, ST_NOT_A_UNIT };
+
+/* Per op: its operands, how many of the last ones may be absent, which
+   are residues under its modulus (bit i: operand i) and which are small
+   ints the checks below read (never written by an op). */
+static const unsigned char ARITY[N_OPS] = {2, 1, 2, 4, 3, 3, 3, 2, 3, 2, 4};
+static const unsigned char OPTIONAL[N_OPS] = {0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0};
+static const unsigned char RESIDUES[N_OPS] = {3, 1, 1, 3, 3, 4, 6, 1, 7, 0, 0};
+static const unsigned char SMALL[N_OPS] = {0, 0, 0, 8, 4, 0, 0, 2, 0, 2, 9};
+
+typedef struct {
+    uint64_t *w;      /* its first word in the arena */
+    size_t count;     /* elements (bytes, for a byte register) */
+    size_t words;     /* words per element; 0 for a byte register */
+    size_t aux;       /* a pool's picks */
+} reg_t;
+
+/* *out = a * b; 0 when that overflows. */
+static int mul_size(size_t a, size_t b, size_t *out)
 {
-    mpz_t nz, n2, c, b, t;
-    size_t g, i, j, s, count, seeds, total = 0;
+    if (b != 0 && a > SIZE_MAX / b)
+        return 0;
+    *out = a * b;
+    return 1;
+}
+
+/* 1 when the words of `counts` sum to exactly `target`. */
+static int sums_to(const reg_t *counts, size_t target)
+{
+    size_t g, total = 0;
+
+    for (g = 0; g < counts->count; g++) {
+        if (counts->w[g] > target - total)
+            return 0;
+        total += counts->w[g];
+    }
+    return total == target;
+}
+
+/* log2 of a power of two up to 2^30, else -1. */
+static int index_bits_of(size_t count)
+{
+    int k = 0;
+
+    while (k < 30 && ((size_t)1 << k) < count)
+        k++;
+    return ((size_t)1 << k) == count ? k : -1;
+}
+
+/* 1 when op's registers fit it: every index in range, no operand the
+   register it writes, every residue at its modulus's width and every
+   count what the op reads or writes. */
+static int op_fits(const uint64_t *op, const reg_t *R, size_t n_regs,
+                   const unsigned char *written)
+{
+    uint64_t code = op[0];
+    const reg_t *m, *d, *x[4] = {NULL, NULL, NULL, NULL};
+    size_t w, i, g, total, used, t;
+    int k;
+
+    if (code >= N_OPS || op[1] >= n_regs || op[2] >= n_regs || op[1] == op[2])
+        return 0;
+    for (i = 0; i < 4; i++) {
+        if (op[3 + i] == NONE) {
+            if (i < (size_t)(ARITY[code] - OPTIONAL[code]))
+                return 0;
+            continue;
+        }
+        if (i >= ARITY[code] || op[3 + i] >= n_regs || op[3 + i] == op[2])
+            return 0;
+        if ((SMALL[code] >> i & 1) && (written[op[3 + i]] || R[op[3 + i]].words != 1))
+            return 0;
+        x[i] = &R[op[3 + i]];
+    }
+    m = &R[op[1]];
+    d = &R[op[2]];
+    w = m->words;
+    if (w == 0 || m->count != (code == OP_DECRYPT ? 9u : 1u) || d->words != w)
+        return 0;
+    for (i = 0; i < w && m->w[i] == 0; i++)
+        ;
+    if (i == w)  /* a zero modulus (N^2 for decrypt) */
+        return 0;
+    for (i = 0; i < 4; i++)
+        if (x[i] != NULL && (RESIDUES[code] >> i & 1) && x[i]->words != w)
+            return 0;
+    switch (code) {
+    case OP_MUL:
+        return (x[0]->count == x[1]->count || x[0]->count == 1 || x[1]->count == 1)
+               && d->count == (x[0]->count == 1 ? x[1]->count : x[0]->count);
+    case OP_INV:
+        return d->count == x[0]->count;
+    case OP_POW:
+        return x[1]->words > 0 && d->count == x[0]->count
+               && (x[1]->count == x[0]->count || x[1]->count == 1);
+    case OP_POWPROD:
+        return x[2]->words > 0 && x[2]->count == x[1]->count
+               && x[0]->count == x[3]->count && d->count == x[3]->count
+               && sums_to(x[3], x[1]->count);
+    case OP_PROD:
+        return x[0]->count == x[2]->count && d->count == x[2]->count
+               && sums_to(x[2], x[1]->count);
+    case OP_POOL:
+        k = index_bits_of(x[0]->count);
+        t = x[0]->aux;
+        if (x[0]->words != w || k < 0 || t == 0 || t > 64
+            || t * (size_t)k > 64 || x[1]->words != 0)
+            return 0;
+        t = (t * (size_t)k + 7) / 8;
+        return t > 0 && x[1]->count % t == 0 && d->count == x[1]->count / t
+               && (x[2] == NULL || x[2]->count == d->count);
+    case OP_PICK:
+        return x[0]->words == 0 && d->count == x[0]->count
+               && (x[1]->count == d->count || x[1]->count == 1)
+               && (x[2]->count == d->count || x[2]->count == 1);
+    case OP_GATHER:
+        if (d->count != x[1]->count)
+            return 0;
+        for (i = 0; i < x[1]->count; i++)
+            if (x[1]->w[i] >= x[0]->count)
+                return 0;
+        return 1;
+    case OP_CAT:
+        return d->count == x[0]->count + x[1]->count + (x[2] == NULL ? 0 : x[2]->count);
+    case OP_DECRYPT:
+        return d->count == x[0]->count && x[1]->count == 1 && x[1]->w[0] <= 1;
+    case OP_BLINDS:
+        if (x[0]->count % 2 || x[1]->words != 0 || x[2]->words == 0 || x[2]->count != 1
+            || x[3]->count != 2 || x[3]->w[0] == 0 || x[3]->w[1] > 1)
+            return 0;
+        for (g = 0, total = 0, used = 0; g < x[0]->count / 2; g++) {
+            if (x[0]->w[2 * g] > d->count - total)
+                return 0;
+            total += x[0]->w[2 * g];
+            if (!mul_size(x[0]->w[2 * g], x[0]->w[2 * g + 1], &t)
+                || !mul_size(t, x[3]->w[0], &t) || t > x[1]->count - used)
+                return 0;
+            used += t;
+        }
+        return total == d->count && used == x[1]->count;
+    }
+    return 0;
+}
+
+/* d[i] = a[i] · b[i] mod m, a length-1 operand broadcast. */
+static void op_mul(const reg_t *d, const reg_t *a, const reg_t *b, const reg_t *m)
+{
+    mpz_t x, y, mod;
+    size_t i, w = m->words;
+
+    mpz_init(x);
+    mpz_init(y);
+    mpz_init(mod);
+    import_words(mod, m->w, w);
+    for (i = 0; i < d->count; i++) {
+        import_words(x, a->w + (a->count == d->count ? i : 0) * w, w);
+        import_words(y, b->w + (b->count == d->count ? i : 0) * w, w);
+        mpz_mul(x, x, y);
+        mpz_mod(x, x, mod);
+        export_words(d->w + i * w, w, x);
+    }
+    mpz_clear(x);
+    mpz_clear(y);
+    mpz_clear(mod);
+}
+
+/* d[g] = acc[g] · Π v[j] mod m over group g's counts[g] consecutive
+   values. */
+static void op_prod(const reg_t *d, const reg_t *acc, const reg_t *v,
+                    const reg_t *counts, const reg_t *m)
+{
+    mpz_t x, y, mod;
+    size_t g, j, k = 0, w = m->words;
+
+    mpz_init(x);
+    mpz_init(y);
+    mpz_init(mod);
+    import_words(mod, m->w, w);
+    for (g = 0; g < d->count; g++) {
+        import_words(x, acc->w + g * w, w);
+        for (j = 0; j < counts->w[g]; j++, k++) {
+            import_words(y, v->w + k * w, w);
+            mpz_mul(x, x, y);
+            mpz_mod(x, x, mod);
+        }
+        export_words(d->w + g * w, w, x);
+    }
+    mpz_clear(x);
+    mpz_clear(y);
+    mpz_clear(mod);
+}
+
+/* d[i] = a[i] where mask[i] is set, else b[i] (a length-1 operand
+   broadcast). */
+static void op_pick(const reg_t *d, const reg_t *mask, const reg_t *a, const reg_t *b)
+{
+    const unsigned char *bit = (const unsigned char *)mask->w;
+    const reg_t *src;
+    size_t i, w = d->words;
+
+    for (i = 0; i < d->count; i++) {
+        src = bit[i] ? a : b;
+        memcpy(d->w + i * w, src->w + (src->count == d->count ? i : 0) * w,
+               w * sizeof(uint64_t));
+    }
+}
+
+/* The item-blinding round's blinds: d[i] = (1 + N)^b_i = 1 + b_i · N
+   mod N^2 (m), b_i the sum of component i's reads in every stream of
+   its item, reduced mod N and negated for params[1].  Item g of layout
+   owns layout[2g] components and layout[2g + 1] consecutive streams,
+   each layout[2g] big-endian params[0]-byte reads.  Returns 0, or -1
+   when N^2 is not m. */
+static int op_blinds(const reg_t *d, const reg_t *layout, const reg_t *streams,
+                     const reg_t *n, const reg_t *params, const reg_t *m)
+{
+    const uint8_t *stream = (const uint8_t *)streams->w;
+    size_t g, j, s, i = 0, count, seeds, width = params->w[0], w = m->words;
+    mpz_t nz, n2, b, t;
     int status = 0;
 
-    for (g = 0; g < n_groups; g++)
-        total += layout[2 * g];
-    if (picks > 0 && (picks > 64 || index_bits > 30 || picks * index_bits > 64))
-        status = -1;
     mpz_init(nz);
     mpz_init(n2);
-    mpz_init(c);
     mpz_init(b);
     mpz_init(t);
-    import_words(nz, n, n_words);
-    import_words(n2, mod, ct_words);
+    import_words(nz, n->w, n->words);
+    import_words(n2, m->w, w);
     mpz_mul(t, nz, nz);
-    if (total != n_items || mpz_sgn(nz) == 0 || mpz_cmp(t, n2) != 0)
+    if (mpz_sgn(nz) == 0 || mpz_cmp(t, n2) != 0)
         status = -1;
-    for (i = 0; status == 0 && i < n_items; i++) {
-        import_words(c, values + i * ct_words, ct_words);
-        if (mpz_cmp(c, n2) >= 0)
-            status = 1;
-    }
-    for (g = 0, i = 0; status == 0 && g < n_groups; g++) {
-        count = layout[2 * g];
-        seeds = layout[2 * g + 1];
+    for (g = 0; status == 0 && g < layout->count / 2; g++) {
+        count = layout->w[2 * g];
+        seeds = layout->w[2 * g + 1];
         for (j = 0; j < count; j++, i++) {
             mpz_set_ui(b, 0);
             for (s = 0; s < seeds; s++) {
-                mpz_import(t, width, 1, 1, 0, 0, streams + (s * count + j) * width);
+                mpz_import(t, width, 1, 1, 0, 0, stream + (s * count + j) * width);
                 mpz_add(b, b, t);
             }
             mpz_mod(b, b, nz);
-            if (sign < 0 && mpz_sgn(b) != 0)
+            if (params->w[1] && mpz_sgn(b) != 0)
                 mpz_sub(b, nz, b);
-            /* c · (1 + b·N) = c + N · (c·b mod N)  mod N^2 */
-            import_words(c, values + i * ct_words, ct_words);
-            mpz_mul(t, c, b);
-            mpz_mod(t, t, nz);
-            mpz_addmul(c, t, nz);
-            if (mpz_cmp(c, n2) >= 0)
-                mpz_sub(c, c, n2);
-            export_words(out + i * ct_words, ct_words, c);
+            mpz_mul(b, b, nz);
+            mpz_add_ui(b, b, 1);
+            mpz_mod(b, b, n2);
+            export_words(d->w + i * w, w, b);
         }
-        streams += seeds * count * width;
+        stream += seeds * count * width;
     }
-    /* Each blinded value is its own draw's factor: one Montgomery
-       multiplication per component takes the draw out of Montgomery
-       form and multiplies it in. */
-    if (status == 0 && picks > 0 && n_items > 0
-        && repro_pool_products(pool, index_bits, reads, n_items, picks, out,
-                               mod, ct_words, out) != 0)
-        status = -1;
     mpz_clear(nz);
     mpz_clear(n2);
-    mpz_clear(c);
     mpz_clear(b);
     mpz_clear(t);
     return status;
 }
 
-/* out[g] = r_g · Π (nums[j] · invs[j]) ** exps[j]  mod  mod over group
-   g's counts[g] consecutive cells: the ⊖ of one EHL pair, its Enc(0)
-   randomizer r_g (the pool draw of read g of `reads`, see
-   repro_pool_products) times one power per cell quotient, each group
-   one repro_powmod_products multi-exponentiation.  nums and invs are
-   residues at mod_words each, every exponent is packed to exp_words.
-   The whole batch is checked before any output is written: returns 0
-   on success, 1 when a numerator or an inverse lies outside [0, mod),
-   and -1 for a zero modulus, a failed allocation, or a shape the pool
-   draw or the products refuse. */
-int repro_ehl_minus(const uint64_t *pool, size_t index_bits,
-                    const uint8_t *reads, size_t picks,
-                    const uint64_t *counts, size_t n_groups,
-                    const uint64_t *nums, const uint64_t *invs,
-                    const uint64_t *exps, size_t n_items, size_t exp_words,
-                    const uint64_t *mod, size_t mod_words, uint64_t *out)
+/* One op whose registers fit it: 0, a refusal, or -1. */
+static int run_op(const uint64_t *op, const reg_t *R)
 {
-    mpz_t m, a, b;
-    uint64_t *accs, *bases = NULL;
-    size_t i;
-    int status = 0;
+    const reg_t *m = &R[op[1]], *d = &R[op[2]], *x[4];
+    size_t i, w = m->words;
+    int rc;
 
-    mpz_init(m);
-    mpz_init(a);
-    mpz_init(b);
-    import_words(m, mod, mod_words);
-    /* one word more than the groups and cells need: never malloc(0) */
-    accs = (uint64_t *)malloc(((n_groups + n_items) * mod_words + 1) * sizeof(uint64_t));
-    if (mpz_sgn(m) == 0 || accs == NULL)
-        status = -1;
-    else
-        bases = accs + n_groups * mod_words;
-    for (i = 0; status == 0 && i < n_items; i++) {
-        import_words(a, nums + i * mod_words, mod_words);
-        import_words(b, invs + i * mod_words, mod_words);
-        if (mpz_cmp(a, m) >= 0 || mpz_cmp(b, m) >= 0) {
-            status = 1;
-            break;
-        }
-        mpz_mul(a, a, b);
-        mpz_mod(a, a, m);
-        export_words(bases + i * mod_words, mod_words, a);
+    for (i = 0; i < 4; i++)
+        x[i] = op[3 + i] == NONE ? NULL : &R[op[3 + i]];
+    switch (op[0]) {
+    case OP_MUL:
+        op_mul(d, x[0], x[1], m);
+        return 0;
+    case OP_INV:
+        rc = invert_vec(x[0]->w, x[0]->count, m->w, w, d->w);
+        return rc == 1 ? 0 : rc == 0 ? ST_NOT_INVERTIBLE : -1;
+    case OP_POW:
+        powmod_pairs(x[0]->w, x[0]->count, x[1]->w, x[1]->words,
+                     x[1]->count == x[0]->count ? x[1]->words : 0, m->w, w, d->w);
+        return 0;
+    case OP_POWPROD:
+        powmod_products(x[0]->w, x[3]->w, x[3]->count, x[1]->w, x[2]->w, x[2]->words,
+                        m->w, w, d->w);
+        return 0;
+    case OP_PROD:
+        op_prod(d, x[0], x[1], x[2], m);
+        return 0;
+    case OP_POOL:
+        if (d->count == 0)
+            return 0;
+        return pool_products(x[0]->w, (size_t)index_bits_of(x[0]->count),
+                             (const uint8_t *)x[1]->w, d->count, x[0]->aux,
+                             x[2] == NULL ? NULL : x[2]->w, m->w, w, d->w);
+    case OP_PICK:
+        op_pick(d, x[0], x[1], x[2]);
+        return 0;
+    case OP_GATHER:
+        for (i = 0; i < d->count; i++)
+            memcpy(d->w + i * w, x[0]->w + x[1]->w[i] * w, w * sizeof(uint64_t));
+        return 0;
+    case OP_CAT:
+        memcpy(d->w, x[0]->w, x[0]->count * w * sizeof(uint64_t));
+        memcpy(d->w + x[0]->count * w, x[1]->w, x[1]->count * w * sizeof(uint64_t));
+        if (x[2] != NULL)
+            memcpy(d->w + (x[0]->count + x[1]->count) * w, x[2]->w,
+                   x[2]->count * w * sizeof(uint64_t));
+        return 0;
+    case OP_DECRYPT:
+        rc = paillier_decrypt(x[0]->w, x[0]->count, w, m->w, (int)x[1]->w[0], d->w);
+        return rc == 1 ? ST_OUTSIDE_ZN2 : rc == 2 ? ST_NOT_A_UNIT : rc;
+    case OP_BLINDS:
+        return op_blinds(d, x[0], x[1], x[2], x[3], m);
     }
-    if (status == 0 && n_groups > 0
-        && repro_pool_products(pool, index_bits, reads, n_groups, picks, NULL,
-                               mod, mod_words, accs) != 0)
-        status = -1;
-    if (status == 0
-        && repro_powmod_products(accs, counts, n_groups, bases, exps, n_items,
-                                 exp_words, mod, mod_words, out) != 0)
-        status = -1;
-    free(accs);
-    mpz_clear(m);
-    mpz_clear(a);
-    mpz_clear(b);
-    return status;
+    return -1;
 }
 
-/* out[i] = Enc(u ⊕ c) · r_i  mod  mod (mod = N^2 at mod_words words,
-   n = N at the same width) for every slot of a best-bound select: u =
-   1 − s for the seen bit seen[i] = Enc(s) and c = coins[i], so the slot
-   is seen[i] itself for c = 1 and (1 + N) · seen[i]^-1 for c = 0 (one
-   batch inversion over the coin-0 slots), times r_i, the pool draw of
-   read i of `reads` (see repro_pool_products).  Returns 0 on success, 1
-   (before writing anything) when a seen bit lies outside [0, mod), 2
-   when a coin-0 seen bit has no inverse, -1 for a failed allocation or
-   a pool draw repro_pool_products refuses. */
-int repro_masked_unseen(const uint64_t *seen, const uint8_t *coins, size_t n_items,
-                        const uint64_t *n, const uint64_t *pool, size_t index_bits,
-                        const uint8_t *reads, size_t picks,
-                        const uint64_t *mod, size_t mod_words, uint64_t *out)
+/* Run a program: check every register against the arena and every op
+   against its registers (-1 if any does not fit; nothing is read or
+   written then), check every input residue below the modulus of the
+   first op that reads it (ST_RANGE), then run the ops in order, stopping
+   at the first refusal.  Returns 0 on success. */
+int repro_run(const uint64_t *ops, size_t n_ops, const uint64_t *table, size_t n_regs,
+              uint64_t *arena, size_t arena_words)
 {
-    size_t bytes = mod_words * sizeof(uint64_t), i, zeros = 0;
-    uint64_t *factors, *inv;
-    mpz_t m, x, g;
-    int status = 0, rc;
+    reg_t *R;
+    unsigned char *written, *checked;
+    const uint64_t *op, *t;
+    size_t i, j, size;
+    uint64_t r;
+    int status = 0;
 
-    if (!all_below(seen, n_items, mod, mod_words))
-        return 1;
-    /* the factors, then the coin-0 values and their inverses; one word
-       more than they need: never malloc(0) */
-    factors = (uint64_t *)malloc(3 * n_items * bytes + sizeof(uint64_t));
-    if (factors == NULL)
+    R = (reg_t *)malloc(n_regs * (sizeof(reg_t) + 2) + 1);
+    if (R == NULL)
         return -1;
-    inv = factors + 2 * n_items * mod_words;
-    for (i = 0; i < n_items; i++)
-        if (!coins[i])
-            memcpy(factors + (n_items + zeros++) * mod_words, seen + i * mod_words, bytes);
-    rc = repro_invert_vec(factors + n_items * mod_words, zeros, mod, mod_words, inv);
-    if (rc != 1)
-        status = rc == 0 ? 2 : -1;
-    mpz_init(m);
-    mpz_init(x);
-    mpz_init(g);
-    import_words(m, mod, mod_words);
-    import_words(g, n, mod_words);
-    mpz_add_ui(g, g, 1);
-    for (i = 0, zeros = 0; status == 0 && i < n_items; i++) {
-        if (coins[i]) {
-            memcpy(factors + i * mod_words, seen + i * mod_words, bytes);
-            continue;
-        }
-        import_words(x, inv + zeros++ * mod_words, mod_words);
-        mpz_mul(x, x, g);
-        mpz_mod(x, x, m);
-        export_words(factors + i * mod_words, mod_words, x);
-    }
-    if (status == 0 && repro_pool_products(pool, index_bits, reads, n_items, picks,
-                                           factors, mod, mod_words, out) != 0)
-        status = -1;
-    free(factors);
-    mpz_clear(m);
-    mpz_clear(x);
-    mpz_clear(g);
-    return status;
-}
-
-/* acc = acc · v  mod  m for a residue v at w words; t is scratch. */
-static void mul_in(mpz_t acc, const uint64_t *v, size_t w, mpz_t t, const mpz_t m)
-{
-    import_words(t, v, w);
-    mpz_mul(acc, acc, t);
-    mpz_mod(acc, acc, m);
-}
-
-/* A BlindedSelect reply multiplied into running bounds mod N^2 (mod;
-   every residue at mod_words and < mod, the caller checks).  Slot j is
-   sel[j], bits[j] = Enc(t_j) and its blind exps[j] (exp_words each); its
-   term is sel_j · bits_j^-e_j or, where flips[j], v · sel_j^-1 ·
-   bits_j^e_j with v the next of values (one per flipped slot).  Target g
-   owns counts[g] consecutive slots: out[g] = accs[g] · Π term — one batch
-   inversion (sel_j where flipped, else bits_j), then each target's
-   powers as one repro_powmod_products multi-exponentiation.  Returns 0
-   on success, 1 when an element has no inverse, -1 for a zero modulus,
-   a failed allocation or counts that do not sum to n_slots. */
-int repro_select_bounds(const uint64_t *sel, const uint64_t *bits,
-                        const uint64_t *exps, size_t n_slots, size_t exp_words,
-                        const uint64_t *accs, const uint64_t *counts, size_t n_targets,
-                        const uint8_t *flips, const uint64_t *values,
-                        const uint64_t *mod, size_t mod_words, uint64_t *out)
-{
-    size_t w = mod_words, bytes = mod_words * sizeof(uint64_t), g, j, start, total = 0;
-    uint64_t *scratch, *inv_in, *inv, *folded, *bases;
-    const uint64_t *value = values;
-    mpz_t m, x, t;
-    int status = 0;
-
-    for (g = 0; g < n_targets; g++)
-        total += counts[g];
-    mpz_init(m);
-    mpz_init(x);
-    mpz_init(t);
-    import_words(m, mod, w);
-    /* the values to invert, their inverses, the targets' folded accs and
-       the bases.  One word more: never malloc(0). */
-    scratch = (uint64_t *)malloc(((3 * n_slots + n_targets) * w + 1) * sizeof(uint64_t));
-    if (scratch == NULL || mpz_sgn(m) == 0 || total != n_slots)
-        status = -1;
-    if (status == 0) {
-        inv_in = scratch;
-        inv = inv_in + n_slots * w;
-        folded = inv + n_slots * w;
-        bases = folded + n_targets * w;
-        for (j = 0; j < n_slots; j++)
-            memcpy(inv_in + j * w, (flips[j] ? sel : bits) + j * w, bytes);
-        status = repro_invert_vec(inv_in, n_slots, mod, w, inv);
-        status = status == 1 ? 0 : status == 0 ? 1 : -1;
-        for (g = 0, start = 0; status == 0 && g < n_targets; start += counts[g], g++) {
-            import_words(x, accs + g * w, w);
-            for (j = start; j < start + counts[g]; j++) {
-                if (flips[j]) {
-                    mul_in(x, value, w, t, m);
-                    value += w;
-                    mul_in(x, inv + j * w, w, t, m);
-                    memcpy(bases + j * w, bits + j * w, bytes);
-                } else {
-                    mul_in(x, sel + j * w, w, t, m);
-                    memcpy(bases + j * w, inv + j * w, bytes);
-                }
-            }
-            export_words(folded + g * w, w, x);
-        }
-        if (status == 0
-            && repro_powmod_products(folded, counts, n_targets, bases, exps, n_slots,
-                                     exp_words, mod, w, out) != 0)
+    written = (unsigned char *)(R + n_regs);
+    checked = written + n_regs;
+    memset(written, 0, 2 * n_regs);
+    for (i = 0; status == 0 && i < n_regs; i++) {
+        t = table + i * REG_FIELDS;
+        if (t[2] == 0)
+            size = t[1] / 8 + (t[1] % 8 != 0);
+        else if (!mul_size(t[1], t[2], &size))
             status = -1;
-    }
-    free(scratch);
-    mpz_clear(m);
-    mpz_clear(x);
-    mpz_clear(t);
-    return status;
-}
-
-/* An eager absorb's BlindedSelect reply applied mod N^2 (mod; n is N,
-   every residue at mod_words and < mod, the caller checks).  Slot j,
-   its own target, has the term sel_j · bits_j^-e_j of
-   repro_select_bounds.  out holds worsts[j] · term_j per slot,
-   seen[j] · bits_j per slot, then the tested item's new entry:
-   score · Π term_j^-1, its match count M = Π bits_j and the n_draws
-   pool draws of `reads` (see repro_pool_products), the one at `slot`
-   times (1 + N) · M^-1 — one power per slot and one batch inversion of
-   the powers, Π sel_j and M.  Returns 0 on success, 1 when an element
-   has no inverse, -1 for a zero modulus, a failed allocation or a slot
-   past the draws. */
-int repro_select_absorb(const uint64_t *sel, const uint64_t *bits,
-                        const uint64_t *exps, size_t n_slots, size_t exp_words,
-                        const uint64_t *worsts, const uint64_t *seen,
-                        const uint64_t *score, const uint64_t *pool, size_t index_bits,
-                        const uint8_t *reads, size_t n_draws, size_t picks, size_t slot,
-                        const uint64_t *n, const uint64_t *mod, size_t mod_words,
-                        uint64_t *out)
-{
-    size_t w = mod_words, bytes = mod_words * sizeof(uint64_t), j;
-    uint64_t *powers, *inv_in, *inv;
-    mpz_t m, x, t;
-    int status = 0;
-
-    mpz_init(m);
-    mpz_init(x);
-    mpz_init(t);
-    import_words(m, mod, w);
-    /* the powers, the n_slots + 2 values to invert and their inverses.
-       One word more: never malloc(0). */
-    powers = (uint64_t *)malloc(((3 * n_slots + 4) * w + 1) * sizeof(uint64_t));
-    if (powers == NULL || mpz_sgn(m) == 0 || slot >= n_draws
-        || repro_powmod_pairs(bits, n_slots, w, exps, exp_words, exp_words,
-                              mod, w, powers) != 0)
-        status = -1;
-    if (status == 0) {
-        inv_in = powers + n_slots * w;
-        inv = inv_in + (n_slots + 2) * w;
-        memcpy(inv_in, powers, n_slots * bytes);
-        mpz_set_ui(x, 1);
-        for (j = 0; j < n_slots; j++)
-            mul_in(x, sel + j * w, w, t, m);
-        export_words(inv_in + n_slots * w, w, x);
-        mpz_set_ui(x, 1);
-        for (j = 0; j < n_slots; j++)
-            mul_in(x, bits + j * w, w, t, m);
-        export_words(inv_in + (n_slots + 1) * w, w, x);
-        status = repro_invert_vec(inv_in, n_slots + 2, mod, w, inv);
-        status = status == 1 ? 0 : status == 0 ? 1 : -1;
-    }
-    for (j = 0; status == 0 && j < n_slots; j++) {
-        import_words(x, worsts + j * w, w);
-        mul_in(x, sel + j * w, w, t, m);
-        mul_in(x, inv + j * w, w, t, m);
-        export_words(out + j * w, w, x);
-        import_words(x, seen + j * w, w);
-        mul_in(x, bits + j * w, w, t, m);
-        export_words(out + (n_slots + j) * w, w, x);
-    }
-    if (status == 0) {
-        import_words(x, score, w);
-        for (j = 0; j < n_slots; j++)
-            mul_in(x, powers + j * w, w, t, m);
-        mul_in(x, inv + n_slots * w, w, t, m);
-        export_words(out + 2 * n_slots * w, w, x);
-        memcpy(out + (2 * n_slots + 1) * w, inv_in + (n_slots + 1) * w, bytes);
-        out += (2 * n_slots + 2) * w;
-        if (repro_pool_products(pool, index_bits, reads, n_draws, picks, NULL, mod, w, out) != 0)
+        if (status == 0 && (t[0] > arena_words || size > arena_words - t[0]))
             status = -1;
+        R[i].w = arena + t[0];
+        R[i].count = t[1];
+        R[i].words = t[2];
+        R[i].aux = t[3];
     }
-    if (status == 0) {
-        import_words(x, out + slot * w, w);
-        import_words(t, n, w);
-        mpz_add_ui(t, t, 1);
-        mpz_mul(x, x, t);
-        mpz_mod(x, x, m);
-        mul_in(x, inv + (n_slots + 1) * w, w, t, m);
-        export_words(out + slot * w, w, x);
+    for (i = 0; status == 0 && i < n_ops; i++) {
+        r = ops[i * OP_FIELDS + 2];
+        if (r >= n_regs || written[r])
+            status = -1;
+        else
+            written[r] = 1;
     }
-    free(powers);
-    mpz_clear(m);
-    mpz_clear(x);
-    mpz_clear(t);
+    for (i = 0; status == 0 && i < n_ops; i++)
+        if (!op_fits(ops + i * OP_FIELDS, R, n_regs, written))
+            status = -1;
+    for (i = 0; status == 0 && i < n_ops; i++) {
+        op = ops + i * OP_FIELDS;
+        for (j = 0; status == 0 && j < 4; j++) {
+            r = op[3 + j];
+            if (r == NONE || !(RESIDUES[op[0]] >> j & 1) || written[r] || checked[r])
+                continue;
+            checked[r] = 1;
+            if (!all_below(R[r].w, R[r].count, R[op[1]].w, R[op[1]].words))
+                status = ST_RANGE;
+        }
+    }
+    for (i = 0; status == 0 && i < n_ops; i++)
+        status = run_op(ops + i * OP_FIELDS, R);
+    free(R);
     return status;
 }
 """

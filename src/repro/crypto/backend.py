@@ -1,71 +1,45 @@
 """Pluggable modular-arithmetic backend — the crypto compute layer.
 
-Every hot modular *exponentiation and inversion* in the crypto stack
-(Paillier encryption and CRT decryption, Damgård–Jurik layer stripping,
-Miller–Rabin rounds, the blinding and comparison protocols' scalar
-exponentiations — the operations that dominate query latency) funnels
-through this module, so a single switch moves the whole system between:
+Every hot modular exponentiation, inversion and Paillier decryption of
+the crypto stack funnels through this module, so one switch moves the
+whole system between two backends:
 
-* ``pure``       — the built-in CPython big-int implementation, the
-  always-available reference (:class:`PurePythonBackend`), and
-* ``gmp-kernel`` — the compiled cffi batch kernel
-  (:class:`repro.crypto.kernels.GmpKernel`): GMP speed, *every* batch
-  primitive below as one C call (:func:`powmod_products`,
-  :func:`pool_products` and :func:`invert_vec` on the kernel's Montgomery
-  core, a whole :func:`paillier_decrypt` batch on ``mpz_powm``, and the
-  five fused round operations :func:`blind_round`, :func:`ehl_minus`,
-  :func:`masked_unseen`, :func:`select_bounds` and :func:`select_absorb`),
-  *and* the GIL released across every batch call, so concurrent queries'
-  kernel stretches overlap.  Available when the extension builds here
-  (cffi + C compiler + GMP headers); absent, it simply never registers.
+* ``pure`` — CPython big ints, the always-available reference
+  (:class:`PurePythonBackend`), and
+* ``gmp-kernel`` — the compiled cffi kernel
+  (:class:`repro.crypto.kernels.GmpKernel`): GMP speed, every
+  :func:`run` one C call with the GIL released across it, so concurrent
+  queries' kernel stretches overlap.  It registers only where the
+  extension builds (cffi, a C compiler, the GMP headers).
 
-One backend serves the whole process.  Selection order:
+One backend serves the process: ``set_backend(...)``, else the
+``REPRO_BACKEND`` environment variable (``pure``, ``gmp-kernel`` or
+``auto``), else ``auto`` (the kernel when it builds).  The two are
+bit-compatible — ciphertexts, transcripts and seeded expectations never
+depend on which served them (``tests/test_backend.py`` pins this).
 
-1. ``set_backend(...)`` — explicit programmatic choice (tests, benches,
-   worker processes on startup);
-2. the ``REPRO_BACKEND`` environment variable (``pure``, ``gmp-kernel``
-   or ``auto``);
-3. ``auto`` — ``gmp-kernel`` when it builds, else ``pure``.
-
-Both backends are *bit-compatible*: for every operation the returned
-integers are identical, so ciphertexts, transcripts and seeded-test
-expectations never depend on which backend served them
-(``tests/test_backend.py`` pins this).
-
-Besides the scalar ops the module exposes batch entry points.
-:func:`paillier_decrypt` is every Paillier decryption — a batch of
-bare ciphertexts under one key's :class:`PaillierCrt` constants, both
-CRT halves or (``below_p``) the mod-``p`` half alone; the key methods
-(``sk.decrypt_batch`` and friends) are its callers.  :func:`powmod_vec`
-(one exponent, many bases) gives the kernel one conversion of the
-shared modulus/exponent per *batch* instead of per item.
-:func:`powmod_pairs` (one exponent *per* base), :func:`powmod_products`
-(``acc · Π b^e`` per group of bases), :func:`invert_vec` (Montgomery's
-trick) and :func:`pool_products` (the randomizer-pool draw) carry the
-query path's per-ciphertext work — the ⊖ matrix, the layered selects,
-``RecoverEnc``, every fresh encryption's randomizer — as one call per
-round.  Given factors, :func:`pool_products` multiplies each draw into
-its factor inside the call, so batch encryption and rerandomization
-(``pk.encrypt_batch``, ``pk.rerandomize_batch``) are one call each.
-Five operations fuse a whole round of the query path into one call:
-:func:`blind_round` (``c · (1 ± b·N) · r`` over every Paillier component
-of an ``ItemBlinder`` round, read from and written to the round's limb
-buffer, the blinds ``b`` summed and reduced from the items' SHAKE-256
-streams, ``r`` the pool draw), :func:`ehl_minus` (a batch of EHL ⊖: each
-pair's ``Enc(0)`` pool draw, its cell quotients and its
-multi-exponentiation), :func:`masked_unseen` (the coin-masked unseen
-bits a best-bound select ships), :func:`select_bounds` (a
-``BlindedSelect`` reply unblinded into running bounds, one
-multi-exponentiation per bound) and :func:`select_absorb` (a reply
-applied as the eager absorb: the candidates' credits and seen bits, and
-the tested item's new entry).  All five refuse a ragged layout or an
-input outside ``[0, mod)`` with ``ValueError`` before any arithmetic,
-identically on every backend.
+**Programs.**  A backend runs one thing: a :class:`Program`, a
+straight-line list of :data:`OPS` over registers — limb vectors
+(residues, exponents, a randomizer pool, a key's CRT constants), byte
+strings and small ints — each op under its own modulus register.  A
+protocol round builds its program once, at import, in its own module
+(``ItemBlinder``'s blinding, the EHL ⊖, the eager engine's absorb and
+best bounds) and runs it as one :func:`run` call.
+:meth:`Program.shapes` is the one shape checker: both backends call it
+first, so registers that do not fit a program are refused with the same
+``ValueError`` everywhere, before any arithmetic; an input residue
+outside ``[0, mod)`` (:data:`OUTSIDE_MOD`) or an element without an
+inverse (:data:`NOT_INVERTIBLE`) is refused with the same texts too.
+The pure backend interprets the same program objects, as the one
+reference.  The batch entry points — :func:`powmod_vec`,
+:func:`powmod_pairs`, :func:`powmod_products`, :func:`invert_vec`,
+:func:`pool_products` (with factors: every batch encryption and
+rerandomization) and :func:`paillier_decrypt` — are one-op programs.
 
 The limb format — fixed-width arrays of 64-bit words, least-significant
 word first, little-endian bytes within each word (:func:`words_for`,
-:func:`pack_ints`, :func:`unpack_ints`) — is what the kernel's C side
-reads and writes, and what an item batch
+:func:`pack_ints`, :func:`unpack_ints`) — is what the kernel reads and
+writes, and what an item batch
 (:class:`~repro.structures.items.ItemBatch`) holds its components in.
 """
 
@@ -73,6 +47,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import warnings
 from itertools import repeat
 
@@ -82,11 +57,11 @@ from repro.exceptions import DecryptionError
 #: backend.
 OUTSIDE_ZN2 = "ciphertext outside Z_{N^2}"
 NOT_A_UNIT = "ciphertext is not a unit mod N^2"
-#: The ``ValueError`` text of the fused round operations for an input
-#: residue outside ``[0, mod)``.
+#: The ``ValueError`` text of a program whose input residue lies outside
+#: ``[0, mod)``.
 OUTSIDE_MOD = "value outside [0, mod)"
-#: The ``ValueError`` text of :func:`invert_vec`, :func:`select_bounds`
-#: and :func:`select_absorb` when an element has no inverse.
+#: The ``ValueError`` text of an ``inv`` op over an element that has no
+#: inverse.
 NOT_INVERTIBLE = "batch holds an element that is not invertible for the given modulus"
 
 
@@ -109,209 +84,398 @@ def pack_ints(values: list[int], words: int) -> bytes:
     return b"".join(map(int.to_bytes, values, repeat(words * WORD_BYTES), repeat("little")))
 
 
-def unpack_ints(buf, words: int, count: int) -> list[int]:
-    """Inverse of :func:`pack_ints`: read ``count`` integers."""
+def unpack_ints(buf, words: int, count: int, start: int = 0) -> list[int]:
+    """Inverse of :func:`pack_ints`: read ``count`` integers, from byte
+    ``start`` of ``buf`` on."""
     stride = words * WORD_BYTES
     end = count * stride
     # One contiguous copy, then slice plain bytes: bytes slices convert
     # faster than per-item memoryview slices.
-    data = bytes(memoryview(buf)[:end])
+    data = bytes(memoryview(buf)[start : start + end])
     from_bytes = int.from_bytes
     return [from_bytes(data[at : at + stride], "little") for at in range(0, end, stride)]
 
 
-def check_pool_products(
-    pool: "RandomizerPool", reads: bytes, factors: list[int] | None
-) -> None:
-    """Refuse, with ``ValueError``, a :func:`pool_products` call whose
-    reads are not a whole number of draws or whose factors are not one
-    per draw — on every backend, before any arithmetic.  (Each backend
-    refuses a factor outside ``[0, pool.mod)`` itself.)"""
-    if pool.read_bytes < 1:
-        raise ValueError("a pool draw reads at least one index bit")
-    if len(reads) % pool.read_bytes:
+# ----------------------------------------------------------------------
+# Programs.
+# ----------------------------------------------------------------------
+
+#: Register kinds.  ``mod``: one modulus (an ``int``); an op's width in
+#: words is its modulus register's.  ``limbs``: residues under the
+#: modulus of every op that reads them (a list, or a buffer already
+#: packed at that width); every op writes one.  ``exps``: non-negative
+#: exponents, packed at the widest one's width.  ``ints``: small
+#: non-negative ints (counts, indices, op parameters).  ``bytes``: raw
+#: bytes (pool reads, XOF streams, masks).  ``pool``: a
+#: :class:`RandomizerPool`.  ``crt``: a :class:`PaillierCrt`.
+MOD, LIMBS, EXPS, INTS, BYTES, POOL, CRT = "mod", "limbs", "exps", "ints", "bytes", "pool", "crt"
+_KINDS = {kind: kind for kind in (MOD, LIMBS, EXPS, INTS, BYTES, POOL, CRT)}
+
+#: Every op: its code in the kernel, the kind of its modulus register,
+#: its operands' kinds (the last ``optional`` of them may be left out)
+#: and which operands are residues, range-checked when a program's
+#: input.  ``mul a b``: ``a[i]·b[i]``, a length-1 operand broadcast.
+#: ``inv a``: every inverse, from one inversion.  ``pow a e``:
+#: ``a[i]^e[i]``, or one exponent for all.  ``powprod acc a e counts``:
+#: ``acc[g]·Π a^e`` over group ``g``'s ``counts[g]`` pairs.  ``prod acc a
+#: counts``: ``acc[g]·Π a``.  ``pool pool reads [factors]``: one draw of
+#: ``pool.picks`` elements per ``pool.read_bytes`` of ``reads`` (its
+#: ``index_bits``-wide digits, least significant first past the surplus
+#: low bits, index the pool), times its factor.  ``pick mask a b``:
+#: ``a[i]`` where ``mask[i]`` is 1, else ``b[i]``.  ``gather a idx``:
+#: ``a[idx[i]]``.  ``cat a b [c]``.  ``decrypt a [below_p]`` (modulus: a
+#: ``crt``): the Paillier plaintexts, or their mod-``p`` halves.
+#: ``blinds layout streams n [width, negate]`` (modulus ``N^2``):
+#: item ``g`` of ``layout = [count_0, seeds_0, ...]`` owns ``count_g``
+#: components and ``seeds_g`` streams of ``count_g`` big-endian
+#: ``width``-byte reads; component ``i`` writes ``1 + b_i·N``, ``b_i``
+#: its reads' sum mod ``N`` (negated for ``negate = 1``).
+OPS = {
+    "mul": (0, MOD, (LIMBS, LIMBS), 0, (0, 1)),
+    "inv": (1, MOD, (LIMBS,), 0, (0,)),
+    "pow": (2, MOD, (LIMBS, EXPS), 0, (0,)),
+    "powprod": (3, MOD, (LIMBS, LIMBS, EXPS, INTS), 0, (0, 1)),
+    "prod": (4, MOD, (LIMBS, LIMBS, INTS), 0, (0, 1)),
+    "pool": (5, MOD, (POOL, BYTES, LIMBS), 1, (2,)),
+    "pick": (6, MOD, (BYTES, LIMBS, LIMBS), 0, (1, 2)),
+    "gather": (7, MOD, (LIMBS, INTS), 0, (0,)),
+    "cat": (8, MOD, (LIMBS, LIMBS, LIMBS), 1, (0, 1, 2)),
+    "decrypt": (9, CRT, (LIMBS, INTS), 0, ()),
+    "blinds": (10, MOD, (INTS, BYTES, MOD, INTS), 0, ()),
+}
+
+#: An absent operand in the kernel's op encoding.
+NONE = (1 << 64) - 1
+
+
+class Program:
+    """A straight-line list of :data:`OPS` over numbered registers:
+    :meth:`input` declares an input (:func:`run` takes their values in
+    declaration order), :meth:`op` appends an op and returns the new
+    ``limbs`` register it writes, :meth:`output` names what :func:`run`
+    returns.  Op names and operand kinds are checked as the program is
+    built (no register is written twice or read before it is written);
+    sizes, per run, by :meth:`shapes`."""
+
+    def __init__(self):
+        self.kinds: list[str] = []
+        self.inputs: list[int] = []
+        self.ops: list[tuple] = []
+        self.outputs: list[tuple[int, bool]] = []
+        #: ``(register, modulus register)`` per input residue, at the
+        #: first op that reads it as one: what both backends range-check.
+        self.checks: list[tuple[int, int]] = []
+        #: Input registers a ``decrypt`` reads (a value too wide to pack
+        #: there is a ciphertext outside ``Z_{N^2}``).
+        self.decrypted: set[int] = set()
+        #: The ops in the kernel's encoding: seven words each, and the
+        #: layout of its register table: four words per register.
+        self.encoded = b""
+        self.table = struct.Struct("<0Q")
+        # Per op: its count rule, modulus, destination and operands, the
+        # input residues it is the first to read (they take its width)
+        # and the residues whose width another modulus set (checked).
+        self._steps: list[tuple] = []
+        self._width_of: dict[int, int] = {}
+
+    def input(self, kind: str) -> int:
+        """Declare the next input register, of ``kind``."""
+        kind = _KINDS[kind]
+        self.kinds.append(kind)
+        self.inputs.append(len(self.kinds) - 1)
+        self.table = struct.Struct(f"<{4 * len(self.kinds)}Q")
+        return self.inputs[-1]
+
+    def op(self, name: str, mod: int, *operands: int) -> int:
+        """Append op ``name`` under modulus register ``mod``; returns the
+        ``limbs`` register it writes."""
+        code, mod_kind, kinds, optional, residues = OPS[name]
+        if not len(kinds) - optional <= len(operands) <= len(kinds):
+            raise ValueError(f"{name} takes {len(kinds)} operands")
+        for reg, kind in zip((mod, *operands), (mod_kind, *kinds)):
+            if not 0 <= reg < len(self.kinds) or self.kinds[reg] != kind:
+                raise ValueError(f"{name} reads a {kind} register where it has none")
+        operands += (None,) * (4 - len(operands))
+        checked = {reg for reg, _ in self.checks}
+        for slot in residues:
+            reg = operands[slot]
+            if reg in self.inputs and reg not in checked:
+                self.checks.append((reg, mod))
+                checked.add(reg)
+        if name == "decrypt":
+            self.decrypted.add(operands[0])
+        self.kinds.append(LIMBS)
+        dst = len(self.kinds) - 1
+        self.ops.append((name, mod, dst, operands))
+        self.encoded += struct.pack(
+            "<7Q", code, mod, dst, *(NONE if reg is None else reg for reg in operands)
+        )
+        self.table = struct.Struct(f"<{4 * len(self.kinds)}Q")
+        assign, compare = [], []
+        for reg, kind in zip(operands, kinds):
+            if kind is LIMBS and reg is not None:
+                if reg not in self._width_of:
+                    self._width_of[reg] = mod
+                    assign.append(reg)
+                elif self._width_of[reg] != mod:
+                    compare.append(reg)
+        self._width_of[dst] = mod
+        self._steps.append((_RULES[name], mod, dst, *operands, tuple(assign), tuple(compare)))
+        return dst
+
+    def output(self, reg: int, packed: bool = False) -> None:
+        """Have :func:`run` return register ``reg`` — as a limb buffer at
+        its width when ``packed``, else as a list."""
+        if reg in self.inputs or not 0 <= reg < len(self.kinds):
+            raise ValueError("an output is a register an op writes")
+        self.outputs.append((reg, packed))
+
+    def shapes(self, registers: list) -> tuple[list[int], list[int]]:
+        """Every register's element count and width in words (0 for a
+        ``bytes`` register, counted in bytes) — or ``ValueError`` for
+        registers that do not fit the program, the same text on every
+        backend, since both call this before any arithmetic."""
+        if len(registers) != len(self.inputs):
+            raise ValueError("a program takes one value per input register")
+        n = len(self.kinds)
+        values: list = [None] * n
+        counts = [0] * n
+        widths = [0] * n
+        kinds = self.kinds  # the module's constants: identity tells them apart
+        for reg, value in zip(self.inputs, registers):
+            values[reg] = value
+            kind = kinds[reg]
+            if kind is LIMBS:
+                # a packed buffer's count is known once its width is
+                counts[reg] = -1 if isinstance(value, (bytes, bytearray)) else len(value)
+            elif kind is BYTES:
+                counts[reg] = len(value)
+            elif kind is MOD:
+                if value < 1:
+                    raise ValueError("a modulus is at least 1")
+                counts[reg] = 1
+                widths[reg] = (value.bit_length() + 63) // 64 or 1
+            elif kind is POOL:
+                if value.picks < 1 or not 1 <= value.read_bytes <= WORD_BYTES:
+                    raise ValueError("a pool draw reads 1..64 index bits per product")
+                if len(value) != 1 << value.index_bits:
+                    raise ValueError("a pool holds 2**index_bits elements")
+                counts[reg] = len(value)
+                widths[reg] = (value.mod.bit_length() + 63) // 64 or 1
+            elif kind is CRT:
+                counts[reg] = 9
+                widths[reg] = (value.n_squared.bit_length() + 63) // 64 or 1
+            else:
+                if value and min(value) < 0:
+                    raise ValueError(f"an {kind} register holds a negative value")
+                counts[reg] = len(value)
+                if kind is EXPS:
+                    widths[reg] = (max(value, default=0).bit_length() + 63) // 64 or 1
+                else:
+                    widths[reg] = 1
+        for rule, mod, dst, a, b, c, d, assign, compare in self._steps:
+            width = widths[mod]
+            for reg in assign:
+                widths[reg] = width
+                if counts[reg] < 0:
+                    counts[reg], ragged = divmod(len(values[reg]), width * WORD_BYTES)
+                    if ragged:
+                        raise ValueError("a packed register is not a whole number of values")
+            for reg in compare:
+                if widths[reg] != width:
+                    raise ValueError("an op reads a register of another width")
+            counts[dst] = rule(values, counts, mod, a, b, c, d)
+            widths[dst] = width
+        return counts, widths
+
+
+# The count each op writes, from its operands' counts and values;
+# ValueError when they do not fit it.
+
+
+def _mul_count(values, counts, mod, a, b, c, d):
+    la, lb = counts[a], counts[b]
+    if la == lb or lb == 1:
+        return la
+    if la == 1:
+        return lb
+    raise ValueError("mul needs operands of one length, or one of length 1")
+
+
+def _inv_count(values, counts, mod, a, b, c, d):
+    return counts[a]
+
+
+def _pow_count(values, counts, mod, a, b, c, d):
+    if counts[b] != counts[a] and counts[b] != 1:
+        raise ValueError("pow needs one exponent per base, or one for all")
+    return counts[a]
+
+
+def _groups_count(groups, accs, items, exps=None):
+    if accs != len(groups) or sum(groups) != items or exps not in (None, items):
+        raise ValueError(
+            "a grouped op needs one acc per group, groups that sum to its "
+            "bases and one exponent per base"
+        )
+    return accs
+
+
+def _powprod_count(values, counts, mod, a, b, c, d):
+    return _groups_count(values[d], counts[a], counts[b], counts[c])
+
+
+def _prod_count(values, counts, mod, a, b, c, d):
+    return _groups_count(values[c], counts[a], counts[b])
+
+
+def _pool_count(values, counts, mod, a, b, c, d):
+    pool = values[a]
+    if pool.mod != values[mod]:
+        raise ValueError("pool draws from a pool under its own modulus")
+    draws, ragged = divmod(counts[b], pool.read_bytes)
+    if ragged:
         raise ValueError("reads is not a whole number of draws")
-    if factors is not None and len(factors) * pool.read_bytes != len(reads):
-        raise ValueError("pool_products needs one factor per draw")
+    if c is not None and counts[c] != draws:
+        raise ValueError("pool needs one factor per draw")
+    return draws
 
 
-def check_blind_round(
-    values: bytes,
-    counts: list[int],
-    seeds: list[int],
-    streams: bytes,
-    width: int,
-    n: int,
-    sign: int,
-    pool: "RandomizerPool | None",
-    reads: bytes,
-) -> int:
-    """Refuse, with ``ValueError``, a :func:`blind_round` call whose
-    layout, limb buffer, streams or reads are ragged — on every backend,
-    before any arithmetic; returns the round's component count.  (Each
-    backend refuses a value outside ``[0, N^2)`` itself, before writing
-    anything.)"""
-    if n < 1 or width < 1 or sign not in (1, -1):
-        raise ValueError("blind_round needs N >= 1, a read width and a sign of ±1")
-    total = sum(counts)
-    if (
-        len(counts) != len(seeds)
-        or min(counts, default=0) < 0
-        or min(seeds, default=0) < 0
-        or len(values) != total * words_for(n * n) * WORD_BYTES
-        or len(streams) != width * sum(c * k for c, k in zip(counts, seeds))
+def _pick_count(values, counts, mod, a, b, c, d):
+    n = counts[a]
+    if values[a].translate(None, b"\0\1"):
+        raise ValueError("pick needs a mask of bits")
+    if counts[b] not in (n, 1) or counts[c] not in (n, 1):
+        raise ValueError("pick needs operands of the mask's length, or of length 1")
+    return n
+
+
+def _gather_count(values, counts, mod, a, b, c, d):
+    if values[b] and max(values[b]) >= counts[a]:
+        raise ValueError("gather needs indices into its source")
+    return len(values[b])
+
+
+def _cat_count(values, counts, mod, a, b, c, d):
+    return counts[a] + counts[b] + (0 if c is None else counts[c])
+
+
+def _decrypt_count(values, counts, mod, a, b, c, d):
+    if values[b] != [0] and values[b] != [1]:
+        raise ValueError("decrypt takes one flag, below_p")
+    return counts[a]
+
+
+def _blinds_count(values, counts, mod, a, b, c, d):
+    layout, params, n = values[a], values[d], values[c]
+    if len(params) != 2 or params[0] < 1 or params[1] > 1 or len(layout) % 2 or (
+        n * n != values[mod]
     ):
         raise ValueError(
-            "blind_round needs a component and a seed count per item, counts "
-            "that sum to the values in the limb buffer and one stream of "
-            "reads per seed"
+            "blinds needs a (count, seeds) layout, a read width, a sign flag "
+            "and N under N^2"
         )
-    if pool is None:
-        if reads:
-            raise ValueError("blind_round reads need a randomizer pool")
-    elif pool.mod != n * n or len(reads) != pool.read_bytes * total:
-        raise ValueError("blind_round needs a pool under N^2 and one read per value")
-    return total
+    items, seeds = layout[0::2], layout[1::2]
+    if counts[b] != params[0] * sum(map(int.__mul__, items, seeds)):
+        raise ValueError("blinds needs one stream of reads per seed")
+    return sum(items)
 
 
-def check_ehl_minus(
-    pool: "RandomizerPool",
-    reads: bytes,
-    numerators: list[int],
-    inverses: list[int],
-    exps: list[int],
-    counts: list[int],
-) -> None:
-    """Refuse, with ``ValueError``, an :func:`ehl_minus` call whose reads
-    or cells are ragged, whose exponents are negative, or whose
-    numerators or inverses are not residues mod ``pool.mod`` — on every
-    backend, before any arithmetic."""
-    if (
-        len(reads) != pool.read_bytes * len(counts)
-        or min(counts, default=0) < 0
-        or not len(numerators) == len(inverses) == len(exps) == sum(counts)
-    ):
-        raise ValueError(
-            "ehl_minus needs one read per group and one numerator, inverse "
-            "and exponent per cell"
-        )
-    if min(exps, default=0) < 0:
-        raise ValueError("ehl_minus needs non-negative exponents")
-    mod = pool.mod
-    if not (
-        all(0 <= v < mod for v in numerators) and all(0 <= v < mod for v in inverses)
-    ):
-        raise ValueError(OUTSIDE_MOD)
+_RULES = {
+    "mul": _mul_count, "inv": _inv_count, "pow": _pow_count, "powprod": _powprod_count,
+    "prod": _prod_count, "pool": _pool_count, "pick": _pick_count,
+    "gather": _gather_count, "cat": _cat_count, "decrypt": _decrypt_count,
+    "blinds": _blinds_count,
+}
 
 
-def check_masked_unseen(
-    n: int, seen: list[int], coins: list[int], pool: "RandomizerPool", reads: bytes
-) -> None:
-    """Refuse, with ``ValueError``, a :func:`masked_unseen` call whose
-    coins or reads do not match its slots — on every backend, before any
-    arithmetic.  (Each backend refuses a seen bit outside ``[0, N^2)``
-    itself.)"""
-    if (
-        n < 2
-        or pool is None
-        or pool.mod != n * n
-        or len(coins) != len(seen)
-        or not set(coins) <= {0, 1}
-        or len(reads) != pool.read_bytes * len(seen)
-    ):
-        raise ValueError(
-            "masked_unseen needs N >= 2, a pool under N^2, and a coin and a "
-            "read per slot"
-        )
+def one_op(name: str, mod_kind: str, *kinds: str) -> Program:
+    """A program of one op ``name`` over inputs of ``kinds`` (its
+    modulus register first), returning what the op writes."""
+    program = Program()
+    mod = program.input(mod_kind)
+    program.output(program.op(name, mod, *(program.input(kind) for kind in kinds)))
+    return program
 
 
-def _check_reply(name: str, n: int, selected: list[int], bits: list[int],
-                 exps: list[int]) -> None:
-    """The checks a ``BlindedSelect`` reply's slots share."""
-    if n < 2 or not len(bits) == len(exps) == len(selected):
-        raise ValueError(f"{name} needs N >= 2 and one bit and exponent per slot")
-    if min(exps, default=0) < 0:
-        raise ValueError(f"{name} needs non-negative exponents")
+_POW = one_op("pow", MOD, LIMBS, EXPS)
+_POWPROD = one_op("powprod", MOD, LIMBS, LIMBS, EXPS, INTS)
+_INV = one_op("inv", MOD, LIMBS)
+_POOL = one_op("pool", MOD, POOL, BYTES)
+_POOL_FACTORS = one_op("pool", MOD, POOL, BYTES, LIMBS)
+_DECRYPT = one_op("decrypt", CRT, LIMBS, INTS)
 
 
-def check_select_bounds(
-    n: int,
-    selected: list[int],
-    bits: list[int],
-    exps: list[int],
-    accs: list[int],
-    counts: list[int],
-    flips: list[int],
-    values: list[int],
-) -> None:
-    """Refuse, with ``ValueError``, a :func:`select_bounds` call whose
-    layout is ragged, whose exponents or counts are negative or whose
-    residues are not residues mod ``N^2`` — on every backend, before any
-    arithmetic."""
-    _check_reply("select_bounds", n, selected, bits, exps)
-    if (
-        len(counts) != len(accs)
-        or min(counts, default=0) < 0
-        or sum(counts) != len(selected)
-        or len(flips) != len(selected)
-        or not set(flips) <= {0, 1}
-        or len(values) != sum(flips)
-    ):
-        raise ValueError(
-            "select_bounds needs a count per target, counts that sum to the "
-            "slots, a flip per slot and a value per flipped slot"
-        )
-    n2 = n * n
-    if not all(0 <= v < n2 for column in (selected, bits, accs, values) for v in column):
-        raise ValueError(OUTSIDE_MOD)
+class Backend:
+    """The batch operations of every backend, each a one-op
+    :class:`Program` given to the ``run`` a backend supplies."""
+
+    name = "abstract"
+
+    gcd = staticmethod(math.gcd)
+
+    def _powers(self, bases: list[int], exps: list[int], mod: int) -> list[int]:
+        if mod == 0:
+            raise ValueError("pow() 3rd argument cannot be 0")
+        if min(exps, default=0) < 0:  # an inverse's power: no hot path has one
+            exps = exps * len(bases) if len(exps) == 1 else exps
+            return [pow(b, e, mod) for b, e in zip(bases, exps)]
+        return self.run(_POW, [mod, [b % mod for b in bases], exps])[0]
+
+    def powmod(self, base: int, exp: int, mod: int) -> int:
+        return self._powers([base], [exp], mod)[0]
+
+    def powmod_vec(self, bases: list[int], exp: int, mod: int) -> list[int]:
+        return self._powers(bases, [exp], mod)
+
+    def powmod_pairs(self, bases: list[int], exps: list[int], mod: int) -> list[int]:
+        if len(bases) != len(exps):
+            raise ValueError("powmod_pairs needs one exponent per base")
+        return self._powers(bases, exps, mod)
+
+    def powmod_products(
+        self, accs: list[int], bases: list[int], exps: list[int], counts: list[int], mod: int
+    ) -> list[int]:
+        if mod == 0:
+            raise ValueError("pow() 3rd argument cannot be 0")
+        accs = [a % mod for a in accs]
+        if min(exps, default=0) >= 0:
+            return self.run(_POWPROD, [mod, accs, [b % mod for b in bases], exps, counts])[0]
+        # An inverse's power, as in _powers.
+        _POWPROD.shapes([mod, accs, bases, [abs(e) for e in exps], counts])
+        return PurePythonBackend._prod(mod, accs, self._powers(bases, exps, mod), counts, None)
+
+    def invert(self, a: int, mod: int) -> int:
+        if mod == 0:
+            raise ValueError("modulus cannot be 0")
+        try:
+            return self.run(_INV, [mod, [a % mod]])[0][0]
+        except ValueError:
+            raise ValueError("base is not invertible for the given modulus") from None
+
+    def invert_vec(self, values: list[int], mod: int) -> list[int]:
+        if mod == 0:
+            raise ValueError("modulus cannot be 0")
+        return self.run(_INV, [mod, [v % mod for v in values]])[0]
+
+    def pool_products(
+        self, pool: RandomizerPool, reads: bytes, factors: list[int] | None = None
+    ) -> list[int]:
+        if factors is None:
+            return self.run(_POOL, [pool.mod, pool, reads])[0]
+        return self.run(_POOL_FACTORS, [pool.mod, pool, reads, factors])[0]
+
+    def paillier_decrypt(
+        self, crt: PaillierCrt, values: list[int], below_p: bool = False
+    ) -> list[int]:
+        return self.run(_DECRYPT, [crt, values, [int(below_p)]])[0]
 
 
-def check_select_absorb(
-    n: int,
-    selected: list[int],
-    bits: list[int],
-    exps: list[int],
-    worsts: list[int],
-    seen: list[int],
-    score: int,
-    pool: "RandomizerPool",
-    reads: bytes,
-    slot: int,
-) -> None:
-    """Refuse, with ``ValueError``, a :func:`select_absorb` call whose
-    layout or read buffer is ragged, whose exponents are negative or
-    whose residues are not residues mod ``N^2`` — on every backend,
-    before any arithmetic."""
-    _check_reply("select_absorb", n, selected, bits, exps)
-    n2 = n * n
-    if (
-        pool is None
-        or pool.mod != n2
-        or not len(worsts) == len(seen) == len(selected)
-        or len(reads) % pool.read_bytes
-        or not 0 <= slot < len(reads) // pool.read_bytes
-    ):
-        raise ValueError(
-            "select_absorb needs a pool under N^2, a worst and a seen bit per "
-            "slot and a read per new seen bit"
-        )
-    if not 0 <= score < n2 or not all(
-        0 <= v < n2 for column in (selected, bits, worsts, seen) for v in column
-    ):
-        raise ValueError(OUTSIDE_MOD)
-
-
-class PurePythonBackend:
+class PurePythonBackend(Backend):
     """CPython built-ins; the always-available reference backend.
 
-    The batch ops are Python loops over the scalar ones —
-    ``powmod_products`` on ``powmod_pairs``, ``invert_vec`` on
-    ``invert``, ``paillier_decrypt`` on ``powmod_vec``, ``ehl_minus`` on
-    ``pool_products`` and ``powmod_products``, ``masked_unseen`` on
-    ``invert_vec`` and ``pool_products``, ``select_bounds`` on
-    ``invert_vec`` and ``powmod_products``, ``select_absorb`` on
-    ``powmod_pairs``, ``invert_vec`` and ``pool_products`` — so they pin
-    what the kernel's C loops must return.
+    :meth:`run` interprets a program op by op on Python integers — the
+    results the kernel's C loops must return, bit for bit.
     """
 
     name = "pure"
@@ -325,299 +489,46 @@ class PurePythonBackend:
         return [pow(b, exp, mod) for b in bases]
 
     @staticmethod
-    def powmod_pairs(bases: list[int], exps: list[int], mod: int) -> list[int]:
-        if len(bases) != len(exps):
-            raise ValueError("powmod_pairs needs one exponent per base")
-        return [pow(b, e, mod) for b, e in zip(bases, exps)]
-
-    @staticmethod
     def invert(a: int, mod: int) -> int:
         return pow(a, -1, mod)
 
-    @staticmethod
-    def gcd(a: int, b: int) -> int:
-        return math.gcd(a, b)
-
-    def paillier_decrypt(
-        self, crt: "PaillierCrt", values: list[int], below_p: bool = False
-    ) -> list[int]:
-        """The Paillier plaintexts of bare ciphertexts under ``crt``'s key:
-        ``m_p = L_p(c^(p-1) mod p^2) · h_p mod p``, the same mod ``q``,
-        recombined by the CRT.  ``below_p`` returns ``m_p`` alone — the
-        plaintext itself when the caller knows it is below ``p``.
-
-        The whole batch is refused, with :class:`DecryptionError`, when
-        any value lies outside ``(0, N^2)`` or, failing that, when any
-        value shares a factor with ``N = pq`` — when ``p`` or ``q``
-        divides it.
-        """
-        n2, p, q = crt.n_squared, crt.p, crt.q
-        if not all(0 < c < n2 for c in values):
-            raise DecryptionError(OUTSIDE_ZN2)
-        if any(c % p == 0 or c % q == 0 for c in values):
-            raise DecryptionError(NOT_A_UNIT)
-        p2, hp = crt.p_squared, crt.hp
-        mps = [
-            (u - 1) // p * hp % p
-            for u in self.powmod_vec([c % p2 for c in values], p - 1, p2)
-        ]
-        if below_p:
-            return mps
-        q2, hq, p_inv_q = crt.q_squared, crt.hq, crt.p_inv_q
-        mqs = self.powmod_vec([c % q2 for c in values], q - 1, q2)
+    def run(self, program: Program, registers: list) -> list:
+        """Run ``program`` over ``registers`` (its inputs' values):
+        :meth:`Program.shapes`, then every input residue range-checked
+        (:data:`OUTSIDE_MOD`), then the ops in order."""
+        counts, widths = program.shapes(registers)
+        regs: list = [None] * len(counts)
+        for reg, value in zip(program.inputs, registers):
+            if isinstance(value, (bytes, bytearray)) and program.kinds[reg] == LIMBS:
+                value = unpack_ints(value, widths[reg], counts[reg])
+            regs[reg] = value
+        for reg, mod in program.checks:
+            if not all(0 <= v < regs[mod] for v in regs[reg]):
+                raise ValueError(OUTSIDE_MOD)
+        for name, mod, dst, operands in program.ops:
+            regs[dst] = getattr(self, "_" + name)(
+                regs[mod], *(None if reg is None else regs[reg] for reg in operands)
+            )
         return [
-            mp + p * (((u - 1) // q * hq - mp) * p_inv_q % q)
-            for mp, u in zip(mps, mqs)
+            pack_ints(regs[reg], widths[reg]) if packed else regs[reg]
+            for reg, packed in program.outputs
         ]
 
-    def powmod_products(
-        self,
-        accs: list[int],
-        bases: list[int],
-        exps: list[int],
-        counts: list[int],
-        mod: int,
-    ) -> list[int]:
-        """``accs[g] · Π b ** e mod mod`` per group ``g``: the group's
-        ``counts[g]`` consecutive ``(base, exponent)`` pairs of ``bases``
-        / ``exps``."""
-        if mod == 0:
-            raise ValueError("pow() 3rd argument cannot be 0")
-        if (
-            len(accs) != len(counts)
-            or sum(counts) != len(bases)
-            or min(counts, default=0) < 0
-        ):
-            raise ValueError(
-                "powmod_products needs one acc per count and counts that "
-                "sum to one exponent per base"
-            )
-        powers = iter(self.powmod_pairs(bases, exps, mod))
-        out = []
-        for acc, count in zip(accs, counts):
-            acc %= mod
-            for _ in range(count):
-                acc = acc * next(powers) % mod
-            out.append(acc)
-        return out
+    # -- the ops -----------------------------------------------------------
 
     @staticmethod
-    def pool_products(
-        pool: "RandomizerPool", reads: bytes, factors: list[int] | None = None
-    ) -> list[int]:
-        """One product of ``pool.picks`` elements of ``pool`` mod
-        ``pool.mod`` per read of ``reads``, times the read's factor when
-        ``factors`` (one residue mod ``pool.mod`` per read) is given.
+    def _mul(mod, a, b, _c, _d):
+        if len(a) == 1 and len(b) != 1:
+            a, b = b, a
+        if len(b) == 1 and len(a) != 1:
+            return [x * b[0] % mod for x in a]
+        return [x * y % mod for x, y in zip(a, b)]
 
-        ``reads`` is a whole number of big-endian ``pool.read_bytes``-byte
-        reads; a read's ``pool.index_bits``-wide digits, least
-        significant first once its surplus low bits are dropped, index
-        the pool.
-        """
-        check_pool_products(pool, reads, factors)
-        index_bits, read_bytes, mod = pool.index_bits, pool.read_bytes, pool.mod
-        if factors is not None and not all(0 <= f < mod for f in factors):
-            raise ValueError(OUTSIDE_MOD)
-        shift = read_bytes * 8 - pool.picks * index_bits
-        mask = len(pool) - 1
-        from_bytes = int.from_bytes
-        out = []
-        for offset in range(0, len(reads), read_bytes):
-            digits = from_bytes(reads[offset : offset + read_bytes], "big") >> shift
-            value = pool[digits & mask]
-            for _ in range(pool.picks - 1):
-                digits >>= index_bits
-                value = value * pool[digits & mask] % mod
-            out.append(value)
-        if factors is not None:
-            out = [f * r % mod for f, r in zip(factors, out)]
-        return out
-
-    def blind_round(
-        self,
-        values: bytes,
-        counts: list[int],
-        seeds: list[int],
-        streams: bytes,
-        width: int,
-        n: int,
-        sign: int,
-        pool: "RandomizerPool | None" = None,
-        reads: bytes = b"",
-    ) -> bytes:
-        """``c_i · (1 + sign · b_i · N) · r_i mod N^2`` over a round's
-        Paillier components ``c_i``, read from and returned as a limb
-        buffer at ``words_for(N^2)`` words per value.
-
-        Item ``g`` owns ``counts[g]`` consecutive values and ``seeds[g]``
-        consecutive streams of ``streams``, each ``counts[g]`` big-endian
-        ``width``-byte reads; ``b_i`` is the sum of component ``i``'s
-        read in every stream of its item, reduced mod ``N``.  ``r_i`` is
-        the pool draw of read ``i`` of ``reads`` (``pool`` under
-        ``N^2``), or 1 without a pool.
-        """
-        total = check_blind_round(
-            values, counts, seeds, streams, width, n, sign, pool, reads
-        )
-        n2 = n * n
-        words = words_for(n2)
-        cts = unpack_ints(values, words, total)
-        if not all(v < n2 for v in cts):
-            raise ValueError(OUTSIDE_MOD)
-        from_bytes = int.from_bytes
-        out = []
-        start = offset = 0
-        for count, k in zip(counts, seeds):
-            blinds = [0] * count
-            for _ in range(k):
-                for j in range(count):
-                    blinds[j] += from_bytes(streams[offset : offset + width], "big")
-                    offset += width
-            out.extend(
-                value * (1 + sign * (b % n) % n * n) % n2
-                for value, b in zip(cts[start : start + count], blinds)
-            )
-            start += count
-        if pool is not None:
-            out = self.pool_products(pool, reads, out)
-        return pack_ints(out, words)
-
-    def ehl_minus(
-        self,
-        pool: "RandomizerPool",
-        reads: bytes,
-        numerators: list[int],
-        inverses: list[int],
-        exps: list[int],
-        counts: list[int],
-    ) -> list[int]:
-        """``r_g · Π (num · inv) ** e mod pool.mod`` per group ``g`` of
-        ``counts[g]`` consecutive cells: the ⊖ of one EHL pair, whose
-        ``Enc(0)`` randomizer ``r_g`` is the pool draw of read ``g`` of
-        ``reads``."""
-        check_ehl_minus(pool, reads, numerators, inverses, exps, counts)
-        mod = pool.mod
-        bases = [a * b % mod for a, b in zip(numerators, inverses)]
-        return self.powmod_products(
-            self.pool_products(pool, reads), bases, exps, counts, mod
-        )
-
-    def masked_unseen(
-        self,
-        n: int,
-        seen: list[int],
-        coins: list[int],
-        pool: "RandomizerPool",
-        reads: bytes,
-    ) -> list[int]:
-        """``Enc(u ⊕ c) · r mod N^2`` per slot, ``u = 1 − s`` for the seen
-        bit ``seen[i] = Enc(s)`` and the slot's coin ``c``: the seen bit
-        itself for ``c = 1``, ``(1 + N) · seen[i]^(−1)`` for ``c = 0``,
-        each times the pool draw ``r`` of its read of ``reads`` — one
-        batch inversion and one pool draw per slot."""
-        check_masked_unseen(n, seen, coins, pool, reads)
-        n2 = n * n
-        if not all(0 <= v < n2 for v in seen):
-            raise ValueError(OUTSIDE_MOD)
-        inverses = iter(self.invert_vec([s for s, c in zip(seen, coins) if not c], n2))
-        return self.pool_products(
-            pool,
-            reads,
-            [s if c else next(inverses) * (1 + n) % n2 for s, c in zip(seen, coins)],
-        )
-
-    def select_bounds(
-        self,
-        n: int,
-        selected: list[int],
-        bits: list[int],
-        exps: list[int],
-        accs: list[int],
-        counts: list[int],
-        flips: list[int],
-        values: list[int],
-    ) -> list[int]:
-        """A ``BlindedSelect`` reply multiplied into running bounds mod
-        ``N^2``.
-
-        Slot ``j`` of the reply is ``sel_j``, ``bits_j = Enc(t_j)`` and
-        its blind ``e_j``; its term is ``sel_j · bits_j^(−e_j)``
-        (``Enc(t·x)``) or, flipped, ``v · sel_j^(−1) · bits_j^(e_j)``
-        (``Enc(x − t·x)``), ``v = Enc(x)`` the next of ``values`` (one
-        per flipped slot).  Target ``g`` owns ``counts[g]`` consecutive
-        slots; returns ``accs[g] · Π term`` per target — one batch
-        inversion and one multi-exponentiation per target.
-        """
-        check_select_bounds(n, selected, bits, exps, accs, counts, flips, values)
-        n2 = n * n
-        inverses = self.invert_vec(
-            [s if f else b for s, b, f in zip(selected, bits, flips)], n2
-        )
-        flipped = iter(values)
-        folded, bases, start = [], [], 0
-        for acc, count in zip(accs, counts):
-            for j in range(start, start + count):
-                if flips[j]:
-                    acc = acc * next(flipped) % n2 * inverses[j] % n2
-                    bases.append(bits[j])
-                else:
-                    acc = acc * selected[j] % n2
-                    bases.append(inverses[j])
-            folded.append(acc)
-            start += count
-        return self.powmod_products(folded, bases, exps, counts, n2)
-
-    def select_absorb(
-        self,
-        n: int,
-        selected: list[int],
-        bits: list[int],
-        exps: list[int],
-        worsts: list[int],
-        seen: list[int],
-        score: int,
-        pool: "RandomizerPool",
-        reads: bytes,
-        slot: int,
-    ) -> list[int]:
-        """An eager absorb's ``BlindedSelect`` reply applied mod ``N^2``.
-
-        Slot ``j`` (its own target) has the term ``sel_j ·
-        bits_j^(−e_j)`` of :meth:`select_bounds`.  Returns ``worsts[j] ·
-        term_j`` per slot, then ``seen[j] · bits_j`` per slot, then the
-        tested item's new entry: ``score · Π term_j^(−1)``, its match
-        count ``M = Π bits_j``, and one seen bit per read of ``reads`` —
-        the read's pool draw, times ``(1 + N) · M^(−1)`` at ``slot``.
-        One power per slot and one batch inversion of the powers,
-        ``Π sel_j`` and ``M``.
-        """
-        check_select_absorb(n, selected, bits, exps, worsts, seen, score, pool, reads, slot)
-        n2 = n * n
-        powers = self.powmod_pairs(bits, exps, n2)
-        product, matched, power = 1, 1, 1
-        for s, b, p in zip(selected, bits, powers):
-            product = product * s % n2
-            matched = matched * b % n2
-            power = power * p % n2
-        inverses = self.invert_vec(powers + [product, matched], n2)
-        out = [w * s % n2 * i % n2 for w, s, i in zip(worsts, selected, inverses)]
-        out += [v * b % n2 for v, b in zip(seen, bits)]
-        out += [score * power % n2 * inverses[-2] % n2, matched]
-        draws = self.pool_products(pool, reads)
-        draws[slot] = draws[slot] * (1 + n) % n2 * inverses[-1] % n2
-        return out + draws
-
-    def invert_vec(self, values: list[int], mod: int) -> list[int]:
-        """Every inverse of a batch from ONE modular inversion.
-
-        Montgomery's trick: invert the product of the batch, then peel
-        the factors off again — one ``invert`` plus ``3(n-1)``
-        multiplications mod ``mod``.  Raises ``ValueError`` (and returns
-        nothing) when any element has no inverse.
-        """
+    def _inv(self, mod, values, _b, _c, _d):
+        """Montgomery's trick: one ``invert`` of the batch's product, then
+        ``3(n-1)`` multiplications peel the factors off again."""
         if not values:
             return []
-        values = [v % mod for v in values]
         prefix = [values[0]]
         for v in values[1:]:
             prefix.append(prefix[-1] * v % mod)
@@ -630,6 +541,98 @@ class PurePythonBackend:
             out[i] = inv * prefix[i - 1] % mod
             inv = inv * values[i] % mod
         out[0] = inv
+        return out
+
+    @staticmethod
+    def _pow(mod, bases, exps, _c, _d):
+        if len(exps) != len(bases):
+            return [pow(b, exps[0], mod) for b in bases]
+        return [pow(b, e, mod) for b, e in zip(bases, exps)]
+
+    @staticmethod
+    def _powprod(mod, accs, bases, exps, counts):
+        powers = iter([pow(b, e, mod) for b, e in zip(bases, exps)])
+        return PurePythonBackend._prod(mod, accs, powers, counts, None)
+
+    @staticmethod
+    def _prod(mod, accs, values, counts, _d):
+        values = iter(values)
+        out = []
+        for acc, count in zip(accs, counts):
+            for _ in range(count):
+                acc = acc * next(values) % mod
+            out.append(acc)
+        return out
+
+    @staticmethod
+    def _pool(mod, pool, reads, factors, _d):
+        index_bits, read_bytes, picks = pool.index_bits, pool.read_bytes, pool.picks
+        shift = read_bytes * 8 - picks * index_bits
+        mask = len(pool) - 1
+        from_bytes = int.from_bytes
+        out = []
+        for offset in range(0, len(reads), read_bytes):
+            digits = from_bytes(reads[offset : offset + read_bytes], "big") >> shift
+            value = pool[digits & mask]
+            for _ in range(picks - 1):
+                digits >>= index_bits
+                value = value * pool[digits & mask] % mod
+            out.append(value)
+        if factors is not None:
+            out = [f * r % mod for f, r in zip(factors, out)]
+        return out
+
+    @staticmethod
+    def _pick(_mod, mask, a, b, _d):
+        a = a * len(mask) if len(a) == 1 else a
+        b = b * len(mask) if len(b) == 1 else b
+        return [x if bit else y for bit, x, y in zip(mask, a, b)]
+
+    @staticmethod
+    def _gather(_mod, values, indices, _c, _d):
+        return [values[i] for i in indices]
+
+    @staticmethod
+    def _cat(_mod, a, b, c, _d):
+        return a + b + (c or [])
+
+    def _decrypt(self, crt, values, params, _c, _d):
+        """``m_p = L_p(c^(p-1) mod p^2) · h_p mod p`` and the same mod
+        ``q``, recombined by the CRT (``m_p`` alone for ``below_p``);
+        refused outside ``(0, N^2)``, then when ``p`` or ``q`` divides a
+        value."""
+        n2, p, q = crt.n_squared, crt.p, crt.q
+        if not all(0 < c < n2 for c in values):
+            raise DecryptionError(OUTSIDE_ZN2)
+        if any(c % p == 0 or c % q == 0 for c in values):
+            raise DecryptionError(NOT_A_UNIT)
+        p2, hp = crt.p_squared, crt.hp
+        mps = [
+            (u - 1) // p * hp % p
+            for u in self.powmod_vec([c % p2 for c in values], p - 1, p2)
+        ]
+        if params[0]:
+            return mps
+        q2, hq, p_inv_q = crt.q_squared, crt.hq, crt.p_inv_q
+        mqs = self.powmod_vec([c % q2 for c in values], q - 1, q2)
+        return [
+            mp + p * (((u - 1) // q * hq - mp) * p_inv_q % q)
+            for mp, u in zip(mps, mqs)
+        ]
+
+    @staticmethod
+    def _blinds(mod, layout, streams, n, params):
+        width, negate = params
+        from_bytes = int.from_bytes
+        out = []
+        offset = 0
+        for count, seeds in zip(layout[0::2], layout[1::2]):
+            blinds = [0] * count
+            for _ in range(seeds):
+                for j in range(count):
+                    blinds[j] += from_bytes(streams[offset : offset + width], "big")
+                    offset += width
+            out += [(1 + (-b if negate else b) % n * n) % mod for b in blinds]
         return out
 
 
@@ -703,8 +706,17 @@ def set_backend(backend) -> object:
 
 
 # ----------------------------------------------------------------------
-# Module-level scalar entry points (hot-path sugar over get_backend()).
+# Module-level entry points (hot-path sugar over get_backend()).
 # ----------------------------------------------------------------------
+
+
+def run(program: Program, registers: list) -> list:
+    """Run ``program`` over its inputs' values through the active
+    backend (one C call on the kernel); returns its outputs.  Raises
+    ``ValueError`` for registers that do not fit the program, an input
+    residue outside ``[0, mod)`` or an ``inv`` of an element without an
+    inverse, :class:`DecryptionError` for a refused ``decrypt``."""
+    return _ACTIVE.run(program, registers)
 
 
 def powmod(base: int, exp: int, mod: int) -> int:
@@ -720,11 +732,6 @@ def invert(a: int, mod: int) -> int:
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor through the active backend."""
     return _ACTIVE.gcd(a, b)
-
-
-# ----------------------------------------------------------------------
-# Batch entry points.
-# ----------------------------------------------------------------------
 
 
 def powmod_vec(bases: list[int], exp: int, mod: int) -> list[int]:
@@ -743,9 +750,7 @@ def powmod_products(
     accs: list[int], bases: list[int], exps: list[int], counts: list[int], mod: int
 ) -> list[int]:
     """``accs[g] · Π b ** e mod mod`` for each group ``g`` of ``counts[g]``
-    consecutive ``(base, exponent)`` pairs — the shape of the ⊖ operator
-    (the ``Enc(0)`` randomizer times one power per EHL cell) and of a
-    layered select (``E2(c_default)`` times one power per selector bit)."""
+    consecutive ``(base, exponent)`` pairs (a layered select's shape)."""
     return _ACTIVE.powmod_products(accs, bases, exps, counts, mod)
 
 
@@ -756,15 +761,11 @@ def invert_vec(values: list[int], mod: int) -> list[int]:
 
 
 class RandomizerPool(list):
-    """The pool argument of :func:`pool_products`: a list of a
-    power-of-two many residues mod :attr:`mod`, drawn :attr:`picks` at a
-    time.
-
-    What a draw derives from that shape is worked out here, once per
-    pool: the bits one index takes (:attr:`index_bits`) and the bytes of
-    randomness one product reads (:attr:`read_bytes`).  :attr:`packed` is
-    the kernel backend's limb-format copy, filled on its first draw.
-    """
+    """The register of a ``pool`` op: a power-of-two many residues mod
+    :attr:`mod`, drawn :attr:`picks` at a time, with the bits one index
+    takes (:attr:`index_bits`) and the bytes one draw reads
+    (:attr:`read_bytes`) worked out once; :attr:`packed` is the kernel's
+    limb-format copy, filled on its first draw."""
 
     def __init__(self, values: list[int], mod: int, picks: int):
         super().__init__(values)
@@ -779,120 +780,18 @@ def pool_products(
     pool: RandomizerPool, reads: bytes, factors: list[int] | None = None
 ) -> list[int]:
     """One product of ``pool.picks`` pool elements per read of ``reads``,
-    times the read's entry of ``factors`` when given — the shape of every
-    randomizer draw (see :func:`repro.crypto.paillier.pool_randomizers`),
-    and with factors of every batch encryption and rerandomization.
-    Raises ``ValueError`` for ragged reads or factors, or a factor
-    outside ``[0, pool.mod)``."""
+    times its entry of ``factors`` when given: every randomizer draw, and
+    with factors every batch encryption and rerandomization.  Raises
+    ``ValueError`` for ragged reads or factors, or a factor outside
+    ``[0, pool.mod)``."""
     return _ACTIVE.pool_products(pool, reads, factors)
 
 
-def blind_round(
-    values: bytes,
-    counts: list[int],
-    seeds: list[int],
-    streams: bytes,
-    width: int,
-    n: int,
-    sign: int,
-    pool: RandomizerPool | None = None,
-    reads: bytes = b"",
-) -> bytes:
-    """``c · (1 ± b·N) · r mod N^2`` over every Paillier component of an
-    item-blinding round (``ItemBlinder``), read from and written to the
-    round's limb buffer (``words_for(N^2)`` words per value): item ``g``'s
-    ``counts[g]`` components take the sums of their ``width``-byte reads
-    in its ``seeds[g]`` SHAKE-256 streams, reduced mod ``N``, and each
-    takes the pool draw of its read of ``reads`` when ``pool`` is given.
-    Raises ``ValueError`` for a ragged layout or buffer, or a value
-    outside ``[0, N^2)``."""
-    return _ACTIVE.blind_round(
-        values, counts, seeds, streams, width, n, sign, pool, reads
-    )
-
-
-def masked_unseen(
-    n: int, seen: list[int], coins: list[int], pool: RandomizerPool, reads: bytes
-) -> list[int]:
-    """The tests of a best-bound select: per slot ``Enc(u ⊕ c)``,
-    rerandomized by the pool draw of its read of ``reads``, ``u = 1 − s``
-    for the seen bit ``Enc(s)`` and ``c`` the slot's coin (see
-    :meth:`PurePythonBackend.masked_unseen`).  Raises ``ValueError`` for a
-    ragged layout, a coin that is not a bit, a residue outside
-    ``[0, N^2)`` or a coin-0 seen bit without an inverse."""
-    return _ACTIVE.masked_unseen(n, seen, coins, pool, reads)
-
-
-def ehl_minus(
-    pool: RandomizerPool,
-    reads: bytes,
-    numerators: list[int],
-    inverses: list[int],
-    exps: list[int],
-    counts: list[int],
-) -> list[int]:
-    """The EHL ⊖ of a batch of pairs: per group ``g`` of ``counts[g]``
-    cells, the pool draw of read ``g`` (the pair's ``Enc(0)``) times
-    ``Π (num · inv) ** e mod pool.mod`` over its cells.  Raises
-    ``ValueError`` for ragged reads or cells, a negative exponent, or a
-    numerator or inverse outside ``[0, pool.mod)``."""
-    return _ACTIVE.ehl_minus(pool, reads, numerators, inverses, exps, counts)
-
-
-def select_bounds(
-    n: int,
-    selected: list[int],
-    bits: list[int],
-    exps: list[int],
-    accs: list[int],
-    counts: list[int],
-    flips: list[int],
-    values: list[int],
-) -> list[int]:
-    """A ``BlindedSelect`` reply unblinded into running bounds mod
-    ``N^2``: per slot ``Enc(t·x) = sel · Enc(t)^(−r)``, or flipped
-    ``Enc(x − t·x)``, multiplied into its target — the eager engine's
-    best bounds (one multi-exponentiation per bound), or one slot per
-    target over ``acc = 1`` for the bare ``Enc(t·x)`` (see
-    :meth:`PurePythonBackend.select_bounds`).  Raises ``ValueError`` for
-    a ragged layout, a negative exponent, a residue outside ``[0, N^2)``
-    or an element without an inverse."""
-    return _ACTIVE.select_bounds(n, selected, bits, exps, accs, counts, flips, values)
-
-
-def select_absorb(
-    n: int,
-    selected: list[int],
-    bits: list[int],
-    exps: list[int],
-    worsts: list[int],
-    seen: list[int],
-    score: int,
-    pool: RandomizerPool,
-    reads: bytes,
-    slot: int,
-) -> list[int]:
-    """An eager absorb's ``BlindedSelect`` reply applied mod ``N^2``: each
-    tested candidate's worst and seen bit credited, then the tested
-    item's new entry — worst, match count and seen bits, their pool
-    draws read from ``reads`` (see :meth:`PurePythonBackend.select_absorb`).
-    Raises ``ValueError`` for a ragged layout or read buffer, a negative
-    exponent, a residue outside ``[0, N^2)`` or an element without an
-    inverse."""
-    return _ACTIVE.select_absorb(
-        n, selected, bits, exps, worsts, seen, score, pool, reads, slot
-    )
-
-
 class PaillierCrt:
-    """The ``crt`` argument of :func:`paillier_decrypt`: one Paillier
-    key's decryption constants, worked out once per key.
-
-    ``h_p = L_p((1 + N)^(p-1) mod p^2)^(-1) mod p`` (and ``h_q``) undo
-    the generator's contribution to each CRT half, and ``p_inv_q``
-    recombines the halves.  :attr:`packed` is the kernel backend's
-    limb-format copy, filled on its first decryption.
-    """
+    """The register of a ``decrypt`` op: one Paillier key's decryption
+    constants, worked out once per key.  ``h_p = L_p((1 + N)^(p-1) mod
+    p^2)^(-1) mod p`` (and ``h_q``) undo the generator in each CRT half,
+    ``p_inv_q`` recombines them; :attr:`packed` is the kernel's copy."""
 
     def __init__(self, p: int, q: int):
         self.p = p

@@ -11,16 +11,14 @@ value it cannot read:
    bits (the surplus :mod:`repro.protocols.blinding` uses).
 2. S2 decrypts each slot's bit ``t`` and replies with two fresh
    ciphertexts, ``t ? V·ρ : ρ'`` and ``Enc(t)``.
-3. S1 removes the blind: ``Enc(t·x) = reply · (Enc(t)^r)^{-1}``, with
-   one :func:`~repro.crypto.backend.select_bounds` call for the whole
-   reply (one batched inversion and one short-exponent ``N^2`` power per
-   slot).  The eager engine never holds the unblinded ``Enc(t·x)``: it
-   takes the bare reply from :func:`blinded_select_reply_flow` and
-   unblinds it straight into its targets with one backend call —
-   :func:`~repro.crypto.backend.select_absorb` (the absorb's running
-   worsts, seen bits and new entry) or
-   :func:`~repro.crypto.backend.select_bounds` (the best bounds, whose
-   ``m`` powers per bound are one multi-exponentiation).
+3. S1 removes the blind: ``Enc(t·x) = reply · (Enc(t)^r)^{-1}`` (one
+   batched inversion and one short-exponent ``N^2`` power per slot).
+   The eager engine never holds the unblinded ``Enc(t·x)``: it takes the
+   bare reply from :func:`blinded_select_reply_flow` and unblinds it
+   straight into its targets with one backend program —
+   :data:`~repro.core.engine.ABSORB` (the absorb's running worsts, seen
+   bits and new entry) or :data:`~repro.core.engine.BOUNDS` (the best
+   bounds, whose ``m`` powers per bound are one multi-exponentiation).
 
 S2's view is the bits it already learns (the ``EP_d`` equality pattern,
 or coin-masked bits) next to ``x + r`` values that are uniform given the

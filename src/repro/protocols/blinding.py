@@ -32,10 +32,10 @@ back absent; an item with no ``E2`` component costs no Damgård–Jurik
 work.
 
 Everything works on a whole round's batch at once: one XOF call per
-seed, then one :func:`~repro.crypto.backend.blind_round` call cuts the
-streams into the blinds and applies them and the rerandomizers to the
-batch's buffer as it is (one C call on the kernel backend), and the
-companion seeds are encrypted (or decrypted) as one batch.  S1 packs a
+seed, then one program (:data:`BLIND_ROUND`, one C call on the kernel
+backend) cuts the streams into the blinds and applies them and the
+rerandomizers to the batch's buffer as it is, and the companion seeds
+are encrypted (or decrypted) as one batch.  S1 packs a
 round's items once; S2 keeps, permutes and adds junk by whole item
 slices; S1 builds its items again once, after the unblind.
 """
@@ -75,6 +75,31 @@ _XOF_DOMAIN = b"repro-item-blind:"
 _SURPLUS_BITS = 128
 
 
+def _blind_round(rerandomize: bool) -> backend.Program:
+    """A blinding round's arithmetic over the Paillier components
+    ``c_i`` of a batch's buffer: ``c_i · (1 + b_i·N) · r_i mod N^2``,
+    ``b_i`` the ``blinds`` of the round's XOF streams and ``r_i`` a pool
+    draw when ``rerandomize``.  Inputs: ``N^2``, ``N``, the buffer, the
+    ``(count, seeds)`` layout, the streams and ``[width, negate]``, then
+    the pool and its reads."""
+    program = backend.Program()
+    n2, n = program.input(backend.MOD), program.input(backend.MOD)
+    values, layout = program.input(backend.LIMBS), program.input(backend.INTS)
+    streams, params = program.input(backend.BYTES), program.input(backend.INTS)
+    out = program.op(
+        "mul", n2, values, program.op("blinds", n2, layout, streams, n, params)
+    )
+    if rerandomize:
+        pool, reads = program.input(backend.POOL), program.input(backend.BYTES)
+        out = program.op("pool", n2, pool, reads, out)
+    program.output(out, packed=True)
+    return program
+
+
+#: S1's blind and S2's re-blind (rerandomized), and S1's unblind.
+BLIND_ROUND, UNBLIND_ROUND = _blind_round(True), _blind_round(False)
+
+
 def check_batch(batch, public_key: PaillierPublicKey) -> ItemBatch:
     """``batch`` when it is an :class:`ItemBatch` under ``public_key`` —
     or the empty batch for an empty list, the form an empty round's items
@@ -110,8 +135,8 @@ class ItemBlinder:
 
         One XOF expansion per seed covers the item's Paillier components
         first, then its ``E2`` ones.  The Paillier part of every stream
-        goes to one :func:`~repro.crypto.backend.blind_round` call for the
-        round, on the batch's buffer; ``E2`` blinds are cut here.
+        goes to one run of :data:`BLIND_ROUND` (or :data:`UNBLIND_ROUND`)
+        for the round, on the batch's buffer; ``E2`` blinds are cut here.
         """
         batch = check_batch(batch, self.public_key)
         if len(seed_lists) != len(batch):
@@ -119,14 +144,15 @@ class ItemBlinder:
         pk, dj = self.public_key, self.dj
         counts, layered_counts = batch.counts()
         streams, layered = self._streams(batch, counts, layered_counts, seed_lists, sign)
-        pool, reads = None, b""
+        registers = [
+            pk.n_squared, pk.n, batch.buffer,
+            [v for pair in zip(counts, map(len, seed_lists)) for v in pair],
+            streams, [self._plain_bytes, int(sign < 0)],
+        ]
         if rng is not None:
             pool = pk.randomizer_pool()
-            reads = rng.randbytes(pool.read_bytes * sum(counts))
-        buffer = backend.blind_round(
-            batch.buffer, counts, [len(seeds) for seeds in seed_lists], streams,
-            self._plain_bytes, pk.n, sign, pool, reads,
-        )
+            registers += [pool, rng.randbytes(pool.read_bytes * sum(counts))]
+        (buffer,) = backend.run(BLIND_ROUND if rng is not None else UNBLIND_ROUND, registers)
         if rng is not None and layered:
             n_s1 = dj.n_s1
             layered = [

@@ -371,8 +371,9 @@ class WatchJob(QueryJob):
 
     Two ways to end it:
 
-    * :meth:`stop` — graceful; the loop exits at the next wakeup and the
-      job resolves ``DONE`` with a :class:`WatchSummary`;
+    * :meth:`stop` — graceful; the loop evaluates once more if the
+      relation changed since its last evaluation, then exits, and the job
+      resolves ``DONE`` with a :class:`WatchSummary`;
     * :meth:`cancel` — cooperative abort (also what ``TopKServer.close``
       uses to drain live watches); the job terminates ``CANCELLED``, at
       a round boundary even mid-evaluation.
@@ -398,7 +399,8 @@ class WatchJob(QueryJob):
         self._wake.set()
 
     def stop(self) -> None:
-        """End the watch gracefully: it resolves with its summary."""
+        """End the watch gracefully: every mutation made before this call
+        is evaluated, then it resolves with its summary."""
         self._stopped = True
         self._wake.set()
 

@@ -61,10 +61,10 @@ import contextlib
 import os
 import pathlib
 import pickle
+import selectors
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 
@@ -620,45 +620,46 @@ def launch_daemon(
 
     The real deployment shape for examples, benchmarks, and smoke
     scripts: the daemon is spawned with this package on its path, the
-    bound address is read from a ready file, and the caller owns the
+    bound address is read from its one announce line on stdout (echoed
+    unless ``quiet``) as soon as it is written, and the caller owns the
     returned :class:`subprocess.Popen` (terminate it when done).
     """
     src_root = str(pathlib.Path(__file__).resolve().parent.parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    with tempfile.NamedTemporaryFile(suffix=".addr", delete=False) as handle:
-        ready_file = handle.name
-    os.unlink(ready_file)
     process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.server.s2_service",
-            "--listen",
-            listen,
-            "--ready-file",
-            ready_file,
-        ],
+        [sys.executable, "-m", "repro.server.s2_service", "--listen", listen],
         env=env,
-        stdout=subprocess.DEVNULL if quiet else None,
+        stdout=subprocess.PIPE,
     )
     try:
+        line = b""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            # The daemon renames the file into place complete, so
-            # existing means readable.
-            if os.path.exists(ready_file):
-                return process, pathlib.Path(ready_file).read_text().strip()
-            if process.poll() is not None:
-                raise RuntimeError("the S2 daemon exited before becoming ready")
-            time.sleep(0.05)
-        raise RuntimeError("the S2 daemon did not become ready in time")
+        with selectors.DefaultSelector() as selector:
+            selector.register(process.stdout, selectors.EVENT_READ)
+            while not line.endswith(b"\n"):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise RuntimeError("the S2 daemon did not become ready in time")
+                if selector.select(remaining):
+                    chunk = os.read(process.stdout.fileno(), 4096)
+                    if not chunk:
+                        raise RuntimeError("the S2 daemon exited before becoming ready")
+                    line += chunk
     except BaseException:
         process.terminate()
         raise
     finally:
-        with contextlib.suppress(OSError):
-            os.unlink(ready_file)
+        # The announce is the daemon's only stdout line.
+        process.stdout.close()
+    announce = line.decode("utf-8")
+    if not quiet:
+        print(announce, end="", flush=True)
+    return process, announce.split(_ANNOUNCE, 1)[1].strip()
+
+
+#: What the daemon prints, followed by its bound address, once listening.
+_ANNOUNCE = "repro-s2: listening on "
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -704,7 +705,7 @@ def main(argv: list[str] | None = None) -> None:
         args.listen, state_dir=args.state_dir, metrics_port=args.metrics_port
     )
     address = service.start()
-    print(f"repro-s2: listening on {address}", flush=True)
+    print(f"{_ANNOUNCE}{address}", flush=True)
     if args.ready_file:
         # Renamed into place whole: a poller never reads an empty file.
         atomic_write(args.ready_file, address.encode("utf-8"))

@@ -455,7 +455,10 @@ class TopKServer:
 
     def _run_watch(self, job: WatchJob) -> WatchSummary:
         """Runner of one watch job: evaluate on every version change,
-        sleep on the wake event between changes."""
+        sleep on the wake event between changes.  A stop drains: the
+        runner evaluates once more when the version moved since its last
+        evaluation (so a mutation made before :meth:`WatchJob.stop` is
+        always evaluated), then exits."""
         evaluations = 0
         changes = 0
         last_set: frozenset | None = None
@@ -463,8 +466,11 @@ class TopKServer:
         last_version: int | None = None
         seen_version: int | None = None
         sequence = 0
-        while not job._stopped:
+        while True:
             job._control.check()
+            # Read before the version: a mutation that precedes stop()
+            # is then visible to this pass.
+            stopping = job._stopped
             relation = self.relation  # snapshot: mutations swap atomically
             version = relation.version
             if seen_version is None or version != seen_version:
@@ -485,7 +491,11 @@ class TopKServer:
                         job._record_event(
                             TopKChanged(version=version, top_k=pairs)
                         )
+                if stopping:
+                    break
                 continue  # re-check stop/cancel/version before sleeping
+            if stopping:
+                break
             job._wake.wait(timeout=job._control.remaining)
             job._wake.clear()
         return WatchSummary(

@@ -207,6 +207,32 @@ def minus_pairs(
     return out
 
 
+def _minus_program() -> backend.Program:
+    """The ⊖ of a batch of pairs: per pair ``r · Π (mine_i · theirs_i^-1)
+    ^ s_i mod N^2`` over its cells, ``r`` the pair's ``Enc(0)`` pool
+    draw.  Inputs: ``N^2``, the pool and one read per pair, the left
+    structures' cells and each pair cell's index into them, the right
+    structures' inverses and each pair cell's index into them, one
+    scalar per pair cell and the pairs' cell counts."""
+    program = backend.Program()
+    n2 = program.input(backend.MOD)
+    pool, reads = program.input(backend.POOL), program.input(backend.BYTES)
+    cells, lefts = program.input(backend.LIMBS), program.input(backend.INTS)
+    inverses, rights = program.input(backend.LIMBS), program.input(backend.INTS)
+    scalars, counts = program.input(backend.EXPS), program.input(backend.INTS)
+    quotients = program.op(
+        "mul", n2,
+        program.op("gather", n2, cells, lefts),
+        program.op("gather", n2, inverses, rights),
+    )
+    randomizers = program.op("pool", n2, pool, reads)
+    program.output(program.op("powprod", n2, randomizers, quotients, scalars, counts))
+    return program
+
+
+MINUS = _minus_program()
+
+
 def _minus_computed(
     pairs: list[tuple[EncryptedHashList, EncryptedHashList]], rng: SecureRandom
 ) -> list[Ciphertext]:
@@ -214,54 +240,53 @@ def _minus_computed(
 
     Each right-hand cell is inverted once however many pairs it appears
     in (one :func:`~repro.crypto.backend.invert_vec`: Montgomery's trick
-    over all of them), and one :func:`~repro.crypto.backend.ehl_minus`
-    call draws every pair's ``Enc(0)`` randomizer and computes its
-    ``Enc(0) · Π (mine / theirs)^r`` as one multi-exponentiation.  The
-    rng is read in the order a loop of single ``⊖`` calls reads it — per
-    pair the ``Enc(0)`` randomizer's pool read, then one scalar per cell
-    — so batch and loop agree ciphertext for ciphertext under a seed.
+    over all of them), and one run of :data:`MINUS` draws every pair's
+    ``Enc(0)`` randomizer and computes its ``Enc(0) · Π (mine /
+    theirs)^r`` as one multi-exponentiation; each structure's cells are
+    packed once, however many pairs it is in.  The rng is read in the
+    order a loop of single ``⊖`` calls reads it — per pair the ``Enc(0)``
+    randomizer's pool read, then one scalar per cell — so batch and loop
+    agree ciphertext for ciphertext under a seed.
     """
     if not pairs:
         return []
     pk = pairs[0][0].public_key
     n, n2 = pk.n, pk.n_squared
 
-    involved: dict[int, EncryptedHashList] = {}
-    rights: dict[int, EncryptedHashList] = {}
+    lefts: dict[int, int] = {}
+    rights: dict[int, int] = {}
+    cells: list[int] = []
+    theirs_cells: list[int] = []
     for mine, theirs in pairs:
         if len(theirs) != len(mine):
             raise KeyMismatchError(f"{mine._NAME} length mismatch")
-        involved[id(mine)] = mine
-        involved[id(theirs)] = rights[id(theirs)] = theirs
-    for structure in involved.values():
-        for cell in structure.cells:
-            if cell.public_key is not pk and cell.public_key != pk:
-                raise KeyMismatchError(
-                    "cannot combine ciphertexts under different keys"
-                )
-    inverses = backend.invert_vec(
-        [cell.value for theirs in rights.values() for cell in theirs.cells], n2
-    )
-    inverse_of: dict[int, list[int]] = {}
-    start = 0
-    for key, theirs in rights.items():
-        inverse_of[key] = inverses[start : start + len(theirs)]
-        start += len(theirs)
+    for mine, theirs in pairs:
+        for structure, starts, column in ((mine, lefts, cells), (theirs, rights, theirs_cells)):
+            if id(structure) in starts:
+                continue
+            for cell in structure.cells:
+                if cell.public_key is not pk and cell.public_key != pk:
+                    raise KeyMismatchError(
+                        "cannot combine ciphertexts under different keys"
+                    )
+            starts[id(structure)] = len(column)
+            column.extend(cell.value for cell in structure.cells)
+    inverses = backend.invert_vec(theirs_cells, n2)
 
     pool = pk.randomizer_pool()
-    reads, numerators, inverses, scalars = [], [], [], []
+    reads, left_index, right_index, scalars = [], [], [], []
     for mine, theirs in pairs:
         reads.append(rng.randbytes(pool.read_bytes))  # Enc(0; r) is the randomizer
-        numerators.extend(cell.value for cell in mine.cells)
-        inverses.extend(inverse_of[id(theirs)])
+        start = lefts[id(mine)]
+        left_index.extend(range(start, start + len(mine)))
+        start = rights[id(theirs)]
+        right_index.extend(range(start, start + len(theirs)))
         scalars.extend(rng.rand_nonzero_batch(n, len(mine)))
-    counts = [len(mine) for mine, _ in pairs]
-    return [
-        Ciphertext(value, pk)
-        for value in backend.ehl_minus(
-            pool, b"".join(reads), numerators, inverses, scalars, counts
-        )
-    ]
+    (values,) = backend.run(MINUS, [
+        n2, pool, b"".join(reads), cells, left_index, inverses, right_index, scalars,
+        [len(mine) for mine, _ in pairs],
+    ])
+    return [Ciphertext(value, pk) for value in values]
 
 
 class Ehl(EncryptedHashList):
@@ -296,10 +321,15 @@ class EhlFactory:
         self._bloom = BloomFilter(table_size, self.prfs)
         self.rng = rng or SecureRandom()
 
+    structure = Ehl
+
+    def vector(self, object_id) -> list[int]:
+        """The plaintext bit list ``EHL(o)`` encrypts."""
+        return self._bloom.bit_vector(object_id)
+
     def encode(self, object_id) -> Ehl:
         """Return ``EHL(o)`` for the given object identifier."""
-        bits = self._bloom.bit_vector(object_id)
-        return Ehl([self.public_key.encrypt(b, self.rng) for b in bits])
+        return Ehl(self.public_key.encrypt_batch(self.vector(object_id), self.rng))
 
     def positions(self, object_id) -> list[int]:
         """The plaintext hash positions (exposed for tests/analysis only)."""

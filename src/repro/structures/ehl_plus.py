@@ -72,11 +72,12 @@ class EhlPlusFactory:
         n = self.public_key.n
         return [prf.to_range(message, n) for prf in self.prfs]
 
+    structure = EhlPlus
+    vector = hash_vector
+
     def encode(self, object_id) -> EhlPlus:
         """Return ``EHL+(o)``."""
-        return EhlPlus(
-            [self.public_key.encrypt(h, self.rng) for h in self.hash_vector(object_id)]
-        )
+        return EhlPlus(self.public_key.encrypt_batch(self.hash_vector(object_id), self.rng))
 
     def structure_bytes(self) -> int:
         """Size of one EHL+ in bytes (for the Fig. 7/8 size series)."""

@@ -275,7 +275,7 @@ class ItemBatch:
       item in the blinding order (EHL cells, worst, best, ``list_scores``,
       Paillier seen bits, record), in the limb format at
       ``words_for(N^2)`` words each: what
-      :func:`~repro.crypto.backend.blind_round` reads and writes;
+      :data:`~repro.protocols.blinding.BLIND_ROUND` reads and writes;
     * :attr:`layered` — the ``E2`` seen bits of the items that carry
       them (items recorded before the eager engine left the layered
       scheme), as the side vector they are.

@@ -120,41 +120,18 @@ class PoolDraws:
 @pytest.fixture()
 def pool_draws(monkeypatch) -> PoolDraws:
     """A :class:`PoolDraws` fed by every pool draw for the duration of
-    the test: each ``backend.pool_products`` call, and the reads the
-    fused ``backend.blind_round``, ``backend.ehl_minus``,
-    ``backend.masked_unseen`` and ``backend.select_absorb`` draw inside
-    their own call."""
+    the test: the reads of each ``pool`` op of every program the active
+    backend runs (a ``pool_products`` call is a one-op program)."""
     draws = PoolDraws()
-    real = backend.pool_products
-    real_blind = backend.blind_round
-    real_minus = backend.ehl_minus
-    real_masked = backend.masked_unseen
-    real_absorb = backend.select_absorb
+    active = backend.get_backend()
+    real = active.run
 
-    def spy(pool, reads, factors=None):
-        draws.record(pool, reads)
-        return real(pool, reads, factors)
+    def spy(program, registers):
+        values = dict(zip(program.inputs, registers))
+        for name, _, _, operands in program.ops:
+            if name == "pool":
+                draws.record(values[operands[0]], values[operands[1]])
+        return real(program, registers)
 
-    def blind_spy(values, counts, seeds, streams, width, n, sign, pool=None, reads=b""):
-        if pool is not None:
-            draws.record(pool, reads)
-        return real_blind(values, counts, seeds, streams, width, n, sign, pool, reads)
-
-    def minus_spy(pool, reads, numerators, inverses, exps, counts):
-        draws.record(pool, reads)
-        return real_minus(pool, reads, numerators, inverses, exps, counts)
-
-    def masked_spy(n, seen, coins, pool, reads):
-        draws.record(pool, reads)
-        return real_masked(n, seen, coins, pool, reads)
-
-    def absorb_spy(n, selected, bits, exps, worsts, seen, score, pool, reads, slot):
-        draws.record(pool, reads)
-        return real_absorb(n, selected, bits, exps, worsts, seen, score, pool, reads, slot)
-
-    monkeypatch.setattr(backend, "pool_products", spy)
-    monkeypatch.setattr(backend, "blind_round", blind_spy)
-    monkeypatch.setattr(backend, "ehl_minus", minus_spy)
-    monkeypatch.setattr(backend, "masked_unseen", masked_spy)
-    monkeypatch.setattr(backend, "select_absorb", absorb_spy)
+    monkeypatch.setattr(active, "run", spy)
     return draws

@@ -29,9 +29,11 @@ from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import DecryptionError
+from repro.protocols import blinding
 from repro.protocols.base import make_parties
 from repro.protocols.blinding import ItemBlinder, seed_key_bits
 from repro.protocols.enc_compare import enc_compare_flows
+from repro.structures import ehl
 from repro.structures.ehl import Ehl, minus_pairs
 from repro.structures.items import ItemBatch, ScoredItem
 
@@ -238,14 +240,14 @@ class TestKernelParity:
 
     def test_scalar_powmod_is_one_kernel_call(self):
         """A scalar power, a shared-exponent batch and a scalar inverse
-        are one C call each on the one entry point of their operation —
-        and never go through another backend method (a tracer wrapping
-        ``powmod`` / ``powmod_vec`` / ``invert`` counts each once)."""
+        are one C call each, of the kernel's one entry point — and never
+        go through another backend method (a tracer wrapping ``powmod``
+        / ``powmod_vec`` / ``invert`` counts each once)."""
         methods = {"powmod", "powmod_vec", "powmod_pairs", "invert", "invert_vec"}
         for op, args, result, entry in (
-            ("powmod", (3, 5, 7), 5, "repro_powmod_pairs"),
-            ("powmod_vec", ([3, 4], 5, 7), [5, 2], "repro_powmod_pairs"),
-            ("invert", (3, 7), 5, "repro_invert_vec"),
+            ("powmod", (3, 5, 7), 5, "repro_run"),
+            ("powmod_vec", ([3, 4], 5, 7), [5, 2], "repro_run"),
+            ("invert", (3, 7), 5, "repro_run"),
         ):
             fast, calls = kernels.load_kernel(), []
             for other in methods - {op}:
@@ -417,7 +419,7 @@ class TestBatchPrimitiveParity:
         expected = [3 * 5 * 7 * 11 % 1009]
         if name == "gmp-kernel":
             _spy_on_lib(fast, calls)
-            expected = ["repro_invert_vec"]
+            expected = ["repro_run"]
         fast.invert_vec([3, 5, 7, 11], 1009)
         assert calls == expected
 
@@ -557,7 +559,7 @@ class TestBatchPrimitiveParity:
         expected = [crt.p_squared, crt.q_squared, crt.p_squared]
         if name == "gmp-kernel":
             _spy_on_lib(fast, calls)
-            expected = ["repro_paillier_decrypt"] * 2
+            expected = ["repro_run"] * 2
         assert fast.paillier_decrypt(crt, cts) == [m % crt.n for m in plain]
         fast.paillier_decrypt(crt, cts, below_p=True)
         assert calls == expected
@@ -566,11 +568,11 @@ class TestBatchPrimitiveParity:
     @pytest.mark.parametrize("sign", [1, -1], ids=["blind", "unblind"])
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
     def test_blind_round_matches_reference(self, name, odd, sign, with_pool):
-        """Ragged items (3, 0, 1 and 6 components under 1, 2, 0 and 3
-        seeds) with edge values, read from and written to one limb
-        buffer: each component times ``1 ± b·N`` for its summed, reduced
-        reads, times its pool draw.  An even ``N`` takes the kernel's
-        plain-pool path."""
+        """The blinding round's program over ragged items (3, 0, 1 and 6
+        components under 1, 2, 0 and 3 seeds) with edge values, read
+        from and written to one limb buffer: each component times
+        ``1 ± b·N`` for its summed, reduced reads, times its pool draw.
+        An even ``N`` takes the kernel's plain-pool path."""
         fast = backend._resolve(name)
         rng = SecureRandom(35 + odd)
         n = rng.randbits(192) | (1 << 191)
@@ -593,52 +595,67 @@ class TestBatchPrimitiveParity:
             for value, b in zip(values[start : start + count], blinds):
                 expected.append(value * (1 + sign * b % n * n) % n2)
             start += count
+        registers = [
+            n2, n, backend.pack_ints(values, words), [3, 1, 0, 2, 1, 0, 6, 3], streams,
+            [width, int(sign < 0)],
+        ]
+        program = blinding.UNBLIND_ROUND
         if with_pool:
             draws = backend._resolve("pure").pool_products(pool, reads)
             expected = [v * r % n2 for v, r in zip(expected, draws)]
-        args = (backend.pack_ints(values, words), counts, seeds, streams, width, n, sign)
-        out = fast.blind_round(*args, pool if with_pool else None, reads)
+            program, registers = blinding.BLIND_ROUND, registers + [pool, reads]
+        (out,) = fast.run(program, registers)
         assert bytes(out) == backend.pack_ints(expected, words)
 
     def test_blind_round_refusals(self, name):
         """An empty round is empty; a ragged layout, limb buffer, stream
-        or read buffer, or a value outside ``[0, N^2)`` anywhere in the
-        round, refuses the whole call with ``ValueError``."""
+        or read buffer, a bad read width or sign flag, an ``N`` whose
+        square is not the modulus, a pool under another key, or a value
+        outside ``[0, N^2)`` anywhere in the round refuses the whole
+        program with ``ValueError``."""
         fast = backend._resolve(name)
         rng = SecureRandom(37)
         n = rng.randbits(128) | (1 << 127) | 1
         n2, width = n * n, 20
         words = backend.words_for(n2)
         pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
-        assert fast.blind_round(b"", [], [], b"", width, n, 1) == b""
-        assert fast.blind_round(b"", [0], [2], b"", width, n, -1, pool, b"") == b""
-        values, counts, seeds = backend.pack_ints([5, 6, 7], words), [2, 1], [1, 2]
-        streams = rng.randbytes(width * 4)
-        reads = rng.randbytes(pool.read_bytes * 3)
-        good = (values, counts, seeds, streams, width, n, 1, pool, reads)
-        assert len(fast.blind_round(*good)) == len(values)
-        for bad in (
-            (values, [2, 2], seeds, streams, width, n, 1, pool, reads),  # counts
-            (values, counts, [1], streams, width, n, 1, pool, reads),  # seed list
-            (values, [3, 0], [1, -1], streams, width, n, 1, pool, reads),  # negative
-            (values[:-1], counts, seeds, streams, width, n, 1, pool, reads),  # buffer
-            (values, counts, seeds, streams[:-1], width, n, 1, pool, reads),  # stream
-            (values, counts, seeds, streams, width, n, 1, pool, reads[:-1]),  # reads
-            (values, counts, seeds, streams, width, n, 1, None, reads),  # no pool
-            (values, counts, seeds, streams, width, n, 0, pool, reads),  # sign
-            (values, counts, seeds, streams, width, n + 2, 1, pool, reads),  # pool key
+        other = backend.RandomizerPool(list(pool), n2 + 2, 6)
+        good = {
+            "values": backend.pack_ints([5, 6, 7], words), "layout": [2, 1, 1, 2],
+            "streams": rng.randbytes(width * 4), "params": [width, 0], "n": n,
+            "pool": pool, "reads": rng.randbytes(pool.read_bytes * 3),
+        }
+
+        def blind(**changes):
+            args = dict(good, **changes)
+            registers = [n2, args["n"], args["values"], args["layout"], args["streams"],
+                         args["params"], args["pool"], args["reads"]]
+            return bytes(fast.run(blinding.BLIND_ROUND, registers)[0])
+
+        assert blind(values=b"", layout=[], streams=b"", reads=b"") == b""
+        assert blind(values=b"", layout=[0, 2], streams=b"", reads=b"") == b""
+        assert len(blind()) == len(good["values"])
+        assert fast.run(blinding.UNBLIND_ROUND, [n2, n, b"", [], b"", [width, 1]]) == [b""]
+        for changes in (
+            {"layout": [2, 1, 2, 2]},  # counts overrun the values
+            {"layout": [2, 1, 1]},  # a count without its seeds
+            {"layout": [3, 0, 0, -1]},  # negative
+            {"values": good["values"][:-1]},  # not whole values
+            {"streams": good["streams"][:-1]},
+            {"reads": good["reads"][:-1]},
+            {"params": [width, 2]},  # not a sign flag
+            {"params": [0, 0]},  # no read width
+            {"n": n + 2},  # N^2 is not the modulus
+            {"pool": other},  # a pool under another key
         ):
             with pytest.raises(ValueError):
-                fast.blind_round(*bad)
+                blind(**changes)
         for oversized in (n2, n2 + 1, (1 << 64 * words) - 1):
             for position in range(3):
                 column = [5, 6]
                 column.insert(position, oversized)
                 with pytest.raises(ValueError) as excinfo:
-                    fast.blind_round(
-                        backend.pack_ints(column, words), counts, seeds, streams,
-                        width, n, 1, pool, reads,
-                    )
+                    blind(values=backend.pack_ints(column, words))
                 assert str(excinfo.value) == backend.OUTSIDE_MOD
 
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
@@ -669,10 +686,10 @@ class TestBatchPrimitiveParity:
 
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
     def test_masked_unseen_matches_reference(self, name, odd):
-        """A best-bound select's tests: ``Enc(seen)`` for coin 1,
-        ``Enc(1 − seen)`` for coin 0 (the inverse times ``1 + N``), each
-        rerandomized by its pool draw — the formulas the request was
-        written in before it was one call."""
+        """A best-bound select's tests (the engine's ``MASKED_UNSEEN``):
+        ``Enc(seen)`` for coin 1, ``Enc(1 − seen)`` for coin 0 (the
+        inverse times ``1 + N``), each rerandomized by its pool draw —
+        the formulas the request was written in before it was one call."""
         fast = backend._resolve(name)
         rng = SecureRandom(40 + odd)
         n = rng.randbits(160) | (1 << 159)
@@ -687,44 +704,46 @@ class TestBatchPrimitiveParity:
             (s if c else pow(s, -1, n2) * (1 + n) % n2) * r % n2
             for s, c, r in zip(seen, coins, draws)
         ]
-        assert fast.masked_unseen(n, seen, coins, pool, reads) == expected
-        assert fast.masked_unseen(n, [], [], pool, b"") == []
+        run = functools.partial(fast.run, engine.MASKED_UNSEEN)
+        assert run([n2, seen, bytes(coins), [1 + n], pool, reads]) == [expected]
+        assert run([n2, [], b"", [1 + n], pool, b""]) == [[]]
 
     def test_masked_unseen_refusals(self, name):
         """Ragged coins or reads, a coin that is not a bit, a pool under
-        another modulus, a seen bit outside ``[0, N^2)`` or a coin-0 seen
-        bit without an inverse refuse the whole call with ``ValueError``."""
+        another modulus, a seen bit outside ``[0, N^2)`` or one without an
+        inverse refuse the whole program with ``ValueError``."""
         fast = backend._resolve(name)
         rng = SecureRandom(42)
         n = rng.randbits(128) | (1 << 127) | 1
         n2 = n * n
         pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
         other = backend.RandomizerPool(list(pool), n2 + 2, 6)
-        seen, coins = [rng.rand_unit(n2) for _ in range(3)], [0, 1, 0]
+        seen, coins = [rng.rand_unit(n2) for _ in range(3)], bytes([0, 1, 0])
         reads = rng.randbytes(pool.read_bytes * 3)
+        run = functools.partial(fast.run, engine.MASKED_UNSEEN)
         for bad in (
-            (n, seen, coins[:-1], pool, reads),
-            (n, seen, [0, 2, 0], pool, reads),
-            (n, seen, coins, pool, reads[:-1]),
-            (n, seen, coins, other, reads),
-            (n, seen, coins, None, reads),
+            [n2, seen, coins[:-1], [1 + n], pool, reads],
+            [n2, seen, bytes([0, 2, 0]), [1 + n], pool, reads],
+            [n2, seen, coins, [1 + n], pool, reads[:-1]],
+            [n2, seen, coins, [1 + n], other, reads],
         ):
             with pytest.raises(ValueError):
-                fast.masked_unseen(*bad)
+                run(bad)
         for oversized in (n2, -1, 1 << 64 * backend.words_for(n2)):
             with pytest.raises(ValueError) as excinfo:
-                fast.masked_unseen(n, [seen[0], oversized, seen[2]], [1, 1, 1], pool, reads)
+                run([n2, [seen[0], oversized, seen[2]], bytes([1, 1, 1]), [1 + n], pool, reads])
             assert str(excinfo.value) == backend.OUTSIDE_MOD
         with pytest.raises(ValueError) as excinfo:
-            fast.masked_unseen(n, [seen[0], n, seen[2]], [1, 0, 1], pool, reads)
+            run([n2, [seen[0], n, seen[2]], bytes([1, 0, 1]), [1 + n], pool, reads])
         assert str(excinfo.value) == backend.NOT_INVERTIBLE
 
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
     def test_ehl_minus_matches_reference(self, name, odd):
-        """Ragged pairs (1, 5, 0, 23 and 3 cells), edge numerators,
-        inverses and exponents: each group's pool draw times one power
-        per cell quotient.  An even modulus takes the kernel's mpz
-        path."""
+        """The ⊖ program (``ehl.MINUS``) over ragged pairs (1, 5, 0, 23
+        and 3 cells), edge numerators, inverses and exponents, the cells
+        gathered through reversed indices: each group's pool draw times
+        one power per cell quotient.  An even modulus takes the kernel's
+        mpz path."""
         fast = backend._resolve(name)
         rng = SecureRandom(38 + odd)
         mod = rng.randbits(512) | (1 << 511)
@@ -743,40 +762,44 @@ class TestBatchPrimitiveParity:
                 acc = acc * pow(nums[cell] * invs[cell] % mod, exps[cell], mod) % mod
                 cell += 1
             expected.append(acc)
-        assert fast.ehl_minus(pool, reads, nums, invs, exps, counts) == expected
+        backwards = list(range(cells - 1, -1, -1))
+        assert fast.run(ehl.MINUS, [
+            mod, pool, reads, nums[::-1], backwards, invs, list(range(cells)), exps, counts,
+        ]) == [expected]
 
     def test_ehl_minus_refusals(self, name):
-        """An empty batch is empty; ragged reads or cells, a negative
-        exponent, or a numerator or inverse outside ``[0, mod)`` refuses
-        the whole call with ``ValueError``."""
+        """An empty batch is empty; ragged reads or cells, an index past
+        its cells, a negative exponent, or a numerator or inverse outside
+        ``[0, mod)`` refuses the whole program with ``ValueError``."""
         fast = backend._resolve(name)
         rng = SecureRandom(40)
         mod = rng.randbits(256) | (1 << 255) | 1
         pool = backend.RandomizerPool([rng.rand_unit(mod) for _ in range(64)], mod, 6)
-        assert fast.ehl_minus(pool, b"", [], [], [], []) == []
+        run = functools.partial(fast.run, ehl.MINUS)
+        assert run([mod, pool, b"", [], [], [], [], [], []]) == [[]]
         reads = rng.randbytes(pool.read_bytes * 2)
-        nums, invs, exps, counts = [2, 3, 4], [5, 6, 7], [1, 2, 3], [2, 1]
-        assert len(fast.ehl_minus(pool, reads, nums, invs, exps, counts)) == 2
+        nums, invs, exps, counts, cells = [2, 3, 4], [5, 6, 7], [1, 2, 3], [2, 1], [0, 1, 2]
+        assert len(run([mod, pool, reads, nums, cells, invs, cells, exps, counts])[0]) == 2
         for bad in (
-            (reads[:-1], nums, invs, exps, counts),  # reads
-            (reads, nums, invs, exps, [2, 2]),  # counts overrun the cells
-            (reads, nums, invs, exps, [3]),  # a group without a read
-            (reads, nums[:2], invs, exps, counts),  # numerators
-            (reads, nums, invs[:2], exps, counts),  # inverses
-            (reads, nums, invs, exps[:2], counts),  # exponents
-            (reads, nums, invs, exps, [4, -1]),  # a negative count
-            (reads, nums, invs, [1, -2, 3], counts),  # a negative exponent
+            (reads[:-1], nums, cells, invs, cells, exps, counts),  # reads
+            (reads, nums, cells, invs, cells, exps, [2, 2]),  # counts overrun the cells
+            (reads, nums, cells, invs, cells, exps, [3]),  # a group without a read
+            (reads, nums[:2], cells, invs, cells, exps, counts),  # numerators
+            (reads, nums, cells, invs[:2], cells, exps, counts),  # inverses
+            (reads, nums, cells, invs, cells[:2], exps, counts),  # inverse indices
+            (reads, nums, cells, invs, cells, exps[:2], counts),  # exponents
+            (reads, nums, cells, invs, cells, exps, [4, -1]),  # a negative count
+            (reads, nums, cells, invs, cells, [1, -2, 3], counts),  # a negative exponent
         ):
             with pytest.raises(ValueError):
-                fast.ehl_minus(pool, *bad)
+                run([mod, pool, *bad])
         for oversized in (mod, mod + 1, -1, 1 << (mod.bit_length() + 64)):
             for position in range(3):
-                for side in ("nums", "invs"):
-                    column = [2, 3, 4]
-                    column[position] = oversized
-                    args = (column, invs) if side == "nums" else (nums, column)
+                column = [2, 3, 4]
+                column[position] = oversized
+                for args in ((column, cells, invs), (nums, cells, column)):
                     with pytest.raises(ValueError) as excinfo:
-                        fast.ehl_minus(pool, reads, *args, exps, counts)
+                        run([mod, pool, reads, *args, cells, exps, counts])
                     assert str(excinfo.value) == backend.OUTSIDE_MOD
 
     @staticmethod
@@ -798,11 +821,11 @@ class TestBatchPrimitiveParity:
 
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
     def test_select_bounds_matches_reference(self, name, odd):
-        """Bounds over ragged targets (2, 0, 1, 3 and 4 slots) with no,
-        every and some slots flipped, edge accs and exponents, against
-        per-slot built-ins; one slot per target over ``acc = 1`` is the
-        bare ``Enc(t·x)``.  An even ``N`` takes the kernel's ``mpz``
-        path."""
+        """The best-bound program (the engine's ``BOUNDS``) over ragged
+        targets (2, 0, 1, 3 and 4 slots) with no, every and some slots
+        flipped, edge accs and exponents, against per-slot built-ins; one
+        slot per target over ``acc = 1`` is the bare ``Enc(t·x)``.  An
+        even ``N`` takes the kernel's ``mpz`` path."""
         fast = backend._resolve(name)
         rng = SecureRandom(43 + odd)
         n = rng.randbits(256) | (1 << 255)
@@ -812,6 +835,7 @@ class TestBatchPrimitiveParity:
         values = [rng.rand_unit(n2) for _ in range(slots)]
         counts = [2, 0, 1, 3, 4]
         accs = [0, 1, n2 - 1] + [rng.randint_below(n2) for _ in range(2)]
+        run = functools.partial(fast.run, engine.BOUNDS)
         for flips in ([0] * slots, [1] * slots, [j % 3 // 2 for j in range(slots)]):
             expected, start = [], 0
             for acc, count in zip(accs, counts):
@@ -819,21 +843,21 @@ class TestBatchPrimitiveParity:
                     acc = acc * self._term(n2, sel, bits, exps, j, flips[j], values[j]) % n2
                 expected.append(acc)
                 start += count
-            flipped = [v for v, f in zip(values, flips) if f]
-            got = fast.select_bounds(n, sel, bits, exps, accs, counts, flips, flipped)
-            assert got == expected, flips
+            got = run([n2, sel, bits, exps, accs, counts, bytes(flips), values,
+                       list(range(slots))])
+            assert got == [expected], flips
         ones = [1] * slots
-        assert fast.select_bounds(n, sel, bits, exps, ones, ones, [0] * slots, []) == [
-            self._term(n2, sel, bits, exps, j, 0) for j in range(slots)
+        assert run([n2, sel, bits, exps, ones, ones, bytes(slots), [1], [0] * slots]) == [
+            [self._term(n2, sel, bits, exps, j, 0) for j in range(slots)]
         ]
 
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
     def test_select_absorb_matches_reference(self, name, odd):
-        """The absorb with its new seen bit at every position, edge
-        exponents, and with no slot, against per-slot built-ins: the
-        credits, the seen bits, the new entry's worst and match count
-        and its seen bits over the pool draws.  An even ``N`` takes the
-        kernel's ``mpz`` path."""
+        """The absorb program (the engine's ``ABSORB``) with its new seen
+        bit at every position, edge exponents, and with no slot, against
+        per-slot built-ins: the credits, the seen bits, the new entry's
+        worst and match count and its seen bits over the pool draws.  An
+        even ``N`` takes the kernel's ``mpz`` path."""
         fast = backend._resolve(name)
         rng = SecureRandom(46 + odd)
         n = rng.randbits(256) | (1 << 255)
@@ -842,7 +866,7 @@ class TestBatchPrimitiveParity:
         sel, bits, exps = self._reply(rng, n2, slots)
         pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
         reads = rng.randbytes(pool.read_bytes * 3)
-        draws = backend.PurePythonBackend.pool_products(pool, reads)
+        draws = backend._resolve("pure").pool_products(pool, reads)
         worsts = [0, n2 - 1] + [rng.randint_below(n2) for _ in range(slots - 2)]
         seen = [rng.rand_unit(n2) for _ in range(slots)]
         score = rng.randint_below(n2)
@@ -851,91 +875,102 @@ class TestBatchPrimitiveParity:
         for j in range(slots):
             entry = entry * pow(terms[j], -1, n2) % n2
             matched = matched * bits[j] % n2
+        lift = (1 + n) * pow(matched, -1, n2) % n2
+        run = functools.partial(fast.run, engine.ABSORB)
         for slot in range(3):
             fresh = list(draws)
-            fresh[slot] = fresh[slot] * (1 + n) * pow(matched, -1, n2) % n2
-            expected = (
-                [w * t % n2 for w, t in zip(worsts, terms)]
-                + [v * b % n2 for v, b in zip(seen, bits)]
-                + [entry, matched]
-                + fresh
-            )
-            got = fast.select_absorb(n, sel, bits, exps, worsts, seen, score, pool, reads, slot)
-            assert got == expected, slot
+            fresh[slot] = fresh[slot] * lift % n2
+            got = run([n2, sel, bits, exps, worsts, seen, [score], [1], [1 + n], [slots],
+                       [slots + 1], pool, reads, bytes(j == slot for j in range(3))])
+            assert got == [
+                [w * t % n2 for w, t in zip(worsts, terms)] + [entry, lift],
+                [v * b % n2 for v, b in zip(seen, bits)],
+                [matched],
+                fresh,
+            ], slot
         # No slot: the tested item's entry alone, its seen bits the
         # one-hot encryption encrypt_batch makes of the same reads.
-        assert fast.select_absorb(n, [], [], [], [], [], score, pool, reads, 1) == [
-            score, 1
-        ] + [(1 + (j == 1) * n) * r % n2 for j, r in enumerate(draws)]
+        credited, seen_bits, counted, fresh = run(
+            [n2, [], [], [], [], [], [score], [1], [1 + n], [0], [1], pool, reads,
+             bytes([0, 1, 0])]
+        )
+        assert (credited[0], seen_bits, counted) == (score, [], [1])
+        assert fresh == [(1 + (j == 1) * n) * r % n2 for j, r in enumerate(draws)]
 
     @staticmethod
-    def _refused(fast, pure, op: str, *args) -> str:
-        """``op`` refuses ``args`` on ``fast`` with the pure backend's
-        ``ValueError`` text; returns the text."""
+    def _refused(fast, pure, program, registers) -> str:
+        """``program`` refuses ``registers`` on ``fast`` with the pure
+        backend's ``ValueError`` text; returns the text."""
         with pytest.raises(ValueError) as got:
-            getattr(fast, op)(*args)
+            fast.run(program, registers)
         with pytest.raises(ValueError) as want:
-            getattr(pure, op)(*args)
+            pure.run(program, registers)
         assert str(got.value) == str(want.value)
         return str(got.value)
 
     def test_select_bounds_refusals(self, name):
         """An empty batch is empty; a ragged layout, a negative exponent
-        or count, a residue outside ``[0, N^2)`` in any column or an
-        element without an inverse refuses the whole call with the pure
-        backend's ``ValueError`` text."""
+        or count, an index past the bottoms, a residue outside ``[0,
+        N^2)`` in any column or an element without an inverse refuses
+        the whole program with the pure backend's ``ValueError`` text."""
         fast, pure = backend._resolve(name), backend.PurePythonBackend()
         rng = SecureRandom(45)
         n = rng.randbits(128) | (1 << 127) | 1
         n2 = n * n
         sel, bits, exps = self._reply(rng, n2, 3)
-        accs, counts, flips, values = [5, 6], [2, 1], [0, 1, 1], [7, 8]
-        assert fast.select_bounds(n, [], [], [], [], [], [], []) == []
-        assert fast.select_bounds(n, [], [], [], [5], [0], [], []) == [5]
-        assert len(fast.select_bounds(n, sel, bits, exps, accs, counts, flips, values)) == 2
+        good = {"sel": sel, "bits": bits, "exps": exps, "accs": [5, 6], "counts": [2, 1],
+                "flips": bytes([0, 1, 1]), "bottoms": [7, 8], "slots": [0, 0, 1]}
+        fields = list(good)
 
-        def refused(*args) -> str:
-            return self._refused(fast, pure, "select_bounds", *args)
+        def registers(**changes):
+            return [n2] + list(dict(good, **changes).values())
 
-        for bad in (
-            (1, sel, bits, exps, accs, counts, flips, values),  # N
-            (n, sel, bits[:2], exps, accs, counts, flips, values),  # bits
-            (n, sel, bits, exps[:2], accs, counts, flips, values),  # exponents
-            (n, sel, bits, [1, -2, 3], accs, counts, flips, values),  # negative
-            (n, sel, bits, exps, accs, [2, 2], flips, values),  # counts overrun
-            (n, sel, bits, exps, accs, [3], flips, values),  # a target without a count
-            (n, sel, bits, exps, accs, [4, -1], flips, values),  # negative count
-            (n, sel, bits, exps, accs, counts, flips[:2], values),  # flips
-            (n, sel, bits, exps, accs, counts, [0, 2, 0], values),  # not a flip
-            (n, sel, bits, exps, accs, counts, flips, values[:1]),  # values
-            (n, sel, bits, exps, accs, counts, flips, values + [9]),  # a value unflipped
+        run = functools.partial(fast.run, engine.BOUNDS)
+        empty = dict.fromkeys(fields, [])
+        assert run(registers(**dict(empty, flips=b"", bottoms=[1]))) == [[]]
+        assert run(registers(**dict(empty, flips=b"", bottoms=[1], accs=[5], counts=[0]))) == [
+            [5]
+        ]
+        assert len(run(registers())[0]) == 2
+
+        def refused(**changes) -> str:
+            return self._refused(fast, pure, engine.BOUNDS, registers(**changes))
+
+        for changes in (
+            {"bits": bits[:2]},
+            {"exps": exps[:2]},
+            {"exps": [1, -2, 3]},  # negative
+            {"counts": [2, 2]},  # counts overrun
+            {"counts": [3]},  # a target without a count
+            {"counts": [4, -1]},  # negative count
+            {"flips": bytes([0, 1])},
+            {"flips": bytes([0, 2, 0])},  # not a flip
+            {"slots": [0, 0, 2]},  # past the bottoms
+            {"slots": [0, 1]},
         ):
-            refused(*bad)
+            refused(**changes)
         for oversized in (n2, n2 + 1, -1, 1 << (n2.bit_length() + 64)):
             for position in range(3):
                 column = [2, 3, 4]
                 column[position] = oversized
-                for bad in (
-                    (n, column, bits, exps, accs, counts, flips, values),
-                    (n, sel, column, exps, accs, counts, flips, values),
-                    (n, sel, bits, exps, column, [1, 1, 1], flips, values),
-                    (n, sel, bits, exps, accs, counts, [1, 1, 1], column),
+                for changes in (
+                    {"sel": column}, {"bits": column},
+                    {"accs": column, "counts": [1, 1, 1]}, {"bottoms": column},
                 ):
-                    assert refused(*bad) == backend.OUTSIDE_MOD
+                    assert refused(**changes) == backend.OUTSIDE_MOD
         for flip, zeroed in ((1, "sel"), (0, "bits")):
             column = {"sel": list(sel), "bits": list(bits)}
             column[zeroed][1] = 0
             assert refused(
-                n, column["sel"], column["bits"], exps, accs, counts, [0, flip, 0],
-                [7] * flip,
+                **column, flips=bytes([0, flip, 0])
             ) == backend.NOT_INVERTIBLE
 
     def test_select_absorb_refusals(self, name):
-        """A ragged layout or read buffer, a slot past the reads, a pool
-        under another key, a negative exponent, a residue outside
-        ``[0, N^2)`` in any column or an element without an inverse
-        refuses the whole call with the pure backend's ``ValueError``
-        text."""
+        """A ragged layout or read buffer, a one-hot mask of another
+        length, a pool under another key, a negative exponent, a residue
+        outside ``[0, N^2)`` in any column or an element without an
+        inverse refuses the whole program with the pure backend's
+        ``ValueError`` text."""
         fast, pure = backend._resolve(name), backend.PurePythonBackend()
         rng = SecureRandom(48)
         n = rng.randbits(128) | (1 << 127) | 1
@@ -944,33 +979,37 @@ class TestBatchPrimitiveParity:
         other = backend.RandomizerPool(list(pool), n2 + 2, 6)
         reads = rng.randbytes(pool.read_bytes * 2)
         sel, bits, exps = self._reply(rng, n2, 3)
-        worsts, seen = [5, 6, 7], [rng.rand_unit(n2) for _ in range(3)]
-        good = (n, sel, bits, exps, worsts, seen, 8, pool, reads, 1)
-        assert len(fast.select_absorb(*good)) == 10
+        good = {
+            "sel": sel, "bits": bits, "exps": exps, "worsts": [5, 6, 7],
+            "seen": [rng.rand_unit(n2) for _ in range(3)], "score": [8], "one": [1],
+            "lift": [1 + n], "whole": [3], "last": [4], "pool": pool, "reads": reads,
+            "onehot": bytes([0, 1]),
+        }
+
+        def registers(**changes):
+            return [n2] + list(dict(good, **changes).values())
+
+        assert [len(out) for out in fast.run(engine.ABSORB, registers())] == [5, 3, 1, 2]
 
         def refused(**changes) -> str:
-            names = ("n", "sel", "bits", "exps", "worsts", "seen", "score", "pool",
-                     "reads", "slot")
-            args = dict(zip(names, good), **changes)
-            return self._refused(fast, pure, "select_absorb", *args.values())
+            return self._refused(fast, pure, engine.ABSORB, registers(**changes))
 
         for changes in (
-            {"n": 1},
             {"bits": bits[:2]},
             {"exps": exps[:2]},
             {"exps": [1, -2, 3]},
-            {"worsts": worsts[:2]},
-            {"seen": seen[:2]},
+            {"worsts": [5, 6]},
+            {"seen": good["seen"][:2]},
             {"reads": reads[:-1]},
             {"reads": b""},
-            {"slot": 2},
-            {"slot": -1},
+            {"onehot": bytes([0, 1, 0])},
+            {"whole": [2]},
+            {"last": [5]},
             {"pool": other},
-            {"pool": None},
         ):
             refused(**changes)
         for oversized in (n2, n2 + 1, -1, 1 << (n2.bit_length() + 64)):
-            assert refused(score=oversized) == backend.OUTSIDE_MOD
+            assert refused(score=[oversized]) == backend.OUTSIDE_MOD
             for position in range(3):
                 column = [2, 3, 4]
                 column[position] = oversized
@@ -980,15 +1019,13 @@ class TestBatchPrimitiveParity:
         assert refused(sel=[sel[0], 0, sel[2]]) == backend.NOT_INVERTIBLE
 
     def test_fused_rounds_are_one_kernel_call(self, name):
-        """On the kernel a blinding round and a ⊖ batch are one C call
-        each, their pool draws included; elsewhere they are the
-        reference loops over the backend's own ops."""
+        """On the kernel each round's program — a blinding round, a ⊖
+        batch, a best-bound request and reply and an absorb — is one C
+        call, its pool draws included; the pure backend interprets the
+        same programs."""
         fast = backend._resolve(name)
         if name != "gmp-kernel":
-            assert type(fast).blind_round is backend.PurePythonBackend.blind_round
-            assert type(fast).ehl_minus is backend.PurePythonBackend.ehl_minus
-            assert type(fast).select_bounds is backend.PurePythonBackend.select_bounds
-            assert type(fast).select_absorb is backend.PurePythonBackend.select_absorb
+            assert type(fast).run is backend.PurePythonBackend.run
             return
         calls = []
         _spy_on_lib(fast, calls)
@@ -996,21 +1033,23 @@ class TestBatchPrimitiveParity:
         n = rng.randbits(128) | (1 << 127) | 1
         n2 = n * n
         pool = backend.RandomizerPool([rng.rand_unit(n2) for _ in range(64)], n2, 6)
-        fast.blind_round(
-            backend.pack_ints([3, 4], backend.words_for(n2)), [2], [2],
-            rng.randbytes(80), 20, n, 1, pool, rng.randbytes(pool.read_bytes * 2),
-        )
-        fast.ehl_minus(pool, rng.randbytes(pool.read_bytes), [3, 4], [5, 6], [7, 8], [2])
         sel, bits = [rng.rand_unit(n2) for _ in range(2)], [rng.rand_unit(n2) for _ in range(2)]
-        fast.select_bounds(n, sel, bits, [7, 8], [9], [2], [0, 1], [10])
-        fast.select_absorb(
-            n, sel, bits, [7, 8], [9, 10], [12, 13], 11, pool,
-            rng.randbytes(pool.read_bytes * 2), 0,
-        )
-        assert calls == [
-            "repro_blind_round", "repro_ehl_minus", "repro_select_bounds",
-            "repro_select_absorb",
-        ]
+        reads2 = rng.randbytes(pool.read_bytes * 2)
+        fast.run(blinding.BLIND_ROUND, [
+            n2, n, backend.pack_ints([3, 4], backend.words_for(n2)), [2, 2],
+            rng.randbytes(80), [20, 0], pool, reads2,
+        ])
+        fast.run(ehl.MINUS, [
+            n2, pool, rng.randbytes(pool.read_bytes), [3, 4], [0, 1], [5, 6], [0, 1],
+            [7, 8], [2],
+        ])
+        fast.run(engine.MASKED_UNSEEN, [n2, sel, bytes([0, 1]), [1 + n], pool, reads2])
+        fast.run(engine.BOUNDS, [n2, sel, bits, [7, 8], [9], [2], bytes([0, 1]), [10], [0, 0]])
+        fast.run(engine.ABSORB, [
+            n2, sel, bits, [7, 8], [9, 10], [12, 13], [11], [1], [1 + n], [2], [3], pool,
+            reads2, bytes([1, 0]),
+        ])
+        assert calls == ["repro_run"] * 5
 
     def test_request_side_draws_are_one_kernel_call(self, name):
         """A batch encryption, a batch rerandomization and a best-bound
@@ -1022,65 +1061,282 @@ class TestBatchPrimitiveParity:
         pool = pk.randomizer_pool()
         with _on_backend(name) as fast:
             if name != "gmp-kernel":
-                assert type(fast).masked_unseen is backend.PurePythonBackend.masked_unseen
+                assert type(fast).run is backend.PurePythonBackend.run
                 return
             calls = []
             _spy_on_lib(fast, calls)
             cts = pk.encrypt_batch([3, 4, 5], rng)
             pk.rerandomize_batch(cts, rng)
-            fast.masked_unseen(
-                n, [ct.value for ct in cts], [0, 1, 0], pool,
+            backend.run(engine.MASKED_UNSEEN, [
+                n2, [ct.value for ct in cts], bytes([0, 1, 0]), [1 + n], pool,
                 rng.randbytes(pool.read_bytes * 3),
-            )
-        assert n2 and calls == [
-            "repro_pool_products", "repro_pool_products", "repro_masked_unseen",
-        ]
+            ])
+        assert calls == ["repro_run"] * 3
 
     def test_each_select_reply_is_one_call(self, name, monkeypatch):
         """Every ``BlindedSelect`` reply of an eager query is applied by the
-        very next backend call — ``select_absorb`` for an absorb,
-        ``select_bounds`` for the best bounds — and that call is one
-        ``repro_select_*`` C call on the kernel: no ``repro_powmod_pairs``,
-        no ``repro_invert_vec``, nothing else between reply and result."""
+        very next backend call — a run of ``ABSORB`` for an absorb, of
+        ``BOUNDS`` for the best bounds — and that run is one
+        ``repro_run`` C call on the kernel: nothing else between reply and
+        result."""
         calls = []
         real_flow = engine.blinded_select_reply_flow
+        real_run = backend.run
 
         def flow(*args, bit_mode, **kwargs):
             reply = yield from real_flow(*args, bit_mode=bit_mode, **kwargs)
             calls.append(("reply", bit_mode))
             return reply
 
-        def entry(op):
-            real = getattr(backend, op)
-
-            def spied(*args):
-                calls.append(("enter", op))
-                out = real(*args)
-                calls.append("exit")
-                return out
-
-            monkeypatch.setattr(backend, op, spied)
+        def run(program, registers):
+            calls.append(("enter", program))
+            out = real_run(program, registers)
+            calls.append("exit")
+            return out
 
         monkeypatch.setattr(engine, "blinded_select_reply_flow", flow)
-        entry("select_absorb")
-        entry("select_bounds")
+        monkeypatch.setattr(backend, "run", run)
         with _on_backend(name) as active:
             if name == "gmp-kernel":
                 _spy_on_lib(active, calls)
-            rng = SecureRandom(12)
-            rows = [[rng.randint_below(40) for _ in range(4)] for _ in range(14)]
-            scheme = SecTopK(SystemParams.tiny(), seed=12)
-            relation = scheme.encrypt(rows)
-            scheme.query(relation, scheme.token([0, 2, 3], k=3))
+            scheme, relation, token = _seeded_tiny_query()
+            scheme.query(relation, token)
         replies = [
             i for i, call in enumerate(calls) if isinstance(call, tuple) and call[0] == "reply"
         ]
         assert {calls[i][1] for i in replies} == {False, True}
         for i in replies:
-            op = "select_bounds" if calls[i][1] else "select_absorb"
-            made = ["repro_" + op] if name == "gmp-kernel" else []
-            assert calls[i + 1 : i + 3 + len(made)] == [("enter", op), *made, "exit"]
+            program = engine.BOUNDS if calls[i][1] else engine.ABSORB
+            made = ["repro_run"] if name == "gmp-kernel" else []
+            assert calls[i + 1 : i + 3 + len(made)] == [("enter", program), *made, "exit"]
 
+
+def _seeded_tiny_query():
+    """The seeded tiny eager query the one-call tests count on: 14 rows
+    of 4 attributes, ``k = 3`` over three of them."""
+    rng = SecureRandom(12)
+    rows = [[rng.randint_below(40) for _ in range(4)] for _ in range(14)]
+    scheme = SecTopK(SystemParams.tiny(), seed=12)
+    return scheme, scheme.encrypt(rows), scheme.token([0, 2, 3], k=3)
+
+
+def _op_cases(rng, mod):
+    """Per op, one-op programs' inputs under ``mod``: ``(op, operand
+    kinds, registers)``, edge residues and broadcasts included."""
+    M, L, E, I, B, P = (backend.MOD, backend.LIMBS, backend.EXPS, backend.INTS,
+                        backend.BYTES, backend.POOL)
+    units = [rng.rand_unit(mod) for _ in range(6)]
+    edges = [0, 1, mod - 1] + units[:3]
+    exps = [0, 1, 65537] + [rng.randbits(300) for _ in range(3)]
+    pool = backend.RandomizerPool([rng.rand_unit(mod) for _ in range(64)], mod, 6)
+    reads = rng.randbytes(pool.read_bytes * 6)
+    mask = bytes([1, 0, 0, 1, 1, 0])
+    return [
+        ("mul", (L, L), [mod, edges, units]),
+        ("mul", (L, L), [mod, [mod - 1], edges]),
+        ("mul", (L, L), [mod, edges, [mod - 1]]),
+        ("inv", (L,), [mod, units]),
+        ("inv", (L,), [mod, []]),
+        ("pow", (L, E), [mod, edges, exps]),
+        ("pow", (L, E), [mod, edges, [rng.randbits(200)]]),
+        ("powprod", (L, L, E, I), [mod, units[:4], edges + units, exps * 2, [1, 0, 6, 5]]),
+        ("prod", (L, L, I), [mod, units[:3], edges, [2, 0, 4]]),
+        ("pool", (P, B), [mod, pool, reads]),
+        ("pool", (P, B, L), [mod, pool, reads, edges]),
+        ("pick", (B, L, L), [mod, mask, edges, units]),
+        ("pick", (B, L, L), [mod, mask, [mod - 1], units]),
+        ("gather", (L, I), [mod, edges, [5, 0, 0, 3]]),
+        ("cat", (L, L), [mod, edges, []]),
+        ("cat", (L, L, L), [mod, units, edges, [1]]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "pure",
+        pytest.param("gmp-kernel", marks=needs_kernel),
+    ],
+)
+class TestProgramOps:
+    """Each op of a :class:`~repro.crypto.backend.Program` as a program
+    of one op: the kernel's result is the pure interpreter's, on odd and
+    even moduli, and each op refuses registers that do not fit it with
+    the pure interpreter's text."""
+
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+    def test_each_op_matches_the_pure_interpreter(self, name, odd):
+        fast, pure = backend._resolve(name), backend.PurePythonBackend()
+        rng = SecureRandom(60 + odd)
+        mod = rng.randbits(512) | (1 << 511)
+        mod = mod | 1 if odd else mod & ~1
+        for op, kinds, registers in _op_cases(rng, mod):
+            program = backend.one_op(op, backend.MOD, *kinds)
+            assert fast.run(program, registers) == pure.run(program, registers), op
+        # The reference against built-ins.
+        cases = _op_cases(SecureRandom(60 + odd), mod)
+        (_, kinds, (_, a, b)), (_, pow_kinds, (_, bases, exps)) = cases[0], cases[5]
+        assert pure.run(backend.one_op("mul", backend.MOD, *kinds), [mod, a, b]) == [
+            [x * y % mod for x, y in zip(a, b)]
+        ]
+        assert pure.run(backend.one_op("pow", backend.MOD, *pow_kinds), [mod, bases, exps]) == [
+            [pow(x, e, mod) for x, e in zip(bases, exps)]
+        ]
+
+    def test_decrypt_and_blinds_match_the_pure_interpreter(self, name):
+        fast, pure = backend._resolve(name), backend.PurePythonBackend()
+        crt, plain, cts = _decrypt_batch(128)
+        program = backend.one_op("decrypt", backend.CRT, backend.LIMBS, backend.INTS)
+        for below_p in (0, 1):
+            got = fast.run(program, [crt, cts, [below_p]])
+            assert got == pure.run(program, [crt, cts, [below_p]])
+            assert got == [[m % (crt.p if below_p else crt.n) for m in plain]]
+        rng = SecureRandom(62)
+        n = rng.randbits(128) | (1 << 127) | 1
+        program = backend.Program()
+        n2_reg, n_reg = program.input(backend.MOD), program.input(backend.MOD)
+        layout, streams = program.input(backend.INTS), program.input(backend.BYTES)
+        params = program.input(backend.INTS)
+        program.output(program.op("blinds", n2_reg, layout, streams, n_reg, params))
+        for negate in (0, 1):
+            registers = [n * n, n, [2, 3, 0, 1, 1, 0], rng.randbytes(6 * 30), [30, negate]]
+            got = fast.run(program, registers)
+            assert got == pure.run(program, registers)
+            sums = [
+                sum(int.from_bytes(registers[3][30 * (2 * s + j) : 30 * (2 * s + j + 1)], "big")
+                    for s in range(3))
+                for j in range(2)
+            ]
+            assert got[0][:2] == [(1 + (-b if negate else b) % n * n) for b in sums]
+            assert got[0][2] == 1
+
+    def test_each_op_refuses_what_does_not_fit(self, name):
+        fast, pure = backend._resolve(name), backend.PurePythonBackend()
+        rng = SecureRandom(63)
+        mod = rng.randbits(256) | (1 << 255) | 1
+        M, L, E, I, B, P = (backend.MOD, backend.LIMBS, backend.EXPS, backend.INTS,
+                            backend.BYTES, backend.POOL)
+        pool = backend.RandomizerPool([rng.rand_unit(mod) for _ in range(64)], mod, 6)
+        units = [rng.rand_unit(mod) for _ in range(3)]
+        cases = [
+            ("mul", (L, L), [mod, units, units[:2]], None),
+            ("mul", (L, L), [mod, units, [mod]], backend.OUTSIDE_MOD),
+            ("inv", (L,), [mod, units + [0]], backend.NOT_INVERTIBLE),
+            ("inv", (L,), [mod, units + [-1]], backend.OUTSIDE_MOD),
+            ("pow", (L, E), [mod, units, [1, 2]], None),
+            ("pow", (L, E), [mod, units, [1, -2, 3]], None),
+            ("powprod", (L, L, E, I), [mod, units[:1], units, [1, 2, 3], [2]], None),
+            ("powprod", (L, L, E, I), [mod, units[:2], units, [1, 2, 3], [2, 1, 0]], None),
+            ("powprod", (L, L, E, I), [mod, units[:1], units, [1, 2], [3]], None),
+            ("prod", (L, L, I), [mod, units[:2], units, [4, -1]], None),
+            ("pool", (P, B), [mod, pool, bytes(pool.read_bytes + 1)], None),
+            ("pool", (P, B, L), [mod, pool, bytes(pool.read_bytes), units], None),
+            ("pool", (P, B, L), [mod, pool, bytes(pool.read_bytes), [mod]], backend.OUTSIDE_MOD),
+            ("pool", (P, B), [mod, backend.RandomizerPool(pool, mod + 2, 6), b""], None),
+            ("pool", (P, B), [mod, backend.RandomizerPool(pool[:63], mod, 6), b""], None),
+            ("pool", (P, B), [mod, backend.RandomizerPool(pool, mod, 11), b""], None),
+            ("pick", (B, L, L), [mod, bytes([0, 1]), units, units], None),
+            ("pick", (B, L, L), [mod, bytes([0, 1, 2]), units, units], None),
+            ("gather", (L, I), [mod, units, [0, 3]], None),
+            ("cat", (L, L), [mod, units, [mod + 1]], backend.OUTSIDE_MOD),
+        ]
+        for op, kinds, registers, text in cases:
+            program = backend.one_op(op, M, *kinds)
+            with pytest.raises(ValueError) as got:
+                fast.run(program, registers)
+            with pytest.raises(ValueError) as want:
+                pure.run(program, registers)
+            assert str(got.value) == str(want.value), op
+            if text is not None:
+                assert str(got.value) == text, op
+        crt, _, cts = _decrypt_batch(128)
+        program = backend.one_op("decrypt", backend.CRT, L, I)
+        for registers, error in (
+            ([crt, cts, [2]], ValueError),
+            ([crt, cts[:2] + [crt.n_squared], [0]], DecryptionError),
+            ([crt, cts[:2] + [crt.p], [1]], DecryptionError),
+        ):
+            with pytest.raises(error) as got:
+                fast.run(program, registers)
+            with pytest.raises(error) as want:
+                pure.run(program, registers)
+            assert str(got.value) == str(want.value)
+
+    def test_a_ragged_program_is_refused_identically(self, name):
+        """Registers that do not fit a program — one value too few, a
+        register read under two widths, a packed buffer that is not
+        whole values — are refused before any arithmetic, with the same
+        text on both backends; so is a program built wrong."""
+        fast, pure = backend._resolve(name), backend.PurePythonBackend()
+        rng = SecureRandom(64)
+        small, big = (1 << 61) - 1, rng.randbits(300) | 1
+        program = backend.Program()
+        m1, m2, a = (program.input(kind) for kind in (backend.MOD, backend.MOD, backend.LIMBS))
+        program.output(program.op("mul", m1, program.op("inv", m1, a), a))
+        program.output(program.op("mul", m2, a, a))
+        ok = [small, small, [3, 5]]
+        assert fast.run(program, ok) == pure.run(program, ok)
+        for registers in (
+            [small, small],
+            [small, big, [3, 5]],
+            [small, small, bytes(12)],
+            [0, small, [3, 5]],
+        ):
+            with pytest.raises(ValueError) as got:
+                fast.run(program, registers)
+            with pytest.raises(ValueError) as want:
+                pure.run(program, registers)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="reads a ints register"):
+            program.op("gather", m1, a, a)
+        with pytest.raises(ValueError, match="an output is a register an op writes"):
+            program.output(a)
+        with pytest.raises(ValueError, match="takes 2 operands"):
+            program.op("mul", m1, a)
+
+
+@needs_kernel
+class TestKernelRun:
+    def test_seeded_query_makes_the_parent_count_of_c_calls(self):
+        """The seeded tiny eager query makes as many C calls as before its
+        rounds became programs: 365, every one a ``repro_run``."""
+        scheme, relation, token = _seeded_tiny_query()
+        with _on_backend("gmp-kernel") as kernel:
+            calls = []
+            _spy_on_lib(kernel, calls)
+            scheme.query(relation, token)
+        assert calls == ["repro_run"] * 365
+
+    def test_c_checks_every_register_again(self):
+        """``repro_run`` refuses, before reading or writing, a register
+        outside the arena, an op over registers that do not fit it and a
+        gather index past its source — whatever the Python side passed."""
+        kernel = kernels.load_kernel()
+        ffi, lib = kernel._ffi, kernel._lib
+        program = backend.Program()
+        mod, a, idx = (program.input(kind) for kind in (backend.MOD, backend.LIMBS, backend.INTS))
+        program.output(program.op("gather", mod, a, idx))
+
+        def run(table, indices=(1, 0)):
+            # the modulus 7, a = [3, 5], idx, then room for the output
+            arena = bytearray(backend.pack_ints([7, 3, 5, *indices] + [0] * 11, 1))
+            rc = lib.repro_run(
+                ffi.from_buffer("uint64_t[]", program.encoded), 1,
+                ffi.from_buffer("uint64_t[]", backend.pack_ints(table, 1)), 4,
+                ffi.from_buffer("uint64_t[]", arena), 16,
+            )
+            return rc, backend.unpack_ints(arena, 1, 2, 5 * 8)
+
+        # offset, count, width and aux per register: mod, a, idx, out
+        good = [0, 1, 1, 0, 1, 2, 1, 0, 3, 2, 1, 0, 5, 2, 1, 0]
+        assert run(good) == (0, [5, 3])
+        for at, value in ((12, 15), (13, 9), (9, 3), (10, 2), (2, 2), (1, 2)):
+            table = list(good)
+            table[at] = value
+            assert run(table) == (-1, [0, 0]), (at, value)
+        assert run(good, (1, 2)) == (-1, [0, 0])
+        with pytest.raises(ValueError, match="gather needs indices"):
+            kernel.run(program, [7, [3], [1]])
 
 @needs_kernel
 class TestKernelCache:
@@ -1097,19 +1353,15 @@ class TestKernelCache:
             monkeypatch.setattr(_gmp_kernel, "_REASON", None)
             return _gmp_kernel.load()
 
-        with monkeypatch.context() as older:
-            # The kernel as it was before powmod_products and invert_vec
-            # existed.
-            cdef = build.CDEF
-            older.setattr(
-                build, "CDEF", cdef[: cdef.index("int repro_powmod_products")]
-            )
-            _, old_lib = fresh_load()
-            assert not hasattr(old_lib, "repro_powmod_products")
-            assert not hasattr(old_lib, "repro_invert_vec")
+        with monkeypatch.context() as other:
+            # A kernel of other sources: one more entry point.
+            other.setattr(build, "CDEF", build.CDEF + "int repro_other(void);\n")
+            other.setattr(build, "SOURCE", build.SOURCE + "int repro_other(void) { return 7; }\n")
+            _, other_lib = fresh_load()
+            assert other_lib.repro_other() == 7
         _, lib = fresh_load()
-        assert hasattr(lib, "repro_powmod_products")
-        assert hasattr(lib, "repro_invert_vec")
+        assert not hasattr(lib, "repro_other")
+        assert hasattr(lib, "repro_run")
         assert len([p for p in tmp_path.iterdir() if p.is_dir()]) == 2
 
     def test_pool_products_rejects_malformed_input(self):

@@ -7,6 +7,7 @@ that the message only appends a wire id.
 
 import pytest
 
+from repro.core import engine
 from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext
 from repro.crypto.rng import SecureRandom
@@ -17,17 +18,18 @@ from repro.protocols.blinded_select import blinded_select_reply_flow
 
 
 def _select(ctx, tests, values, groups, bit_mode):
-    """One round, unblinded the way the engine does it: a single
-    ``select_bounds`` call, one unflipped slot per target over
-    ``acc = 1``.  Returns ``(Enc(t_i · x_{groups[i]}), Enc(t_i))``."""
+    """One round, unblinded the way the engine does it: one run of its
+    ``BOUNDS`` program, one unflipped slot per target over ``acc = 1``.
+    Returns ``(Enc(t_i · x_{groups[i]}), Enc(t_i))``."""
     pk = ctx.public_key
     selected, bits, blinds = ctx.run_flows(
         [blinded_select_reply_flow(ctx, tests, values, groups, bit_mode, "P")]
     )[0]
     ones = [1] * len(bits)
-    products = backend.select_bounds(
-        pk.n, selected, bits, blinds, ones, ones, [0] * len(bits), []
-    )
+    (products,) = backend.run(engine.BOUNDS, [
+        pk.n_squared, selected, bits, blinds, ones, ones, bytes(len(bits)), [1],
+        [0] * len(bits),
+    ])
     return [Ciphertext(v, pk) for v in products], [Ciphertext(b, pk) for b in bits]
 
 
@@ -76,13 +78,14 @@ class TestBlindedSelect:
         ctx = make_parties(keypair, rng=SecureRandom(5))
         width = ctx.encoder.score_bits + ctx.encoder.blind_bits + 128
         exps = []
-        real = backend.select_bounds
+        real = backend.run
 
-        def select_bounds(n, selected, bits, exponents, *rest):
-            exps.extend(exponents)
-            return real(n, selected, bits, exponents, *rest)
+        def run(program, registers):
+            if program is engine.BOUNDS:
+                exps.extend(registers[3])
+            return real(program, registers)
 
-        monkeypatch.setattr(backend, "select_bounds", select_bounds)
+        monkeypatch.setattr(backend, "run", run)
         tests = ctx.public_key.encrypt_batch([0] * 8, ctx.rng)
         _select(ctx, tests, [ctx.encrypt(1)], [0] * 8, False)
         assert len(exps) == 8 and max(e.bit_length() for e in exps) <= width

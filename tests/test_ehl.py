@@ -8,7 +8,7 @@ from repro.crypto import backend
 from repro.crypto.paillier import PaillierKeypair, PaillierPublicKey
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import KeyMismatchError, ProtocolError
-from repro.structures.ehl import EhlFactory, EncryptedHashList, KnownPairs
+from repro.structures.ehl import MINUS, EhlFactory, EncryptedHashList, KnownPairs
 from repro.structures.ehl_plus import EhlPlusFactory
 
 
@@ -218,9 +218,9 @@ class TestKnownPairs:
 
     def test_covered_entries_draw_in_batches(self, keypair, monkeypatch):
         """One ``encrypt_batch`` for rule (a), one ``randomizers`` plus one
-        ``powmod_pairs`` for rule (b), one ``ehl_minus`` (which draws each
-        pair's ``Enc(0)`` randomizer itself, one read per pair) for rule
-        (c) — per matrix, not per pair."""
+        ``powmod_pairs`` for rule (b), one run of the ⊖ program (which
+        draws each pair's ``Enc(0)`` randomizer itself, one read per pair)
+        for rule (c) — per matrix, not per pair."""
         rng = SecureRandom(5)
         ehls = self._encode(keypair, range(5), True, rng)
         known = KnownPairs()
@@ -229,7 +229,7 @@ class TestKnownPairs:
 
         powmods, products, draws = [], [], []
         real_powmod = backend.powmod_pairs
-        real_minus = backend.ehl_minus
+        real_run = backend.run
         real_randomize = PaillierPublicKey.randomize_values
         monkeypatch.setattr(
             backend,
@@ -237,14 +237,14 @@ class TestKnownPairs:
             lambda bases, exps, mod: powmods.append(len(bases))
             or real_powmod(bases, exps, mod),
         )
-        monkeypatch.setattr(
-            backend,
-            "ehl_minus",
-            lambda pool, reads, nums, invs, exps, counts: products.append(
-                (counts, len(reads) // pool.read_bytes)
-            )
-            or real_minus(pool, reads, nums, invs, exps, counts),
-        )
+
+        def run(program, registers):
+            if program is MINUS:
+                pool, reads, counts = registers[1], registers[2], registers[-1]
+                products.append((counts, len(reads) // pool.read_bytes))
+            return real_run(program, registers)
+
+        monkeypatch.setattr(backend, "run", run)
         monkeypatch.setattr(
             PaillierPublicKey,
             "randomize_values",

@@ -472,6 +472,28 @@ def _wait_for(predicate, timeout=30.0):
 
 
 class TestWatch:
+    def test_stop_drains_the_mutations_before_it(self, monkeypatch):
+        """An insert and a stop() made while an evaluation is in flight:
+        the watch evaluates the insert's version once more, then ends."""
+        scheme, mutable, server = _deployment()
+        entered, gate = threading.Event(), threading.Event()
+        real = server._evaluate_watch
+
+        def gated(job, relation, version, sequence):
+            entered.set()
+            assert gate.wait(timeout=60.0)
+            return real(job, relation, version, sequence)
+
+        monkeypatch.setattr(server, "_evaluate_watch", gated)
+        with server:
+            job = server.watch(scheme.token([0, 1], k=2))
+            assert entered.wait(timeout=60.0)
+            version = server.insert([10, 10]).version
+            job.stop()
+            gate.set()
+            summary = job.summary(timeout=60.0)
+        assert (summary.evaluations, summary.last_version) == (2, version)
+
     def test_events_match_the_plaintext_oracle(self):
         """TopKChanged fires exactly when the winning set changes: the
         initial evaluation, a membership change, and never for a no-op

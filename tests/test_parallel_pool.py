@@ -74,7 +74,7 @@ class TestComputePaths:
 
     def test_decrypts_on_its_own_kernel_under_pure(self, keypair, payload):
         """With the process on the pure backend, every chunk still runs on
-        the pool's own kernel — one ``repro_paillier_decrypt`` call each —
+        the pool's own kernel — one ``repro_run`` call each —
         bit-identical to the pure decryption."""
         dec_vals, ref_dec = payload
         previous = backend.set_backend("pure")
@@ -90,7 +90,7 @@ class TestComputePaths:
                 pool._kernel._lib = Spy()
                 pooled = pool.decrypt_values(dec_vals)
             assert pooled == keypair.secret_key.raw_decrypt_batch(dec_vals) == ref_dec
-            assert calls == ["repro_paillier_decrypt"] * 3
+            assert calls == ["repro_run"] * 3
         finally:
             backend.set_backend(previous)
 
