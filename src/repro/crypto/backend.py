@@ -168,10 +168,8 @@ class Program:
         #: Input registers a ``decrypt`` reads (a value too wide to pack
         #: there is a ciphertext outside ``Z_{N^2}``).
         self.decrypted: set[int] = set()
-        #: The ops in the kernel's encoding: seven words each, and the
-        #: layout of its register table: four words per register.
+        #: The ops in the kernel's encoding: seven words each.
         self.encoded = b""
-        self.table = struct.Struct("<0Q")
         # Per op: its count rule, modulus, destination and operands, the
         # input residues it is the first to read (they take its width)
         # and the residues whose width another modulus set (checked).
@@ -183,7 +181,6 @@ class Program:
         kind = _KINDS[kind]
         self.kinds.append(kind)
         self.inputs.append(len(self.kinds) - 1)
-        self.table = struct.Struct(f"<{4 * len(self.kinds)}Q")
         return self.inputs[-1]
 
     def op(self, name: str, mod: int, *operands: int) -> int:
@@ -210,7 +207,6 @@ class Program:
         self.encoded += struct.pack(
             "<7Q", code, mod, dst, *(NONE if reg is None else reg for reg in operands)
         )
-        self.table = struct.Struct(f"<{4 * len(self.kinds)}Q")
         assign, compare = [], []
         for reg, kind in zip(operands, kinds):
             if kind is LIMBS and reg is not None:

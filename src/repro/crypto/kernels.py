@@ -22,9 +22,11 @@ caller falls back to the pure backend.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.crypto import _gmp_kernel, backend
 from repro.crypto.backend import (
-    BYTES, CRT, LIMBS, MOD, POOL, WORD_BYTES, pack_ints, unpack_ints, words_for,
+    BYTES, CRT, INTS, LIMBS, MOD, POOL, WORD_BYTES, pack_ints, unpack_ints, words_for,
 )
 from repro.exceptions import DecryptionError
 
@@ -82,7 +84,7 @@ class GmpKernel(backend.Backend):
         holds the inputs, in declaration order, then the registers the
         ops write, zeroed."""
         counts, widths = program.shapes(registers)
-        table = [0] * (4 * len(counts))
+        table = array("Q", [0]) * (4 * len(counts))
         chunks = []
         offset = 0
         kinds = program.kinds
@@ -110,6 +112,8 @@ class GmpKernel(backend.Backend):
                 table[at + 3] = value.picks
             elif kind is CRT:
                 chunk = self._packed_crt(value)
+            elif kind is INTS:  # the C side reads them as native words
+                chunk = array("Q", value).tobytes()
             else:
                 chunk = pack_ints(value, width)
             table[at] = offset
@@ -130,7 +134,7 @@ class GmpKernel(backend.Backend):
         rc = self._lib.repro_run(
             from_buffer("uint64_t[]", program.encoded),
             len(program.ops),
-            from_buffer("uint64_t[]", program.table.pack(*table)),
+            from_buffer("uint64_t[]", table),
             len(counts),
             from_buffer("uint64_t[]", arena),
             len(arena) // WORD_BYTES,
