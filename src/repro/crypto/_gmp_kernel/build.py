@@ -2,11 +2,16 @@
 
 The C side has one entry point, ``repro_run``: an interpreter of the
 straight-line programs of :mod:`repro.crypto.backend`
-(:class:`~repro.crypto.backend.Program`; its ``OPS`` say what each op
-writes).  A program's registers live in one arena of 64-bit words the
-caller lays out; ``repro_run`` checks every register index and size
-against the arena and every op against its registers, range-checks the
-program's input residues, then runs the ops as the static bodies here.
+(:class:`~repro.crypto.backend.Program`).  A program's registers live in
+one arena of 64-bit words the caller lays out; ``repro_run`` checks
+every register index and size against the arena and every op against
+its registers, range-checks the program's input residues, then runs the
+ops as the static bodies here, one body per op.  The op enum, the
+per-op operand tables (``ARITY``, ``OPTIONAL``, ``RESIDUES``, ``SMALL``)
+and the refusal codes are emitted from the backend's
+:data:`~repro.crypto.backend.OPS` and
+:data:`~repro.crypto.backend.REFUSALS`, so an op is declared once.
+
 ``powprod`` is an interleaved sliding-window multi-exponentiation
 (Straus's interleaving with Möller's windows, "Algorithms for
 multi-exponentiation", SAC 2001): a group's bases share one chain of
@@ -17,9 +22,12 @@ multiplication) and ``inv`` (Montgomery's batch-inversion trick, one
 ``mpz_invert``) run on one Montgomery core (Montgomery, "Modular
 multiplication without trial division", Math. Comp. 1985) on GMP's
 ``mpn`` layer: ``mpn_mul_n`` / ``mpn_sqr`` products and an
-``mpn_addmul_1`` word-by-word REDC.  It needs an odd modulus and 64-bit
-GMP limbs; an even modulus, or a GMP built with other limbs, runs the
-same op on ``mpz_powm`` / ``mpz_mul``, with identical results.
+``mpn_addmul_1`` word-by-word REDC.  The core needs 64-bit GMP limbs —
+the source is an ``#error`` on any other GMP, which the loader reports
+as "kernel absent", so ``auto`` runs on the pure backend — and an odd
+modulus: ``repro_run`` refuses an even one, and
+:class:`~repro.crypto.kernels.GmpKernel` hands every program with an
+even modulus to the pure interpreter instead.
 
 Everything crosses the boundary as fixed-width little-endian arrays of
 64-bit words (least-significant word first, little-endian bytes within
@@ -35,6 +43,8 @@ headers (``libgmp-dev``).  ``SOURCE`` is plain C, so it can be linted on
 its own: ``gcc -x c -fsyntax-only -Wall -Wextra -Werror -``.
 """
 
+from repro.crypto.backend import INTS, OPS, REFUSALS
+
 try:
     from cffi import FFI
 except ImportError:  # pragma: no cover - environments without cffi
@@ -48,13 +58,47 @@ int repro_run(const uint64_t *ops, size_t n_ops, const uint64_t *table, size_t n
               uint64_t *arena, size_t arena_words);
 """
 
-SOURCE = r"""
-#include <gmp.h>
+
+def _tables() -> str:
+    """The C op enum (an op's code is its place in ``OPS``), the per-op
+    operand tables and the refusal codes (1, 2, ... in ``REFUSALS``
+    order)."""
+    specs = OPS.values()
+
+    def row(name, values):
+        return f"static const unsigned char {name}[N_OPS] = {{{', '.join(map(str, values))}}};\n"
+
+    return (
+        "enum { " + "".join(f"OP_{name.upper()}, " for name in OPS) + "N_OPS };\n"
+        + row("ARITY", [len(kinds) for _, kinds, *_ in specs])
+        + row("OPTIONAL", [optional for _, _, optional, *_ in specs])
+        + row("RESIDUES", [sum(1 << i for i in residues) for *_, residues, _ in specs])
+        + row("SMALL", [
+            sum(1 << i for i, kind in enumerate(kinds) if kind is INTS) for _, kinds, *_ in specs
+        ])
+        + "enum { "
+        + ", ".join(f"ST_{name} = {code}" for code, name in enumerate(REFUSALS, 1))
+        + " };\n"
+    )
+
+
+_HEAD = r"""#include <gmp.h>
 #include <stdint.h>
 #include <stddef.h>
 #include <stdlib.h>
 #include <string.h>
 
+#if GMP_NUMB_BITS != 64 || GMP_NAIL_BITS != 0
+#error "the kernel's Montgomery core needs 64-bit GMP limbs"
+#endif
+
+/* The ops and refusals of repro.crypto.backend (OPS, REFUSALS).  Per
+   op: its operands, how many of the last ones may be absent, which are
+   residues under its modulus (bit i: operand i) and which are small
+   ints the checks below read (never written by an op). */
+"""
+
+_BODY = r"""
 /* Fixed-width little-endian word import/export.  order=-1: least
    significant word first; endian=-1: little-endian bytes within each
    word.  Fully specified (never "native") so the wire format is
@@ -108,19 +152,11 @@ static void powmod_pairs(const uint64_t *bases, size_t n_items,
    fully reduced (< m), so results leave the core canonical.
    ------------------------------------------------------------------ */
 
-#if GMP_NUMB_BITS == 64 && GMP_NAIL_BITS == 0
-#define REPRO_MONT 1
-#else
-#define REPRO_MONT 0
-#endif
-
 /* Widest window of the multi-exponentiation (a constant, not a knob),
    and the table it needs per base: the odd powers b^1, b^3, ...,
    b^(2^WINDOW - 1). */
 #define WINDOW 5
 #define TABLE_SIZE ((size_t)1 << (WINDOW - 1))
-
-#if REPRO_MONT
 
 typedef struct {
     mp_size_t n;        /* limbs of the modulus */
@@ -154,20 +190,19 @@ static void store_limbs(uint64_t *words, const mp_limb_t *src, size_t n)
             p[8 * i + (size_t)k] = (unsigned char)(src[i] >> (8 * k));
 }
 
-/* 1 and a ready context when m is odd; 0 otherwise (the caller takes
-   the mpz path).  One allocation holds m and the scratch. */
-static int mont_init(mont_t *M, const uint64_t *mod, size_t mod_words)
+/* A context for the odd modulus mod, and `scratch` limbs for the
+   caller, in one allocation (freed by mont_clear): the scratch, or
+   NULL when the allocation fails. */
+static mp_limb_t *mont_init(mont_t *M, const uint64_t *mod, size_t mod_words,
+                            size_t scratch)
 {
     mp_limb_t inv;
     int i;
 
-    /* the low byte of the low word: little-endian on every host */
-    if (mod_words == 0 || (*(const unsigned char *)mod & 1) == 0)
-        return 0;
     M->n = (mp_size_t)mod_words;
-    M->m = (mp_limb_t *)malloc(3 * mod_words * sizeof(mp_limb_t));
+    M->m = (mp_limb_t *)malloc((3 * mod_words + scratch) * sizeof(mp_limb_t));
     if (M->m == NULL)
-        return 0;
+        return NULL;
     M->t = M->m + mod_words;
     load_limbs(M->m, mod, mod_words);
     /* Newton: an odd m is its own inverse mod 2^3; each step doubles
@@ -176,7 +211,7 @@ static int mont_init(mont_t *M, const uint64_t *mod, size_t mod_words)
     for (i = 0; i < 5; i++)
         inv *= 2 - M->m[0] * inv;
     M->minv = -inv;
-    return 1;
+    return M->t + 2 * mod_words;
 }
 
 static void mont_clear(mont_t *M)
@@ -338,85 +373,70 @@ static void mont_group(const mont_t *M, mp_limb_t *r, const mp_limb_t *r2,
         mont_mul(M, r, r, tab);
 }
 
-#endif  /* REPRO_MONT; without it every op takes its mpz path. */
-
 /* out[g] = accs[g] · Π bases[j] ** exps[j]  mod  mod over group g's
    counts[g] consecutive (base, exponent) pairs.  accs and bases are
-   residues < mod at mod_words each; every exponent is packed to
+   residues < mod at n words each; every exponent is packed to
    exp_words.  A group of two or more bases is one interleaved
    multi-exponentiation on the Montgomery core; a single base is
-   mpz_powm (GMP's own single exponentiation is the faster one), as is
-   every group under an even modulus or without 64-bit limbs. */
-static void powmod_products(const uint64_t *accs, const uint64_t *counts,
-                           size_t n_groups,
+   mpz_powm (GMP's own single exponentiation is the faster one).
+   Returns 0, or -1 when an allocation fails. */
+static int powmod_products(const uint64_t *accs, const uint64_t *counts, size_t n_groups,
                            const uint64_t *bases, const uint64_t *exps, size_t exp_words,
-                           const uint64_t *mod, size_t mod_words,
-                           uint64_t *out)
+                           const uint64_t *mod, size_t n, uint64_t *out)
 {
-    mpz_t m, acc, b, e, p;
-    size_t g, j, start;
-
-    mpz_init(m);
-    import_words(m, mod, mod_words);
-#if REPRO_MONT
     mont_t M;
-    size_t n = mod_words, widest = 1, limbs = 0;
+    mpz_t m, acc, b, e, p;
+    size_t g, start, widest = 1, limbs = 0;
     mp_limb_t *tables = NULL, *r2 = NULL, *r = NULL, *elimbs = NULL;
 
     for (g = 0; g < n_groups; g++)
         if (counts[g] > widest)
             widest = counts[g];
-    if (widest > 1 && mont_init(&M, mod, mod_words)) {
+    if (widest > 1) {
         /* One block: the widest group's tables, R^2, the running
            product and one exponent's limbs, then the group's window
-           marks.  Without it every group takes the mpz loop. */
+           marks (8 to a limb). */
         limbs = (widest * TABLE_SIZE + 2) * n + exp_words;
-        tables = (mp_limb_t *)malloc(limbs * sizeof(mp_limb_t) + widest * 64 * exp_words);
+        tables = mont_init(&M, mod, n, limbs + widest * 8 * exp_words);
         if (tables == NULL)
-            mont_clear(&M);
-    }
-    if (tables != NULL) {
+            return -1;
         r2 = tables + widest * TABLE_SIZE * n;
         r = r2 + n;
         elimbs = r + n;
         mont_r2(&M, r2);
     }
-#endif
+    mpz_init(m);
+    import_words(m, mod, n);
     mpz_init(acc);
     mpz_init(b);
     mpz_init(e);
     mpz_init(p);
     for (g = 0, start = 0; g < n_groups; start += counts[g], g++) {
-#if REPRO_MONT
-        if (tables != NULL && counts[g] > 1) {
+        if (counts[g] > 1) {
             mont_group(&M, r, r2, accs + g * n, bases + start * n,
                        exps + start * exp_words, counts[g], exp_words, tables,
                        (unsigned char *)(tables + limbs), elimbs);
             store_limbs(out + g * n, r, n);
             continue;
         }
-#endif
-        import_words(acc, accs + g * mod_words, mod_words);
-        for (j = start; j < start + counts[g]; j++) {
-            import_words(b, bases + j * mod_words, mod_words);
-            import_words(e, exps + j * exp_words, exp_words);
+        import_words(acc, accs + g * n, n);
+        if (counts[g] == 1) {
+            import_words(b, bases + start * n, n);
+            import_words(e, exps + start * exp_words, exp_words);
             mpz_powm(p, b, e, m);
             mpz_mul(acc, acc, p);
             mpz_mod(acc, acc, m);
         }
-        export_words(out + g * mod_words, mod_words, acc);
+        export_words(out + g * n, n, acc);
     }
-#if REPRO_MONT
-    if (tables != NULL) {
-        free(tables);
+    if (tables != NULL)
         mont_clear(&M);
-    }
-#endif
     mpz_clear(acc);
     mpz_clear(b);
     mpz_clear(e);
     mpz_clear(p);
     mpz_clear(m);
+    return 0;
 }
 
 /* 1 when every one of the n_items values at w words lies below mod (at
@@ -444,184 +464,98 @@ static int all_below(const uint64_t *values, size_t n_items, const uint64_t *mod
    when factors is not NULL: the randomizer-pool draw of
    paillier.pool_randomizers, multiplied into its value for a batch
    encryption or rerandomization.  pool holds 2^index_bits elements of
-   mod_words words each — in Montgomery form x·2^(64·mod_words) mod mod
-   when mod is odd, plain when it is even; item i owns one big-endian
-   read of ceil(picks * index_bits / 8) bytes, and its elements are
-   chosen by the read's index_bits-wide digits, least significant first,
-   after the read's surplus low bits are dropped; every factor is below
-   mod.  Returns 0 on success, -1 when an allocation fails. */
+   n words each, in Montgomery form x·2^(64·n) mod mod; item i owns one
+   big-endian read of ceil(picks * index_bits / 8) bytes, and its
+   elements are chosen by the read's index_bits-wide digits, least
+   significant first, after the read's surplus low bits are dropped;
+   every factor is below mod.  Returns 0, or -1 when an allocation
+   fails. */
 static int pool_products(const uint64_t *pool, size_t index_bits,
                          const uint8_t *reads, size_t n_items, size_t picks,
-                         const uint64_t *factors,
-                         const uint64_t *mod, size_t mod_words,
+                         const uint64_t *factors, const uint64_t *mod, size_t n,
                          uint64_t *out)
 {
-    mpz_t m, acc, unmont, f;
-    mpz_t *elems;
-    size_t i, k, idx;
-    uint64_t digits;
-    size_t pool_size, read_bytes;
-
-    pool_size = (size_t)1 << index_bits;
-    read_bytes = (picks * index_bits + 7) / 8;
-#if REPRO_MONT
     mont_t M;
-    if (mont_init(&M, mod, mod_words)) {
-        size_t n = mod_words;
-        mp_limb_t *elem = (mp_limb_t *)malloc((pool_size + 2) * n * sizeof(mp_limb_t));
-        mp_limb_t *r, *f;
+    size_t i, k, pool_size = (size_t)1 << index_bits;
+    size_t read_bytes = (picks * index_bits + 7) / 8;
+    uint64_t digits;
+    mp_limb_t *elem, *r, *f;
 
-        if (elem == NULL) {
-            mont_clear(&M);
-            return -1;
-        }
-        r = elem + pool_size * n;
-        f = r + n;
-        load_limbs(elem, pool, pool_size * n);
-        for (i = 0; i < n_items; i++) {
-            digits = 0;
-            for (k = 0; k < read_bytes; k++)
-                digits = (digits << 8) | reads[i * read_bytes + k];
-            digits >>= 8 * read_bytes - picks * index_bits;
-            memcpy(r, elem + (digits & (pool_size - 1)) * n, n * sizeof(mp_limb_t));
-            for (k = 1; k < picks; k++) {
-                digits >>= index_bits;
-                mont_mul(&M, r, r, elem + (digits & (pool_size - 1)) * n);
-            }
-            /* r·R times a plain factor leaves Montgomery form in the
-               same multiplication. */
-            if (factors != NULL) {
-                load_limbs(f, factors + i * n, n);
-                mont_mul(&M, r, r, f);
-            } else
-                mont_out(&M, r, r);
-            store_limbs(out + i * n, r, n);
-        }
-        free(elem);
-        mont_clear(&M);
-        return 0;
-    }
-#endif
-    mpz_init(m);
-    import_words(m, mod, mod_words);
-    elems = (mpz_t *)malloc(pool_size * sizeof(mpz_t));
-    if (elems == NULL) {
-        mpz_clear(m);
+    elem = mont_init(&M, mod, n, (pool_size + 2) * n);
+    if (elem == NULL)
         return -1;
-    }
-    /* An odd modulus means a Montgomery-form pool: multiply by R^-1. */
-    mpz_init(unmont);
-    if (mpz_odd_p(m)) {
-        mpz_setbit(unmont, 64 * (mp_bitcnt_t)mod_words);
-        mpz_invert(unmont, unmont, m);
-    }
-    for (idx = 0; idx < pool_size; idx++) {
-        mpz_init(elems[idx]);
-        import_words(elems[idx], pool + idx * mod_words, mod_words);
-        if (mpz_odd_p(m)) {
-            mpz_mul(elems[idx], elems[idx], unmont);
-            mpz_mod(elems[idx], elems[idx], m);
-        }
-    }
-    mpz_init(acc);
-    mpz_init(f);
+    r = elem + pool_size * n;
+    f = r + n;
+    load_limbs(elem, pool, pool_size * n);
     for (i = 0; i < n_items; i++) {
         digits = 0;
         for (k = 0; k < read_bytes; k++)
             digits = (digits << 8) | reads[i * read_bytes + k];
         digits >>= 8 * read_bytes - picks * index_bits;
-        mpz_set(acc, elems[digits & (pool_size - 1)]);
+        memcpy(r, elem + (digits & (pool_size - 1)) * n, n * sizeof(mp_limb_t));
         for (k = 1; k < picks; k++) {
             digits >>= index_bits;
-            mpz_mul(acc, acc, elems[digits & (pool_size - 1)]);
-            mpz_mod(acc, acc, m);
+            mont_mul(&M, r, r, elem + (digits & (pool_size - 1)) * n);
         }
+        /* r·R times a plain factor leaves Montgomery form in the same
+           multiplication. */
         if (factors != NULL) {
-            import_words(f, factors + i * mod_words, mod_words);
-            mpz_mul(acc, acc, f);
-            mpz_mod(acc, acc, m);
-        }
-        export_words(out + i * mod_words, mod_words, acc);
+            load_limbs(f, factors + i * n, n);
+            mont_mul(&M, r, r, f);
+        } else
+            mont_out(&M, r, r);
+        store_limbs(out + i * n, r, n);
     }
-    for (idx = 0; idx < pool_size; idx++)
-        mpz_clear(elems[idx]);
-    free(elems);
-    mpz_clear(acc);
-    mpz_clear(f);
-    mpz_clear(unmont);
-    mpz_clear(m);
+    mont_clear(&M);
     return 0;
 }
 
 /* out[i] = values[i] ** -1 mod mod for the whole batch, residues < mod
-   at mod_words each.  Returns 1 when every inverse exists, 0 when one
-   does not (out is then garbage), -1 for a failed allocation.  Montgomery's trick on plain residues: with
-   p_i = mont_mul(p_{i-1}, v_i) = P_i / R^i, the inverse of p_i peels
-   back to v_i^-1 = mont_mul(p_i^-1, p_{i-1}) and
-   p_{i-1}^-1 = mont_mul(p_i^-1, v_i), so one mpz_invert serves all. */
+   at n words each.  Returns 0, ST_NOT_INVERTIBLE when one value has no
+   inverse (out is then garbage), or -1 for a failed allocation.
+   Montgomery's trick on plain residues: with p_i = mont_mul(p_{i-1},
+   v_i) = P_i / R^i, the inverse of p_i peels back to v_i^-1 =
+   mont_mul(p_i^-1, p_{i-1}) and p_{i-1}^-1 = mont_mul(p_i^-1, v_i), so
+   one mpz_invert serves all. */
 static int invert_vec(const uint64_t *values, size_t n_items,
-                      const uint64_t *mod, size_t mod_words,
-                      uint64_t *out)
+                      const uint64_t *mod, size_t n, uint64_t *out)
 {
-    mpz_t m, v, r;
+    mont_t M;
+    mpz_t m, v;
     size_t i;
-    int ok = 1;
+    mp_limb_t *prefix, *inv, *cur;
+    int ok;
 
     if (n_items == 0)
-        return 1;
-#if REPRO_MONT
-    mont_t M;
-    if (mont_init(&M, mod, mod_words)) {
-        size_t n = mod_words;
-        mp_limb_t *prefix = (mp_limb_t *)malloc((n_items + 2) * n * sizeof(mp_limb_t));
-        mp_limb_t *inv, *cur;
-
-        if (prefix == NULL) {
-            mont_clear(&M);
-            return -1;
-        }
-        inv = prefix + n_items * n;
-        cur = inv + n;
-        load_limbs(prefix, values, n);
-        for (i = 1; i < n_items; i++) {
-            load_limbs(cur, values + i * n, n);
-            mont_mul(&M, prefix + i * n, prefix + (i - 1) * n, cur);
-        }
-        mpz_init(v);
-        mpz_init(m);
-        limbs_to_mpz(v, prefix + (n_items - 1) * n, n);
-        limbs_to_mpz(m, M.m, n);
-        ok = mpz_invert(v, v, m) != 0;
-        mpz_to_limbs(inv, v, n);
-        mpz_clear(v);
-        mpz_clear(m);
-        for (i = n_items - 1; ok && i > 0; i--) {
-            load_limbs(cur, values + i * n, n);
-            mont_mul(&M, prefix + i * n, inv, prefix + (i - 1) * n);
-            store_limbs(out + i * n, prefix + i * n, n);
-            mont_mul(&M, inv, inv, cur);
-        }
-        if (ok)
-            store_limbs(out, inv, n);
-        free(prefix);
-        mont_clear(&M);
-        return ok;
+        return 0;
+    prefix = mont_init(&M, mod, n, (n_items + 2) * n);
+    if (prefix == NULL)
+        return -1;
+    inv = prefix + n_items * n;
+    cur = inv + n;
+    load_limbs(prefix, values, n);
+    for (i = 1; i < n_items; i++) {
+        load_limbs(cur, values + i * n, n);
+        mont_mul(&M, prefix + i * n, prefix + (i - 1) * n, cur);
     }
-#endif
-    mpz_init(m);
-    import_words(m, mod, mod_words);
     mpz_init(v);
-    mpz_init(r);
-    for (i = 0; ok && i < n_items; i++) {
-        import_words(v, values + i * mod_words, mod_words);
-        ok = mpz_invert(r, v, m) != 0;
-        if (ok)
-            export_words(out + i * mod_words, mod_words, r);
-    }
+    mpz_init(m);
+    limbs_to_mpz(v, prefix + (n_items - 1) * n, n);
+    limbs_to_mpz(m, M.m, n);
+    ok = mpz_invert(v, v, m) != 0;
+    mpz_to_limbs(inv, v, n);
     mpz_clear(v);
-    mpz_clear(r);
     mpz_clear(m);
-    return ok;
+    for (i = n_items - 1; ok && i > 0; i--) {
+        load_limbs(cur, values + i * n, n);
+        mont_mul(&M, prefix + i * n, inv, prefix + (i - 1) * n);
+        store_limbs(out + i * n, prefix + i * n, n);
+        mont_mul(&M, inv, inv, cur);
+    }
+    if (ok)
+        store_limbs(out, inv, n);
+    mont_clear(&M);
+    return ok ? 0 : ST_NOT_INVERTIBLE;
 }
 
 /* One CRT half of a Paillier decryption: m = L(c^(prime-1) mod prime^2)
@@ -644,9 +578,9 @@ static void crt_half(mpz_t m, const mpz_t c, const mpz_t prime,
    h_p, h_q and p^-1 mod q.  The plaintext is recombined from its two
    CRT halves, m = m_p + p · ((m_q - m_p) · p^-1 mod q); below_p stops
    at m_p.  The whole batch is checked before any output is written:
-   returns 0 on success, 1 when a value lies outside (0, N^2), else 2
-   when one shares a factor with N = pq (p or q divides it); every
-   plaintext (below N) is written at ct_words. */
+   returns 0 on success, ST_OUTSIDE_ZN2 when a value lies outside
+   (0, N^2), else ST_NOT_A_UNIT when one shares a factor with N = pq (p
+   or q divides it); every plaintext (below N) is written at ct_words. */
 static int paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words,
                             const uint64_t *crt, int below_p,
                             uint64_t *out)
@@ -667,12 +601,12 @@ static int paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words
     for (i = 0; status == 0 && i < n_items; i++) {
         import_words(c, cts + i * ct_words, ct_words);
         if (mpz_sgn(c) == 0 || mpz_cmp(c, k[N2]) >= 0)
-            status = 1;
+            status = ST_OUTSIDE_ZN2;
     }
     for (i = 0; status == 0 && i < n_items; i++) {
         import_words(c, cts + i * ct_words, ct_words);
         if (mpz_divisible_p(c, k[P]) || mpz_divisible_p(c, k[Q]))
-            status = 2;
+            status = ST_NOT_A_UNIT;
     }
     for (i = 0; status == 0 && i < n_items; i++) {
         import_words(c, cts + i * ct_words, ct_words);
@@ -707,23 +641,9 @@ static int paillier_decrypt(const uint64_t *cts, size_t n_items, size_t ct_words
    side checks every index and size again before it reads or writes.
    ------------------------------------------------------------------ */
 
-enum { OP_MUL, OP_INV, OP_POW, OP_POWPROD, OP_PROD, OP_POOL, OP_PICK,
-       OP_GATHER, OP_CAT, OP_DECRYPT, OP_BLINDS, N_OPS };
 #define OP_FIELDS 7
 #define REG_FIELDS 4
 #define NONE UINT64_MAX
-
-/* Refusals: an input residue outside [0, mod), an element without an
-   inverse, a ciphertext outside (0, N^2), one that is not a unit. */
-enum { ST_RANGE = 1, ST_NOT_INVERTIBLE, ST_OUTSIDE_ZN2, ST_NOT_A_UNIT };
-
-/* Per op: its operands, how many of the last ones may be absent, which
-   are residues under its modulus (bit i: operand i) and which are small
-   ints the checks below read (never written by an op). */
-static const unsigned char ARITY[N_OPS] = {2, 1, 2, 4, 3, 3, 3, 2, 3, 2, 4};
-static const unsigned char OPTIONAL[N_OPS] = {0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0};
-static const unsigned char RESIDUES[N_OPS] = {3, 1, 1, 3, 3, 4, 6, 1, 7, 0, 0};
-static const unsigned char SMALL[N_OPS] = {0, 0, 0, 8, 4, 0, 0, 2, 0, 2, 9};
 
 typedef struct {
     uint64_t *w;      /* its first word in the arena */
@@ -765,8 +685,9 @@ static int index_bits_of(size_t count)
 }
 
 /* 1 when op's registers fit it: every index in range, no operand the
-   register it writes, every residue at its modulus's width and every
-   count what the op reads or writes. */
+   register it writes, an odd modulus (but for decrypt, whose modulus
+   register holds a key's constants), every residue at its modulus's
+   width and every count what the op reads or writes. */
 static int op_fits(const uint64_t *op, const reg_t *R, size_t n_regs,
                    const unsigned char *written)
 {
@@ -793,6 +714,9 @@ static int op_fits(const uint64_t *op, const reg_t *R, size_t n_regs,
     d = &R[op[2]];
     w = m->words;
     if (w == 0 || m->count != (code == OP_DECRYPT ? 9u : 1u) || d->words != w)
+        return 0;
+    /* the low byte of the low word: little-endian on every host */
+    if (code != OP_DECRYPT && (*(const unsigned char *)m->w & 1) == 0)
         return 0;
     for (i = 0; i < w && m->w[i] == 0; i++)
         ;
@@ -976,7 +900,6 @@ static int run_op(const uint64_t *op, const reg_t *R)
 {
     const reg_t *m = &R[op[1]], *d = &R[op[2]], *x[4];
     size_t i, w = m->words;
-    int rc;
 
     for (i = 0; i < 4; i++)
         x[i] = op[3 + i] == NONE ? NULL : &R[op[3 + i]];
@@ -985,16 +908,14 @@ static int run_op(const uint64_t *op, const reg_t *R)
         op_mul(d, x[0], x[1], m);
         return 0;
     case OP_INV:
-        rc = invert_vec(x[0]->w, x[0]->count, m->w, w, d->w);
-        return rc == 1 ? 0 : rc == 0 ? ST_NOT_INVERTIBLE : -1;
+        return invert_vec(x[0]->w, x[0]->count, m->w, w, d->w);
     case OP_POW:
         powmod_pairs(x[0]->w, x[0]->count, x[1]->w, x[1]->words,
                      x[1]->count == x[0]->count ? x[1]->words : 0, m->w, w, d->w);
         return 0;
     case OP_POWPROD:
-        powmod_products(x[0]->w, x[3]->w, x[3]->count, x[1]->w, x[2]->w, x[2]->words,
-                        m->w, w, d->w);
-        return 0;
+        return powmod_products(x[0]->w, x[3]->w, x[3]->count, x[1]->w, x[2]->w,
+                               x[2]->words, m->w, w, d->w);
     case OP_PROD:
         op_prod(d, x[0], x[1], x[2], m);
         return 0;
@@ -1019,8 +940,7 @@ static int run_op(const uint64_t *op, const reg_t *R)
                    x[2]->count * w * sizeof(uint64_t));
         return 0;
     case OP_DECRYPT:
-        rc = paillier_decrypt(x[0]->w, x[0]->count, w, m->w, (int)x[1]->w[0], d->w);
-        return rc == 1 ? ST_OUTSIDE_ZN2 : rc == 2 ? ST_NOT_A_UNIT : rc;
+        return paillier_decrypt(x[0]->w, x[0]->count, w, m->w, (int)x[1]->w[0], d->w);
     case OP_BLINDS:
         return op_blinds(d, x[0], x[1], x[2], x[3], m);
     }
@@ -1030,8 +950,8 @@ static int run_op(const uint64_t *op, const reg_t *R)
 /* Run a program: check every register against the arena and every op
    against its registers (-1 if any does not fit; nothing is read or
    written then), check every input residue below the modulus of the
-   first op that reads it (ST_RANGE), then run the ops in order, stopping
-   at the first refusal.  Returns 0 on success. */
+   first op that reads it (ST_OUTSIDE_MOD), then run the ops in order,
+   stopping at the first refusal.  Returns 0 on success. */
 int repro_run(const uint64_t *ops, size_t n_ops, const uint64_t *table, size_t n_regs,
               uint64_t *arena, size_t arena_words)
 {
@@ -1079,7 +999,7 @@ int repro_run(const uint64_t *ops, size_t n_ops, const uint64_t *table, size_t n
                 continue;
             checked[r] = 1;
             if (!all_below(R[r].w, R[r].count, R[op[1]].w, R[op[1]].words))
-                status = ST_RANGE;
+                status = ST_OUTSIDE_MOD;
         }
     }
     for (i = 0; status == 0 && i < n_ops; i++)
@@ -1088,6 +1008,8 @@ int repro_run(const uint64_t *ops, size_t n_ops, const uint64_t *table, size_t n
     return status;
 }
 """
+
+SOURCE = _HEAD + _tables() + _BODY
 
 
 def make_ffibuilder():

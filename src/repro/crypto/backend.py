@@ -111,180 +111,6 @@ def unpack_ints(buf, words: int, count: int, start: int = 0) -> list[int]:
 MOD, LIMBS, EXPS, INTS, BYTES, POOL, CRT = "mod", "limbs", "exps", "ints", "bytes", "pool", "crt"
 _KINDS = {kind: kind for kind in (MOD, LIMBS, EXPS, INTS, BYTES, POOL, CRT)}
 
-#: Every op: its code in the kernel, the kind of its modulus register,
-#: its operands' kinds (the last ``optional`` of them may be left out)
-#: and which operands are residues, range-checked when a program's
-#: input.  ``mul a b``: ``a[i]·b[i]``, a length-1 operand broadcast.
-#: ``inv a``: every inverse, from one inversion.  ``pow a e``:
-#: ``a[i]^e[i]``, or one exponent for all.  ``powprod acc a e counts``:
-#: ``acc[g]·Π a^e`` over group ``g``'s ``counts[g]`` pairs.  ``prod acc a
-#: counts``: ``acc[g]·Π a``.  ``pool pool reads [factors]``: one draw of
-#: ``pool.picks`` elements per ``pool.read_bytes`` of ``reads`` (its
-#: ``index_bits``-wide digits, least significant first past the surplus
-#: low bits, index the pool), times its factor.  ``pick mask a b``:
-#: ``a[i]`` where ``mask[i]`` is 1, else ``b[i]``.  ``gather a idx``:
-#: ``a[idx[i]]``.  ``cat a b [c]``.  ``decrypt a [below_p]`` (modulus: a
-#: ``crt``): the Paillier plaintexts, or their mod-``p`` halves.
-#: ``blinds layout streams n [width, negate]`` (modulus ``N^2``):
-#: item ``g`` of ``layout = [count_0, seeds_0, ...]`` owns ``count_g``
-#: components and ``seeds_g`` streams of ``count_g`` big-endian
-#: ``width``-byte reads; component ``i`` writes ``1 + b_i·N``, ``b_i``
-#: its reads' sum mod ``N`` (negated for ``negate = 1``).
-OPS = {
-    "mul": (0, MOD, (LIMBS, LIMBS), 0, (0, 1)),
-    "inv": (1, MOD, (LIMBS,), 0, (0,)),
-    "pow": (2, MOD, (LIMBS, EXPS), 0, (0,)),
-    "powprod": (3, MOD, (LIMBS, LIMBS, EXPS, INTS), 0, (0, 1)),
-    "prod": (4, MOD, (LIMBS, LIMBS, INTS), 0, (0, 1)),
-    "pool": (5, MOD, (POOL, BYTES, LIMBS), 1, (2,)),
-    "pick": (6, MOD, (BYTES, LIMBS, LIMBS), 0, (1, 2)),
-    "gather": (7, MOD, (LIMBS, INTS), 0, (0,)),
-    "cat": (8, MOD, (LIMBS, LIMBS, LIMBS), 1, (0, 1, 2)),
-    "decrypt": (9, CRT, (LIMBS, INTS), 0, ()),
-    "blinds": (10, MOD, (INTS, BYTES, MOD, INTS), 0, ()),
-}
-
-#: An absent operand in the kernel's op encoding.
-NONE = (1 << 64) - 1
-
-
-class Program:
-    """A straight-line list of :data:`OPS` over numbered registers:
-    :meth:`input` declares an input (:func:`run` takes their values in
-    declaration order), :meth:`op` appends an op and returns the new
-    ``limbs`` register it writes, :meth:`output` names what :func:`run`
-    returns.  Op names and operand kinds are checked as the program is
-    built (no register is written twice or read before it is written);
-    sizes, per run, by :meth:`shapes`."""
-
-    def __init__(self):
-        self.kinds: list[str] = []
-        self.inputs: list[int] = []
-        self.ops: list[tuple] = []
-        self.outputs: list[tuple[int, bool]] = []
-        #: ``(register, modulus register)`` per input residue, at the
-        #: first op that reads it as one: what both backends range-check.
-        self.checks: list[tuple[int, int]] = []
-        #: Input registers a ``decrypt`` reads (a value too wide to pack
-        #: there is a ciphertext outside ``Z_{N^2}``).
-        self.decrypted: set[int] = set()
-        #: The ops in the kernel's encoding: seven words each.
-        self.encoded = b""
-        # Per op: its count rule, modulus, destination and operands, the
-        # input residues it is the first to read (they take its width)
-        # and the residues whose width another modulus set (checked).
-        self._steps: list[tuple] = []
-        self._width_of: dict[int, int] = {}
-
-    def input(self, kind: str) -> int:
-        """Declare the next input register, of ``kind``."""
-        kind = _KINDS[kind]
-        self.kinds.append(kind)
-        self.inputs.append(len(self.kinds) - 1)
-        return self.inputs[-1]
-
-    def op(self, name: str, mod: int, *operands: int) -> int:
-        """Append op ``name`` under modulus register ``mod``; returns the
-        ``limbs`` register it writes."""
-        code, mod_kind, kinds, optional, residues = OPS[name]
-        if not len(kinds) - optional <= len(operands) <= len(kinds):
-            raise ValueError(f"{name} takes {len(kinds)} operands")
-        for reg, kind in zip((mod, *operands), (mod_kind, *kinds)):
-            if not 0 <= reg < len(self.kinds) or self.kinds[reg] != kind:
-                raise ValueError(f"{name} reads a {kind} register where it has none")
-        operands += (None,) * (4 - len(operands))
-        checked = {reg for reg, _ in self.checks}
-        for slot in residues:
-            reg = operands[slot]
-            if reg in self.inputs and reg not in checked:
-                self.checks.append((reg, mod))
-                checked.add(reg)
-        if name == "decrypt":
-            self.decrypted.add(operands[0])
-        self.kinds.append(LIMBS)
-        dst = len(self.kinds) - 1
-        self.ops.append((name, mod, dst, operands))
-        self.encoded += struct.pack(
-            "<7Q", code, mod, dst, *(NONE if reg is None else reg for reg in operands)
-        )
-        assign, compare = [], []
-        for reg, kind in zip(operands, kinds):
-            if kind is LIMBS and reg is not None:
-                if reg not in self._width_of:
-                    self._width_of[reg] = mod
-                    assign.append(reg)
-                elif self._width_of[reg] != mod:
-                    compare.append(reg)
-        self._width_of[dst] = mod
-        self._steps.append((_RULES[name], mod, dst, *operands, tuple(assign), tuple(compare)))
-        return dst
-
-    def output(self, reg: int, packed: bool = False) -> None:
-        """Have :func:`run` return register ``reg`` — as a limb buffer at
-        its width when ``packed``, else as a list."""
-        if reg in self.inputs or not 0 <= reg < len(self.kinds):
-            raise ValueError("an output is a register an op writes")
-        self.outputs.append((reg, packed))
-
-    def shapes(self, registers: list) -> tuple[list[int], list[int]]:
-        """Every register's element count and width in words (0 for a
-        ``bytes`` register, counted in bytes) — or ``ValueError`` for
-        registers that do not fit the program, the same text on every
-        backend, since both call this before any arithmetic."""
-        if len(registers) != len(self.inputs):
-            raise ValueError("a program takes one value per input register")
-        n = len(self.kinds)
-        values: list = [None] * n
-        counts = [0] * n
-        widths = [0] * n
-        kinds = self.kinds  # the module's constants: identity tells them apart
-        for reg, value in zip(self.inputs, registers):
-            values[reg] = value
-            kind = kinds[reg]
-            if kind is LIMBS:
-                # a packed buffer's count is known once its width is
-                counts[reg] = -1 if isinstance(value, (bytes, bytearray)) else len(value)
-            elif kind is BYTES:
-                counts[reg] = len(value)
-            elif kind is MOD:
-                if value < 1:
-                    raise ValueError("a modulus is at least 1")
-                counts[reg] = 1
-                widths[reg] = (value.bit_length() + 63) // 64 or 1
-            elif kind is POOL:
-                if value.picks < 1 or not 1 <= value.read_bytes <= WORD_BYTES:
-                    raise ValueError("a pool draw reads 1..64 index bits per product")
-                if len(value) != 1 << value.index_bits:
-                    raise ValueError("a pool holds 2**index_bits elements")
-                counts[reg] = len(value)
-                widths[reg] = (value.mod.bit_length() + 63) // 64 or 1
-            elif kind is CRT:
-                counts[reg] = 9
-                widths[reg] = (value.n_squared.bit_length() + 63) // 64 or 1
-            else:
-                if value and min(value) < 0:
-                    raise ValueError(f"an {kind} register holds a negative value")
-                counts[reg] = len(value)
-                if kind is EXPS:
-                    widths[reg] = (max(value, default=0).bit_length() + 63) // 64 or 1
-                else:
-                    widths[reg] = 1
-        for rule, mod, dst, a, b, c, d, assign, compare in self._steps:
-            width = widths[mod]
-            for reg in assign:
-                widths[reg] = width
-                if counts[reg] < 0:
-                    counts[reg], ragged = divmod(len(values[reg]), width * WORD_BYTES)
-                    if ragged:
-                        raise ValueError("a packed register is not a whole number of values")
-            for reg in compare:
-                if widths[reg] != width:
-                    raise ValueError("an op reads a register of another width")
-            counts[dst] = rule(values, counts, mod, a, b, c, d)
-            widths[dst] = width
-        return counts, widths
-
-
 # The count each op writes, from its operands' counts and values;
 # ValueError when they do not fit it.
 
@@ -377,12 +203,196 @@ def _blinds_count(values, counts, mod, a, b, c, d):
     return sum(items)
 
 
-_RULES = {
-    "mul": _mul_count, "inv": _inv_count, "pow": _pow_count, "powprod": _powprod_count,
-    "prod": _prod_count, "pool": _pool_count, "pick": _pick_count,
-    "gather": _gather_count, "cat": _cat_count, "decrypt": _decrypt_count,
-    "blinds": _blinds_count,
+#: Every op: the kind of its modulus register, its operands' kinds (the
+#: last ``optional`` of them may be left out), which operands are
+#: residues, range-checked when a program's input, and the rule giving
+#: the count it writes from its operands (``ValueError`` when they do
+#: not fit it).  An op's code in the kernel is its place here; the
+#: kernel's C tables are emitted from this one (``_gmp_kernel/build.py``).
+#: ``mul a b``: ``a[i]·b[i]``, a length-1 operand broadcast.  ``inv
+#: a``: every inverse, from one inversion.  ``pow a e``: ``a[i]^e[i]``,
+#: or one exponent for all.  ``powprod acc a e counts``: ``acc[g]·Π
+#: a^e`` over group ``g``'s ``counts[g]`` pairs.  ``prod acc a
+#: counts``: ``acc[g]·Π a``.  ``pool pool reads [factors]``: one draw of
+#: ``pool.picks`` elements per ``pool.read_bytes`` of ``reads`` (its
+#: ``index_bits``-wide digits, least significant first past the surplus
+#: low bits, index the pool), times its factor.  ``pick mask a b``:
+#: ``a[i]`` where ``mask[i]`` is 1, else ``b[i]``.  ``gather a idx``:
+#: ``a[idx[i]]``.  ``cat a b [c]``.  ``decrypt a [below_p]`` (modulus: a
+#: ``crt``): the Paillier plaintexts, or their mod-``p`` halves.
+#: ``blinds layout streams n [width, negate]`` (modulus ``N^2``):
+#: item ``g`` of ``layout = [count_0, seeds_0, ...]`` owns ``count_g``
+#: components and ``seeds_g`` streams of ``count_g`` big-endian
+#: ``width``-byte reads; component ``i`` writes ``1 + b_i·N``, ``b_i``
+#: its reads' sum mod ``N`` (negated for ``negate = 1``).
+OPS = {
+    "mul": (MOD, (LIMBS, LIMBS), 0, (0, 1), _mul_count),
+    "inv": (MOD, (LIMBS,), 0, (0,), _inv_count),
+    "pow": (MOD, (LIMBS, EXPS), 0, (0,), _pow_count),
+    "powprod": (MOD, (LIMBS, LIMBS, EXPS, INTS), 0, (0, 1), _powprod_count),
+    "prod": (MOD, (LIMBS, LIMBS, INTS), 0, (0, 1), _prod_count),
+    "pool": (MOD, (POOL, BYTES, LIMBS), 1, (2,), _pool_count),
+    "pick": (MOD, (BYTES, LIMBS, LIMBS), 0, (1, 2), _pick_count),
+    "gather": (MOD, (LIMBS, INTS), 0, (0,), _gather_count),
+    "cat": (MOD, (LIMBS, LIMBS, LIMBS), 1, (0, 1, 2), _cat_count),
+    "decrypt": (CRT, (LIMBS, INTS), 0, (), _decrypt_count),
+    "blinds": (MOD, (INTS, BYTES, MOD, INTS), 0, (), _blinds_count),
 }
+_CODES = {name: code for code, name in enumerate(OPS)}
+
+#: What a program's refusals raise, on every backend; the kernel's
+#: status code for each is its place here plus one.
+REFUSALS = {
+    "OUTSIDE_MOD": (ValueError, OUTSIDE_MOD),
+    "NOT_INVERTIBLE": (ValueError, NOT_INVERTIBLE),
+    "OUTSIDE_ZN2": (DecryptionError, OUTSIDE_ZN2),
+    "NOT_A_UNIT": (DecryptionError, NOT_A_UNIT),
+}
+
+#: An absent operand in the kernel's op encoding.
+NONE = (1 << 64) - 1
+
+
+class Program:
+    """A straight-line list of :data:`OPS` over numbered registers:
+    :meth:`input` declares an input (:func:`run` takes their values in
+    declaration order), :meth:`op` appends an op and returns the new
+    ``limbs`` register it writes, :meth:`output` names what :func:`run`
+    returns.  Op names and operand kinds are checked as the program is
+    built (no register is written twice or read before it is written);
+    sizes, per run, by :meth:`shapes`."""
+
+    def __init__(self):
+        self.kinds: list[str] = []
+        self.inputs: list[int] = []
+        self.ops: list[tuple] = []
+        self.outputs: list[tuple[int, bool]] = []
+        #: ``(register, modulus register)`` per input residue, at the
+        #: first op that reads it as one: what both backends range-check.
+        self.checks: list[tuple[int, int]] = []
+        #: Input registers a ``decrypt`` reads (a value too wide to pack
+        #: there is a ciphertext outside ``Z_{N^2}``).
+        self.decrypted: set[int] = set()
+        #: Where each ``mod`` input sits among the inputs (the kernel
+        #: runs only odd moduli).
+        self.moduli: list[int] = []
+        #: The ops in the kernel's encoding: seven words each.
+        self.encoded = b""
+        # Per op: its count rule, modulus, destination and operands, the
+        # input residues it is the first to read (they take its width)
+        # and the residues whose width another modulus set (checked).
+        self._steps: list[tuple] = []
+        self._width_of: dict[int, int] = {}
+
+    def input(self, kind: str) -> int:
+        """Declare the next input register, of ``kind``."""
+        kind = _KINDS[kind]
+        if kind is MOD:
+            self.moduli.append(len(self.inputs))
+        self.kinds.append(kind)
+        self.inputs.append(len(self.kinds) - 1)
+        return self.inputs[-1]
+
+    def op(self, name: str, mod: int, *operands: int) -> int:
+        """Append op ``name`` under modulus register ``mod``; returns the
+        ``limbs`` register it writes."""
+        mod_kind, kinds, optional, residues, rule = OPS[name]
+        if not len(kinds) - optional <= len(operands) <= len(kinds):
+            raise ValueError(f"{name} takes {len(kinds)} operands")
+        for reg, kind in zip((mod, *operands), (mod_kind, *kinds)):
+            if not 0 <= reg < len(self.kinds) or self.kinds[reg] != kind:
+                raise ValueError(f"{name} reads a {kind} register where it has none")
+        operands += (None,) * (4 - len(operands))
+        checked = {reg for reg, _ in self.checks}
+        for slot in residues:
+            reg = operands[slot]
+            if reg in self.inputs and reg not in checked:
+                self.checks.append((reg, mod))
+                checked.add(reg)
+        if name == "decrypt":
+            self.decrypted.add(operands[0])
+        self.kinds.append(LIMBS)
+        dst = len(self.kinds) - 1
+        self.ops.append((name, mod, dst, operands))
+        self.encoded += struct.pack(
+            "<7Q", _CODES[name], mod, dst, *(NONE if reg is None else reg for reg in operands)
+        )
+        assign, compare = [], []
+        for reg, kind in zip(operands, kinds):
+            if kind is LIMBS and reg is not None:
+                if reg not in self._width_of:
+                    self._width_of[reg] = mod
+                    assign.append(reg)
+                elif self._width_of[reg] != mod:
+                    compare.append(reg)
+        self._width_of[dst] = mod
+        self._steps.append((rule, mod, dst, *operands, tuple(assign), tuple(compare)))
+        return dst
+
+    def output(self, reg: int, packed: bool = False) -> None:
+        """Have :func:`run` return register ``reg`` — as a limb buffer at
+        its width when ``packed``, else as a list."""
+        if reg in self.inputs or not 0 <= reg < len(self.kinds):
+            raise ValueError("an output is a register an op writes")
+        self.outputs.append((reg, packed))
+
+    def shapes(self, registers: list) -> tuple[list[int], list[int]]:
+        """Every register's element count and width in words (0 for a
+        ``bytes`` register, counted in bytes) — or ``ValueError`` for
+        registers that do not fit the program, the same text on every
+        backend, since both call this before any arithmetic."""
+        if len(registers) != len(self.inputs):
+            raise ValueError("a program takes one value per input register")
+        n = len(self.kinds)
+        values: list = [None] * n
+        counts = [0] * n
+        widths = [0] * n
+        kinds = self.kinds  # the module's constants: identity tells them apart
+        for reg, value in zip(self.inputs, registers):
+            values[reg] = value
+            kind = kinds[reg]
+            if kind is LIMBS:
+                # a packed buffer's count is known once its width is
+                counts[reg] = -1 if isinstance(value, (bytes, bytearray)) else len(value)
+            elif kind is BYTES:
+                counts[reg] = len(value)
+            elif kind is MOD:
+                if value < 1:
+                    raise ValueError("a modulus is at least 1")
+                counts[reg] = 1
+                widths[reg] = (value.bit_length() + 63) // 64 or 1
+            elif kind is POOL:
+                if value.picks < 1 or not 1 <= value.read_bytes <= WORD_BYTES:
+                    raise ValueError("a pool draw reads 1..64 index bits per product")
+                if len(value) != 1 << value.index_bits:
+                    raise ValueError("a pool holds 2**index_bits elements")
+                counts[reg] = len(value)
+                widths[reg] = (value.mod.bit_length() + 63) // 64 or 1
+            elif kind is CRT:
+                counts[reg] = 9
+                widths[reg] = (value.n_squared.bit_length() + 63) // 64 or 1
+            else:
+                if value and min(value) < 0:
+                    raise ValueError(f"an {kind} register holds a negative value")
+                counts[reg] = len(value)
+                if kind is EXPS:
+                    widths[reg] = (max(value, default=0).bit_length() + 63) // 64 or 1
+                else:
+                    widths[reg] = 1
+        for rule, mod, dst, a, b, c, d, assign, compare in self._steps:
+            width = widths[mod]
+            for reg in assign:
+                widths[reg] = width
+                if counts[reg] < 0:
+                    counts[reg], ragged = divmod(len(values[reg]), width * WORD_BYTES)
+                    if ragged:
+                        raise ValueError("a packed register is not a whole number of values")
+            for reg in compare:
+                if widths[reg] != width:
+                    raise ValueError("an op reads a register of another width")
+            counts[dst] = rule(values, counts, mod, a, b, c, d)
+            widths[dst] = width
+        return counts, widths
 
 
 def one_op(name: str, mod_kind: str, *kinds: str) -> Program:

@@ -13,7 +13,10 @@ Results are bit-identical to the pure backend (``tests/test_backend.py``
 pins this).  The shapes are checked here first
 (:meth:`~repro.crypto.backend.Program.shapes`, shared with the pure
 backend), and the C side checks every register index and size again
-before it reads or writes the arena.
+before it reads or writes the arena.  The C ops run on one Montgomery
+core, which needs an odd modulus: a program with an even ``mod`` input
+(no key of the package has one) runs on the pure interpreter instead,
+and the C side refuses an even modulus on its own.
 
 Use :func:`load_kernel`; it is no-raise — a machine without cffi, a
 compiler or the GMP headers simply reports the kernel absent and every
@@ -31,12 +34,7 @@ from repro.crypto.backend import (
 from repro.exceptions import DecryptionError
 
 #: ``repro_run``'s refusal codes and what each raises.
-_REFUSALS = {
-    1: (ValueError, backend.OUTSIDE_MOD),
-    2: (ValueError, backend.NOT_INVERTIBLE),
-    3: (DecryptionError, backend.OUTSIDE_ZN2),
-    4: (DecryptionError, backend.NOT_A_UNIT),
-}
+_REFUSALS = dict(enumerate(backend.REFUSALS.values(), 1))
 
 
 class GmpKernel(backend.Backend):
@@ -52,11 +50,10 @@ class GmpKernel(backend.Backend):
     def _packed_pool(pool) -> bytes:
         """A :class:`~repro.crypto.backend.RandomizerPool`'s limb-format
         copy, kept on the pool (so on its key) as ``packed``: in Montgomery
-        form, ``v · 2 ** (64 · words) mod mod``, for an odd modulus."""
+        form, ``v · 2 ** (64 · words) mod mod``."""
         mod = pool.mod
         words = words_for(mod)
-        values = [(v << 64 * words) % mod for v in pool] if mod & 1 else pool
-        pool.packed = pack_ints(values, words)
+        pool.packed = pack_ints([(v << 64 * words) % mod for v in pool], words)
         return pool.packed
 
     @staticmethod
@@ -82,8 +79,12 @@ class GmpKernel(backend.Backend):
         """``program`` over ``registers`` in one GIL-free ``repro_run``
         call; refusals raise what the pure backend raises.  The arena
         holds the inputs, in declaration order, then the registers the
-        ops write, zeroed."""
+        ops write, zeroed.  Under an even modulus the pure interpreter
+        runs the program."""
         counts, widths = program.shapes(registers)
+        for at in program.moduli:
+            if not registers[at] & 1:
+                return backend.PurePythonBackend().run(program, registers)
         table = array("Q", [0]) * (4 * len(counts))
         chunks = []
         offset = 0

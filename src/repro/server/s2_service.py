@@ -686,11 +686,6 @@ def main(argv: list[str] | None = None) -> None:
         "spills hold secret key material — protect accordingly)",
     )
     parser.add_argument(
-        "--ready-file",
-        default=None,
-        help="write the bound address here once listening (CI/scripts)",
-    )
-    parser.add_argument(
         "--metrics-port",
         type=int,
         default=None,
@@ -706,9 +701,6 @@ def main(argv: list[str] | None = None) -> None:
     )
     address = service.start()
     print(f"{_ANNOUNCE}{address}", flush=True)
-    if args.ready_file:
-        # Renamed into place whole: a poller never reads an empty file.
-        atomic_write(args.ready_file, address.encode("utf-8"))
     try:
         service.serve_forever()
     except KeyboardInterrupt:

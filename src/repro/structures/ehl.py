@@ -212,18 +212,19 @@ def _minus_program() -> backend.Program:
     ^ s_i mod N^2`` over its cells, ``r`` the pair's ``Enc(0)`` pool
     draw.  Inputs: ``N^2``, the pool and one read per pair, the left
     structures' cells and each pair cell's index into them, the right
-    structures' inverses and each pair cell's index into them, one
-    scalar per pair cell and the pairs' cell counts."""
+    structures' cells (inverted once each, by one ``inv``) and each pair
+    cell's index into them, one scalar per pair cell and the pairs' cell
+    counts."""
     program = backend.Program()
     n2 = program.input(backend.MOD)
     pool, reads = program.input(backend.POOL), program.input(backend.BYTES)
     cells, lefts = program.input(backend.LIMBS), program.input(backend.INTS)
-    inverses, rights = program.input(backend.LIMBS), program.input(backend.INTS)
+    theirs, rights = program.input(backend.LIMBS), program.input(backend.INTS)
     scalars, counts = program.input(backend.EXPS), program.input(backend.INTS)
     quotients = program.op(
         "mul", n2,
         program.op("gather", n2, cells, lefts),
-        program.op("gather", n2, inverses, rights),
+        program.op("gather", n2, program.op("inv", n2, theirs), rights),
     )
     randomizers = program.op("pool", n2, pool, reads)
     program.output(program.op("powprod", n2, randomizers, quotients, scalars, counts))
@@ -236,17 +237,16 @@ MINUS = _minus_program()
 def _minus_computed(
     pairs: list[tuple[EncryptedHashList, EncryptedHashList]], rng: SecureRandom
 ) -> list[Ciphertext]:
-    """The real ``⊖`` of every pair, as two whole-batch backend calls.
+    """The real ``⊖`` of every pair, as one run of :data:`MINUS`.
 
-    Each right-hand cell is inverted once however many pairs it appears
-    in (one :func:`~repro.crypto.backend.invert_vec`: Montgomery's trick
-    over all of them), and one run of :data:`MINUS` draws every pair's
-    ``Enc(0)`` randomizer and computes its ``Enc(0) · Π (mine /
-    theirs)^r`` as one multi-exponentiation; each structure's cells are
-    packed once, however many pairs it is in.  The rng is read in the
-    order a loop of single ``⊖`` calls reads it — per pair the ``Enc(0)``
-    randomizer's pool read, then one scalar per cell — so batch and loop
-    agree ciphertext for ciphertext under a seed.
+    The run inverts each right-hand cell once however many pairs it
+    appears in (one ``inv``: Montgomery's trick over all of them), draws
+    every pair's ``Enc(0)`` randomizer and computes its ``Enc(0) · Π
+    (mine / theirs)^r`` as one multi-exponentiation; each structure's
+    cells are packed once, however many pairs it is in.  The rng is read
+    in the order a loop of single ``⊖`` calls reads it — per pair the
+    ``Enc(0)`` randomizer's pool read, then one scalar per cell — so
+    batch and loop agree ciphertext for ciphertext under a seed.
     """
     if not pairs:
         return []
@@ -271,7 +271,6 @@ def _minus_computed(
                     )
             starts[id(structure)] = len(column)
             column.extend(cell.value for cell in structure.cells)
-    inverses = backend.invert_vec(theirs_cells, n2)
 
     pool = pk.randomizer_pool()
     reads, left_index, right_index, scalars = [], [], [], []
@@ -283,7 +282,7 @@ def _minus_computed(
         right_index.extend(range(start, start + len(theirs)))
         scalars.extend(rng.rand_nonzero_batch(n, len(mine)))
     (values,) = backend.run(MINUS, [
-        n2, pool, b"".join(reads), cells, left_index, inverses, right_index, scalars,
+        n2, pool, b"".join(reads), cells, left_index, theirs_cells, right_index, scalars,
         [len(mine) for mine, _ in pairs],
     ])
     return [Ciphertext(value, pk) for value in values]

@@ -342,8 +342,8 @@ class TestBatchPrimitiveParity:
     def test_powmod_products_match_reference(self, name, mod_bits, odd):
         """Ragged groups — every edge base against every edge exponent
         as width-1 groups, then widths 5, 23 (the EHL bit-list's), 0 and
-        5 — with accs at and above the modulus.  An even modulus takes
-        the kernel's mpz path."""
+        5 — with accs at and above the modulus.  An even modulus runs on
+        the pure interpreter."""
         fast = backend._resolve(name)
         rng = SecureRandom(mod_bits + odd)
         mod = rng.randbits(mod_bits) | (1 << (mod_bits - 1))
@@ -572,7 +572,7 @@ class TestBatchPrimitiveParity:
         components under 1, 2, 0 and 3 seeds) with edge values, read
         from and written to one limb buffer: each component times
         ``1 ± b·N`` for its summed, reduced reads, times its pool draw.
-        An even ``N`` takes the kernel's plain-pool path."""
+        An even ``N`` runs on the pure interpreter."""
         fast = backend._resolve(name)
         rng = SecureRandom(35 + odd)
         n = rng.randbits(192) | (1 << 191)
@@ -661,9 +661,10 @@ class TestBatchPrimitiveParity:
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
     def test_pool_products_with_factors_match_reference(self, name, odd):
         """A draw times its factor, for encryption and rerandomization in
-        one call: the reference draws times the factors, on the kernel's
-        Montgomery and ``mpz`` paths alike; a factor outside
-        ``[0, mod)`` or a factor count off by one is refused."""
+        one call: the reference draws times the factors, on an odd
+        modulus and on an even one, which runs on the pure interpreter; a
+        factor outside ``[0, mod)`` or a factor count off by one is
+        refused."""
         fast = backend._resolve(name)
         rng = SecureRandom(38 + odd)
         n = rng.randbits(160) | (1 << 159)
@@ -742,8 +743,8 @@ class TestBatchPrimitiveParity:
         """The ⊖ program (``ehl.MINUS``) over ragged pairs (1, 5, 0, 23
         and 3 cells), edge numerators, inverses and exponents, the cells
         gathered through reversed indices: each group's pool draw times
-        one power per cell quotient.  An even modulus takes the kernel's
-        mpz path."""
+        one power per cell quotient, the right cells inverted inside the
+        program.  An even modulus runs on the pure interpreter."""
         fast = backend._resolve(name)
         rng = SecureRandom(38 + odd)
         mod = rng.randbits(512) | (1 << 511)
@@ -751,7 +752,7 @@ class TestBatchPrimitiveParity:
         counts = [1, 5, 0, 23, 3]
         cells = sum(counts)
         nums = [0, 1, mod - 1] + [rng.randint_below(mod) for _ in range(cells - 3)]
-        invs = [mod - 1, 1, 0] + [rng.randint_below(mod) for _ in range(cells - 3)]
+        invs = [mod - 1, 1] + [rng.rand_unit(mod) for _ in range(cells - 2)]
         exps = [0, 1, 65537] + [rng.randbits(8 * (1 + rng.randint_below(40)))
                                 for _ in range(cells - 3)]
         pool = backend.RandomizerPool([rng.rand_unit(mod) for _ in range(64)], mod, 6)
@@ -763,14 +764,16 @@ class TestBatchPrimitiveParity:
                 cell += 1
             expected.append(acc)
         backwards = list(range(cells - 1, -1, -1))
+        theirs = [pow(v, -1, mod) for v in invs]
         assert fast.run(ehl.MINUS, [
-            mod, pool, reads, nums[::-1], backwards, invs, list(range(cells)), exps, counts,
+            mod, pool, reads, nums[::-1], backwards, theirs, list(range(cells)), exps, counts,
         ]) == [expected]
 
     def test_ehl_minus_refusals(self, name):
         """An empty batch is empty; ragged reads or cells, an index past
-        its cells, a negative exponent, or a numerator or inverse outside
-        ``[0, mod)`` refuses the whole program with ``ValueError``."""
+        its cells, a negative exponent, a left or right cell outside
+        ``[0, mod)`` or a right cell without an inverse refuses the whole
+        program with ``ValueError``."""
         fast = backend._resolve(name)
         rng = SecureRandom(40)
         mod = rng.randbits(256) | (1 << 255) | 1
@@ -778,26 +781,30 @@ class TestBatchPrimitiveParity:
         run = functools.partial(fast.run, ehl.MINUS)
         assert run([mod, pool, b"", [], [], [], [], [], []]) == [[]]
         reads = rng.randbytes(pool.read_bytes * 2)
-        nums, invs, exps, counts, cells = [2, 3, 4], [5, 6, 7], [1, 2, 3], [2, 1], [0, 1, 2]
-        assert len(run([mod, pool, reads, nums, cells, invs, cells, exps, counts])[0]) == 2
+        nums, theirs, exps = [2, 3, 4], [1, 2, mod - 1], [1, 2, 3]
+        counts, cells = [2, 1], [0, 1, 2]
+        assert len(run([mod, pool, reads, nums, cells, theirs, cells, exps, counts])[0]) == 2
         for bad in (
-            (reads[:-1], nums, cells, invs, cells, exps, counts),  # reads
-            (reads, nums, cells, invs, cells, exps, [2, 2]),  # counts overrun the cells
-            (reads, nums, cells, invs, cells, exps, [3]),  # a group without a read
-            (reads, nums[:2], cells, invs, cells, exps, counts),  # numerators
-            (reads, nums, cells, invs[:2], cells, exps, counts),  # inverses
-            (reads, nums, cells, invs, cells[:2], exps, counts),  # inverse indices
-            (reads, nums, cells, invs, cells, exps[:2], counts),  # exponents
-            (reads, nums, cells, invs, cells, exps, [4, -1]),  # a negative count
-            (reads, nums, cells, invs, cells, [1, -2, 3], counts),  # a negative exponent
+            (reads[:-1], nums, cells, theirs, cells, exps, counts),  # reads
+            (reads, nums, cells, theirs, cells, exps, [2, 2]),  # counts overrun the cells
+            (reads, nums, cells, theirs, cells, exps, [3]),  # a group without a read
+            (reads, nums[:2], cells, theirs, cells, exps, counts),  # numerators
+            (reads, nums, cells, theirs[:2], cells, exps, counts),  # right cells
+            (reads, nums, cells, theirs, cells[:2], exps, counts),  # right indices
+            (reads, nums, cells, theirs, cells, exps[:2], counts),  # exponents
+            (reads, nums, cells, theirs, cells, exps, [4, -1]),  # a negative count
+            (reads, nums, cells, theirs, cells, [1, -2, 3], counts),  # a negative exponent
         ):
             with pytest.raises(ValueError):
                 run([mod, pool, *bad])
+        with pytest.raises(ValueError) as excinfo:
+            run([mod, pool, reads, nums, cells, [1, 0, 2], cells, exps, counts])
+        assert str(excinfo.value) == backend.NOT_INVERTIBLE
         for oversized in (mod, mod + 1, -1, 1 << (mod.bit_length() + 64)):
             for position in range(3):
                 column = [2, 3, 4]
                 column[position] = oversized
-                for args in ((column, cells, invs), (nums, cells, column)):
+                for args in ((column, cells, theirs), (nums, cells, column)):
                     with pytest.raises(ValueError) as excinfo:
                         run([mod, pool, reads, *args, cells, exps, counts])
                     assert str(excinfo.value) == backend.OUTSIDE_MOD
@@ -825,7 +832,7 @@ class TestBatchPrimitiveParity:
         targets (2, 0, 1, 3 and 4 slots) with no, every and some slots
         flipped, edge accs and exponents, against per-slot built-ins; one
         slot per target over ``acc = 1`` is the bare ``Enc(t·x)``.  An
-        even ``N`` takes the kernel's ``mpz`` path."""
+        even ``N`` runs on the pure interpreter."""
         fast = backend._resolve(name)
         rng = SecureRandom(43 + odd)
         n = rng.randbits(256) | (1 << 255)
@@ -857,7 +864,7 @@ class TestBatchPrimitiveParity:
         bit at every position, edge exponents, and with no slot, against
         per-slot built-ins: the credits, the seen bits, the new entry's
         worst and match count and its seen bits over the pool draws.  An
-        even ``N`` takes the kernel's ``mpz`` path."""
+        even ``N`` runs on the pure interpreter."""
         fast = backend._resolve(name)
         rng = SecureRandom(46 + odd)
         n = rng.randbits(256) | (1 << 255)
@@ -1040,7 +1047,7 @@ class TestBatchPrimitiveParity:
             rng.randbytes(80), [20, 0], pool, reads2,
         ])
         fast.run(ehl.MINUS, [
-            n2, pool, rng.randbytes(pool.read_bytes), [3, 4], [0, 1], [5, 6], [0, 1],
+            n2, pool, rng.randbytes(pool.read_bytes), [3, 4], [0, 1], [1, 2], [0, 1],
             [7, 8], [2],
         ])
         fast.run(engine.MASKED_UNSEEN, [n2, sel, bytes([0, 1]), [1 + n], pool, reads2])
@@ -1183,6 +1190,30 @@ class TestProgramOps:
             [pow(x, e, mod) for x, e in zip(bases, exps)]
         ]
 
+    def test_an_even_modulus_runs_on_the_pure_interpreter(self, name):
+        """A program with an even modulus among its inputs makes no C
+        call: the kernel hands it to the pure interpreter, whose result it
+        returns.  With every modulus odd, it is one C call again."""
+        fast, pure = backend._resolve(name), backend.PurePythonBackend()
+        calls = []
+        if name == "gmp-kernel":
+            _spy_on_lib(fast, calls)
+        rng = SecureRandom(65)
+        even = (rng.randbits(512) | (1 << 511)) & ~1
+        for op, kinds, registers in _op_cases(rng, even):
+            program = backend.one_op(op, backend.MOD, *kinds)
+            assert fast.run(program, registers) == pure.run(program, registers), op
+        program = backend.Program()
+        m1, m2, a = (program.input(kind) for kind in (backend.MOD, backend.MOD, backend.LIMBS))
+        program.output(program.op("mul", m1, program.op("inv", m1, a), a))
+        program.output(program.op("mul", m2, a, a))
+        units = [1, even - 1]  # units under even, even + 1 and even + 3
+        for registers in ([even + 1, even, units], [even, even + 1, units]):
+            assert fast.run(program, registers) == pure.run(program, registers)
+        assert calls == []
+        fast.run(program, [even + 1, even + 3, units])
+        assert calls == (["repro_run"] if name == "gmp-kernel" else [])
+
     def test_decrypt_and_blinds_match_the_pure_interpreter(self, name):
         fast, pure = backend._resolve(name), backend.PurePythonBackend()
         crt, plain, cts = _decrypt_batch(128)
@@ -1298,28 +1329,30 @@ class TestProgramOps:
 @needs_kernel
 class TestKernelRun:
     def test_seeded_query_makes_the_parent_count_of_c_calls(self):
-        """The seeded tiny eager query makes as many C calls as before its
-        rounds became programs: 365, every one a ``repro_run``."""
+        """The seeded tiny eager query makes 339 C calls, every one a
+        ``repro_run``: the 365 it made before its rounds became programs,
+        less one per ⊖ batch, whose inversion is inside ``ehl.MINUS``."""
         scheme, relation, token = _seeded_tiny_query()
         with _on_backend("gmp-kernel") as kernel:
             calls = []
             _spy_on_lib(kernel, calls)
             scheme.query(relation, token)
-        assert calls == ["repro_run"] * 365
+        assert calls == ["repro_run"] * 339
 
     def test_c_checks_every_register_again(self):
         """``repro_run`` refuses, before reading or writing, a register
-        outside the arena, an op over registers that do not fit it and a
-        gather index past its source — whatever the Python side passed."""
+        outside the arena, an op over registers that do not fit it, a
+        gather index past its source and an even modulus — whatever the
+        Python side passed."""
         kernel = kernels.load_kernel()
         ffi, lib = kernel._ffi, kernel._lib
         program = backend.Program()
         mod, a, idx = (program.input(kind) for kind in (backend.MOD, backend.LIMBS, backend.INTS))
         program.output(program.op("gather", mod, a, idx))
 
-        def run(table, indices=(1, 0)):
-            # the modulus 7, a = [3, 5], idx, then room for the output
-            arena = bytearray(backend.pack_ints([7, 3, 5, *indices] + [0] * 11, 1))
+        def run(table, indices=(1, 0), mod=7):
+            # the modulus, a = [3, 5], idx, then room for the output
+            arena = bytearray(backend.pack_ints([mod, 3, 5, *indices] + [0] * 11, 1))
             rc = lib.repro_run(
                 ffi.from_buffer("uint64_t[]", program.encoded), 1,
                 ffi.from_buffer("uint64_t[]", backend.pack_ints(table, 1)), 4,
@@ -1335,6 +1368,7 @@ class TestKernelRun:
             table[at] = value
             assert run(table) == (-1, [0, 0]), (at, value)
         assert run(good, (1, 2)) == (-1, [0, 0])
+        assert run(good, mod=8) == (-1, [0, 0])
         with pytest.raises(ValueError, match="gather needs indices"):
             kernel.run(program, [7, [3], [1]])
 

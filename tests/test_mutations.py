@@ -775,7 +775,10 @@ class TestDaemonMutation:
 
     def test_interleaved_churn_over_the_daemon(self, daemon):
         """The socket-smoke shape: mutations, queries and a watch
-        interleaved against one daemon connection."""
+        interleaved against one daemon connection.  Each insert waits
+        for the watch to evaluate the one before it: the watch evaluates
+        only the newest version, so inserts made during one evaluation
+        would share the next."""
         service, address = daemon
         scheme, mutable, server = _deployment(transport=address)
         with server:
@@ -786,6 +789,7 @@ class TestDaemonMutation:
                 oid = server.insert([10 + i, 10 + i]).object_id
                 revealed = scheme.reveal(server.query(token))
                 assert oid in {o for o, _ in revealed}
+                assert _wait_for(lambda i=i: watch.evaluations >= 2 + i)
             watch.stop()
             summary = watch.summary(timeout=120.0)
             assert summary.evaluations == 4
