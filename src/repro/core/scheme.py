@@ -293,7 +293,6 @@ class SecTopK:
         transport: str = "inprocess",
         label: str = "",
         salt: str | None = None,
-        rtt_ms: float = 0.0,
         on_event=None,
         control=None,
         session_label: str | None = None,
@@ -320,9 +319,8 @@ class SecTopK:
         stream regardless of which worker thread or *process* serves it
         (the counter lives in this process and cannot coordinate forks).
 
-        ``rtt_ms`` adds simulated link latency.  ``on_event`` /
-        ``control`` become the context's progress and job-control hooks
-        (observations only — a context with hooks is
+        ``on_event`` / ``control`` become the context's progress and
+        job-control hooks (observations only — a context with hooks is
         transcript-identical to one without).
         """
         if salt is None:
@@ -334,7 +332,6 @@ class SecTopK:
             transport,
             self._rng.spawn("s1" + salt),
             self._rng.spawn("s2" + salt),
-            rtt_ms=rtt_ms,
             session_label=session_label if session_label is not None else salt,
             on_event=on_event,
             control=control,

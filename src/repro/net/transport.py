@@ -8,8 +8,7 @@ round counter measures.
 :class:`InProcessTransport` invokes the S2 dispatcher directly.  Nothing
 is copied or encoded (the accounting channel still measures payload
 sizes), which keeps the simulation as fast as a direct call while
-enforcing the message boundary; :class:`LatencyTransport` adds a
-simulated round-trip time to any backend.
+enforcing the message boundary.
 
 The byte link lives in :mod:`repro.net.socket_transport`: a
 :class:`~repro.net.socket_transport.SocketTransport` speaks the
@@ -19,10 +18,7 @@ sockets to the standalone S2 daemon (:mod:`repro.server.s2_service`).
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
-
-from repro.exceptions import ProtocolError
 
 
 class Transport(ABC):
@@ -39,42 +35,6 @@ class Transport(ABC):
         other side already vanished reports nothing — the client API's
         idempotent teardown depends on close never masking the error
         that killed the link."""
-
-
-class LatencyTransport(Transport):
-    """Wrap a transport with a simulated per-round-trip link latency.
-
-    The two clouds live at different providers in the paper's deployment
-    model; sleeping one RTT per :meth:`exchange` turns the in-process
-    simulation into a WAN-shaped one, which is what makes concurrent
-    sessions (thread- or process-pooled) overlap genuinely measurable
-    wall-clock latency in the benchmarks.  The sleep releases the GIL,
-    so concurrency hides it exactly like a real network wait.
-    """
-
-    def __init__(self, inner: Transport, rtt_ms: float):
-        if rtt_ms < 0:
-            raise ProtocolError("link RTT cannot be negative")
-        self.inner = inner
-        self.rtt_ms = rtt_ms
-
-    def exchange(self, messages: list) -> list:
-        replies = self.inner.exchange(messages)
-        time.sleep(self.rtt_ms / 1000.0)
-        return replies
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def __getattr__(self, name):
-        # Transparent wrapper: backend-specific surface (``session_id``,
-        # ...) stays reachable through the latency shim.
-        # ``copy`` and ``pickle`` probe dunders on an instance whose
-        # ``__init__`` never ran: neither those nor ``inner`` itself may
-        # be forwarded, or the lookup recurses.
-        if name == "inner" or name.startswith("__"):
-            raise AttributeError(name)
-        return getattr(self.inner, name)
 
 
 class InProcessTransport(Transport):

@@ -11,8 +11,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    enabled,
-    set_enabled,
 )
 from repro.obs.trace import JobTrace, Span, trace_phases
 
@@ -26,7 +24,5 @@ __all__ = [
     "MetricsExporter",
     "MetricsRegistry",
     "Span",
-    "enabled",
-    "set_enabled",
     "trace_phases",
 ]

@@ -2,10 +2,8 @@
 histograms in a process-wide registry.
 
 Instrumentation is **observation only** by construction: instruments
-touch their own locks and integers/floats, never protocol state, and a
-disabled registry (:func:`set_enabled`, ``REPRO_METRICS=0``) turns every
-hot-path record into a no-op — results, rounds, bytes and leakage are
-bit-identical either way (pinned by the transport-equivalence suite).
+touch their own locks and integers/floats, never protocol state, so
+results, rounds, bytes and leakage never depend on them.
 
 The surface mirrors the Prometheus client conventions without the
 dependency:
@@ -35,7 +33,6 @@ bucket resolution, pinned by tests.
 from __future__ import annotations
 
 import math
-import os
 import threading
 
 #: Default histogram buckets (seconds): micro-benchmark to multi-minute.
@@ -47,20 +44,6 @@ DEFAULT_BUCKETS = (
 #: Distinct label combinations a family accepts before folding the rest
 #: into one overflow child.
 MAX_LABEL_SETS = 64
-
-_enabled = os.environ.get("REPRO_METRICS", "1") != "0"
-
-
-def set_enabled(on: bool) -> None:
-    """Globally enable/disable instrument recording (render still works)."""
-    global _enabled
-    _enabled = bool(on)
-
-
-def enabled() -> bool:
-    """Whether instruments currently record observations."""
-    return _enabled
-
 
 def _quote_label(value: str) -> str:
     return (
@@ -96,8 +79,6 @@ class Counter:
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if not _enabled:
-            return
         if amount < 0:
             raise ValueError("counters only go up")
         with self._lock:
@@ -119,8 +100,6 @@ class Gauge:
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if not _enabled:
-            return
         with self._lock:
             self._value += amount
 
@@ -128,8 +107,6 @@ class Gauge:
         self.inc(-amount)
 
     def set(self, value: float) -> None:
-        if not _enabled:
-            return
         with self._lock:
             self._value = value
 
@@ -161,8 +138,6 @@ class Histogram:
         self._count = 0
 
     def observe(self, value: float) -> None:
-        if not _enabled:
-            return
         idx = len(self.buckets)
         for i, bound in enumerate(self.buckets):
             if value <= bound:

@@ -36,7 +36,7 @@ from repro.crypto.rng import SecureRandom
 from repro.events import RoundTrip
 from repro.net.channel import Channel
 from repro.net.dispatch import S2Dispatcher
-from repro.net.transport import InProcessTransport, LatencyTransport, Transport
+from repro.net.transport import InProcessTransport, Transport
 from repro.exceptions import KeyMismatchError, ProtocolError, TransportError
 
 
@@ -474,7 +474,6 @@ def _wire_clouds(
     s1_rng: SecureRandom,
     s2_rng: SecureRandom,
     leakage: LeakageLog | None = None,
-    rtt_ms: float = 0.0,
     session_label: str = "",
     on_event=None,
     control=None,
@@ -490,9 +489,8 @@ def _wire_clouds(
     ships the S2 randomness stream with the session, so the remote run
     is bit-identical (results, rounds, bytes, leakage) to the local one.
 
-    ``rtt_ms`` adds a simulated round-trip latency to the link.  Single
-    point of truth for context construction — every scheme's context
-    wiring and :func:`make_parties` delegate here.
+    Single point of truth for context construction — every scheme's
+    context wiring and :func:`make_parties` delegate here.
 
     ``session_label`` rides the remote OPEN frame so the daemon can
     attribute sessions to the jobs that opened them; ``on_event`` /
@@ -537,8 +535,6 @@ def _wire_clouds(
             f"unknown transport kind: {transport!r} (\"inprocess\", or an S2 "
             "daemon address: repro.connect(scheme, relation, \"tcp://host:port\"))"
         )
-    if rtt_ms > 0:
-        link = LatencyTransport(link, rtt_ms)
     return S1Context(
         public_key=keypair.public_key,
         dj=dj,

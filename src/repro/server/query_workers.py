@@ -93,7 +93,6 @@ def run_salted_query(
     scheme,
     relation,
     transport: str,
-    rtt_ms: float,
     salt: str,
     token: Token,
     config: QueryConfig | None,
@@ -112,7 +111,7 @@ def run_salted_query(
     failure surfaces undisturbed.
     """
     ctx = scheme._make_context(
-        transport=transport, salt=salt, rtt_ms=rtt_ms,
+        transport=transport, salt=salt,
         on_event=on_event, control=control, session_label=session_label,
     )
     with owned_context(ctx):
@@ -121,7 +120,7 @@ def run_salted_query(
         return scheme.query(relation, token, config, ctx=ctx)
 
 
-def _init_query_worker(relation_key, payload, transport, rtt_ms, backend_name) -> None:
+def _init_query_worker(relation_key, payload, transport, backend_name) -> None:
     backend.set_backend(backend_name)
     entry = _RELATION_STORE.get(relation_key)
     if entry is None:
@@ -131,7 +130,6 @@ def _init_query_worker(relation_key, payload, transport, rtt_ms, backend_name) -
         _RELATION_STORE[relation_key] = entry
     _QUERY_WORKER["scheme"], _QUERY_WORKER["relation"] = entry
     _QUERY_WORKER["transport"] = transport
-    _QUERY_WORKER["rtt_ms"] = rtt_ms
 
 
 def _run_query(
@@ -149,7 +147,6 @@ def _run_query(
         scheme,
         _QUERY_WORKER["relation"],
         _QUERY_WORKER["transport"],
-        _QUERY_WORKER["rtt_ms"],
         salt,
         token,
         config,
@@ -213,10 +210,9 @@ class QueryWorkerPool:
     job that snapshotted it is still waiting for a worker.
     """
 
-    def __init__(self, scheme: SecTopK, transport: str, rtt_ms: float):
+    def __init__(self, scheme: SecTopK, transport: str):
         self._scheme = scheme
         self._transport = transport
-        self._rtt_ms = rtt_ms
         # Guards the binding *and* the submit that relies on it: a pool
         # retired between the two would reject the work item.
         self._lock = threading.Lock()
@@ -264,8 +260,7 @@ class QueryWorkerPool:
             self._executor = make_pool_executor(
                 workers,
                 _init_query_worker,
-                (key, payload, self._transport, self._rtt_ms,
-                 backend.get_backend().name),
+                (key, payload, self._transport, backend.get_backend().name),
             )
         except BaseException:
             release_relation(key)

@@ -47,10 +47,6 @@ against 8.9 sequential (×1.82) and 12.1 at thread ``concurrency=2``
 (×1.34).  Splitting a *single* query's rounds across cores does not pay
 — a round carries a handful of ciphertexts and is one GIL-free kernel
 call already — so nothing here does.
-
-``rtt_ms`` adds a simulated per-round link latency (the two clouds live
-at different providers in the paper's deployment model), which is what
-makes concurrency wins measurable on few-core machines.
 """
 
 from __future__ import annotations
@@ -157,8 +153,6 @@ class TopKServer:
         scheme's key material with the daemon and every later one —
         including process-mode worker jobs, after any mutation — opens
         by that registration alone.
-    rtt_ms:
-        Simulated link round-trip latency added to every exchange.
     scheduler_workers:
         Size of the thread pool that runs submitted jobs: at most this
         many queries run at once, and ``execute_many`` never runs a
@@ -185,7 +179,6 @@ class TopKServer:
         scheme: SecTopK,
         relation: EncryptedRelation | MutableRelation,
         transport: str = "inprocess",
-        rtt_ms: float = 0.0,
         scheduler_workers: int = 8,
         metrics_port: int | None = None,
     ):
@@ -200,7 +193,6 @@ class TopKServer:
             self._mutable = None
         self.relation = relation
         self.transport = transport
-        self.rtt_ms = rtt_ms
         # Validate the cheap parameters before acquiring any resource
         # (relation-store pin) — a half-constructed server has no
         # reachable close().
@@ -218,7 +210,7 @@ class TopKServer:
         # Pin the served relation in the process-wide store for this
         # server's lifetime, so rebuilt worker pools never re-pickle it.
         export_relation(scheme, relation)
-        self._worker_pool = QueryWorkerPool(scheme, transport, rtt_ms)
+        self._worker_pool = QueryWorkerPool(scheme, transport)
         # Guards the request-id counter and the closed flag.
         self._state_lock = threading.Lock()
         self._next_request_id = 0
@@ -540,7 +532,6 @@ class TopKServer:
             self.scheme,
             relation,
             self.transport,
-            self.rtt_ms,
             salt,
             token,
             job.config,
@@ -735,7 +726,6 @@ class TopKServer:
                 self.scheme,
                 relation,
                 self.transport,
-                self.rtt_ms,
                 self._request_salt(job.job_id),
                 job.token,
                 job.config,

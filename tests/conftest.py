@@ -8,6 +8,7 @@ stream so the suite is reproducible end to end.
 from __future__ import annotations
 
 import socket
+import time
 
 import differential
 import pytest
@@ -16,6 +17,7 @@ from repro.crypto import backend
 from repro.crypto.paillier import PaillierKeypair
 from repro.crypto.rng import SecureRandom
 from repro.net.socket_transport import disconnect_all
+from repro.net.transport import InProcessTransport
 from repro.protocols.base import S1Context, make_parties
 from repro.server import S2Service
 
@@ -57,6 +59,26 @@ def ctx(keypair) -> S1Context:
 @pytest.fixture()
 def rng() -> SecureRandom:
     return SecureRandom(7)
+
+
+@pytest.fixture()
+def slow_rounds(monkeypatch):
+    """``slow_rounds(ms)``: from then on, every in-process round sleeps
+    ``ms`` after its real exchange (releasing the GIL, as a network wait
+    would), so a test can stretch a query past a cancel, a deadline or a
+    close.  Replies, rounds and bytes are unchanged."""
+
+    def install(ms: float) -> None:
+        real = InProcessTransport.exchange
+
+        def exchange(self, messages):
+            replies = real(self, messages)
+            time.sleep(ms / 1000.0)
+            return replies
+
+        monkeypatch.setattr(InProcessTransport, "exchange", exchange)
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -120,10 +120,11 @@ class TestEventStream:
 
 
 class TestCancellationAndTimeouts:
-    def test_cancel_at_round_boundary_then_serve_next_job(self):
+    def test_cancel_at_round_boundary_then_serve_next_job(self, slow_rounds):
+        slow_rounds(20)
         scheme, relation, rows = _fresh_deployment()
         # 20 ms per round stretches the query well past the cancel.
-        with repro.connect(scheme, relation, rtt_ms=20.0) as client:
+        with repro.connect(scheme, relation) as client:
             job = client.submit(client.token([0, 1, 2], k=2))
             for event in job.events():
                 if isinstance(event, RoundTrip):
@@ -139,11 +140,10 @@ class TestCancellationAndTimeouts:
             winners = {o for o, _ in client.reveal(after)}
             assert winners == {o for o, _ in _oracle_topk(rows, [0, 1], 2)}
 
-    def test_cancel_while_queued_never_starts(self):
+    def test_cancel_while_queued_never_starts(self, slow_rounds):
+        slow_rounds(20)
         scheme, relation, _ = _fresh_deployment()
-        with repro.connect(
-            scheme, relation, rtt_ms=20.0, scheduler_workers=1
-        ) as client:
+        with repro.connect(scheme, relation, scheduler_workers=1) as client:
             blocker = client.submit(client.token([0, 1, 2], k=2))
             queued = client.submit(client.token([0, 1], k=2))
             assert queued.cancel() is True
@@ -154,9 +154,10 @@ class TestCancellationAndTimeouts:
             ), "a cancelled-while-queued job must never start"
             blocker.result(timeout=120)  # the worker was never wedged
 
-    def test_per_job_timeout(self):
+    def test_per_job_timeout(self, slow_rounds):
+        slow_rounds(20)
         scheme, relation, rows = _fresh_deployment()
-        with repro.connect(scheme, relation, rtt_ms=20.0) as client:
+        with repro.connect(scheme, relation) as client:
             job = client.submit(client.token([0, 1, 2], k=2), timeout=0.1)
             with pytest.raises(JobTimeout):
                 job.result(timeout=60)
@@ -166,9 +167,10 @@ class TestCancellationAndTimeouts:
             winners = {o for o, _ in client.reveal(after)}
             assert winners == {o for o, _ in _oracle_topk(rows, [0, 2], 2)}
 
-    def test_result_wait_timeout_is_not_a_job_failure(self):
+    def test_result_wait_timeout_is_not_a_job_failure(self, slow_rounds):
+        slow_rounds(10)
         scheme, relation, _ = _fresh_deployment()
-        with repro.connect(scheme, relation, rtt_ms=10.0) as client:
+        with repro.connect(scheme, relation) as client:
             job = client.submit(client.token([0, 1], k=2))
             with pytest.raises(TimeoutError):
                 job.result(timeout=0.01)
@@ -236,9 +238,10 @@ class TestSchedulerRaces:
     """The untested edge windows: cancel vs completion, close vs queued
     submit, and a deadline landing exactly on a round boundary."""
 
-    def test_cancel_racing_completion_never_corrupts_state(self):
+    def test_cancel_racing_completion_never_corrupts_state(self, slow_rounds):
+        slow_rounds(1)
         scheme, relation, _ = _fresh_deployment()
-        with repro.connect(scheme, relation, rtt_ms=1.0) as client:
+        with repro.connect(scheme, relation) as client:
             # A cancel that definitively lost the race is a clean no-op.
             done_job = client.submit(client.token([0, 1], k=2))
             events = list(done_job.events())  # drains to JobFinished
@@ -268,9 +271,10 @@ class TestSchedulerRaces:
             follow_up = client.query(client.token([0, 1], k=2))
             assert len(follow_up.items) == 2
 
-    def test_close_racing_queued_submits(self):
+    def test_close_racing_queued_submits(self, slow_rounds):
+        slow_rounds(10)
         scheme, relation, _ = _fresh_deployment()
-        client = repro.connect(scheme, relation, rtt_ms=10.0, scheduler_workers=1)
+        client = repro.connect(scheme, relation, scheduler_workers=1)
         jobs: list = []
         rejected = threading.Event()
 
@@ -297,9 +301,10 @@ class TestSchedulerRaces:
         with pytest.raises(RuntimeError):
             client.submit(client.token([0], k=1))
 
-    def test_deadline_expiry_on_a_round_boundary(self):
+    def test_deadline_expiry_on_a_round_boundary(self, slow_rounds):
+        slow_rounds(20)
         scheme, relation, rows = _fresh_deployment()
-        with repro.connect(scheme, relation, rtt_ms=20.0) as client:
+        with repro.connect(scheme, relation) as client:
             job = client.submit(client.token([0, 1, 2], k=2), timeout=3600.0)
             for event in job.events():
                 if isinstance(event, RoundTrip):
@@ -377,11 +382,12 @@ class TestCuratedSurface:
         """``repro.connect`` hands back the ``TopKServer`` itself, with
         every member the benchmark drives, and neither it nor the server
         accepts a retired knob (pool, rendezvous, queue bound, cache
-        capacity, depth spill, server-level shards)."""
+        capacity, depth spill, server-level shards, simulated link
+        latency)."""
         scheme, relation, _ = _fresh_deployment()
-        with repro.connect(scheme, relation, "inprocess", rtt_ms=1.0) as server:
+        with repro.connect(scheme, relation, "inprocess") as server:
             assert type(server) is TopKServer
-            assert server.transport == "inprocess" and server.rtt_ms == 1.0
+            assert server.transport == "inprocess"
             for member in self.DRIVEN:
                 assert hasattr(server, member), member
             result = server.submit(server.token([0, 1], k=2)).result(timeout=120)
@@ -395,6 +401,7 @@ class TestCuratedSurface:
             {"cache_capacity": 1},
             {"state_dir": "/tmp"},
             {"shards": 2},
+            {"rtt_ms": 1.0},
         ):
             with pytest.raises(TypeError):
                 repro.connect(scheme, relation, **retired)
@@ -439,9 +446,10 @@ class TestSchedulerRobustness:
             jobs = [client.submit(client.token([0, 1], k=1)) for _ in range(6)]
             assert all(len(j.result(timeout=120).items) == 1 for j in jobs)
 
-    def test_close_cancels_queued_jobs(self):
+    def test_close_cancels_queued_jobs(self, slow_rounds):
+        slow_rounds(20)
         scheme, relation, _ = _fresh_deployment()
-        client = repro.connect(scheme, relation, rtt_ms=20.0, scheduler_workers=1)
+        client = repro.connect(scheme, relation, scheduler_workers=1)
         running = client.submit(client.token([0, 1, 2], k=2))
         queued = client.submit(client.token([0, 1], k=2))
         closer = threading.Thread(target=client.close)

@@ -1,11 +1,10 @@
 """Observability layer: metrics core, exporter, traces, and the
 instrumented server surfaces.
 
-The binding contract tested here is twofold: the arithmetic of the
-metrics core is exact (bucket boundaries, quantile ranks, concurrent
-increments), and instrumentation is *transcript-invisible* — a query
-run with metrics disabled is bit-identical (results, rounds, bytes,
-leakage) to the same query run with them enabled.
+The binding contract tested here: the arithmetic of the metrics core
+is exact (bucket boundaries, quantile ranks, concurrent increments),
+and the server and daemon surfaces report what the instruments
+recorded.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import urllib.request
 import pytest
 
 from repro.core.params import SystemParams
-from repro.core.results import QueryConfig
 from repro.core.scheme import SecTopK
 from repro.crypto.rng import SecureRandom
 from repro.events import JobFinished, JobQueued, S2Progress, SpanClosed
@@ -29,8 +27,6 @@ from repro.obs.metrics import (
     MAX_LABEL_SETS,
     Histogram,
     MetricsRegistry,
-    enabled,
-    set_enabled,
 )
 from repro.obs.trace import JobTrace, Span, trace_phases
 from repro.server import S2Service, TopKServer, s2_service
@@ -211,23 +207,6 @@ class TestRegistryAndLabels:
             "z_total 2\n"
         )
 
-    def test_disable_turns_recording_off_not_render(self):
-        reg = MetricsRegistry()
-        c = reg.counter("t_total", "t")
-        h = reg.histogram("t_seconds", "t", buckets=(1.0,))
-        assert enabled()
-        set_enabled(False)
-        try:
-            c.inc()
-            h.observe(0.5)
-            assert c.value == 0
-            assert h.count == 0
-            assert "t_total 0" in reg.render()
-        finally:
-            set_enabled(True)
-        c.inc()
-        assert c.value == 1
-
 
 # -- traces ----------------------------------------------------------------
 
@@ -399,41 +378,6 @@ class TestServerObservability:
             assert err.value.code == 503
         finally:
             server.close()
-
-
-class TestTranscriptInvariance:
-    """Metrics on vs off never changes what a query does — only what is
-    recorded about it."""
-
-    @staticmethod
-    def _run_once():
-        scheme = SecTopK(SystemParams.tiny(), seed=97)
-        relation = scheme.encrypt(_rows(11, n=10))
-        server = TopKServer(scheme, relation)
-        try:
-            job = server.submit(
-                scheme.token([0, 1], k=2), QueryConfig(variant="elim")
-            )
-            result = job.result(timeout=60)
-            return (
-                scheme.reveal(result),
-                result.halting_depth,
-                result.stats.rounds,
-                result.stats.bytes_s1_to_s2,
-                result.stats.bytes_s2_to_s1,
-                result.stats.leakage,
-            )
-        finally:
-            server.close()
-
-    def test_disabled_metrics_run_is_bit_identical(self):
-        with_metrics = self._run_once()
-        set_enabled(False)
-        try:
-            without_metrics = self._run_once()
-        finally:
-            set_enabled(True)
-        assert with_metrics == without_metrics
 
 
 class TestRemoteProgress:

@@ -16,13 +16,15 @@ in :class:`TestClientLink`.
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import pickle
 import shutil
 import socket as socket_module
 import struct
-import tempfile
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -124,6 +126,41 @@ class TestRegistration:
             expected = nra_topk(SortedLists(rows, [0, 1, 2]), 3).topk
             assert winners == {o for o, _ in expected}
         assert service.stats()["registrations"] == 2
+
+    def test_stats_count_with_metrics_off_in_the_environment(self):
+        """``stats()`` reads the registry's instruments, so nothing in
+        the environment may stop them counting — a stale
+        ``REPRO_METRICS=0`` included: the daemon still counts the
+        registration, the session and the requests of one query."""
+        code = (
+            "import json\n"
+            "from repro.core.params import SystemParams\n"
+            "from repro.core.scheme import SecTopK\n"
+            "from repro.net.socket_transport import disconnect_all\n"
+            "from repro.server import S2Service, TopKServer\n"
+            "service = S2Service('tcp://127.0.0.1:0')\n"
+            "address = service.start()\n"
+            "scheme = SecTopK(SystemParams.tiny(), seed=5)\n"
+            "relation = scheme.encrypt([[3, 1], [2, 7], [5, 4], [1, 1]])\n"
+            "with TopKServer(scheme, relation, transport=address) as server:\n"
+            "    server.query(scheme.token([0, 1], k=2))\n"
+            "disconnect_all()\n"
+            "print(json.dumps(service.stats()))\n"
+            "service.close()\n"
+        )
+        src = str(pathlib.Path(s2_service.__file__).parents[2])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, REPRO_METRICS="0")
+        env["PYTHONPATH"] = src + os.pathsep + path if path else src
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        stats = json.loads(done.stdout.splitlines()[-1])
+        assert stats["registrations"] == 1
+        assert stats["sessions_opened"] == 1
+        assert stats["requests_served"] >= 1
 
 
 class TestMultiplexing:
@@ -993,21 +1030,19 @@ class TestDaemonLifecycle:
         assert os.listdir(tmp_path / "state") == ["abc123.reg"]
         assert os.stat(tmp_path / "state" / "abc123.reg").st_mode & 0o777 == 0o600
 
-    def test_launch_daemon_cleans_up_its_ready_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    def test_launch_daemon_reads_a_live_address_then_closes_the_pipe(self):
         process, address = s2_service.launch_daemon(quiet=True)
         try:
             parse_address(address)
-            assert not list(tmp_path.glob("*.addr*")), "ready file left behind"
+            assert process.stdout.closed, "stdout pipe left open after the announce"
             assert not client_for(address).dead
         finally:
             disconnect_all()
             process.terminate()
             process.wait(timeout=10)
-        # Daemon death before readiness: a typed failure, nothing left.
+        # Daemon death before its announce line: a typed failure.
         with pytest.raises(RuntimeError, match="exited before becoming ready"):
             s2_service.launch_daemon("bogus://nowhere", quiet=True)
-        assert not list(tmp_path.glob("*.addr*"))
 
 
 class TestWireCompatibility:

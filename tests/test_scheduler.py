@@ -65,10 +65,11 @@ class TestWatchesDoNotStarveQueries:
 
 
 class TestClose:
-    def test_close_leaves_no_serving_thread_and_settles_stats(self):
+    def test_close_leaves_no_serving_thread_and_settles_stats(self, slow_rounds):
+        slow_rounds(20)
         before = set(threading.enumerate())
         scheme, relation = _deployment()
-        server = TopKServer(scheme, relation, rtt_ms=20.0, scheduler_workers=1)
+        server = TopKServer(scheme, relation, scheduler_workers=1)
         watches = [server.watch(scheme.token([0, 1], k=2)) for _ in range(2)]
         assert _wait_for(lambda: all(w.evaluations >= 1 for w in watches))
         config = QueryConfig(cache=False)
@@ -100,10 +101,13 @@ class TestClose:
         with pytest.raises(RuntimeError):
             server.watch(scheme.token([0], k=1))
 
-    def test_close_races_a_submitter_blocked_on_backpressure(self, monkeypatch):
+    def test_close_races_a_submitter_blocked_on_backpressure(
+        self, monkeypatch, slow_rounds
+    ):
+        slow_rounds(20)
         monkeypatch.setattr(TopKServer, "MAX_PENDING", 1)
         scheme, relation = _deployment()
-        server = TopKServer(scheme, relation, rtt_ms=20.0, scheduler_workers=1)
+        server = TopKServer(scheme, relation, scheduler_workers=1)
         config = QueryConfig(cache=False)
         # One running, one waiting: the admission semaphore is exhausted.
         held = [server.submit(scheme.token([0, 1, 2], k=2), config) for _ in range(2)]
@@ -131,7 +135,8 @@ class TestClose:
 
 
 class TestExecuteManyWindow:
-    def test_window_is_capped_at_the_pool_size(self, monkeypatch):
+    def test_window_is_capped_at_the_pool_size(self, monkeypatch, slow_rounds):
+        slow_rounds(10)
         lock = threading.Lock()
         running = [0]
         peak = [0]
@@ -150,7 +155,7 @@ class TestExecuteManyWindow:
         monkeypatch.setattr(topk_server, "run_salted_query", spy)
         scheme, relation = _deployment()
         attrs = [[0], [1], [2], [0, 1], [1, 2], [0, 2]]
-        with TopKServer(scheme, relation, rtt_ms=10.0, scheduler_workers=2) as server:
+        with TopKServer(scheme, relation, scheduler_workers=2) as server:
             results = server.execute_many(
                 [(scheme.token(a, k=2), None) for a in attrs], concurrency=4
             )

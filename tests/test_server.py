@@ -168,11 +168,11 @@ class TestRelationStore:
         key = relation.relation_id()
         blob = pickle.dumps((scheme, relation))
         try:
-            ts._init_query_worker(key, blob, "inprocess", 0.0, active)
+            ts._init_query_worker(key, blob, "inprocess", active)
             assert ts._QUERY_WORKER["relation"].relation_id() == key
             # Second pool build over the same relation: no payload needed.
             ts._QUERY_WORKER.clear()
-            ts._init_query_worker(key, None, "inprocess", 0.0, active)
+            ts._init_query_worker(key, None, "inprocess", active)
             assert ts._QUERY_WORKER["relation"].relation_id() == key
         finally:
             ts._QUERY_WORKER.clear()
