@@ -211,6 +211,10 @@ class SecTopK:
         prp = Prp(self._prp_key, width)
         self._attribute_width = width
 
+        # EHL(o) is one plaintext vector per object, whichever list it
+        # sits in: hash each object once, encrypt it afresh per list.
+        vectors = [factory.vector(oid) for oid in object_ids]
+        cells = len(vectors[0])
         lists: dict[int, list[EncryptedItem]] = {}
         for attribute in range(width):
             ranked = sorted(
@@ -222,10 +226,9 @@ class SecTopK:
             # its score, its record.
             plain = []
             for o in ranked:
-                plain += factory.vector(object_ids[o])
+                plain += vectors[o]
                 plain += (rows[o][attribute], object_ids[o])
             cts = iter(self.public_key.encrypt_batch(plain, rng))
-            cells = len(plain) // len(ranked) - 2
             entries = [
                 EncryptedItem(
                     ehl=factory.structure([next(cts) for _ in range(cells)]),

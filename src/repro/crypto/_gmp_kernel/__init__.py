@@ -11,7 +11,10 @@ back to the pure backend otherwise.
 The build is cached under ``~/.cache/repro-gmp-kernel/<tag>`` (override
 with ``REPRO_KERNEL_CACHE``), in a subdirectory named by a digest of the
 C declarations and source, so a cache populated by another version of
-this package is never imported in place of a rebuild.
+this package is never imported in place of a rebuild.  Loading a cached
+build parses no C: only :func:`_build` makes the cffi builder (whose
+``cdef`` runs pycparser), so a process that imports the kernel loads the
+compiled module and nothing of the parser.
 ``REPRO_NO_KERNEL=1`` disables the kernel outright, which is how the
 pure CI legs stay deterministic on machines that happen to carry a
 compiler.  Concurrent builders compile

@@ -1020,8 +1020,3 @@ def make_ffibuilder():
     builder.cdef(CDEF)
     builder.set_source(MODULE_NAME, SOURCE, libraries=["gmp"])
     return builder
-
-
-# setuptools' cffi_modules entry point expects a module-level attribute;
-# kept lazy-tolerant so importing this file never requires cffi.
-ffibuilder = make_ffibuilder()

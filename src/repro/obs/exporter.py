@@ -12,7 +12,6 @@ remove-from-rotation signal during graceful shutdown.
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.metrics import REGISTRY
 
@@ -47,7 +46,7 @@ class MetricsExporter:
         self.registries = list(registries) if registries is not None else [REGISTRY]
         self.health = health or HealthState()
         self._port = port
-        self._server: ThreadingHTTPServer | None = None
+        self._server = None  # a ThreadingHTTPServer once started
         self._thread: threading.Thread | None = None
 
     @property
@@ -61,6 +60,10 @@ class MetricsExporter:
         """Bind and start serving; returns the bound port. Idempotent."""
         if self._server is not None:
             return self.port
+        # Imported here: http.server (and through it ssl) is loaded only
+        # by a process that serves metrics.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         exporter = self
 
         class _Handler(BaseHTTPRequestHandler):

@@ -18,34 +18,36 @@ transcript-identical to the plain scan and kept for the benchmark's
 The reuse layer (see ARCHITECTURE.md, reuse layer) lives here too:
 :mod:`repro.server.query_cache` serves repeat queries with zero S2
 rounds under the paper's L1 ``query_pattern`` leakage.
+
+Every export below is resolved on first access, so importing this
+package loads nothing.  ``python -m repro.server.s2_service`` runs this
+file first; the daemon therefore holds S2's code only, never S1's
+server, scheme or engine modules (and does not import itself twice,
+once via this package and once as ``__main__``).
 """
 
-from repro.server.jobs import JobStatus, QueryJob, WatchJob, WatchSummary
-from repro.server.mutations import MutableRelation, MutationResult
-from repro.server.query_cache import CacheStats, QueryCache
-from repro.server.sharding import ShardPlan
-from repro.server.topk_server import TopKServer
+_LAZY = {
+    "CacheStats": "repro.server.query_cache",
+    "JobStatus": "repro.server.jobs",
+    "MutableRelation": "repro.server.mutations",
+    "MutationResult": "repro.server.mutations",
+    "QueryCache": "repro.server.query_cache",
+    "QueryJob": "repro.server.jobs",
+    "S2Service": "repro.server.s2_service",
+    "ShardPlan": "repro.server.sharding",
+    "TopKServer": "repro.server.topk_server",
+    "WatchJob": "repro.server.jobs",
+    "WatchSummary": "repro.server.jobs",
+}
 
-__all__ = [
-    "CacheStats",
-    "JobStatus",
-    "MutableRelation",
-    "MutationResult",
-    "QueryCache",
-    "QueryJob",
-    "S2Service",
-    "ShardPlan",
-    "TopKServer",
-    "WatchJob",
-    "WatchSummary",
-]
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):
-    # Lazy so `python -m repro.server.s2_service` does not import the
-    # daemon module twice (once via this package, once as __main__).
-    if name == "S2Service":
-        from repro.server.s2_service import S2Service
+    if name in _LAZY:
+        import importlib
 
-        return S2Service
+        value = getattr(importlib.import_module(_LAZY[name]), name)
+        globals()[name] = value
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -161,6 +161,7 @@ class MutableRelation:
             self._next_oid += 1
             version = self.relation.version + 1
             rng, factory, pk = self._mutation_crypto(version)
+            vector = factory.vector(oid)
             new_lists: dict[int, list[EncryptedItem]] = {}
             touched = []
             for attribute, name in enumerate(self._names):
@@ -169,11 +170,8 @@ class MutableRelation:
                 key = (-row[attribute], oid)
                 pos = bisect.bisect_left(order, key)
                 order.insert(pos, key)
-                fresh = EncryptedItem(
-                    ehl=factory.encode(oid),
-                    score=pk.encrypt(row[attribute], rng),
-                    record=pk.encrypt(oid, rng),
-                )
+                *cells, score, record = pk.encrypt_batch(vector + [row[attribute], oid], rng)
+                fresh = EncryptedItem(ehl=factory.structure(cells), score=score, record=record)
                 new_lists[name] = (
                     self._rerandomized(entries[:pos], rng) + [fresh] + entries[pos:]
                 )
@@ -191,6 +189,7 @@ class MutableRelation:
             row = self._check_row(row)
             version = self.relation.version + 1
             rng, factory, pk = self._mutation_crypto(version)
+            vector = factory.vector(object_id)
             new_lists: dict[int, list[EncryptedItem]] = {}
             touched = []
             for attribute, name in enumerate(self._names):
@@ -203,11 +202,10 @@ class MutableRelation:
                 new_key = (-row[attribute], object_id)
                 pos_new = bisect.bisect_left(order, new_key)
                 order.insert(pos_new, new_key)
-                fresh = EncryptedItem(
-                    ehl=factory.encode(object_id),
-                    score=pk.encrypt(row[attribute], rng),
-                    record=pk.encrypt(object_id, rng),
+                *cells, score, record = pk.encrypt_batch(
+                    vector + [row[attribute], object_id], rng
                 )
+                fresh = EncryptedItem(ehl=factory.structure(cells), score=score, record=record)
                 assembled = work[:pos_new] + [fresh] + work[pos_new:]
                 # Re-encrypt down to wherever the entry left *or* landed,
                 # so S1 cannot tell the two positions apart within the

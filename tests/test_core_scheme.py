@@ -1,11 +1,16 @@
 """Tests for SecTopK's Enc (Algorithm 2) and Token (Section 7)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.params import SystemParams
 from repro.core.scheme import SecTopK
 from repro.core.token import Token
+from repro.crypto.prf import Prf
+from repro.crypto.prp import Prp
 from repro.exceptions import DataError, QueryError
+from repro.server import MutableRelation
 
 ROWS = [
     [10, 3, 2],
@@ -80,6 +85,102 @@ class TestEnc:
         a = SecTopK(SystemParams.tiny(), seed=1).encrypt([[1, 2], [3, 4]])
         b = SecTopK(SystemParams.tiny(), seed=2).encrypt([[9, 9], [0, 1]])
         assert a.serialized_size() == b.serialized_size()
+
+
+def _values(entry):
+    return [c.value for c in entry.ehl.cells] + [entry.score.value, entry.record.value]
+
+
+def _mutate(mutable, op):
+    """One insert, or one update of object 1; returns (result, row)."""
+    row = [4, 4, 4] if op == "insert" else [9, 0, 9]
+    return (mutable.insert(row) if op == "insert" else mutable.update(1, row)), row
+
+
+@pytest.fixture
+def count_prf(monkeypatch):
+    """A list that grows by one per PRF evaluation (``Prf.to_range``;
+    the EHL bit positions go through it too)."""
+    calls = []
+    real = Prf.to_range
+
+    def counted(self, message, modulus):
+        calls.append(message)
+        return real(self, message, modulus)
+
+    monkeypatch.setattr(Prf, "to_range", counted)
+    return calls
+
+
+@pytest.fixture(params=["plus", "bits"])
+def variant_scheme(request):
+    params = dataclasses.replace(SystemParams.tiny(), ehl_variant=request.param)
+    if request.param == "bits":
+        params = dataclasses.replace(params, ehl_hashes=2, ehl_table_size=8)
+    return SecTopK(params, seed=11)
+
+
+class TestEncOnce:
+    """Enc (Algorithm 2) writes ``EHL(o)`` into every sorted list, but
+    the plaintext vector it encrypts is one per object: it is hashed
+    once per relation (once per mutation), never once per list."""
+
+    def test_prf_evaluations_per_relation(self, variant_scheme, count_prf):
+        variant_scheme.encrypt(ROWS)
+        assert len(count_prf) == len(ROWS) * variant_scheme.params.ehl_hashes
+
+    def test_matches_per_entry_encode(self, variant_scheme):
+        """Each list equals the per-entry ``factory.encode`` / ``encrypt``
+        calls on the same scheme (one randomizer pool), ciphertext for
+        ciphertext."""
+        scheme = variant_scheme
+        relation = scheme.encrypt(ROWS)
+        rng = scheme._rng.spawn("enc")
+        factory = scheme._ehl_factory(rng)
+        pk = scheme.public_key
+        prp = Prp(scheme._prp_key, len(ROWS[0]))
+        for attribute in range(len(ROWS[0])):
+            ranked = sorted(range(len(ROWS)), key=lambda o: (-ROWS[o][attribute], o))
+            expected = [
+                [c.value for c in factory.encode(o).cells]
+                + [pk.encrypt(ROWS[o][attribute], rng).value, pk.encrypt(o, rng).value]
+                for o in ranked
+            ]
+            got = [_values(e) for e in relation.lists[prp.forward(attribute)]]
+            assert got == expected
+
+    @pytest.mark.parametrize("op", ["insert", "update"])
+    def test_mutation_hashes_once(self, variant_scheme, count_prf, op):
+        mutable = MutableRelation(variant_scheme, ROWS)
+        del count_prf[:]
+        _mutate(mutable, op)
+        assert len(count_prf) == variant_scheme.params.ehl_hashes
+
+    @pytest.mark.parametrize("op", ["insert", "update"])
+    def test_mutation_entry_matches_per_entry_encode(self, variant_scheme, op):
+        """The mutated object's fresh entry in every list equals
+        ``factory.encode`` + two ``encrypt`` calls at the same point of
+        the mutation's stream (each list's touched prefix is
+        rerandomized after its fresh entry)."""
+        scheme = variant_scheme
+        mutable = MutableRelation(scheme, ROWS)
+        result, row = _mutate(mutable, op)
+        oid = result.object_id
+        rng = scheme._rng.spawn(f"mutate-v{result.version}")
+        factory = scheme._ehl_factory(rng)
+        pk, sk = scheme.public_key, scheme.keypair.secret_key
+        touched = dict(result.touched)
+        for attribute, name in enumerate(scheme.attribute_list_names()):
+            expected = (
+                [c.value for c in factory.encode(oid).cells]
+                + [pk.encrypt(row[attribute], rng).value, pk.encrypt(oid, rng).value]
+            )
+            (fresh,) = [
+                e for e in mutable.relation.lists[name] if sk.decrypt(e.record) == oid
+            ]
+            assert _values(fresh) == expected
+            # Skip the prefix rerandomization that follows in the stream.
+            pk.randomizers(rng, (touched[name] - 1) * len(expected))
 
 
 class TestToken:

@@ -11,7 +11,8 @@ differential harness draws.
 The daemon's connection handling (handshake, error scoping, close,
 ``/healthz``, state dir, launcher) is pinned in
 :class:`TestDaemonLifecycle`, the client's connections and their pool
-in :class:`TestClientLink`.
+in :class:`TestClientLink`, what the daemon process imports in
+:class:`TestImportBoundary`.
 """
 
 from __future__ import annotations
@@ -1043,6 +1044,67 @@ class TestDaemonLifecycle:
         # Daemon death before its announce line: a typed failure.
         with pytest.raises(RuntimeError, match="exited before becoming ready"):
             s2_service.launch_daemon("bogus://nowhere", quiet=True)
+
+
+def _modules_after(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter with ``launch_daemon``'s
+    environment (this package first on the path); returns the JSON
+    object it leaves in ``out`` plus its ``sys.modules`` names."""
+    src = str(pathlib.Path(s2_service.__file__).parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import json, sys\nout = {}\n" + code
+        + "\nout['modules'] = sorted(sys.modules)\nprint(json.dumps(out))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestImportBoundary:
+    """What a process loads: the S2 daemon holds S2's code only, and a
+    cached kernel loads without parsing C."""
+
+    def test_daemon_module_loads_no_s1_code_and_no_c_parser(self):
+        modules = set(_modules_after("import repro.server.s2_service")["modules"])
+        forbidden = {
+            f"repro.server.{name}"
+            for name in (
+                "topk_server", "jobs", "mutations", "query_cache", "sharding",
+                "query_workers",
+            )
+        } | {"repro.core.scheme", "repro.core.engine", "pycparser", "cffi.cparser"}
+        assert not forbidden & modules
+
+    def test_loading_the_cached_kernel_parses_no_c(self):
+        from repro.crypto import _gmp_kernel
+
+        available = _gmp_kernel.available()  # builds it into the cache if it can
+        out = _modules_after(
+            "import repro.crypto.backend\n"
+            "from repro.crypto import _gmp_kernel\n"
+            "out['loaded'] = _gmp_kernel.load() is not None"
+        )
+        assert out["loaded"] == available
+        assert not {"pycparser", "cffi.cparser"} & set(out["modules"])
+
+    def test_every_export_resolves_to_its_submodule_object(self):
+        out = _modules_after(
+            "import importlib\n"
+            "import repro.server\n"
+            "star = {}\n"
+            "exec('from repro.server import *', star)\n"
+            "out['same'] = {\n"
+            "    name: star[name] is getattr(repro.server, name)\n"
+            "    is getattr(importlib.import_module(star[name].__module__), name)\n"
+            "    for name in repro.server.__all__\n"
+            "}"
+        )
+        assert out["same"] and all(out["same"].values()), out["same"]
 
 
 class TestWireCompatibility:
