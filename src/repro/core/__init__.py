@@ -7,7 +7,7 @@
 * :mod:`repro.core.relation` — the encrypted relation ``ER``.
 * :mod:`repro.core.engine`   — S1's oblivious NRA engine with the three
   query variants Qry_F / Qry_E / Qry_Ba and the eager/literal best-score
-  modes (ARCHITECTURE.md, "Protocol substitutions and declared leakage").
+  modes (ARCHITECTURE.md, "Layer 2").
 * :mod:`repro.core.leakage`  — declared leakage profiles and the audit
   used by the security tests.
 * :mod:`repro.core.results`  — query results and statistics.

@@ -1,6 +1,6 @@
 """Observability layer: metrics registry, Prometheus exporter, traces.
 
-See ARCHITECTURE.md ("Observability layer") for the metric name table
+See ARCHITECTURE.md ("Observability layer") for the metric families
 and how the pieces mount on the server/daemon.
 """
 

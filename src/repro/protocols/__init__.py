@@ -31,39 +31,54 @@ Protocol inventory
 ``sec_filter``      Algorithm 12 — drop non-joining tuples
 ``sec_join``        Algorithm 11 — the secure top-k join core
 ==================  ==================================================
+
+Every export below is resolved on first access, so the S2 daemon, which
+imports :mod:`repro.protocols.base`, loads none of S1's flow modules.
 """
 
-from repro.protocols.base import CryptoCloud, S1Context
-from repro.protocols.recover_enc import (
-    recover_enc_batch,
-    recover_enc_flow,
-    select_recover_batch,
-    select_recover_flow,
-)
-from repro.protocols.enc_compare import enc_compare, enc_compare_flow, enc_compare_flows
-from repro.protocols.enc_sort import enc_sort
-from repro.protocols.sec_worst import sec_worst, sec_worst_flow
-from repro.protocols.sec_best import sec_best, sec_best_flow
-from repro.protocols.sec_dedup import sec_dedup
-from repro.protocols.sec_dup_elim import sec_dup_elim
-from repro.protocols.sec_update import sec_update
+import importlib
+import sys
+import types
 
-__all__ = [
-    "CryptoCloud",
-    "S1Context",
-    "recover_enc_batch",
-    "recover_enc_flow",
-    "select_recover_batch",
-    "select_recover_flow",
-    "enc_compare",
-    "enc_compare_flow",
-    "enc_compare_flows",
-    "enc_sort",
-    "sec_worst",
-    "sec_worst_flow",
-    "sec_best",
-    "sec_best_flow",
-    "sec_dedup",
-    "sec_dup_elim",
-    "sec_update",
-]
+_LAZY = {
+    "CryptoCloud": "base",
+    "S1Context": "base",
+    "recover_enc_batch": "recover_enc",
+    "recover_enc_flow": "recover_enc",
+    "select_recover_batch": "recover_enc",
+    "select_recover_flow": "recover_enc",
+    "enc_compare": "enc_compare",
+    "enc_compare_flow": "enc_compare",
+    "enc_compare_flows": "enc_compare",
+    "enc_sort": "enc_sort",
+    "sec_worst": "sec_worst",
+    "sec_worst_flow": "sec_worst",
+    "sec_best": "sec_best",
+    "sec_best_flow": "sec_best",
+    "sec_dedup": "sec_dedup",
+    "sec_dup_elim": "sec_dup_elim",
+    "sec_update": "sec_update",
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _Package(types.ModuleType):
+    """Importing ``repro.protocols.enc_sort`` binds the module here under
+    its own name, which is also its function's: the function keeps it."""
+
+    def __setattr__(self, name, value):
+        if isinstance(value, types.ModuleType) and _LAZY.get(name) == name:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

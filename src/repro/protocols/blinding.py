@@ -17,9 +17,9 @@ being a PRF in its seed, the kind of assumption EHL already makes.)
 That substitution gives up the paper's unlinkability: a seed cannot be
 extended homomorphically, so S2 forwards S1's ``Enc_pk'(seed)`` untouched
 next to its own, and S1, decrypting its own seed, maps every output item
-back to the input slot it blinded with it (a known gap, ROADMAP; the
-paper's additive companion needs per-component ``pk'`` work — see
-ARCHITECTURE.md, "Protocol substitutions and declared leakage").
+back to the input slot it blinded with it (the paper's additive
+companion needs per-component ``pk'`` work; see ARCHITECTURE.md, "Known
+gaps").
 
 The blinder works on a round's :class:`~repro.structures.items.ItemBatch`:
 each item's layout and one limb buffer of every Paillier component — EHL

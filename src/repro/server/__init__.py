@@ -15,7 +15,7 @@ inline ``QueryConfig(shards=N)`` scan over contiguous depth slices,
 transcript-identical to the plain scan and kept for the benchmark's
 ``server.shard2_overhead_ratio`` probe (see ARCHITECTURE.md, sharding).
 
-The reuse layer (see ARCHITECTURE.md, reuse layer) lives here too:
+The result cache (see ARCHITECTURE.md, "Result cache") lives here too:
 :mod:`repro.server.query_cache` serves repeat queries with zero S2
 rounds under the paper's L1 ``query_pattern`` leakage.
 

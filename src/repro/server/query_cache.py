@@ -1,5 +1,5 @@
-"""Leakage-aware cross-query result cache (see ARCHITECTURE.md, reuse
-layer).
+"""Leakage-aware cross-query result cache (see ARCHITECTURE.md,
+"Result cache").
 
 The paper's L1 leakage profile already makes query repeats public: S1
 records ``query_pattern`` (token-fingerprint repeats) and

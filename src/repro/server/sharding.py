@@ -29,8 +29,8 @@ contribute the up-front scalar weighting; and S1 keeps the whole
 relation anyway (mutations and worker processes read it), so slices on
 other threads or hosts save no memory.  The shard thread pool, the
 remote shard daemons and the slice cache measured no faster than the
-plain scan and were deleted (verdict table: ARCHITECTURE.md,
-"Sharding").  This inline path stays only because the benchmark's
+plain scan and were deleted (CHANGES.md has the measurements).  This
+inline path stays only because the benchmark's
 ``server.shard2_overhead_ratio`` probe submits
 ``QueryConfig(shards=2)``; once a ``benchmark`` PR drops that probe the
 rest of this module can follow.

@@ -198,7 +198,7 @@ class TopKServer:
         # reachable close().
         if scheduler_workers < 1:
             raise ValueError("scheduler_workers must be >= 1")
-        # Cross-query reuse layer (ARCHITECTURE.md, reuse layer): a repeat
+        # The result cache (ARCHITECTURE.md, "Result cache"): a repeat
         # is served with zero S2 round-trips, legal because the repeat is
         # already L1 leakage (``query_pattern``).  QueryConfig(cache=False)
         # opts one query out of both lookup and store.

@@ -242,7 +242,7 @@ class TestRandomizerRepeats:
     """How often a seeded run draws a randomizer it already drew under
     the same key — a repeated pool-index multiset.  Counted, not fixed:
     the pool shape allows ~1.2e8 multisets per key, so a long run
-    repeats (ARCHITECTURE.md records the paper-size count).  The pins
+    repeats (CHANGES.md records the paper-size count).  The pins
     move only when the seeded streams or the number of draws do."""
 
     def test_counts_repeated_multisets_per_key(self, pool_draws):

@@ -1077,6 +1077,12 @@ class TestImportBoundary:
                 "topk_server", "jobs", "mutations", "query_cache", "sharding",
                 "query_workers",
             )
+        } | {
+            f"repro.protocols.{name}"
+            for name in (
+                "recover_enc", "enc_compare", "enc_sort", "sec_worst", "sec_best",
+                "sec_dedup", "sec_dup_elim", "sec_update",
+            )
         } | {"repro.core.scheme", "repro.core.engine", "pycparser", "cffi.cparser"}
         assert not forbidden & modules
 
@@ -1093,16 +1099,20 @@ class TestImportBoundary:
         assert not {"pycparser", "cffi.cparser"} & set(out["modules"])
 
     def test_every_export_resolves_to_its_submodule_object(self):
+        # Importing a flow module first binds its name on the package.
         out = _modules_after(
             "import importlib\n"
-            "import repro.server\n"
-            "star = {}\n"
-            "exec('from repro.server import *', star)\n"
-            "out['same'] = {\n"
-            "    name: star[name] is getattr(repro.server, name)\n"
-            "    is getattr(importlib.import_module(star[name].__module__), name)\n"
-            "    for name in repro.server.__all__\n"
-            "}"
+            "import repro.protocols.enc_sort\n"
+            "out['same'] = {}\n"
+            "for package in ('repro.server', 'repro.protocols'):\n"
+            "    module = importlib.import_module(package)\n"
+            "    star = {}\n"
+            "    exec(f'from {package} import *', star)\n"
+            "    out['same'].update({\n"
+            "        f'{package}.{name}': star[name] is getattr(module, name)\n"
+            "        is getattr(importlib.import_module(star[name].__module__), name)\n"
+            "        for name in module.__all__\n"
+            "    })"
         )
         assert out["same"] and all(out["same"].values()), out["same"]
 
