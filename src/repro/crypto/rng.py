@@ -175,6 +175,22 @@ class SecureRandom:
             return SecureRandom()
         return SecureRandom(self._key + label.encode("utf-8"))
 
+    @property
+    def stream_key(self) -> bytes:
+        """The stream's own 32-byte key (``b""`` for OS entropy): the
+        whole state of a stream nothing has read yet, which
+        :meth:`from_stream_key` rebuilds."""
+        if self._counter:
+            raise ValueError("a stream that has been read is more than its key")
+        return self._key or b""
+
+    @classmethod
+    def from_stream_key(cls, key: bytes) -> "SecureRandom":
+        """The unread stream whose :attr:`stream_key` is ``key``."""
+        rng = cls()
+        rng._key = key or None
+        return rng
+
 
 def system_random() -> SecureRandom:
     """Return a fresh OS-backed :class:`SecureRandom`."""

@@ -13,15 +13,24 @@ Wire format (everything big-endian)::
 
     frame   := u32 payload_len | u8 type | u32 session_id | payload
     HELLO / HELLO_OK      version banner, once per connection
-    REGISTER / REGISTERED key registration (key/param upload)
-    OPEN / OPENED         open one protocol session; the payload is
-                          ``registration_id NUL label NUL rng-blob`` — the
-                          label names the job/session that opened it,
-                          so daemon-side observability can attribute
-                          sessions to client jobs
+    REGISTER / REGISTERED key registration: ``(registration_id, p, q, s)``
+    OPEN / OPENED         open one protocol session:
+                          ``(registration_id, label, stream_key)`` — the
+                          label names the job/session that opened it, so
+                          daemon-side observability can attribute
+                          sessions to client jobs; the stream key is the
+                          key of the session's S2 randomness stream
     REQUEST / REPLY       one coalesced protocol round
     CLOSE / CLOSED        end one session
-    ERROR                 failure report (session_id 0 = connection)
+    ERROR                 failure report ``kind NUL text`` (session_id 0 =
+                          connection)
+
+REGISTER, OPEN, REQUEST and REPLY payloads are
+:class:`~repro.net.wire.WireCodec` bytes; HELLO's banner and ERROR's
+report stay plain, so that a peer of any version can read a refusal;
+the other payloads are empty.  HELLO, REGISTER, OPEN and CLOSE payloads
+have small caps of their own (:data:`FRAME_CAPS`), checked on the
+header before the payload is read.
 
 Every frame is tagged with its session id, and each session keeps its
 own codec pair — the isolation of one in-process crypto cloud per
@@ -37,7 +46,7 @@ their own.
 the deployment's key material (the data owner provisions S2 with the
 secret key in the paper's model — Section 3.1).  Nothing S2 holds
 depends on which relation, version or window S1 scans, so the client
-registers that blob once under an id derived from the key itself
+registers that key once under an id derived from the key itself
 (:func:`default_registration_id`; :func:`open_remote_session` is the
 one place that names a registration); every later session — any
 relation under that key, from this process, a worker process, or
@@ -48,11 +57,6 @@ Failure model: a dead peer surfaces as
 exchange (never a hang); a daemon-side dispatch failure surfaces as
 :class:`~repro.exceptions.RemoteS2Error` carrying the remote exception
 kind.
-
-Trust note: control frames (registration, session open) are pickled —
-the two clouds are mutually authenticated infrastructure in the paper's
-deployment model, and the registration blob *is* secret key material.
-Expose the daemon only on links you would trust with the key itself.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ import hashlib
 import io
 import itertools
 import os
-import pickle
 import socket
 import struct
 import threading
@@ -72,10 +75,10 @@ from repro.net.wire import WireCodec, _Reader
 
 # -- frame protocol --------------------------------------------------------
 
-#: The one HELLO banner both sides speak.  Bumped to /3 when REPLY
-#: frames grew the S2-progress element (/2 when the OPEN payload grew its
-#: session-label segment).
-PROTOCOL_BANNER = b"repro-s2/3"
+#: The one HELLO banner both sides speak.  Bumped to /4 when REGISTER and
+#: OPEN became codec values (/3 when REPLY frames grew the S2-progress
+#: element, /2 when the OPEN payload grew its session-label segment).
+PROTOCOL_BANNER = b"repro-s2/4"
 
 #: ERROR kind a daemon sends for a HELLO banner it does not speak (the
 #: text names the daemon's own banner) before it drops the connection.
@@ -100,6 +103,10 @@ _HEADER = struct.Struct("!IBI")  # payload length, frame type, session id
 #: Upper bound on one frame's payload — far above any real round, so a
 #: mis-framed or hostile stream fails fast instead of allocating wildly.
 MAX_FRAME_BYTES = 1 << 30
+
+#: The control frames' own caps: a banner; an id with the primes of a
+#: key of up to ~8k bits; an id, a label and a stream key; nothing.
+FRAME_CAPS = {HELLO: 64, REGISTER: 4096, OPEN: 2048, CLOSE: 0}
 
 #: Error kind the daemon sends for an OPEN naming an unregistered
 #: id; the client reacts by registering and retrying (the only ERROR
@@ -179,13 +186,13 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 def recv_frame(sock: socket.socket) -> tuple[int, int, bytes]:
     """Read one frame; raises :class:`PeerDisconnected` on EOF/reset."""
     length, ftype, session_id = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    if length > MAX_FRAME_BYTES:
-        raise TransportError(f"frame of {length} bytes exceeds the protocol cap")
+    if length > FRAME_CAPS.get(ftype, MAX_FRAME_BYTES):
+        raise TransportError(f"frame type {ftype} of {length} bytes exceeds its cap")
     return ftype, session_id, _recv_exact(sock, length) if length else b""
 
 
 def encode_error(kind: str, text: str) -> bytes:
-    """Serialize an ERROR payload (plain UTF-8, no pickle on this path)."""
+    """Serialize an ERROR payload (plain UTF-8: any peer can read it)."""
     return kind.encode("utf-8") + b"\x00" + text.encode("utf-8", "replace")
 
 
@@ -193,6 +200,26 @@ def decode_error(payload: bytes) -> tuple[str, str]:
     """Inverse of :func:`encode_error`."""
     kind, _, text = payload.partition(b"\x00")
     return kind.decode("utf-8", "replace"), text.decode("utf-8", "replace")
+
+
+def _control_payload(value: tuple) -> bytes:
+    out = bytearray()
+    WireCodec().encode_value(value, out)
+    return bytes(out)
+
+
+def encode_registration(registration_id: str, keypair, dj) -> bytes:
+    """The REGISTER payload ``(registration_id, p, q, s)``: the secret
+    primes and the DJ degree, all the daemon rebuilds the key from."""
+    secret = keypair.secret_key
+    return _control_payload((registration_id, secret.p, secret.q, dj.s))
+
+
+def encode_open(registration_id: str, label: str, rng) -> bytes:
+    """The OPEN payload ``(registration_id, label, stream_key)``: the
+    session stream's own key (``b""`` for OS entropy) — never the key it
+    was spawned from, which would name S1's streams too."""
+    return _control_payload((registration_id, label[:128], rng.stream_key))
 
 
 def default_registration_id(keypair, dj) -> str:
@@ -332,45 +359,25 @@ class S2Client:
         """Send one REQUEST frame."""
         self._send(REQUEST, session_id, data)
 
-    def request_finish(self, session_id: int, waiter=None) -> bytes:
+    def request_finish(self, session_id: int) -> bytes:
         """Read the REPLY to the REQUEST just sent: the next frame on
-        this connection (``waiter`` is ignored)."""
+        this connection."""
         return self._receive(session_id, REPLY)
 
     # -- session lifecycle -----------------------------------------------
 
-    def open_session(
-        self,
-        registration_id: str,
-        payload_factory,
-        session_blob: bytes,
-        label: str = "",
-    ) -> int:
-        """Open a session under a key registration, registering on demand.
-
-        ``payload_factory`` builds the registration blob lazily: it is
-        only invoked when the daemon does not yet know
-        ``registration_id``, so the steady state ships nothing but the
-        tiny OPEN frame.
-        ``label`` rides the OPEN frame (NUL-free, truncated) so the
-        daemon can attribute the session to the client job that opened
-        it.
-        """
-        label_bytes = label.replace("\x00", "").encode("utf-8", "replace")[:128]
-        open_payload = (
-            registration_id.encode("utf-8")
-            + b"\x00"
-            + label_bytes
-            + b"\x00"
-            + session_blob
-        )
+    def open_session(self, open_payload: bytes, registration_payload) -> int:
+        """Open a session with ``open_payload``, registering on demand:
+        ``registration_payload()`` builds the REGISTER payload only when
+        the daemon does not know the OPEN's registration id yet, so the
+        steady state ships nothing but the small OPEN frame."""
         session_id = next(self._session_ids)
         try:
             self.roundtrip(OPEN, session_id, open_payload, OPENED)
         except RemoteS2Error as exc:
             if exc.kind != UNKNOWN_RELATION:
                 raise
-            self.roundtrip(REGISTER, 0, payload_factory(), REGISTERED)
+            self.roundtrip(REGISTER, 0, registration_payload(), REGISTERED)
             self.roundtrip(OPEN, session_id, open_payload, OPENED)
         return session_id
 
@@ -528,26 +535,19 @@ def open_remote_session(
     Registers the deployment's key material if the daemon does not hold
     it yet (first contact only) — under :func:`default_registration_id`,
     or under ``relation_id`` when the caller names its own opaque id —
-    then hands the session its randomness stream — the exact
-    :class:`SecureRandom` the in-process wiring would give a local
-    crypto cloud, so a remote query is bit-identical to a local one.
-    ``on_progress(batches, values, seconds)``, when given, receives the
-    daemon's per-round decrypt progress piggybacked on REPLY frames
-    (purely observational).
+    then hands the session the key of its randomness stream: ``s2_rng``,
+    unread, is the exact :class:`SecureRandom` the in-process wiring
+    would give a local crypto cloud, so a remote query is bit-identical
+    to a local one.  ``on_progress(batches, values, seconds)``, when
+    given, receives the daemon's per-round decrypt progress piggybacked
+    on REPLY frames (purely observational).
     """
     rid = relation_id or default_registration_id(keypair, dj)
-
-    def registration_payload() -> bytes:
-        return pickle.dumps(
-            {"relation_id": rid, "keypair": keypair, "dj": dj},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-
-    session_blob = pickle.dumps(s2_rng, protocol=pickle.HIGHEST_PROTOCOL)
+    open_payload = encode_open(rid, label, s2_rng)
     client = client_for(address)
     try:
         session_id = client.open_session(
-            rid, registration_payload, session_blob, label=label
+            open_payload, lambda: encode_registration(rid, keypair, dj)
         )
     except RemoteS2Error:
         release(client)  # the daemon refused in step: the link is fine

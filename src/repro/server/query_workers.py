@@ -8,10 +8,11 @@ its own thread — to a :class:`QueryWorkerPool`.  This module owns the
 question the server must never get wrong: *how does a worker process
 get which relation?*
 
-The parent pins ``(scheme, relation)`` pairs in a process-wide store
-keyed by relation id (below); workers inherit or receive the pair once,
-at start.  A worker therefore holds exactly the relation its pool was
-started with, for life: a pool is *bound* to that relation id, and
+A pool's workers get ``(scheme, relation)`` once, at start, as the
+arguments of their initializer: fork-started workers inherit them with
+the address space, spawn-started ones receive them pickled.  A worker
+therefore holds exactly the relation its pool was started with, for
+life: a pool is *bound* to that relation id, and
 :meth:`QueryWorkerPool.submit` names the relation the job snapshotted —
 a pool bound to any other id (the served relation was mutated since) is
 retired and rebuilt first, never silently reused.
@@ -20,7 +21,6 @@ retired and rebuilt first, never silently reused.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 
@@ -31,62 +31,8 @@ from repro.core.token import Token
 from repro.crypto import backend
 from repro.protocols.base import owned_context
 
-# The relation store: (scheme, relation) pairs keyed by relation id, with
-# the blob each spawn-started worker needs pickled at most once.  In the
-# parent it is refcounted by the servers and pools that exported into
-# it; in a worker it is either *inherited whole* (fork — entries travel
-# with the address space, no pickling, no transfer) or filled from the
-# initializer's one-time payload (spawn).  Either way repeated batches,
-# rebuilt pools, and sibling servers over the same relation all reuse
-# the cached entry instead of re-shipping megabytes of ciphertexts.
-_RELATION_STORE: dict[str, tuple[SecTopK, EncryptedRelation]] = {}
-_RELATION_REFS: dict[str, int] = {}
-_RELATION_BLOBS: dict[str, bytes] = {}
-_STORE_LOCK = threading.Lock()
-
 # Worker-process query state, installed by the pool initializer.
 _QUERY_WORKER: dict = {}
-
-
-def export_relation(scheme: SecTopK, relation: EncryptedRelation) -> None:
-    """Pin (scheme, relation) in the parent-side store under its id."""
-    key = relation.relation_id()
-    with _STORE_LOCK:
-        if key in _RELATION_STORE:
-            # A second exporter of the same relation (possibly holding a
-            # pickled copy of the same objects — interchangeable: the id
-            # pins identical ciphertexts and key material) shares the
-            # existing export.
-            _RELATION_REFS[key] += 1
-        else:
-            _RELATION_STORE[key] = (scheme, relation)
-            _RELATION_REFS[key] = 1
-
-
-def release_relation(key: str) -> None:
-    """Drop one pin; the last one removes the entry and its blob."""
-    with _STORE_LOCK:
-        refs = _RELATION_REFS.get(key)
-        if refs is None:
-            return
-        if refs <= 1:
-            del _RELATION_REFS[key]
-            _RELATION_STORE.pop(key, None)
-            _RELATION_BLOBS.pop(key, None)
-        else:
-            _RELATION_REFS[key] = refs - 1
-
-
-def _relation_blob(key: str) -> bytes:
-    """The pickled (scheme, relation) payload, serialized at most once."""
-    with _STORE_LOCK:
-        blob = _RELATION_BLOBS.get(key)
-        if blob is None:
-            blob = pickle.dumps(
-                _RELATION_STORE[key], protocol=pickle.HIGHEST_PROTOCOL
-            )
-            _RELATION_BLOBS[key] = blob
-    return blob
 
 
 def run_salted_query(
@@ -120,15 +66,9 @@ def run_salted_query(
         return scheme.query(relation, token, config, ctx=ctx)
 
 
-def _init_query_worker(relation_key, payload, transport, backend_name) -> None:
+def _init_query_worker(scheme, relation, transport, backend_name) -> None:
     backend.set_backend(backend_name)
-    entry = _RELATION_STORE.get(relation_key)
-    if entry is None:
-        # Spawn-started worker: install the shipped blob; later pool
-        # rebuilds over the same relation find it cached here.
-        entry = pickle.loads(payload)
-        _RELATION_STORE[relation_key] = entry
-    _QUERY_WORKER["scheme"], _QUERY_WORKER["relation"] = entry
+    _QUERY_WORKER["scheme"], _QUERY_WORKER["relation"] = scheme, relation
     _QUERY_WORKER["transport"] = transport
 
 
@@ -161,8 +101,8 @@ def pool_start_method() -> str:
     """The start method worker pools use (fork where available).
 
     Tells whether worker processes inherit the parent's memory (fork:
-    the relation store ships for free) or start empty (spawn: the pair
-    must travel through initializer arguments).
+    the initializer's arguments ship for free) or start empty (spawn:
+    they travel pickled).
     """
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else methods[0]
@@ -205,9 +145,9 @@ class QueryWorkerPool:
     across batches for as long as they name the same relation id and fit
     its width.  A different id, or a wider batch, retires the pool —
     queries it already accepted run to completion, their futures stay
-    valid — and starts a fresh one; the binding holds its own pin in the
-    relation store, so the pair outlives a mutation that lands while a
-    job that snapshotted it is still waiting for a worker.
+    valid — and starts a fresh one; its workers hold the pair they were
+    started with, so it outlives a mutation that lands while a job that
+    snapshotted it is still waiting for a worker.
     """
 
     def __init__(self, scheme: SecTopK, transport: str):
@@ -251,20 +191,11 @@ class QueryWorkerPool:
         if self._relation_key == key and self._workers >= workers:
             return
         self._retire_locked(cancel=False)
-        export_relation(self._scheme, relation)
-        try:
-            # Fork-started workers inherit the relation store with the
-            # address space — the initializer payload stays empty; only
-            # a spawn platform ships the (cached, pickled-once) blob.
-            payload = None if pool_start_method() == "fork" else _relation_blob(key)
-            self._executor = make_pool_executor(
-                workers,
-                _init_query_worker,
-                (key, payload, self._transport, backend.get_backend().name),
-            )
-        except BaseException:
-            release_relation(key)
-            raise
+        self._executor = make_pool_executor(
+            workers,
+            _init_query_worker,
+            (self._scheme, relation, self._transport, backend.get_backend().name),
+        )
         self._relation_key = key
         self._workers = workers
 
@@ -272,7 +203,6 @@ class QueryWorkerPool:
         if self._executor is None:
             return
         self._executor.shutdown(wait=False, cancel_futures=cancel)
-        release_relation(self._relation_key)
         self._executor = self._relation_key = None
         self._workers = 0
 

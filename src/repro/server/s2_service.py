@@ -14,15 +14,16 @@ through the frame protocol of :mod:`repro.net.socket_transport`:
 
 1. **HELLO** — version banner check, once per connection.
 2. **REGISTER** — the data owner's provisioning step (Section 3.1):
-   key material (Paillier keypair, DJ instance) stored under a
-   *registration id* the client derives from the key itself.
+   the secret primes and the DJ degree, from which the daemon rebuilds
+   the key, stored under a *registration id* the client derives from
+   the key itself.
    Idempotent, and shared daemon-wide: any later connection — another
    session, another worker process, another machine — opens sessions
    by id alone, so queries against any relation, version or window
-   under a registered key never re-upload the blob.
+   under a registered key never re-upload it.
 3. **OPEN** — one protocol session: its own
-   :class:`~repro.protocols.base.CryptoCloud` (seeded with the rng
-   stream the client ships, so transcripts match in-process runs),
+   :class:`~repro.protocols.base.CryptoCloud` (on the rng stream whose
+   key the client ships, so transcripts match in-process runs),
    :class:`~repro.net.dispatch.S2Dispatcher`, wire codec and leakage
    log.  A connection can carry several sessions, told apart by the
    session id tagged on every frame; the client holds one session per
@@ -44,14 +45,16 @@ the offending session id (typed :class:`~repro.exceptions.RemoteS2Error`
 on the client) and the connection lives — its other sessions never
 notice; only a *framing* failure — oversize frame, short read, bad
 HELLO — drops the connection, and a dropped connection tears down all
-of its sessions.
+of its sessions.  A control payload is decoded by the wire codec into
+plain values and checked field by field before a key or a session is
+built from it.
 
 ``--state-dir`` makes registrations *persistent*: each REGISTER payload
 is spilled (atomically) to ``<state_dir>/<registration id>.reg`` and
-reloaded on restart, so a bounced daemon keeps serving its registered
-keys without any client re-upload.  The spill holds the secret
-key material the client provisioned — protect the directory like the
-key itself.
+decoded by the same decoder on restart, so a bounced daemon keeps
+serving its registered keys without any client re-upload.  The spill
+holds the secret key material the client provisioned — protect the
+directory like the key itself.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ import argparse
 import contextlib
 import os
 import pathlib
-import pickle
 import selectors
 import socket
 import subprocess
@@ -69,7 +71,9 @@ import threading
 import time
 
 from repro.crypto import backend
-from repro.exceptions import PeerDisconnected, TransportError
+from repro.crypto.paillier import PaillierKeypair, PaillierSecretKey
+from repro.crypto.rng import SecureRandom
+from repro.exceptions import KeyMismatchError, PeerDisconnected, ProtocolError, TransportError
 from repro.net.dispatch import S2Dispatcher
 from repro.net.socket_transport import (
     CLOSE,
@@ -91,7 +95,7 @@ from repro.net.socket_transport import (
     recv_frame,
     send_frame,
 )
-from repro.net.wire import WireCodec, shared_key, shared_scheme
+from repro.net.wire import _MAX_DJ_DEGREE, WireCodec, _Reader, shared_key, shared_scheme
 from repro.obs.exporter import HealthState, MetricsExporter
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.protocols.base import CryptoCloud, LeakageLog
@@ -148,6 +152,41 @@ def atomic_write(path: str, data: bytes) -> None:
     with os.fdopen(fd, "wb") as handle:
         handle.write(data)
     os.replace(tmp, path)
+
+
+def _control(payload: bytes, shape: tuple) -> tuple:
+    """One control payload: a single codec value, a tuple whose fields
+    have exactly the types of ``shape``; anything else is refused."""
+    reader = _Reader(payload)
+    value = WireCodec().decode_value(reader)
+    if (
+        reader.pos != len(payload)
+        or type(value) is not tuple
+        or tuple(map(type, value)) != shape
+    ):
+        fields = ", ".join(kind.__name__ for kind in shape)
+        raise ProtocolError(f"a control payload must be one ({fields}) tuple")
+    return value
+
+
+def decode_registration(payload: bytes) -> tuple:
+    """A REGISTER payload (or a ``.reg`` spill) as ``(registration_id,
+    keypair, dj)``, the key rebuilt through the process's key objects."""
+    registration_id, p, q, s = _control(payload, (str, int, int, int))
+    if not (1 <= s <= _MAX_DJ_DEGREE and p > 2 and q > 2):
+        raise ProtocolError(f"key parameters out of range (s = {s})")
+    public_key = shared_key(p * q)
+    keypair = PaillierKeypair(public_key, PaillierSecretKey(p, q, public_key))
+    return registration_id, keypair, shared_scheme(public_key.n, s)
+
+
+def decode_open(payload: bytes) -> tuple:
+    """An OPEN payload as ``(registration_id, label, rng)``: the stream
+    is rebuilt from its own key, OS entropy when the key is empty."""
+    registration_id, label, stream_key = _control(payload, (str, str, bytes))
+    if len(stream_key) not in (0, 32):
+        raise ProtocolError(f"a stream key has 0 or 32 bytes, not {len(stream_key)}")
+    return registration_id, label, SecureRandom.from_stream_key(stream_key)
 
 
 class _Session:
@@ -256,8 +295,8 @@ class S2Service:
         ``unix:///path`` (a stale socket file is replaced).
     state_dir:
         When set, every registration is spilled to
-        ``<state_dir>/<registration id>.reg`` (the raw REGISTER payload,
-        written atomically, once per key) and reloaded on :meth:`start`
+        ``<state_dir>/<registration id>.reg`` (the REGISTER payload,
+        written atomically, once per key) and decoded on :meth:`start`
         — a restarted daemon serves its registered keys without any
         client re-upload.  The files hold secret key material: protect the
         directory like the key itself.
@@ -321,8 +360,8 @@ class S2Service:
         reloaded first, so clients of the restarted daemon open
         sessions by registration id without re-uploading key material.
         """
-        for blob in self.restore():
-            self._register(blob, None)
+        for registration in self.restore():
+            self._register(registration, None)
         family, target = parse_address(self.listen_spec)
         if family == "tcp":
             host, port = target
@@ -461,23 +500,21 @@ class S2Service:
             connection.send_error(session_id, type(exc).__name__, str(exc))
 
     def _on_register(self, conn: Connection, session_id: int, payload: bytes) -> None:
-        self._register(pickle.loads(payload), payload)
+        self._register(decode_registration(payload), payload)
         conn.send(REGISTERED, session_id)
 
     def _on_open(self, conn: Connection, session_id: int, payload: bytes) -> None:
-        registration_id, _, rest = payload.partition(b"\x00")
-        label_bytes, _, blob = rest.partition(b"\x00")
-        label = label_bytes.decode("utf-8", "replace")
+        registration_id, label, rng = decode_open(payload)
         with self._lock:
-            entry = self._registry.get(registration_id.decode("utf-8"))
+            entry = self._registry.get(registration_id)
         if entry is None:
-            conn.send_error(session_id, UNKNOWN_RELATION, registration_id.decode())
+            conn.send_error(session_id, UNKNOWN_RELATION, registration_id)
             return
         if session_id in conn.sessions:
             conn.send_error(session_id, "duplicate-session", str(session_id))
             return
         keypair, dj = entry
-        cloud = CryptoCloud(keypair, dj, rng=pickle.loads(blob), leakage=LeakageLog())
+        cloud = CryptoCloud(keypair, dj, rng=rng, leakage=LeakageLog())
         conn.sessions[session_id] = _Session(cloud, label)
         with self._lock:
             self._counters["sessions_opened"].inc()
@@ -531,14 +568,16 @@ class S2Service:
 
     # -- registration store ----------------------------------------------
 
-    def _register(self, blob: dict, payload: bytes | None) -> None:
-        """Install one registration.
+    def _register(self, registration: tuple, payload: bytes | None) -> None:
+        """Install one decoded registration.
 
         ``payload`` is the raw REGISTER frame body (``None`` when
         restoring from disk) — persisted verbatim so a restart replays
-        exactly what the client uploaded.
+        exactly what the client uploaded.  An id already held under
+        another key is refused: its sessions would decrypt under the
+        wrong primes.
         """
-        registration_id = blob["relation_id"]  # the wire field's name
+        registration_id, keypair, dj = registration
         if payload is not None and self.state_dir is not None:
             # An id the spill-name rule refuses is refused before
             # anything is installed: never kept in memory alone.
@@ -548,18 +587,16 @@ class S2Service:
             if payload is not None:
                 self._counters["registration_uploads"].inc()
                 self._counters["registration_bytes"].inc(len(payload))
-            if registration_id not in self._registry:
-                keypair, dj = blob["keypair"], blob["dj"]
+            held = self._registry.get(registration_id)
+            if held is None:
                 self._registry[registration_id] = (keypair, dj)
-                # What sessions decode under these moduli is then these
-                # very objects: key guards pass on identity.
-                shared_key(keypair.public_key.n, keypair.public_key)
-                shared_scheme(dj.n, dj.s, dj)
                 if payload is None:
                     self._counters["registrations_restored"].inc()
                 else:
                     self._counters["registrations"].inc()
                     persist = self.state_dir is not None
+            elif held[1] != dj:
+                raise KeyMismatchError(f"{registration_id} is registered to another key")
         if persist:
             self.spill(registration_id, payload)
 
@@ -581,32 +618,26 @@ class S2Service:
         atomic_write(path, payload)
 
     def restore(self) -> list:
-        """The unpickled ``.reg`` spills, in name order, that hold a
-        registration for their own file's id (wire field
-        ``relation_id``) with complete key material.  A file that does
-        not load or hold one (truncated write, foreign pickle) is
-        skipped whole — a bad spill must not kill boot, clients
-        re-upload on demand."""
-        blobs = []
+        """The ``.reg`` spills, in name order, that decode as a
+        registration (:func:`decode_registration`) for their own file's
+        id.  A file that does not (a truncated write, a spill in another
+        format) is skipped whole — a bad spill must not kill boot,
+        clients register again on first contact."""
+        registrations = []
         if self.state_dir is None or not os.path.isdir(self.state_dir):
-            return blobs
+            return registrations
         for name in sorted(os.listdir(self.state_dir)):
             stem, ext = os.path.splitext(name)
             if ext != ".reg":
                 continue
             try:
                 with open(os.path.join(self.state_dir, name), "rb") as handle:
-                    blob = pickle.loads(handle.read())
+                    registration = decode_registration(handle.read())
             except Exception:  # noqa: BLE001 — see docstring
                 continue
-            if (
-                isinstance(blob, dict)
-                and blob.get("relation_id") == stem
-                and "keypair" in blob
-                and "dj" in blob
-            ):
-                blobs.append(blob)
-        return blobs
+            if registration[0] == stem:
+                registrations.append(registration)
+        return registrations
 
 
 # -- process launcher and CLI ----------------------------------------------

@@ -75,12 +75,7 @@ from repro.protocols.base import LeakageEvent
 from repro.server.jobs import QueryJob, WatchJob, WatchSummary
 from repro.server.mutations import MutableRelation, MutationResult
 from repro.server.query_cache import CachedResult, QueryCache
-from repro.server.query_workers import (
-    QueryWorkerPool,
-    export_relation,
-    release_relation,
-    run_salted_query,
-)
+from repro.server.query_workers import QueryWorkerPool, run_salted_query
 
 _QUEUE_DEPTH = REGISTRY.gauge(
     "repro_scheduler_queue_depth",
@@ -193,9 +188,8 @@ class TopKServer:
             self._mutable = None
         self.relation = relation
         self.transport = transport
-        # Validate the cheap parameters before acquiring any resource
-        # (relation-store pin) — a half-constructed server has no
-        # reachable close().
+        # Validate the cheap parameters before acquiring any resource —
+        # a half-constructed server has no reachable close().
         if scheduler_workers < 1:
             raise ValueError("scheduler_workers must be >= 1")
         # The result cache (ARCHITECTURE.md, "Result cache"): a repeat
@@ -207,9 +201,6 @@ class TopKServer:
         # servers sharing one scheme must never collide (a collision
         # would replay blinding/permutation streams across queries).
         self._salt_namespace = scheme.context_namespace()
-        # Pin the served relation in the process-wide store for this
-        # server's lifetime, so rebuilt worker pools never re-pickle it.
-        export_relation(scheme, relation)
         self._worker_pool = QueryWorkerPool(scheme, transport)
         # Guards the request-id counter and the closed flag.
         self._state_lock = threading.Lock()
@@ -372,12 +363,9 @@ class TopKServer:
                     raise RuntimeError("server is closed")
             result = getattr(self._mutable, op)(*args)
             old_key = self.relation.relation_id()
-            new_relation = self._mutable.relation
-            export_relation(self.scheme, new_relation)
-            self.relation = new_relation
+            self.relation = self._mutable.relation
             self._mutation_count += 1
         self._cache.invalidate_relation(old_key)
-        release_relation(old_key)
         _MUTATIONS.labels(op=op).inc()
         with self._scheduler_lock:
             watches = list(self._watches)
@@ -896,7 +884,6 @@ class TopKServer:
         self._executor.shutdown(wait=True)
         for thread in watch_threads:
             thread.join()
-        release_relation(self.relation.relation_id())
         exporter, self._exporter = self._exporter, None
         if exporter is not None:
             exporter.close()

@@ -78,7 +78,8 @@ RETIRED = re.compile(
     r"check_(blind_round|ehl_minus|masked_unseen|select_bounds|select_absorb)|"
     r"backend\.(blind_round|ehl_minus|masked_unseen|select_bounds|select_absorb)\(|"
     r"REPRO_MONT|ready.file|LatencyTransport|set_enabled|REPRO_METRICS|"
-    r"bench_throughput|bench_remote|\bffibuilder\b"
+    r"bench_throughput|bench_remote|\bffibuilder\b|_RELATION_(STORE|REFS|BLOBS)|"
+    r"_STORE_LOCK|(export|release)_relation|_relation_blob"
 )
 
 

@@ -17,6 +17,7 @@ in :class:`TestClientLink`, what the daemon process imports in
 
 from __future__ import annotations
 
+import builtins
 import json
 import os
 import pathlib
@@ -48,6 +49,8 @@ from repro.net.socket_transport import (
     decode_error,
     default_registration_id,
     disconnect_all,
+    encode_open,
+    encode_registration,
     parse_address,
     recv_frame,
     release,
@@ -293,9 +296,9 @@ class TestKeyObjectsOutliveSessions:
         # pk' exists once in this process (S1's object, adopted when it
         # first crossed the codec): one pool for five sessions.
         assert builds[scheme._s1_keypair.public_key.n_squared] == 1
-        # The registered key reaches the in-thread daemon as an unpickled
-        # copy, so S1 and S2 each hold one object of it here: one pool per
-        # cloud, none per session.
+        # The daemon rebuilds the registered key from its primes through
+        # the process's key objects: at most one pool per cloud, none per
+        # session.
         assert all(count <= 2 for count in builds.values())
         assert builds == after_first
 
@@ -514,9 +517,8 @@ class TestFailureModes:
             session_id = victim.transport.session_id
             for request in hostile:
                 with pytest.raises(RemoteS2Error) as excinfo:
-                    client.request_finish(
-                        session_id, client.request_begin(session_id, request)
-                    )
+                    client.request_begin(session_id, request)
+                    client.request_finish(session_id)
                 assert excinfo.value.kind == "ProtocolError"
             assert 20000 not in built and 0 not in built
             assert dispatched == []
@@ -777,21 +779,38 @@ def _http_status(url: str) -> tuple[int, str]:
         return err.code, err.read().decode()
 
 
+def _codec_bytes(value) -> bytes:
+    out = bytearray()
+    WireCodec().encode_value(value, out)
+    return bytes(out)
+
+
+class _ExecProbe:
+    """Unpickling this runs code: it sets ``builtins.REPRO_PROBE_RAN``."""
+
+    def __reduce__(self):
+        return (exec, ("import builtins; builtins.REPRO_PROBE_RAN = True",))
+
+
 def _raw_connection(address, sessions: int):
     """One raw connection to ``address``, greeted, with the key of a fresh
     deployment registered and sessions ``1..sessions`` open on it;
     returns the socket and the deployment's scheme."""
     scheme, _, _ = _fresh_deployment()
     rid = default_registration_id(scheme.keypair, scheme.dj)
-    blob = {"relation_id": rid, "keypair": scheme.keypair, "dj": scheme.dj}
     frames = [
         (socket_transport.HELLO, 0, socket_transport.PROTOCOL_BANNER, socket_transport.HELLO_OK),
-        (socket_transport.REGISTER, 0, pickle.dumps(blob), socket_transport.REGISTERED),
+        (
+            socket_transport.REGISTER,
+            0,
+            encode_registration(rid, scheme.keypair, scheme.dj),
+            socket_transport.REGISTERED,
+        ),
     ] + [
         (
             socket_transport.OPEN,
             session_id,
-            rid.encode() + b"\x00probe\x00" + pickle.dumps(SecureRandom(session_id)),
+            encode_open(rid, "probe", SecureRandom(session_id)),
             socket_transport.OPENED,
         )
         for session_id in range(1, sessions + 1)
@@ -824,21 +843,24 @@ def _pending_request(sock, scheme, codec: WireCodec, session_id: int = 1):
 
 class TestDaemonLifecycle:
     def test_wrong_banner_rejection_names_the_daemon_banner(self, core):
+        """Any other banner, the previous one included (no downgrade), is
+        refused with the daemon's own banner named."""
         service, address = core
-        sock = connect_socket(address)
-        try:
-            send_frame(sock, socket_transport.HELLO, 0, b"repro-bogus/9")
-            ftype, session_id, payload = recv_frame(sock)
-            assert (ftype, session_id) == (socket_transport.ERROR, 0)
-            assert decode_error(payload) == (
-                socket_transport.VERSION_MISMATCH,
-                socket_transport.PROTOCOL_BANNER.decode(),
-            )
-            # A bad HELLO is a framing failure: the connection is dropped.
-            with pytest.raises(PeerDisconnected):
-                recv_frame(sock)
-        finally:
-            sock.close()
+        for banner in (b"repro-bogus/9", b"repro-s2/3"):
+            sock = connect_socket(address)
+            try:
+                send_frame(sock, socket_transport.HELLO, 0, banner)
+                ftype, session_id, payload = recv_frame(sock)
+                assert (ftype, session_id) == (socket_transport.ERROR, 0)
+                assert decode_error(payload) == (
+                    socket_transport.VERSION_MISMATCH,
+                    socket_transport.PROTOCOL_BANNER.decode(),
+                )
+                # A bad HELLO is a framing failure: the connection is dropped.
+                with pytest.raises(PeerDisconnected):
+                    recv_frame(sock)
+            finally:
+                sock.close()
         assert _wait_for(lambda: service.stats()["connections_active"] == 0)
 
     def test_peer_that_never_greets_is_dropped(self, core, monkeypatch):
@@ -866,12 +888,101 @@ class TestDaemonLifecycle:
             assert finish(), "the sibling request did not complete"
             ftype, session_id, payload = recv_frame(sock)
             assert (ftype, session_id) == (socket_transport.ERROR, 7)
-            assert decode_error(payload)[0] == "UnpicklingError"
+            assert decode_error(payload)[0] == "ProtocolError"
             assert _pending_request(sock, scheme, codec)(), "the connection did not survive"
             stats = service.stats()
             assert (stats["connections_total"], stats["connections_active"]) == (1, 1)
         finally:
             sock.close()
+
+    HOSTILE_CONTROL = {
+        "truncated": (socket_transport.REGISTER, lambda rid, key, other: key[:-1]),
+        "list-not-tuple": (
+            socket_transport.REGISTER,
+            lambda rid, key, other: _codec_bytes(["x", other.p, other.q, 2]),
+        ),
+        "int-id": (
+            socket_transport.REGISTER,
+            lambda rid, key, other: _codec_bytes((7, other.p, other.q, 2)),
+        ),
+        "degree-9": (
+            socket_transport.REGISTER,
+            lambda rid, key, other: _codec_bytes(("x", other.p, other.q, 9)),
+        ),
+        "pq-not-n": (
+            socket_transport.REGISTER,
+            lambda rid, key, other: _codec_bytes((rid, other.p, other.q, 2)),
+        ),
+        "stream-key-31": (
+            socket_transport.OPEN,
+            lambda rid, key, other: _codec_bytes((rid, "probe", b"k" * 31)),
+        ),
+        "exec-pickle-register": (
+            socket_transport.REGISTER,
+            lambda rid, key, other: pickle.dumps(_ExecProbe()),
+        ),
+        "exec-pickle-open": (
+            socket_transport.OPEN,
+            lambda rid, key, other: rid.encode() + b"\x00probe\x00" + pickle.dumps(_ExecProbe()),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_CONTROL))
+    def test_hostile_control_payload_is_a_session_error(self, core, monkeypatch, case):
+        """A malformed REGISTER or OPEN on session 7 runs nothing, builds
+        nothing and is answered with a typed ERROR on session 7, while a
+        sibling session's round on the same connection completes.
+        ``pq-not-n`` names the registered id with primes of another key.
+        The pickle — a REGISTER payload, and the stream of an OPEN in the
+        NUL-separated layout of the previous banner — would set
+        ``builtins.REPRO_PROBE_RAN`` if unpickled."""
+        service, address = core
+        monkeypatch.setattr(builtins, "REPRO_PROBE_RAN", False, raising=False)
+        sock, scheme = _raw_connection(address, sessions=1)
+        rid = default_registration_id(scheme.keypair, scheme.dj)
+        other = _fresh_deployment(seed=56)[0].keypair.secret_key
+        ftype, build = self.HOSTILE_CONTROL[case]
+        payload = build(rid, encode_registration(rid, scheme.keypair, scheme.dj), other)
+        codec = WireCodec()
+        try:
+            finish = _pending_request(sock, scheme, codec)
+            send_frame(sock, ftype, 7, payload)
+            assert finish(), "the sibling request did not complete"
+            got, session_id, reply = recv_frame(sock)
+            assert (got, session_id) == (socket_transport.ERROR, 7)
+            kind = "KeyMismatchError" if case == "pq-not-n" else "ProtocolError"
+            assert decode_error(reply)[0] == kind
+            assert _pending_request(sock, scheme, codec)(), "the connection did not survive"
+        finally:
+            sock.close()
+        assert builtins.REPRO_PROBE_RAN is False
+        ((keypair, _),) = service._registry.values()
+        assert keypair.secret_key.p == scheme.keypair.secret_key.p
+        assert service.stats()["sessions_opened"] == 1
+
+    def test_control_frame_over_its_cap_drops_the_connection(self, core):
+        """A REGISTER header one byte over its cap is a framing failure,
+        seen before its payload is read: typed ERROR, then the connection
+        drops; a round on another connection completes."""
+        service, address = core
+        sibling, scheme = _raw_connection(address, sessions=1)
+        sock = connect_socket(address)
+        try:
+            sock.settimeout(30.0)
+            send_frame(sock, socket_transport.HELLO, 0, socket_transport.PROTOCOL_BANNER)
+            assert recv_frame(sock)[0] == socket_transport.HELLO_OK
+            cap = socket_transport.FRAME_CAPS[socket_transport.REGISTER]
+            sock.sendall(struct.pack("!IBI", cap + 1, socket_transport.REGISTER, 0))
+            ftype, session_id, payload = recv_frame(sock)
+            assert (ftype, session_id) == (socket_transport.ERROR, 0)
+            assert decode_error(payload)[0] == "TransportError"
+            with pytest.raises(PeerDisconnected):
+                recv_frame(sock)
+            assert _pending_request(sibling, scheme, WireCodec())()
+        finally:
+            sock.close()
+            sibling.close()
+        assert _wait_for(lambda: service.stats()["connections_active"] == 0)
 
     def test_unknown_frame_type_is_a_session_error(self, core):
         _, address = core
@@ -989,12 +1100,15 @@ class TestDaemonLifecycle:
             service.close()
         assert not os.path.exists(path)
 
-    def test_corrupt_spill_is_skipped_not_fatal(self, tmp_path):
+    def test_corrupt_spill_is_skipped_not_fatal(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(builtins, "REPRO_PROBE_RAN", False, raising=False)
         corrupt = {
-            "deadbeef.reg": b"not a pickle",
-            # Valid pickles of the wrong shape must be skipped too.
-            "cafe.reg": pickle.dumps([1, 2, 3]),
-            "f00d.reg": pickle.dumps({"relation_id": "f00d"}),  # no key material
+            "deadbeef.reg": b"not a codec value",
+            # Codec values of the wrong shape must be skipped too.
+            "cafe.reg": _codec_bytes([1, 2, 3]),
+            "f00d.reg": _codec_bytes(("f00d",)),  # no key material
+            # A spill in the pickled format is skipped unread.
+            "beef.reg": pickle.dumps(_ExecProbe()),
         }
         for name, content in corrupt.items():
             (tmp_path / name).write_bytes(content)
@@ -1002,6 +1116,7 @@ class TestDaemonLifecycle:
         address = service.start()
         try:
             assert service.stats()["registrations_restored"] == 0
+            assert builtins.REPRO_PROBE_RAN is False
             scheme, relation, _ = _fresh_deployment()
             with TopKServer(scheme, relation, transport=address) as server:
                 result = server.query(scheme.token([0, 1], k=2))
@@ -1010,16 +1125,30 @@ class TestDaemonLifecycle:
             disconnect_all()
             service.close()
 
-    def test_parent_commit_state_dir_restores(self, tmp_path):
-        """A ``.reg`` spill written by the PR 13 daemon (see
-        ``fixtures/wire_pr13/record.py``) loads unchanged."""
+    def test_parent_commit_state_dir_restores(self, tmp_path, monkeypatch):
+        """A state dir holding the pickled ``.reg`` spill recorded in
+        ``fixtures/wire_pr13`` (see its ``record.py``) restores nothing
+        and unpickles nothing; the next query registers — its spill in
+        the codec format, which a restart decodes — and answers."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the daemon unpickled a spill")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "load", refuse)
         (fixture,) = FIXTURES.glob("*.reg")
         shutil.copy(fixture, tmp_path / fixture.name)
         service = S2Service("tcp://127.0.0.1:0", state_dir=str(tmp_path))
+        address = service.start()
         try:
-            service.start()
-            assert service.stats()["registrations_restored"] == 1
+            assert service.stats()["registrations_restored"] == 0
+            scheme, relation, _ = _fresh_deployment()
+            with TopKServer(scheme, relation, transport=address) as server:
+                assert len(server.query(scheme.token([0, 1], k=2)).items) == 2
+            assert service.stats()["registrations"] == 1
+            ((restored_id, _, _),) = service.restore()
+            assert restored_id == default_registration_id(scheme.keypair, scheme.dj)
         finally:
+            disconnect_all()
             service.close()
 
     def test_spill_rejects_unsafe_names(self, tmp_path):
@@ -1119,18 +1248,24 @@ class TestImportBoundary:
 
 class TestWireCompatibility:
     def test_parent_commit_byte_stream_replays(self):
-        """The frames a PR 13 ``S2Client`` sent for one tiny query
-        (HELLO, OPEN, REGISTER, OPEN, 14 REQUESTs, CLOSE) get the replies
-        the PR 13 daemon gave.
+        """The rounds a recorded ``S2Client`` sent for one tiny query get
+        the replies the recording daemon gave (see
+        ``fixtures/wire_pr13/record.py``: HELLO, OPEN, REGISTER, OPEN, 14
+        REQUESTs, CLOSE).
 
-        Control replies (HELLO_OK, the ``unknown-relation`` ERROR,
-        REGISTERED, OPENED, CLOSED) must match byte for byte.  A REPLY
-        carries ciphertexts S2 encrypted with OS entropy (unpickled keys
-        hold no seeded stream — the PR 13 daemon does not reproduce its
-        own REPLY bytes either), so REPLYs are compared decoded, every
-        ciphertext decrypted under the recorded ``.reg`` key: same
-        values, same leakage events, same progress counts; only the /3
-        progress element's timing integer is free."""
+        The control frames go out in today's format: the banner, and the
+        REGISTER and OPEN payloads encoded from the recorded ``.reg`` key
+        and from the stream the recorded OPEN carried (both pickles,
+        trusted fixtures unpickled here).  REQUEST and CLOSE frames go
+        out verbatim.  Control replies (the ``unknown-relation`` ERROR,
+        REGISTERED, OPENED, CLOSED) must match byte for byte, HELLO_OK
+        must echo today's banner.  A REPLY carries ciphertexts S2
+        encrypted with OS entropy (the recorded key holds no seeded
+        stream — the recording daemon does not reproduce its own REPLY
+        bytes either), so REPLYs are compared decoded, every ciphertext
+        decrypted under the recorded key: same values, same leakage
+        events, same progress counts; only the progress element's timing
+        integer is free."""
         data = (FIXTURES / "s2_session.frames").read_bytes()
         (reg,) = FIXTURES.glob("*.reg")
         registration = pickle.loads(reg.read_bytes())
@@ -1144,6 +1279,20 @@ class TestWireCompatibility:
             frames.append((data[pos : pos + 1], data[pos + 1 : end]))
             pos = end
         assert [mark for mark, _ in frames] == [b">", b"<"] * (len(frames) // 2)
+
+        def current(frame: bytes) -> bytes:
+            _, ftype, session_id = header.unpack_from(frame)
+            payload = frame[header.size :]
+            if ftype == socket_transport.HELLO:
+                payload = socket_transport.PROTOCOL_BANNER
+            elif ftype == socket_transport.REGISTER:
+                payload = encode_registration(
+                    registration["relation_id"], keypair, registration["dj"]
+                )
+            elif ftype == socket_transport.OPEN:
+                rid, label, stream = payload.split(b"\x00", 2)
+                payload = encode_open(rid.decode(), label.decode(), pickle.loads(stream))
+            return header.pack(len(payload), ftype, session_id) + payload
 
         def plain(value):
             if isinstance(value, ItemBatch):
@@ -1189,12 +1338,15 @@ class TestWireCompatibility:
         try:
             sock.settimeout(30.0)
             for (_, sent), (_, expected) in zip(frames[::2], frames[1::2]):
-                sock.sendall(sent)
+                sock.sendall(current(sent))
                 ftype, session_id, payload = recv_frame(sock)
                 want_type, want_session = header.unpack_from(expected)[1:]
                 assert (ftype, session_id) == (want_type, want_session)
-                if ftype != socket_transport.REPLY:
+                if ftype == socket_transport.HELLO_OK:
+                    assert payload == socket_transport.PROTOCOL_BANNER
+                elif ftype != socket_transport.REPLY:
                     assert payload == expected[header.size :]
+                if ftype != socket_transport.REPLY:
                     continue
                 rounds += 1
                 request = sent[header.size :]

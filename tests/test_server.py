@@ -111,72 +111,8 @@ class TestProcessMode:
 
 
 class TestRelationStore:
-    """The process-wide relation store behind process-mode worker pools:
-    exports are keyed by relation id, shared across servers over the
-    same relation, pickled at most once, and released with the last
-    server."""
-
-    def test_exported_for_server_lifetime(self):
-        from repro.server import query_workers as ts
-
-        scheme, relation, _ = _fresh_deployment()
-        key = relation.relation_id()
-        assert key not in ts._RELATION_STORE
-        with TopKServer(scheme, relation):
-            stored_scheme, stored_relation = ts._RELATION_STORE[key]
-            assert stored_scheme is scheme and stored_relation is relation
-            assert ts._RELATION_REFS[key] == 1
-        assert key not in ts._RELATION_STORE
-        assert key not in ts._RELATION_REFS
-
-    def test_sibling_servers_share_one_export(self):
-        from repro.server import query_workers as ts
-
-        scheme, relation, _ = _fresh_deployment()
-        key = relation.relation_id()
-        server_a = TopKServer(scheme, relation)
-        server_b = TopKServer(scheme, relation)
-        assert ts._RELATION_REFS[key] == 2
-        server_a.close()
-        assert ts._RELATION_REFS[key] == 1  # close is idempotent too
-        server_a.close()
-        assert ts._RELATION_REFS[key] == 1
-        server_b.close()
-        assert key not in ts._RELATION_STORE
-
-    def test_blob_pickled_at_most_once(self):
-        from repro.server import query_workers as ts
-
-        scheme, relation, _ = _fresh_deployment()
-        with TopKServer(scheme, relation):
-            key = relation.relation_id()
-            first = ts._relation_blob(key)
-            assert ts._relation_blob(key) is first
-
-    def test_workers_resolve_relation_from_store(self):
-        """The initializer path spawn platforms use: a worker that
-        receives the blob installs it under the relation id, and a
-        worker whose store already holds the id (fork inheritance, or a
-        rebuilt pool on spawn) skips the payload entirely."""
-        import pickle
-
-        from repro.crypto import backend
-        from repro.server import query_workers as ts
-
-        active = backend.get_backend().name
-        scheme, relation, _ = _fresh_deployment()
-        key = relation.relation_id()
-        blob = pickle.dumps((scheme, relation))
-        try:
-            ts._init_query_worker(key, blob, "inprocess", active)
-            assert ts._QUERY_WORKER["relation"].relation_id() == key
-            # Second pool build over the same relation: no payload needed.
-            ts._QUERY_WORKER.clear()
-            ts._init_query_worker(key, None, "inprocess", active)
-            assert ts._QUERY_WORKER["relation"].relation_id() == key
-        finally:
-            ts._QUERY_WORKER.clear()
-            ts._RELATION_STORE.pop(key, None)
+    """What binds a process-mode worker pool to the relation it serves:
+    the relation id, which a pickled copy keeps."""
 
     def test_relation_id_stable_across_pickling(self):
         import pickle
