@@ -83,8 +83,8 @@ class CandidateFinalized(ProgressEvent):
 class S2Progress(ProgressEvent):
     """S2-side decrypt-batch progress, piggybacked on a REPLY frame.
 
-    Remote daemons (protocol ``repro-s2/3``) report how much crypto
-    work each round carried.  Counters are per-round, not cumulative.
+    Remote daemons report how much crypto work each round carried (the
+    REPLY frame's progress element).  Counters are per-round, not cumulative.
     """
 
     batches: int

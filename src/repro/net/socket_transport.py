@@ -95,8 +95,8 @@ REPLY = 0x08
 CLOSE = 0x09
 CLOSED = 0x0A
 ERROR = 0x0B
-# 0x0C / 0x0D are retired — never reuse them: pre-PR-24 clients still
-# send 0x0C and rely on the ``unknown-frame`` ERROR a stray type gets.
+# 0x0C / 0x0D are retired — never reuse them.  Like any type the daemon
+# does not know, they get an ``unknown-frame`` ERROR on their session.
 
 _HEADER = struct.Struct("!IBI")  # payload length, frame type, session id
 

@@ -175,6 +175,34 @@ class _Reader:
         return _zigzag(self.varint())
 
 
+def _plain(reader: _Reader):
+    tag = reader.byte()
+    if tag == _INT:
+        return reader.signed()
+    if tag == _BYTES:
+        return bytes(reader.take(reader.varint()))
+    if tag == _STR:
+        return reader.take(reader.varint()).decode("utf-8")
+    if tag == _TUPLE:
+        return tuple(_plain(reader) for _ in range(reader.varint()))
+    raise ProtocolError(f"wire tag {tag} in a plain value")
+
+
+def decode_plain(data: bytes):
+    """One codec value built of ints, bytes, strs and tuples alone — a
+    control payload — and nothing after it.  No codec is involved: any
+    other tag is refused before its body is read, so a payload reaches
+    no key registry and no process key table."""
+    reader = _Reader(data)
+    try:
+        value = _plain(reader)
+    except (RecursionError, UnicodeDecodeError):
+        raise ProtocolError("malformed plain value") from None
+    if reader.pos != len(data):
+        raise ProtocolError("trailing bytes after a plain value")
+    return value
+
+
 def _entry(registry: list, index: int, what: str):
     if index >= len(registry):
         raise ProtocolError(f"wire message names unregistered {what} {index}")
@@ -564,8 +592,7 @@ class WireCodec:
 def _item_batch(items: list) -> ItemBatch:
     """A decoded list of items as the batch it was sent as.  Every
     element must be an item with an EHL and list (or absent) vectors,
-    and every Paillier component a ciphertext under one key; the ``E2``
-    seen bits are checked by :meth:`ItemBatch.pack`."""
+    and every component a Paillier ciphertext under one key."""
     components = []
     for item in items:
         if type(item) is not ScoredItem or type(item.ehl) not in _EHL_CLASSES:
@@ -578,7 +605,7 @@ def _item_batch(items: list) -> ItemBatch:
             if vector is not None and type(vector) is not list:
                 raise ProtocolError("an item's vector field must be a list or absent")
         components += item.list_scores or ()
-        components += [c for c in item.seen_bits or () if type(c) is not LayeredCiphertext]
+        components += item.seen_bits or ()
     key = components[0].public_key
     if any(type(c) is not Ciphertext or c.public_key is not key for c in components):
         raise ProtocolError("an item batch's components must be ciphertexts under one key")

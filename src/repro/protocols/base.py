@@ -508,7 +508,7 @@ def _wire_clouds(
             listener = on_event
 
             def on_progress(batches, values, seconds):
-                # Daemon-side decrypt progress (/3 REPLY piggyback) →
+                # Daemon-side decrypt progress (the REPLY's element) →
                 # the job's event stream.  Observation only: a broken
                 # listener must never abort the round that carried it.
                 try:

@@ -22,17 +22,14 @@ companion needs per-component ``pk'`` work; see ARCHITECTURE.md, "Known
 gaps").
 
 The blinder works on a round's :class:`~repro.structures.items.ItemBatch`:
-each item's layout and one limb buffer of every Paillier component — EHL
-cells, the worst/best ciphertexts, payload ciphertexts (``list_scores``)
-and the seen bits, Paillier ciphertexts on the eager engine's items —
-plus the side vector of ``E2`` seen bits (blinded modulo ``N^2``) of
-items recorded before the eager engine left the layered scheme, which S2
-still serves.  An absent field is neither blinded nor shipped and comes
-back absent; an item with no ``E2`` component costs no Damgård–Jurik
-work.
+each item's layout and one limb buffer of its components — EHL cells,
+the worst/best ciphertexts, payload ciphertexts (``list_scores``) and
+the seen bits — every one a Paillier ciphertext under the main key.  An
+absent field is neither blinded nor shipped and comes back absent.
 
-Everything works on a whole round's batch at once: one XOF call per
-seed, then one program (:data:`BLIND_ROUND`, one C call on the kernel
+Everything works on a whole round's batch at once: one XOF digest per
+seed, as long as its item's components need, then one program
+(:data:`BLIND_ROUND`, one C call on the kernel
 backend) cuts the streams into the blinds and applies them and the
 rerandomizers to the batch's buffer as it is, and the companion seeds
 are encrypted (or decrypted) as one batch.  S1 packs a
@@ -45,7 +42,6 @@ from __future__ import annotations
 import hashlib
 
 from repro.crypto import backend
-from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair, PaillierPublicKey
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import ProtocolError
@@ -115,11 +111,9 @@ def check_batch(batch, public_key: PaillierPublicKey) -> ItemBatch:
 class ItemBlinder:
     """Blind/unblind a round's :class:`ItemBatch` with seed-derived masks."""
 
-    def __init__(self, public_key: PaillierPublicKey, dj: DamgardJurik):
+    def __init__(self, public_key: PaillierPublicKey):
         self.public_key = public_key
-        self.dj = dj
-        self._plain_bytes = (public_key.n.bit_length() + _SURPLUS_BITS + 7) // 8
-        self._layered_bytes = (dj.n_s.bit_length() + _SURPLUS_BITS + 7) // 8
+        self._blind_bytes = (public_key.n.bit_length() + _SURPLUS_BITS + 7) // 8
 
     # -- blind streams ---------------------------------------------------
 
@@ -133,58 +127,32 @@ class ItemBlinder:
         """Add (``sign=+1``) or remove (``-1``) every item's summed seed
         blinds; rerandomize every component when ``rng`` is given.
 
-        One XOF expansion per seed covers the item's Paillier components
-        first, then its ``E2`` ones.  The Paillier part of every stream
-        goes to one run of :data:`BLIND_ROUND` (or :data:`UNBLIND_ROUND`)
-        for the round, on the batch's buffer; ``E2`` blinds are cut here.
+        A seed's stream is one XOF digest, ``_blind_bytes`` per component
+        of its item; every stream of the round goes to one run of
+        :data:`BLIND_ROUND` (or :data:`UNBLIND_ROUND`), on the batch's
+        buffer.
         """
         batch = check_batch(batch, self.public_key)
         if len(seed_lists) != len(batch):
             raise ProtocolError("a blinded round needs one seed list per item")
-        pk, dj = self.public_key, self.dj
-        counts, layered_counts = batch.counts()
-        streams, layered = self._streams(batch, counts, layered_counts, seed_lists, sign)
+        pk = self.public_key
+        counts = batch.counts()
+        width = self._blind_bytes
+        streams = b"".join([
+            hashlib.shake_256(_XOF_DOMAIN + seed).digest(count * width)
+            for count, seeds in zip(counts, seed_lists)
+            for seed in seeds
+        ])
         registers = [
             pk.n_squared, pk.n, batch.buffer,
             [v for pair in zip(counts, map(len, seed_lists)) for v in pair],
-            streams, [self._plain_bytes, int(sign < 0)],
+            streams, [width, int(sign < 0)],
         ]
         if rng is not None:
             pool = pk.randomizer_pool()
             registers += [pool, rng.randbytes(pool.read_bytes * sum(counts))]
         (buffer,) = backend.run(BLIND_ROUND if rng is not None else UNBLIND_ROUND, registers)
-        if rng is not None and layered:
-            n_s1 = dj.n_s1
-            layered = [
-                v * r % n_s1 for v, r in zip(layered, dj.randomizers(rng, len(layered)))
-            ]
-        return batch.with_components(pk, buffer, [LayeredCiphertext(v, dj) for v in layered])
-
-    def _streams(self, batch, counts, layered_counts, seed_lists, sign):
-        """Every seed's stream of Paillier reads, joined in item order,
-        and the ``E2`` seen bits with their blinds applied: a seed's
-        stream runs on past its item's Paillier reads into one read per
-        ``E2`` bit, cut here."""
-        dj = self.dj
-        n_s, n_s1, g_pow = dj.n_s, dj.n_s1, dj._g_pow
-        plain_bytes, layered_bytes = self._plain_bytes, self._layered_bytes
-        from_bytes = int.from_bytes
-        values = iter(dj.values_of(batch.layered))
-        streams, layered = [], []
-        for count, lcount, seeds in zip(counts, layered_counts, seed_lists):
-            split = count * plain_bytes
-            blinds = [0] * lcount
-            for seed in seeds:
-                stream = hashlib.shake_256(_XOF_DOMAIN + seed).digest(
-                    split + lcount * layered_bytes
-                )
-                streams.append(stream[:split])
-                for k in range(lcount):
-                    start = split + k * layered_bytes
-                    blinds[k] += from_bytes(stream[start : start + layered_bytes], "big")
-            # Enc(x) -> Enc(x ± b): multiply by (1+N)^(±b).
-            layered += [next(values) * g_pow(sign * (b % n_s)) % n_s1 for b in blinds]
-        return b"".join(streams), layered
+        return batch.with_components(pk, buffer)
 
     def blind_batch(
         self, batch: ItemBatch, seed_lists: list[list[bytes]], rng: SecureRandom
@@ -264,7 +232,6 @@ class ItemBlinder:
 
 def junk_batch(
     public_key: PaillierPublicKey,
-    dj: DamgardJurik,
     templates: ItemBatch,
     sentinel: int,
     rng: SecureRandom,
@@ -276,31 +243,25 @@ def junk_batch(
     and whichever of worst/best the template carries pinned to the
     huge-negative ``sentinel`` so it sorts after every legitimate
     candidate and never blocks the halting check.  Every eager-mode list
-    is marked seen — ``Enc(1)``, or ``E2(1)`` for a template with layered
-    seen bits — so the best bound the eager engine later derives from the
-    running worst (no bottom-score contribution for a seen list) lands on
-    the sentinel too.  Each item's values are drawn, then encrypted as
-    one batch, item after item.
+    is marked seen (``Enc(1)``), so the best bound the eager engine later
+    derives from the running worst (no bottom-score contribution for a
+    seen list) lands on the sentinel too.  Each item's values are drawn,
+    then encrypted as one batch, item after item.
     """
     n = public_key.n
-    values, layered = [], []
+    values = []
     for shape in templates.shapes:
-        seen = [1] * (shape.seen or 0)
         item = [rng.randint_below(n) for _ in range(shape.cells)]
         item += [sentinel % n] * (shape.worst + shape.best)
         item += [rng.randint_below(n) for _ in range(shape.scores or 0)]
-        if not shape.layered:
-            item += seen
+        item += [1] * (shape.seen or 0)
         if shape.record:
             item.append(rng.randint_below(n))
         values += [ct.value for ct in public_key.encrypt_batch(item, rng)]
-        if shape.layered:
-            layered += dj.encrypt_batch(seen, rng)
     words = backend.words_for(public_key.n_squared)
     return ItemBatch(
         public_key,
         list(templates.shapes),
         [-1] * len(templates),
         backend.pack_ints(values, words),
-        layered,
     )

@@ -174,7 +174,7 @@ def _sort_affine(
     descending: bool,
     protocol: str,
 ) -> list[ScoredItem]:
-    blinder = ItemBlinder(ctx.public_key, ctx.dj)
+    blinder = ItemBlinder(ctx.public_key)
     permuted = [items[i] for i in ctx.rng.permutation(len(items))]
     maps = [_affine_params(ctx)] * len(items)
     blinded_keys = _blind_keys(ctx, [item.worst for item in permuted], maps)
@@ -214,7 +214,7 @@ def s2_sort_affine(
     blinded_items = check_batch(blinded_items, s2.public_key)
     if not len(blinded_keys) == len(blinded_items) == len(companions):
         raise ProtocolError("malformed sort: keys, items and companions disagree")
-    blinder = ItemBlinder(s2.public_key, s2.dj)
+    blinder = ItemBlinder(s2.public_key)
     decorated = s2_order(
         s2, blinded_keys, range(len(blinded_keys)), descending, protocol
     )
@@ -298,7 +298,7 @@ def _sort_network(
     protocol: str,
 ) -> list[ScoredItem]:
     working = [item.clone_shallow() for item in items]
-    blinder = ItemBlinder(ctx.public_key, ctx.dj)
+    blinder = ItemBlinder(ctx.public_key)
 
     for layer in batcher_network(len(working)):
         # The layer's gates in wire order: gate g carries slots 2g, 2g+1.
@@ -362,7 +362,7 @@ def s2_gates(
             raise ProtocolError("malformed sort gate: a gate holds two keys, items and companions")
     if not gates:
         return []
-    blinder = ItemBlinder(pk, s2.dj)
+    blinder = ItemBlinder(pk)
     all_keys = [k for pair_keys, _, _ in gates for k in pair_keys]
     all_values = s2.decrypt_signed_batch_for_protocol(
         all_keys, protocol, "gate_key_blinded"

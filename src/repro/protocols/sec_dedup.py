@@ -112,7 +112,7 @@ def _prepare(
     rerandomized in one batch and travel in the permuted order of those
     items.
     """
-    blinder = ItemBlinder(ctx.public_key, ctx.dj)
+    blinder = ItemBlinder(ctx.public_key)
     order = ctx.rng.permutation(len(items))
     permuted = [items[i] for i in order]
     fields = {"ranks": [ranks[i] for i in order]}
@@ -251,11 +251,11 @@ def _s2_release(
     if not eliminate:
         survivors = set(kept)
         buried = [i for i in range(len(blinded)) if i not in survivors]
-        junk = junk_batch(s2.public_key, s2.dj, blinded.select(buried), sentinel, s2.rng)
+        junk = junk_batch(s2.public_key, blinded.select(buried), sentinel, s2.rng)
         outgoing = ItemBatch.concat([outgoing, junk])
         carried += [None] * len(buried)
 
-    blinder = ItemBlinder(s2.public_key, s2.dj)
+    blinder = ItemBlinder(s2.public_key)
     counts = [1 if h is not None else 2 for h in carried]
     seeds = blinder.fresh_seeds(s2.rng, sum(counts))
     sealed = blinder.encrypt_seeds(own_public, seeds, s2.rng)

@@ -95,7 +95,7 @@ from repro.net.socket_transport import (
     recv_frame,
     send_frame,
 )
-from repro.net.wire import _MAX_DJ_DEGREE, WireCodec, _Reader, shared_key, shared_scheme
+from repro.net.wire import _MAX_DJ_DEGREE, WireCodec, decode_plain, shared_key, shared_scheme
 from repro.obs.exporter import HealthState, MetricsExporter
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.protocols.base import CryptoCloud, LeakageLog
@@ -155,15 +155,11 @@ def atomic_write(path: str, data: bytes) -> None:
 
 
 def _control(payload: bytes, shape: tuple) -> tuple:
-    """One control payload: a single codec value, a tuple whose fields
-    have exactly the types of ``shape``; anything else is refused."""
-    reader = _Reader(payload)
-    value = WireCodec().decode_value(reader)
-    if (
-        reader.pos != len(payload)
-        or type(value) is not tuple
-        or tuple(map(type, value)) != shape
-    ):
+    """One control payload: a single plain codec value, a tuple whose
+    fields have exactly the types of ``shape``; anything else is
+    refused."""
+    value = decode_plain(payload)
+    if type(value) is not tuple or tuple(map(type, value)) != shape:
         fields = ", ".join(kind.__name__ for kind in shape)
         raise ProtocolError(f"a control payload must be one ({fields}) tuple")
     return value
@@ -171,13 +167,12 @@ def _control(payload: bytes, shape: tuple) -> tuple:
 
 def decode_registration(payload: bytes) -> tuple:
     """A REGISTER payload (or a ``.reg`` spill) as ``(registration_id,
-    keypair, dj)``, the key rebuilt through the process's key objects."""
+    p, q, s)``, checked; no key object is built until the daemon
+    installs the registration."""
     registration_id, p, q, s = _control(payload, (str, int, int, int))
     if not (1 <= s <= _MAX_DJ_DEGREE and p > 2 and q > 2):
         raise ProtocolError(f"key parameters out of range (s = {s})")
-    public_key = shared_key(p * q)
-    keypair = PaillierKeypair(public_key, PaillierSecretKey(p, q, public_key))
-    return registration_id, keypair, shared_scheme(public_key.n, s)
+    return registration_id, p, q, s
 
 
 def decode_open(payload: bytes) -> tuple:
@@ -577,7 +572,7 @@ class S2Service:
         another key is refused: its sessions would decrypt under the
         wrong primes.
         """
-        registration_id, keypair, dj = registration
+        registration_id, p, q, s = registration
         if payload is not None and self.state_dir is not None:
             # An id the spill-name rule refuses is refused before
             # anything is installed: never kept in memory alone.
@@ -589,13 +584,16 @@ class S2Service:
                 self._counters["registration_bytes"].inc(len(payload))
             held = self._registry.get(registration_id)
             if held is None:
-                self._registry[registration_id] = (keypair, dj)
+                # Through the process's key objects, only once installed.
+                public_key = shared_key(p * q)
+                keypair = PaillierKeypair(public_key, PaillierSecretKey(p, q, public_key))
+                self._registry[registration_id] = (keypair, shared_scheme(public_key.n, s))
                 if payload is None:
                     self._counters["registrations_restored"].inc()
                 else:
                     self._counters["registrations"].inc()
                     persist = self.state_dir is not None
-            elif held[1] != dj:
+            elif (held[1].n, held[1].s) != (p * q, s):
                 raise KeyMismatchError(f"{registration_id} is registered to another key")
         if persist:
             self.spill(registration_id, payload)

@@ -7,8 +7,8 @@
   worst and best scores (Section 8.1).
 * :class:`ItemBatch` — the candidates of one blinded round (``SecDedup``,
   ``EncSort``), packed: each item's :class:`ItemShape` and one limb
-  buffer of every Paillier component, from S1's blind through S2's
-  re-blind to S1's unblind.
+  buffer of its components, every one a Paillier ciphertext under the
+  main key, from S1's blind through S2's re-blind to S1's unblind.
 
 A ``ScoredItem`` carries only the fields its next reader needs; an
 absent field (``None``) is neither blinded nor shipped.  The ``eager``
@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 from repro.crypto import backend
 from repro.crypto.backend import WORD_BYTES, pack_ints, unpack_ints, words_for
-from repro.crypto.damgard_jurik import LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.exceptions import ProtocolError
 
@@ -199,10 +198,7 @@ class ScoredItem:
     seen_bits:
         Eager mode only: per query list ``j``, the Paillier ciphertext
         ``Enc(seen_j)`` of whether the object has been seen in list ``j``
-        yet — the sum of the ``Enc(t)`` bits S2 returned for it.  S2
-        also still serves items whose seen bits are layered
-        ``E2(seen_j)`` ciphertexts (the form an earlier eager engine
-        shipped).
+        yet — the sum of the ``Enc(t)`` bits S2 returned for it.
     uid:
         An S1-local handle for bookkeeping.  Carries no information about
         the object (S1 assigns it sequentially), so it is not leakage.
@@ -212,7 +208,7 @@ class ScoredItem:
     worst: Ciphertext | None
     best: Ciphertext | None = None
     list_scores: list[Ciphertext] | None = None
-    seen_bits: list[Ciphertext] | list[LayeredCiphertext] | None = None
+    seen_bits: list[Ciphertext] | None = None
     record: Ciphertext | None = None
     uid: int = -1
 
@@ -246,9 +242,9 @@ class ScoredItem:
 
 class ItemShape(NamedTuple):
     """What one item of an :class:`ItemBatch` carries: its EHL class and
-    cell count, which of worst / best / record it has, how many payload
-    ciphertexts (``list_scores``) and seen bits (``None``: the field is
-    absent), and whether its seen bits are ``E2`` ciphertexts."""
+    cell count, which of worst / best / record it has, and how many
+    payload ciphertexts (``list_scores``) and seen bits (``None``: the
+    field is absent)."""
 
     ehl: type
     cells: int
@@ -256,14 +252,14 @@ class ItemShape(NamedTuple):
     best: bool
     scores: int | None
     seen: int | None
-    layered: bool
     record: bool
 
-    def counts(self) -> tuple[int, int]:
-        """``(Paillier components, E2 seen bits)`` of the item."""
-        seen = self.seen or 0
-        plain = self.cells + self.worst + self.best + (self.scores or 0) + self.record
-        return (plain, seen) if self.layered else (plain + seen, 0)
+    def count(self) -> int:
+        """How many components the item has."""
+        return (
+            self.cells + self.worst + self.best + (self.scores or 0) + (self.seen or 0)
+            + self.record
+        )
 
 
 class ItemBatch:
@@ -271,14 +267,11 @@ class ItemBatch:
 
     * :attr:`shapes` and :attr:`uids` — each item's layout and S1-local
       handle;
-    * :attr:`buffer` — every Paillier component of every item, item by
-      item in the blinding order (EHL cells, worst, best, ``list_scores``,
-      Paillier seen bits, record), in the limb format at
-      ``words_for(N^2)`` words each: what
-      :data:`~repro.protocols.blinding.BLIND_ROUND` reads and writes;
-    * :attr:`layered` — the ``E2`` seen bits of the items that carry
-      them (items recorded before the eager engine left the layered
-      scheme), as the side vector they are.
+    * :attr:`buffer` — every component of every item, item by item in
+      the blinding order (EHL cells, worst, best, ``list_scores``, seen
+      bits, record), each a Paillier ciphertext under :attr:`public_key`,
+      in the limb format at ``words_for(N^2)`` words each: what
+      :data:`~repro.protocols.blinding.BLIND_ROUND` reads and writes.
 
     S1 packs a round once (:meth:`pack`), the blinders and S2 keep,
     reorder and extend it by whole item slices (:meth:`select`,
@@ -289,7 +282,7 @@ class ItemBatch:
     modified in place.
     """
 
-    __slots__ = ("public_key", "shapes", "uids", "buffer", "layered", "_counts")
+    __slots__ = ("public_key", "shapes", "uids", "buffer", "_counts")
 
     def __init__(
         self,
@@ -297,14 +290,12 @@ class ItemBatch:
         shapes: list[ItemShape],
         uids: list[int],
         buffer: bytes,
-        layered: list[LayeredCiphertext],
     ):
         self.public_key = public_key
         self.shapes = shapes
         self.uids = uids
         self.buffer = buffer
-        self.layered = layered
-        self._counts: tuple | None = None
+        self._counts: list[int] | None = None
 
     @staticmethod
     def stride(public_key: PaillierPublicKey) -> int:
@@ -315,13 +306,11 @@ class ItemBatch:
     def pack(cls, public_key: PaillierPublicKey, items: list[ScoredItem]) -> "ItemBatch":
         """``items`` packed under ``public_key``: the one pass over their
         components on the way into a blinded round."""
-        shapes, uids, values, layered = [], [], [], []
+        shapes, uids, values = [], [], []
         for item in items:
             bits = item.seen_bits
-            kinds = set(map(type, bits or ()))
-            if len(kinds) > 1 or not kinds <= {Ciphertext, LayeredCiphertext}:
-                raise ProtocolError("an item's seen bits must be ciphertexts of one kind")
-            in_e2 = LayeredCiphertext in kinds
+            if any(type(c) is not Ciphertext for c in bits or ()):
+                raise ProtocolError("an item's seen bits must be Paillier ciphertexts")
             values += [c.value for c in item.ehl.cells]
             if item.worst is not None:
                 values.append(item.worst.value)
@@ -330,10 +319,7 @@ class ItemBatch:
             if item.list_scores is not None:
                 values += [c.value for c in item.list_scores]
             if bits is not None:
-                if in_e2:
-                    layered += bits
-                else:
-                    values += [c.value for c in bits]
+                values += [c.value for c in bits]
             if item.record is not None:
                 values.append(item.record.value)
             shapes.append(
@@ -344,13 +330,12 @@ class ItemBatch:
                     item.best is not None,
                     None if item.list_scores is None else len(item.list_scores),
                     None if bits is None else len(bits),
-                    in_e2,
                     item.record is not None,
                 )
             )
             uids.append(item.uid)
         words = words_for(public_key.n_squared)
-        return cls(public_key, shapes, uids, pack_ints(values, words), layered)
+        return cls(public_key, shapes, uids, pack_ints(values, words))
 
     @classmethod
     def concat(cls, batches: list["ItemBatch"]) -> "ItemBatch":
@@ -364,60 +349,34 @@ class ItemBatch:
             [shape for batch in batches for shape in batch.shapes],
             [uid for batch in batches for uid in batch.uids],
             b"".join([batch.buffer for batch in batches]),
-            [bit for batch in batches for bit in batch.layered],
         )
 
-    def _layout(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Per item its Paillier component count and its ``E2`` count,
-        then where each item's components start in the buffer and in
-        :attr:`layered` (one entry more than there are items)."""
+    def counts(self) -> list[int]:
+        """Per item, how many components it has."""
         if self._counts is None:
-            pairs = [shape.counts() for shape in self.shapes]
-            plain, in_e2 = [p for p, _ in pairs], [q for _, q in pairs]
-            self._counts = (
-                plain,
-                in_e2,
-                list(itertools.accumulate(plain, initial=0)),
-                list(itertools.accumulate(in_e2, initial=0)),
-            )
+            self._counts = [shape.count() for shape in self.shapes]
         return self._counts
 
-    def counts(self) -> tuple[list[int], list[int]]:
-        """Per item, its Paillier component count and its ``E2`` count."""
-        plain, in_e2, _, _ = self._layout()
-        return plain, in_e2
-
-    def with_components(
-        self,
-        public_key: PaillierPublicKey,
-        buffer: bytes,
-        layered: list[LayeredCiphertext],
-    ) -> "ItemBatch":
+    def with_components(self, public_key: PaillierPublicKey, buffer: bytes) -> "ItemBatch":
         """The same items with new component values under ``public_key``
         (a blinding's output, under the blinder's key object): same
-        layout, ``buffer`` and ``layered`` in its order."""
-        batch = ItemBatch(public_key, self.shapes, self.uids, buffer, layered)
+        layout, ``buffer`` in its order."""
+        batch = ItemBatch(public_key, self.shapes, self.uids, buffer)
         batch._counts = self._counts
         return batch
 
     def select(self, indices) -> "ItemBatch":
         """The items at ``indices``, in that order, as whole slices of
         this batch."""
-        _, _, starts, lstarts = self._layout()
+        starts = list(itertools.accumulate(self.counts(), initial=0))
         stride = self.stride(self.public_key)
         buffer = self.buffer
-        pieces = [buffer[starts[i] * stride : starts[i + 1] * stride] for i in indices]
-        layered = []
-        if self.layered:
-            for i in indices:
-                layered += self.layered[lstarts[i] : lstarts[i + 1]]
         shapes, uids = self.shapes, self.uids
         return ItemBatch(
             self.public_key,
             [shapes[i] for i in indices],
             [uids[i] for i in indices],
-            b"".join(pieces),
-            layered,
+            b"".join([buffer[starts[i] * stride : starts[i + 1] * stride] for i in indices]),
         )
 
     def unpack(self) -> list[ScoredItem]:
@@ -429,7 +388,6 @@ class ItemBatch:
             Ciphertext(value, pk)
             for value in unpack_ints(self.buffer, words, len(self.buffer) // (words * WORD_BYTES))
         ]
-        layered = iter(self.layered)
         items = []
         at = 0
         for shape, uid in zip(self.shapes, self.uids):
@@ -447,11 +405,8 @@ class ItemBatch:
                 scores = cts[at : at + shape.scores]
                 at += shape.scores
             if shape.seen is not None:
-                if shape.layered:
-                    bits = [next(layered) for _ in range(shape.seen)]
-                else:
-                    bits = cts[at : at + shape.seen]
-                    at += shape.seen
+                bits = cts[at : at + shape.seen]
+                at += shape.seen
             if shape.record:
                 record = cts[at]
                 at += 1
@@ -473,8 +428,7 @@ class ItemBatch:
 
     def serialized_size(self) -> int:
         """Byte size on the wire: the size of the items it holds, from
-        the buffer's length alone (every Paillier component is one
-        ciphertext of the key) and the ``E2`` bits'."""
+        the buffer's length alone (every component is one ciphertext of
+        the key)."""
         pk = self.public_key
-        size = len(self.buffer) // self.stride(pk) * pk.ciphertext_bytes
-        return size + sum(bit.serialized_size() for bit in self.layered)
+        return len(self.buffer) // self.stride(pk) * pk.ciphertext_bytes

@@ -1,17 +1,22 @@
-"""Re-record the PR 13 wire and state-dir fixtures in this directory.
+"""Re-record the ``repro-s2/4`` wire and state-dir fixtures in a directory.
 
 Run from a checkout of the commit whose bytes should be pinned::
 
-    PYTHONPATH=src python tests/fixtures/wire_pr13/record.py OUT_DIR
+    PYTHONPATH=src python tests/fixtures/wire_s2v4/record.py tests/fixtures/wire_s2v4
 
-It drives one tiny query through a byte-logging TCP proxy in front of an
-in-process S2 daemon (``s2_session.frames``: ``b">"`` + frame for every
-client frame, ``b"<"`` + frame for every daemon frame, in wire order)
-and keeps the daemon's ``.reg`` spill.  Nothing here reaches into the
-daemon or the client, so it runs on any commit.
+It drives two tiny queries — one default (eager) query and one
+``QueryConfig(engine="literal", variant="full", max_depth=2)`` query,
+which between them send every live message type — through a
+byte-logging TCP proxy in front of an in-process S2 daemon
+(``s2_session.frames``: ``b">"`` + frame for every client frame,
+``b"<"`` + frame for every daemon frame, in wire order) and keeps the
+daemon's ``.reg`` spill (the REGISTER payload).  Nothing here reaches
+into the daemon or the client, so it runs on any commit that speaks the
+same banner.
 
-The REPLY frames hold ciphertexts S2 encrypted with OS entropy, so a
-re-recording differs from this one in those bytes; the replay test
+The REPLY frames hold ciphertexts S2 rerandomized from its process's
+randomizer pools, so a re-recording differs from this one in those
+bytes; the replay test
 (``tests/test_s2_service.py::TestWireCompatibility``) compares REPLYs
 decrypted under the recorded ``.reg`` key, and everything else byte for
 byte.
@@ -35,6 +40,10 @@ from repro.server import S2Service, TopKServer
 
 HEADER = struct.Struct("!IBI")
 ROWS = [[(5 * i + 3 * j) % 11 for j in range(2)] for i in range(4)]
+QUERIES = [
+    QueryConfig(),
+    QueryConfig(engine="literal", variant="full", max_depth=2),
+]
 
 
 def _read(sock: socket.socket, n: int) -> bytes:
@@ -80,19 +89,32 @@ def main(out_dir: str) -> None:
         upstream = socket.create_connection((host, int(port)))
         for sock in (client, upstream):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        threading.Thread(
+        forward = threading.Thread(
             target=_pump, args=(client, upstream, b">", log, lock), daemon=True
-        ).start()
+        )
+        forward.start()
         _pump(upstream, client, b"<", log, lock)
+        forward.join()
+        client.close()
+        upstream.close()
 
-    threading.Thread(target=_accept, daemon=True).start()
+    accept = threading.Thread(target=_accept, daemon=True)
+    accept.start()
     address = f"tcp://127.0.0.1:{proxy.getsockname()[1]}"
-    with TopKServer(scheme, relation, transport=address) as server:
-        server.query(scheme.token([0, 1], k=1), QueryConfig(max_depth=2))
-    disconnect_all()
-    service.close()
+    try:
+        with TopKServer(scheme, relation, transport=address) as server:
+            for config in QUERIES:
+                server.query(scheme.token([0, 1], k=1), config)
+    finally:
+        disconnect_all()
+        service.close()
+        accept.join(timeout=10)
+        proxy.close()
     with open(os.path.join(out_dir, "s2_session.frames"), "wb") as handle:
         handle.write(b"".join(log))
+    for name in os.listdir(out_dir):
+        if name.endswith(".reg"):  # a previous recording's key
+            os.remove(os.path.join(out_dir, name))
     (reg,) = os.listdir(os.path.join(state, "s2"))
     shutil.copy(os.path.join(state, "s2", reg), os.path.join(out_dir, reg))
     shutil.rmtree(state)

@@ -25,8 +25,8 @@ from repro.core import engine
 from repro.core.params import SystemParams
 from repro.core.scheme import SecTopK
 from repro.crypto import backend, kernels, paillier
-from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
-from repro.crypto.paillier import Ciphertext, PaillierKeypair
+from repro.crypto.damgard_jurik import DamgardJurik
+from repro.crypto.paillier import PaillierKeypair
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import DecryptionError
 from repro.protocols import blinding
@@ -1527,50 +1527,27 @@ class TestPickling:
 
 def _parent_blind(blinder, items, seed_lists, sign, rng):
     """The per-component blinding loop ``ItemBlinder._apply`` ran before
-    its Paillier half became one ``blind_round`` call: every component
-    value of every item (Paillier ones first, then ``E2`` seen bits)."""
-    pk, dj = blinder.public_key, blinder.dj
-    n, n2, n_s, n_s1 = pk.n, pk.n_squared, dj.n_s, dj.n_s1
-    plain_bytes = (n.bit_length() + 128 + 7) // 8
-    layered_bytes = (n_s.bit_length() + 128 + 7) // 8
-    plain, layered = [], []
+    it became one ``blind_round`` call: every component value of every
+    item, in the blinder's order."""
+    pk = blinder.public_key
+    n, n2 = pk.n, pk.n_squared
+    width = (n.bit_length() + 128 + 7) // 8
+    out = []
     for item, seeds in zip(items, seed_lists):
-        lcs = [b for b in item.seen_bits or () if isinstance(b, LayeredCiphertext)]
         cts = list(item.ehl.cells) + [
             ct for ct in (item.worst, item.best) if ct is not None
-        ] + list(item.list_scores or ()) + [
-            b for b in item.seen_bits or () if isinstance(b, Ciphertext)
-        ] + ([item.record] if item.record is not None else [])
-        split = len(cts) * plain_bytes
-        plain_blinds, layered_blinds = [0] * len(cts), [0] * len(lcs)
+        ] + list(item.list_scores or ()) + list(item.seen_bits or ()) + (
+            [item.record] if item.record is not None else []
+        )
+        blinds = [0] * len(cts)
         for seed in seeds:
-            stream = hashlib.shake_256(b"repro-item-blind:" + seed).digest(
-                split + len(lcs) * layered_bytes
-            )
+            stream = hashlib.shake_256(b"repro-item-blind:" + seed).digest(len(cts) * width)
             for k in range(len(cts)):
-                plain_blinds[k] += int.from_bytes(
-                    stream[k * plain_bytes : (k + 1) * plain_bytes], "big"
-                )
-            for k in range(len(lcs)):
-                start = split + k * layered_bytes
-                layered_blinds[k] += int.from_bytes(
-                    stream[start : start + layered_bytes], "big"
-                )
-        plain += [
-            ct.value * (1 + sign * (b % n) % n * n) % n2
-            for ct, b in zip(cts, plain_blinds)
-        ]
-        layered += [
-            lc.value * dj._g_pow(sign * (b % n_s)) % n_s1
-            for lc, b in zip(lcs, layered_blinds)
-        ]
+                blinds[k] += int.from_bytes(stream[k * width : (k + 1) * width], "big")
+        out += [ct.value * (1 + sign * (b % n) % n * n) % n2 for ct, b in zip(cts, blinds)]
     if rng is not None:
-        plain = [v * r % n2 for v, r in zip(plain, pk.randomizers(rng, len(plain)))]
-        if layered:
-            layered = [
-                v * r % n_s1 for v, r in zip(layered, dj.randomizers(rng, len(layered)))
-            ]
-    return plain + layered
+        out = [v * r % n2 for v, r in zip(out, pk.randomizers(rng, len(out)))]
+    return out
 
 
 def _parent_minus(pairs, rng):
@@ -1608,17 +1585,15 @@ def _seeded_pool(n, exponent, modulus, size, picks):
 
 
 def _components_of(items):
-    """Every component value of ``items``, Paillier ones first (in the
-    blinder's order), then ``E2`` seen bits."""
-    plain, layered = [], []
+    """Every component value of ``items``, in the blinder's order."""
+    out = []
     for item in items:
-        plain += [c.value for c in item.ehl.cells]
-        plain += [c.value for c in (item.worst, item.best) if c is not None]
-        plain += [c.value for c in item.list_scores or ()]
-        for bit in item.seen_bits or ():
-            (layered if isinstance(bit, LayeredCiphertext) else plain).append(bit.value)
-        plain += [item.record.value] if item.record is not None else []
-    return plain + layered
+        out += [c.value for c in item.ehl.cells]
+        out += [c.value for c in (item.worst, item.best) if c is not None]
+        out += [c.value for c in item.list_scores or ()]
+        out += [c.value for c in item.seen_bits or ()]
+        out += [item.record.value] if item.record is not None else []
+    return out
 
 
 @pytest.mark.parametrize(
@@ -1635,7 +1610,7 @@ class TestFusedRoundsPinTheirFormulas:
     those left it."""
 
     @staticmethod
-    def _items(keypair, dj, rng):
+    def _items(keypair, rng):
         pk = keypair.public_key
         enc = lambda count: pk.encrypt_batch(  # noqa: E731
             [rng.randint_below(pk.n) for _ in range(count)], rng
@@ -1646,12 +1621,12 @@ class TestFusedRoundsPinTheirFormulas:
             ScoredItem(ehl=Ehl(enc(5)), worst=enc(1)[0], best=enc(1)[0],
                        list_scores=enc(2), uid=2),
             ScoredItem(ehl=Ehl(enc(5)), worst=enc(1)[0],
-                       seen_bits=dj.encrypt_batch([1, 0], rng), uid=3),
+                       seen_bits=pk.encrypt_batch([1, 0], rng), uid=3),
         ]
 
-    def test_blind_round(self, name, keypair, dj):
-        blinder = ItemBlinder(keypair.public_key, dj)
-        items = self._items(keypair, dj, SecureRandom(50))
+    def test_blind_round(self, name, keypair):
+        blinder = ItemBlinder(keypair.public_key)
+        items = self._items(keypair, SecureRandom(50))
         seed_lists = [[b"a" * 12], [b"b" * 12, b"c" * 12], [b"d" * 12, b"e" * 12]]
         fused_rng, parent_rng = SecureRandom(51), SecureRandom(51)
         with _on_backend(name):

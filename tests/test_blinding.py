@@ -5,7 +5,6 @@ import pytest
 from repro.core.params import SystemParams
 from repro.core.scheme import SecTopK
 from repro.crypto import backend
-from repro.crypto.damgard_jurik import LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.crypto.rng import SecureRandom
 from repro.protocols.blinding import SEED_BYTES, ItemBlinder, junk_batch, seed_key_bits
@@ -17,16 +16,16 @@ from repro.structures.items import ItemBatch, ScoredItem
 
 @pytest.fixture()
 def blinder(ctx):
-    return ItemBlinder(ctx.public_key, ctx.dj)
+    return ItemBlinder(ctx.public_key)
 
 
 def _pack(ctx, items):
     return ItemBatch.pack(ctx.public_key, items)
 
 
-def junk_item(public_key, dj, template, sentinel, rng):
+def junk_item(public_key, template, sentinel, rng):
     """The junk replacement of one template item."""
-    junk = junk_batch(public_key, dj, ItemBatch.pack(public_key, [template]), sentinel, rng)
+    junk = junk_batch(public_key, ItemBatch.pack(public_key, [template]), sentinel, rng)
     (item,) = junk.unpack()
     return item
 
@@ -39,19 +38,9 @@ def item(ctx):
         worst=ctx.encrypt(10),
         best=ctx.encrypt(20),
         list_scores=[ctx.encrypt(3), ctx.encrypt(7)],
-        seen_bits=[ctx.dj.encrypt(1, ctx.rng), ctx.dj.encrypt(0, ctx.rng)],
+        seen_bits=[ctx.encrypt(1), ctx.encrypt(0)],
         record=ctx.encrypt(5),
     )
-
-
-def _decrypt_bits(bits, ctx, keypair):
-    """Seen bits of either kind, as ``(kind, value)`` pairs."""
-    return [
-        ("lc", ctx.dj.decrypt(b, keypair))
-        if isinstance(b, LayeredCiphertext)
-        else ("ct", keypair.secret_key.decrypt(b))
-        for b in bits
-    ]
 
 
 def _decrypt_item(item, ctx, keypair):
@@ -60,7 +49,7 @@ def _decrypt_item(item, ctx, keypair):
         "worst": sk.decrypt_signed(item.worst),
         "best": sk.decrypt_signed(item.best),
         "scores": [sk.decrypt_signed(c) for c in item.list_scores],
-        "seen": [ctx.dj.decrypt(b, keypair) for b in item.seen_bits],
+        "seen": sk.decrypt_batch(item.seen_bits),
         "record": sk.decrypt(item.record),
     }
 
@@ -114,16 +103,16 @@ class TestWholeRound:
             worst=ctx.encrypt(1),
             best=ctx.encrypt(9),
             list_scores=[ctx.encrypt(1)],
-            seen_bits=[ctx.dj.encrypt(1, ctx.rng)],
+            seen_bits=[ctx.encrypt(1)],
         )
-        paillier_bits = ScoredItem(
+        three_bits = ScoredItem(
             ehl=factory.encode(3),
             worst=ctx.encrypt(7),
             best=ctx.encrypt(8),
             seen_bits=[ctx.encrypt(0), ctx.encrypt(1), ctx.encrypt(1)],
             record=ctx.encrypt(3),
         )
-        return [item, bare, no_record, paillier_bits]
+        return [item, bare, no_record, three_bits]
 
     @staticmethod
     def _plain(scored, ctx, keypair):
@@ -134,7 +123,7 @@ class TestWholeRound:
             "best": sk.decrypt_signed(scored.best),
             "scores": scored.list_scores
             and [sk.decrypt_signed(c) for c in scored.list_scores],
-            "seen": scored.seen_bits and _decrypt_bits(scored.seen_bits, ctx, keypair),
+            "seen": scored.seen_bits and sk.decrypt_batch(scored.seen_bits),
             "record": scored.record and sk.decrypt(scored.record),
         }
 
@@ -145,7 +134,7 @@ class TestWholeRound:
         s2_rng = SecureRandom(43)
         blinded, companions = blinder.blind_fresh(_pack(ctx, items), own_public, ctx.rng)
         # S2: a different blinder object, as on the other cloud.
-        s2_blinder = ItemBlinder(ctx.public_key, ctx.dj)
+        s2_blinder = ItemBlinder(ctx.public_key)
         reblinded, fresh = s2_blinder.blind_fresh(blinded, own_public, s2_rng)
         restored = blinder.unblind_companions(
             own_keypair, reblinded, list(zip(companions, fresh))
@@ -277,7 +266,7 @@ class TestSeedTransport:
 
 class TestJunkItem:
     def test_sentinel_scores(self, ctx, item, keypair):
-        junk = junk_item(ctx.public_key, ctx.dj, item, -ctx.encoder.sentinel, ctx.rng)
+        junk = junk_item(ctx.public_key, item, -ctx.encoder.sentinel, ctx.rng)
         sk = keypair.secret_key
         assert sk.decrypt_signed(junk.worst) == -ctx.encoder.sentinel
         assert sk.decrypt_signed(junk.best) == -ctx.encoder.sentinel
@@ -287,45 +276,43 @@ class TestJunkItem:
         best: the junk keeps that shape, its worst is the sentinel and
         every list is seen, so best = worst + unseen bottoms is too."""
         eager = ScoredItem(ehl=item.ehl, worst=item.worst, seen_bits=item.seen_bits)
-        junk = junk_item(ctx.public_key, ctx.dj, eager, -ctx.encoder.sentinel, ctx.rng)
+        junk = junk_item(ctx.public_key, eager, -ctx.encoder.sentinel, ctx.rng)
         assert keypair.secret_key.decrypt_signed(junk.worst) == -ctx.encoder.sentinel
         assert junk.best is None and junk.list_scores is None and junk.record is None
-        assert all(ctx.dj.decrypt(b, keypair) == 1 for b in junk.seen_bits)
+        assert keypair.secret_key.decrypt_batch(junk.seen_bits) == [1, 1]
 
     def test_paillier_seen_bits_stay_paillier(self, ctx, item, keypair):
-        """The eager engine's items carry Paillier seen bits: the junk
-        marks every list seen as ``Enc(1)`` and builds no layered
-        ciphertext (an ``E2`` template keeps ``E2(1)``, above)."""
+        """The junk marks every list seen as a Paillier ``Enc(1)``, with
+        the template's other fields beside it."""
         eager = ScoredItem(
             ehl=item.ehl,
             worst=item.worst,
             seen_bits=[ctx.encrypt(0), ctx.encrypt(1), ctx.encrypt(0)],
             record=item.record,
         )
-        junk = junk_item(ctx.public_key, ctx.dj, eager, -ctx.encoder.sentinel, ctx.rng)
+        junk = junk_item(ctx.public_key, eager, -ctx.encoder.sentinel, ctx.rng)
         sk = keypair.secret_key
         assert sk.decrypt_signed(junk.worst) == -ctx.encoder.sentinel
         assert all(type(b) is Ciphertext for b in junk.seen_bits)
         assert [sk.decrypt(b) for b in junk.seen_bits] == [1, 1, 1]
         assert junk.record is not None and junk.best is None
 
-    def test_seen_bits_of_two_kinds_are_refused(self, ctx, item, blinder):
-        mixed = ScoredItem(
-            ehl=item.ehl,
-            worst=item.worst,
-            seen_bits=[ctx.encrypt(1), ctx.dj.encrypt(1, ctx.rng)],
-        )
-        with pytest.raises(ProtocolError, match="one kind"):
-            junk_item(ctx.public_key, ctx.dj, mixed, -1, ctx.rng)
-        with pytest.raises(ProtocolError, match="one kind"):
-            blinder.blind_batch(_pack(ctx, [mixed]), [blinder.fresh_seeds(ctx.rng, 1)], ctx.rng)
+    def test_seen_bits_of_two_kinds_are_refused(self, ctx, item):
+        """Seen bits are Paillier ciphertexts: an item with an ``E2`` one,
+        beside a Paillier one or alone, is refused before it is packed
+        (so before any junk or blind is made of it)."""
+        e2 = ctx.dj.encrypt(1, ctx.rng)
+        for bits in ([ctx.encrypt(1), e2], [e2]):
+            refused = ScoredItem(ehl=item.ehl, worst=item.worst, seen_bits=bits)
+            with pytest.raises(ProtocolError, match="Paillier"):
+                _pack(ctx, [refused])
 
     def test_random_identity(self, ctx, item, keypair):
-        junk = junk_item(ctx.public_key, ctx.dj, item, -1, ctx.rng)
+        junk = junk_item(ctx.public_key, item, -1, ctx.rng)
         assert keypair.secret_key.decrypt(item.ehl.minus(junk.ehl, ctx.rng)) != 0
 
     def test_shape_matches_template(self, ctx, item):
-        junk = junk_item(ctx.public_key, ctx.dj, item, -1, ctx.rng)
+        junk = junk_item(ctx.public_key, item, -1, ctx.rng)
         assert len(junk.ehl.cells) == len(item.ehl.cells)
         assert len(junk.list_scores) == len(item.list_scores)
         assert len(junk.seen_bits) == len(item.seen_bits)

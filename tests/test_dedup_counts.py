@@ -118,7 +118,7 @@ def _matrix_settle(self, t_list, counts, known, always_sort=False):
     eliminate = self.config.variant != "full"
     protocol = "SecDupElim" if eliminate else "SecDedup"
     own = self.own_keypair
-    blinder = ItemBlinder(ctx.public_key, ctx.dj)
+    blinder = ItemBlinder(ctx.public_key)
     order = ctx.rng.permutation(len(t_list))
     permuted = [t_list[i] for i in order]
     matrix = EncryptedHashList.minus_matrix([item.ehl for item in permuted], ctx.rng)

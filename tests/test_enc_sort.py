@@ -21,7 +21,7 @@ def _items(ctx, scores, with_state=False):
                 worst=ctx.encrypt(score),
                 best=ctx.encrypt(score + 1),
                 list_scores=[ctx.encrypt(score)] if with_state else None,
-                seen_bits=[ctx.dj.encrypt(1, ctx.rng)] if with_state else None,
+                seen_bits=[ctx.encrypt(1)] if with_state else None,
                 record=ctx.encrypt(i),
             )
         )
@@ -88,7 +88,7 @@ class TestAffineSort:
         for item in result:
             worst = sk.decrypt(item.worst)
             assert sk.decrypt(item.list_scores[0]) == worst
-            assert ctx.dj.decrypt(item.seen_bits[0], keypair) == 1
+            assert sk.decrypt(item.seen_bits[0]) == 1
 
     def test_fresh_encryptions(self, ctx, own_keypair):
         items = _items(ctx, [3, 1, 2])

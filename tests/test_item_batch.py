@@ -45,7 +45,7 @@ def keys():
 
 def _items(pk: PaillierPublicKey, dj: DamgardJurik, rng: SecureRandom) -> list:
     """Every shape a round carries: each field present or absent, empty
-    payloads, Paillier and ``E2`` seen bits, both EHL classes."""
+    payloads, seen bits with and without a record, both EHL classes."""
     enc = lambda count: pk.encrypt_batch(  # noqa: E731
         [rng.randint_below(pk.n) for _ in range(count)], rng
     )
@@ -53,7 +53,7 @@ def _items(pk: PaillierPublicKey, dj: DamgardJurik, rng: SecureRandom) -> list:
         ScoredItem(ehl=Ehl(enc(3)), worst=enc(1)[0], seen_bits=enc(3), record=enc(1)[0], uid=4),
         ScoredItem(ehl=EhlPlus(enc(2)), worst=enc(1)[0], best=enc(1)[0], list_scores=enc(2)),
         ScoredItem(ehl=Ehl(enc(1)), worst=None, list_scores=[], seen_bits=[], uid=-7),
-        ScoredItem(ehl=Ehl(enc(2)), worst=enc(1)[0], seen_bits=dj.encrypt_batch([1, 0], rng)),
+        ScoredItem(ehl=Ehl(enc(2)), worst=enc(1)[0], seen_bits=enc(2)),
         ScoredItem(ehl=EhlPlus(enc(4)), worst=enc(1)[0], best=enc(1)[0], uid=2**40),
     ]
 
@@ -105,15 +105,15 @@ class TestPacking:
             assert measure_size(batch) == measure_size(chosen)
 
     def test_seen_bits_of_two_kinds_are_refused(self, keys):
+        """Every component is a Paillier ciphertext: an ``E2`` seen bit,
+        beside a Paillier one or alone, is refused."""
         pk, dj, _ = keys
         rng = SecureRandom(66)
-        mixed = ScoredItem(
-            ehl=Ehl(pk.encrypt_batch([1], rng)),
-            worst=None,
-            seen_bits=[pk.encrypt(1, rng), dj.encrypt(1, rng)],
-        )
-        with pytest.raises(ProtocolError, match="one kind"):
-            ItemBatch.pack(pk, [mixed])
+        e2 = dj.encrypt(1, rng)
+        for bits in ([pk.encrypt(1, rng), e2], [e2]):
+            refused = ScoredItem(ehl=Ehl(pk.encrypt_batch([1], rng)), worst=None, seen_bits=bits)
+            with pytest.raises(ProtocolError, match="Paillier"):
+                ItemBatch.pack(pk, [refused])
 
 
 def _warm(codec: WireCodec, pk: PaillierPublicKey, dj: DamgardJurik, before: int = 0):
@@ -251,6 +251,9 @@ def _hostile(pk, dj, other, rng) -> dict[str, object]:
             codec,
             [dataclasses.replace(good, seen_bits=[pk.encrypt(1, rng), dj.encrypt(1, rng)])],
         ),
+        "e2-seen-bits": lambda codec: _item_list_bytes(
+            codec, [dataclasses.replace(good, seen_bits=[dj.encrypt(1, rng)])]
+        ),
         "payload-not-ciphertexts": lambda codec: _item_list_bytes(
             codec, [dataclasses.replace(good, list_scores=[7])]
         ),
@@ -262,7 +265,7 @@ def _hostile(pk, dj, other, rng) -> dict[str, object]:
 
 HOSTILE = [
     "short", "unregistered-key", "not-an-item", "two-keys", "mixed-seen-bits",
-    "payload-not-ciphertexts", "empty-ehl",
+    "e2-seen-bits", "payload-not-ciphertexts", "empty-ehl",
 ]
 
 

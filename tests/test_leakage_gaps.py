@@ -110,7 +110,7 @@ def test_s1_cannot_map_outputs_to_input_slots(ctx, own_keypair, monkeypatch, ope
     served = _spy(monkeypatch, (DedupBatch, SortAffine, SortGateBatch, DedupSort))
     ROUNDS[operation](ctx, items, own_keypair)
     assert served
-    blinder = ItemBlinder(ctx.public_key, ctx.dj)
+    blinder = ItemBlinder(ctx.public_key)
     for msg, reply in served:
         sent, returned = _companion_flow(msg, reply)
         mine = set(blinder.decrypt_seeds(own_keypair, sent))

@@ -149,7 +149,7 @@ class TestSerialization:
 
     def test_ciphertext_bytes_survives_old_and_new_pickles(self, keypair):
         """Computed once per key object; a key pickled before the cached
-        value existed (the ``wire_pr13`` spills) recomputes it."""
+        value existed (a pickle from an older release) recomputes it."""
         import pickle
 
         from repro.crypto.damgard_jurik import DamgardJurik

@@ -18,11 +18,12 @@ in :class:`TestClientLink`, what the daemon process imports in
 from __future__ import annotations
 
 import builtins
+import collections
+import importlib.util
 import json
 import os
 import pathlib
 import pickle
-import shutil
 import socket as socket_module
 import struct
 import subprocess
@@ -39,10 +40,10 @@ from repro.core.params import SystemParams
 from repro.core.results import QueryConfig
 from repro.core.scheme import SecTopK
 from repro.crypto.damgard_jurik import LayeredCiphertext
-from repro.crypto.paillier import Ciphertext, PaillierPublicKey
+from repro.crypto.paillier import Ciphertext, PaillierKeypair, PaillierPublicKey, PaillierSecretKey
 from repro.crypto.rng import SecureRandom
 from repro.exceptions import PeerDisconnected, RemoteS2Error, TransportError
-from repro.net import messages, socket_transport
+from repro.net import messages, socket_transport, wire
 from repro.net.socket_transport import (
     client_for,
     connect_socket,
@@ -352,9 +353,11 @@ class TestFailureModes:
             ctx.close()
 
     def test_malformed_dedup_batch_surfaces_protocol_error(self, daemon):
-        """S2 checks a ``DedupBatch``'s shape: a matrix one entry short
-        comes back as a typed ``ProtocolError``, not an ``IndexError``
-        from inside the handler."""
+        """S2 checks a ``DedupBatch``'s shape: a matrix one entry short,
+        and an item whose seen bit is an ``E2`` ciphertext (every item
+        component is a Paillier ciphertext under the main key), each
+        come back as a typed ``ProtocolError``, not an ``AttributeError``
+        or ``IndexError`` from inside the handler."""
         from repro.protocols.sec_dedup import _prepare
         from repro.structures.items import ScoredItem
 
@@ -367,21 +370,32 @@ class TestFailureModes:
             ScoredItem(ehl=e.ehl, worst=e.score, best=e.score, record=e.record)
             for e in entries
         ]
-        try:
-            _, fields = _prepare(ctx, items, [0, 0, 0], own, None)
+
+        def short_matrix(fields):
             fields["matrix"] = fields["matrix"][:-1]
-            with pytest.raises(RemoteS2Error) as excinfo:
-                ctx.call(
-                    messages.DedupBatch(
-                        protocol="SecDedup",
-                        **fields,
-                        own_public=own.public_key,
-                        sentinel=-ctx.encoder.sentinel,
-                        eliminate=False,
+
+        def e2_seen_bit(fields):
+            # A list of items crosses the wire as a batch does.
+            fields["items"] = fields["items"].unpack()
+            fields["items"][0].seen_bits = [scheme.dj.encrypt(1)]
+
+        try:
+            for malform in (short_matrix, e2_seen_bit):
+                _, fields = _prepare(ctx, items, [0, 0, 0], own, None)
+                malform(fields)
+                with pytest.raises(RemoteS2Error) as excinfo:
+                    ctx.call(
+                        messages.DedupBatch(
+                            protocol="SecDedup",
+                            **fields,
+                            own_public=own.public_key,
+                            sentinel=-ctx.encoder.sentinel,
+                            eliminate=False,
+                        )
                     )
-                )
-            assert excinfo.value.kind == "ProtocolError"
-            assert "IndexError" not in str(excinfo.value)
+                assert excinfo.value.kind == "ProtocolError"
+                assert "IndexError" not in str(excinfo.value)
+                assert "AttributeError" not in str(excinfo.value)
         finally:
             ctx.close()
 
@@ -462,7 +476,6 @@ class TestFailureModes:
         message type id comes back as a typed ``ProtocolError`` before
         any scheme is built or any message is dispatched, and the
         connection's other session keeps answering."""
-        from repro.net import wire
         from repro.net.dispatch import S2Dispatcher
 
         _, address = daemon
@@ -751,7 +764,7 @@ class TestPersistentRegistry:
 # The daemon's connections, lifecycle and state dir.
 # ---------------------------------------------------------------------------
 
-FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "wire_pr13"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "wire_s2v4"
 
 @pytest.fixture()
 def core():
@@ -790,6 +803,19 @@ class _ExecProbe:
 
     def __reduce__(self):
         return (exec, ("import builtins; builtins.REPRO_PROBE_RAN = True",))
+
+
+def _nested_key_payload(n: int) -> bytes:
+    """The codec bytes of ``("x", PaillierPublicKey(n), 3, 2)``, written
+    by hand: encoding the key would enter ``n`` in this process's key
+    table before the daemon ever saw it."""
+    raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    key = bytearray([wire._PK_NEW])
+    wire._write_varint(key, len(raw))
+    return (
+        bytes([wire._TUPLE, 4]) + _codec_bytes("x") + bytes(key) + raw
+        + _codec_bytes(3) + _codec_bytes(2)
+    )
 
 
 def _raw_connection(address, sessions: int):
@@ -925,6 +951,10 @@ class TestDaemonLifecycle:
             socket_transport.OPEN,
             lambda rid, key, other: rid.encode() + b"\x00probe\x00" + pickle.dumps(_ExecProbe()),
         ),
+        "nested-public-key": (
+            socket_transport.REGISTER,
+            lambda rid, key, other: _nested_key_payload(2**2047 + 12345),
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_CONTROL))
@@ -935,7 +965,10 @@ class TestDaemonLifecycle:
         ``pq-not-n`` names the registered id with primes of another key.
         The pickle — a REGISTER payload, and the stream of an OPEN in the
         NUL-separated layout of the previous banner — would set
-        ``builtins.REPRO_PROBE_RAN`` if unpickled."""
+        ``builtins.REPRO_PROBE_RAN`` if unpickled.  No case adds a key
+        to the process's key table: ``nested-public-key`` carries a
+        modulus where a prime goes, and ``pq-not-n`` is refused before
+        its key is built."""
         service, address = core
         monkeypatch.setattr(builtins, "REPRO_PROBE_RAN", False, raising=False)
         sock, scheme = _raw_connection(address, sessions=1)
@@ -946,12 +979,14 @@ class TestDaemonLifecycle:
         codec = WireCodec()
         try:
             finish = _pending_request(sock, scheme, codec)
+            shared = set(wire._SHARED)
             send_frame(sock, ftype, 7, payload)
             assert finish(), "the sibling request did not complete"
             got, session_id, reply = recv_frame(sock)
             assert (got, session_id) == (socket_transport.ERROR, 7)
             kind = "KeyMismatchError" if case == "pq-not-n" else "ProtocolError"
             assert decode_error(reply)[0] == kind
+            assert set(wire._SHARED) == shared
             assert _pending_request(sock, scheme, codec)(), "the connection did not survive"
         finally:
             sock.close()
@@ -1121,32 +1156,7 @@ class TestDaemonLifecycle:
             with TopKServer(scheme, relation, transport=address) as server:
                 result = server.query(scheme.token([0, 1], k=2))
             assert len(result.items) == 2
-        finally:
-            disconnect_all()
-            service.close()
-
-    def test_parent_commit_state_dir_restores(self, tmp_path, monkeypatch):
-        """A state dir holding the pickled ``.reg`` spill recorded in
-        ``fixtures/wire_pr13`` (see its ``record.py``) restores nothing
-        and unpickles nothing; the next query registers — its spill in
-        the codec format, which a restart decodes — and answers."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("the daemon unpickled a spill")
-
-        monkeypatch.setattr(pickle, "loads", refuse)
-        monkeypatch.setattr(pickle, "load", refuse)
-        (fixture,) = FIXTURES.glob("*.reg")
-        shutil.copy(fixture, tmp_path / fixture.name)
-        service = S2Service("tcp://127.0.0.1:0", state_dir=str(tmp_path))
-        address = service.start()
-        try:
-            assert service.stats()["registrations_restored"] == 0
-            scheme, relation, _ = _fresh_deployment()
-            with TopKServer(scheme, relation, transport=address) as server:
-                assert len(server.query(scheme.token([0, 1], k=2)).items) == 2
             assert service.stats()["registrations"] == 1
-            ((restored_id, _, _),) = service.restore()
-            assert restored_id == default_registration_id(scheme.keypair, scheme.dj)
         finally:
             disconnect_all()
             service.close()
@@ -1246,30 +1256,48 @@ class TestImportBoundary:
         assert out["same"] and all(out["same"].values()), out["same"]
 
 
-class TestWireCompatibility:
-    def test_parent_commit_byte_stream_replays(self):
-        """The rounds a recorded ``S2Client`` sent for one tiny query get
-        the replies the recording daemon gave (see
-        ``fixtures/wire_pr13/record.py``: HELLO, OPEN, REGISTER, OPEN, 14
-        REQUESTs, CLOSE).
+def _recorder():
+    """``fixtures/wire_s2v4/record.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("wire_s2v4_record", FIXTURES / "record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-        The control frames go out in today's format: the banner, and the
-        REGISTER and OPEN payloads encoded from the recorded ``.reg`` key
-        and from the stream the recorded OPEN carried (both pickles,
-        trusted fixtures unpickled here).  REQUEST and CLOSE frames go
-        out verbatim.  Control replies (the ``unknown-relation`` ERROR,
-        REGISTERED, OPENED, CLOSED) must match byte for byte, HELLO_OK
-        must echo today's banner.  A REPLY carries ciphertexts S2
-        encrypted with OS entropy (the recorded key holds no seeded
-        stream — the recording daemon does not reproduce its own REPLY
-        bytes either), so REPLYs are compared decoded, every ciphertext
-        decrypted under the recorded key: same values, same leakage
-        events, same progress counts; only the progress element's timing
-        integer is free."""
-        data = (FIXTURES / "s2_session.frames").read_bytes()
-        (reg,) = FIXTURES.glob("*.reg")
-        registration = pickle.loads(reg.read_bytes())
-        keypair = registration["keypair"]
+
+class TestWireCompatibility:
+    #: What a recording's REQUESTs carry between them: every message type
+    #: the default and the literal engine send.
+    LIVE = {
+        "DedupSort", "BlindedSelect", "DedupBatch", "SortAffine", "ZeroTestBatch",
+        "StripLayerBatch", "BlindedSign",
+    }
+
+    @pytest.mark.parametrize("recording", ["committed", "fresh"])
+    def test_recorded_session_replays(self, recording, tmp_path):
+        """The frames a recorded ``S2Client`` sent for two tiny queries get
+        the replies the recording daemon gave.  ``committed`` is
+        ``fixtures/wire_s2v4`` (see its ``record.py``: HELLO, OPEN,
+        REGISTER, OPEN, 11 REQUESTs, CLOSE, OPEN, 16 REQUESTs, CLOSE);
+        ``fresh`` is what ``record.py`` writes from this tree.
+
+        Every client frame goes out verbatim, and together the REQUESTs
+        carry every type of :attr:`LIVE`.  Control replies (the
+        ``unknown-relation`` ERROR, HELLO_OK, REGISTERED, OPENED, CLOSED)
+        must match byte for byte.  A REPLY carries ciphertexts S2
+        rerandomized from its process's randomizer pools, so REPLYs are
+        compared decoded, every ciphertext decrypted under the key of the
+        recorded ``.reg`` spill: same values, same leakage events, same
+        progress counts; only the progress element's timing integer is
+        free."""
+        directory = FIXTURES
+        if recording == "fresh":
+            _recorder().main(str(tmp_path))
+            directory = tmp_path
+        data = (directory / "s2_session.frames").read_bytes()
+        (reg,) = directory.glob("*.reg")
+        _, p, q, _ = s2_service.decode_registration(reg.read_bytes())
+        public_key = PaillierPublicKey(p * q)
+        keypair = PaillierKeypair(public_key, PaillierSecretKey(p, q, public_key))
         header = struct.Struct("!IBI")
         frames = []
         pos = 0
@@ -1279,20 +1307,6 @@ class TestWireCompatibility:
             frames.append((data[pos : pos + 1], data[pos + 1 : end]))
             pos = end
         assert [mark for mark, _ in frames] == [b">", b"<"] * (len(frames) // 2)
-
-        def current(frame: bytes) -> bytes:
-            _, ftype, session_id = header.unpack_from(frame)
-            payload = frame[header.size :]
-            if ftype == socket_transport.HELLO:
-                payload = socket_transport.PROTOCOL_BANNER
-            elif ftype == socket_transport.REGISTER:
-                payload = encode_registration(
-                    registration["relation_id"], keypair, registration["dj"]
-                )
-            elif ftype == socket_transport.OPEN:
-                rid, label, stream = payload.split(b"\x00", 2)
-                payload = encode_open(rid.decode(), label.decode(), pickle.loads(stream))
-            return header.pack(len(payload), ftype, session_id) + payload
 
         def plain(value):
             if isinstance(value, ItemBatch):
@@ -1325,38 +1339,45 @@ class TestWireCompatibility:
         def decoded(codec: WireCodec, request: bytes, reply: bytes):
             # One registry serves both directions of a session's stream,
             # so the codec has to see the request before the reply.
-            codec.decode_envelope(request)
+            sent = codec.decode_envelope(request)
             replies, events, ((batches, values, _micros),) = codec.decode_value(
                 _Reader(reply)
             )
-            return plain(replies), plain(events), (batches, values)
+            return {type(msg).__name__ for msg in sent}, (
+                plain(replies), plain(events), (batches, values)
+            )
 
         service = S2Service("tcp://127.0.0.1:0")
         sock = connect_socket(service.start())
-        recorded_codec, replayed_codec = WireCodec(), WireCodec()
+        recorded_codecs = collections.defaultdict(WireCodec)
+        replayed_codecs = collections.defaultdict(WireCodec)
+        sent_types = set()
         rounds = 0
         try:
             sock.settimeout(30.0)
             for (_, sent), (_, expected) in zip(frames[::2], frames[1::2]):
-                sock.sendall(current(sent))
+                sock.sendall(sent)
                 ftype, session_id, payload = recv_frame(sock)
                 want_type, want_session = header.unpack_from(expected)[1:]
                 assert (ftype, session_id) == (want_type, want_session)
-                if ftype == socket_transport.HELLO_OK:
-                    assert payload == socket_transport.PROTOCOL_BANNER
-                elif ftype != socket_transport.REPLY:
-                    assert payload == expected[header.size :]
                 if ftype != socket_transport.REPLY:
+                    assert payload == expected[header.size :]
                     continue
                 rounds += 1
                 request = sent[header.size :]
-                assert decoded(replayed_codec, request, payload) == decoded(
-                    recorded_codec, request, expected[header.size :]
-                ), f"REPLY {rounds} diverged"
+                types, replayed = decoded(replayed_codecs[session_id], request, payload)
+                _, recorded = decoded(
+                    recorded_codecs[session_id], request, expected[header.size :]
+                )
+                assert replayed == recorded, f"REPLY {rounds} diverged"
+                sent_types |= types
         finally:
             sock.close()
             service.close()
-        assert rounds == 14
+        assert rounds == sum(
+            header.unpack_from(frame)[1] == socket_transport.REQUEST for _, frame in frames
+        )
+        assert sent_types == self.LIVE
 
 
 # ---------------------------------------------------------------------------

@@ -105,14 +105,14 @@ class TestWireValues:
         assert own_keypair.secret_key.decrypt(decoded[1]) == 1
         assert keypair.secret_key.decrypt(decoded[2]) == 2
 
-    def test_scored_item_with_state(self, keypair, dj, rng):
+    def test_scored_item_with_state(self, keypair, rng):
         factory = EhlPlusFactory(keypair.public_key, b"k" * 32, n_hashes=2, rng=rng)
         item = ScoredItem(
             ehl=factory.encode("obj"),
             worst=keypair.public_key.encrypt(3, rng),
             best=keypair.public_key.encrypt(9, rng),
             list_scores=[keypair.public_key.encrypt(1, rng)],
-            seen_bits=[dj.encrypt(1, rng)],
+            seen_bits=[keypair.public_key.encrypt(1, rng)],
             record=keypair.public_key.encrypt(5, rng),
             uid=17,
         )
@@ -122,7 +122,7 @@ class TestWireValues:
         assert keypair.secret_key.decrypt(back.worst) == 3
         assert keypair.secret_key.decrypt(back.best) == 9
         assert back.uid == 17
-        assert dj.decrypt(back.seen_bits[0], keypair) == 1
+        assert keypair.secret_key.decrypt(back.seen_bits[0]) == 1
 
     def test_joined_tuple(self, keypair, rng):
         jt = JoinedTuple(
@@ -416,7 +416,7 @@ class TestCiphertextRuns:
                 worst=cts[i + 3],
                 best=cts[i + 4],
                 list_scores=cts[i + 5 : i + 8] if full else None,
-                seen_bits=lcs[i : i + 3] if full else None,
+                seen_bits=cts[i + 9 : i + 12] if full else None,
                 record=cts[i + 8] if full else None,
                 uid=i - 1,
             )
@@ -568,6 +568,44 @@ class TestHostileIntegers:
         for header in (bytes([wire._EHL, 2, 1]), bytes([wire._EHL, 0, 0])):
             with pytest.raises(ProtocolError):
                 decoder.decode_value(_Reader(header + cell))
+
+
+class TestPlainValues:
+    """``decode_plain`` — a control payload — reads ints, bytes, strs and
+    tuples and nothing else, and never reaches a key table."""
+
+    def test_round_trip(self):
+        value = ("id", -5, 2**300, b"\x00k", ("", (7,)))
+        out = bytearray()
+        WireCodec().encode_value(value, out)
+        assert wire.decode_plain(bytes(out)) == value
+
+    @pytest.mark.parametrize(
+        "case", ["key", "ciphertext", "list", "none", "deep", "utf8", "trailing", "truncated"],
+    )
+    def test_refusals_touch_no_key_table(self, case, keypair, monkeypatch):
+        payloads = {
+            "key": keypair.public_key,
+            "ciphertext": keypair.public_key.encrypt(1),
+            "list": ["x", 1],
+            "none": ("x", None),
+        }
+        if case in payloads:
+            monkeypatch.setattr(wire, "_SHARED", wire.collections.OrderedDict())
+            out = bytearray()
+            WireCodec().encode_value(payloads[case], out)
+            payload = bytes(out)
+        else:
+            payload = {
+                "deep": bytes([wire._TUPLE, 1]) * 2000 + bytes([wire._INT, 0]),
+                "utf8": bytes([wire._STR, 1, 0xFF]),
+                "trailing": bytes([wire._INT, 2, wire._INT]),
+                "truncated": bytes([wire._BYTES, 5]) + b"abc",
+            }[case]
+        monkeypatch.setattr(wire, "_SHARED", wire.collections.OrderedDict())
+        with pytest.raises(ProtocolError):
+            wire.decode_plain(payload)
+        assert not wire._SHARED
 
 
 class TestSharedKeyObjects:
