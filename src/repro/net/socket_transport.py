@@ -9,7 +9,7 @@ TCP or Unix-domain socket to a standalone S2 daemon
 different processes or on different hosts — the paper's two-provider
 threat model made literal.
 
-Wire format (everything big-endian)::
+Wire format (headers big-endian)::
 
     frame   := u32 payload_len | u8 type | u32 session_id | payload
     HELLO / HELLO_OK      version banner, once per connection
@@ -75,10 +75,11 @@ from repro.net.wire import WireCodec, _Reader
 
 # -- frame protocol --------------------------------------------------------
 
-#: The one HELLO banner both sides speak.  Bumped to /4 when REGISTER and
-#: OPEN became codec values (/3 when REPLY frames grew the S2-progress
+#: The one HELLO banner both sides speak.  Bumped to /5 when a round's
+#: item batch became its buffer on the wire (/4 when REGISTER and OPEN
+#: became codec values, /3 when REPLY frames grew the S2-progress
 #: element, /2 when the OPEN payload grew its session-label segment).
-PROTOCOL_BANNER = b"repro-s2/4"
+PROTOCOL_BANNER = b"repro-s2/5"
 
 #: ERROR kind a daemon sends for a HELLO banner it does not speak (the
 #: text names the daemon's own banner) before it drops the connection.

@@ -9,8 +9,13 @@ on first appearance in the stream and referenced by index afterwards, so
 both endpoints rebuild identical registries simply by processing the same
 bytes in the same order — no out-of-band key exchange is needed.
 
-A round's :class:`~repro.structures.items.ItemBatch` travels as the list
-of items it holds, and a list of items decodes back into one batch.
+A round's :class:`~repro.structures.items.ItemBatch` travels as its
+buffer: ``_BATCH``, its key's reference, the item count, each item's
+:class:`~repro.structures.items.ItemShape` (EHL class index, cell count,
+a worst/best/record flags byte, then the payload and seen counts, 0 for
+an absent field), then ``batch.buffer`` as it is (little-endian 64-bit
+words, the layout the blinding rounds read).  It decodes as one slice;
+uids are S1-local handles and never cross.
 
 Note on accounting: the paper's bandwidth numbers (Table 3, Fig. 13)
 count ciphertext payload bytes, so the channel statistics keep using
@@ -30,7 +35,7 @@ from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.exceptions import ProtocolError
 from repro.structures.ehl import Ehl
 from repro.structures.ehl_plus import EhlPlus
-from repro.structures.items import EncryptedItem, ItemBatch, JoinedTuple, ScoredItem
+from repro.structures.items import ItemBatch, ItemShape, JoinedTuple
 
 # Value tags.
 _NONE = 0
@@ -45,14 +50,15 @@ _CT = 8          # Ciphertext under an already-registered key
 _CT_NEWKEY = 9   # Ciphertext introducing a new key
 _LC = 10         # LayeredCiphertext under an already-registered scheme
 _LC_NEWSCHEME = 11
-_EHL = 12
-_SCORED = 13
 _JOINED = 14
 _PK = 15         # bare PaillierPublicKey reference
 _PK_NEW = 16
-_ENCITEM = 17
+_BATCH = 18      # an ItemBatch: key reference, item shapes, buffer
+# 12, 13 and 17 (EHL, scored item, sorted-list entry) are retired: never reuse them.
 
 _EHL_CLASSES = (Ehl, EhlPlus)
+# An item shape's flags byte: which of worst, best and record it carries.
+_WORST, _BEST, _RECORD = 1, 2, 4
 
 #: Largest Damgård–Jurik degree a frame may name (the schemes use 2): a
 #: decoder that believed any ``s`` would compute ``n ** (s + 1)`` on a
@@ -282,30 +288,12 @@ class WireCodec:
             self._encode_ciphertext(value, out)
         elif isinstance(value, LayeredCiphertext):
             self._encode_layered(value, out)
-        elif isinstance(value, _EHL_CLASSES):
-            self._encode_ehl(value, out)
-        elif isinstance(value, ScoredItem):
-            self._encode_scored(value, out)
-        elif isinstance(value, EncryptedItem):
-            out.append(_ENCITEM)
-            self.encode_value(value.ehl, out)
-            self.encode_value(value.score, out)
-            self.encode_value(value.record, out)
         elif isinstance(value, JoinedTuple):
             out.append(_JOINED)
             self.encode_value(value.score, out)
             self.encode_value(value.attributes, out)
         elif isinstance(value, PaillierPublicKey):
-            idx = self._key_index.get(value.n)
-            if idx is None:
-                self._register_key(value.n, value)
-                raw = value.n.to_bytes((value.n.bit_length() + 7) // 8, "big")
-                out.append(_PK_NEW)
-                _write_varint(out, len(raw))
-                out.extend(raw)
-            else:
-                out.append(_PK)
-                _write_varint(out, idx)
+            self._encode_key(value, out)
         else:
             raise ProtocolError(f"cannot serialize {type(value).__name__} on the wire")
 
@@ -316,33 +304,23 @@ class WireCodec:
             for entry in items:
                 self.encode_value(entry, out)
 
-    def _encode_ehl(self, ehl, out: bytearray) -> None:
-        cells = ehl.cells
-        out.append(_EHL)
-        out.append(_EHL_CLASSES.index(type(ehl)))
-        _write_varint(out, len(cells))
-        if type(cells[0]) is not Ciphertext or not self._encode_run(cells, out):
-            for cell in cells:
-                self._encode_ciphertext(cell, out)
-
-    def _encode_scored(self, item: ScoredItem, out: bytearray) -> None:
-        out.append(_SCORED)
-        self.encode_value(item.ehl, out)
-        self.encode_value(item.worst, out)
-        self.encode_value(item.best, out)
-        self.encode_value(item.list_scores, out)
-        self.encode_value(item.seen_bits, out)
-        self.encode_value(item.record, out)
-        _write_signed(out, item.uid)
-
     def _encode_batch(self, batch: ItemBatch, out: bytearray) -> None:
-        self._encode_list(batch.unpack(), out)
+        out.append(_BATCH)
+        self._encode_key(batch.public_key, out)
+        _write_varint(out, len(batch))
+        for shape in batch.shapes:
+            out.append(_EHL_CLASSES.index(shape.ehl))
+            _write_varint(out, shape.cells)
+            out.append(shape.worst * _WORST | shape.best * _BEST | shape.record * _RECORD)
+            _write_varint(out, 0 if shape.scores is None else shape.scores + 1)
+            _write_varint(out, 0 if shape.seen is None else shape.seen + 1)
+        out += batch.buffer
 
     def _encode_run(self, items: list, out: bytearray) -> bool:
-        """Append the elements of a ``_LIST`` / ``_EHL`` as one slice —
-        the bytes the element loop would write — when they are one kind
-        of ciphertext under one key object the stream already registered
-        at a one-byte index; ``False`` (nothing written) otherwise."""
+        """Append the elements of a ``_LIST`` as one slice — the bytes
+        the element loop would write — when they are one kind of
+        ciphertext under one key object the stream already registered at
+        a one-byte index; ``False`` (nothing written) otherwise."""
         if not items:
             return False
         first = items[0]
@@ -377,18 +355,25 @@ class WireCodec:
         out += prefix.join(chunks)
         return True
 
-    def _encode_ciphertext(self, ct: Ciphertext, out: bytearray) -> None:
-        pk = ct.public_key
+    def _encode_key(
+        self, pk: PaillierPublicKey, out: bytearray, known: int = _PK, new: int = _PK_NEW
+    ) -> None:
+        """A reference to ``pk``: ``known`` and its index, or ``new`` and
+        its modulus the first time the stream names it."""
         idx = self._key_index.get(pk.n)
         if idx is None:
             self._register_key(pk.n, pk)
             raw = pk.n.to_bytes((pk.n.bit_length() + 7) // 8, "big")
-            out.append(_CT_NEWKEY)
+            out.append(new)
             _write_varint(out, len(raw))
             out.extend(raw)
         else:
-            out.append(_CT)
+            out.append(known)
             _write_varint(out, idx)
+
+    def _encode_ciphertext(self, ct: Ciphertext, out: bytearray) -> None:
+        pk = ct.public_key
+        self._encode_key(pk, out, _CT, _CT_NEWKEY)
         out.extend(ct.value.to_bytes(pk.ciphertext_bytes, "big"))
 
     def _encode_layered(self, lc: LayeredCiphertext, out: bytearray) -> None:
@@ -412,7 +397,15 @@ class WireCodec:
     # -- value decoding --------------------------------------------------
 
     def decode_value(self, reader: _Reader):
-        """Decode one tagged value from ``reader``."""
+        """Decode one tagged value from ``reader``; a malformed value —
+        nested past the interpreter's recursion limit or a string that is
+        not UTF-8 included — is a :class:`ProtocolError`."""
+        try:
+            return self._decode(reader)
+        except (RecursionError, UnicodeDecodeError):
+            raise ProtocolError("malformed wire value") from None
+
+    def _decode(self, reader: _Reader):
         tag = reader.byte()
         if tag == _CT or tag == _CT_NEWKEY:
             return self._decode_ciphertext(tag, reader)
@@ -420,47 +413,16 @@ class WireCodec:
             return self._decode_layered(tag, reader)
         if tag == _LIST:
             count = reader.varint()
-            run = self._decode_run(reader, count, (_CT, _LC))
+            run = self._decode_run(reader, count)
             if run is not None:
                 return run
-            values = [self.decode_value(reader) for _ in range(count)]
-            if count and type(values[0]) is ScoredItem:
-                return _item_batch(values)
-            return values
+            return [self._decode(reader) for _ in range(count)]
+        if tag == _BATCH:
+            return self._decode_batch(reader)
         if tag == _NONE:
             return None
         if tag == _INT:
             return reader.signed()
-        if tag == _EHL:
-            index = reader.byte()
-            if index >= len(_EHL_CLASSES):
-                raise ProtocolError(f"unknown EHL class {index}")
-            count = reader.varint()
-            if not count:
-                raise ProtocolError("EHL without cells")
-            cells = self._decode_run(reader, count, (_CT,))
-            if cells is None:
-                cells = [
-                    self._decode_ciphertext(reader.byte(), reader)
-                    for _ in range(count)
-                ]
-            return _EHL_CLASSES[index](cells)
-        if tag == _SCORED:
-            ehl = self.decode_value(reader)
-            worst = self.decode_value(reader)
-            best = self.decode_value(reader)
-            list_scores = self.decode_value(reader)
-            seen_bits = self.decode_value(reader)
-            record = self.decode_value(reader)
-            return ScoredItem(
-                ehl=ehl,
-                worst=worst,
-                best=best,
-                list_scores=list_scores,
-                seen_bits=seen_bits,
-                record=record,
-                uid=reader.signed(),
-            )
         if tag == _TRUE:
             return True
         if tag == _FALSE:
@@ -470,29 +432,42 @@ class WireCodec:
         if tag == _STR:
             return reader.take(reader.varint()).decode("utf-8")
         if tag == _TUPLE:
-            return tuple(self.decode_value(reader) for _ in range(reader.varint()))
-        if tag == _ENCITEM:
-            return EncryptedItem(
-                ehl=self.decode_value(reader),
-                score=self.decode_value(reader),
-                record=self.decode_value(reader),
-            )
+            return tuple(self._decode(reader) for _ in range(reader.varint()))
         if tag == _JOINED:
-            return JoinedTuple(
-                score=self.decode_value(reader),
-                attributes=self.decode_value(reader),
-            )
-        if tag == _PK:
-            return _entry(self._keys, reader.varint(), "key")
-        if tag == _PK_NEW:
-            return self._register_key(
-                int.from_bytes(reader.take(reader.varint()), "big")
-            )
+            return JoinedTuple(score=self._decode(reader), attributes=self._decode(reader))
+        if tag == _PK or tag == _PK_NEW:
+            return self._decode_key(tag, reader)
         raise ProtocolError(f"unknown wire tag {tag}")
 
-    def _decode_run(self, reader: _Reader, count: int, tags: tuple):
+    def _decode_batch(self, reader: _Reader) -> ItemBatch:
+        """The inverse of :meth:`_encode_batch`: every shape checked, then
+        the buffer as one slice of the size the shapes give."""
+        tag = reader.byte()
+        if tag != _PK and tag != _PK_NEW:
+            raise ProtocolError("an item batch opens with its key")
+        pk = self._decode_key(tag, reader)
+        count = reader.varint()
+        shapes = []
+        for _ in range(count):
+            index, cells, flags = reader.byte(), reader.varint(), reader.byte()
+            scores, seen = reader.varint(), reader.varint()
+            if index >= len(_EHL_CLASSES):
+                raise ProtocolError(f"unknown EHL class {index}")
+            if not cells:
+                raise ProtocolError("an item's EHL has no cells")
+            if flags & ~(_WORST | _BEST | _RECORD):
+                raise ProtocolError(f"unknown item flags {flags:#x}")
+            shapes.append(ItemShape(
+                _EHL_CLASSES[index], cells, bool(flags & _WORST), bool(flags & _BEST),
+                scores - 1 if scores else None, seen - 1 if seen else None,
+                bool(flags & _RECORD),
+            ))
+        size = sum(shape.count() for shape in shapes) * ItemBatch.stride(pk)
+        return ItemBatch(pk, shapes, [-1] * count, bytes(reader.take(size)))
+
+    def _decode_run(self, reader: _Reader, count: int):
         """The inverse of :meth:`_encode_run`: when the next ``count``
-        elements all open with the first one's ``tags`` byte and
+        elements all open with the first one's ``_CT`` / ``_LC`` byte and
         one-byte registered index (two strided compares), cut their
         values at fixed stride; ``None`` (nothing consumed) otherwise —
         the element loop then decodes, or rejects, whatever is there."""
@@ -500,7 +475,7 @@ class WireCodec:
         if not count or pos + 2 > len(data):
             return None
         tag, idx = data[pos], data[pos + 1]
-        if tag not in tags:
+        if tag != _CT and tag != _LC:
             return None
         registry, make = (
             (self._keys, Ciphertext) if tag == _CT else (self._schemes, LayeredCiphertext)
@@ -524,15 +499,15 @@ class WireCodec:
             for start in range(pos + 2, end, stride)
         ]
 
+    def _decode_key(self, tag: int, reader: _Reader) -> PaillierPublicKey:
+        """The key a ``_PK`` / ``_CT`` index or a ``_PK_NEW`` /
+        ``_CT_NEWKEY`` modulus names."""
+        if tag == _PK_NEW or tag == _CT_NEWKEY:
+            return self._register_key(int.from_bytes(reader.take(reader.varint()), "big"))
+        return _entry(self._keys, reader.varint(), "key")
+
     def _decode_ciphertext(self, tag: int, reader: _Reader) -> Ciphertext:
-        if tag == _CT_NEWKEY:
-            pk = self._register_key(
-                int.from_bytes(reader.take(reader.varint()), "big")
-            )
-        elif tag == _CT:
-            pk = _entry(self._keys, reader.varint(), "key")
-        else:
-            raise ProtocolError("expected a ciphertext tag")
+        pk = self._decode_key(tag, reader)
         return Ciphertext(int.from_bytes(reader.take(pk.ciphertext_bytes), "big"), pk)
 
     def _decode_layered(self, tag: int, reader: _Reader) -> LayeredCiphertext:
@@ -589,35 +564,9 @@ class WireCodec:
         return [self.decode_value(reader) for _ in range(reader.varint())]
 
 
-def _item_batch(items: list) -> ItemBatch:
-    """A decoded list of items as the batch it was sent as.  Every
-    element must be an item with an EHL and list (or absent) vectors,
-    and every component a Paillier ciphertext under one key."""
-    components = []
-    for item in items:
-        if type(item) is not ScoredItem or type(item.ehl) not in _EHL_CLASSES:
-            raise ProtocolError("an item batch holds items, each opening with its EHL")
-        components += item.ehl.cells
-        for field in (item.worst, item.best, item.record):
-            if field is not None:
-                components.append(field)
-        for vector in (item.list_scores, item.seen_bits):
-            if vector is not None and type(vector) is not list:
-                raise ProtocolError("an item's vector field must be a list or absent")
-        components += item.list_scores or ()
-        components += item.seen_bits or ()
-    key = components[0].public_key
-    if any(type(c) is not Ciphertext or c.public_key is not key for c in components):
-        raise ProtocolError("an item batch's components must be ciphertexts under one key")
-    return ItemBatch.pack(key, items)
-
-
 _ENCODE_EXACT = {
     Ciphertext: WireCodec._encode_ciphertext,
     LayeredCiphertext: WireCodec._encode_layered,
     list: WireCodec._encode_list,
-    ScoredItem: WireCodec._encode_scored,
     ItemBatch: WireCodec._encode_batch,
-    Ehl: WireCodec._encode_ehl,
-    EhlPlus: WireCodec._encode_ehl,
 }

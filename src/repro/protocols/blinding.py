@@ -97,12 +97,9 @@ BLIND_ROUND, UNBLIND_ROUND = _blind_round(True), _blind_round(False)
 
 
 def check_batch(batch, public_key: PaillierPublicKey) -> ItemBatch:
-    """``batch`` when it is an :class:`ItemBatch` under ``public_key`` —
-    or the empty batch for an empty list, the form an empty round's items
-    decode to — and a :class:`ProtocolError` otherwise (a peer's round
-    names its items as one batch under the main key)."""
-    if type(batch) is list and not batch:
-        return ItemBatch.pack(public_key, [])
+    """``batch`` when it is an :class:`ItemBatch` under ``public_key``,
+    and a :class:`ProtocolError` otherwise (a peer's round names its
+    items as one batch under the main key)."""
     if type(batch) is not ItemBatch or batch.public_key.n != public_key.n:
         raise ProtocolError("a blinded round's items must be one batch under the main key")
     return batch

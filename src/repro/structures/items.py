@@ -201,7 +201,8 @@ class ScoredItem:
         yet — the sum of the ``Enc(t)`` bits S2 returned for it.
     uid:
         An S1-local handle for bookkeeping.  Carries no information about
-        the object (S1 assigns it sequentially), so it is not leakage.
+        the object (S1 assigns it sequentially), and never leaves S1: a
+        batch decoded from the wire holds ``-1`` for every item.
     """
 
     ehl: object
@@ -277,9 +278,9 @@ class ItemBatch:
     reorder and extend it by whole item slices (:meth:`select`,
     :meth:`concat`, :meth:`with_components`), and S1 builds its
     :class:`ScoredItem` objects once, after unblinding (:meth:`unpack`).
-    On the wire a batch is exactly the bytes of the list of items it
-    holds, and its size is a function of its buffer.  A batch is never
-    modified in place.
+    On the wire a batch is its key, its shapes and its buffer as it is
+    (:mod:`repro.net.wire`), and its size is a function of its buffer.
+    A batch is never modified in place.
     """
 
     __slots__ = ("public_key", "shapes", "uids", "buffer", "_counts")

@@ -6,18 +6,20 @@ S1's blind through S2's re-blind to S1's unblind.  Here:
 * packing and unpacking give the items back, field for field, and whole
   item slices (:meth:`select`, :meth:`concat`) keep every component;
 * a batch's size is the size of the items it holds;
-* on the wire a batch is exactly the bytes of its list of items — with
-  the key registered, registered past a one-byte index, or not yet
-  registered — and a list of items decodes into one batch;
-* a frame whose batch is ragged, short or names an unregistered key is
-  refused with ``ProtocolError``, on a codec and on a daemon session,
-  and the session answers its next round as if it had never arrived.
+* on the wire a batch is its key reference, its item shapes and its
+  buffer byte for byte — with the key registered, registered past a
+  one-byte index, or not yet registered — and decodes into a batch with
+  the same buffer, shapes and key object (uids never cross: ``-1``);
+* a frame whose batch is short, names an unregistered key or no key,
+  or has a bad EHL class, an empty EHL, unknown flag bits or more
+  shapes than the frame holds is refused with ``ProtocolError``, on a
+  codec and on a daemon session, and the session answers its next round
+  as if it had never arrived.
 """
 
 from __future__ import annotations
 
 import collections
-import dataclasses
 
 import pytest
 
@@ -130,24 +132,24 @@ def _warm(codec: WireCodec, pk: PaillierPublicKey, dj: DamgardJurik, before: int
 class TestWire:
     @pytest.mark.parametrize("before", [None, 0, 0x80], ids=["cold", "warm", "wide-index"])
     def test_same_bytes_as_the_items(self, keys, before, monkeypatch):
-        """Key unregistered (the first item registers it), registered at a
+        """Key unregistered (the batch registers it), registered at a
         one-byte index, or registered at index 0x80 (a two-byte varint):
-        the batch writes the bytes of its list of items, and decodes into
-        a batch holding those items.  (The throwaway keys go to a table of
-        the process's key objects of this test's own.)"""
+        the frame ends with the items' packed bytes as they are, and
+        decodes into a batch with the same buffer and shapes, under the
+        process's object for the key, every uid ``-1``.  (The throwaway keys go to a table of the
+        process's key objects of this test's own.)"""
         monkeypatch.setattr(wire, "_SHARED", collections.OrderedDict())
         pk, dj, _ = keys
         items = _items(pk, dj, SecureRandom(67))
         batch = ItemBatch.pack(pk, items)
-        frames = []
-        for value in (batch, items):
-            codec = WireCodec()
-            warm = b"" if before is None else _warm(codec, pk, dj, before)
-            out = bytearray()
-            codec.encode_value(value, out)
-            frames.append((warm, bytes(out)))
-        assert frames[0] == frames[1]
-        warm, frame = frames[0]
+        codec = WireCodec()
+        warm = b"" if before is None else _warm(codec, pk, dj, before)
+        out = bytearray()
+        codec.encode_value(batch, out)
+        frame = bytes(out)
+        assert frame[0] == wire._BATCH
+        assert frame[1] == (wire._PK_NEW if before is None else wire._PK)
+        assert frame.endswith(batch.buffer)
         decoder = WireCodec()
         reader = _Reader(warm + frame)
         while reader.pos < len(warm):
@@ -155,8 +157,12 @@ class TestWire:
         back = decoder.decode_value(reader)
         assert reader.pos == len(warm + frame)
         assert type(back) is ItemBatch
-        assert back.public_key.n == pk.n
-        assert [_fields(i) for i in back.unpack()] == [_fields(i) for i in items]
+        assert back.public_key == pk
+        assert back.public_key is wire.shared_key(pk.n)
+        assert back.shapes == batch.shapes
+        assert back.buffer == batch.buffer
+        assert back.uids == [-1] * len(items)
+        assert [_fields(i)[:-1] for i in back.unpack()] == [_fields(i)[:-1] for i in items]
         assert back.serialized_size() == batch.serialized_size()
 
     def test_round_trip_of_a_real_round(self, keys):
@@ -189,17 +195,18 @@ class TestWire:
 
 
 def test_an_empty_round_is_the_empty_batch(ctx, own_keypair):
-    """An empty round's items are the empty list on the wire, which is
-    what they decode to: every S2 handler takes it as the empty batch and
-    answers with no items, as it did for an empty list of items."""
+    """An empty round's items are the empty batch: every S2 handler
+    answers with the empty batch, which is its key and a count of 0 on
+    the wire, and nothing after them."""
     own = own_keypair.public_key
+    empty = ItemBatch.pack(ctx.public_key, [])
     rounds = [
-        messages.DedupBatch(protocol="SecDedup", matrix=[], items=[], companions=[],
+        messages.DedupBatch(protocol="SecDedup", matrix=[], items=empty, companions=[],
                             ranks=[], own_public=own, sentinel=-5, eliminate=False),
-        messages.DedupSort(protocol="SecDupElim", counts=[], items=[], keys=[],
+        messages.DedupSort(protocol="SecDupElim", counts=[], items=empty, keys=[],
                            companions=[], ranks=[], own_public=own, sentinel=-5,
                            eliminate=True),
-        messages.SortAffine(protocol="EncSort", keys=[], items=[], companions=[],
+        messages.SortAffine(protocol="EncSort", keys=[], items=empty, companions=[],
                             own_public=own, descending=True),
     ]
     for msg in rounds:
@@ -207,9 +214,10 @@ def test_an_empty_round_is_the_empty_batch(ctx, own_keypair):
         items_out = reply[-2]
         assert type(items_out) is ItemBatch and len(items_out) == 0
         assert reply[-1] == []
-        out = bytearray()
-        WireCodec().encode_value(items_out, out)
-        assert bytes(out) == bytes((6, 0))  # _LIST, no elements
+        codec, out = WireCodec(), bytearray()
+        codec.encode_value(ctx.public_key, bytearray())  # the key at index 0
+        codec.encode_value(items_out, out)
+        assert bytes(out) == bytes((wire._BATCH, wire._PK, 0, 0))
     assert ctx.call(
         messages.SortGateBatch(protocol="EncSort", gates=[], own_public=own, descending=True)
     ) == []
@@ -220,58 +228,56 @@ def test_an_empty_round_is_the_empty_batch(ctx, own_keypair):
 # ----------------------------------------------------------------------
 
 
-def _item_list_bytes(codec: WireCodec, items: list) -> bytes:
-    """``items`` written element by element (no batch)."""
-    out = bytearray()
-    codec.encode_value(items, out)
-    return bytes(out)
+def hostile_batches(frame: bytes) -> dict[str, tuple[bytes, bool]]:
+    """Per refusal: ``frame`` — the bytes of a batch of at least two
+    items, its key at a one-byte index and each shape five bytes —
+    edited into a batch that must not decode, and whether the bytes
+    after it in a message may follow (``False``: the frame ends there)."""
+    assert frame[:2] == bytes((wire._BATCH, wire._PK))
+    count = frame[3]
+    assert 2 <= count < 0x80
 
+    def edit(at: int, value: int) -> bytes:
+        out = bytearray(frame)
+        out[at] = value
+        return bytes(out)
 
-def _hostile(pk, dj, other, rng) -> dict[str, object]:
-    """Per refusal: a function of a warmed codec giving the bytes of one
-    list value that must not decode into a batch."""
-    cell = pk.encrypt_batch([1, 2], rng)
-    good = ScoredItem(ehl=Ehl(cell), worst=pk.encrypt(3, rng))
-
-    def unregistered(codec):
-        frame = bytearray(_item_list_bytes(codec, [good]))
-        # _LIST, count, _SCORED, _EHL, class, cells, then the first "_CT idx"
-        assert frame[6] == 8
-        frame[7] = 0x7E
-        return bytes(frame)
-
+    # _BATCH, _PK, key index, count, then per item: class, cells, flags,
+    # payload count + 1, seen count + 1.
     return {
-        "short": lambda codec: _item_list_bytes(codec, [good, good])[:-9],
-        "unregistered-key": unregistered,
-        "not-an-item": lambda codec: _item_list_bytes(codec, [good, 5]),
-        "two-keys": lambda codec: _item_list_bytes(
-            codec, [good, dataclasses.replace(good, worst=other.encrypt(1, rng))]
-        ),
-        "mixed-seen-bits": lambda codec: _item_list_bytes(
-            codec,
-            [dataclasses.replace(good, seen_bits=[pk.encrypt(1, rng), dj.encrypt(1, rng)])],
-        ),
-        "e2-seen-bits": lambda codec: _item_list_bytes(
-            codec, [dataclasses.replace(good, seen_bits=[dj.encrypt(1, rng)])]
-        ),
-        "payload-not-ciphertexts": lambda codec: _item_list_bytes(
-            codec, [dataclasses.replace(good, list_scores=[7])]
-        ),
-        "empty-ehl": lambda codec: _item_list_bytes(codec, [good]).replace(
-            bytes((13, 12, 0, 2)), bytes((13, 12, 0, 0)), 1
-        ),
+        "short": (frame[:-9], False),
+        "unregistered-key": (edit(2, 0x7E), True),
+        "not-a-key": (edit(1, wire._CT), True),
+        "bad-ehl-class": (edit(4, len(wire._EHL_CLASSES)), True),
+        "empty-ehl": (edit(5, 0), True),
+        "unknown-flags": (edit(6, frame[6] | 0x08), True),
+        "shapes-past-frame": (frame[:3] + bytes((0x7F,)) + frame[4 : 4 + 5 * count], False),
     }
 
 
+def with_items(codec: WireCodec, msg, items: bytes, rest: bool = True) -> bytes:
+    """``msg``'s envelope with ``items`` in place of its batch (and,
+    without ``rest``, ending there)."""
+    out = bytearray([1, messages.message_type_id(type(msg))])
+    for name in messages.message_fields(type(msg)):
+        if name == "items":
+            out += items
+            if not rest:
+                break
+        else:
+            codec.encode_value(getattr(msg, name), out)
+    return bytes(out)
+
+
 HOSTILE = [
-    "short", "unregistered-key", "not-an-item", "two-keys", "mixed-seen-bits",
-    "e2-seen-bits", "payload-not-ciphertexts", "empty-ehl",
+    "short", "unregistered-key", "not-a-key", "bad-ehl-class", "empty-ehl",
+    "unknown-flags", "shapes-past-frame",
 ]
 
 
 @pytest.mark.parametrize("case", HOSTILE)
 def test_codec_refuses_a_hostile_batch(keys, case):
-    """The decoder refuses the list with ``ProtocolError`` and its
+    """The decoder refuses the batch with ``ProtocolError`` and its
     registries keep the keys they had."""
     pk, dj, other = keys
     encoder, decoder = WireCodec(), WireCodec()
@@ -279,7 +285,11 @@ def test_codec_refuses_a_hostile_batch(keys, case):
     reader = _Reader(warm)
     while reader.pos < len(warm):
         decoder.decode_value(reader)
-    frame = _hostile(pk, dj, other, SecureRandom(69))[case](encoder)
+    rng = SecureRandom(69)
+    good = ScoredItem(ehl=Ehl(pk.encrypt_batch([1, 2], rng)), worst=pk.encrypt(3, rng))
+    out = bytearray()
+    encoder.encode_value(ItemBatch.pack(pk, [good, good]), out)
+    frame, _ = hostile_batches(bytes(out))[case]
     registered = (list(decoder._keys), list(decoder._schemes))
     with pytest.raises(ProtocolError):
         decoder.decode_value(_Reader(frame))
@@ -287,11 +297,11 @@ def test_codec_refuses_a_hostile_batch(keys, case):
 
 
 def test_daemon_refuses_a_hostile_batch_and_keeps_the_session(tcp_daemon):
-    """Each hostile ``DedupSort`` frame — its batch cut short, naming an
-    unregistered key, or holding a non-item — comes back as a typed
-    ``ProtocolError``; the session then answers its next round, and
-    logs its leakage, exactly as an identically seeded session that never
-    saw one."""
+    """Each hostile ``DedupSort`` frame — its batch refused by the codec
+    (every case of :func:`hostile_batches`), or named under S1's own key
+    instead of the main key — comes back as a typed ``ProtocolError``;
+    the session then answers its next round, and logs its leakage,
+    exactly as an identically seeded session that never saw one."""
 
     def session():
         scheme = SecTopK(SystemParams.tiny(), seed=70)
@@ -312,19 +322,6 @@ def test_daemon_refuses_a_hostile_batch_and_keeps_the_session(tcp_daemon):
             sentinel=-ctx.encoder.sentinel, eliminate=True, **fields,
         )
 
-    def frame(codec, msg, items: bytes, rest: bool = True) -> bytes:
-        """``msg``'s envelope with ``items`` in place of its batch (and,
-        without ``rest``, ending there)."""
-        out = bytearray([1, messages.message_type_id(type(msg))])
-        for name in messages.message_fields(type(msg)):
-            if name == "items":
-                out += items
-                if not rest:
-                    break
-            else:
-                codec.encode_value(getattr(msg, name), out)
-        return bytes(out)
-
     def seen(reply) -> tuple:
         items, comps = reply
         return (
@@ -344,17 +341,12 @@ def test_daemon_refuses_a_hostile_batch_and_keeps_the_session(tcp_daemon):
         codec, client = transport._codec, transport._client
         good = bytearray()
         codec.encode_value(second.items, good)
-        assert good[6] == 8  # _LIST, count, _SCORED, _EHL, class, cells, _CT
-        wrong_key = bytearray(good)
-        wrong_key[7] = 0x7E  # the first component names key 126
-        not_an_item = bytearray()
-        codec.encode_value([second.items.unpack()[0], 5], not_an_item)
-        for payload in (
-            frame(codec, second, bytes(good[:-40]), rest=False),
-            frame(codec, second, bytes(wrong_key)),
-            frame(codec, second, bytes(not_an_item)),
-        ):
-            client.request_begin(transport.session_id, payload)
+        cases = hostile_batches(bytes(good))
+        own_key = bytearray(good)
+        own_key[2] = codec._key_index[scheme._s1_keypair.public_key.n]
+        cases["own-key"] = (bytes(own_key), True)
+        for items, rest in cases.values():
+            client.request_begin(transport.session_id, with_items(codec, second, items, rest))
             with pytest.raises(RemoteS2Error) as excinfo:
                 client.request_finish(transport.session_id)
             assert excinfo.value.kind == "ProtocolError"

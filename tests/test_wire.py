@@ -24,7 +24,7 @@ from repro.net.messages import (
 from repro.net.transport import InProcessTransport
 from repro.net import wire
 from repro.net.wire import WireCodec, _Reader
-from repro.structures.ehl import Ehl, EncryptedHashList
+from repro.structures.ehl import Ehl
 from repro.structures.ehl_plus import EhlPlus, EhlPlusFactory
 from repro.structures.items import ItemBatch, JoinedTuple, ListPrefix, ScoredItem
 
@@ -106,6 +106,8 @@ class TestWireValues:
         assert keypair.secret_key.decrypt(decoded[2]) == 2
 
     def test_scored_item_with_state(self, keypair, rng):
+        """An item with every field crosses as a one-item batch: its
+        fields come back, its uid (an S1-local handle) does not."""
         factory = EhlPlusFactory(keypair.public_key, b"k" * 32, n_hashes=2, rng=rng)
         item = ScoredItem(
             ehl=factory.encode("obj"),
@@ -116,13 +118,15 @@ class TestWireValues:
             record=keypair.public_key.encrypt(5, rng),
             uid=17,
         )
-        back = _roundtrip(item)
+        (back,) = _roundtrip(ItemBatch.pack(keypair.public_key, [item])).unpack()
         assert type(back.ehl) is type(item.ehl)
         assert [c.value for c in back.ehl.cells] == [c.value for c in item.ehl.cells]
         assert keypair.secret_key.decrypt(back.worst) == 3
         assert keypair.secret_key.decrypt(back.best) == 9
-        assert back.uid == 17
+        assert keypair.secret_key.decrypt(back.list_scores[0]) == 1
         assert keypair.secret_key.decrypt(back.seen_bits[0]) == 1
+        assert keypair.secret_key.decrypt(back.record) == 5
+        assert back.uid == -1
 
     def test_joined_tuple(self, keypair, rng):
         jt = JoinedTuple(
@@ -369,16 +373,6 @@ def _elementwise(codec: WireCodec, value) -> bytes:
         out += bytes([wire._LIST]) + _varint(len(value))
         for entry in value:
             out += _elementwise(codec, entry)
-    elif isinstance(value, EncryptedHashList):
-        out += bytes([wire._EHL, wire._EHL_CLASSES.index(type(value))])
-        out += _varint(len(value.cells))
-        for cell in value.cells:
-            out += _elementwise(codec, cell)
-    elif isinstance(value, ScoredItem):
-        out.append(wire._SCORED)
-        for name in ("ehl", "worst", "best", "list_scores", "seen_bits", "record"):
-            out += _elementwise(codec, getattr(value, name))
-        wire._write_signed(out, value.uid)
     else:
         codec.encode_value(value, out)
     return bytes(out)
@@ -393,12 +387,8 @@ def _plain(value):
         return ("ct", value.value, value.public_key.n)
     if isinstance(value, LayeredCiphertext):
         return ("lc", value.value, value.scheme.n, value.scheme.s)
-    if isinstance(value, EncryptedHashList):
-        return (type(value).__name__, _plain(value.cells))
-    if isinstance(value, ScoredItem):
-        return ("scored", [_plain(v) for v in vars(value).values()])
     if isinstance(value, ItemBatch):
-        return _plain(value.unpack())
+        return ("batch", value.public_key.n, value.shapes, value.buffer)
     return value
 
 
@@ -432,11 +422,9 @@ class TestCiphertextRuns:
             "mixed-keys": [cts[0], foreign[0], cts[1]],
             "mixed-kinds": [cts[0], lcs[0], None, 7],
             "nested": [cts[:3], lcs[:3], [], [cts[:2]]],
-            "ehl": Ehl(cts[10:15]),
-            "ehl-plus": EhlPlus(cts[20:23]),
-            "ehl-mixed-keys": EhlPlus([cts[0], foreign[1]]),
-            "scored-full": [scored(30, True), scored(50, True)],
-            "scored-bare": [scored(70, False)],
+            "batch-full": ItemBatch.pack(pk, [scored(30, True), scored(50, True)]),
+            "batch-bare": ItemBatch.pack(pk, [scored(70, False)]),
+            "batch-empty": ItemBatch.pack(pk, []),
         }
 
     @staticmethod
@@ -462,8 +450,9 @@ class TestCiphertextRuns:
 
     def test_first_element_registers_its_key(self, material):
         """Nothing registered yet: the first element introduces the key
-        (``_CT_NEWKEY`` / ``_LC_NEWSCHEME``), the rest reference it."""
-        for name in ("run-2", "run-300", "layered-300", "scored-full"):
+        (``_CT_NEWKEY`` / ``_LC_NEWSCHEME``, a batch's ``_PK_NEW``), the
+        rest reference it."""
+        for name in ("run-2", "run-300", "layered-300", "batch-full"):
             codec, reference, decoder = WireCodec(), WireCodec(), WireCodec()
             out = bytearray()
             codec.encode_value(material[name], out)
@@ -559,15 +548,20 @@ class TestHostileIntegers:
             WireCodec().decode_value(_Reader(listed))
 
     def test_ehl_header_is_checked(self, keypair, rng):
-        codec = WireCodec()
-        out = bytearray()
-        codec.encode_value(keypair.public_key.encrypt(1, rng), out)
+        """A batch item's EHL class index and cell count are checked
+        before its buffer is cut."""
+        pk = keypair.public_key
         decoder = WireCodec()
+        out = bytearray()
+        WireCodec().encode_value(pk, out)
         decoder.decode_value(_Reader(bytes(out)))
-        cell = bytes([wire._CT, 0]) + bytes(out[-keypair.public_key.ciphertext_bytes:])
-        for header in (bytes([wire._EHL, 2, 1]), bytes([wire._EHL, 0, 0])):
+        buffer = bytes(ItemBatch.stride(pk))
+        good = bytes([wire._BATCH, wire._PK, 0, 1, 0, 1, 0, 0, 0]) + buffer
+        assert decoder.decode_value(_Reader(good)).shapes[0].ehl is Ehl
+        for cls, cells in ((2, 1), (0, 0)):
+            header = bytes([wire._BATCH, wire._PK, 0, 1, cls, cells, 0, 0, 0])
             with pytest.raises(ProtocolError):
-                decoder.decode_value(_Reader(header + cell))
+                decoder.decode_value(_Reader(header + buffer))
 
 
 class TestPlainValues:
