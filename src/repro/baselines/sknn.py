@@ -37,6 +37,7 @@ from repro.crypto.damgard_jurik import DamgardJurik
 from repro.crypto.encoding import SignedEncoder
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.crypto.rng import SecureRandom
+from repro.crypto.vector import CtVector
 from repro.exceptions import DataError
 from repro.net.messages import RecordShipment, SquareBlinded
 from repro.protocols.base import S1Context, _wire_clouds
@@ -134,7 +135,7 @@ class SknnScheme:
         """
         r = ctx.rng.randint_below(1 << (self.encoder.score_bits // 2 + self.encoder.blind_bits))
         blinded = ctx.public_key.rerandomize(ct + r, ctx.rng)
-        squared = ctx.call(SquareBlinded(protocol=PROTOCOL, ct=blinded))
+        (squared,) = ctx.call(SquareBlinded(protocol=PROTOCOL, ct=blinded)).ciphertexts()
         return squared - ct * (2 * r) - r * r
 
     def query(
@@ -172,10 +173,11 @@ class SknnScheme:
                 ctx.call(
                     RecordShipment(
                         protocol=PROTOCOL,
-                        objects=[
-                            [ctx.public_key.rerandomize(v, ctx.rng) for v in relation.records[i]["values"]]
-                            for i in candidates
-                        ],
+                        objects=CtVector.randomized(
+                            ctx.public_key,
+                            [v.value for i in candidates for v in relation.records[i]["values"]],
+                            ctx.rng,
+                        ),
                     )
                 )
                 best = candidates[0]

@@ -51,6 +51,7 @@ import time
 
 from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
+from repro.crypto.vector import CtVector
 from repro.events import CandidateFinalized, DepthAdvanced
 from repro.exceptions import QueryError
 from repro.protocols.base import S1Context
@@ -311,8 +312,9 @@ class EagerEngine(_EngineBase):
         """Execute the query; returns (top-k items, 1-based halting depth)."""
         t_list: list[ScoredItem] = []
         # Per entry of t_list past the head the last check depth left
-        # (pairwise distinct), in creation order: Enc(its earlier copies).
-        counts: list[Ciphertext] = []
+        # (pairwise distinct), in creation order: Enc(its earlier copies)'s
+        # value.
+        counts: list[int] = []
         # The network sort's deduplication is a DedupBatch, whose matrix
         # recomputes no pair of two survivors of the last deduplication
         # and no pair ⊖-tested when the later entry was absorbed.
@@ -351,7 +353,7 @@ class EagerEngine(_EngineBase):
     def _settle(
         self,
         t_list: list[ScoredItem],
-        counts: list[Ciphertext],
+        counts: list[int],
         known: KnownPairs | None,
         always_sort: bool = False,
     ) -> tuple[list[ScoredItem], bool]:
@@ -370,7 +372,7 @@ class EagerEngine(_EngineBase):
         the last sort's order.
         """
         if self.sort_method == "affine":
-            return self._dedup(t_list, counts=counts), True
+            return self._dedup(t_list, counts=CtVector.of(self.ctx.public_key, counts)), True
         carried = len(t_list) - len(counts)
         ranks = [0] * carried + list(range(1, len(counts) + 1))
         t_list = self._dedup(t_list, ranks, known)
@@ -383,7 +385,7 @@ class EagerEngine(_EngineBase):
     def _absorb_depth(
         self,
         t_list: list[ScoredItem],
-        counts: list[Ciphertext],
+        counts: list[int],
         depth: int,
         known: KnownPairs | None,
     ) -> list[ScoredItem]:
@@ -409,7 +411,7 @@ class EagerEngine(_EngineBase):
     def _absorb_flow(
         self,
         shared: list[ScoredItem],
-        counts: list[Ciphertext],
+        counts: list[int],
         base: int,
         list_slot: int,
         items: list[EncryptedItem],
@@ -453,7 +455,7 @@ class EagerEngine(_EngineBase):
         pk = ctx.public_key
         item = items[list_slot]
         n_candidates = base + list_slot
-        order, selected, bits, blinds = [], [], [], []
+        order, selected, bits, blinds = [], b"", b"", []
         if n_candidates:
             ehls = [shared[i].ehl for i in range(base)] + [
                 items[i].ehl for i in range(list_slot)
@@ -469,6 +471,7 @@ class EagerEngine(_EngineBase):
                 ctx, eq_cts, [item.score], [0] * n_candidates,
                 bit_mode=False, protocol=PROTOCOL,
             )
+            selected, bits = selected.buffer, bits.buffer
 
         if len(shared) != base + list_slot:
             raise QueryError(
@@ -499,7 +502,7 @@ class EagerEngine(_EngineBase):
                 record=item.record,
             )
         )
-        counts.append(Ciphertext(matched[0], pk))
+        counts.append(matched[0])
 
     # -- best bounds for the halting rule ----------------------------------
 
@@ -535,11 +538,11 @@ class EagerEngine(_EngineBase):
         ])
         groups = list(range(m)) * len(candidates)
         selected, bits, blinds = yield from blinded_select_reply_flow(
-            ctx, [Ciphertext(value, pk) for value in tests], bottoms, groups,
+            ctx, CtVector.of(pk, tests), bottoms, groups,
             bit_mode=True, protocol=PROTOCOL,
         )
         (bests,) = backend.run(BOUNDS, [
-            pk.n_squared, selected, bits, blinds,
+            pk.n_squared, selected.buffer, bits.buffer, blinds,
             [t_item.worst.value for t_item in candidates],
             [m] * len(candidates),
             flips,

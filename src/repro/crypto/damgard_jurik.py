@@ -216,22 +216,17 @@ class DamgardJurik:
             cached = sk.dj_crt_cache[s] = (*halves, backend.invert(p_s, q_s))
         return cached
 
-    def values_of(self, cts: list["LayeredCiphertext"]) -> list[int]:
-        """The bare integers of ``cts``, each checked to belong to this
-        instance — the way in for code that works on flat int vectors."""
+    def values_of(self, cts) -> list[int]:
+        """The bare integers of ``cts`` (a list of ciphertexts or a
+        vector), checked to belong to this instance — the way in for code
+        that works on flat int vectors."""
+        checked = getattr(cts, "checked", None)
+        if checked is not None:  # a CtVector: one check
+            return checked(self).values()
         for c in cts:
             if c.scheme is not self and c.scheme != self:
                 raise KeyMismatchError("ciphertext from a different DJ instance")
         return [c.value for c in cts]
-
-    def _check_batch(self, cts: list["LayeredCiphertext"], keypair: PaillierKeypair):
-        if keypair.public_key != self.public_key:
-            raise KeyMismatchError("keypair does not match this DJ instance")
-        for c in cts:
-            if c.scheme is not self and c.scheme != self:
-                raise KeyMismatchError("ciphertext from a different DJ instance")
-            if backend.gcd(c.value, self.n) != 1:
-                raise DecryptionError("ciphertext is not a unit")
 
     def decrypt(self, c: "LayeredCiphertext", keypair: PaillierKeypair) -> int:
         """Decrypt to an element of ``Z_{N^s}``."""
@@ -240,7 +235,12 @@ class DamgardJurik:
     def decrypt_batch(
         self, cts: list["LayeredCiphertext"], keypair: PaillierKeypair
     ) -> list[int]:
-        """Batch decryption, one ``|p|``-bit exponentiation per prime.
+        """Batch decryption of ciphertext objects (:meth:`decrypt_values`)."""
+        return self.decrypt_values(self.values_of(cts), keypair)
+
+    def decrypt_values(self, values: list[int], keypair: PaillierKeypair) -> list[int]:
+        """Batch decryption of bare ciphertext values, one ``|p|``-bit
+        exponentiation per prime.
 
         Over ``p^{s+1}`` the randomizer dies under ``p - 1`` alone
         (``p^s (p-1)`` divides ``N^s (p-1)``), leaving
@@ -249,14 +249,16 @@ class DamgardJurik:
         Paillier's own CRT decryption uses, with the Theorem-1 dlog in
         place of ``L``.  The two *plaintext* halves are then CRT-combined
         into ``Z_{N^s}``.  Every unit of ``Z_{N^{s+1}}`` is a ciphertext,
-        so this is the full-exponent ``c^d`` answer for every input
-        :meth:`_check_batch` admits.
+        so this is the full-exponent ``c^d`` answer for every unit; a
+        value that is not one is refused.
         """
-        if not cts:
+        if not values:
             return []
-        self._check_batch(cts, keypair)
+        if keypair.public_key != self.public_key:
+            raise KeyMismatchError("keypair does not match this DJ instance")
+        if any(backend.gcd(value, self.n) != 1 for value in values):
+            raise DecryptionError("ciphertext is not a unit")
         half_p, half_q, p_s_inv = self._crt_constants(keypair)
-        values = [c.value for c in cts]
         p_s, q_s = half_p[2], half_q[2]
         return [
             mp + p_s * ((mq - mp) * p_s_inv % q_s)

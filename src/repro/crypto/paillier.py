@@ -247,14 +247,18 @@ class PaillierSecretKey:
         """Decrypt to the canonical representative in ``[0, N)``."""
         return self.decrypt_batch([c])[0]
 
-    def _values_of(self, cts: list["Ciphertext"]) -> list[int]:
+    def _values_of(self, cts) -> list[int]:
+        checked = getattr(cts, "checked", None)
+        if checked is not None:  # a CtVector: one key check, its buffer as it is
+            return checked(self.public_key).buffer
         for c in cts:
             if c.public_key != self.public_key:
                 raise KeyMismatchError("ciphertext was produced under a different key")
         return [c.value for c in cts]
 
-    def decrypt_batch(self, cts: list["Ciphertext"]) -> list[int]:
-        """Batch variant of :meth:`decrypt` (one backend call per batch)."""
+    def decrypt_batch(self, cts) -> list[int]:
+        """Batch variant of :meth:`decrypt` (one backend call per batch;
+        ``cts`` a list of ciphertexts or a vector)."""
         return self.raw_decrypt_batch(self._values_of(cts))
 
     def decrypt_batch_below_p(self, cts: list["Ciphertext"]) -> list[int]:

@@ -221,7 +221,7 @@ class SecTopKJoin:
             ScoredItem(
                 ehl=EhlPlus([self.public_key.encrypt(0, ctx.rng)]),
                 worst=t.score,
-                list_scores=list(t.attributes),
+                list_scores=t.attributes.ciphertexts(),
             )
             for t in survivors
         ]
@@ -248,6 +248,8 @@ class SecTopKJoin:
         out = []
         for t in result.tuples:
             score = self.keypair.secret_key.decrypt_signed(t.score)
-            attrs = [self.keypair.secret_key.decrypt_signed(a) for a in t.attributes]
+            attrs = [
+                self.keypair.secret_key.decrypt_signed(a) for a in t.attributes.ciphertexts()
+            ]
             out.append((score, attrs))
         return out

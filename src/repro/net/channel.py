@@ -36,9 +36,9 @@ def measure_size(obj) -> int:
     """Serialized byte size of a protocol message component.
 
     Supports the types that ever cross the inter-cloud boundary:
-    ciphertexts (Paillier and Damgård–Jurik), EHL/EHL+ structures,
-    encrypted items, integers, bits/bools, bytes, and (possibly nested)
-    lists/tuples of those.
+    ciphertext vectors and single ciphertexts, item batches and join
+    tuples (each knows its own size), integers, bits/bools, bytes, and
+    (possibly nested) lists/tuples of those.
     """
     # Most of a message is objects that know their own size (each a
     # length sum); ask them before walking the type chain.

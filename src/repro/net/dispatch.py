@@ -8,7 +8,9 @@ live next to their S1 counterparts in :mod:`repro.protocols`.
 
 Every decrypt handler services its message through the cloud's *batch*
 primitives (backed by :mod:`repro.crypto.backend`) rather than per-item
-loops — a coalesced round's worth of decryptions is one batch here.
+loops — a coalesced round's worth of decryptions is one batch here, a
+message's :class:`~repro.crypto.vector.CtVector` buffer handed to the
+kernel as it is.
 
 S1-side protocol code never references the crypto cloud directly — it
 only ever submits messages through a transport that ends here.
@@ -59,11 +61,7 @@ class S2Dispatcher:
         return self.cloud.dgk_any_zero(msg.cts, msg.protocol)
 
     def _square_blinded(self, msg: m.SquareBlinded):
-        (value,) = self.cloud.decrypt_batch_for_protocol(
-            [msg.ct], msg.protocol, "dgk_blinded"
-        )
-        n = self.cloud.public_key.n
-        return self.cloud.fresh_encrypt(value * value % n)
+        return self.cloud.square_blinded(msg.ct, msg.protocol)
 
     def _record_shipment(self, msg: m.RecordShipment):
         return None

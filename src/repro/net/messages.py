@@ -5,6 +5,11 @@ message types below; S1-side protocol code never holds an S2 object —
 it submits messages through its transport and the S2 dispatcher
 (:mod:`repro.net.dispatch`) services them.
 
+Every ciphertext list a message carries is one
+:class:`~repro.crypto.vector.CtVector` (one value: a vector of one); a
+list of ciphertext objects given for such a field is packed into one
+when the message is built.
+
 Each message declares
 
 * ``protocol`` — the sub-protocol label the traffic is attributed to in
@@ -22,8 +27,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from repro.crypto.damgard_jurik import LayeredCiphertext
+from repro.crypto.paillier import Ciphertext
+from repro.crypto.vector import CtVector
 from repro.exceptions import ProtocolError
 from repro.structures.items import ItemBatch
+
+_CIPHERTEXTS = (Ciphertext, LayeredCiphertext)
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,15 @@ class Message:
     """Base class: one S1 -> S2 request."""
 
     protocol: str
+
+    def __post_init__(self):
+        # A ciphertext, or a list of them, given for a field: one vector.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if type(value) in _CIPHERTEXTS:
+                value = [value]
+            if type(value) is list and value and type(value[0]) in _CIPHERTEXTS:
+                object.__setattr__(self, f.name, CtVector.pack(value))
 
     def request_payload(self):
         """The objects whose wire size is accounted as S1 -> S2 traffic.
@@ -52,35 +71,35 @@ class Message:
 class ZeroTestBatch(Message):
     """Algorithms 4/6/9: decrypt each ``Enc(b)``, reply ``E2(b == 0)``."""
 
-    cts: list
+    cts: CtVector
 
 
 @dataclass(frozen=True)
 class StripLayerBatch(Message):
     """Algorithm 5 (``RecoverEnc``): strip the outer DJ layer of each item."""
 
-    cts: list
+    cts: CtVector
 
 
 @dataclass(frozen=True)
 class BlindedSign(Message):
     """Blinded ``EncCompare``: reply with the sign of the blinded value."""
 
-    ct: object
+    ct: CtVector
 
 
 @dataclass(frozen=True)
 class DecryptMaskedBit(Message):
     """Decrypt a ciphertext known to hold a coin-masked bit."""
 
-    ct: object
+    ct: CtVector
 
 
 @dataclass(frozen=True)
 class DgkDecompose(Message):
     """DGK step 1: decrypt blinded ``c`` and return its encrypted bits."""
 
-    ct: object
+    ct: CtVector
     ell: int
 
     _unmeasured = ("ell",)
@@ -90,21 +109,21 @@ class DgkDecompose(Message):
 class DgkAnyZero(Message):
     """DGK step 2: does any of the randomized terms decrypt to zero?"""
 
-    cts: list
+    cts: CtVector
 
 
 @dataclass(frozen=True)
 class SquareBlinded(Message):
     """SkNN baseline: decrypt a blinded value, reply ``Enc(value²)``."""
 
-    ct: object
+    ct: CtVector
 
 
 @dataclass(frozen=True)
 class RecordShipment(Message):
     """A one-way bulk shipment (e.g. SkNN candidate records); no reply."""
 
-    objects: list
+    objects: CtVector
 
 
 @dataclass(frozen=True)
@@ -112,9 +131,9 @@ class SortAffine(Message):
     """``EncSort`` (affine construction): sort blinded keys, re-blind items
     (one :class:`~repro.structures.items.ItemBatch`)."""
 
-    keys: list
+    keys: CtVector
     items: ItemBatch
-    companions: list
+    companions: CtVector
     own_public: object
     descending: bool
 
@@ -126,9 +145,10 @@ class SortGateBatch(Message):
     """``EncSort`` (network construction): one layer of compare-exchange gates.
 
     ``gates`` is a list of ``(pair_keys, pair_items, pair_companions)``
-    triples, ``pair_items`` a two-item
-    :class:`~repro.structures.items.ItemBatch`; the reply is the per-gate
-    ordered, re-blinded triples.
+    triples, the keys and companions two-value vectors and ``pair_items``
+    a two-item :class:`~repro.structures.items.ItemBatch`; the reply is
+    the per-gate ordered, re-blinded triples, each item's two
+    companions ``(H_a, H_b)`` flat in one vector.
     """
 
     gates: list
@@ -143,9 +163,9 @@ class DedupBatch(Message):
     """Algorithm 7 / Section 10.1: bury or drop duplicate-group members
     of ``items`` (one :class:`~repro.structures.items.ItemBatch`)."""
 
-    matrix: list
+    matrix: CtVector
     items: ItemBatch
-    companions: list
+    companions: CtVector
     ranks: list
     own_public: object
     sentinel: int
@@ -162,12 +182,12 @@ class DedupSort(Message):
     orders the survivors by ``keys`` (one-way, noisily affine-blinded
     worst scores, descending), places new junk last and returns items
     (one :class:`~repro.structures.items.ItemBatch`, as they came) and
-    companions only."""
+    companions only, each item's ``(H_a, H_b)`` flat in one vector."""
 
-    counts: list
+    counts: CtVector
     items: ItemBatch
-    keys: list
-    companions: list
+    keys: CtVector
+    companions: CtVector
     ranks: list
     own_public: object
     sentinel: int
@@ -182,10 +202,10 @@ class BlindedSelect(Message):
     a bit ``t`` — ``value == 0`` for an equality test, the value itself
     for a coin-masked bit (``bit_mode``) — and the reply is
     ``t ? rerand(values[groups[i]]) : Enc(0)`` and ``Enc(t)`` per slot,
-    as two lists of fresh ciphertexts."""
+    as two vectors of fresh ciphertexts."""
 
-    cts: list
-    values: list
+    cts: CtVector
+    values: CtVector
     groups: list
     bit_mode: bool
 

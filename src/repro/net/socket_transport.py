@@ -75,11 +75,12 @@ from repro.net.wire import WireCodec, _Reader
 
 # -- frame protocol --------------------------------------------------------
 
-#: The one HELLO banner both sides speak.  Bumped to /5 when a round's
-#: item batch became its buffer on the wire (/4 when REGISTER and OPEN
+#: The one HELLO banner both sides speak.  Bumped to /6 when every
+#: ciphertext list became one vector on the wire (/5 when a round's
+#: item batch became its buffer, /4 when REGISTER and OPEN
 #: became codec values, /3 when REPLY frames grew the S2-progress
 #: element, /2 when the OPEN payload grew its session-label segment).
-PROTOCOL_BANNER = b"repro-s2/5"
+PROTOCOL_BANNER = b"repro-s2/6"
 
 #: ERROR kind a daemon sends for a HELLO banner it does not speak (the
 #: text names the daemon's own banner) before it drops the connection.

@@ -1,21 +1,29 @@
 """Binary wire encoding for everything that crosses the S1 <-> S2 link.
 
 The transport layer serializes typed protocol messages into self-
-describing byte streams: ciphertexts use the same fixed-width big-endian
-encoding that ``serialized_size`` accounts for, and container/metadata
-values use a small tag + varint framing.  The codec is *stateful*: key
-material (Paillier public keys, Damgård–Jurik instances) is registered
-on first appearance in the stream and referenced by index afterwards, so
-both endpoints rebuild identical registries simply by processing the same
-bytes in the same order — no out-of-band key exchange is needed.
+describing byte streams: container/metadata values use a small tag +
+varint framing, and ciphertexts travel in the limb format the kernel
+reads (:func:`repro.crypto.backend.pack_ints`: little-endian 64-bit
+words, ``words_for(modulus)`` of them per value).  The codec is
+*stateful*: key material (Paillier public keys, Damgård–Jurik
+instances) is registered on first appearance in the stream and
+referenced by index afterwards, so both endpoints rebuild identical
+registries simply by processing the same bytes in the same order — no
+out-of-band key exchange is needed.
 
-A round's :class:`~repro.structures.items.ItemBatch` travels as its
-buffer: ``_BATCH``, its key's reference, the item count, each item's
-:class:`~repro.structures.items.ItemShape` (EHL class index, cell count,
-a worst/best/record flags byte, then the payload and seen counts, 0 for
-an absent field), then ``batch.buffer`` as it is (little-endian 64-bit
-words, the layout the blinding rounds read).  It decodes as one slice;
-uids are S1-local handles and never cross.
+A :class:`~repro.crypto.vector.CtVector` travels as its buffer:
+``_VEC``, its key's reference (``_PK`` / ``_PK_NEW`` for a Paillier key,
+``_DJ`` / ``_DJ_NEW`` for a Damgård–Jurik instance), the count, then
+``vector.buffer`` as it is; it decodes as one slice.  A round's
+:class:`~repro.structures.items.ItemBatch` is ``_BATCH``, the item
+count, each item's :class:`~repro.structures.items.ItemShape` (EHL class
+index, cell count, a worst/best/record flags byte, then the payload and
+seen counts, 0 for an absent field) and the vector body of its
+components; uids are S1-local handles and never cross.  A single
+Paillier ciphertext is ``_CT`` and its key's index (``_CT_NEWKEY`` and
+the modulus the first time).  The reader refuses, as a
+:class:`ProtocolError`, every ciphertext value outside ``0 < c <
+modulus`` — once per vector.
 
 Note on accounting: the paper's bandwidth numbers (Table 3, Fig. 13)
 count ciphertext payload bytes, so the channel statistics keep using
@@ -30,8 +38,10 @@ import collections
 import os
 import threading
 
+from repro.crypto.backend import unpack_ints
 from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
+from repro.crypto.vector import CtVector, modulus_of
 from repro.exceptions import ProtocolError
 from repro.structures.ehl import Ehl
 from repro.structures.ehl_plus import EhlPlus
@@ -48,13 +58,15 @@ _LIST = 6
 _TUPLE = 7
 _CT = 8          # Ciphertext under an already-registered key
 _CT_NEWKEY = 9   # Ciphertext introducing a new key
-_LC = 10         # LayeredCiphertext under an already-registered scheme
-_LC_NEWSCHEME = 11
 _JOINED = 14
-_PK = 15         # bare PaillierPublicKey reference
+_PK = 15         # PaillierPublicKey reference
 _PK_NEW = 16
-_BATCH = 18      # an ItemBatch: key reference, item shapes, buffer
-# 12, 13 and 17 (EHL, scored item, sorted-list entry) are retired: never reuse them.
+_BATCH = 18      # an ItemBatch: item shapes, then a vector body
+_VEC = 19        # a CtVector: key reference, count, buffer
+_DJ = 20         # DamgardJurik reference
+_DJ_NEW = 21
+# 10, 11, 12, 13 and 17 (single E2 value, EHL, scored item, sorted-list
+# entry) are retired: never reuse them.
 
 _EHL_CLASSES = (Ehl, EhlPlus)
 # An item shape's flags byte: which of worst, best and record it carries.
@@ -215,6 +227,16 @@ def _entry(registry: list, index: int, what: str):
     return registry[index]
 
 
+def _check_range(vector: CtVector) -> CtVector:
+    """``vector`` when every value lies in ``0 < c < modulus``; a
+    :class:`ProtocolError` otherwise."""
+    if vector.count:
+        values = unpack_ints(vector.buffer, vector.stride >> 3, vector.count)
+        if min(values) < 1 or max(values) >= modulus_of(vector.key):
+            raise ProtocolError("a ciphertext value lies outside 0 < c < modulus")
+    return vector
+
+
 class WireCodec:
     """Stateful encoder/decoder for protocol messages and replies.
 
@@ -243,9 +265,11 @@ class WireCodec:
         return self._keys[idx]
 
     def _register_scheme(self, n: int, s: int, dj: DamgardJurik | None = None):
-        """The scheme twin of :meth:`_register_key`."""
+        """The scheme twin of :meth:`_register_key`; registers the key
+        too, on both endpoints alike."""
         idx = self._scheme_index.get((n, s))
         if idx is None:
+            self._register_key(n, None if dj is None else dj.public_key)
             idx = self._scheme_index[(n, s)] = len(self._schemes)
             self._schemes.append(shared_scheme(n, s, dj))
         return self._schemes[idx]
@@ -284,10 +308,6 @@ class WireCodec:
             _write_varint(out, len(value))
             for entry in value:
                 self.encode_value(entry, out)
-        elif isinstance(value, Ciphertext):
-            self._encode_ciphertext(value, out)
-        elif isinstance(value, LayeredCiphertext):
-            self._encode_layered(value, out)
         elif isinstance(value, JoinedTuple):
             out.append(_JOINED)
             self.encode_value(value.score, out)
@@ -298,15 +318,34 @@ class WireCodec:
             raise ProtocolError(f"cannot serialize {type(value).__name__} on the wire")
 
     def _encode_list(self, items: list, out: bytearray) -> None:
+        """A list of ciphertext objects goes as the vector it packs to
+        (one kind, one key); a ciphertext among other values is refused."""
+        if items and type(items[0]) in _CIPHERTEXTS:
+            self._encode_vector(CtVector.pack(items), out)
+            return
         out.append(_LIST)
         _write_varint(out, len(items))
-        if not self._encode_run(items, out):
-            for entry in items:
-                self.encode_value(entry, out)
+        for entry in items:
+            if type(entry) in _CIPHERTEXTS:
+                raise ProtocolError("a list holding a ciphertext must be a ciphertext vector")
+            self.encode_value(entry, out)
+
+    def _encode_vector(self, vector: CtVector, out: bytearray) -> None:
+        out.append(_VEC)
+        self._encode_body(vector, out)
+
+    def _encode_body(self, vector: CtVector, out: bytearray) -> None:
+        """A vector's key reference, count and buffer."""
+        key = vector.key
+        if type(key) is PaillierPublicKey:
+            self._encode_key(key, out)
+        else:
+            self._encode_scheme(key, out)
+        _write_varint(out, vector.count)
+        out += vector.buffer
 
     def _encode_batch(self, batch: ItemBatch, out: bytearray) -> None:
         out.append(_BATCH)
-        self._encode_key(batch.public_key, out)
         _write_varint(out, len(batch))
         for shape in batch.shapes:
             out.append(_EHL_CLASSES.index(shape.ehl))
@@ -314,46 +353,7 @@ class WireCodec:
             out.append(shape.worst * _WORST | shape.best * _BEST | shape.record * _RECORD)
             _write_varint(out, 0 if shape.scores is None else shape.scores + 1)
             _write_varint(out, 0 if shape.seen is None else shape.seen + 1)
-        out += batch.buffer
-
-    def _encode_run(self, items: list, out: bytearray) -> bool:
-        """Append the elements of a ``_LIST`` as one slice — the bytes
-        the element loop would write — when they are one kind of
-        ciphertext under one key object the stream already registered at
-        a one-byte index; ``False`` (nothing written) otherwise."""
-        if not items:
-            return False
-        first = items[0]
-        kind = type(first)
-        if kind is Ciphertext:
-            key, tag = first.public_key, _CT
-            idx = self._key_index.get(key.n)
-        elif kind is LayeredCiphertext:
-            key, tag = first.scheme, _LC
-            idx = self._scheme_index.get((key.n, key.s))
-        else:
-            return False
-        if idx is None or idx >= 0x80:
-            return False
-        width = key.ciphertext_bytes
-        if tag == _CT:
-            chunks = [
-                c.value.to_bytes(width, "big")
-                for c in items
-                if type(c) is kind and c.public_key is key
-            ]
-        else:
-            chunks = [
-                c.value.to_bytes(width, "big")
-                for c in items
-                if type(c) is kind and c.scheme is key
-            ]
-        if len(chunks) != len(items):
-            return False
-        prefix = bytes((tag, idx))
-        out += prefix
-        out += prefix.join(chunks)
-        return True
+        self._encode_body(batch.vector, out)
 
     def _encode_key(
         self, pk: PaillierPublicKey, out: bytearray, known: int = _PK, new: int = _PK_NEW
@@ -371,28 +371,25 @@ class WireCodec:
             out.append(known)
             _write_varint(out, idx)
 
-    def _encode_ciphertext(self, ct: Ciphertext, out: bytearray) -> None:
-        pk = ct.public_key
-        self._encode_key(pk, out, _CT, _CT_NEWKEY)
-        out.extend(ct.value.to_bytes(pk.ciphertext_bytes, "big"))
-
-    def _encode_layered(self, lc: LayeredCiphertext, out: bytearray) -> None:
-        scheme = lc.scheme
+    def _encode_scheme(self, scheme: DamgardJurik, out: bytearray) -> None:
+        """The scheme twin of :meth:`_encode_key` (``_DJ`` / ``_DJ_NEW``,
+        the modulus and the degree)."""
         idx = self._scheme_index.get((scheme.n, scheme.s))
         if idx is None:
-            # Register the underlying key too, mirroring _decode_layered —
-            # the registries on both endpoints must grow identically.
-            self._register_key(scheme.n, scheme.public_key)
             self._register_scheme(scheme.n, scheme.s, scheme)
             raw = scheme.n.to_bytes((scheme.n.bit_length() + 7) // 8, "big")
-            out.append(_LC_NEWSCHEME)
+            out.append(_DJ_NEW)
             _write_varint(out, len(raw))
             out.extend(raw)
             _write_varint(out, scheme.s)
         else:
-            out.append(_LC)
+            out.append(_DJ)
             _write_varint(out, idx)
-        out.extend(lc.value.to_bytes(scheme.ciphertext_bytes, "big"))
+
+    def _encode_ciphertext(self, ct: Ciphertext, out: bytearray) -> None:
+        pk = ct.public_key
+        self._encode_key(pk, out, _CT, _CT_NEWKEY)
+        out.extend(ct.value.to_bytes(pk.ciphertext_bytes, "big"))
 
     # -- value decoding --------------------------------------------------
 
@@ -407,16 +404,12 @@ class WireCodec:
 
     def _decode(self, reader: _Reader):
         tag = reader.byte()
+        if tag == _VEC:
+            return self._decode_body(reader)
         if tag == _CT or tag == _CT_NEWKEY:
             return self._decode_ciphertext(tag, reader)
-        if tag == _LC or tag == _LC_NEWSCHEME:
-            return self._decode_layered(tag, reader)
         if tag == _LIST:
-            count = reader.varint()
-            run = self._decode_run(reader, count)
-            if run is not None:
-                return run
-            return [self._decode(reader) for _ in range(count)]
+            return [self._decode(reader) for _ in range(reader.varint())]
         if tag == _BATCH:
             return self._decode_batch(reader)
         if tag == _NONE:
@@ -439,13 +432,24 @@ class WireCodec:
             return self._decode_key(tag, reader)
         raise ProtocolError(f"unknown wire tag {tag}")
 
+    def _decode_body(self, reader: _Reader) -> CtVector:
+        """The inverse of :meth:`_encode_body`: the key, the count, then
+        the buffer as one range-checked slice."""
+        tag = reader.byte()
+        if tag == _PK or tag == _PK_NEW:
+            key = self._decode_key(tag, reader)
+        elif tag == _DJ or tag == _DJ_NEW:
+            key = self._decode_scheme(tag, reader)
+        else:
+            raise ProtocolError("a ciphertext vector opens with its key")
+        count = reader.varint()
+        vector = CtVector(key, count, b"")
+        vector.buffer = bytes(reader.take(count * vector.stride))
+        return _check_range(vector)
+
     def _decode_batch(self, reader: _Reader) -> ItemBatch:
         """The inverse of :meth:`_encode_batch`: every shape checked, then
-        the buffer as one slice of the size the shapes give."""
-        tag = reader.byte()
-        if tag != _PK and tag != _PK_NEW:
-            raise ProtocolError("an item batch opens with its key")
-        pk = self._decode_key(tag, reader)
+        a Paillier vector of the size the shapes give."""
         count = reader.varint()
         shapes = []
         for _ in range(count):
@@ -462,42 +466,12 @@ class WireCodec:
                 scores - 1 if scores else None, seen - 1 if seen else None,
                 bool(flags & _RECORD),
             ))
-        size = sum(shape.count() for shape in shapes) * ItemBatch.stride(pk)
-        return ItemBatch(pk, shapes, [-1] * count, bytes(reader.take(size)))
-
-    def _decode_run(self, reader: _Reader, count: int):
-        """The inverse of :meth:`_encode_run`: when the next ``count``
-        elements all open with the first one's ``_CT`` / ``_LC`` byte and
-        one-byte registered index (two strided compares), cut their
-        values at fixed stride; ``None`` (nothing consumed) otherwise —
-        the element loop then decodes, or rejects, whatever is there."""
-        data, pos = reader.data, reader.pos
-        if not count or pos + 2 > len(data):
-            return None
-        tag, idx = data[pos], data[pos + 1]
-        if tag != _CT and tag != _LC:
-            return None
-        registry, make = (
-            (self._keys, Ciphertext) if tag == _CT else (self._schemes, LayeredCiphertext)
-        )
-        if idx >= 0x80 or idx >= len(registry):
-            return None
-        key = registry[idx]
-        width = key.ciphertext_bytes
-        stride = width + 2
-        end = pos + count * stride
-        if (
-            end > len(data)
-            or data[pos:end:stride] != bytes((tag,)) * count
-            or data[pos + 1 : end : stride] != bytes((idx,)) * count
+        vector = self._decode_body(reader)
+        if type(vector.key) is not PaillierPublicKey or len(vector) != sum(
+            shape.count() for shape in shapes
         ):
-            return None
-        reader.pos = end
-        from_bytes = int.from_bytes
-        return [
-            make(from_bytes(data[start : start + width], "big"), key)
-            for start in range(pos + 2, end, stride)
-        ]
+            raise ProtocolError("an item batch's body does not fit its shapes")
+        return ItemBatch(shapes, [-1] * count, vector)
 
     def _decode_key(self, tag: int, reader: _Reader) -> PaillierPublicKey:
         """The key a ``_PK`` / ``_CT`` index or a ``_PK_NEW`` /
@@ -506,23 +480,23 @@ class WireCodec:
             return self._register_key(int.from_bytes(reader.take(reader.varint()), "big"))
         return _entry(self._keys, reader.varint(), "key")
 
+    def _decode_scheme(self, tag: int, reader: _Reader) -> DamgardJurik:
+        """The scheme a ``_DJ`` index or a ``_DJ_NEW`` modulus and degree
+        names."""
+        if tag == _DJ:
+            return _entry(self._schemes, reader.varint(), "scheme")
+        n = int.from_bytes(reader.take(reader.varint()), "big")
+        s = reader.varint()
+        if not 1 <= s <= _MAX_DJ_DEGREE:
+            raise ProtocolError(f"Damgård–Jurik degree {s} out of range")
+        return self._register_scheme(n, s)
+
     def _decode_ciphertext(self, tag: int, reader: _Reader) -> Ciphertext:
         pk = self._decode_key(tag, reader)
-        return Ciphertext(int.from_bytes(reader.take(pk.ciphertext_bytes), "big"), pk)
-
-    def _decode_layered(self, tag: int, reader: _Reader) -> LayeredCiphertext:
-        if tag == _LC_NEWSCHEME:
-            n = int.from_bytes(reader.take(reader.varint()), "big")
-            s = reader.varint()
-            if not 1 <= s <= _MAX_DJ_DEGREE:
-                raise ProtocolError(f"Damgård–Jurik degree {s} out of range")
-            self._register_key(n)
-            scheme = self._register_scheme(n, s)
-        else:
-            scheme = _entry(self._schemes, reader.varint(), "scheme")
-        return LayeredCiphertext(
-            int.from_bytes(reader.take(scheme.ciphertext_bytes), "big"), scheme
-        )
+        value = int.from_bytes(reader.take(pk.ciphertext_bytes), "big")
+        if not 0 < value < pk.n_squared:
+            raise ProtocolError("a ciphertext value lies outside 0 < c < modulus")
+        return Ciphertext(value, pk)
 
     # -- message envelopes ----------------------------------------------
 
@@ -564,9 +538,11 @@ class WireCodec:
         return [self.decode_value(reader) for _ in range(reader.varint())]
 
 
+_CIPHERTEXTS = (Ciphertext, LayeredCiphertext)
+
 _ENCODE_EXACT = {
+    CtVector: WireCodec._encode_vector,
     Ciphertext: WireCodec._encode_ciphertext,
-    LayeredCiphertext: WireCodec._encode_layered,
     list: WireCodec._encode_list,
     ItemBatch: WireCodec._encode_batch,
 }

@@ -24,7 +24,8 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 
-from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
+from repro.crypto import backend
+from repro.crypto.damgard_jurik import DamgardJurik
 from repro.crypto.encoding import SignedEncoder
 from repro.crypto.paillier import (
     Ciphertext,
@@ -32,12 +33,33 @@ from repro.crypto.paillier import (
     PaillierPublicKey,
     to_signed,
 )
+from repro.crypto.vector import CtVector, vector_of
 from repro.crypto.rng import SecureRandom
 from repro.events import RoundTrip
 from repro.net.channel import Channel
 from repro.net.dispatch import S2Dispatcher
 from repro.net.transport import InProcessTransport, Transport
-from repro.exceptions import KeyMismatchError, ProtocolError, TransportError
+from repro.exceptions import ProtocolError, TransportError
+
+
+def _select_program() -> backend.Program:
+    """A blinded select's reply factors, each times a pool draw, as one
+    packed buffer: per slot ``t ? values[group] : 1``, then per slot ``t
+    ? 1 + N : 1`` (``Enc(t)``'s factor).  Inputs: ``N^2``, the values,
+    the groups, the bits (a mask), ``[1]``, ``[1 + N]``, the pool and its
+    reads."""
+    p = backend.Program()
+    n2, values, groups = p.input(backend.MOD), p.input(backend.LIMBS), p.input(backend.INTS)
+    bits, one, lift = p.input(backend.BYTES), p.input(backend.LIMBS), p.input(backend.LIMBS)
+    pool, reads = p.input(backend.POOL), p.input(backend.BYTES)
+    selected = p.op("pick", n2, bits, p.op("gather", n2, values, groups), one)
+    factors = p.op("cat", n2, selected, p.op("pick", n2, bits, lift, one))
+    p.output(p.op("pool", n2, pool, reads, factors), packed=True)
+    return p
+
+
+#: S2's one program per blinded select.
+SELECT = _select_program()
 
 
 @dataclass
@@ -105,24 +127,30 @@ class CryptoCloud:
     # backend call per batch, so S2 never learns more than ``m mod p``.
     # ------------------------------------------------------------------
 
-    def _residues(self, cts: list[Ciphertext]) -> list[int]:
-        """``m mod p`` of every ciphertext.  A true zero reads 0; a
-        uniform non-zero ``m`` reads 0 with probability below
-        ``2^−(|p|−1)`` (``SystemParams.zero_test_error_bits``)."""
-        return self._keypair.secret_key.decrypt_batch_below_p(cts)
+    def _residues(self, cts: CtVector) -> list[int]:
+        """``m mod p`` of every ciphertext of ``cts``, its buffer read by
+        the kernel as it is.  A true zero reads 0; a uniform non-zero
+        ``m`` reads 0 with probability below ``2^−(|p|−1)``
+        (``SystemParams.zero_test_error_bits``)."""
+        vector = vector_of(cts, self.public_key)
+        return backend.paillier_decrypt(self._keypair.secret_key.crt, vector.buffer, True)
 
-    def _centred(self, cts: list[Ciphertext]) -> list[int]:
+    def _centred(self, cts: CtVector) -> list[int]:
         """The signed plaintexts of ``cts``, each within the plaintext
         bound: ``m mod p`` read as a centred residue."""
         return to_signed(self._keypair.secret_key.p, self._residues(cts))
+
+    def _single(self, ct: CtVector) -> CtVector:
+        """``ct`` when it is a vector of one value."""
+        if len(vector_of(ct, self.public_key)) != 1:
+            raise ProtocolError("a single-value request carries one ciphertext")
+        return ct
 
     # ------------------------------------------------------------------
     # Equality testing (S2's side of SecWorst / SecBest / SecUpdate).
     # ------------------------------------------------------------------
 
-    def test_zero_batch(
-        self, cts: list[Ciphertext], protocol: str
-    ) -> list[LayeredCiphertext]:
+    def test_zero_batch(self, cts: CtVector, protocol: str) -> CtVector:
         """Decrypt each ``Enc(b)`` and return ``E2(t)`` with ``t=(b==0)``.
 
         This is S2's loop in Algorithms 4/6/9: the incoming values are
@@ -132,18 +160,18 @@ class CryptoCloud:
         equality-pattern leakage ``EP_d`` of Section 9 — and nothing else.
         """
         bits = [1 if b == 0 else 0 for b in self._residues(cts)]
-        replies = self.dj.encrypt_batch(bits, self.rng)
+        replies = CtVector.encrypt(self.dj, bits, self.rng)
         self.leakage.record("S2", protocol, "eq_bits", bits)
         return replies
 
     def blinded_select(
         self,
-        cts: list[Ciphertext],
-        values: list[Ciphertext],
+        cts: CtVector,
+        values: CtVector,
         groups: list[int],
         bit_mode: bool,
         protocol: str,
-    ) -> tuple[list[Ciphertext], list[Ciphertext]]:
+    ) -> tuple[CtVector, CtVector]:
         """Apply the bit each slot decrypts to, without a layered select.
 
         Slot ``i``'s bit ``t`` is ``cts[i]``'s equality test (``b == 0``,
@@ -154,26 +182,21 @@ class CryptoCloud:
         p``.  Its value
         ``values[groups[i]]`` is S1's statistically blinded ``Enc(x + r)``,
         which S2 never decrypts.  Per slot the reply is two fresh
-        ciphertexts, ``t ? V·ρ : ρ'`` and ``Enc(t)``; S1 unblinds
-        ``Enc(t·x)`` from them on its own.  A malformed request is refused
-        before any randomness is drawn or anything is recorded.
+        ciphertexts, ``t ? V·ρ : ρ'`` and ``Enc(t)`` — one run of
+        :data:`SELECT` over the values' buffer; S1 unblinds ``Enc(t·x)``
+        from them on its own.  A malformed request is refused before any
+        randomness is drawn or anything is recorded.
         """
-        if not (
-            isinstance(cts, list)
-            and isinstance(values, list)
-            and isinstance(groups, list)
-            and type(bit_mode) is bool
-        ) or len(groups) != len(cts):
+        pk = self.public_key
+        values = vector_of(values, pk)
+        if not (isinstance(groups, list) and type(bit_mode) is bool) or len(groups) != len(
+            vector_of(cts, pk)
+        ):
             raise ProtocolError("malformed blinded select: slot and group counts disagree")
         if any(type(g) is not int or not 0 <= g < len(values) for g in groups):
             raise ProtocolError(
                 f"blinded select names a group outside its {len(values)} values"
             )
-        for ct in (*cts, *values):
-            if type(ct) is not Ciphertext:
-                raise ProtocolError("blinded select carries a non-Paillier value")
-            if ct.public_key != self.public_key:
-                raise KeyMismatchError("ciphertext was produced under a different key")
         plain = self._residues(cts)
         if bit_mode:
             if any(value not in (0, 1) for value in plain):
@@ -183,39 +206,39 @@ class CryptoCloud:
         else:
             bits = [1 if value == 0 else 0 for value in plain]
             self.leakage.record("S2", protocol, "eq_bits", bits)
-        pk = self.public_key
-        n = pk.n
-        fresh = [
-            Ciphertext(value, pk)
-            for value in pk.randomize_values(
-                [values[g].value if t else 1 for t, g in zip(bits, groups)]
-                + [1 + t * n for t in bits],
-                self.rng,
-            )
-        ]
-        return fresh[: len(bits)], fresh[len(bits) :]
+        pool = pk.randomizer_pool()
+        slots = len(bits)
+        (fresh,) = backend.run(SELECT, [
+            pk.n_squared, values.buffer, groups, bytes(bits), [1], [1 + pk.n], pool,
+            self.rng.randbytes(pool.read_bytes * 2 * slots),
+        ])
+        cut = slots * values.stride
+        return CtVector(pk, slots, fresh[:cut]), CtVector(pk, slots, fresh[cut:])
 
     # ------------------------------------------------------------------
     # RecoverEnc (Algorithm 5), S2's side.
     # ------------------------------------------------------------------
 
-    def strip_layer_batch(
-        self, lcs: list[LayeredCiphertext], protocol: str
-    ) -> list[Ciphertext]:
+    def strip_layer_batch(self, lcs: CtVector, protocol: str) -> CtVector:
         """Decrypt the outer DJ layer of each ``E2(Enc(c + r))``.
 
         The inner plaintexts are additively blinded by S1, so S2 observes
         only uniformly random Paillier ciphertext *values* — no leakage
         event is recorded beyond the batch size.
         """
-        self.leakage.record("S2", protocol, "recover_batch", len(lcs))
-        return self.dj.decrypt_inner_batch(lcs, self._keypair)
+        vector = vector_of(lcs, self.dj)
+        self.leakage.record("S2", protocol, "recover_batch", len(vector))
+        n2 = self.public_key.n_squared
+        return CtVector.of(
+            self.public_key,
+            [v % n2 for v in self.dj.decrypt_values(vector.values(), self._keypair)],
+        )
 
     # ------------------------------------------------------------------
     # Comparison helpers (EncCompare constructions).
     # ------------------------------------------------------------------
 
-    def blinded_sign(self, ct: Ciphertext, protocol: str) -> bool:
+    def blinded_sign(self, ct: CtVector, protocol: str) -> bool:
         """Return whether the (blinded) signed plaintext is positive.
 
         Used by the multiplicative-blind ``EncCompare``: the plaintext is
@@ -224,42 +247,48 @@ class CryptoCloud:
         magnitude class is extra (documented) leakage of this fast
         construction; the DGK construction avoids it.
         """
-        sign = self._centred([ct])[0] > 0
+        sign = self._centred(self._single(ct))[0] > 0
         self.leakage.record("S2", protocol, "cmp_sign", sign)
         return sign
 
-    def decrypt_masked_bit(self, ct: Ciphertext, protocol: str) -> int:
+    def decrypt_masked_bit(self, ct: CtVector, protocol: str) -> int:
         """Decrypt a ciphertext known to hold a coin-masked bit: its
         residue mod ``p`` must be 0 or 1."""
-        bit = self._residues([ct])[0]
+        bit = self._residues(self._single(ct))[0]
         if bit not in (0, 1):
             raise ProtocolError("masked-bit ciphertext held a non-bit value")
         self.leakage.record("S2", protocol, "masked_bit", bit)
         return bit
 
     def dgk_decompose(
-        self, ct: Ciphertext, ell: int, protocol: str
-    ) -> tuple[list[Ciphertext], Ciphertext]:
+        self, ct: CtVector, ell: int, protocol: str
+    ) -> tuple[CtVector, CtVector]:
         """S2's first step of the DGK comparison.
 
         Decrypts the additively-blinded value ``c = z + r`` (uniform given
         the blinding), and returns encryptions of the low ``ell`` bits of
         ``c`` plus an encryption of ``floor(c / 2**ell)``.
         """
-        c = self._centred([ct])[0]
+        c = self._centred(self._single(ct))[0]
         low = c % (1 << ell)
         high = c >> ell
-        bit_cts = self.public_key.encrypt_batch(
-            [(low >> i) & 1 for i in range(ell)], self.rng
+        bit_cts = CtVector.encrypt(
+            self.public_key, [(low >> i) & 1 for i in range(ell)], self.rng
         )
         self.leakage.record("S2", protocol, "dgk_blinded", None)
-        return bit_cts, self.public_key.encrypt(high, self.rng)
+        return bit_cts, CtVector.encrypt(self.public_key, [high], self.rng)
 
-    def dgk_any_zero(self, cts: list[Ciphertext], protocol: str) -> bool:
+    def dgk_any_zero(self, cts: CtVector, protocol: str) -> bool:
         """Whether any of the (randomized, permuted) values decrypts to 0."""
         found = 0 in self._residues(cts)
         self.leakage.record("S2", protocol, "dgk_any_zero", found)
         return found
+
+    def square_blinded(self, ct: CtVector, protocol: str) -> CtVector:
+        """The SkNN baseline's step: ``Enc(v²)`` for the blinded ``v``."""
+        (value,) = self.decrypt_batch_for_protocol(self._single(ct), protocol, "dgk_blinded")
+        n = self.public_key.n
+        return CtVector.encrypt(self.public_key, [value * value % n], self.rng)
 
     # ------------------------------------------------------------------
     # Sorting (EncSort), deduplication (SecDedup / SecDupElim) and
@@ -269,7 +298,7 @@ class CryptoCloud:
     # ------------------------------------------------------------------
 
     def decrypt_batch_for_protocol(
-        self, cts: list[Ciphertext], protocol: str, kind: str
+        self, cts: CtVector, protocol: str, kind: str
     ) -> list[int]:
         """Decrypt blinded values to their residues mod ``p`` and log one
         ``kind`` event per decryption.
@@ -280,7 +309,7 @@ class CryptoCloud:
         return self._logged(self._residues(cts), protocol, kind)
 
     def decrypt_signed_batch_for_protocol(
-        self, cts: list[Ciphertext], protocol: str, kind: str
+        self, cts: CtVector, protocol: str, kind: str
     ) -> list[int]:
         """Signed variant of :meth:`decrypt_batch_for_protocol`: centred
         residues mod ``p``."""
@@ -290,10 +319,6 @@ class CryptoCloud:
         for _ in values:
             self.leakage.record("S2", protocol, kind, None)
         return values
-
-    def fresh_encrypt(self, value: int) -> Ciphertext:
-        """A fresh Paillier encryption (S2 re-encrypting after a bulk op)."""
-        return self.public_key.encrypt(value, self.rng)
 
 
 @dataclass

@@ -14,7 +14,7 @@ value it cannot read:
 3. S1 removes the blind: ``Enc(t·x) = reply · (Enc(t)^r)^{-1}`` (one
    batched inversion and one short-exponent ``N^2`` power per slot).
    The eager engine never holds the unblinded ``Enc(t·x)``: it takes the
-   bare reply from :func:`blinded_select_reply_flow` and unblinds it
+   reply's buffers from :func:`blinded_select_reply_flow` and unblinds them
    straight into its targets with one backend program —
    :data:`~repro.core.engine.ABSORB` (the absorb's running worsts, seen
    bits and new entry) or :data:`~repro.core.engine.BOUNDS` (the best
@@ -30,6 +30,7 @@ full-length exponent.
 from __future__ import annotations
 
 from repro.crypto.paillier import Ciphertext
+from repro.crypto.vector import CtVector, vector_of
 from repro.exceptions import ProtocolError
 from repro.net.messages import BlindedSelect
 from repro.protocols.base import S1Context
@@ -38,7 +39,7 @@ from repro.protocols.blinding import _SURPLUS_BITS
 
 def blinded_select_reply_flow(
     ctx: S1Context,
-    tests: list[Ciphertext],
+    tests: CtVector,
     values: list[Ciphertext],
     groups: list[int],
     bit_mode: bool,
@@ -46,8 +47,8 @@ def blinded_select_reply_flow(
 ):
     """Flow form: yields one :class:`BlindedSelect`, returns the reply
     still blinded — ``(selected, bits, blinds)``: per slot ``i`` of
-    ``tests`` the residues of ``Enc(t_i · (x_{groups[i]} + r))`` and
-    ``Enc(t_i)``, and the slot's blind ``r``.
+    ``tests`` ``Enc(t_i · (x_{groups[i]} + r))`` and ``Enc(t_i)``, two
+    vectors, and the slot's blind ``r``.
 
     ``tests`` are equality tests (``t = [b == 0]``) or, with
     ``bit_mode``, rerandomized coin-masked bits.  Every ``x`` is a score
@@ -55,19 +56,18 @@ def blinded_select_reply_flow(
     already assumes, which is the ``|x|`` the blinds cover.
     """
     pk = ctx.public_key
+    n, n2 = pk.n, pk.n_squared
     width = ctx.encoder.score_bits + ctx.encoder.blind_bits + _SURPLUS_BITS
     blinds = [ctx.rng.randbits(width) for _ in values]
-    blinded = pk.rerandomize_batch(
-        [value + r for value, r in zip(values, blinds)], ctx.rng
+    blinded = CtVector.randomized(
+        pk,
+        [value.value * ((1 + r % n * n) % n2) % n2 for value, r in zip(values, blinds)],
+        ctx.rng,
     )
     selected, bits = yield BlindedSelect(
         protocol=protocol, cts=tests, values=blinded, groups=groups, bit_mode=bit_mode
     )
-    if not len(selected) == len(bits) == len(tests):
+    if not len(vector_of(selected, pk)) == len(vector_of(bits, pk)) == len(tests):
         raise ProtocolError("blinded select reply does not match its slots")
-    return (
-        [s.value for s in selected],
-        [b.value for b in bits],
-        [blinds[g] for g in groups],
-    )
+    return selected, bits, [blinds[g] for g in groups]
 

@@ -42,8 +42,9 @@ from __future__ import annotations
 import hashlib
 
 from repro.crypto import backend
-from repro.crypto.paillier import Ciphertext, PaillierKeypair, PaillierPublicKey
+from repro.crypto.paillier import PaillierKeypair, PaillierPublicKey
 from repro.crypto.rng import SecureRandom
+from repro.crypto.vector import CtVector, vector_of
 from repro.exceptions import ProtocolError
 from repro.structures.items import ItemBatch, ScoredItem
 
@@ -174,16 +175,13 @@ class ItemBlinder:
 
     def encrypt_seeds(
         self, own_public: PaillierPublicKey, seeds: list[bytes], rng: SecureRandom
-    ) -> list[Ciphertext]:
+    ) -> CtVector:
         """``Enc_pk'(seed)`` per seed — the companion ``H`` ciphertexts."""
-        return own_public.encrypt_batch(
-            [int.from_bytes(seed, "big") for seed in seeds], rng
-        )
+        return CtVector.encrypt(own_public, [int.from_bytes(seed, "big") for seed in seeds], rng)
 
-    def decrypt_seeds(
-        self, own_keypair: PaillierKeypair, h_list: list[Ciphertext]
-    ) -> list[bytes]:
-        """Recover the seed list from companion ciphertexts.
+    def decrypt_seeds(self, own_keypair: PaillierKeypair, companions) -> list[bytes]:
+        """Recover the seed list from companion ciphertexts (a vector, or
+        a list of ciphertexts).
 
         A seed is ``8 * SEED_BYTES`` bits and ``pk'``'s primes are wider
         (checked here, where the blinder meets the key), so the mod-``p``
@@ -193,7 +191,7 @@ class ItemBlinder:
         if min(sk.p, sk.q).bit_length() <= 8 * SEED_BYTES:
             raise ProtocolError("pk' primes are too narrow to carry a seed")
         seeds = []
-        for value in sk.decrypt_batch_below_p(h_list):
+        for value in sk.decrypt_batch_below_p(companions):
             if value >= 1 << (8 * SEED_BYTES):
                 raise ProtocolError("companion ciphertext held a non-seed value")
             seeds.append(value.to_bytes(SEED_BYTES, "big"))
@@ -203,7 +201,7 @@ class ItemBlinder:
 
     def blind_fresh(
         self, batch: ItemBatch, own_public: PaillierPublicKey, rng: SecureRandom
-    ) -> tuple[ItemBatch, list[Ciphertext]]:
+    ) -> tuple[ItemBatch, CtVector]:
         """Blind every item under a fresh seed of its own; returns the
         blinded batch and its companions ``Enc_pk'(seed)``."""
         seeds = self.fresh_seeds(rng, len(batch))
@@ -211,20 +209,16 @@ class ItemBlinder:
         return blinded, self.encrypt_seeds(own_public, seeds, rng)
 
     def unblind_companions(
-        self,
-        own_keypair: PaillierKeypair,
-        batch: ItemBatch,
-        companions: list[tuple],
+        self, own_keypair: PaillierKeypair, batch: ItemBatch, companions: CtVector
     ) -> list[ScoredItem]:
-        """S1's last step of a blinded round: decrypt every item's
-        companion seeds (one batch for the round), remove their blinds and
-        build the round's items."""
-        seeds = iter(
-            self.decrypt_seeds(own_keypair, [h for comp in companions for h in comp])
-        )
-        return self.unblind_batch(
-            batch, [[next(seeds) for _ in comp] for comp in companions]
-        ).unpack()
+        """S1's last step of a blinded round: decrypt every item's two
+        companion seeds (``companions`` holds them flat, ``(H_a, H_b)``
+        per item; one batch for the round), remove their blinds and build
+        the round's items."""
+        if len(vector_of(companions, own_keypair.public_key)) != 2 * len(batch):
+            raise ProtocolError("a blinded round's reply carries two companions per item")
+        seeds = self.decrypt_seeds(own_keypair, companions)
+        return self.unblind_batch(batch, [seeds[i : i + 2] for i in range(0, len(seeds), 2)]).unpack()
 
 
 def junk_batch(
@@ -246,7 +240,7 @@ def junk_batch(
     then encrypted as one batch, item after item.
     """
     n = public_key.n
-    values = []
+    vectors = []
     for shape in templates.shapes:
         item = [rng.randint_below(n) for _ in range(shape.cells)]
         item += [sentinel % n] * (shape.worst + shape.best)
@@ -254,11 +248,9 @@ def junk_batch(
         item += [1] * (shape.seen or 0)
         if shape.record:
             item.append(rng.randint_below(n))
-        values += [ct.value for ct in public_key.encrypt_batch(item, rng)]
-    words = backend.words_for(public_key.n_squared)
+        vectors.append(CtVector.encrypt(public_key, item, rng))
     return ItemBatch(
-        public_key,
         list(templates.shapes),
         [-1] * len(templates),
-        backend.pack_ints(values, words),
+        CtVector(public_key, sum(map(len, vectors)), b"".join([v.buffer for v in vectors])),
     )

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext
+from repro.crypto.vector import CtVector
 from repro.net.messages import BlindedSign, DecryptMaskedBit, DgkAnyZero, DgkDecompose
 from repro.protocols.base import S1Context
 from repro.exceptions import KeyMismatchError, ProtocolError
@@ -135,9 +136,8 @@ def _blinded_signs(
         (
             BlindedSign(
                 protocol=protocol,
-                ct=Ciphertext(
-                    power * (1 + (-scale if sigma else scale) % n * n) % n2 * r % n2,
-                    pk,
+                ct=CtVector.of(
+                    pk, [power * (1 + (-scale if sigma else scale) % n * n) % n2 * r % n2]
                 ),
             ),
             sigma,
@@ -173,7 +173,8 @@ def _compare_dgk_flow(
     r = ctx.rng.randint_below(1 << (ell + kappa))
     enc_c = ctx.public_key.rerandomize(enc_z + r, ctx.rng)
 
-    bit_cts, enc_high = yield DgkDecompose(protocol=protocol, ct=enc_c, ell=ell)
+    bits, high = yield DgkDecompose(protocol=protocol, ct=enc_c, ell=ell)
+    bit_cts, (enc_high,) = bits.ciphertexts(), high.ciphertexts()
 
     # DGK core: decide borrow = ((c mod 2^ell) < (r mod 2^ell)) where S1
     # knows r-hat = r mod 2^ell and S2 supplied encrypted bits of

@@ -42,6 +42,7 @@ import dataclasses
 
 from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
+from repro.crypto.vector import CtVector, vector_of
 from repro.exceptions import ProtocolError
 from repro.net.messages import SortAffine, SortGateBatch
 from repro.protocols.base import CryptoCloud, S1Context
@@ -96,24 +97,21 @@ def _affine_params(ctx: S1Context) -> tuple[int, int]:
 
 
 def _blind_keys(
-    ctx: S1Context, keys: list[Ciphertext], maps: list[tuple[int, int]]
-) -> list[Ciphertext]:
-    """``Enc(r*k + s)``, rerandomized, for every key under its ``(r, s)``
-    map: one scalar-multiplication batch for the round, then ``+ s`` (a
-    factor ``1 + s·N``) and the rerandomizer in one draw."""
+    ctx: S1Context, keys: list[int], maps: list[tuple[int, int]]
+) -> CtVector:
+    """``Enc(r*k + s)``, rerandomized, for every key value under its
+    ``(r, s)`` map: one scalar-multiplication batch for the round, then
+    ``+ s`` (a factor ``1 + s·N``) and the rerandomizer in one draw."""
     pk = ctx.public_key
     n, n2 = pk.n, pk.n_squared
-    scaled = backend.powmod_pairs([k.value for k in keys], [r % n for r, _ in maps], n2)
-    return [
-        Ciphertext(value, pk)
-        for value in pk.randomize_values(
-            [value * (1 + s % n * n) % n2 for value, (_, s) in zip(scaled, maps)], ctx.rng
-        )
-    ]
+    scaled = backend.powmod_pairs(keys, [r % n for r, _ in maps], n2)
+    return CtVector.randomized(
+        pk, [value * (1 + s % n * n) % n2 for value, (_, s) in zip(scaled, maps)], ctx.rng
+    )
 
 
-def one_way_keys(ctx: S1Context, keys: list[Ciphertext]) -> list[Ciphertext]:
-    """``Enc(r*k + s + e_i)`` per key, for a sort S1 never inverts.
+def one_way_keys(ctx: S1Context, keys: list[int]) -> CtVector:
+    """``Enc(r*k + s + e_i)`` per key value, for a sort S1 never inverts.
 
     One map ``(r, s)`` for the round plus a fresh ``e_i ∈ [0, r)`` per
     key: strictly order-preserving on integer keys (``k < k'`` gives
@@ -126,7 +124,7 @@ def one_way_keys(ctx: S1Context, keys: list[Ciphertext]) -> list[Ciphertext]:
 
 def s2_order(
     s2: CryptoCloud,
-    keys: list[Ciphertext],
+    keys: CtVector,
     payloads: list,
     descending: bool,
     protocol: str,
@@ -148,16 +146,20 @@ def _without_key(items: list[ScoredItem]) -> list[ScoredItem]:
 
 
 def _recover_keys(
-    ctx: S1Context, key_cts: list[Ciphertext], maps: list[tuple[int, int]]
+    ctx: S1Context, keys: CtVector, maps: list[tuple[int, int]]
 ) -> list[Ciphertext]:
     """Undo the affine transport, ``(k' - s) / r``, for every returned key."""
     pk = ctx.public_key
+    n, n2 = pk.n, pk.n_squared
     return [
         Ciphertext(value, pk)
         for value in backend.powmod_pairs(
-            [(ct - s).value for ct, (_, s) in zip(key_cts, maps)],
-            [pow(r, -1, pk.n) for r, _ in maps],
-            pk.n_squared,
+            [
+                value * ((1 + -s % n * n) % n2) % n2
+                for value, (_, s) in zip(vector_of(keys, pk).values(), maps)
+            ],
+            [pow(r, -1, n) for r, _ in maps],
+            n2,
         )
     ]
 
@@ -177,7 +179,7 @@ def _sort_affine(
     blinder = ItemBlinder(ctx.public_key)
     permuted = [items[i] for i in ctx.rng.permutation(len(items))]
     maps = [_affine_params(ctx)] * len(items)
-    blinded_keys = _blind_keys(ctx, [item.worst for item in permuted], maps)
+    blinded_keys = _blind_keys(ctx, [item.worst.value for item in permuted], maps)
     blinded_items, companions = blinder.blind_fresh(
         ItemBatch.pack(ctx.public_key, _without_key(permuted)),
         own_keypair.public_key,
@@ -204,27 +206,42 @@ def _sort_affine(
 def s2_sort_affine(
     s2: CryptoCloud,
     own_public,
-    blinded_keys: list[Ciphertext],
+    blinded_keys: CtVector,
     blinded_items: ItemBatch,
-    companions: list[Ciphertext],
+    companions: CtVector,
     descending: bool,
     protocol: str,
 ):
     """S2's side of the affine construction."""
-    blinded_items = check_batch(blinded_items, s2.public_key)
-    if not len(blinded_keys) == len(blinded_items) == len(companions):
+    pk = s2.public_key
+    blinded_items = check_batch(blinded_items, pk)
+    if not len(vector_of(blinded_keys, pk)) == len(blinded_items) == len(
+        vector_of(companions, own_public)
+    ):
         raise ProtocolError("malformed sort: keys, items and companions disagree")
-    blinder = ItemBlinder(s2.public_key)
+    blinder = ItemBlinder(pk)
     decorated = s2_order(
         s2, blinded_keys, range(len(blinded_keys)), descending, protocol
     )
-    n = s2.public_key.n
-    keys_out = s2.public_key.encrypt_batch([value % n for value, _ in decorated], s2.rng)
-    items_out, fresh = blinder.blind_fresh(
-        blinded_items.select([i for _, i in decorated]), own_public, s2.rng
+    keys_out = CtVector.encrypt(pk, [value % pk.n for value, _ in decorated], s2.rng)
+    slots = [i for _, i in decorated]
+    items_out, fresh = blinder.blind_fresh(blinded_items.select(slots), own_public, s2.rng)
+    return keys_out, items_out, companion_pairs(companions.select(slots), fresh)
+
+
+def companion_pairs(held: CtVector, fresh: CtVector) -> CtVector:
+    """``(held[i], fresh[i])`` per item, flat: a reply's companions."""
+    stride = held.stride
+    a, b = held.buffer, fresh.buffer
+    return CtVector(
+        held.key,
+        2 * len(held),
+        b"".join([
+            chunk
+            for at in range(0, len(a), stride)
+            for chunk in (a[at : at + stride], b[at : at + stride])
+        ]),
     )
-    comps_out = [(companions[i], h) for (_, i), h in zip(decorated, fresh)]
-    return keys_out, items_out, comps_out
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +326,7 @@ def _sort_network(
             swap = bool(ctx.rng.randbits(1))
             slots += (j, i) if swap else (i, j)
             maps += [r_s, r_s]
-        keys = _blind_keys(ctx, [working[idx].worst for idx in slots], maps)
+        keys = _blind_keys(ctx, [working[idx].worst.value for idx in slots], maps)
         blinded, companions = blinder.blind_fresh(
             ItemBatch.pack(ctx.public_key, _without_key([working[idx] for idx in slots])),
             own_keypair.public_key,
@@ -331,10 +348,10 @@ def _sort_network(
             ItemBatch.concat(
                 [check_batch(items_out, ctx.public_key) for _, items_out, _ in replies]
             ),
-            [comp for _, _, comps_out in replies for comp in comps_out],
+            CtVector.concat([comps_out for _, _, comps_out in replies]),
         )
         recovered = _recover_keys(
-            ctx, [k for keys_out, _, _ in replies for k in keys_out], maps
+            ctx, CtVector.concat([keys_out for keys_out, _, _ in replies]), maps
         )
         for clean, key_ct in zip(cleaned, recovered):
             clean.worst = key_ct
@@ -358,19 +375,20 @@ def s2_gates(
     """
     pk = s2.public_key
     for pair_keys, pair_items, pair_comps in gates:
-        if not len(pair_keys) == len(check_batch(pair_items, pk)) == len(pair_comps) == 2:
+        if not len(vector_of(pair_keys, pk)) == len(check_batch(pair_items, pk)) == len(
+            vector_of(pair_comps, own_public)
+        ) == 2:
             raise ProtocolError("malformed sort gate: a gate holds two keys, items and companions")
     if not gates:
         return []
     blinder = ItemBlinder(pk)
-    all_keys = [k for pair_keys, _, _ in gates for k in pair_keys]
     all_values = s2.decrypt_signed_batch_for_protocol(
-        all_keys, protocol, "gate_key_blinded"
+        CtVector.concat([pair_keys for pair_keys, _, _ in gates]), protocol, "gate_key_blinded"
     )
 
     # Every gate's ordered pair, flat in reply order: input slot 2g + idx.
-    values_out, slots, comps_in = [], [], []
-    for gate_index, (_, _, pair_comps) in enumerate(gates):
+    values_out, slots = [], []
+    for gate_index in range(len(gates)):
         values = all_values[2 * gate_index : 2 * gate_index + 2]
         order = [0, 1]
         if (values[0] < values[1]) == descending:
@@ -379,13 +397,13 @@ def s2_gates(
         for idx in order:
             values_out.append(values[idx] % pk.n)
             slots.append(2 * gate_index + idx)
-            comps_in.append(pair_comps[idx])
 
-    keys_out = pk.encrypt_batch(values_out, s2.rng)
+    keys_out = CtVector.encrypt(pk, values_out, s2.rng)
     items_in = ItemBatch.concat([pair_items for _, pair_items, _ in gates]).select(slots)
     items_out, fresh = blinder.blind_fresh(items_in, own_public, s2.rng)
-    comps_out = list(zip(comps_in, fresh))
+    comps_in = CtVector.concat([pair_comps for _, _, pair_comps in gates]).select(slots)
+    comps_out = companion_pairs(comps_in, fresh)
     return [
-        (keys_out[g : g + 2], items_out.select((g, g + 1)), comps_out[g : g + 2])
+        (keys_out[g : g + 2], items_out.select((g, g + 1)), comps_out[2 * g : 2 * g + 4])
         for g in range(0, len(keys_out), 2)
     ]

@@ -26,6 +26,7 @@ from __future__ import annotations
 from repro.crypto import backend
 from repro.crypto.damgard_jurik import LayeredCiphertext, layered_select_batch
 from repro.crypto.paillier import Ciphertext
+from repro.crypto.vector import CtVector
 from repro.net.messages import StripLayerBatch
 from repro.protocols.base import S1Context
 
@@ -40,12 +41,10 @@ def _draw_blinds(ctx: S1Context, count: int) -> tuple[list[int], list[int]]:
     return blinds, [enc_r.value for enc_r in pk.encrypt_batch(blinds, ctx.rng)]
 
 
-def _strip_and_unblind(
-    blinded: list[LayeredCiphertext], blinds: list[int], protocol: str
-):
+def _strip_and_unblind(blinded: CtVector, blinds: list[int], protocol: str):
     """Steps 2–3: one ``StripLayerBatch`` round, then remove the blinds."""
     replies = yield StripLayerBatch(protocol=protocol, cts=blinded)
-    return [reply - r for reply, r in zip(replies, blinds)]
+    return [reply - r for reply, r in zip(replies.ciphertexts(), blinds)]
 
 
 def recover_enc_flow(
@@ -61,10 +60,9 @@ def recover_enc_flow(
     dj = ctx.dj
     blinds, enc_blinds = _draw_blinds(ctx, len(layered))
     # E2(Enc(c))^{Enc(r)} for the whole batch: one scalar-mul call.
-    blinded = [
-        LayeredCiphertext(value, dj)
-        for value in backend.powmod_pairs(dj.values_of(layered), enc_blinds, dj.n_s1)
-    ]
+    blinded = CtVector.of(
+        dj, backend.powmod_pairs(dj.values_of(layered), enc_blinds, dj.n_s1)
+    )
     return (yield from _strip_and_unblind(blinded, blinds, protocol))
 
 

@@ -28,6 +28,7 @@ paper's Section 10.3 analysis.
 from __future__ import annotations
 
 from repro.crypto.paillier import Ciphertext
+from repro.crypto.vector import CtVector
 from repro.net.messages import ZeroTestBatch
 from repro.protocols.base import S1Context
 from repro.protocols.recover_enc import select_recover_flow
@@ -54,15 +55,16 @@ def sec_best_flow(
     # One equality batch covering all (list, depth) pairs, permuted
     # per-list so S2 cannot align replies with depths.
     batches: list[tuple[list[EncryptedItem], list[int]]] = []
-    flat_cts: list[Ciphertext] = []
+    tests: list[CtVector] = []
+    start = 0
     for prefix in other_prefixes:
         order = ctx.rng.permutation(len(prefix))
         permuted = [prefix[i] for i in order]
-        start = len(flat_cts)
-        flat_cts += item.ehl.minus_many([entry.ehl for entry in permuted], ctx.rng)
-        batches.append((permuted, list(range(start, len(flat_cts)))))
+        tests.append(item.ehl.minus_many([entry.ehl for entry in permuted], ctx.rng))
+        batches.append((permuted, list(range(start, start + len(permuted)))))
+        start += len(permuted)
 
-    bits = yield ZeroTestBatch(protocol=protocol, cts=flat_cts)
+    bits = (yield ZeroTestBatch(protocol=protocol, cts=CtVector.concat(tests))).ciphertexts()
 
     zero = ctx.zero()
     selections = []

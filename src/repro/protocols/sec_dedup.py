@@ -56,13 +56,14 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.crypto.paillier import Ciphertext, PaillierKeypair
+from repro.crypto.paillier import PaillierKeypair
+from repro.crypto.vector import CtVector, vector_of
 from repro.exceptions import ProtocolError
 from repro.net.messages import DedupBatch, DedupSort
 from repro.protocols.base import CryptoCloud, S1Context
 from repro.protocols.blinding import ItemBlinder, check_batch, junk_batch
 from repro.protocols.enc_sort import PROTOCOL as SORT_PROTOCOL
-from repro.protocols.enc_sort import one_way_keys, s2_order
+from repro.protocols.enc_sort import companion_pairs, one_way_keys, s2_order
 from repro.structures.ehl import EncryptedHashList, KnownPairs
 from repro.structures.items import ItemBatch, ScoredItem
 
@@ -99,7 +100,7 @@ def _prepare(
     ranks: list[int],
     own_keypair: PaillierKeypair,
     known: KnownPairs | None,
-    counts: list[Ciphertext] | None = None,
+    counts: CtVector | None = None,
 ):
     """S1's permutation ``π`` and blinding of one round: its blinder and
     the per-item fields of its ``DedupBatch`` — the ``⊖`` matrix — or,
@@ -108,11 +109,13 @@ def _prepare(
     ``known`` is what the caller already holds about pairs of these
     items' EHLs; those matrix entries are filled without recomputing
     ``⊖`` (see :func:`repro.structures.ehl.minus_pairs`).  ``counts[r −
-    1]`` belongs to the item of rank ``r ≥ 1``; the counts are
-    rerandomized in one batch and travel in the permuted order of those
-    items.
+    1]`` (a vector, or a list of ciphertexts) belongs to the item of rank
+    ``r ≥ 1``; the counts are rerandomized in one batch and travel in the
+    permuted order of those items.
     """
     blinder = ItemBlinder(ctx.public_key)
+    if counts is not None and type(counts) is not CtVector:
+        counts = CtVector.of(ctx.public_key, [c.value for c in counts])
     order = ctx.rng.permutation(len(items))
     permuted = [items[i] for i in order]
     fields = {"ranks": [ranks[i] for i in order]}
@@ -121,9 +124,9 @@ def _prepare(
             [item.ehl for item in permuted], ctx.rng, known
         )
     else:
-        fresh = ctx.public_key.rerandomize_batch(counts, ctx.rng)
-        fields["counts"] = [fresh[ranks[i] - 1] for i in order if ranks[i]]
-        fields["keys"] = one_way_keys(ctx, [item.worst for item in permuted])
+        fresh = CtVector.randomized(ctx.public_key, counts.buffer, ctx.rng, len(counts))
+        fields["counts"] = fresh.select([ranks[i] - 1 for i in order if ranks[i]])
+        fields["keys"] = one_way_keys(ctx, [item.worst.value for item in permuted])
     fields["items"], fields["companions"] = blinder.blind_fresh(
         ItemBatch.pack(ctx.public_key, permuted), own_keypair.public_key, ctx.rng
     )
@@ -138,7 +141,7 @@ def dedup_round(
     protocol: str,
     known: KnownPairs | None,
     eliminate: bool,
-    counts: list[Ciphertext] | None = None,
+    counts: CtVector | list | None = None,
 ) -> list[ScoredItem]:
     """S1's side of one deduplication round, shared by ``SecDedup``
     (bury), ``SecDupElim`` (drop) and, with ``counts``, ``DedupSort``,
@@ -175,7 +178,7 @@ def sec_dedup(
     ranks: list[int] | None = None,
     protocol: str = PROTOCOL,
     known: KnownPairs | None = None,
-    counts: list[Ciphertext] | None = None,
+    counts: CtVector | list | None = None,
 ) -> list[ScoredItem]:
     """Return a same-length list with duplicate objects buried as junk;
     with ``counts`` (``DedupSort``), the survivors first, by worst
@@ -193,7 +196,7 @@ def sec_dedup(
 
 def _s2_keepers(
     s2: CryptoCloud,
-    matrix: list[Ciphertext],
+    matrix: CtVector,
     ranks: list[int],
     protocol: str,
 ) -> list[int]:
@@ -232,7 +235,7 @@ def _s2_release(
     s2: CryptoCloud,
     own_public,
     blinded: ItemBatch,
-    companions: list[Ciphertext],
+    companions: CtVector,
     kept: list[int],
     sentinel: int,
     eliminate: bool,
@@ -244,37 +247,35 @@ def _s2_release(
 
     A survivor travels on under one more seed next to its companion; a
     junk item gets two seeds of S2's, so every outgoing item has the
-    uniform companion shape ``(H_a, H_b)``.
+    uniform companion shape ``(H_a, H_b)``, flat in one vector.
     """
     outgoing = blinded.select(kept)
-    carried: list[Ciphertext | None] = [companions[i] for i in kept]
+    buried = []
     if not eliminate:
         survivors = set(kept)
         buried = [i for i in range(len(blinded)) if i not in survivors]
         junk = junk_batch(s2.public_key, blinded.select(buried), sentinel, s2.rng)
         outgoing = ItemBatch.concat([outgoing, junk])
-        carried += [None] * len(buried)
 
     blinder = ItemBlinder(s2.public_key)
-    counts = [1 if h is not None else 2 for h in carried]
-    seeds = blinder.fresh_seeds(s2.rng, sum(counts))
+    seeds = blinder.fresh_seeds(s2.rng, len(kept) + 2 * len(buried))
     sealed = blinder.encrypt_seeds(own_public, seeds, s2.rng)
-    seed_lists: list[list[bytes]] = []
-    comps_out: list[tuple[Ciphertext, Ciphertext]] = []
-    at = 0
-    for h, count in zip(carried, counts):
-        seed_lists.append(seeds[at : at + count])
-        comps_out.append(
-            (h, sealed[at]) if h is not None else (sealed[at], sealed[at + 1])
-        )
-        at += count
+    # Survivor j's pair is its companion and sealed seed j; the junk
+    # items' pairs are the sealed seeds after those, two each.
+    survivors = len(kept)
+    comps_out = CtVector.concat([
+        companion_pairs(companions.select(kept), sealed[:survivors]), sealed[survivors:]
+    ])
+    rest = seeds[survivors:]
+    seed_lists = [[seed] for seed in seeds[:survivors]]
+    seed_lists += [rest[i : i + 2] for i in range(0, len(rest), 2)]
     items_out = blinder.blind_batch(outgoing, seed_lists, s2.rng)
     if eliminate:
         s2.leakage.record("S2", protocol, "unique_count", len(items_out))
     return items_out, comps_out
 
 
-def _check_shape(blinded: ItemBatch, sized: tuple[str, list, int], **per_item: list) -> None:
+def _check_shape(blinded: ItemBatch, sized: tuple[str, CtVector, int], **per_item) -> None:
     """Refuse a batch that does not fit its items: a ``per_item`` field
     (``ranks`` among them) of another length, a rank that is not a
     non-negative integer, or the ``sized`` field ``(name, values,
@@ -296,9 +297,9 @@ def _check_shape(blinded: ItemBatch, sized: tuple[str, list, int], **per_item: l
 def s2_dedup(
     s2: CryptoCloud,
     own_public,
-    matrix: list[Ciphertext],
+    matrix: CtVector,
     blinded: ItemBatch,
-    companions: list[Ciphertext],
+    companions: CtVector,
     ranks: list[int],
     sentinel: int,
     eliminate: bool,
@@ -308,23 +309,26 @@ def s2_dedup(
     blinded = check_batch(blinded, s2.public_key)
     l = len(blinded)
     _check_shape(
-        blinded, ("matrix", matrix, l * (l - 1) // 2), companions=companions, ranks=ranks
+        blinded,
+        ("matrix", vector_of(matrix, s2.public_key), l * (l - 1) // 2),
+        companions=vector_of(companions, own_public),
+        ranks=ranks,
     )
     kept = _s2_keepers(s2, matrix, ranks, protocol)
     items_out, comps_out = _s2_release(
         s2, own_public, blinded, companions, kept, sentinel, eliminate, protocol
     )
     order = s2.rng.permutation(len(items_out))
-    return items_out.select(order), [comps_out[i] for i in order]
+    return items_out.select(order), comps_out.select([2 * i + j for i in order for j in (0, 1)])
 
 
 def s2_dedup_sort(
     s2: CryptoCloud,
     own_public,
-    counts: list[Ciphertext],
+    counts: CtVector,
     blinded: ItemBatch,
-    keys: list[Ciphertext],
-    companions: list[Ciphertext],
+    keys: CtVector,
+    companions: CtVector,
     ranks: list[int],
     sentinel: int,
     eliminate: bool,
@@ -334,17 +338,22 @@ def s2_dedup_sort(
     new item whose count of earlier copies decrypts to 0; then only the
     survivors' keys are decrypted, the survivors ordered by them
     (descending) and new junk appended; no second permutation."""
-    new = [i for i, rank in enumerate(ranks) if rank != 0]
-    blinded = check_batch(blinded, s2.public_key)
+    pk = s2.public_key
+    blinded = check_batch(blinded, pk)
     _check_shape(
-        blinded, ("counts", counts, len(new)), keys=keys, companions=companions, ranks=ranks
+        blinded,
+        ("counts", vector_of(counts, pk), sum(1 for rank in ranks if rank != 0)),
+        keys=vector_of(keys, pk),
+        companions=vector_of(companions, own_public),
+        ranks=ranks,
     )
+    new = [i for i, rank in enumerate(ranks) if rank != 0]
     copies = [0] * len(blinded)
     for i, c in zip(new, s2.decrypt_batch_for_protocol(counts, protocol, "dedup_count")):
         copies[i] = c
     s2.leakage.record("S2", protocol, "dedup_groups", _group_sizes(copies))
     kept = [i for i, c in enumerate(copies) if c == 0]
-    ordered = s2_order(s2, [keys[i] for i in kept], kept, True, SORT_PROTOCOL)
+    ordered = s2_order(s2, keys.select(kept), kept, True, SORT_PROTOCOL)
     return _s2_release(
         s2, own_public, blinded, companions, [i for _, i in ordered],
         sentinel, eliminate, protocol,

@@ -11,7 +11,8 @@ then runs on far fewer items.
 
 from __future__ import annotations
 
-from repro.crypto.paillier import Ciphertext, PaillierKeypair
+from repro.crypto.paillier import PaillierKeypair
+from repro.crypto.vector import CtVector
 from repro.protocols.base import S1Context
 from repro.protocols.sec_dedup import dedup_round
 from repro.structures.ehl import KnownPairs
@@ -27,7 +28,7 @@ def sec_dup_elim(
     ranks: list[int] | None = None,
     protocol: str = PROTOCOL,
     known: KnownPairs | None = None,
-    counts: list[Ciphertext] | None = None,
+    counts: CtVector | list | None = None,
 ) -> list[ScoredItem]:
     """Return a duplicate-free (shorter) list of re-encrypted items;
     with ``counts`` (``DedupSort``), ordered by worst score, descending."""

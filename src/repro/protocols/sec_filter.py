@@ -21,7 +21,9 @@ to S1 *which* pairs joined:
 
 from __future__ import annotations
 
-from repro.crypto.paillier import Ciphertext, PaillierKeypair
+from repro.crypto import backend
+from repro.crypto.paillier import PaillierKeypair
+from repro.crypto.vector import CtVector, vector_of
 from repro.net.messages import FilterBatch
 from repro.protocols.base import CryptoCloud, S1Context
 from repro.structures.items import JoinedTuple
@@ -44,22 +46,20 @@ def sec_filter(
     own_pk = own_keypair.public_key
 
     blinded: list[JoinedTuple] = []
-    keys_material: list[list[Ciphertext]] = []
+    keys_material: list[CtVector] = []
     for t in tuples:
         r = ctx.rng.rand_unit(n)
-        shifts = [ctx.rng.randint_below(n) for _ in t.attributes]
+        shifts = [ctx.rng.randint_below(n) for _ in range(len(t.attributes))]
         blinded.append(
             JoinedTuple(
                 score=ctx.public_key.rerandomize(t.score * r, ctx.rng),
                 attributes=[
                     ctx.public_key.rerandomize(a + s, ctx.rng)
-                    for a, s in zip(t.attributes, shifts)
+                    for a, s in zip(t.attributes.ciphertexts(), shifts)
                 ],
             )
         )
-        material = [own_pk.encrypt(pow(r, -1, n), ctx.rng)]
-        material += [own_pk.encrypt(s, ctx.rng) for s in shifts]
-        keys_material.append(material)
+        keys_material.append(CtVector.encrypt(own_pk, [pow(r, -1, n), *shifts], ctx.rng))
 
     order = ctx.rng.permutation(len(blinded))
     blinded = [blinded[i] for i in order]
@@ -75,13 +75,15 @@ def sec_filter(
     )
 
     result: list[JoinedTuple] = []
+    own_sk = own_keypair.secret_key
     for t, material in zip(tuples_out, material_out):
-        r_combined = own_keypair.secret_key.decrypt(material[0]) % n
-        shifts = [own_keypair.secret_key.decrypt(m) % n for m in material[1:]]
+        r_combined, *shifts = (
+            m % n for m in own_sk.raw_decrypt_batch(vector_of(material, own_pk).values())
+        )
         result.append(
             JoinedTuple(
                 score=t.score * r_combined,
-                attributes=[a - s for a, s in zip(t.attributes, shifts)],
+                attributes=[a - s for a, s in zip(t.attributes.ciphertexts(), shifts)],
             )
         )
     return result
@@ -91,35 +93,41 @@ def s2_filter(
     s2: CryptoCloud,
     own_pk,
     blinded: list[JoinedTuple],
-    keys_material: list[list[Ciphertext]],
+    keys_material: list[CtVector],
     protocol: str,
 ):
     """S2's side: drop zero-score tuples, re-blind the rest."""
-    n = s2.public_key.n
+    pk = s2.public_key
+    n, n2 = pk.n, pk.n_squared
+    own_n, own_n2 = own_pk.n, own_pk.n_squared
     survivors: list[JoinedTuple] = []
-    material_out: list[list[Ciphertext]] = []
+    material_out: list[CtVector] = []
     flags = s2.decrypt_batch_for_protocol(
-        [t.score for t in blinded], protocol, "filter_flag"
+        CtVector.of(pk, [t.score.value for t in blinded]), protocol, "filter_flag"
     )
     for t, material, flag in zip(blinded, keys_material, flags):
         if flag == 0:
             continue
         gamma = s2.rng.rand_unit(n)
-        shifts = [s2.rng.randint_below(n) for _ in t.attributes]
+        attributes = vector_of(t.attributes, pk).values()
+        shifts = [s2.rng.randint_below(n) for _ in attributes]
+        # Score · γ and attribute + shift, each rerandomized: one draw.
+        fresh = CtVector.randomized(
+            pk,
+            [backend.powmod(t.score.value, gamma, n2)]
+            + [a * (1 + sh * n) % n2 for a, sh in zip(attributes, shifts)],
+            s2.rng,
+        )
         survivors.append(
-            JoinedTuple(
-                score=s2.public_key.rerandomize(t.score * gamma, s2.rng),
-                attributes=[
-                    s2.public_key.rerandomize(a + sh, s2.rng)
-                    for a, sh in zip(t.attributes, shifts)
-                ],
-            )
+            JoinedTuple(score=fresh[0], attributes=fresh[1:])
         )
         # Extend the pk_s unblinding material homomorphically:
         # r^{-1} -> r^{-1} γ^{-1} (scalar mult), shift -> shift + sh (add).
-        combined = [material[0] * pow(gamma, -1, n)]
-        combined += [m + sh for m, sh in zip(material[1:], shifts)]
-        material_out.append(combined)
+        inverse, *held = vector_of(material, own_pk).values()
+        material_out.append(CtVector.of(own_pk, [
+            backend.powmod(inverse, pow(gamma, -1, n) % own_n, own_n2),
+            *(m * (1 + sh % own_n * own_n) % own_n2 for m, sh in zip(held, shifts)),
+        ]))
     s2.leakage.record("S2", protocol, "filter_flag", len(survivors))
 
     order = s2.rng.permutation(len(survivors))

@@ -65,7 +65,7 @@ def sec_join(
     )
     bits: list[LayeredCiphertext] = ctx.call(
         ZeroTestBatch(protocol=protocol, cts=eq_cts)
-    )
+    ).ciphertexts()
 
     # Homomorphic combination: score and carried attributes, gated by t
     # (the select keeps the inner value a valid ciphertext — Enc(0) — when

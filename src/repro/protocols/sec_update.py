@@ -70,7 +70,7 @@ def sec_update(
         [(g_item.ehl, t_item.ehl) for g_item in permuted_gamma for t_item in t_list],
         ctx.rng,
     )
-    bits_flat = ctx.call(ZeroTestBatch(protocol=protocol, cts=flat))
+    bits_flat = ctx.call(ZeroTestBatch(protocol=protocol, cts=flat)).ciphertexts()
 
     n_t = len(t_list)
     bits: list[list[LayeredCiphertext]] = [

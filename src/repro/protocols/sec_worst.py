@@ -56,7 +56,7 @@ def sec_worst_flow(
     equality_cts = item.ehl.minus_many(other_ehls, ctx.rng)
     if known is not None:
         known.tested(item.ehl, other_ehls, equality_cts)
-    bits = yield ZeroTestBatch(protocol=protocol, cts=equality_cts)
+    bits = (yield ZeroTestBatch(protocol=protocol, cts=equality_cts)).ciphertexts()
 
     zero = ctx.zero()
     scores = yield from select_recover_flow(

@@ -73,6 +73,7 @@ import time
 from repro.crypto import backend
 from repro.crypto.paillier import PaillierKeypair, PaillierSecretKey
 from repro.crypto.rng import SecureRandom
+from repro.crypto.vector import CtVector
 from repro.exceptions import KeyMismatchError, PeerDisconnected, ProtocolError, TransportError
 from repro.net.dispatch import S2Dispatcher
 from repro.net.socket_transport import (
@@ -99,6 +100,7 @@ from repro.net.wire import _MAX_DJ_DEGREE, WireCodec, decode_plain, shared_key, 
 from repro.obs.exporter import HealthState, MetricsExporter
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.protocols.base import CryptoCloud, LeakageLog
+from repro.structures.items import ItemBatch
 
 #: Seconds a fresh connection gets to send its HELLO.
 _HELLO_TIMEOUT_S = 30.0
@@ -217,11 +219,21 @@ class _Session:
         # The REPLY piggybacks the round's decrypt progress: (batches,
         # values, microseconds) int triples — the wire codec carries no
         # floats, and integers keep transcripts byte-comparable.
-        values = sum(len(r) if isinstance(r, (list, tuple)) else 1 for r in replies)
-        progress = ((len(messages), values, int(elapsed * 1e6)),)
+        progress = ((len(messages), _values_in(replies), int(elapsed * 1e6)),)
         out = bytearray()
         self.codec.encode_value((replies, events, progress), out)
         return bytes(out), elapsed
+
+
+def _values_in(reply) -> int:
+    """How many values a reply carries: a vector its length, an item
+    batch its components, a list or tuple the sum of its entries, and
+    anything else (a sign, a bit) one."""
+    if isinstance(reply, (list, tuple)):
+        return sum(map(_values_in, reply))
+    if isinstance(reply, ItemBatch):
+        return len(reply.vector)
+    return len(reply) if isinstance(reply, CtVector) else 1
 
 
 class Connection:

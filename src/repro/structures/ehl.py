@@ -37,6 +37,7 @@ from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.crypto.prf import Prf, derive_keys
 from repro.crypto.rng import SecureRandom
+from repro.crypto.vector import CtVector
 from repro.exceptions import KeyMismatchError, ProtocolError
 from repro.structures.bloom import BloomFilter
 
@@ -68,11 +69,11 @@ class EncryptedHashList:
         the underlying cell plaintexts are identical, otherwise of a value
         uniform in ``Z_N`` with overwhelming probability.
         """
-        return minus_pairs([(self, other)], rng)[0]
+        return minus_pairs([(self, other)], rng).ciphertexts()[0]
 
     def minus_many(
         self, others: list["EncryptedHashList"], rng: SecureRandom
-    ) -> list[Ciphertext]:
+    ) -> CtVector:
         """``[self ⊖ other for other in others]`` as one batch."""
         return minus_pairs([(self, other) for other in others], rng)
 
@@ -81,7 +82,7 @@ class EncryptedHashList:
         items: list["EncryptedHashList"],
         rng: SecureRandom,
         known: "KnownPairs | None" = None,
-    ) -> list[Ciphertext]:
+    ) -> CtVector:
         """The upper triangle ``items[i] ⊖ items[j]`` (``i < j``,
         row-major) of the pairwise equality matrix as one batch."""
         return minus_pairs(
@@ -134,18 +135,22 @@ class KnownPairs:
         self,
         mine: EncryptedHashList,
         others: list[EncryptedHashList],
-        cts: list[Ciphertext],
+        cts,
     ) -> None:
-        """``cts[i]`` is ``mine ⊖ others[i]`` (or its mirror image)."""
+        """``cts[i]`` is ``mine ⊖ others[i]`` (or its mirror image);
+        ``cts`` a vector, or a list of ciphertexts."""
         if len(cts) != len(others):
             raise ProtocolError(
                 f"{len(others)} pairs claimed tested, {len(cts)} ciphertexts held"
             )
-        for theirs, ct in zip(others, cts):
-            self._held[frozenset((mine, theirs))] = ct
+        if type(cts) is not CtVector:
+            cts = CtVector.pack(cts)
+        for theirs, value in zip(others, cts.checked(mine.public_key).values()):
+            self._held[frozenset((mine, theirs))] = value
 
     def lookup(self, mine: EncryptedHashList, theirs: EncryptedHashList):
-        """``_DISTINCT``, the pair's earlier ``⊖`` ciphertext, or ``None``."""
+        """``_DISTINCT``, the value of the pair's earlier ``⊖``
+        ciphertext, or ``None``."""
         return self._held.get(frozenset((mine, theirs)))
 
 
@@ -153,7 +158,7 @@ def minus_pairs(
     pairs: list[tuple[EncryptedHashList, EncryptedHashList]],
     rng: SecureRandom,
     known: KnownPairs | None = None,
-) -> list[Ciphertext]:
+) -> CtVector:
     """``mine ⊖ theirs`` for every pair, each by the cheapest rule that
     leaves the decryptor's view unchanged in distribution:
 
@@ -182,29 +187,24 @@ def minus_pairs(
         elif answer is _DISTINCT:
             distinct.append(slot)
         else:
-            if answer.public_key is not pk and answer.public_key != pk:
-                raise KeyMismatchError(
-                    "cannot combine ciphertexts under different keys"
-                )
             rescaled.append(slot)
-            sources.append(answer.value)
+            sources.append(answer)
 
-    out: list[Ciphertext | None] = [None] * len(pairs)
-    for slot, ct in zip(
-        computed, _minus_computed([pairs[slot] for slot in computed], rng)
-    ):
-        out[slot] = ct
+    out: list = [None] * len(pairs)
+
+    def place(slots: list[int], vector: CtVector) -> None:
+        stride, buffer = vector.stride, vector.buffer
+        for i, slot in enumerate(slots):
+            out[slot] = buffer[i * stride : (i + 1) * stride]
+
+    if computed:
+        place(computed, _minus_computed([pairs[slot] for slot in computed], rng))
     if distinct:
-        fresh = pk.encrypt_batch([rng.rand_nonzero(n) for _ in distinct], rng)
-        for slot, ct in zip(distinct, fresh):
-            out[slot] = ct
+        place(distinct, CtVector.encrypt(pk, [rng.rand_nonzero(n) for _ in distinct], rng))
     if rescaled:
         rhos = [rng.rand_nonzero(n) for _ in rescaled]
-        powers = backend.powmod_pairs(sources, rhos, n2)
-        scaled = pk.rerandomize_batch([Ciphertext(power, pk) for power in powers], rng)
-        for slot, ct in zip(rescaled, scaled):
-            out[slot] = ct
-    return out
+        place(rescaled, CtVector.randomized(pk, backend.powmod_pairs(sources, rhos, n2), rng))
+    return CtVector(pk, len(pairs), b"".join(out))
 
 
 def _minus_program() -> backend.Program:
@@ -236,7 +236,7 @@ MINUS = _minus_program()
 
 def _minus_computed(
     pairs: list[tuple[EncryptedHashList, EncryptedHashList]], rng: SecureRandom
-) -> list[Ciphertext]:
+) -> CtVector:
     """The real ``⊖`` of every pair, as one run of :data:`MINUS`.
 
     The run inverts each right-hand cell once however many pairs it
@@ -249,7 +249,7 @@ def _minus_computed(
     batch and loop agree ciphertext for ciphertext under a seed.
     """
     if not pairs:
-        return []
+        return CtVector(None, 0, b"")
     pk = pairs[0][0].public_key
     n, n2 = pk.n, pk.n_squared
 
@@ -285,7 +285,7 @@ def _minus_computed(
         n2, pool, b"".join(reads), cells, left_index, theirs_cells, right_index, scalars,
         [len(mine) for mine, _ in pairs],
     ])
-    return [Ciphertext(value, pk) for value in values]
+    return CtVector.of(pk, values)
 
 
 class Ehl(EncryptedHashList):

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.crypto import backend
-from repro.crypto.backend import WORD_BYTES, pack_ints, unpack_ints, words_for
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
+from repro.crypto.vector import CtVector
 from repro.exceptions import ProtocolError
 
 
@@ -132,13 +132,21 @@ class JoinedTuple:
     """
 
     score: Ciphertext
-    attributes: list[Ciphertext]
+    attributes: CtVector
+    """One vector under the score's key; a list of ciphertexts given
+    here is packed into one."""
+
+    def __post_init__(self):
+        if type(self.attributes) is not CtVector:
+            attributes = list(self.attributes)
+            self.attributes = (
+                CtVector.pack(attributes) if attributes
+                else CtVector.of(self.score.public_key, [])
+            )
 
     def serialized_size(self) -> int:
         """Byte size on the wire."""
-        return self.score.serialized_size() + sum(
-            a.serialized_size() for a in self.attributes
-        )
+        return self.score.serialized_size() + self.attributes.serialized_size()
 
 
 class ListPrefix:
@@ -268,40 +276,38 @@ class ItemBatch:
 
     * :attr:`shapes` and :attr:`uids` — each item's layout and S1-local
       handle;
-    * :attr:`buffer` — every component of every item, item by item in
+    * :attr:`vector` — every component of every item, item by item in
       the blinding order (EHL cells, worst, best, ``list_scores``, seen
-      bits, record), each a Paillier ciphertext under :attr:`public_key`,
-      in the limb format at ``words_for(N^2)`` words each: what
+      bits, record), one :class:`~repro.crypto.vector.CtVector` of
+      Paillier ciphertexts under the main key: what
       :data:`~repro.protocols.blinding.BLIND_ROUND` reads and writes.
 
     S1 packs a round once (:meth:`pack`), the blinders and S2 keep,
     reorder and extend it by whole item slices (:meth:`select`,
     :meth:`concat`, :meth:`with_components`), and S1 builds its
     :class:`ScoredItem` objects once, after unblinding (:meth:`unpack`).
-    On the wire a batch is its key, its shapes and its buffer as it is
-    (:mod:`repro.net.wire`), and its size is a function of its buffer.
-    A batch is never modified in place.
+    On the wire a batch is its shapes and its vector as it is
+    (:mod:`repro.net.wire`), and its size is its vector's.  A batch is
+    never modified in place.
     """
 
-    __slots__ = ("public_key", "shapes", "uids", "buffer", "_counts")
+    __slots__ = ("shapes", "uids", "vector", "_counts")
 
-    def __init__(
-        self,
-        public_key: PaillierPublicKey,
-        shapes: list[ItemShape],
-        uids: list[int],
-        buffer: bytes,
-    ):
-        self.public_key = public_key
+    def __init__(self, shapes: list[ItemShape], uids: list[int], vector: CtVector):
         self.shapes = shapes
         self.uids = uids
-        self.buffer = buffer
+        self.vector = vector
         self._counts: list[int] | None = None
 
-    @staticmethod
-    def stride(public_key: PaillierPublicKey) -> int:
-        """Bytes one component takes in a batch under ``public_key``."""
-        return words_for(public_key.n_squared) * WORD_BYTES
+    @property
+    def public_key(self) -> PaillierPublicKey:
+        """The key every component is under."""
+        return self.vector.key
+
+    @property
+    def buffer(self) -> bytes:
+        """The components, packed."""
+        return self.vector.buffer
 
     @classmethod
     def pack(cls, public_key: PaillierPublicKey, items: list[ScoredItem]) -> "ItemBatch":
@@ -335,21 +341,18 @@ class ItemBatch:
                 )
             )
             uids.append(item.uid)
-        words = words_for(public_key.n_squared)
-        return cls(public_key, shapes, uids, pack_ints(values, words))
+        return cls(shapes, uids, CtVector.of(public_key, values))
 
     @classmethod
     def concat(cls, batches: list["ItemBatch"]) -> "ItemBatch":
         """One batch of the items of ``batches`` (at least one, all under
         one key), in order."""
-        first = batches[0]
         if len(batches) == 1:
-            return first
+            return batches[0]
         return cls(
-            first.public_key,
             [shape for batch in batches for shape in batch.shapes],
             [uid for batch in batches for uid in batch.uids],
-            b"".join([batch.buffer for batch in batches]),
+            CtVector.concat([batch.vector for batch in batches]),
         )
 
     def counts(self) -> list[int]:
@@ -362,7 +365,7 @@ class ItemBatch:
         """The same items with new component values under ``public_key``
         (a blinding's output, under the blinder's key object): same
         layout, ``buffer`` in its order."""
-        batch = ItemBatch(public_key, self.shapes, self.uids, buffer)
+        batch = ItemBatch(self.shapes, self.uids, CtVector(public_key, self.vector.count, buffer))
         batch._counts = self._counts
         return batch
 
@@ -370,25 +373,24 @@ class ItemBatch:
         """The items at ``indices``, in that order, as whole slices of
         this batch."""
         starts = list(itertools.accumulate(self.counts(), initial=0))
-        stride = self.stride(self.public_key)
-        buffer = self.buffer
+        vector = self.vector
+        stride = vector.stride
+        buffer = vector.buffer
         shapes, uids = self.shapes, self.uids
         return ItemBatch(
-            self.public_key,
             [shapes[i] for i in indices],
             [uids[i] for i in indices],
-            b"".join([buffer[starts[i] * stride : starts[i + 1] * stride] for i in indices]),
+            CtVector(
+                vector.key,
+                sum(starts[i + 1] - starts[i] for i in indices),
+                b"".join([buffer[starts[i] * stride : starts[i + 1] * stride] for i in indices]),
+            ),
         )
 
     def unpack(self) -> list[ScoredItem]:
         """The :class:`ScoredItem` objects of the batch: the one pass
         that builds ciphertext objects on the way out of a round."""
-        pk = self.public_key
-        words = words_for(pk.n_squared)
-        cts = [
-            Ciphertext(value, pk)
-            for value in unpack_ints(self.buffer, words, len(self.buffer) // (words * WORD_BYTES))
-        ]
+        cts = self.vector.ciphertexts()
         items = []
         at = 0
         for shape, uid in zip(self.shapes, self.uids):
@@ -428,8 +430,6 @@ class ItemBatch:
         return len(self.shapes)
 
     def serialized_size(self) -> int:
-        """Byte size on the wire: the size of the items it holds, from
-        the buffer's length alone (every component is one ciphertext of
+        """Byte size on the wire: its components' (each one ciphertext of
         the key)."""
-        pk = self.public_key
-        return len(self.buffer) // self.stride(pk) * pk.ciphertext_bytes
+        return self.vector.serialized_size()

@@ -1,8 +1,8 @@
-"""Re-record the ``repro-s2/5`` wire and state-dir fixtures in a directory.
+"""Re-record the ``repro-s2/6`` wire and state-dir fixtures in a directory.
 
 Run from a checkout of the commit whose bytes should be pinned::
 
-    PYTHONPATH=src python tests/fixtures/wire_s2v5/record.py tests/fixtures/wire_s2v5
+    PYTHONPATH=src python tests/fixtures/wire_s2v6/record.py tests/fixtures/wire_s2v6
 
 It drives two tiny queries — one default (eager) query and one
 ``QueryConfig(engine="literal", variant="full", max_depth=2)`` query,

@@ -1695,7 +1695,7 @@ class TestFusedRoundsPinTheirFormulas:
             flows = enc_compare_flows(fused_ctx, pairs)
             requests = [flow.send(None) for flow in flows]
         expected = [_parent_compare(parent_ctx, a, b) for a, b in pairs]
-        assert [r.ct.value for r in requests] == [value for value, _ in expected]
+        assert [r.ct.values()[0] for r in requests] == [value for value, _ in expected]
         for flow, (_, sigma) in zip(flows, expected):
             with pytest.raises(StopIteration) as stop:
                 flow.send(True)

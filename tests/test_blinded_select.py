@@ -27,10 +27,10 @@ def _select(ctx, tests, values, groups, bit_mode):
     )[0]
     ones = [1] * len(bits)
     (products,) = backend.run(engine.BOUNDS, [
-        pk.n_squared, selected, bits, blinds, ones, ones, bytes(len(bits)), [1],
-        [0] * len(bits),
+        pk.n_squared, selected.buffer, bits.buffer, blinds, ones, ones, bytes(len(bits)),
+        [1], [0] * len(bits),
     ])
-    return [Ciphertext(v, pk) for v in products], [Ciphertext(b, pk) for b in bits]
+    return [Ciphertext(v, pk) for v in products], bits.ciphertexts()
 
 
 @pytest.fixture(params=["inprocess", "tcp"])

@@ -7,6 +7,7 @@ from repro.core.scheme import SecTopK
 from repro.crypto import backend
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.crypto.rng import SecureRandom
+from repro.crypto.vector import CtVector
 from repro.protocols.blinding import SEED_BYTES, ItemBlinder, junk_batch, seed_key_bits
 from repro.exceptions import ProtocolError
 from repro.join.scheme import SecTopKJoin
@@ -136,8 +137,9 @@ class TestWholeRound:
         # S2: a different blinder object, as on the other cloud.
         s2_blinder = ItemBlinder(ctx.public_key)
         reblinded, fresh = s2_blinder.blind_fresh(blinded, own_public, s2_rng)
+        pairs = [v for pair in zip(companions.values(), fresh.values()) for v in pair]
         restored = blinder.unblind_companions(
-            own_keypair, reblinded, list(zip(companions, fresh))
+            own_keypair, reblinded, CtVector.of(own_public, pairs)
         )
         for before, between, after in zip(items, reblinded.unpack(), restored):
             assert self._plain(after, ctx, keypair) == self._plain(before, ctx, keypair)
@@ -225,7 +227,10 @@ class TestSeedTransport:
         real = backend.paillier_decrypt
 
         def spy(crt, values, below_p=False):
-            calls.append((len(values), crt.n, below_p))
+            # a vector's values arrive as its packed buffer
+            width = backend.WORD_BYTES * backend.words_for(crt.n_squared)
+            count = len(values) // width if isinstance(values, (bytes, bytearray)) else len(values)
+            calls.append((count, crt.n, below_p))
             return real(crt, values, below_p)
 
         monkeypatch.setattr(backend, "paillier_decrypt", spy)

@@ -33,6 +33,7 @@ from repro.crypto import backend, paillier
 from repro.crypto.damgard_jurik import LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierPublicKey
 from repro.crypto.rng import SecureRandom
+from repro.crypto.vector import CtVector
 from repro.exceptions import RemoteS2Error
 from repro.net.dispatch import S2Dispatcher
 from repro.net.messages import DedupSort, Message
@@ -100,7 +101,7 @@ def _s2_matrix_dedup_sort(dispatcher, msg):
     keepers by key, append new junk."""
     s2 = dispatcher.cloud
     keepers = _s2_keepers(s2, msg.matrix, msg.ranks, msg.protocol)
-    ordered = s2_order(s2, [msg.keys[i] for i in keepers], keepers, True, "EncSort")
+    ordered = s2_order(s2, msg.keys.select(keepers), keepers, True, "EncSort")
     return _s2_release(
         s2, msg.own_public, msg.items, msg.companions, [i for _, i in ordered],
         msg.sentinel, msg.eliminate, msg.protocol,
@@ -122,7 +123,7 @@ def _matrix_settle(self, t_list, counts, known, always_sort=False):
     order = ctx.rng.permutation(len(t_list))
     permuted = [t_list[i] for i in order]
     matrix = EncryptedHashList.minus_matrix([item.ehl for item in permuted], ctx.rng)
-    keys = one_way_keys(ctx, [item.worst for item in permuted])
+    keys = one_way_keys(ctx, [item.worst.value for item in permuted])
     items, companions = blinder.blind_fresh(
         ItemBatch.pack(ctx.public_key, permuted), own.public_key, ctx.rng
     )
@@ -237,6 +238,8 @@ def _canonical(value):
     round's item batch as the list of items it holds)."""
     if isinstance(value, ItemBatch):
         value = value.unpack()
+    if isinstance(value, CtVector):
+        value = value.ciphertexts()
     if isinstance(value, (Ciphertext, LayeredCiphertext)):
         return ("ct", value.value)
     if isinstance(value, PaillierPublicKey):
@@ -288,11 +291,13 @@ def literal_transcript(variant: str, monkeypatch) -> tuple[int, int, str]:
     return stats.total_bytes, stats.rounds, digest.hexdigest()
 
 
-#: ``literal_transcript`` as recorded before the eager settle moved to
-#: counts (the same on the kernel and the pure backend).
+#: ``literal_transcript`` (the same on the kernel and the pure backend);
+#: its bytes and rounds as recorded before the eager settle moved to
+#: counts, its digest since a reply's companions render as one flat
+#: vector (every value the same, in the same order).
 LITERAL = {
-    "elim": (176480, 74, "f753b4adff7adc1dde0f9307e622280c792c3ecac077e50f07e1f6d53b52b900"),
-    "full": (309921, 74, "51895a61614ae4d8fe1e92521f55c226c7ba133f97ee6ed2f27081693bcbbb77"),
+    "elim": (176480, 74, "46b41fef3c52d0d64917032a86753b69b3ae845abddc3efd8e6cb083905909eb"),
+    "full": (309921, 74, "adf731bd43d73041bbab0c7a8828bfa90d6695e1f788696d3e5d5915ed8ca237"),
 }
 
 
@@ -345,7 +350,7 @@ def test_hostile_counts_are_refused_and_spare_a_sibling(tcp_daemon):
     try:
         msg = _dedup_sort(victim, scheme, relation)
         (spare,) = scheme.public_key.encrypt_batch([0], victim.rng)
-        for counts in (msg.counts[:-1], msg.counts + [spare]):
+        for counts in (msg.counts[:-1], CtVector.concat([msg.counts, CtVector.pack([spare])])):
             with pytest.raises(RemoteS2Error) as excinfo:
                 victim.call(dataclasses.replace(msg, counts=counts))
             assert excinfo.value.kind == "ProtocolError"

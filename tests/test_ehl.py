@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import backend
-from repro.crypto.paillier import PaillierKeypair, PaillierPublicKey
+from repro.crypto.paillier import PaillierKeypair
 from repro.crypto.rng import SecureRandom
+from repro.crypto.vector import RANDOMIZE
 from repro.exceptions import KeyMismatchError, ProtocolError
 from repro.structures.ehl import MINUS, EhlFactory, EncryptedHashList, KnownPairs
 from repro.structures.ehl_plus import EhlPlusFactory
@@ -140,8 +141,8 @@ class TestBatchedMinus:
         from repro.structures.ehl import EncryptedHashList
 
         a = factory_plus.encode(1)
-        assert a.minus_many([], rng) == []
-        assert EncryptedHashList.minus_matrix([a], rng) == []
+        assert len(a.minus_many([], rng)) == 0
+        assert len(EncryptedHashList.minus_matrix([a], rng)) == 0
         longer = EhlPlusFactory(keypair.public_key, b"m" * 32, n_hashes=4, rng=rng)
         with pytest.raises(KeyMismatchError):
             a.minus_many([factory_plus.encode(2), longer.encode(1)], rng)
@@ -230,7 +231,6 @@ class TestKnownPairs:
         powmods, products, draws = [], [], []
         real_powmod = backend.powmod_pairs
         real_run = backend.run
-        real_randomize = PaillierPublicKey.randomize_values
         monkeypatch.setattr(
             backend,
             "powmod_pairs",
@@ -242,15 +242,11 @@ class TestKnownPairs:
             if program is MINUS:
                 pool, reads, counts = registers[1], registers[2], registers[-1]
                 products.append((counts, len(reads) // pool.read_bytes))
+            if program is RANDOMIZE:
+                draws.append(len(registers[2]) // registers[1].read_bytes)
             return real_run(program, registers)
 
         monkeypatch.setattr(backend, "run", run)
-        monkeypatch.setattr(
-            PaillierPublicKey,
-            "randomize_values",
-            lambda self, values, rng: draws.append(len(values))
-            or real_randomize(self, values, rng),
-        )
         matrix = EncryptedHashList.minus_matrix(ehls, rng, known)
         cells = len(ehls[0])
         # 10 pairs: 3 known distinct, 4 tested, 3 computed (ehls[3] vs 0..2).
@@ -273,9 +269,9 @@ class TestKnownPairs:
         a, b = self._encode(keypair, (1, 2), True, rng)
         foreign = PaillierKeypair.generate(128, SecureRandom(77))
         known = KnownPairs()
-        known.tested(a, [b], [foreign.public_key.encrypt(5, rng)])
         with pytest.raises(KeyMismatchError):
-            EncryptedHashList.minus_matrix([a, b], rng, known)
+            known.tested(a, [b], [foreign.public_key.encrypt(5, rng)])
+        assert known.lookup(a, b) is None
 
 
 class TestIndistinguishabilityShape:

@@ -25,9 +25,10 @@ import pytest
 
 from repro.core.params import SystemParams
 from repro.core.scheme import SecTopK
-from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
+from repro.crypto.damgard_jurik import DamgardJurik
 from repro.crypto.paillier import Ciphertext, PaillierKeypair, PaillierPublicKey
 from repro.crypto.rng import SecureRandom
+from repro.crypto.vector import CtVector
 from repro.exceptions import ProtocolError, RemoteS2Error
 from repro.net import messages, wire
 from repro.net.channel import measure_size
@@ -125,7 +126,7 @@ def _warm(codec: WireCodec, pk: PaillierPublicKey, dj: DamgardJurik, before: int
     for i in range(before):
         codec.encode_value(PaillierPublicKey(2 * i + 3), out)
     codec.encode_value(Ciphertext(1, pk), out)
-    codec.encode_value(LayeredCiphertext(1, dj), out)
+    codec.encode_value(CtVector.of(dj, [1]), out)
     return bytes(out)
 
 
@@ -134,7 +135,9 @@ class TestWire:
     def test_same_bytes_as_the_items(self, keys, before, monkeypatch):
         """Key unregistered (the batch registers it), registered at a
         one-byte index, or registered at index 0x80 (a two-byte varint):
-        the frame ends with the items' packed bytes as they are, and
+        the shapes come first, then the vector body (the key, the
+        component count); the frame ends with the items' packed bytes as
+        they are, and
         decodes into a batch with the same buffer and shapes, under the
         process's object for the key, every uid ``-1``.  (The throwaway keys go to a table of the
         process's key objects of this test's own.)"""
@@ -147,8 +150,9 @@ class TestWire:
         out = bytearray()
         codec.encode_value(batch, out)
         frame = bytes(out)
-        assert frame[0] == wire._BATCH
-        assert frame[1] == (wire._PK_NEW if before is None else wire._PK)
+        assert frame[:2] == bytes((wire._BATCH, len(items)))
+        key_at = 2 + 5 * len(items)
+        assert frame[key_at] == (wire._PK_NEW if before is None else wire._PK)
         assert frame.endswith(batch.buffer)
         decoder = WireCodec()
         reader = _Reader(warm + frame)
@@ -196,28 +200,29 @@ class TestWire:
 
 def test_an_empty_round_is_the_empty_batch(ctx, own_keypair):
     """An empty round's items are the empty batch: every S2 handler
-    answers with the empty batch, which is its key and a count of 0 on
-    the wire, and nothing after them."""
+    answers with the empty batch, which is a count of 0, its key and a
+    count of 0 on the wire, and nothing after them."""
     own = own_keypair.public_key
     empty = ItemBatch.pack(ctx.public_key, [])
+    none, mine = CtVector.of(ctx.public_key, []), CtVector.of(own, [])
     rounds = [
-        messages.DedupBatch(protocol="SecDedup", matrix=[], items=empty, companions=[],
+        messages.DedupBatch(protocol="SecDedup", matrix=none, items=empty, companions=mine,
                             ranks=[], own_public=own, sentinel=-5, eliminate=False),
-        messages.DedupSort(protocol="SecDupElim", counts=[], items=empty, keys=[],
-                           companions=[], ranks=[], own_public=own, sentinel=-5,
+        messages.DedupSort(protocol="SecDupElim", counts=none, items=empty, keys=none,
+                           companions=mine, ranks=[], own_public=own, sentinel=-5,
                            eliminate=True),
-        messages.SortAffine(protocol="EncSort", keys=[], items=empty, companions=[],
+        messages.SortAffine(protocol="EncSort", keys=none, items=empty, companions=mine,
                             own_public=own, descending=True),
     ]
     for msg in rounds:
         reply = ctx.call(msg)
         items_out = reply[-2]
         assert type(items_out) is ItemBatch and len(items_out) == 0
-        assert reply[-1] == []
+        assert len(reply[-1]) == 0
         codec, out = WireCodec(), bytearray()
         codec.encode_value(ctx.public_key, bytearray())  # the key at index 0
         codec.encode_value(items_out, out)
-        assert bytes(out) == bytes((wire._BATCH, wire._PK, 0, 0))
+        assert bytes(out) == bytes((wire._BATCH, 0, wire._PK, 0, 0))
     assert ctx.call(
         messages.SortGateBatch(protocol="EncSort", gates=[], own_public=own, descending=True)
     ) == []
@@ -230,28 +235,40 @@ def test_an_empty_round_is_the_empty_batch(ctx, own_keypair):
 
 def hostile_batches(frame: bytes) -> dict[str, tuple[bytes, bool]]:
     """Per refusal: ``frame`` — the bytes of a batch of at least two
-    items, its key at a one-byte index and each shape five bytes —
-    edited into a batch that must not decode, and whether the bytes
-    after it in a message may follow (``False``: the frame ends there)."""
-    assert frame[:2] == bytes((wire._BATCH, wire._PK))
-    count = frame[3]
+    items, each shape five bytes, its key at a one-byte index and its
+    component count a one-byte varint — edited into a batch that must
+    not decode, and whether the bytes after it in a message may follow
+    (``False``: the frame ends there)."""
+    assert frame[0] == wire._BATCH
+    count = frame[1]
     assert 2 <= count < 0x80
+    key_at = 2 + 5 * count
+    assert frame[key_at] == wire._PK
+    body = key_at + 3  # _PK, key index, component count
+    stride = (len(frame) - body) // frame[key_at + 2]
 
     def edit(at: int, value: int) -> bytes:
         out = bytearray(frame)
         out[at] = value
         return bytes(out)
 
-    # _BATCH, _PK, key index, count, then per item: class, cells, flags,
-    # payload count + 1, seen count + 1.
+    def component(value: bytes) -> bytes:
+        return frame[:body] + value + frame[body + stride :]
+
+    # _BATCH, count, then per item: class, cells, flags, payload count +
+    # 1, seen count + 1; then _PK, key index, component count, buffer.
     return {
         "short": (frame[:-9], False),
-        "unregistered-key": (edit(2, 0x7E), True),
-        "not-a-key": (edit(1, wire._CT), True),
-        "bad-ehl-class": (edit(4, len(wire._EHL_CLASSES)), True),
-        "empty-ehl": (edit(5, 0), True),
-        "unknown-flags": (edit(6, frame[6] | 0x08), True),
-        "shapes-past-frame": (frame[:3] + bytes((0x7F,)) + frame[4 : 4 + 5 * count], False),
+        "unregistered-key": (edit(key_at + 1, 0x7E), True),
+        "not-a-key": (edit(key_at, wire._CT), True),
+        "bad-ehl-class": (edit(2, len(wire._EHL_CLASSES)), True),
+        "empty-ehl": (edit(3, 0), True),
+        "unknown-flags": (edit(4, frame[4] | 0x08), True),
+        "shapes-past-frame": (frame[:1] + bytes((0x7F,)) + frame[2:key_at], False),
+        "count-off-shapes": (edit(key_at + 2, frame[key_at + 2] - 1), True),
+        # A word value at or past N^2, and a value of 0: outside 0 < c < N^2.
+        "word-past-modulus": (component(b"\xff" * stride), True),
+        "zero-component": (component(bytes(stride)), True),
     }
 
 
@@ -271,7 +288,8 @@ def with_items(codec: WireCodec, msg, items: bytes, rest: bool = True) -> bytes:
 
 HOSTILE = [
     "short", "unregistered-key", "not-a-key", "bad-ehl-class", "empty-ehl",
-    "unknown-flags", "shapes-past-frame",
+    "unknown-flags", "shapes-past-frame", "count-off-shapes", "word-past-modulus",
+    "zero-component",
 ]
 
 
@@ -327,7 +345,7 @@ def test_daemon_refuses_a_hostile_batch_and_keeps_the_session(tcp_daemon):
         return (
             type(items).__name__,
             [_fields(i) for i in items.unpack()],
-            [c.value for pair in comps for c in pair],
+            comps.values(),
         )
 
     victim, twin = session(), session()
@@ -343,7 +361,9 @@ def test_daemon_refuses_a_hostile_batch_and_keeps_the_session(tcp_daemon):
         codec.encode_value(second.items, good)
         cases = hostile_batches(bytes(good))
         own_key = bytearray(good)
-        own_key[2] = codec._key_index[scheme._s1_keypair.public_key.n]
+        own_key[2 + 5 * len(second.items) + 1] = codec._key_index[
+            scheme._s1_keypair.public_key.n
+        ]
         cases["own-key"] = (bytes(own_key), True)
         for items, rest in cases.values():
             client.request_begin(transport.session_id, with_items(codec, second, items, rest))

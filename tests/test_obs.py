@@ -407,6 +407,27 @@ class TestRemoteProgress:
             disconnect_all()
             service.close()
 
+    def test_progress_counts_every_ciphertext_of_a_reply(self):
+        """A round's progress counts the ciphertexts its replies carry:
+        a vector its length, an item batch its components.  Seeded, the
+        first round is one absorb slot (two vectors of one) and the
+        second a ``DedupSort`` whose reply holds two items of seven
+        components and their four companions — 18 values, where the
+        reply tuple's length (2) was counted before."""
+        service = S2Service("tcp://127.0.0.1:0")
+        address = service.start()
+        scheme = SecTopK(SystemParams.tiny(), seed=58)
+        server = TopKServer(scheme, scheme.encrypt(_rows(23, n=8)), transport=address)
+        try:
+            job = server.submit(scheme.token([0, 1], k=2))
+            job.result(timeout=60)
+            progress = [e for e in job.events() if isinstance(e, S2Progress)]
+            assert [(p.batches, p.values) for p in progress[:2]] == [(1, 2), (1, 18)]
+        finally:
+            server.close()
+            disconnect_all()
+            service.close()
+
     def test_foreign_daemon_banner_is_a_transport_error_naming_it(
         self, monkeypatch
     ):

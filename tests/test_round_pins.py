@@ -121,38 +121,40 @@ QUERIES = {
 }
 
 #: Per message type: the query whose rounds are pinned, and their
-#: ``(rounds, request sha256, reply sha256)``.
+#: ``(rounds, request sha256, reply sha256)``, recorded once every
+#: ciphertext list became one vector on the wire (each served message
+#: and reply decodes to the values the earlier frames carried).
 FRAMES = {
     messages.DedupSort: (
         "eager/full",
         (
             8,
-            "f05b041f93e6a0235c145ae4582c95d6f33e03b6e28d57911a5fb83d6b9c4237",
-            "0d2013560efbc56f056d695719817e1aa6962e382bda9a0c0fe4392190e2687c",
+            "05d62a1bc1b384f9ccbcefa62c2aad53deb437a4600538dc8163fdebf62f911e",
+            "068c6c9602fb79dc7081b2964a0dbc7639cbeb068490538aba64d7e5b03d416b",
         ),
     ),
     messages.DedupBatch: (
         "literal/full",
         (
             20,
-            "72ee74e5cce8a7674eddcf8a29ab05af4419d612de4fdbf4f477d851aea287f4",
-            "bf9f93c17012374fa780565b56487b669d554a5dae955c103e3f548293cdc7e5",
+            "7fc0b601f3be8b43dc4e92ca3b87350f2a85b8a51c757359f956262c8cf48414",
+            "b1ad957496505b27d5af628fecc6a7aeab1b1807d720c0ea1147c7a28006bea7",
         ),
     ),
     messages.SortAffine: (
         "literal/full",
         (
             10,
-            "205765f40ad91bcf1adab443d88aedb2177fa7f934c0723f2bfed54e44d071e8",
-            "a1fbe0f5249f6677f2b912bc42d2c5421756b9652731d4bec9bb6fdd69ee6387",
+            "b86a66f1dc363673df2cb8e081c3d755073e877ce8570530c17ff52638238fe2",
+            "30a75c04bfde75a57ff012f4223e12f16212812dd5deba93deb0ac340af640c4",
         ),
     ),
     messages.SortGateBatch: (
         "eager/network",
         (
             83,
-            "ee6b2740e6e90df6aa9c2827df374762872360bb08b7e0fead5ba4d43a117094",
-            "9312e7e35c99682cd98031bca8b42b3640cbeccc6aa49c24045e4f1465f858f0",
+            "3903b53f9a7f9c7e18492321139536f587a07b31e296e385f4a8c6e58f5f3ed7",
+            "9ae1896f2d3e7a5894568ad024ca514cc71cb80006bc7f7eaf775f0656048641",
         ),
     ),
 }

@@ -42,6 +42,7 @@ from repro.core.scheme import SecTopK
 from repro.crypto.damgard_jurik import LayeredCiphertext
 from repro.crypto.paillier import Ciphertext, PaillierKeypair, PaillierPublicKey, PaillierSecretKey
 from repro.crypto.rng import SecureRandom
+from repro.crypto.vector import CtVector
 from repro.exceptions import PeerDisconnected, RemoteS2Error, TransportError
 from repro.net import messages, socket_transport, wire
 from repro.net.socket_transport import (
@@ -408,7 +409,7 @@ class TestFailureModes:
 
                 refused(send)
             items_out, comps = ctx.call(msg)
-            assert len(items_out) == len(comps) == 3
+            assert 2 * len(items_out) == len(comps) == 6
         finally:
             ctx.close()
 
@@ -483,13 +484,15 @@ class TestFailureModes:
     def test_hostile_integers_surface_protocol_error_and_spare_the_sibling(
         self, daemon, monkeypatch
     ):
-        """A REQUEST whose ``_LC_NEWSCHEME`` header claims ``s = 20000``
+        """A REQUEST whose ``_DJ_NEW`` header claims ``s = 20000``
         (seconds of ``n ** (s + 1)`` if believed), that references a
         key index nobody registered, that names a retired or unknown
-        message type id, or whose value nests past the recursion limit
-        comes back as a typed ``ProtocolError`` before any scheme is
-        built or any message is dispatched, and the connection's other
-        session keeps answering."""
+        message type id, whose value nests past the recursion limit, or
+        whose ``BlindedSelect`` value lies outside ``0 < c < N^2`` (at
+        ``N^2``, or 0: served, that slot would read 0 exactly when its
+        bit is 1) comes back as a typed ``ProtocolError`` before any
+        scheme is built or any message is dispatched, and the
+        connection's other session answers as the victim then does."""
         from repro.net.dispatch import S2Dispatcher
 
         _, address = daemon
@@ -525,10 +528,10 @@ class TestFailureModes:
         degree = bytearray()
         wire._write_varint(degree, 20000)
         hostile = [
-            envelope(bytes([wire._LIST, 1, wire._LC_NEWSCHEME, len(raw)]) + raw + bytes(degree) + b"\x00" * 40),
-            envelope(bytes([wire._LIST, 1, wire._LC_NEWSCHEME, len(raw)]) + raw + b"\x00" + b"\x00" * 40),
+            envelope(bytes([wire._VEC, wire._DJ_NEW, len(raw)]) + raw + bytes(degree) + b"\x00" * 40),
+            envelope(bytes([wire._VEC, wire._DJ_NEW, len(raw)]) + raw + b"\x00" + b"\x00" * 40),
             envelope(bytes([wire._LIST, 2, wire._CT, 99]) + b"\x00" * 200),
-            envelope(bytes([wire._LIST, 1, wire._LC, 5]) + b"\x00" * 200),
+            envelope(bytes([wire._VEC, wire._DJ, 5]) + b"\x00" * 200),
             envelope(bytes([wire._PK, 7])),
         ]
         # Ids 12 and 13 once made S2 decrypt (score, record) lists and
@@ -545,6 +548,16 @@ class TestFailureModes:
             bytes([wire._TUPLE, 1]) * 5000 + bytes([wire._INT, 0]),
             messages.message_type_id(messages.ZeroTestBatch),
         ))
+        # BlindedSelect values outside 0 < c < N^2, written by the
+        # victim's own codec (its key registrations stay in step).
+        pk = scheme.public_key
+        tests = CtVector.encrypt(pk, [0, 1], SecureRandom(6))
+        stride = tests.stride
+        for value in (pk.n_squared, 0):
+            hostile.append(victim.transport._codec.encode_envelope([messages.BlindedSelect(
+                protocol="probe", cts=tests, values=CtVector(pk, 1, value.to_bytes(stride, "little")),
+                groups=[0, 0], bit_mode=False,
+            )]))
         try:
             client = victim.transport._client
             session_id = victim.transport.session_id
@@ -559,9 +572,11 @@ class TestFailureModes:
                 protocol="probe",
                 cts=scheme.public_key.encrypt_batch([0, 5], SecureRandom(3)),
             )
+            answers = []
             for ctx in (sibling, victim):
-                zero, five = ctx.call(probe)
-                assert scheme.dj.decrypt_batch([zero, five], scheme.keypair) == [1, 0]
+                reply = ctx.call(probe)
+                answers.append(scheme.dj.decrypt_batch(reply, scheme.keypair))
+            assert answers == [[1, 0], [1, 0]]
         finally:
             victim.close()
             sibling.close()
@@ -784,7 +799,7 @@ class TestPersistentRegistry:
 # The daemon's connections, lifecycle and state dir.
 # ---------------------------------------------------------------------------
 
-FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "wire_s2v5"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "wire_s2v6"
 
 @pytest.fixture()
 def core():
@@ -892,7 +907,7 @@ class TestDaemonLifecycle:
         """Any other banner, the previous one included (no downgrade), is
         refused with the daemon's own banner named."""
         service, address = core
-        for banner in (b"repro-bogus/9", b"repro-s2/3", b"repro-s2/4"):
+        for banner in (b"repro-bogus/9", b"repro-s2/3", b"repro-s2/4", b"repro-s2/5"):
             sock = connect_socket(address)
             try:
                 send_frame(sock, socket_transport.HELLO, 0, banner)
@@ -1277,8 +1292,8 @@ class TestImportBoundary:
 
 
 def _recorder():
-    """``fixtures/wire_s2v5/record.py`` as a module."""
-    spec = importlib.util.spec_from_file_location("wire_s2v5_record", FIXTURES / "record.py")
+    """``fixtures/wire_s2v6/record.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("wire_s2v6_record", FIXTURES / "record.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -1296,7 +1311,7 @@ class TestWireCompatibility:
     def test_recorded_session_replays(self, recording, tmp_path):
         """The frames a recorded ``S2Client`` sent for two tiny queries get
         the replies the recording daemon gave.  ``committed`` is
-        ``fixtures/wire_s2v5`` (see its ``record.py``: HELLO, OPEN,
+        ``fixtures/wire_s2v6`` (see its ``record.py``: HELLO, OPEN,
         REGISTER, OPEN, 11 REQUESTs, CLOSE, OPEN, 16 REQUESTs, CLOSE);
         ``fresh`` is what ``record.py`` writes from this tree.
 
@@ -1332,6 +1347,8 @@ class TestWireCompatibility:
             if isinstance(value, ItemBatch):
                 # A round's items decode as one batch: compare the items.
                 value = value.unpack()
+            if isinstance(value, CtVector):
+                value = value.ciphertexts()
             if isinstance(value, Ciphertext):
                 if value.public_key.n != keypair.public_key.n:
                     return ("foreign-ct", value.public_key.n)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
+from repro.crypto.damgard_jurik import DamgardJurik
 from repro.crypto.paillier import Ciphertext, PaillierKeypair
 from repro.crypto.rng import SecureRandom
+from repro.crypto.vector import CtVector
 from repro.exceptions import ProtocolError
 from repro.net.channel import measure_size
 from repro.net.dispatch import S2Dispatcher
@@ -71,28 +72,37 @@ class TestWireValues:
         assert keypair.secret_key.decrypt(back) == 42
 
     def test_ciphertexts_under_two_keys(self, keypair, own_keypair, rng):
+        """Two single values under two keys cross side by side; one list
+        of them is refused (a list of ciphertexts is one vector, under
+        one key)."""
         a = keypair.public_key.encrypt(1, rng)
         b = own_keypair.public_key.encrypt(2, rng)
-        back_a, back_b = _roundtrip([a, b])
+        back_a, back_b = _roundtrip((a, b))
         assert keypair.secret_key.decrypt(back_a) == 1
         assert own_keypair.secret_key.decrypt(back_b) == 2
+        with pytest.raises(ProtocolError):
+            _roundtrip([a, b])
 
     def test_layered_ciphertext(self, keypair, dj, rng):
+        """``E2`` values cross as a vector under their scheme; a single
+        one has no wire form of its own."""
         lc = dj.encrypt(7, rng)
-        back = _roundtrip(lc)
+        (back,) = _roundtrip(CtVector.pack([lc])).ciphertexts()
         assert back.value == lc.value
         assert dj.decrypt(back, keypair) == 7
+        with pytest.raises(ProtocolError):
+            _roundtrip(lc)
 
     def test_layered_first_keeps_registries_in_sync(
         self, keypair, own_keypair, dj, rng
     ):
-        """A LayeredCiphertext introducing a key must register it on both
+        """An ``E2`` vector introducing a key must register it on both
         endpoints identically, or later index-based ciphertext references
         resolve to different keys (regression: encoder skipped the
         registration the decoder performed)."""
         encoder, decoder = WireCodec(), WireCodec()
         stream = [
-            dj.encrypt(3, rng),                       # introduces keypair's n
+            CtVector.pack([dj.encrypt(3, rng)]),      # introduces keypair's n
             own_keypair.public_key.encrypt(1, rng),   # second key
             keypair.public_key.encrypt(2, rng),       # back-reference first key
         ]
@@ -101,7 +111,7 @@ class TestWireValues:
             encoder.encode_value(value, out)
         reader = _Reader(bytes(out))
         decoded = [decoder.decode_value(reader) for _ in stream]
-        assert dj.decrypt(decoded[0], keypair) == 3
+        assert dj.decrypt_batch(decoded[0], keypair) == [3]
         assert own_keypair.secret_key.decrypt(decoded[1]) == 1
         assert keypair.secret_key.decrypt(decoded[2]) == 2
 
@@ -354,7 +364,7 @@ class TestListPrefix:
             ctx.transport.dispatcher.dispatch(object())
 
 # ---------------------------------------------------------------------------
-# Ciphertext runs: one slice, the element loop's bytes.
+# Ciphertext vectors: a tag, the key, the count and the buffer, one slice.
 # ---------------------------------------------------------------------------
 
 
@@ -364,29 +374,16 @@ def _varint(value: int) -> bytes:
     return bytes(out)
 
 
-def _elementwise(codec: WireCodec, value) -> bytes:
-    """``value`` written container by container with every element
-    encoded on its own — no run can form — by a codec whose registry
-    moves as the stream's would."""
-    out = bytearray()
-    if type(value) is list:
-        out += bytes([wire._LIST]) + _varint(len(value))
-        for entry in value:
-            out += _elementwise(codec, entry)
-    else:
-        codec.encode_value(value, out)
-    return bytes(out)
-
-
 def _plain(value):
     """Decoded structures as comparable data (values and key identity
     by modulus)."""
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
+    if isinstance(value, CtVector):
+        key = value.key
+        return ("vec", key.n, getattr(key, "s", 1), value.values())
     if isinstance(value, Ciphertext):
         return ("ct", value.value, value.public_key.n)
-    if isinstance(value, LayeredCiphertext):
-        return ("lc", value.value, value.scheme.n, value.scheme.s)
     if isinstance(value, ItemBatch):
         return ("batch", value.public_key.n, value.shapes, value.buffer)
     return value
@@ -412,16 +409,15 @@ class TestCiphertextRuns:
             )
 
         return {
-            "empty": [],
-            "run-1": cts[:1],
-            "run-2": cts[:2],
-            "run-300": cts,
-            "layered-1": lcs[:1],
-            "layered-2": lcs[:2],
-            "layered-300": lcs,
-            "mixed-keys": [cts[0], foreign[0], cts[1]],
-            "mixed-kinds": [cts[0], lcs[0], None, 7],
-            "nested": [cts[:3], lcs[:3], [], [cts[:2]]],
+            "empty": CtVector.of(pk, []),
+            "vec-1": CtVector.pack(cts[:1]),
+            "vec-2": CtVector.pack(cts[:2]),
+            "vec-300": CtVector.pack(cts),
+            "layered-1": CtVector.pack(lcs[:1]),
+            "layered-2": CtVector.pack(lcs[:2]),
+            "layered-300": CtVector.pack(lcs),
+            "foreign": CtVector.pack(foreign),
+            "nested": [CtVector.pack(cts[:3]), (CtVector.pack(lcs[:3]), []), None, 7],
             "batch-full": ItemBatch.pack(pk, [scored(30, True), scored(50, True)]),
             "batch-bare": ItemBatch.pack(pk, [scored(70, False)]),
             "batch-empty": ItemBatch.pack(pk, []),
@@ -431,59 +427,70 @@ class TestCiphertextRuns:
     def _warm(codec, keypair, own_keypair, dj):
         """Register the three keys the way a session's first frames do."""
         out = bytearray()
-        for key in (dj.encrypt(0), own_keypair.public_key):
+        for key in (CtVector.of(dj, [1]), own_keypair.public_key):
             codec.encode_value(key, out)
         return bytes(out)
 
-    def test_same_bytes_as_the_element_loop(self, material, keypair, own_keypair, dj):
+    def test_same_bytes_as_the_layout(self, material, keypair, own_keypair, dj):
+        """A vector is ``_VEC``, its key's reference, its count and its
+        buffer as it is, and decodes to the same values under the
+        process's key object."""
         for name, value in material.items():
             codec, reference = WireCodec(), WireCodec()
             warm = self._warm(codec, keypair, own_keypair, dj)
             self._warm(reference, keypair, own_keypair, dj)
             out = bytearray()
             codec.encode_value(value, out)
-            assert bytes(out) == _elementwise(reference, value), name
+            if type(value) is CtVector:
+                key = bytearray()
+                if type(value.key) is DamgardJurik:
+                    reference._encode_scheme(value.key, key)
+                else:
+                    reference._encode_key(value.key, key)
+                layout = bytes([wire._VEC]) + key + _varint(len(value)) + value.buffer
+                assert bytes(out) == layout, name
             decoder = WireCodec()
             reader = _Reader(warm)
             decoder.decode_value(reader), decoder.decode_value(reader)
             assert _plain(decoder.decode_value(_Reader(bytes(out)))) == _plain(value), name
 
     def test_first_element_registers_its_key(self, material):
-        """Nothing registered yet: the first element introduces the key
-        (``_CT_NEWKEY`` / ``_LC_NEWSCHEME``, a batch's ``_PK_NEW``), the
-        rest reference it."""
-        for name in ("run-2", "run-300", "layered-300", "batch-full"):
-            codec, reference, decoder = WireCodec(), WireCodec(), WireCodec()
+        """Nothing registered yet: the vector introduces its key
+        (``_PK_NEW``, or ``_DJ_NEW`` and the key under it); the second
+        time round the same vector references it by index."""
+        for name in ("vec-2", "vec-300", "layered-300", "batch-full"):
+            codec, decoder = WireCodec(), WireCodec()
             out = bytearray()
             codec.encode_value(material[name], out)
-            assert bytes(out) == _elementwise(reference, material[name]), name
             assert _plain(decoder.decode_value(_Reader(bytes(out)))) == _plain(
                 material[name]
             )
-            # Second time round the same list is one run.
             again = bytearray()
             codec.encode_value(material[name], again)
-            assert bytes(again) == _elementwise(reference, material[name]), name
+            assert len(again) < len(out), name
             assert _plain(decoder.decode_value(_Reader(bytes(again)))) == _plain(
                 material[name]
             )
+            assert (list(codec._key_index), list(codec._scheme_index)) == (
+                [key.n for key in decoder._keys],
+                [(scheme.n, scheme.s) for scheme in decoder._schemes],
+            )
 
-    def test_two_byte_index_takes_the_element_loop(self, rng):
-        codec, reference, decoder = WireCodec(), WireCodec(), WireCodec()
+    def test_two_byte_key_index_round_trips(self, rng):
+        """A key registered past index 127 (a two-byte varint)."""
+        codec, decoder = WireCodec(), WireCodec()
         keys = [
             PaillierKeypair.generate(32, SecureRandom(900 + i)).public_key
             for i in range(130)
         ]
         out = bytearray()
         codec.encode_value(keys, out)
-        assert bytes(out) == _elementwise(reference, keys)
         decoder.decode_value(_Reader(bytes(out)))
         for key in (keys[127], keys[128], keys[129]):
-            cts = key.encrypt_batch([1, 2, 3], rng)
+            vector = CtVector.pack(key.encrypt_batch([1, 2, 3], rng))
             out = bytearray()
-            codec.encode_value(cts, out)
-            assert bytes(out) == _elementwise(reference, cts)
-            assert _plain(decoder.decode_value(_Reader(bytes(out)))) == _plain(cts)
+            codec.encode_value(vector, out)
+            assert _plain(decoder.decode_value(_Reader(bytes(out)))) == _plain(vector)
 
     def test_every_strict_prefix_is_rejected(self, material, keypair, own_keypair, dj):
         for name, value in material.items():
@@ -493,7 +500,7 @@ class TestCiphertextRuns:
             codec.encode_value(value, out)
             frame = bytes(out)
             cuts = range(len(frame))
-            if len(frame) > 2000:  # the long runs: a spread plus both ends
+            if len(frame) > 2000:  # the long vectors: a spread plus both ends
                 cuts = sorted({*range(0, len(frame), 97), *range(80), *range(len(frame) - 80, len(frame))})
             for cut in cuts:
                 decoder = WireCodec()
@@ -503,14 +510,37 @@ class TestCiphertextRuns:
                     decoder.decode_value(_Reader(frame[:cut]))
 
     def test_a_run_shaped_list_of_other_things_still_decodes(self, keypair, rng):
-        """The run reader only fires when *every* stride position holds
-        the first element's tag and index; anything else goes through the
-        element loop unchanged."""
+        """A list of plain values that looks like a vector body decodes as
+        the list it is; a list of ciphertexts is written as the vector it
+        packs to; a ciphertext among other values in a list is refused."""
         pk = keypair.public_key
         ct = pk.encrypt(1, rng)
-        # An int whose zigzag varint happens to look like a tag byte.
-        for value in ([ct, 4, ct], [ct, b"\x08\x00" * 40, ct], [[ct], ct]):
+        for value in ([wire._PK, 0, 2, b"\x08\x00" * 40], [[4], (ct,)]):
             assert _plain(_roundtrip(value)) == _plain(value)
+        assert _plain(_roundtrip([ct, ct])) == _plain(CtVector.pack([ct, ct]))
+        for mixed in ([ct, 4, ct], [4, ct], [[ct], ct]):
+            with pytest.raises(ProtocolError):
+                _roundtrip(mixed)
+
+    def test_values_outside_the_modulus_are_refused(self, keypair, dj, rng):
+        """The reader refuses a vector, a batch body or a single value
+        holding 0 or a value at or past its modulus, once per vector."""
+        pk = keypair.public_key
+        for key, modulus in ((pk, pk.n_squared), (dj, dj.n_s1)):
+            stride = CtVector.of(key, [1]).stride
+            for bad in (0, modulus, (1 << 8 * stride) - 1):
+                vector = CtVector(
+                    key, 2, (1).to_bytes(stride, "little") + bad.to_bytes(stride, "little")
+                )
+                with pytest.raises(ProtocolError, match="outside"):
+                    _roundtrip(vector)
+        batch = ItemBatch.pack(pk, [ScoredItem(ehl=Ehl(pk.encrypt_batch([1], rng)), worst=None)])
+        batch.vector.buffer = bytes(len(batch.buffer))
+        with pytest.raises(ProtocolError, match="outside"):
+            _roundtrip(batch)
+        for bad in (0, pk.n_squared):
+            with pytest.raises(ProtocolError, match="outside"):
+                _roundtrip(Ciphertext(bad, pk))
 
 
 class TestHostileIntegers:
@@ -519,7 +549,7 @@ class TestHostileIntegers:
     @staticmethod
     def _scheme_header(n: int, s: int) -> bytes:
         raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
-        return bytes([wire._LC_NEWSCHEME]) + _varint(len(raw)) + raw + _varint(s)
+        return bytes([wire._VEC, wire._DJ_NEW]) + _varint(len(raw)) + raw + _varint(s)
 
     @pytest.mark.parametrize("s", [0, 9, 20000, 2 * 10**6])
     def test_dj_degree_is_bounded_before_any_big_int_work(
@@ -536,13 +566,15 @@ class TestHostileIntegers:
         assert not built
         assert not codec._keys and not codec._schemes
 
+    # "_LC": a layered (E2) vector's scheme reference.
     @pytest.mark.parametrize("tag", ["_CT", "_LC", "_PK"])
     @pytest.mark.parametrize("index", [0, 1, 127, 128, 2**40])
     def test_unregistered_index_is_a_protocol_error(self, tag, index):
-        frame = bytes([getattr(wire, tag)]) + _varint(index) + b"\x00" * 64
+        head = {"_CT": [wire._CT], "_LC": [wire._VEC, wire._DJ], "_PK": [wire._PK]}[tag]
+        frame = bytes(head) + _varint(index) + b"\x00" * 64
         with pytest.raises(ProtocolError, match="unregistered"):
             WireCodec().decode_value(_Reader(frame))
-        # ... also as the element of a list, where the run reader looks first.
+        # ... also as the element of a list.
         listed = bytes([wire._LIST, 2]) + frame
         with pytest.raises(ProtocolError):
             WireCodec().decode_value(_Reader(listed))
@@ -555,13 +587,13 @@ class TestHostileIntegers:
         out = bytearray()
         WireCodec().encode_value(pk, out)
         decoder.decode_value(_Reader(bytes(out)))
-        buffer = bytes(ItemBatch.stride(pk))
-        good = bytes([wire._BATCH, wire._PK, 0, 1, 0, 1, 0, 0, 0]) + buffer
+        body = bytes([wire._PK, 0, 1]) + CtVector.of(pk, [1]).buffer
+        good = bytes([wire._BATCH, 1, 0, 1, 0, 0, 0]) + body
         assert decoder.decode_value(_Reader(good)).shapes[0].ehl is Ehl
         for cls, cells in ((2, 1), (0, 0)):
-            header = bytes([wire._BATCH, wire._PK, 0, 1, cls, cells, 0, 0, 0])
+            header = bytes([wire._BATCH, 1, cls, cells, 0, 0, 0])
             with pytest.raises(ProtocolError):
-                decoder.decode_value(_Reader(header + buffer))
+                decoder.decode_value(_Reader(header + body))
 
 
 class TestPlainValues:
@@ -608,14 +640,16 @@ class TestSharedKeyObjects:
         key object — the one the encoder held, when the process saw it
         first there — so pools outlive a codec and guards pass on ``is``."""
         stream = bytearray()
-        WireCodec().encode_value([dj.encrypt(1, rng), keypair.public_key.encrypt(2, rng)], stream)
+        WireCodec().encode_value(
+            (CtVector.pack([dj.encrypt(1, rng)]), keypair.public_key.encrypt(2, rng)), stream
+        )
         first = WireCodec().decode_value(_Reader(bytes(stream)))
         second = WireCodec().decode_value(_Reader(bytes(stream)))
-        assert first[0].scheme is second[0].scheme
+        assert first[0].key is second[0].key
         assert first[1].public_key is second[1].public_key
-        assert first[0].scheme is wire.shared_scheme(dj.n, dj.s)
+        assert first[0].key is wire.shared_scheme(dj.n, dj.s)
         assert first[1].public_key is wire.shared_key(keypair.public_key.n)
-        assert first[0].scheme == dj and first[1].public_key == keypair.public_key
+        assert first[0].key == dj and first[1].public_key == keypair.public_key
 
     def test_the_table_is_bounded(self):
         for i in range(wire._SHARED_LIMIT + 10):

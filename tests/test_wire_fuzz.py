@@ -1,9 +1,11 @@
 """Hostile bytes under the codec: decode or ``ProtocolError``, nothing else.
 
-The inputs are arbitrary bytes and truncations and byte flips of two
+The inputs are arbitrary bytes and truncations and byte flips of four
 real frames — the request and reply of a ``DedupSort`` round (an eager
-check depth) and of a ``SortGateBatch`` round (the network sort) — under
-``decode_envelope`` and ``decode_replies``.  A reply is decoded by a
+check depth), of a ``SortGateBatch`` round (the network sort), of a
+``BlindedSelect`` round (an eager absorb: two vectors each way) and of a
+``ZeroTestBatch`` round (the literal engine: an ``E2`` vector back) —
+under ``decode_envelope`` and ``decode_replies``.  A reply is decoded by a
 codec that has read its request first, as a session's codec has.
 Examples are pinned (``derandomize=True``) and capped.
 """
@@ -60,6 +62,8 @@ def frames() -> dict[str, tuple[bytes, bytes]]:
         "SortGateBatch": _first_round(
             QueryConfig(variant="full", sort_method="network"), messages.SortGateBatch
         ),
+        "BlindedSelect": _first_round(QueryConfig(), messages.BlindedSelect),
+        "ZeroTestBatch": _first_round(QueryConfig(engine="literal"), messages.ZeroTestBatch),
     }
 
 
@@ -107,7 +111,9 @@ def test_arbitrary_bytes(frames, data):
     _decodes_or_refuses(request, data)
 
 
-@pytest.mark.parametrize("round_name", ["DedupSort", "SortGateBatch"])
+@pytest.mark.parametrize(
+    "round_name", ["DedupSort", "SortGateBatch", "BlindedSelect", "ZeroTestBatch"]
+)
 @FUZZ
 @given(cut=CUTS, flips=FLIPS, side=st.sampled_from(["request", "reply"]))
 def test_mangled_real_frames(frames, round_name, cut, flips, side):
