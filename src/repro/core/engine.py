@@ -276,7 +276,7 @@ class _EngineBase:
         items: list[ScoredItem],
         ranks: list[int] | None = None,
         known: KnownPairs | None = None,
-        counts: list[Ciphertext] | None = None,
+        counts: CtVector | None = None,
     ) -> list[ScoredItem]:
         dedup = sec_dedup if self.config.variant == "full" else sec_dup_elim
         with self.ctx.channel.protocol(PROTOCOL):

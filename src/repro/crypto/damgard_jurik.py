@@ -137,10 +137,14 @@ class DamgardJurik:
             rng = self._rng = SecureRandom()
         return rng
 
+    def randomizer_pool(self):
+        """The instance's pool of ``r^{N^s} mod N^{s+1}`` values (the
+        Paillier key's randomizer-caching optimization)."""
+        return key_pool(self, self.n_s, self.n_s1)
+
     def randomizers(self, rng: SecureRandom, count: int) -> list[int]:
-        """``count`` fresh randomizers ``r^{N^s} mod N^{s+1}`` from the
-        cached pool (the Paillier key's randomizer-caching optimization)."""
-        return pool_randomizers(key_pool(self, self.n_s, self.n_s1), rng, count)
+        """``count`` fresh randomizers from the cached pool."""
+        return pool_randomizers(self.randomizer_pool(), rng, count)
 
     def _g_pow(self, m: int) -> int:
         """``(1 + N)^m mod N^{s+1}`` via the binomial expansion.
@@ -168,12 +172,9 @@ class DamgardJurik:
     ) -> list["LayeredCiphertext"]:
         """Encrypt a vector in ``Z_{N^s}`` component-wise (same stream
         order as a loop of :meth:`encrypt` calls)."""
-        rng = rng or self._fresh_rng()
-        n_s1, g_pow = self.n_s1, self._g_pow
-        return [
-            LayeredCiphertext(g_pow(m) * r % n_s1, self)
-            for m, r in zip(values, self.randomizers(rng, len(values)))
-        ]
+        from repro.crypto.vector import CtVector
+
+        return CtVector.encrypt(self, values, rng or self._fresh_rng()).ciphertexts()
 
     def encrypt_ciphertext(
         self, inner: Ciphertext, rng: SecureRandom | None = None
@@ -217,11 +218,12 @@ class DamgardJurik:
         return cached
 
     def values_of(self, cts) -> list[int]:
-        """The bare integers of ``cts`` (a list of ciphertexts or a
-        vector), checked to belong to this instance — the way in for code
-        that works on flat int vectors."""
+        """The bare integers of ``cts``, checked to belong to this
+        instance: a vector (one check), or a list of ciphertext objects —
+        :meth:`decrypt`'s one, S1's select bits and ``RecoverEnc``'s
+        layered values."""
         checked = getattr(cts, "checked", None)
-        if checked is not None:  # a CtVector: one check
+        if checked is not None:
             return checked(self).values()
         for c in cts:
             if c.scheme is not self and c.scheme != self:
@@ -268,9 +270,10 @@ class DamgardJurik:
     def decrypt_inner_batch(
         self, cts: list["LayeredCiphertext"], keypair: PaillierKeypair
     ) -> list[Ciphertext]:
-        """Strip the outer layer, ``E2(Enc(m))`` -> ``Enc(m)``, of a batch:
-        what the crypto cloud computes inside ``RecoverEnc`` (Algorithm 5),
-        its hottest operation."""
+        """Strip the outer layer, ``E2(Enc(m))`` -> ``Enc(m)``, of a batch
+        of objects — the crypto cloud's ``RecoverEnc`` step (Algorithm 5)
+        for ``perfbench/probes.py`` and the tests; the cloud itself
+        strips a vector through :meth:`decrypt_values`."""
         n2, pk = self.public_key.n_squared, self.public_key
         return [Ciphertext(v % n2, pk) for v in self.decrypt_batch(cts, keypair)]
 

@@ -156,28 +156,15 @@ class PaillierPublicKey:
         """Encrypt a signed integer (negatives become ``N - |m|``)."""
         return self.encrypt(m % self.n, rng)
 
-    def randomize_values(
-        self, values: list[int], rng: SecureRandom | None = None
-    ) -> list[int]:
-        """``v · r mod N^2`` per residue ``v``, ``r`` a fresh randomizer:
-        the pool draws and the products in one backend call, reading the
-        stream as :meth:`randomizers` does."""
-        rng = rng or self._fresh_rng()
-        pool = self.randomizer_pool()
-        return backend.pool_products(
-            pool, rng.randbytes(pool.read_bytes * len(values)), values
-        )
-
     def encrypt_batch(
         self, values: list[int], rng: SecureRandom | None = None
     ) -> list["Ciphertext"]:
         """Encrypt a vector component-wise (same stream order as a loop
-        of :meth:`encrypt` calls)."""
-        n = self.n
-        return [
-            Ciphertext(value, self)
-            for value in self.randomize_values([1 + m % n * n for m in values], rng)
-        ]
+        of :meth:`encrypt` calls): :meth:`CtVector.encrypt
+        <repro.crypto.vector.CtVector.encrypt>`'s values as objects."""
+        from repro.crypto.vector import CtVector
+
+        return CtVector.encrypt(self, values, rng or self._fresh_rng()).ciphertexts()
 
     def rerandomize(self, c: "Ciphertext", rng: SecureRandom | None = None) -> "Ciphertext":
         """Return a fresh encryption of the same plaintext."""
@@ -188,10 +175,10 @@ class PaillierPublicKey:
     ) -> list["Ciphertext"]:
         """Fresh encryptions of the same plaintexts (same stream order as
         a loop of :meth:`rerandomize` calls)."""
-        return [
-            Ciphertext(value, self)
-            for value in self.randomize_values([c.value for c in cts], rng)
-        ]
+        from repro.crypto.vector import CtVector
+
+        factors = [c.value for c in cts]
+        return CtVector.randomized(self, factors, rng or self._fresh_rng()).ciphertexts()
 
     @functools.cached_property
     def ciphertext_bytes(self) -> int:
@@ -248,8 +235,12 @@ class PaillierSecretKey:
         return self.decrypt_batch([c])[0]
 
     def _values_of(self, cts) -> list[int]:
+        """The values of ``cts``, checked to be under this key: a
+        vector's buffer as it is (one check), or the values of a list of
+        ciphertext objects — :meth:`decrypt`'s one, and the lists of
+        ``perfbench/probes.py`` and ``tests/test_leakage_gaps.py``."""
         checked = getattr(cts, "checked", None)
-        if checked is not None:  # a CtVector: one key check, its buffer as it is
+        if checked is not None:
             return checked(self.public_key).buffer
         for c in cts:
             if c.public_key != self.public_key:

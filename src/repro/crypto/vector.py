@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.crypto import backend
 from repro.crypto.damgard_jurik import DamgardJurik, LayeredCiphertext
-from repro.crypto.paillier import Ciphertext, key_pool
+from repro.crypto.paillier import Ciphertext
 from repro.exceptions import KeyMismatchError, ProtocolError
 
 _KEY_OF = {Ciphertext: "public_key", LayeredCiphertext: "scheme"}
@@ -73,18 +73,17 @@ class CtVector:
     def randomized(cls, key, factors, rng, count: int | None = None) -> "CtVector":
         """``factor · r`` per factor (a list, or a packed buffer of
         ``count``), ``r`` a fresh randomizer of ``key``'s pool: one run of
-        :data:`RANDOMIZE`, reading ``rng`` as ``encrypt_batch`` does."""
-        if type(key) is DamgardJurik:
-            pool = key_pool(key, key.n_s, key.n_s1)
-        else:
-            pool = key.randomizer_pool()
+        :data:`RANDOMIZE`, reading ``rng`` as the key's ``randomizers``
+        does."""
+        pool = key.randomizer_pool()
         count = len(factors) if count is None else count
         reads = rng.randbytes(pool.read_bytes * count)
         return cls(key, count, backend.run(RANDOMIZE, [pool.mod, pool, reads, factors])[0])
 
     @classmethod
     def encrypt(cls, key, plaintexts: list[int], rng) -> "CtVector":
-        """What ``key.encrypt_batch(plaintexts, rng)`` gives, packed."""
+        """``Enc(m)`` per plaintext under ``key`` (``E2(m)`` under a
+        scheme), packed: the one batch encryption of the package."""
         if type(key) is DamgardJurik:
             return cls.randomized(key, [key._g_pow(m) for m in plaintexts], rng)
         n = key.n

@@ -21,7 +21,7 @@ index, cell count, a worst/best/record flags byte, then the payload and
 seen counts, 0 for an absent field) and the vector body of its
 components; uids are S1-local handles and never cross.  A single
 Paillier ciphertext is ``_CT`` and its key's index (``_CT_NEWKEY`` and
-the modulus the first time).  The reader refuses, as a
+the modulus the first time), never an entry of a ``_LIST``.  The reader refuses, as a
 :class:`ProtocolError`, every ciphertext value outside ``0 < c <
 modulus`` — once per vector.
 
@@ -319,7 +319,9 @@ class WireCodec:
 
     def _encode_list(self, items: list, out: bytearray) -> None:
         """A list of ciphertext objects goes as the vector it packs to
-        (one kind, one key); a ciphertext among other values is refused."""
+        (one kind, one key: ``perfbench/probes.py``'s wire probe encodes
+        its ``E2`` replies so); a ciphertext among other values is
+        refused, by the reader too."""
         if items and type(items[0]) in _CIPHERTEXTS:
             self._encode_vector(CtVector.pack(items), out)
             return
@@ -409,7 +411,10 @@ class WireCodec:
         if tag == _CT or tag == _CT_NEWKEY:
             return self._decode_ciphertext(tag, reader)
         if tag == _LIST:
-            return [self._decode(reader) for _ in range(reader.varint())]
+            items = [self._decode(reader) for _ in range(reader.varint())]
+            if any(type(entry) is Ciphertext for entry in items):
+                raise ProtocolError("a list holding a ciphertext must be a ciphertext vector")
+            return items
         if tag == _BATCH:
             return self._decode_batch(reader)
         if tag == _NONE:
@@ -427,7 +432,12 @@ class WireCodec:
         if tag == _TUPLE:
             return tuple(self._decode(reader) for _ in range(reader.varint()))
         if tag == _JOINED:
-            return JoinedTuple(score=self._decode(reader), attributes=self._decode(reader))
+            score, attributes = self._decode(reader), self._decode(reader)
+            if type(score) is not Ciphertext or type(attributes) is not CtVector or (
+                attributes.key is not score.public_key
+            ):
+                raise ProtocolError("a joined tuple is a ciphertext and a vector under its key")
+            return JoinedTuple(score, attributes)
         if tag == _PK or tag == _PK_NEW:
             return self._decode_key(tag, reader)
         raise ProtocolError(f"unknown wire tag {tag}")
@@ -513,7 +523,9 @@ class WireCodec:
         return bytes(out)
 
     def decode_envelope(self, data: bytes) -> list:
-        """Inverse of :meth:`encode_envelope`."""
+        """Inverse of :meth:`encode_envelope`.  A field holding a single
+        ``_CT`` is refused: every ciphertext field is a vector, and the
+        message would pack the value into one."""
         from repro.net.messages import message_class, message_fields
 
         reader = _Reader(data)
@@ -521,6 +533,8 @@ class WireCodec:
         for _ in range(reader.varint()):
             cls = message_class(reader.varint())
             values = [self.decode_value(reader) for _ in message_fields(cls)]
+            if any(type(value) is Ciphertext for value in values):
+                raise ProtocolError("a message's ciphertext field must be a ciphertext vector")
             messages.append(cls(*values))
         return messages
 

@@ -38,7 +38,7 @@ def _draw_blinds(ctx: S1Context, count: int) -> tuple[list[int], list[int]]:
     fresh encryptions ``Enc(r)``."""
     pk = ctx.public_key
     blinds = [ctx.rng.randint_below(pk.n) for _ in range(count)]
-    return blinds, [enc_r.value for enc_r in pk.encrypt_batch(blinds, ctx.rng)]
+    return blinds, CtVector.encrypt(pk, blinds, ctx.rng).values()
 
 
 def _strip_and_unblind(blinded: CtVector, blinds: list[int], protocol: str):

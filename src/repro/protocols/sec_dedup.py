@@ -109,9 +109,10 @@ def _prepare(
     ``known`` is what the caller already holds about pairs of these
     items' EHLs; those matrix entries are filled without recomputing
     ``⊖`` (see :func:`repro.structures.ehl.minus_pairs`).  ``counts[r −
-    1]`` (a vector, or a list of ciphertexts) belongs to the item of rank
-    ``r ≥ 1``; the counts are rerandomized in one batch and travel in the
-    permuted order of those items.
+    1]`` belongs to the item of rank ``r ≥ 1``; the counts are
+    rerandomized in one batch and travel in the permuted order of those
+    items.  The engine passes a vector; ``tests/test_dedup_sort.py``
+    passes lists of ciphertexts.
     """
     blinder = ItemBlinder(ctx.public_key)
     if counts is not None and type(counts) is not CtVector:

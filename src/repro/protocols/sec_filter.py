@@ -96,7 +96,9 @@ def s2_filter(
     keys_material: list[CtVector],
     protocol: str,
 ):
-    """S2's side: drop zero-score tuples, re-blind the rest."""
+    """S2's side: drop zero-score tuples, re-blind the rest.  A joined
+    tuple's score is one ciphertext object (``JoinedTuple.score``), so
+    this is the one S2 path that builds them: one per survivor."""
     pk = s2.public_key
     n, n2 = pk.n, pk.n_squared
     own_n, own_n2 = own_pk.n, own_pk.n_squared

@@ -135,16 +135,13 @@ class KnownPairs:
         self,
         mine: EncryptedHashList,
         others: list[EncryptedHashList],
-        cts,
+        cts: CtVector,
     ) -> None:
-        """``cts[i]`` is ``mine ⊖ others[i]`` (or its mirror image);
-        ``cts`` a vector, or a list of ciphertexts."""
+        """``cts[i]`` is ``mine ⊖ others[i]`` (or its mirror image)."""
         if len(cts) != len(others):
             raise ProtocolError(
                 f"{len(others)} pairs claimed tested, {len(cts)} ciphertexts held"
             )
-        if type(cts) is not CtVector:
-            cts = CtVector.pack(cts)
         for theirs, value in zip(others, cts.checked(mine.public_key).values()):
             self._held[frozenset((mine, theirs))] = value
 

@@ -134,7 +134,8 @@ class JoinedTuple:
     score: Ciphertext
     attributes: CtVector
     """One vector under the score's key; a list of ciphertexts given
-    here is packed into one."""
+    here (S1's constructors) is packed into one.  The wire decoder
+    checks a decoded tuple's types before it builds one."""
 
     def __post_init__(self):
         if type(self.attributes) is not CtVector:

@@ -1,7 +1,7 @@
 """``CtVector``: one packed form for every ciphertext list on the link.
 
-What a vector holds and how it is built (the same values, sizes and
-randomness reads as the per-object calls it replaces), and that S2 —
+What a vector holds and how it is built (the same values and sizes as
+the objects it replaces), and that S2 —
 its handlers, the ``s2_*`` functions and, over a daemon, the decode of
 what it is sent — builds no ciphertext object over a seeded eager and a
 seeded literal query.
@@ -42,18 +42,6 @@ class TestVector:
         assert vector[1:3].values() == vector.values()[1:3]
         assert vector[-1].value == cts[-1].value
         assert CtVector.concat([vector[:2], vector[2:]]).values() == vector.values()
-
-    def test_encrypt_reads_the_stream_as_encrypt_batch(self, keypair):
-        pk = keypair.public_key
-        dj = DamgardJurik(pk, s=2)
-        for key, plain in ((pk, [0, 7, 1 << 40]), (dj, [1, 0, 1])):
-            ours = CtVector.encrypt(key, plain, SecureRandom(2))
-            theirs = key.encrypt_batch(plain, SecureRandom(2))
-            assert ours.values() == [c.value for c in theirs]
-        again = CtVector.pack(pk.encrypt_batch([5], SecureRandom(3)))
-        assert CtVector.randomized(pk, again.buffer, SecureRandom(4), 1).values() == [
-            c.value for c in pk.rerandomize_batch(again.ciphertexts(), SecureRandom(4))
-        ]
 
     def test_pack_and_key_checks(self, keypair, own_keypair):
         pk, rng = keypair.public_key, SecureRandom(5)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import backend
 from repro.crypto.paillier import PaillierKeypair
 from repro.crypto.rng import SecureRandom
-from repro.crypto.vector import RANDOMIZE
+from repro.crypto.vector import RANDOMIZE, CtVector
 from repro.exceptions import KeyMismatchError, ProtocolError
 from repro.structures.ehl import MINUS, EhlFactory, EncryptedHashList, KnownPairs
 from repro.structures.ehl_plus import EhlPlusFactory
@@ -194,7 +194,7 @@ class TestKnownPairs:
             elif rule != "unknown":
                 # Recorded the other way round than the matrix asks.
                 ct = ehls[j].minus(ehls[i], rng)
-                known.tested(ehls[j], [ehls[i]], [ct])
+                known.tested(ehls[j], [ehls[i]], CtVector.pack([ct]))
                 source_plain[i, j] = sk.decrypt(ct)
 
         order = data.draw(st.permutations(range(len(ehls))))
@@ -260,7 +260,7 @@ class TestKnownPairs:
         a, b, c = self._encode(keypair, (1, 2, 3), True, rng)
         known = KnownPairs()
         with pytest.raises(ProtocolError, match="claimed tested"):
-            known.tested(a, [b, c], [a.minus(b, rng)])
+            known.tested(a, [b, c], CtVector.pack([a.minus(b, rng)]))
         # Nothing was half-recorded: the matrix computes both pairs.
         assert known.lookup(a, b) is None and known.lookup(a, c) is None
 
@@ -270,7 +270,7 @@ class TestKnownPairs:
         foreign = PaillierKeypair.generate(128, SecureRandom(77))
         known = KnownPairs()
         with pytest.raises(KeyMismatchError):
-            known.tested(a, [b], [foreign.public_key.encrypt(5, rng)])
+            known.tested(a, [b], CtVector.pack([foreign.public_key.encrypt(5, rng)]))
         assert known.lookup(a, b) is None
 
 

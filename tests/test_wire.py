@@ -14,6 +14,7 @@ from repro.net.dispatch import S2Dispatcher
 from repro.net.messages import (
     MESSAGE_TYPES,
     BlindedSelect,
+    BlindedSign,
     DedupBatch,
     DedupSort,
     StripLayerBatch,
@@ -234,6 +235,18 @@ class TestMessageEnvelopes:
         # still speaks it.
         with pytest.raises(ProtocolError):
             WireCodec().decode_envelope(frame[:1] + bytes([15]) + frame[2:])
+
+    def test_a_single_ciphertext_field_is_refused(self, keypair, rng):
+        """Every ciphertext field crosses as a vector: a bare ``_CT``
+        where one belongs is refused, not packed into a vector of one."""
+        out = bytearray()
+        wire._write_varint(out, 1)
+        wire._write_varint(out, message_type_id(BlindedSign))
+        codec = WireCodec()
+        codec.encode_value("p", out)
+        codec.encode_value(keypair.public_key.encrypt(3, rng), out)
+        with pytest.raises(ProtocolError, match="ciphertext vector"):
+            WireCodec().decode_envelope(bytes(out))
 
     def test_request_payload_excludes_metadata(self, keypair, rng):
         msg = DedupBatch(
@@ -521,6 +534,13 @@ class TestCiphertextRuns:
         for mixed in ([ct, 4, ct], [4, ct], [[ct], ct]):
             with pytest.raises(ProtocolError):
                 _roundtrip(mixed)
+        # The reader refuses the per-value form the writer never makes.
+        single = bytearray()
+        WireCodec().encode_value(ct, single)
+        for count in (1, 2):
+            listed = bytes([wire._LIST, count]) + bytes(single) * count
+            with pytest.raises(ProtocolError, match="ciphertext vector"):
+                WireCodec().decode_value(_Reader(listed))
 
     def test_values_outside_the_modulus_are_refused(self, keypair, dj, rng):
         """The reader refuses a vector, a batch body or a single value
@@ -578,6 +598,28 @@ class TestHostileIntegers:
         listed = bytes([wire._LIST, 2]) + frame
         with pytest.raises(ProtocolError):
             WireCodec().decode_value(_Reader(listed))
+
+    @pytest.mark.parametrize("case", ["int-score", "none", "list", "foreign-key", "e2"])
+    def test_a_joined_tuple_is_checked_in_the_codec(self, case, keypair, own_keypair, rng):
+        """A ``_JOINED`` value is a ciphertext and a vector under its key;
+        anything else is a ProtocolError, not an error of the tuple's
+        own constructor."""
+        pk = keypair.public_key
+        codec = WireCodec()
+        score = bytearray()
+        codec.encode_value(pk.encrypt(5, rng), score)
+        attributes = bytearray()
+        if case == "foreign-key":
+            codec.encode_value(CtVector.encrypt(own_keypair.public_key, [1], rng), attributes)
+        elif case == "e2":
+            codec.encode_value(CtVector.encrypt(DamgardJurik(pk, 2), [1], rng), attributes)
+        frame = {
+            "int-score": bytes([wire._JOINED, wire._INT, 0, wire._LIST, 0]),
+            "none": bytes([wire._JOINED]) + score + bytes([wire._NONE]),
+            "list": bytes([wire._JOINED]) + score + bytes([wire._LIST, 0]),
+        }.get(case, bytes([wire._JOINED]) + score + attributes)
+        with pytest.raises(ProtocolError, match="joined tuple"):
+            WireCodec().decode_value(_Reader(frame))
 
     def test_ehl_header_is_checked(self, keypair, rng):
         """A batch item's EHL class index and cell count are checked
